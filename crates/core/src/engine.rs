@@ -11,8 +11,8 @@
 //!    the basis store for a correlated prior point,
 //! 3. on a hit: re-map the stored stochastic samples through the detected
 //!    [`Mapping`] and *recompute the derived columns* (e.g. Figure 2's
-//!    `CASE WHEN capacity < demand…`) per world — derived logic is exact,
-//!    so only the stochastic inputs ever need mapping,
+//!    `CASE WHEN capacity < demand…`) over all worlds — derived logic is
+//!    exact, so only the stochastic inputs ever need mapping,
 //! 4. on a miss: full Monte Carlo simulation, then insert into the basis
 //!    store so later points can map from this one.
 //!
@@ -38,8 +38,9 @@ use prophet_mc::{
     simulate_point, simulate_point_block, simulate_point_columnar, ParamPoint, SampleSet,
     SharedBasisStore,
 };
-use prophet_sql::ast::SelectItem;
-use prophet_sql::columnar::{evaluate_select_columns, to_f64_samples, ColumnarStats};
+use prophet_sql::columnar::{
+    evaluate_derived_columns, evaluate_select_columns_memo, to_f64_samples, ColumnarStats,
+};
 use prophet_sql::error::SqlError;
 use prophet_sql::executor::{evaluate_select_with, EvalContext, WorldRng};
 use prophet_sql::vector::{column_to_f64, evaluate_select_block};
@@ -49,6 +50,7 @@ use prophet_vg::{SeedManager, VgRegistry};
 
 use crate::error::{ProphetError, ProphetResult};
 use crate::metrics::{EngineMetrics, Stopwatch};
+use crate::probe_memo::ProbeMemo;
 use crate::scenario::Scenario;
 use crate::sync::{OrderedMutex, ENGINE_METRICS};
 
@@ -61,7 +63,8 @@ use crate::sync::{OrderedMutex, ENGINE_METRICS};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecTier {
     /// One AST walk per world (`evaluate_select_with`). The reference
-    /// semantics; also what per-world re-mapping uses.
+    /// semantics, for re-mapping too: derived columns are recomputed world
+    /// by world with `eval_expr`.
     Scalar,
     /// One AST walk per world-block over boxed `Value` columns
     /// (`evaluate_select_block`), VG functions invoked through the
@@ -71,7 +74,9 @@ pub enum ExecTier {
     /// buffers (`evaluate_select_columns`): straight-line kernels over
     /// typed slices, with per-node fallback to boxed values for
     /// mixed/string data. Kernel/fallback counts surface as
-    /// `EngineMetrics::columnar_kernels` / `column_fallbacks`.
+    /// `EngineMetrics::columnar_kernels` / `column_fallbacks`. Probes
+    /// consult the engine's call-site memo, and a fingerprint hit
+    /// recomputes its derived columns in one block walk.
     #[default]
     Columnar,
 }
@@ -172,12 +177,16 @@ pub struct Engine {
     registry: Arc<VgRegistry>,
     seeds: SeedManager,
     config: EngineConfig,
+    /// All output column names, in SELECT order.
+    output_cols: Vec<String>,
     /// Output columns whose expressions invoke a registered VG function.
     stochastic_cols: Vec<String>,
     /// The canonical probe seed block (`config.fingerprint.length` seeds),
     /// derived once — `probe_fingerprints` runs per parameter point, and
     /// the sequence depends only on the config.
     probe_seeds: SeedSequence,
+    /// VG call outputs over `probe_seeds` under `seeds`, per call site.
+    probe_memo: ProbeMemo,
     basis: SharedBasisStore,
     metrics: OrderedMutex<EngineMetrics>,
 }
@@ -248,12 +257,20 @@ impl Engine {
             })
             .map(|item| item.alias.clone())
             .collect();
+        let output_cols = script
+            .select
+            .items
+            .iter()
+            .map(|i| i.alias.clone())
+            .collect();
         Ok(Engine {
             script,
             registry,
             seeds: SeedManager::new(config.root_seed),
             probe_seeds: SeedSequence::fingerprint_default(config.fingerprint.length),
+            probe_memo: ProbeMemo::new(),
             config,
+            output_cols,
             stochastic_cols,
             basis,
             metrics: OrderedMutex::new(ENGINE_METRICS, EngineMetrics::default()),
@@ -282,12 +299,7 @@ impl Engine {
 
     /// All output column names, in SELECT order.
     pub fn output_columns(&self) -> Vec<String> {
-        self.script
-            .select
-            .items
-            .iter()
-            .map(|i| i.alias.clone())
-            .collect()
+        self.output_cols.clone()
     }
 
     /// Snapshot of the work counters.
@@ -352,7 +364,9 @@ impl Engine {
     /// `probe_evaluations` keeps counting the logical per-seed evaluations
     /// so probe accounting stays comparable with the scalar tier. The
     /// columnar tier additionally accounts its typed-kernel vs boxed
-    /// fallback node counts.
+    /// fallback node counts, and serves VG call sites it has already drawn
+    /// for this argument tuple from the engine's probe memo
+    /// (`probe_call_sites_memoised` of `probe_call_sites`).
     pub(crate) fn probe_fingerprints(
         &self,
         point: &ParamPoint,
@@ -364,12 +378,13 @@ impl Engine {
         if self.config.tier != ExecTier::Scalar {
             let (named_samples, stats) = match self.config.tier {
                 ExecTier::Columnar => {
-                    let (columns, stats) = evaluate_select_columns(
+                    let (columns, stats) = evaluate_select_columns_memo(
                         &self.script.select,
                         &self.registry,
                         &params,
                         self.seeds,
                         seeds.seeds(),
+                        &self.probe_memo,
                     )?;
                     let mut named = Vec::with_capacity(self.stochastic_cols.len());
                     for (name, column) in columns {
@@ -408,6 +423,8 @@ impl Engine {
                 m.vector_walks += 1;
                 m.columnar_kernels += stats.kernels;
                 m.column_fallbacks += stats.fallbacks;
+                m.probe_call_sites += stats.call_sites;
+                m.probe_call_sites_memoised += stats.call_sites_memoised;
                 m.probe_eval_nanos += start.elapsed_nanos();
                 m.fingerprint_time += start.elapsed();
                 m.probe_latency.record(start.elapsed_nanos());
@@ -449,9 +466,15 @@ impl Engine {
             .collect::<HashMap<_, _>>())
     }
 
-    /// Map the stochastic columns and recompute the derived ones per world.
-    /// Self-times into `fingerprint_time` (mapping is part of the
-    /// fingerprint phase's per-call work).
+    /// Map the stochastic columns and recompute the derived ones. Self-times
+    /// into `fingerprint_time` (mapping is part of the fingerprint phase's
+    /// per-call work).
+    ///
+    /// The derived columns follow the tier: [`ExecTier::Columnar`] binds
+    /// the mapped columns as `f64` lanes and evaluates every derived item
+    /// once over all `worlds` lanes; the other tiers recompute world by
+    /// world with `eval_expr`, the semantic reference the block walk is
+    /// held bit-identical to (`tests/vector_equivalence.rs`).
     pub(crate) fn remap_samples(
         &self,
         point: &ParamPoint,
@@ -460,56 +483,80 @@ impl Engine {
         worlds: usize,
     ) -> ProphetResult<HashMap<String, Vec<f64>>> {
         let start = Stopwatch::start();
-        let mut out: HashMap<String, Vec<f64>> =
-            HashMap::with_capacity(self.script.select.items.len());
+        let mut out: HashMap<String, Vec<f64>> = HashMap::with_capacity(self.output_cols.len());
         // Stochastic columns: apply the detected mapping to stored samples.
         for col in &self.stochastic_cols {
             let src = source.get(col).ok_or_else(|| {
                 ProphetError::Internal(format!("basis entry lacks samples for column `{col}`"))
             })?;
+            if src.len() != worlds {
+                return Err(ProphetError::Internal(format!(
+                    "basis entry holds {} samples for column `{col}` but claims {worlds} worlds",
+                    src.len()
+                )));
+            }
             let mapping = mappings
                 .get(col)
                 .ok_or_else(|| ProphetError::Internal(format!("no mapping for column `{col}`")))?;
             out.insert(col.clone(), mapping.apply_samples(src));
         }
-        // Derived columns: recompute from mapped inputs, world by world.
-        let derived: Vec<&SelectItem> = self
-            .script
-            .select
-            .items
-            .iter()
-            .filter(|i| !self.stochastic_cols.contains(&i.alias))
-            .collect();
-        if !derived.is_empty() {
+        if self.stochastic_cols.len() < self.output_cols.len() {
             let params = point.to_value_map();
-            for item in &derived {
-                out.insert(item.alias.clone(), Vec::with_capacity(worlds));
-            }
-            for w in 0..worlds {
-                let mut rng = NoRandomness;
-                let mut ctx = EvalContext::new(&self.registry, &params, &mut rng);
-                // Bind aliases in select order so derived items see both
-                // stochastic and earlier derived columns.
-                for item in &self.script.select.items {
-                    if self.stochastic_cols.contains(&item.alias) {
-                        let v = out[&item.alias][w];
-                        ctx.bind_alias(&item.alias, Value::Float(v));
-                    } else {
-                        let v = prophet_sql::executor::eval_expr(&item.expr, &mut ctx)?;
-                        let x = match &v {
-                            Value::Null => f64::NAN,
-                            v => v.as_f64().map_err(SqlError::from)?,
-                        };
-                        ctx.bind_alias(&item.alias, v);
-                        out.get_mut(&item.alias)
-                            .expect("invariant: derived columns are pre-inserted above")
-                            .push(x);
-                    }
+            if self.config.tier == ExecTier::Columnar {
+                let derived = evaluate_derived_columns(
+                    &self.script.select,
+                    &self.registry,
+                    &params,
+                    &out,
+                    worlds,
+                )?;
+                for (alias, column) in derived {
+                    out.insert(alias, to_f64_samples(&column)?);
                 }
+            } else {
+                self.derive_per_world(&params, &mut out, worlds)?;
             }
         }
         self.bump(|m| m.fingerprint_time += start.elapsed());
         Ok(out)
+    }
+
+    /// The reference recomputation of derived columns from mapped inputs:
+    /// one scalar `eval_expr` walk per world.
+    fn derive_per_world(
+        &self,
+        params: &HashMap<String, Value>,
+        out: &mut HashMap<String, Vec<f64>>,
+        worlds: usize,
+    ) -> ProphetResult<()> {
+        for alias in &self.output_cols {
+            if !self.stochastic_cols.contains(alias) {
+                out.insert(alias.clone(), Vec::with_capacity(worlds));
+            }
+        }
+        for w in 0..worlds {
+            let mut rng = NoRandomness;
+            let mut ctx = EvalContext::new(&self.registry, params, &mut rng);
+            // Bind aliases in select order so derived items see both
+            // stochastic and earlier derived columns.
+            for item in &self.script.select.items {
+                if self.stochastic_cols.contains(&item.alias) {
+                    let v = out[&item.alias][w];
+                    ctx.bind_alias(&item.alias, Value::Float(v));
+                } else {
+                    let v = prophet_sql::executor::eval_expr(&item.expr, &mut ctx)?;
+                    let x = match &v {
+                        Value::Null => f64::NAN,
+                        v => v.as_f64().map_err(SqlError::from)?,
+                    };
+                    ctx.bind_alias(&item.alias, v);
+                    out.get_mut(&item.alias)
+                        .expect("invariant: derived columns are pre-inserted above")
+                        .push(x);
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Full Monte Carlo simulation of one point.
@@ -664,9 +711,9 @@ impl Engine {
     pub(crate) fn to_sample_set(
         &self,
         point: &ParamPoint,
-        samples: &HashMap<String, Vec<f64>>,
+        samples: HashMap<String, Vec<f64>>,
     ) -> SampleSet {
-        SampleSet::from_samples(point.clone(), self.output_columns(), samples.clone())
+        SampleSet::from_samples(point.clone(), self.output_cols.clone(), samples)
     }
 }
 
@@ -872,6 +919,111 @@ mod tests {
         assert_eq!(mc.column_fallbacks, 0, "figure-2 is fully typed");
         assert_eq!(mv.columnar_kernels, 0);
         assert_eq!(ms.columnar_kernels, 0);
+    }
+
+    fn sample_bits(samples: &HashMap<String, Vec<f64>>) -> Vec<(String, Vec<u64>)> {
+        let mut cols: Vec<(String, Vec<u64>)> = samples
+            .iter()
+            .map(|(name, xs)| (name.clone(), xs.iter().map(|x| x.to_bits()).collect()))
+            .collect();
+        cols.sort();
+        cols
+    }
+
+    #[test]
+    fn block_remap_matches_the_per_world_reference_on_nan_lanes() {
+        let block = engine(small_config());
+        let reference = engine(EngineConfig {
+            tier: ExecTier::Scalar,
+            ..small_config()
+        });
+        let p = demo_point(10, 16, 36, 12);
+        // NaN lanes survive the mapping as NaN, and `capacity < demand` with
+        // a NaN operand is false on both paths.
+        let source = HashMap::from([
+            (
+                "demand".to_string(),
+                vec![9_000.0, f64::NAN, 7_500.0, 8_200.0],
+            ),
+            (
+                "capacity".to_string(),
+                vec![8_000.0, 8_000.0, f64::NAN, 9_000.0],
+            ),
+        ]);
+        let mappings = HashMap::from([
+            ("demand".to_string(), Mapping::Identity),
+            ("capacity".to_string(), Mapping::Offset(500.0)),
+        ]);
+        let got = block.remap_samples(&p, &source, &mappings, 4).unwrap();
+        let want = reference.remap_samples(&p, &source, &mappings, 4).unwrap();
+        assert_eq!(sample_bits(&got), sample_bits(&want));
+        assert_eq!(got["overload"], [1.0, 0.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn remap_rejects_a_source_column_shorter_than_its_worlds() {
+        let p = demo_point(10, 16, 36, 12);
+        let source = HashMap::from([
+            ("demand".to_string(), vec![9_000.0; 4]),
+            ("capacity".to_string(), vec![8_000.0; 3]),
+        ]);
+        let mappings = HashMap::from([
+            ("demand".to_string(), Mapping::Identity),
+            ("capacity".to_string(), Mapping::Identity),
+        ]);
+        for tier in [ExecTier::Columnar, ExecTier::Scalar] {
+            let e = engine(EngineConfig {
+                tier,
+                ..small_config()
+            });
+            match e.remap_samples(&p, &source, &mappings, 4) {
+                Err(ProphetError::Internal(msg)) => {
+                    assert!(
+                        msg.contains("`capacity`") && msg.contains("4 worlds"),
+                        "{msg}"
+                    )
+                }
+                other => panic!("{tier:?}: expected a typed internal error, got {other:?}"),
+            }
+        }
+    }
+
+    /// Probe fingerprints as comparable bits, column-sorted.
+    fn probe_bits(e: &Engine, p: &ParamPoint) -> Vec<(String, Vec<u64>)> {
+        let mut cols: Vec<(String, Vec<u64>)> = e
+            .probe_fingerprints(p)
+            .unwrap()
+            .into_iter()
+            .map(|(name, fp)| (name, fp.values().iter().map(|x| x.to_bits()).collect()))
+            .collect();
+        cols.sort();
+        cols
+    }
+
+    #[test]
+    fn probe_memo_overflow_never_changes_a_fingerprint() {
+        let mut memoised = engine(small_config());
+        // Room for three call sites: the walk below overflows it dozens
+        // of times, at every phase of a point's two-site probe.
+        memoised.probe_memo = ProbeMemo::with_bound(3);
+        let reference = engine(EngineConfig {
+            tier: ExecTier::Scalar,
+            ..small_config()
+        });
+        let points: Vec<ParamPoint> = (0..40)
+            .map(|i| demo_point(i % 5, 4 * (i % 3), 36, [12, 36][i as usize % 2]))
+            .collect();
+        for p in points.iter().chain(points.iter().rev()) {
+            assert_eq!(probe_bits(&memoised, p), probe_bits(&reference, p), "{p}");
+        }
+        let m = memoised.metrics();
+        assert_eq!(m.probe_call_sites, 160, "two call sites per probe");
+        assert!(
+            0 < m.probe_call_sites_memoised && m.probe_call_sites_memoised < 160,
+            "a three-entry memo serves some repeats and loses others: {}",
+            m.probe_call_sites_memoised
+        );
+        assert_eq!(reference.metrics().probe_call_sites, 0);
     }
 
     #[test]

@@ -109,7 +109,10 @@ impl Engine {
             match store.try_claim(point, worlds_per_point) {
                 TryClaim::Ready { samples, .. } => {
                     self.bump(|m| m.points_cached += 1);
-                    results[i] = Some((self.to_sample_set(point, &samples), EvalOutcome::Cached));
+                    results[i] = Some((
+                        self.to_sample_set(point, (*samples).clone()),
+                        EvalOutcome::Cached,
+                    ));
                 }
                 TryClaim::Owner(guard) => {
                     guards[i] = Some(guard);
@@ -184,7 +187,7 @@ impl Engine {
                 );
                 self.bump(|m| m.points_mapped += 1);
                 results[i] = Some((
-                    self.to_sample_set(&unique[i], &mapped),
+                    self.to_sample_set(&unique[i], mapped),
                     EvalOutcome::Mapped {
                         from: hit.source,
                         exact,
@@ -226,7 +229,7 @@ impl Engine {
                 );
                 self.bump(|m| m.points_simulated += 1);
                 results[i] = Some((
-                    self.to_sample_set(&unique[i], &samples),
+                    self.to_sample_set(&unique[i], samples),
                     EvalOutcome::Simulated,
                 ));
             }
@@ -273,7 +276,10 @@ impl Engine {
                             m.points_cached += 1;
                             m.inflight_waits += 1;
                         });
-                        return Ok((self.to_sample_set(point, &samples), EvalOutcome::Cached));
+                        return Ok((
+                            self.to_sample_set(point, (*samples).clone()),
+                            EvalOutcome::Cached,
+                        ));
                     }
                     // Under-provisioned publish: fall through and re-claim,
                     // exactly as the Ready path's min-worlds filter would.
@@ -285,7 +291,10 @@ impl Engine {
             {
                 TryClaim::Ready { samples, .. } => {
                     self.bump(|m| m.points_cached += 1);
-                    return Ok((self.to_sample_set(point, &samples), EvalOutcome::Cached));
+                    return Ok((
+                        self.to_sample_set(point, (*samples).clone()),
+                        EvalOutcome::Cached,
+                    ));
                 }
                 TryClaim::Pending(h) => handle = Some(h),
                 TryClaim::Owner(guard) => return self.run_owner(point, guard),
@@ -344,7 +353,7 @@ impl Engine {
                     m.probe_nanos += phase.elapsed_nanos();
                 });
                 return Ok((
-                    self.to_sample_set(point, &mapped),
+                    self.to_sample_set(point, mapped),
                     EvalOutcome::Mapped {
                         from: hit.source,
                         exact,
@@ -365,7 +374,7 @@ impl Engine {
             m.points_simulated += 1;
             m.sim_nanos += phase.elapsed_nanos();
         });
-        Ok((self.to_sample_set(point, &samples), EvalOutcome::Simulated))
+        Ok((self.to_sample_set(point, samples), EvalOutcome::Simulated))
     }
 }
 

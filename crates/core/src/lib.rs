@@ -184,6 +184,7 @@ pub mod job;
 pub mod metrics;
 pub mod obs;
 pub mod offline;
+mod probe_memo;
 pub mod render;
 pub mod scenario;
 pub mod scheduler;

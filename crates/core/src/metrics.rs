@@ -77,6 +77,16 @@ pub struct EngineMetrics {
     /// VG functions without an `f64` batch lane). Zero on pure-numeric
     /// scenarios — the bench asserts exactly that on the bundled ones.
     pub column_fallbacks: u64,
+    /// VG call sites evaluated by columnar probe walks: one per catalog
+    /// function invocation per probed point (Figure 2 has two per point),
+    /// whether drawn or memo-served. Zero on the other tiers.
+    pub probe_call_sites: u64,
+    /// The subset of [`probe_call_sites`](EngineMetrics::probe_call_sites)
+    /// answered from the engine's call-site memo — this argument tuple had
+    /// already been drawn over the probe seed block — without touching the
+    /// VG function. Exact at `threads == 1`; with concurrent probe workers
+    /// two first sightings of one tuple may both draw.
+    pub probe_call_sites_memoised: u64,
     /// (candidate, probe) pairs that ran the full entry-by-entry
     /// correlation comparison during match scans. With the summary index
     /// on, `candidates_pruned / (candidates_scanned + candidates_pruned)`
@@ -160,6 +170,8 @@ impl EngineMetrics {
         self.probe_eval_nanos += other.probe_eval_nanos;
         self.columnar_kernels += other.columnar_kernels;
         self.column_fallbacks += other.column_fallbacks;
+        self.probe_call_sites += other.probe_call_sites;
+        self.probe_call_sites_memoised += other.probe_call_sites_memoised;
         self.candidates_scanned += other.candidates_scanned;
         self.candidates_pruned += other.candidates_pruned;
         self.match_scan_nanos += other.match_scan_nanos;
@@ -185,6 +197,9 @@ impl EngineMetrics {
             probe_eval_nanos: self.probe_eval_nanos - earlier.probe_eval_nanos,
             columnar_kernels: self.columnar_kernels - earlier.columnar_kernels,
             column_fallbacks: self.column_fallbacks - earlier.column_fallbacks,
+            probe_call_sites: self.probe_call_sites - earlier.probe_call_sites,
+            probe_call_sites_memoised: self.probe_call_sites_memoised
+                - earlier.probe_call_sites_memoised,
             candidates_scanned: self.candidates_scanned - earlier.candidates_scanned,
             candidates_pruned: self.candidates_pruned - earlier.candidates_pruned,
             match_scan_nanos: self.match_scan_nanos - earlier.match_scan_nanos,
@@ -228,7 +243,7 @@ impl fmt::Display for EngineMetrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let ms = |nanos: u64| nanos as f64 / 1e6;
         let us = |nanos: u64| format!("{:.2}", nanos as f64 / 1e3);
-        let rows: [(&str, String); 26] = [
+        let rows: [(&str, String); 28] = [
             ("points_simulated", self.points_simulated.to_string()),
             ("points_mapped", self.points_mapped.to_string()),
             ("points_cached", self.points_cached.to_string()),
@@ -239,6 +254,11 @@ impl fmt::Display for EngineMetrics {
             ("probe_eval_ms", format!("{:.2}", ms(self.probe_eval_nanos))),
             ("columnar_kernels", self.columnar_kernels.to_string()),
             ("column_fallbacks", self.column_fallbacks.to_string()),
+            ("probe_call_sites", self.probe_call_sites.to_string()),
+            (
+                "call_sites_memoised",
+                self.probe_call_sites_memoised.to_string(),
+            ),
             ("candidates_scanned", self.candidates_scanned.to_string()),
             ("candidates_pruned", self.candidates_pruned.to_string()),
             ("prune_pct", format!("{:.1}", self.prune_fraction() * 100.0)),
@@ -334,6 +354,8 @@ mod tests {
             probe_eval_nanos: 2_000,
             columnar_kernels: 20,
             column_fallbacks: 2,
+            probe_call_sites: 14,
+            probe_call_sites_memoised: 9,
             candidates_scanned: 40,
             candidates_pruned: 60,
             match_scan_nanos: 800,
@@ -349,6 +371,8 @@ mod tests {
             probe_eval_nanos: 1_000,
             columnar_kernels: 5,
             column_fallbacks: 1,
+            probe_call_sites: 6,
+            probe_call_sites_memoised: 4,
             candidates_scanned: 4,
             candidates_pruned: 6,
             match_scan_nanos: 200,
@@ -362,6 +386,8 @@ mod tests {
         assert_eq!(b.probe_eval_nanos, 3_000);
         assert_eq!(b.columnar_kernels, 25);
         assert_eq!(b.column_fallbacks, 3);
+        assert_eq!(b.probe_call_sites, 20);
+        assert_eq!(b.probe_call_sites_memoised, 13);
         assert_eq!(b.candidates_scanned, 44);
         assert_eq!(b.candidates_pruned, 66);
         assert_eq!(b.match_scan_nanos, 1_000);
@@ -372,6 +398,8 @@ mod tests {
         assert_eq!(diff.probe_eval_nanos, 1_000);
         assert_eq!(diff.columnar_kernels, 5);
         assert_eq!(diff.column_fallbacks, 1);
+        assert_eq!(diff.probe_call_sites, 6);
+        assert_eq!(diff.probe_call_sites_memoised, 4);
         assert_eq!(diff.candidates_scanned, 4);
         assert_eq!(diff.candidates_pruned, 6);
         assert_eq!(diff.match_scan_nanos, 200);
@@ -409,6 +437,8 @@ mod tests {
             probe_eval_nanos: 1_250_000,
             columnar_kernels: 210,
             column_fallbacks: 0,
+            probe_call_sites: 12,
+            probe_call_sites_memoised: 5,
             candidates_scanned: 30,
             candidates_pruned: 90,
             match_scan_nanos: 2_500_000,
@@ -435,6 +465,8 @@ vector_walks                     6
 probe_eval_ms                 1.25
 columnar_kernels               210
 column_fallbacks                 0
+probe_call_sites                12
+call_sites_memoised              5
 candidates_scanned              30
 candidates_pruned               90
 prune_pct                     75.0
@@ -476,6 +508,8 @@ sim_p99_us                 4194.30";
             probe_eval_nanos: 7,
             columnar_kernels: 8,
             column_fallbacks: 9,
+            probe_call_sites: 21,
+            probe_call_sites_memoised: 22,
             candidates_scanned: 10,
             candidates_pruned: 11,
             match_scan_nanos: 12,

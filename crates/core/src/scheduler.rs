@@ -941,7 +941,10 @@ fn run_batch(
             TryClaim::Ready { samples, .. } => {
                 engine.bump(|m| m.points_cached += 1);
                 core.points_done.fetch_add(1, Ordering::AcqRel);
-                results[i] = Some((engine.to_sample_set(point, &samples), EvalOutcome::Cached));
+                results[i] = Some((
+                    engine.to_sample_set(point, (*samples).clone()),
+                    EvalOutcome::Cached,
+                ));
             }
             TryClaim::Owner(guard) => {
                 guards[i] = Some(guard);
@@ -1046,7 +1049,7 @@ fn run_batch(
                     engine.bump(|m| m.points_mapped += 1);
                     core.points_done.fetch_add(1, Ordering::AcqRel);
                     results[i] = Some((
-                        engine.to_sample_set(&unique[i], &mapped),
+                        engine.to_sample_set(&unique[i], mapped),
                         EvalOutcome::Mapped { from, exact },
                     ));
                 }
@@ -1123,7 +1126,7 @@ fn run_batch(
                     engine.bump(|m| m.points_simulated += 1);
                     core.points_done.fetch_add(1, Ordering::AcqRel);
                     results[i] = Some((
-                        engine.to_sample_set(&unique[i], &samples),
+                        engine.to_sample_set(&unique[i], samples),
                         EvalOutcome::Simulated,
                     ));
                 }

@@ -25,6 +25,7 @@
 //! | 50–65 | [`rank::STORE_SHARDS`] — basis entry-table shards (`RwLock` each) | `prophet_mc::sync` |
 //! | 67 | [`rank::STORE_STATS`] — store counter ledger | `prophet_mc::sync` |
 //! | 70 | [`CHUNK_RESULTS`] — a chunked phase's result slots | this module |
+//! | 72 | [`PROBE_MEMO`] — the engine's call-site probe memo | this module |
 //! | 75 | [`ENGINE_METRICS`] — the engine's metrics ledger | this module |
 //! | 80 | [`SCHEDULER_HANDLES`] — worker join handles (drop only) | this module |
 //! | 90 | [`TRACE_RING`] — flight-recorder ring shards | `prophet_mc::trace` |
@@ -68,6 +69,10 @@ pub const JOB_EVENTS: LockRank = LockRank::new(20, "job event sender");
 /// completes.
 pub const CHUNK_RESULTS: LockRank = LockRank::new(70, "chunk result slots");
 
+/// The engine's call-site probe memo (`crate::probe_memo`): a leaf held
+/// for one lookup or one insert, never across a VG call.
+pub const PROBE_MEMO: LockRank = LockRank::new(72, "engine probe memo");
+
 /// The engine's [`EngineMetrics`](crate::metrics::EngineMetrics) ledger:
 /// a leaf bumped after each primitive completes.
 pub const ENGINE_METRICS: LockRank = LockRank::new(75, "engine metrics");
@@ -95,6 +100,7 @@ mod tests {
             rank::STORE_SHARDS[MAX_SHARDS - 1],
             rank::STORE_STATS,
             CHUNK_RESULTS,
+            PROBE_MEMO,
             ENGINE_METRICS,
             SCHEDULER_HANDLES,
             TRACE_RING,

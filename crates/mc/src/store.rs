@@ -858,6 +858,12 @@ fn parse_record(r: &mut SnapshotReader<'_>) -> Result<ParsedRecord, SnapshotErro
     for _ in 0..ncols {
         let name = r.string()?;
         let len = r.u64()? as usize;
+        // Consumers index sample lanes by world (`0..worlds`): a column of
+        // any other length is a malformed record, however valid its
+        // checksum.
+        if len != worlds {
+            return Err(SnapshotError::Truncated);
+        }
         let mut values = Vec::with_capacity(len.min(65_536));
         for _ in 0..len {
             values.push(r.f64()?);
@@ -1543,7 +1549,7 @@ mod tests {
                 point("p", i),
                 HashMap::from([("y".to_owned(), fp(&vals))]),
                 samples(i as f64),
-                10,
+                2,
                 i % 3 != 0,
             );
         }
@@ -1921,8 +1927,8 @@ mod tests {
         );
         // The restored store continues the stamp stream: the next insert
         // evicts the same victim the source store evicts.
-        src.insert(point("q", 1), HashMap::new(), samples(0.5), 10, false);
-        dst.insert(point("q", 1), HashMap::new(), samples(0.5), 10, false);
+        src.insert(point("q", 1), HashMap::new(), samples(0.5), 2, false);
+        dst.insert(point("q", 1), HashMap::new(), samples(0.5), 2, false);
         assert_eq!(
             dst.snapshot_bytes(),
             src.snapshot_bytes(),
@@ -1937,10 +1943,10 @@ mod tests {
             point("x", 1),
             HashMap::from([("y".to_owned(), fp(&[1.0, 2.0, 3.0]))]),
             samples(1.0),
-            8,
+            2,
             true,
         );
-        src.insert(point("x", 2), HashMap::new(), samples(2.0), 8, false);
+        src.insert(point("x", 2), HashMap::new(), samples(2.0), 2, false);
         let good = src.snapshot_bytes();
 
         let fresh = SharedBasisStore::new(4);
@@ -1973,6 +1979,22 @@ mod tests {
         let sum = fnv1a(&short);
         short.extend_from_slice(&sum.to_le_bytes());
         assert_eq!(fresh.restore_bytes(&short), Err(SnapshotError::Truncated));
+        // A record whose sample column is shorter than its `worlds` field,
+        // behind a valid checksum: consumers index lanes `0..worlds`, so
+        // it must not restore. The last record's `worlds` field sits
+        // before its stamp (8), matchable flag (1), empty fingerprint map
+        // (4), column count (4), name "y" (4 + 1), lane count (8) and two
+        // lanes (16), counted back from the checksum.
+        let mut long_worlds = good[..good.len() - 8].to_vec();
+        let at = long_worlds.len() - (8 + 1 + 4 + 4 + 5 + 8 + 16) - 8;
+        assert_eq!(long_worlds[at..at + 8], 2u64.to_le_bytes());
+        long_worlds[at..at + 8].copy_from_slice(&3u64.to_le_bytes());
+        let sum = fnv1a(&long_worlds);
+        long_worlds.extend_from_slice(&sum.to_le_bytes());
+        assert_eq!(
+            fresh.restore_bytes(&long_worlds),
+            Err(SnapshotError::Truncated)
+        );
         // More entries than the target store can hold.
         let tiny = SharedBasisStore::new(1);
         assert_eq!(
@@ -1986,7 +2008,7 @@ mod tests {
         assert!(fresh.is_empty());
         // …and the unmodified bytes still restore.
         assert_eq!(fresh.restore_bytes(&good), Ok(2));
-        assert!(fresh.get_exact(&point("x", 1), 8).is_some());
+        assert!(fresh.get_exact(&point("x", 1), 2).is_some());
     }
 
     #[test]
@@ -1996,7 +2018,7 @@ mod tests {
             point("x", 1),
             HashMap::from([("y".to_owned(), fp(&[1.0, 2.0, 3.0, 4.0]))]),
             samples(1.0),
-            8,
+            2,
             true,
         );
         let probes = HashMap::from([("y".to_owned(), fp(&[2.0, 3.0, 4.0, 5.0]))]);

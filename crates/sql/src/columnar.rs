@@ -43,6 +43,7 @@
 
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use prophet_data::Value;
 use prophet_vg::{BatchSamples, SeedManager, VgCallF64, VgRegistry};
@@ -256,6 +257,82 @@ pub struct ColumnarStats {
     pub kernels: u64,
     /// Expression nodes routed through per-value (boxed) evaluation.
     pub fallbacks: u64,
+    /// VG call sites evaluated (each whole- or partial-block invocation of
+    /// a catalog function counts one, memo-served or not).
+    pub call_sites: u64,
+    /// The subset of `call_sites` answered from a [`CallSiteMemo`] without
+    /// drawing.
+    pub call_sites_memoised: u64,
+}
+
+/// One argument of a memoisable VG call. Floats are held by bit pattern so
+/// the key is `Eq + Hash` and a NaN argument equals itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum ArgBits {
+    /// SQL NULL.
+    Null,
+    /// An integer argument.
+    Int(i64),
+    /// A float argument, as `f64::to_bits`.
+    Float(u64),
+    /// A boolean argument.
+    Bool(bool),
+}
+
+/// Identity of one VG call over a *fixed* `(SeedManager, world block)`:
+/// every lane's substream derives from `(world, function, call index)` and
+/// the model is deterministic in `(arguments, substream)`, so these three
+/// fields determine the call's whole output column.
+///
+/// The call index is part of the key because it is part of the substream
+/// derivation: the same function called twice with equal arguments in one
+/// SELECT draws from two different streams per world.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct CallSiteKey {
+    /// Function name as written at the call site (what seeds derive from).
+    pub function: String,
+    /// The per-world VG call counter at this site, uniform over the block.
+    pub call_index: u64,
+    /// The block-constant argument row.
+    pub args: Vec<ArgBits>,
+}
+
+impl CallSiteKey {
+    /// The key for `function` at `call_index` with the constant argument
+    /// row `args`; `None` when an argument is not `Null`/`Int`/`Float`/
+    /// `Bool` (such calls are never memoised).
+    fn new(function: &str, call_index: u64, args: &[Value]) -> Option<Self> {
+        let args = args
+            .iter()
+            .map(|v| match v {
+                Value::Null => Some(ArgBits::Null),
+                Value::Int(x) => Some(ArgBits::Int(*x)),
+                Value::Float(x) => Some(ArgBits::Float(x.to_bits())),
+                Value::Bool(x) => Some(ArgBits::Bool(*x)),
+                _ => None,
+            })
+            .collect::<Option<Vec<_>>>()?;
+        Some(CallSiteKey {
+            function: function.to_owned(),
+            call_index,
+            args,
+        })
+    }
+}
+
+/// A cache of VG call outputs, consulted by
+/// [`evaluate_select_columns_memo`] at call sites whose arguments are
+/// constant over the block.
+///
+/// One memo is valid for exactly one `(SeedManager, world block)` pair —
+/// the key does not name them, so the owner must never share a memo
+/// between two. Implementations may drop entries at will (a lost entry is
+/// only a recomputation) and must return lanes exactly as inserted.
+pub trait CallSiteMemo: Sync {
+    /// The cached `f64` lanes of this call over the block, if present.
+    fn get(&self, key: &CallSiteKey) -> Option<Arc<[f64]>>;
+    /// Cache the lanes of a call that just drew them.
+    fn insert(&self, key: CallSiteKey, lanes: Arc<[f64]>);
 }
 
 /// Evaluate the scenario SELECT for a block of worlds through the typed
@@ -273,12 +350,49 @@ pub fn evaluate_select_columns(
     seeds: SeedManager,
     worlds: &[u64],
 ) -> SqlResult<(Vec<(String, Column)>, ColumnarStats)> {
+    select_columns(select, registry, params, seeds, worlds, None)
+}
+
+/// [`evaluate_select_columns`] with a [`CallSiteMemo`]: a VG call site is
+/// served from (or, after drawing, recorded into) `memo` when it covers
+/// the whole block, every argument column is a block-constant
+/// `Null`/`Int`/`Float`/`Bool`, the per-slot call counter is uniform over
+/// the block, and the model answers on its `f64` lane. Every other call
+/// site — under a data-dependent `CASE`/`AND`/`OR` arm, or with an
+/// argument that references an earlier stochastic alias — draws as usual.
+///
+/// Outputs are bit-identical with and without the memo, and per-slot
+/// counters and [`ColumnarStats::kernels`] advance on a hit exactly as on
+/// a miss; only the catalog's invocation statistics see fewer draws. The
+/// caller must hold `seeds` and `worlds` fixed for the memo's lifetime.
+pub fn evaluate_select_columns_memo(
+    select: &SelectInto,
+    registry: &VgRegistry,
+    params: &HashMap<String, Value>,
+    seeds: SeedManager,
+    worlds: &[u64],
+    memo: &dyn CallSiteMemo,
+) -> SqlResult<(Vec<(String, Column)>, ColumnarStats)> {
+    select_columns(select, registry, params, seeds, worlds, Some(memo))
+}
+
+fn select_columns(
+    select: &SelectInto,
+    registry: &VgRegistry,
+    params: &HashMap<String, Value>,
+    seeds: SeedManager,
+    worlds: &[u64],
+    memo: Option<&dyn CallSiteMemo>,
+) -> SqlResult<(Vec<(String, Column)>, ColumnarStats)> {
     let mut ctx = ColumnContext {
         registry,
         params,
-        seeds,
-        worlds,
-        counters: vec![0; worlds.len()],
+        draws: Some(DrawState {
+            seeds,
+            worlds,
+            counters: vec![0; worlds.len()],
+            memo,
+        }),
         aliases: HashMap::new(),
         stats: ColumnarStats::default(),
     };
@@ -290,6 +404,66 @@ pub fn evaluate_select_columns(
         out.push((item.alias.clone(), column));
     }
     Ok((out, ctx.stats))
+}
+
+/// Evaluate the *derived* select items — those with no entry in `samples`
+/// — once over a block of `lanes` lanes, with the items that do have an
+/// entry bound as aliases from their `f64` samples. This is the block form
+/// of re-computing derived columns (Figure 2's `CASE WHEN capacity <
+/// demand …`) after a fingerprint re-map: one walk for all worlds instead
+/// of one scalar walk per world, bit-identical per lane.
+///
+/// Items are visited in declaration order, so a derived item sees exactly
+/// the aliases declared before it (stochastic or derived), as in every
+/// other tier. A bound sample is bound as a *valid* `f64` lane whatever its
+/// value: the sample encoding has already collapsed NULL into NaN, and the
+/// per-world reference binds `Value::Float(x)` the same way, so NaN stays a
+/// value here (`NaN < 1` is false, not NULL). NULLs the derived items
+/// themselves produce live in the returned columns' masks until the caller
+/// converts through [`to_f64_samples`].
+///
+/// Derived items are deterministic: reaching a catalog (VG) function, or
+/// a bound column whose length is not `lanes`, is an evaluation error.
+pub fn evaluate_derived_columns(
+    select: &SelectInto,
+    registry: &VgRegistry,
+    params: &HashMap<String, Value>,
+    samples: &HashMap<String, Vec<f64>>,
+    lanes: usize,
+) -> SqlResult<Vec<(String, Column)>> {
+    let mut ctx = ColumnContext {
+        registry,
+        params,
+        draws: None,
+        aliases: HashMap::new(),
+        stats: ColumnarStats::default(),
+    };
+    let everything: Vec<usize> = (0..lanes).collect();
+    let mut out = Vec::new();
+    for item in &select.items {
+        match samples.get(&item.alias) {
+            Some(data) if data.len() != lanes => {
+                return Err(SqlError::Eval(format!(
+                    "bound column `{}` has {} lanes, the block has {lanes}",
+                    item.alias,
+                    data.len()
+                )));
+            }
+            Some(data) => {
+                let column = Column::F64 {
+                    data: data.clone(),
+                    nulls: NullMask::none(lanes),
+                };
+                ctx.aliases.insert(item.alias.clone(), column);
+            }
+            None => {
+                let column = eval_col(&item.expr, &mut ctx, &everything)?;
+                ctx.aliases.insert(item.alias.clone(), column.clone());
+                out.push((item.alias.clone(), column));
+            }
+        }
+    }
+    Ok(out)
 }
 
 /// Convert one typed column to the `f64` sample representation of the
@@ -330,11 +504,19 @@ pub fn to_f64_samples(column: &Column) -> SqlResult<Vec<f64>> {
 struct ColumnContext<'a> {
     registry: &'a VgRegistry,
     params: &'a HashMap<String, Value>,
+    /// VG draw state; `None` in a derived-column walk, which must not draw.
+    draws: Option<DrawState<'a>>,
+    aliases: HashMap<String, Column>,
+    stats: ColumnarStats,
+}
+
+/// What a VG call site needs to draw: the substream derivation inputs and
+/// the per-slot call counters.
+struct DrawState<'a> {
     seeds: SeedManager,
     worlds: &'a [u64],
     counters: Vec<u64>,
-    aliases: HashMap<String, Column>,
-    stats: ColumnarStats,
+    memo: Option<&'a dyn CallSiteMemo>,
 }
 
 /// Broadcast one scalar to a block-length column.
@@ -889,18 +1071,49 @@ fn call_function_col(
         return Ok(Column::from_values(values?));
     }
 
-    // One derived substream per selected world; the per-slot counter bumps
-    // only for worlds reaching this call site (scalar tier's discipline).
-    let mut rngs = Vec::with_capacity(sel.len());
-    for &slot in sel {
-        let counter = ctx.counters[slot];
-        ctx.counters[slot] += 1;
-        rngs.push(ctx.seeds.rng_for(ctx.worlds[slot], name, counter));
-    }
+    let Some(draws) = ctx.draws.as_mut() else {
+        return Err(SqlError::Eval(format!(
+            "derived column calls VG function `{name}`; derived columns must not draw"
+        )));
+    };
+    ctx.stats.call_sites += 1;
     // Argument columns are usually constant over the block (one parameter
     // valuation per point): share a single parameter row instead of
     // materializing one per world.
     let const_row: Option<Vec<Value>> = args.iter().map(|c| c.const_value()).collect();
+
+    // A whole-block call with a constant argument row and one call index
+    // for every slot is fully identified by `(name, index, row)`.
+    let memo = draws
+        .memo
+        .zip(const_row.as_deref())
+        .filter(|_| {
+            !sel.is_empty()
+                && sel.len() == draws.worlds.len()
+                && draws.counters.iter().all(|&c| c == draws.counters[0])
+        })
+        .and_then(|(memo, row)| Some((memo, CallSiteKey::new(name, draws.counters[0], row)?)));
+
+    // One derived substream per selected world; the per-slot counter bumps
+    // only for worlds reaching this call site (scalar tier's discipline) —
+    // on a memo hit too, so later call sites see the same indices.
+    if let Some(lanes) = memo.as_ref().and_then(|(memo, key)| memo.get(key)) {
+        for &slot in sel {
+            draws.counters[slot] += 1;
+        }
+        ctx.stats.kernels += 1;
+        ctx.stats.call_sites_memoised += 1;
+        return Ok(Column::F64 {
+            data: lanes.to_vec(),
+            nulls: NullMask::none(lanes.len()),
+        });
+    }
+    let mut rngs = Vec::with_capacity(sel.len());
+    for &slot in sel {
+        let counter = draws.counters[slot];
+        draws.counters[slot] += 1;
+        rngs.push(draws.seeds.rng_for(draws.worlds[slot], name, counter));
+    }
     let rows: Vec<Vec<Value>> = if const_row.is_some() {
         Vec::new()
     } else {
@@ -922,6 +1135,9 @@ fn call_function_col(
     match ctx.registry.invoke_batch_columnar(name, &mut calls)? {
         BatchSamples::F64(data) => {
             ctx.stats.kernels += 1;
+            if let Some((memo, key)) = memo {
+                memo.insert(key, Arc::from(data.as_slice()));
+            }
             Ok(Column::F64 {
                 nulls: NullMask::none(data.len()),
                 data,
@@ -1175,6 +1391,300 @@ mod tests {
             want.len()
         );
         assert!(to_f64_samples(&Column::Boxed(vec![Value::Str("x".into())])).is_err());
+    }
+
+    /// An unbounded memo for the walker tests.
+    #[derive(Default)]
+    struct MapMemo(std::sync::Mutex<HashMap<CallSiteKey, Arc<[f64]>>>);
+
+    impl CallSiteMemo for MapMemo {
+        fn get(&self, key: &CallSiteKey) -> Option<Arc<[f64]>> {
+            self.0.lock().unwrap().get(key).cloned()
+        }
+        fn insert(&self, key: CallSiteKey, lanes: Arc<[f64]>) {
+            self.0.lock().unwrap().insert(key, lanes);
+        }
+    }
+
+    fn bits(columns: &[(String, Column)]) -> Vec<(String, Vec<Option<u64>>)> {
+        columns
+            .iter()
+            .map(|(alias, c)| {
+                let lanes = (0..c.len())
+                    .map(|i| match c.value_at(i) {
+                        Value::Null => None,
+                        v => Some(v.as_f64().unwrap().to_bits()),
+                    })
+                    .collect();
+                (alias.clone(), lanes)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn memo_hit_is_bit_identical_and_counts_like_a_miss() {
+        let script = parse_script(
+            "DECLARE PARAMETER @base AS SET (100);\n\
+             SELECT Jitter(@base) AS demand,\n\
+                    Jitter(@base) AS again,\n\
+                    Jitter(@base + 0.5) AS capacity,\n\
+                    CASE WHEN capacity < demand THEN 1 ELSE 0 END AS overload\n\
+             INTO results;",
+        )
+        .unwrap();
+        let registry = registry();
+        let params = HashMap::from([("base".to_string(), Value::Int(100))]);
+        let seeds = SeedManager::new(11);
+        let worlds: Vec<u64> = (0..32).map(|w| w * 7 + 3).collect();
+        let (plain, plain_stats) =
+            evaluate_select_columns(&script.select, &registry, &params, seeds, &worlds).unwrap();
+        assert_eq!(plain_stats.call_sites, 3);
+        assert_eq!(plain_stats.call_sites_memoised, 0);
+        let drawn = registry.stats("Jitter").unwrap().invocations;
+
+        let memo = MapMemo::default();
+        let walk = || {
+            evaluate_select_columns_memo(&script.select, &registry, &params, seeds, &worlds, &memo)
+                .unwrap()
+        };
+        let (cold, cold_stats) = walk();
+        let (warm, warm_stats) = walk();
+        assert_eq!(bits(&cold), bits(&plain));
+        assert_eq!(bits(&warm), bits(&plain));
+        assert_eq!(cold_stats, plain_stats, "a cold memo changes nothing");
+        assert_eq!(warm_stats.call_sites_memoised, 3);
+        assert_eq!(
+            (
+                warm_stats.kernels,
+                warm_stats.fallbacks,
+                warm_stats.call_sites
+            ),
+            (
+                plain_stats.kernels,
+                plain_stats.fallbacks,
+                plain_stats.call_sites
+            ),
+            "a hit advances the accounting exactly as a miss"
+        );
+        assert_eq!(
+            registry.stats("Jitter").unwrap().invocations,
+            2 * drawn,
+            "the warm walk drew nothing"
+        );
+        // Same function, same argument, different call index: two entries
+        // (the substreams differ, and so do the lanes).
+        assert_eq!(memo.0.lock().unwrap().len(), 3);
+        assert_ne!(bits(&plain)[0].1, bits(&plain)[1].1);
+
+        // A different argument tuple is a different entry, not a stale hit.
+        let other = HashMap::from([("base".to_string(), Value::Int(101))]);
+        let (moved, moved_stats) =
+            evaluate_select_columns_memo(&script.select, &registry, &other, seeds, &worlds, &memo)
+                .unwrap();
+        let (moved_plain, _) =
+            evaluate_select_columns(&script.select, &registry, &other, seeds, &worlds).unwrap();
+        assert_eq!(moved_stats.call_sites_memoised, 0);
+        assert_eq!(bits(&moved), bits(&moved_plain));
+    }
+
+    #[test]
+    fn partial_block_and_alias_fed_calls_are_never_memoised() {
+        let registry = registry();
+        let seeds = SeedManager::new(5);
+        let worlds: Vec<u64> = (0..32).collect();
+        // Per script: how many call sites may be memo-served on a re-walk.
+        let cases = [
+            // `first` is eligible; the call under the data-dependent arm
+            // covers part of the block, and leaves the per-slot counters
+            // ragged for `last`.
+            (
+                "SELECT Jitter(0) AS first,\n\
+                 CASE WHEN first < 0.5 THEN Jitter(100) ELSE -1 END AS maybe,\n\
+                 Jitter(200) AS last INTO r;",
+                1,
+            ),
+            // Same, under a short-circuiting AND.
+            (
+                "SELECT Jitter(0) AS first,\n\
+                 CASE WHEN first < 0.5 AND Jitter(0) < 0.5 THEN 1 ELSE 0 END AS both,\n\
+                 Jitter(9) AS last INTO r;",
+                1,
+            ),
+            // An argument fed by an earlier stochastic alias is not
+            // constant over the block.
+            ("SELECT Jitter(0) AS first, Jitter(first) AS fed INTO r;", 1),
+            // A string argument has no bit-pattern key.
+            ("SELECT Jitter('x') AS bad INTO r;", 0),
+        ];
+        for (src, eligible) in cases {
+            let script = parse_script(src).unwrap();
+            let memo = MapMemo::default();
+            let walk = || {
+                evaluate_select_columns_memo(
+                    &script.select,
+                    &registry,
+                    &HashMap::new(),
+                    seeds,
+                    &worlds,
+                    &memo,
+                )
+            };
+            let plain =
+                evaluate_select_columns(&script.select, &registry, &HashMap::new(), seeds, &worlds);
+            let (Ok((plain, _)), Ok((cold, _)), Ok((warm, warm_stats))) = (plain, walk(), walk())
+            else {
+                assert!(
+                    walk().is_err(),
+                    "`{src}` must fail with the memo as without"
+                );
+                assert!(memo.0.lock().unwrap().is_empty());
+                continue;
+            };
+            assert_eq!(bits(&cold), bits(&plain), "`{src}`");
+            assert_eq!(bits(&warm), bits(&plain), "`{src}`");
+            assert_eq!(warm_stats.call_sites_memoised, eligible, "`{src}`");
+            assert_eq!(memo.0.lock().unwrap().len() as u64, eligible, "`{src}`");
+        }
+    }
+
+    /// The per-world reference for derived columns: bind the sample lanes
+    /// as floats, `eval_expr` the rest, NULL → NaN at the end.
+    fn derive_per_world(
+        select: &SelectInto,
+        registry: &VgRegistry,
+        params: &HashMap<String, Value>,
+        samples: &HashMap<String, Vec<f64>>,
+        lanes: usize,
+    ) -> Vec<(String, Vec<u64>)> {
+        use crate::executor::{eval_expr, EvalContext};
+        let mut out: Vec<(String, Vec<u64>)> = select
+            .items
+            .iter()
+            .filter(|i| !samples.contains_key(&i.alias))
+            .map(|i| (i.alias.clone(), Vec::new()))
+            .collect();
+        for w in 0..lanes {
+            let mut rng = prophet_vg::rng::Xoshiro256StarStar::seed_from_u64(0);
+            let mut ctx = EvalContext::new(registry, params, &mut rng);
+            for item in &select.items {
+                if let Some(lane) = samples.get(&item.alias) {
+                    ctx.bind_alias(&item.alias, Value::Float(lane[w]));
+                } else {
+                    let v = eval_expr(&item.expr, &mut ctx).unwrap();
+                    let x = match &v {
+                        Value::Null => f64::NAN,
+                        v => v.as_f64().unwrap(),
+                    };
+                    ctx.bind_alias(&item.alias, v);
+                    let slot = out.iter_mut().find(|(a, _)| *a == item.alias).unwrap();
+                    slot.1.push(x.to_bits());
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn derived_block_matches_the_per_world_reference() {
+        let script = parse_script(
+            "DECLARE PARAMETER @t AS SET (3);\n\
+             SELECT Jitter(0) AS demand,\n\
+                    demand * 2 AS doubled,\n\
+                    Jitter(1) AS capacity,\n\
+                    CASE WHEN capacity < demand THEN 1 ELSE 0 END AS overload,\n\
+                    overload + doubled + @t AS chained,\n\
+                    CASE WHEN demand < -1 THEN 1 END AS never,\n\
+                    CASE WHEN capacity > 0.5 THEN capacity / (overload - 1) END AS holes,\n\
+                    NOT (demand = demand) AS nan_probe,\n\
+                    GREATEST(demand, capacity) AS best\n\
+             INTO r;",
+        )
+        .unwrap();
+        let registry = registry();
+        let params = HashMap::from([("t".to_string(), Value::Int(3))]);
+        let lanes = 9;
+        // Sample lanes with NaNs (a collapsed NULL or a genuine NaN draw —
+        // the encoding cannot tell, and neither path may treat it as NULL).
+        let samples = HashMap::from([
+            (
+                "demand".to_string(),
+                vec![0.1, f64::NAN, 0.9, 0.4, -0.0, 0.7, f64::NAN, 0.2, 0.6],
+            ),
+            (
+                "capacity".to_string(),
+                vec![0.5, 0.3, f64::NAN, 0.8, 0.0, 0.6, f64::NAN, 0.95, 0.55],
+            ),
+        ]);
+        let block =
+            evaluate_derived_columns(&script.select, &registry, &params, &samples, lanes).unwrap();
+        let aliases: Vec<&str> = block.iter().map(|(a, _)| a.as_str()).collect();
+        assert_eq!(
+            aliases,
+            [
+                "doubled",
+                "overload",
+                "chained",
+                "never",
+                "holes",
+                "nan_probe",
+                "best"
+            ],
+            "derived items only, in declaration order"
+        );
+        // Inside the tier the always-NULL item is mask state, not NaN…
+        assert_eq!(block[3].1, Column::Null(lanes));
+        // …and a NaN source lane is a value: `NaN = NaN` is false, so its
+        // negation is a valid TRUE, where a NULL lane would stay NULL.
+        assert_eq!(block[5].1.value_at(1), Value::Bool(true));
+        let got: Vec<(String, Vec<u64>)> = block
+            .iter()
+            .map(|(alias, c)| {
+                let xs = to_f64_samples(c).unwrap();
+                (alias.clone(), xs.iter().map(|x| x.to_bits()).collect())
+            })
+            .collect();
+        let want = derive_per_world(&script.select, &registry, &params, &samples, lanes);
+        assert_eq!(got, want);
+        assert!(
+            f64::from_bits(got[4].1[3]).is_finite() && f64::from_bits(got[4].1[0]).is_nan(),
+            "`holes` mixes valid lanes with NULLs: {:?}",
+            got[4].1
+        );
+    }
+
+    #[test]
+    fn derived_block_rejects_draws_and_ragged_lanes() {
+        let script = parse_script(
+            "SELECT Jitter(0) AS demand, Jitter(1) AS capacity,\n\
+             CASE WHEN capacity < demand THEN 1 ELSE 0 END AS overload INTO r;",
+        )
+        .unwrap();
+        let registry = registry();
+        let run = |samples: &HashMap<String, Vec<f64>>, lanes| {
+            evaluate_derived_columns(&script.select, &registry, &HashMap::new(), samples, lanes)
+                .unwrap_err()
+                .to_string()
+        };
+        // `capacity` is not bound, so the walk reaches its VG call.
+        let missing = HashMap::from([("demand".to_string(), vec![0.5; 4])]);
+        assert!(run(&missing, 4).contains("must not draw"));
+        assert_eq!(registry.stats("Jitter").unwrap().invocations, 0);
+        let ragged = HashMap::from([
+            ("demand".to_string(), vec![0.5; 4]),
+            ("capacity".to_string(), vec![0.5; 3]),
+        ]);
+        assert!(run(&ragged, 4).contains("`capacity` has 3 lanes, the block has 4"));
+        // An alias declared later is not in scope, exactly as per world.
+        let script = parse_script("SELECT later + 1 AS early, Jitter(0) AS later INTO r;").unwrap();
+        let err = evaluate_derived_columns(
+            &script.select,
+            &registry,
+            &HashMap::new(),
+            &HashMap::from([("later".to_string(), vec![0.5; 2])]),
+            2,
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("unknown column or alias `later`"));
     }
 
     #[test]

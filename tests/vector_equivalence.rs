@@ -20,12 +20,21 @@
 //!   outputs and VG invocation accounting across all three tiers;
 //! * thread-count independence of the block tiers (samples and work
 //!   counters equal under `threads: 1` and `threads: 8`, both equal to a
-//!   single-threaded scalar engine).
+//!   single-threaded scalar engine);
+//! * the columnar tier's two fingerprint-phase shortcuts against the
+//!   scalar tier, which has neither: the **block remap** (derived columns
+//!   of a mapped point recomputed in one walk — every bundled scenario,
+//!   plus NaN sample lanes, derived-on-derived aliases and an always-NULL
+//!   item) and the **call-site probe memo** (store contents byte-identical
+//!   at 1 and 8 threads, forwards and reversed; call sites under a `CASE`
+//!   arm or fed by a stochastic alias never memo-served).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use fuzzy_prophet::prelude::*;
-use prophet_data::Value;
+use prophet_data::{DataResult, DataType, Schema, Table, TableBuilder, Value};
+use prophet_mc::guide::GridGuide;
 use prophet_models::scenarios::{
     figure2_coarse_sql, INVENTORY_POLICY, PRICING_WHATIF, SUPPORT_STAFFING,
 };
@@ -35,7 +44,7 @@ use prophet_sql::executor::{evaluate_select_with, WorldRng};
 use prophet_sql::parser::parse_script;
 use prophet_sql::vector::evaluate_select_block;
 use prophet_vg::rng::{Rng64, Xoshiro256StarStar};
-use prophet_vg::SeedManager;
+use prophet_vg::{SeedManager, VgCallF64, VgFunction, VgRegistry};
 
 /// The five bundled scenarios with a registry factory and a few probe
 /// points spread across each parameter space.
@@ -584,4 +593,291 @@ fn random_expressions_are_bit_identical_across_tiers() {
         total_vg_calls > 20,
         "the generator must actually exercise VG calls (got {total_vg_calls})"
     );
+}
+
+// ------------------------------------------ block remap + call-site memo
+
+/// Every point of a scenario's parameter space, in grid order (first
+/// declared parameter slowest).
+fn grid_points(scenario: &Scenario) -> Vec<ParamPoint> {
+    let mut guide = GridGuide::new(&scenario.script().params);
+    std::iter::from_fn(|| guide.next_point()).collect()
+}
+
+/// One column's samples as bit patterns (NaN lanes must compare equal).
+fn sample_bits(set: &prophet_mc::SampleSet, column: &str) -> Vec<u64> {
+    set.samples(column)
+        .unwrap_or_else(|| panic!("column `{column}` missing"))
+        .iter()
+        .map(|x| x.to_bits())
+        .collect()
+}
+
+/// Walk `batches` through a columnar and a scalar engine, asserting equal
+/// outcomes and bit-equal samples point for point and byte-equal store
+/// contents (fingerprints, samples, stamps) at the end. Returns how many
+/// points mapped, and the columnar engine for counter assertions.
+fn assert_columnar_matches_scalar(
+    label: &str,
+    scenario: &Scenario,
+    registry: impl Fn() -> VgRegistry,
+    config: EngineConfig,
+    batches: &[Vec<ParamPoint>],
+) -> (usize, Engine) {
+    let columnar = Engine::new(scenario, registry(), config).unwrap();
+    let scalar = Engine::new(
+        scenario,
+        registry(),
+        EngineConfig {
+            tier: ExecTier::Scalar,
+            threads: 1,
+            ..config
+        },
+    )
+    .unwrap();
+    let columns = columnar.output_columns();
+    let mut mapped = 0;
+    for batch in batches {
+        let got = columnar.evaluate_batch(batch).unwrap();
+        let want = scalar.evaluate_batch(batch).unwrap();
+        for (point, ((gs, go), (ws, wo))) in batch.iter().zip(got.iter().zip(&want)) {
+            assert_eq!(go, wo, "[{label}] outcome at {point}");
+            mapped += matches!(go, EvalOutcome::Mapped { .. }) as usize;
+            for col in &columns {
+                assert_eq!(
+                    sample_bits(gs, col),
+                    sample_bits(ws, col),
+                    "[{label}] column `{col}` at {point} ({go:?})"
+                );
+            }
+        }
+    }
+    assert!(
+        columnar.basis_store().snapshot_bytes() == scalar.basis_store().snapshot_bytes(),
+        "[{label}] stored fingerprints/samples diverge between the tiers"
+    );
+    (mapped, columnar)
+}
+
+/// (a) The block remap against the per-world reference on all five
+/// bundled scenarios: a slice of each grid, enough that points map.
+#[test]
+fn block_remap_matches_per_world_remap_on_every_bundled_scenario() {
+    for (name, scenario, kind, _) in bundled_scenarios() {
+        let slice: Vec<ParamPoint> = grid_points(&scenario).into_iter().take(60).collect();
+        let batches: Vec<Vec<ParamPoint>> = slice.chunks(12).map(<[_]>::to_vec).collect();
+        let config = EngineConfig {
+            worlds_per_point: 24,
+            ..EngineConfig::default()
+        };
+        let (mapped, _) =
+            assert_columnar_matches_scalar(name, &scenario, || kind.build(), config, &batches);
+        assert!(mapped > 0, "[{name}] the slice must exercise the remap");
+    }
+}
+
+/// `100·U + p`, except that about one draw in thirty is NaN — a VG
+/// function whose samples carry genuine NaN lanes into the basis store.
+#[derive(Debug)]
+struct Flaky;
+
+impl Flaky {
+    fn draw(p: f64, u: f64) -> f64 {
+        if u < 0.035 {
+            f64::NAN
+        } else {
+            100.0 * u + p
+        }
+    }
+}
+
+impl VgFunction for Flaky {
+    fn name(&self) -> &str {
+        "Flaky"
+    }
+    fn arity(&self) -> usize {
+        1
+    }
+    fn output_schema(&self) -> Schema {
+        Schema::of(&[("v", DataType::Float)])
+    }
+    fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<Table> {
+        let mut b = TableBuilder::with_capacity(self.output_schema(), 1);
+        b.push_row(vec![Value::Float(Flaky::draw(
+            params[0].as_f64()?,
+            rng.next_f64(),
+        ))])?;
+        Ok(b.finish())
+    }
+    fn invoke_batch_f64(&self, calls: &mut [VgCallF64<'_>]) -> DataResult<Option<Vec<f64>>> {
+        calls
+            .iter_mut()
+            .map(|c| Ok(Flaky::draw(c.params[0].as_f64()?, c.rng.next_f64())))
+            .collect::<DataResult<Vec<f64>>>()
+            .map(Some)
+    }
+}
+
+/// (a, continued) What the bundled scenarios do not have: source lanes
+/// holding NaN, a derived item over an earlier *derived* alias, a derived
+/// item that is NULL in every world, and a derived item whose value hinges
+/// on NaN being a value rather than NULL (`NOT (x = x)`).
+#[test]
+fn block_remap_keeps_nan_lanes_derived_chains_and_nulls() {
+    let scenario = Scenario::parse(
+        "DECLARE PARAMETER @p AS RANGE 0 TO 3 STEP BY 1;\n\
+         DECLARE PARAMETER @q AS RANGE 0 TO 3 STEP BY 1;\n\
+         SELECT Flaky(@p) AS x,\n\
+                CASE WHEN x > 50 THEN 1 ELSE 0 END AS high,\n\
+                high * 2 + @q AS twice,\n\
+                CASE WHEN x < -1 THEN 1 END AS never,\n\
+                NOT (x = x) AS is_nan\n\
+         INTO r;",
+    )
+    .unwrap();
+    let registry = || {
+        let mut r = VgRegistry::new();
+        r.register(Arc::new(Flaky));
+        r
+    };
+    // Root seed 4 keeps the 32 probe lanes NaN-free (a NaN probe lane
+    // defeats correlation detection and the point would simulate).
+    let config = EngineConfig {
+        worlds_per_point: 200,
+        root_seed: 4,
+        ..EngineConfig::default()
+    };
+    // One point alone, so that every later point finds it in the store.
+    let points = grid_points(&scenario);
+    let mut batches = vec![points[..1].to_vec()];
+    batches.extend(points[1..].chunks(5).map(<[_]>::to_vec));
+    let (mapped, columnar) =
+        assert_columnar_matches_scalar("flaky", &scenario, registry, config, &batches);
+    // Sixteen points, one draw stream: everything after the first maps
+    // (identity along @q, offset along @p).
+    assert_eq!(mapped, 15, "the fixture's probe lanes must be NaN-free");
+
+    let point = ParamPoint::from_pairs([("p", 2i64), ("q", 3)]);
+    let (set, outcome) = columnar.evaluate(&point).unwrap();
+    assert_eq!(outcome, EvalOutcome::Cached);
+    let (x, high, twice, never, is_nan) = (
+        set.samples("x").unwrap(),
+        set.samples("high").unwrap(),
+        set.samples("twice").unwrap(),
+        set.samples("never").unwrap(),
+        set.samples("is_nan").unwrap(),
+    );
+    let nan_lanes = x.iter().filter(|v| v.is_nan()).count();
+    assert!(nan_lanes > 0, "the fixture must carry NaN sample lanes");
+    for w in 0..set.world_count() {
+        // A NaN lane is a value: comparisons on it are false, not NULL.
+        assert_eq!(high[w], if x[w] > 50.0 { 1.0 } else { 0.0 }, "world {w}");
+        assert_eq!(twice[w], high[w] * 2.0 + 3.0, "world {w}");
+        assert!(never[w].is_nan(), "world {w}: NULL encodes as NaN");
+        assert_eq!(is_nan[w], x[w].is_nan() as u8 as f64, "world {w}");
+    }
+}
+
+/// (b) The probe memo changes no stored fingerprint: a sweep slice of the
+/// coarse Figure 2 walked forwards and reversed, at 1 and 8 threads, leaves
+/// the columnar engine's store byte-identical to the (memo-less) scalar
+/// engine's.
+#[test]
+fn probe_memo_leaves_fingerprints_identical_in_every_walk_order() {
+    let scenario = Scenario::parse(&figure2_coarse_sql(0.05)).unwrap();
+    // The first six weeks: 882 points over 18 + 294 distinct call sites.
+    let forwards: Vec<ParamPoint> = grid_points(&scenario).into_iter().take(6 * 147).collect();
+    let reversed: Vec<ParamPoint> = forwards.iter().rev().cloned().collect();
+    for (order, points) in [("forwards", &forwards), ("reversed", &reversed)] {
+        let batches: Vec<Vec<ParamPoint>> = points.chunks(147).map(<[_]>::to_vec).collect();
+        for threads in [1usize, 8] {
+            let config = EngineConfig {
+                worlds_per_point: 8,
+                threads,
+                ..EngineConfig::default()
+            };
+            let (_, columnar) = assert_columnar_matches_scalar(
+                &format!("{order} x{threads}"),
+                &scenario,
+                demo_registry,
+                config,
+                &batches,
+            );
+            let m = columnar.metrics();
+            assert_eq!(m.probe_call_sites, 2 * 882, "{order} x{threads}");
+            if threads == 1 {
+                // Exact single-threaded: every repeat of a tuple is served.
+                assert_eq!(m.probe_call_sites_memoised, 2 * 882 - 312, "{order}");
+            } else {
+                assert!(m.probe_call_sites_memoised <= 2 * 882 - 312, "{order}");
+            }
+        }
+    }
+}
+
+/// The "call sites probed vs memo-served" ledger on the whole coarse
+/// Figure 2, single-threaded (where it is exact): 3,969 points probe two
+/// call sites each; `DemandModel(@current, @feature)` has 27 × 3 distinct
+/// argument tuples and `CapacityModel(@current, @purchase1, @purchase2)`
+/// 27 × 7 × 7, and everything else is served from the memo.
+#[test]
+fn figure2_coarse_call_site_counters_are_pinned() {
+    let scenario = Scenario::parse(&figure2_coarse_sql(0.05)).unwrap();
+    let engine = Engine::new(
+        &scenario,
+        demo_registry(),
+        EngineConfig {
+            worlds_per_point: 8,
+            threads: 1,
+            ..EngineConfig::default()
+        },
+    )
+    .unwrap();
+    for group in grid_points(&scenario).chunks(147) {
+        engine.evaluate_batch(group).unwrap();
+    }
+    let m = engine.metrics();
+    assert_eq!(m.points_total(), 3_969);
+    assert_eq!(m.vector_walks, 3_969);
+    assert_eq!(m.probe_evaluations, 3_969 * 32);
+    assert_eq!(m.probe_call_sites, 7_938);
+    assert_eq!(m.probe_call_sites_memoised, 7_938 - (81 + 1_323));
+}
+
+/// (c) Call sites that repeat their arguments at every point yet must not
+/// be served from the memo — a VG call under a data-dependent `CASE` arm
+/// (it covers part of the block), and one fed by an earlier stochastic
+/// alias (its argument column is not constant). With `@p` distinct per
+/// point the leading call never repeats either, so nothing is memoised.
+#[test]
+fn gated_and_alias_fed_call_sites_are_never_memo_served() {
+    let cases = [
+        (
+            "gated",
+            "DECLARE PARAMETER @p AS RANGE 0 TO 23 STEP BY 1;\n\
+             SELECT CASE WHEN Normal(@p, 1.0) > @p THEN Normal(10.0, 2.0) ELSE 0.0 END AS gated\n\
+             INTO r;",
+        ),
+        (
+            "alias-fed",
+            "DECLARE PARAMETER @p AS RANGE 0 TO 23 STEP BY 1;\n\
+             SELECT Normal(@p, 1.0) AS a, Normal(a, 2.0) AS b INTO r;",
+        ),
+    ];
+    for (label, sql) in cases {
+        let scenario = Scenario::parse(sql).unwrap();
+        let batches: Vec<Vec<ParamPoint>> = grid_points(&scenario)
+            .chunks(6)
+            .map(<[_]>::to_vec)
+            .collect();
+        let config = EngineConfig {
+            worlds_per_point: 40,
+            ..EngineConfig::default()
+        };
+        let (_, columnar) =
+            assert_columnar_matches_scalar(label, &scenario, full_registry, config, &batches);
+        let m = columnar.metrics();
+        assert_eq!(m.probe_call_sites, 2 * 24, "[{label}] two sites per point");
+        assert_eq!(m.probe_call_sites_memoised, 0, "[{label}]");
+    }
 }
