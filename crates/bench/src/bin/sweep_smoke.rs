@@ -18,7 +18,9 @@
 //! must report zero fallbacks), one with the fingerprint summary index
 //! disabled (`unindexed.*` fields — the indexed-vs-exhaustive match scan
 //! split, with `candidates_scanned` / `candidates_pruned` /
-//! `match_scan_nanos` recording the prune rate) and one through the
+//! `match_scan_nanos` recording the prune rate; the top level also carries
+//! `remap_nanos` / `publish_nanos`, the rest of the probe phase's split)
+//! and one through the
 //! **scalar** execution tier (`scalar.*` fields — the scalar-vs-vector
 //! probe timing split). A fifth, `concurrent{…}`, section runs the same
 //! sweep twice as concurrent Low/High-priority jobs on one shared
@@ -373,6 +375,7 @@ fn main() {
          \"vector_walks\": {},\n  \"worlds_per_walk\": {worlds_per_walk:.1},\n  \
          \"candidates_scanned\": {},\n  \"candidates_pruned\": {},\n  \
          \"prune_rate\": {prune_rate:.3},\n  \"match_scan_nanos\": {},\n  \
+         \"remap_nanos\": {},\n  \"publish_nanos\": {},\n  \
          \"probe_eval_nanos\": {},\n  \"probe_nanos\": {},\n  \"sim_nanos\": {},\n  \
          \"wall_nanos\": {},\n  \"points_per_sec\": {:.1},\n  \"best_point\": {},\n  \
          \"columnar\": {{\n    \"probe_eval_nanos\": {},\n    \"probe_nanos\": {},\n    \
@@ -407,6 +410,8 @@ fn main() {
         m.candidates_scanned,
         m.candidates_pruned,
         m.match_scan_nanos,
+        m.remap_nanos,
+        m.publish_nanos,
         m.probe_eval_nanos,
         m.probe_nanos,
         m.sim_nanos,
@@ -473,6 +478,18 @@ fn main() {
         m.probe_nanos as f64 / 1e6,
         m.sim_nanos as f64 / 1e6,
         m.vector_walks,
+    );
+    // Where the probe phase's wall goes besides probe evaluation: scan and
+    // remap are CPU sums over the pool, publish is the caller's own wall.
+    eprintln!(
+        "phase split: probe-eval {:.1}ms + match scan {:.1}ms + remap {:.1}ms (CPU sums); \
+         publish {:.1}ms (wall) of {:.1}ms probe + {:.1}ms sim phase wall",
+        m.probe_eval_nanos as f64 / 1e6,
+        m.match_scan_nanos as f64 / 1e6,
+        m.remap_nanos as f64 / 1e6,
+        m.publish_nanos as f64 / 1e6,
+        m.probe_nanos as f64 / 1e6,
+        m.sim_nanos as f64 / 1e6,
     );
     eprintln!(
         "match index: {} scanned / {} pruned ({:.0}% prune rate); \

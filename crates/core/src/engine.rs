@@ -35,8 +35,8 @@ use std::sync::Arc;
 use prophet_data::Value;
 use prophet_fingerprint::{CorrelationDetector, Fingerprint, FingerprintConfig, Mapping};
 use prophet_mc::{
-    simulate_point, simulate_point_block, simulate_point_columnar, ParamPoint, SampleSet,
-    SharedBasisStore,
+    simulate_point, simulate_point_block, simulate_point_columnar, ColumnSamples, ParamPoint,
+    SampleSet, SharedBasisStore,
 };
 use prophet_sql::columnar::{
     evaluate_derived_columns, evaluate_select_columns_memo, to_f64_samples, ColumnarStats,
@@ -177,8 +177,9 @@ pub struct Engine {
     registry: Arc<VgRegistry>,
     seeds: SeedManager,
     config: EngineConfig,
-    /// All output column names, in SELECT order.
-    output_cols: Vec<String>,
+    /// All output column names, in SELECT order (shared with every
+    /// [`SampleSet`] this engine hands out).
+    output_cols: Arc<[String]>,
     /// Output columns whose expressions invoke a registered VG function.
     stochastic_cols: Vec<String>,
     /// The canonical probe seed block (`config.fingerprint.length` seeds),
@@ -298,8 +299,8 @@ impl Engine {
     }
 
     /// All output column names, in SELECT order.
-    pub fn output_columns(&self) -> Vec<String> {
-        self.output_cols.clone()
+    pub fn output_columns(&self) -> &[String] {
+        &self.output_cols
     }
 
     /// Snapshot of the work counters.
@@ -343,7 +344,7 @@ impl Engine {
         let (samples, _) = self.evaluate(point)?;
         samples
             .expect(column)
-            .ok_or_else(|| ProphetError::unknown_column(column, self.output_columns()))
+            .ok_or_else(|| ProphetError::unknown_column(column, self.output_columns().to_vec()))
     }
 
     // ---------------------------------------------- pipeline primitives
@@ -467,8 +468,10 @@ impl Engine {
     }
 
     /// Map the stochastic columns and recompute the derived ones. Self-times
-    /// into `fingerprint_time` (mapping is part of the fingerprint phase's
-    /// per-call work).
+    /// into `remap_nanos` and `fingerprint_time` (mapping is part of the
+    /// fingerprint phase's per-call work). The result is shared as built:
+    /// the same allocation is published to the basis store and returned to
+    /// the caller.
     ///
     /// The derived columns follow the tier: [`ExecTier::Columnar`] binds
     /// the mapped columns as `f64` lanes and evaluates every derived item
@@ -478,10 +481,10 @@ impl Engine {
     pub(crate) fn remap_samples(
         &self,
         point: &ParamPoint,
-        source: &HashMap<String, Vec<f64>>,
+        source: &ColumnSamples,
         mappings: &HashMap<String, Mapping>,
         worlds: usize,
-    ) -> ProphetResult<HashMap<String, Vec<f64>>> {
+    ) -> ProphetResult<Arc<ColumnSamples>> {
         let start = Stopwatch::start();
         let mut out: HashMap<String, Vec<f64>> = HashMap::with_capacity(self.output_cols.len());
         // Stochastic columns: apply the detected mapping to stored samples.
@@ -517,8 +520,11 @@ impl Engine {
                 self.derive_per_world(&params, &mut out, worlds)?;
             }
         }
-        self.bump(|m| m.fingerprint_time += start.elapsed());
-        Ok(out)
+        self.bump(|m| {
+            m.remap_nanos += start.elapsed_nanos();
+            m.fingerprint_time += start.elapsed();
+        });
+        Ok(Arc::new(out))
     }
 
     /// The reference recomputation of derived columns from mapped inputs:
@@ -529,7 +535,7 @@ impl Engine {
         out: &mut HashMap<String, Vec<f64>>,
         worlds: usize,
     ) -> ProphetResult<()> {
-        for alias in &self.output_cols {
+        for alias in self.output_cols.iter() {
             if !self.stochastic_cols.contains(alias) {
                 out.insert(alias.clone(), Vec::with_capacity(worlds));
             }
@@ -576,7 +582,7 @@ impl Engine {
         &self,
         point: &ParamPoint,
         world_parallel: bool,
-    ) -> ProphetResult<HashMap<String, Vec<f64>>> {
+    ) -> ProphetResult<Arc<ColumnSamples>> {
         let start = Stopwatch::start();
         let worlds: Vec<u64> = (0..self.config.worlds_per_point as u64).collect();
         let simulate = |ws: &[u64]| self.simulate_span_once(point, ws);
@@ -615,16 +621,6 @@ impl Engine {
         } else {
             simulate(&worlds)?
         };
-        let mut out = HashMap::with_capacity(sample_set.columns().len());
-        for col in sample_set.columns() {
-            out.insert(
-                col.clone(),
-                sample_set
-                    .samples(col)
-                    .expect("invariant: column exists by construction")
-                    .to_vec(),
-            );
-        }
         self.bump(|m| {
             m.worlds_simulated += worlds.len() as u64;
             m.columnar_kernels += stats.kernels;
@@ -632,7 +628,7 @@ impl Engine {
             m.simulation_time += start.elapsed();
             m.sim_latency.record(start.elapsed_nanos());
         });
-        Ok(out)
+        Ok(Arc::clone(sample_set.shared_samples()))
     }
 
     /// One tier-routed simulation of a world list (no metrics bump — the
@@ -684,20 +680,10 @@ impl Engine {
         &self,
         point: &ParamPoint,
         span: std::ops::Range<u64>,
-    ) -> ProphetResult<HashMap<String, Vec<f64>>> {
+    ) -> ProphetResult<SampleSet> {
         let start = Stopwatch::start();
         let worlds: Vec<u64> = span.collect();
         let (sample_set, stats) = self.simulate_span_once(point, &worlds)?;
-        let mut out = HashMap::with_capacity(sample_set.columns().len());
-        for col in sample_set.columns() {
-            out.insert(
-                col.clone(),
-                sample_set
-                    .samples(col)
-                    .expect("invariant: column exists by construction")
-                    .to_vec(),
-            );
-        }
         self.bump(|m| {
             m.worlds_simulated += worlds.len() as u64;
             m.columnar_kernels += stats.kernels;
@@ -705,15 +691,17 @@ impl Engine {
             m.simulation_time += start.elapsed();
             m.sim_latency.record(start.elapsed_nanos());
         });
-        Ok(out)
+        Ok(sample_set)
     }
 
+    /// Wrap shared samples — a store entry's, or ones just published to
+    /// it — as the caller-facing [`SampleSet`], copying nothing.
     pub(crate) fn to_sample_set(
         &self,
         point: &ParamPoint,
-        samples: HashMap<String, Vec<f64>>,
+        samples: Arc<ColumnSamples>,
     ) -> SampleSet {
-        SampleSet::from_samples(point.clone(), self.output_cols.clone(), samples)
+        SampleSet::from_shared(point.clone(), Arc::clone(&self.output_cols), samples)
     }
 }
 

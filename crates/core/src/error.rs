@@ -66,6 +66,12 @@ pub enum ProphetError {
         /// The colliding name.
         name: String,
     },
+    /// The parameter space — the product of the named parameters' domain
+    /// sizes — does not fit in `usize`: no sweep could enumerate it.
+    ParameterSpaceTooLarge {
+        /// The parameters whose domains were multiplied.
+        params: Vec<String>,
+    },
     /// An engine configuration that cannot work (zero worlds, …).
     InvalidConfig(String),
     /// A refresh job spec omitted one of the scenario's sliders (every
@@ -163,6 +169,13 @@ impl fmt::Display for ProphetError {
             }
             ProphetError::DuplicateScenario { name } => {
                 write!(f, "scenario `{name}` registered twice")
+            }
+            ProphetError::ParameterSpaceTooLarge { params } => {
+                write!(
+                    f,
+                    "parameter space too large to enumerate (domains of {})",
+                    list(params)
+                )
             }
             ProphetError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             ProphetError::MissingSlider { name, required } => {

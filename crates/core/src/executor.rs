@@ -16,14 +16,17 @@
 //! |                          | in-flight claim ([`SharedBasisStore::try_claim`]) |
 //! | fingerprint probe        | *probe*: claimed points fingerprint in       |
 //! |                          | parallel across the worker pool              |
-//! | correlation search       | *match*: one summary-indexed                 |
-//! |                          | [`SharedBasisStore::find_correlated_batch`]  |
-//! |                          | scan — candidates whose fingerprint-summary  |
-//! |                          | bound cannot beat the best match are pruned  |
-//! |                          | (`EngineConfig::match_index`), the survivors |
-//! |                          | score in parallel waves                      |
-//! | re-map on a hit          | *remap*: mapped sample reconstruction,       |
-//! |                          | parallel across hits                         |
+//! | correlation search       | *match*: one snapshot of the store's         |
+//! |                          | candidate sources                            |
+//! |                          | ([`SharedBasisStore::scan_snapshot`]), then  |
+//! |                          | every probe scans it independently, in       |
+//! |                          | parallel, no lock held — candidates whose    |
+//! |                          | fingerprint-summary bound cannot beat the    |
+//! |                          | probe's best match are pruned                |
+//! |                          | (`EngineConfig::match_index`)                |
+//! | re-map on a hit          | *remap*: fused with the match — the worker   |
+//! |                          | that finds a probe's source reconstructs its |
+//! |                          | mapped samples                               |
 //! | simulate on a miss       | *simulate*: misses partitioned across the    |
 //! |                          | scoped worker pool — point-level             |
 //! |                          | parallelism, not just world-level            |
@@ -45,8 +48,11 @@
 //!   independent of `threads`.
 //!
 //! Phase wall-clock lands in `EngineMetrics::probe_nanos` (probe + match +
-//! remap) and `EngineMetrics::sim_nanos` (simulate), giving sweeps a true
-//! probe-vs-simulation split as the caller experiences it.
+//! remap + publishing the hits) and `EngineMetrics::sim_nanos` (simulate +
+//! publishing the misses), giving sweeps a true probe-vs-simulation split
+//! as the caller experiences it; `match_scan_nanos` / `remap_nanos` (CPU
+//! sums across workers) and `publish_nanos` (caller wall) split them
+//! further.
 //!
 //! This module is the *blocking reference tier*: its parallel phases fan
 //! out on per-call `std::thread::scope` pools and the call seizes the
@@ -60,14 +66,17 @@
 //! index.
 //!
 //! [`SharedBasisStore::try_claim`]: prophet_mc::SharedBasisStore::try_claim
-//! [`SharedBasisStore::find_correlated_batch`]: prophet_mc::SharedBasisStore::find_correlated_batch
+//! [`SharedBasisStore::scan_snapshot`]: prophet_mc::SharedBasisStore::scan_snapshot
 //! [`WaitHandle`]: prophet_mc::WaitHandle
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use prophet_fingerprint::{Fingerprint, Mapping};
-use prophet_mc::{BasisHit, InflightGuard, ParamPoint, SampleSet, TryClaim, WaitHandle};
+use prophet_mc::{
+    BasisHit, ColumnSamples, InflightGuard, ParamPoint, SampleSet, ScanSnapshot, ScanWork,
+    TryClaim, WaitHandle,
+};
 
 use crate::engine::{Engine, EvalOutcome};
 use crate::error::ProphetResult;
@@ -109,10 +118,7 @@ impl Engine {
             match store.try_claim(point, worlds_per_point) {
                 TryClaim::Ready { samples, .. } => {
                     self.bump(|m| m.points_cached += 1);
-                    results[i] = Some((
-                        self.to_sample_set(point, (*samples).clone()),
-                        EvalOutcome::Cached,
-                    ));
+                    results[i] = Some((self.to_sample_set(point, samples), EvalOutcome::Cached));
                 }
                 TryClaim::Owner(guard) => {
                     guards[i] = Some(guard);
@@ -131,70 +137,51 @@ impl Engine {
             let owned_points: Vec<&ParamPoint> = owned.iter().map(|&i| &unique[i]).collect();
             let probe_results =
                 parallel_map(&owned_points, threads, |p| self.probe_fingerprints(p));
-            let mut owned_probes: Vec<HashMap<String, Fingerprint>> =
+            let mut owned_probes: Vec<(usize, HashMap<String, Fingerprint>)> =
                 Vec::with_capacity(owned.len());
-            for r in probe_results {
-                owned_probes.push(r?);
+            for (&i, r) in owned.iter().zip(probe_results) {
+                owned_probes.push((i, r?));
             }
             self.bump(|m| m.batch_probes += owned.len() as u64);
 
-            let match_start = Stopwatch::start();
-            let (hits, scan) = store.find_correlated_batch_scan(
-                &owned_probes,
-                self.stochastic_columns(),
-                &self.config().detector,
-                threads,
-                self.config().match_index,
-            );
-            // Probe evaluation and remapping self-time into
-            // `fingerprint_time`; the match scan is the remaining share of
-            // the phase's per-call work.
-            let match_elapsed = match_start.elapsed();
-            self.bump(|m| {
-                m.fingerprint_time += match_elapsed;
-                m.match_scan_nanos += match_elapsed.as_nanos() as u64;
-                m.candidates_scanned += scan.candidates_scanned;
-                m.candidates_pruned += scan.candidates_pruned;
+            // Match + remap, fused per probe: every probe scans the same
+            // snapshot of the store (taken here, after the whole probe
+            // phase — no probe ever matches a sibling of its batch) and a
+            // hit re-maps on the worker that found it.
+            let snapshot = self.scan_snapshot();
+            let fused = parallel_map(&owned_probes, threads, |(i, probe)| {
+                self.match_and_remap(&snapshot, &unique[*i], probe)
             });
-            for (pos, probe) in owned_probes.into_iter().enumerate() {
-                probes[owned[pos]] = Some(probe);
-            }
+            self.record_scans(&snapshot, fused.iter().map(|f| f.work));
 
-            // Remap every hit in parallel, then publish in batch order.
-            let mut hit_items: Vec<(usize, BasisHit)> = Vec::new();
-            for (pos, hit) in hits.into_iter().enumerate() {
-                match hit {
-                    Some(hit) => hit_items.push((owned[pos], hit)),
-                    None => to_simulate.push(owned[pos]),
+            // Publish hits in batch order.
+            let publish = Stopwatch::start();
+            for ((i, probe), matched) in owned_probes.into_iter().zip(fused) {
+                match matched.outcome? {
+                    Some(hit) => {
+                        let guard = guards[i]
+                            .take()
+                            .expect("invariant: every hit point holds its claim guard");
+                        guard.complete(probe, Arc::clone(&hit.samples), hit.worlds, false);
+                        self.bump(|m| m.points_mapped += 1);
+                        results[i] = Some((
+                            self.to_sample_set(&unique[i], hit.samples),
+                            EvalOutcome::Mapped {
+                                from: hit.source,
+                                exact: hit.exact,
+                            },
+                        ));
+                    }
+                    None => {
+                        probes[i] = Some(probe);
+                        to_simulate.push(i);
+                    }
                 }
             }
-            let remapped = parallel_map(&hit_items, threads, |(i, hit)| {
-                self.remap_samples(&unique[*i], &hit.samples, &hit.mappings, hit.worlds)
+            self.bump(|m| {
+                m.publish_nanos += publish.elapsed_nanos();
+                m.probe_nanos += phase.elapsed_nanos();
             });
-            for ((i, hit), mapped) in hit_items.into_iter().zip(remapped) {
-                let mapped = mapped?;
-                let exact = hit.mappings.values().all(Mapping::is_exact);
-                let guard = guards[i]
-                    .take()
-                    .expect("invariant: every hit point holds its claim guard");
-                guard.complete(
-                    probes[i]
-                        .take()
-                        .expect("invariant: every hit point was probed"),
-                    Arc::new(mapped.clone()),
-                    hit.worlds,
-                    false,
-                );
-                self.bump(|m| m.points_mapped += 1);
-                results[i] = Some((
-                    self.to_sample_set(&unique[i], mapped),
-                    EvalOutcome::Mapped {
-                        from: hit.source,
-                        exact,
-                    },
-                ));
-            }
-            self.bump(|m| m.probe_nanos += phase.elapsed_nanos());
         } else {
             to_simulate = owned;
         }
@@ -216,6 +203,7 @@ impl Engine {
             } else {
                 parallel_map(&miss_points, threads, |p| self.simulate_full(p, false))
             };
+            let publish = Stopwatch::start();
             for (&i, sim) in to_simulate.iter().zip(simulated) {
                 let samples = sim?;
                 let guard = guards[i]
@@ -223,7 +211,7 @@ impl Engine {
                     .expect("invariant: every missed point holds its claim guard");
                 guard.complete(
                     probes[i].take().unwrap_or_default(),
-                    Arc::new(samples.clone()),
+                    Arc::clone(&samples),
                     worlds_per_point,
                     true,
                 );
@@ -233,7 +221,10 @@ impl Engine {
                     EvalOutcome::Simulated,
                 ));
             }
-            self.bump(|m| m.sim_nanos += phase.elapsed_nanos());
+            self.bump(|m| {
+                m.publish_nanos += publish.elapsed_nanos();
+                m.sim_nanos += phase.elapsed_nanos();
+            });
         }
 
         // ---- resolve cross-session waits last, so our own publications
@@ -276,10 +267,7 @@ impl Engine {
                             m.points_cached += 1;
                             m.inflight_waits += 1;
                         });
-                        return Ok((
-                            self.to_sample_set(point, (*samples).clone()),
-                            EvalOutcome::Cached,
-                        ));
+                        return Ok((self.to_sample_set(point, samples), EvalOutcome::Cached));
                     }
                     // Under-provisioned publish: fall through and re-claim,
                     // exactly as the Ready path's min-worlds filter would.
@@ -291,10 +279,7 @@ impl Engine {
             {
                 TryClaim::Ready { samples, .. } => {
                     self.bump(|m| m.points_cached += 1);
-                    return Ok((
-                        self.to_sample_set(point, (*samples).clone()),
-                        EvalOutcome::Cached,
-                    ));
+                    return Ok((self.to_sample_set(point, samples), EvalOutcome::Cached));
                 }
                 TryClaim::Pending(h) => handle = Some(h),
                 TryClaim::Owner(guard) => return self.run_owner(point, guard),
@@ -302,32 +287,91 @@ impl Engine {
         }
     }
 
-    /// Probe one point's fingerprints and run the (single-probe) match
-    /// scan, with the same metric accounting as the batched phase. Shared
-    /// by [`Engine::run_owner`] and the progressive estimator in
-    /// [`crate::session`].
-    pub(crate) fn probe_and_match_one(
-        &self,
-        point: &ParamPoint,
-    ) -> ProphetResult<(HashMap<String, Fingerprint>, Option<BasisHit>)> {
-        let probes = self.probe_fingerprints(point)?;
-        let match_start = Stopwatch::start();
-        let (mut hits, scan) = self.basis_store().find_correlated_batch_scan(
-            std::slice::from_ref(&probes),
+    // ------------------------------------------------ match-scan primitives
+    // (shared by this blocking pipeline, the scheduled one in
+    // `crate::scheduler`, and the single-point paths below — one scan
+    // implementation, three runners)
+
+    /// Snapshot the basis store's candidate sources for this engine's
+    /// match scans (its stochastic columns, detector and `match_index`
+    /// mode). The only step of a scan that touches the store's locks;
+    /// timed into `match_scan_nanos`.
+    pub(crate) fn scan_snapshot(&self) -> ScanSnapshot {
+        let start = Stopwatch::start();
+        let snapshot = self.basis_store().scan_snapshot(
             self.stochastic_columns(),
             &self.config().detector,
-            1,
             self.config().match_index,
         );
-        let hit = hits.pop().flatten();
-        let match_elapsed = match_start.elapsed();
         self.bump(|m| {
-            m.fingerprint_time += match_elapsed;
-            m.match_scan_nanos += match_elapsed.as_nanos() as u64;
+            m.match_scan_nanos += start.elapsed_nanos();
+            m.fingerprint_time += start.elapsed();
+        });
+        snapshot
+    }
+
+    /// The per-probe step of the fingerprint phase: scan `snapshot` for
+    /// the best source of `probe` and, on a hit, re-map it onto `point`.
+    /// A pure function of its arguments, so a batch runs it for every
+    /// probe in parallel. Self-times the scan into `match_scan_nanos` (the
+    /// remap self-times into `remap_nanos`).
+    pub(crate) fn match_and_remap(
+        &self,
+        snapshot: &ScanSnapshot,
+        point: &ParamPoint,
+        probe: &HashMap<String, Fingerprint>,
+    ) -> Matched {
+        let start = Stopwatch::start();
+        let scan = snapshot.scan_probe(probe);
+        let scan_nanos = start.elapsed_nanos();
+        self.bump(|m| {
+            m.match_scan_nanos += scan_nanos;
+            m.fingerprint_time += start.elapsed();
+        });
+        Matched {
+            work: scan.work,
+            scan_nanos,
+            outcome: scan.hit.map(|hit| self.remap_hit(point, hit)).transpose(),
+        }
+    }
+
+    fn remap_hit(&self, point: &ParamPoint, hit: BasisHit) -> ProphetResult<MappedHit> {
+        Ok(MappedHit {
+            samples: self.remap_samples(point, &hit.samples, &hit.mappings, hit.worlds)?,
+            worlds: hit.worlds,
+            exact: hit.mappings.values().all(Mapping::is_exact),
+            source: hit.source,
+        })
+    }
+
+    /// Close a batch's scans: fold the probes' work into
+    /// `candidates_scanned` / `candidates_pruned` and the store's hit/miss
+    /// ledger.
+    pub(crate) fn record_scans(
+        &self,
+        snapshot: &ScanSnapshot,
+        work: impl IntoIterator<Item = ScanWork>,
+    ) {
+        let scan = self.basis_store().record_scans(snapshot, work);
+        self.bump(|m| {
             m.candidates_scanned += scan.candidates_scanned;
             m.candidates_pruned += scan.candidates_pruned;
         });
-        Ok((probes, hit))
+    }
+
+    /// Probe one point's fingerprints, scan for a source and re-map a hit
+    /// — the fingerprint phase for a batch of one, with the batched
+    /// phase's metric accounting. Shared by [`Engine::run_owner`] and the
+    /// progressive estimator in [`crate::session`].
+    pub(crate) fn probe_and_map_one(
+        &self,
+        point: &ParamPoint,
+    ) -> ProphetResult<(HashMap<String, Fingerprint>, Option<MappedHit>)> {
+        let probes = self.probe_fingerprints(point)?;
+        let snapshot = self.scan_snapshot();
+        let matched = self.match_and_remap(&snapshot, point, &probes);
+        self.record_scans(&snapshot, [matched.work]);
+        Ok((probes, matched.outcome?))
     }
 
     /// Sequential Figure-1 cycle for one owned point — the retry path when
@@ -342,21 +386,19 @@ impl Engine {
         let mut probes = HashMap::new();
         if use_fingerprints {
             let phase = Stopwatch::start();
-            let (point_probes, hit) = self.probe_and_match_one(point)?;
+            let (point_probes, hit) = self.probe_and_map_one(point)?;
             probes = point_probes;
             if let Some(hit) = hit {
-                let mapped = self.remap_samples(point, &hit.samples, &hit.mappings, hit.worlds)?;
-                let exact = hit.mappings.values().all(Mapping::is_exact);
-                guard.complete(probes, Arc::new(mapped.clone()), hit.worlds, false);
+                guard.complete(probes, Arc::clone(&hit.samples), hit.worlds, false);
                 self.bump(|m| {
                     m.points_mapped += 1;
                     m.probe_nanos += phase.elapsed_nanos();
                 });
                 return Ok((
-                    self.to_sample_set(point, mapped),
+                    self.to_sample_set(point, hit.samples),
                     EvalOutcome::Mapped {
                         from: hit.source,
-                        exact,
+                        exact: hit.exact,
                     },
                 ));
             }
@@ -366,7 +408,7 @@ impl Engine {
         let samples = self.simulate_full(point, true)?;
         guard.complete(
             probes,
-            Arc::new(samples.clone()),
+            Arc::clone(&samples),
             self.config().worlds_per_point,
             true,
         );
@@ -378,17 +420,39 @@ impl Engine {
     }
 }
 
+/// A fingerprint hit re-mapped onto the queried point, ready to publish:
+/// the same `samples` allocation goes to the basis store and the reply.
+pub(crate) struct MappedHit {
+    pub(crate) samples: Arc<ColumnSamples>,
+    /// Worlds backing the source's (and therefore the mapped) samples.
+    pub(crate) worlds: usize,
+    /// The basis point the mapping came from.
+    pub(crate) source: ParamPoint,
+    /// Whether every column's mapping was exact (identity/offset).
+    pub(crate) exact: bool,
+}
+
+/// One probe's trip through [`Engine::match_and_remap`].
+pub(crate) struct Matched {
+    /// The scan's accounting, for [`Engine::record_scans`].
+    pub(crate) work: ScanWork,
+    /// Nanoseconds the scan took (the tracer's match-scan histogram).
+    pub(crate) scan_nanos: u64,
+    /// `Ok(None)` is a miss; an `Err` is a hit whose re-map failed.
+    pub(crate) outcome: ProphetResult<Option<MappedHit>>,
+}
+
 /// Collapse a point list to unique points in first-seen order plus, per
 /// input slot, the index of its unique point. Shared by this blocking
 /// pipeline and the scheduled one ([`crate::scheduler`]), so both agree on
 /// what "the batch's unique points" means.
 pub(crate) fn dedupe_points(points: &[ParamPoint]) -> (Vec<ParamPoint>, Vec<usize>) {
     let mut unique: Vec<ParamPoint> = Vec::new();
-    let mut index_of: HashMap<ParamPoint, usize> = HashMap::with_capacity(points.len());
+    let mut index_of: HashMap<&ParamPoint, usize> = HashMap::with_capacity(points.len());
     let slot_of: Vec<usize> = points
         .iter()
         .map(|p| {
-            *index_of.entry(p.clone()).or_insert_with(|| {
+            *index_of.entry(p).or_insert_with(|| {
                 unique.push(p.clone());
                 unique.len() - 1
             })

@@ -99,11 +99,23 @@ pub struct EngineMetrics {
     /// is off. Deterministic: the indexed scan's pruning decisions do not
     /// depend on the thread count.
     pub candidates_pruned: u64,
-    /// Wall-clock nanoseconds inside the correlation match scan (the
-    /// candidate search over the basis store, excluding probe evaluation
-    /// and remapping) — the number the indexed-vs-exhaustive comparison
-    /// reads.
+    /// Nanoseconds inside the correlation match scan (the candidate
+    /// snapshot plus every probe's search over it, excluding probe
+    /// evaluation and remapping) — the number the indexed-vs-exhaustive
+    /// comparison reads. A batch's probes scan as parallel pool chunks, so
+    /// like [`probe_eval_nanos`](EngineMetrics::probe_eval_nanos) this is
+    /// a CPU sum across workers, not the wall clock a driver spent.
     pub match_scan_nanos: u64,
+    /// Nanoseconds inside hit re-mapping (applying the detected mappings
+    /// and recomputing the derived columns), summed across parallel
+    /// workers.
+    pub remap_nanos: u64,
+    /// Driver wall-clock nanoseconds publishing results in batch order:
+    /// completing each claim into the basis store (insert, eviction,
+    /// waking waiters) and assembling the reply. Sequential by design —
+    /// publish order fixes insertion stamps — so this is the part of a
+    /// batch no worker count shrinks.
+    pub publish_nanos: u64,
     /// Evaluations served by blocking on another session's in-flight
     /// simulation of the same point (thundering-herd dedup).
     pub inflight_waits: u64,
@@ -175,6 +187,8 @@ impl EngineMetrics {
         self.candidates_scanned += other.candidates_scanned;
         self.candidates_pruned += other.candidates_pruned;
         self.match_scan_nanos += other.match_scan_nanos;
+        self.remap_nanos += other.remap_nanos;
+        self.publish_nanos += other.publish_nanos;
         self.inflight_waits += other.inflight_waits;
         self.batch_probes += other.batch_probes;
         self.probe_nanos += other.probe_nanos;
@@ -203,6 +217,8 @@ impl EngineMetrics {
             candidates_scanned: self.candidates_scanned - earlier.candidates_scanned,
             candidates_pruned: self.candidates_pruned - earlier.candidates_pruned,
             match_scan_nanos: self.match_scan_nanos - earlier.match_scan_nanos,
+            remap_nanos: self.remap_nanos - earlier.remap_nanos,
+            publish_nanos: self.publish_nanos - earlier.publish_nanos,
             inflight_waits: self.inflight_waits - earlier.inflight_waits,
             batch_probes: self.batch_probes - earlier.batch_probes,
             probe_nanos: self.probe_nanos - earlier.probe_nanos,
@@ -243,7 +259,7 @@ impl fmt::Display for EngineMetrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let ms = |nanos: u64| nanos as f64 / 1e6;
         let us = |nanos: u64| format!("{:.2}", nanos as f64 / 1e3);
-        let rows: [(&str, String); 28] = [
+        let rows: [(&str, String); 30] = [
             ("points_simulated", self.points_simulated.to_string()),
             ("points_mapped", self.points_mapped.to_string()),
             ("points_cached", self.points_cached.to_string()),
@@ -263,6 +279,8 @@ impl fmt::Display for EngineMetrics {
             ("candidates_pruned", self.candidates_pruned.to_string()),
             ("prune_pct", format!("{:.1}", self.prune_fraction() * 100.0)),
             ("match_scan_ms", format!("{:.2}", ms(self.match_scan_nanos))),
+            ("remap_ms", format!("{:.2}", ms(self.remap_nanos))),
+            ("publish_ms", format!("{:.2}", ms(self.publish_nanos))),
             ("inflight_waits", self.inflight_waits.to_string()),
             ("batch_probes", self.batch_probes.to_string()),
             ("probe_phase_ms", format!("{:.2}", ms(self.probe_nanos))),
@@ -359,6 +377,8 @@ mod tests {
             candidates_scanned: 40,
             candidates_pruned: 60,
             match_scan_nanos: 800,
+            remap_nanos: 300,
+            publish_nanos: 120,
             probe_nanos: 1_000,
             sim_nanos: 5_000,
             ..EngineMetrics::default()
@@ -376,6 +396,8 @@ mod tests {
             candidates_scanned: 4,
             candidates_pruned: 6,
             match_scan_nanos: 200,
+            remap_nanos: 100,
+            publish_nanos: 30,
             probe_nanos: 500,
             sim_nanos: 500,
             ..EngineMetrics::default()
@@ -391,6 +413,8 @@ mod tests {
         assert_eq!(b.candidates_scanned, 44);
         assert_eq!(b.candidates_pruned, 66);
         assert_eq!(b.match_scan_nanos, 1_000);
+        assert_eq!(b.remap_nanos, 400);
+        assert_eq!(b.publish_nanos, 150);
         let diff = b.since(&a);
         assert_eq!(diff.inflight_waits, 1);
         assert_eq!(diff.batch_probes, 5);
@@ -403,6 +427,8 @@ mod tests {
         assert_eq!(diff.candidates_scanned, 4);
         assert_eq!(diff.candidates_pruned, 6);
         assert_eq!(diff.match_scan_nanos, 200);
+        assert_eq!(diff.remap_nanos, 100);
+        assert_eq!(diff.publish_nanos, 30);
         assert_eq!(diff.probe_nanos, 500);
         assert_eq!(diff.sim_nanos, 500);
     }
@@ -442,6 +468,8 @@ mod tests {
             candidates_scanned: 30,
             candidates_pruned: 90,
             match_scan_nanos: 2_500_000,
+            remap_nanos: 1_750_000,
+            publish_nanos: 640_000,
             inflight_waits: 4,
             batch_probes: 7,
             probe_nanos: 3_000_000,
@@ -471,6 +499,8 @@ candidates_scanned              30
 candidates_pruned               90
 prune_pct                     75.0
 match_scan_ms                 2.50
+remap_ms                      1.75
+publish_ms                    0.64
 inflight_waits                   4
 batch_probes                     7
 probe_phase_ms                3.00
@@ -513,6 +543,8 @@ sim_p99_us                 4194.30";
             candidates_scanned: 10,
             candidates_pruned: 11,
             match_scan_nanos: 12,
+            remap_nanos: 23,
+            publish_nanos: 24,
             inflight_waits: 13,
             batch_probes: 14,
             probe_nanos: 15,

@@ -40,6 +40,7 @@ use crate::engine::{Engine, EvalOutcome};
 use crate::error::{ProphetError, ProphetResult};
 use crate::job::Priority;
 use crate::metrics::{EngineMetrics, Stopwatch};
+use crate::scenario::space_size;
 use crate::scheduler::Scheduler;
 
 /// One feasible (or candidate) answer of the OPTIMIZE query.
@@ -85,11 +86,15 @@ pub(crate) struct SweepPlan {
     spec: OptimizeSpec,
     group_decls: Vec<ParameterDecl>,
     axis_decls: Vec<ParameterDecl>,
+    /// Sizes of the two grids, counted (overflow-checked) at construction.
+    groups_total: usize,
+    axis_total: usize,
 }
 
 impl SweepPlan {
     /// Extract the plan from a script; the script must carry an OPTIMIZE
-    /// directive.
+    /// directive, and both of its grids must be small enough to count
+    /// ([`ProphetError::ParameterSpaceTooLarge`] otherwise).
     pub(crate) fn from_script(script: &Script) -> ProphetResult<Self> {
         let spec = script
             .optimize
@@ -107,8 +112,13 @@ impl SweepPlan {
             .filter(|p| !spec.select_params.contains(&p.name))
             .cloned()
             .collect();
+        // The whole space first: `groups_total × axis_total` (a sweep's
+        // point count) is then overflow-free as well.
+        space_size(&script.params)?;
         Ok(SweepPlan {
             spec,
+            groups_total: space_size(&group_decls)?,
+            axis_total: space_size(&axis_decls)?,
             group_decls,
             axis_decls,
         })
@@ -120,18 +130,12 @@ impl SweepPlan {
 
     /// Number of groups the sweep examines.
     pub(crate) fn groups_total(&self) -> usize {
-        self.group_decls
-            .iter()
-            .map(|d| d.domain.cardinality())
-            .product()
+        self.groups_total
     }
 
     /// Axis points evaluated per group.
     pub(crate) fn axis_total(&self) -> usize {
-        self.axis_decls
-            .iter()
-            .map(|d| d.domain.cardinality())
-            .product()
+        self.axis_total
     }
 
     /// Every group point, in the canonical row-major sweep order.
@@ -161,7 +165,7 @@ impl SweepPlan {
         &self,
         group: &ParamPoint,
         results: &[(SampleSet, EvalOutcome)],
-        output_columns: Vec<String>,
+        output_columns: &[String],
     ) -> ProphetResult<OptimizeAnswer> {
         let mut aggs: Vec<OuterAccumulator> = self
             .spec
@@ -176,7 +180,7 @@ impl SweepPlan {
                     AggMetric::ExpectStdDev => samples.expect_std_dev(&constraint.column),
                 }
                 .ok_or_else(|| {
-                    ProphetError::unknown_column(constraint.column.clone(), output_columns.clone())
+                    ProphetError::unknown_column(constraint.column.clone(), output_columns.to_vec())
                 })?;
                 acc.push(metric);
             }
@@ -447,6 +451,25 @@ FOR MAX @x";
             matches!(err, Err(ProphetError::MissingOptimizeDirective)),
             "{err:?}"
         );
+    }
+
+    /// A script that never went through `Scenario::parse` is checked at
+    /// plan construction: the sweep's point count must be countable.
+    #[test]
+    fn a_sweep_too_large_to_count_is_rejected_at_plan_construction() {
+        let script = prophet_sql::parser::parse_script(
+            "DECLARE PARAMETER @x AS RANGE 0 TO 9223372036854775807 STEP BY 1;\n\
+             DECLARE PARAMETER @w AS SET (0, 1, 2);\n\
+             SELECT @x + @w AS load INTO results;\n\
+             OPTIMIZE SELECT @x FROM results WHERE MAX(EXPECT load) <= 1 GROUP BY x FOR MAX @x",
+        )
+        .unwrap();
+        match SweepPlan::from_script(&script) {
+            Err(ProphetError::ParameterSpaceTooLarge { params }) => {
+                assert_eq!(params, ["x", "w"])
+            }
+            other => panic!("expected ParameterSpaceTooLarge, got {other:?}"),
+        }
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Scenario: a parsed script plus the canonical demo text.
 
+use prophet_sql::ast::ParameterDecl;
 use prophet_sql::parser::parse_script;
 use prophet_sql::Script;
 
-use crate::error::ProphetResult;
+use crate::error::{ProphetError, ProphetResult};
 
 /// The paper's Figure 2, verbatim (modulo whitespace): the "Risk vs Cost of
 /// Ownership" scenario for a Windows-Azure-style datacenter.
@@ -45,8 +46,14 @@ pub struct Scenario {
 
 impl Scenario {
     /// Parse a scenario from DSL text.
+    ///
+    /// Rejects a parameter space too large to count
+    /// ([`ProphetError::ParameterSpaceTooLarge`]), so every size derived
+    /// from a parsed scenario — [`Scenario::parameter_space_size`], a
+    /// sweep's group and axis totals — is overflow-free.
     pub fn parse(source: &str) -> ProphetResult<Scenario> {
         let script = parse_script(source)?;
+        space_size(&script.params)?;
         Ok(Scenario {
             source: source.to_owned(),
             script,
@@ -71,12 +78,20 @@ impl Scenario {
 
     /// Size of the full parameter space (product of all domains).
     pub fn parameter_space_size(&self) -> usize {
-        self.script
-            .params
-            .iter()
-            .map(|p| p.domain.cardinality())
-            .product()
+        space_size(&self.script.params).expect("invariant: checked by Scenario::parse")
     }
+}
+
+/// Number of points in the grid spanned by `decls` (the product of their
+/// domain sizes), or [`ProphetError::ParameterSpaceTooLarge`] when it
+/// overflows `usize`.
+pub(crate) fn space_size(decls: &[ParameterDecl]) -> ProphetResult<usize> {
+    decls
+        .iter()
+        .try_fold(1usize, |size, d| size.checked_mul(d.domain.cardinality()))
+        .ok_or_else(|| ProphetError::ParameterSpaceTooLarge {
+            params: decls.iter().map(|d| d.name.clone()).collect(),
+        })
 }
 
 #[cfg(test)]
@@ -92,6 +107,28 @@ mod tests {
         // 53 × 14 × 14 × 3
         assert_eq!(s.parameter_space_size(), 53 * 14 * 14 * 3);
         assert!(s.source().contains("OPTIMIZE"));
+    }
+
+    #[test]
+    fn a_space_too_large_to_count_is_a_typed_error() {
+        // 2⁶³ × 3 overflows usize; each domain alone is fine.
+        let src = "\
+DECLARE PARAMETER @a AS RANGE 0 TO 9223372036854775807 STEP BY 1;
+DECLARE PARAMETER @b AS SET (1, 2, 3);
+SELECT @a + @b AS y INTO r;";
+        match Scenario::parse(src) {
+            Err(ProphetError::ParameterSpaceTooLarge { params }) => {
+                assert_eq!(params, ["a", "b"]);
+            }
+            other => panic!("expected ParameterSpaceTooLarge, got {other:?}"),
+        }
+        // One huge axis alone still counts (and must not panic).
+        let alone = Scenario::parse(
+            "DECLARE PARAMETER @a AS RANGE 0 TO 9223372036854775807 STEP BY 1;\n\
+             SELECT @a + 0 AS y INTO r;",
+        )
+        .unwrap();
+        assert_eq!(alone.parameter_space_size(), 1usize << 63);
     }
 
     #[test]

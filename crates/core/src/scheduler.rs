@@ -19,10 +19,10 @@
 //! Each job runs as a *driver* task plus many *chunk* tasks:
 //!
 //! * the **driver** executes the job's sequential skeleton — batch
-//!   planning, store claims, the correlation match scan, publishing, and
-//!   final ranking — and fans the embarrassingly parallel phases (probe
-//!   evaluation, hit remapping, miss simulation) out to the pool as chunks
-//!   of at most [`SchedulerConfig::chunk_points`] points;
+//!   planning, store claims, the candidate snapshot, publishing, and final
+//!   ranking — and fans the embarrassingly parallel phases (probe
+//!   evaluation, match-then-remap per probe, miss simulation) out to the
+//!   pool as chunks of at most [`SchedulerConfig::chunk_points`] points;
 //! * while a phase is outstanding the driver *helps*: it executes queued
 //!   chunks (its own or, by priority, anyone else's) instead of sleeping,
 //!   so a pool of `W` workers running `W` concurrent jobs cannot deadlock
@@ -41,22 +41,25 @@
 //! [`Engine::evaluate_batch`] is the reference semantics. Its batch
 //! pipeline has exactly three parallel phases, and each is *independent
 //! per point*: probe evaluation derives every fingerprint from fixed
-//! canonical seeds, remapping is a pure function of the already-chosen
-//! hit, and miss simulation seeds each world from `(root seed, world,
-//! point)`. The scheduled pipeline (`run_batch`) keeps everything else
-//! sequential on the driver, in the same order as the blocking path:
+//! canonical seeds, match-then-remap is a pure function of one probe and
+//! the batch's candidate snapshot (a probe's scan consults its own
+//! incumbent only, and remapping is a pure function of the chosen hit),
+//! and miss simulation seeds each world from `(root seed, world, point)`.
+//! The scheduled pipeline (`run_batch`) keeps everything else sequential
+//! on the driver, in the same order as the blocking path:
 //!
 //! * the store snapshot structure is preserved — all of a batch's probes
 //!   match against the store state at batch start, never against siblings
-//!   of the same batch, because the match scan runs once, on the driver,
-//!   after every probe chunk has landed;
+//!   of the same batch, because the driver takes one candidate snapshot
+//!   after every probe chunk has landed and every scan chunk reads that
+//!   snapshot, not the live store;
 //! * publish order is preserved — the driver completes claims in batch
 //!   order (hits first, then misses), so insertion stamps, and therefore
 //!   future `(error, stamp)` tie-breaks, are identical to the blocking
 //!   path at every chunk size and worker count;
 //! * work accounting is preserved — the same primitives bump the same
-//!   counters, and the match scan's scanned/pruned numbers are already
-//!   thread-independent (PR 4's invariant).
+//!   counters, and the match scan's scanned/pruned numbers are a fold of
+//!   per-probe work that no partition of the probes can change.
 //!
 //! Chunking therefore changes *when* independent point computations run,
 //! never *what* they compute or *in which order their results become
@@ -109,9 +112,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 
-use prophet_fingerprint::{Fingerprint, Mapping};
+use prophet_fingerprint::Fingerprint;
 use prophet_mc::trace::{self, TraceConfig, TraceEventKind, Tracer, NO_CHUNK};
-use prophet_mc::{BasisHit, InflightGuard, ParamPoint, SampleSet, TryClaim, WaitHandle};
+use prophet_mc::{InflightGuard, ParamPoint, SampleSet, TryClaim, WaitHandle};
 
 use crate::engine::{Engine, EvalOutcome};
 use crate::error::{ProphetError, ProphetResult};
@@ -675,17 +678,16 @@ fn emit_chunks(
     points: &[ParamPoint],
     results: &[(SampleSet, EvalOutcome)],
 ) {
-    for slice in points
-        .iter()
-        .zip(results.iter())
-        .collect::<Vec<_>>()
+    for (points, results) in points
         .chunks(inner.chunk_points)
+        .zip(results.chunks(inner.chunk_points))
     {
         core.emit(JobEvent::Chunk(ChunkUpdate {
             chunk: *event_chunk,
-            results: slice
+            results: points
                 .iter()
-                .map(|(p, (_, outcome))| ((*p).clone(), outcome.clone()))
+                .zip(results)
+                .map(|(p, (_, outcome))| (p.clone(), outcome.clone()))
                 .collect(),
         }));
         *event_chunk += 1;
@@ -753,10 +755,6 @@ fn drive_batch(inner: &Arc<Inner>, core: &Arc<JobCore>, points: Vec<ParamPoint>)
 
 // --------------------------------------------------- chunked batch pipeline
 
-/// One remapped hit ready to publish: `(unique index, mapped samples,
-/// source worlds, source point, every-mapping-exact)`.
-type RemappedHit = (usize, HashMap<String, Vec<f64>>, usize, ParamPoint, bool);
-
 /// Outcome of one scheduled batch.
 enum BatchOut {
     Done(Vec<(SampleSet, EvalOutcome)>),
@@ -782,10 +780,11 @@ impl Drop for ChunkDone {
     }
 }
 
-/// Fan `items` out to the pool as chunks of at most `chunk` items of `f`,
-/// helping until every chunk finished. Slot `i` of the result is `None`
-/// if its chunk was skipped (job cancelled before the chunk started) or
-/// lost to a panic.
+/// Fan `items` out to the pool as chunks of at most `chunk` items of `f`
+/// (which takes each item by value, so it can hand parts of it back in
+/// its result), helping until every chunk finished. Slot `i` of the
+/// result is `None` if its chunk was skipped (job cancelled before the
+/// chunk started) or lost to a panic.
 fn run_chunked<I, T, F>(
     inner: &Arc<Inner>,
     core: &Arc<JobCore>,
@@ -796,7 +795,7 @@ fn run_chunked<I, T, F>(
 where
     I: Send + 'static,
     T: Send + 'static,
-    F: Fn(&I) -> T + Send + Sync + 'static,
+    F: Fn(I) -> T + Send + Sync + 'static,
 {
     let n = items.len();
     if n == 0 {
@@ -864,7 +863,7 @@ where
                     .tracer
                     .record_queue_wait(lane_of(core.priority), t0.saturating_sub(enqueued));
                 let computed: Vec<(usize, T)> =
-                    chunk.iter().map(|(i, item)| (*i, f(item))).collect();
+                    chunk.into_iter().map(|(i, item)| (i, f(item))).collect();
                 {
                     let mut slots = results.lock();
                     for (i, value) in computed {
@@ -907,8 +906,9 @@ fn collect_phase<T>(
 }
 
 /// The scheduled mirror of [`Engine::evaluate_batch`]: same phases, same
-/// sequential skeleton, same publish order — the parallel phases fan out
-/// as pool chunks instead of per-call scoped threads. See the [module
+/// sequential skeleton, same publish order — the parallel phases (two on
+/// the fingerprint path: probe, then match-and-remap; plus simulate) fan
+/// out as pool chunks instead of per-call scoped threads. See the [module
 /// docs](self) for the bit-identity argument.
 fn run_batch(
     inner: &Arc<Inner>,
@@ -941,10 +941,7 @@ fn run_batch(
             TryClaim::Ready { samples, .. } => {
                 engine.bump(|m| m.points_cached += 1);
                 core.points_done.fetch_add(1, Ordering::AcqRel);
-                results[i] = Some((
-                    engine.to_sample_set(point, (*samples).clone()),
-                    EvalOutcome::Cached,
-                ));
+                results[i] = Some((engine.to_sample_set(point, samples), EvalOutcome::Cached));
             }
             TryClaim::Owner(guard) => {
                 guards[i] = Some(guard);
@@ -965,7 +962,7 @@ fn run_batch(
         let owned_points: Vec<ParamPoint> = owned.iter().map(|&i| unique[i].clone()).collect();
         let probe_chunk = inner.phase_chunk(owned_points.len());
         let probe_outputs = run_chunked(inner, core, owned_points, probe_chunk, move |p| {
-            probe_engine.probe_fingerprints(p)
+            probe_engine.probe_fingerprints(&p)
         });
         inner
             .tracer
@@ -977,82 +974,71 @@ fn run_batch(
         };
         engine.bump(|m| m.batch_probes += owned.len() as u64);
 
+        // The driver snapshots the store's candidates here — after every
+        // probe chunk has landed, so the batch sees the publishers the
+        // blocking path would, and never a sibling of its own — and
+        // releases the store's locks before any comparison runs.
         let t_match = inner.tracer.now();
-        let match_start = Stopwatch::start();
-        let (hits, scan) = store.find_correlated_batch_scan(
-            &owned_probes,
-            engine.stochastic_columns(),
-            &engine.config().detector,
-            threads,
-            engine.config().match_index,
-        );
-        let match_elapsed = match_start.elapsed();
+        let snapshot = Arc::new(engine.scan_snapshot());
         inner
             .tracer
             .span(TraceEventKind::PhaseMatch, core.id, NO_CHUNK, t_match);
-        inner
-            .tracer
-            .record_match_scan(match_elapsed.as_nanos() as u64);
-        engine.bump(|m| {
-            m.fingerprint_time += match_elapsed;
-            m.match_scan_nanos += match_elapsed.as_nanos() as u64;
-            m.candidates_scanned += scan.candidates_scanned;
-            m.candidates_pruned += scan.candidates_pruned;
-        });
-        for (pos, probe) in owned_probes.into_iter().enumerate() {
-            probes[owned[pos]] = Some(probe);
-        }
 
-        // Remap every hit as pool chunks, then publish in batch order.
-        let mut hit_items: Vec<(usize, ParamPoint, BasisHit)> = Vec::new();
-        for (pos, hit) in hits.into_iter().enumerate() {
-            match hit {
-                Some(hit) => hit_items.push((owned[pos], unique[owned[pos]].clone(), hit)),
-                None => to_simulate.push(owned[pos]),
-            }
-        }
-        let remap_engine = Arc::clone(engine);
-        let remap_chunk = inner.phase_chunk(hit_items.len());
+        // Match-then-remap, one pool item per probe: each scans the
+        // snapshot against its own incumbent and re-maps its hit on the
+        // worker that found it. Hits then publish in batch order.
+        let fused_items: Vec<(ParamPoint, HashMap<String, Fingerprint>)> = owned
+            .iter()
+            .zip(owned_probes)
+            .map(|(&i, probe)| (unique[i].clone(), probe))
+            .collect();
+        let fused_engine = Arc::clone(engine);
+        let fused_snapshot = Arc::clone(&snapshot);
+        let fused_tracer = inner.tracer.clone();
+        let fused_chunk = inner.phase_chunk(fused_items.len());
         let t_remap = inner.tracer.now();
-        let remapped: Vec<Option<ProphetResult<RemappedHit>>> = run_chunked(
+        let fused = run_chunked(
             inner,
             core,
-            hit_items,
-            remap_chunk,
-            move |(i, point, hit): &(usize, ParamPoint, BasisHit)| {
-                let mapped =
-                    remap_engine.remap_samples(point, &hit.samples, &hit.mappings, hit.worlds)?;
-                let exact = hit.mappings.values().all(Mapping::is_exact);
-                Ok((*i, mapped, hit.worlds, hit.source.clone(), exact))
+            fused_items,
+            fused_chunk,
+            move |(point, probe): (ParamPoint, HashMap<String, Fingerprint>)| {
+                let matched = fused_engine.match_and_remap(&fused_snapshot, &point, &probe);
+                fused_tracer.record_match_scan(matched.scan_nanos);
+                (probe, matched)
             },
         );
         inner
             .tracer
             .span(TraceEventKind::PhaseRemap, core.id, NO_CHUNK, t_remap);
+        engine.record_scans(&snapshot, fused.iter().flatten().map(|(_, m)| m.work));
+
         let t_publish = inner.tracer.now();
+        let publish = Stopwatch::start();
         let mut cancelled_mid_remap = false;
-        for slot in remapped {
+        for (&i, slot) in owned.iter().zip(fused) {
             match slot {
-                Some(result) => {
-                    let (i, mapped, worlds, from, exact) = result?;
-                    let guard = guards[i]
-                        .take()
-                        .expect("invariant: every hit point holds its claim guard");
-                    guard.complete(
-                        probes[i]
+                Some((probe, matched)) => match matched.outcome? {
+                    Some(hit) => {
+                        let guard = guards[i]
                             .take()
-                            .expect("invariant: every hit point was probed"),
-                        Arc::new(mapped.clone()),
-                        worlds,
-                        false,
-                    );
-                    engine.bump(|m| m.points_mapped += 1);
-                    core.points_done.fetch_add(1, Ordering::AcqRel);
-                    results[i] = Some((
-                        engine.to_sample_set(&unique[i], mapped),
-                        EvalOutcome::Mapped { from, exact },
-                    ));
-                }
+                            .expect("invariant: every hit point holds its claim guard");
+                        guard.complete(probe, Arc::clone(&hit.samples), hit.worlds, false);
+                        engine.bump(|m| m.points_mapped += 1);
+                        core.points_done.fetch_add(1, Ordering::AcqRel);
+                        results[i] = Some((
+                            engine.to_sample_set(&unique[i], hit.samples),
+                            EvalOutcome::Mapped {
+                                from: hit.source,
+                                exact: hit.exact,
+                            },
+                        ));
+                    }
+                    None => {
+                        probes[i] = Some(probe);
+                        to_simulate.push(i);
+                    }
+                },
                 None if core.is_cancelled() => cancelled_mid_remap = true,
                 None => {
                     return Err(ProphetError::Internal(
@@ -1064,7 +1050,10 @@ fn run_batch(
         inner
             .tracer
             .span(TraceEventKind::PhasePublish, core.id, NO_CHUNK, t_publish);
-        engine.bump(|m| m.probe_nanos += phase.elapsed_nanos());
+        engine.bump(|m| {
+            m.publish_nanos += publish.elapsed_nanos();
+            m.probe_nanos += phase.elapsed_nanos();
+        });
         if cancelled_mid_remap || core.is_cancelled() {
             return Ok(BatchOut::Cancelled);
         }
@@ -1103,12 +1092,13 @@ fn run_batch(
             core,
             miss_items,
             sim_chunk,
-            move |(_, p): &(usize, ParamPoint)| sim_engine.simulate_full(p, world_parallel),
+            move |(_, p): (usize, ParamPoint)| sim_engine.simulate_full(&p, world_parallel),
         );
         inner
             .tracer
             .span(TraceEventKind::PhaseSimulate, core.id, NO_CHUNK, t_sim);
         let t_publish = inner.tracer.now();
+        let publish = Stopwatch::start();
         let mut cancelled_mid_sim = false;
         for (&i, slot) in to_simulate.iter().zip(simulated) {
             match slot {
@@ -1119,7 +1109,7 @@ fn run_batch(
                         .expect("invariant: every missed point holds its claim guard");
                     guard.complete(
                         probes[i].take().unwrap_or_default(),
-                        Arc::new(samples.clone()),
+                        Arc::clone(&samples),
                         worlds_per_point,
                         true,
                     );
@@ -1141,7 +1131,10 @@ fn run_batch(
         inner
             .tracer
             .span(TraceEventKind::PhasePublish, core.id, NO_CHUNK, t_publish);
-        engine.bump(|m| m.sim_nanos += phase.elapsed_nanos());
+        engine.bump(|m| {
+            m.publish_nanos += publish.elapsed_nanos();
+            m.sim_nanos += phase.elapsed_nanos();
+        });
         if cancelled_mid_sim {
             return Ok(BatchOut::Cancelled);
         }

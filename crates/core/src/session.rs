@@ -361,7 +361,7 @@ impl OnlineSession {
         if !engine.output_columns().iter().any(|c| c == column) {
             return Err(ProphetError::unknown_column(
                 column,
-                engine.output_columns(),
+                engine.output_columns().to_vec(),
             ));
         }
         let point = self.sliders.with(self.graph.x_param.clone(), x);
@@ -428,17 +428,15 @@ impl OnlineSession {
         let mut probes = HashMap::new();
         if use_fingerprints {
             let phase = Stopwatch::start();
-            let (point_probes, hit) = engine.probe_and_match_one(&point)?;
+            let (point_probes, hit) = engine.probe_and_map_one(&point)?;
             probes = point_probes;
             if let Some(hit) = hit {
-                let mapped =
-                    engine.remap_samples(&point, &hit.samples, &hit.mappings, hit.worlds)?;
-                guard.complete(probes, Arc::new(mapped.clone()), hit.worlds, false);
+                guard.complete(probes, Arc::clone(&hit.samples), hit.worlds, false);
                 engine.bump(|m| {
                     m.points_mapped += 1;
                     m.probe_nanos += phase.elapsed_nanos();
                 });
-                let xs = column_samples(&mapped)?;
+                let xs = column_samples(&hit.samples)?;
                 return Ok(feed_progressive(&mut acc, &xs, batch, epsilon, Z95));
             }
             engine.bump(|m| m.probe_nanos += phase.elapsed_nanos());
@@ -450,22 +448,31 @@ impl OnlineSession {
         // bit-identical to what re-simulation would produce, so only the
         // remainder is fresh work.
         let phase = Stopwatch::start();
-        let mut all: HashMap<String, Vec<f64>> = HashMap::new();
+        let mut all: Option<SampleSet> = None;
         let mut done = 0usize;
         let mut converged = false;
         if let Some((stored, worlds)) = resume {
-            all = (*stored).clone();
-            acc.extend(&column_samples(&all)?[..worlds]);
+            acc.extend(&column_samples(&stored)?[..worlds]);
             done = worlds;
+            // Shares the store entry's samples; the first `absorb` below
+            // copies them, so the entry itself never grows in place.
+            all = Some(engine.to_sample_set(&point, stored));
         }
         let resumed_from = done;
         while done < worlds_full {
             let end = (done + batch).min(worlds_full);
             let span = engine.simulate_world_span(&point, done as u64..end as u64)?;
-            for (name, values) in span {
-                all.entry(name).or_default().extend(values);
-            }
-            acc.extend(&all[column][done..end]);
+            let set = match &mut all {
+                Some(set) => {
+                    set.absorb(&span);
+                    set
+                }
+                None => all.insert(span),
+            };
+            let xs = set.samples(column).ok_or_else(|| {
+                ProphetError::Internal(format!("simulation lacks samples for column `{column}`"))
+            })?;
+            acc.extend(&xs[done..end]);
             done = end;
             if acc.converged(epsilon, Z95) {
                 converged = true;
@@ -475,7 +482,8 @@ impl OnlineSession {
         // Publish what was simulated: a full-depth entry becomes a regular
         // matchable basis source; a partial one is exact-key-reusable (the
         // store's min-worlds filters protect full-depth consumers).
-        guard.complete(probes, Arc::new(all), done, done == worlds_full);
+        let samples = all.map_or_else(Default::default, |set| Arc::clone(set.shared_samples()));
+        guard.complete(probes, samples, done, done == worlds_full);
         engine.bump(|m| {
             m.points_simulated += 1;
             m.sim_nanos += phase.elapsed_nanos();

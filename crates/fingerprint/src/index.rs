@@ -276,36 +276,76 @@ fn r_upper_bound(a: &[BucketMoments], b: &[BucketMoments]) -> f64 {
     (lo.abs().max(hi.abs()) * (1.0 + SLACK)).min(1.0)
 }
 
-/// Summarize every column of a fingerprint map (the per-record step of
-/// index maintenance on publish).
-pub fn summarize(
-    fingerprints: &HashMap<String, Fingerprint>,
-) -> HashMap<String, FingerprintSummary> {
-    fingerprints
-        .iter()
-        .map(|(name, fp)| (name.clone(), FingerprintSummary::of(fp)))
-        .collect::<HashMap<_, _>>()
+/// Per-column summaries of one stored fingerprint map, name-sorted — the
+/// per-record half of index maintenance, built once at publish. A scan
+/// resolves its column list against the table once per candidate
+/// ([`SummaryTable::resolve`]) and from then on bounds by position
+/// ([`bound_all`]): no string is hashed or compared per (candidate, probe)
+/// pair.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct SummaryTable {
+    columns: Vec<(String, FingerprintSummary)>,
 }
 
-/// Bound a whole candidate against a whole probe across `columns` — the
-/// index-side counterpart of [`CorrelationDetector::detect_all`]: any
-/// column that is missing on either side or individually infeasible sinks
-/// the candidate, otherwise per-column bounds add (as the detector's
+impl SummaryTable {
+    /// Summarize every column of a fingerprint map.
+    pub fn of(fingerprints: &HashMap<String, Fingerprint>) -> Self {
+        let mut columns: Vec<(String, FingerprintSummary)> = fingerprints
+            .iter()
+            .map(|(name, fp)| (name.clone(), FingerprintSummary::of(fp)))
+            .collect();
+        columns.sort_by(|a, b| a.0.cmp(&b.0));
+        SummaryTable { columns }
+    }
+
+    /// Append the table position of each of `columns` to `slots`. Returns
+    /// `false` — appending nothing — when any column is missing:
+    /// [`CorrelationDetector::detect_all`] returns `None` for such a
+    /// source against every probe, so the record is no candidate at all.
+    pub fn resolve(&self, columns: &[String], slots: &mut Vec<u32>) -> bool {
+        let start = slots.len();
+        for col in columns {
+            match self.columns.binary_search_by(|(name, _)| name.cmp(col)) {
+                Ok(pos) => slots.push(pos as u32),
+                Err(_) => {
+                    slots.truncate(start);
+                    return false;
+                }
+            }
+        }
+        true
+    }
+}
+
+/// Summarize a probe's fingerprints in the order of `columns` (slot `i`
+/// is `columns[i]`); `None` when the probe lacks one — `detect_all` then
+/// fails against every source.
+pub fn summarize_probe(
+    fingerprints: &HashMap<String, Fingerprint>,
+    columns: &[String],
+) -> Option<Vec<FingerprintSummary>> {
+    columns
+        .iter()
+        .map(|col| fingerprints.get(col).map(FingerprintSummary::of))
+        .collect()
+}
+
+/// Bound a whole candidate against a whole probe — the index-side
+/// counterpart of [`CorrelationDetector::detect_all`]. `slots[i]` is the
+/// position of the scan's `i`-th column in `source`
+/// ([`SummaryTable::resolve`]) and `probe[i]` its probe-side summary
+/// ([`summarize_probe`]). Any individually infeasible column sinks the
+/// candidate, otherwise per-column bounds add (as the detector's
 /// per-column errors do).
 pub fn bound_all(
-    source: &HashMap<String, FingerprintSummary>,
-    probe: &HashMap<String, FingerprintSummary>,
-    columns: &[String],
+    source: &SummaryTable,
+    slots: &[u32],
+    probe: &[FingerprintSummary],
     detector: &CorrelationDetector,
 ) -> MatchBound {
     let mut total = 0.0;
-    for col in columns {
-        let (s, p) = match (source.get(col), probe.get(col)) {
-            (Some(s), Some(p)) => (s, p),
-            // detect_all returns None when either side lacks the column.
-            _ => return MatchBound::Infeasible,
-        };
-        match s.bound(p, detector) {
+    for (&slot, p) in slots.iter().zip(probe) {
+        match source.columns[slot as usize].1.bound(p, detector) {
             MatchBound::Infeasible => return MatchBound::Infeasible,
             MatchBound::Feasible(err) => total += err,
         }
@@ -416,31 +456,37 @@ mod tests {
     fn bound_all_requires_every_column() {
         let base: Vec<f64> = (0..16).map(|i| i as f64).collect();
         let noise: Vec<f64> = (0..16).map(|i| (i * 53 % 17) as f64).collect();
-        let source = summarize(&HashMap::from([
+        let source = SummaryTable::of(&HashMap::from([
             ("a".to_owned(), fp(&base)),
             ("b".to_owned(), fp(&base)),
         ]));
-        let probe = summarize(&HashMap::from([
-            ("a".to_owned(), fp(&base)),
-            ("b".to_owned(), fp(&noise)),
-        ]));
-        let cols_ok = ["a".to_owned()];
-        let cols_bad = ["a".to_owned(), "b".to_owned()];
-        let cols_missing = ["a".to_owned(), "zz".to_owned()];
+        let probe = HashMap::from([("a".to_owned(), fp(&base)), ("b".to_owned(), fp(&noise))]);
+        let bound = |cols: &[String]| {
+            let mut slots = Vec::new();
+            if !source.resolve(cols, &mut slots) {
+                assert!(slots.is_empty(), "a failed resolve appends nothing");
+                return None;
+            }
+            Some(bound_all(
+                &source,
+                &slots,
+                &summarize_probe(&probe, cols)?,
+                &det(),
+            ))
+        };
+        assert_eq!(bound(&["a".to_owned()]), Some(MatchBound::Feasible(0.0)));
+        // Slots follow the scan's column order, not the table's.
         assert_eq!(
-            bound_all(&source, &probe, &cols_ok, &det()),
-            MatchBound::Feasible(0.0)
-        );
-        assert_eq!(
-            bound_all(&source, &probe, &cols_bad, &det()),
-            MatchBound::Infeasible,
+            bound(&["b".to_owned(), "a".to_owned()]),
+            Some(MatchBound::Infeasible),
             "one unmatchable column sinks the candidate"
         );
         assert_eq!(
-            bound_all(&source, &probe, &cols_missing, &det()),
-            MatchBound::Infeasible,
-            "missing column sinks the candidate"
+            bound(&["a".to_owned(), "zz".to_owned()]),
+            None,
+            "a missing column leaves nothing to bound"
         );
+        assert_eq!(summarize_probe(&probe, &["zz".to_owned()]), None);
     }
 
     #[test]

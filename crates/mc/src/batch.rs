@@ -7,6 +7,7 @@
 //! across the batch's worlds.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use prophet_data::Value;
 use prophet_sql::ast::SelectInto;
@@ -18,14 +19,23 @@ use prophet_vg::{SeedManager, VgRegistry};
 
 use crate::aggregate::{SampleStats, Welford};
 use crate::instance::ParamPoint;
+use crate::store::ColumnSamples;
 
 /// Samples of every scenario output column across a set of worlds, for one
 /// parameter point.
+///
+/// The sample vectors and the column list are reference-counted: the
+/// engine hands the *same* allocation to the basis store and to the
+/// caller's reply, and a cached point is served straight out of the store
+/// entry, so a sample set travels the pipeline without its ≈ 10 KB of
+/// lanes ever being copied. Mutation ([`SampleSet::absorb`]) is
+/// copy-on-write — a set that shares its samples with the store never
+/// writes through to the store's entry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SampleSet {
     point: ParamPoint,
-    columns: Vec<String>,
-    samples: HashMap<String, Vec<f64>>,
+    columns: Arc<[String]>,
+    samples: Arc<ColumnSamples>,
 }
 
 impl SampleSet {
@@ -74,6 +84,16 @@ impl SampleSet {
         columns: Vec<String>,
         samples: HashMap<String, Vec<f64>>,
     ) -> Self {
+        SampleSet::from_shared(point, columns.into(), Arc::new(samples))
+    }
+
+    /// Build around already-shared samples — a basis-store entry's, or
+    /// ones about to be published to it — without copying them.
+    pub fn from_shared(
+        point: ParamPoint,
+        columns: Arc<[String]>,
+        samples: Arc<ColumnSamples>,
+    ) -> Self {
         SampleSet {
             point,
             columns,
@@ -81,12 +101,21 @@ impl SampleSet {
         }
     }
 
+    /// The shared per-column samples (pointer-equal to the basis-store
+    /// entry's when this set was served from or published to the store).
+    pub fn shared_samples(&self) -> &Arc<ColumnSamples> {
+        &self.samples
+    }
+
     /// Merge another sample set for the *same point* (progressive
     /// refinement appends batches of worlds).
+    ///
+    /// Copy-on-write: samples still shared with another holder (the basis
+    /// store, another reply) are cloned first, so only this set grows.
     pub fn absorb(&mut self, other: &SampleSet) {
         debug_assert_eq!(self.point, other.point, "absorb requires matching points");
         // analysis:allow(map-iter): per-key merge — each column extends independently, so visit order is unobservable
-        for (col, dst) in self.samples.iter_mut() {
+        for (col, dst) in Arc::make_mut(&mut self.samples).iter_mut() {
             if let Some(src) = other.samples.get(col) {
                 dst.extend_from_slice(src);
             }
@@ -139,11 +168,7 @@ pub fn simulate_point(
                 .push(x);
         }
     }
-    Ok(SampleSet {
-        point: point.clone(),
-        columns,
-        samples,
-    })
+    Ok(SampleSet::from_samples(point.clone(), columns, samples))
 }
 
 /// Simulate one parameter point over the given worlds in **one** walk of
@@ -175,11 +200,7 @@ pub fn simulate_point_block(
     for (name, column) in columns_out {
         samples.insert(name, column_to_f64(&column)?);
     }
-    Ok(SampleSet {
-        point: point.clone(),
-        columns,
-        samples,
-    })
+    Ok(SampleSet::from_samples(point.clone(), columns, samples))
 }
 
 /// Simulate one parameter point through `prophet-sql`'s **typed columnar**
@@ -215,11 +236,7 @@ pub fn simulate_point_columnar(
         samples.insert(name, to_f64_samples(&column)?);
     }
     Ok((
-        SampleSet {
-            point: point.clone(),
-            columns,
-            samples,
-        },
+        SampleSet::from_samples(point.clone(), columns, samples),
         stats,
     ))
 }

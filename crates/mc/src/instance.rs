@@ -2,6 +2,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use prophet_data::Value;
 
@@ -12,9 +13,16 @@ use prophet_data::Value;
 /// Entries are kept sorted by parameter name so that equal points have equal
 /// representations: `ParamPoint` is used as a cache key by the fingerprint
 /// basis store and must hash deterministically.
+///
+/// Names are reference-counted: the evaluation pipeline clones a point a
+/// dozen-odd times on its way from the sweep plan through claim, scan,
+/// store and reply, and every point of a scenario carries the same few
+/// names, so a clone is one allocation (the entry vector) plus refcount
+/// bumps instead of one allocation per name. `Arc<str>` hashes, compares
+/// and orders exactly as the `String` it replaces.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct ParamPoint {
-    entries: Vec<(String, i64)>,
+    entries: Vec<(Arc<str>, i64)>,
 }
 
 impl ParamPoint {
@@ -41,10 +49,10 @@ impl ParamPoint {
         let name = name.into();
         match self
             .entries
-            .binary_search_by(|(n, _)| n.as_str().cmp(&name))
+            .binary_search_by(|(n, _)| (**n).cmp(name.as_str()))
         {
             Ok(i) => self.entries[i].1 = value,
-            Err(i) => self.entries.insert(i, (name, value)),
+            Err(i) => self.entries.insert(i, (Arc::from(name), value)),
         }
     }
 
@@ -59,7 +67,7 @@ impl ParamPoint {
     /// Value of a parameter, if set.
     pub fn get(&self, name: &str) -> Option<i64> {
         self.entries
-            .binary_search_by(|(n, _)| n.as_str().cmp(name))
+            .binary_search_by(|(n, _)| (**n).cmp(name))
             .ok()
             .map(|i| self.entries[i].1)
     }
@@ -76,26 +84,29 @@ impl ParamPoint {
 
     /// Iterate `(name, value)` in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, i64)> + '_ {
-        self.entries.iter().map(|(n, v)| (n.as_str(), *v))
+        self.entries.iter().map(|(n, v)| (&**n, *v))
     }
 
     /// The subset of this point restricted to `names` (missing names are
     /// skipped). Fingerprints key on the parameters a *model* actually
     /// reads, not the whole scenario point.
     pub fn restrict(&self, names: &[&str]) -> ParamPoint {
-        ParamPoint::from_pairs(
-            self.entries
+        ParamPoint {
+            // A filter of a sorted list stays sorted.
+            entries: self
+                .entries
                 .iter()
-                .filter(|(n, _)| names.contains(&n.as_str()))
-                .map(|(n, v)| (n.clone(), *v)),
-        )
+                .filter(|(n, _)| names.contains(&&**n))
+                .cloned()
+                .collect(),
+        }
     }
 
     /// Convert to the `@param → Value` map the SQL executor consumes.
     pub fn to_value_map(&self) -> HashMap<String, Value> {
         self.entries
             .iter()
-            .map(|(n, v)| (n.clone(), Value::Int(*v)))
+            .map(|(n, v)| (n.to_string(), Value::Int(*v)))
             .collect()
     }
 
@@ -195,6 +206,71 @@ mod tests {
         let p = ParamPoint::from_pairs([("current", 7i64)]);
         let m = p.to_value_map();
         assert_eq!(m["current"], Value::Int(7));
+    }
+
+    /// `ParamPoint` is defined by a plain name-sorted `Vec<(String, i64)>`:
+    /// ordering, `Hash`, `stable_hash`, `Display`, `get` and `iter` must be
+    /// indistinguishable from that model however the names are stored.
+    #[test]
+    fn behaves_like_a_sorted_string_pair_vector() {
+        use prophet_vg::rng::{Rng64, Xoshiro256StarStar};
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+
+        fn hash_of(value: &impl Hash) -> u64 {
+            let mut hasher = DefaultHasher::new();
+            value.hash(&mut hasher);
+            hasher.finish()
+        }
+        fn model_stable_hash(model: &[(String, i64)]) -> u64 {
+            let text: Vec<u8> = model
+                .iter()
+                .flat_map(|(n, v)| [n.as_bytes(), b"=", &v.to_le_bytes(), b";"].concat())
+                .collect();
+            text.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01B3)
+            })
+        }
+
+        let mut rng = Xoshiro256StarStar::seed_from_u64(0x9A2A);
+        let names = ["a", "ab", "b", "current", "feature", "purchase1", "é", ""];
+        let mut drawn: Vec<(ParamPoint, Vec<(String, i64)>)> = Vec::new();
+        for _ in 0..300 {
+            let mut model: Vec<(String, i64)> = Vec::new();
+            let mut point = ParamPoint::new();
+            for step in 0..rng.next_u64() % 6 {
+                let name = names[(rng.next_u64() % names.len() as u64) as usize];
+                let value = (rng.next_u64() % 7) as i64 - 3;
+                // Alternate the two mutation entry points.
+                if step % 2 == 0 {
+                    point.set(name, value);
+                } else {
+                    point = point.with(name.to_owned(), value);
+                }
+                model.retain(|(n, _)| n != name);
+                model.push((name.to_owned(), value));
+                model.sort();
+            }
+            assert_eq!(point, ParamPoint::from_pairs(model.iter().rev().cloned()));
+            assert_eq!(point.len(), model.len());
+            let pairs: Vec<(String, i64)> = point.iter().map(|(n, v)| (n.to_owned(), v)).collect();
+            assert_eq!(pairs, model);
+            for name in names {
+                let want = model.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
+                assert_eq!(point.get(name), want, "{point} get({name:?})");
+            }
+            assert_eq!(hash_of(&point), hash_of(&model), "{point}");
+            assert_eq!(point.stable_hash(), model_stable_hash(&model), "{point}");
+            let shown: Vec<String> = model.iter().map(|(n, v)| format!("@{n}={v}")).collect();
+            assert_eq!(point.to_string(), format!("{{{}}}", shown.join(", ")));
+            drawn.push((point, model));
+        }
+        for (a, model_a) in drawn.iter().step_by(7) {
+            for (b, model_b) in &drawn {
+                assert_eq!(a.cmp(b), model_a.cmp(model_b), "{a} vs {b}");
+                assert_eq!(a == b, model_a == model_b, "{a} vs {b}");
+            }
+        }
     }
 
     #[test]

@@ -39,8 +39,8 @@ pub use instance::ParamPoint;
 pub use materialize::{summary_table, worlds_table};
 pub use series::{Series, SeriesPoint};
 pub use store::{
-    BasisHit, ColumnSamples, InflightGuard, MatchScanStats, SharedBasisStore, SnapshotError,
-    StoreStatsSnapshot, TryClaim, WaitHandle, DEFAULT_SHARDS,
+    BasisHit, ColumnSamples, InflightGuard, MatchScanStats, ProbeScan, ScanSnapshot, ScanWork,
+    SharedBasisStore, SnapshotError, StoreStatsSnapshot, TryClaim, WaitHandle, DEFAULT_SHARDS,
 };
 pub use sync::MAX_SHARDS;
 pub use trace::{

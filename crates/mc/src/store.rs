@@ -12,8 +12,9 @@
 //! ([`SharedBasisStore::try_claim`]) guarantee that N concurrent sessions
 //! evaluating the same cold point block on one simulation instead of each
 //! running it (the thundering-herd dedup), and
-//! [`SharedBasisStore::find_correlated_batch`] probes many fingerprint sets
-//! against the candidate sources in one source-parallel scan.
+//! [`SharedBasisStore::scan_snapshot`] hands a batch one lock-free view of
+//! the candidate sources that each of its probes then scans independently
+//! ([`ScanSnapshot::scan_probe`]).
 //!
 //! # Sharding
 //!
@@ -28,33 +29,38 @@
 //! entry in the whole store, never merely the oldest in one shard) and
 //! therefore identical at every shard count.
 //!
-//! The match scan stays globally deterministic by construction: it takes
-//! every shard's read lock (ascending, per the rank table), merges the
+//! The match scan stays globally deterministic by construction: its
+//! snapshot takes every shard's read lock (ascending, per the rank table)
+//! just long enough to clone the matchable records' `Arc`s, merges the
 //! per-shard stamp-ordered candidate lists into one list sorted by global
 //! insertion stamp — stamps are unique, so the merge reproduces the exact
-//! single-shard candidate order — and runs the wave scan over that merged
-//! list. Wave boundaries, pruning decisions, chosen sources, and the
-//! scanned/pruned accounting are all functions of the merged order alone,
-//! so they are bit-identical at any shard count and any thread count.
-//! (Running waves per shard instead would change which candidates get
-//! pruned as the shard count changes; the merge is what keeps
-//! [`MatchScanStats`] a pure function of store contents and probes.)
+//! single-shard candidate order — and every probe runs its wave scan over
+//! that merged list with no store lock held. Wave boundaries, pruning
+//! decisions, chosen sources, and the scanned/pruned accounting are all
+//! functions of the merged order alone, so they are bit-identical at any
+//! shard count and any thread count. (Running waves per shard instead
+//! would change which candidates get pruned as the shard count changes;
+//! the merge is what keeps [`MatchScanStats`] a pure function of store
+//! contents and probes.)
 //!
 //! # The summary index
 //!
-//! Every published matchable record stores per-column
-//! [`FingerprintSummary`] moments (`prophet_fingerprint::index`), and the
-//! scan walks candidates in insertion-stamp order in fixed-size waves,
-//! pruning every candidate whose summary bound proves it cannot beat the
-//! best match found in earlier waves (or cannot match at all) before paying
-//! for the entry-by-entry [`CorrelationDetector::detect_all`] comparison.
-//! Because the bound is a true lower bound and ties resolve to the earliest
-//! stamp, the chosen source is identical to the exhaustive scan's — and
-//! because pruning decisions consult only completed waves (a constant wave
-//! width, independent of `threads`), the scanned/pruned accounting is
-//! identical at every thread count. The index is maintained under publish,
-//! replace, eviction and clear; `find_correlated_batch_scan(…, use_index:
-//! false)` keeps the exhaustive scan available for differential testing.
+//! Every published matchable record stores a [`SummaryTable`] of
+//! per-column fingerprint moments (`prophet_fingerprint::index`), and a
+//! probe's scan walks candidates in insertion-stamp order in fixed-size
+//! waves, pruning every candidate whose summary bound proves it cannot
+//! beat the probe's best match of earlier waves (or cannot match at all)
+//! before paying for the entry-by-entry
+//! [`CorrelationDetector::detect_all`] comparison. Column names resolve to
+//! table positions once per candidate at snapshot time, so the per-pair
+//! bound hashes no string. Because the bound is a true lower bound and
+//! ties resolve to the earliest stamp, the chosen source is identical to
+//! the exhaustive scan's — and because a probe's pruning decisions consult
+//! only its own incumbent of completed waves (a constant wave width), the
+//! probes of a batch scan independently, on any number of threads, with
+//! identical scanned/pruned accounting. The index is maintained under
+//! publish, replace, eviction and clear; `use_index: false` keeps the
+//! exhaustive scan available for differential testing.
 //!
 //! # Persistence
 //!
@@ -77,7 +83,7 @@ use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use prophet_fingerprint::index::{bound_all, summarize, FingerprintSummary, MatchBound};
+use prophet_fingerprint::index::{bound_all, summarize_probe, MatchBound, SummaryTable};
 use prophet_fingerprint::{CorrelationDetector, Fingerprint, Mapping};
 
 use crate::instance::ParamPoint;
@@ -113,7 +119,7 @@ struct Record {
     /// publish time so the match scan can bound this record's error
     /// against any probe without touching the fingerprints themselves.
     /// Empty for unmatchable records (they are never candidates).
-    summaries: Arc<HashMap<String, FingerprintSummary>>,
+    summaries: Arc<SummaryTable>,
     /// Samples for *all* output columns (stochastic and derived).
     samples: Arc<ColumnSamples>,
     worlds: usize,
@@ -417,9 +423,12 @@ pub struct SharedBasisStore {
     tracer: Tracer,
 }
 
-/// Per-probe best match within one candidate slice: `(candidate index,
-/// per-column mappings, total error)`.
-type PartialBest = Vec<Option<(usize, HashMap<String, Mapping>, f64)>>;
+/// A probe's best match so far: `(candidate index, per-column mappings,
+/// total error)`.
+type Best = (usize, HashMap<String, Mapping>, f64);
+
+/// Per-probe best match within one candidate slice.
+type PartialBest = Vec<Option<Best>>;
 
 /// Work accounting of one match scan
 /// ([`SharedBasisStore::find_correlated_batch_scan`]).
@@ -436,12 +445,218 @@ pub struct MatchScanStats {
 
 /// Wave width of the indexed scan: candidates are bounded and compared in
 /// stamp-ordered blocks of this many, and pruning decisions for a wave
-/// consult only the best matches of *completed* waves. The width is a
-/// constant — never derived from `threads` — so which pairs get pruned is
-/// a pure function of the store contents and the probes, making the
-/// scanned/pruned accounting identical at every thread count (`threads`
-/// only spreads a wave's surviving comparisons across workers).
+/// consult only the best match of *completed* waves. The width is a
+/// constant — never derived from a thread count — so which pairs get
+/// pruned is a pure function of the store contents and the probes.
 const MATCH_WAVE: usize = 32;
+
+/// One matchable record as a scan sees it: the record's shared parts,
+/// cloned by reference count while the shard read locks were held. An
+/// entry evicted, replaced or cleared after the snapshot stays alive —
+/// and unchanged — through these handles.
+struct Candidate {
+    point: ParamPoint,
+    fingerprints: Arc<HashMap<String, Fingerprint>>,
+    summaries: Arc<SummaryTable>,
+    samples: Arc<ColumnSamples>,
+    worlds: usize,
+}
+
+impl Candidate {
+    fn hit(&self, mappings: HashMap<String, Mapping>) -> BasisHit {
+        BasisHit {
+            source: self.point.clone(),
+            mappings,
+            samples: Arc::clone(&self.samples),
+            worlds: self.worlds,
+        }
+    }
+}
+
+/// Slot value marking a candidate that lacks one of the scanned columns.
+const NO_SLOT: u32 = u32::MAX;
+
+/// A lock-free view of the store's matchable records in global stamp
+/// order, bound to one scan's columns, detector and mode
+/// ([`SharedBasisStore::scan_snapshot`]). Taking it is the only part of a
+/// match scan that touches the store's locks; the scan itself
+/// ([`ScanSnapshot::scan_probe`]) is a pure function of the snapshot and
+/// one probe, so a batch's probes can be scanned anywhere — inline, on
+/// scoped threads, or as scheduler chunks — with identical results.
+pub struct ScanSnapshot {
+    candidates: Vec<Candidate>,
+    /// Per candidate, the summary-table position of each scanned column
+    /// (candidate-major, `columns.len()` per candidate; [`NO_SLOT`]s for a
+    /// candidate that lacks one): the scan's column names are resolved
+    /// here, once, and the per-pair bound walks positions. Empty when the
+    /// index is off.
+    slots: Vec<u32>,
+    columns: Vec<String>,
+    detector: CorrelationDetector,
+    use_index: bool,
+}
+
+/// What one probe's scan did, folded into a batch's [`MatchScanStats`]
+/// and the store's hit/miss ledger by [`SharedBasisStore::record_scans`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScanWork {
+    /// Candidates that ran the full `detect_all` comparison.
+    pub scanned: u64,
+    /// Waves of the indexed scan this probe needed: up to and including
+    /// the wave that produced an exact match, or every wave.
+    pub waves: usize,
+    /// Whether a source was found.
+    pub hit: bool,
+}
+
+/// Result of scanning one probe against a [`ScanSnapshot`].
+pub struct ProbeScan {
+    /// The best source, if any column set matched.
+    pub hit: Option<BasisHit>,
+    /// The work it took.
+    pub work: ScanWork,
+}
+
+impl ScanSnapshot {
+    /// Find the best source for one probe: lowest total error, ties to
+    /// the earliest insertion stamp. Indexed snapshots run the
+    /// branch-and-bound scan; exhaustive ones the reference scan — both
+    /// choose the same source.
+    pub fn scan_probe(&self, probe: &HashMap<String, Fingerprint>) -> ProbeScan {
+        let (best, mut work) = if self.use_index {
+            self.scan_indexed(probe)
+        } else {
+            let mut stats = MatchScanStats::default();
+            let mut best = scan_exhaustive(
+                &self.candidates,
+                std::slice::from_ref(probe),
+                &self.columns,
+                &self.detector,
+                1,
+                &mut stats,
+            );
+            let work = ScanWork {
+                scanned: stats.candidates_scanned,
+                ..ScanWork::default()
+            };
+            (best.pop().flatten(), work)
+        };
+        work.hit = best.is_some();
+        ProbeScan {
+            hit: best.map(|(ci, mappings, _)| self.candidates[ci].hit(mappings)),
+            work,
+        }
+    }
+
+    /// Branch-and-bound scan of one probe over the summary index.
+    /// Soundness (the chosen source is bit-identical to
+    /// [`scan_exhaustive`]'s) rests on two facts: the summary bound never
+    /// exceeds the error `detect_all` would report
+    /// (`prophet_fingerprint::index` docs carry the proof), and candidates
+    /// are walked in stamp order, so the incumbent predates the candidates
+    /// being pruned against it — a candidate whose error cannot go *below*
+    /// the incumbent's loses even on an exact tie, because ties resolve to
+    /// the earliest stamp.
+    ///
+    /// A probe's scan depends on the candidate list and its *own*
+    /// incumbent only, which is what lets a batch's probes scan
+    /// independently.
+    fn scan_indexed(&self, probe: &HashMap<String, Fingerprint>) -> (Option<Best>, ScanWork) {
+        let total_waves = self.candidates.len().div_ceil(MATCH_WAVE);
+        let Some(probe_summary) = summarize_probe(probe, &self.columns) else {
+            // `detect_all` fails on a missing column: every pair prunes.
+            let work = ScanWork {
+                waves: total_waves,
+                ..ScanWork::default()
+            };
+            return (None, work);
+        };
+        let width = self.columns.len();
+        let mut best: Option<Best> = None;
+        let mut work = ScanWork::default();
+        let mut survivors: Vec<usize> = Vec::with_capacity(MATCH_WAVE);
+        for (wave_idx, wave) in self.candidates.chunks(MATCH_WAVE).enumerate() {
+            // A zero-error incumbent prunes every later candidate no matter
+            // what its bound comes out to (any feasible bound is ≥ 0).
+            let incumbent = best.as_ref().map(|(_, _, err)| *err);
+            if incumbent == Some(0.0) {
+                break;
+            }
+            work.waves = wave_idx + 1;
+            let base = wave_idx * MATCH_WAVE;
+            survivors.clear();
+            for (offset, candidate) in wave.iter().enumerate() {
+                let ci = base + offset;
+                let slots = &self.slots[ci * width..(ci + 1) * width];
+                if slots.first() == Some(&NO_SLOT) {
+                    continue;
+                }
+                match bound_all(&candidate.summaries, slots, &probe_summary, &self.detector) {
+                    MatchBound::Infeasible => {}
+                    MatchBound::Feasible(bound) => {
+                        if !matches!(incumbent, Some(err) if bound >= err) {
+                            survivors.push(ci);
+                        }
+                    }
+                }
+            }
+            work.scanned += survivors.len() as u64;
+            // Bounds consulted the incumbent of completed waves only; the
+            // wave's survivors now compare in stamp order (strictly-better
+            // replacement keeps the earliest stamp on ties).
+            for &ci in &survivors {
+                let detected = self.detector.detect_all(
+                    &self.candidates[ci].fingerprints,
+                    probe,
+                    &self.columns,
+                );
+                if let Some((mappings, err)) = detected {
+                    if best
+                        .as_ref()
+                        .map_or(true, |(_, _, best_err)| err < *best_err)
+                    {
+                        best = Some((ci, mappings, err));
+                    }
+                }
+            }
+        }
+        (best, work)
+    }
+}
+
+/// Run `f(slice, index of the slice's first item)` over up to `threads`
+/// contiguous slices of `items` — inline when one slice suffices, else on
+/// scoped threads — returning the results in slice order.
+fn fan_out<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&[T], usize) -> R + Sync,
+{
+    let workers = threads.max(1).min(items.len().max(1));
+    if workers <= 1 {
+        return vec![f(items, 0)];
+    }
+    let chunk = items.len().div_ceil(workers);
+    // lint:allow(thread-spawn): one scoped fan-out per *call* of a batch
+    // scan outside the scheduler (tests, benches, the exhaustive reference);
+    // engine batches scan per probe on the pool they already run on.
+    std::thread::scope(|scope| {
+        let f = &f;
+        let handles: Vec<_> = items
+            .chunks(chunk)
+            .enumerate()
+            .map(|(i, slice)| scope.spawn(move || f(slice, i * chunk)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .expect("invariant: scan workers only read shared slices and cannot panic")
+            })
+            .collect()
+    })
+}
 
 /// Exhaustive reference scan (the pre-index behaviour): candidates
 /// partition across up to `threads` workers, every (candidate, probe)
@@ -449,17 +664,17 @@ const MATCH_WAVE: usize = 32;
 /// order)`. A zero-error hit is exact — nothing later can beat it, so
 /// each worker short-circuits its slice once every probe is exact.
 fn scan_exhaustive(
-    candidates: &[(&ParamPoint, &Record)],
+    candidates: &[Candidate],
     probes: &[HashMap<String, Fingerprint>],
     columns: &[String],
     detector: &CorrelationDetector,
     threads: usize,
     stats: &mut MatchScanStats,
 ) -> PartialBest {
-    let scan = |slice: &[(&ParamPoint, &Record)], base: usize| {
+    let scan = |slice: &[Candidate], base: usize| {
         let mut scanned = 0u64;
         let mut best: PartialBest = vec![None; probes.len()];
-        for (ci, (_, record)) in slice.iter().enumerate() {
+        for (ci, candidate) in slice.iter().enumerate() {
             let mut all_exact = true;
             // analysis:allow(map-iter): `probes` is a slice here — the name collides with a map param elsewhere in this file
             for (pi, probe) in probes.iter().enumerate() {
@@ -469,7 +684,7 @@ fn scan_exhaustive(
                 all_exact = false;
                 scanned += 1;
                 if let Some((mappings, err)) =
-                    detector.detect_all(&record.fingerprints, probe, columns)
+                    detector.detect_all(&candidate.fingerprints, probe, columns)
                 {
                     let better = match &best[pi] {
                         None => true,
@@ -487,32 +702,8 @@ fn scan_exhaustive(
         (best, scanned)
     };
 
-    let workers = threads.max(1).min(candidates.len().max(1));
-    let partials: Vec<(PartialBest, u64)> = if workers <= 1 {
-        vec![scan(candidates, 0)]
-    } else {
-        let chunk = candidates.len().div_ceil(workers);
-        // lint:allow(thread-spawn): the exhaustive reference scan's scoped
-        // fan-out predates the scheduler and must stay schedule-free so the
-        // indexed scan can be differentially tested against it.
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = candidates
-                .chunks(chunk)
-                .enumerate()
-                .map(|(i, slice)| scope.spawn(move || scan(slice, i * chunk)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .expect("invariant: probe workers only read shared slices and cannot panic")
-                })
-                .collect()
-        })
-    };
-
     let mut merged: PartialBest = vec![None; probes.len()];
-    for (partial, scanned) in partials {
+    for (partial, scanned) in fan_out(candidates, threads, scan) {
         stats.candidates_scanned += scanned;
         for (pi, slot) in partial.into_iter().enumerate() {
             if let Some((ci, mappings, err)) = slot {
@@ -532,112 +723,6 @@ fn scan_exhaustive(
         }
     }
     merged
-}
-
-/// Branch-and-bound scan over the summary index. Soundness (the chosen
-/// source is bit-identical to [`scan_exhaustive`]'s) rests on two facts:
-/// the summary bound never exceeds the error `detect_all` would report
-/// (`prophet_fingerprint::index` docs carry the proof), and candidates are
-/// walked in stamp order, so any incumbent best predates the candidates
-/// being pruned against it — a candidate whose error cannot go *below*
-/// the incumbent's loses even on an exact tie, because ties resolve to
-/// the earliest stamp.
-fn scan_indexed(
-    candidates: &[(&ParamPoint, &Record)],
-    probes: &[HashMap<String, Fingerprint>],
-    columns: &[String],
-    detector: &CorrelationDetector,
-    threads: usize,
-    stats: &mut MatchScanStats,
-) -> PartialBest {
-    let probe_summaries: Vec<HashMap<String, FingerprintSummary>> =
-        // analysis:allow(map-iter): `probes` is a slice here — the name collides with a map param elsewhere in this file
-        probes.iter().map(summarize).collect();
-    let mut best: PartialBest = vec![None; probes.len()];
-    for (wave_idx, wave) in candidates.chunks(MATCH_WAVE).enumerate() {
-        if best
-            .iter()
-            .all(|b| matches!(b, Some((_, _, err)) if *err == 0.0))
-        {
-            break; // every probe already has an exact match
-        }
-        let base = wave_idx * MATCH_WAVE;
-        let mut jobs: Vec<(usize, usize)> = Vec::new();
-        for (offset, (_, record)) in wave.iter().enumerate() {
-            let ci = base + offset;
-            for (pi, probe_summary) in probe_summaries.iter().enumerate() {
-                // A zero-error incumbent prunes every later candidate no
-                // matter what its bound comes out to (Infeasible prunes,
-                // and any Feasible bound is ≥ 0 = the incumbent's error),
-                // so skip the bound computation outright — the accounting
-                // is identical.
-                if matches!(&best[pi], Some((_, _, err)) if *err == 0.0) {
-                    stats.candidates_pruned += 1;
-                    continue;
-                }
-                match bound_all(&record.summaries, probe_summary, columns, detector) {
-                    MatchBound::Infeasible => stats.candidates_pruned += 1,
-                    MatchBound::Feasible(bound) => match &best[pi] {
-                        Some((_, _, incumbent)) if bound >= *incumbent => {
-                            stats.candidates_pruned += 1;
-                        }
-                        _ => jobs.push((ci, pi)),
-                    },
-                }
-            }
-        }
-        stats.candidates_scanned += jobs.len() as u64;
-        // A wave's surviving comparisons are independent: fan out, then
-        // merge sequentially in stamp order (strictly-better replacement
-        // keeps the earliest stamp on ties, as the exhaustive scan does).
-        let detected = parallel_chunks(&jobs, threads, |&(ci, pi)| {
-            detector.detect_all(&candidates[ci].1.fingerprints, &probes[pi], columns)
-        });
-        for (&(ci, pi), result) in jobs.iter().zip(detected) {
-            if let Some((mappings, err)) = result {
-                let better = match &best[pi] {
-                    None => true,
-                    Some((_, _, best_err)) => err < *best_err,
-                };
-                if better {
-                    best[pi] = Some((ci, mappings, err));
-                }
-            }
-        }
-    }
-    best
-}
-
-/// Apply `f` to every item, fanning out across up to `threads` scoped
-/// workers (contiguous chunks, results in input order). Single-item or
-/// single-thread calls run inline with no spawn overhead.
-fn parallel_chunks<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let workers = threads.max(1).min(items.len());
-    if workers <= 1 {
-        return items.iter().map(&f).collect();
-    }
-    let chunk = items.len().div_ceil(workers);
-    // lint:allow(thread-spawn): wave-local fan-out of pure comparisons;
-    // runs under the store's read lock where pool chunks must not block.
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|slice| scope.spawn(move || slice.iter().map(f).collect::<Vec<R>>()))
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| {
-                h.join()
-                    .expect("invariant: match workers apply a pure fn and cannot panic")
-            })
-            .collect()
-    })
 }
 
 // ------------------------------------------------------------- persistence
@@ -1117,11 +1202,11 @@ impl SharedBasisStore {
         matchable: bool,
     ) {
         // Summarize outside the locks — pure function of the inputs.
-        let summaries = if matchable {
-            Arc::new(summarize(&fingerprints))
+        let summaries = Arc::new(if matchable {
+            SummaryTable::of(&fingerprints)
         } else {
-            Arc::new(HashMap::new())
-        };
+            SummaryTable::default()
+        });
         let target = self.shard_of(&point);
         let mut evicted_shard: Option<u16> = None;
         {
@@ -1252,24 +1337,19 @@ impl SharedBasisStore {
     }
 
     /// Batched correlated lookup: probe many fingerprint sets against the
-    /// matchable entries in one scan. Result `i` is the best hit for
-    /// `probes[i]`.
+    /// matchable entries. Result `i` is the best hit for `probes[i]`.
     ///
-    /// The scan takes every shard's read lock (ascending) and merges the
-    /// per-shard stamp-ordered candidate lists into one list in global
-    /// insertion-stamp order — the same candidate sequence a single-shard
-    /// store walks, so wave boundaries, pruning, chosen sources, and the
-    /// [`MatchScanStats`] accounting are independent of the shard count.
-    /// With `use_index` the scan is branch-and-bound over summary bounds
-    /// (see the module docs): only candidates whose bound can still beat
-    /// the best match of completed waves run
-    /// [`CorrelationDetector::detect_all`], and the surviving comparisons
-    /// of each wave fan out across up to `threads` workers. Without it,
-    /// candidates partition across workers and every pair is compared (the
-    /// exhaustive reference scan). Both paths pick the best candidate by
-    /// `(total error, insertion order)`, so the chosen source is identical
-    /// between them and independent of the thread count; with the index,
-    /// the returned [`MatchScanStats`] is thread-independent too.
+    /// This is [`SharedBasisStore::scan_snapshot`] + one
+    /// [`ScanSnapshot::scan_probe`] per probe (probes partition across up
+    /// to `threads` scoped workers, one fan-out per call) +
+    /// [`SharedBasisStore::record_scans`] — the same three steps the
+    /// engine's batch pipelines run with their own pools in the middle. With `use_index` each probe runs the
+    /// branch-and-bound scan over summary bounds (see the module docs);
+    /// without it, candidates partition across workers and every pair is
+    /// compared (the exhaustive reference scan). Both pick the best
+    /// candidate by `(total error, insertion order)`, so the chosen source
+    /// is identical between them and independent of the thread and shard
+    /// counts; with the index, the returned [`MatchScanStats`] is too.
     pub fn find_correlated_batch_scan(
         &self,
         probes: &[HashMap<String, Fingerprint>],
@@ -1281,62 +1361,139 @@ impl SharedBasisStore {
         if probes.is_empty() {
             return (Vec::new(), MatchScanStats::default());
         }
-        let guards: Vec<OrderedReadGuard<'_, Shard>> =
-            self.shards.iter().map(|s| s.read()).collect();
-        // Merge the shards' stamp-ordered candidate lists. Stamps are
-        // globally unique, so sorting by stamp reproduces the exact global
-        // insertion order a 1-shard store maintains natively.
-        let mut stamped: Vec<(u64, &ParamPoint, &Record)> = Vec::new();
-        for guard in &guards {
-            for (stamp, point) in &guard.order {
-                if let Some(record) = guard.entries.get(point) {
-                    if !record.fingerprints.is_empty() {
-                        stamped.push((*stamp, point, record));
+        let snapshot = self.scan_snapshot(columns, detector, use_index);
+        if use_index {
+            let scans: Vec<ProbeScan> = fan_out(probes, threads, |slice, _| {
+                slice
+                    .iter()
+                    .map(|p| snapshot.scan_probe(p))
+                    .collect::<Vec<_>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect();
+            let stats = self.record_scans(&snapshot, scans.iter().map(|s| s.work));
+            (scans.into_iter().map(|s| s.hit).collect(), stats)
+        } else {
+            let mut stats = MatchScanStats::default();
+            let best = scan_exhaustive(
+                &snapshot.candidates,
+                probes,
+                columns,
+                detector,
+                threads,
+                &mut stats,
+            );
+            let results: Vec<Option<BasisHit>> = best
+                .into_iter()
+                .map(|slot| slot.map(|(ci, mappings, _)| snapshot.candidates[ci].hit(mappings)))
+                .collect();
+            let hits = results.iter().flatten().count() as u64;
+            self.record_lookups(hits, results.len() as u64 - hits);
+            (results, stats)
+        }
+    }
+
+    /// Snapshot the matchable records for one match scan over `columns`.
+    ///
+    /// Takes every shard's read lock (ascending, per the rank table),
+    /// clones each matchable record's shared parts by reference count,
+    /// and releases the locks — a scan never holds a store lock while it
+    /// compares, so a sweep's scans cannot stall a session's publish. The
+    /// per-shard stamp-ordered lists merge into global insertion-stamp
+    /// order (stamps are unique), the same candidate sequence a
+    /// single-shard store walks, so wave boundaries, pruning, chosen
+    /// sources and the [`MatchScanStats`] accounting are independent of
+    /// the shard count. `columns` resolves to summary-table positions
+    /// here, once per candidate (skipped for the exhaustive reference,
+    /// `use_index: false`, which never bounds).
+    pub fn scan_snapshot(
+        &self,
+        columns: &[String],
+        detector: &CorrelationDetector,
+        use_index: bool,
+    ) -> ScanSnapshot {
+        let mut stamped: Vec<(u64, Candidate)> = Vec::new();
+        {
+            let guards: Vec<OrderedReadGuard<'_, Shard>> =
+                self.shards.iter().map(|s| s.read()).collect();
+            for guard in &guards {
+                for (stamp, point) in &guard.order {
+                    if let Some(record) = guard.entries.get(point) {
+                        if !record.fingerprints.is_empty() {
+                            stamped.push((
+                                *stamp,
+                                Candidate {
+                                    point: point.clone(),
+                                    fingerprints: Arc::clone(&record.fingerprints),
+                                    summaries: Arc::clone(&record.summaries),
+                                    samples: Arc::clone(&record.samples),
+                                    worlds: record.worlds,
+                                },
+                            ));
+                        }
                     }
                 }
             }
         }
-        stamped.sort_unstable_by_key(|(stamp, _, _)| *stamp);
-        let candidates: Vec<(&ParamPoint, &Record)> =
-            stamped.iter().map(|(_, p, r)| (*p, *r)).collect();
-
-        let mut stats = MatchScanStats::default();
-        let best = if use_index {
-            scan_indexed(&candidates, probes, columns, detector, threads, &mut stats)
-        } else {
-            scan_exhaustive(&candidates, probes, columns, detector, threads, &mut stats)
-        };
-
-        let mut hit_count = 0u64;
-        let mut miss_count = 0u64;
-        let results: Vec<Option<BasisHit>> = best
-            .into_iter()
-            .map(|slot| match slot {
-                Some((ci, mappings, _)) => {
-                    hit_count += 1;
-                    let (point, record) = candidates[ci];
-                    Some(BasisHit {
-                        source: point.clone(),
-                        mappings,
-                        samples: Arc::clone(&record.samples),
-                        worlds: record.worlds,
-                    })
+        stamped.sort_unstable_by_key(|(stamp, _)| *stamp);
+        let candidates: Vec<Candidate> = stamped.into_iter().map(|(_, c)| c).collect();
+        let mut slots = Vec::new();
+        if use_index {
+            slots.reserve(candidates.len() * columns.len());
+            for candidate in &candidates {
+                if !candidate.summaries.resolve(columns, &mut slots) {
+                    slots.extend(std::iter::repeat(NO_SLOT).take(columns.len()));
                 }
-                None => {
-                    miss_count += 1;
-                    None
-                }
-            })
-            .collect();
-        {
-            // One counter-ledger bump for the whole batch (rank 67 sits
-            // above the shard ranks, so this is legal under the guards).
-            let mut counters = self.stats.lock();
-            counters.hits += hit_count;
-            counters.misses += miss_count;
+            }
         }
-        drop(guards);
-        (results, stats)
+        ScanSnapshot {
+            candidates,
+            slots,
+            columns: columns.to_vec(),
+            detector: *detector,
+            use_index,
+        }
+    }
+
+    /// Close a batch of [`ScanSnapshot::scan_probe`]s: fold the probes'
+    /// work into the batch's [`MatchScanStats`] and bump the hit/miss
+    /// ledger once.
+    ///
+    /// The batch processes waves until *every* probe is exact, and each
+    /// processed wave accounts each of its (candidate, probe) pairs
+    /// exactly once — scanned, or pruned (a probe that is already exact
+    /// prunes the rest of the waves its siblings still need). The
+    /// exhaustive reference bounds nothing, so it prunes nothing.
+    pub fn record_scans(
+        &self,
+        snapshot: &ScanSnapshot,
+        work: impl IntoIterator<Item = ScanWork>,
+    ) -> MatchScanStats {
+        let (mut probes, mut hits, mut scanned, mut waves) = (0u64, 0u64, 0u64, 0usize);
+        for w in work {
+            probes += 1;
+            hits += w.hit as u64;
+            scanned += w.scanned;
+            waves = waves.max(w.waves);
+        }
+        self.record_lookups(hits, probes - hits);
+        let bounded = probes * (waves * MATCH_WAVE).min(snapshot.candidates.len()) as u64;
+        MatchScanStats {
+            candidates_scanned: scanned,
+            candidates_pruned: if snapshot.use_index {
+                bounded - scanned
+            } else {
+                0
+            },
+        }
+    }
+
+    /// One counter-ledger bump for a whole batch of correlated lookups.
+    fn record_lookups(&self, hits: u64, misses: u64) {
+        let mut counters = self.stats.lock();
+        counters.hits += hits;
+        counters.misses += misses;
     }
 
     // --------------------------------------------------- snapshot / restore
@@ -1431,11 +1588,11 @@ impl SharedBasisStore {
         let installed: Vec<(ParamPoint, Record)> = parsed
             .into_iter()
             .map(|r| {
-                let summaries = if r.matchable {
-                    Arc::new(summarize(&r.fingerprints))
+                let summaries = Arc::new(if r.matchable {
+                    SummaryTable::of(&r.fingerprints)
                 } else {
-                    Arc::new(HashMap::new())
-                };
+                    SummaryTable::default()
+                });
                 (
                     r.point,
                     Record {
@@ -1860,6 +2017,72 @@ mod tests {
         }
     }
 
+    /// A scan runs against the snapshot, not the live store: a better
+    /// candidate inserted, the chosen source evicted, or the whole store
+    /// cleared after the snapshot change neither the chosen source nor the
+    /// hit's samples — the evicted record stays alive through its `Arc`s.
+    #[test]
+    fn scan_snapshot_is_isolated_from_later_store_mutation() {
+        let detector = CorrelationDetector::default();
+        let columns = ["y".to_owned()];
+        let base = [1.0, 2.0, 4.0, 7.0];
+        let near: Vec<f64> = base
+            .iter()
+            .enumerate()
+            .map(|(i, v)| 2.0 * v + if i % 2 == 0 { 0.01 } else { -0.01 })
+            .collect();
+        let probe = HashMap::from([("y".to_owned(), fp(&base))]);
+        let s = SharedBasisStore::new(2);
+        s.insert(
+            point("x", 1),
+            HashMap::from([("y".to_owned(), fp(&near))]),
+            samples(10.0),
+            2,
+            true,
+        );
+        let before = s.scan_snapshot(&columns, &detector, true);
+        let stored = s.get_exact(&point("x", 1), 2).expect("source stored");
+
+        // An exact source arrives, then churn evicts the original one.
+        s.insert(
+            point("x", 2),
+            HashMap::from([("y".to_owned(), fp(&base))]),
+            samples(20.0),
+            2,
+            true,
+        );
+        s.insert(point("x", 3), HashMap::new(), samples(30.0), 2, true);
+        assert!(s.get_exact(&point("x", 1), 1).is_none(), "source evicted");
+        let after = s.scan_snapshot(&columns, &detector, true);
+        s.clear();
+        assert!(s.is_empty());
+
+        let old = before.scan_probe(&probe);
+        let hit = old.hit.expect("the snapshot still holds its source");
+        assert_eq!(hit.source, point("x", 1), "later inserts are invisible");
+        assert!(matches!(hit.mappings["y"], Mapping::Affine { .. }));
+        assert!(
+            Arc::ptr_eq(&hit.samples, &stored),
+            "the evicted record's samples live on through the snapshot"
+        );
+        assert_eq!(hit.samples["y"], vec![10.0, 11.0]);
+        assert_eq!(
+            old.work,
+            ScanWork {
+                scanned: 1,
+                waves: 1,
+                hit: true
+            }
+        );
+        // A snapshot taken after the insert sees the exact source; the
+        // clear that followed it does not reach into it either.
+        let new = after.scan_probe(&probe).hit.expect("exact source");
+        assert_eq!(new.source, point("x", 2));
+        assert_eq!(new.mappings["y"], Mapping::Identity);
+        // Scanning a snapshot never touches the live store's ledger.
+        assert_eq!(s.hit_stats(), (0, 0));
+    }
+
     /// Eviction comes off the global stamp-ordered queues — oldest
     /// unmatchable first, then oldest matchable — and is counted.
     #[test]
@@ -1934,6 +2157,42 @@ mod tests {
             src.snapshot_bytes(),
             "post-restore eviction and stamping track the source store"
         );
+    }
+
+    /// The snapshot encodes a point as its name-sorted `(name, value)`
+    /// pairs; reference-counted names must not move a byte. Seeded loop
+    /// against an independent `Vec<(String, i64)>` encoding.
+    #[test]
+    fn snapshot_point_bytes_match_a_string_pair_model() {
+        use prophet_vg::rng::{Rng64, Xoshiro256StarStar};
+        const HEADER: usize = 4 + 2 + 8 + 8;
+        let mut rng = Xoshiro256StarStar::seed_from_u64(0xF9B5);
+        let names = ["current", "feature", "purchase1", "p", "é", ""];
+        for _ in 0..200 {
+            let mut model: Vec<(String, i64)> = Vec::new();
+            let mut p = ParamPoint::new();
+            for _ in 0..rng.next_u64() % 5 {
+                let name = names[(rng.next_u64() % names.len() as u64) as usize];
+                let value = rng.next_u64() as i64;
+                p.set(name, value);
+                model.retain(|(n, _)| n != name);
+                model.push((name.to_owned(), value));
+            }
+            model.sort();
+            let mut expected = (model.len() as u32).to_le_bytes().to_vec();
+            for (name, value) in &model {
+                expected.extend_from_slice(&(name.len() as u32).to_le_bytes());
+                expected.extend_from_slice(name.as_bytes());
+                expected.extend_from_slice(&value.to_le_bytes());
+            }
+            let s = SharedBasisStore::new(1);
+            s.insert(p.clone(), HashMap::new(), samples(0.0), 2, false);
+            let bytes = s.snapshot_bytes();
+            assert_eq!(bytes[HEADER..HEADER + expected.len()], expected, "{p}");
+            let restored = SharedBasisStore::new(1);
+            assert_eq!(restored.restore_bytes(&bytes), Ok(1));
+            assert!(restored.get_exact(&p, 2).is_some(), "{p} round-trips");
+        }
     }
 
     #[test]

@@ -120,9 +120,10 @@ pub enum TraceEventKind {
     ChunkRun,
     /// Batch driver phase: fingerprint probes fanned out (span).
     PhaseProbe,
-    /// Batch driver phase: the correlation match scan (span).
+    /// Batch driver phase: the match scan's candidate snapshot, taken on
+    /// the driver (span).
     PhaseMatch,
-    /// Batch driver phase: hit re-mapping fanned out (span).
+    /// Batch driver phase: per-probe match-then-remap fanned out (span).
     PhaseRemap,
     /// Batch driver phase: miss simulation fanned out (span).
     PhaseSimulate,
@@ -424,7 +425,7 @@ pub struct TraceTelemetry {
     /// Queue wait (enqueue → dequeue) per priority lane:
     /// `[High, Normal, Low]`.
     pub queue_wait: [LatencyHistogram; QUEUE_LANES],
-    /// Driver-side correlation match-scan waves.
+    /// Per-probe correlation match scans.
     pub match_scan: LatencyHistogram,
     /// Cross-session in-flight store waits.
     pub store_wait: LatencyHistogram,
@@ -664,7 +665,7 @@ impl Tracer {
         }
     }
 
-    /// Count one match-scan wave's duration.
+    /// Count one probe's match-scan duration.
     pub fn record_match_scan(&self, nanos: u64) {
         if let Some(recorder) = &self.0 {
             recorder.match_scan.record(nanos);

@@ -212,10 +212,10 @@ impl ParameterDomain {
         match self {
             ParameterDomain::Range { lo, hi, step } => {
                 let mut out = Vec::new();
-                let mut v = *lo;
-                while v <= *hi {
+                let mut next = Some(*lo);
+                while let Some(v) = next.filter(|v| v <= hi) {
                     out.push(v);
-                    v += step;
+                    next = v.checked_add(*step);
                 }
                 out
             }
@@ -223,14 +223,18 @@ impl ParameterDomain {
         }
     }
 
-    /// Number of values in the domain.
+    /// Number of values in the domain. The span `hi - lo` of a range can
+    /// exceed `i64` (and the count of the full `i64` range exceeds
+    /// `usize`), so the count is taken on the unsigned span and saturates
+    /// at `usize::MAX`.
     pub fn cardinality(&self) -> usize {
         match self {
             ParameterDomain::Range { lo, hi, step } => {
                 if hi < lo {
                     0
                 } else {
-                    ((hi - lo) / step + 1) as usize
+                    let steps = hi.abs_diff(*lo) / step.unsigned_abs();
+                    usize::try_from(steps).map_or(usize::MAX, |n| n.saturating_add(1))
                 }
             }
             ParameterDomain::Set(vs) => vs.len(),
@@ -240,7 +244,9 @@ impl ParameterDomain {
     /// Whether `v` belongs to the domain.
     pub fn contains(&self, v: i64) -> bool {
         match self {
-            ParameterDomain::Range { lo, hi, step } => v >= *lo && v <= *hi && (v - lo) % step == 0,
+            ParameterDomain::Range { lo, hi, step } => {
+                v >= *lo && v <= *hi && v.abs_diff(*lo) % step.unsigned_abs() == 0
+            }
             ParameterDomain::Set(vs) => vs.contains(&v),
         }
     }
@@ -457,6 +463,28 @@ mod tests {
         };
         assert_eq!(d.values(), Vec::<i64>::new());
         assert_eq!(d.cardinality(), 0);
+    }
+
+    #[test]
+    fn extreme_range_counts_without_overflow() {
+        // `hi - lo` overflows i64 here; the old `(hi - lo) / step + 1`
+        // panicked in debug and wrapped in release.
+        let full = ParameterDomain::Range {
+            lo: i64::MIN,
+            hi: i64::MAX,
+            step: 1,
+        };
+        assert_eq!(full.cardinality(), usize::MAX, "saturates");
+        assert!(full.contains(i64::MIN) && full.contains(0) && full.contains(i64::MAX));
+        let wide = ParameterDomain::Range {
+            lo: i64::MIN,
+            hi: i64::MAX,
+            step: i64::MAX,
+        };
+        assert_eq!(wide.cardinality(), 3);
+        // `v += step` past `hi` overflows too: the walk must stop instead.
+        assert_eq!(wide.values(), vec![i64::MIN, -1, i64::MAX - 1]);
+        assert!(wide.contains(-1) && !wide.contains(0));
     }
 
     #[test]

@@ -504,3 +504,84 @@ fn prefetch_drain_and_refresh_go_through_the_executor() {
     let m = session.metrics();
     assert!(m.batch_probes > 0, "session work went through the planner");
 }
+
+/// Samples travel by reference count: what a caller gets back *is* the
+/// store's entry (simulated, mapped or cached, blocking or scheduled),
+/// and growing such a set copies on write instead of writing through.
+#[test]
+fn results_share_samples_with_the_store_and_absorb_copies_on_write() {
+    let prophet = figure2_service(40, 2);
+    let engine = prophet.engine("figure2").unwrap();
+    let store = engine.basis_store();
+    let entry = |p: &ParamPoint| store.get_exact(p, 40).expect("published");
+
+    let warm = demo_point(5, 16, 36, 12);
+    let mappable = demo_point(5, 16, 36, 36);
+    let far = demo_point(50, 0, 4, 44);
+    let (simulated, outcome) = engine.evaluate(&warm).unwrap();
+    assert_eq!(outcome, EvalOutcome::Simulated);
+    assert!(Arc::ptr_eq(simulated.shared_samples(), &entry(&warm)));
+    let (mapped, outcome) = engine.evaluate(&mappable).unwrap();
+    assert!(matches!(outcome, EvalOutcome::Mapped { .. }), "{outcome:?}");
+    assert!(Arc::ptr_eq(mapped.shared_samples(), &entry(&mappable)));
+
+    // The scheduled pipeline: two cached points and a fresh simulation.
+    let results = prophet
+        .submit(JobSpec::points(
+            "figure2",
+            vec![warm.clone(), mappable.clone(), far.clone()],
+        ))
+        .unwrap()
+        .wait()
+        .unwrap()
+        .into_points()
+        .unwrap();
+    assert_eq!(results[0].1, EvalOutcome::Cached);
+    assert_eq!(results[1].1, EvalOutcome::Cached);
+    assert_eq!(results[2].1, EvalOutcome::Simulated);
+    for (point, (set, _)) in [&warm, &mappable, &far].into_iter().zip(&results) {
+        assert!(Arc::ptr_eq(set.shared_samples(), &entry(point)), "{point}");
+    }
+
+    // Growing a cached set must not grow the store's entry under it.
+    let before = entry(&warm);
+    let mut grown = results[0].0.clone();
+    grown.absorb(&simulated);
+    assert_eq!(grown.world_count(), 80);
+    assert!(!Arc::ptr_eq(grown.shared_samples(), &before));
+    assert_eq!(
+        results[0].0.world_count(),
+        40,
+        "the sibling reply is untouched"
+    );
+    assert!(
+        Arc::ptr_eq(&entry(&warm), &before),
+        "same entry, never replaced"
+    );
+    assert_eq!(before["demand"].len(), 40);
+    assert_eq!(before["demand"], simulated.samples("demand").unwrap());
+
+    // The progressive-refinement path deepens a partial entry the same
+    // way: the 20-world entry a reader may still hold stays 20 worlds,
+    // and the full-depth entry that replaces it starts with that prefix.
+    let mut session = prophet.online("figure2").unwrap();
+    let loose = session.progressive_expect("demand", 30, 1e9, 20).unwrap();
+    assert_eq!(loose.worlds_used, 20);
+    let point = session
+        .parameter_state()
+        .into_iter()
+        .collect::<ParamPoint>()
+        .with("current", 30);
+    let partial = store.get_exact(&point, 1).expect("partial entry published");
+    assert_eq!(partial["demand"].len(), 20);
+    let tight = session.progressive_expect("demand", 30, 1e-9, 20).unwrap();
+    assert_eq!(tight.worlds_used, 20, "only the remainder is fresh work");
+    assert_eq!(
+        partial["demand"].len(),
+        20,
+        "the old entry never grew in place"
+    );
+    let full = entry(&point);
+    assert_eq!(full["demand"].len(), 40);
+    assert_eq!(full["demand"][..20], partial["demand"][..]);
+}

@@ -185,7 +185,7 @@ fn all_bundled_scenarios_are_bit_identical_with_and_without_index() {
             let (si, oi) = indexed.evaluate(point).unwrap();
             let (se, oe) = exhaustive.evaluate(point).unwrap();
             assert_eq!(oi, oe, "[{name}] outcome at {point}");
-            for col in &columns {
+            for col in columns {
                 assert_eq!(
                     si.samples(col),
                     se.samples(col),
@@ -219,8 +219,8 @@ fn batched_sweeps_are_bit_identical_with_and_without_index() {
                 assert_eq!(oi, oe, "[{name}] threads={threads} point #{i}");
                 for col in indexed.output_columns() {
                     assert_eq!(
-                        si.samples(&col),
-                        se.samples(&col),
+                        si.samples(col),
+                        se.samples(col),
                         "[{name}] threads={threads} point #{i} column {col}"
                     );
                 }
@@ -438,5 +438,84 @@ fn exact_ties_resolve_to_the_earliest_stamp_under_pruning() {
         let hit = hits[0].as_ref().expect("identity probe hits");
         assert_eq!(hit.source, point(0), "earliest duplicate wins");
         assert_eq!(hit.mappings["y"], Mapping::Identity);
+    }
+}
+
+/// Deterministic noise in `[-5, 5)`.
+fn lcg_values(seed: u64, len: usize) -> Vec<f64> {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    (0..len)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((state >> 11) as f64 / (1u64 << 53) as f64) * 10.0 - 5.0
+        })
+        .collect()
+}
+
+/// The scan's accounting is a fold of per-probe work, so no partition of
+/// the probes (threads) or of the candidates' storage (shards) may move
+/// it. One batch over four waves of candidates with a probe that is exact
+/// in wave 0 (and prunes the rest of what its siblings need), one that
+/// improves through inexact incumbents until it is exact in wave 2, and
+/// one that never matches (so every wave is processed); then the same
+/// batch without the third probe, which stops after wave 2. The expected
+/// numbers were read off the previous implementation — the per-wave
+/// driver scan — before it was replaced.
+#[test]
+fn scan_accounting_is_pinned_across_threads_and_shards() {
+    const LEN: usize = 16;
+    const CANDIDATES: usize = 100;
+    let detector = CorrelationDetector::default();
+    let columns = ["y".to_owned()];
+    let base_a = lcg_values(1, LEN);
+    let base_b = lcg_values(2, LEN);
+    let noisy = |base: &[f64], scale: f64, noise: f64| -> Vec<f64> {
+        base.iter()
+            .enumerate()
+            .map(|(j, v)| scale * v + if j % 2 == 0 { noise } else { -noise })
+            .collect()
+    };
+    let probe =
+        |values: Vec<f64>| HashMap::from([("y".to_owned(), Fingerprint::from_values(values))]);
+    let probes = vec![
+        probe(base_a.clone()),
+        probe(base_b.iter().map(|v| v + 3.0).collect()),
+        probe(lcg_values(3, LEN)),
+    ];
+    for shards in [1usize, 4, 16] {
+        let store = SharedBasisStore::with_shards(256, shards);
+        for i in 0..CANDIDATES {
+            let values = match i {
+                5 => base_a.clone(),
+                70 => base_b.clone(),
+                75 => base_a.iter().map(|v| v - 1.0).collect(),
+                _ if i % 7 == 3 => noisy(&base_b, 1.0 + i as f64 / 50.0, 0.3 - 0.002 * i as f64),
+                _ if i % 11 == 4 => noisy(&base_a, 0.7, 0.2),
+                _ => lcg_values(100 + i as u64, LEN),
+            };
+            insert_candidate(&store, i, values);
+        }
+        for threads in [1usize, 8] {
+            let label = format!("{shards} shards, {threads} threads");
+            let (hits, stats) =
+                store.find_correlated_batch_scan(&probes, &columns, &detector, threads, true);
+            let sources: Vec<Option<ParamPoint>> =
+                hits.into_iter().map(|h| h.map(|h| h.source)).collect();
+            assert_eq!(sources, [Some(point(5)), Some(point(70)), None], "{label}");
+            assert_eq!(
+                (stats.candidates_scanned, stats.candidates_pruned),
+                (19, 281),
+                "three probes × all 100 candidates ({label})"
+            );
+            let (_, stats) =
+                store.find_correlated_batch_scan(&probes[..2], &columns, &detector, threads, true);
+            assert_eq!(
+                (stats.candidates_scanned, stats.candidates_pruned),
+                (19, 173),
+                "two probes × the 96 candidates of waves 0–2 ({label})"
+            );
+        }
     }
 }

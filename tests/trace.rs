@@ -10,8 +10,8 @@
 //! this file carries the recorder's own contracts.
 
 use fuzzy_prophet::prelude::*;
-use prophet_models::full_registry;
 use prophet_models::scenarios::PRICING_WHATIF;
+use prophet_models::{demo_registry, full_registry};
 
 fn service(workers: usize, trace: TraceConfig) -> Prophet {
     Prophet::builder()
@@ -69,12 +69,39 @@ fn traced_sweep_records_the_full_event_taxonomy_in_stamp_order() {
     assert!(has(TraceEventKind::ChunkDequeue), "chunk_dequeue");
     assert!(has(TraceEventKind::ChunkRun), "chunk_run");
     // Driver phases (PRICING_WHATIF has stochastic columns, so the
-    // fingerprint phase runs, and a cold sweep must simulate).
+    // fingerprint phase runs, and a cold sweep must simulate). The
+    // fingerprint path is two chunked phases — `phase_probe`, then the
+    // fused match-then-remap phase `phase_remap` — with `phase_match`
+    // spanning only the driver's candidate snapshot between them.
     assert!(has(TraceEventKind::PhaseProbe), "phase_probe");
     assert!(has(TraceEventKind::PhaseMatch), "phase_match");
     assert!(has(TraceEventKind::PhaseRemap), "phase_remap");
     assert!(has(TraceEventKind::PhaseSimulate), "phase_simulate");
     assert!(has(TraceEventKind::PhasePublish), "phase_publish");
+    // Per batch: probe → snapshot → match+remap, in that order, and the
+    // snapshot never overlaps the chunked phase that reads it.
+    let spans = |kind: TraceEventKind| -> Vec<(u64, u64)> {
+        events
+            .iter()
+            .filter(|e| e.kind == kind)
+            .map(|e| (e.nanos, e.nanos + e.dur_nanos))
+            .collect()
+    };
+    let (probes, snapshots, fused) = (
+        spans(TraceEventKind::PhaseProbe),
+        spans(TraceEventKind::PhaseMatch),
+        spans(TraceEventKind::PhaseRemap),
+    );
+    assert_eq!(
+        probes.len(),
+        snapshots.len(),
+        "one snapshot per probed batch"
+    );
+    assert_eq!(snapshots.len(), fused.len(), "one fused phase per snapshot");
+    for ((probe, snapshot), fused) in probes.iter().zip(&snapshots).zip(&fused) {
+        assert!(probe.1 <= snapshot.0, "snapshot follows the probe phase");
+        assert!(snapshot.1 <= fused.0, "scans start after the snapshot");
+    }
     // Store traffic (claims carry the shard the point hashes to).
     assert!(
         events
@@ -116,7 +143,7 @@ fn telemetry_snapshot_is_monotone_and_populated() {
     assert!(t.chunk_service.p95() <= t.chunk_service.p99());
     let queue_waits: u64 = t.queue_wait.iter().map(LatencyHistogram::count).sum();
     assert!(queue_waits > 0, "queue waits observed");
-    assert!(t.match_scan.count() > 0, "match-scan waves observed");
+    assert!(t.match_scan.count() > 0, "per-probe match scans observed");
     assert!(t.max_queue_depth > 0, "watermark saw a queued chunk");
     assert_eq!(t.queue_depth, 0, "queue drained at rest");
     // The driver's worker may still be unwinding its `run_task` frame
@@ -223,4 +250,139 @@ fn tracing_configuration_never_changes_answers() {
             reports[0].metrics.worlds_simulated
         );
     }
+}
+
+/// A cancel that lands *inside* the fused match+remap phase: the chunks
+/// that already ran still publish their hits (complete entries, in batch
+/// order), every other claim is released, and the job ends `Cancelled`.
+///
+/// One worker, one-point chunks: the driver runs the job's chunks itself,
+/// in order, so `chunks_done` passing the probe phase's chunk count *is*
+/// "the fused phase has begun" — the cancel is sent at that edge plus a
+/// margin, with hundreds of fused chunks still queued. (Should the cancel
+/// still lose the race to the end of the phase, the round is retried.)
+#[test]
+fn cancel_mid_fused_phase_publishes_completed_hits_and_releases_the_rest() {
+    const WORLDS: usize = 8;
+    const MARGIN: u64 = 20;
+    let point = |current: i64, p1: i64, p2: i64, feature: i64| {
+        ParamPoint::from_pairs([
+            ("current", current),
+            ("purchase1", p1),
+            ("purchase2", p2),
+            ("feature", feature),
+        ])
+    };
+    // Weeks before either feature release: moving the release date is an
+    // identity mapping, so every query point hits a warm source.
+    let grid = |feature: i64| -> Vec<ParamPoint> {
+        let mut points = Vec::new();
+        for current in 0..12 {
+            for p1 in (0..32).step_by(4) {
+                for p2 in (0..32).step_by(4) {
+                    points.push(point(current, p1, p2, feature));
+                }
+            }
+        }
+        points
+    };
+    let (warm, query) = (grid(12), grid(36));
+    let n = query.len() as u64;
+    let config = EngineConfig {
+        worlds_per_point: WORLDS,
+        ..EngineConfig::default()
+    };
+
+    for _round in 0..5 {
+        let prophet = Prophet::builder()
+            .scenario("figure2", Scenario::figure2().unwrap())
+            .registry(demo_registry())
+            .config(config)
+            .scheduler(SchedulerConfig {
+                workers: 1,
+                chunk_points: 1,
+                ..SchedulerConfig::default()
+            })
+            .build()
+            .unwrap();
+        let warm_up = prophet
+            .submit(JobSpec::points("figure2", warm.clone()))
+            .unwrap();
+        warm_up.wait().unwrap();
+        let warm_entries = prophet.basis_len("figure2").unwrap() as u64;
+        assert_eq!(warm_entries, n);
+
+        let handle = prophet
+            .submit(JobSpec::points("figure2", query.clone()))
+            .unwrap();
+        // `n` probe chunks, then the fused phase's chunks.
+        while handle.progress().chunks_done < n + MARGIN {
+            std::thread::yield_now();
+        }
+        handle.cancel();
+        let mut terminal = None;
+        for event in handle.events() {
+            match event {
+                JobEvent::Chunk(_) => panic!("a single batch streams only once complete"),
+                other => terminal = Some(other),
+            }
+        }
+        prophet.scheduler().wait_idle();
+        match terminal {
+            Some(JobEvent::Cancelled) => {}
+            Some(JobEvent::Final(_)) => continue, // the phase outran the cancel
+            other => panic!("unexpected terminal event {other:?}"),
+        }
+
+        // Completed hits were published; the rest were released.
+        let progress = handle.progress();
+        assert!(progress.cancelled && progress.finished);
+        let published = prophet.basis_len("figure2").unwrap() as u64 - warm_entries;
+        assert!(
+            (MARGIN..n).contains(&published),
+            "{published} of {n} hits published"
+        );
+        assert_eq!(progress.points_done, published);
+        assert_eq!(progress.metrics.points_mapped, published);
+        assert_eq!(progress.metrics.points_simulated, 0);
+        assert_eq!(prophet.telemetry().inflight_claims, 0, "claims released");
+        let has = |kind: TraceEventKind| handle.trace().iter().any(|e| e.kind == kind);
+        assert!(has(TraceEventKind::PhaseMatch) && has(TraceEventKind::PhaseRemap));
+        assert!(
+            has(TraceEventKind::PhasePublish),
+            "hits published on cancel"
+        );
+        assert!(!has(TraceEventKind::PhaseSimulate), "nothing was a miss");
+
+        // Published in batch order, and every entry is complete: exactly
+        // what an undisturbed engine computes for that point.
+        let engine = prophet.engine("figure2").unwrap();
+        let reference =
+            Engine::new(&Scenario::figure2().unwrap(), demo_registry(), config).unwrap();
+        reference.evaluate_batch(&warm).unwrap();
+        for (i, q) in query.iter().enumerate() {
+            let stored = engine.basis_store().get_exact(q, WORLDS);
+            assert_eq!(stored.is_some(), (i as u64) < published, "{q}");
+            if let Some(stored) = stored {
+                let (direct, _) = reference.evaluate(q).unwrap();
+                assert_eq!(&*stored, &**direct.shared_samples(), "{q}");
+            }
+        }
+
+        // The released points are free to be claimed again.
+        let again = prophet
+            .submit(JobSpec::points("figure2", query.clone()))
+            .unwrap();
+        let results = again.wait().unwrap().into_points().unwrap();
+        let cached = results
+            .iter()
+            .filter(|(_, outcome)| *outcome == EvalOutcome::Cached)
+            .count() as u64;
+        assert_eq!(cached, published);
+        assert!(results[published as usize..]
+            .iter()
+            .all(|(_, outcome)| matches!(outcome, EvalOutcome::Mapped { .. })));
+        return;
+    }
+    panic!("five rounds in a row finished their fused phase before the cancel landed");
 }

@@ -174,7 +174,7 @@ fn all_bundled_scenarios_are_bit_identical_across_tiers() {
             let (ss, os) = scalar.evaluate(point).unwrap();
             assert_eq!(oc, os, "[{name}] columnar outcome at {point}");
             assert_eq!(ov, os, "[{name}] boxed outcome at {point}");
-            for col in &columns {
+            for col in columns {
                 assert_eq!(
                     sc.samples(col),
                     ss.samples(col),
@@ -236,8 +236,8 @@ fn probed_fingerprints_are_bit_identical() {
             assert_eq!(co, so, "[{name}] columnar mapping decision at {p}");
             assert_eq!(vo, so, "[{name}] boxed mapping decision at {p}");
             for col in columnar.output_columns() {
-                assert_eq!(cs.samples(&col), ss.samples(&col), "[{name}] {col} at {p}");
-                assert_eq!(vs.samples(&col), ss.samples(&col), "[{name}] {col} at {p}");
+                assert_eq!(cs.samples(col), ss.samples(col), "[{name}] {col} at {p}");
+                assert_eq!(vs.samples(col), ss.samples(col), "[{name}] {col} at {p}");
             }
         }
     }
@@ -357,8 +357,8 @@ fn block_tiers_are_thread_count_independent() {
                 assert_eq!(oa, ob, "{tier:?} x{threads} point #{i}");
                 for col in reference.output_columns() {
                     assert_eq!(
-                        sa.samples(&col),
-                        sb.samples(&col),
+                        sa.samples(col),
+                        sb.samples(col),
                         "{tier:?} x{threads} point #{i} {col}"
                     );
                 }
@@ -643,7 +643,7 @@ fn assert_columnar_matches_scalar(
         for (point, ((gs, go), (ws, wo))) in batch.iter().zip(got.iter().zip(&want)) {
             assert_eq!(go, wo, "[{label}] outcome at {point}");
             mapped += matches!(go, EvalOutcome::Mapped { .. }) as usize;
-            for col in &columns {
+            for col in columns {
                 assert_eq!(
                     sample_bits(gs, col),
                     sample_bits(ws, col),
