@@ -24,8 +24,8 @@ pub struct Finding {
     /// 1-based line of the offending token.
     pub line: usize,
     pub message: String,
-    /// Covered by an inline allow marker (or allowlist grant): reported
-    /// for the record, not gated on.
+    /// Covered by an inline allow marker: reported for the record, not
+    /// gated on.
     pub allowed: bool,
 }
 

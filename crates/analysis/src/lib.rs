@@ -12,8 +12,8 @@
 //!
 //!   | rule | forbids | except in |
 //!   |------|---------|-----------|
-//!   | `thread-spawn` | `thread::spawn` / `thread::scope` | `scheduler.rs`, `executor.rs` |
-//!   | `raw-sync` | raw `Mutex`/`RwLock`/`Condvar` construction | `sync.rs` (the instrumented module) |
+//!   | `thread-spawn` | `thread::spawn` / `thread::scope` | `crates/core/src/{scheduler,executor}.rs` (the pool; the inline runner's fan-out) |
+//!   | `raw-sync` | raw `Mutex`/`RwLock`/`Condvar` construction | `crates/{mc,core}/src/sync.rs` (the instrumented modules) |
 //!   | `unwrap` | `.unwrap()` / `.expect("…")` in `crates/core`, `crates/fingerprint`, `crates/mc` | messages containing `invariant` |
 //!   | `wall-clock` | `Instant::now()` / `SystemTime` | `metrics.rs`, `trace.rs`, `crates/bench` |
 //!   | `typed-kernel` | `Value` inside the typed-kernel module (`crates/sql/src/column.rs`); `std::simd` / `unsafe` anywhere else | `crates/sql/src/simd.rs` (the simd-gated kernel file) |
@@ -31,11 +31,10 @@
 //!   rule on its own line and on the next line that carries code (so a
 //!   marker can sit at the end of a multi-line explanatory comment);
 //! * the analyzer passes use the same grammar spelled
-//!   `// analysis:allow(pass): reason`;
-//! * a checked-in allowlist file (`lint-allow.txt`) grants a lint rule
-//!   for a whole file. Entries that no longer suppress anything are
-//!   **stale** and fail the run, so grants cannot outlive the code they
-//!   excused.
+//!   `// analysis:allow(pass): reason`.
+//!
+//! There is no file-level grant: an exception is a marker at the site it
+//! excuses, so it disappears with the code.
 //!
 //! The `unwrap` rule only fires on `.expect(` when the first argument is
 //! a string literal: `Result::expect` takes a message, whereas the
@@ -88,17 +87,17 @@ impl Rule {
         }
     }
 
-    pub fn from_name(name: &str) -> Option<Rule> {
-        Rule::ALL.into_iter().find(|r| r.name() == name)
-    }
-
     /// Whether `path` (workspace-relative, `/`-separated) is exempt from
-    /// this rule wholesale.
+    /// this rule wholesale. The spawn and raw-lock exemptions name whole
+    /// paths: a file elsewhere that merely shares a sanctioned module's
+    /// name (`crates/sql/src/executor.rs`) gets no pass.
     fn exempt_file(self, path: &str) -> bool {
         let base = path.rsplit('/').next().unwrap_or(path);
         match self {
-            Rule::ThreadSpawn => base == "scheduler.rs" || base == "executor.rs",
-            Rule::RawSync => base == "sync.rs",
+            Rule::ThreadSpawn => {
+                path == "crates/core/src/scheduler.rs" || path == "crates/core/src/executor.rs"
+            }
+            Rule::RawSync => path == "crates/mc/src/sync.rs" || path == "crates/core/src/sync.rs",
             // Scoped *in*: the burndown applies to the engine, the
             // fingerprint layer, and (since the PR 9 store growth) the
             // Monte Carlo crate; other crates are out of scope.
@@ -269,75 +268,6 @@ pub fn lint_source(path: &str, src: &str) -> Vec<Violation> {
         .collect()
 }
 
-// ----------------------------------------------------------- allowlist
-
-/// One checked-in file-level grant: `rule path [reason…]`.
-#[derive(Debug, Clone)]
-pub struct AllowEntry {
-    pub rule: Rule,
-    pub path: String,
-    pub line: usize,
-    pub used: bool,
-}
-
-/// The checked-in allowlist (`lint-allow.txt`).
-#[derive(Debug, Default)]
-pub struct Allowlist {
-    pub entries: Vec<AllowEntry>,
-}
-
-impl Allowlist {
-    /// Parse the allowlist format: one `rule path [reason…]` per line,
-    /// `#` comments and blank lines ignored. Unknown rule names are
-    /// errors — a typo must not silently grant nothing.
-    pub fn parse(text: &str) -> Result<Allowlist, String> {
-        let mut entries = Vec::new();
-        for (idx, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut parts = line.split_whitespace();
-            let rule_name = parts.next().unwrap_or_default();
-            let rule = Rule::from_name(rule_name).ok_or_else(|| {
-                format!(
-                    "lint-allow.txt:{}: unknown rule `{}` (expected one of {})",
-                    idx + 1,
-                    rule_name,
-                    Rule::ALL.map(Rule::name).join(", ")
-                )
-            })?;
-            let path = parts
-                .next()
-                .ok_or_else(|| format!("lint-allow.txt:{}: missing path after rule", idx + 1))?;
-            entries.push(AllowEntry {
-                rule,
-                path: path.to_string(),
-                line: idx + 1,
-                used: false,
-            });
-        }
-        Ok(Allowlist { entries })
-    }
-
-    /// Whether this violation is granted; marks the entry used.
-    pub fn allows(&mut self, path: &str, v: &Violation) -> bool {
-        let mut hit = false;
-        for e in &mut self.entries {
-            if e.rule == v.rule && e.path == path {
-                e.used = true;
-                hit = true;
-            }
-        }
-        hit
-    }
-
-    /// Entries that suppressed nothing this run: stale grants.
-    pub fn stale(&self) -> Vec<&AllowEntry> {
-        self.entries.iter().filter(|e| !e.used).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -380,7 +310,7 @@ mod tests {
         assert_eq!(rules_fired("crates/core/src/job.rs", src), [Rule::RawSync]);
         let src = "fn f() { let l: RwLock<u8> = RwLock::default(); }";
         assert_eq!(
-            rules_fired("crates/fingerprint/src/basis.rs", src),
+            rules_fired("crates/fingerprint/src/index.rs", src),
             [Rule::RawSync]
         );
     }
@@ -389,6 +319,25 @@ mod tests {
     fn raw_sync_is_allowed_in_the_sync_module() {
         let src = "fn f() { let m = Mutex::new(0); }";
         assert!(rules_fired("crates/mc/src/sync.rs", src).is_empty());
+        assert!(rules_fired("crates/core/src/sync.rs", src).is_empty());
+    }
+
+    /// The spawn and raw-lock exemptions are pinned to whole paths: a
+    /// file that only shares a sanctioned module's *name* still fires.
+    #[test]
+    fn spawn_and_raw_sync_exemptions_do_not_match_by_basename() {
+        let src = "fn f() { std::thread::spawn(|| {}); }";
+        for path in [
+            "crates/sql/src/executor.rs",
+            "crates/mc/src/scheduler.rs",
+            "src/executor.rs",
+        ] {
+            assert_eq!(rules_fired(path, src), [Rule::ThreadSpawn], "{path}");
+        }
+        let src = "fn f() { let m = Mutex::new(0); }";
+        for path in ["crates/sql/src/sync.rs", "crates/bench/src/sync.rs"] {
+            assert_eq!(rules_fired(path, src), [Rule::RawSync], "{path}");
+        }
     }
 
     #[test]
@@ -545,27 +494,6 @@ mod tests {
             rules_fired("crates/core/src/service.rs", src),
             [Rule::ThreadSpawn]
         );
-    }
-
-    #[test]
-    fn allowlist_grants_per_file_and_tracks_staleness() {
-        let mut list =
-            Allowlist::parse("# grants\nraw-sync crates/x/src/a.rs  legacy store\n").unwrap();
-        let v = Violation {
-            rule: Rule::RawSync,
-            line: 1,
-            message: String::new(),
-        };
-        assert!(!list.allows("crates/x/src/b.rs", &v));
-        assert_eq!(list.stale().len(), 1);
-        assert!(list.allows("crates/x/src/a.rs", &v));
-        assert!(list.stale().is_empty());
-    }
-
-    #[test]
-    fn allowlist_rejects_unknown_rules_and_missing_paths() {
-        assert!(Allowlist::parse("no-such-rule crates/x.rs").is_err());
-        assert!(Allowlist::parse("unwrap").is_err());
     }
 
     // ---- the lexer does not fire inside non-code regions

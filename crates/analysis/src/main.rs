@@ -1,11 +1,10 @@
 //! The analyzer driver:
-//! `cargo run -p analysis -- [--root DIR] [--allowlist FILE] [--json PATH] [--write-docs]`.
+//! `cargo run -p analysis -- [--root DIR] [--json PATH] [--write-docs]`.
 //!
 //! Walks `crates/*/src/**/*.rs` and `src/**/*.rs` under the root and runs
 //! the four passes (see the library docs and `docs/ANALYSIS.md`):
 //!
-//! 1. the conformance **lint** over every file, with the checked-in
-//!    allowlist;
+//! 1. the conformance **lint** over every file;
 //! 2. the **rank-table** extractor — duplicate-rank detection plus a
 //!    drift check against `docs/CONCURRENCY.md` (`--write-docs`
 //!    regenerates the block in place instead of reporting drift);
@@ -17,14 +16,13 @@
 //! the shape `.github/problem-matchers/analysis.json` matches — plus a
 //! summary. `--json PATH` additionally writes the machine-readable
 //! findings document the CI gate asserts on. Exit status: 0 clean, 1 on
-//! any active (non-allowed) finding or stale allowlist entry, 2 on
-//! usage/IO errors.
+//! any active (non-allowed) finding, 2 on usage/IO errors.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use analysis::findings::{render_json, Finding};
-use analysis::{determinism, lint_source, lockgraph, ranktable, Allowlist};
+use analysis::{determinism, lint_source, lockgraph, ranktable};
 
 /// Crates whose lock acquisitions the lock-order pass proves.
 const LOCK_SCOPE: &[&str] = &[
@@ -46,7 +44,6 @@ const DOCS_PATH: &str = "docs/CONCURRENCY.md";
 
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
-    let mut allowlist_path: Option<PathBuf> = None;
     let mut json_path: Option<PathBuf> = None;
     let mut write_docs = false;
     let mut args = std::env::args().skip(1);
@@ -56,10 +53,6 @@ fn main() -> ExitCode {
                 Some(dir) => root = PathBuf::from(dir),
                 None => return usage("--root requires a directory"),
             },
-            "--allowlist" => match args.next() {
-                Some(file) => allowlist_path = Some(PathBuf::from(file)),
-                None => return usage("--allowlist requires a file"),
-            },
             "--json" => match args.next() {
                 Some(file) => json_path = Some(PathBuf::from(file)),
                 None => return usage("--json requires a file"),
@@ -68,15 +61,6 @@ fn main() -> ExitCode {
             other => return usage(&format!("unknown argument `{other}`")),
         }
     }
-
-    let allowlist_path = allowlist_path.unwrap_or_else(|| root.join("lint-allow.txt"));
-    let mut allowlist = match load_allowlist(&allowlist_path) {
-        Ok(list) => list,
-        Err(err) => {
-            eprintln!("error: {err}");
-            return ExitCode::from(2);
-        }
-    };
 
     let mut paths = Vec::new();
     collect_sources(&root, &mut paths);
@@ -108,11 +92,7 @@ fn main() -> ExitCode {
     // ---- pass 1: conformance lint
     for (rel, src) in &files {
         for v in lint_source(rel, src) {
-            let allowed = allowlist.allows(rel, &v);
-            findings.push(Finding {
-                allowed,
-                ..Finding::new(v.rule.name(), rel, v.line, v.message.clone())
-            });
+            findings.push(Finding::new(v.rule.name(), rel, v.line, v.message));
         }
     }
 
@@ -174,17 +154,6 @@ fn main() -> ExitCode {
         println!("{f}");
     }
 
-    let stale = allowlist.stale();
-    for entry in &stale {
-        println!(
-            "{}:{}: stale allowlist entry `{} {}` — it suppresses nothing; remove it",
-            allowlist_path.display(),
-            entry.line,
-            entry.rule.name(),
-            entry.path,
-        );
-    }
-
     if let Some(json_path) = &json_path {
         let doc = render_json(&findings, files.len());
         if let Err(err) = std::fs::write(json_path, doc) {
@@ -195,40 +164,25 @@ fn main() -> ExitCode {
 
     let active = findings.iter().filter(|f| !f.allowed).count();
     let allowed = findings.len() - active;
-    if active > 0 || !stale.is_empty() {
+    if active > 0 {
         println!(
-            "analysis: {active} active finding(s), {allowed} allowed, {} stale allowlist \
-             entr(ies) across {} files",
-            stale.len(),
+            "analysis: {active} active finding(s), {allowed} allowed across {} files",
             files.len()
         );
         ExitCode::FAILURE
     } else {
         println!(
-            "analysis clean: {} files, {} rank(s) in the table, {allowed} allowed finding(s), \
-             {} allowlist grant(s) in use",
+            "analysis clean: {} files, {} rank(s) in the table, {allowed} allowed finding(s)",
             files.len(),
-            table.entries.len(),
-            allowlist.entries.len()
+            table.entries.len()
         );
         ExitCode::SUCCESS
     }
 }
 
 fn usage(msg: &str) -> ExitCode {
-    eprintln!(
-        "error: {msg}\nusage: analysis [--root DIR] [--allowlist FILE] [--json PATH] [--write-docs]"
-    );
+    eprintln!("error: {msg}\nusage: analysis [--root DIR] [--json PATH] [--write-docs]");
     ExitCode::from(2)
-}
-
-fn load_allowlist(path: &Path) -> Result<Allowlist, String> {
-    match std::fs::read_to_string(path) {
-        Ok(text) => Allowlist::parse(&text),
-        // A missing allowlist is an empty one.
-        Err(err) if err.kind() == std::io::ErrorKind::NotFound => Ok(Allowlist::default()),
-        Err(err) => Err(format!("reading {}: {err}", path.display())),
-    }
 }
 
 /// `.rs` files under `<root>/src` and `<root>/crates/*/src`, recursively.

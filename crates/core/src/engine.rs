@@ -16,12 +16,12 @@
 //! 4. on a miss: full Monte Carlo simulation, then insert into the basis
 //!    store so later points can map from this one.
 //!
-//! The cycle itself is executed by the batched pipeline in
-//! [`executor`](crate::executor) — `evaluate` is a batch of one. This
-//! module keeps the engine's state (script, seeds, configuration, work
-//! counters) and the per-point primitives the pipeline stages compose:
-//! `Engine::probe_fingerprints`, `Engine::remap_samples` and
-//! `Engine::simulate_full` (crate-visible).
+//! The cycle itself is written once, as the batched pipeline in
+//! [`executor`](crate::executor) — `evaluate` is a batch of one on its
+//! inline runner. This module keeps the engine's state (script, seeds,
+//! configuration, work counters) and the per-point primitives the
+//! pipeline's phases compose: `Engine::probe_fingerprints`,
+//! `Engine::remap_samples` and `Engine::simulate_full` (crate-visible).
 //!
 //! The basis store is a [`SharedBasisStore`]: engines built through the
 //! [`Prophet`](crate::service::Prophet) service share one store per
@@ -81,25 +81,51 @@ pub enum ExecTier {
     Columnar,
 }
 
-/// Engine tuning knobs.
+/// Engine tuning knobs. Every field names its **evidence**: the test that
+/// needs the knob to exist and the bench row that says what it costs —
+/// a knob with neither is a candidate for removal (ROADMAP, *One
+/// production path, one reference path*).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineConfig {
     /// Monte Carlo worlds per fully simulated parameter point.
+    ///
+    /// Evidence: a workload parameter, not a design choice — every suite
+    /// and bench sets it (`tests/fingerprint_soundness.rs` derives its
+    /// standard-error tolerances from it; `perf` runs the paper's 400).
     pub worlds_per_point: usize,
     /// Fingerprint length (probe count).
+    ///
+    /// Evidence: `experiments e10` (the length ablation: detection
+    /// quality per length) and the `fingerprint.build_ns_per_probe` row
+    /// of `perf`.
     pub fingerprint: FingerprintConfig,
     /// Correlation acceptance thresholds.
+    ///
+    /// Evidence: `tests/fingerprint_soundness.rs` (mapped estimates stay
+    /// within the stated error of direct simulation at the default
+    /// thresholds) and `perf`'s `accuracy.within_4se_share`; no bench row
+    /// varies them.
     pub detector: CorrelationDetector,
-    /// Master switch for fingerprint reuse (benches compare on/off).
+    /// Master switch for fingerprint reuse.
+    ///
+    /// Evidence: the paper's headline comparison — `experiments e7`
+    /// (speed-up on vs off), `tests/figure2_end_to_end.rs` and
+    /// `tests/models_cross.rs` (same answers either way); off is also the
+    /// direct-simulation oracle of `tests/fingerprint_soundness.rs`.
     pub fingerprints_enabled: bool,
     /// Execution tier for fingerprint probes and miss-path Monte Carlo
     /// estimation: per-world scalar walks, block walks over boxed
     /// `Value` columns, or block walks over typed column buffers.
     ///
-    /// Outputs are bit-identical across tiers (the differential suite in
-    /// `tests/vector_equivalence.rs` enforces it), so the fastest —
-    /// [`ExecTier::Columnar`] — is the default; the others exist for the
-    /// tier benchmark splits and for bisecting equivalence regressions.
+    /// Outputs are bit-identical across tiers, so the fastest —
+    /// [`ExecTier::Columnar`] — is the default; [`ExecTier::Scalar`] is
+    /// the semantic reference.
+    ///
+    /// Evidence: `tests/vector_equivalence.rs` (three-tier bit-identity
+    /// on every bundled scenario) and `sweep_smoke`'s `columnar{}` vs
+    /// `scalar{}` rows. The top-level (boxed) row is currently *slower*
+    /// than `scalar{}` — [`ExecTier::Boxed`] has no row in its favour and
+    /// is the next removal candidate (ROADMAP (a)).
     pub tier: ExecTier,
     /// Prune the correlation match scan through the basis store's
     /// fingerprint summary index: candidates whose summary bound proves
@@ -107,12 +133,14 @@ pub struct EngineConfig {
     /// entry-by-entry comparison (branch and bound).
     ///
     /// The bound is sound, so outcomes, samples and chosen mapping sources
-    /// are bit-identical with the index off (the differential suite in
-    /// `tests/match_index.rs` enforces it); disabling it exists for the
-    /// indexed-vs-exhaustive benchmark split and for bisecting match
-    /// regressions. Pruning effectiveness surfaces as
+    /// are bit-identical with the index off; off is the exhaustive
+    /// reference scan. Pruning effectiveness surfaces as
     /// `EngineMetrics::candidates_pruned` vs
     /// `EngineMetrics::candidates_scanned`.
+    ///
+    /// Evidence: `tests/match_index.rs` (indexed ≡ exhaustive) and
+    /// `sweep_smoke`'s `unindexed{}` row (97,416 pairs compared against
+    /// 8,724 with the index, on `figure2_coarse`).
     pub match_index: bool,
     /// Use common random numbers across parameter points (recommended).
     ///
@@ -121,19 +149,43 @@ pub struct EngineConfig {
     /// comparability of the *estimation* samples, making mapped sample sets
     /// bitwise-reproducible against direct simulation instead of merely
     /// statistically equivalent.
+    ///
+    /// Evidence: the engine unit test
+    /// `non_crn_mapping_is_statistically_sound_but_not_bitwise`; every
+    /// bit-identity suite relies on `true`. No bench row — off costs the
+    /// same and only weakens the guarantee.
     pub common_random_numbers: bool,
     /// Root seed for all estimation randomness.
+    ///
+    /// Evidence: `tests/determinism.rs` (a fixed seed reproduces every
+    /// answer bit for bit); only `tests/vector_equivalence.rs` sets a
+    /// non-default one, and no bench row varies it.
     pub root_seed: u64,
     /// Maximum basis-store entries before FIFO eviction.
+    ///
+    /// Evidence: `tests/executor.rs` and `tests/store_shards.rs` (eviction
+    /// order, sources outlive mapped entries) and `perf`'s
+    /// `mc.store.publish_evicting_ns` rows and `count.evictions`.
     pub basis_capacity: usize,
     /// Shards the basis store's entry table splits across
     /// (`1..=`[`prophet_mc::MAX_SHARDS`]). More shards means concurrent
     /// jobs touching disjoint points stop contending on one lock; answers,
     /// eviction order, and snapshot bytes are identical at every shard
     /// count. Only consulted by the store-creating constructors.
+    ///
+    /// Evidence: `tests/store_shards.rs` (any count ≡ one shard). The
+    /// bench row is still missing: `perf`'s `mc.store.*.tN` rows contend
+    /// on one store but at the default count only, so no measurement yet
+    /// says sharding pays (ROADMAP (f)).
     pub store_shards: usize,
-    /// Worker threads for world-level parallelism within a point
-    /// (deterministic: world→sample assignment is thread-independent).
+    /// Worker threads of the inline runner's phase fan-out and of
+    /// world-level parallelism within a point (deterministic:
+    /// world→sample assignment is thread-independent). Jobs on a
+    /// [`Prophet`](crate::service::Prophet) fan out on its pool instead
+    /// and read this only for the few-misses world-parallel case.
+    ///
+    /// Evidence: `tests/executor.rs` and `tests/determinism.rs` (answers
+    /// and counters identical at 1 vs N) and `sweep_smoke --threads`.
     pub threads: usize,
 }
 
@@ -356,7 +408,7 @@ impl Engine {
 
     /// Evaluate the scenario once per canonical fingerprint seed, recording
     /// each stochastic column's output. Self-times into
-    /// `fingerprint_time`, so the counter sums real probe work across
+    /// `probe_eval_nanos`, so the counter sums real probe work across
     /// parallel workers.
     ///
     /// With a block tier ([`ExecTier::Boxed`] or the default
@@ -427,7 +479,6 @@ impl Engine {
                 m.probe_call_sites += stats.call_sites;
                 m.probe_call_sites_memoised += stats.call_sites_memoised;
                 m.probe_eval_nanos += start.elapsed_nanos();
-                m.fingerprint_time += start.elapsed();
                 m.probe_latency.record(start.elapsed_nanos());
             });
             return Ok(out);
@@ -458,7 +509,6 @@ impl Engine {
         self.bump(|m| {
             m.probe_evaluations += seeds.len() as u64;
             m.probe_eval_nanos += start.elapsed_nanos();
-            m.fingerprint_time += start.elapsed();
             m.probe_latency.record(start.elapsed_nanos());
         });
         Ok(per_col
@@ -468,10 +518,9 @@ impl Engine {
     }
 
     /// Map the stochastic columns and recompute the derived ones. Self-times
-    /// into `remap_nanos` and `fingerprint_time` (mapping is part of the
-    /// fingerprint phase's per-call work). The result is shared as built:
-    /// the same allocation is published to the basis store and returned to
-    /// the caller.
+    /// into `remap_nanos`. The result is shared as built: the same
+    /// allocation is published to the basis store and returned to the
+    /// caller.
     ///
     /// The derived columns follow the tier: [`ExecTier::Columnar`] binds
     /// the mapped columns as `f64` lanes and evaluates every derived item
@@ -522,7 +571,6 @@ impl Engine {
         }
         self.bump(|m| {
             m.remap_nanos += start.elapsed_nanos();
-            m.fingerprint_time += start.elapsed();
         });
         Ok(Arc::new(out))
     }
@@ -625,7 +673,7 @@ impl Engine {
             m.worlds_simulated += worlds.len() as u64;
             m.columnar_kernels += stats.kernels;
             m.column_fallbacks += stats.fallbacks;
-            m.simulation_time += start.elapsed();
+            m.sim_cpu_nanos += start.elapsed_nanos();
             m.sim_latency.record(start.elapsed_nanos());
         });
         Ok(Arc::clone(sample_set.shared_samples()))
@@ -688,7 +736,7 @@ impl Engine {
             m.worlds_simulated += worlds.len() as u64;
             m.columnar_kernels += stats.kernels;
             m.column_fallbacks += stats.fallbacks;
-            m.simulation_time += start.elapsed();
+            m.sim_cpu_nanos += start.elapsed_nanos();
             m.sim_latency.record(start.elapsed_nanos());
         });
         Ok(sample_set)

@@ -1,13 +1,12 @@
-//! The batched evaluation executor: the paper's Figure-1 cycle, pipelined
-//! over a whole batch of parameter points.
+//! The batched evaluation pipeline: the paper's Figure-1 cycle, written
+//! once, over a whole batch of parameter points.
 //!
 //! The Figure-1 loop — Guide proposes an instance, the Storage Manager is
 //! probed, a fingerprint hit re-maps stored samples, a miss runs the Monte
-//! Carlo simulation whose results feed back into the store — was executed
-//! one point at a time by `Engine::evaluate`. Offline sweeps and online
-//! graph refreshes, however, always know dozens of points up front; this
-//! module makes the *batch* the unit of work and maps each Figure-1 stage
-//! onto a batch-wide phase:
+//! Carlo simulation whose results feed back into the store — always knows
+//! dozens of points up front (an offline sweep's group, an online graph's
+//! weeks), so the *batch* is the unit of work and each Figure-1 stage is a
+//! batch-wide phase of `run_batch`:
 //!
 //! | Figure-1 stage           | batch phase                                 |
 //! |--------------------------|---------------------------------------------|
@@ -15,7 +14,7 @@
 //! | Storage Manager lookup   | *plan*: per-point exact-cache check plus an  |
 //! |                          | in-flight claim ([`SharedBasisStore::try_claim`]) |
 //! | fingerprint probe        | *probe*: claimed points fingerprint in       |
-//! |                          | parallel across the worker pool              |
+//! |                          | parallel (fan-out)                           |
 //! | correlation search       | *match*: one snapshot of the store's         |
 //! |                          | candidate sources                            |
 //! |                          | ([`SharedBasisStore::scan_snapshot`]), then  |
@@ -26,14 +25,36 @@
 //! |                          | (`EngineConfig::match_index`)                |
 //! | re-map on a hit          | *remap*: fused with the match — the worker   |
 //! |                          | that finds a probe's source reconstructs its |
-//! |                          | mapped samples                               |
-//! | simulate on a miss       | *simulate*: misses partitioned across the    |
-//! |                          | scoped worker pool — point-level             |
-//! |                          | parallelism, not just world-level            |
+//! |                          | mapped samples (fan-out)                     |
+//! | simulate on a miss       | *simulate*: misses fan out point by point;   |
+//! |                          | fewer misses than `threads` run as one unit  |
+//! |                          | of world-parallel simulations instead        |
 //! | results feed the store   | *publish*: completions insert basis entries  |
-//! |                          | and wake cross-session waiters               |
+//! |                          | and wake cross-session waiters, hits first,  |
+//! |                          | then misses, each in batch order             |
 //!
-//! Two properties the phases preserve:
+//! # One pipeline, two runners
+//!
+//! Everything in that table is sequential on the calling thread except
+//! the three fan-outs, and a `Runner` is exactly the part that differs
+//! between the two ways a batch executes:
+//!
+//! * the **inline runner** behind [`Engine::evaluate_batch`] fans a phase
+//!   out on per-call `std::thread::scope` workers, is never cancelled and
+//!   records no trace. It seizes the caller until the batch completes: the
+//!   reference path, and the only path for a bare [`Engine`];
+//! * the **pooled runner** in [`scheduler`](crate::scheduler) fans a phase
+//!   out as priority-ordered chunks on the service's long-lived pool,
+//!   observes the job's cancel flag between phases, ticks its progress
+//!   counter and records phase spans. Every
+//!   [`Prophet`](crate::service::Prophet) job runs it.
+//!
+//! Both execute the same function, so a runner may only reorder
+//! *independent* items: probe evaluation derives every fingerprint from
+//! fixed canonical seeds, match-then-remap is a pure function of one probe
+//! and the batch's snapshot, and simulation seeds each world from `(root
+//! seed, world, point)`. What fixes the answer is in the skeleton, not the
+//! runner:
 //!
 //! * **Work deduplication.** The plan phase claims each point through the
 //!   shared store's in-flight table, so N sessions evaluating the same cold
@@ -41,29 +62,23 @@
 //!   owner's [`WaitHandle`] and reuse its published samples (counted as
 //!   `inflight_waits`). Within one batch, duplicate points collapse to a
 //!   single evaluation, and work counters count unique points.
-//! * **Determinism.** Simulation seeds depend only on `(root seed, world,
-//!   point)`, candidate scanning orders sources by insertion stamp, and
-//!   phase results are published in batch order — so the samples, the
-//!   `worlds_simulated` count, and the chosen mapping sources are all
-//!   independent of `threads`.
+//! * **Snapshot structure.** The candidate snapshot is taken after every
+//!   probe has landed, so a batch matches against the store as it stood at
+//!   batch start and never against its own siblings.
+//! * **Publish order.** Claims complete in batch order (hits, then
+//!   misses), so insertion stamps — and every later `(error, stamp)`
+//!   tie-break — are the same at every thread count, chunk size and
+//!   priority mix. `tests/jobs.rs` diffs the pooled runner against the
+//!   inline one; `tests/chaos.rs` does so under adversarial interleavings.
+//! * **Cancellation.** A runner reports a skipped item as an empty slot.
+//!   Results that did land are published before the batch stops, so the
+//!   store only ever sees complete entries; claims of unpublished points
+//!   are released as their guards drop, and concurrent waiters re-claim.
 //!
 //! Phase wall-clock lands in `EngineMetrics::probe_nanos` (probe + match +
 //! remap + publishing the hits) and `EngineMetrics::sim_nanos` (simulate +
-//! publishing the misses), giving sweeps a true probe-vs-simulation split
-//! as the caller experiences it; `match_scan_nanos` / `remap_nanos` (CPU
-//! sums across workers) and `publish_nanos` (caller wall) split them
-//! further.
-//!
-//! This module is the *blocking reference tier*: its parallel phases fan
-//! out on per-call `std::thread::scope` pools and the call seizes the
-//! caller until the batch completes. Engines handed out by the
-//! [`Prophet`](crate::service::Prophet) service run the same pipeline
-//! through the service's long-lived [`scheduler`](crate::scheduler)
-//! instead — the phases become priority-interleaved pool chunks, and this
-//! path remains as the differential baseline (`tests/jobs.rs` proves the
-//! two produce bit-identical results), exactly as the scalar executor
-//! backs the vectorized tier and the exhaustive scan backs the match
-//! index.
+//! publishing the misses); `match_scan_nanos` / `remap_nanos` (CPU sums
+//! across workers) and `publish_nanos` (caller wall) split them further.
 //!
 //! [`SharedBasisStore::try_claim`]: prophet_mc::SharedBasisStore::try_claim
 //! [`SharedBasisStore::scan_snapshot`]: prophet_mc::SharedBasisStore::scan_snapshot
@@ -73,18 +88,295 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use prophet_fingerprint::{Fingerprint, Mapping};
+use prophet_mc::trace::{TraceEventKind, Tracer, NO_CHUNK, NO_JOB};
 use prophet_mc::{
     BasisHit, ColumnSamples, InflightGuard, ParamPoint, SampleSet, ScanSnapshot, ScanWork,
     TryClaim, WaitHandle,
 };
 
 use crate::engine::{Engine, EvalOutcome};
-use crate::error::ProphetResult;
+use crate::error::{ProphetError, ProphetResult};
 use crate::metrics::Stopwatch;
+
+/// One `(samples, outcome)` per point of a batch.
+pub(crate) type BatchResults = Vec<(SampleSet, EvalOutcome)>;
+
+/// What differs between the two executions of [`run_batch`]; see the
+/// [module docs](self).
+pub(crate) trait Runner {
+    /// The engine whose batch this is.
+    fn engine(&self) -> &Engine;
+
+    /// Apply `f` to every item on this runner's workers, results in input
+    /// order. Slot `i` is `None` if item `i` never ran: skipped because
+    /// the job was cancelled, or lost to a worker panic. `as_one_unit`
+    /// keeps the items together on one worker, in order.
+    fn fan_out<I, T, F>(&self, items: Vec<I>, as_one_unit: bool, f: F) -> Vec<Option<T>>
+    where
+        I: Send + 'static,
+        T: Send + 'static,
+        F: Fn(&Engine, I) -> T + Send + Sync + 'static;
+
+    /// Whether the batch should stop at the next phase boundary.
+    fn is_cancelled(&self) -> bool {
+        false
+    }
+
+    /// `n` more input points have their final result.
+    fn points_done(&self, _n: u64) {}
+
+    /// Where phase spans and match-scan durations go, and the job they
+    /// belong to.
+    fn trace(&self) -> (Tracer, u64) {
+        (Tracer::off(), NO_JOB)
+    }
+}
+
+/// The inline runner: scoped threads on the caller, never cancelled.
+struct Inline<'a>(&'a Engine);
+
+impl Runner for Inline<'_> {
+    fn engine(&self) -> &Engine {
+        self.0
+    }
+
+    fn fan_out<I, T, F>(&self, items: Vec<I>, as_one_unit: bool, f: F) -> Vec<Option<T>>
+    where
+        I: Send + 'static,
+        T: Send + 'static,
+        F: Fn(&Engine, I) -> T + Send + Sync + 'static,
+    {
+        let threads = if as_one_unit {
+            1
+        } else {
+            self.0.config().threads.max(1)
+        };
+        parallel_map(items, threads, |item| Some(f(self.0, item)))
+    }
+}
+
+/// An empty fan-out slot: fine under a cancel, a lost chunk otherwise.
+fn lost_slot(runner: &impl Runner) -> ProphetResult<()> {
+    if runner.is_cancelled() {
+        Ok(())
+    } else {
+        Err(ProphetError::Internal(
+            "a scheduled chunk was lost (worker panic)".into(),
+        ))
+    }
+}
+
+/// The Figure-1 cycle over one batch (see the [module docs](self)):
+/// `Ok(None)` means a cancel was observed — completed results were
+/// published, remaining claims released, nothing returned.
+pub(crate) fn run_batch<R: Runner>(
+    runner: &R,
+    points: &[ParamPoint],
+) -> ProphetResult<Option<BatchResults>> {
+    if points.is_empty() {
+        return Ok(Some(Vec::new()));
+    }
+    if runner.is_cancelled() {
+        return Ok(None);
+    }
+    let engine = runner.engine();
+    let (tracer, job) = runner.trace();
+
+    // ---- dedupe: unique points in first-seen order.
+    let (unique, slot_of) = dedupe_points(points);
+    let worlds_per_point = engine.config().worlds_per_point;
+    let threads = engine.config().threads.max(1);
+
+    // ---- plan: exact-cache check + in-flight claim per unique point.
+    let mut results: Vec<Option<(SampleSet, EvalOutcome)>> =
+        (0..unique.len()).map(|_| None).collect();
+    let mut guards: Vec<Option<InflightGuard>> = (0..unique.len()).map(|_| None).collect();
+    let mut waits: Vec<Option<WaitHandle>> = (0..unique.len()).map(|_| None).collect();
+    let mut owned: Vec<usize> = Vec::new();
+    for (i, point) in unique.iter().enumerate() {
+        match engine.basis_store().try_claim(point, worlds_per_point) {
+            TryClaim::Ready { samples, .. } => {
+                engine.bump(|m| m.points_cached += 1);
+                runner.points_done(1);
+                results[i] = Some((engine.to_sample_set(point, samples), EvalOutcome::Cached));
+            }
+            TryClaim::Owner(guard) => {
+                guards[i] = Some(guard);
+                owned.push(i);
+            }
+            TryClaim::Pending(handle) => waits[i] = Some(handle),
+        }
+    }
+    let mut take_guard = |i: usize| {
+        guards[i]
+            .take()
+            .expect("invariant: every owned point holds its claim guard until published")
+    };
+
+    // ---- probe + match + remap (the fingerprint phase).
+    let mut probes: Vec<Option<HashMap<String, Fingerprint>>> =
+        (0..unique.len()).map(|_| None).collect();
+    let mut to_simulate: Vec<usize> = Vec::new();
+    if engine.uses_fingerprints() && !owned.is_empty() {
+        let phase = Stopwatch::start();
+        let t_probe = tracer.now();
+        let owned_points: Vec<ParamPoint> = owned.iter().map(|&i| unique[i].clone()).collect();
+        let probe_outputs = runner.fan_out(owned_points, false, |engine, p: ParamPoint| {
+            engine.probe_fingerprints(&p)
+        });
+        tracer.span(TraceEventKind::PhaseProbe, job, NO_CHUNK, t_probe);
+        // A cancel during probing published nothing: every claim is simply
+        // released (guards drop on return) and waiters recover.
+        let mut owned_probes = Vec::with_capacity(owned.len());
+        for slot in probe_outputs {
+            match slot {
+                Some(probe) => owned_probes.push(probe?),
+                None => {
+                    lost_slot(runner)?;
+                    return Ok(None);
+                }
+            }
+        }
+        engine.bump(|m| m.batch_probes += owned.len() as u64);
+
+        // The candidate snapshot is taken here — after every probe has
+        // landed, so no probe ever matches a sibling of its batch — and
+        // the store's locks are released before any comparison runs.
+        let t_match = tracer.now();
+        let snapshot = Arc::new(engine.scan_snapshot());
+        tracer.span(TraceEventKind::PhaseMatch, job, NO_CHUNK, t_match);
+
+        // Match-then-remap, one item per probe: each scans the snapshot
+        // against its own incumbent and re-maps its hit on the worker that
+        // found it.
+        let fused_items: Vec<(ParamPoint, HashMap<String, Fingerprint>)> = owned
+            .iter()
+            .zip(owned_probes)
+            .map(|(&i, probe)| (unique[i].clone(), probe))
+            .collect();
+        let (fused_snapshot, fused_tracer) = (Arc::clone(&snapshot), tracer.clone());
+        let t_remap = tracer.now();
+        let fused = runner.fan_out(
+            fused_items,
+            false,
+            move |engine, (point, probe): (ParamPoint, HashMap<String, Fingerprint>)| {
+                let matched = engine.match_and_remap(&fused_snapshot, &point, &probe);
+                fused_tracer.record_match_scan(matched.scan_nanos);
+                (probe, matched)
+            },
+        );
+        tracer.span(TraceEventKind::PhaseRemap, job, NO_CHUNK, t_remap);
+        engine.record_scans(&snapshot, fused.iter().flatten().map(|(_, m)| m.work));
+
+        // Publish hits in batch order.
+        let t_publish = tracer.now();
+        let publish = Stopwatch::start();
+        let mut cancelled = false;
+        for (&i, slot) in owned.iter().zip(fused) {
+            let Some((probe, matched)) = slot else {
+                lost_slot(runner)?;
+                cancelled = true;
+                continue;
+            };
+            match matched.outcome? {
+                Some(hit) => {
+                    results[i] = Some(engine.publish_hit(&unique[i], take_guard(i), probe, hit));
+                    runner.points_done(1);
+                }
+                None => {
+                    probes[i] = Some(probe);
+                    to_simulate.push(i);
+                }
+            }
+        }
+        tracer.span(TraceEventKind::PhasePublish, job, NO_CHUNK, t_publish);
+        engine.bump(|m| {
+            m.publish_nanos += publish.elapsed_nanos();
+            m.probe_nanos += phase.elapsed_nanos();
+        });
+        if cancelled || runner.is_cancelled() {
+            return Ok(None);
+        }
+    } else {
+        to_simulate = owned;
+    }
+
+    // ---- simulate misses, publish in batch order. With at least
+    // `threads` misses, each item simulates single-threaded and the
+    // parallelism is across points; with fewer — the interactive
+    // small-refresh case — the misses run as one unit of world-parallel
+    // simulations, so a lone cold point still fans its worlds across the
+    // machine. The world→sample assignment is seed-based, so every sample
+    // and counter is identical under either schedule.
+    if !to_simulate.is_empty() {
+        if runner.is_cancelled() {
+            return Ok(None);
+        }
+        let phase = Stopwatch::start();
+        let miss_points: Vec<ParamPoint> = to_simulate.iter().map(|&i| unique[i].clone()).collect();
+        let world_parallel = miss_points.len() < threads;
+        let t_sim = tracer.now();
+        let simulated =
+            runner.fan_out(miss_points, world_parallel, move |engine, p: ParamPoint| {
+                engine.simulate_full(&p, world_parallel)
+            });
+        tracer.span(TraceEventKind::PhaseSimulate, job, NO_CHUNK, t_sim);
+        let t_publish = tracer.now();
+        let publish = Stopwatch::start();
+        let mut cancelled = false;
+        for (&i, slot) in to_simulate.iter().zip(simulated) {
+            let Some(simulation) = slot else {
+                lost_slot(runner)?;
+                cancelled = true;
+                continue;
+            };
+            results[i] = Some(engine.publish_simulated(
+                &unique[i],
+                take_guard(i),
+                probes[i].take().unwrap_or_default(),
+                simulation?,
+                worlds_per_point,
+            ));
+            runner.points_done(1);
+        }
+        tracer.span(TraceEventKind::PhasePublish, job, NO_CHUNK, t_publish);
+        engine.bump(|m| {
+            m.publish_nanos += publish.elapsed_nanos();
+            m.sim_nanos += phase.elapsed_nanos();
+        });
+        if cancelled {
+            return Ok(None);
+        }
+    }
+
+    // ---- resolve cross-session waits last, so our own publications
+    // are already out (two sessions waiting on each other's points
+    // therefore cannot deadlock).
+    for i in 0..unique.len() {
+        if let Some(handle) = waits[i].take() {
+            results[i] = Some(engine.resolve_wait(&unique[i], handle)?);
+            runner.points_done(1);
+        }
+    }
+
+    // ---- scatter: duplicates resolve to their unique point's result.
+    runner.points_done((points.len() - unique.len()) as u64);
+    Ok(Some(
+        slot_of
+            .into_iter()
+            .map(|i| {
+                results[i]
+                    .clone()
+                    .expect("invariant: every unique point resolves to a result")
+            })
+            .collect(),
+    ))
+}
 
 impl Engine {
     /// Evaluate the scenario at a batch of parameter points, returning one
-    /// `(samples, outcome)` per input point, in input order.
+    /// `(samples, outcome)` per input point, in input order — `run_batch`
+    /// on the inline runner.
     ///
     /// Duplicate points are evaluated once and their result shared. Points
     /// already being simulated by a concurrent session are not duplicated:
@@ -95,165 +387,21 @@ impl Engine {
         &self,
         points: &[ParamPoint],
     ) -> ProphetResult<Vec<(SampleSet, EvalOutcome)>> {
-        if points.is_empty() {
-            return Ok(Vec::new());
-        }
+        Ok(run_batch(&Inline(self), points)?
+            .expect("invariant: the inline runner is never cancelled"))
+    }
 
-        // ---- dedupe: unique points in first-seen order.
-        let (unique, slot_of) = dedupe_points(points);
-
-        let worlds_per_point = self.config().worlds_per_point;
-        let threads = self.config().threads.max(1);
-        let use_fingerprints =
-            self.config().fingerprints_enabled && !self.stochastic_columns().is_empty();
-        let store = self.basis_store();
-
-        // ---- plan: exact-cache check + in-flight claim per unique point.
-        let mut results: Vec<Option<(SampleSet, EvalOutcome)>> =
-            (0..unique.len()).map(|_| None).collect();
-        let mut guards: Vec<Option<InflightGuard>> = (0..unique.len()).map(|_| None).collect();
-        let mut waits: Vec<Option<WaitHandle>> = (0..unique.len()).map(|_| None).collect();
-        let mut owned: Vec<usize> = Vec::new();
-        for (i, point) in unique.iter().enumerate() {
-            match store.try_claim(point, worlds_per_point) {
-                TryClaim::Ready { samples, .. } => {
-                    self.bump(|m| m.points_cached += 1);
-                    results[i] = Some((self.to_sample_set(point, samples), EvalOutcome::Cached));
-                }
-                TryClaim::Owner(guard) => {
-                    guards[i] = Some(guard);
-                    owned.push(i);
-                }
-                TryClaim::Pending(handle) => waits[i] = Some(handle),
-            }
-        }
-
-        // ---- probe + match + remap (the fingerprint phase).
-        let mut probes: Vec<Option<HashMap<String, Fingerprint>>> =
-            (0..unique.len()).map(|_| None).collect();
-        let mut to_simulate: Vec<usize> = Vec::new();
-        if use_fingerprints && !owned.is_empty() {
-            let phase = Stopwatch::start();
-            let owned_points: Vec<&ParamPoint> = owned.iter().map(|&i| &unique[i]).collect();
-            let probe_results =
-                parallel_map(&owned_points, threads, |p| self.probe_fingerprints(p));
-            let mut owned_probes: Vec<(usize, HashMap<String, Fingerprint>)> =
-                Vec::with_capacity(owned.len());
-            for (&i, r) in owned.iter().zip(probe_results) {
-                owned_probes.push((i, r?));
-            }
-            self.bump(|m| m.batch_probes += owned.len() as u64);
-
-            // Match + remap, fused per probe: every probe scans the same
-            // snapshot of the store (taken here, after the whole probe
-            // phase — no probe ever matches a sibling of its batch) and a
-            // hit re-maps on the worker that found it.
-            let snapshot = self.scan_snapshot();
-            let fused = parallel_map(&owned_probes, threads, |(i, probe)| {
-                self.match_and_remap(&snapshot, &unique[*i], probe)
-            });
-            self.record_scans(&snapshot, fused.iter().map(|f| f.work));
-
-            // Publish hits in batch order.
-            let publish = Stopwatch::start();
-            for ((i, probe), matched) in owned_probes.into_iter().zip(fused) {
-                match matched.outcome? {
-                    Some(hit) => {
-                        let guard = guards[i]
-                            .take()
-                            .expect("invariant: every hit point holds its claim guard");
-                        guard.complete(probe, Arc::clone(&hit.samples), hit.worlds, false);
-                        self.bump(|m| m.points_mapped += 1);
-                        results[i] = Some((
-                            self.to_sample_set(&unique[i], hit.samples),
-                            EvalOutcome::Mapped {
-                                from: hit.source,
-                                exact: hit.exact,
-                            },
-                        ));
-                    }
-                    None => {
-                        probes[i] = Some(probe);
-                        to_simulate.push(i);
-                    }
-                }
-            }
-            self.bump(|m| {
-                m.publish_nanos += publish.elapsed_nanos();
-                m.probe_nanos += phase.elapsed_nanos();
-            });
-        } else {
-            to_simulate = owned;
-        }
-
-        // ---- simulate misses across the worker pool. With at least
-        // `threads` misses, point-level parallelism saturates the pool with
-        // single-threaded simulations; with fewer misses than threads,
-        // each point instead world-parallelizes sequentially so no worker
-        // sits idle. The world→sample assignment is seed-based, so every
-        // sample and counter is identical under either schedule.
-        if !to_simulate.is_empty() {
-            let phase = Stopwatch::start();
-            let miss_points: Vec<&ParamPoint> = to_simulate.iter().map(|&i| &unique[i]).collect();
-            let simulated: Vec<ProphetResult<_>> = if miss_points.len() < threads {
-                miss_points
-                    .iter()
-                    .map(|p| self.simulate_full(p, true))
-                    .collect()
-            } else {
-                parallel_map(&miss_points, threads, |p| self.simulate_full(p, false))
-            };
-            let publish = Stopwatch::start();
-            for (&i, sim) in to_simulate.iter().zip(simulated) {
-                let samples = sim?;
-                let guard = guards[i]
-                    .take()
-                    .expect("invariant: every missed point holds its claim guard");
-                guard.complete(
-                    probes[i].take().unwrap_or_default(),
-                    Arc::clone(&samples),
-                    worlds_per_point,
-                    true,
-                );
-                self.bump(|m| m.points_simulated += 1);
-                results[i] = Some((
-                    self.to_sample_set(&unique[i], samples),
-                    EvalOutcome::Simulated,
-                ));
-            }
-            self.bump(|m| {
-                m.publish_nanos += publish.elapsed_nanos();
-                m.sim_nanos += phase.elapsed_nanos();
-            });
-        }
-
-        // ---- resolve cross-session waits last, so our own publications
-        // are already out (two sessions waiting on each other's points
-        // therefore cannot deadlock).
-        for i in 0..unique.len() {
-            if let Some(handle) = waits[i].take() {
-                results[i] = Some(self.resolve_wait(&unique[i], handle)?);
-            }
-        }
-
-        Ok(slot_of
-            .into_iter()
-            .map(|i| {
-                results[i]
-                    .clone()
-                    .expect("invariant: every unique point resolves to a result")
-            })
-            .collect())
+    /// Whether owned points go through the fingerprint phase at all.
+    fn uses_fingerprints(&self) -> bool {
+        self.config().fingerprints_enabled && !self.stochastic_columns().is_empty()
     }
 
     /// Block on another session's in-flight simulation of `point`. If the
     /// owner abandons it (error, or a store clear mid-flight), or publishes
     /// fewer worlds than this engine requires (shared store, differing
     /// `worlds_per_point`), re-claim: becoming the owner means
-    /// re-simulating at this engine's own depth. (Crate-visible: the
-    /// scheduled pipeline in [`crate::scheduler`] resolves its waits
-    /// through the same path.)
-    pub(crate) fn resolve_wait(
+    /// re-simulating at this engine's own depth.
+    fn resolve_wait(
         &self,
         point: &ParamPoint,
         handle: WaitHandle,
@@ -288,25 +436,19 @@ impl Engine {
     }
 
     // ------------------------------------------------ match-scan primitives
-    // (shared by this blocking pipeline, the scheduled one in
-    // `crate::scheduler`, and the single-point paths below — one scan
-    // implementation, three runners)
 
     /// Snapshot the basis store's candidate sources for this engine's
     /// match scans (its stochastic columns, detector and `match_index`
     /// mode). The only step of a scan that touches the store's locks;
     /// timed into `match_scan_nanos`.
-    pub(crate) fn scan_snapshot(&self) -> ScanSnapshot {
+    fn scan_snapshot(&self) -> ScanSnapshot {
         let start = Stopwatch::start();
         let snapshot = self.basis_store().scan_snapshot(
             self.stochastic_columns(),
             &self.config().detector,
             self.config().match_index,
         );
-        self.bump(|m| {
-            m.match_scan_nanos += start.elapsed_nanos();
-            m.fingerprint_time += start.elapsed();
-        });
+        self.bump(|m| m.match_scan_nanos += start.elapsed_nanos());
         snapshot
     }
 
@@ -315,7 +457,7 @@ impl Engine {
     /// A pure function of its arguments, so a batch runs it for every
     /// probe in parallel. Self-times the scan into `match_scan_nanos` (the
     /// remap self-times into `remap_nanos`).
-    pub(crate) fn match_and_remap(
+    fn match_and_remap(
         &self,
         snapshot: &ScanSnapshot,
         point: &ParamPoint,
@@ -324,10 +466,7 @@ impl Engine {
         let start = Stopwatch::start();
         let scan = snapshot.scan_probe(probe);
         let scan_nanos = start.elapsed_nanos();
-        self.bump(|m| {
-            m.match_scan_nanos += scan_nanos;
-            m.fingerprint_time += start.elapsed();
-        });
+        self.bump(|m| m.match_scan_nanos += scan_nanos);
         Matched {
             work: scan.work,
             scan_nanos,
@@ -347,11 +486,7 @@ impl Engine {
     /// Close a batch's scans: fold the probes' work into
     /// `candidates_scanned` / `candidates_pruned` and the store's hit/miss
     /// ledger.
-    pub(crate) fn record_scans(
-        &self,
-        snapshot: &ScanSnapshot,
-        work: impl IntoIterator<Item = ScanWork>,
-    ) {
+    fn record_scans(&self, snapshot: &ScanSnapshot, work: impl IntoIterator<Item = ScanWork>) {
         let scan = self.basis_store().record_scans(snapshot, work);
         self.bump(|m| {
             m.candidates_scanned += scan.candidates_scanned;
@@ -359,19 +494,74 @@ impl Engine {
         });
     }
 
-    /// Probe one point's fingerprints, scan for a source and re-map a hit
-    /// — the fingerprint phase for a batch of one, with the batched
-    /// phase's metric accounting. Shared by [`Engine::run_owner`] and the
-    /// progressive estimator in [`crate::session`].
-    pub(crate) fn probe_and_map_one(
+    /// The fingerprint phase for one already-claimed point — probe, scan,
+    /// re-map, with the batched phase's metric accounting. A hit is
+    /// published and returned as `Ok(reply)`; a miss hands the claim back
+    /// with the point's probes, `Err((guard, probes))`, for the caller to
+    /// simulate. Shared by [`Engine::run_owner`] and the progressive
+    /// estimator in [`crate::session`].
+    #[allow(clippy::type_complexity)] // hit-or-miss of one private step; a named type would obscure it
+    pub(crate) fn map_owned(
         &self,
         point: &ParamPoint,
-    ) -> ProphetResult<(HashMap<String, Fingerprint>, Option<MappedHit>)> {
+        guard: InflightGuard,
+    ) -> ProphetResult<
+        Result<(SampleSet, EvalOutcome), (InflightGuard, HashMap<String, Fingerprint>)>,
+    > {
+        if !self.uses_fingerprints() {
+            return Ok(Err((guard, HashMap::new())));
+        }
+        let phase = Stopwatch::start();
         let probes = self.probe_fingerprints(point)?;
         let snapshot = self.scan_snapshot();
         let matched = self.match_and_remap(&snapshot, point, &probes);
         self.record_scans(&snapshot, [matched.work]);
-        Ok((probes, matched.outcome?))
+        let hit = matched.outcome?;
+        self.bump(|m| m.probe_nanos += phase.elapsed_nanos());
+        Ok(match hit {
+            Some(hit) => Ok(self.publish_hit(point, guard, probes, hit)),
+            None => Err((guard, probes)),
+        })
+    }
+
+    // ------------------------------------------------------------ publish
+
+    /// Publish a fingerprint hit: complete the claim with the mapped
+    /// samples (a non-source entry) and hand the same allocation back as
+    /// the reply.
+    fn publish_hit(
+        &self,
+        point: &ParamPoint,
+        guard: InflightGuard,
+        probes: HashMap<String, Fingerprint>,
+        hit: MappedHit,
+    ) -> (SampleSet, EvalOutcome) {
+        guard.complete(probes, Arc::clone(&hit.samples), hit.worlds, false);
+        self.bump(|m| m.points_mapped += 1);
+        let outcome = EvalOutcome::Mapped {
+            from: hit.source,
+            exact: hit.exact,
+        };
+        (self.to_sample_set(point, hit.samples), outcome)
+    }
+
+    /// Publish a simulation of `worlds` worlds: complete the claim and
+    /// hand the same allocation back as the reply. Only a full-depth
+    /// entry becomes a matchable basis source; a shallower one (the
+    /// progressive estimator stopping early) is exact-key-reusable, and
+    /// the store's min-worlds filters protect full-depth consumers.
+    pub(crate) fn publish_simulated(
+        &self,
+        point: &ParamPoint,
+        guard: InflightGuard,
+        probes: HashMap<String, Fingerprint>,
+        samples: Arc<ColumnSamples>,
+        worlds: usize,
+    ) -> (SampleSet, EvalOutcome) {
+        let full_depth = worlds == self.config().worlds_per_point;
+        guard.complete(probes, Arc::clone(&samples), worlds, full_depth);
+        self.bump(|m| m.points_simulated += 1);
+        (self.to_sample_set(point, samples), EvalOutcome::Simulated)
     }
 
     /// Sequential Figure-1 cycle for one owned point — the retry path when
@@ -381,72 +571,44 @@ impl Engine {
         point: &ParamPoint,
         guard: InflightGuard,
     ) -> ProphetResult<(SampleSet, EvalOutcome)> {
-        let use_fingerprints =
-            self.config().fingerprints_enabled && !self.stochastic_columns().is_empty();
-        let mut probes = HashMap::new();
-        if use_fingerprints {
-            let phase = Stopwatch::start();
-            let (point_probes, hit) = self.probe_and_map_one(point)?;
-            probes = point_probes;
-            if let Some(hit) = hit {
-                guard.complete(probes, Arc::clone(&hit.samples), hit.worlds, false);
-                self.bump(|m| {
-                    m.points_mapped += 1;
-                    m.probe_nanos += phase.elapsed_nanos();
-                });
-                return Ok((
-                    self.to_sample_set(point, hit.samples),
-                    EvalOutcome::Mapped {
-                        from: hit.source,
-                        exact: hit.exact,
-                    },
-                ));
-            }
-            self.bump(|m| m.probe_nanos += phase.elapsed_nanos());
-        }
+        let (guard, probes) = match self.map_owned(point, guard)? {
+            Ok(reply) => return Ok(reply),
+            Err(miss) => miss,
+        };
         let phase = Stopwatch::start();
         let samples = self.simulate_full(point, true)?;
-        guard.complete(
-            probes,
-            Arc::clone(&samples),
-            self.config().worlds_per_point,
-            true,
-        );
-        self.bump(|m| {
-            m.points_simulated += 1;
-            m.sim_nanos += phase.elapsed_nanos();
-        });
-        Ok((self.to_sample_set(point, samples), EvalOutcome::Simulated))
+        let worlds = self.config().worlds_per_point;
+        let reply = self.publish_simulated(point, guard, probes, samples, worlds);
+        self.bump(|m| m.sim_nanos += phase.elapsed_nanos());
+        Ok(reply)
     }
 }
 
 /// A fingerprint hit re-mapped onto the queried point, ready to publish:
 /// the same `samples` allocation goes to the basis store and the reply.
-pub(crate) struct MappedHit {
-    pub(crate) samples: Arc<ColumnSamples>,
+struct MappedHit {
+    samples: Arc<ColumnSamples>,
     /// Worlds backing the source's (and therefore the mapped) samples.
-    pub(crate) worlds: usize,
+    worlds: usize,
     /// The basis point the mapping came from.
-    pub(crate) source: ParamPoint,
+    source: ParamPoint,
     /// Whether every column's mapping was exact (identity/offset).
-    pub(crate) exact: bool,
+    exact: bool,
 }
 
 /// One probe's trip through [`Engine::match_and_remap`].
-pub(crate) struct Matched {
+struct Matched {
     /// The scan's accounting, for [`Engine::record_scans`].
-    pub(crate) work: ScanWork,
+    work: ScanWork,
     /// Nanoseconds the scan took (the tracer's match-scan histogram).
-    pub(crate) scan_nanos: u64,
+    scan_nanos: u64,
     /// `Ok(None)` is a miss; an `Err` is a hit whose re-map failed.
-    pub(crate) outcome: ProphetResult<Option<MappedHit>>,
+    outcome: ProphetResult<Option<MappedHit>>,
 }
 
 /// Collapse a point list to unique points in first-seen order plus, per
-/// input slot, the index of its unique point. Shared by this blocking
-/// pipeline and the scheduled one ([`crate::scheduler`]), so both agree on
-/// what "the batch's unique points" means.
-pub(crate) fn dedupe_points(points: &[ParamPoint]) -> (Vec<ParamPoint>, Vec<usize>) {
+/// input slot, the index of its unique point.
+fn dedupe_points(points: &[ParamPoint]) -> (Vec<ParamPoint>, Vec<usize>) {
     let mut unique: Vec<ParamPoint> = Vec::new();
     let mut index_of: HashMap<&ParamPoint, usize> = HashMap::with_capacity(points.len());
     let slot_of: Vec<usize> = points
@@ -464,22 +626,27 @@ pub(crate) fn dedupe_points(points: &[ParamPoint]) -> (Vec<ParamPoint>, Vec<usiz
 /// Apply `f` to every item, fanning out across up to `threads` scoped
 /// workers (contiguous chunks, results in input order). Single-item or
 /// single-thread calls run inline with no spawn overhead.
-fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
+fn parallel_map<I, R, F>(items: Vec<I>, threads: usize, f: F) -> Vec<R>
 where
-    T: Sync,
+    I: Send,
     R: Send,
-    F: Fn(&T) -> R + Sync,
+    F: Fn(I) -> R + Sync,
 {
     let workers = threads.min(items.len());
     if workers <= 1 {
-        return items.iter().map(&f).collect();
+        return items.into_iter().map(f).collect();
     }
     let chunk = items.len().div_ceil(workers);
+    let slice_count = items.len().div_ceil(chunk);
+    let mut rest = items.into_iter();
+    let slices: Vec<Vec<I>> = (0..slice_count)
+        .map(|_| rest.by_ref().take(chunk).collect())
+        .collect();
     std::thread::scope(|scope| {
         let f = &f;
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|slice| scope.spawn(move || slice.iter().map(f).collect::<Vec<R>>()))
+        let handles: Vec<_> = slices
+            .into_iter()
+            .map(|slice| scope.spawn(move || slice.into_iter().map(f).collect::<Vec<R>>()))
             .collect();
         handles
             .into_iter()

@@ -14,11 +14,12 @@
 //! Execution happens on the service's shared
 //! [`Scheduler`](crate::scheduler::Scheduler): jobs are split into
 //! chunk-sized slices of work so concurrent jobs interleave by
-//! [`Priority`] instead of queueing whole-sweep-at-a-time. The scheduler
-//! module's docs carry the chunking and determinism argument; the short
-//! version is that a job's final answer is bit-identical to the blocking
-//! path at any chunk size, priority mix, and worker count — the
-//! differential suite in `tests/jobs.rs` enforces it.
+//! [`Priority`] instead of queueing whole-sweep-at-a-time. A job runs the
+//! same batch pipeline as [`Engine::evaluate_batch`], on the pool instead
+//! of inline ([`executor`](crate::executor) carries the argument), so its
+//! final answer is bit-identical to the blocking call's at any chunk
+//! size, priority mix, and worker count — the differential suite in
+//! `tests/jobs.rs` enforces it.
 //!
 //! Dropping a [`JobHandle`] detaches it: the job still runs to completion
 //! (its publications land in the shared basis store exactly as if someone

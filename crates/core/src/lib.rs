@@ -128,9 +128,9 @@
 //! [`OfflineOptimizer::run`] and [`OnlineSession::refresh`] on
 //! service-handed objects are exactly `submit(...).wait()`, and the
 //! differential suite in `tests/jobs.rs` proves a job's final answer is
-//! bit-identical to the blocking executor at every chunk size, priority
-//! mix, and worker count (the [`scheduler`] module docs carry the
-//! argument).
+//! bit-identical to [`Engine::evaluate_batch`]'s at every chunk size,
+//! priority mix, and worker count: both run the one batch pipeline in
+//! [`executor`], whose module docs carry the argument.
 //!
 //! ## Migrating from 0.2 (blocking calls → jobs)
 //!
@@ -154,8 +154,8 @@
 //! are now gone. Direct engine composition remains available via
 //! [`Engine::new`] / [`Engine::with_basis_store`] plus
 //! [`OnlineSession::open`] / [`OfflineOptimizer::open`] — these run their
-//! work on the caller's thread (the blocking reference tier the scheduled
-//! pipeline is differentially tested against).
+//! work on the caller's thread (the batch pipeline's inline runner, the
+//! reference the pooled runner is differentially tested against).
 //!
 //! ## Observability (0.8)
 //!

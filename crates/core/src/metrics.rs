@@ -24,8 +24,8 @@ impl Stopwatch {
         Stopwatch(Instant::now())
     }
 
-    /// Wall time since [`Stopwatch::start`].
-    pub fn elapsed(&self) -> Duration {
+    /// Wall time since [`Stopwatch::start`] (the reports' `wall` fields).
+    pub(crate) fn elapsed(&self) -> Duration {
         self.0.elapsed()
     }
 
@@ -51,9 +51,10 @@ pub struct EngineMetrics {
     pub worlds_simulated: u64,
     /// Scenario evaluations spent probing fingerprints. This counts
     /// *logical* per-seed evaluations regardless of execution tier: a
-    /// vectorized probe of fingerprint length `L` counts `L`, exactly as
+    /// block-tier probe of fingerprint length `L` counts `L`, exactly as
     /// `L` scalar walks would — so the number stays comparable across
-    /// engine versions and the `vectorized` config knob.
+    /// engine versions and every
+    /// [`EngineConfig::tier`](crate::engine::EngineConfig::tier).
     pub probe_evaluations: u64,
     /// Vectorized probe walks: block evaluations of the scenario SELECT
     /// that produced a whole fingerprint in one AST walk. Zero when the
@@ -119,24 +120,24 @@ pub struct EngineMetrics {
     /// Evaluations served by blocking on another session's in-flight
     /// simulation of the same point (thundering-herd dedup).
     pub inflight_waits: u64,
-    /// Points whose store probe went through the batched planner
-    /// ([`Engine::evaluate_batch`](crate::engine::Engine::evaluate_batch)'s
-    /// source-parallel `find_correlated_batch` stage).
+    /// Points whose fingerprints were probed as part of a batch's probe
+    /// phase (every claimed point of every batch with fingerprints on);
+    /// the single-point retry and progressive paths probe without it.
     pub batch_probes: u64,
-    /// Executor wall-clock nanoseconds inside the probe/match/remap phase.
-    /// Unlike [`fingerprint_time`](EngineMetrics::fingerprint_time), which
-    /// sums per-call durations across parallel workers, this measures the
-    /// phase as the caller experiences it.
+    /// Pipeline wall-clock nanoseconds inside the probe/match/remap phase,
+    /// publishing the hits included: the phase as the caller experiences
+    /// it. The per-call CPU sums across parallel workers are
+    /// [`probe_eval_nanos`](EngineMetrics::probe_eval_nanos),
+    /// [`match_scan_nanos`](EngineMetrics::match_scan_nanos) and
+    /// [`remap_nanos`](EngineMetrics::remap_nanos).
     pub probe_nanos: u64,
-    /// Executor wall-clock nanoseconds inside the simulation phase (same
-    /// wall-vs-summed distinction as
-    /// [`probe_nanos`](EngineMetrics::probe_nanos)).
+    /// Pipeline wall-clock nanoseconds inside the simulation phase,
+    /// publishing the misses included.
     pub sim_nanos: u64,
-    /// Time inside full simulation, summed across parallel workers.
-    pub simulation_time: Duration,
-    /// Time inside fingerprint probing + matching + mapping, summed across
-    /// parallel workers.
-    pub fingerprint_time: Duration,
+    /// Nanoseconds inside full simulation, summed across parallel workers
+    /// — the CPU sum beside the wall-clock
+    /// [`sim_nanos`](EngineMetrics::sim_nanos).
+    pub sim_cpu_nanos: u64,
     /// Per-point fingerprint-probe latency distribution (one observation
     /// per [`Engine::probe_fingerprints`](crate::engine::Engine) call),
     /// log-bucketed so percentiles survive merging — the totals above say
@@ -193,8 +194,7 @@ impl EngineMetrics {
         self.batch_probes += other.batch_probes;
         self.probe_nanos += other.probe_nanos;
         self.sim_nanos += other.sim_nanos;
-        self.simulation_time += other.simulation_time;
-        self.fingerprint_time += other.fingerprint_time;
+        self.sim_cpu_nanos += other.sim_cpu_nanos;
         self.probe_latency.merge(&other.probe_latency);
         self.sim_latency.merge(&other.sim_latency);
     }
@@ -223,10 +223,7 @@ impl EngineMetrics {
             batch_probes: self.batch_probes - earlier.batch_probes,
             probe_nanos: self.probe_nanos - earlier.probe_nanos,
             sim_nanos: self.sim_nanos - earlier.sim_nanos,
-            simulation_time: self.simulation_time.saturating_sub(earlier.simulation_time),
-            fingerprint_time: self
-                .fingerprint_time
-                .saturating_sub(earlier.fingerprint_time),
+            sim_cpu_nanos: self.sim_cpu_nanos - earlier.sim_cpu_nanos,
             probe_latency: self.probe_latency.since(&earlier.probe_latency),
             sim_latency: self.sim_latency.since(&earlier.sim_latency),
         }
@@ -259,7 +256,7 @@ impl fmt::Display for EngineMetrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let ms = |nanos: u64| nanos as f64 / 1e6;
         let us = |nanos: u64| format!("{:.2}", nanos as f64 / 1e3);
-        let rows: [(&str, String); 30] = [
+        let rows: [(&str, String); 29] = [
             ("points_simulated", self.points_simulated.to_string()),
             ("points_mapped", self.points_mapped.to_string()),
             ("points_cached", self.points_cached.to_string()),
@@ -285,14 +282,7 @@ impl fmt::Display for EngineMetrics {
             ("batch_probes", self.batch_probes.to_string()),
             ("probe_phase_ms", format!("{:.2}", ms(self.probe_nanos))),
             ("sim_phase_ms", format!("{:.2}", ms(self.sim_nanos))),
-            (
-                "simulation_ms",
-                format!("{:.2}", self.simulation_time.as_secs_f64() * 1e3),
-            ),
-            (
-                "fingerprint_ms",
-                format!("{:.2}", self.fingerprint_time.as_secs_f64() * 1e3),
-            ),
+            ("sim_cpu_ms", format!("{:.2}", ms(self.sim_cpu_nanos))),
             ("probe_p50_us", us(self.probe_latency.p50())),
             ("probe_p90_us", us(self.probe_latency.p90())),
             ("probe_p99_us", us(self.probe_latency.p99())),
@@ -474,8 +464,7 @@ mod tests {
             batch_probes: 7,
             probe_nanos: 3_000_000,
             sim_nanos: 12_345_678,
-            simulation_time: Duration::from_micros(15_500),
-            fingerprint_time: Duration::from_micros(4_250),
+            sim_cpu_nanos: 15_500_000,
             // Log-bucketed: 800 and 1600 ns land in the 1023/2047 buckets,
             // 200 µs in the 262143 bucket — so p50 reads 2047 ns (2.05 µs)
             // and p90/p99 read 262143 ns (262.14 µs).
@@ -505,8 +494,7 @@ inflight_waits                   4
 batch_probes                     7
 probe_phase_ms                3.00
 sim_phase_ms                 12.35
-simulation_ms                15.50
-fingerprint_ms                4.25
+sim_cpu_ms                   15.50
 probe_p50_us                  2.05
 probe_p90_us                262.14
 probe_p99_us                262.14
@@ -549,8 +537,7 @@ sim_p99_us                 4194.30";
             batch_probes: 14,
             probe_nanos: 15,
             sim_nanos: 16,
-            simulation_time: Duration::from_nanos(17),
-            fingerprint_time: Duration::from_nanos(18),
+            sim_cpu_nanos: 17,
             probe_latency: hist(&[19]),
             sim_latency: hist(&[20, 1 << 20]),
         };

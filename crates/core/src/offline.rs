@@ -16,16 +16,20 @@
 //! hardware-weeks paid for.
 //!
 //! The sweep's *plan* — grouping, per-group axis expansion, constraint
-//! aggregation, feasibility, ranking — lives in one crate-internal
-//! `SweepPlan`, shared by two executions of identical semantics:
+//! aggregation, feasibility, ranking — and the one loop that executes it
+//! live in the crate-internal `SweepPlan`. The loop is parameterised only
+//! by how a group's batch is evaluated and who is told about it:
 //!
-//! * the blocking reference loop ([`OfflineOptimizer::run_with_observer`]),
-//!   which evaluates group batches on the caller's thread, and
+//! * [`OfflineOptimizer::run_with_observer`] evaluates each batch on the
+//!   caller's thread ([`Engine::evaluate_batch`]) and reports every point
+//!   to the observer callback;
 //! * the scheduled sweep job ([`crate::scheduler`]), which
 //!   [`OfflineOptimizer::run`] submits when the optimizer was opened
-//!   through a [`Prophet`](crate::service::Prophet) — the blocking call
-//!   then simply becomes `submit(sweep).wait()`, and concurrent jobs
-//!   interleave with the sweep chunk-by-chunk.
+//!   through a [`Prophet`](crate::service::Prophet), evaluates each batch
+//!   on the service's pool, can be cancelled between batches, and streams
+//!   each finished batch as chunk events — the blocking call then simply
+//!   becomes `submit(sweep).wait()`, and concurrent jobs interleave with
+//!   the sweep chunk-by-chunk.
 
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -38,6 +42,7 @@ use prophet_sql::Script;
 
 use crate::engine::{Engine, EvalOutcome};
 use crate::error::{ProphetError, ProphetResult};
+use crate::executor::BatchResults;
 use crate::job::Priority;
 use crate::metrics::{EngineMetrics, Stopwatch};
 use crate::scenario::space_size;
@@ -78,9 +83,9 @@ impl OfflineReport {
 
 /// The declarative shape of one OPTIMIZE sweep: which parameters form the
 /// GROUP BY grid, which sweep per group as the axis, how constraint
-/// metrics aggregate, and how answers rank. Pure data + pure functions —
-/// the blocking loop and the scheduled sweep driver both execute exactly
-/// this plan, which is what makes their answers bit-identical.
+/// metrics aggregate, and how answers rank. Pure data + pure functions,
+/// plus the one loop ([`SweepPlan::run`]) that both the blocking sweep
+/// and the scheduled sweep job execute.
 #[derive(Debug, Clone)]
 pub(crate) struct SweepPlan {
     spec: OptimizeSpec,
@@ -139,14 +144,14 @@ impl SweepPlan {
     }
 
     /// Every group point, in the canonical row-major sweep order.
-    pub(crate) fn groups(&self) -> Vec<ParamPoint> {
+    fn groups(&self) -> Vec<ParamPoint> {
         let mut guide = GridGuide::new(&self.group_decls);
         std::iter::from_fn(|| guide.next_point()).collect()
     }
 
     /// One group's full evaluation batch: the axis grid bound onto the
     /// group's values, in the canonical axis order.
-    pub(crate) fn group_points(&self, group: &ParamPoint) -> Vec<ParamPoint> {
+    fn group_points(&self, group: &ParamPoint) -> Vec<ParamPoint> {
         let mut axis = GridGuide::new(&self.axis_decls);
         std::iter::from_fn(|| axis.next_point())
             .map(|axis_point| {
@@ -161,7 +166,7 @@ impl SweepPlan {
 
     /// Fold one group's batch results into its answer: accumulate the
     /// outer aggregate per constraint and test feasibility.
-    pub(crate) fn answer_for(
+    fn answer_for(
         &self,
         group: &ParamPoint,
         results: &[(SampleSet, EvalOutcome)],
@@ -201,7 +206,7 @@ impl SweepPlan {
 
     /// Rank answers (feasible before infeasible, then lexicographic
     /// objectives) and pick the best feasible one.
-    pub(crate) fn rank(
+    fn rank(
         &self,
         mut answers: Vec<OptimizeAnswer>,
     ) -> (Option<OptimizeAnswer>, Vec<OptimizeAnswer>) {
@@ -212,6 +217,38 @@ impl SweepPlan {
         });
         let best = answers.first().filter(|a| a.feasible).cloned();
         (best, answers)
+    }
+
+    /// The sweep loop: evaluate every group's batch in canonical order
+    /// through `evaluate` (`Ok(None)` = cancelled, which ends the sweep
+    /// with `Ok(None)`), hand each finished batch to `sink` as `(group,
+    /// its full points, their results)`, fold it into the group's answer,
+    /// and rank. The report's metrics and wall clock cover this run only.
+    pub(crate) fn run(
+        &self,
+        engine: &Engine,
+        mut evaluate: impl FnMut(&[ParamPoint]) -> ProphetResult<Option<BatchResults>>,
+        mut sink: impl FnMut(&ParamPoint, &[ParamPoint], &BatchResults),
+    ) -> ProphetResult<Option<OfflineReport>> {
+        let start = Stopwatch::start();
+        let before = engine.metrics();
+        let mut answers = Vec::with_capacity(self.groups_total);
+        for group in self.groups() {
+            let points = self.group_points(&group);
+            let Some(results) = evaluate(&points)? else {
+                return Ok(None);
+            };
+            sink(&group, &points, &results);
+            answers.push(self.answer_for(&group, &results, engine.output_columns())?);
+        }
+        let (best, answers) = self.rank(answers);
+        Ok(Some(OfflineReport {
+            best,
+            answers,
+            groups_total: self.groups_total,
+            metrics: engine.metrics().since(&before),
+            wall: start.elapsed(),
+        }))
     }
 
     /// Lexicographic objective comparison: earlier objectives dominate.
@@ -256,7 +293,7 @@ impl std::fmt::Debug for OfflineOptimizer {
 impl OfflineOptimizer {
     /// Open an optimizer over an already-built engine; the scenario must
     /// carry an OPTIMIZE directive. Optimizers opened this way run their
-    /// sweeps on the caller's thread (the blocking reference path);
+    /// sweeps on the caller's thread (the inline reference path);
     /// optimizers handed out by [`Prophet::offline`] run them as scheduled
     /// jobs instead.
     ///
@@ -327,37 +364,23 @@ impl OfflineOptimizer {
     /// Run the full sweep on the caller's thread, reporting every point
     /// evaluation to `observer` as `(group point, full point, outcome)` —
     /// the hook the Figure-4 exploration map and the demo's "live-updated
-    /// view" use. This is the blocking *reference* execution of the sweep
-    /// plan (the scheduled job path is differentially tested against it);
-    /// the observer runs inline, in canonical sweep order.
+    /// view" use. This is the sweep loop on the inline runner (the
+    /// scheduled job path is differentially tested against it); the
+    /// observer runs inline, in canonical sweep order.
     pub fn run_with_observer(
         &self,
         mut observer: impl FnMut(&ParamPoint, &ParamPoint, &EvalOutcome),
     ) -> ProphetResult<OfflineReport> {
-        let start = Stopwatch::start();
-        let before = self.engine.metrics();
-        let mut answers = Vec::with_capacity(self.plan.groups_total());
-
-        for group in self.plan.groups() {
-            let full_points = self.plan.group_points(&group);
-            let results = self.engine.evaluate_batch(&full_points)?;
-            for (full, (_, outcome)) in full_points.iter().zip(&results) {
-                observer(&group, full, outcome);
-            }
-            answers.push(
-                self.plan
-                    .answer_for(&group, &results, self.engine.output_columns())?,
-            );
-        }
-
-        let (best, answers) = self.plan.rank(answers);
-        Ok(OfflineReport {
-            best,
-            groups_total: self.plan.groups_total(),
-            answers,
-            metrics: self.engine.metrics().since(&before),
-            wall: start.elapsed(),
-        })
+        let report = self.plan.run(
+            &self.engine,
+            |points| self.engine.evaluate_batch(points).map(Some),
+            |group, points, results| {
+                for (full, (_, outcome)) in points.iter().zip(results) {
+                    observer(group, full, outcome);
+                }
+            },
+        )?;
+        Ok(report.expect("invariant: the inline runner is never cancelled"))
     }
 }
 

@@ -18,11 +18,12 @@
 //!
 //! Each job runs as a *driver* task plus many *chunk* tasks:
 //!
-//! * the **driver** executes the job's sequential skeleton — batch
-//!   planning, store claims, the candidate snapshot, publishing, and final
-//!   ranking — and fans the embarrassingly parallel phases (probe
-//!   evaluation, match-then-remap per probe, miss simulation) out to the
-//!   pool as chunks of at most [`SchedulerConfig::chunk_points`] points;
+//! * the **driver** executes the job's sequential skeleton — for a batch,
+//!   `run_batch` (the Figure-1 pipeline, documented with its phase table
+//!   in [`executor`](crate::executor)) on this module's pooled runner; for
+//!   a sweep, the sweep plan's one loop over such batches — and each
+//!   parallel phase of the pipeline fans out to the pool as chunks of at
+//!   most [`SchedulerConfig::chunk_points`] points;
 //! * while a phase is outstanding the driver *helps*: it executes queued
 //!   chunks (its own or, by priority, anyone else's) instead of sleeping,
 //!   so a pool of `W` workers running `W` concurrent jobs cannot deadlock
@@ -36,47 +37,27 @@
 //! The queue orders chunks by `(priority, job id, chunk sequence)`:
 //! higher-priority jobs first, then older jobs, then earlier chunks.
 //!
-//! # Determinism: why a job's answer is bit-identical to the blocking path
+//! # Determinism
 //!
-//! [`Engine::evaluate_batch`] is the reference semantics. Its batch
-//! pipeline has exactly three parallel phases, and each is *independent
-//! per point*: probe evaluation derives every fingerprint from fixed
-//! canonical seeds, match-then-remap is a pure function of one probe and
-//! the batch's candidate snapshot (a probe's scan consults its own
-//! incumbent only, and remapping is a pure function of the chosen hit),
-//! and miss simulation seeds each world from `(root seed, world, point)`.
-//! The scheduled pipeline (`run_batch`) keeps everything else sequential
-//! on the driver, in the same order as the blocking path:
-//!
-//! * the store snapshot structure is preserved — all of a batch's probes
-//!   match against the store state at batch start, never against siblings
-//!   of the same batch, because the driver takes one candidate snapshot
-//!   after every probe chunk has landed and every scan chunk reads that
-//!   snapshot, not the live store;
-//! * publish order is preserved — the driver completes claims in batch
-//!   order (hits first, then misses), so insertion stamps, and therefore
-//!   future `(error, stamp)` tie-breaks, are identical to the blocking
-//!   path at every chunk size and worker count;
-//! * work accounting is preserved — the same primitives bump the same
-//!   counters, and the match scan's scanned/pruned numbers are a fold of
-//!   per-probe work that no partition of the probes can change.
-//!
-//! Chunking therefore changes *when* independent point computations run,
-//! never *what* they compute or *in which order their results become
-//! visible*. The differential suite in `tests/jobs.rs` enforces this
-//! across every bundled scenario, chunk sizes {1, default, whole-sweep},
-//! 1 vs 8 workers, and concurrent jobs at mixed priorities.
+//! This module is a pool, a queue and a job lifecycle; it evaluates
+//! nothing itself. A job's answer is bit-identical to
+//! [`Engine::evaluate_batch`]'s because both runners execute the same
+//! function, and a runner may only reorder independent items: chunk
+//! results land in index-addressed slots, and everything order-sensitive
+//! (claims, the candidate snapshot, publication) stays on the driver, in
+//! batch order. Chunking therefore changes *when* independent point
+//! computations run, never *what* they compute or *in which order their
+//! results become visible*. The differential suite in `tests/jobs.rs`
+//! enforces this across every bundled scenario, chunk sizes {1, default,
+//! whole-sweep}, 1 vs 8 workers, and concurrent jobs at mixed priorities.
 //!
 //! # Cancellation
 //!
 //! [`JobHandle::cancel`](crate::job::JobHandle::cancel) is chunk-granular:
 //! chunks never observe the flag mid-chunk, so an in-flight chunk always
-//! finishes its points, and the driver publishes every completed result
-//! before stopping — the shared basis store only ever sees complete,
-//! fully-simulated entries, never a torn point. Claims for points whose
-//! chunks were dropped are released (their `InflightGuard`s drop), so
-//! concurrent sessions waiting on them re-claim and recover, exactly as
-//! the store's cancel machinery already guarantees.
+//! finishes its points; a chunk that had not started is skipped and its
+//! slots come back empty, which the pipeline treats as "publish what
+//! landed, release the rest".
 //!
 //! # Concurrency conformance
 //!
@@ -93,8 +74,9 @@
 //!
 //! The pool carries a [`Tracer`] (flight recorder + latency histograms,
 //! configured through [`SchedulerConfig::trace`]): job lifecycle and
-//! chunk queue events, driver phase spans, and queue-wait/service-time
-//! histograms all flow through it, and [`JobHandle::trace`] /
+//! chunk queue events and queue-wait/service-time histograms are recorded
+//! here, the pipeline records its phase spans into the same tracer
+//! through the runner, and [`JobHandle::trace`] /
 //! [`Prophet::telemetry`](crate::service::Prophet::telemetry) read them
 //! back. Tracing *observes* scheduling — no control path reads the
 //! recorder — so the determinism argument above is untouched by it; the
@@ -106,22 +88,19 @@
 
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::BinaryHeap;
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 
-use prophet_fingerprint::Fingerprint;
 use prophet_mc::trace::{self, TraceConfig, TraceEventKind, Tracer, NO_CHUNK};
-use prophet_mc::{InflightGuard, ParamPoint, SampleSet, TryClaim, WaitHandle};
+use prophet_mc::ParamPoint;
 
-use crate::engine::{Engine, EvalOutcome};
-use crate::error::{ProphetError, ProphetResult};
-use crate::executor::dedupe_points;
+use crate::engine::Engine;
+use crate::error::ProphetError;
+use crate::executor::{run_batch, BatchResults, Runner};
 use crate::job::{ChunkUpdate, JobCore, JobEvent, JobHandle, JobOutput, Priority};
-use crate::metrics::Stopwatch;
-use crate::offline::{OfflineReport, SweepPlan};
+use crate::offline::SweepPlan;
 use crate::sync::{
     OrderedCondvar, OrderedMutex, CHUNK_RESULTS, JOB_EVENTS, SCHEDULER_HANDLES, SCHEDULER_STATE,
 };
@@ -676,7 +655,7 @@ fn emit_chunks(
     core: &JobCore,
     event_chunk: &mut u64,
     points: &[ParamPoint],
-    results: &[(SampleSet, EvalOutcome)],
+    results: &BatchResults,
 ) {
     for (points, results) in points
         .chunks(inner.chunk_points)
@@ -695,72 +674,76 @@ fn emit_chunks(
 }
 
 fn drive_sweep(inner: &Arc<Inner>, core: &Arc<JobCore>, plan: &SweepPlan) {
-    let engine = &core.engine;
-    let before = engine.metrics();
-    let start = Stopwatch::start();
+    let runner = Pooled { inner, core };
     let mut event_chunk = 0u64;
-    let mut answers = Vec::with_capacity(plan.groups_total());
-    for group in plan.groups() {
-        if core.is_cancelled() {
-            core.emit(JobEvent::Cancelled);
-            finish_job(inner, core);
-            return;
-        }
-        let points = plan.group_points(&group);
-        let answer = run_batch(inner, core, &points).and_then(|out| match out {
-            BatchOut::Cancelled => Ok(None),
-            BatchOut::Done(results) => {
-                emit_chunks(inner, core, &mut event_chunk, &points, &results);
-                plan.answer_for(&group, &results, engine.output_columns())
-                    .map(Some)
-            }
-        });
-        match answer {
-            Ok(Some(answer)) => answers.push(answer),
-            Ok(None) => {
-                core.emit(JobEvent::Cancelled);
-                finish_job(inner, core);
-                return;
-            }
-            Err(err) => {
-                core.emit(JobEvent::Failed(err));
-                finish_job(inner, core);
-                return;
-            }
-        }
-    }
-    let (best, answers) = plan.rank(answers);
-    core.emit(JobEvent::Final(JobOutput::Sweep(Box::new(OfflineReport {
-        best,
-        answers,
-        groups_total: plan.groups_total(),
-        metrics: engine.metrics().since(&before),
-        wall: start.elapsed(),
-    }))));
+    let report = plan.run(
+        &core.engine,
+        |points| run_batch(&runner, points),
+        |_, points, results| emit_chunks(inner, core, &mut event_chunk, points, results),
+    );
+    core.emit(match report {
+        Ok(Some(report)) => JobEvent::Final(JobOutput::Sweep(Box::new(report))),
+        Ok(None) => JobEvent::Cancelled,
+        Err(err) => JobEvent::Failed(err),
+    });
     finish_job(inner, core);
 }
 
 fn drive_batch(inner: &Arc<Inner>, core: &Arc<JobCore>, points: Vec<ParamPoint>) {
-    let mut event_chunk = 0u64;
-    match run_batch(inner, core, &points) {
-        Ok(BatchOut::Done(results)) => {
-            emit_chunks(inner, core, &mut event_chunk, &points, &results);
+    match run_batch(&Pooled { inner, core }, &points) {
+        Ok(Some(results)) => {
+            emit_chunks(inner, core, &mut 0, &points, &results);
             core.emit(JobEvent::Final(JobOutput::Points(results)));
         }
-        Ok(BatchOut::Cancelled) => core.emit(JobEvent::Cancelled),
+        Ok(None) => core.emit(JobEvent::Cancelled),
         Err(err) => core.emit(JobEvent::Failed(err)),
     }
     finish_job(inner, core);
 }
 
-// --------------------------------------------------- chunked batch pipeline
+// ------------------------------------------------------- the pooled runner
 
-/// Outcome of one scheduled batch.
-enum BatchOut {
-    Done(Vec<(SampleSet, EvalOutcome)>),
-    /// A cancel was observed: completed chunk results were published,
-    /// remaining claims released, no results returned.
-    Cancelled,
+/// The pipeline's view of one job on this pool: phases fan out as
+/// priority-ordered chunks, the job's cancel flag stops the batch, its
+/// progress counter ticks, and phase spans go to the pool's tracer.
+struct Pooled<'a> {
+    inner: &'a Arc<Inner>,
+    core: &'a Arc<JobCore>,
+}
+
+impl Runner for Pooled<'_> {
+    fn engine(&self) -> &Engine {
+        &self.core.engine
+    }
+
+    fn fan_out<I, T, F>(&self, items: Vec<I>, as_one_unit: bool, f: F) -> Vec<Option<T>>
+    where
+        I: Send + 'static,
+        T: Send + 'static,
+        F: Fn(&Engine, I) -> T + Send + Sync + 'static,
+    {
+        let chunk = if as_one_unit {
+            items.len()
+        } else {
+            self.inner.phase_chunk(items.len())
+        };
+        let engine = Arc::clone(&self.core.engine);
+        run_chunked(self.inner, self.core, items, chunk, move |item| {
+            f(&engine, item)
+        })
+    }
+
+    fn is_cancelled(&self) -> bool {
+        self.core.is_cancelled()
+    }
+
+    fn points_done(&self, n: u64) {
+        self.core.points_done.fetch_add(n, Ordering::AcqRel);
+    }
+
+    fn trace(&self) -> (Tracer, u64) {
+        (self.inner.tracer.clone(), self.core.id)
+    }
 }
 
 /// Decrements the phase's outstanding-chunk count and wakes the driver on
@@ -882,283 +865,4 @@ where
     inner.help_until(|| remaining.load(Ordering::Acquire) == 0);
     let mut slots = results.lock();
     std::mem::take(&mut *slots)
-}
-
-/// Collect a phase's chunk results, mapping lost slots to either "the job
-/// was cancelled" (`None`) or an internal error (a chunk panicked).
-fn collect_phase<T>(
-    core: &JobCore,
-    outputs: Vec<Option<ProphetResult<T>>>,
-) -> ProphetResult<Option<Vec<T>>> {
-    let mut collected = Vec::with_capacity(outputs.len());
-    for slot in outputs {
-        match slot {
-            Some(result) => collected.push(result?),
-            None if core.is_cancelled() => return Ok(None),
-            None => {
-                return Err(ProphetError::Internal(
-                    "a scheduled chunk was lost (worker panic)".into(),
-                ))
-            }
-        }
-    }
-    Ok(Some(collected))
-}
-
-/// The scheduled mirror of [`Engine::evaluate_batch`]: same phases, same
-/// sequential skeleton, same publish order — the parallel phases (two on
-/// the fingerprint path: probe, then match-and-remap; plus simulate) fan
-/// out as pool chunks instead of per-call scoped threads. See the [module
-/// docs](self) for the bit-identity argument.
-fn run_batch(
-    inner: &Arc<Inner>,
-    core: &Arc<JobCore>,
-    points: &[ParamPoint],
-) -> ProphetResult<BatchOut> {
-    let engine = &core.engine;
-    if points.is_empty() {
-        return Ok(BatchOut::Done(Vec::new()));
-    }
-    if core.is_cancelled() {
-        return Ok(BatchOut::Cancelled);
-    }
-
-    let (unique, slot_of) = dedupe_points(points);
-    let worlds_per_point = engine.config().worlds_per_point;
-    let threads = engine.config().threads.max(1);
-    let use_fingerprints =
-        engine.config().fingerprints_enabled && !engine.stochastic_columns().is_empty();
-    let store = engine.basis_store();
-
-    // ---- plan: exact-cache check + in-flight claim per unique point.
-    let mut results: Vec<Option<(SampleSet, EvalOutcome)>> =
-        (0..unique.len()).map(|_| None).collect();
-    let mut guards: Vec<Option<InflightGuard>> = (0..unique.len()).map(|_| None).collect();
-    let mut waits: Vec<Option<WaitHandle>> = (0..unique.len()).map(|_| None).collect();
-    let mut owned: Vec<usize> = Vec::new();
-    for (i, point) in unique.iter().enumerate() {
-        match store.try_claim(point, worlds_per_point) {
-            TryClaim::Ready { samples, .. } => {
-                engine.bump(|m| m.points_cached += 1);
-                core.points_done.fetch_add(1, Ordering::AcqRel);
-                results[i] = Some((engine.to_sample_set(point, samples), EvalOutcome::Cached));
-            }
-            TryClaim::Owner(guard) => {
-                guards[i] = Some(guard);
-                owned.push(i);
-            }
-            TryClaim::Pending(handle) => waits[i] = Some(handle),
-        }
-    }
-
-    // ---- probe + match + remap (the fingerprint phase).
-    let mut probes: Vec<Option<HashMap<String, Fingerprint>>> =
-        (0..unique.len()).map(|_| None).collect();
-    let mut to_simulate: Vec<usize> = Vec::new();
-    if use_fingerprints && !owned.is_empty() {
-        let phase = Stopwatch::start();
-        let t_probe = inner.tracer.now();
-        let probe_engine = Arc::clone(engine);
-        let owned_points: Vec<ParamPoint> = owned.iter().map(|&i| unique[i].clone()).collect();
-        let probe_chunk = inner.phase_chunk(owned_points.len());
-        let probe_outputs = run_chunked(inner, core, owned_points, probe_chunk, move |p| {
-            probe_engine.probe_fingerprints(&p)
-        });
-        inner
-            .tracer
-            .span(TraceEventKind::PhaseProbe, core.id, NO_CHUNK, t_probe);
-        // A cancel during probing published nothing: every claim is simply
-        // released (guards drop on return) and waiters recover.
-        let Some(owned_probes) = collect_phase(core, probe_outputs)? else {
-            return Ok(BatchOut::Cancelled);
-        };
-        engine.bump(|m| m.batch_probes += owned.len() as u64);
-
-        // The driver snapshots the store's candidates here — after every
-        // probe chunk has landed, so the batch sees the publishers the
-        // blocking path would, and never a sibling of its own — and
-        // releases the store's locks before any comparison runs.
-        let t_match = inner.tracer.now();
-        let snapshot = Arc::new(engine.scan_snapshot());
-        inner
-            .tracer
-            .span(TraceEventKind::PhaseMatch, core.id, NO_CHUNK, t_match);
-
-        // Match-then-remap, one pool item per probe: each scans the
-        // snapshot against its own incumbent and re-maps its hit on the
-        // worker that found it. Hits then publish in batch order.
-        let fused_items: Vec<(ParamPoint, HashMap<String, Fingerprint>)> = owned
-            .iter()
-            .zip(owned_probes)
-            .map(|(&i, probe)| (unique[i].clone(), probe))
-            .collect();
-        let fused_engine = Arc::clone(engine);
-        let fused_snapshot = Arc::clone(&snapshot);
-        let fused_tracer = inner.tracer.clone();
-        let fused_chunk = inner.phase_chunk(fused_items.len());
-        let t_remap = inner.tracer.now();
-        let fused = run_chunked(
-            inner,
-            core,
-            fused_items,
-            fused_chunk,
-            move |(point, probe): (ParamPoint, HashMap<String, Fingerprint>)| {
-                let matched = fused_engine.match_and_remap(&fused_snapshot, &point, &probe);
-                fused_tracer.record_match_scan(matched.scan_nanos);
-                (probe, matched)
-            },
-        );
-        inner
-            .tracer
-            .span(TraceEventKind::PhaseRemap, core.id, NO_CHUNK, t_remap);
-        engine.record_scans(&snapshot, fused.iter().flatten().map(|(_, m)| m.work));
-
-        let t_publish = inner.tracer.now();
-        let publish = Stopwatch::start();
-        let mut cancelled_mid_remap = false;
-        for (&i, slot) in owned.iter().zip(fused) {
-            match slot {
-                Some((probe, matched)) => match matched.outcome? {
-                    Some(hit) => {
-                        let guard = guards[i]
-                            .take()
-                            .expect("invariant: every hit point holds its claim guard");
-                        guard.complete(probe, Arc::clone(&hit.samples), hit.worlds, false);
-                        engine.bump(|m| m.points_mapped += 1);
-                        core.points_done.fetch_add(1, Ordering::AcqRel);
-                        results[i] = Some((
-                            engine.to_sample_set(&unique[i], hit.samples),
-                            EvalOutcome::Mapped {
-                                from: hit.source,
-                                exact: hit.exact,
-                            },
-                        ));
-                    }
-                    None => {
-                        probes[i] = Some(probe);
-                        to_simulate.push(i);
-                    }
-                },
-                None if core.is_cancelled() => cancelled_mid_remap = true,
-                None => {
-                    return Err(ProphetError::Internal(
-                        "a scheduled chunk was lost (worker panic)".into(),
-                    ))
-                }
-            }
-        }
-        inner
-            .tracer
-            .span(TraceEventKind::PhasePublish, core.id, NO_CHUNK, t_publish);
-        engine.bump(|m| {
-            m.publish_nanos += publish.elapsed_nanos();
-            m.probe_nanos += phase.elapsed_nanos();
-        });
-        if cancelled_mid_remap || core.is_cancelled() {
-            return Ok(BatchOut::Cancelled);
-        }
-    } else {
-        to_simulate = owned;
-    }
-
-    // ---- simulate misses as pool chunks, publish in batch order. With
-    // at least `threads` misses, each chunk simulates single-threaded
-    // (`world_parallel: false`) and parallelism lives at the chunk level;
-    // with fewer misses than threads — the interactive small-refresh case
-    // — the misses run as one chunk of world-parallel simulations,
-    // exactly the blocking executor's schedule, so a lone cold point
-    // still fans its worlds across the machine. The world→sample
-    // assignment is seed-based, so samples and counters are identical
-    // under every schedule.
-    if !to_simulate.is_empty() {
-        if core.is_cancelled() {
-            return Ok(BatchOut::Cancelled);
-        }
-        let phase = Stopwatch::start();
-        let sim_engine = Arc::clone(engine);
-        let miss_items: Vec<(usize, ParamPoint)> = to_simulate
-            .iter()
-            .map(|&i| (i, unique[i].clone()))
-            .collect();
-        let world_parallel = miss_items.len() < threads;
-        let sim_chunk = if world_parallel {
-            miss_items.len()
-        } else {
-            inner.phase_chunk(miss_items.len())
-        };
-        let t_sim = inner.tracer.now();
-        let simulated = run_chunked(
-            inner,
-            core,
-            miss_items,
-            sim_chunk,
-            move |(_, p): (usize, ParamPoint)| sim_engine.simulate_full(&p, world_parallel),
-        );
-        inner
-            .tracer
-            .span(TraceEventKind::PhaseSimulate, core.id, NO_CHUNK, t_sim);
-        let t_publish = inner.tracer.now();
-        let publish = Stopwatch::start();
-        let mut cancelled_mid_sim = false;
-        for (&i, slot) in to_simulate.iter().zip(simulated) {
-            match slot {
-                Some(sim) => {
-                    let samples = sim?;
-                    let guard = guards[i]
-                        .take()
-                        .expect("invariant: every missed point holds its claim guard");
-                    guard.complete(
-                        probes[i].take().unwrap_or_default(),
-                        Arc::clone(&samples),
-                        worlds_per_point,
-                        true,
-                    );
-                    engine.bump(|m| m.points_simulated += 1);
-                    core.points_done.fetch_add(1, Ordering::AcqRel);
-                    results[i] = Some((
-                        engine.to_sample_set(&unique[i], samples),
-                        EvalOutcome::Simulated,
-                    ));
-                }
-                None if core.is_cancelled() => cancelled_mid_sim = true,
-                None => {
-                    return Err(ProphetError::Internal(
-                        "a scheduled chunk was lost (worker panic)".into(),
-                    ))
-                }
-            }
-        }
-        inner
-            .tracer
-            .span(TraceEventKind::PhasePublish, core.id, NO_CHUNK, t_publish);
-        engine.bump(|m| {
-            m.publish_nanos += publish.elapsed_nanos();
-            m.sim_nanos += phase.elapsed_nanos();
-        });
-        if cancelled_mid_sim {
-            return Ok(BatchOut::Cancelled);
-        }
-    }
-
-    // ---- resolve cross-session waits last, mirroring the blocking path.
-    for i in 0..unique.len() {
-        if let Some(handle) = waits[i].take() {
-            results[i] = Some(engine.resolve_wait(&unique[i], handle)?);
-            core.points_done.fetch_add(1, Ordering::AcqRel);
-        }
-    }
-
-    // Duplicates resolve to their unique point's result.
-    core.points_done
-        .fetch_add((points.len() - unique.len()) as u64, Ordering::AcqRel);
-    Ok(BatchOut::Done(
-        slot_of
-            .into_iter()
-            .map(|i| {
-                results[i]
-                    .clone()
-                    .expect("invariant: every unique point resolves to a result")
-            })
-            .collect(),
-    ))
 }

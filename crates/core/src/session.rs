@@ -172,9 +172,9 @@ impl OnlineSession {
 
     /// Evaluate a batch of points: as a submitted job on the service
     /// scheduler when this session is service-backed (so other sessions'
-    /// higher-priority chunks can interleave), directly on the engine's
-    /// blocking executor otherwise. Results are bit-identical either way
-    /// (the `tests/jobs.rs` differential suite enforces it).
+    /// higher-priority chunks can interleave), inline on the caller
+    /// otherwise. Same pipeline, two runners: results are bit-identical
+    /// either way (the `tests/jobs.rs` differential suite enforces it).
     fn evaluate_points(
         &self,
         points: Vec<ParamPoint>,
@@ -423,24 +423,13 @@ impl OnlineSession {
         };
 
         // We own the point. A correlated hit still answers instantly…
-        let use_fingerprints =
-            engine.config().fingerprints_enabled && !engine.stochastic_columns().is_empty();
-        let mut probes = HashMap::new();
-        if use_fingerprints {
-            let phase = Stopwatch::start();
-            let (point_probes, hit) = engine.probe_and_map_one(&point)?;
-            probes = point_probes;
-            if let Some(hit) = hit {
-                guard.complete(probes, Arc::clone(&hit.samples), hit.worlds, false);
-                engine.bump(|m| {
-                    m.points_mapped += 1;
-                    m.probe_nanos += phase.elapsed_nanos();
-                });
-                let xs = column_samples(&hit.samples)?;
+        let (guard, probes) = match engine.map_owned(&point, guard)? {
+            Ok((mapped, _)) => {
+                let xs = column_samples(mapped.shared_samples())?;
                 return Ok(feed_progressive(&mut acc, &xs, batch, epsilon, Z95));
             }
-            engine.bump(|m| m.probe_nanos += phase.elapsed_nanos());
-        }
+            Err(miss) => miss,
+        };
 
         // …a miss simulates chunk by chunk, stopping at convergence.
         // When deepening a shallow entry, resume from its stored samples:
@@ -479,15 +468,10 @@ impl OnlineSession {
                 break;
             }
         }
-        // Publish what was simulated: a full-depth entry becomes a regular
-        // matchable basis source; a partial one is exact-key-reusable (the
-        // store's min-worlds filters protect full-depth consumers).
+        // Publish what was simulated, at whatever depth it reached.
         let samples = all.map_or_else(Default::default, |set| Arc::clone(set.shared_samples()));
-        guard.complete(probes, samples, done, done == worlds_full);
-        engine.bump(|m| {
-            m.points_simulated += 1;
-            m.sim_nanos += phase.elapsed_nanos();
-        });
+        engine.publish_simulated(&point, guard, probes, samples, done);
+        engine.bump(|m| m.sim_nanos += phase.elapsed_nanos());
         if done < worlds_full {
             // The point stopped below full depth: queue the remainder with
             // the guide so idle time can finish it.

@@ -25,22 +25,18 @@
 //!   (time-shift) detection,
 //! * [`mapping`] — the re-mapping transforms and their application to
 //!   sample sets and week-series,
-//! * [`basis`] — the Storage Manager's basis-distribution store: previously
-//!   computed outputs indexed by fingerprint for reuse,
 //! * [`index`] — fingerprint summary statistics and the sound match-error
 //!   lower bounds a branch-and-bound candidate scan prunes with,
 //! * [`markov`] — detection of strongly-correlated successive steps in
 //!   Markovian simulations and the region estimators that let the engine
 //!   skip chain segments.
 
-pub mod basis;
 pub mod correlate;
 pub mod fingerprint;
 pub mod index;
 pub mod mapping;
 pub mod markov;
 
-pub use basis::{BasisMatch, BasisStore};
 pub use correlate::{fit_affine, pearson, AffineFit, CorrelationDetector};
 pub use fingerprint::{Fingerprint, FingerprintConfig};
 pub use index::{FingerprintSummary, MatchBound};

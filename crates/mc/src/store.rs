@@ -73,11 +73,9 @@
 //! checksummed and versioned; corrupt input is rejected with a typed
 //! [`SnapshotError`] before any store state is touched.
 //!
-//! This is the engine-level sibling of
-//! [`prophet_fingerprint::BasisStore`]: that store is generic and keyed by
-//! fingerprint alone; this one is keyed by [`ParamPoint`] and stores the
-//! per-column fingerprints plus full sample sets the Figure-1 evaluation
-//! cycle needs.
+//! The store is the paper's Storage Manager: keyed by [`ParamPoint`], it
+//! holds the per-column fingerprints plus full sample sets the Figure-1
+//! evaluation cycle needs.
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};

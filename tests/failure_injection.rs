@@ -2,6 +2,7 @@
 //! degenerate configurations must produce errors or explicit NaNs — never
 //! panics, hangs, or silently wrong numbers.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use fuzzy_prophet::prelude::*;
@@ -268,4 +269,212 @@ fn nan_fingerprints_disable_mapping_but_not_answers() {
         EvalOutcome::Simulated,
         "NaN fingerprints must not match each other"
     );
+}
+
+// -------------------------------------------------------------- runner seam
+
+/// A model with three hit points (`p` in 1..=3 draw exactly what `p = 0`
+/// draws, so they identity-map from it), mutually uncorrelated miss points
+/// (`p >= 5`), and one point that starts returning `Err` after a set
+/// number of invocations: 0 fails its fingerprint probe, the fingerprint
+/// length lets the probe through and fails its first simulated world.
+#[derive(Debug)]
+struct Flaky {
+    bad: i64,
+    healthy_calls: u64,
+    calls_at_bad: AtomicU64,
+}
+
+impl VgFunction for Flaky {
+    fn name(&self) -> &str {
+        "Flaky"
+    }
+    fn arity(&self) -> usize {
+        1
+    }
+    fn output_schema(&self) -> Schema {
+        Schema::of(&[("v", DataType::Float)])
+    }
+    fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<Table> {
+        let p = params[0].as_i64()?;
+        if p == self.bad && self.calls_at_bad.fetch_add(1, Ordering::SeqCst) >= self.healthy_calls {
+            return Err(prophet_data::DataError::InvalidOperation(format!(
+                "Flaky({p}) gave out"
+            )));
+        }
+        let u = rng.next_f64();
+        let v = if p < 5 {
+            u
+        } else {
+            ((p + 1) as f64 * 9.7 * u).sin()
+        };
+        let mut b = TableBuilder::with_capacity(self.output_schema(), 1);
+        b.push_row(vec![Value::Float(v)])?;
+        Ok(b.finish())
+    }
+}
+
+fn flaky_registry(bad: i64, healthy_calls: u64) -> VgRegistry {
+    let mut r = VgRegistry::new();
+    r.register(Arc::new(Flaky {
+        bad,
+        healthy_calls,
+        calls_at_bad: AtomicU64::new(0),
+    }));
+    r
+}
+
+/// What a failed batch left behind, as either runner reports it.
+#[derive(Debug, PartialEq)]
+struct Aftermath {
+    error: ProphetError,
+    /// Per batch point: is its entry in the store?
+    published: Vec<bool>,
+    /// The failed batch's work counters.
+    work: [u64; 11],
+}
+
+fn work_counters(m: &EngineMetrics) -> [u64; 11] {
+    [
+        m.points_cached,
+        m.points_mapped,
+        m.points_simulated,
+        m.worlds_simulated,
+        m.probe_evaluations,
+        m.vector_walks,
+        m.probe_call_sites,
+        m.batch_probes,
+        m.candidates_scanned,
+        m.candidates_pruned,
+        m.inflight_waits,
+    ]
+}
+
+/// One VG error inside a mixed hit/miss batch, driven through both
+/// runners of the batch pipeline: the inline one (`Engine::evaluate_batch`)
+/// and the pooled one (`Prophet::submit`). They must fail the same way —
+/// same typed error, same points published before it, same work done —
+/// and leave no claim behind: a healthy engine on the same store then
+/// evaluates every point of the batch without ever waiting.
+#[test]
+fn a_vg_error_mid_batch_leaves_both_runners_in_the_same_state() {
+    const SRC: &str =
+        "DECLARE PARAMETER @p AS RANGE 0 TO 9 STEP BY 1;\nSELECT Flaky(@p) AS v INTO r;";
+    const BAD: i64 = 7;
+    let point = |p: i64| ParamPoint::from_pairs([("p", p)]);
+    // Batch order: hit, miss, hit, the failing miss, miss, hit.
+    let batch: Vec<ParamPoint> = [1, 5, 2, BAD, 6, 3].map(point).to_vec();
+    let probe_len = EngineConfig::default().fingerprint.length as u64;
+
+    // (label, engine threads, healthy invocations at BAD, published after).
+    let table = [
+        // 3 misses on 2 threads simulate point-parallel; publishing stops
+        // at BAD, so the later miss (6) is simulated but never published.
+        (
+            "simulate, point-parallel",
+            2,
+            probe_len,
+            [true, true, true, false, false, true],
+        ),
+        // 3 misses on 4 threads run as one world-parallel unit.
+        (
+            "simulate, world-parallel",
+            4,
+            probe_len,
+            [true, true, true, false, false, true],
+        ),
+        // A failed probe ends the batch before anything is matched.
+        ("probe", 2, 0, [false; 6]),
+    ];
+    for (label, threads, healthy_calls, expect_published) in table {
+        let cfg = EngineConfig {
+            worlds_per_point: 16,
+            threads,
+            ..EngineConfig::default()
+        };
+        let scenario = Scenario::parse(SRC).unwrap();
+        let aftermath = |store: &SharedBasisStore, error, metrics: &EngineMetrics| {
+            assert_eq!(
+                store.inflight_len(),
+                0,
+                "{label}: a claim outlived the batch"
+            );
+            Aftermath {
+                error,
+                published: batch
+                    .iter()
+                    .map(|p| store.get_exact(p, cfg.worlds_per_point).is_some())
+                    .collect(),
+                work: work_counters(metrics),
+            }
+        };
+
+        // Inline runner: a bare engine, warmed with the hits' source.
+        let engine = Engine::new(&scenario, flaky_registry(BAD, healthy_calls), cfg).unwrap();
+        engine.evaluate(&point(0)).unwrap();
+        let before = engine.metrics();
+        let error = engine.evaluate_batch(&batch).unwrap_err();
+        let inline_store = engine.basis_store().clone();
+        let inline = aftermath(&inline_store, error, &engine.metrics().since(&before));
+
+        // Pooled runner: the same two batches as jobs, one-point chunks.
+        let prophet = Prophet::builder()
+            .scenario_sql("flaky", SRC)
+            .unwrap()
+            .registry(flaky_registry(BAD, healthy_calls))
+            .config(cfg)
+            .scheduler(SchedulerConfig {
+                workers: 2,
+                chunk_points: 1,
+                ..SchedulerConfig::default()
+            })
+            .build()
+            .unwrap();
+        let warm = JobSpec::points("flaky", vec![point(0)]);
+        prophet.submit(warm).unwrap().wait().unwrap();
+        let handle = prophet
+            .submit(JobSpec::points("flaky", batch.clone()))
+            .unwrap();
+        let mut error = None;
+        for event in handle.events() {
+            match event {
+                JobEvent::Failed(err) => error = Some(err),
+                other => panic!("{label}: expected the job to fail, got {other:?}"),
+            }
+        }
+        prophet.scheduler().wait_idle();
+        let pooled_store = prophet.engine("flaky").unwrap().basis_store().clone();
+        let pooled = aftermath(
+            &pooled_store,
+            error.expect("a failed job ends with its error"),
+            &handle.progress().metrics,
+        );
+
+        assert_eq!(inline, pooled, "{label}: the runners disagree");
+        assert!(
+            matches!(inline.error, ProphetError::Sql(_) | ProphetError::Data(_)),
+            "{label}: {:?}",
+            inline.error
+        );
+        assert!(inline.error.to_string().contains("gave out"), "{label}");
+        assert_eq!(inline.published, expect_published, "{label}");
+
+        // Every unpublished claim was released: a healthy engine on the
+        // same store serves the published points from it and evaluates
+        // the rest itself, never parking on a claim nobody will complete.
+        for store in [inline_store, pooled_store] {
+            let healthy = Engine::with_basis_store(
+                &scenario,
+                Arc::new(flaky_registry(BAD, u64::MAX)),
+                cfg,
+                store,
+            )
+            .unwrap();
+            let results = healthy.evaluate_batch(&batch).unwrap();
+            for ((_, outcome), &was_published) in results.iter().zip(&expect_published) {
+                assert_eq!(*outcome == EvalOutcome::Cached, was_published, "{label}");
+            }
+            assert_eq!(healthy.metrics().inflight_waits, 0, "{label}");
+        }
+    }
 }
