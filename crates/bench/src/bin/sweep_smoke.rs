@@ -8,47 +8,51 @@
 //! cargo run --release -p prophet-bench --bin sweep_smoke -- --trace-out trace.json  # chrome://tracing
 //! ```
 //!
-//! The JSON reports sweep throughput (points/sec) and the executor's
-//! probe-vs-simulation wall-clock split (`probe_nanos` / `sim_nanos`) for
-//! the **boxed vector, match-indexed** configuration at the top level,
-//! plus three comparison sweeps of the same workload: the **typed
-//! columnar** tier (`columnar.*` fields — the columnar-vs-boxed probe
-//! timing split, with `columnar_kernels` / `column_fallbacks` recording
-//! how much of the walk stayed on typed kernels; the bundled workloads
-//! must report zero fallbacks), one with the fingerprint summary index
-//! disabled (`unindexed.*` fields — the indexed-vs-exhaustive match scan
-//! split, with `candidates_scanned` / `candidates_pruned` /
-//! `match_scan_nanos` recording the prune rate; the top level also carries
-//! `remap_nanos` / `publish_nanos`, the rest of the probe phase's split)
-//! and one through the
-//! **scalar** execution tier (`scalar.*` fields — the scalar-vs-vector
-//! probe timing split). A fifth, `concurrent{…}`, section runs the same
-//! sweep twice as concurrent Low/High-priority jobs on one shared
-//! scheduler pool (two scenario slots, two stores) and records the
-//! combined throughput plus each job's wall clock — the interleaving cost
-//! of the asynchronous job API — and the `scaling` ratio of that combined
-//! throughput over the blocking tier's, which this binary asserts is at
-//! least 1.0 (the sharded store's contention headroom). A sixth,
-//! `cold_start{…}`, section warms a service, persists its basis with
-//! `save_basis`, and times the same sweep on a fresh service restored
-//! via `load_basis` — `points_simulated` must be zero, so the row is the
-//! pure serve-from-snapshot trajectory. The concurrent run keeps its flight
-//! recorder armed: a `telemetry{…}` section reports its chunk-service
-//! and per-priority queue-wait percentiles, the queue-depth watermark
-//! (`docs/OBSERVABILITY.md`), and a `store{…}` block with the coherent
-//! hit/miss/eviction/entry counters summed over both slots' sharded
-//! stores, and `--trace-out PATH`
-//! additionally dumps that run's event ring as a `chrome://tracing` /
-//! Perfetto-loadable JSON file. The single-job sweeps run on the
-//! blocking tier (no tracer), so their recorded throughput is untouched
-//! by tracing. Every sweep configuration is run three
-//! times and the median run (by wall clock) is reported, so single-shot
-//! scheduler noise does not land in the recorded trajectory. All sweeps
-//! must agree on the sweep answer, which this binary asserts (and CI
-//! therefore asserts per push). `worlds_per_walk` is the observed walk
-//! amortization: logical probe evaluations per block walk (the
-//! fingerprint length when a block tier is on — the scalar tier walks
-//! once *per seed* instead).
+//! The top level of the JSON is the **default `EngineConfig`** (typed
+//! columnar tier, match index on) on a blocking sweep: throughput
+//! (points/sec), the pinned work counters, the executor's
+//! probe-vs-simulation wall-clock split (`probe_nanos` / `sim_nanos`), the
+//! rest of the probe phase's split (`probe_eval_nanos` /
+//! `match_scan_nanos` / `remap_nanos` / `publish_nanos`), the match
+//! index's `candidates_scanned` / `candidates_pruned` / `prune_rate`, and
+//! `columnar_kernels` / `column_fallbacks` — how much of the walk stayed
+//! on typed kernels (the bundled workloads must report zero fallbacks).
+//! `worlds_per_walk` is the observed walk amortization: logical probe
+//! evaluations per block walk, i.e. the fingerprint length (the scalar
+//! tier walks once *per seed* instead).
+//!
+//! Two comparison sweeps of the same workload each flip one knob of that
+//! configuration: `unindexed{…}` turns the fingerprint summary index off
+//! (the exhaustive reference scan — its `candidates_scanned` and
+//! `match_scan_nanos` against the top level's are the index's row), and
+//! `scalar{…}` runs the scalar reference tier (its `probe_eval_nanos`
+//! against the top level's is the columnar tier's row). Every sweep
+//! configuration runs three times, repeats interleaved across
+//! configurations, and the median run (by wall clock) is reported, so
+//! single-shot scheduler noise does not land in the recorded trajectory.
+//! All sweeps must agree on the sweep answer, which this binary asserts
+//! (and CI therefore asserts per push).
+//!
+//! `concurrent{…}` runs the same sweep twice as concurrent Low/High-priority
+//! jobs on one shared scheduler pool (two scenario slots, two stores), also
+//! on the default configuration, and records the combined throughput plus
+//! each job's wall clock — the interleaving cost of the asynchronous job
+//! API. `scaling` is that combined throughput over the top-level blocking
+//! sweep's — like for like, the same tier on both sides — and this binary
+//! asserts it is at least 1.0 (the sharded store's contention headroom).
+//! The run keeps its flight recorder armed: `telemetry{…}` reports its
+//! chunk-service and per-priority queue-wait percentiles, the queue-depth
+//! watermark (`docs/OBSERVABILITY.md`), and a `store{…}` block with the
+//! coherent hit/miss/eviction/entry counters summed over both slots'
+//! sharded stores; `--trace-out PATH` additionally dumps that run's event
+//! ring as a `chrome://tracing` / Perfetto-loadable JSON file. The
+//! single-job sweeps run blocking (`OfflineOptimizer::run`, no tracer), so
+//! their recorded throughput is untouched by tracing.
+//!
+//! `cold_start{…}` warms a service, persists its basis with `save_basis`,
+//! and times the same sweep on a fresh service restored via `load_basis` —
+//! `points_simulated` must be zero, so the row is the pure
+//! serve-from-snapshot trajectory.
 
 use std::time::Instant;
 
@@ -93,7 +97,7 @@ fn run_sweep_once(worlds: usize, threads: usize, tier: ExecTier, match_index: bo
 
 /// Run every sweep configuration [`REPEATS`] times — repeats *interleaved*
 /// across configurations (config₀, config₁, …, config₀, config₁, …) so a
-/// slow host phase lands on all tiers alike instead of skewing whichever
+/// slow host phase lands on all of them alike instead of skewing whichever
 /// configuration happened to run during it — and return each
 /// configuration's median run by wall clock. The work counters are
 /// deterministic across repeats (asserted via the sweep answer below);
@@ -329,25 +333,24 @@ fn main() {
         }
     }
 
+    // The default configuration, then one knob flipped at a time.
+    let default_tier = ExecTier::default();
     let mut sweeps = run_sweeps(
         worlds,
         threads,
         &[
-            (ExecTier::Boxed, true),
-            (ExecTier::Columnar, true),
-            (ExecTier::Boxed, false),
+            (default_tier, true),
+            (default_tier, false),
             (ExecTier::Scalar, true),
         ],
     );
-    let scalar = sweeps.pop().expect("four sweep configurations");
-    let unindexed = sweeps.pop().expect("four sweep configurations");
-    let columnar = sweeps.pop().expect("four sweep configurations");
-    let vector = sweeps.pop().expect("four sweep configurations");
+    let scalar = sweeps.pop().expect("three sweep configurations");
+    let unindexed = sweeps.pop().expect("three sweep configurations");
+    let default = sweeps.pop().expect("three sweep configurations");
     let concurrent = run_concurrent(worlds, threads);
     let cold = run_cold_start(worlds, threads);
 
-    let m = &vector.metrics;
-    let c = &columnar.metrics;
+    let m = &default.metrics;
     let u = &unindexed.metrics;
     let s = &scalar.metrics;
     let worlds_per_walk = if m.vector_walks > 0 {
@@ -363,9 +366,10 @@ fn main() {
             0.0
         }
     };
-    // Two concurrent jobs on the shared pool versus one blocking sweep:
-    // below 1.0, interleaving would cost more than it delivers.
-    let scaling = concurrent.points_per_sec / vector.points_per_sec.max(1e-9);
+    // Two concurrent jobs on the shared pool versus one blocking sweep of
+    // the same (default) configuration: below 1.0, interleaving would cost
+    // more than it delivers.
+    let scaling = concurrent.points_per_sec / default.points_per_sec.max(1e-9);
 
     let json = format!(
         "{{\n  \"workload\": \"figure2_coarse\",\n  \"worlds_per_point\": {worlds},\n  \
@@ -377,10 +381,8 @@ fn main() {
          \"prune_rate\": {prune_rate:.3},\n  \"match_scan_nanos\": {},\n  \
          \"remap_nanos\": {},\n  \"publish_nanos\": {},\n  \
          \"probe_eval_nanos\": {},\n  \"probe_nanos\": {},\n  \"sim_nanos\": {},\n  \
+         \"columnar_kernels\": {},\n  \"column_fallbacks\": {},\n  \
          \"wall_nanos\": {},\n  \"points_per_sec\": {:.1},\n  \"best_point\": {},\n  \
-         \"columnar\": {{\n    \"probe_eval_nanos\": {},\n    \"probe_nanos\": {},\n    \
-         \"sim_nanos\": {},\n    \"wall_nanos\": {},\n    \"points_per_sec\": {:.1},\n    \
-         \"columnar_kernels\": {},\n    \"column_fallbacks\": {}\n  }},\n  \
          \"unindexed\": {{\n    \"candidates_scanned\": {},\n    \
          \"match_scan_nanos\": {},\n    \"probe_nanos\": {},\n    \
          \"wall_nanos\": {},\n    \"points_per_sec\": {:.1}\n  }},\n  \
@@ -398,7 +400,7 @@ fn main() {
          \"high\": {},\n      \"normal\": {},\n      \"low\": {}\n    }},\n    \
          \"store\": {{\"hits\": {}, \"misses\": {}, \"inflight_waits\": {}, \
          \"evictions\": {}, \"entries\": {}}}\n  }}\n}}\n",
-        vector.groups,
+        default.groups,
         m.points_total(),
         m.points_simulated,
         m.points_mapped,
@@ -415,16 +417,11 @@ fn main() {
         m.probe_eval_nanos,
         m.probe_nanos,
         m.sim_nanos,
-        vector.wall_nanos,
-        vector.points_per_sec,
-        vector.best,
-        c.probe_eval_nanos,
-        c.probe_nanos,
-        c.sim_nanos,
-        columnar.wall_nanos,
-        columnar.points_per_sec,
-        c.columnar_kernels,
-        c.column_fallbacks,
+        m.columnar_kernels,
+        m.column_fallbacks,
+        default.wall_nanos,
+        default.points_per_sec,
+        default.best,
         u.candidates_scanned,
         u.match_scan_nanos,
         u.probe_nanos,
@@ -470,14 +467,17 @@ fn main() {
         );
     }
     eprintln!(
-        "vector sweep: {} points in {:.1}ms ({:.1} points/sec); \
-         probe {:.1}ms vs sim {:.1}ms; {} walks ({worlds_per_walk:.0} worlds/walk)",
+        "default sweep: {} points in {:.1}ms ({:.1} points/sec); \
+         probe {:.1}ms vs sim {:.1}ms; {} walks ({worlds_per_walk:.0} worlds/walk); \
+         {} typed kernels, {} fallbacks",
         m.points_total(),
-        vector.wall_nanos as f64 / 1e6,
-        vector.points_per_sec,
+        default.wall_nanos as f64 / 1e6,
+        default.points_per_sec,
         m.probe_nanos as f64 / 1e6,
         m.sim_nanos as f64 / 1e6,
         m.vector_walks,
+        m.columnar_kernels,
+        m.column_fallbacks,
     );
     // Where the probe phase's wall goes besides probe evaluation: scan and
     // remap are CPU sums over the pool, publish is the caller's own wall.
@@ -504,7 +504,7 @@ fn main() {
     );
     eprintln!(
         "scalar sweep: probe {:.1}ms vs sim {:.1}ms ({:.1} points/sec); \
-         vector probe-eval speedup {:.2}x ({:.1}ms -> {:.1}ms)",
+         columnar probe-eval speedup {:.2}x ({:.1}ms -> {:.1}ms)",
         s.probe_nanos as f64 / 1e6,
         s.sim_nanos as f64 / 1e6,
         scalar.points_per_sec,
@@ -512,29 +512,16 @@ fn main() {
         s.probe_eval_nanos as f64 / 1e6,
         m.probe_eval_nanos as f64 / 1e6,
     );
-    eprintln!(
-        "columnar sweep: probe-eval {:.1}ms vs {:.1}ms boxed ({:.2}x); \
-         {} typed kernels, {} fallbacks",
-        c.probe_eval_nanos as f64 / 1e6,
-        m.probe_eval_nanos as f64 / 1e6,
-        m.probe_eval_nanos as f64 / (c.probe_eval_nanos as f64).max(1.0),
-        c.columnar_kernels,
-        c.column_fallbacks,
-    );
     assert_eq!(
-        vector.best, unindexed.best,
+        default.best, unindexed.best,
         "indexed and unindexed sweeps must agree on the sweep answer"
     );
     assert_eq!(
-        vector.best, scalar.best,
+        default.best, scalar.best,
         "tiers must agree on the sweep answer"
     );
     assert_eq!(
-        vector.best, columnar.best,
-        "the columnar tier must agree on the sweep answer"
-    );
-    assert_eq!(
-        c.column_fallbacks, 0,
+        m.column_fallbacks, 0,
         "the coarse Figure 2 sweep must stay fully typed — no boxed fallbacks"
     );
     assert_eq!(
@@ -543,7 +530,7 @@ fn main() {
     );
     eprintln!(
         "concurrent jobs: {} points across 2 sweeps in {:.1}ms ({:.1} points/sec, \
-         {scaling:.2}x the blocking tier); high-priority job returned after {:.1}ms \
+         {scaling:.2}x the blocking sweep); high-priority job returned after {:.1}ms \
          ({:.0}% of total wall)",
         concurrent.points_total,
         concurrent.wall_nanos as f64 / 1e6,
@@ -552,11 +539,11 @@ fn main() {
         100.0 * concurrent.hi_wall_nanos as f64 / concurrent.wall_nanos as f64,
     );
     assert_eq!(
-        concurrent.hi_best, vector.best,
+        concurrent.hi_best, default.best,
         "the high-priority concurrent sweep must reach the single-job answer"
     );
     assert_eq!(
-        concurrent.lo_best, vector.best,
+        concurrent.lo_best, default.best,
         "the low-priority concurrent sweep must reach the single-job answer"
     );
     assert!(
@@ -564,7 +551,7 @@ fn main() {
         "two concurrent jobs must not run slower than one blocking sweep \
          (scaling {scaling:.3}: {:.1} vs {:.1} points/sec)",
         concurrent.points_per_sec,
-        vector.points_per_sec,
+        default.points_per_sec,
     );
     eprintln!(
         "cold start: {} entries restored from a {}-byte snapshot; sweep served \
@@ -585,7 +572,7 @@ fn main() {
         "a sweep on the restored basis must simulate nothing"
     );
     assert_eq!(
-        cold.best, vector.best,
+        cold.best, default.best,
         "the restored sweep must reach the single-job answer"
     );
     let t = &concurrent.telemetry.trace;

@@ -35,15 +35,13 @@ use std::sync::Arc;
 use prophet_data::Value;
 use prophet_fingerprint::{CorrelationDetector, Fingerprint, FingerprintConfig, Mapping};
 use prophet_mc::{
-    simulate_point, simulate_point_block, simulate_point_columnar, ColumnSamples, ParamPoint,
-    SampleSet, SharedBasisStore,
+    simulate_point, simulate_point_columnar, ColumnSamples, ParamPoint, SampleSet, SharedBasisStore,
 };
 use prophet_sql::columnar::{
     evaluate_derived_columns, evaluate_select_columns_memo, to_f64_samples, ColumnarStats,
 };
 use prophet_sql::error::SqlError;
-use prophet_sql::executor::{evaluate_select_with, EvalContext, WorldRng};
-use prophet_sql::vector::{column_to_f64, evaluate_select_block};
+use prophet_sql::executor::{evaluate_select_with, sample_f64, EvalContext, WorldRng};
 use prophet_sql::Script;
 use prophet_vg::rng::{Rng64, SeedSequence};
 use prophet_vg::{SeedManager, VgRegistry};
@@ -56,20 +54,18 @@ use crate::sync::{OrderedMutex, ENGINE_METRICS};
 
 /// Which `prophet-sql` execution tier evaluates the scenario SELECT.
 ///
-/// All three tiers are bit-identical per world (the differential suite in
+/// One production path and one reference path: the two tiers are
+/// bit-identical per world (the differential suite in
 /// `tests/vector_equivalence.rs` enforces it across every bundled
-/// scenario); they differ only in how the work is shaped. See
-/// `docs/VECTORIZATION.md` for the full three-tier story.
+/// scenario) and differ only in how the work is shaped. See
+/// `docs/VECTORIZATION.md` for the full story.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecTier {
-    /// One AST walk per world (`evaluate_select_with`). The reference
-    /// semantics, for re-mapping too: derived columns are recomputed world
-    /// by world with `eval_expr`.
+    /// One AST walk per world (`evaluate_select_with`), one
+    /// `VgFunction::invoke` per VG call. The reference semantics the
+    /// differential suites diff against, for re-mapping too: derived
+    /// columns are recomputed world by world with `eval_expr`.
     Scalar,
-    /// One AST walk per world-block over boxed `Value` columns
-    /// (`evaluate_select_block`), VG functions invoked through the
-    /// catalog's batch path.
-    Boxed,
     /// One AST walk per world-block over typed `f64`/`i64`/`bool` column
     /// buffers (`evaluate_select_columns`): straight-line kernels over
     /// typed slices, with per-node fallback to boxed values for
@@ -113,19 +109,19 @@ pub struct EngineConfig {
     /// `tests/models_cross.rs` (same answers either way); off is also the
     /// direct-simulation oracle of `tests/fingerprint_soundness.rs`.
     pub fingerprints_enabled: bool,
-    /// Execution tier for fingerprint probes and miss-path Monte Carlo
-    /// estimation: per-world scalar walks, block walks over boxed
-    /// `Value` columns, or block walks over typed column buffers.
+    /// Execution tier for fingerprint probes, miss-path Monte Carlo
+    /// estimation and the derived columns of a re-mapped point: per-world
+    /// scalar walks, or block walks over typed column buffers.
     ///
-    /// Outputs are bit-identical across tiers, so the fastest —
-    /// [`ExecTier::Columnar`] — is the default; [`ExecTier::Scalar`] is
-    /// the semantic reference.
+    /// Outputs are bit-identical across the two, so the faster —
+    /// [`ExecTier::Columnar`] — is the default; [`ExecTier::Scalar`] stays
+    /// selectable because it is the semantic reference the other is
+    /// diffed against.
     ///
-    /// Evidence: `tests/vector_equivalence.rs` (three-tier bit-identity
-    /// on every bundled scenario) and `sweep_smoke`'s `columnar{}` vs
-    /// `scalar{}` rows. The top-level (boxed) row is currently *slower*
-    /// than `scalar{}` — [`ExecTier::Boxed`] has no row in its favour and
-    /// is the next removal candidate (ROADMAP (a)).
+    /// Evidence: `tests/vector_equivalence.rs` (the two-tier differential:
+    /// bit-identity on every bundled scenario, random blocks and random
+    /// expressions) and `sweep_smoke`'s top-level (default tier) vs
+    /// `scalar{}` rows.
     pub tier: ExecTier,
     /// Prune the correlation match scan through the basis store's
     /// fingerprint summary index: candidates whose summary bound proves
@@ -411,15 +407,14 @@ impl Engine {
     /// `probe_eval_nanos`, so the counter sums real probe work across
     /// parallel workers.
     ///
-    /// With a block tier ([`ExecTier::Boxed`] or the default
-    /// [`ExecTier::Columnar`]) the whole seed block is one walk of the
-    /// block executor — `vector_walks` counts it, while
+    /// On the default [`ExecTier::Columnar`] the whole seed block is one
+    /// walk of the block executor — `vector_walks` counts it, while
     /// `probe_evaluations` keeps counting the logical per-seed evaluations
-    /// so probe accounting stays comparable with the scalar tier. The
-    /// columnar tier additionally accounts its typed-kernel vs boxed
-    /// fallback node counts, and serves VG call sites it has already drawn
-    /// for this argument tuple from the engine's probe memo
-    /// (`probe_call_sites_memoised` of `probe_call_sites`).
+    /// so probe accounting stays comparable with the scalar tier. The walk
+    /// also accounts its typed-kernel vs boxed fallback node counts, and
+    /// serves VG call sites it has already drawn for this argument tuple
+    /// from the engine's probe memo (`probe_call_sites_memoised` of
+    /// `probe_call_sites`).
     pub(crate) fn probe_fingerprints(
         &self,
         point: &ParamPoint,
@@ -428,48 +423,24 @@ impl Engine {
         let seeds = &self.probe_seeds;
         let params = point.to_value_map();
 
-        if self.config.tier != ExecTier::Scalar {
-            let (named_samples, stats) = match self.config.tier {
-                ExecTier::Columnar => {
-                    let (columns, stats) = evaluate_select_columns_memo(
-                        &self.script.select,
-                        &self.registry,
-                        &params,
-                        self.seeds,
-                        seeds.seeds(),
-                        &self.probe_memo,
-                    )?;
-                    let mut named = Vec::with_capacity(self.stochastic_cols.len());
-                    for (name, column) in columns {
-                        if self.stochastic_cols.contains(&name) {
-                            named.push((name, to_f64_samples(&column)?));
-                        }
-                    }
-                    (named, stats)
+        if self.config.tier == ExecTier::Columnar {
+            let (columns, stats) = evaluate_select_columns_memo(
+                &self.script.select,
+                &self.registry,
+                &params,
+                self.seeds,
+                seeds.seeds(),
+                &self.probe_memo,
+            )?;
+            let mut out = HashMap::with_capacity(self.stochastic_cols.len());
+            for (name, column) in columns {
+                if self.stochastic_cols.contains(&name) {
+                    let values = to_f64_samples(&column)?;
+                    out.insert(
+                        name,
+                        Fingerprint::compute_block_with_seeds(seeds, |_| values),
+                    );
                 }
-                _ => {
-                    let columns = evaluate_select_block(
-                        &self.script.select,
-                        &self.registry,
-                        &params,
-                        self.seeds,
-                        seeds.seeds(),
-                    )?;
-                    let mut named = Vec::with_capacity(self.stochastic_cols.len());
-                    for (name, column) in columns {
-                        if self.stochastic_cols.contains(&name) {
-                            named.push((name, column_to_f64(&column)?));
-                        }
-                    }
-                    (named, ColumnarStats::default())
-                }
-            };
-            let mut out = HashMap::with_capacity(named_samples.len());
-            for (name, values) in named_samples {
-                out.insert(
-                    name,
-                    Fingerprint::compute_block_with_seeds(seeds, |_| values),
-                );
             }
             self.bump(|m| {
                 m.probe_evaluations += seeds.len() as u64;
@@ -498,11 +469,7 @@ impl Engine {
             )?;
             for (name, value) in row {
                 if let Some(col) = per_col.get_mut(&name) {
-                    let x = match value {
-                        Value::Null => f64::NAN,
-                        v => v.as_f64().map_err(SqlError::from)?,
-                    };
-                    col.push(x);
+                    col.push(sample_f64(&value)?);
                 }
             }
         }
@@ -524,8 +491,8 @@ impl Engine {
     ///
     /// The derived columns follow the tier: [`ExecTier::Columnar`] binds
     /// the mapped columns as `f64` lanes and evaluates every derived item
-    /// once over all `worlds` lanes; the other tiers recompute world by
-    /// world with `eval_expr`, the semantic reference the block walk is
+    /// once over all `worlds` lanes; [`ExecTier::Scalar`] recomputes world
+    /// by world with `eval_expr`, the semantic reference the block walk is
     /// held bit-identical to (`tests/vector_equivalence.rs`).
     pub(crate) fn remap_samples(
         &self,
@@ -599,10 +566,7 @@ impl Engine {
                     ctx.bind_alias(&item.alias, Value::Float(v));
                 } else {
                     let v = prophet_sql::executor::eval_expr(&item.expr, &mut ctx)?;
-                    let x = match &v {
-                        Value::Null => f64::NAN,
-                        v => v.as_f64().map_err(SqlError::from)?,
-                    };
+                    let x = sample_f64(&v)?;
                     ctx.bind_alias(&item.alias, v);
                     out.get_mut(&item.alias)
                         .expect("invariant: derived columns are pre-inserted above")
@@ -622,10 +586,9 @@ impl Engine {
     /// The world→sample assignment is identical either way, so the choice
     /// never changes the produced samples or the work counters.
     ///
-    /// With a block tier ([`ExecTier::Boxed`] or the default
-    /// [`ExecTier::Columnar`]) each worker's world span is one block walk
-    /// of the block executor; per-world samples are bit-identical to the
-    /// scalar tier under either schedule.
+    /// On the default [`ExecTier::Columnar`] each worker's world span is
+    /// one block walk of the block executor; per-world samples are
+    /// bit-identical to the scalar tier under either schedule.
     pub(crate) fn simulate_full(
         &self,
         point: &ParamPoint,
@@ -680,7 +643,7 @@ impl Engine {
     }
 
     /// One tier-routed simulation of a world list (no metrics bump — the
-    /// callers aggregate). Non-columnar tiers report zero columnar stats.
+    /// callers aggregate). The scalar tier reports zero columnar stats.
     fn simulate_span_once(
         &self,
         point: &ParamPoint,
@@ -695,15 +658,6 @@ impl Engine {
                 worlds,
                 self.config.common_random_numbers,
             ),
-            ExecTier::Boxed => simulate_point_block(
-                &self.script.select,
-                &self.registry,
-                &self.seeds,
-                point,
-                worlds,
-                self.config.common_random_numbers,
-            )
-            .map(|set| (set, ColumnarStats::default())),
             ExecTier::Scalar => simulate_point(
                 &self.script.select,
                 &self.registry,
@@ -911,10 +865,6 @@ mod tests {
     #[test]
     fn vectorized_and_scalar_tiers_agree_bit_for_bit() {
         let columnar = engine(small_config());
-        let boxed = engine(EngineConfig {
-            tier: ExecTier::Boxed,
-            ..small_config()
-        });
         let scalar = engine(EngineConfig {
             tier: ExecTier::Scalar,
             ..small_config()
@@ -928,32 +878,24 @@ mod tests {
         ];
         for p in &points {
             let (sc, oc) = columnar.evaluate(p).unwrap();
-            let (sv, ov) = boxed.evaluate(p).unwrap();
             let (ss, os) = scalar.evaluate(p).unwrap();
-            assert_eq!(oc, os, "columnar outcome for {p}");
-            assert_eq!(ov, os, "boxed outcome for {p}");
+            assert_eq!(oc, os, "outcome for {p}");
             for col in ["demand", "capacity", "overload"] {
                 assert_eq!(sc.samples(col), ss.samples(col), "column {col} at {p}");
-                assert_eq!(sv.samples(col), ss.samples(col), "column {col} at {p}");
             }
         }
-        // Same logical probe accounting on every tier…
+        // Same logical probe accounting on both tiers…
         let mc = columnar.metrics();
-        let mv = boxed.metrics();
         let ms = scalar.metrics();
         assert_eq!(mc.probe_evaluations, ms.probe_evaluations);
-        assert_eq!(mv.probe_evaluations, ms.probe_evaluations);
         assert_eq!(mc.worlds_simulated, ms.worlds_simulated);
-        assert_eq!(mv.worlds_simulated, ms.worlds_simulated);
-        // …but the block tiers did one walk per probed point.
+        // …but the block tier did one walk per probed point.
         assert_eq!(mc.vector_walks, 3, "three probed points, one walk each");
-        assert_eq!(mv.vector_walks, 3, "three probed points, one walk each");
         assert_eq!(ms.vector_walks, 0, "scalar tier never block-walks");
         // Only the columnar tier runs typed kernels; the figure-2 scenario
         // is pure numeric, so it never falls back to boxed values.
         assert!(mc.columnar_kernels > 0, "columnar tier counts kernels");
         assert_eq!(mc.column_fallbacks, 0, "figure-2 is fully typed");
-        assert_eq!(mv.columnar_kernels, 0);
         assert_eq!(ms.columnar_kernels, 0);
     }
 

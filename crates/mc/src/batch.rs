@@ -9,12 +9,10 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use prophet_data::Value;
 use prophet_sql::ast::SelectInto;
 use prophet_sql::columnar::{evaluate_select_columns, to_f64_samples, ColumnarStats};
-use prophet_sql::error::{SqlError, SqlResult};
-use prophet_sql::executor::{evaluate_select_with, WorldRng};
-use prophet_sql::vector::{column_to_f64, evaluate_select_block};
+use prophet_sql::error::SqlResult;
+use prophet_sql::executor::{evaluate_select_with, sample_f64, WorldRng};
 use prophet_vg::{SeedManager, VgRegistry};
 
 use crate::aggregate::{SampleStats, Welford};
@@ -158,62 +156,26 @@ pub fn simulate_point(
         let rng = WorldRng::per_call(*seeds, world ^ point_salt);
         let row = evaluate_select_with(select, registry, &params, rng)?;
         for (name, value) in row {
-            let x = match value {
-                Value::Null => f64::NAN,
-                v => v.as_f64().map_err(SqlError::from)?,
-            };
             samples
                 .get_mut(&name)
                 .expect("invariant: executor rows carry exactly the declared aliases")
-                .push(x);
+                .push(sample_f64(&value)?);
         }
     }
     Ok(SampleSet::from_samples(point.clone(), columns, samples))
 }
 
 /// Simulate one parameter point over the given worlds in **one** walk of
-/// the scenario SELECT, through `prophet-sql`'s vectorized tier.
-///
-/// Semantics (seed derivation, CRN point salting, NULL→NaN samples) are
-/// identical to [`simulate_point`] — per world, the produced samples are
-/// bit-identical — but the executor walks the AST once for the whole world
-/// block instead of once per world, and VG functions are invoked through
-/// the catalog's batch path.
-pub fn simulate_point_block(
-    select: &SelectInto,
-    registry: &VgRegistry,
-    seeds: &SeedManager,
-    point: &ParamPoint,
-    worlds: &[u64],
-    common_random_numbers: bool,
-) -> SqlResult<SampleSet> {
-    let params = point.to_value_map();
-    let point_salt = if common_random_numbers {
-        0
-    } else {
-        point.stable_hash()
-    };
-    let salted: Vec<u64> = worlds.iter().map(|&w| w ^ point_salt).collect();
-    let columns_out = evaluate_select_block(select, registry, &params, *seeds, &salted)?;
-    let columns: Vec<String> = columns_out.iter().map(|(name, _)| name.clone()).collect();
-    let mut samples: HashMap<String, Vec<f64>> = HashMap::with_capacity(columns.len());
-    for (name, column) in columns_out {
-        samples.insert(name, column_to_f64(&column)?);
-    }
-    Ok(SampleSet::from_samples(point.clone(), columns, samples))
-}
-
-/// Simulate one parameter point through `prophet-sql`'s **typed columnar**
-/// tier: numeric columns stay `f64`/`i64` buffers end to end, so the
-/// per-column sample vectors come straight out of the typed buffers via
+/// the scenario SELECT, through `prophet-sql`'s **typed columnar** tier:
+/// numeric columns stay `f64`/`i64` buffers end to end, so the per-column
+/// sample vectors come straight out of the typed buffers via
 /// [`to_f64_samples`] (the one NULL→NaN conversion point) instead of
 /// through boxed `Value` cells.
 ///
 /// Semantics (seed derivation, CRN point salting, NULL→NaN samples) are
-/// identical to [`simulate_point`] and [`simulate_point_block`] — per
-/// world, the produced samples are bit-identical. Also returns the tier's
-/// kernel/fallback counters so callers can account for how much of the
-/// walk stayed typed.
+/// identical to [`simulate_point`] — per world, the produced samples are
+/// bit-identical. Also returns the tier's kernel/fallback counters so
+/// callers can account for how much of the walk stayed typed.
 pub fn simulate_point_columnar(
     select: &SelectInto,
     registry: &VgRegistry,
@@ -244,7 +206,7 @@ pub fn simulate_point_columnar(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prophet_data::{DataResult, DataType, Schema, Table, TableBuilder};
+    use prophet_data::{DataResult, DataType, Schema, Table, TableBuilder, Value};
     use prophet_sql::parser::parse_script;
     use prophet_vg::rng::Rng64;
     use prophet_vg::VgFunction;
@@ -363,21 +325,6 @@ mod tests {
         let full: Vec<u64> = (0..30).collect();
         let c = simulate_point(&script.select, &registry, &seeds, &point, &full, true).unwrap();
         assert_eq!(a.samples("out").unwrap(), c.samples("out").unwrap());
-    }
-
-    #[test]
-    fn block_simulation_is_bit_identical_to_scalar() {
-        let (script, registry, seeds) = setup();
-        let point = ParamPoint::from_pairs([("c", 10i64)]);
-        let worlds: Vec<u64> = (0..50).collect();
-        for crn in [true, false] {
-            let scalar =
-                simulate_point(&script.select, &registry, &seeds, &point, &worlds, crn).unwrap();
-            let block =
-                simulate_point_block(&script.select, &registry, &seeds, &point, &worlds, crn)
-                    .unwrap();
-            assert_eq!(scalar, block, "crn={crn}");
-        }
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub mod sync;
 pub mod trace;
 
 pub use aggregate::{Histogram, SampleStats, Welford};
-pub use batch::{simulate_point, simulate_point_block, simulate_point_columnar, SampleSet};
+pub use batch::{simulate_point, simulate_point_columnar, SampleSet};
 pub use guide::{GridGuide, Guide, GuideFactory, PriorityGuide, RandomGuide};
 pub use instance::ParamPoint;
 pub use materialize::{summary_table, worlds_table};

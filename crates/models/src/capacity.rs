@@ -187,21 +187,6 @@ impl VgFunction for CapacityModel {
         Ok(b.finish())
     }
 
-    /// Batched scalar-position invocation: same per-world draws as
-    /// [`VgFunction::invoke`] (each world still owns its rng), without
-    /// building a one-cell relation per world.
-    fn invoke_batch_scalar(&self, calls: &mut [prophet_vg::VgCall<'_>]) -> DataResult<Vec<Value>> {
-        calls
-            .iter_mut()
-            .map(|call| {
-                let current = call.params[0].as_i64()?;
-                let p1 = call.params[1].as_i64()?;
-                let p2 = call.params[2].as_i64()?;
-                Ok(Value::Float(self.capacity_at(current, p1, p2, call.rng)))
-            })
-            .collect()
-    }
-
     /// Raw-`f64` batch lane for the typed columnar tier: the scalar output
     /// is always `Value::Float`, so each world's draw lands directly in
     /// the column — same per-world streams as [`VgFunction::invoke`], but

@@ -9,7 +9,9 @@
 //! SELECT Normal(@mu, 25.0) AS noise, Poisson(40) AS arrivals INTO r;
 //! ```
 //!
-//! Every wrapper provides the raw-`f64` batch lane
+//! Every wrapper implements both VG entry points:
+//! [`prophet_vg::VgFunction::invoke`] (the reference — one world, a 1×1
+//! relation) and the raw-`f64` batch lane
 //! ([`prophet_vg::VgFunction::invoke_batch_f64`]): a whole world-block of
 //! draws lands directly in a typed column, one sample per world, with the
 //! per-world `(world, function, call index)` substream discipline
@@ -19,7 +21,7 @@
 use prophet_data::{DataError, DataResult, DataType, Schema, Table, TableBuilder, Value};
 use prophet_vg::dist::{Distribution, LogNormal, Normal, Poisson, Triangular};
 use prophet_vg::rng::Rng64;
-use prophet_vg::{VgCall, VgCallF64, VgFunction};
+use prophet_vg::{VgCallF64, VgFunction};
 
 fn bad_params(name: &str, spec: &str, params: &[Value]) -> DataError {
     DataError::SchemaMismatch(format!("{name}{spec} got invalid parameters {params:?}"))
@@ -59,13 +61,6 @@ macro_rules! dist_vg {
 
             fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<Table> {
                 one_cell(self.output_schema(), Self::dist(params)?.sample(rng))
-            }
-
-            fn invoke_batch_scalar(&self, calls: &mut [VgCall<'_>]) -> DataResult<Vec<Value>> {
-                calls
-                    .iter_mut()
-                    .map(|call| Ok(Value::Float(Self::dist(call.params)?.sample(call.rng))))
-                    .collect()
             }
 
             /// One raw draw per world, straight into the `f64` lane —

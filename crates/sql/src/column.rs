@@ -11,11 +11,6 @@
 //! data lanes; it lives exclusively in the [`NullMask`] that rides next
 //! to every buffer (see `crate::columnar::to_f64_samples` for the single
 //! point where the mask is folded into the sample encoding).
-//!
-//! The `simd` feature swaps the three dense f64 arithmetic kernels for
-//! explicit `std::simd` implementations (the `simd` module, nightly-only);
-//! IEEE-754 `+`/`-`/`*` are exact operations, so the explicit lanes are
-//! bit-identical to these scalar loops.
 
 use crate::ast::CmpOp;
 
@@ -94,25 +89,19 @@ impl NullMask {
     }
 }
 
-#[cfg(feature = "simd")]
-pub use crate::simd::{add_f64, mul_f64, sub_f64};
-
 /// Lane-wise `a + b`.
-#[cfg(not(feature = "simd"))]
 pub fn add_f64(a: &[f64], b: &[f64]) -> Vec<f64> {
     debug_assert_eq!(a.len(), b.len());
     a.iter().zip(b).map(|(x, y)| x + y).collect()
 }
 
 /// Lane-wise `a - b`.
-#[cfg(not(feature = "simd"))]
 pub fn sub_f64(a: &[f64], b: &[f64]) -> Vec<f64> {
     debug_assert_eq!(a.len(), b.len());
     a.iter().zip(b).map(|(x, y)| x - y).collect()
 }
 
 /// Lane-wise `a * b`.
-#[cfg(not(feature = "simd"))]
 pub fn mul_f64(a: &[f64], b: &[f64]) -> Vec<f64> {
     debug_assert_eq!(a.len(), b.len());
     a.iter().zip(b).map(|(x, y)| x * y).collect()

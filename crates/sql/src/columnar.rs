@@ -1,30 +1,45 @@
-//! Typed columnar evaluation of the scenario SELECT: the third execution
-//! tier (see `docs/VECTORIZATION.md` for the full three-tier story).
+//! Typed columnar evaluation of the scenario SELECT: the production
+//! execution tier (see `docs/VECTORIZATION.md` for the two-tier story).
 //!
-//! The boxed vector tier ([`crate::vector`]) already walks the AST once
-//! per world-block, but it carries a `Vec<Value>` per node and branches on
-//! the value enum for every world. This tier specializes the hot numeric
-//! path to typed buffers — a [`Column`] is a `Vec<f64>` / `Vec<i64>` /
-//! `Vec<bool>` plus a [`NullMask`] — and lowers each expression node to a
-//! straight-line kernel from [`crate::column`] over those buffers. Mixed
-//! or string data drops to the [`Column::Boxed`] representation and
-//! per-value evaluation for that node ([`ColumnarStats::fallbacks`]
-//! counts how often), then re-sniffs back to a typed buffer so one odd
-//! node does not unbox the rest of the walk.
+//! The scalar tier ([`crate::executor`]) walks the AST once per possible
+//! world — fine for a single instance, but fingerprint probing and Monte
+//! Carlo estimation always evaluate the *same* query, under the *same*
+//! parameter valuation, for a whole block of worlds (the canonical
+//! fingerprint seeds, or a point's estimation worlds). This tier walks the
+//! AST once for the entire block and carries a typed buffer per expression
+//! node — a [`Column`] is a `Vec<f64>` / `Vec<i64>` / `Vec<bool>` plus a
+//! [`NullMask`] — lowering each node to a straight-line kernel from
+//! [`crate::column`] over those buffers. Mixed or string data drops to the
+//! [`Column::Boxed`] representation and per-value evaluation for that node
+//! ([`ColumnarStats::fallbacks`] counts how often), then re-sniffs back to
+//! a typed buffer so one odd node does not unbox the rest of the walk.
 //!
 //! ## Bit-identity contract
 //!
-//! Like the boxed tier, this tier is *defined* by bit-identity with the
-//! scalar walker: per world, same outputs, same VG substream derivation
-//! `(world, function, call index)`, same error classes and messages. The
-//! selection-vector discipline (CASE arms, `AND`/`OR` right-hand sides),
-//! per-slot call counters, and left-to-right alias scoping are carried
-//! over from [`crate::vector`] unchanged. Two consequences shape the
-//! kernels:
+//! This tier is *defined* by bit-identity with the scalar walker: per
+//! world, same outputs, same VG substream derivation `(world, function,
+//! call index)`, same error classes and messages. Three details of the
+//! walk make that hold:
+//!
+//! * **Per-world call counters.** The scalar tier derives each VG call's
+//!   substream from `(world, function, call index)`, where the call index
+//!   counts the VG calls *that world actually executed*. The block walk
+//!   keeps one counter per world slot and bumps only the worlds reaching
+//!   a call site, so conditional evaluation never desynchronizes the seed
+//!   derivation.
+//! * **Lazy masks.** `CASE` arms, `AND`/`OR` right-hand sides and the
+//!   scalar tier's short-circuit rules are reproduced with *selection
+//!   vectors*: a sub-expression is evaluated only for the worlds whose
+//!   control flow reaches it, exactly as the per-world walk would.
+//! * **Left-to-right alias scoping.** Select items still evaluate in
+//!   declaration order and later items see earlier aliases — as whole
+//!   columns rather than scalars.
+//!
+//! And two consequences shape the kernels:
 //!
 //! * integer arithmetic must detect overflow, because the scalar tier
 //!   promotes exactly the overflowing lane to float — the whole node then
-//!   re-runs through per-value promotion ([`crate::vector`]'s shared
+//!   re-runs through per-value promotion (the scalar executor's own
 //!   `apply_binop`);
 //! * `Int`-vs-`Int` comparisons widen through `f64` (with its precision
 //!   loss above 2^53) because `Value::sql_cmp` does.
@@ -36,10 +51,12 @@
 //! a valid data lane is a genuine sample, distinct from NULL, until
 //! [`to_f64_samples`] — the tier's single NULL↔NaN conversion point.
 //!
-//! VG calls go through [`VgRegistry::invoke_batch_columnar`]: models with
-//! an `invoke_batch_f64` lane fill a `Vec<f64>` directly (no per-world
-//! boxing at all); models without one fall back to boxed scalars, which
-//! counts as a column fallback.
+//! VG calls go through [`VgRegistry::invoke_batch_columnar`]: one
+//! *physical* call per (call site, block), one *logical* invocation per
+//! world for the catalog's accounting. Models with an `invoke_batch_f64`
+//! lane fill a `Vec<f64>` directly (no per-world boxing at all); models
+//! without one are invoked world by world and come back as boxed scalars,
+//! which counts as a column fallback.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -55,8 +72,7 @@ use crate::column::{
     widen_i64, NullMask,
 };
 use crate::error::{SqlError, SqlResult};
-use crate::executor::scalar_builtin;
-use crate::vector::{apply_binop, column_to_f64};
+use crate::executor::{apply_binop, sample_f64, scalar_builtin};
 
 /// One block-length column in the typed tier.
 #[derive(Debug, Clone, PartialEq)]
@@ -339,10 +355,12 @@ pub trait CallSiteMemo: Sync {
 /// columnar tier, returning one `(alias, column)` pair per select item in
 /// declaration order plus the walk's kernel/fallback accounting.
 ///
-/// The contract is [`crate::vector::evaluate_select_block`]'s, verbatim:
 /// `worlds[i]` is the world id of slot `i`, every column has
 /// `worlds.len()` lanes, and lane `i` is bit-identical to a scalar walk of
-/// world `worlds[i]` under per-call substream derivation.
+/// world `worlds[i]` under
+/// [`WorldRng::per_call`](crate::executor::WorldRng::per_call): the VG
+/// call with per-world call index `k` in slot `i` draws from the substream
+/// derived from `(worlds[i], function, k)`.
 pub fn evaluate_select_columns(
     select: &SelectInto,
     registry: &VgRegistry,
@@ -475,8 +493,8 @@ pub fn evaluate_derived_columns(
 /// not be conflated with NULL — the two behave differently under
 /// comparisons (`NULL = NULL` is NULL, `NaN = NaN` is false) and under
 /// `CASE` masking. Only here, where the sample encoding represents both
-/// as NaN (matching [`crate::vector::column_to_f64`] on the boxed tiers),
-/// do they collapse.
+/// as NaN (matching [`sample_f64`], the scalar tier's per-value rule,
+/// which boxed lanes go through), do they collapse.
 pub fn to_f64_samples(column: &Column) -> SqlResult<Vec<f64>> {
     match column {
         Column::F64 { data, nulls } => {
@@ -495,12 +513,12 @@ pub fn to_f64_samples(column: &Column) -> SqlResult<Vec<f64>> {
             Ok(out)
         }
         Column::Null(len) => Ok(vec![f64::NAN; *len]),
-        Column::Boxed(values) => column_to_f64(values),
+        Column::Boxed(values) => values.iter().map(sample_f64).collect(),
     }
 }
 
-/// Evaluation state for one columnar walk (the typed mirror of the boxed
-/// tier's context: same per-slot counters, same alias scoping).
+/// Evaluation state for one columnar walk (the block form of the scalar
+/// tier's `EvalContext`: per-slot call counters, whole-column aliases).
 struct ColumnContext<'a> {
     registry: &'a VgRegistry,
     params: &'a HashMap<String, Value>,
@@ -818,7 +836,7 @@ fn truth_lanes(col: &Column) -> SqlResult<Vec<Option<bool>>> {
     })
 }
 
-/// Three-valued `AND`/`OR` with the boxed tier's exact short-circuit
+/// Three-valued `AND`/`OR` with the scalar tier's exact short-circuit
 /// discipline: the right-hand side is evaluated only for the slots the
 /// scalar tier would not have short-circuited, preserving per-slot VG
 /// call counters.
@@ -881,9 +899,11 @@ fn eval_logical_col(
     Ok(Column::Bool { data, nulls })
 }
 
-/// `CASE` with the boxed tier's active/matched/remaining selection
-/// discipline; arm results are evaluated only for the slots their
-/// condition matched and scatter-merged into the output column.
+/// `CASE` with an active/matched/remaining selection discipline: each
+/// condition is evaluated only for the slots no earlier arm matched, arm
+/// results only for the slots their condition matched (as the scalar
+/// tier's first-match walk would), then scatter-merged into the output
+/// column.
 fn eval_case_col(
     whens: &[(Expr, Expr)],
     otherwise: Option<&Expr>,
@@ -1052,7 +1072,7 @@ fn merge_pieces(
 }
 
 /// Dispatch one call site for a block: VG catalog first (catalog wins over
-/// builtins, as in both other tiers), then scalar builtins per world.
+/// builtins, as in the scalar tier), then scalar builtins per world.
 fn call_function_col(
     name: &str,
     args: &[Column],
@@ -1153,45 +1173,57 @@ fn call_function_col(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::{evaluate_select_with, WorldRng};
     use crate::parser::parse_script;
     use crate::test_vg::test_registry as registry;
-    use crate::vector::evaluate_select_block;
 
-    /// Columnar outputs must equal the boxed block tier value for value
-    /// (the boxed tier is already proven bit-identical to the scalar
-    /// walker, so transitivity gives the scalar contract; the engine-level
-    /// differential suite re-proves it directly).
-    fn assert_columns_match_boxed(
+    /// Columnar outputs must equal per-world scalar walks value for value
+    /// — the tier's defining contract, checked against the scalar executor
+    /// itself — with the same logical VG invocation count in the catalog.
+    fn assert_columns_match_scalar(
         src: &str,
         params: &[(&str, Value)],
         worlds: &[u64],
     ) -> ColumnarStats {
         let script = parse_script(src).unwrap();
-        let registry = registry();
+        let (typed_registry, scalar_registry) = (registry(), registry());
         let params: HashMap<String, Value> = params
             .iter()
             .map(|(n, v)| (n.to_string(), v.clone()))
             .collect();
         let seeds = SeedManager::new(11);
         let (cols, stats) =
-            evaluate_select_columns(&script.select, &registry, &params, seeds, worlds).unwrap();
-        let boxed =
-            evaluate_select_block(&script.select, &registry, &params, seeds, worlds).unwrap();
-        assert_eq!(cols.len(), boxed.len());
-        for ((alias, column), (balias, bvalues)) in cols.iter().zip(&boxed) {
-            assert_eq!(alias, balias);
-            assert_eq!(
-                &column.to_values(),
-                bvalues,
-                "column `{alias}` diverged from the boxed tier"
-            );
+            evaluate_select_columns(&script.select, &typed_registry, &params, seeds, worlds)
+                .unwrap();
+        for (slot, &world) in worlds.iter().enumerate() {
+            let row = evaluate_select_with(
+                &script.select,
+                &scalar_registry,
+                &params,
+                WorldRng::per_call(seeds, world),
+            )
+            .unwrap();
+            assert_eq!(cols.len(), row.len());
+            for ((alias, column), (scalar_alias, value)) in cols.iter().zip(&row) {
+                assert_eq!(alias, scalar_alias);
+                assert_eq!(
+                    &column.value_at(slot),
+                    value,
+                    "world {world} column `{alias}` diverged from the scalar tier"
+                );
+            }
         }
+        assert_eq!(
+            typed_registry.stats("Jitter").unwrap().invocations,
+            scalar_registry.stats("Jitter").unwrap().invocations,
+            "one logical invocation per world reaching a call site, as in the scalar tier"
+        );
         stats
     }
 
     #[test]
     fn typed_path_covers_numeric_scenarios_without_fallbacks() {
-        let stats = assert_columns_match_boxed(
+        let stats = assert_columns_match_scalar(
             "DECLARE PARAMETER @base AS SET (100);\n\
              SELECT Jitter(@base) AS demand,\n\
                     Jitter(@base + 10) AS capacity,\n\
@@ -1209,7 +1241,7 @@ mod tests {
 
     #[test]
     fn conditional_vg_calls_keep_per_world_counters_aligned() {
-        assert_columns_match_boxed(
+        assert_columns_match_scalar(
             "SELECT Jitter(0) AS first,\n\
              CASE WHEN first < 0.5 THEN Jitter(100) ELSE -1 END AS maybe,\n\
              Jitter(200) AS last\n\
@@ -1221,7 +1253,7 @@ mod tests {
 
     #[test]
     fn short_circuit_rhs_only_runs_for_unresolved_worlds() {
-        assert_columns_match_boxed(
+        assert_columns_match_scalar(
             "SELECT Jitter(0) AS first,\n\
              CASE WHEN first < 0.5 AND Jitter(0) < 0.5 THEN 1 ELSE 0 END AS both,\n\
              CASE WHEN first < 0.5 OR Jitter(0) < 0.5 THEN 1 ELSE 0 END AS either,\n\
@@ -1234,7 +1266,7 @@ mod tests {
 
     #[test]
     fn three_valued_logic_nulls_and_builtins_match() {
-        let stats = assert_columns_match_boxed(
+        let stats = assert_columns_match_scalar(
             "DECLARE PARAMETER @x AS SET (0);\n\
              SELECT NULL AND Jitter(0) > 0 AS null_and,\n\
                     NULL OR Jitter(1) > 0 AS null_or,\n\
@@ -1254,7 +1286,7 @@ mod tests {
 
     #[test]
     fn mixed_case_arms_fall_back_to_boxed_merge() {
-        let stats = assert_columns_match_boxed(
+        let stats = assert_columns_match_scalar(
             "SELECT Jitter(0) AS u,\n\
              CASE WHEN u < 0.5 THEN 1 ELSE 2.5 END AS mixed\n\
              INTO r;",
@@ -1270,7 +1302,7 @@ mod tests {
     #[test]
     fn integer_overflow_falls_back_to_lane_promotion() {
         let big = i64::MAX;
-        let stats = assert_columns_match_boxed(
+        let stats = assert_columns_match_scalar(
             &format!("SELECT {big} + 1 AS bumped, {big} * 2 AS dbl INTO r;"),
             &[],
             &[0, 1, 2],
@@ -1279,22 +1311,44 @@ mod tests {
     }
 
     #[test]
-    fn errors_match_the_boxed_tier() {
+    fn errors_match_the_scalar_tier() {
         let registry = registry();
         let seeds = SeedManager::new(0);
-        let run = |src: &str| {
+        let cases = [
+            (
+                "DECLARE PARAMETER @missing AS SET (0);\nSELECT @missing AS v INTO r;",
+                "unbound parameter @missing",
+            ),
+            (
+                "SELECT nope + 1 AS v INTO r;",
+                "unknown column or alias `nope`",
+            ),
+            ("SELECT NoSuchFn(1) AS v INTO r;", "function `NoSuchFn`"),
+            ("SELECT TwoRows() AS v INTO r;", "exactly one cell"),
+            (
+                "SELECT Jitter() AS v INTO r;",
+                "expects 1 parameters, got 0",
+            ),
+            // Through the per-value fallback both tiers share.
+            ("SELECT 'a' + 1 AS v INTO r;", "invalid operation"),
+        ];
+        for (src, needle) in cases {
             let script = parse_script(src).unwrap();
-            evaluate_select_columns(&script.select, &registry, &HashMap::new(), seeds, &[0, 1])
-                .unwrap_err()
-                .to_string()
-        };
-        assert!(
-            run("DECLARE PARAMETER @missing AS SET (0);\nSELECT @missing AS v INTO r;")
-                .contains("unbound parameter @missing")
-        );
-        assert!(run("SELECT nope + 1 AS v INTO r;").contains("unknown column or alias `nope`"));
-        assert!(run("SELECT NoSuchFn(1) AS v INTO r;").contains("function `NoSuchFn`"));
-        assert!(run("SELECT TwoRows() AS v INTO r;").contains("exactly one cell"));
+            let typed =
+                evaluate_select_columns(&script.select, &registry, &HashMap::new(), seeds, &[0, 1])
+                    .unwrap_err()
+                    .to_string();
+            let scalar = evaluate_select_with(
+                &script.select,
+                &registry,
+                &HashMap::new(),
+                WorldRng::per_call(seeds, 0),
+            )
+            .unwrap_err()
+            .to_string();
+            assert_eq!(typed, scalar, "`{src}`");
+            assert!(typed.contains(needle), "`{src}`: {typed}");
+        }
     }
 
     #[test]
@@ -1352,7 +1406,13 @@ mod tests {
     }
 
     #[test]
-    fn to_f64_samples_matches_column_to_f64() {
+    fn to_f64_samples_matches_the_per_value_rule() {
+        let per_value = |values: &[Value]| -> Vec<u64> {
+            values
+                .iter()
+                .map(|v| sample_f64(v).unwrap().to_bits())
+                .collect()
+        };
         let values = vec![
             Value::Int(2),
             Value::Null,
@@ -1360,36 +1420,26 @@ mod tests {
             Value::Float(f64::NAN),
             Value::Bool(true),
         ];
-        // Boxed reference conversion...
-        let want: Vec<u64> = column_to_f64(&values)
-            .unwrap()
-            .iter()
-            .map(|x| x.to_bits())
-            .collect();
-        // ...must agree with the typed-boundary conversion for every
-        // representation the sniffer can pick.
+        let want = per_value(&values);
+        assert_eq!(want[0], 2.0f64.to_bits());
+        assert!(f64::from_bits(want[1]).is_nan(), "NULL encodes as NaN");
+        assert_eq!(want[4], 1.0f64.to_bits());
+        // The typed-boundary conversion must agree with the scalar tier's
+        // per-value rule for every representation the sniffer can pick.
         for col in [
-            Column::Boxed(values.clone()),
+            Column::Boxed(values),
             Column::from_values(vec![Value::Int(2), Value::Null]),
             Column::from_values(vec![Value::Float(0.5), Value::Float(f64::NAN), Value::Null]),
             Column::from_values(vec![Value::Bool(true), Value::Null, Value::Bool(false)]),
+            Column::Null(3),
         ] {
             let got: Vec<u64> = to_f64_samples(&col)
                 .unwrap()
                 .iter()
                 .map(|x| x.to_bits())
                 .collect();
-            let reference: Vec<u64> = column_to_f64(&col.to_values())
-                .unwrap()
-                .iter()
-                .map(|x| x.to_bits())
-                .collect();
-            assert_eq!(got, reference);
+            assert_eq!(got, per_value(&col.to_values()));
         }
-        assert_eq!(
-            to_f64_samples(&Column::Boxed(values)).unwrap().len(),
-            want.len()
-        );
         assert!(to_f64_samples(&Column::Boxed(vec![Value::Str("x".into())])).is_err());
     }
 
@@ -1571,10 +1621,7 @@ mod tests {
                     ctx.bind_alias(&item.alias, Value::Float(lane[w]));
                 } else {
                     let v = eval_expr(&item.expr, &mut ctx).unwrap();
-                    let x = match &v {
-                        Value::Null => f64::NAN,
-                        v => v.as_f64().unwrap(),
-                    };
+                    let x = sample_f64(&v).unwrap();
                     ctx.bind_alias(&item.alias, v);
                     let slot = out.iter_mut().find(|(a, _)| *a == item.alias).unwrap();
                     slot.1.push(x.to_bits());

@@ -239,24 +239,32 @@ fn eval_binary(
         _ => {
             let l = eval_expr(lhs, ctx)?;
             let r = eval_expr(rhs, ctx)?;
-            let v = match op {
-                BinOp::Add => l.add(&r)?,
-                BinOp::Sub => l.sub(&r)?,
-                BinOp::Mul => l.mul(&r)?,
-                BinOp::Div => l.div(&r)?,
-                BinOp::Rem => l.rem(&r)?,
-                BinOp::Cmp(c) => {
-                    if l.is_null() || r.is_null() {
-                        Value::Null
-                    } else {
-                        Value::Bool(c.test(l.sql_cmp(&r)?))
-                    }
-                }
-                BinOp::And | BinOp::Or => unreachable!("handled above"),
-            };
-            Ok(v)
+            apply_binop(op, &l, &r)
         }
     }
+}
+
+/// Apply one non-logical binary operator to a single operand pair: NULL
+/// absorption, int→float promotion, NULL-propagating comparisons. Shared
+/// with the columnar tier's per-value fallback path
+/// ([`crate::columnar`]), so both tiers report identical values and
+/// identical error messages.
+pub(crate) fn apply_binop(op: BinOp, l: &Value, r: &Value) -> SqlResult<Value> {
+    Ok(match op {
+        BinOp::Add => l.add(r)?,
+        BinOp::Sub => l.sub(r)?,
+        BinOp::Mul => l.mul(r)?,
+        BinOp::Div => l.div(r)?,
+        BinOp::Rem => l.rem(r)?,
+        BinOp::Cmp(c) => {
+            if l.is_null() || r.is_null() {
+                Value::Null
+            } else {
+                Value::Bool(c.test(l.sql_cmp(r)?))
+            }
+        }
+        BinOp::And | BinOp::Or => unreachable!("logical operators use the three-valued path"),
+    })
 }
 
 /// Dispatch a call: VG table functions first (catalog wins over builtins, so
@@ -266,14 +274,15 @@ fn call_function(name: &str, args: &[Value], ctx: &mut EvalContext<'_, '_>) -> S
         let table = ctx.invoke_vg(name, args)?;
         // In scalar position, a table-generating function must produce a
         // single cell — that cell is the world's sample. The extraction
-        // (and its misuse diagnostic) is shared with the vectorized tier.
+        // (and its misuse diagnostic) is shared with the columnar tier.
         return Ok(prophet_vg::function::extract_scalar_cell(name, &table)?);
     }
     scalar_builtin(name, args)
 }
 
-/// Scalar builtin functions (TSQL-ish). Shared with the vectorized
-/// evaluator in [`crate::vector`], which applies the same builtin per world.
+/// Scalar builtin functions (TSQL-ish). Shared with the columnar
+/// evaluator in [`crate::columnar`], which applies the same builtin per
+/// world.
 pub(crate) fn scalar_builtin(name: &str, args: &[Value]) -> SqlResult<Value> {
     let upper = name.to_ascii_uppercase();
 
@@ -357,6 +366,22 @@ pub(crate) fn scalar_builtin(name: &str, args: &[Value]) -> SqlResult<Value> {
         _ => Err(SqlError::Data(DataError::UnknownColumn(format!(
             "function `{name}`"
         )))),
+    }
+}
+
+/// The `f64` sample encoding of one output cell, as the estimation layers
+/// (fingerprint probes, Monte Carlo sample sets) store it: `NULL` becomes
+/// `NaN`, everything else goes through [`Value::as_f64`].
+///
+/// This is the per-value NULL → NaN rule, written once: the scalar tier's
+/// callers convert each row's cells through it, and the columnar tier's
+/// [`to_f64_samples`](crate::columnar::to_f64_samples) through it for
+/// boxed lanes (typed lanes fold their null mask instead, to the same
+/// encoding).
+pub fn sample_f64(value: &Value) -> SqlResult<f64> {
+    match value {
+        Value::Null => Ok(f64::NAN),
+        v => Ok(v.as_f64()?),
     }
 }
 

@@ -40,32 +40,30 @@
 //! evaluator treats those as metadata, exactly as the paper's SQL Server
 //! saw only "pure TSQL".
 //!
-//! ## Three execution tiers
+//! ## Two execution tiers
 //!
-//! Evaluation of the scenario SELECT comes in three semantically identical
+//! Evaluation of the scenario SELECT comes in two semantically identical
 //! tiers (full story in `docs/VECTORIZATION.md`):
 //!
 //! * [`executor`] — the **scalar** tier: one AST walk per possible world.
 //!   This is the reference implementation of the dialect's semantics
 //!   (left-to-right alias scoping, SQL three-valued logic, per-call VG
 //!   substreams) and the tier of choice for evaluating a single instance.
-//! * [`vector`] — the **boxed vector** tier: one AST walk per
-//!   *world-block*, carrying a column of values per expression node and
-//!   batching VG invocations through
-//!   [`prophet_vg::VgRegistry::invoke_batch`]. A length-`L` fingerprint
-//!   probe costs one walk instead of `L`.
-//! * [`columnar`] — the **typed columnar** tier: the same block walk, but
-//!   each node lowers to a straight-line kernel ([`mod@column`]) over
-//!   `f64`/`i64`/`bool` buffers with a null bitmask, falling back to boxed
-//!   values only for mixed/string data. VG models with a raw `f64` batch
-//!   lane fill columns without boxing a single value. Fingerprint probes
-//!   and Monte Carlo estimation default to this tier.
+//! * [`columnar`] — the **typed columnar** tier: one AST walk per
+//!   *world-block*, each node lowered to a straight-line kernel
+//!   ([`mod@column`]) over `f64`/`i64`/`bool` buffers with a null bitmask,
+//!   falling back to boxed values only for mixed/string data. VG models
+//!   with a raw `f64` batch lane
+//!   ([`prophet_vg::VgFunction::invoke_batch_f64`]) fill columns without
+//!   boxing a single value, and a length-`L` fingerprint probe costs one
+//!   walk instead of `L`. Fingerprint probes and Monte Carlo estimation
+//!   default to this tier.
 //!
-//! The block tiers are *defined* by bit-identity with the scalar tier —
+//! The columnar tier is *defined* by bit-identity with the scalar tier —
 //! per world, same outputs, same VG seed derivation, same error classes —
-//! and the engine's differential test suite holds them to that contract.
-
-#![cfg_attr(feature = "simd", feature(portable_simd))]
+//! and the differential suites (`tests/vector_equivalence.rs`, the
+//! `columnar` unit tests) hold it to that contract against the scalar
+//! executor directly.
 
 pub mod ast;
 pub mod column;
@@ -74,12 +72,9 @@ pub mod error;
 pub mod executor;
 pub mod lexer;
 pub mod parser;
-#[cfg(feature = "simd")]
-pub mod simd;
 #[cfg(test)]
 pub(crate) mod test_vg;
 pub mod token;
-pub mod vector;
 
 pub use ast::{
     AggMetric, CmpOp, Constraint, Expr, GraphDirective, Objective, ObjectiveDirection,
@@ -91,4 +86,3 @@ pub use columnar::{evaluate_select_columns, to_f64_samples, Column, ColumnarStat
 pub use error::{SqlError, SqlResult};
 pub use executor::{evaluate_select, EvalContext};
 pub use parser::parse_script;
-pub use vector::{column_to_f64, evaluate_select_block};

@@ -1,6 +1,6 @@
 //! Shared test VG functions for the executor test suites.
 //!
-//! The scalar ([`crate::executor`]) and vectorized ([`crate::vector`])
+//! The scalar ([`crate::executor`]) and columnar ([`crate::columnar`])
 //! tiers are differential-tested against each other, so both suites must
 //! exercise the *same* stochastic functions — one definition here keeps a
 //! change to the draw discipline from silently diverging the two suites.

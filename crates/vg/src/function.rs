@@ -42,30 +42,22 @@ pub fn extract_scalar_cell(name: &str, table: &Table) -> DataResult<Value> {
     table.cell(0, column)
 }
 
-/// One logical per-world invocation inside a batched VG call: the concrete
-/// argument values for that world plus the world's derived substream.
+/// One logical per-world invocation inside a batched VG call
+/// ([`VgRegistry::invoke_batch_columnar`]): the concrete argument values
+/// for that world plus the world's derived substream. The columnar SQL
+/// executor hands a whole block of these to the catalog at once, so a
+/// model sees every world of a block and can amortize per-call setup,
+/// while each world still draws from its own generator (the possible-worlds
+/// seed discipline is untouched).
 ///
-/// The vectorized SQL executor hands the whole block to
-/// [`VgRegistry::invoke_batch`] so a model sees every world of a block at
-/// once and can amortize per-call setup, while each world still draws from
-/// its own generator (the possible-worlds seed discipline is untouched).
-pub struct VgCall<'a> {
-    /// Argument values for this world.
-    pub params: &'a [Value],
-    /// The world's derived random stream.
-    pub rng: &'a mut dyn Rng64,
-}
-
-/// One logical per-world invocation inside the typed columnar tier's `f64`
-/// batch lane ([`VgFunction::invoke_batch_f64`]).
-///
-/// Unlike [`VgCall`], the stream is the *concrete* generator that per-call
-/// substream derivation always produces ([`crate::SeedManager::rng_for`]),
-/// not a `dyn Rng64`. That is the lane's whole point: a model's sampling
-/// loop monomorphizes over `Xoshiro256StarStar`, so every draw inlines the
-/// generator's state update instead of paying a virtual call — while the
-/// draws themselves (and therefore the samples) stay bit-identical to the
-/// `dyn` paths, which run the exact same arithmetic behind a vtable.
+/// The stream is the *concrete* generator that per-call substream
+/// derivation always produces ([`crate::SeedManager::rng_for`]), not the
+/// `dyn Rng64` of [`VgFunction::invoke`]. That is the batch lane's whole
+/// point: a model's sampling loop monomorphizes over `Xoshiro256StarStar`,
+/// so every draw inlines the generator's state update instead of paying a
+/// virtual call — while the draws themselves (and therefore the samples)
+/// stay bit-identical to `invoke`, which runs the exact same arithmetic
+/// behind a vtable.
 pub struct VgCallF64<'a> {
     /// Argument values for this world.
     pub params: &'a [Value],
@@ -90,58 +82,29 @@ pub trait VgFunction: Send + Sync {
     /// Schema of the generated relation.
     fn output_schema(&self) -> Schema;
 
-    /// Generate one sample relation for one possible world.
+    /// Generate one sample relation for one possible world. This is the
+    /// reference entry point: the scalar tier calls nothing else, and a
+    /// model that implements only this works on every path.
     fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<Table>;
 
-    /// Generate one relation per world of a block, in call order.
-    ///
-    /// The default loops over [`VgFunction::invoke`], so existing models
-    /// are batch-capable unchanged; implementations may override to hoist
-    /// per-call setup (schema construction, parameter decoding) out of the
-    /// world loop. Overrides must return exactly `calls.len()` tables and
-    /// must produce, for each world, the bit-identical table `invoke` would
-    /// have produced with the same `(params, rng)` — callers (and the
-    /// scalar-vs-vector differential tests) rely on it.
-    fn invoke_batch(&self, calls: &mut [VgCall<'_>]) -> DataResult<Vec<Table>> {
-        calls
-            .iter_mut()
-            .map(|call| self.invoke(call.params, call.rng))
-            .collect()
-    }
-
-    /// Batched invocation in *scalar position*: one output cell per world.
-    ///
-    /// Scenario SELECTs use VG functions as scalars — each world's
-    /// invocation must produce a 1×1 relation whose single cell is the
-    /// world's sample. The default routes through
-    /// [`VgFunction::invoke_batch`] and extracts (validating) that cell;
-    /// single-cell models override to return the values directly and skip
-    /// relation construction entirely, which is where the vectorized
-    /// executor's per-world overhead lives. Overrides must produce, per
-    /// world, the bit-identical value the default extraction would.
-    fn invoke_batch_scalar(&self, calls: &mut [VgCall<'_>]) -> DataResult<Vec<Value>> {
-        let tables = self.invoke_batch(calls)?;
-        tables
-            .into_iter()
-            .map(|table| extract_scalar_cell(self.name(), &table))
-            .collect()
-    }
-
     /// Batched invocation in scalar position straight into an `f64` lane:
-    /// one raw sample per world, no `Value` boxing, no `dyn` rng.
+    /// one raw sample per world of a block, no `Value` boxing, no `dyn`
+    /// rng. Scenario SELECTs use VG functions as scalars — each world's
+    /// invocation yields a 1×1 relation whose single cell is the world's
+    /// sample — and this is the production entry point for exactly that.
     ///
-    /// This is the typed columnar tier's fast path. The default returns
-    /// `Ok(None)`, meaning "no f64 lane — use
-    /// [`VgFunction::invoke_batch_scalar`]"; models whose scalar output is
-    /// always `Value::Float` override it to write draws directly (and,
+    /// The default returns `Ok(None)`, meaning "no f64 lane — call
+    /// [`VgFunction::invoke`] once per world"; models whose scalar output
+    /// is always `Value::Float` override it to write draws directly (and,
     /// because [`VgCallF64`] carries the concrete generator, their sampling
     /// loops monomorphize — see the distributions' `sample_with`). An
-    /// override returning `Some(samples)` promises, per world, that
-    /// `samples[i]` is bit-identical to the float inside the `Value::Float`
-    /// that `invoke_batch_scalar` (and hence `invoke`) would have produced
-    /// for the same `(params, rng)` — including consuming the *same number
-    /// of draws* from each world's stream, since the `(world, function,
-    /// call index)` seed derivation must be preserved exactly.
+    /// override returning `Some(samples)` must return exactly
+    /// `calls.len()` samples and promises, per world, that `samples[i]` is
+    /// bit-identical to the float inside the single `Value::Float` cell
+    /// `invoke` would have produced for the same `(params, rng)` —
+    /// including consuming the *same number of draws* from each world's
+    /// stream, since the `(world, function, call index)` seed derivation
+    /// must be preserved exactly.
     fn invoke_batch_f64(&self, calls: &mut [VgCallF64<'_>]) -> DataResult<Option<Vec<f64>>> {
         let _ = calls;
         Ok(None)
@@ -155,7 +118,8 @@ pub enum BatchSamples {
     /// One raw `f64` sample per world (the model's scalar output is always
     /// `Value::Float`; no per-world boxing happened).
     F64(Vec<f64>),
-    /// One boxed scalar per world, from [`VgFunction::invoke_batch_scalar`].
+    /// One boxed scalar per world: the single cell of each world's
+    /// [`VgFunction::invoke`] relation, for models without an `f64` lane.
     Values(Vec<Value>),
 }
 
@@ -164,10 +128,11 @@ pub enum BatchSamples {
 pub struct InvocationStats {
     /// Total number of logical per-world invocations (a batched call of
     /// `n` worlds counts `n`, so this number is comparable across the
-    /// scalar and vectorized execution tiers).
+    /// scalar and columnar execution tiers).
     pub invocations: u64,
-    /// Number of physical `invoke_batch` calls that produced those logical
-    /// invocations (0 when every call went through the scalar path).
+    /// Number of physical [`VgRegistry::invoke_batch_columnar`] calls that
+    /// produced those logical invocations (0 when every call went through
+    /// [`VgRegistry::invoke`], as on the scalar tier).
     pub batched_calls: u64,
 }
 
@@ -231,8 +196,7 @@ impl VgRegistry {
 
     /// Resolve the entry for a batched call: validates arity per call and
     /// records `calls.len()` logical invocations plus one physical batch
-    /// call. Shared by both batch entry points so the two paths' accounting
-    /// and validation can never drift apart.
+    /// call.
     fn claim_batch(
         &self,
         name: &str,
@@ -267,38 +231,20 @@ impl VgRegistry {
         Ok(outputs)
     }
 
-    /// Invoke by name over a whole world-block, validating arity and
-    /// counting every *logical* per-world invocation — `invoke_batch` with
-    /// `n` calls bumps the counter by `n`, so invocation accounting stays
-    /// comparable whether the executor walked worlds one at a time or as a
-    /// block. `batched_calls` additionally counts the physical batch calls,
-    /// making the amortization itself observable.
-    pub fn invoke_batch(&self, name: &str, calls: &mut [VgCall<'_>]) -> DataResult<Vec<Table>> {
-        let entry = self.claim_batch(name, calls.iter().map(|c| c.params.len()))?;
-        let tables = entry.function.invoke_batch(calls)?;
-        Self::expect_batch_len(name, tables, calls.len())
-    }
-
-    /// Scalar-position variant of [`VgRegistry::invoke_batch`]: one cell
-    /// per world, same arity validation and logical-invocation accounting.
-    pub fn invoke_batch_scalar(
-        &self,
-        name: &str,
-        calls: &mut [VgCall<'_>],
-    ) -> DataResult<Vec<Value>> {
-        let entry = self.claim_batch(name, calls.iter().map(|c| c.params.len()))?;
-        let values = entry.function.invoke_batch_scalar(calls)?;
-        Self::expect_batch_len(name, values, calls.len())
-    }
-
-    /// Columnar variant of [`VgRegistry::invoke_batch_scalar`]: same arity
-    /// validation and logical-invocation accounting (claimed exactly once),
-    /// but asks the model for its raw `f64` lane first and only falls back
-    /// to boxed scalars when the model declines. The typed columnar
-    /// executor keys its `column_fallbacks` accounting off which variant
-    /// comes back. Fallback calls reborrow the concrete streams as `dyn`,
-    /// so a declining model consumes exactly the draws the scalar batch
-    /// path would have.
+    /// Invoke by name over a whole world-block in scalar position,
+    /// validating arity per call and counting every *logical* per-world
+    /// invocation — a batch of `n` calls bumps the counter by `n`, so
+    /// invocation accounting stays comparable whether the executor walked
+    /// worlds one at a time or as a block. `batched_calls` additionally
+    /// counts the physical batch calls, making the amortization itself
+    /// observable.
+    ///
+    /// The model is asked for its raw `f64` lane first; when it declines,
+    /// each world goes through [`VgFunction::invoke`] on its own stream
+    /// (reborrowed as `dyn`, so it consumes exactly the draws a scalar walk
+    /// would) and [`extract_scalar_cell`] — the scalar tier's path, value
+    /// for value and error for error. The columnar executor keys its
+    /// `column_fallbacks` accounting off which variant comes back.
     pub fn invoke_batch_columnar(
         &self,
         name: &str,
@@ -309,17 +255,14 @@ impl VgRegistry {
             let samples = Self::expect_batch_len(name, samples, calls.len())?;
             return Ok(BatchSamples::F64(samples));
         }
-        let n = calls.len();
-        let mut dyn_calls: Vec<VgCall<'_>> = calls
+        calls
             .iter_mut()
-            .map(|c| VgCall {
-                params: c.params,
-                rng: c.rng as &mut dyn Rng64,
+            .map(|call| {
+                let table = entry.function.invoke(call.params, call.rng)?;
+                extract_scalar_cell(name, &table)
             })
-            .collect();
-        let values = entry.function.invoke_batch_scalar(&mut dyn_calls)?;
-        let values = Self::expect_batch_len(name, values, n)?;
-        Ok(BatchSamples::Values(values))
+            .collect::<DataResult<Vec<Value>>>()
+            .map(BatchSamples::Values)
     }
 
     /// Invocation statistics for one function.
@@ -472,86 +415,76 @@ mod tests {
         assert_eq!(r.get("UniformRows").unwrap().arity(), 0);
     }
 
-    #[test]
-    fn batch_invoke_counts_logical_invocations_and_matches_scalar() {
-        let r = registry();
-        // Batch of 3 worlds, distinct rngs.
-        let mut rngs: Vec<_> = (0..3u64)
-            .map(crate::rng::Xoshiro256StarStar::seed_from_u64)
-            .collect();
-        let params = vec![Value::Int(4)];
-        let mut calls: Vec<VgCall<'_>> = rngs
-            .iter_mut()
-            .map(|rng| VgCall {
-                params: &params,
-                rng,
-            })
-            .collect();
-        let tables = r.invoke_batch("UniformRows", &mut calls).unwrap();
-        assert_eq!(tables.len(), 3);
-        let stats = r.stats("UniformRows").unwrap();
-        assert_eq!(stats.invocations, 3, "one logical invocation per world");
-        assert_eq!(stats.batched_calls, 1, "one physical batch call");
+    /// One generator per world of a test batch, seeded `0..n`.
+    fn world_rngs(n: u64) -> Vec<Xoshiro256StarStar> {
+        (0..n).map(Xoshiro256StarStar::seed_from_u64).collect()
+    }
 
-        // The default fallback must be bit-identical to scalar invocation.
-        let mut rng = crate::rng::Xoshiro256StarStar::seed_from_u64(1);
-        let scalar = r.invoke("UniformRows", &[Value::Int(4)], &mut rng).unwrap();
-        assert_eq!(tables[1], scalar);
+    /// One batched call per generator, all with the same argument row.
+    fn batch<'a>(params: &'a [Value], rngs: &'a mut [Xoshiro256StarStar]) -> Vec<VgCallF64<'a>> {
+        rngs.iter_mut()
+            .map(|rng| VgCallF64 { params, rng })
+            .collect()
     }
 
     #[test]
     fn batch_scalar_extracts_single_cells_and_rejects_relations() {
-        // UniformRows(1) is a 1x1 relation: the default scalar batch path
+        // UniformRows(1) is a 1x1 relation: in scalar position the batch
         // must extract exactly the cell scalar invocation produces.
         let r = registry();
-        let mut a = crate::rng::Xoshiro256StarStar::seed_from_u64(3);
-        let mut b = crate::rng::Xoshiro256StarStar::seed_from_u64(3);
-        let params = vec![Value::Int(1)];
-        let mut calls = vec![VgCall {
-            params: &params,
-            rng: &mut a,
-        }];
-        let cells = r.invoke_batch_scalar("UniformRows", &mut calls).unwrap();
-        let table = r.invoke("UniformRows", &[Value::Int(1)], &mut b).unwrap();
-        assert_eq!(cells, vec![table.cell(0, "u").unwrap()]);
+        let params = [Value::Int(1)];
+        let cells = r
+            .invoke_batch_columnar("UniformRows", &mut batch(&params, &mut world_rngs(1)))
+            .unwrap();
+        let table = r
+            .invoke("UniformRows", &params, &mut world_rngs(1)[0])
+            .unwrap();
+        assert_eq!(
+            cells,
+            BatchSamples::Values(vec![table.cell(0, "u").unwrap()])
+        );
 
-        // A multi-row result must be rejected with the scalar-misuse error.
-        let mut c = crate::rng::Xoshiro256StarStar::seed_from_u64(3);
-        let params = vec![Value::Int(2)];
-        let mut calls = vec![VgCall {
-            params: &params,
-            rng: &mut c,
-        }];
+        // A multi-row result must be rejected with the scalar tier's own
+        // scalar-misuse error.
+        let params = [Value::Int(2)];
         let err = r
-            .invoke_batch_scalar("UniformRows", &mut calls)
+            .invoke_batch_columnar("UniformRows", &mut batch(&params, &mut world_rngs(1)))
             .unwrap_err();
         assert!(err.to_string().contains("exactly one cell"), "{err}");
+        let table = r
+            .invoke("UniformRows", &params, &mut world_rngs(1)[0])
+            .unwrap();
+        let scalar = extract_scalar_cell("UniformRows", &table).unwrap_err();
+        assert_eq!(err.to_string(), scalar.to_string());
     }
 
     #[test]
     fn batch_invoke_validates_arity_per_call() {
         let r = registry();
-        let mut rng = crate::rng::Xoshiro256StarStar::seed_from_u64(1);
-        let good = vec![Value::Int(1)];
-        let bad: Vec<Value> = vec![];
-        let mut calls = vec![VgCall {
-            params: &good,
-            rng: &mut rng,
-        }];
-        assert!(r.invoke_batch("UniformRows", &mut calls).is_ok());
-        let mut rng2 = crate::rng::Xoshiro256StarStar::seed_from_u64(1);
-        let mut calls = vec![VgCall {
-            params: &bad,
-            rng: &mut rng2,
-        }];
-        let err = r.invoke_batch("UniformRows", &mut calls).unwrap_err();
-        assert!(err.to_string().contains("expects 1 parameters"));
-        assert!(r.invoke_batch("Missing", &mut []).is_err());
+        let good = [Value::Int(1)];
+        assert!(r
+            .invoke_batch_columnar("UniformRows", &mut batch(&good, &mut world_rngs(1)))
+            .is_ok());
+        // One bad call anywhere in the batch rejects it whole.
+        let mut rngs = world_rngs(2);
+        let mut calls = batch(&good, &mut rngs);
+        calls[1].params = &[];
+        let err = r
+            .invoke_batch_columnar("UniformRows", &mut calls)
+            .unwrap_err();
+        assert!(err.to_string().contains("expects 1 parameters, got 0"));
+        assert_eq!(
+            r.stats("UniformRows").unwrap().invocations,
+            1,
+            "a rejected batch counts nothing"
+        );
+        assert!(r.invoke_batch_columnar("Missing", &mut []).is_err());
     }
 
-    /// Single-cell uniform draw with a raw `f64` batch lane.
+    /// Single-cell uniform draw with a raw `f64` batch lane, which comes
+    /// back `self.0` samples longer (or shorter) than the batch.
     #[derive(Debug)]
-    struct UniformCell;
+    struct UniformCell(isize);
 
     impl VgFunction for UniformCell {
         fn name(&self) -> &str {
@@ -573,23 +506,19 @@ mod tests {
         }
 
         fn invoke_batch_f64(&self, calls: &mut [VgCallF64<'_>]) -> DataResult<Option<Vec<f64>>> {
-            Ok(Some(calls.iter_mut().map(|c| c.rng.next_f64()).collect()))
+            let mut lane: Vec<f64> = calls.iter_mut().map(|c| c.rng.next_f64()).collect();
+            lane.resize(lane.len().saturating_add_signed(self.0), 0.0);
+            Ok(Some(lane))
         }
     }
 
     #[test]
     fn columnar_batch_prefers_the_f64_lane_and_matches_invoke() {
         let mut r = VgRegistry::new();
-        r.register(Arc::new(UniformCell));
-        let mut rngs: Vec<_> = (0..4u64)
-            .map(crate::rng::Xoshiro256StarStar::seed_from_u64)
-            .collect();
-        let mut calls: Vec<VgCallF64<'_>> = rngs
-            .iter_mut()
-            .map(|rng| VgCallF64 { params: &[], rng })
-            .collect();
-        let BatchSamples::F64(samples) =
-            r.invoke_batch_columnar("UniformCell", &mut calls).unwrap()
+        r.register(Arc::new(UniformCell(0)));
+        let BatchSamples::F64(samples) = r
+            .invoke_batch_columnar("UniformCell", &mut batch(&[], &mut world_rngs(4)))
+            .unwrap()
         else {
             panic!("UniformCell provides an f64 lane");
         };
@@ -599,37 +528,51 @@ mod tests {
         assert_eq!(stats.batched_calls, 1, "one physical batch call");
 
         // The lane must be bit-identical to the scalar invoke's cell.
-        let mut rng = crate::rng::Xoshiro256StarStar::seed_from_u64(2);
-        let table = r.invoke("UniformCell", &[], &mut rng).unwrap();
+        let table = r.invoke("UniformCell", &[], &mut world_rngs(3)[2]).unwrap();
         assert_eq!(Value::Float(samples[2]), table.cell(0, "u").unwrap());
+    }
+
+    #[test]
+    fn a_short_or_long_f64_lane_is_rejected() {
+        for (delta, returned) in [(-1, 3), (1, 5)] {
+            let mut r = VgRegistry::new();
+            r.register(Arc::new(UniformCell(delta)));
+            let err = r
+                .invoke_batch_columnar("UniformCell", &mut batch(&[], &mut world_rngs(4)))
+                .unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains(&format!("returned {returned} outputs for a batch of 4")),
+                "{err}"
+            );
+        }
     }
 
     #[test]
     fn columnar_batch_falls_back_to_boxed_scalars() {
         // UniformRows has no f64 lane: the columnar entry point must come
-        // back with boxed values matching the scalar batch path bit for bit.
+        // back with boxed values — one physical call, one logical
+        // invocation per world, each world's value bit-identical to the
+        // cell `invoke` produces on the same stream.
         let r = registry();
-        let mut a = crate::rng::Xoshiro256StarStar::seed_from_u64(7);
-        let mut b = crate::rng::Xoshiro256StarStar::seed_from_u64(7);
-        let params = vec![Value::Int(1)];
-        let mut calls = vec![VgCallF64 {
-            params: &params,
-            rng: &mut a,
-        }];
-        let BatchSamples::Values(values) =
-            r.invoke_batch_columnar("UniformRows", &mut calls).unwrap()
+        let params = [Value::Int(1)];
+        let BatchSamples::Values(values) = r
+            .invoke_batch_columnar("UniformRows", &mut batch(&params, &mut world_rngs(3)))
+            .unwrap()
         else {
             panic!("UniformRows has no f64 lane");
         };
-        let mut calls = vec![VgCall {
-            params: &params,
-            rng: &mut b,
-        }];
-        let scalar = r.invoke_batch_scalar("UniformRows", &mut calls).unwrap();
-        assert_eq!(values, scalar);
         let stats = r.stats("UniformRows").unwrap();
-        assert_eq!(stats.invocations, 2, "claimed exactly once per entry point");
-        assert_eq!(stats.batched_calls, 2);
+        assert_eq!(stats.invocations, 3, "one logical invocation per world");
+        assert_eq!(stats.batched_calls, 1, "one physical batch call");
+        let scalar: Vec<Value> = world_rngs(3)
+            .iter_mut()
+            .map(|rng| {
+                let table = r.invoke("UniformRows", &params, rng).unwrap();
+                table.cell(0, "u").unwrap()
+            })
+            .collect();
+        assert_eq!(values, scalar);
     }
 
     #[test]

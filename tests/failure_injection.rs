@@ -10,7 +10,7 @@ use prophet_data::{DataResult, DataType, Schema, Table, TableBuilder, Value};
 use prophet_models::demo_registry;
 use prophet_sql::parse_script;
 use prophet_vg::rng::Rng64;
-use prophet_vg::{VgFunction, VgRegistry};
+use prophet_vg::{VgCallF64, VgFunction, VgRegistry};
 
 // ---------------------------------------------------------------- DSL level
 
@@ -275,14 +275,32 @@ fn nan_fingerprints_disable_mapping_but_not_answers() {
 
 /// A model with three hit points (`p` in 1..=3 draw exactly what `p = 0`
 /// draws, so they identity-map from it), mutually uncorrelated miss points
-/// (`p >= 5`), and one point that starts returning `Err` after a set
-/// number of invocations: 0 fails its fingerprint probe, the fingerprint
-/// length lets the probe through and fails its first simulated world.
+/// (`p >= 5`), and one point that starts failing after a set number of
+/// invocations: 0 fails its fingerprint probe, the fingerprint length lets
+/// the probe through and fails its first simulated world. It fails either
+/// by returning `Err` from `invoke`, or — with `short_lane`, which gives
+/// the model an `f64` batch lane — by handing back a lane one sample short.
 #[derive(Debug)]
 struct Flaky {
     bad: i64,
     healthy_calls: u64,
     calls_at_bad: AtomicU64,
+    short_lane: bool,
+}
+
+impl Flaky {
+    /// Count one invocation at `p`; true once the bad point has given out.
+    fn gave_out(&self, p: i64) -> bool {
+        p == self.bad && self.calls_at_bad.fetch_add(1, Ordering::SeqCst) >= self.healthy_calls
+    }
+
+    fn draw(p: i64, u: f64) -> f64 {
+        if p < 5 {
+            u
+        } else {
+            ((p + 1) as f64 * 9.7 * u).sin()
+        }
+    }
 }
 
 impl VgFunction for Flaky {
@@ -297,29 +315,40 @@ impl VgFunction for Flaky {
     }
     fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<Table> {
         let p = params[0].as_i64()?;
-        if p == self.bad && self.calls_at_bad.fetch_add(1, Ordering::SeqCst) >= self.healthy_calls {
+        if self.gave_out(p) {
             return Err(prophet_data::DataError::InvalidOperation(format!(
                 "Flaky({p}) gave out"
             )));
         }
-        let u = rng.next_f64();
-        let v = if p < 5 {
-            u
-        } else {
-            ((p + 1) as f64 * 9.7 * u).sin()
-        };
         let mut b = TableBuilder::with_capacity(self.output_schema(), 1);
-        b.push_row(vec![Value::Float(v)])?;
+        b.push_row(vec![Value::Float(Flaky::draw(p, rng.next_f64()))])?;
         Ok(b.finish())
+    }
+    fn invoke_batch_f64(&self, calls: &mut [VgCallF64<'_>]) -> DataResult<Option<Vec<f64>>> {
+        if !self.short_lane {
+            return Ok(None);
+        }
+        let mut short = false;
+        let mut lane = Vec::with_capacity(calls.len());
+        for call in calls {
+            let p = call.params[0].as_i64()?;
+            short |= self.gave_out(p);
+            lane.push(Flaky::draw(p, call.rng.next_f64()));
+        }
+        if short {
+            lane.pop();
+        }
+        Ok(Some(lane))
     }
 }
 
-fn flaky_registry(bad: i64, healthy_calls: u64) -> VgRegistry {
+fn flaky_registry(bad: i64, healthy_calls: u64, short_lane: bool) -> VgRegistry {
     let mut r = VgRegistry::new();
     r.register(Arc::new(Flaky {
         bad,
         healthy_calls,
         calls_at_bad: AtomicU64::new(0),
+        short_lane,
     }));
     r
 }
@@ -350,9 +379,10 @@ fn work_counters(m: &EngineMetrics) -> [u64; 11] {
     ]
 }
 
-/// One VG error inside a mixed hit/miss batch, driven through both
-/// runners of the batch pipeline: the inline one (`Engine::evaluate_batch`)
-/// and the pooled one (`Prophet::submit`). They must fail the same way —
+/// One VG failure — an `Err`, or an `f64` lane of the wrong length —
+/// inside a mixed hit/miss batch, driven through both runners of the
+/// batch pipeline: the inline one (`Engine::evaluate_batch`) and the
+/// pooled one (`Prophet::submit`). They must fail the same way —
 /// same typed error, same points published before it, same work done —
 /// and leave no claim behind: a healthy engine on the same store then
 /// evaluates every point of the batch without ever waiting.
@@ -366,27 +396,43 @@ fn a_vg_error_mid_batch_leaves_both_runners_in_the_same_state() {
     let batch: Vec<ParamPoint> = [1, 5, 2, BAD, 6, 3].map(point).to_vec();
     let probe_len = EngineConfig::default().fingerprint.length as u64;
 
-    // (label, engine threads, healthy invocations at BAD, published after).
+    // (label, engine threads, fail by a short `f64` lane, healthy
+    // invocations at BAD, the error's text, published after).
     let table = [
         // 3 misses on 2 threads simulate point-parallel; publishing stops
         // at BAD, so the later miss (6) is simulated but never published.
         (
             "simulate, point-parallel",
             2,
+            false,
             probe_len,
+            "gave out",
             [true, true, true, false, false, true],
         ),
         // 3 misses on 4 threads run as one world-parallel unit.
         (
             "simulate, world-parallel",
             4,
+            false,
             probe_len,
+            "gave out",
             [true, true, true, false, false, true],
         ),
         // A failed probe ends the batch before anything is matched.
-        ("probe", 2, 0, [false; 6]),
+        ("probe", 2, false, 0, "gave out", [false; 6]),
+        // The model's `f64` lane comes back one sample short for BAD's
+        // simulation: the catalog's length check turns what would be a
+        // misaligned sample column into the same typed failure.
+        (
+            "short f64 lane",
+            2,
+            true,
+            probe_len,
+            "returned 15 outputs for a batch of 16",
+            [true, true, true, false, false, true],
+        ),
     ];
-    for (label, threads, healthy_calls, expect_published) in table {
+    for (label, threads, short_lane, healthy_calls, expect_error, expect_published) in table {
         let cfg = EngineConfig {
             worlds_per_point: 16,
             threads,
@@ -410,7 +456,8 @@ fn a_vg_error_mid_batch_leaves_both_runners_in_the_same_state() {
         };
 
         // Inline runner: a bare engine, warmed with the hits' source.
-        let engine = Engine::new(&scenario, flaky_registry(BAD, healthy_calls), cfg).unwrap();
+        let registry = |healthy_calls| flaky_registry(BAD, healthy_calls, short_lane);
+        let engine = Engine::new(&scenario, registry(healthy_calls), cfg).unwrap();
         engine.evaluate(&point(0)).unwrap();
         let before = engine.metrics();
         let error = engine.evaluate_batch(&batch).unwrap_err();
@@ -421,7 +468,7 @@ fn a_vg_error_mid_batch_leaves_both_runners_in_the_same_state() {
         let prophet = Prophet::builder()
             .scenario_sql("flaky", SRC)
             .unwrap()
-            .registry(flaky_registry(BAD, healthy_calls))
+            .registry(registry(healthy_calls))
             .config(cfg)
             .scheduler(SchedulerConfig {
                 workers: 2,
@@ -456,20 +503,20 @@ fn a_vg_error_mid_batch_leaves_both_runners_in_the_same_state() {
             "{label}: {:?}",
             inline.error
         );
-        assert!(inline.error.to_string().contains("gave out"), "{label}");
+        assert!(
+            inline.error.to_string().contains(expect_error),
+            "{label}: {}",
+            inline.error
+        );
         assert_eq!(inline.published, expect_published, "{label}");
 
         // Every unpublished claim was released: a healthy engine on the
         // same store serves the published points from it and evaluates
         // the rest itself, never parking on a claim nobody will complete.
         for store in [inline_store, pooled_store] {
-            let healthy = Engine::with_basis_store(
-                &scenario,
-                Arc::new(flaky_registry(BAD, u64::MAX)),
-                cfg,
-                store,
-            )
-            .unwrap();
+            let healthy =
+                Engine::with_basis_store(&scenario, Arc::new(registry(u64::MAX)), cfg, store)
+                    .unwrap();
             let results = healthy.evaluate_batch(&batch).unwrap();
             for ((_, outcome), &was_published) in results.iter().zip(&expect_published) {
                 assert_eq!(*outcome == EvalOutcome::Cached, was_published, "{label}");

@@ -1,24 +1,24 @@
-//! Tier differential suite: the block execution tiers (boxed vector and
-//! typed columnar) are *defined* by bit-identity with the scalar executor,
-//! and this file is the contract's enforcement.
+//! Tier differential suite: the typed columnar tier is *defined* by
+//! bit-identity with the scalar executor, and this file is the contract's
+//! enforcement — columnar against the scalar reference directly.
 //!
 //! Coverage:
 //!
 //! * every bundled scenario (Figure 2 plus the four example scenarios),
 //!   asserting bit-identical fingerprints *and* estimation samples across
-//!   [`ExecTier::Columnar`], [`ExecTier::Boxed`] and [`ExecTier::Scalar`]
-//!   engines walking the same evaluation sequence — and that the columnar
-//!   tier never falls back to boxed values on any of them;
+//!   [`ExecTier::Columnar`] and [`ExecTier::Scalar`] engines walking the
+//!   same evaluation sequence — and that the columnar tier never falls
+//!   back to boxed values on any of them;
 //! * a seeded property loop at the SQL layer over random world-block
 //!   sizes — 1, 2, the fingerprint length `L`, and non-multiples of `L` —
-//!   asserting per-world equality between one block walk (both block
-//!   tiers) and per-world scalar walks;
+//!   asserting per-world equality between one block walk and per-world
+//!   scalar walks;
 //! * a second seeded property loop over *random expressions* — NULL
 //!   literals, conditional VG calls inside CASE arms, three-valued
-//!   AND/OR/NOT, CASE masks with and without ELSE, block sizes that are
-//!   not multiples of the SIMD lane width — asserting bit-identical
-//!   outputs and VG invocation accounting across all three tiers;
-//! * thread-count independence of the block tiers (samples and work
+//!   AND/OR/NOT, CASE masks with and without ELSE, odd block sizes —
+//!   asserting bit-identical outputs and VG invocation accounting across
+//!   the two tiers;
+//! * thread-count independence of the block tier (samples and work
 //!   counters equal under `threads: 1` and `threads: 8`, both equal to a
 //!   single-threaded scalar engine);
 //! * the columnar tier's two fingerprint-phase shortcuts against the
@@ -42,7 +42,6 @@ use prophet_models::{demo_registry, full_registry};
 use prophet_sql::columnar::evaluate_select_columns;
 use prophet_sql::executor::{evaluate_select_with, WorldRng};
 use prophet_sql::parser::parse_script;
-use prophet_sql::vector::evaluate_select_block;
 use prophet_vg::rng::{Rng64, Xoshiro256StarStar};
 use prophet_vg::{SeedManager, VgCallF64, VgFunction, VgRegistry};
 
@@ -147,7 +146,7 @@ impl VgRegistryKind {
 }
 
 /// One engine per execution tier, identical otherwise.
-fn engine_trio(scenario: &Scenario, kind: &VgRegistryKind) -> [Engine; 3] {
+fn engine_pair(scenario: &Scenario, kind: &VgRegistryKind) -> [Engine; 2] {
     let config = EngineConfig {
         worlds_per_point: 48,
         ..EngineConfig::default()
@@ -155,51 +154,42 @@ fn engine_trio(scenario: &Scenario, kind: &VgRegistryKind) -> [Engine; 3] {
     TIERS.map(|tier| Engine::new(scenario, kind.build(), EngineConfig { tier, ..config }).unwrap())
 }
 
-/// Tier order used throughout: columnar first (the default), then boxed,
-/// then the scalar reference.
-const TIERS: [ExecTier; 3] = [ExecTier::Columnar, ExecTier::Boxed, ExecTier::Scalar];
+/// Tier order used throughout: columnar first (the default), then the
+/// scalar reference.
+const TIERS: [ExecTier; 2] = [ExecTier::Columnar, ExecTier::Scalar];
 
 /// Every bundled scenario: same outcomes, bit-identical samples, and the
 /// same store contents (the stored fingerprints drove identical matching)
-/// across the columnar, boxed and scalar tiers — and the columnar tier
-/// stays fully typed (`column_fallbacks == 0`) on all five.
+/// across the columnar and scalar tiers — and the columnar tier stays
+/// fully typed (`column_fallbacks == 0`) on all five.
 #[test]
 fn all_bundled_scenarios_are_bit_identical_across_tiers() {
     for (name, scenario, kind, points) in bundled_scenarios() {
-        let [columnar, boxed, scalar] = engine_trio(&scenario, &kind);
+        let [columnar, scalar] = engine_pair(&scenario, &kind);
         let columns = columnar.output_columns();
         for point in &points {
             let (sc, oc) = columnar.evaluate(point).unwrap();
-            let (sv, ov) = boxed.evaluate(point).unwrap();
             let (ss, os) = scalar.evaluate(point).unwrap();
-            assert_eq!(oc, os, "[{name}] columnar outcome at {point}");
-            assert_eq!(ov, os, "[{name}] boxed outcome at {point}");
+            assert_eq!(oc, os, "[{name}] outcome at {point}");
             for col in columns {
                 assert_eq!(
                     sc.samples(col),
                     ss.samples(col),
-                    "[{name}] columnar column `{col}` at {point}"
-                );
-                assert_eq!(
-                    sv.samples(col),
-                    ss.samples(col),
-                    "[{name}] boxed column `{col}` at {point}"
+                    "[{name}] column `{col}` at {point}"
                 );
             }
         }
         let mc = columnar.metrics();
-        let mv = boxed.metrics();
         let ms = scalar.metrics();
         assert_eq!(
             mc.probe_evaluations, ms.probe_evaluations,
             "[{name}] logical probe accounting must not depend on the tier"
         );
-        assert_eq!(mv.probe_evaluations, ms.probe_evaluations, "[{name}]");
         assert_eq!(mc.points_simulated, ms.points_simulated, "[{name}]");
         assert_eq!(mc.worlds_simulated, ms.worlds_simulated, "[{name}]");
         assert!(
-            mc.vector_walks > 0 && mv.vector_walks > 0 && ms.vector_walks == 0,
-            "[{name}] only the block tiers block-walk"
+            mc.vector_walks > 0 && ms.vector_walks == 0,
+            "[{name}] only the block tier block-walks"
         );
         assert!(
             mc.columnar_kernels > 0,
@@ -209,21 +199,19 @@ fn all_bundled_scenarios_are_bit_identical_across_tiers() {
             mc.column_fallbacks, 0,
             "[{name}] every bundled scenario is fully typed — no boxed fallbacks"
         );
-        assert_eq!(mv.columnar_kernels, 0, "[{name}]");
         assert_eq!(ms.columnar_kernels, 0, "[{name}]");
     }
 }
 
-/// Fingerprints are probed under the canonical seed block: force all
+/// Fingerprints are probed under the canonical seed block: force both
 /// tiers through a *miss* (distinct stores) and compare what each
 /// published to its basis store for matching.
 #[test]
 fn probed_fingerprints_are_bit_identical() {
     for (name, scenario, kind, points) in bundled_scenarios() {
-        let [columnar, boxed, scalar] = engine_trio(&scenario, &kind);
+        let [columnar, scalar] = engine_pair(&scenario, &kind);
         let point = &points[0];
         columnar.evaluate(point).unwrap();
-        boxed.evaluate(point).unwrap();
         scalar.evaluate(point).unwrap();
         // The engines now map *from* the published entries: if the
         // stored fingerprints differed at all, matching (which compares
@@ -231,13 +219,10 @@ fn probed_fingerprints_are_bit_identical() {
         // the remaining points.
         for p in &points[1..] {
             let (cs, co) = columnar.evaluate(p).unwrap();
-            let (vs, vo) = boxed.evaluate(p).unwrap();
             let (ss, so) = scalar.evaluate(p).unwrap();
-            assert_eq!(co, so, "[{name}] columnar mapping decision at {p}");
-            assert_eq!(vo, so, "[{name}] boxed mapping decision at {p}");
+            assert_eq!(co, so, "[{name}] mapping decision at {p}");
             for col in columnar.output_columns() {
                 assert_eq!(cs.samples(col), ss.samples(col), "[{name}] {col} at {p}");
-                assert_eq!(vs.samples(col), ss.samples(col), "[{name}] {col} at {p}");
             }
         }
     }
@@ -273,25 +258,18 @@ fn random_world_blocks_match_scalar_walks() {
         ]);
         let seeds = SeedManager::new(rng.next_u64());
 
-        let block = evaluate_select_block(select, &registry, &params, seeds, &worlds).unwrap();
         let (typed, _) =
             evaluate_select_columns(select, &registry, &params, seeds, &worlds).unwrap();
         for (slot, &world) in worlds.iter().enumerate() {
             let row =
                 evaluate_select_with(select, &registry, &params, WorldRng::per_call(seeds, world))
                     .unwrap();
-            for (((alias, column), (typed_alias, typed_column)), (scalar_alias, scalar_value)) in
-                block.iter().zip(&typed).zip(&row)
-            {
+            assert_eq!(typed.len(), row.len());
+            for ((alias, column), (scalar_alias, scalar_value)) in typed.iter().zip(&row) {
                 assert_eq!(alias, scalar_alias);
-                assert_eq!(typed_alias, scalar_alias);
-                assert_eq!(
-                    &column[slot], scalar_value,
-                    "round {round}, block_len {block_len}, world {world}, column {alias}"
-                );
                 assert!(
-                    bit_eq(&typed_column.value_at(slot), scalar_value),
-                    "round {round}, block_len {block_len}, world {world}, typed column {alias}"
+                    bit_eq(&column.value_at(slot), scalar_value),
+                    "round {round}, block_len {block_len}, world {world}, column {alias}"
                 );
             }
         }
@@ -318,7 +296,7 @@ impl Default for FingerprintLen {
     }
 }
 
-/// The block tiers must stay thread-count independent: same samples, same
+/// The block tier must stay thread-count independent: same samples, same
 /// work counters under 1 and 8 threads, all bit-identical to a
 /// single-threaded scalar engine (the acceptance bar for the typed tier).
 #[test]
@@ -349,35 +327,33 @@ fn block_tiers_are_thread_count_independent() {
         .collect();
     let reference = make(ExecTier::Scalar, 1);
     let expected = reference.evaluate_batch(&points).unwrap();
-    for tier in [ExecTier::Columnar, ExecTier::Boxed] {
-        for threads in [1usize, 8] {
-            let engine = make(tier, threads);
-            let got = engine.evaluate_batch(&points).unwrap();
-            for (i, ((sa, oa), (sb, ob))) in expected.iter().zip(&got).enumerate() {
-                assert_eq!(oa, ob, "{tier:?} x{threads} point #{i}");
-                for col in reference.output_columns() {
-                    assert_eq!(
-                        sa.samples(col),
-                        sb.samples(col),
-                        "{tier:?} x{threads} point #{i} {col}"
-                    );
-                }
+    for threads in [1usize, 8] {
+        let engine = make(ExecTier::Columnar, threads);
+        let got = engine.evaluate_batch(&points).unwrap();
+        for (i, ((sa, oa), (sb, ob))) in expected.iter().zip(&got).enumerate() {
+            assert_eq!(oa, ob, "x{threads} point #{i}");
+            for col in reference.output_columns() {
+                assert_eq!(
+                    sa.samples(col),
+                    sb.samples(col),
+                    "x{threads} point #{i} {col}"
+                );
             }
-            assert_eq!(
-                engine.metrics().worlds_simulated,
-                reference.metrics().worlds_simulated,
-                "{tier:?} x{threads}"
-            );
-            assert_eq!(
-                engine.metrics().probe_evaluations,
-                reference.metrics().probe_evaluations,
-                "{tier:?} x{threads}"
-            );
         }
+        assert_eq!(
+            engine.metrics().worlds_simulated,
+            reference.metrics().worlds_simulated,
+            "x{threads}"
+        );
+        assert_eq!(
+            engine.metrics().probe_evaluations,
+            reference.metrics().probe_evaluations,
+            "x{threads}"
+        );
     }
 }
 
-/// The block tiers' logical VG accounting matches the scalar tier's: a
+/// The block tier's logical VG accounting matches the scalar tier's: a
 /// batched call of `n` worlds counts `n` invocations in the catalog.
 #[test]
 fn vg_invocation_accounting_is_tier_independent() {
@@ -408,20 +384,13 @@ fn vg_invocation_accounting_is_tier_independent() {
         )
     };
     let (cd, cc) = run(ExecTier::Columnar);
-    let (vd, vc) = run(ExecTier::Boxed);
     let (sd, sc) = run(ExecTier::Scalar);
     assert_eq!(cd.invocations, sd.invocations, "DemandModel logical count");
-    assert_eq!(vd.invocations, sd.invocations, "DemandModel logical count");
     assert_eq!(
         cc.invocations, sc.invocations,
         "CapacityModel logical count"
     );
-    assert_eq!(
-        vc.invocations, sc.invocations,
-        "CapacityModel logical count"
-    );
     assert!(cd.batched_calls > 0, "columnar tier used the batch path");
-    assert!(vd.batched_calls > 0, "boxed tier used the batch path");
     assert_eq!(sd.batched_calls, 0, "scalar tier never batches");
 }
 
@@ -507,11 +476,11 @@ impl ExprGen {
     }
 }
 
-/// Seeded property loop over random expressions: typed columnar, boxed
-/// vector and per-world scalar evaluation must agree bit for bit — values
-/// (NaN lanes included), NULL placement, and per-function VG invocation
-/// accounting — across block sizes that are deliberately not multiples of
-/// any SIMD lane width.
+/// Seeded property loop over random expressions: typed columnar and
+/// per-world scalar evaluation must agree bit for bit — values (NaN lanes
+/// included), NULL placement, and per-function VG invocation accounting —
+/// across block sizes that are deliberately odd (the autovectorized
+/// kernels' tail loops run).
 #[test]
 fn random_expressions_are_bit_identical_across_tiers() {
     let mut rng = Xoshiro256StarStar::seed_from_u64(0xC01_FACE);
@@ -543,10 +512,9 @@ fn random_expressions_are_bit_identical_across_tiers() {
         let seeds = SeedManager::new(rng.next_u64());
 
         // One fresh registry per tier so invocation stats stay separable.
-        let (reg_c, reg_b, reg_s) = (full_registry(), full_registry(), full_registry());
+        let (reg_c, reg_s) = (full_registry(), full_registry());
         let (typed, _) =
             evaluate_select_columns(&script.select, &reg_c, &params, seeds, &worlds).unwrap();
-        let boxed = evaluate_select_block(&script.select, &reg_b, &params, seeds, &worlds).unwrap();
         for (slot, &world) in worlds.iter().enumerate() {
             let row = evaluate_select_with(
                 &script.select,
@@ -555,36 +523,20 @@ fn random_expressions_are_bit_identical_across_tiers() {
                 WorldRng::per_call(seeds, world),
             )
             .unwrap();
-            for (((alias, column), (_, boxed_column)), (_, scalar_value)) in
-                typed.iter().zip(&boxed).zip(&row)
-            {
+            for ((alias, column), (_, scalar_value)) in typed.iter().zip(&row) {
                 let typed_value = column.value_at(slot);
                 assert!(
                     bit_eq(&typed_value, scalar_value),
                     "round {round} `{src}` world {world} column {alias}: \
                      typed {typed_value:?} != scalar {scalar_value:?}"
                 );
-                assert!(
-                    bit_eq(&boxed_column[slot], scalar_value),
-                    "round {round} `{src}` world {world} column {alias}: \
-                     boxed {:?} != scalar {scalar_value:?}",
-                    boxed_column[slot]
-                );
             }
         }
         for dist in ["Normal", "Poisson", "Triangular"] {
-            let (c, b, s) = (
-                reg_c.stats(dist).unwrap(),
-                reg_b.stats(dist).unwrap(),
-                reg_s.stats(dist).unwrap(),
-            );
+            let (c, s) = (reg_c.stats(dist).unwrap(), reg_s.stats(dist).unwrap());
             assert_eq!(
                 c.invocations, s.invocations,
                 "round {round} `{src}`: columnar {dist} logical count"
-            );
-            assert_eq!(
-                b.invocations, s.invocations,
-                "round {round} `{src}`: boxed {dist} logical count"
             );
             assert_eq!(s.batched_calls, 0, "scalar walks never batch");
         }
