@@ -1,6 +1,5 @@
 //! The ten experiments. Each function runs one experiment and returns a
 //! human-readable report (tables the paper's figures correspond to).
-//! `EXPERIMENTS.md` records a reference run of these outputs.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -496,8 +495,7 @@ mod tests {
     use super::*;
 
     // Smoke tests: every experiment runs on tiny budgets and produces the
-    // key lines its report promises. The full-budget reference run lives in
-    // EXPERIMENTS.md.
+    // key lines its report promises.
 
     #[test]
     fn e1_reports_shape() {

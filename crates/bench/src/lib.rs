@@ -1,15 +1,14 @@
 //! # prophet-bench
 //!
 //! Experiment harness regenerating every figure and quantitative claim of
-//! the paper's evaluation (§3, Figures 2–4), plus the ablations DESIGN.md
-//! calls out. Each experiment is a library function returning a printable
-//! report so that
+//! the paper's evaluation (§3, Figures 2–4), plus two ablations. Each
+//! experiment is a library function returning a printable report, and
+//! `cargo run --release -p prophet-bench --bin experiments [-- eN]`
+//! regenerates any or all of the tables. Timing claims are not made here:
+//! the repository's one benchmark is the `perf` package under
+//! `src/bin/perf/` (`BENCHMARK.json`), which this crate does not compile.
 //!
-//! * `cargo run --release -p prophet-bench --bin experiments [-- eN]`
-//!   regenerates any or all experiment tables, and
-//! * the Criterion benches in `benches/` time the same workloads.
-//!
-//! Experiment index (see DESIGN.md for the full mapping):
+//! Experiment index:
 //!
 //! | id  | paper artifact |
 //! |-----|----------------|

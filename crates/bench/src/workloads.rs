@@ -1,5 +1,4 @@
-//! Shared workload definitions for the experiment harness and the
-//! Criterion benches.
+//! Shared workload definitions for the experiment harness.
 
 use fuzzy_prophet::prelude::*;
 use prophet_models::demo_registry;

@@ -120,8 +120,8 @@ pub struct EngineConfig {
     ///
     /// Evidence: `tests/vector_equivalence.rs` (the two-tier differential:
     /// bit-identity on every bundled scenario, random blocks and random
-    /// expressions) and `sweep_smoke`'s top-level (default tier) vs
-    /// `scalar{}` rows.
+    /// expressions) and `perf`'s `sql.select_scalar_ns_per_world` vs
+    /// `sql.select_columnar_ns_per_world.{b32,b400}` rows.
     pub tier: ExecTier,
     /// Prune the correlation match scan through the basis store's
     /// fingerprint summary index: candidates whose summary bound proves
@@ -134,9 +134,10 @@ pub struct EngineConfig {
     /// `EngineMetrics::candidates_pruned` vs
     /// `EngineMetrics::candidates_scanned`.
     ///
-    /// Evidence: `tests/match_index.rs` (indexed ≡ exhaustive) and
-    /// `sweep_smoke`'s `unindexed{}` row (97,416 pairs compared against
-    /// 8,724 with the index, on `figure2_coarse`).
+    /// Evidence: `tests/match_index.rs` (indexed ≡ exhaustive; its offline
+    /// sweep pins 97,416 pairs compared without the index against 8,724
+    /// with it, on `figure2_coarse`) and `perf`'s `mc.store.scan_prune_rate`
+    /// / `count.candidates_{scanned,pruned}` rows.
     pub match_index: bool,
     /// Use common random numbers across parameter points (recommended).
     ///
@@ -167,7 +168,7 @@ pub struct EngineConfig {
     /// (`1..=`[`prophet_mc::MAX_SHARDS`]). More shards means concurrent
     /// jobs touching disjoint points stop contending on one lock; answers,
     /// eviction order, and snapshot bytes are identical at every shard
-    /// count. Only consulted by the store-creating constructors.
+    /// count. Only consulted by the store-creating constructor.
     ///
     /// Evidence: `tests/store_shards.rs` (any count ≡ one shard). The
     /// bench row is still missing: `perf`'s `mc.store.*.tN` rows contend
@@ -181,7 +182,9 @@ pub struct EngineConfig {
     /// and read this only for the few-misses world-parallel case.
     ///
     /// Evidence: `tests/executor.rs` and `tests/determinism.rs` (answers
-    /// and counters identical at 1 vs N) and `sweep_smoke --threads`.
+    /// and counters identical at 1 vs N). No bench row varies it: `perf`
+    /// sets it to the host's parallelism (capped at 4), which also sizes
+    /// the pool its jobs run on.
     pub threads: usize,
 }
 
@@ -248,16 +251,6 @@ impl Engine {
         registry: VgRegistry,
         config: EngineConfig,
     ) -> ProphetResult<Self> {
-        Engine::with_shared_registry(scenario, Arc::new(registry), config)
-    }
-
-    /// Build with a shared catalog (several engines over one registry, as
-    /// the fingerprint on/off comparison benches need).
-    pub fn with_shared_registry(
-        scenario: &Scenario,
-        registry: Arc<VgRegistry>,
-        config: EngineConfig,
-    ) -> ProphetResult<Self> {
         if config.basis_capacity == 0 {
             return Err(ProphetError::InvalidConfig(
                 "basis_capacity must be positive".into(),
@@ -271,7 +264,7 @@ impl Engine {
             )));
         }
         let basis = SharedBasisStore::with_shards(config.basis_capacity, config.store_shards);
-        Engine::with_basis_store(scenario, registry, config, basis)
+        Engine::with_basis_store(scenario, Arc::new(registry), config, basis)
     }
 
     /// Build against an existing (possibly shared) basis store — the
@@ -279,9 +272,9 @@ impl Engine {
     /// that every session of one scenario reuses each other's simulations.
     ///
     /// Capacity is a property of the *store*: `config.basis_capacity` is
-    /// only consulted by the store-creating constructors ([`Engine::new`],
-    /// [`Engine::with_shared_registry`]) and is ignored here in favour of
-    /// whatever the supplied store was built with.
+    /// only consulted by the store-creating constructor ([`Engine::new`])
+    /// and is ignored here in favour of whatever the supplied store was
+    /// built with.
     pub fn with_basis_store(
         scenario: &Scenario,
         registry: Arc<VgRegistry>,

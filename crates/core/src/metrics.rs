@@ -166,12 +166,6 @@ impl EngineMetrics {
         }
     }
 
-    /// Scenario evaluations that *would* have run without reuse, assuming
-    /// `worlds_per_point` evaluations per reused point.
-    pub fn evaluations_avoided(&self, worlds_per_point: u64) -> u64 {
-        (self.points_cached + self.points_mapped) * worlds_per_point
-    }
-
     /// Merge counters from another snapshot (parallel workers).
     pub fn merge(&mut self, other: &EngineMetrics) {
         self.points_cached += other.points_cached;
@@ -322,7 +316,6 @@ mod tests {
         };
         assert_eq!(m.points_total(), 100);
         assert!((m.reuse_fraction() - 0.4).abs() < 1e-12);
-        assert_eq!(m.evaluations_avoided(500), 20_000);
     }
 
     #[test]

@@ -363,8 +363,8 @@ impl Prophet {
         }
     }
 
-    /// Every event in the service's flight-recorder ring, merged across
-    /// shards and sorted by timestamp — the input
+    /// Every event in the service's flight-recorder ring, sorted by
+    /// timestamp — the input
     /// [`chrome_trace_json`](crate::obs::chrome_trace_json) expects.
     /// Empty under [`TraceConfig::Off`]; bounded by the configured ring
     /// capacity (oldest events overwritten first).

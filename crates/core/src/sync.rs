@@ -28,7 +28,7 @@
 //! | 72 | [`PROBE_MEMO`] — the engine's call-site probe memo | this module |
 //! | 75 | [`ENGINE_METRICS`] — the engine's metrics ledger | this module |
 //! | 80 | [`SCHEDULER_HANDLES`] — worker join handles (drop only) | this module |
-//! | 90 | [`TRACE_RING`] — flight-recorder ring shards | `prophet_mc::trace` |
+//! | 90 | [`TRACE_RING`] — the flight-recorder ring | `prophet_mc::trace` |
 //!
 //! The assignments encode the real nesting: claim/publish/clear hold the
 //! in-flight table (30) across slot-state (40), store-meta (45), and
@@ -43,7 +43,7 @@
 //! becoming a deadlock candidate. [`TRACE_RING`] is deliberately the
 //! highest rank: recording a trace event must be legal while holding
 //! *any* other lock (events are emitted from deep inside the scheduler
-//! and store), and nothing may nest inside a ring shard. The
+//! and store), and nothing may nest inside the ring's lock. The
 //! `--features check` lock-wait hook skips ranks at or above it so the
 //! recorder never observes itself. `docs/CONCURRENCY.md` carries the
 //! protocol-level discussion; `docs/OBSERVABILITY.md` the recorder's.

@@ -4,8 +4,6 @@
 //! series can be diffed across runs and plotted externally. Only the writing
 //! half of CSV is needed; scenario inputs are authored in the DSL, not CSV.
 
-use std::fmt::Write as _;
-
 use crate::error::DataResult;
 use crate::table::Table;
 
@@ -53,19 +51,6 @@ pub fn to_csv(table: &Table) -> DataResult<String> {
     Ok(out)
 }
 
-/// Render a named series of `(x, y)` points as two-column CSV.
-///
-/// Convenience used by the figure harnesses, which deal in plain float
-/// series rather than tables.
-pub fn series_to_csv(x_name: &str, y_name: &str, points: &[(f64, f64)]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{x_name},{y_name}");
-    for (x, y) in points {
-        let _ = writeln!(out, "{x},{y}");
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,11 +83,5 @@ mod tests {
         assert!(csv.contains("\"a,b\""));
         assert!(csv.contains("\"he said \"\"hi\"\"\""));
         assert!(csv.contains("\"line1\nline2\""));
-    }
-
-    #[test]
-    fn series_csv() {
-        let csv = series_to_csv("week", "overload", &[(0.0, 0.01), (1.0, 0.02)]);
-        assert_eq!(csv, "week,overload\n0,0.01\n1,0.02\n");
     }
 }

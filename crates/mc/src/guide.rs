@@ -2,10 +2,9 @@
 //!
 //! "The Guide component directs scenario evaluation by producing a sequence
 //! of instances, each representing a concrete valuation for each parameter
-//! and model variable in the scenario" (§2). Three strategies:
+//! and model variable in the scenario" (§2). Two strategies:
 //!
 //! * [`GridGuide`] — exhaustive cartesian sweep (offline mode),
-//! * [`RandomGuide`] — uniform random exploration (baseline for benches),
 //! * [`PriorityGuide`] — priority-queue exploration used by online mode:
 //!   user-requested points jump the queue, and the paper's *proactive
 //!   exploration* ("which values are proactively being explored anticipating
@@ -16,7 +15,6 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 
 use prophet_sql::ast::ParameterDecl;
-use prophet_vg::rng::{Rng64, Xoshiro256StarStar};
 
 use crate::instance::ParamPoint;
 
@@ -128,40 +126,6 @@ impl Guide for GridGuide {
             self.cursor = None;
         }
         Some(point)
-    }
-}
-
-/// Uniform random sampling of the parameter space (with replacement).
-/// Baseline strategy for the guide-comparison benches.
-#[derive(Debug, Clone)]
-pub struct RandomGuide {
-    names: Vec<String>,
-    axes: Vec<Vec<i64>>,
-    rng: Xoshiro256StarStar,
-}
-
-impl RandomGuide {
-    /// Build from declarations and a seed.
-    pub fn new(decls: &[ParameterDecl], seed: u64) -> Self {
-        RandomGuide {
-            names: decls.iter().map(|d| d.name.clone()).collect(),
-            axes: decls.iter().map(|d| d.domain.values()).collect(),
-            rng: Xoshiro256StarStar::seed_from_u64(seed),
-        }
-    }
-}
-
-impl Guide for RandomGuide {
-    fn next_point(&mut self) -> Option<ParamPoint> {
-        if self.axes.iter().any(Vec::is_empty) {
-            return None;
-        }
-        Some(ParamPoint::from_pairs(
-            self.names.iter().zip(&self.axes).map(|(n, axis)| {
-                let i = self.rng.gen_range_i64(0, axis.len() as i64 - 1) as usize;
-                (n.clone(), axis[i])
-            }),
-        ))
     }
 }
 
@@ -328,20 +292,6 @@ mod tests {
         let mut g = GridGuide::new(&[]);
         assert_eq!(g.next_point(), Some(ParamPoint::new()));
         assert_eq!(g.next_point(), None);
-    }
-
-    #[test]
-    fn random_guide_stays_in_domain_and_is_seeded() {
-        let ds = decls();
-        let mut g1 = RandomGuide::new(&ds, 99);
-        let mut g2 = RandomGuide::new(&ds, 99);
-        for _ in 0..100 {
-            let p1 = g1.next_point().unwrap();
-            let p2 = g2.next_point().unwrap();
-            assert_eq!(p1, p2, "same seed, same sequence");
-            assert!(ds[0].domain.contains(p1.get("a").unwrap()));
-            assert!(ds[1].domain.contains(p1.get("b").unwrap()));
-        }
     }
 
     #[test]

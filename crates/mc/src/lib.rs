@@ -34,7 +34,7 @@ pub mod trace;
 
 pub use aggregate::{Histogram, SampleStats, Welford};
 pub use batch::{simulate_point, simulate_point_columnar, SampleSet};
-pub use guide::{GridGuide, Guide, GuideFactory, PriorityGuide, RandomGuide};
+pub use guide::{GridGuide, Guide, GuideFactory, PriorityGuide};
 pub use instance::ParamPoint;
 pub use materialize::{summary_table, worlds_table};
 pub use series::{Series, SeriesPoint};

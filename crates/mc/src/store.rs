@@ -425,9 +425,6 @@ pub struct SharedBasisStore {
 /// total error)`.
 type Best = (usize, HashMap<String, Mapping>, f64);
 
-/// Per-probe best match within one candidate slice.
-type PartialBest = Vec<Option<Best>>;
-
 /// Work accounting of one match scan
 /// ([`SharedBasisStore::find_correlated_batch_scan`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -486,8 +483,7 @@ pub struct ScanSnapshot {
     /// Per candidate, the summary-table position of each scanned column
     /// (candidate-major, `columns.len()` per candidate; [`NO_SLOT`]s for a
     /// candidate that lacks one): the scan's column names are resolved
-    /// here, once, and the per-pair bound walks positions. Empty when the
-    /// index is off.
+    /// here, once, and the per-pair bound walks positions.
     slots: Vec<u32>,
     columns: Vec<String>,
     detector: CorrelationDetector,
@@ -524,20 +520,7 @@ impl ScanSnapshot {
         let (best, mut work) = if self.use_index {
             self.scan_indexed(probe)
         } else {
-            let mut stats = MatchScanStats::default();
-            let mut best = scan_exhaustive(
-                &self.candidates,
-                std::slice::from_ref(probe),
-                &self.columns,
-                &self.detector,
-                1,
-                &mut stats,
-            );
-            let work = ScanWork {
-                scanned: stats.candidates_scanned,
-                ..ScanWork::default()
-            };
-            (best.pop().flatten(), work)
+            self.scan_exhaustive(probe)
         };
         work.hit = best.is_some();
         ProbeScan {
@@ -546,9 +529,36 @@ impl ScanSnapshot {
         }
     }
 
+    /// The reference scan (the pre-index behaviour): compare the probe
+    /// with every candidate in stamp order, keep a strictly better match
+    /// (so ties stay with the earliest stamp), and stop at a zero-error
+    /// one — nothing later can beat it.
+    fn scan_exhaustive(&self, probe: &HashMap<String, Fingerprint>) -> (Option<Best>, ScanWork) {
+        let mut best: Option<Best> = None;
+        let mut work = ScanWork::default();
+        for (ci, candidate) in self.candidates.iter().enumerate() {
+            if matches!(best, Some((_, _, err)) if err == 0.0) {
+                break;
+            }
+            work.scanned += 1;
+            let detected = self
+                .detector
+                .detect_all(&candidate.fingerprints, probe, &self.columns);
+            if let Some((mappings, err)) = detected {
+                if best
+                    .as_ref()
+                    .map_or(true, |(_, _, best_err)| err < *best_err)
+                {
+                    best = Some((ci, mappings, err));
+                }
+            }
+        }
+        (best, work)
+    }
+
     /// Branch-and-bound scan of one probe over the summary index.
     /// Soundness (the chosen source is bit-identical to
-    /// [`scan_exhaustive`]'s) rests on two facts: the summary bound never
+    /// [`Self::scan_exhaustive`]'s) rests on two facts: the summary bound never
     /// exceeds the error `detect_all` would report
     /// (`prophet_fingerprint::index` docs carry the proof), and candidates
     /// are walked in stamp order, so the incumbent predates the candidates
@@ -620,107 +630,6 @@ impl ScanSnapshot {
         }
         (best, work)
     }
-}
-
-/// Run `f(slice, index of the slice's first item)` over up to `threads`
-/// contiguous slices of `items` — inline when one slice suffices, else on
-/// scoped threads — returning the results in slice order.
-fn fan_out<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&[T], usize) -> R + Sync,
-{
-    let workers = threads.max(1).min(items.len().max(1));
-    if workers <= 1 {
-        return vec![f(items, 0)];
-    }
-    let chunk = items.len().div_ceil(workers);
-    // lint:allow(thread-spawn): one scoped fan-out per *call* of a batch
-    // scan outside the scheduler (tests, benches, the exhaustive reference);
-    // engine batches scan per probe on the pool they already run on.
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .enumerate()
-            .map(|(i, slice)| scope.spawn(move || f(slice, i * chunk)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .expect("invariant: scan workers only read shared slices and cannot panic")
-            })
-            .collect()
-    })
-}
-
-/// Exhaustive reference scan (the pre-index behaviour): candidates
-/// partition across up to `threads` workers, every (candidate, probe)
-/// pair is compared, and partial bests merge by `(error, insertion
-/// order)`. A zero-error hit is exact — nothing later can beat it, so
-/// each worker short-circuits its slice once every probe is exact.
-fn scan_exhaustive(
-    candidates: &[Candidate],
-    probes: &[HashMap<String, Fingerprint>],
-    columns: &[String],
-    detector: &CorrelationDetector,
-    threads: usize,
-    stats: &mut MatchScanStats,
-) -> PartialBest {
-    let scan = |slice: &[Candidate], base: usize| {
-        let mut scanned = 0u64;
-        let mut best: PartialBest = vec![None; probes.len()];
-        for (ci, candidate) in slice.iter().enumerate() {
-            let mut all_exact = true;
-            // analysis:allow(map-iter): `probes` is a slice here — the name collides with a map param elsewhere in this file
-            for (pi, probe) in probes.iter().enumerate() {
-                if matches!(&best[pi], Some((_, _, err)) if *err == 0.0) {
-                    continue;
-                }
-                all_exact = false;
-                scanned += 1;
-                if let Some((mappings, err)) =
-                    detector.detect_all(&candidate.fingerprints, probe, columns)
-                {
-                    let better = match &best[pi] {
-                        None => true,
-                        Some((_, _, best_err)) => err < *best_err,
-                    };
-                    if better {
-                        best[pi] = Some((base + ci, mappings, err));
-                    }
-                }
-            }
-            if all_exact {
-                break;
-            }
-        }
-        (best, scanned)
-    };
-
-    let mut merged: PartialBest = vec![None; probes.len()];
-    for (partial, scanned) in fan_out(candidates, threads, scan) {
-        stats.candidates_scanned += scanned;
-        for (pi, slot) in partial.into_iter().enumerate() {
-            if let Some((ci, mappings, err)) = slot {
-                let better = match &merged[pi] {
-                    None => true,
-                    // Lexicographic (error, insertion order): ties resolve
-                    // to the earliest-inserted source no matter how
-                    // candidates were partitioned.
-                    Some((best_ci, _, best_err)) => {
-                        err < *best_err || (err == *best_err && ci < *best_ci)
-                    }
-                };
-                if better {
-                    merged[pi] = Some((ci, mappings, err));
-                }
-            }
-        }
-    }
-    merged
 }
 
 // ------------------------------------------------------------- persistence
@@ -1084,12 +993,6 @@ impl SharedBasisStore {
         drop(slots);
     }
 
-    /// `(hits, misses)` of correlated lookups so far.
-    pub fn hit_stats(&self) -> (u64, u64) {
-        let counters = self.stats.lock();
-        (counters.hits, counters.misses)
-    }
-
     /// Coherent snapshot of all cross-session counters: every field comes
     /// from one critical section over the counter ledger (plus the entry
     /// count under the meta lock held alongside it), so the fields can
@@ -1303,37 +1206,6 @@ impl SharedBasisStore {
         }
     }
 
-    /// Search the store for a matchable entry where *every* column in
-    /// `columns` has a detectable mapping onto the probe fingerprints.
-    /// Returns the best (lowest total error) candidate. This is a batch of
-    /// one through the summary-indexed scan — the maintained candidate
-    /// list and bounds mean single-probe online adjustments pay no
-    /// snapshot-and-sort and prune exactly like batched sweeps do.
-    pub fn find_correlated(
-        &self,
-        probes: &HashMap<String, Fingerprint>,
-        columns: &[String],
-        detector: &CorrelationDetector,
-    ) -> Option<BasisHit> {
-        self.find_correlated_batch(std::slice::from_ref(probes), columns, detector, 1)
-            .pop()
-            .flatten()
-    }
-
-    /// Batched correlated lookup through the summary index; see
-    /// [`SharedBasisStore::find_correlated_batch_scan`], which this
-    /// forwards to with `use_index: true`, discarding the scan accounting.
-    pub fn find_correlated_batch(
-        &self,
-        probes: &[HashMap<String, Fingerprint>],
-        columns: &[String],
-        detector: &CorrelationDetector,
-        threads: usize,
-    ) -> Vec<Option<BasisHit>> {
-        self.find_correlated_batch_scan(probes, columns, detector, threads, true)
-            .0
-    }
-
     /// Batched correlated lookup: probe many fingerprint sets against the
     /// matchable entries. Result `i` is the best hit for `probes[i]`.
     ///
@@ -1341,13 +1213,14 @@ impl SharedBasisStore {
     /// [`ScanSnapshot::scan_probe`] per probe (probes partition across up
     /// to `threads` scoped workers, one fan-out per call) +
     /// [`SharedBasisStore::record_scans`] — the same three steps the
-    /// engine's batch pipelines run with their own pools in the middle. With `use_index` each probe runs the
-    /// branch-and-bound scan over summary bounds (see the module docs);
-    /// without it, candidates partition across workers and every pair is
-    /// compared (the exhaustive reference scan). Both pick the best
-    /// candidate by `(total error, insertion order)`, so the chosen source
-    /// is identical between them and independent of the thread and shard
-    /// counts; with the index, the returned [`MatchScanStats`] is too.
+    /// engine's batch pipeline runs with its own pool in the middle. With
+    /// `use_index` each probe runs the branch-and-bound scan over summary
+    /// bounds (see the module docs); without it, the exhaustive reference
+    /// scan. Both pick the best candidate by `(total error, insertion
+    /// order)`, so the chosen source is identical between them, and a
+    /// probe's scan reads nothing but the snapshot, so hits and the
+    /// returned [`MatchScanStats`] are independent of the thread and shard
+    /// counts in either mode.
     pub fn find_correlated_batch_scan(
         &self,
         probes: &[HashMap<String, Fingerprint>],
@@ -1360,36 +1233,34 @@ impl SharedBasisStore {
             return (Vec::new(), MatchScanStats::default());
         }
         let snapshot = self.scan_snapshot(columns, detector, use_index);
-        if use_index {
-            let scans: Vec<ProbeScan> = fan_out(probes, threads, |slice, _| {
-                slice
-                    .iter()
-                    .map(|p| snapshot.scan_probe(p))
-                    .collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect();
-            let stats = self.record_scans(&snapshot, scans.iter().map(|s| s.work));
-            (scans.into_iter().map(|s| s.hit).collect(), stats)
+        let scan = |slice: &[HashMap<String, Fingerprint>]| -> Vec<ProbeScan> {
+            slice.iter().map(|p| snapshot.scan_probe(p)).collect()
+        };
+        let workers = threads.clamp(1, probes.len());
+        let scans = if workers == 1 {
+            scan(probes)
         } else {
-            let mut stats = MatchScanStats::default();
-            let best = scan_exhaustive(
-                &snapshot.candidates,
-                probes,
-                columns,
-                detector,
-                threads,
-                &mut stats,
-            );
-            let results: Vec<Option<BasisHit>> = best
-                .into_iter()
-                .map(|slot| slot.map(|(ci, mappings, _)| snapshot.candidates[ci].hit(mappings)))
-                .collect();
-            let hits = results.iter().flatten().count() as u64;
-            self.record_lookups(hits, results.len() as u64 - hits);
-            (results, stats)
-        }
+            // lint:allow(thread-spawn): one scoped fan-out per *call* of a
+            // batch scan outside the scheduler (tests, the benchmark
+            // harness); engine batches scan per probe on the pool they
+            // already run on.
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = probes
+                    .chunks(probes.len().div_ceil(workers))
+                    .map(|slice| scope.spawn(|| scan(slice)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| {
+                        h.join().expect(
+                            "invariant: scan workers only read the snapshot and cannot panic",
+                        )
+                    })
+                    .collect()
+            })
+        };
+        let stats = self.record_scans(&snapshot, scans.iter().map(|s| s.work));
+        (scans.into_iter().map(|s| s.hit).collect(), stats)
     }
 
     /// Snapshot the matchable records for one match scan over `columns`.
@@ -1403,8 +1274,7 @@ impl SharedBasisStore {
     /// single-shard store walks, so wave boundaries, pruning, chosen
     /// sources and the [`MatchScanStats`] accounting are independent of
     /// the shard count. `columns` resolves to summary-table positions
-    /// here, once per candidate (skipped for the exhaustive reference,
-    /// `use_index: false`, which never bounds).
+    /// here, once per candidate.
     pub fn scan_snapshot(
         &self,
         columns: &[String],
@@ -1436,13 +1306,10 @@ impl SharedBasisStore {
         }
         stamped.sort_unstable_by_key(|(stamp, _)| *stamp);
         let candidates: Vec<Candidate> = stamped.into_iter().map(|(_, c)| c).collect();
-        let mut slots = Vec::new();
-        if use_index {
-            slots.reserve(candidates.len() * columns.len());
-            for candidate in &candidates {
-                if !candidate.summaries.resolve(columns, &mut slots) {
-                    slots.extend(std::iter::repeat(NO_SLOT).take(columns.len()));
-                }
+        let mut slots = Vec::with_capacity(candidates.len() * columns.len());
+        for candidate in &candidates {
+            if !candidate.summaries.resolve(columns, &mut slots) {
+                slots.extend(std::iter::repeat(NO_SLOT).take(columns.len()));
             }
         }
         ScanSnapshot {
@@ -1475,7 +1342,11 @@ impl SharedBasisStore {
             scanned += w.scanned;
             waves = waves.max(w.waves);
         }
-        self.record_lookups(hits, probes - hits);
+        {
+            let mut counters = self.stats.lock();
+            counters.hits += hits;
+            counters.misses += probes - hits;
+        }
         let bounded = probes * (waves * MATCH_WAVE).min(snapshot.candidates.len()) as u64;
         MatchScanStats {
             candidates_scanned: scanned,
@@ -1485,13 +1356,6 @@ impl SharedBasisStore {
                 0
             },
         }
-    }
-
-    /// One counter-ledger bump for a whole batch of correlated lookups.
-    fn record_lookups(&self, hits: u64, misses: u64) {
-        let mut counters = self.stats.lock();
-        counters.hits += hits;
-        counters.misses += misses;
     }
 
     // --------------------------------------------------- snapshot / restore
@@ -1694,6 +1558,26 @@ mod tests {
         Arc::new(HashMap::from([("y".to_owned(), vec![v, v + 1.0])]))
     }
 
+    /// One probe through the indexed batch scan, on column `y`.
+    fn find_one(s: &SharedBasisStore, probe: &HashMap<String, Fingerprint>) -> Option<BasisHit> {
+        s.find_correlated_batch_scan(
+            std::slice::from_ref(probe),
+            &["y".to_owned()],
+            &CorrelationDetector::default(),
+            1,
+            true,
+        )
+        .0
+        .pop()
+        .flatten()
+    }
+
+    /// `(hits, misses)` of correlated lookups so far.
+    fn hit_stats(s: &SharedBasisStore) -> (u64, u64) {
+        let stats = s.stats_snapshot();
+        (stats.hits, stats.misses)
+    }
+
     /// Capacity-4 store fed 12 mixed-matchability inserts: 8 evictions of
     /// churn, identical contents expected at every shard count.
     fn churn_store(shards: usize) -> SharedBasisStore {
@@ -1750,13 +1634,11 @@ mod tests {
         );
         let shifted: Vec<f64> = base.iter().map(|v| v + 7.0).collect();
         let probes = HashMap::from([("y".to_owned(), fp(&shifted))]);
-        let hit = s
-            .find_correlated(&probes, &["y".to_owned()], &CorrelationDetector::default())
-            .expect("offset relation must match");
+        let hit = find_one(&s, &probes).expect("offset relation must match");
         assert_eq!(hit.source, point("x", 1));
         assert_eq!(hit.worlds, 100);
         assert_eq!(hit.mappings["y"], Mapping::Offset(7.0));
-        assert_eq!(s.hit_stats(), (1, 0));
+        assert_eq!(hit_stats(&s), (1, 0));
     }
 
     #[test]
@@ -1771,10 +1653,8 @@ mod tests {
             false, // mapped entry: not a matching source
         );
         let probes = HashMap::from([("y".to_owned(), fp(&base))]);
-        assert!(s
-            .find_correlated(&probes, &["y".to_owned()], &CorrelationDetector::default())
-            .is_none());
-        assert_eq!(s.hit_stats(), (0, 1));
+        assert!(find_one(&s, &probes).is_none());
+        assert_eq!(hit_stats(&s), (0, 1));
     }
 
     #[test]
@@ -1804,11 +1684,12 @@ mod tests {
             HashMap::from([("y".to_owned(), fp(&unrelated))]),
         ];
         for threads in [1, 4] {
-            let hits = s.find_correlated_batch(
+            let (hits, _) = s.find_correlated_batch_scan(
                 &probes,
                 &["y".to_owned()],
                 &CorrelationDetector::default(),
                 threads,
+                true,
             );
             assert_eq!(hits.len(), 3);
             let h0 = hits[0].as_ref().expect("identity probe hits");
@@ -2078,7 +1959,7 @@ mod tests {
         assert_eq!(new.source, point("x", 2));
         assert_eq!(new.mappings["y"], Mapping::Identity);
         // Scanning a snapshot never touches the live store's ledger.
-        assert_eq!(s.hit_stats(), (0, 0));
+        assert_eq!(hit_stats(&s), (0, 0));
     }
 
     /// Eviction comes off the global stamp-ordered queues — oldest
@@ -2279,7 +2160,7 @@ mod tests {
             true,
         );
         let probes = HashMap::from([("y".to_owned(), fp(&[2.0, 3.0, 4.0, 5.0]))]);
-        let _ = s.find_correlated(&probes, &["y".to_owned()], &CorrelationDetector::default());
+        let _ = find_one(&s, &probes);
         assert_eq!(s.stats_snapshot().hits, 1);
         let bytes = s.snapshot_bytes();
         let TryClaim::Owner(guard) = s.try_claim(&point("x", 9), 1) else {

@@ -9,9 +9,9 @@
 //!   private recorder. With [`TraceConfig::Off`] the handle is `None`: no
 //!   ring is allocated, every record call is one branch, and
 //!   [`Tracer::now`] never reads the clock — a true passthrough.
-//!   With [`TraceConfig::Ring`] events land in a sharded, bounded ring
-//!   buffer (oldest events overwritten once a shard fills; drops are
-//!   counted, never blocked on).
+//!   With [`TraceConfig::Ring`] events land in one bounded ring buffer
+//!   (oldest events overwritten once it fills; drops are counted, never
+//!   blocked on).
 //! * **[`TraceEvent`]** — one typed, `Copy` record: a kind
 //!   ([`TraceEventKind`]), a start timestamp and span duration in
 //!   nanoseconds since the recorder's epoch, and the job id / chunk
@@ -35,7 +35,7 @@
 //! [`crate::sync::OrderedMutex::lock`] first tries the lock without
 //! blocking; on contention it records a [`TraceEventKind::LockWait`]
 //! span against the thread's installed tracer (see [`install`]). The
-//! ring's own shard locks rank at the very top of the lock-rank table
+//! ring's own lock ranks at the very top of the lock-rank table
 //! ([`TRACE_RING`], rank 90) so recording is legal while holding any
 //! other lock, and the hook skips rank-90 locks so tracing the ring
 //! never recurses into itself.
@@ -47,10 +47,10 @@ use std::time::Instant;
 
 use crate::sync::{LockRank, OrderedMutex};
 
-/// Rank-table entry for the trace ring's shard locks (and nothing
-/// else): the table's strict leaf, above every scheduler/store/engine
-/// lock, so an event can be recorded while holding any of them.
-pub const TRACE_RING: LockRank = LockRank::new(90, "trace ring shard");
+/// Rank-table entry for the trace ring's lock (and nothing else): the
+/// table's strict leaf, above every scheduler/store/engine lock, so an
+/// event can be recorded while holding any of them.
+pub const TRACE_RING: LockRank = LockRank::new(90, "trace ring");
 
 /// Sentinel job id for events not tied to a job.
 pub const NO_JOB: u64 = u64::MAX;
@@ -179,7 +179,7 @@ impl TraceEventKind {
     }
 }
 
-/// One flight-recorder record. `Copy` and fixed-size: a ring shard is a
+/// One flight-recorder record. `Copy` and fixed-size: the ring is a
 /// flat `Vec<TraceEvent>` with no per-event allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
@@ -366,10 +366,10 @@ pub enum TraceConfig {
     /// the clock is never read.
     #[default]
     Off,
-    /// Flight recorder on: a sharded ring holding up to `capacity`
-    /// events in total (oldest overwritten first, drops counted).
+    /// Flight recorder on: a ring holding up to `capacity` events
+    /// (oldest overwritten first, drops counted).
     Ring {
-        /// Total event capacity across all shards.
+        /// Event capacity of the ring.
         capacity: usize,
     },
 }
@@ -389,20 +389,18 @@ impl TraceConfig {
 
 // ------------------------------------------------------------------ recorder
 
-/// Number of independent ring shards; each worker thread sticks to one
-/// shard, so recording contends only when worker count exceeds this.
-const SHARDS: usize = 8;
-
-/// One bounded ring shard: a flat event vector overwritten
-/// oldest-first once full.
-struct RingShard {
+/// The bounded ring: a flat event vector overwritten oldest-first once
+/// full. One ring under one lock — the lock is held for a single `Vec`
+/// write, which the pool's event rate (tens of events per millisecond)
+/// never contends on, and every thread can use the whole capacity.
+struct Ring {
     events: Vec<TraceEvent>,
     /// Next overwrite position once `events` reached capacity.
     head: usize,
     capacity: usize,
 }
 
-impl RingShard {
+impl Ring {
     fn push(&mut self, event: TraceEvent) -> bool {
         if self.events.len() < self.capacity {
             self.events.push(event);
@@ -441,11 +439,11 @@ pub struct TraceTelemetry {
     pub events_dropped: u64,
 }
 
-/// The flight recorder proper: clock, ring shards, histograms, gauges.
+/// The flight recorder proper: clock, ring, histograms, gauges.
 /// Always reached through a [`Tracer`] handle.
 struct Recorder {
     clock: TraceClock,
-    shards: [OrderedMutex<RingShard>; SHARDS],
+    ring: OrderedMutex<Ring>,
     recorded: AtomicU64,
     dropped: AtomicU64,
     chunk_service: AtomicHistogram,
@@ -459,19 +457,16 @@ struct Recorder {
 
 impl Recorder {
     fn new(capacity: usize) -> Self {
-        let per_shard = capacity.div_ceil(SHARDS).max(1);
         Recorder {
             clock: TraceClock::new(),
-            shards: std::array::from_fn(|_| {
-                OrderedMutex::new(
-                    TRACE_RING,
-                    RingShard {
-                        events: Vec::new(),
-                        head: 0,
-                        capacity: per_shard,
-                    },
-                )
-            }),
+            ring: OrderedMutex::new(
+                TRACE_RING,
+                Ring {
+                    events: Vec::new(),
+                    head: 0,
+                    capacity: capacity.max(1),
+                },
+            ),
             recorded: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             chunk_service: AtomicHistogram::new(),
@@ -485,8 +480,7 @@ impl Recorder {
     }
 
     fn record(&self, event: TraceEvent) {
-        let shard = &self.shards[thread_slot() % SHARDS];
-        let overwrote = shard.lock().push(event);
+        let overwrote = self.ring.lock().push(event);
         self.recorded.fetch_add(1, Ordering::Relaxed);
         if overwrote {
             self.dropped.fetch_add(1, Ordering::Relaxed);
@@ -496,25 +490,11 @@ impl Recorder {
 
 // ------------------------------------------------------------- thread locals
 
-/// Each thread gets a stable slot index on first record, spreading
-/// threads across ring shards without hashing or contention.
-static NEXT_THREAD_SLOT: AtomicUsize = AtomicUsize::new(0);
-
 thread_local! {
-    static THREAD_SLOT: Cell<usize> = const { Cell::new(usize::MAX) };
     /// Pool worker id for events recorded from this thread.
     static WORKER: Cell<u32> = const { Cell::new(NO_WORKER) };
     /// The tracer lock-wait edges report to (see [`install`]).
     static CURRENT: RefCell<Tracer> = const { RefCell::new(Tracer(None)) };
-}
-
-fn thread_slot() -> usize {
-    THREAD_SLOT.with(|slot| {
-        if slot.get() == usize::MAX {
-            slot.set(NEXT_THREAD_SLOT.fetch_add(1, Ordering::Relaxed));
-        }
-        slot.get()
-    })
 }
 
 /// Tag this thread's recorded events with pool worker id `id`
@@ -701,19 +681,16 @@ impl Tracer {
         }
     }
 
-    /// Every retained event, merged across shards and sorted by start
-    /// time. Empty when off.
+    /// Every retained event, sorted by start time. Empty when off.
     pub fn events(&self) -> Vec<TraceEvent> {
         let Some(recorder) = &self.0 else {
             return Vec::new();
         };
-        let mut all = Vec::new();
-        for shard in &recorder.shards {
-            let shard = shard.lock();
+        let mut all = {
+            let ring = recorder.ring.lock();
             // Ring order: head..end is the older half once wrapped.
-            all.extend_from_slice(&shard.events[shard.head..]);
-            all.extend_from_slice(&shard.events[..shard.head]);
-        }
+            [&ring.events[ring.head..], &ring.events[..ring.head]].concat()
+        };
         all.sort_by_key(|e| (e.nanos, e.dur_nanos));
         all
     }
@@ -812,16 +789,15 @@ mod tests {
 
     #[test]
     fn ring_bounds_capacity_and_counts_drops() {
-        let tracer = Tracer::new(TraceConfig::Ring { capacity: SHARDS });
-        // This thread maps to one shard with capacity 1: the second
-        // event overwrites the first.
+        let tracer = Tracer::new(TraceConfig::Ring { capacity: 2 });
         tracer.instant(TraceEventKind::JobSubmit, 1, NO_CHUNK);
         tracer.instant(TraceEventKind::JobFinish, 2, NO_CHUNK);
-        let events = tracer.events();
-        assert_eq!(events.len(), 1, "shard capacity bounds retention");
-        assert_eq!(events[0].job, 2, "oldest event overwritten first");
+        assert_eq!(tracer.telemetry().events_dropped, 0, "the ring holds 2");
+        tracer.instant(TraceEventKind::JobFinish, 3, NO_CHUNK);
+        let jobs: Vec<u64> = tracer.events().iter().map(|e| e.job).collect();
+        assert_eq!(jobs, [2, 3], "oldest event overwritten first");
         let telemetry = tracer.telemetry();
-        assert_eq!(telemetry.events_recorded, 2);
+        assert_eq!(telemetry.events_recorded, 3);
         assert_eq!(telemetry.events_dropped, 1);
     }
 

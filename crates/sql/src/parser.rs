@@ -1,4 +1,5 @@
-//! Recursive-descent parser for Prophet scenario scripts.
+//! Parser for Prophet scenario scripts: recursive descent over the
+//! statements, precedence climbing over expressions.
 
 use prophet_data::Value;
 
@@ -13,27 +14,74 @@ use crate::token::{Keyword, Token, TokenKind};
 
 /// Parse a complete scenario script (the Figure-2 language).
 pub fn parse_script(src: &str) -> SqlResult<Script> {
-    let tokens = tokenize(src)?;
-    let mut p = Parser { tokens, pos: 0 };
-    p.script()
+    Parser::new(src)?.script()
 }
 
 /// Parse a standalone scalar expression (used by tests and the REPL-style
 /// examples).
 pub fn parse_expr(src: &str) -> SqlResult<Expr> {
-    let tokens = tokenize(src)?;
-    let mut p = Parser { tokens, pos: 0 };
-    let e = p.expr()?;
+    let mut p = Parser::new(src)?;
+    let e = p.expr(prec::OR)?;
     p.expect_kind(&TokenKind::Eof)?;
     Ok(e)
+}
+
+/// How deep an expression may nest — parentheses, call arguments, `CASE`
+/// arms, and the operand of every operator each count one level. Scenario
+/// scripts are outside input: without a bound, a few hundred `(` overflow
+/// the parser's stack and abort the process. Bundled scenarios nest in
+/// single digits.
+pub const MAX_EXPR_DEPTH: usize = 128;
+
+/// Operator precedence levels, loosest first. `OR` and `AND`, `+ -` and
+/// `* / %` associate left; comparisons do not associate; `NOT` and unary
+/// minus are prefix operators.
+mod prec {
+    pub const OR: u8 = 1;
+    pub const AND: u8 = 2;
+    pub const NOT: u8 = 3;
+    pub const CMP: u8 = 4;
+    pub const ADD: u8 = 5;
+    pub const MUL: u8 = 6;
+    pub const NEG: u8 = 7;
+}
+
+/// The infix operator a token spells, with its [`prec`] level.
+fn infix_op(kind: &TokenKind) -> Option<(BinOp, u8)> {
+    Some(match kind {
+        TokenKind::Keyword(Keyword::Or) => (BinOp::Or, prec::OR),
+        TokenKind::Keyword(Keyword::And) => (BinOp::And, prec::AND),
+        TokenKind::Lt => (BinOp::Cmp(CmpOp::Lt), prec::CMP),
+        TokenKind::Le => (BinOp::Cmp(CmpOp::Le), prec::CMP),
+        TokenKind::Gt => (BinOp::Cmp(CmpOp::Gt), prec::CMP),
+        TokenKind::Ge => (BinOp::Cmp(CmpOp::Ge), prec::CMP),
+        TokenKind::Eq => (BinOp::Cmp(CmpOp::Eq), prec::CMP),
+        TokenKind::Neq => (BinOp::Cmp(CmpOp::Neq), prec::CMP),
+        TokenKind::Plus => (BinOp::Add, prec::ADD),
+        TokenKind::Minus => (BinOp::Sub, prec::ADD),
+        TokenKind::Star => (BinOp::Mul, prec::MUL),
+        TokenKind::Slash => (BinOp::Div, prec::MUL),
+        TokenKind::Percent => (BinOp::Rem, prec::MUL),
+        _ => return None,
+    })
 }
 
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Live [`Parser::expr`] frames, bounded by [`MAX_EXPR_DEPTH`].
+    depth: usize,
 }
 
 impl Parser {
+    fn new(src: &str) -> SqlResult<Self> {
+        Ok(Parser {
+            tokens: tokenize(src)?,
+            pos: 0,
+            depth: 0,
+        })
+    }
+
     fn peek(&self) -> &Token {
         &self.tokens[self.pos.min(self.tokens.len() - 1)]
     }
@@ -317,7 +365,7 @@ impl Parser {
     }
 
     fn select_item(&mut self) -> SqlResult<SelectItem> {
-        let expr = self.expr()?;
+        let expr = self.expr(prec::OR)?;
         self.expect_kw(Keyword::As)?;
         let alias = self.expect_ident()?;
         Ok(SelectItem { expr, alias })
@@ -442,20 +490,13 @@ impl Parser {
 
     fn cmp_op(&mut self) -> SqlResult<CmpOp> {
         let t = self.advance();
-        Ok(match t.kind {
-            TokenKind::Lt => CmpOp::Lt,
-            TokenKind::Le => CmpOp::Le,
-            TokenKind::Gt => CmpOp::Gt,
-            TokenKind::Ge => CmpOp::Ge,
-            TokenKind::Eq => CmpOp::Eq,
-            TokenKind::Neq => CmpOp::Neq,
-            other => {
-                return Err(SqlError::parse_at(
-                    format!("expected comparison operator, found {other}"),
-                    t.span,
-                ))
-            }
-        })
+        match infix_op(&t.kind) {
+            Some((BinOp::Cmp(op), _)) => Ok(op),
+            _ => Err(SqlError::parse_at(
+                format!("expected comparison operator, found {}", t.kind),
+                t.span,
+            )),
+        }
     }
 
     fn objective(&mut self) -> SqlResult<Objective> {
@@ -476,107 +517,52 @@ impl Parser {
 
     // ----------------------------------------------------- expressions
 
-    pub(crate) fn expr(&mut self) -> SqlResult<Expr> {
-        self.or_expr()
-    }
-
-    fn or_expr(&mut self) -> SqlResult<Expr> {
-        let mut lhs = self.and_expr()?;
-        while self.eat_kw(Keyword::Or) {
-            let rhs = self.and_expr()?;
-            lhs = Expr::Binary {
-                op: BinOp::Or,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
+    /// Parse an expression whose operators all sit at precedence level
+    /// `min` or tighter — precedence climbing over the [`prec`] table. This
+    /// is the grammar's one recursion point: operands of prefix and infix
+    /// operators come back through here directly, and parentheses, call
+    /// arguments and `CASE` arms through [`Parser::primary`].
+    ///
+    /// `max` is the tightest level the *next* infix operator may have. A
+    /// left-associative operator leaves its own level open and a
+    /// comparison closes it, so `a < b < c` stops before the second `<`
+    /// for the caller to reject; every enclosing operator caps `max` at its
+    /// own level, so that stop carries outward (`x AND NOT a < b < c`).
+    fn expr(&mut self, min: u8) -> SqlResult<Expr> {
+        if self.depth == MAX_EXPR_DEPTH {
+            return Err(SqlError::parse_at(
+                format!("expression nests deeper than {MAX_EXPR_DEPTH} levels"),
+                self.peek().span,
+            ));
         }
-        Ok(lhs)
-    }
-
-    fn and_expr(&mut self) -> SqlResult<Expr> {
-        let mut lhs = self.not_expr()?;
-        while self.eat_kw(Keyword::And) {
-            let rhs = self.not_expr()?;
-            lhs = Expr::Binary {
-                op: BinOp::And,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn not_expr(&mut self) -> SqlResult<Expr> {
-        if self.eat_kw(Keyword::Not) {
-            Ok(Expr::Not(Box::new(self.not_expr()?)))
-        } else {
-            self.cmp_expr()
-        }
-    }
-
-    fn cmp_expr(&mut self) -> SqlResult<Expr> {
-        let lhs = self.add_expr()?;
-        let op = match self.peek().kind {
-            TokenKind::Lt => CmpOp::Lt,
-            TokenKind::Le => CmpOp::Le,
-            TokenKind::Gt => CmpOp::Gt,
-            TokenKind::Ge => CmpOp::Ge,
-            TokenKind::Eq => CmpOp::Eq,
-            TokenKind::Neq => CmpOp::Neq,
-            _ => return Ok(lhs),
+        // Restored on success only: an error abandons the whole parse.
+        self.depth += 1;
+        let (mut lhs, mut max) = match self.peek().kind {
+            TokenKind::Keyword(Keyword::Not) if min <= prec::NOT => {
+                self.advance();
+                (Expr::Not(Box::new(self.expr(prec::NOT)?)), prec::NOT)
+            }
+            TokenKind::Minus => {
+                self.advance();
+                (Expr::Neg(Box::new(self.expr(prec::NEG)?)), prec::NEG)
+            }
+            _ => (self.primary()?, u8::MAX),
         };
-        self.advance();
-        let rhs = self.add_expr()?;
-        Ok(Expr::Binary {
-            op: BinOp::Cmp(op),
-            lhs: Box::new(lhs),
-            rhs: Box::new(rhs),
-        })
-    }
-
-    fn add_expr(&mut self) -> SqlResult<Expr> {
-        let mut lhs = self.mul_expr()?;
-        loop {
-            let op = match self.peek().kind {
-                TokenKind::Plus => BinOp::Add,
-                TokenKind::Minus => BinOp::Sub,
-                _ => return Ok(lhs),
-            };
+        while let Some((op, level)) = infix_op(&self.peek().kind) {
+            if level < min || level > max {
+                break;
+            }
             self.advance();
-            let rhs = self.mul_expr()?;
+            let rhs = self.expr(level + 1)?;
             lhs = Expr::Binary {
                 op,
                 lhs: Box::new(lhs),
                 rhs: Box::new(rhs),
             };
+            max = if level == prec::CMP { level - 1 } else { level };
         }
-    }
-
-    fn mul_expr(&mut self) -> SqlResult<Expr> {
-        let mut lhs = self.unary_expr()?;
-        loop {
-            let op = match self.peek().kind {
-                TokenKind::Star => BinOp::Mul,
-                TokenKind::Slash => BinOp::Div,
-                TokenKind::Percent => BinOp::Rem,
-                _ => return Ok(lhs),
-            };
-            self.advance();
-            let rhs = self.unary_expr()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-    }
-
-    fn unary_expr(&mut self) -> SqlResult<Expr> {
-        if self.eat_kind(&TokenKind::Minus) {
-            Ok(Expr::Neg(Box::new(self.unary_expr()?)))
-        } else {
-            self.primary()
-        }
+        self.depth -= 1;
+        Ok(lhs)
     }
 
     fn primary(&mut self) -> SqlResult<Expr> {
@@ -590,7 +576,7 @@ impl Parser {
             TokenKind::Keyword(Keyword::Null) => Ok(Expr::Literal(Value::Null)),
             TokenKind::Param(name) => Ok(Expr::Param(name)),
             TokenKind::LParen => {
-                let e = self.expr()?;
+                let e = self.expr(prec::OR)?;
                 self.expect_kind(&TokenKind::RParen)?;
                 Ok(e)
             }
@@ -599,9 +585,9 @@ impl Parser {
                 if self.eat_kind(&TokenKind::LParen) {
                     let mut args = Vec::new();
                     if !self.eat_kind(&TokenKind::RParen) {
-                        args.push(self.expr()?);
+                        args.push(self.expr(prec::OR)?);
                         while self.eat_kind(&TokenKind::Comma) {
-                            args.push(self.expr()?);
+                            args.push(self.expr(prec::OR)?);
                         }
                         self.expect_kind(&TokenKind::RParen)?;
                     }
@@ -622,16 +608,16 @@ impl Parser {
         let mut whens = Vec::new();
         self.expect_kw(Keyword::When)?;
         loop {
-            let cond = self.expr()?;
+            let cond = self.expr(prec::OR)?;
             self.expect_kw(Keyword::Then)?;
-            let result = self.expr()?;
+            let result = self.expr(prec::OR)?;
             whens.push((cond, result));
             if !self.eat_kw(Keyword::When) {
                 break;
             }
         }
         let otherwise = if self.eat_kw(Keyword::Else) {
-            Some(Box::new(self.expr()?))
+            Some(Box::new(self.expr(prec::OR)?))
         } else {
             None
         };
@@ -643,7 +629,6 @@ impl Parser {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::BinOp;
 
     /// The paper's Figure 2, verbatim apart from whitespace.
     pub const FIGURE2: &str = r#"

@@ -13,6 +13,8 @@
 //!   --map p1,p2                  render the Figure-4 exploration map over
 //!                                two parameters after an offline run
 //!   --demo                       run the built-in Figure-2 scenario
+//!   --trace-out PATH             write the run's flight-recorder events as
+//!                                a chrome://tracing / Perfetto JSON file
 //! ```
 //!
 //! The bundled models (`DemandModel`, `CapacityModel`, `RevenueModel`,
@@ -35,6 +37,7 @@ struct Options {
     fingerprints: bool,
     csv: bool,
     map: Option<(String, String)>,
+    trace_out: Option<String>,
 }
 
 #[derive(PartialEq, Clone, Copy)]
@@ -64,6 +67,7 @@ fn parse_args() -> Result<Options, String> {
         fingerprints: true,
         csv: false,
         map: None,
+        trace_out: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -106,10 +110,13 @@ fn parse_args() -> Result<Options, String> {
                 opts.map = Some((a.trim().to_owned(), b.trim().to_owned()));
             }
             "--demo" => opts.demo = true,
+            "--trace-out" => {
+                opts.trace_out = Some(args.next().ok_or("--trace-out needs a path")?);
+            }
             "--help" | "-h" => {
                 println!("usage: prophet <scenario.sql> [--demo] [--mode online|offline|both]");
                 println!("               [--worlds N] [--set name=value]... [--no-fingerprints]");
-                println!("               [--csv] [--map p1,p2]");
+                println!("               [--csv] [--map p1,p2] [--trace-out PATH]");
                 std::process::exit(0);
             }
             path if !path.starts_with('-') => opts.scenario_path = Some(path.to_owned()),
@@ -165,6 +172,19 @@ fn run() -> Result<(), String> {
             return Err("scenario has no OPTIMIZE directive; offline mode unavailable".into());
         }
     }
+    if let Some(path) = &opts.trace_out {
+        // Job drivers stamp their last events just after the answer returns.
+        prophet.scheduler().wait_idle();
+        let events = prophet.trace_events();
+        std::fs::write(path, chrome_trace_json(&events))
+            .map_err(|e| format!("cannot write `{path}`: {e}"))?;
+        eprintln!(
+            "trace: {} events written to {path} ({} older ones overwritten); \
+             load at chrome://tracing or ui.perfetto.dev",
+            events.len(),
+            prophet.telemetry().trace.events_dropped
+        );
+    }
     Ok(())
 }
 
@@ -208,7 +228,6 @@ fn describe_sliders(session: &OnlineSession) -> String {
 }
 
 fn run_offline(prophet: &Prophet, opts: &Options) -> Result<(), String> {
-    let optimizer = prophet.offline(SCENARIO).map_err(|e| e.to_string())?;
     let scenario = prophet.scenario(SCENARIO).map_err(|e| e.to_string())?;
 
     let mut map = match &opts.map {
@@ -228,13 +247,29 @@ fn run_offline(prophet: &Prophet, opts: &Options) -> Result<(), String> {
         None => None,
     };
 
-    let report = optimizer
-        .run_with_observer(|_, full, outcome| {
-            if let Some(m) = map.as_mut() {
-                m.record(full, outcome);
-            }
-        })
+    // The sweep runs as a job on the service's pool (so `--trace-out` sees
+    // its chunks and phases); its chunk stream feeds the exploration map.
+    let handle = prophet
+        .submit(JobSpec::sweep(SCENARIO))
         .map_err(|e| e.to_string())?;
+    let mut report = None;
+    for event in handle.events() {
+        match event {
+            JobEvent::Chunk(update) => {
+                if let Some(m) = map.as_mut() {
+                    for (point, outcome) in &update.results {
+                        m.record(point, outcome);
+                    }
+                }
+            }
+            JobEvent::Final(output) => {
+                report = Some(output.into_sweep().map_err(|e| e.to_string())?)
+            }
+            JobEvent::Cancelled => return Err("sweep cancelled".into()),
+            JobEvent::Failed(err) => return Err(err.to_string()),
+        }
+    }
+    let report = report.ok_or("sweep ended without an answer")?;
 
     if opts.csv {
         println!(

@@ -229,32 +229,23 @@ fn batched_sweeps_are_bit_identical_with_and_without_index() {
     }
 }
 
-/// A full offline OPTIMIZE sweep with the index on and off: identical best
-/// plan, answers, and work — and the indexed run actually pruned.
+/// A full offline OPTIMIZE sweep of the coarse Figure 2 with the index on
+/// and off: identical best plan and answers — and the work counters noise
+/// cannot move, pinned to their exact values on the default configuration
+/// (but for a world count cut for debug builds and a second thread; every
+/// counter pinned below except `worlds_simulated` is independent of both).
+/// A change that moves one of them changed *what* is computed, not how
+/// fast: re-pin deliberately.
 #[test]
 fn offline_sweep_answers_are_identical_with_and_without_index() {
-    let scenario_src = "\
-DECLARE PARAMETER @current AS RANGE 0 TO 52 STEP BY 4;
-DECLARE PARAMETER @purchase1 AS RANGE 0 TO 48 STEP BY 16;
-DECLARE PARAMETER @purchase2 AS RANGE 0 TO 48 STEP BY 16;
-DECLARE PARAMETER @feature AS SET (12,36);
-SELECT DemandModel(@current, @feature) AS demand,
-       CapacityModel(@current, @purchase1, @purchase2) AS capacity,
-       CASE WHEN capacity < demand THEN 1 ELSE 0 END AS overload
-INTO results;
-OPTIMIZE SELECT @feature, @purchase1, @purchase2
-FROM results
-WHERE MAX(EXPECT overload) < 0.9
-GROUP BY feature, purchase1, purchase2
-FOR MAX @purchase1, MAX @purchase2";
-
+    const WORLDS: usize = 8;
     let run = |match_index: bool| {
         let prophet = Prophet::builder()
-            .scenario_sql("sweep", scenario_src)
+            .scenario_sql("sweep", &figure2_coarse_sql(0.05))
             .unwrap()
             .registry(demo_registry())
             .config(EngineConfig {
-                worlds_per_point: 16,
+                worlds_per_point: WORLDS,
                 threads: 2,
                 match_index,
                 ..EngineConfig::default()
@@ -267,28 +258,32 @@ FOR MAX @purchase1, MAX @purchase2";
     let indexed = run(true);
     let exhaustive = run(false);
     assert_eq!(indexed.answers, exhaustive.answers, "per-group answers");
-    let best_i = indexed.best.as_ref().expect("a feasible plan exists");
-    let best_e = exhaustive.best.as_ref().expect("a feasible plan exists");
-    assert_eq!(best_i.point, best_e.point, "identical sweep answer");
-    assert_eq!(best_i.constraint_values, best_e.constraint_values);
-    assert_eq!(
-        indexed.metrics.points_simulated,
-        exhaustive.metrics.points_simulated
-    );
-    assert_eq!(
-        indexed.metrics.worlds_simulated,
-        exhaustive.metrics.worlds_simulated
-    );
-    assert!(
-        indexed.metrics.candidates_pruned > 0,
-        "the sweep must exercise the index"
-    );
+    assert_eq!(indexed.best, exhaustive.best, "identical sweep answer");
+
+    for (label, m) in [
+        ("indexed", &indexed.metrics),
+        ("exhaustive", &exhaustive.metrics),
+    ] {
+        assert_eq!(m.points_total(), 3_969, "{label}");
+        assert_eq!(m.points_simulated, 57, "{label}");
+        assert_eq!(m.points_mapped, 3_912, "{label}");
+        assert_eq!(m.worlds_simulated, 57 * WORLDS as u64, "{label}");
+        assert_eq!(m.vector_walks, 3_969, "{label}: one block walk per probe");
+        assert_eq!(
+            m.column_fallbacks, 0,
+            "{label}: the sweep stays on typed kernels"
+        );
+        // The one pin that moves with worlds × threads (how a miss's worlds
+        // split into blocks): exact at this test's fixed configuration.
+        assert_eq!(m.columnar_kernels, 16_152, "{label}");
+    }
+    // What the summary index buys: 8,724 full comparisons instead of the
+    // exhaustive reference's 97,416 (which compares every pair until the
+    // probe is exact, and bounds — so prunes — nothing).
+    assert_eq!(indexed.metrics.candidates_scanned, 8_724);
+    assert_eq!(indexed.metrics.candidates_pruned, 200_526);
+    assert_eq!(exhaustive.metrics.candidates_scanned, 97_416);
     assert_eq!(exhaustive.metrics.candidates_pruned, 0);
-    assert!(
-        indexed.metrics.candidates_scanned
-            < exhaustive.metrics.candidates_scanned + exhaustive.metrics.candidates_pruned,
-        "pruning must reduce the number of full comparisons"
-    );
 }
 
 // ---------------------------------------------------------------- property

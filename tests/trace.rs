@@ -10,7 +10,7 @@
 //! this file carries the recorder's own contracts.
 
 use fuzzy_prophet::prelude::*;
-use prophet_models::scenarios::PRICING_WHATIF;
+use prophet_models::scenarios::{figure2_coarse_sql, PRICING_WHATIF};
 use prophet_models::{demo_registry, full_registry};
 
 fn service(workers: usize, trace: TraceConfig) -> Prophet {
@@ -51,7 +51,7 @@ fn run_sweep(prophet: &Prophet) -> OfflineReport {
 
 /// One traced sweep exercises every layer of the taxonomy: job
 /// lifecycle, chunk queue flow, driver phases, and store traffic — and
-/// the merged view comes back sorted by stamp.
+/// the events come back sorted by stamp.
 #[test]
 fn traced_sweep_records_the_full_event_taxonomy_in_stamp_order() {
     let prophet = service(2, TraceConfig::ring());
@@ -111,7 +111,7 @@ fn traced_sweep_records_the_full_event_taxonomy_in_stamp_order() {
     );
     assert!(has(TraceEventKind::StorePublish), "store_publish");
 
-    // The merged view is sorted by monotonic stamp.
+    // The events come back sorted by monotonic stamp.
     assert!(
         events.windows(2).all(|w| w[0].nanos <= w[1].nanos),
         "events() must come back in stamp order"
@@ -149,6 +149,41 @@ fn telemetry_snapshot_is_monotone_and_populated() {
     // The driver's worker may still be unwinding its `run_task` frame
     // when the last job finishes, so "idle" is eventual — only bound it.
     assert!(t.workers_busy <= snapshot.workers_total);
+}
+
+/// The default ring holds a whole coarse Figure-2 sweep: every thread
+/// records into the one ring, so the full capacity is usable however few
+/// threads the pool has (a ring split into thread-sticky shards dropped
+/// events at a quarter full).
+#[test]
+fn default_ring_holds_a_whole_coarse_sweep() {
+    let prophet = Prophet::builder()
+        .scenario_sql("figure2", &figure2_coarse_sql(0.05))
+        .unwrap()
+        .registry(demo_registry())
+        .config(EngineConfig {
+            worlds_per_point: 8,
+            threads: 2,
+            ..EngineConfig::default()
+        })
+        .build()
+        .unwrap();
+    prophet
+        .submit(JobSpec::sweep("figure2"))
+        .unwrap()
+        .wait()
+        .unwrap();
+    prophet.scheduler().wait_idle();
+
+    let t = prophet.telemetry().trace;
+    assert!(t.events_recorded > 0, "the service tier traces by default");
+    assert!(
+        t.events_recorded < TraceConfig::DEFAULT_RING_CAPACITY as u64,
+        "{} events must fit the default ring",
+        t.events_recorded
+    );
+    assert_eq!(t.events_dropped, 0);
+    assert_eq!(prophet.trace_events().len() as u64, t.events_recorded);
 }
 
 /// A cancelled job's trace contains the cancel marker, and no chunk
