@@ -12,7 +12,7 @@
 //!    rank expression resolved against the extracted
 //!    [rank table](crate::ranktable). The binding name (struct field or
 //!    `let`) plus the field's declared inner type tie acquisition sites
-//!    (`self.meta.lock()`, `shards[i].read()`…) back to ranks.
+//!    (`self.table.read()`, `slots[i].lock()`…) back to ranks.
 //! 2. **Guard model** — each function body is walked linearly with a
 //!    scope stack: `let`-bound guards hold their rank until `drop(g)` or
 //!    scope end; expression temporaries hold to the end of their
@@ -41,8 +41,7 @@
 //!   unknown locks fail the gate instead of silently escaping;
 //! * per-site escapes are explicit: `// analysis:allow(lock-order):
 //!   reason` — used where ascending order is proven by construction in a
-//!   way the token model cannot see (the store's ascending shard-index
-//!   walks), and audited like any other allow.
+//!   way the token model cannot see, and audited like any other allow.
 //!
 //! `docs/ANALYSIS.md` carries the full architecture discussion.
 
@@ -52,10 +51,9 @@ use crate::findings::Finding;
 use crate::lex::{ident_at, lex, punct_at, skip_group, strip_test_regions, Lexed, Tok, TokKind};
 use crate::ranktable::RankTable;
 
-/// A contiguous rank span. Scalars are `lo == hi`; a lock *array* (the
-/// store's shards) is its whole span, acquired ascending by index — a
-/// discipline the runtime checker proves and this pass treats as one
-/// opaque range.
+/// A contiguous rank span. Every rank-table lock is `lo == hi`; an
+/// acquisition the lock map cannot resolve spans everything
+/// (`0..=u16::MAX`), so it conflicts with whatever is held.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RankRange {
     pub lo: u16,
@@ -406,8 +404,8 @@ fn collect_locks(info: &mut FileInfo, table: &RankTable, findings: &mut Vec<Find
     }
 
     // Join typed fields to definition sites by inner type: this is what
-    // ties `shards: Arc<[OrderedRwLock<Shard>]>` to the
-    // `OrderedRwLock::new(rank::STORE_SHARDS[i], Shard::default())`
+    // ties `table: Arc<OrderedRwLock<Table>>` to an
+    // `OrderedRwLock::new(rank::STORE_TABLE, Table::default())`
     // construction bound to a differently-named local.
     for (field, inner) in typed_fields {
         if info.locks.contains_key(&field) {
@@ -428,9 +426,8 @@ fn collect_locks(info: &mut FileInfo, table: &RankTable, findings: &mut Vec<Find
 
 /// Resolve the rank expression starting at `i` (just past the opening
 /// paren): either an inline `LockRank::new(N, "name")` or a path ending
-/// in a rank const (`rank::STORE_META`, `ENGINE_METRICS`,
-/// `rank::STORE_SHARDS[i]`). Returns the range and the index of the `,`
-/// ending the expression.
+/// in a rank const (`rank::STORE_TABLE`, `ENGINE_METRICS`). Returns the
+/// range and the index of the `,` ending the expression.
 fn parse_rank_expr(toks: &[Tok], i: usize, table: &RankTable) -> Option<(RankRange, usize)> {
     // Inline literal (tests, fixtures).
     if ident_at(toks, i) == Some("LockRank")
@@ -458,17 +455,13 @@ fn parse_rank_expr(toks: &[Tok], i: usize, table: &RankTable) -> Option<(RankRan
         }
         return None;
     }
-    // Path form: collect idents to the `,` (depth 0), noting indexing.
+    // Path form: collect idents to the `,` (depth 0).
     let mut j = i;
     let mut last_ident: Option<String> = None;
-    let mut indexed = false;
     while j < toks.len() {
         match &toks[j].kind {
             TokKind::Punct(',') => break,
             TokKind::Punct('(') | TokKind::Punct('[') => {
-                if punct_at(toks, j, '[') {
-                    indexed = true;
-                }
                 j = skip_group(toks, j);
                 continue;
             }
@@ -479,11 +472,10 @@ fn parse_rank_expr(toks: &[Tok], i: usize, table: &RankTable) -> Option<(RankRan
         j += 1;
     }
     let const_name = last_ident?;
-    let _ = indexed; // which slot of an array is index-dependent: model the whole span
     let entry = table.by_const(&const_name)?;
     let range = RankRange {
-        lo: entry.lo,
-        hi: entry.hi,
+        lo: entry.rank,
+        hi: entry.rank,
         name: entry.lock_name.clone(),
     };
     Some((range, j))
@@ -618,7 +610,7 @@ fn walk_body(
     let mut depth = 0usize;
     let mut let_stack: Vec<LetCtx> = Vec::new();
     // Locals that *refer* to a lock without acquiring it
-    // (`let shard = &self.shards[i];`, `for s in self.shards.iter()`):
+    // (`let slot = &self.slots[i];`, `for s in self.slots.iter()`):
     // resolved like the lock itself at their acquisition sites.
     let mut aliases: HashMap<String, RankRange> = HashMap::new();
     let mut i = start;
@@ -898,7 +890,7 @@ fn receiver_before(toks: &[Tok], dot: usize, lo: usize) -> Option<String> {
 }
 
 /// Fallback receiver resolution: when a closure parameter or chained
-/// expression hides the lock (`self.shards.iter().map(|s| s.read())`),
+/// expression hides the lock (`self.slots.iter().map(|s| s.read())`),
 /// look backwards through the enclosing statement for any known lock
 /// name.
 fn statement_lock_hint(
@@ -1248,10 +1240,7 @@ mod tests {
         pub const LOW: LockRank = LockRank::new(10, "low lock");
         pub const MID: LockRank = LockRank::new(40, "mid lock");
         pub const HIGH: LockRank = LockRank::new(90, "high lock");
-        pub const ARR: [LockRank; 2] = [
-            LockRank::new(50, "arr 0"),
-            LockRank::new(51, "arr 1"),
-        ];
+        pub const ARR: LockRank = LockRank::new(50, "arr lock");
     "#;
 
     fn run(src: &str) -> Vec<Finding> {
@@ -1445,7 +1434,7 @@ mod tests {
             struct S { arr: [OrderedRwLock<u32>; 2] }
             impl S {
                 fn new() -> S {
-                    S { arr: std::array::from_fn(|_| OrderedRwLock::new(ARR[0], 0)) }
+                    S { arr: std::array::from_fn(|_| OrderedRwLock::new(ARR, 0)) }
                 }
                 fn bad(&self) {
                     let a = self.arr[0].write();
@@ -1455,7 +1444,26 @@ mod tests {
         "#;
         let f = active(src);
         assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("arr 0…1"), "{}", f[0].message);
+        assert!(f[0].message.contains("arr lock"), "{}", f[0].message);
+    }
+
+    /// The rank table holds scalar consts only, so a lock ranked out of a
+    /// `[LockRank; N]` fails the gate at its definition site.
+    #[test]
+    fn rank_array_slot_is_an_unresolved_rank() {
+        let src = r#"
+            pub const SLOTS: [LockRank; 2] =
+                [LockRank::new(60, "slot 0"), LockRank::new(61, "slot 1")];
+            struct S { slots: Vec<OrderedRwLock<u32>> }
+            impl S {
+                fn new() -> S {
+                    S { slots: (0..2).map(|i| OrderedRwLock::new(SLOTS[i], 0)).collect() }
+                }
+            }
+        "#;
+        let f = active(src);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].message.contains("cannot resolve"), "{}", f[0].message);
     }
 
     #[test]
@@ -1465,7 +1473,7 @@ mod tests {
             impl S {
                 fn new() -> S {
                     S {
-                        arr: std::array::from_fn(|_| OrderedRwLock::new(ARR[0], 0)),
+                        arr: std::array::from_fn(|_| OrderedRwLock::new(ARR, 0)),
                         high: OrderedMutex::new(HIGH, 0),
                     }
                 }

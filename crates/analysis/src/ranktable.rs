@@ -2,12 +2,10 @@
 //! source and hold `docs/CONCURRENCY.md` to it.
 //!
 //! Every rank-table entry in the workspace is a literal
-//! `LockRank::new(<rank>, "<name>")` bound to a `const` — either a
-//! scalar (`pub const STORE_META: LockRank = LockRank::new(45, …)`) or
-//! one slot of a const array (`pub const STORE_SHARDS: [LockRank; …] =
-//! […]`, the per-shard ranks). This pass scans every source file for
-//! exactly those shapes, so the extracted table *is* the code's table —
-//! no hand-maintained mirror to rot.
+//! `LockRank::new(<rank>, "<name>")` bound to a scalar `const`
+//! (`pub const STORE_TABLE: LockRank = LockRank::new(50, …)`). This pass
+//! scans every source file for exactly that shape, so the extracted table
+//! *is* the code's table — no hand-maintained mirror to rot.
 //!
 //! The markdown renderer emits the table between
 //! `<!-- rank-table:begin -->` / `<!-- rank-table:end -->` markers in
@@ -24,24 +22,14 @@ use crate::lex::{ident_at, lex, punct_at, strip_test_regions, Tok, TokKind};
 /// One named rank-table entry extracted from source.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RankEntry {
-    /// The `const` identifier (`STORE_META`, `STORE_SHARDS`, …).
+    /// The `const` identifier (`STORE_TABLE`, `ENGINE_METRICS`, …).
     pub const_name: String,
-    /// Lowest rank the const covers (scalar: the rank itself).
-    pub lo: u16,
-    /// Highest rank (scalar: the rank itself; arrays: the last slot).
-    pub hi: u16,
-    /// The human lock name from the first `LockRank::new` literal; for
-    /// arrays, the shared prefix plus an index range.
+    pub rank: u16,
+    /// The human lock name from the `LockRank::new` literal.
     pub lock_name: String,
     /// Workspace-relative defining file.
     pub file: String,
     pub line: usize,
-}
-
-impl RankEntry {
-    pub fn is_array(&self) -> bool {
-        self.lo != self.hi
-    }
 }
 
 /// The extracted table, sorted by rank.
@@ -51,7 +39,7 @@ pub struct RankTable {
 }
 
 impl RankTable {
-    /// Look up a const name (`STORE_SHARDS`, `ENGINE_METRICS`, …).
+    /// Look up a const name (`STORE_TABLE`, `ENGINE_METRICS`, …).
     pub fn by_const(&self, name: &str) -> Option<&RankEntry> {
         self.entries.iter().find(|e| e.const_name == name)
     }
@@ -64,14 +52,14 @@ pub fn extract(files: &[(String, String)]) -> RankTable {
         let toks = strip_test_regions(lex(src).toks);
         extract_file(path, &toks, &mut entries);
     }
-    entries.sort_by(|a, b| (a.lo, a.hi, &a.const_name).cmp(&(b.lo, b.hi, &b.const_name)));
+    entries.sort_by(|a, b| (a.rank, &a.const_name).cmp(&(b.rank, &b.const_name)));
     RankTable { entries }
 }
 
 fn extract_file(path: &str, toks: &[Tok], out: &mut Vec<RankEntry>) {
     let mut i = 0usize;
     while i < toks.len() {
-        // `const NAME : LockRank = …` or `const NAME : [ LockRank ; … ] = …`
+        // `const NAME : LockRank = LockRank::new(N, "name") ;`
         if ident_at(toks, i) == Some("const") {
             let Some(name) = ident_at(toks, i + 1) else {
                 i += 1;
@@ -80,27 +68,14 @@ fn extract_file(path: &str, toks: &[Tok], out: &mut Vec<RankEntry>) {
             let name = name.to_string();
             let line = toks[i + 1].line;
             let mut j = i + 2;
-            if !punct_at(toks, j, ':') {
+            if !punct_at(toks, j, ':') || ident_at(toks, j + 1) != Some("LockRank") {
                 i += 1;
                 continue;
             }
-            j += 1;
-            if punct_at(toks, j, '[') {
-                // Array type `[LockRank; N]`: hop the whole type group so
-                // its `;` does not read as the declaration's end.
-                if ident_at(toks, j + 1) != Some("LockRank") {
-                    i += 1;
-                    continue;
-                }
-                j = crate::lex::skip_group(toks, j);
-            } else if ident_at(toks, j) != Some("LockRank") {
-                i += 1;
-                continue;
-            }
-            // Collect every `LockRank::new(N, "name")` literal in the
+            // The first `LockRank::new(N, "name")` literal in the
             // initializer, up to the terminating `;`.
-            let mut ranks: Vec<(u16, String)> = Vec::new();
-            while j < toks.len() && !punct_at(toks, j, ';') {
+            let mut found: Option<(u16, String)> = None;
+            while found.is_none() && j < toks.len() && !punct_at(toks, j, ';') {
                 if ident_at(toks, j) == Some("new")
                     && punct_at(toks, j + 1, '(')
                     && crate::lex::pathed_from(toks, j, "LockRank")
@@ -113,28 +88,14 @@ fn extract_file(path: &str, toks: &[Tok], out: &mut Vec<RankEntry>) {
                         Some(TokKind::Str(s)) if punct_at(toks, j + 3, ',') => Some(s.clone()),
                         _ => None,
                     };
-                    if let (Some(num), Some(label)) = (num, label) {
-                        ranks.push((num, label));
-                    }
+                    found = num.zip(label);
                 }
                 j += 1;
             }
-            if !ranks.is_empty() {
-                let lo = ranks.iter().map(|r| r.0).min().unwrap_or(0);
-                let hi = ranks.iter().map(|r| r.0).max().unwrap_or(0);
-                let lock_name = if ranks.len() > 1 {
-                    // Arrays share a name prefix (`basis store shard 0…15`):
-                    // render the common prefix with the slot range.
-                    let first = &ranks[0].1;
-                    let prefix = first.trim_end_matches(|c: char| c.is_ascii_digit());
-                    format!("{prefix}0…{}", ranks.len() - 1)
-                } else {
-                    ranks[0].1.clone()
-                };
+            if let Some((rank, lock_name)) = found {
                 out.push(RankEntry {
                     const_name: name,
-                    lo,
-                    hi,
+                    rank,
                     lock_name,
                     file: path.to_string(),
                     line,
@@ -153,16 +114,15 @@ pub fn duplicate_findings(table: &RankTable) -> Vec<Finding> {
     let mut out = Vec::new();
     for (i, a) in table.entries.iter().enumerate() {
         for b in &table.entries[i + 1..] {
-            if a.lo <= b.hi && b.lo <= a.hi {
+            if a.rank == b.rank {
                 out.push(Finding::new(
                     "rank-table",
                     &b.file,
                     b.line,
                     format!(
-                        "rank range {}–{} of `{}` overlaps `{}` ({}–{}, {}:{}) — every \
-                         lock needs a distinct rank or the runtime checker will refuse \
-                         legal nestings",
-                        b.lo, b.hi, b.const_name, a.const_name, a.lo, a.hi, a.file, a.line
+                        "rank {} of `{}` is also `{}`'s ({}:{}) — every lock needs a \
+                         distinct rank or the runtime checker will refuse legal nestings",
+                        b.rank, b.const_name, a.const_name, a.file, a.line
                     ),
                 ));
             }
@@ -180,14 +140,9 @@ pub fn render_markdown(table: &RankTable) -> String {
     out.push_str("| rank | lock | const | defined in |\n");
     out.push_str("|-----:|------|-------|------------|\n");
     for e in &table.entries {
-        let rank = if e.is_array() {
-            format!("{}–{}", e.lo, e.hi)
-        } else {
-            format!("{}", e.lo)
-        };
         out.push_str(&format!(
             "| {} | `{}` | `{}` | `{}` |\n",
-            rank, e.lock_name, e.const_name, e.file
+            e.rank, e.lock_name, e.const_name, e.file
         ));
     }
     out
@@ -252,24 +207,19 @@ mod tests {
     }
 
     #[test]
-    fn extracts_scalar_and_array_consts() {
+    fn extracts_scalar_consts_only() {
         let src = r#"
-            pub const META: LockRank = LockRank::new(45, "store meta");
-            pub const SHARDS: [LockRank; 3] = [
-                LockRank::new(50, "shard 0"),
-                LockRank::new(51, "shard 1"),
-                LockRank::new(52, "shard 2"),
+            pub const TABLE: LockRank = LockRank::new(50, "store table");
+            pub const SLOTS: [LockRank; 2] = [
+                LockRank::new(60, "slot 0"),
+                LockRank::new(61, "slot 1"),
             ];
         "#;
         let table = table_of(src);
-        assert_eq!(table.entries.len(), 2);
-        let meta = table.by_const("META").unwrap();
-        assert_eq!((meta.lo, meta.hi), (45, 45));
-        assert_eq!(meta.lock_name, "store meta");
-        let shards = table.by_const("SHARDS").unwrap();
-        assert_eq!((shards.lo, shards.hi), (50, 52));
-        assert!(shards.is_array());
-        assert_eq!(shards.lock_name, "shard 0…2");
+        assert_eq!(table.entries.len(), 1, "a rank array is not in the table");
+        let entry = table.by_const("TABLE").unwrap();
+        assert_eq!(entry.rank, 50);
+        assert_eq!(entry.lock_name, "store table");
     }
 
     #[test]
@@ -284,7 +234,7 @@ mod tests {
                 "pub const LO: LockRank = LockRank::new(10, \"lo\");".into(),
             ),
         ]);
-        let ranks: Vec<u16> = table.entries.iter().map(|e| e.lo).collect();
+        let ranks: Vec<u16> = table.entries.iter().map(|e| e.rank).collect();
         assert_eq!(ranks, [10, 90]);
     }
 

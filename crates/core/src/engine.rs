@@ -160,21 +160,11 @@ pub struct EngineConfig {
     pub root_seed: u64,
     /// Maximum basis-store entries before FIFO eviction.
     ///
-    /// Evidence: `tests/executor.rs` and `tests/store_shards.rs` (eviction
-    /// order, sources outlive mapped entries) and `perf`'s
-    /// `mc.store.publish_evicting_ns` rows and `count.evictions`.
+    /// Evidence: `tests/executor.rs` and `tests/basis_snapshot.rs`
+    /// (eviction order, sources outlive mapped entries, the churned-store
+    /// pin) and `perf`'s `mc.store.publish_evicting_ns` rows and
+    /// `count.evictions`.
     pub basis_capacity: usize,
-    /// Shards the basis store's entry table splits across
-    /// (`1..=`[`prophet_mc::MAX_SHARDS`]). More shards means concurrent
-    /// jobs touching disjoint points stop contending on one lock; answers,
-    /// eviction order, and snapshot bytes are identical at every shard
-    /// count. Only consulted by the store-creating constructor.
-    ///
-    /// Evidence: `tests/store_shards.rs` (any count ≡ one shard). The
-    /// bench row is still missing: `perf`'s `mc.store.*.tN` rows contend
-    /// on one store but at the default count only, so no measurement yet
-    /// says sharding pays (ROADMAP (f)).
-    pub store_shards: usize,
     /// Worker threads of the inline runner's phase fan-out and of
     /// world-level parallelism within a point (deterministic:
     /// world→sample assignment is thread-independent). Jobs on a
@@ -200,9 +190,29 @@ impl Default for EngineConfig {
             common_random_numbers: true,
             root_seed: 0xF1_2E_9A_77,
             basis_capacity: 8_192,
-            store_shards: prophet_mc::store::DEFAULT_SHARDS,
             threads: 1,
         }
+    }
+}
+
+impl EngineConfig {
+    /// Reject the configurations that cannot answer, or answer wrongly:
+    /// no worlds, no store, or — with fingerprints on — fewer than three
+    /// probes. Two probes fit *any* affine map exactly, so a length-2
+    /// fingerprint "matches" every candidate and certifies nothing
+    /// (lengths 0 and 1 never match at all).
+    pub(crate) fn validate(&self) -> ProphetResult<()> {
+        let invalid = |msg: &str| Err(ProphetError::InvalidConfig(msg.into()));
+        if self.worlds_per_point == 0 {
+            return invalid("worlds_per_point must be positive");
+        }
+        if self.basis_capacity == 0 {
+            return invalid("basis_capacity must be positive");
+        }
+        if self.fingerprints_enabled && self.fingerprint.length < 3 {
+            return invalid("fingerprint.length must be at least 3 when fingerprints are enabled");
+        }
+        Ok(())
     }
 }
 
@@ -251,19 +261,8 @@ impl Engine {
         registry: VgRegistry,
         config: EngineConfig,
     ) -> ProphetResult<Self> {
-        if config.basis_capacity == 0 {
-            return Err(ProphetError::InvalidConfig(
-                "basis_capacity must be positive".into(),
-            ));
-        }
-        if !(1..=prophet_mc::MAX_SHARDS).contains(&config.store_shards) {
-            return Err(ProphetError::InvalidConfig(format!(
-                "store_shards must be in 1..={} (got {})",
-                prophet_mc::MAX_SHARDS,
-                config.store_shards
-            )));
-        }
-        let basis = SharedBasisStore::with_shards(config.basis_capacity, config.store_shards);
+        config.validate()?;
+        let basis = SharedBasisStore::new(config.basis_capacity);
         Engine::with_basis_store(scenario, Arc::new(registry), config, basis)
     }
 
@@ -273,19 +272,15 @@ impl Engine {
     ///
     /// Capacity is a property of the *store*: `config.basis_capacity` is
     /// only consulted by the store-creating constructor ([`Engine::new`])
-    /// and is ignored here in favour of whatever the supplied store was
-    /// built with.
+    /// and is ignored here — beyond the config-wide check that it is not
+    /// zero — in favour of whatever the supplied store was built with.
     pub fn with_basis_store(
         scenario: &Scenario,
         registry: Arc<VgRegistry>,
         config: EngineConfig,
         basis: SharedBasisStore,
     ) -> ProphetResult<Self> {
-        if config.worlds_per_point == 0 {
-            return Err(ProphetError::InvalidConfig(
-                "worlds_per_point must be positive".into(),
-            ));
-        }
+        config.validate()?;
         let script = scenario.script().clone();
         let stochastic_cols = script
             .select

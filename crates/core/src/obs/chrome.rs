@@ -77,20 +77,11 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
             }
             let _ = write!(args, "\"chunk\":{}", event.chunk);
         }
-        match event.kind {
-            TraceEventKind::LockWait { lock } => {
-                if !args.is_empty() {
-                    args.push(',');
-                }
-                let _ = write!(args, "\"lock\":\"{lock}\"");
+        if let TraceEventKind::LockWait { lock } = event.kind {
+            if !args.is_empty() {
+                args.push(',');
             }
-            TraceEventKind::StoreClaim { shard } | TraceEventKind::StoreEvict { shard } => {
-                if !args.is_empty() {
-                    args.push(',');
-                }
-                let _ = write!(args, "\"shard\":{shard}");
-            }
-            _ => {}
+            let _ = write!(args, "\"lock\":\"{lock}\"");
         }
         let name = event.kind.name();
         if event.dur_nanos > 0 {

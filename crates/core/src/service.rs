@@ -162,23 +162,7 @@ impl ProphetBuilder {
 
     /// Validate and assemble the service.
     pub fn build(self) -> ProphetResult<Prophet> {
-        if self.config.worlds_per_point == 0 {
-            return Err(ProphetError::InvalidConfig(
-                "worlds_per_point must be positive".into(),
-            ));
-        }
-        if self.config.basis_capacity == 0 {
-            return Err(ProphetError::InvalidConfig(
-                "basis_capacity must be positive".into(),
-            ));
-        }
-        if !(1..=prophet_mc::MAX_SHARDS).contains(&self.config.store_shards) {
-            return Err(ProphetError::InvalidConfig(format!(
-                "store_shards must be in 1..={} (got {})",
-                prophet_mc::MAX_SHARDS,
-                self.config.store_shards
-            )));
-        }
+        self.config.validate()?;
         let registry = self
             .registry
             .unwrap_or_else(|| Arc::new(prophet_models::full_registry()));
@@ -205,9 +189,8 @@ impl ProphetBuilder {
             if slots.contains_key(&name) {
                 return Err(ProphetError::DuplicateScenario { name });
             }
-            let store =
-                SharedBasisStore::with_shards(self.config.basis_capacity, self.config.store_shards)
-                    .with_tracer(scheduler.tracer().clone());
+            let store = SharedBasisStore::new(self.config.basis_capacity)
+                .with_tracer(scheduler.tracer().clone());
             slots.insert(name, Slot { scenario, store });
         }
         Ok(Prophet {

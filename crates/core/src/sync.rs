@@ -21,8 +21,7 @@
 //! | 20 | [`JOB_EVENTS`] — a job's event-sender cell | this module |
 //! | 30 | [`rank::INFLIGHT_TABLE`] — store pending-claim table | `prophet_mc::sync` |
 //! | 40 | [`rank::INFLIGHT_SLOT`] — one pending slot's state cell | `prophet_mc::sync` |
-//! | 45 | [`rank::STORE_META`] — store stamp/index/eviction metadata | `prophet_mc::sync` |
-//! | 50–65 | [`rank::STORE_SHARDS`] — basis entry-table shards (`RwLock` each) | `prophet_mc::sync` |
+//! | 50 | [`rank::STORE_TABLE`] — basis entry table (`RwLock`) | `prophet_mc::sync` |
 //! | 67 | [`rank::STORE_STATS`] — store counter ledger | `prophet_mc::sync` |
 //! | 70 | [`CHUNK_RESULTS`] — a chunked phase's result slots | this module |
 //! | 72 | [`PROBE_MEMO`] — the engine's call-site probe memo | this module |
@@ -30,13 +29,11 @@
 //! | 80 | [`SCHEDULER_HANDLES`] — worker join handles (drop only) | this module |
 //! | 90 | [`TRACE_RING`] — the flight-recorder ring | `prophet_mc::trace` |
 //!
-//! The assignments encode the real nesting: claim/publish/clear hold the
-//! in-flight table (30) across slot-state (40), store-meta (45), and
-//! shard (50–65) acquisitions; inserts hold the meta lock across their
-//! shard pair, and multi-shard paths (the match scan's all-shard read,
-//! restore/clear) take shards strictly by ascending index; the counter
-//! ledger (67) sits above every shard so accounting is legal while shard
-//! guards are held. Everything else is leaf-like — acquired and released
+//! The assignments encode the real nesting: claim/publish/clear/restore
+//! hold the in-flight table (30) across slot-state (40) and entry-table
+//! (50) acquisitions; the counter ledger (67) sits above the table so
+//! accounting is legal while its guard is held (`stats_snapshot` does
+//! exactly that). Everything else is leaf-like — acquired and released
 //! with nothing nested inside — so any rank would do, but giving each a
 //! distinct slot means an *accidental* future nesting is either proven
 //! harmless (ascending) or caught (inverted), instead of silently
@@ -50,7 +47,7 @@
 
 pub use prophet_mc::sync::{
     rank, ClaimLedger, LockRank, OrderedCondvar, OrderedMutex, OrderedMutexGuard, OrderedReadGuard,
-    OrderedRwLock, OrderedWriteGuard, MAX_SHARDS,
+    OrderedRwLock, OrderedWriteGuard,
 };
 pub use prophet_mc::trace::TRACE_RING;
 
@@ -95,9 +92,7 @@ mod tests {
             JOB_EVENTS,
             rank::INFLIGHT_TABLE,
             rank::INFLIGHT_SLOT,
-            rank::STORE_META,
-            rank::STORE_SHARDS[0],
-            rank::STORE_SHARDS[MAX_SHARDS - 1],
+            rank::STORE_TABLE,
             rank::STORE_STATS,
             CHUNK_RESULTS,
             PROBE_MEMO,
@@ -105,11 +100,6 @@ mod tests {
             SCHEDULER_HANDLES,
             TRACE_RING,
         ];
-        // The shard ranks themselves are contiguous and strictly ascending,
-        // one per possible shard index.
-        for pair in rank::STORE_SHARDS.windows(2) {
-            assert!(pair[0].rank < pair[1].rank, "shard ranks out of order");
-        }
         for pair in table.windows(2) {
             assert!(
                 pair[0].rank < pair[1].rank,

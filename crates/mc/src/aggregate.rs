@@ -165,97 +165,6 @@ pub fn quantile(xs: &[f64], q: f64) -> Option<f64> {
     }
 }
 
-/// Fixed-range equal-width histogram.
-///
-/// The online GUI's distribution insets (Figure 3) are driven by these;
-/// benches also use them to compare original vs fingerprint-mapped output
-/// distributions bucket by bucket.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Create with `bins` equal-width buckets spanning `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if `bins == 0` or `lo >= hi` — construction sites are static.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(lo < hi, "histogram range [{lo}, {hi}) is empty");
-        Histogram {
-            lo,
-            hi,
-            counts: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Add one observation.
-    pub fn push(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let w = (self.hi - self.lo) / self.counts.len() as f64;
-            let idx = (((x - self.lo) / w) as usize).min(self.counts.len() - 1);
-            self.counts[idx] += 1;
-        }
-    }
-
-    /// Add many observations.
-    pub fn extend(&mut self, xs: &[f64]) {
-        for &x in xs {
-            self.push(x);
-        }
-    }
-
-    /// Per-bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above the range end.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total observations, including out-of-range.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-
-    /// L1 distance between two histograms' normalized bin masses — a cheap
-    /// distribution-similarity metric used in mapping-accuracy experiments.
-    /// Returns `None` if shapes differ or either is empty.
-    pub fn l1_distance(&self, other: &Histogram) -> Option<f64> {
-        if self.counts.len() != other.counts.len() || self.lo != other.lo || self.hi != other.hi {
-            return None;
-        }
-        let (ta, tb) = (self.total(), other.total());
-        if ta == 0 || tb == 0 {
-            return None;
-        }
-        let mut d = (self.underflow as f64 / ta as f64 - other.underflow as f64 / tb as f64).abs()
-            + (self.overflow as f64 / ta as f64 - other.overflow as f64 / tb as f64).abs();
-        for (a, b) in self.counts.iter().zip(&other.counts) {
-            d += (*a as f64 / ta as f64 - *b as f64 / tb as f64).abs();
-        }
-        Some(d)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,39 +273,5 @@ mod tests {
         // order independence
         let ys = vec![4.0, 1.0, 3.0, 2.0];
         assert_eq!(quantile(&ys, 0.5), Some(2.5));
-    }
-
-    #[test]
-    fn histogram_binning() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        h.extend(&[-1.0, 0.0, 1.9, 2.0, 9.999, 10.0, 42.0]);
-        assert_eq!(h.counts(), &[2, 1, 0, 0, 1]);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.total(), 7);
-    }
-
-    #[test]
-    fn histogram_l1_distance() {
-        let mut a = Histogram::new(0.0, 10.0, 2);
-        let mut b = Histogram::new(0.0, 10.0, 2);
-        a.extend(&[1.0, 1.0, 6.0, 6.0]);
-        b.extend(&[1.0, 1.0, 6.0, 6.0]);
-        assert_eq!(a.l1_distance(&b), Some(0.0));
-        let mut c = Histogram::new(0.0, 10.0, 2);
-        c.extend(&[1.0, 1.0, 1.0, 1.0]);
-        assert!((a.l1_distance(&c).unwrap() - 1.0).abs() < 1e-12);
-        // mismatched shapes
-        let d = Histogram::new(0.0, 10.0, 3);
-        assert_eq!(a.l1_distance(&d), None);
-        // empty
-        let e = Histogram::new(0.0, 10.0, 2);
-        assert_eq!(a.l1_distance(&e), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bin")]
-    fn histogram_zero_bins_panics() {
-        let _ = Histogram::new(0.0, 1.0, 0);
     }
 }

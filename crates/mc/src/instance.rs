@@ -87,21 +87,6 @@ impl ParamPoint {
         self.entries.iter().map(|(n, v)| (&**n, *v))
     }
 
-    /// The subset of this point restricted to `names` (missing names are
-    /// skipped). Fingerprints key on the parameters a *model* actually
-    /// reads, not the whole scenario point.
-    pub fn restrict(&self, names: &[&str]) -> ParamPoint {
-        ParamPoint {
-            // A filter of a sorted list stays sorted.
-            entries: self
-                .entries
-                .iter()
-                .filter(|(n, _)| names.contains(&&**n))
-                .cloned()
-                .collect(),
-        }
-    }
-
     /// Convert to the `@param → Value` map the SQL executor consumes.
     pub fn to_value_map(&self) -> HashMap<String, Value> {
         self.entries
@@ -179,15 +164,6 @@ mod tests {
         let q = p.with("x", 9);
         assert_eq!(p.get("x"), Some(1));
         assert_eq!(q.get("x"), Some(9));
-    }
-
-    #[test]
-    fn restrict_keeps_only_named() {
-        let p = ParamPoint::from_pairs([("current", 3i64), ("purchase1", 8), ("feature", 12)]);
-        let r = p.restrict(&["purchase1", "current"]);
-        assert_eq!(r.len(), 2);
-        assert_eq!(r.get("feature"), None);
-        assert_eq!(r.get("purchase1"), Some(8));
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub mod store;
 pub mod sync;
 pub mod trace;
 
-pub use aggregate::{Histogram, SampleStats, Welford};
+pub use aggregate::{SampleStats, Welford};
 pub use batch::{simulate_point, simulate_point_columnar, SampleSet};
 pub use guide::{GridGuide, Guide, GuideFactory, PriorityGuide};
 pub use instance::ParamPoint;
@@ -40,9 +40,8 @@ pub use materialize::{summary_table, worlds_table};
 pub use series::{Series, SeriesPoint};
 pub use store::{
     BasisHit, ColumnSamples, InflightGuard, MatchScanStats, ProbeScan, ScanSnapshot, ScanWork,
-    SharedBasisStore, SnapshotError, StoreStatsSnapshot, TryClaim, WaitHandle, DEFAULT_SHARDS,
+    SharedBasisStore, SnapshotError, StoreStatsSnapshot, TryClaim, WaitHandle,
 };
-pub use sync::MAX_SHARDS;
 pub use trace::{
     LatencyHistogram, TraceConfig, TraceEvent, TraceEventKind, TraceTelemetry, Tracer,
 };

@@ -16,32 +16,20 @@
 //! the candidate sources that each of its probes then scans independently
 //! ([`ScanSnapshot::scan_probe`]).
 //!
-//! # Sharding
+//! # One table
 //!
-//! Entries live in [`rank::STORE_SHARDS`]-ranked shards keyed by
-//! `ParamPoint::stable_hash() % shards`: exact lookups, claims, and inserts
-//! touch one shard's lock, so concurrent jobs evaluating disjoint points no
-//! longer serialize on a single store-wide `RwLock`. Cross-shard invariants
-//! — the global insertion-stamp counter, the point→(stamp, matchability)
-//! index, and the stamp-ordered eviction queues — live under one
-//! [`rank::STORE_META`] mutex that inserts hold *across* their shard
-//! acquisitions, so eviction decisions are global (a victim is the oldest
-//! entry in the whole store, never merely the oldest in one shard) and
-//! therefore identical at every shard count.
-//!
-//! The match scan stays globally deterministic by construction: its
-//! snapshot takes every shard's read lock (ascending, per the rank table)
-//! just long enough to clone the matchable records' `Arc`s, merges the
-//! per-shard stamp-ordered candidate lists into one list sorted by global
-//! insertion stamp — stamps are unique, so the merge reproduces the exact
-//! single-shard candidate order — and every probe runs its wave scan over
-//! that merged list with no store lock held. Wave boundaries, pruning
-//! decisions, chosen sources, and the scanned/pruned accounting are all
-//! functions of the merged order alone, so they are bit-identical at any
-//! shard count and any thread count. (Running waves per shard instead
-//! would change which candidates get pruned as the shard count changes;
-//! the merge is what keeps [`MatchScanStats`] a pure function of store
-//! contents and probes.)
+//! Every entry lives in one table behind one [`rank::STORE_TABLE`]
+//! `RwLock`: the point → record map, the insertion-stamp counter, and the
+//! two stamp-ordered queues (`matchable`, `unmatchable`) that eviction
+//! pops from — oldest unmatchable first — and that give the match scan
+//! its candidate order. An insert is one write guard; a scan's snapshot
+//! holds one read guard just long enough to clone the matchable records'
+//! `Arc`s in stamp order, and every probe then runs its wave scan over
+//! that list with no store lock held. Wave boundaries, pruning decisions,
+//! chosen sources, and the scanned/pruned accounting are functions of the
+//! stamp order alone, so they are bit-identical at any thread count.
+//! Claims and publishes serialize per store on the in-flight table
+//! ([`rank::INFLIGHT_TABLE`]), which is held across the table access.
 //!
 //! # The summary index
 //!
@@ -66,7 +54,7 @@
 //!
 //! A store's records — samples, fingerprints, stamps, matchability — are a
 //! self-contained serializable unit: [`SharedBasisStore::snapshot_bytes`]
-//! emits them in global stamp order (shard-count-independent bytes) and
+//! emits them in global stamp order and
 //! [`SharedBasisStore::restore_bytes`] rebuilds a store that scans, evicts,
 //! and stamps exactly like the original, so a service restart warms from
 //! disk instead of re-simulating its basis population. The format is
@@ -85,18 +73,11 @@ use prophet_fingerprint::index::{bound_all, summarize_probe, MatchBound, Summary
 use prophet_fingerprint::{CorrelationDetector, Fingerprint, Mapping};
 
 use crate::instance::ParamPoint;
-use crate::sync::{
-    rank, ClaimLedger, OrderedCondvar, OrderedMutex, OrderedReadGuard, OrderedRwLock,
-    OrderedWriteGuard, MAX_SHARDS,
-};
+use crate::sync::{rank, ClaimLedger, OrderedCondvar, OrderedMutex, OrderedRwLock};
 use crate::trace::{TraceEventKind, Tracer, NO_CHUNK, NO_JOB};
 
 /// Per-column Monte Carlo samples for one parameter point.
 pub type ColumnSamples = HashMap<String, Vec<f64>>;
-
-/// Default shard count of a [`SharedBasisStore`]; see
-/// [`SharedBasisStore::with_shards`] for the bounds.
-pub const DEFAULT_SHARDS: usize = 8;
 
 /// A successful correlated lookup: where the samples came from and how to
 /// map each stochastic column onto the queried parameterization.
@@ -131,33 +112,63 @@ struct Record {
     matchable: bool,
 }
 
-/// One shard of the entry table. `order` holds this shard's *matchable*
-/// entries keyed by insertion stamp — the shard's slice of the global
-/// candidate list, merged across shards (stamps are globally unique) at
-/// scan time.
-#[derive(Default)]
-struct Shard {
-    entries: HashMap<ParamPoint, Record>,
-    order: BTreeMap<u64, ParamPoint>,
+impl Record {
+    /// Build a record, summarizing its fingerprints if it is matchable.
+    fn new(
+        fingerprints: HashMap<String, Fingerprint>,
+        samples: Arc<ColumnSamples>,
+        worlds: usize,
+        stamp: u64,
+        matchable: bool,
+    ) -> Self {
+        Record {
+            summaries: Arc::new(if matchable {
+                SummaryTable::of(&fingerprints)
+            } else {
+                SummaryTable::default()
+            }),
+            fingerprints: Arc::new(fingerprints),
+            samples,
+            worlds,
+            stamp,
+            matchable,
+        }
+    }
 }
 
-/// Store-wide bookkeeping, held under [`rank::STORE_META`] *across* shard
-/// acquisitions: the stamp counter, the membership index, and the
-/// stamp-ordered eviction queues. Keeping eviction global — rather than
-/// per-shard — is what makes the surviving entry set independent of the
-/// shard count: the victim is always the globally oldest (unmatchable
-/// first), found in O(log n) off the queues instead of the old
-/// O(n)-per-insert full-table `min_by_key` scan.
+/// The entry table, under [`rank::STORE_TABLE`]: every record, the stamp
+/// counter, and each record's stamp filed in the queue of its
+/// matchability, so the eviction victim — the oldest unmatchable entry,
+/// else the oldest matchable one — is an O(log n) `pop_first`.
 #[derive(Default)]
-struct Meta {
+struct Table {
+    entries: HashMap<ParamPoint, Record>,
     next_stamp: u64,
-    /// Every stored point → (insertion stamp, matchable).
-    index: HashMap<ParamPoint, (u64, bool)>,
     /// Unmatchable (mapped) entries by stamp: evicted first, oldest first.
-    unmatchable_queue: BTreeMap<u64, ParamPoint>,
-    /// Matchable (simulated) entries by stamp: evicted only when no
-    /// unmatchable entry remains.
-    matchable_queue: BTreeMap<u64, ParamPoint>,
+    unmatchable: BTreeMap<u64, ParamPoint>,
+    /// Matchable (simulated) entries by stamp — the match scan's candidate
+    /// order; evicted only when no unmatchable entry remains.
+    matchable: BTreeMap<u64, ParamPoint>,
+}
+
+impl Table {
+    fn queue(&mut self, matchable: bool) -> &mut BTreeMap<u64, ParamPoint> {
+        if matchable {
+            &mut self.matchable
+        } else {
+            &mut self.unmatchable
+        }
+    }
+
+    /// File `record` under `point`, replacing (and unqueueing) any entry
+    /// already there.
+    fn put(&mut self, point: ParamPoint, record: Record) {
+        let (stamp, matchable) = (record.stamp, record.matchable);
+        if let Some(old) = self.entries.insert(point.clone(), record) {
+            self.queue(old.matchable).remove(&old.stamp);
+        }
+        self.queue(matchable).insert(stamp, point);
+    }
 }
 
 /// State of one in-flight simulation slot.
@@ -388,7 +399,7 @@ pub struct StoreStatsSnapshot {
 }
 
 /// The store's counter ledger. One mutex (rank [`rank::STORE_STATS`], a
-/// leaf above every shard) instead of independent atomics: a snapshot is a
+/// leaf above the table) instead of independent atomics: a snapshot is a
 /// single critical section, so its fields can never be mutually torn.
 #[derive(Default)]
 struct Counters {
@@ -400,18 +411,14 @@ struct Counters {
 
 /// Thread-safe basis store shared between engines/sessions of one scenario.
 ///
-/// Cloning produces another handle onto the same store. Capacity is
-/// bounded *globally* (not per shard); eviction drops the oldest *mapped*
-/// entry first, because simulated entries are the sources fingerprint
-/// matching lives on. In-flight claims live outside the bounded entry
-/// table, so eviction can never drop a pending simulation.
+/// Cloning produces another handle onto the same store. Eviction drops
+/// the oldest *mapped* entry first, because simulated entries are the
+/// sources fingerprint matching lives on. In-flight claims live outside
+/// the bounded entry table, so eviction can never drop a pending
+/// simulation.
 #[derive(Clone)]
 pub struct SharedBasisStore {
-    /// The entry-table shards, indexed by `stable_hash % len`. Each holds
-    /// the rank-table entry of its index ([`rank::STORE_SHARDS`]), so
-    /// multi-shard paths that acquire by ascending index are checker-clean.
-    shards: Arc<[OrderedRwLock<Shard>]>,
-    meta: Arc<OrderedMutex<Meta>>,
+    table: Arc<OrderedRwLock<Table>>,
     inflight: Arc<Inflight>,
     stats: Arc<OrderedMutex<Counters>>,
     capacity: usize,
@@ -446,7 +453,7 @@ pub struct MatchScanStats {
 const MATCH_WAVE: usize = 32;
 
 /// One matchable record as a scan sees it: the record's shared parts,
-/// cloned by reference count while the shard read locks were held. An
+/// cloned by reference count while the table's read lock was held. An
 /// entry evicted, replaced or cleared after the snapshot stays alive —
 /// and unchanged — through these handles.
 struct Candidate {
@@ -726,7 +733,7 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
 /// One record's bytes, in a fixed field order with name-sorted column
 /// maps, so the serialization is a pure function of the record — byte
 /// stability is what lets the round-trip tests assert
-/// `restore(bytes).snapshot_bytes() == bytes` at any shard count.
+/// `restore(bytes).snapshot_bytes() == bytes`.
 fn serialize_record(out: &mut Vec<u8>, point: &ParamPoint, record: &Record) {
     let pairs: Vec<(&str, i64)> = point.iter().collect();
     put_u32(out, pairs.len() as u32);
@@ -873,36 +880,15 @@ fn parse_record(r: &mut SnapshotReader<'_>) -> Result<ParsedRecord, SnapshotErro
 }
 
 impl SharedBasisStore {
-    /// Create an empty store holding at most `capacity` entries, with the
-    /// default shard count ([`DEFAULT_SHARDS`]).
+    /// Create an empty store holding at most `capacity` entries.
     ///
     /// # Panics
     /// Panics if `capacity == 0` (a store that cannot hold anything is a
     /// configuration bug).
     pub fn new(capacity: usize) -> Self {
-        SharedBasisStore::with_shards(capacity, DEFAULT_SHARDS)
-    }
-
-    /// Create an empty store with an explicit shard count. More shards
-    /// means less lock contention between jobs touching disjoint points;
-    /// answers, eviction order, scan accounting, and snapshot bytes are
-    /// identical at every shard count (see the module docs).
-    ///
-    /// # Panics
-    /// Panics if `capacity == 0` or `shards` is outside
-    /// `1..=`[`MAX_SHARDS`] (each shard needs its own rank-table entry).
-    pub fn with_shards(capacity: usize, shards: usize) -> Self {
         assert!(capacity > 0, "basis store capacity must be positive");
-        assert!(
-            (1..=MAX_SHARDS).contains(&shards),
-            "basis store shard count must be in 1..={MAX_SHARDS} (got {shards})"
-        );
-        let shard_vec: Vec<OrderedRwLock<Shard>> = (0..shards)
-            .map(|i| OrderedRwLock::new(rank::STORE_SHARDS[i], Shard::default()))
-            .collect();
         SharedBasisStore {
-            shards: shard_vec.into(),
-            meta: Arc::new(OrderedMutex::new(rank::STORE_META, Meta::default())),
+            table: Arc::new(OrderedRwLock::new(rank::STORE_TABLE, Table::default())),
             inflight: Arc::new(Inflight::default()),
             stats: Arc::new(OrderedMutex::new(rank::STORE_STATS, Counters::default())),
             capacity,
@@ -930,22 +916,9 @@ impl SharedBasisStore {
         self.capacity
     }
 
-    /// Number of shards the entry table is split across.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Which shard holds `point`: `stable_hash % shard_count`. The hash is
-    /// platform-stable (FNV-1a), so a point's shard is reproducible — the
-    /// shard-tagged `StoreClaim`/`StoreEvict` trace events mean the same
-    /// thing on every machine.
-    pub fn shard_of(&self, point: &ParamPoint) -> usize {
-        (point.stable_hash() % self.shards.len() as u64) as usize
-    }
-
     /// Number of stored entries.
     pub fn len(&self) -> usize {
-        self.meta.lock().index.len()
+        self.table.read().entries.len()
     }
 
     /// True if nothing is stored.
@@ -967,6 +940,21 @@ impl SharedBasisStore {
     /// or fully after (its slot is already cancelled and its results are
     /// discarded) — never a stale entry in a "cleared" store.
     pub fn clear(&self) {
+        self.reset_with(|table| {
+            table.entries.clear();
+            table.matchable.clear();
+            table.unmatchable.clear();
+            // next_stamp is preserved: stamps stay globally unique across a
+            // clear, so later tie-breaks never collide with pre-clear ones.
+        });
+    }
+
+    /// The one way the table is rewritten wholesale ([`Self::clear`],
+    /// [`Self::restore_bytes`]): under the in-flight table lock, cancel
+    /// every pending slot, rewrite the entry table under its write lock —
+    /// so no scan observes a half-rewritten store — and reset the
+    /// counters.
+    fn reset_with(&self, rewrite: impl FnOnce(&mut Table)) {
         let mut slots = self.inflight.slots.lock();
         // analysis:allow(map-iter): every drained slot gets the same cancel + release — visit order is unobservable
         for (point, slot) in slots.drain() {
@@ -975,37 +963,24 @@ impl SharedBasisStore {
             // (its eventual `complete` observes the cancel and discards).
             self.inflight.ledger.on_released(&point);
         }
-        {
-            let mut meta = self.meta.lock();
-            let mut guards: Vec<OrderedWriteGuard<'_, Shard>> =
-                self.shards.iter().map(|s| s.write()).collect();
-            for guard in guards.iter_mut() {
-                guard.entries.clear();
-                guard.order.clear();
-            }
-            meta.index.clear();
-            meta.matchable_queue.clear();
-            meta.unmatchable_queue.clear();
-            // next_stamp is preserved: stamps stay globally unique across a
-            // clear, so later tie-breaks never collide with pre-clear ones.
-        }
+        rewrite(&mut self.table.write());
         *self.stats.lock() = Counters::default();
         drop(slots);
     }
 
     /// Coherent snapshot of all cross-session counters: every field comes
     /// from one critical section over the counter ledger (plus the entry
-    /// count under the meta lock held alongside it), so the fields can
+    /// count under the table lock held alongside it), so the fields can
     /// never be mutually torn the way independent relaxed loads were.
     pub fn stats_snapshot(&self) -> StoreStatsSnapshot {
-        let meta = self.meta.lock();
+        let table = self.table.read();
         let counters = self.stats.lock();
         StoreStatsSnapshot {
             hits: counters.hits,
             misses: counters.misses,
             inflight_waits: counters.inflight_waits,
             evictions: counters.evictions,
-            entries: meta.index.len() as u64,
+            entries: table.entries.len() as u64,
         }
     }
 
@@ -1016,13 +991,13 @@ impl SharedBasisStore {
 
     /// True if `other` is a handle onto the same underlying store.
     pub fn shares_storage_with(&self, other: &SharedBasisStore) -> bool {
-        Arc::ptr_eq(&self.meta, &other.meta)
+        Arc::ptr_eq(&self.table, &other.table)
     }
 
     /// Exact lookup: stored samples for `point`, provided they are backed by
-    /// at least `min_worlds` worlds. Touches only `point`'s shard.
+    /// at least `min_worlds` worlds.
     pub fn get_exact(&self, point: &ParamPoint, min_worlds: usize) -> Option<Arc<ColumnSamples>> {
-        self.shards[self.shard_of(point)]
+        self.table
             .read()
             .entries
             .get(point)
@@ -1039,20 +1014,14 @@ impl SharedBasisStore {
     /// * [`TryClaim::Pending`] — another session owns it; block on the
     ///   [`WaitHandle`] to reuse its result.
     pub fn try_claim(&self, point: &ParamPoint, min_worlds: usize) -> TryClaim {
-        let shard = self.shard_of(point);
-        self.tracer.instant(
-            TraceEventKind::StoreClaim {
-                shard: shard as u16,
-            },
-            NO_JOB,
-            NO_CHUNK,
-        );
+        self.tracer
+            .instant(TraceEventKind::StoreClaim, NO_JOB, NO_CHUNK);
         let mut slots = self.inflight.slots.lock();
         // Exact check under the in-flight lock so a concurrent complete()
         // cannot publish between the store check and slot registration.
         {
-            let guard = self.shards[shard].read();
-            if let Some(e) = guard.entries.get(point) {
+            let table = self.table.read();
+            if let Some(e) = table.entries.get(point) {
                 if e.worlds >= min_worlds {
                     return TryClaim::Ready {
                         samples: Arc::clone(&e.samples),
@@ -1085,15 +1054,11 @@ impl SharedBasisStore {
     /// simulated entries that may serve as mapping sources; their
     /// fingerprint summaries are computed here.
     ///
-    /// The insert holds the meta lock across the shard acquisitions: stamp
-    /// allocation, the global eviction decision, and both shard mutations
-    /// (victim removal + entry insert) commit as one unit. Eviction is
-    /// O(log n): the victim is the head of the global stamp-ordered
-    /// unmatchable queue (else the matchable queue) — no entry-table scan.
-    /// The victim and target shard write locks are taken in ascending
-    /// shard-index order (equal ranks never coexist) and *both* before any
-    /// mutation, so the all-shard read scan can never observe an insert's
-    /// partial state.
+    /// Stamp allocation, the eviction decision, victim removal and the
+    /// entry insert commit under one write guard. Eviction is O(log n):
+    /// the victim is the head of the stamp-ordered unmatchable queue (else
+    /// the matchable queue) — no entry-table scan. Replacements never
+    /// evict.
     pub fn insert(
         &self,
         point: ParamPoint,
@@ -1102,106 +1067,29 @@ impl SharedBasisStore {
         worlds: usize,
         matchable: bool,
     ) {
-        // Summarize outside the locks — pure function of the inputs.
-        let summaries = Arc::new(if matchable {
-            SummaryTable::of(&fingerprints)
-        } else {
-            SummaryTable::default()
-        });
-        let target = self.shard_of(&point);
-        let mut evicted_shard: Option<u16> = None;
-        {
-            let mut meta = self.meta.lock();
-            meta.next_stamp += 1;
-            let stamp = meta.next_stamp;
-            // Global eviction decision: head of the stamp-ordered queues,
-            // unmatchable (mapped) entries first. Replacements never evict.
-            let mut victim: Option<(u64, ParamPoint, bool)> = None;
-            if meta.index.len() >= self.capacity && !meta.index.contains_key(&point) {
-                victim = meta
-                    .unmatchable_queue
-                    .first_key_value()
-                    .map(|(s, p)| (*s, p.clone(), false))
-                    .or_else(|| {
-                        meta.matchable_queue
-                            .first_key_value()
-                            .map(|(s, p)| (*s, p.clone(), true))
-                    });
-                if let Some((vstamp, vpoint, vmatchable)) = &victim {
-                    if *vmatchable {
-                        meta.matchable_queue.remove(vstamp);
-                    } else {
-                        meta.unmatchable_queue.remove(vstamp);
-                    }
-                    meta.index.remove(vpoint);
+        // Summarized outside the lock; the stamp is assigned under it.
+        let mut record = Record::new(fingerprints, samples, worlds, 0, matchable);
+        let evicted = {
+            let mut guard = self.table.write();
+            let table = &mut *guard;
+            table.next_stamp += 1;
+            let mut victim = None;
+            if table.entries.len() >= self.capacity && !table.entries.contains_key(&point) {
+                victim = table
+                    .unmatchable
+                    .pop_first()
+                    .or_else(|| table.matchable.pop_first());
+                if let Some((_, vpoint)) = &victim {
+                    table.entries.remove(vpoint);
                 }
             }
-            if let Some((old_stamp, old_matchable)) =
-                meta.index.insert(point.clone(), (stamp, matchable))
-            {
-                if old_matchable {
-                    meta.matchable_queue.remove(&old_stamp);
-                } else {
-                    meta.unmatchable_queue.remove(&old_stamp);
-                }
-            }
-            if matchable {
-                meta.matchable_queue.insert(stamp, point.clone());
-            } else {
-                meta.unmatchable_queue.insert(stamp, point.clone());
-            }
-
-            // Shard phase: acquire every needed write lock (ascending shard
-            // index = ascending rank) before mutating anything.
-            let victim_shard = victim.as_ref().map(|(_, p, _)| self.shard_of(p));
-            let (mut tguard, mut vguard) = match victim_shard {
-                None => (self.shards[target].write(), None),
-                // analysis:allow(lock-order): match arms are exclusive — the linear walk wrongly carries the arm above
-                Some(v) if v == target => (self.shards[target].write(), None),
-                Some(v) if v < target => {
-                    // analysis:allow(lock-order): match arms are exclusive — nothing from the arms above is held here
-                    let vg = self.shards[v].write();
-                    // analysis:allow(lock-order): second shard acquired ascending — the arm guard proves v < target
-                    (self.shards[target].write(), Some(vg))
-                }
-                Some(v) => {
-                    // analysis:allow(lock-order): match arms are exclusive — nothing from the arms above is held here
-                    let tg = self.shards[target].write();
-                    // analysis:allow(lock-order): second shard acquired ascending — this arm implies target < v
-                    (tg, Some(self.shards[v].write()))
-                }
-            };
-            if let Some((vstamp, vpoint, vmatchable)) = &victim {
-                let guard = vguard.as_mut().unwrap_or(&mut tguard);
-                guard.entries.remove(vpoint);
-                if *vmatchable {
-                    guard.order.remove(vstamp);
-                }
-                evicted_shard = Some(self.shard_of(vpoint) as u16);
-            }
-            let replaced = tguard.entries.insert(
-                point.clone(),
-                Record {
-                    fingerprints: Arc::new(fingerprints),
-                    summaries,
-                    samples,
-                    worlds,
-                    stamp,
-                    matchable,
-                },
-            );
-            if let Some(old) = replaced {
-                if old.matchable {
-                    tguard.order.remove(&old.stamp);
-                }
-            }
-            if matchable {
-                tguard.order.insert(stamp, point);
-            }
-        }
-        if let Some(shard) = evicted_shard {
+            record.stamp = table.next_stamp;
+            table.put(point, record);
+            victim.is_some()
+        };
+        if evicted {
             self.tracer
-                .instant(TraceEventKind::StoreEvict { shard }, NO_JOB, NO_CHUNK);
+                .instant(TraceEventKind::StoreEvict, NO_JOB, NO_CHUNK);
             self.stats.lock().evictions += 1;
         }
     }
@@ -1219,8 +1107,8 @@ impl SharedBasisStore {
     /// scan. Both pick the best candidate by `(total error, insertion
     /// order)`, so the chosen source is identical between them, and a
     /// probe's scan reads nothing but the snapshot, so hits and the
-    /// returned [`MatchScanStats`] are independent of the thread and shard
-    /// counts in either mode.
+    /// returned [`MatchScanStats`] are independent of the thread count in
+    /// either mode.
     pub fn find_correlated_batch_scan(
         &self,
         probes: &[HashMap<String, Fingerprint>],
@@ -1265,47 +1153,35 @@ impl SharedBasisStore {
 
     /// Snapshot the matchable records for one match scan over `columns`.
     ///
-    /// Takes every shard's read lock (ascending, per the rank table),
-    /// clones each matchable record's shared parts by reference count,
-    /// and releases the locks — a scan never holds a store lock while it
-    /// compares, so a sweep's scans cannot stall a session's publish. The
-    /// per-shard stamp-ordered lists merge into global insertion-stamp
-    /// order (stamps are unique), the same candidate sequence a
-    /// single-shard store walks, so wave boundaries, pruning, chosen
-    /// sources and the [`MatchScanStats`] accounting are independent of
-    /// the shard count. `columns` resolves to summary-table positions
-    /// here, once per candidate.
+    /// Walks the matchable queue in insertion-stamp order under the
+    /// table's read lock, clones each record's shared parts by reference
+    /// count, and releases the lock — a scan never holds a store lock
+    /// while it compares, so a sweep's scans cannot stall a session's
+    /// publish. `columns` resolves to summary-table positions here, once
+    /// per candidate.
     pub fn scan_snapshot(
         &self,
         columns: &[String],
         detector: &CorrelationDetector,
         use_index: bool,
     ) -> ScanSnapshot {
-        let mut stamped: Vec<(u64, Candidate)> = Vec::new();
-        {
-            let guards: Vec<OrderedReadGuard<'_, Shard>> =
-                self.shards.iter().map(|s| s.read()).collect();
-            for guard in &guards {
-                for (stamp, point) in &guard.order {
-                    if let Some(record) = guard.entries.get(point) {
-                        if !record.fingerprints.is_empty() {
-                            stamped.push((
-                                *stamp,
-                                Candidate {
-                                    point: point.clone(),
-                                    fingerprints: Arc::clone(&record.fingerprints),
-                                    summaries: Arc::clone(&record.summaries),
-                                    samples: Arc::clone(&record.samples),
-                                    worlds: record.worlds,
-                                },
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        stamped.sort_unstable_by_key(|(stamp, _)| *stamp);
-        let candidates: Vec<Candidate> = stamped.into_iter().map(|(_, c)| c).collect();
+        let candidates: Vec<Candidate> = {
+            let table = self.table.read();
+            table
+                .matchable
+                .values()
+                .filter_map(|point| {
+                    let record = table.entries.get(point)?;
+                    (!record.fingerprints.is_empty()).then(|| Candidate {
+                        point: point.clone(),
+                        fingerprints: Arc::clone(&record.fingerprints),
+                        summaries: Arc::clone(&record.summaries),
+                        samples: Arc::clone(&record.samples),
+                        worlds: record.worlds,
+                    })
+                })
+                .collect()
+        };
         let mut slots = Vec::with_capacity(candidates.len() * columns.len());
         for candidate in &candidates {
             if !candidate.summaries.resolve(columns, &mut slots) {
@@ -1360,32 +1236,23 @@ impl SharedBasisStore {
 
     // --------------------------------------------------- snapshot / restore
 
-    /// Serialize every record in global stamp order. The byte stream is a
-    /// pure function of the store *contents* — never of the shard count or
-    /// insertion interleaving — which the differential tests pin by
-    /// comparing bytes across shard counts.
+    /// Serialize every record in stamp order: the byte stream is a pure
+    /// function of the store's contents.
     fn snapshot_with_count(&self) -> (Vec<u8>, usize) {
-        let meta = self.meta.lock();
-        let guards: Vec<OrderedReadGuard<'_, Shard>> =
-            self.shards.iter().map(|s| s.read()).collect();
-        let mut stamped: Vec<(u64, &ParamPoint)> =
-            meta.index.iter().map(|(p, (s, _))| (*s, p)).collect();
-        stamped.sort_unstable_by_key(|(stamp, _)| *stamp);
+        let table = self.table.read();
+        let mut records: Vec<(&ParamPoint, &Record)> = table.entries.iter().collect();
+        records.sort_unstable_by_key(|(_, record)| record.stamp);
         let mut out = Vec::new();
         out.extend_from_slice(&SNAPSHOT_MAGIC);
         out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        put_u64(&mut out, meta.next_stamp);
-        put_u64(&mut out, stamped.len() as u64);
-        for (_, point) in &stamped {
-            let record = guards[self.shard_of(point)]
-                .entries
-                .get(*point)
-                .expect("invariant: every meta index entry has a shard record");
+        put_u64(&mut out, table.next_stamp);
+        put_u64(&mut out, records.len() as u64);
+        for (point, record) in &records {
             serialize_record(&mut out, point, record);
         }
         let checksum = fnv1a(&out);
         put_u64(&mut out, checksum);
-        (out, stamped.len())
+        (out, records.len())
     }
 
     /// Serialize the store — records (samples, fingerprints, stamps,
@@ -1446,65 +1313,17 @@ impl SharedBasisStore {
                 capacity: self.capacity,
             });
         }
-        // Summaries are derived: recompute rather than trust the bytes.
-        let installed: Vec<(ParamPoint, Record)> = parsed
-            .into_iter()
-            .map(|r| {
-                let summaries = Arc::new(if r.matchable {
-                    SummaryTable::of(&r.fingerprints)
-                } else {
-                    SummaryTable::default()
-                });
-                (
-                    r.point,
-                    Record {
-                        fingerprints: Arc::new(r.fingerprints),
-                        summaries,
-                        samples: Arc::new(r.samples),
-                        worlds: r.worlds,
-                        stamp: r.stamp,
-                        matchable: r.matchable,
-                    },
-                )
-            })
-            .collect();
-
-        // Swap in, following clear()'s protocol: cancel in-flight work
-        // under the table lock, then replace contents under meta + every
-        // shard write lock so no scan observes a half-restored store.
-        let mut slots = self.inflight.slots.lock();
-        // analysis:allow(map-iter): every drained slot gets the same cancel + release — visit order is unobservable
-        for (point, slot) in slots.drain() {
-            slot.cancel();
-            self.inflight.ledger.on_released(&point);
+        let mut restored = Table {
+            next_stamp,
+            ..Table::default()
+        };
+        for r in parsed {
+            let samples = Arc::new(r.samples);
+            // Summaries are derived: recomputed, not read from the bytes.
+            let record = Record::new(r.fingerprints, samples, r.worlds, r.stamp, r.matchable);
+            restored.put(r.point, record);
         }
-        {
-            let mut meta = self.meta.lock();
-            let mut guards: Vec<OrderedWriteGuard<'_, Shard>> =
-                self.shards.iter().map(|s| s.write()).collect();
-            for guard in guards.iter_mut() {
-                guard.entries.clear();
-                guard.order.clear();
-            }
-            meta.index.clear();
-            meta.matchable_queue.clear();
-            meta.unmatchable_queue.clear();
-            meta.next_stamp = next_stamp;
-            for (point, record) in installed {
-                let shard = self.shard_of(&point);
-                meta.index
-                    .insert(point.clone(), (record.stamp, record.matchable));
-                if record.matchable {
-                    meta.matchable_queue.insert(record.stamp, point.clone());
-                    guards[shard].order.insert(record.stamp, point.clone());
-                } else {
-                    meta.unmatchable_queue.insert(record.stamp, point.clone());
-                }
-                guards[shard].entries.insert(point, record);
-            }
-        }
-        *self.stats.lock() = Counters::default();
-        drop(slots);
+        self.reset_with(|table| *table = restored);
         Ok(count)
     }
 
@@ -1532,7 +1351,6 @@ impl std::fmt::Debug for SharedBasisStore {
         f.debug_struct("SharedBasisStore")
             .field("len", &stats.entries)
             .field("capacity", &self.capacity)
-            .field("shards", &self.shards.len())
             .field("inflight", &self.inflight_len())
             .field("hits", &stats.hits)
             .field("misses", &stats.misses)
@@ -1579,9 +1397,9 @@ mod tests {
     }
 
     /// Capacity-4 store fed 12 mixed-matchability inserts: 8 evictions of
-    /// churn, identical contents expected at every shard count.
-    fn churn_store(shards: usize) -> SharedBasisStore {
-        let s = SharedBasisStore::with_shards(4, shards);
+    /// churn.
+    fn churn_store() -> SharedBasisStore {
+        let s = SharedBasisStore::new(4);
         for i in 0..12i64 {
             let vals: Vec<f64> = (0..4).map(|k| (i * 3 + k) as f64).collect();
             s.insert(
@@ -1823,79 +1641,6 @@ mod tests {
         let _ = SharedBasisStore::new(0);
     }
 
-    #[test]
-    #[should_panic(expected = "shard count")]
-    fn oversized_shard_count_panics() {
-        let _ = SharedBasisStore::with_shards(8, MAX_SHARDS + 1);
-    }
-
-    /// The tentpole differential: shard counts {1, 4, 16} produce
-    /// bit-identical answers, chosen sources, samples, scanned/pruned
-    /// accounting, eviction outcomes, counters, and snapshot bytes, at
-    /// both thread counts and through both scan paths.
-    #[test]
-    fn shard_counts_are_bit_identical() {
-        let detector = CorrelationDetector::default();
-        let columns = ["y".to_owned()];
-        let reference = churn_store(1);
-        let ref_bytes = reference.snapshot_bytes();
-        let ref_snap = reference.stats_snapshot();
-        assert_eq!(ref_snap.entries, 4);
-        assert_eq!(ref_snap.evictions, 8);
-        let mut probes: Vec<HashMap<String, Fingerprint>> = (0..12i64)
-            .map(|i| {
-                let vals: Vec<f64> = (0..4).map(|k| (i * 3 + k) as f64 + 0.5).collect();
-                HashMap::from([("y".to_owned(), fp(&vals))])
-            })
-            .collect();
-        probes.push(HashMap::from([(
-            "y".to_owned(),
-            fp(&[0.3, 0.1, 0.4, 0.15]),
-        )]));
-        let (ref_hits, ref_stats) =
-            reference.find_correlated_batch_scan(&probes, &columns, &detector, 1, true);
-        for shards in [4, 16] {
-            let s = churn_store(shards);
-            assert_eq!(
-                s.snapshot_bytes(),
-                ref_bytes,
-                "{shards}-shard snapshot bytes diverge from single-shard"
-            );
-            assert_eq!(s.stats_snapshot(), ref_snap, "{shards}-shard counters");
-            for threads in [1, 8] {
-                for use_index in [true, false] {
-                    let (hits, stats) = s.find_correlated_batch_scan(
-                        &probes, &columns, &detector, threads, use_index,
-                    );
-                    assert_eq!(hits.len(), ref_hits.len());
-                    for (pi, (h, r)) in hits.iter().zip(&ref_hits).enumerate() {
-                        match (h, r) {
-                            (None, None) => {}
-                            (Some(h), Some(r)) => {
-                                assert_eq!(
-                                    h.source, r.source,
-                                    "probe {pi} source ({shards} shards, {threads} threads, index={use_index})"
-                                );
-                                assert_eq!(h.mappings, r.mappings, "probe {pi} mappings");
-                                assert_eq!(*h.samples, *r.samples, "probe {pi} samples");
-                                assert_eq!(h.worlds, r.worlds);
-                            }
-                            _ => panic!(
-                                "probe {pi} hit/miss divergence at {shards} shards, {threads} threads"
-                            ),
-                        }
-                    }
-                    if use_index {
-                        assert_eq!(
-                            stats, ref_stats,
-                            "scan accounting ({shards} shards, {threads} threads)"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
     /// A scan runs against the snapshot, not the live store: a better
     /// candidate inserted, the chosen source evicted, or the whole store
     /// cleared after the snapshot change neither the chosen source nor the
@@ -2011,9 +1756,11 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips_under_eviction_churn() {
-        let src = churn_store(8);
+        let src = churn_store();
+        let churned = src.stats_snapshot();
+        assert_eq!((churned.entries, churned.evictions), (4, 8));
         let bytes = src.snapshot_bytes();
-        let dst = SharedBasisStore::with_shards(4, 2);
+        let dst = SharedBasisStore::new(4);
         assert_eq!(dst.restore_bytes(&bytes), Ok(4));
         assert_eq!(
             dst.snapshot_bytes(),
@@ -2180,56 +1927,24 @@ mod tests {
         assert_eq!(snap.entries, 1);
     }
 
-    /// Out-of-order shard acquisition trips the rank checker like any
-    /// other inversion — the property the multi-shard insert/scan/restore
-    /// protocols lean on.
     #[test]
-    fn shard_lock_rank_inversion_trips_the_checker() {
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-        let hi = OrderedRwLock::new(rank::STORE_SHARDS[1], ());
-        let lo = OrderedRwLock::new(rank::STORE_SHARDS[0], ());
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            let _a = hi.write();
-            let _b = lo.read();
-        }));
-        let payload = result.expect_err("inversion must panic");
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
-        assert!(msg.contains("lock-order violation"), "got: {msg}");
-        assert!(
-            msg.contains("basis store shard 1") && msg.contains("basis store shard 0"),
-            "got: {msg}"
-        );
-    }
-
-    #[test]
-    fn store_events_carry_shard_ids() {
+    fn claims_and_evictions_are_traced() {
         use crate::trace::TraceConfig;
         let tracer = Tracer::new(TraceConfig::Ring { capacity: 64 });
-        let s = SharedBasisStore::with_shards(1, 4).with_tracer(tracer.clone());
-        let p1 = point("x", 1);
-        let p2 = point("x", 2);
-        let TryClaim::Owner(guard) = s.try_claim(&p1, 1) else {
+        let s = SharedBasisStore::new(1).with_tracer(tracer.clone());
+        let TryClaim::Owner(guard) = s.try_claim(&point("x", 1), 1) else {
             panic!("expected owner");
         };
         assert!(guard.complete(HashMap::new(), samples(1.0), 1, true));
-        s.insert(p2.clone(), HashMap::new(), samples(2.0), 1, true); // evicts p1
-        let events = tracer.events();
-        let claim = events.iter().find_map(|e| match e.kind {
-            TraceEventKind::StoreClaim { shard } => Some(shard),
-            _ => None,
-        });
-        assert_eq!(claim, Some(s.shard_of(&p1) as u16));
-        let evict = events.iter().find_map(|e| match e.kind {
-            TraceEventKind::StoreEvict { shard } => Some(shard),
-            _ => None,
-        });
+        s.insert(point("x", 2), HashMap::new(), samples(2.0), 1, true); // evicts x1
+        let count =
+            |kind: TraceEventKind| tracer.events().iter().filter(|e| e.kind == kind).count();
+        assert_eq!(count(TraceEventKind::StoreClaim), 1);
+        assert_eq!(count(TraceEventKind::StorePublish), 1);
         assert_eq!(
-            evict,
-            Some(s.shard_of(&p1) as u16),
-            "eviction reports the victim's shard"
+            count(TraceEventKind::StoreEvict),
+            1,
+            "only the second insert evicts"
         );
     }
 }

@@ -74,46 +74,15 @@ pub mod rank {
     pub const INFLIGHT_TABLE: LockRank = LockRank::new(30, "store inflight table");
     /// One pending slot's state cell (owner/waiter hand-off).
     pub const INFLIGHT_SLOT: LockRank = LockRank::new(40, "store inflight slot");
-    /// The store's global metadata mutex: stamp allocation, the
-    /// point→(stamp, shard, matchability) index, and the stamp-ordered
-    /// eviction queues. Held across shard acquisitions during insert,
-    /// restore and clear, so it ranks below every shard lock.
-    pub const STORE_META: LockRank = LockRank::new(45, "basis store meta");
-    /// The per-shard basis-entry tables (`RwLock` each). One rank-table
-    /// entry per shard, in shard-index order: paths that take several
-    /// shards (insert's victim+target pair, the scan's all-shard read
-    /// phase, restore/clear) acquire them strictly by ascending index,
-    /// so the checker proves the multi-shard protocols deadlock-free
-    /// exactly like any other nesting.
-    pub const STORE_SHARDS: [LockRank; super::MAX_SHARDS] = [
-        LockRank::new(50, "basis store shard 0"),
-        LockRank::new(51, "basis store shard 1"),
-        LockRank::new(52, "basis store shard 2"),
-        LockRank::new(53, "basis store shard 3"),
-        LockRank::new(54, "basis store shard 4"),
-        LockRank::new(55, "basis store shard 5"),
-        LockRank::new(56, "basis store shard 6"),
-        LockRank::new(57, "basis store shard 7"),
-        LockRank::new(58, "basis store shard 8"),
-        LockRank::new(59, "basis store shard 9"),
-        LockRank::new(60, "basis store shard 10"),
-        LockRank::new(61, "basis store shard 11"),
-        LockRank::new(62, "basis store shard 12"),
-        LockRank::new(63, "basis store shard 13"),
-        LockRank::new(64, "basis store shard 14"),
-        LockRank::new(65, "basis store shard 15"),
-    ];
+    /// The basis entry table (one `RwLock`): records, the stamp counter
+    /// and the stamp-ordered eviction queues. Taken inside the in-flight
+    /// table by claim, publish, clear and restore, so it ranks above it.
+    pub const STORE_TABLE: LockRank = LockRank::new(50, "basis store table");
     /// The store's counter ledger (hits/misses/waits/evictions): a leaf
-    /// bumped at the end of scans and inserts, above the shard ranks so
-    /// accounting is legal while shard guards are still held.
+    /// bumped at the end of scans and inserts, above the table rank so
+    /// accounting is legal while the table guard is still held.
     pub const STORE_STATS: LockRank = LockRank::new(67, "basis store stats");
 }
-
-/// Upper bound on [`SharedBasisStore`](crate::store::SharedBasisStore)
-/// shard count: one rank-table entry exists per shard
-/// ([`rank::STORE_SHARDS`]), so the count is a static property of the
-/// lock table, not a runtime knob that could outgrow it.
-pub const MAX_SHARDS: usize = 16;
 
 #[cfg(any(test, feature = "check"))]
 thread_local! {

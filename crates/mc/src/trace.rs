@@ -130,21 +130,14 @@ pub enum TraceEventKind {
     /// Batch driver phase: in-order publication of results (span).
     PhasePublish,
     /// A store claim was taken or resolved (instant).
-    StoreClaim {
-        /// Which basis-store shard holds the claimed point
-        /// (`stable_hash % shard_count`, platform-stable).
-        shard: u16,
-    },
+    StoreClaim,
     /// A session blocked on another session's in-flight simulation
     /// (span: the wait).
     StoreWait,
     /// An owned claim published its samples to the store (instant).
     StorePublish,
     /// A basis entry was evicted to make room (instant).
-    StoreEvict {
-        /// Which basis-store shard the victim entry lived in.
-        shard: u16,
-    },
+    StoreEvict,
     /// A rank-ordered lock was contended (span: the wait). Only
     /// recorded under `cfg(any(test, feature = "check"))`, where the
     /// ordered wrappers try-lock first.
@@ -170,10 +163,10 @@ impl TraceEventKind {
             TraceEventKind::PhaseRemap => "phase_remap",
             TraceEventKind::PhaseSimulate => "phase_simulate",
             TraceEventKind::PhasePublish => "phase_publish",
-            TraceEventKind::StoreClaim { .. } => "store_claim",
+            TraceEventKind::StoreClaim => "store_claim",
             TraceEventKind::StoreWait => "store_wait",
             TraceEventKind::StorePublish => "store_publish",
-            TraceEventKind::StoreEvict { .. } => "store_evict",
+            TraceEventKind::StoreEvict => "store_evict",
             TraceEventKind::LockWait { .. } => "lock_wait",
         }
     }

@@ -31,6 +31,12 @@ pub fn parse_expr(src: &str) -> SqlResult<Expr> {
 /// scripts are outside input: without a bound, a few hundred `(` overflow
 /// the parser's stack and abort the process. Bundled scenarios nest in
 /// single digits.
+///
+/// The same bound holds for the tree that comes out: no accepted
+/// expression's AST is taller than this, so the recursive walkers
+/// (`referenced_params`, both evaluators, `Drop`) are as safe as the
+/// parser. A left-associative chain nests one level per operator —
+/// `a + b + c` is `((a + b) + c)` — so `1 + 1 + … + 1` is bounded too.
 pub const MAX_EXPR_DEPTH: usize = 128;
 
 /// Operator precedence levels, loosest first. `OR` and `AND`, `+ -` and
@@ -71,6 +77,8 @@ struct Parser {
     pos: usize,
     /// Live [`Parser::expr`] frames, bounded by [`MAX_EXPR_DEPTH`].
     depth: usize,
+    /// AST height of the expression parsed last, bounded likewise.
+    height: usize,
 }
 
 impl Parser {
@@ -79,6 +87,7 @@ impl Parser {
             tokens: tokenize(src)?,
             pos: 0,
             depth: 0,
+            height: 0,
         })
     }
 
@@ -530,21 +539,22 @@ impl Parser {
     /// own level, so that stop carries outward (`x AND NOT a < b < c`).
     fn expr(&mut self, min: u8) -> SqlResult<Expr> {
         if self.depth == MAX_EXPR_DEPTH {
-            return Err(SqlError::parse_at(
-                format!("expression nests deeper than {MAX_EXPR_DEPTH} levels"),
-                self.peek().span,
-            ));
+            return Err(self.too_deep());
         }
         // Restored on success only: an error abandons the whole parse.
         self.depth += 1;
         let (mut lhs, mut max) = match self.peek().kind {
             TokenKind::Keyword(Keyword::Not) if min <= prec::NOT => {
                 self.advance();
-                (Expr::Not(Box::new(self.expr(prec::NOT)?)), prec::NOT)
+                let operand = self.expr(prec::NOT)?;
+                self.node_over(self.height)?;
+                (Expr::Not(Box::new(operand)), prec::NOT)
             }
             TokenKind::Minus => {
                 self.advance();
-                (Expr::Neg(Box::new(self.expr(prec::NEG)?)), prec::NEG)
+                let operand = self.expr(prec::NEG)?;
+                self.node_over(self.height)?;
+                (Expr::Neg(Box::new(operand)), prec::NEG)
             }
             _ => (self.primary()?, u8::MAX),
         };
@@ -553,7 +563,10 @@ impl Parser {
                 break;
             }
             self.advance();
+            // Each fold puts `lhs` one level further down a left spine.
+            let spine = self.height;
             let rhs = self.expr(level + 1)?;
+            self.node_over(spine.max(self.height))?;
             lhs = Expr::Binary {
                 op,
                 lhs: Box::new(lhs),
@@ -565,8 +578,29 @@ impl Parser {
         Ok(lhs)
     }
 
+    fn too_deep(&self) -> SqlError {
+        SqlError::parse_at(
+            format!("expression nests deeper than {MAX_EXPR_DEPTH} levels"),
+            self.peek().span,
+        )
+    }
+
+    /// Account for an AST node about to be built over operands the tallest
+    /// of which is `below` levels tall. Refusing *before* the node exists
+    /// keeps every tree this parser ever holds — and drops on an error —
+    /// within [`MAX_EXPR_DEPTH`].
+    fn node_over(&mut self, below: usize) -> SqlResult<()> {
+        if below >= MAX_EXPR_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.height = below + 1;
+        Ok(())
+    }
+
     fn primary(&mut self) -> SqlResult<Expr> {
         let t = self.advance();
+        // A leaf, unless an arm below parses operands of its own.
+        self.height = 1;
         match t.kind {
             TokenKind::Int(v) => Ok(Expr::Literal(Value::Int(v))),
             TokenKind::Float(v) => Ok(Expr::Literal(Value::Float(v))),
@@ -584,13 +618,18 @@ impl Parser {
             TokenKind::Ident(name) => {
                 if self.eat_kind(&TokenKind::LParen) {
                     let mut args = Vec::new();
+                    let mut tallest = 0;
                     if !self.eat_kind(&TokenKind::RParen) {
-                        args.push(self.expr(prec::OR)?);
-                        while self.eat_kind(&TokenKind::Comma) {
+                        loop {
                             args.push(self.expr(prec::OR)?);
+                            tallest = tallest.max(self.height);
+                            if !self.eat_kind(&TokenKind::Comma) {
+                                break;
+                            }
                         }
                         self.expect_kind(&TokenKind::RParen)?;
                     }
+                    self.node_over(tallest)?;
                     Ok(Expr::Call { name, args })
                 } else {
                     Ok(Expr::Column(name))
@@ -606,22 +645,28 @@ impl Parser {
     /// Parse after the CASE keyword: `WHEN c THEN v … [ELSE e] END`.
     fn case_tail(&mut self) -> SqlResult<Expr> {
         let mut whens = Vec::new();
+        let mut tallest = 0;
         self.expect_kw(Keyword::When)?;
         loop {
             let cond = self.expr(prec::OR)?;
+            tallest = tallest.max(self.height);
             self.expect_kw(Keyword::Then)?;
             let result = self.expr(prec::OR)?;
+            tallest = tallest.max(self.height);
             whens.push((cond, result));
             if !self.eat_kw(Keyword::When) {
                 break;
             }
         }
         let otherwise = if self.eat_kw(Keyword::Else) {
-            Some(Box::new(self.expr(prec::OR)?))
+            let fallback = self.expr(prec::OR)?;
+            tallest = tallest.max(self.height);
+            Some(Box::new(fallback))
         } else {
             None
         };
         self.expect_kw(Keyword::End)?;
+        self.node_over(tallest)?;
         Ok(Expr::Case { whens, otherwise })
     }
 }

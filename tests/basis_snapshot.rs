@@ -1,23 +1,13 @@
-//! Sharded, persistent basis store (tier 2).
+//! Persistent basis store (tier 2): snapshot fidelity, end to end.
 //!
-//! Service-level enforcement of the two contracts the sharded store
-//! rewrite added in 0.9:
-//!
-//! * **Shard transparency** — the shard count is a throughput knob, never
-//!   a semantic one. A scheduled sweep at shard counts {1, 4, 16} ×
-//!   workers {1, 8} must land on bit-identical answers, chosen mapping
-//!   sources (streamed per-point outcomes, `Mapped { from }` included),
-//!   and work counters (`points_simulated` / `mapped` / `cached`,
-//!   `candidates_scanned` / `pruned`) versus the single-shard
-//!   single-worker reference. The global-stamp merge and global eviction
-//!   queues argued in `docs/CONCURRENCY.md` are what make this hold; this
-//!   file is the differential that would catch a regression.
-//! * **Snapshot fidelity** — `Prophet::save_basis` / `load_basis` move a
-//!   warmed basis across processes. A sweep on the restored service must
-//!   be bit-identical to a re-sweep on the warm one and simulate nothing
-//!   (`points_simulated == 0`); corrupt or truncated snapshot files are
-//!   rejected with typed [`ProphetError::Snapshot`] variants and leave
-//!   the store untouched.
+//! `Prophet::save_basis` / `load_basis` move a warmed basis across
+//! processes. A sweep on the restored service must be bit-identical to a
+//! re-sweep on the warm one and simulate nothing
+//! (`points_simulated == 0`); corrupt or truncated snapshot files are
+//! rejected with typed [`ProphetError::Snapshot`] variants and leave the
+//! store untouched; and a sweep through a store far smaller than its
+//! point count pins the snapshot's size and the eviction count, so
+//! neither the FPBS encoding nor the eviction policy can drift silently.
 //!
 //! The store's own unit suite (`crates/mc/src/store.rs`) pins the byte
 //! format and the lock protocol; this file pins the end-to-end surface.
@@ -27,38 +17,27 @@ use std::fs;
 use std::path::PathBuf;
 
 use fuzzy_prophet::prelude::*;
-use prophet_models::scenarios::{figure2_coarse_sql, PRICING_WHATIF};
-use prophet_models::{demo_registry, full_registry};
+use prophet_models::demo_registry;
+use prophet_models::scenarios::figure2_coarse_sql;
 
-#[derive(Clone, Copy)]
-enum Reg {
-    Demo,
-    Full,
-}
+/// Store capacity that holds the whole 3,969-point coarse sweep.
+const ROOMY: usize = 8_192;
 
-impl Reg {
-    fn build(self) -> prophet_vg::VgRegistry {
-        match self {
-            Reg::Demo => demo_registry(),
-            Reg::Full => full_registry(),
-        }
-    }
-}
-
-fn service(name: &str, src: &str, reg: Reg, shards: usize, workers: usize) -> Prophet {
+/// A coarse Figure-2 service whose store holds `basis_capacity` entries.
+fn service(src: &str, basis_capacity: usize) -> Prophet {
     Prophet::builder()
-        .scenario_sql(name, src)
+        .scenario_sql("figure2", src)
         .unwrap()
-        .registry(reg.build())
+        .registry(demo_registry())
         .config(EngineConfig {
             worlds_per_point: 8,
             threads: 2,
-            store_shards: shards,
+            basis_capacity,
             ..EngineConfig::default()
         })
         .scheduler(SchedulerConfig {
-            workers,
-            // Tiny chunks: many concurrent claims per shard.
+            workers: 2,
+            // Tiny chunks: many concurrent claims on the store.
             chunk_points: 2,
             ..SchedulerConfig::default()
         })
@@ -110,74 +89,20 @@ fn assert_sweeps_identical(
 
 fn temp_path(label: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
-        "fp_store_shards_{}_{label}.fpbs",
+        "fp_basis_snapshot_{}_{label}.fpbs",
         std::process::id()
     ))
 }
 
-// --------------------------------------------------- shard transparency
-
-/// Shard counts {1, 4, 16} × workers {1, 8} versus the 1-shard
-/// 1-worker reference: answers, streamed outcomes, and every work
-/// counter bit-identical. PRICING_WHATIF has stochastic columns, so the
-/// fingerprint match path (scanned/pruned accounting over the merged
-/// stamp order) is exercised, not just exact cache hits.
-#[test]
-fn sweeps_are_bit_identical_across_shard_and_worker_counts() {
-    let reference = {
-        let prophet = service("pricing", PRICING_WHATIF, Reg::Full, 1, 1);
-        run_sweep(&prophet, "pricing")
-    };
-    for shards in [1, 4, 16] {
-        for workers in [1, 8] {
-            if shards == 1 && workers == 1 {
-                continue;
-            }
-            let prophet = service("pricing", PRICING_WHATIF, Reg::Full, shards, workers);
-            let run = run_sweep(&prophet, "pricing");
-            assert_sweeps_identical(
-                &format!("shards={shards} workers={workers}"),
-                &run,
-                &reference,
-            );
-        }
-    }
-}
-
-/// The shard knob is validated at build time, not discovered at the
-/// first insert.
-#[test]
-fn out_of_range_shard_counts_are_rejected_at_build() {
-    for shards in [0, prophet_mc::MAX_SHARDS + 1] {
-        let err = Prophet::builder()
-            .scenario_sql("pricing", PRICING_WHATIF)
-            .unwrap()
-            .registry(full_registry())
-            .config(EngineConfig {
-                store_shards: shards,
-                ..EngineConfig::default()
-            })
-            .build()
-            .unwrap_err();
-        match err {
-            ProphetError::InvalidConfig(msg) => {
-                assert!(msg.contains("store_shards"), "{msg}");
-            }
-            other => panic!("wrong variant {other:?}"),
-        }
-    }
-}
-
 // --------------------------------------------------- snapshot fidelity
 
-/// Save a warmed basis, load it into a cold service with a *different*
-/// shard count, and sweep: the restored run simulates nothing and is
-/// bit-identical — answers, outcomes, counters — to a re-sweep on the
-/// warm service.
+/// Save a warmed basis, load it into a cold service, and sweep: the
+/// restored run simulates nothing and is bit-identical — answers,
+/// outcomes, counters — to a re-sweep on the warm service.
 #[test]
 fn restored_basis_serves_a_sweep_without_simulation() {
     let src = figure2_coarse_sql(0.05);
-    let warm = service("figure2", &src, Reg::Demo, 4, 2);
+    let warm = service(&src, ROOMY);
     let first = run_sweep(&warm, "figure2");
     assert!(
         first.0.metrics.points_simulated > 0,
@@ -191,7 +116,7 @@ fn restored_basis_serves_a_sweep_without_simulation() {
     let saved = warm.save_basis("figure2", &path).unwrap();
     assert!(saved > 0, "warm store must have entries");
 
-    let cold = service("figure2", &src, Reg::Demo, 8, 2);
+    let cold = service(&src, ROOMY);
     let loaded = cold.load_basis("figure2", &path).unwrap();
     assert_eq!(loaded, saved, "every entry crosses the snapshot");
     assert_eq!(cold.basis_len("figure2").unwrap(), saved);
@@ -213,7 +138,7 @@ fn restored_basis_serves_a_sweep_without_simulation() {
 #[test]
 fn corrupt_snapshots_are_rejected_with_typed_errors() {
     let src = figure2_coarse_sql(0.05);
-    let warm = service("figure2", &src, Reg::Demo, 4, 2);
+    let warm = service(&src, ROOMY);
     run_sweep(&warm, "figure2");
     let path = temp_path("corrupt");
     let saved = warm.save_basis("figure2", &path).unwrap();
@@ -266,6 +191,40 @@ fn corrupt_snapshots_are_rejected_with_typed_errors() {
     // …and the pristine bytes still restore.
     fs::write(&path, &good).unwrap();
     assert_eq!(warm.load_basis("figure2", &path).unwrap(), saved);
+
+    let _ = fs::remove_file(&path);
+}
+
+/// A sweep of 3,969 points through a 64-entry store: 3,905 evictions, and
+/// what survives is pinned by count and snapshot size. Mapped entries go
+/// first and sources only when no mapped entry remains, so a change to
+/// the eviction policy, the stamp order or the FPBS encoding moves one of
+/// these numbers. Save → load → save reproduces the file byte for byte.
+#[test]
+fn churned_store_snapshot_is_pinned() {
+    let src = figure2_coarse_sql(0.05);
+    let prophet = service(&src, 64);
+    prophet.offline("figure2").unwrap().run().unwrap();
+
+    let path = temp_path("churned");
+    assert_eq!(prophet.save_basis("figure2", &path).unwrap(), 64);
+    let bytes = fs::read(&path).unwrap();
+    let stats = prophet.basis_stats("figure2").unwrap();
+    assert_eq!(
+        (
+            stats.entries,
+            bytes.len(),
+            stats.evictions,
+            stats.hits,
+            stats.misses
+        ),
+        (64, 57_694, 3_905, 3_912, 57)
+    );
+
+    let reloaded = service(&src, 64);
+    assert_eq!(reloaded.load_basis("figure2", &path).unwrap(), 64);
+    reloaded.save_basis("figure2", &path).unwrap();
+    assert_eq!(fs::read(&path).unwrap(), bytes, "save → load → save");
 
     let _ = fs::remove_file(&path);
 }

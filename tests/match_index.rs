@@ -450,7 +450,7 @@ fn lcg_values(seed: u64, len: usize) -> Vec<f64> {
 }
 
 /// The scan's accounting is a fold of per-probe work, so no partition of
-/// the probes (threads) or of the candidates' storage (shards) may move
+/// the probes across threads may move
 /// it. One batch over four waves of candidates with a probe that is exact
 /// in wave 0 (and prunes the rest of what its siblings need), one that
 /// improves through inexact incumbents until it is exact in wave 2, and
@@ -459,7 +459,7 @@ fn lcg_values(seed: u64, len: usize) -> Vec<f64> {
 /// numbers were read off the previous implementation — the per-wave
 /// driver scan — before it was replaced.
 #[test]
-fn scan_accounting_is_pinned_across_threads_and_shards() {
+fn scan_accounting_is_pinned_across_threads() {
     const LEN: usize = 16;
     const CANDIDATES: usize = 100;
     let detector = CorrelationDetector::default();
@@ -479,38 +479,36 @@ fn scan_accounting_is_pinned_across_threads_and_shards() {
         probe(base_b.iter().map(|v| v + 3.0).collect()),
         probe(lcg_values(3, LEN)),
     ];
-    for shards in [1usize, 4, 16] {
-        let store = SharedBasisStore::with_shards(256, shards);
-        for i in 0..CANDIDATES {
-            let values = match i {
-                5 => base_a.clone(),
-                70 => base_b.clone(),
-                75 => base_a.iter().map(|v| v - 1.0).collect(),
-                _ if i % 7 == 3 => noisy(&base_b, 1.0 + i as f64 / 50.0, 0.3 - 0.002 * i as f64),
-                _ if i % 11 == 4 => noisy(&base_a, 0.7, 0.2),
-                _ => lcg_values(100 + i as u64, LEN),
-            };
-            insert_candidate(&store, i, values);
-        }
-        for threads in [1usize, 8] {
-            let label = format!("{shards} shards, {threads} threads");
-            let (hits, stats) =
-                store.find_correlated_batch_scan(&probes, &columns, &detector, threads, true);
-            let sources: Vec<Option<ParamPoint>> =
-                hits.into_iter().map(|h| h.map(|h| h.source)).collect();
-            assert_eq!(sources, [Some(point(5)), Some(point(70)), None], "{label}");
-            assert_eq!(
-                (stats.candidates_scanned, stats.candidates_pruned),
-                (19, 281),
-                "three probes × all 100 candidates ({label})"
-            );
-            let (_, stats) =
-                store.find_correlated_batch_scan(&probes[..2], &columns, &detector, threads, true);
-            assert_eq!(
-                (stats.candidates_scanned, stats.candidates_pruned),
-                (19, 173),
-                "two probes × the 96 candidates of waves 0–2 ({label})"
-            );
-        }
+    let store = SharedBasisStore::new(256);
+    for i in 0..CANDIDATES {
+        let values = match i {
+            5 => base_a.clone(),
+            70 => base_b.clone(),
+            75 => base_a.iter().map(|v| v - 1.0).collect(),
+            _ if i % 7 == 3 => noisy(&base_b, 1.0 + i as f64 / 50.0, 0.3 - 0.002 * i as f64),
+            _ if i % 11 == 4 => noisy(&base_a, 0.7, 0.2),
+            _ => lcg_values(100 + i as u64, LEN),
+        };
+        insert_candidate(&store, i, values);
+    }
+    for threads in [1usize, 8] {
+        let label = format!("{threads} threads");
+        let (hits, stats) =
+            store.find_correlated_batch_scan(&probes, &columns, &detector, threads, true);
+        let sources: Vec<Option<ParamPoint>> =
+            hits.into_iter().map(|h| h.map(|h| h.source)).collect();
+        assert_eq!(sources, [Some(point(5)), Some(point(70)), None], "{label}");
+        assert_eq!(
+            (stats.candidates_scanned, stats.candidates_pruned),
+            (19, 281),
+            "three probes × all 100 candidates ({label})"
+        );
+        let (_, stats) =
+            store.find_correlated_batch_scan(&probes[..2], &columns, &detector, threads, true);
+        assert_eq!(
+            (stats.candidates_scanned, stats.candidates_pruned),
+            (19, 173),
+            "two probes × the 96 candidates of waves 0–2 ({label})"
+        );
     }
 }

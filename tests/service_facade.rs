@@ -149,6 +149,57 @@ fn typed_errors_cover_the_facade_surface() {
     }
 }
 
+/// One `EngineConfig::validate` behind both constructors: each degenerate
+/// config is the same typed error from `Prophet::builder().build()` and
+/// from `Engine::new`. A two-probe fingerprint fits any affine map
+/// exactly, so with fingerprints on it would "match" everything; with
+/// them off the length is never read.
+#[test]
+fn degenerate_configs_are_rejected_by_both_constructors() {
+    let base = EngineConfig::default();
+    let probes = |length: usize| {
+        let mut config = base;
+        config.fingerprint.length = length;
+        config
+    };
+    for (config, message) in [
+        (
+            EngineConfig {
+                worlds_per_point: 0,
+                ..base
+            },
+            "worlds_per_point must be positive",
+        ),
+        (
+            EngineConfig {
+                basis_capacity: 0,
+                ..base
+            },
+            "basis_capacity must be positive",
+        ),
+        (
+            probes(2),
+            "fingerprint.length must be at least 3 when fingerprints are enabled",
+        ),
+    ] {
+        let want = ProphetError::InvalidConfig(message.to_owned());
+        let built = Prophet::builder()
+            .scenario("figure2", Scenario::figure2().unwrap())
+            .config(config)
+            .build();
+        assert_eq!(built.err(), Some(want.clone()), "builder");
+        let engine = Engine::new(&Scenario::figure2().unwrap(), demo_registry(), config);
+        assert_eq!(engine.err(), Some(want), "Engine::new");
+    }
+    let unused = EngineConfig {
+        fingerprints_enabled: false,
+        ..probes(2)
+    };
+    for accepted in [unused, probes(3)] {
+        assert!(Engine::new(&Scenario::figure2().unwrap(), demo_registry(), accepted).is_ok());
+    }
+}
+
 #[test]
 fn exploration_strategy_plugs_into_the_builder() {
     // A grid-walking strategy instead of the default priority queue:

@@ -463,3 +463,63 @@ fn expression_nesting_is_bounded_not_fatal() {
         assert_parse_error("100,000 levels", parse_script(&src), 2, &too_deep);
     }
 }
+
+/// Operator chains are bounded like nesting: a left-associative chain
+/// builds a spine one AST level per operator, so the longest accepted
+/// chain is [`MAX_EXPR_DEPTH`] levels tall — it parses, walks, evaluates
+/// on both tiers and drops on this default 2 MiB test thread — and one
+/// operator more, or 100,000, is the same typed parse error instead of a
+/// stack overflow in a walker. Parentheses add parser depth, not AST
+/// height, so the bound is the same inside 100 of them.
+#[test]
+fn operator_chains_are_bounded_not_fatal() {
+    let too_deep = format!("expression nests deeper than {MAX_EXPR_DEPTH} levels");
+    let chain = |operand: &str, ops: &[&str], n: usize| {
+        let mut src = operand.to_owned();
+        for i in 0..n {
+            // `ops` in equal runs, tightest first: one spine, n levels.
+            src += &format!(" {} {operand}", ops[i * ops.len() / n]);
+        }
+        src
+    };
+    let at_limit = MAX_EXPR_DEPTH - 1;
+    for (label, operand, ops, value) in [
+        ("+", "@p", &["+"][..], MAX_EXPR_DEPTH as f64),
+        ("AND", "TRUE", &["AND"], 1.0),
+        // 1 × 1 × … − 1 − … at the limit: 64 `*`, then 63 `-`.
+        ("* then -", "@p", &["*", "-"], 1.0 - (at_limit / 2) as f64),
+    ] {
+        for parens in [0, 100] {
+            let wrap = |body: String| format!("{}{body}{}", "(".repeat(parens), ")".repeat(parens));
+            let label = format!("`{label}` chain in {parens} parentheses");
+            let src = wrap(chain(operand, ops, at_limit));
+            let e = parse_expr(&src).unwrap_or_else(|err| panic!("{label} at the limit: {err}"));
+            let params = if operand == "@p" { vec!["p"] } else { vec![] };
+            assert_eq!(e.referenced_params(), params, "{label}");
+            assert!(e.referenced_calls().is_empty(), "{label}");
+            drop(e);
+            let script = format!("DECLARE PARAMETER @p AS SET (1);\nSELECT {src} AS x INTO r;");
+            for tier in [ExecTier::Scalar, ExecTier::Columnar] {
+                let config = EngineConfig {
+                    worlds_per_point: 2,
+                    tier,
+                    ..EngineConfig::default()
+                };
+                let engine =
+                    Engine::new(&Scenario::parse(&script).unwrap(), demo_registry(), config)
+                        .unwrap();
+                let (s, _) = engine
+                    .evaluate(&ParamPoint::from_pairs([("p", 1i64)]))
+                    .unwrap();
+                assert_eq!(s.expect("x").unwrap(), value, "{label}, {tier:?}");
+            }
+            for n in [at_limit + 1, 100_000] {
+                let src = wrap(chain(operand, ops, n));
+                let label = format!("{n}-operator {label}");
+                assert_parse_error(&label, parse_expr(&src), 1, &too_deep);
+                let script = format!("DECLARE PARAMETER @p AS SET (1);\nSELECT {src} AS x INTO r;");
+                assert_parse_error(&label, parse_script(&script), 2, &too_deep);
+            }
+        }
+    }
+}
