@@ -301,7 +301,9 @@ pub fn e9_markov_regions() -> String {
     let trajectories: Vec<Vec<f64>> = (0..n_worlds)
         .map(|w| {
             let mut rng = seeds.rng_for(w as u64, "CapacityModel", 0);
-            model.trajectory(weeks as i64, 16, 36, &mut rng)
+            model
+                .trajectory(weeks as i64, 16, 36, &mut rng)
+                .expect("a 52-week horizon is inside the model's bound")
         })
         .collect();
     // steps[i][w] = world w's capacity at week i

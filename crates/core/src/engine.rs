@@ -35,10 +35,11 @@ use std::sync::Arc;
 use prophet_data::Value;
 use prophet_fingerprint::{CorrelationDetector, Fingerprint, FingerprintConfig, Mapping};
 use prophet_mc::{
-    simulate_point, simulate_point_columnar, ColumnSamples, ParamPoint, SampleSet, SharedBasisStore,
+    simulate_point, simulate_point_columnar_with, ColumnSamples, ParamPoint, SampleSet,
+    SharedBasisStore,
 };
 use prophet_sql::columnar::{
-    evaluate_derived_columns, evaluate_select_columns_memo, to_f64_samples, ColumnarStats,
+    evaluate_derived_columns, evaluate_select_columns_with, to_f64_samples, ColumnarStats,
 };
 use prophet_sql::error::SqlError;
 use prophet_sql::executor::{evaluate_select_with, sample_f64, EvalContext, WorldRng};
@@ -47,6 +48,7 @@ use prophet_vg::rng::{Rng64, SeedSequence};
 use prophet_vg::{SeedManager, VgRegistry};
 
 use crate::error::{ProphetError, ProphetResult};
+use crate::ledger_store::DrawLedgers;
 use crate::metrics::{EngineMetrics, Stopwatch};
 use crate::probe_memo::ProbeMemo;
 use crate::scenario::Scenario;
@@ -71,7 +73,8 @@ pub enum ExecTier {
     /// typed slices, with per-node fallback to boxed values for
     /// mixed/string data. Kernel/fallback counts surface as
     /// `EngineMetrics::columnar_kernels` / `column_fallbacks`. Probes
-    /// consult the engine's call-site memo, and a fingerprint hit
+    /// consult the engine's call-site memo, probes and simulations replay
+    /// ledgered models from its draw-ledger store, and a fingerprint hit
     /// recomputes its derived columns in one block walk.
     #[default]
     Columnar,
@@ -249,6 +252,8 @@ pub struct Engine {
     probe_seeds: SeedSequence,
     /// VG call outputs over `probe_seeds` under `seeds`, per call site.
     probe_memo: ProbeMemo,
+    /// Drawn ledgers under `seeds`, per `(function, call index, world)`.
+    ledgers: DrawLedgers,
     basis: SharedBasisStore,
     metrics: OrderedMutex<EngineMetrics>,
 }
@@ -306,6 +311,7 @@ impl Engine {
             seeds: SeedManager::new(config.root_seed),
             probe_seeds: SeedSequence::fingerprint_default(config.fingerprint.length),
             probe_memo: ProbeMemo::new(),
+            ledgers: DrawLedgers::new(),
             config,
             output_cols,
             stochastic_cols,
@@ -399,10 +405,11 @@ impl Engine {
     /// walk of the block executor — `vector_walks` counts it, while
     /// `probe_evaluations` keeps counting the logical per-seed evaluations
     /// so probe accounting stays comparable with the scalar tier. The walk
-    /// also accounts its typed-kernel vs boxed fallback node counts, and
+    /// also accounts its typed-kernel vs boxed fallback node counts,
     /// serves VG call sites it has already drawn for this argument tuple
     /// from the engine's probe memo (`probe_call_sites_memoised` of
-    /// `probe_call_sites`).
+    /// `probe_call_sites`), and replays the rest from the draw-ledger store
+    /// where the model keeps a ledger (`probe_call_sites_replayed`).
     pub(crate) fn probe_fingerprints(
         &self,
         point: &ParamPoint,
@@ -412,13 +419,14 @@ impl Engine {
         let params = point.to_value_map();
 
         if self.config.tier == ExecTier::Columnar {
-            let (columns, stats) = evaluate_select_columns_memo(
+            let (columns, stats) = evaluate_select_columns_with(
                 &self.script.select,
                 &self.registry,
                 &params,
                 self.seeds,
                 seeds.seeds(),
-                &self.probe_memo,
+                Some(&self.probe_memo),
+                Some(&self.ledgers),
             )?;
             let mut out = HashMap::with_capacity(self.stochastic_cols.len());
             for (name, column) in columns {
@@ -437,6 +445,7 @@ impl Engine {
                 m.column_fallbacks += stats.fallbacks;
                 m.probe_call_sites += stats.call_sites;
                 m.probe_call_sites_memoised += stats.call_sites_memoised;
+                m.probe_call_sites_replayed += stats.call_sites_replayed;
                 m.probe_eval_nanos += start.elapsed_nanos();
                 m.probe_latency.record(start.elapsed_nanos());
             });
@@ -638,13 +647,14 @@ impl Engine {
         worlds: &[u64],
     ) -> Result<(SampleSet, ColumnarStats), SqlError> {
         match self.config.tier {
-            ExecTier::Columnar => simulate_point_columnar(
+            ExecTier::Columnar => simulate_point_columnar_with(
                 &self.script.select,
                 &self.registry,
                 &self.seeds,
                 point,
                 worlds,
                 self.config.common_random_numbers,
+                Some(&self.ledgers),
             ),
             ExecTier::Scalar => simulate_point(
                 &self.script.select,
@@ -990,6 +1000,72 @@ mod tests {
             m.probe_call_sites_memoised
         );
         assert_eq!(reference.metrics().probe_call_sites, 0);
+    }
+
+    #[test]
+    fn ledger_store_overflow_never_changes_a_fingerprint_or_a_sample() {
+        let mut replayed = engine(small_config());
+        // Room for three probe streams' ledgers of a year: every probe
+        // walk overflows it several times, mid call site.
+        replayed.ledgers = DrawLedgers::with_bound(3 * 256);
+        let reference = engine(EngineConfig {
+            tier: ExecTier::Scalar,
+            ..small_config()
+        });
+        let points: Vec<ParamPoint> = (0..40)
+            .map(|i| demo_point(52 - i, 4 * (i % 3), 36, [12, 36][i as usize % 2]))
+            .collect();
+        for p in points.iter().chain(points.iter().rev()) {
+            assert_eq!(probe_bits(&replayed, p), probe_bits(&reference, p), "{p}");
+            assert_eq!(
+                sample_bits(&replayed.simulate_full(p, false).unwrap()),
+                sample_bits(&reference.simulate_full(p, false).unwrap()),
+                "{p}"
+            );
+        }
+        assert!(replayed.ledgers.cells() <= 3 * 256);
+        let m = replayed.metrics();
+        assert_eq!(m.probe_call_sites, 160, "two call sites per probe");
+        // Forty distinct tuples per function: the first pass draws
+        // `DemandModel` and replays `CapacityModel`, the reversed pass is
+        // memo-served.
+        assert_eq!(
+            (m.probe_call_sites_replayed, m.probe_call_sites_memoised),
+            (40, 80)
+        );
+    }
+
+    #[test]
+    fn point_salted_simulation_never_consults_the_ledger_store() {
+        // Without common random numbers every estimation world is salted
+        // with its point: no stream repeats, so the store is not handed to
+        // simulation walks at all — probes, whose seeds are never salted,
+        // still replay from it.
+        let no_crn = EngineConfig {
+            common_random_numbers: false,
+            ..small_config()
+        };
+        let (columnar, scalar) = (
+            engine(no_crn),
+            engine(EngineConfig {
+                tier: ExecTier::Scalar,
+                ..no_crn
+            }),
+        );
+        let points = [demo_point(10, 4, 36, 12), demo_point(30, 16, 36, 12)];
+        for p in &points {
+            assert_eq!(
+                sample_bits(&columnar.simulate_full(p, false).unwrap()),
+                sample_bits(&scalar.simulate_full(p, false).unwrap()),
+                "{p}"
+            );
+        }
+        assert_eq!(columnar.ledgers.cells(), 0, "simulation kept a ledger");
+        for p in &points {
+            assert_eq!(probe_bits(&columnar, p), probe_bits(&scalar, p), "{p}");
+        }
+        assert_eq!(columnar.metrics().probe_call_sites_replayed, 2);
+        assert!(columnar.ledgers.cells() > 0);
     }
 
     #[test]

@@ -181,6 +181,7 @@ pub mod error;
 pub mod executor;
 pub mod exploration;
 pub mod job;
+mod ledger_store;
 pub mod metrics;
 pub mod obs;
 pub mod offline;

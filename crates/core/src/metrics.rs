@@ -88,6 +88,12 @@ pub struct EngineMetrics {
     /// VG function. Exact at `threads == 1`; with concurrent probe workers
     /// two first sightings of one tuple may both draw.
     pub probe_call_sites_memoised: u64,
+    /// The subset of [`probe_call_sites`](EngineMetrics::probe_call_sites)
+    /// the memo did not serve whose lanes were replayed from the engine's
+    /// draw-ledger store — the model keeps a ledger, so only streams the
+    /// store had not yet seen (far enough) were drawn. What remains,
+    /// `probe_call_sites − memoised − replayed`, was drawn call by call.
+    pub probe_call_sites_replayed: u64,
     /// (candidate, probe) pairs that ran the full entry-by-entry
     /// correlation comparison during match scans. With the summary index
     /// on, `candidates_pruned / (candidates_scanned + candidates_pruned)`
@@ -179,6 +185,7 @@ impl EngineMetrics {
         self.column_fallbacks += other.column_fallbacks;
         self.probe_call_sites += other.probe_call_sites;
         self.probe_call_sites_memoised += other.probe_call_sites_memoised;
+        self.probe_call_sites_replayed += other.probe_call_sites_replayed;
         self.candidates_scanned += other.candidates_scanned;
         self.candidates_pruned += other.candidates_pruned;
         self.match_scan_nanos += other.match_scan_nanos;
@@ -208,6 +215,8 @@ impl EngineMetrics {
             probe_call_sites: self.probe_call_sites - earlier.probe_call_sites,
             probe_call_sites_memoised: self.probe_call_sites_memoised
                 - earlier.probe_call_sites_memoised,
+            probe_call_sites_replayed: self.probe_call_sites_replayed
+                - earlier.probe_call_sites_replayed,
             candidates_scanned: self.candidates_scanned - earlier.candidates_scanned,
             candidates_pruned: self.candidates_pruned - earlier.candidates_pruned,
             match_scan_nanos: self.match_scan_nanos - earlier.match_scan_nanos,
@@ -250,7 +259,7 @@ impl fmt::Display for EngineMetrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let ms = |nanos: u64| nanos as f64 / 1e6;
         let us = |nanos: u64| format!("{:.2}", nanos as f64 / 1e3);
-        let rows: [(&str, String); 29] = [
+        let rows: [(&str, String); 30] = [
             ("points_simulated", self.points_simulated.to_string()),
             ("points_mapped", self.points_mapped.to_string()),
             ("points_cached", self.points_cached.to_string()),
@@ -265,6 +274,10 @@ impl fmt::Display for EngineMetrics {
             (
                 "call_sites_memoised",
                 self.probe_call_sites_memoised.to_string(),
+            ),
+            (
+                "call_sites_replayed",
+                self.probe_call_sites_replayed.to_string(),
             ),
             ("candidates_scanned", self.candidates_scanned.to_string()),
             ("candidates_pruned", self.candidates_pruned.to_string()),
@@ -357,6 +370,7 @@ mod tests {
             column_fallbacks: 2,
             probe_call_sites: 14,
             probe_call_sites_memoised: 9,
+            probe_call_sites_replayed: 3,
             candidates_scanned: 40,
             candidates_pruned: 60,
             match_scan_nanos: 800,
@@ -376,6 +390,7 @@ mod tests {
             column_fallbacks: 1,
             probe_call_sites: 6,
             probe_call_sites_memoised: 4,
+            probe_call_sites_replayed: 2,
             candidates_scanned: 4,
             candidates_pruned: 6,
             match_scan_nanos: 200,
@@ -393,6 +408,7 @@ mod tests {
         assert_eq!(b.column_fallbacks, 3);
         assert_eq!(b.probe_call_sites, 20);
         assert_eq!(b.probe_call_sites_memoised, 13);
+        assert_eq!(b.probe_call_sites_replayed, 5);
         assert_eq!(b.candidates_scanned, 44);
         assert_eq!(b.candidates_pruned, 66);
         assert_eq!(b.match_scan_nanos, 1_000);
@@ -407,6 +423,7 @@ mod tests {
         assert_eq!(diff.column_fallbacks, 1);
         assert_eq!(diff.probe_call_sites, 6);
         assert_eq!(diff.probe_call_sites_memoised, 4);
+        assert_eq!(diff.probe_call_sites_replayed, 2);
         assert_eq!(diff.candidates_scanned, 4);
         assert_eq!(diff.candidates_pruned, 6);
         assert_eq!(diff.match_scan_nanos, 200);
@@ -448,6 +465,7 @@ mod tests {
             column_fallbacks: 0,
             probe_call_sites: 12,
             probe_call_sites_memoised: 5,
+            probe_call_sites_replayed: 4,
             candidates_scanned: 30,
             candidates_pruned: 90,
             match_scan_nanos: 2_500_000,
@@ -477,6 +495,7 @@ columnar_kernels               210
 column_fallbacks                 0
 probe_call_sites                12
 call_sites_memoised              5
+call_sites_replayed              4
 candidates_scanned              30
 candidates_pruned               90
 prune_pct                     75.0
@@ -521,6 +540,7 @@ sim_p99_us                 4194.30";
             column_fallbacks: 9,
             probe_call_sites: 21,
             probe_call_sites_memoised: 22,
+            probe_call_sites_replayed: 25,
             candidates_scanned: 10,
             candidates_pruned: 11,
             match_scan_nanos: 12,

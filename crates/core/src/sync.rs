@@ -25,6 +25,7 @@
 //! | 67 | [`rank::STORE_STATS`] — store counter ledger | `prophet_mc::sync` |
 //! | 70 | [`CHUNK_RESULTS`] — a chunked phase's result slots | this module |
 //! | 72 | [`PROBE_MEMO`] — the engine's call-site probe memo | this module |
+//! | 73 | [`DRAW_LEDGERS`] — the engine's draw-ledger store (`RwLock`) | this module |
 //! | 75 | [`ENGINE_METRICS`] — the engine's metrics ledger | this module |
 //! | 80 | [`SCHEDULER_HANDLES`] — worker join handles (drop only) | this module |
 //! | 90 | [`TRACE_RING`] — the flight-recorder ring | `prophet_mc::trace` |
@@ -70,6 +71,12 @@ pub const CHUNK_RESULTS: LockRank = LockRank::new(70, "chunk result slots");
 /// for one lookup or one insert, never across a VG call.
 pub const PROBE_MEMO: LockRank = LockRank::new(72, "engine probe memo");
 
+/// The engine's draw-ledger store (`crate::ledger_store`): a leaf held
+/// shared while a call site replays its worlds' ledgers (pure arithmetic,
+/// no draw) and exclusively to keep freshly drawn ones — never across a
+/// draw.
+pub const DRAW_LEDGERS: LockRank = LockRank::new(73, "engine draw ledgers");
+
 /// The engine's [`EngineMetrics`](crate::metrics::EngineMetrics) ledger:
 /// a leaf bumped after each primitive completes.
 pub const ENGINE_METRICS: LockRank = LockRank::new(75, "engine metrics");
@@ -96,6 +103,7 @@ mod tests {
             rank::STORE_STATS,
             CHUNK_RESULTS,
             PROBE_MEMO,
+            DRAW_LEDGERS,
             ENGINE_METRICS,
             SCHEDULER_HANDLES,
             TRACE_RING,

@@ -10,10 +10,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use prophet_sql::ast::SelectInto;
-use prophet_sql::columnar::{evaluate_select_columns, to_f64_samples, ColumnarStats};
+use prophet_sql::columnar::{evaluate_select_columns_with, to_f64_samples, ColumnarStats};
 use prophet_sql::error::SqlResult;
 use prophet_sql::executor::{evaluate_select_with, sample_f64, WorldRng};
-use prophet_vg::{SeedManager, VgRegistry};
+use prophet_vg::{LedgerStore, SeedManager, VgRegistry};
 
 use crate::aggregate::{SampleStats, Welford};
 use crate::instance::ParamPoint;
@@ -184,6 +184,34 @@ pub fn simulate_point_columnar(
     worlds: &[u64],
     common_random_numbers: bool,
 ) -> SqlResult<(SampleSet, ColumnarStats)> {
+    simulate_point_columnar_with(
+        select,
+        registry,
+        seeds,
+        point,
+        worlds,
+        common_random_numbers,
+        None,
+    )
+}
+
+/// [`simulate_point_columnar`] with the caller's [`LedgerStore`] (valid
+/// for `seeds`): models that keep a draw ledger replay each world's stream
+/// from it instead of drawing it again for every point. Bit-identical
+/// samples either way.
+///
+/// The store is only consulted under common random numbers: without them
+/// every world id is salted with the point, no stream is ever seen twice,
+/// and a store would only fill up.
+pub fn simulate_point_columnar_with(
+    select: &SelectInto,
+    registry: &VgRegistry,
+    seeds: &SeedManager,
+    point: &ParamPoint,
+    worlds: &[u64],
+    common_random_numbers: bool,
+    ledgers: Option<&dyn LedgerStore>,
+) -> SqlResult<(SampleSet, ColumnarStats)> {
     let params = point.to_value_map();
     let point_salt = if common_random_numbers {
         0
@@ -191,7 +219,9 @@ pub fn simulate_point_columnar(
         point.stable_hash()
     };
     let salted: Vec<u64> = worlds.iter().map(|&w| w ^ point_salt).collect();
-    let (columns_out, stats) = evaluate_select_columns(select, registry, &params, *seeds, &salted)?;
+    let ledgers = ledgers.filter(|_| common_random_numbers);
+    let (columns_out, stats) =
+        evaluate_select_columns_with(select, registry, &params, *seeds, &salted, None, ledgers)?;
     let columns: Vec<String> = columns_out.iter().map(|(name, _)| name.clone()).collect();
     let mut samples: HashMap<String, Vec<f64>> = HashMap::with_capacity(columns.len());
     for (name, column) in columns_out {

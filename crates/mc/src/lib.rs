@@ -33,7 +33,7 @@ pub mod sync;
 pub mod trace;
 
 pub use aggregate::{SampleStats, Welford};
-pub use batch::{simulate_point, simulate_point_columnar, SampleSet};
+pub use batch::{simulate_point, simulate_point_columnar, simulate_point_columnar_with, SampleSet};
 pub use guide::{GridGuide, Guide, GuideFactory, PriorityGuide};
 pub use instance::ParamPoint;
 pub use materialize::{summary_table, worlds_table};

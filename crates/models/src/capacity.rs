@@ -17,11 +17,12 @@
 //! Markov-region experiments.
 
 use prophet_data::{DataResult, DataType, Schema, Table, TableBuilder, Value};
-use prophet_vg::rng::{Pcg32, Rng64};
+use prophet_vg::rng::{Pcg32, Rng64, Xoshiro256StarStar};
 use prophet_vg::VgFunction;
 
 use crate::deployment::{DeploymentConfig, DeploymentSampler};
 use crate::failures::FailureClass;
+use crate::int_args;
 
 /// Parameters of the capacity simulation.
 #[derive(Debug, Clone)]
@@ -70,6 +71,23 @@ impl CapacityModel {
         &self.config
     }
 
+    /// The longest horizon the model simulates; `@current` beyond it is a
+    /// typed error on every entry point. 4,095 weeks is 78 years of weekly
+    /// steps.
+    pub const MAX_WEEK: i64 = 4_095;
+
+    /// The last simulated week for `@current = current`.
+    fn last_week(current: i64) -> DataResult<i64> {
+        crate::last_week("CapacityModel horizon @current", current, Self::MAX_WEEK)
+    }
+
+    /// The two deployment lags of one call: exactly one `u64` leaves the
+    /// main stream, seeding the lag sub-stream both are drawn from.
+    fn sample_lags<R: Rng64 + ?Sized>(&self, rng: &mut R) -> [i64; 2] {
+        let mut lag_rng = Pcg32::new(rng.next_u64(), 0x5851_F42D_4C95_7F2D);
+        [(); 2].map(|()| self.lag_sampler.sample_lag(&mut lag_rng))
+    }
+
     /// Simulate the full chain `0..=last_week` and return the capacity at
     /// the *end* of every week.
     ///
@@ -84,22 +102,23 @@ impl CapacityModel {
     /// Consequence: under a fixed seed, two parameterizations' capacity
     /// series differ only by the deployed-cores step functions — which is
     /// why fingerprint matching finds exact Offset/Identity mappings across
-    /// purchase-date changes (experiment E5).
+    /// purchase-date changes (experiment E5), and why the model can keep a
+    /// draw ledger ([`VgFunction::ledger_len`]).
     pub fn trajectory<R: Rng64 + ?Sized>(
         &self,
         last_week: i64,
         purchase1: i64,
         purchase2: i64,
         rng: &mut R,
-    ) -> Vec<f64> {
-        let lag_seed = rng.next_u64();
-        let mut lag_rng = Pcg32::new(lag_seed, 0x5851_F42D_4C95_7F2D);
-        let deploy1 = purchase1 + self.lag_sampler.sample_lag(&mut lag_rng);
-        let deploy2 = purchase2 + self.lag_sampler.sample_lag(&mut lag_rng);
+    ) -> DataResult<Vec<f64>> {
+        let last_week = Self::last_week(last_week)?;
+        let [lag1, lag2] = self.sample_lags(rng);
+        let deploy1 = purchase1.saturating_add(lag1);
+        let deploy2 = purchase2.saturating_add(lag2);
 
         let mut capacity = self.config.initial_cores;
-        let mut out = Vec::with_capacity(last_week.max(0) as usize + 1);
-        for week in 0..=last_week.max(0) {
+        let mut out = Vec::with_capacity(last_week as usize + 1);
+        for week in 0..=last_week {
             if week == deploy1 {
                 capacity += self.config.cores_per_purchase;
             }
@@ -112,28 +131,40 @@ impl CapacityModel {
             capacity = capacity.max(0.0);
             out.push(capacity);
         }
-        out
+        Ok(out)
     }
 
-    /// Capacity at a single week (the VG-visible scalar).
-    ///
-    /// Same chain walk and draw order as [`CapacityModel::trajectory`]
-    /// without materializing the intermediate weeks — the per-world hot
-    /// path of every execution tier.
+    /// Capacity at a single week (the VG-visible scalar): the
+    /// [`CapacityModel::trajectory`] chain without materializing it, each
+    /// loss drawn as the walk reaches it — the draw-by-draw reference
+    /// behind [`VgFunction::invoke`].
     pub fn capacity_at<R: Rng64 + ?Sized>(
         &self,
         current: i64,
         purchase1: i64,
         purchase2: i64,
         rng: &mut R,
-    ) -> f64 {
-        let lag_seed = rng.next_u64();
-        let mut lag_rng = Pcg32::new(lag_seed, 0x5851_F42D_4C95_7F2D);
-        let deploy1 = purchase1 + self.lag_sampler.sample_lag(&mut lag_rng);
-        let deploy2 = purchase2 + self.lag_sampler.sample_lag(&mut lag_rng);
+    ) -> DataResult<f64> {
+        let last_week = Self::last_week(current)?;
+        let lags = self.sample_lags(rng);
+        Ok(self.walk(last_week, [purchase1, purchase2], lags, |class| {
+            class.sample_weekly_loss(rng)
+        }))
+    }
 
+    /// The chain over weeks `0..=last_week`, asking `loss(class)` once per
+    /// week and failure class in draw order, without allocating.
+    fn walk(
+        &self,
+        last_week: i64,
+        purchases: [i64; 2],
+        lags: [i64; 2],
+        mut loss: impl FnMut(&FailureClass) -> f64,
+    ) -> f64 {
+        let deploy1 = purchases[0].saturating_add(lags[0]);
+        let deploy2 = purchases[1].saturating_add(lags[1]);
         let mut capacity = self.config.initial_cores;
-        for week in 0..=current.max(0) {
+        for week in 0..=last_week {
             if week == deploy1 {
                 capacity += self.config.cores_per_purchase;
             }
@@ -141,7 +172,7 @@ impl CapacityModel {
                 capacity += self.config.cores_per_purchase;
             }
             for class in &self.config.failure_classes {
-                capacity -= class.sample_weekly_loss(rng);
+                capacity -= loss(class);
             }
             capacity = capacity.max(0.0);
         }
@@ -178,99 +209,52 @@ impl VgFunction for CapacityModel {
     }
 
     fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<Table> {
-        let current = params[0].as_i64()?;
-        let p1 = params[1].as_i64()?;
-        let p2 = params[2].as_i64()?;
-        let capacity = self.capacity_at(current, p1, p2, rng);
+        let [current, p1, p2] = int_args(params)?;
+        let capacity = self.capacity_at(current, p1, p2, rng)?;
         let mut b = TableBuilder::with_capacity(self.output_schema(), 1);
         b.push_row(vec![Value::Float(capacity)])?;
         Ok(b.finish())
     }
 
-    /// Raw-`f64` batch lane for the typed columnar tier: the scalar output
-    /// is always `Value::Float`, so each world's draw lands directly in
-    /// the column — same per-world streams as [`VgFunction::invoke`], but
-    /// monomorphized over the concrete generator (no `dyn` per draw).
-    ///
-    /// When every call shares one parameter row (a world block at a single
-    /// sweep point — the common case), the whole block walks the chain
-    /// *week-outer, world-inner*: each world still consumes draws from its
-    /// own generator in exactly the scalar order, so every sample is
-    /// bit-identical, but adjacent inner iterations are independent worlds
-    /// and their transcendental-heavy draw chains overlap in the pipeline
-    /// instead of serializing one world at a time.
-    fn invoke_batch_f64(
-        &self,
-        calls: &mut [prophet_vg::VgCallF64<'_>],
-    ) -> DataResult<Option<Vec<f64>>> {
-        let uniform = match calls.split_first_mut() {
-            None => return Ok(Some(Vec::new())),
-            Some((first, rest)) => rest.iter().all(|c| c.params == first.params),
-        };
-        if !uniform {
-            return calls
-                .iter_mut()
-                .map(|call| {
-                    let current = call.params[0].as_i64()?;
-                    let p1 = call.params[1].as_i64()?;
-                    let p2 = call.params[2].as_i64()?;
-                    Ok(self.capacity_at(current, p1, p2, call.rng))
-                })
-                .collect::<DataResult<Vec<f64>>>()
-                .map(Some);
-        }
+    /// Ledger cells: `[lag1, lag2, loss(week 0, class 0), loss(week 0,
+    /// class 1), …]` — the two deployment lags, then every week's loss per
+    /// failure class in draw order. Nothing in them depends on the
+    /// arguments; a call reads the weeks `0..=@current`.
+    fn ledger_len(&self, params: &[Value]) -> DataResult<Option<usize>> {
+        let [current, _, _] = int_args(params)?;
+        let weeks = Self::last_week(current)? as usize + 1;
+        Ok(Some(2 + weeks * self.config.failure_classes.len()))
+    }
 
-        let current = calls[0].params[0].as_i64()?;
-        let p1 = calls[0].params[1].as_i64()?;
-        let p2 = calls[0].params[2].as_i64()?;
-        // Deployment lags first: one u64 from each world's main stream
-        // seeds that world's lag sub-stream, as in `capacity_at`.
-        let deploys: Vec<(i64, i64)> = calls
-            .iter_mut()
-            .map(|c| {
-                let mut lag_rng = Pcg32::new(c.rng.next_u64(), 0x5851_F42D_4C95_7F2D);
-                (
-                    p1 + self.lag_sampler.sample_lag(&mut lag_rng),
-                    p2 + self.lag_sampler.sample_lag(&mut lag_rng),
-                )
-            })
-            .collect();
-        let mut caps = vec![self.config.initial_cores; calls.len()];
-        let mut counts = vec![0u64; calls.len()];
-        for week in 0..=current.max(0) {
-            for (cap, &(deploy1, deploy2)) in caps.iter_mut().zip(&deploys) {
-                if week == deploy1 {
-                    *cap += self.config.cores_per_purchase;
-                }
-                if week == deploy2 {
-                    *cap += self.config.cores_per_purchase;
-                }
-            }
-            // Class-level passes: every world draws its event count, then
-            // every world draws its losses. Per world the stream still sees
-            // count-then-losses in class order (the scalar discipline), but
-            // adjacent loss draws now come from *independent* worlds, so
-            // their lognormal exp/ln chains overlap instead of serializing.
-            for class in &self.config.failure_classes {
-                for (count, call) in counts.iter_mut().zip(calls.iter_mut()) {
-                    *count = class.sample_event_count(call.rng);
-                }
-                for ((cap, call), &count) in caps.iter_mut().zip(calls.iter_mut()).zip(&counts) {
-                    *cap -= class.sample_loss_sum(count, call.rng);
-                }
-            }
-            for cap in caps.iter_mut() {
-                *cap = cap.max(0.0);
-            }
-        }
-        Ok(Some(caps))
+    fn draw_ledger(&self, rng: &mut Xoshiro256StarStar, len: usize) -> Vec<f64> {
+        // Lags are whole weeks out of `f64::floor`, so the cell holds them
+        // exactly.
+        let lags = self.sample_lags(rng).map(|lag| lag as f64);
+        let classes = self.config.failure_classes.iter().cycle();
+        let losses = classes.map(|class| class.sample_weekly_loss(rng));
+        lags.into_iter().chain(losses).take(len).collect()
+    }
+
+    /// The [`CapacityModel::capacity_at`] walk reading each loss from its
+    /// ledger cell: same subtractions in the same order.
+    fn replay(&self, params: &[Value], ledger: &[f64]) -> DataResult<f64> {
+        let [current, p1, p2] = int_args(params)?;
+        let last_week = Self::last_week(current)?;
+        let lags = [ledger[0] as i64, ledger[1] as i64];
+        let cells = (last_week as usize + 1) * self.config.failure_classes.len();
+        let mut losses = ledger[2..2 + cells].iter();
+        Ok(self.walk(last_week, [p1, p2], lags, |_| {
+            *losses
+                .next()
+                .expect("invariant: one cell per week and class, sliced above")
+        }))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prophet_vg::rng::Xoshiro256StarStar;
+    use prophet_data::DataError;
 
     fn model() -> CapacityModel {
         CapacityModel::default()
@@ -283,7 +267,7 @@ mod tests {
         let n = 2_000;
         // purchases far in the future → pure decay
         let mean_w40: f64 = (0..n)
-            .map(|_| m.capacity_at(40, 52, 52, &mut rng))
+            .map(|_| m.capacity_at(40, 52, 52, &mut rng).unwrap())
             .sum::<f64>()
             / n as f64;
         let expected = 10_000.0 - 41.0 * m.mean_weekly_loss();
@@ -297,7 +281,10 @@ mod tests {
         let mut rng = Xoshiro256StarStar::seed_from_u64(2);
         let n = 2_000;
         let mean = |p1: i64, rng: &mut Xoshiro256StarStar| {
-            (0..n).map(|_| m.capacity_at(30, p1, 52, rng)).sum::<f64>() / n as f64
+            (0..n)
+                .map(|_| m.capacity_at(30, p1, 52, rng).unwrap())
+                .sum::<f64>()
+                / n as f64
         };
         let early = mean(10, &mut rng);
         let late = mean(52, &mut rng);
@@ -316,8 +303,8 @@ mod tests {
         let m = model();
         let mut a = Xoshiro256StarStar::seed_from_u64(77);
         let mut b = Xoshiro256StarStar::seed_from_u64(77);
-        let ta = m.trajectory(52, 8, 24, &mut a);
-        let tb = m.trajectory(52, 16, 40, &mut b);
+        let ta = m.trajectory(52, 8, 24, &mut a).unwrap();
+        let tb = m.trajectory(52, 16, 40, &mut b).unwrap();
         // Deployment lags are also identical (same lag sub-stream seed), so
         // compute them to know where the steps are. Reconstruct by aligning
         // differences: ta - tb must be a step function with values in
@@ -342,7 +329,7 @@ mod tests {
     fn trajectory_is_markovian_decreasing_between_events() {
         let m = model();
         let mut rng = Xoshiro256StarStar::seed_from_u64(5);
-        let t = m.trajectory(52, 12, 30, &mut rng);
+        let t = m.trajectory(52, 12, 30, &mut rng).unwrap();
         assert_eq!(t.len(), 53);
         // Between deployments, capacity must be non-increasing.
         let mut increases = 0;
@@ -366,7 +353,7 @@ mod tests {
         let m = CapacityModel::new(cfg);
         let mut rng = Xoshiro256StarStar::seed_from_u64(6);
         for _ in 0..50 {
-            assert!(m.capacity_at(52, 52, 52, &mut rng) >= 0.0);
+            assert!(m.capacity_at(52, 52, 52, &mut rng).unwrap() >= 0.0);
         }
     }
 
@@ -386,11 +373,11 @@ mod tests {
     fn week_zero_and_negative_weeks() {
         let m = model();
         let mut rng = Xoshiro256StarStar::seed_from_u64(10);
-        let t = m.trajectory(0, 10, 20, &mut rng);
+        let t = m.trajectory(0, 10, 20, &mut rng).unwrap();
         assert_eq!(t.len(), 1);
         // negative current clamps to week 0
         let mut rng2 = Xoshiro256StarStar::seed_from_u64(10);
-        let t2 = m.trajectory(-3, 10, 20, &mut rng2);
+        let t2 = m.trajectory(-3, 10, 20, &mut rng2).unwrap();
         assert_eq!(t2.len(), 1);
         assert_eq!(t, t2);
     }
@@ -403,8 +390,8 @@ mod tests {
         for seed in 0..20 {
             let mut a = Xoshiro256StarStar::seed_from_u64(seed);
             let mut b = Xoshiro256StarStar::seed_from_u64(seed);
-            let t = m.trajectory(30, 8, 20, &mut a);
-            let c = m.capacity_at(30, 8, 20, &mut b);
+            let t = m.trajectory(30, 8, 20, &mut a).unwrap();
+            let c = m.capacity_at(30, 8, 20, &mut b).unwrap();
             assert_eq!(t.last().unwrap().to_bits(), c.to_bits());
         }
     }
@@ -415,8 +402,137 @@ mod tests {
         let mut a = Xoshiro256StarStar::seed_from_u64(123);
         let mut b = Xoshiro256StarStar::seed_from_u64(123);
         assert_eq!(
-            m.trajectory(52, 8, 20, &mut a),
-            m.trajectory(52, 8, 20, &mut b)
+            m.trajectory(52, 8, 20, &mut a).unwrap(),
+            m.trajectory(52, 8, 20, &mut b).unwrap()
         );
+    }
+
+    fn args(current: i64, p1: i64, p2: i64) -> [Value; 3] {
+        [Value::Int(current), Value::Int(p1), Value::Int(p2)]
+    }
+
+    /// The ledger pair against the draw-by-draw reference: `replay` over a
+    /// ledger of exactly `ledger_len` cells, and over a longer one, equals
+    /// `capacity_at` on the same stream bit for bit.
+    fn assert_replay_matches(m: &CapacityModel, seed: u64, current: i64, p1: i64, p2: i64) {
+        let params = args(current, p1, p2);
+        let want = m
+            .capacity_at(
+                current,
+                p1,
+                p2,
+                &mut Xoshiro256StarStar::seed_from_u64(seed),
+            )
+            .unwrap();
+        let len = m.ledger_len(&params).unwrap().unwrap();
+        for len in [len, len + 37] {
+            let ledger = m.draw_ledger(&mut Xoshiro256StarStar::seed_from_u64(seed), len);
+            assert_eq!(ledger.len(), len);
+            let got = m.replay(&params, &ledger).unwrap();
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "seed {seed} @current {current} purchases ({p1}, {p2}) ledger {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn replay_matches_capacity_at_bit_exactly() {
+        let m = model();
+        for seed in 0..12 {
+            // A lag lands in 1..=4 weeks: purchases at `current - lag` put a
+            // deployment exactly on the evaluated week for some seed.
+            for current in [-2, 0, 1, 5, 30, 52, 60] {
+                for (p1, p2) in [
+                    (0, 0),
+                    (8, 8),
+                    (4, 36),
+                    (current - 2, current - 1),
+                    (52, 52),
+                ] {
+                    assert_replay_matches(&m, seed, current, p1, p2);
+                }
+            }
+        }
+        // A purchase week the lag cannot be added to saturates, on both.
+        assert_replay_matches(&m, 3, 10, i64::MAX, i64::MIN);
+    }
+
+    #[test]
+    fn replay_matches_capacity_at_when_the_floor_fires() {
+        // 50 cores against ≈ 57 lost per week: the `max(0.0)` clamp fires in
+        // the first weeks, and a later deployment lifts capacity off it.
+        let m = CapacityModel::new(CapacityConfig {
+            initial_cores: 50.0,
+            ..CapacityConfig::default()
+        });
+        let mut floored = 0;
+        for seed in 0..12 {
+            for (p1, p2) in [(52, 52), (6, 20), (0, 0)] {
+                assert_replay_matches(&m, seed, 30, p1, p2);
+            }
+            let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+            floored += (m.capacity_at(30, 52, 52, &mut rng).unwrap() == 0.0) as u32;
+        }
+        assert!(floored > 0, "the fixture must actually hit the floor");
+    }
+
+    #[test]
+    fn a_lag_landing_exactly_on_current_deploys_on_both_lanes() {
+        let m = model();
+        for seed in 0..8 {
+            let current = 20;
+            let ledger = m.draw_ledger(&mut Xoshiro256StarStar::seed_from_u64(seed), 2 + 21 * 4);
+            let lag = ledger[0] as i64;
+            // Deployed in the evaluated week vs one week too late.
+            let on = m
+                .replay(&args(current, current - lag, 52), &ledger)
+                .unwrap();
+            let late = m
+                .replay(&args(current, current - lag + 1, 52), &ledger)
+                .unwrap();
+            assert!((on - late - 4_000.0).abs() < 1e-6, "seed {seed}");
+            assert_replay_matches(&m, seed, current, current - lag, 52);
+        }
+    }
+
+    #[test]
+    fn ledger_draws_are_prefix_stable() {
+        let m = model();
+        for seed in 0..6 {
+            let long = m.draw_ledger(&mut Xoshiro256StarStar::seed_from_u64(seed), 64);
+            for k in [0, 1, 2, 3, 6, 7, 33, 64] {
+                let short = m.draw_ledger(&mut Xoshiro256StarStar::seed_from_u64(seed), k);
+                let bits = |cells: &[f64]| cells.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&short), bits(&long[..k]), "seed {seed} prefix {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn horizons_past_the_maximum_are_a_typed_error_on_every_lane() {
+        let m = model();
+        let mut rng = Xoshiro256StarStar::seed_from_u64(1);
+        let params = args(9_000_000_000_000, 4, 8);
+        let errors = [
+            m.trajectory(9_000_000_000_000, 4, 8, &mut rng).unwrap_err(),
+            m.capacity_at(9_000_000_000_000, 4, 8, &mut rng)
+                .unwrap_err(),
+            m.invoke(&params, &mut rng).unwrap_err(),
+            m.ledger_len(&params).unwrap_err(),
+            m.replay(&params, &[]).unwrap_err(),
+        ];
+        for e in &errors {
+            assert_eq!(e, &errors[0]);
+            assert!(
+                matches!(e, DataError::InvalidOperation(msg) if msg.contains("4095-week maximum")),
+                "{e}"
+            );
+        }
+        // The bound itself is inside the domain.
+        let edge = args(CapacityModel::MAX_WEEK, 4, 8);
+        assert_eq!(m.ledger_len(&edge).unwrap(), Some(2 + 4_096 * 4));
+        assert!(m.invoke(&edge, &mut rng).is_ok());
     }
 }

@@ -60,21 +60,7 @@ impl FailureClass {
     /// event sequences across parameterizations (capacity parameters never
     /// influence failure draws).
     pub fn sample_weekly_loss<R: Rng64 + ?Sized>(&self, rng: &mut R) -> f64 {
-        let count = self.sample_event_count(rng);
-        self.sample_loss_sum(count, rng)
-    }
-
-    /// The count half of [`FailureClass::sample_weekly_loss`]: one Poisson
-    /// draw. Split out so a world-block walker can run the count pass for
-    /// every world, then the loss pass — each world's own stream still
-    /// sees count-then-losses in the scalar order.
-    pub fn sample_event_count<R: Rng64 + ?Sized>(&self, rng: &mut R) -> u64 {
-        self.events_per_week.sample_with(rng) as u64
-    }
-
-    /// The loss half of [`FailureClass::sample_weekly_loss`]: exactly
-    /// `count` per-event draws, summed in draw order.
-    pub fn sample_loss_sum<R: Rng64 + ?Sized>(&self, count: u64, rng: &mut R) -> f64 {
+        let count = self.events_per_week.sample_with(rng) as u64;
         (0..count)
             .map(|_| self.cores_per_event.sample_with(rng))
             .sum()

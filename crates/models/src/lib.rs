@@ -37,6 +37,8 @@ pub mod registry;
 pub mod revenue;
 pub mod scenarios;
 
+use prophet_data::{DataError, DataResult};
+
 pub use capacity::{CapacityConfig, CapacityModel};
 pub use demand::{DemandConfig, DemandModel};
 pub use deployment::DeploymentConfig;
@@ -46,6 +48,29 @@ pub use inventory::{InventoryConfig, InventoryModel};
 pub use queueing::{QueueConfig, QueueModel};
 pub use registry::{demo_registry, demo_registry_with, full_registry};
 pub use revenue::{RevenueConfig, RevenueModel};
+
+/// A model's leading `N` arguments as integers (weeks, counts), failing
+/// on the first that is not one.
+pub(crate) fn int_args<const N: usize>(params: &[prophet_data::Value]) -> DataResult<[i64; N]> {
+    let mut args = [0; N];
+    for (arg, value) in args.iter_mut().zip(params) {
+        *arg = value.as_i64()?;
+    }
+    Ok(args)
+}
+
+/// The last week a chain model simulates for a horizon argument (`what`
+/// names it in the error): negative weeks clamp to week 0, weeks past the
+/// model's `max_week` are refused — on every entry point, so neither a
+/// walk nor an allocation is ever proportional to an unchecked argument.
+pub(crate) fn last_week(what: &str, week: i64, max_week: i64) -> DataResult<i64> {
+    if week > max_week {
+        return Err(DataError::InvalidOperation(format!(
+            "{what} = {week} exceeds the {max_week}-week maximum"
+        )));
+    }
+    Ok(week.max(0))
+}
 
 /// Weeks in the simulated year (the paper's scenario spans one year in
 /// weekly resolution: parameters range 0–52).

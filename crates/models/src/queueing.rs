@@ -7,10 +7,12 @@
 //! risk-vs-cost-of-ownership trade-off as the datacenter demo, in a second
 //! domain.
 
-use prophet_data::{DataResult, DataType, Schema, Table, TableBuilder, Value};
+use prophet_data::{DataError, DataResult, DataType, Schema, Table, TableBuilder, Value};
 use prophet_vg::dist::Poisson;
 use prophet_vg::rng::Rng64;
 use prophet_vg::VgFunction;
+
+use crate::int_args;
 
 /// Parameters of the queue simulation.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,10 +56,19 @@ impl QueueModel {
         &self.config
     }
 
-    /// Arrival rate at a given week (compounded growth).
+    /// The largest hourly Poisson rate the model simulates, for arrivals
+    /// and service alike. Sampling costs one uniform per expected event, so
+    /// a rate is also a running time: 10,000 per hour is 250× the default
+    /// arrival rate and keeps a world under a millisecond.
+    pub const MAX_RATE: f64 = 10_000.0;
+
+    /// Arrival rate at a given week (compounded growth). Far enough from
+    /// week 0 the compounding leaves the representable range — 0 or
+    /// infinity — which [`QueueModel::mean_backlog`] refuses.
     pub fn arrival_rate(&self, week: i64) -> f64 {
+        let week = week.clamp(i32::MIN.into(), i32::MAX.into()) as i32;
         self.config.base_arrivals_per_hour
-            * (1.0 + self.config.weekly_growth_pct / 100.0).powi(week as i32)
+            * (1.0 + self.config.weekly_growth_pct / 100.0).powi(week)
     }
 
     /// Offered load ρ = λ / (c·μ); above 1.0 the queue is unstable.
@@ -65,16 +76,38 @@ impl QueueModel {
         self.arrival_rate(week) / (agents.max(1) as f64 * self.config.service_rate)
     }
 
+    /// A Poisson at an hourly rate the arguments produced, or the typed
+    /// error for a rate no simulation can run at: non-finite, non-positive
+    /// or above [`QueueModel::MAX_RATE`].
+    fn hourly(what: &str, rate: f64) -> DataResult<Poisson> {
+        // Bound first: constructing a `Poisson` is itself linear in the rate.
+        (rate <= Self::MAX_RATE)
+            .then(|| Poisson::new(rate))
+            .flatten()
+            .ok_or_else(|| {
+                DataError::InvalidOperation(format!(
+                    "QueueModel {what} rate {rate} per hour is outside (0, {}]",
+                    Self::MAX_RATE
+                ))
+            })
+    }
+
     /// Simulate one week; returns the mean backlog across hours.
     ///
     /// Stream discipline: two Poisson draws per hour (arrivals, then
     /// completed work), in fixed order; the agent count scales the service
     /// draw's rate but the *number* of draws is parameter-independent.
-    pub fn mean_backlog<R: Rng64 + ?Sized>(&self, week: i64, agents: i64, rng: &mut R) -> f64 {
-        let arrivals = Poisson::new(self.arrival_rate(week))
-            .expect("arrival rate is positive by construction");
-        let service = Poisson::new((agents.max(1) as f64 * self.config.service_rate).max(1e-9))
-            .expect("service rate is positive by construction");
+    pub fn mean_backlog<R: Rng64 + ?Sized>(
+        &self,
+        week: i64,
+        agents: i64,
+        rng: &mut R,
+    ) -> DataResult<f64> {
+        let arrivals = Self::hourly("arrival", self.arrival_rate(week))?;
+        let service = Self::hourly(
+            "service",
+            (agents.max(1) as f64 * self.config.service_rate).max(1e-9),
+        )?;
         let mut backlog = 0.0f64;
         let mut total = 0.0;
         for _ in 0..self.config.hours {
@@ -83,7 +116,7 @@ impl QueueModel {
             backlog = (backlog - served).max(0.0);
             total += backlog;
         }
-        total / self.config.hours as f64
+        Ok(total / self.config.hours as f64)
     }
 }
 
@@ -107,9 +140,8 @@ impl VgFunction for QueueModel {
     }
 
     fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<Table> {
-        let week = params[0].as_i64()?;
-        let agents = params[1].as_i64()?;
-        let backlog = self.mean_backlog(week, agents, rng);
+        let [week, agents] = int_args(params)?;
+        let backlog = self.mean_backlog(week, agents, rng)?;
         let mut b = TableBuilder::with_capacity(self.output_schema(), 1);
         b.push_row(vec![Value::Float(backlog)])?;
         Ok(b.finish())
@@ -126,9 +158,8 @@ impl VgFunction for QueueModel {
         calls
             .iter_mut()
             .map(|call| {
-                let week = call.params[0].as_i64()?;
-                let agents = call.params[1].as_i64()?;
-                Ok(self.mean_backlog(week, agents, call.rng))
+                let [week, agents] = int_args(call.params)?;
+                self.mean_backlog(week, agents, call.rng)
             })
             .collect::<DataResult<Vec<f64>>>()
             .map(Some)
@@ -159,7 +190,10 @@ mod tests {
         let mut rng = Xoshiro256StarStar::seed_from_u64(7);
         let n = 200;
         let mean = |agents: i64, rng: &mut Xoshiro256StarStar| {
-            (0..n).map(|_| m.mean_backlog(0, agents, rng)).sum::<f64>() / n as f64
+            (0..n)
+                .map(|_| m.mean_backlog(0, agents, rng).unwrap())
+                .sum::<f64>()
+                / n as f64
         };
         let under = mean(5, &mut rng); // capacity 30 < arrivals 40
         let over = mean(12, &mut rng); // capacity 72 > arrivals 40
@@ -176,7 +210,10 @@ mod tests {
         let mut rng = Xoshiro256StarStar::seed_from_u64(8);
         let n = 200;
         let mean = |week: i64, rng: &mut Xoshiro256StarStar| {
-            (0..n).map(|_| m.mean_backlog(week, 8, rng)).sum::<f64>() / n as f64
+            (0..n)
+                .map(|_| m.mean_backlog(week, 8, rng).unwrap())
+                .sum::<f64>()
+                / n as f64
         };
         let early = mean(0, &mut rng); // ρ = 40/48 ≈ 0.83
         let late = mean(40, &mut rng); // ρ ≈ 1.51 → unstable
@@ -188,7 +225,10 @@ mod tests {
         let m = QueueModel::default();
         let mut a = Xoshiro256StarStar::seed_from_u64(9);
         let mut b = Xoshiro256StarStar::seed_from_u64(9);
-        assert_eq!(m.mean_backlog(10, 8, &mut a), m.mean_backlog(10, 8, &mut b));
+        assert_eq!(
+            m.mean_backlog(10, 8, &mut a).unwrap(),
+            m.mean_backlog(10, 8, &mut b).unwrap()
+        );
     }
 
     #[test]
@@ -199,5 +239,43 @@ mod tests {
             .invoke(&[Value::Int(0), Value::Int(10)], &mut rng)
             .unwrap();
         assert!(t.cell(0, "backlog").unwrap().as_f64().unwrap() >= 0.0);
+    }
+
+    #[test]
+    fn rates_outside_the_simulable_range_are_a_typed_error_on_both_lanes() {
+        let m = QueueModel::default();
+        // 1.015^week underflows to 0, overflows to infinity, used to wrap
+        // at 2^31, and long before any of that is an hours-long Knuth loop;
+        // an agent count can do the same to the service rate.
+        assert_eq!(m.arrival_rate(-60_000), 0.0);
+        assert_eq!(m.arrival_rate(60_000), f64::INFINITY);
+        assert_eq!(m.arrival_rate((1 << 31) + 5), f64::INFINITY);
+        let cases = [
+            (-60_000, 10, "arrival rate 0 per hour"),
+            (60_000, 10, "arrival rate inf per hour"),
+            ((1 << 31) + 5, 10, "arrival rate inf per hour"),
+            (2_000, 10, "arrival rate 3"),
+            (0, i64::MAX, "service rate 5"),
+        ];
+        for (week, agents, needle) in cases {
+            let params = [Value::Int(week), Value::Int(agents)];
+            let mut rng = Xoshiro256StarStar::seed_from_u64(1);
+            let scalar = m.invoke(&params, &mut rng).unwrap_err();
+            let lane = m
+                .invoke_batch_f64(&mut [prophet_vg::VgCallF64 {
+                    params: &params,
+                    rng: &mut rng,
+                }])
+                .unwrap_err();
+            assert_eq!(scalar, lane, "QueueModel({week}, {agents})");
+            assert!(
+                matches!(&scalar, DataError::InvalidOperation(msg) if msg.contains(needle)),
+                "QueueModel({week}, {agents}): {scalar}"
+            );
+        }
+        // The last week under the bound still simulates.
+        let mut rng = Xoshiro256StarStar::seed_from_u64(1);
+        assert!(m.arrival_rate(370) <= QueueModel::MAX_RATE);
+        assert!(m.mean_backlog(370, 10, &mut rng).unwrap() > 0.0);
     }
 }

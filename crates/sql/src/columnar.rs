@@ -56,14 +56,18 @@
 //! world for the catalog's accounting. Models with an `invoke_batch_f64`
 //! lane fill a `Vec<f64>` directly (no per-world boxing at all); models
 //! without one are invoked world by world and come back as boxed scalars,
-//! which counts as a column fallback.
+//! which counts as a column fallback. A walk handed a [`LedgerStore`]
+//! serves models that keep a draw ledger through
+//! [`VgRegistry::invoke_batch_ledgered`] instead — same lane, same
+//! accounting, each world's stream drawn once per store rather than once
+//! per call.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use prophet_data::Value;
-use prophet_vg::{BatchSamples, SeedManager, VgCallF64, VgRegistry};
+use prophet_vg::{BatchSamples, LedgerCall, LedgerStore, SeedManager, VgCallF64, VgRegistry};
 
 use crate::ast::{BinOp, Expr, SelectInto};
 use crate::column::{
@@ -279,6 +283,10 @@ pub struct ColumnarStats {
     /// The subset of `call_sites` answered from a [`CallSiteMemo`] without
     /// drawing.
     pub call_sites_memoised: u64,
+    /// The subset of `call_sites` whose lanes were replayed from a
+    /// [`LedgerStore`] — the model keeps a draw ledger, and only streams
+    /// the store had not seen (far enough) were drawn.
+    pub call_sites_replayed: u64,
 }
 
 /// One argument of a memoisable VG call. Floats are held by bit pattern so
@@ -368,7 +376,7 @@ pub fn evaluate_select_columns(
     seeds: SeedManager,
     worlds: &[u64],
 ) -> SqlResult<(Vec<(String, Column)>, ColumnarStats)> {
-    select_columns(select, registry, params, seeds, worlds, None)
+    evaluate_select_columns_with(select, registry, params, seeds, worlds, None, None)
 }
 
 /// [`evaluate_select_columns`] with a [`CallSiteMemo`]: a VG call site is
@@ -391,16 +399,30 @@ pub fn evaluate_select_columns_memo(
     worlds: &[u64],
     memo: &dyn CallSiteMemo,
 ) -> SqlResult<(Vec<(String, Column)>, ColumnarStats)> {
-    select_columns(select, registry, params, seeds, worlds, Some(memo))
+    evaluate_select_columns_with(select, registry, params, seeds, worlds, Some(memo), None)
 }
 
-fn select_columns(
+/// [`evaluate_select_columns`] with whichever of the walk's two draw
+/// caches the caller holds: a [`CallSiteMemo`] (see
+/// [`evaluate_select_columns_memo`]) and a [`LedgerStore`].
+///
+/// With `ledgers`, a call site the memo did not serve whose model keeps a
+/// draw ledger replays each selected slot from the stored ledger of its
+/// `(function, call index, world)` stream, drawing only the streams the
+/// store has not seen far enough — whole block or partial selection,
+/// constant argument row or one row per slot. The store's key is the
+/// stream derivation's, so unlike the memo it is valid for *any* `worlds`
+/// under one `seeds`; the caller must hold `seeds` fixed for its lifetime.
+/// Outputs, per-slot counters, [`ColumnarStats::kernels`] and the
+/// catalog's invocation statistics are identical with and without it.
+pub fn evaluate_select_columns_with(
     select: &SelectInto,
     registry: &VgRegistry,
     params: &HashMap<String, Value>,
     seeds: SeedManager,
     worlds: &[u64],
     memo: Option<&dyn CallSiteMemo>,
+    ledgers: Option<&dyn LedgerStore>,
 ) -> SqlResult<(Vec<(String, Column)>, ColumnarStats)> {
     let mut ctx = ColumnContext {
         registry,
@@ -410,6 +432,7 @@ fn select_columns(
             worlds,
             counters: vec![0; worlds.len()],
             memo,
+            ledgers,
         }),
         aliases: HashMap::new(),
         stats: ColumnarStats::default(),
@@ -535,6 +558,7 @@ struct DrawState<'a> {
     worlds: &'a [u64],
     counters: Vec<u64>,
     memo: Option<&'a dyn CallSiteMemo>,
+    ledgers: Option<&'a dyn LedgerStore>,
 }
 
 /// Broadcast one scalar to a block-length column.
@@ -1128,12 +1152,6 @@ fn call_function_col(
             nulls: NullMask::none(lanes.len()),
         });
     }
-    let mut rngs = Vec::with_capacity(sel.len());
-    for &slot in sel {
-        let counter = draws.counters[slot];
-        draws.counters[slot] += 1;
-        rngs.push(draws.seeds.rng_for(draws.worlds[slot], name, counter));
-    }
     let rows: Vec<Vec<Value>> = if const_row.is_some() {
         Vec::new()
     } else {
@@ -1141,18 +1159,53 @@ fn call_function_col(
             .map(|k| args.iter().map(|c| c.value_at(k)).collect())
             .collect()
     };
-    let mut calls: Vec<VgCallF64<'_>> = match &const_row {
-        Some(row) => rngs
-            .iter_mut()
-            .map(|rng| VgCallF64 { params: row, rng })
-            .collect(),
-        None => rows
-            .iter()
-            .zip(rngs.iter_mut())
-            .map(|(params, rng)| VgCallF64 { params, rng })
-            .collect(),
+    let row = |k: usize| const_row.as_deref().unwrap_or_else(|| &rows[k]);
+
+    // A model that keeps a draw ledger replays each slot's stream from the
+    // store; `None` means this call is not ledgered and draws below.
+    let replayed = match draws.ledgers {
+        Some(store) => {
+            let calls: Vec<LedgerCall<'_>> = sel
+                .iter()
+                .enumerate()
+                .map(|(k, &slot)| LedgerCall {
+                    params: row(k),
+                    world: draws.worlds[slot],
+                    call_index: draws.counters[slot],
+                })
+                .collect();
+            ctx.registry
+                .invoke_batch_ledgered(name, &calls, &draws.seeds, store)?
+        }
+        None => None,
     };
-    match ctx.registry.invoke_batch_columnar(name, &mut calls)? {
+    let samples = match replayed {
+        Some(data) => {
+            for &slot in sel {
+                draws.counters[slot] += 1;
+            }
+            ctx.stats.call_sites_replayed += 1;
+            BatchSamples::F64(data)
+        }
+        None => {
+            let mut rngs = Vec::with_capacity(sel.len());
+            for &slot in sel {
+                let counter = draws.counters[slot];
+                draws.counters[slot] += 1;
+                rngs.push(draws.seeds.rng_for(draws.worlds[slot], name, counter));
+            }
+            let mut calls: Vec<VgCallF64<'_>> = rngs
+                .iter_mut()
+                .enumerate()
+                .map(|(k, rng)| VgCallF64 {
+                    params: row(k),
+                    rng,
+                })
+                .collect();
+            ctx.registry.invoke_batch_columnar(name, &mut calls)?
+        }
+    };
+    match samples {
         BatchSamples::F64(data) => {
             ctx.stats.kernels += 1;
             if let Some((memo, key)) = memo {
@@ -1185,6 +1238,21 @@ mod tests {
         params: &[(&str, Value)],
         worlds: &[u64],
     ) -> ColumnarStats {
+        assert_walk_matches_scalar(src, params, worlds, None, None, "Jitter")
+    }
+
+    /// [`assert_columns_match_scalar`] for a walk handed a memo and/or a
+    /// ledger store; `counted` is the function whose catalog invocations
+    /// must agree (unless the memo served a call site: a memo hit draws
+    /// and counts nothing, a replayed call counts like a drawn one).
+    fn assert_walk_matches_scalar(
+        src: &str,
+        params: &[(&str, Value)],
+        worlds: &[u64],
+        memo: Option<&dyn CallSiteMemo>,
+        ledgers: Option<&dyn LedgerStore>,
+        counted: &str,
+    ) -> ColumnarStats {
         let script = parse_script(src).unwrap();
         let (typed_registry, scalar_registry) = (registry(), registry());
         let params: HashMap<String, Value> = params
@@ -1192,9 +1260,16 @@ mod tests {
             .map(|(n, v)| (n.to_string(), v.clone()))
             .collect();
         let seeds = SeedManager::new(11);
-        let (cols, stats) =
-            evaluate_select_columns(&script.select, &typed_registry, &params, seeds, worlds)
-                .unwrap();
+        let (cols, stats) = evaluate_select_columns_with(
+            &script.select,
+            &typed_registry,
+            &params,
+            seeds,
+            worlds,
+            memo,
+            ledgers,
+        )
+        .unwrap();
         for (slot, &world) in worlds.iter().enumerate() {
             let row = evaluate_select_with(
                 &script.select,
@@ -1209,15 +1284,18 @@ mod tests {
                 assert_eq!(
                     &column.value_at(slot),
                     value,
-                    "world {world} column `{alias}` diverged from the scalar tier"
+                    "`{src}` world {world} column `{alias}` diverged from the scalar tier"
                 );
             }
         }
-        assert_eq!(
-            typed_registry.stats("Jitter").unwrap().invocations,
-            scalar_registry.stats("Jitter").unwrap().invocations,
-            "one logical invocation per world reaching a call site, as in the scalar tier"
-        );
+        if stats.call_sites_memoised == 0 {
+            assert_eq!(
+                typed_registry.stats(counted).unwrap().invocations,
+                scalar_registry.stats(counted).unwrap().invocations,
+                "`{src}`: one logical invocation per world reaching a call site, as in the \
+                 scalar tier"
+            );
+        }
         stats
     }
 
@@ -1595,6 +1673,219 @@ mod tests {
             assert_eq!(warm_stats.call_sites_memoised, eligible, "`{src}`");
             assert_eq!(memo.0.lock().unwrap().len() as u64, eligible, "`{src}`");
         }
+    }
+
+    /// A ledger store for the walker tests: one flat map, cleared when it
+    /// would exceed `max_entries`, counting every ledger it was handed.
+    struct MapLedgers {
+        table: std::sync::Mutex<HashMap<(String, u64, u64), Vec<f64>>>,
+        max_entries: usize,
+        max_len: usize,
+        inserted: std::sync::atomic::AtomicUsize,
+    }
+
+    impl MapLedgers {
+        fn new(max_entries: usize, max_len: usize) -> Self {
+            MapLedgers {
+                table: Default::default(),
+                max_entries,
+                max_len,
+                inserted: Default::default(),
+            }
+        }
+        fn inserted(&self) -> usize {
+            self.inserted.load(std::sync::atomic::Ordering::SeqCst)
+        }
+        fn lens(&self) -> Vec<usize> {
+            let mut lens: Vec<usize> = self.table.lock().unwrap().values().map(Vec::len).collect();
+            lens.sort_unstable();
+            lens.dedup();
+            lens
+        }
+    }
+
+    impl LedgerStore for MapLedgers {
+        fn max_len(&self) -> usize {
+            self.max_len
+        }
+        fn read(
+            &self,
+            function: &str,
+            keys: &[(u64, u64)],
+            visit: &mut dyn FnMut(usize, Option<&[f64]>),
+        ) {
+            let table = self.table.lock().unwrap();
+            for (i, &(index, world)) in keys.iter().enumerate() {
+                let ledger = table.get(&(function.to_owned(), index, world));
+                visit(i, ledger.map(Vec::as_slice));
+            }
+        }
+        fn insert(&self, function: &str, drawn: Vec<((u64, u64), Vec<f64>)>) {
+            let mut table = self.table.lock().unwrap();
+            for ((index, world), ledger) in drawn {
+                self.inserted
+                    .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                if table.len() >= self.max_entries {
+                    table.clear();
+                }
+                table.insert((function.to_owned(), index, world), ledger);
+            }
+        }
+    }
+
+    /// One walk of `src` with `ledgers` (and optionally a memo) against
+    /// per-world scalar walks: values, and `Walk`'s catalog invocations.
+    fn assert_ledgered_matches_scalar(
+        src: &str,
+        params: &[(&str, Value)],
+        worlds: &[u64],
+        memo: Option<&dyn CallSiteMemo>,
+        ledgers: &MapLedgers,
+    ) -> ColumnarStats {
+        assert_walk_matches_scalar(src, params, worlds, memo, Some(ledgers), "Walk")
+    }
+
+    const TWO_WALKS: &str = "DECLARE PARAMETER @n AS SET (0);\n\
+         SELECT Walk(@n, 0.5) AS a, Walk(@n, @n) AS b INTO r;";
+
+    #[test]
+    fn ledger_store_hit_extend_and_miss_are_bit_identical() {
+        let ledgers = MapLedgers::new(usize::MAX, 1 << 10);
+        let worlds: Vec<u64> = (0..16).map(|w| w * 5 + 1).collect();
+        let walk = |n: i64, worlds: &[u64]| {
+            let stats = assert_ledgered_matches_scalar(
+                TWO_WALKS,
+                &[("n", Value::Int(n))],
+                worlds,
+                None,
+                &ledgers,
+            );
+            assert_eq!((stats.call_sites, stats.call_sites_replayed), (2, 2));
+            assert_eq!(stats.fallbacks, 0, "a replayed lane is an f64 lane");
+        };
+        // Miss: two call sites (two call indices, so two streams per world)
+        // draw 6 cells rounded up to 8.
+        walk(5, &worlds);
+        assert_eq!((ledgers.inserted(), ledgers.lens()), (32, vec![8]));
+        // Hit: same tuple, another tuple on the same streams, a shorter and
+        // a negative horizon, and the longest the drawn cells cover.
+        for n in [5, 3, -4, 0, 7] {
+            walk(n, &worlds);
+        }
+        assert_eq!(ledgers.inserted(), 32, "hits draw nothing");
+        // Extend: one cell more than kept redraws every stream, longer.
+        walk(8, &worlds);
+        assert_eq!((ledgers.inserted(), ledgers.lens()), (64, vec![16]));
+        // A block overlapping the first: only the unseen worlds draw.
+        let shifted: Vec<u64> = worlds[8..].iter().copied().chain(100..108).collect();
+        walk(8, &shifted);
+        assert_eq!(ledgers.inserted(), 64 + 16);
+    }
+
+    #[test]
+    fn replayed_lanes_feed_the_call_site_memo() {
+        let (ledgers, memo) = (MapLedgers::new(usize::MAX, 1 << 10), MapMemo::default());
+        let worlds: Vec<u64> = (0..32).collect();
+        let walk = || {
+            let n = [("n", Value::Int(9))];
+            assert_ledgered_matches_scalar(TWO_WALKS, &n, &worlds, Some(&memo), &ledgers)
+        };
+        let cold = walk();
+        assert_eq!((cold.call_sites_memoised, cold.call_sites_replayed), (0, 2));
+        let warm = walk();
+        assert_eq!((warm.call_sites_memoised, warm.call_sites_replayed), (2, 0));
+        assert_eq!(warm.kernels, cold.kernels);
+    }
+
+    #[test]
+    fn ragged_rows_and_partial_selections_replay_per_slot() {
+        // `gated` covers part of the block with an argument fed by a
+        // stochastic alias; it leaves the call counters ragged for
+        // `ragged`, whose horizon differs per world as well.
+        let src = "SELECT Jitter(0) AS first,\n\
+             CASE WHEN first < 0.5 THEN Walk(3, first) ELSE -1 END AS gated,\n\
+             Walk(CASE WHEN first < 0.5 THEN 2 ELSE 6 END, 0) AS ragged INTO r;";
+        let ledgers = MapLedgers::new(usize::MAX, 1 << 10);
+        let worlds: Vec<u64> = (0..48).collect();
+        for _ in 0..2 {
+            let stats = assert_ledgered_matches_scalar(src, &[], &worlds, None, &ledgers);
+            assert_eq!((stats.call_sites, stats.call_sites_replayed), (3, 2));
+        }
+        // One stream per world reaching `gated`, one per world for
+        // `ragged` — at two lengths — and the second walk drew nothing.
+        assert!(48 < ledgers.inserted() && ledgers.inserted() < 96);
+        assert_eq!(ledgers.lens(), vec![4, 8]);
+    }
+
+    #[test]
+    fn a_two_entry_ledger_store_overflows_and_keeps_serving() {
+        let ledgers = MapLedgers::new(2, 1 << 10);
+        let worlds: Vec<u64> = (0..8).collect();
+        for n in [4, 4, 9, 2, 9] {
+            let n = [("n", Value::Int(n))];
+            let stats = assert_ledgered_matches_scalar(TWO_WALKS, &n, &worlds, None, &ledgers);
+            assert_eq!(stats.call_sites_replayed, 2);
+        }
+        assert!(ledgers.table.lock().unwrap().len() <= 2);
+        assert!(ledgers.inserted() > 16, "lost ledgers are drawn again");
+    }
+
+    #[test]
+    fn calls_the_store_cannot_hold_or_the_model_refuses_draw_as_without_it() {
+        // 11 cells against a 4-cell store: the call site draws.
+        let ledgers = MapLedgers::new(usize::MAX, 4);
+        let worlds: Vec<u64> = (0..8).collect();
+        let n = [("n", Value::Int(10))];
+        let stats = assert_ledgered_matches_scalar(TWO_WALKS, &n, &worlds, None, &ledgers);
+        assert_eq!((stats.call_sites, stats.call_sites_replayed), (2, 0));
+        assert_eq!(ledgers.inserted(), 0);
+        // …and Jitter keeps no ledger at all.
+        let stats = assert_ledgered_matches_scalar(
+            "SELECT Jitter(1) AS v INTO r;",
+            &[],
+            &worlds,
+            None,
+            &ledgers,
+        );
+        assert_eq!((stats.call_sites, stats.call_sites_replayed), (1, 0));
+
+        // An argument row the model rejects fails the walk with the scalar
+        // tier's error, store or no store.
+        let ledgers = MapLedgers::new(usize::MAX, 1 << 10);
+        let registry = registry();
+        let seeds = SeedManager::new(0);
+        for src in [
+            "SELECT Walk(2000, 0) AS v INTO r;",
+            "SELECT Walk(2, 'x') AS v INTO r;",
+            "SELECT Walk(2) AS v INTO r;",
+        ] {
+            let script = parse_script(src).unwrap();
+            let run = |ledgers: Option<&dyn LedgerStore>| {
+                let none = HashMap::new();
+                evaluate_select_columns_with(
+                    &script.select,
+                    &registry,
+                    &none,
+                    seeds,
+                    &[0, 1],
+                    None,
+                    ledgers,
+                )
+                .unwrap_err()
+                .to_string()
+            };
+            let scalar = evaluate_select_with(
+                &script.select,
+                &registry,
+                &HashMap::new(),
+                WorldRng::per_call(seeds, 0),
+            )
+            .unwrap_err()
+            .to_string();
+            assert_eq!(run(Some(&ledgers)), scalar, "`{src}`");
+            assert_eq!(run(None), scalar, "`{src}`");
+        }
+        assert_eq!(ledgers.inserted(), 0);
     }
 
     /// The per-world reference for derived columns: bind the sample lanes

@@ -7,8 +7,8 @@
 
 use std::sync::Arc;
 
-use prophet_data::{DataResult, DataType, Schema, Table, TableBuilder, Value};
-use prophet_vg::rng::Rng64;
+use prophet_data::{DataError, DataResult, DataType, Schema, Table, TableBuilder, Value};
+use prophet_vg::rng::{Rng64, Xoshiro256StarStar};
 use prophet_vg::{VgCallF64, VgFunction, VgRegistry};
 
 /// A deterministic VG function: returns `base + U[0,1)` as a 1x1 table.
@@ -40,6 +40,59 @@ impl VgFunction for Jitter {
     }
 }
 
+/// A VG function with a draw ledger: `Walk(n, bias)` is `bias` plus the
+/// sum of the stream's first `n + 1` uniforms (`n` clamped to `0..`, and
+/// refused past 1,000). The draws never depend on the arguments, so the
+/// ledger is the uniforms themselves; there is no `invoke_batch_f64` — the
+/// catalog composes the lane from the ledger pair.
+#[derive(Debug)]
+pub struct Walk;
+
+impl Walk {
+    fn steps(params: &[Value]) -> DataResult<usize> {
+        match params[0].as_i64()? {
+            n if n > 1_000 => Err(DataError::InvalidOperation(format!(
+                "Walk({n}) is past 1000 steps"
+            ))),
+            n => Ok(n.max(0) as usize + 1),
+        }
+    }
+}
+
+impl VgFunction for Walk {
+    fn name(&self) -> &str {
+        "Walk"
+    }
+    fn arity(&self) -> usize {
+        2
+    }
+    fn output_schema(&self) -> Schema {
+        Schema::of(&[("v", DataType::Float)])
+    }
+    fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<Table> {
+        let mut at = params[1].as_f64()?;
+        for _ in 0..Walk::steps(params)? {
+            at += rng.next_f64();
+        }
+        let mut b = TableBuilder::with_capacity(self.output_schema(), 1);
+        b.push_row(vec![Value::Float(at)])?;
+        Ok(b.finish())
+    }
+    fn ledger_len(&self, params: &[Value]) -> DataResult<Option<usize>> {
+        params[1].as_f64()?;
+        Walk::steps(params).map(Some)
+    }
+    fn draw_ledger(&self, rng: &mut Xoshiro256StarStar, len: usize) -> Vec<f64> {
+        (0..len).map(|_| rng.next_f64()).collect()
+    }
+    fn replay(&self, params: &[Value], ledger: &[f64]) -> DataResult<f64> {
+        let bias = params[1].as_f64()?;
+        Ok(ledger[..Walk::steps(params)?]
+            .iter()
+            .fold(bias, |at, u| at + u))
+    }
+}
+
 /// A malformed VG function that returns two rows (for error-path tests).
 #[derive(Debug)]
 pub struct TwoRows;
@@ -62,10 +115,11 @@ impl VgFunction for TwoRows {
     }
 }
 
-/// A registry with both test functions installed.
+/// A registry with the test functions installed.
 pub fn test_registry() -> VgRegistry {
     let mut r = VgRegistry::new();
     r.register(Arc::new(Jitter));
+    r.register(Arc::new(Walk));
     r.register(Arc::new(TwoRows));
     r
 }

@@ -24,6 +24,7 @@ use std::sync::Arc;
 use prophet_data::{DataError, DataResult, Schema, Table, Value};
 
 use crate::rng::{Rng64, Xoshiro256StarStar};
+use crate::seeded::SeedManager;
 
 /// Extract the single cell of a VG function's output relation when the
 /// function was used in *scalar position* (the only position the scenario
@@ -101,14 +102,112 @@ pub trait VgFunction: Send + Sync {
     /// override returning `Some(samples)` must return exactly
     /// `calls.len()` samples and promises, per world, that `samples[i]` is
     /// bit-identical to the float inside the single `Value::Float` cell
-    /// `invoke` would have produced for the same `(params, rng)` —
-    /// including consuming the *same number of draws* from each world's
-    /// stream, since the `(world, function, call index)` seed derivation
-    /// must be preserved exactly.
+    /// `invoke` would have produced for the same `(params, rng)`. How many
+    /// draws it takes from the stream to get there is its own business:
+    /// every call's substream is derived from `(world, function, call
+    /// index)`, used for that one call and dropped, so nothing downstream
+    /// can observe a generator's final state.
+    ///
+    /// A model that answers [`VgFunction::ledger_len`] needs no override:
+    /// the catalog composes its lane from the ledger pair.
     fn invoke_batch_f64(&self, calls: &mut [VgCallF64<'_>]) -> DataResult<Option<Vec<f64>>> {
         let _ = calls;
         Ok(None)
     }
+
+    /// The **draw ledger** capability (optional; three methods, all
+    /// defaulted to "none"). A model whose random draws do not depend on
+    /// its arguments — a Markov chain whose parameters only steer what is
+    /// *done* with each period's draw — can split a call in two:
+    /// [`VgFunction::draw_ledger`] takes everything the call needs from the
+    /// stream, and [`VgFunction::replay`] computes the output from those
+    /// cells without drawing. Because a call's stream is a function of
+    /// `(world, function, call index)` alone, one ledger then serves every
+    /// argument tuple evaluated on that stream, and an engine that keeps
+    /// ledgers ([`LedgerStore`]) draws each stream once. The contract:
+    ///
+    /// * **argument-free** — `draw_ledger` sees no arguments, so equal
+    ///   streams give equal ledgers whatever the call's parameters;
+    /// * **prefix-stable** — on equally seeded generators,
+    ///   `draw_ledger(rng, k)` equals the first `k` cells of
+    ///   `draw_ledger(rng, n)` bit for bit, for every `k <= n`;
+    /// * **replay is `invoke`** — for any `ledger` at least
+    ///   `ledger_len(params)` cells long drawn from the call's stream,
+    ///   `replay(params, ledger)` is bit-identical to the float inside the
+    ///   single `Value::Float` cell of `invoke(params, stream)`, and an
+    ///   argument row `invoke` rejects is rejected by `ledger_len` with the
+    ///   same error.
+    ///
+    /// This method says how many leading cells a call with these arguments
+    /// reads; `Ok(None)` means the model keeps no ledger. The methods are
+    /// stateless — whoever holds a ledger stores plain cells, never a
+    /// generator — and [`VgFunction::invoke`] stays the draw-by-draw
+    /// reference the pair is tested against.
+    fn ledger_len(&self, params: &[Value]) -> DataResult<Option<usize>> {
+        let _ = params;
+        Ok(None)
+    }
+
+    /// Everything the model takes from `rng` for the first `len` ledger
+    /// cells, in cell order (see [`VgFunction::ledger_len`]). Must return
+    /// exactly `len` cells.
+    fn draw_ledger(&self, rng: &mut Xoshiro256StarStar, len: usize) -> Vec<f64> {
+        let _ = (rng, len);
+        Vec::new()
+    }
+
+    /// The call's output from an already drawn ledger, without drawing
+    /// (see [`VgFunction::ledger_len`]).
+    fn replay(&self, params: &[Value], ledger: &[f64]) -> DataResult<f64> {
+        let _ = (params, ledger);
+        Err(DataError::InvalidOperation(format!(
+            "VG function `{}` keeps no draw ledger",
+            self.name()
+        )))
+    }
+}
+
+/// One per-world invocation of a ledger-served batch
+/// ([`VgRegistry::invoke_batch_ledgered`]): the argument row plus the two
+/// coordinates that, with the function name, derive the call's stream.
+#[derive(Debug, Clone, Copy)]
+pub struct LedgerCall<'a> {
+    /// Argument values for this world.
+    pub params: &'a [Value],
+    /// The world id the call's substream derives from.
+    pub world: u64,
+    /// The world's VG call counter at this call site.
+    pub call_index: u64,
+}
+
+/// Where an engine keeps drawn ledgers, keyed `(function, call index,
+/// world)` — exactly the substream derivation's key, so one store is valid
+/// for every world block and every argument tuple under **one**
+/// [`SeedManager`] (the key does not name it; the owner must never share a
+/// store between two).
+///
+/// Implementations may drop entries at will — a lost ledger is only a
+/// redraw of the same cells — and must hand back cells exactly as
+/// inserted. Each method is one lock acquisition however many worlds the
+/// call site covers.
+pub trait LedgerStore: Sync {
+    /// The longest ledger this store keeps; calls needing more cells are
+    /// drawn as if there were no store.
+    fn max_len(&self) -> usize;
+
+    /// Look up `function`'s ledgers for `keys` (`(call index, world)`
+    /// pairs), calling `visit(i, ledger)` for every `i` in order with the
+    /// stored cells of `keys[i]`, if any.
+    fn read(
+        &self,
+        function: &str,
+        keys: &[(u64, u64)],
+        visit: &mut dyn FnMut(usize, Option<&[f64]>),
+    );
+
+    /// Keep freshly drawn ledgers, each replacing a shorter one under the
+    /// same key (never a longer one).
+    fn insert(&self, function: &str, drawn: Vec<((u64, u64), Vec<f64>)>);
 }
 
 /// Output of [`VgRegistry::invoke_batch_columnar`]: the raw `f64` lane when
@@ -140,6 +239,14 @@ struct Entry {
     function: Arc<dyn VgFunction>,
     invocations: AtomicU64,
     batched_calls: AtomicU64,
+}
+
+impl Entry {
+    /// Record one physical batch call of `calls` logical invocations.
+    fn count_batch(&self, calls: usize) {
+        self.invocations.fetch_add(calls as u64, Ordering::Relaxed);
+        self.batched_calls.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 /// The function catalog ("stored in the database" in the paper).
@@ -194,19 +301,16 @@ impl VgRegistry {
         entry.function.invoke(params, rng)
     }
 
-    /// Resolve the entry for a batched call: validates arity per call and
-    /// records `calls.len()` logical invocations plus one physical batch
-    /// call.
-    fn claim_batch(
+    /// Resolve the entry for a batched call, validating arity per call.
+    fn batch_entry(
         &self,
         name: &str,
-        param_lens: impl ExactSizeIterator<Item = usize>,
+        param_lens: impl Iterator<Item = usize>,
     ) -> DataResult<&Entry> {
         let entry = self
             .entries
             .get(name)
             .ok_or_else(|| DataError::UnknownColumn(format!("VG function `{name}`")))?;
-        let calls = param_lens.len() as u64;
         for len in param_lens {
             if len != entry.function.arity() {
                 return Err(DataError::SchemaMismatch(format!(
@@ -215,8 +319,6 @@ impl VgRegistry {
                 )));
             }
         }
-        entry.invocations.fetch_add(calls, Ordering::Relaxed);
-        entry.batched_calls.fetch_add(1, Ordering::Relaxed);
         Ok(entry)
     }
 
@@ -239,30 +341,110 @@ impl VgRegistry {
     /// counts the physical batch calls, making the amortization itself
     /// observable.
     ///
-    /// The model is asked for its raw `f64` lane first; when it declines,
-    /// each world goes through [`VgFunction::invoke`] on its own stream
-    /// (reborrowed as `dyn`, so it consumes exactly the draws a scalar walk
-    /// would) and [`extract_scalar_cell`] — the scalar tier's path, value
-    /// for value and error for error. The columnar executor keys its
+    /// A model with a draw ledger ([`VgFunction::ledger_len`]) answers on
+    /// it — `draw_ledger` then `replay`, world by world, which *is* such a
+    /// model's `f64` lane. Otherwise the model is asked for its raw `f64`
+    /// lane; when it declines, each world goes through
+    /// [`VgFunction::invoke`] on its own stream (reborrowed as `dyn`, so it
+    /// consumes exactly the draws a scalar walk would) and
+    /// [`extract_scalar_cell`] — the scalar tier's path, value for value
+    /// and error for error. The columnar executor keys its
     /// `column_fallbacks` accounting off which variant comes back.
     pub fn invoke_batch_columnar(
         &self,
         name: &str,
         calls: &mut [VgCallF64<'_>],
     ) -> DataResult<BatchSamples> {
-        let entry = self.claim_batch(name, calls.iter().map(|c| c.params.len()))?;
-        if let Some(samples) = entry.function.invoke_batch_f64(calls)? {
+        let entry = self.batch_entry(name, calls.iter().map(|c| c.params.len()))?;
+        entry.count_batch(calls.len());
+        let function = &entry.function;
+        if let Some(lens) = ledger_lens(function.as_ref(), calls.iter().map(|c| c.params))? {
+            return calls
+                .iter_mut()
+                .zip(lens)
+                .map(|(call, len)| {
+                    let ledger = draw_ledger(name, function.as_ref(), call.rng, len)?;
+                    function.replay(call.params, &ledger)
+                })
+                .collect::<DataResult<Vec<f64>>>()
+                .map(BatchSamples::F64);
+        }
+        if let Some(samples) = function.invoke_batch_f64(calls)? {
             let samples = Self::expect_batch_len(name, samples, calls.len())?;
             return Ok(BatchSamples::F64(samples));
         }
         calls
             .iter_mut()
             .map(|call| {
-                let table = entry.function.invoke(call.params, call.rng)?;
+                let table = function.invoke(call.params, call.rng)?;
                 extract_scalar_cell(name, &table)
             })
             .collect::<DataResult<Vec<Value>>>()
             .map(BatchSamples::Values)
+    }
+
+    /// [`VgRegistry::invoke_batch_columnar`] for a model with a draw
+    /// ledger, served from `store`: each call replays the stored ledger of
+    /// its `(function, call index, world)` stream, and a stream whose
+    /// ledger is missing or too short is redrawn from a fresh
+    /// `seeds.rng_for(world, name, call_index)` — at the next power of two
+    /// cells, so a horizon that creeps upward redraws a stream a
+    /// logarithmic number of times — and replaces the stored one. No
+    /// generator state is ever kept.
+    ///
+    /// `Ok(None)` — before anything is counted or drawn — when the model
+    /// keeps no ledger for some call's arguments or a call needs more
+    /// cells than the store holds; the caller then draws the batch as
+    /// usual. Otherwise the lane is bit-identical to the drawn one, and
+    /// the catalog counts the batch exactly as if it had been drawn.
+    pub fn invoke_batch_ledgered(
+        &self,
+        name: &str,
+        calls: &[LedgerCall<'_>],
+        seeds: &SeedManager,
+        store: &dyn LedgerStore,
+    ) -> DataResult<Option<Vec<f64>>> {
+        let entry = self.batch_entry(name, calls.iter().map(|c| c.params.len()))?;
+        let function = entry.function.as_ref();
+        let max_len = store.max_len();
+        let Some(lens) = ledger_lens(function, calls.iter().map(|c| c.params))?
+            .filter(|lens| lens.iter().all(|&len| len <= max_len))
+        else {
+            return Ok(None);
+        };
+        entry.count_batch(calls.len());
+
+        let keys: Vec<(u64, u64)> = calls.iter().map(|c| (c.call_index, c.world)).collect();
+        let mut lane = vec![0.0; calls.len()];
+        let mut missing: Vec<usize> = Vec::new();
+        let mut failed = None;
+        store.read(name, &keys, &mut |i, ledger| match ledger {
+            Some(cells) if cells.len() >= lens[i] => {
+                match function.replay(calls[i].params, cells) {
+                    Ok(x) => lane[i] = x,
+                    Err(e) => {
+                        failed.get_or_insert(e);
+                    }
+                }
+            }
+            _ => missing.push(i),
+        });
+        if let Some(e) = failed {
+            return Err(e);
+        }
+        let mut drawn = Vec::with_capacity(missing.len());
+        for i in missing {
+            let call = &calls[i];
+            let mut rng = seeds.rng_for(call.world, name, call.call_index);
+            let len = lens[i].next_power_of_two().min(max_len);
+            let ledger = draw_ledger(name, function, &mut rng, len)?;
+            lane[i] = function.replay(call.params, &ledger)?;
+            drawn.push((keys[i], ledger));
+        }
+        if !drawn.is_empty() {
+            store.insert(name, drawn);
+        }
+        Ok(Some(lane))
     }
 
     /// Invocation statistics for one function.
@@ -307,6 +489,33 @@ impl VgRegistry {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
+}
+
+/// The ledger length of every call of a batch, or `None` — before any
+/// stream is touched — unless the model keeps a ledger for all of them.
+fn ledger_lens<'a>(
+    function: &dyn VgFunction,
+    rows: impl Iterator<Item = &'a [Value]>,
+) -> DataResult<Option<Vec<usize>>> {
+    rows.map(|params| function.ledger_len(params)).collect()
+}
+
+/// [`VgFunction::draw_ledger`], held to its length promise: `replay`
+/// indexes the cells it was told exist.
+fn draw_ledger(
+    name: &str,
+    function: &dyn VgFunction,
+    rng: &mut Xoshiro256StarStar,
+    len: usize,
+) -> DataResult<Vec<f64>> {
+    let ledger = function.draw_ledger(rng, len);
+    if ledger.len() != len {
+        return Err(DataError::SchemaMismatch(format!(
+            "VG function `{name}` drew a ledger of {} cells when asked for {len}",
+            ledger.len()
+        )));
+    }
+    Ok(ledger)
 }
 
 impl fmt::Debug for VgRegistry {
@@ -573,6 +782,191 @@ mod tests {
             })
             .collect();
         assert_eq!(values, scalar);
+    }
+
+    /// `Steps(n)`: the sum of the stream's first `n` uniforms, with a draw
+    /// ledger (the uniforms) and no `invoke_batch_f64`; draws `self.0`
+    /// cells more (or fewer) than asked.
+    #[derive(Debug)]
+    struct Steps(isize);
+
+    impl VgFunction for Steps {
+        fn name(&self) -> &str {
+            "Steps"
+        }
+        fn arity(&self) -> usize {
+            1
+        }
+        fn output_schema(&self) -> Schema {
+            Schema::of(&[("v", DataType::Float)])
+        }
+        fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<Table> {
+            let n = params[0].as_i64()? as usize;
+            let sum = (0..n).fold(0.0, |sum, _| sum + rng.next_f64());
+            let mut b = TableBuilder::with_capacity(self.output_schema(), 1);
+            b.push_row(vec![Value::Float(sum)])?;
+            Ok(b.finish())
+        }
+        fn ledger_len(&self, params: &[Value]) -> DataResult<Option<usize>> {
+            Ok(Some(params[0].as_i64()? as usize))
+        }
+        fn draw_ledger(&self, rng: &mut Xoshiro256StarStar, len: usize) -> Vec<f64> {
+            (0..len.saturating_add_signed(self.0))
+                .map(|_| rng.next_f64())
+                .collect()
+        }
+        fn replay(&self, params: &[Value], ledger: &[f64]) -> DataResult<f64> {
+            let n = params[0].as_i64()? as usize;
+            Ok(ledger[..n].iter().fold(0.0, |sum, u| sum + u))
+        }
+    }
+
+    /// A ledger store with fixed contents (no lock: it keeps nothing it is
+    /// handed, which a store may do), counting the ledgers it was offered.
+    struct FixedLedgers {
+        table: HashMap<(u64, u64), Vec<f64>>,
+        max_len: usize,
+        offered: AtomicU64,
+    }
+
+    impl FixedLedgers {
+        fn new(table: HashMap<(u64, u64), Vec<f64>>, max_len: usize) -> Self {
+            FixedLedgers {
+                table,
+                max_len,
+                offered: AtomicU64::new(0),
+            }
+        }
+    }
+
+    impl LedgerStore for FixedLedgers {
+        fn max_len(&self) -> usize {
+            self.max_len
+        }
+        fn read(&self, _: &str, keys: &[(u64, u64)], visit: &mut dyn FnMut(usize, Option<&[f64]>)) {
+            for (i, key) in keys.iter().enumerate() {
+                visit(i, self.table.get(key).map(Vec::as_slice));
+            }
+        }
+        fn insert(&self, _: &str, drawn: Vec<((u64, u64), Vec<f64>)>) {
+            self.offered.fetch_add(drawn.len() as u64, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn a_ledgered_model_needs_no_f64_lane_of_its_own() {
+        let mut r = VgRegistry::new();
+        r.register(Arc::new(Steps(0)));
+        let params = [Value::Int(5)];
+        let BatchSamples::F64(samples) = r
+            .invoke_batch_columnar("Steps", &mut batch(&params, &mut world_rngs(4)))
+            .unwrap()
+        else {
+            panic!("the ledger pair is the model's f64 lane");
+        };
+        for (world, sample) in samples.iter().enumerate() {
+            let table = r
+                .invoke("Steps", &params, &mut world_rngs(4)[world])
+                .unwrap();
+            assert_eq!(Value::Float(*sample), table.cell(0, "v").unwrap());
+        }
+        assert_eq!(r.stats("Steps").unwrap().batched_calls, 1);
+    }
+
+    #[test]
+    fn ledgered_batches_replay_redraw_and_count_like_drawn_ones() {
+        let mut r = VgRegistry::new();
+        r.register(Arc::new(Steps(0)));
+        r.register(Arc::new(UniformCell(0)));
+        let seeds = SeedManager::new(3);
+        let (short, long) = ([Value::Int(5)], [Value::Int(9)]);
+        // Worlds 0..4 at call index 2, all with `params`.
+        fn calls(params: &[Value]) -> Vec<LedgerCall<'_>> {
+            let call = |world| LedgerCall {
+                params,
+                world,
+                call_index: 2,
+            };
+            (0..4).map(call).collect()
+        }
+        // An empty store, then one holding each stream's first 8 cells.
+        let kept = (0..4).map(|world| {
+            let mut rng = seeds.rng_for(world, "Steps", 2);
+            ((2, world), Steps(0).draw_ledger(&mut rng, 8))
+        });
+        let (empty, warm) = (
+            FixedLedgers::new(HashMap::new(), 64),
+            FixedLedgers::new(kept.collect(), 64),
+        );
+        // (store, arguments, streams redrawn): a miss, a hit, a hit on a
+        // longer prefix, and a horizon past the kept cells.
+        let eight = [Value::Int(8)];
+        let table = [
+            (&empty, &short, 4),
+            (&warm, &short, 0),
+            (&warm, &eight, 0),
+            (&warm, &long, 4),
+        ];
+        for (store, params, redrawn) in table {
+            let before = store.offered.load(Ordering::SeqCst);
+            let lane = r
+                .invoke_batch_ledgered("Steps", &calls(params), &seeds, store)
+                .unwrap()
+                .expect("Steps keeps a ledger");
+            for (world, sample) in lane.iter().enumerate() {
+                let mut rng = seeds.rng_for(world as u64, "Steps", 2);
+                let table = r.invoke("Steps", params, &mut rng).unwrap();
+                assert_eq!(Value::Float(*sample), table.cell(0, "v").unwrap());
+            }
+            assert_eq!(store.offered.load(Ordering::SeqCst) - before, redrawn);
+        }
+        let stats = r.stats("Steps").unwrap();
+        // Four batches of four, plus the four reference invocations each.
+        assert_eq!((stats.invocations, stats.batched_calls), (32, 4));
+
+        // Declined before anything is counted: a model without a ledger,
+        // and a call needing more cells than the store keeps.
+        let unit = LedgerCall {
+            params: &[],
+            world: 0,
+            call_index: 0,
+        };
+        let none = r.invoke_batch_ledgered("UniformCell", &[unit], &seeds, &empty);
+        assert_eq!(none.unwrap(), None);
+        assert_eq!(r.stats("UniformCell").unwrap().invocations, 0);
+        let tiny = FixedLedgers::new(HashMap::new(), 4);
+        let none = r.invoke_batch_ledgered("Steps", &calls(&short), &seeds, &tiny);
+        assert_eq!(none.unwrap(), None);
+        assert_eq!(r.stats("Steps").unwrap().batched_calls, 4);
+    }
+
+    #[test]
+    fn a_ledger_of_the_wrong_length_is_rejected() {
+        for delta in [-1, 1] {
+            let mut r = VgRegistry::new();
+            r.register(Arc::new(Steps(delta)));
+            let params = [Value::Int(4)];
+            let drawn = r
+                .invoke_batch_columnar("Steps", &mut batch(&params, &mut world_rngs(2)))
+                .unwrap_err();
+            let call = LedgerCall {
+                params: &params,
+                world: 0,
+                call_index: 0,
+            };
+            let (seeds, store) = (SeedManager::new(3), FixedLedgers::new(HashMap::new(), 64));
+            let ledgered = r
+                .invoke_batch_ledgered("Steps", &[call], &seeds, &store)
+                .unwrap_err();
+            let cells = 4 + delta;
+            for err in [drawn, ledgered] {
+                assert!(
+                    err.to_string()
+                        .contains(&format!("drew a ledger of {cells} cells when asked for 4")),
+                    "{err}"
+                );
+            }
+        }
     }
 
     #[test]

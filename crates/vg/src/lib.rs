@@ -38,7 +38,8 @@ pub mod seeded;
 
 pub use dist::Distribution;
 pub use function::{
-    extract_scalar_cell, BatchSamples, InvocationStats, VgCallF64, VgFunction, VgRegistry,
+    extract_scalar_cell, BatchSamples, InvocationStats, LedgerCall, LedgerStore, VgCallF64,
+    VgFunction, VgRegistry,
 };
 pub use rng::{Rng64, SeedSequence, SplitMix64, Xoshiro256StarStar};
 pub use seeded::SeedManager;

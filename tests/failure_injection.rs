@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use fuzzy_prophet::prelude::*;
 use prophet_data::{DataResult, DataType, Schema, Table, TableBuilder, Value};
-use prophet_models::demo_registry;
+use prophet_models::{demo_registry, full_registry};
 use prophet_sql::parse_script;
 use prophet_vg::rng::Rng64;
 use prophet_vg::{VgCallF64, VgFunction, VgRegistry};
@@ -379,13 +379,96 @@ fn work_counters(m: &EngineMetrics) -> [u64; 11] {
     ]
 }
 
+/// Drive `batch` — which must fail — through both runners of the batch
+/// pipeline on fresh stores warmed with `warm`: the inline one
+/// (`Engine::evaluate_batch`) and the pooled one (`Prophet::submit`,
+/// one-point chunks). They must fail the same way — same typed error,
+/// same points published before it, same work done — and leave no claim
+/// behind. Returns the common aftermath and both stores.
+fn fail_on_both_runners(
+    label: &str,
+    src: &str,
+    registry: &dyn Fn() -> VgRegistry,
+    cfg: EngineConfig,
+    warm: Option<&ParamPoint>,
+    batch: &[ParamPoint],
+) -> (Aftermath, [SharedBasisStore; 2]) {
+    let scenario = Scenario::parse(src).unwrap();
+    let aftermath = |store: &SharedBasisStore, error, metrics: &EngineMetrics| {
+        assert_eq!(
+            store.inflight_len(),
+            0,
+            "{label}: a claim outlived the batch"
+        );
+        Aftermath {
+            error,
+            published: batch
+                .iter()
+                .map(|p| store.get_exact(p, cfg.worlds_per_point).is_some())
+                .collect(),
+            work: work_counters(metrics),
+        }
+    };
+
+    // Inline runner: a bare engine.
+    let engine = Engine::new(&scenario, registry(), cfg).unwrap();
+    if let Some(warm) = warm {
+        engine.evaluate(warm).unwrap();
+    }
+    let before = engine.metrics();
+    let error = engine.evaluate_batch(batch).unwrap_err();
+    let inline_store = engine.basis_store().clone();
+    let inline = aftermath(&inline_store, error, &engine.metrics().since(&before));
+
+    // Pooled runner: the same batches as jobs.
+    let prophet = Prophet::builder()
+        .scenario_sql("failing", src)
+        .unwrap()
+        .registry(registry())
+        .config(cfg)
+        .scheduler(SchedulerConfig {
+            workers: 2,
+            chunk_points: 1,
+            ..SchedulerConfig::default()
+        })
+        .build()
+        .unwrap();
+    if let Some(warm) = warm {
+        let warm = JobSpec::points("failing", vec![warm.clone()]);
+        prophet.submit(warm).unwrap().wait().unwrap();
+    }
+    let handle = prophet
+        .submit(JobSpec::points("failing", batch.to_vec()))
+        .unwrap();
+    let mut error = None;
+    for event in handle.events() {
+        match event {
+            JobEvent::Failed(err) => error = Some(err),
+            other => panic!("{label}: expected the job to fail, got {other:?}"),
+        }
+    }
+    prophet.scheduler().wait_idle();
+    let pooled_store = prophet.engine("failing").unwrap().basis_store().clone();
+    let pooled = aftermath(
+        &pooled_store,
+        error.expect("a failed job ends with its error"),
+        &handle.progress().metrics,
+    );
+
+    assert_eq!(inline, pooled, "{label}: the runners disagree");
+    assert!(
+        matches!(inline.error, ProphetError::Sql(_) | ProphetError::Data(_)),
+        "{label}: {:?}",
+        inline.error
+    );
+    (inline, [inline_store, pooled_store])
+}
+
 /// One VG failure — an `Err`, or an `f64` lane of the wrong length —
-/// inside a mixed hit/miss batch, driven through both runners of the
-/// batch pipeline: the inline one (`Engine::evaluate_batch`) and the
-/// pooled one (`Prophet::submit`). They must fail the same way —
-/// same typed error, same points published before it, same work done —
-/// and leave no claim behind: a healthy engine on the same store then
-/// evaluates every point of the batch without ever waiting.
+/// inside a mixed hit/miss batch, on both runners: same typed error, same
+/// points published before it, and every unpublished claim released — a
+/// healthy engine on the same store then evaluates every point of the
+/// batch without ever waiting.
 #[test]
 fn a_vg_error_mid_batch_leaves_both_runners_in_the_same_state() {
     const SRC: &str =
@@ -438,90 +521,112 @@ fn a_vg_error_mid_batch_leaves_both_runners_in_the_same_state() {
             threads,
             ..EngineConfig::default()
         };
-        let scenario = Scenario::parse(SRC).unwrap();
-        let aftermath = |store: &SharedBasisStore, error, metrics: &EngineMetrics| {
-            assert_eq!(
-                store.inflight_len(),
-                0,
-                "{label}: a claim outlived the batch"
-            );
-            Aftermath {
-                error,
-                published: batch
-                    .iter()
-                    .map(|p| store.get_exact(p, cfg.worlds_per_point).is_some())
-                    .collect(),
-                work: work_counters(metrics),
-            }
-        };
-
-        // Inline runner: a bare engine, warmed with the hits' source.
-        let registry = |healthy_calls| flaky_registry(BAD, healthy_calls, short_lane);
-        let engine = Engine::new(&scenario, registry(healthy_calls), cfg).unwrap();
-        engine.evaluate(&point(0)).unwrap();
-        let before = engine.metrics();
-        let error = engine.evaluate_batch(&batch).unwrap_err();
-        let inline_store = engine.basis_store().clone();
-        let inline = aftermath(&inline_store, error, &engine.metrics().since(&before));
-
-        // Pooled runner: the same two batches as jobs, one-point chunks.
-        let prophet = Prophet::builder()
-            .scenario_sql("flaky", SRC)
-            .unwrap()
-            .registry(registry(healthy_calls))
-            .config(cfg)
-            .scheduler(SchedulerConfig {
-                workers: 2,
-                chunk_points: 1,
-                ..SchedulerConfig::default()
-            })
-            .build()
-            .unwrap();
-        let warm = JobSpec::points("flaky", vec![point(0)]);
-        prophet.submit(warm).unwrap().wait().unwrap();
-        let handle = prophet
-            .submit(JobSpec::points("flaky", batch.clone()))
-            .unwrap();
-        let mut error = None;
-        for event in handle.events() {
-            match event {
-                JobEvent::Failed(err) => error = Some(err),
-                other => panic!("{label}: expected the job to fail, got {other:?}"),
-            }
-        }
-        prophet.scheduler().wait_idle();
-        let pooled_store = prophet.engine("flaky").unwrap().basis_store().clone();
-        let pooled = aftermath(
-            &pooled_store,
-            error.expect("a failed job ends with its error"),
-            &handle.progress().metrics,
-        );
-
-        assert_eq!(inline, pooled, "{label}: the runners disagree");
+        // Warmed with the hits' source.
+        let registry = || flaky_registry(BAD, healthy_calls, short_lane);
+        let (aftermath, stores) =
+            fail_on_both_runners(label, SRC, &registry, cfg, Some(&point(0)), &batch);
         assert!(
-            matches!(inline.error, ProphetError::Sql(_) | ProphetError::Data(_)),
-            "{label}: {:?}",
-            inline.error
-        );
-        assert!(
-            inline.error.to_string().contains(expect_error),
+            aftermath.error.to_string().contains(expect_error),
             "{label}: {}",
-            inline.error
+            aftermath.error
         );
-        assert_eq!(inline.published, expect_published, "{label}");
+        assert_eq!(aftermath.published, expect_published, "{label}");
 
         // Every unpublished claim was released: a healthy engine on the
         // same store serves the published points from it and evaluates
         // the rest itself, never parking on a claim nobody will complete.
-        for store in [inline_store, pooled_store] {
-            let healthy =
-                Engine::with_basis_store(&scenario, Arc::new(registry(u64::MAX)), cfg, store)
-                    .unwrap();
+        let scenario = Scenario::parse(SRC).unwrap();
+        for store in stores {
+            let healthy = Arc::new(flaky_registry(BAD, u64::MAX, short_lane));
+            let healthy = Engine::with_basis_store(&scenario, healthy, cfg, store).unwrap();
             let results = healthy.evaluate_batch(&batch).unwrap();
             for ((_, outcome), &was_published) in results.iter().zip(&expect_published) {
                 assert_eq!(*outcome == EvalOutcome::Cached, was_published, "{label}");
             }
             assert_eq!(healthy.metrics().inflight_waits, 0, "{label}");
+        }
+    }
+}
+
+/// The same table for the bundled models' own argument domains: a legal
+/// `DECLARE PARAMETER` value the model cannot simulate — an arrival rate
+/// compounded out of the representable range, a horizon no walk should
+/// attempt — is a typed error on both runners (no panic, no hang, no
+/// claim left), and the store then serves the batch's other points.
+#[test]
+fn out_of_domain_model_arguments_fail_both_runners_alike() {
+    // (label, script, the bad value of its first parameter, error text).
+    let table = [
+        (
+            "QueueModel, rate underflows to 0",
+            "DECLARE PARAMETER @week AS SET (0, 4, -60000, 8);\n\
+             DECLARE PARAMETER @agents AS SET (10);\n\
+             SELECT QueueModel(@week, @agents) AS backlog INTO r;",
+            -60_000,
+            "QueueModel arrival rate 0 per hour is outside (0, 10000]",
+        ),
+        (
+            "QueueModel, rate overflows to infinity",
+            "DECLARE PARAMETER @week AS SET (0, 4, 60000, 8);\n\
+             DECLARE PARAMETER @agents AS SET (10);\n\
+             SELECT QueueModel(@week, @agents) AS backlog INTO r;",
+            60_000,
+            "QueueModel arrival rate inf per hour is outside (0, 10000]",
+        ),
+        (
+            "CapacityModel, unbounded horizon",
+            "DECLARE PARAMETER @current AS SET (0, 4, 9000000000000, 8);\n\
+             DECLARE PARAMETER @purchase1 AS SET (2);\n\
+             SELECT CapacityModel(@current, @purchase1, 6) AS capacity INTO r;",
+            9_000_000_000_000,
+            "CapacityModel horizon @current = 9000000000000 exceeds the 4095-week maximum",
+        ),
+        (
+            "InventoryModel, unbounded horizon",
+            "DECLARE PARAMETER @week AS SET (0, 4, 9000000000000, 8);\n\
+             DECLARE PARAMETER @qty AS SET (300);\n\
+             SELECT InventoryModel(@week, 200, @qty) AS on_hand INTO r;",
+            9_000_000_000_000,
+            "InventoryModel horizon @week = 9000000000000 exceeds the 4095-week maximum",
+        ),
+    ];
+    for (label, src, bad, expect_error) in table {
+        let scenario = Scenario::parse(src).unwrap();
+        let mut guide = prophet_mc::guide::GridGuide::new(&scenario.script().params);
+        let batch: Vec<ParamPoint> = std::iter::from_fn(|| guide.next_point()).collect();
+        let first = scenario.script().params[0].name.clone();
+        assert_eq!(batch.len(), 4, "{label}");
+        for tier in [ExecTier::Columnar, ExecTier::Scalar] {
+            let cfg = EngineConfig {
+                worlds_per_point: 16,
+                threads: 2,
+                tier,
+                ..EngineConfig::default()
+            };
+            let (aftermath, stores) =
+                fail_on_both_runners(label, src, &full_registry, cfg, None, &batch);
+            assert!(
+                aftermath.error.to_string().contains(expect_error),
+                "{label} {tier:?}: {}",
+                aftermath.error
+            );
+            // The bad point fails its probe, which ends the batch.
+            assert_eq!(aftermath.published, [false; 4], "{label} {tier:?}");
+
+            // The store is reusable: the other points evaluate on it.
+            let good: Vec<ParamPoint> = batch
+                .iter()
+                .filter(|p| p.get(&first) != Some(bad))
+                .cloned()
+                .collect();
+            assert_eq!(good.len(), 3, "{label}");
+            for store in stores {
+                let registry = Arc::new(full_registry());
+                let engine = Engine::with_basis_store(&scenario, registry, cfg, store).unwrap();
+                assert_eq!(engine.evaluate_batch(&good).unwrap().len(), 3);
+                assert_eq!(engine.metrics().inflight_waits, 0, "{label} {tier:?}");
+                assert_eq!(engine.basis_store().inflight_len(), 0, "{label} {tier:?}");
+            }
         }
     }
 }

@@ -195,6 +195,13 @@ fn scheduled_coarse_figure2_sweep_matches_blocking() {
     let prophet = service("figure2-coarse", &src, Reg::Demo, cfg, 8, 8);
     let scheduled = run_scheduled_sweep(&prophet, "figure2-coarse", Priority::Normal);
     assert_sweeps_identical("figure2-coarse", &scheduled, &reference);
+    // Probe chunks on the pool replayed `CapacityModel` from the engine's
+    // ledger store: under `--features check` that is its lock rank held
+    // inside a pool chunk, between the memo's and the metrics'.
+    // (Every distinct tuple at least once; concurrent first sightings of
+    // one tuple may both miss the memo.)
+    let replayed = scheduled.0.metrics.probe_call_sites_replayed;
+    assert!((1_323..3_969).contains(&replayed), "replayed {replayed}");
 }
 
 /// All five bundled scenarios with a deterministic point sample walking

@@ -198,6 +198,50 @@ graph over @X expect v;\n";
     assert!(scenario.script().graph.is_some());
 }
 
+/// A declared horizon no model should walk is a typed evaluation error on
+/// both tiers — not an allocation abort, and not an effectively infinite
+/// VG call — while a horizon past the year but inside the bound evaluates.
+#[test]
+fn declared_horizons_past_a_models_bound_are_typed_errors() {
+    let cases = [
+        (
+            "DECLARE PARAMETER @current AS SET (60, 9000000000000);\n\
+             SELECT CapacityModel(@current, 4, 8) AS v INTO results;",
+            "current",
+            "CapacityModel horizon @current = 9000000000000 exceeds the 4095-week maximum",
+        ),
+        (
+            "DECLARE PARAMETER @week AS SET (60, 9000000000000);\n\
+             SELECT InventoryModel(@week, 200, 300) AS v INTO results;",
+            "week",
+            "InventoryModel horizon @week = 9000000000000 exceeds the 4095-week maximum",
+        ),
+    ];
+    for (src, param, message) in cases {
+        for tier in [ExecTier::Columnar, ExecTier::Scalar] {
+            let engine = Engine::new(
+                &Scenario::parse(src).unwrap(),
+                prophet_models::full_registry(),
+                EngineConfig {
+                    worlds_per_point: 4,
+                    tier,
+                    ..EngineConfig::default()
+                },
+            )
+            .unwrap();
+            let at = |horizon: i64| engine.evaluate(&ParamPoint::from_pairs([(param, horizon)]));
+            let (inside, _) = at(60).unwrap();
+            assert!(inside.expect("v").unwrap() >= 0.0, "{tier:?}");
+            let err = at(9_000_000_000_000).unwrap_err();
+            assert!(
+                matches!(err, ProphetError::Sql(_) | ProphetError::Data(_)),
+                "{tier:?}: {err:?}"
+            );
+            assert!(err.to_string().contains(message), "{tier:?}: {err}");
+        }
+    }
+}
+
 // ------------------------------------------------------------ script corpus
 
 /// An expression's shape, fully parenthesized in prefix form — what the

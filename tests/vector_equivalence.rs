@@ -27,7 +27,12 @@
 //!   plus NaN sample lanes, derived-on-derived aliases and an always-NULL
 //!   item) and the **call-site probe memo** (store contents byte-identical
 //!   at 1 and 8 threads, forwards and reversed; call sites under a `CASE`
-//!   arm or fed by a stochastic alias never memo-served).
+//!   arm or fed by a stochastic alias never memo-served);
+//! * the **draw-ledger store**, warm as well as cold: one long-lived
+//!   columnar engine per bundled scenario walks the grid forwards,
+//!   reversed and shuffled, at 1 and 8 threads, against the scalar tier —
+//!   outcomes, chosen sources, samples and store bytes — and point-salted
+//!   (non-CRN) worlds, which simulation never hands the store.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -794,6 +799,9 @@ fn figure2_coarse_call_site_counters_are_pinned() {
     assert_eq!(m.probe_evaluations, 3_969 * 32);
     assert_eq!(m.probe_call_sites, 7_938);
     assert_eq!(m.probe_call_sites_memoised, 7_938 - (81 + 1_323));
+    // Of the first sightings, `CapacityModel`'s replay the 32 probe
+    // streams' ledgers; only `DemandModel`'s 81 draw call by call.
+    assert_eq!(m.probe_call_sites_replayed, 1_323);
 }
 
 /// (c) Call sites that repeat their arguments at every point yet must not
@@ -831,5 +839,108 @@ fn gated_and_alias_fed_call_sites_are_never_memo_served() {
         let m = columnar.metrics();
         assert_eq!(m.probe_call_sites, 2 * 24, "[{label}] two sites per point");
         assert_eq!(m.probe_call_sites_memoised, 0, "[{label}]");
+    }
+}
+
+// ------------------------------------------------------ draw-ledger store
+
+/// Evaluate `batches` on a cleared store and return, point for point, the
+/// outcome (with the chosen mapping source) and every column's sample
+/// bits, plus the store's bytes afterwards.
+type Pass = (Vec<(EvalOutcome, Vec<Vec<u64>>)>, Vec<u8>);
+
+fn cold_pass(engine: &Engine, batches: &[Vec<ParamPoint>]) -> Pass {
+    engine.clear_basis();
+    let mut results = Vec::new();
+    for batch in batches {
+        for (set, outcome) in engine.evaluate_batch(batch).unwrap() {
+            let columns = engine.output_columns();
+            let bits = columns.iter().map(|c| sample_bits(&set, c)).collect();
+            results.push((outcome, bits));
+        }
+    }
+    (results, engine.basis_store().snapshot_bytes())
+}
+
+/// (c) The ledger store never changes an answer, whatever it already
+/// holds. One columnar engine per bundled scenario and thread count lives
+/// through three passes over a ≈ 200-point stride of the scenario's grid —
+/// forwards (`@current`/`@week` ascending: ledgers extend), reversed
+/// (descending: the first draw covers everything after it) and shuffled —
+/// with the basis store cleared between passes, so each pass probes and
+/// simulates again over the ledgers (and probe memo) its predecessors left.
+/// Every pass must equal the scalar tier's: outcomes with their chosen
+/// sources, sample bits, and the store's bytes.
+#[test]
+fn ledger_store_is_bit_identical_to_the_scalar_tier_warm_and_cold() {
+    for (name, scenario, kind, _) in bundled_scenarios() {
+        let grid = grid_points(&scenario);
+        let stride = grid.len().div_ceil(200);
+        let forwards: Vec<ParamPoint> = grid.into_iter().step_by(stride).collect();
+        let reversed: Vec<ParamPoint> = forwards.iter().rev().cloned().collect();
+        let mut shuffled = forwards.clone();
+        let mut rng = Xoshiro256StarStar::seed_from_u64(0x1ED6E5);
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
+        }
+        let config = EngineConfig {
+            worlds_per_point: 16,
+            ..EngineConfig::default()
+        };
+        let engine = |tier: ExecTier, threads: usize| {
+            let config = EngineConfig {
+                tier,
+                threads,
+                ..config
+            };
+            Engine::new(&scenario, kind.build(), config).unwrap()
+        };
+        let scalar = engine(ExecTier::Scalar, 1);
+        let columnar = [1usize, 8].map(|threads| (threads, engine(ExecTier::Columnar, threads)));
+        for (order, points) in [
+            ("forwards", &forwards),
+            ("reversed", &reversed),
+            ("shuffled", &shuffled),
+        ] {
+            let batches: Vec<Vec<ParamPoint>> = points.chunks(24).map(<[_]>::to_vec).collect();
+            let (want, want_bytes) = cold_pass(&scalar, &batches);
+            for (threads, engine) in &columnar {
+                let (got, got_bytes) = cold_pass(engine, &batches);
+                for (point, (g, w)) in points.iter().zip(got.iter().zip(&want)) {
+                    assert_eq!(g, w, "[{name} {order} x{threads}] at {point}");
+                }
+                assert!(
+                    got_bytes == want_bytes,
+                    "[{name} {order} x{threads}] store bytes diverge"
+                );
+            }
+        }
+        // The store was in play wherever a model keeps a ledger.
+        let ledgered = ["figure2", "figure2-coarse", "inventory"].contains(&name);
+        for (threads, engine) in &columnar {
+            assert_eq!(
+                engine.metrics().probe_call_sites_replayed > 0,
+                ledgered,
+                "[{name} x{threads}]"
+            );
+        }
+    }
+}
+
+/// (d) Without common random numbers estimation worlds are salted with
+/// their point, and simulation walks are not handed the store (the engine
+/// unit test `point_salted_simulation_never_consults_the_ledger_store`
+/// pins that); probes still replay. Answers match the scalar tier.
+#[test]
+fn point_salted_worlds_match_the_scalar_tier() {
+    for (name, scenario, kind, _) in bundled_scenarios() {
+        let slice: Vec<ParamPoint> = grid_points(&scenario).into_iter().take(36).collect();
+        let batches: Vec<Vec<ParamPoint>> = slice.chunks(12).map(<[_]>::to_vec).collect();
+        let config = EngineConfig {
+            worlds_per_point: 24,
+            common_random_numbers: false,
+            ..EngineConfig::default()
+        };
+        assert_columnar_matches_scalar(name, &scenario, || kind.build(), config, &batches);
     }
 }
