@@ -385,7 +385,7 @@ mod tests {
             [Rule::WallClock]
         );
         assert!(rules_fired("crates/core/src/metrics.rs", src).is_empty());
-        assert!(rules_fired("crates/bench/src/experiments.rs", src).is_empty());
+        assert!(rules_fired("crates/bench/src/bin/perf/src/main.rs", src).is_empty());
         let src = "fn f() { let t = SystemTime::now(); }";
         assert_eq!(
             rules_fired("crates/core/src/session.rs", src),

@@ -94,9 +94,12 @@ pub struct EngineConfig {
     pub worlds_per_point: usize,
     /// Fingerprint length (probe count).
     ///
-    /// Evidence: `experiments e10` (the length ablation: detection
-    /// quality per length) and the `fingerprint.build_ns_per_probe` row
-    /// of `perf`.
+    /// Evidence: `tests/service_facade.rs`'s
+    /// `degenerate_configs_are_rejected_by_both_constructors` (the one
+    /// `EngineConfig::validate` rejects a length below 3, where any affine
+    /// map fits exactly) and the `fingerprint.build_ns_per_probe` row of
+    /// `perf`. No test varies the length above 3: every suite and bench
+    /// runs the default 32.
     pub fingerprint: FingerprintConfig,
     /// Correlation acceptance thresholds.
     ///
@@ -107,8 +110,9 @@ pub struct EngineConfig {
     pub detector: CorrelationDetector,
     /// Master switch for fingerprint reuse.
     ///
-    /// Evidence: the paper's headline comparison — `experiments e7`
-    /// (speed-up on vs off), `tests/figure2_end_to_end.rs` and
+    /// Evidence: the paper's headline comparison —
+    /// `tests/figure2_end_to_end.rs::fingerprints_cut_offline_work_without_changing_the_answer`
+    /// (under half the simulated worlds, same winner) and
     /// `tests/models_cross.rs` (same answers either way); off is also the
     /// direct-simulation oracle of `tests/fingerprint_soundness.rs`.
     pub fingerprints_enabled: bool,

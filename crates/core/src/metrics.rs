@@ -2,7 +2,7 @@
 //!
 //! The paper's claims are about *work avoided* — fewer VG invocations,
 //! fewer re-rendered weeks, faster offline sweeps. [`EngineMetrics`] is the
-//! ledger every experiment reads its numbers from.
+//! ledger every test and bench row reads its numbers from.
 
 use std::fmt;
 use std::time::{Duration, Instant};

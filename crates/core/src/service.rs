@@ -411,7 +411,7 @@ impl Prophet {
     }
 
     /// A raw engine on a named scenario's shared store (for batch jobs and
-    /// experiments that drive [`Engine::evaluate`] directly).
+    /// tests that drive [`Engine::evaluate`] directly).
     pub fn engine(&self, name: &str) -> ProphetResult<Engine> {
         let slot = self.slot(name)?;
         self.engine_for(slot)

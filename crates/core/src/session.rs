@@ -64,8 +64,8 @@ impl AdjustReport {
     }
 }
 
-/// Result of a progressive (anytime) estimate — experiment E8's
-/// time-to-first-accurate-guess measurements.
+/// Result of a progressive (anytime) estimate — the paper's
+/// time-to-first-accurate-guess, asserted in `tests/jobs.rs`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProgressiveEstimate {
     /// The converged (or best-effort) expectation.

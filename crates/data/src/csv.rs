@@ -1,8 +1,8 @@
 //! Dependency-free CSV emission (RFC-4180 quoting).
 //!
-//! The experiment harness dumps every regenerated figure/table as CSV so the
-//! series can be diffed across runs and plotted externally. Only the writing
-//! half of CSV is needed; scenario inputs are authored in the DSL, not CSV.
+//! Materialized result tables are dumped as CSV so the series can be diffed
+//! across runs and plotted externally. Only the writing half of CSV is
+//! needed; scenario inputs are authored in the DSL, not CSV.
 
 use crate::error::DataResult;
 use crate::table::Table;

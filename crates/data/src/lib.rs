@@ -12,7 +12,7 @@
 //! * [`Column`] — a typed, nullable, growable column,
 //! * [`Table`] — a schema plus columns, with projection / filter / sort
 //!   helpers and builders,
-//! * [`csv`] — dependency-free CSV emission used by the experiment harness.
+//! * [`csv`] — dependency-free CSV emission for materialized result tables.
 //!
 //! Everything here is deterministic and allocation-conscious: the Monte Carlo
 //! engine creates and destroys many small tables per simulated world, so

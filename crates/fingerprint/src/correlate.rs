@@ -95,45 +95,11 @@ pub fn fit_affine(xs: &[f64], ys: &[f64]) -> Option<AffineFit> {
     })
 }
 
-/// Best time-shift between two series: the lag `k` (|k| ≤ `max_lag`)
-/// maximizing the Pearson correlation of `ys[i]` with `xs[i - k]`.
-/// Returns `(lag, correlation)` or `None` when no overlap of length ≥ 2
-/// yields a defined correlation.
-pub fn best_lag(xs: &[f64], ys: &[f64], max_lag: usize) -> Option<(i64, f64)> {
-    let mut best: Option<(i64, f64)> = None;
-    let max_lag = max_lag as i64;
-    for lag in -max_lag..=max_lag {
-        // Overlapping windows under this lag.
-        let (xs_w, ys_w): (Vec<f64>, Vec<f64>) = xs
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &x)| {
-                let j = i as i64 + lag;
-                if j >= 0 && (j as usize) < ys.len() {
-                    Some((x, ys[j as usize]))
-                } else {
-                    None
-                }
-            })
-            .unzip();
-        if let Some(r) = pearson(&xs_w, &ys_w) {
-            let better = match best {
-                None => true,
-                Some((_, br)) => r.abs() > br.abs() + 1e-12,
-            };
-            if better {
-                best = Some((lag, r));
-            }
-        }
-    }
-    best
-}
-
 /// Thresholded detector turning fingerprint pairs into [`Mapping`]s.
 ///
 /// The detector prefers the *simplest* adequate mapping: identity before
-/// pure shift (offset) before general affine. Simpler mappings compose more
-/// robustly and are cheaper to apply.
+/// constant offset before general affine. Simpler mappings are exact under
+/// fixed seeds and cheaper to apply.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CorrelationDetector {
     /// Minimum R² for an affine mapping to be accepted.
@@ -153,61 +119,6 @@ impl Default for CorrelationDetector {
 }
 
 impl CorrelationDetector {
-    /// Detect a relationship between two *week-indexed series* (x, y),
-    /// preferring a pure time-shift over value transforms.
-    ///
-    /// This is the paper's Markovian-discontinuity case: "processes built
-    /// around discontinuities, with discrete events occurring at random
-    /// points in time (e.g., the nondeterministic date when new hardware
-    /// comes online)" shift a series along the axis rather than rescaling
-    /// it. Returns `Shift{lag}` when some lag within `max_lag` aligns the
-    /// series almost perfectly, otherwise falls back to the scalar
-    /// detection logic on the aligned (lag-0) values.
-    pub fn detect_series(
-        &self,
-        source: &[(i64, f64)],
-        target: &[(i64, f64)],
-        max_lag: usize,
-    ) -> Option<Mapping> {
-        if source.len() < 3 || target.len() < 3 {
-            return None;
-        }
-        // Dense y-vectors aligned by position (series are sorted by x).
-        let xs: Vec<f64> = source.iter().map(|&(_, y)| y).collect();
-        let ys: Vec<f64> = target.iter().map(|&(_, y)| y).collect();
-        if let Some((lag, r)) = best_lag(&xs, &ys, max_lag) {
-            if lag != 0 && r >= self.min_r2.sqrt() {
-                // Verify the shift is value-preserving up to a constant:
-                // overlapping samples must differ by the same offset
-                // everywhere (a trend component shows up as that constant).
-                let scale = xs.iter().fold(0.0f64, |m, v| m.max(v.abs())).max(1.0);
-                let pairs: Vec<(f64, f64)> = xs
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, &x)| {
-                        let j = i as i64 + lag;
-                        (j >= 0 && (j as usize) < ys.len()).then(|| (x, ys[j as usize]))
-                    })
-                    .collect();
-                if let Some(&(x0, y0)) = pairs.first() {
-                    let offset = y0 - x0;
-                    let constant_offset = pairs
-                        .iter()
-                        .all(|(x, y)| ((y - x) - offset).abs() <= 1e-6 * scale);
-                    if constant_offset {
-                        let shift = Mapping::Shift { lag };
-                        return Some(if offset.abs() <= 1e-6 * scale {
-                            shift
-                        } else {
-                            shift.then(Mapping::Offset(offset))
-                        });
-                    }
-                }
-            }
-        }
-        self.detect(&Fingerprint::from_values(xs), &Fingerprint::from_values(ys))
-    }
-
     /// Batch detection across a whole column set: detect a mapping for
     /// *every* name in `columns` from the `source` fingerprint map onto the
     /// `probe` map. Returns the per-column mappings plus the summed
@@ -342,26 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn best_lag_finds_pure_shift() {
-        let xs: Vec<f64> = (0..30).map(|i| ((i as f64) * 0.7).sin()).collect();
-        // ys is xs delayed by 4: ys[i] = xs[i - 4]
-        let ys: Vec<f64> = (0..30)
-            .map(|i| if i >= 4 { xs[i - 4] } else { 0.123 * i as f64 })
-            .collect();
-        let (lag, r) = best_lag(&xs, &ys, 8).unwrap();
-        assert_eq!(lag, 4);
-        assert!(r > 0.99, "r={r}");
-    }
-
-    #[test]
-    fn best_lag_zero_for_identical() {
-        let xs: Vec<f64> = (0..20).map(|i| (i * i) as f64).collect();
-        let (lag, r) = best_lag(&xs, &xs, 5).unwrap();
-        assert_eq!(lag, 0);
-        assert!((r - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn detector_prefers_simplest_mapping() {
         let det = CorrelationDetector::default();
         let base = Fingerprint::from_values(vec![1.0, 2.0, 3.0, 5.0, 8.0]);
@@ -438,70 +329,5 @@ mod tests {
             None,
             "common prefix of 1 is too short"
         );
-    }
-
-    fn step_series(step_week: i64, len: i64) -> Vec<(i64, f64)> {
-        // A capacity-like series: decay plus a +4000 step at `step_week`.
-        (0..len)
-            .map(|w| {
-                let base = 10_000.0 - 57.0 * w as f64;
-                let stepped = if w >= step_week { base + 4_000.0 } else { base };
-                (w, stepped)
-            })
-            .collect()
-    }
-
-    #[test]
-    fn detect_series_finds_deployment_shift() {
-        let det = CorrelationDetector::default();
-        let a = step_series(18, 53);
-        let b = step_series(22, 53); // purchase delayed by 4 weeks
-                                     // The series combines a linear decay with the shifted step, so the
-                                     // relationship is shift ∘ constant-offset: b[w] = a[w-4] - 4·57.
-        let mapping = det
-            .detect_series(&a, &b, 8)
-            .expect("shift must be detected");
-        match &mapping {
-            Mapping::Compose(first, second) => {
-                assert_eq!(**first, Mapping::Shift { lag: 4 });
-                match **second {
-                    Mapping::Offset(d) => assert!((d + 4.0 * 57.0).abs() < 1e-6, "offset {d}"),
-                    ref other => panic!("expected offset, got {other:?}"),
-                }
-            }
-            other => panic!("expected shift∘offset, got {other:?}"),
-        }
-        // Applying the mapping to a reproduces b on the overlap.
-        let mapped = mapping.apply_series(&a, 0, 52);
-        for (x, y) in &mapped {
-            let expected = b.iter().find(|(bx, _)| bx == x).unwrap().1;
-            assert!((y - expected).abs() < 1e-9, "week {x}: {y} vs {expected}");
-        }
-    }
-
-    #[test]
-    fn detect_series_identity_for_equal_series() {
-        let det = CorrelationDetector::default();
-        let a = step_series(18, 40);
-        assert_eq!(det.detect_series(&a, &a, 8), Some(Mapping::Identity));
-    }
-
-    #[test]
-    fn detect_series_falls_back_to_offset() {
-        let det = CorrelationDetector::default();
-        let a = step_series(18, 40);
-        let b: Vec<(i64, f64)> = a.iter().map(|&(x, y)| (x, y + 123.0)).collect();
-        assert_eq!(det.detect_series(&a, &b, 8), Some(Mapping::Offset(123.0)));
-    }
-
-    #[test]
-    fn detect_series_rejects_short_or_unrelated() {
-        let det = CorrelationDetector::default();
-        assert_eq!(det.detect_series(&[(0, 1.0)], &[(0, 1.0)], 4), None);
-        let a = step_series(18, 30);
-        let noise: Vec<(i64, f64)> = (0..30)
-            .map(|w| (w, ((w * 7919 % 97) as f64) * 100.0))
-            .collect();
-        assert_eq!(det.detect_series(&a, &noise, 8), None);
     }
 }

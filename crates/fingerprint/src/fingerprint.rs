@@ -6,14 +6,14 @@ use prophet_vg::rng::SeedSequence;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FingerprintConfig {
     /// Number of fixed seeds (= fingerprint length). Longer fingerprints
-    /// discriminate better but cost more probe invocations; experiment E10
-    /// sweeps this knob.
+    /// discriminate better but cost more probe invocations
+    /// (`fingerprint.build_ns_per_probe` in the `perf` harness).
     pub length: usize,
 }
 
 impl Default for FingerprintConfig {
     fn default() -> Self {
-        // 32 probes: the E10 ablation shows diminishing returns past this.
+        // 32 probes: the length every suite and bench runs.
         FingerprintConfig { length: 32 }
     }
 }
@@ -42,43 +42,20 @@ impl Fingerprint {
         }
     }
 
-    /// Compute under an explicit (non-canonical) sequence. Used by tests
-    /// and by the Markov analyzer, which fingerprints *steps* under
-    /// chain-specific sequences.
-    pub fn compute_with_seeds(seeds: &SeedSequence, mut sample: impl FnMut(u64) -> f64) -> Self {
-        Fingerprint {
-            values: seeds.seeds().iter().map(|&s| sample(s)).collect(),
-        }
-    }
-
-    /// Block-probe constructor: `sample` receives the whole canonical seed
-    /// block at once and returns one output per seed, in seed order.
+    /// Block-probe constructor: `sample` receives the whole seed block at
+    /// once and returns one output per seed, in seed order.
     ///
     /// This is the vectorized twin of [`Fingerprint::compute`]: instead of
     /// invoking the stochastic function once per seed, the caller evaluates
-    /// all `config.length` probe worlds in a single walk (e.g. through
+    /// all `seeds.len()` probe worlds in a single walk (e.g. through
     /// `prophet-sql`'s block evaluator) and hands back the output column.
-    /// The fingerprint is identical to the scalar construction because the
-    /// seeds are the same canonical sequence in the same order.
-    ///
-    /// # Panics
-    /// Panics if `sample` returns a column whose length differs from the
-    /// seed block — a truncated or padded probe column would silently
-    /// misalign every later entry-by-entry comparison.
-    pub fn compute_block(
-        config: FingerprintConfig,
-        sample: impl FnOnce(&[u64]) -> Vec<f64>,
-    ) -> Self {
-        let seeds = SeedSequence::fingerprint_default(config.length);
-        Fingerprint::compute_block_with_seeds(&seeds, sample)
-    }
-
-    /// Block-probe constructor under an explicit sequence (see
-    /// [`Fingerprint::compute_block`]).
+    /// Under the canonical sequence the fingerprint is identical to the
+    /// scalar construction: same seeds, same order.
     ///
     /// # Panics
     /// Panics if `sample` returns a column whose length differs from
-    /// `seeds.len()`.
+    /// `seeds.len()` — a truncated or padded probe column would silently
+    /// misalign every later entry-by-entry comparison.
     pub fn compute_block_with_seeds(
         seeds: &SeedSequence,
         sample: impl FnOnce(&[u64]) -> Vec<f64>,
@@ -180,21 +157,19 @@ mod tests {
             10.0 + rng.next_f64()
         };
         let scalar = Fingerprint::compute(cfg, f);
-        let block = Fingerprint::compute_block(cfg, |seeds| seeds.iter().map(|&s| f(s)).collect());
-        assert_eq!(scalar, block);
-
-        let seq = SeedSequence::from_root(77, 8);
-        let a = Fingerprint::compute_with_seeds(&seq, f);
-        let b = Fingerprint::compute_block_with_seeds(&seq, |seeds| {
+        let canonical = SeedSequence::fingerprint_default(cfg.length);
+        let block = Fingerprint::compute_block_with_seeds(&canonical, |seeds| {
             seeds.iter().map(|&s| f(s)).collect()
         });
-        assert_eq!(a, b);
+        assert_eq!(scalar, block);
     }
 
     #[test]
     #[should_panic(expected = "one output per seed")]
     fn block_constructor_rejects_misaligned_columns() {
-        Fingerprint::compute_block(FingerprintConfig { length: 4 }, |_| vec![1.0, 2.0]);
+        Fingerprint::compute_block_with_seeds(&SeedSequence::fingerprint_default(4), |_| {
+            vec![1.0, 2.0]
+        });
     }
 
     #[test]

@@ -21,24 +21,19 @@
 //!
 //! * [`fingerprint`] — computing fingerprints under the canonical seed
 //!   sequence,
-//! * [`correlate`] — Pearson correlation, least-squares affine fits, lag
-//!   (time-shift) detection,
+//! * [`correlate`] — Pearson correlation, least-squares affine fits, and
+//!   the thresholded detector that turns them into mappings,
 //! * [`mapping`] — the re-mapping transforms and their application to
-//!   sample sets and week-series,
+//!   sample sets,
 //! * [`index`] — fingerprint summary statistics and the sound match-error
-//!   lower bounds a branch-and-bound candidate scan prunes with,
-//! * [`markov`] — detection of strongly-correlated successive steps in
-//!   Markovian simulations and the region estimators that let the engine
-//!   skip chain segments.
+//!   lower bounds a branch-and-bound candidate scan prunes with.
 
 pub mod correlate;
 pub mod fingerprint;
 pub mod index;
 pub mod mapping;
-pub mod markov;
 
 pub use correlate::{fit_affine, pearson, AffineFit, CorrelationDetector};
 pub use fingerprint::{Fingerprint, FingerprintConfig};
 pub use index::{FingerprintSummary, MatchBound};
 pub use mapping::Mapping;
-pub use markov::{analyze_chain, ChainRegion, RegionEstimator};

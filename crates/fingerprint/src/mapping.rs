@@ -25,16 +25,6 @@ pub enum Mapping {
         /// Residual standard deviation of the fit.
         residual_std: f64,
     },
-    /// A time-shift along the series axis (Markovian processes built around
-    /// discrete events often shift rather than rescale): series value at
-    /// week `w` maps from the source's week `w - lag`.
-    Shift {
-        /// Lag in axis steps (positive = target lags source).
-        lag: i64,
-    },
-    /// Composition: apply `first`, then `second`. Arises when a point is
-    /// reached through a chain of basis entries.
-    Compose(Box<Mapping>, Box<Mapping>),
 }
 
 impl Mapping {
@@ -44,10 +34,6 @@ impl Mapping {
             Mapping::Identity => x,
             Mapping::Offset(d) => x + d,
             Mapping::Affine { scale, offset, .. } => scale * x + offset,
-            // A pure time-shift does not change values, only positions;
-            // scalar application is identity.
-            Mapping::Shift { .. } => x,
-            Mapping::Compose(first, second) => second.apply_scalar(first.apply_scalar(x)),
         }
     }
 
@@ -56,59 +42,18 @@ impl Mapping {
         xs.iter().map(|&x| self.apply_scalar(x)).collect()
     }
 
-    /// Apply to a week-indexed series: values transform through
-    /// [`Mapping::apply_scalar`], and [`Mapping::Shift`] additionally moves
-    /// points along the x axis (dropping points shifted off either end —
-    /// those weeks genuinely need recomputation).
-    pub fn apply_series(&self, series: &[(i64, f64)], x_min: i64, x_max: i64) -> Vec<(i64, f64)> {
-        match self {
-            Mapping::Shift { lag } => series
-                .iter()
-                .filter_map(|&(x, y)| {
-                    let nx = x + lag;
-                    (nx >= x_min && nx <= x_max).then_some((nx, y))
-                })
-                .collect(),
-            Mapping::Compose(first, second) => {
-                let mid = first.apply_series(series, x_min, x_max);
-                second.apply_series(&mid, x_min, x_max)
-            }
-            _ => series
-                .iter()
-                .map(|&(x, y)| (x, self.apply_scalar(y)))
-                .collect(),
-        }
-    }
-
     /// The error bar (one standard deviation) this mapping adds to mapped
-    /// estimates. Identity/Offset/Shift are exact under fixed seeds.
+    /// estimates. Identity/Offset are exact under fixed seeds.
     pub fn error_std(&self) -> f64 {
         match self {
-            Mapping::Identity | Mapping::Offset(_) | Mapping::Shift { .. } => 0.0,
+            Mapping::Identity | Mapping::Offset(_) => 0.0,
             Mapping::Affine { residual_std, .. } => *residual_std,
-            Mapping::Compose(first, second) => {
-                // Independent error contributions add in quadrature; the
-                // second map's scale amplifies the first map's error.
-                let amplify = match second.as_ref() {
-                    Mapping::Affine { scale, .. } => scale.abs(),
-                    _ => 1.0,
-                };
-                ((first.error_std() * amplify).powi(2) + second.error_std().powi(2)).sqrt()
-            }
         }
     }
 
     /// Whether applying this mapping is exact (no residual error).
     pub fn is_exact(&self) -> bool {
         self.error_std() == 0.0
-    }
-
-    /// Compose `self` then `next` (normalizing trivial identities away).
-    pub fn then(self, next: Mapping) -> Mapping {
-        match (self, next) {
-            (Mapping::Identity, m) | (m, Mapping::Identity) => m,
-            (a, b) => Mapping::Compose(Box::new(a), Box::new(b)),
-        }
     }
 }
 
@@ -123,8 +68,6 @@ impl fmt::Display for Mapping {
                 d.abs()
             ),
             Mapping::Affine { scale, offset, .. } => write!(f, "y = {scale:.4}·x + {offset:.4}"),
-            Mapping::Shift { lag } => write!(f, "shift by {lag}"),
-            Mapping::Compose(a, b) => write!(f, "({a}) ∘ ({b})"),
         }
     }
 }
@@ -146,7 +89,6 @@ mod tests {
             .apply_scalar(3.0),
             7.0
         );
-        assert_eq!(Mapping::Shift { lag: 3 }.apply_scalar(3.0), 3.0);
     }
 
     #[test]
@@ -156,60 +98,9 @@ mod tests {
     }
 
     #[test]
-    fn series_shift_moves_and_clips() {
-        let series = vec![(0i64, 10.0), (1, 11.0), (2, 12.0)];
-        let m = Mapping::Shift { lag: 2 };
-        let out = m.apply_series(&series, 0, 3);
-        assert_eq!(out, vec![(2, 10.0), (3, 11.0)]); // (4, 12.0) clipped
-        let m = Mapping::Shift { lag: -1 };
-        let out = m.apply_series(&series, 0, 3);
-        assert_eq!(out, vec![(0, 11.0), (1, 12.0)]); // (-1, 10.0) clipped
-    }
-
-    #[test]
-    fn series_affine_keeps_positions() {
-        let series = vec![(0i64, 1.0), (5, 2.0)];
-        let m = Mapping::Affine {
-            scale: 10.0,
-            offset: 0.5,
-            residual_std: 0.0,
-        };
-        assert_eq!(m.apply_series(&series, 0, 10), vec![(0, 10.5), (5, 20.5)]);
-    }
-
-    #[test]
-    fn composition_applies_in_order() {
-        // (x + 1) then (2x) = 2x + 2
-        let m = Mapping::Offset(1.0).then(Mapping::Affine {
-            scale: 2.0,
-            offset: 0.0,
-            residual_std: 0.0,
-        });
-        assert_eq!(m.apply_scalar(3.0), 8.0);
-        // identity normalization
-        assert_eq!(
-            Mapping::Identity.then(Mapping::Offset(1.0)),
-            Mapping::Offset(1.0)
-        );
-        assert_eq!(
-            Mapping::Offset(1.0).then(Mapping::Identity),
-            Mapping::Offset(1.0)
-        );
-    }
-
-    #[test]
-    fn composed_shift_and_offset_on_series() {
-        let series = vec![(0i64, 1.0), (1, 2.0)];
-        let m = Mapping::Shift { lag: 1 }.then(Mapping::Offset(10.0));
-        let out = m.apply_series(&series, 0, 5);
-        assert_eq!(out, vec![(1, 11.0), (2, 12.0)]);
-    }
-
-    #[test]
     fn error_propagation() {
         assert!(Mapping::Identity.is_exact());
         assert!(Mapping::Offset(3.0).is_exact());
-        assert!(Mapping::Shift { lag: 1 }.is_exact());
         let a = Mapping::Affine {
             scale: 2.0,
             offset: 0.0,
@@ -217,21 +108,11 @@ mod tests {
         };
         assert!(!a.is_exact());
         assert_eq!(a.error_std(), 0.3);
-        // compose: second map scale 2 amplifies first's 0.3 to 0.6; second
-        // contributes 0.4; total = sqrt(0.36 + 0.16) = sqrt(0.52)
-        let b = Mapping::Affine {
-            scale: 2.0,
-            offset: 0.0,
-            residual_std: 0.4,
-        };
-        let c = Mapping::Compose(Box::new(a), Box::new(b));
-        assert!((c.error_std() - 0.52f64.sqrt()).abs() < 1e-12);
     }
 
     #[test]
     fn display_is_readable() {
         assert_eq!(Mapping::Identity.to_string(), "identity");
         assert_eq!(Mapping::Offset(-2.0).to_string(), "y = x - 2.0000");
-        assert_eq!(Mapping::Shift { lag: 4 }.to_string(), "shift by 4");
     }
 }

@@ -12,9 +12,9 @@
 //! `0..=@current` — each week applying failures (from the
 //! [`FailureClass`] fleet) and any purchase deployments — and returns the
 //! core count at week `@current`. The chain structure (week `w` depends on
-//! week `w−1`) is exactly the Markovian shape §2 discusses, and
-//! [`CapacityModel::trajectory`] exposes the whole chain for the
-//! Markov-region experiments.
+//! week `w−1`) is exactly the Markovian shape §2 discusses; because the
+//! chain's draws never read the arguments, the model keeps a draw ledger
+//! ([`VgFunction::ledger_len`]) and every later walk replays it draw-free.
 
 use prophet_data::{DataResult, DataType, Schema, Table, TableBuilder, Value};
 use prophet_vg::rng::{Pcg32, Rng64, Xoshiro256StarStar};
@@ -102,8 +102,8 @@ impl CapacityModel {
     /// Consequence: under a fixed seed, two parameterizations' capacity
     /// series differ only by the deployed-cores step functions — which is
     /// why fingerprint matching finds exact Offset/Identity mappings across
-    /// purchase-date changes (experiment E5), and why the model can keep a
-    /// draw ledger ([`VgFunction::ledger_len`]).
+    /// purchase-date changes (the Figure-4 exploration map), and why the
+    /// model can keep a draw ledger ([`VgFunction::ledger_len`]).
     pub fn trajectory<R: Rng64 + ?Sized>(
         &self,
         last_week: i64,

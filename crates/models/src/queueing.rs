@@ -80,10 +80,9 @@ impl QueueModel {
     /// error for a rate no simulation can run at: non-finite, non-positive
     /// or above [`QueueModel::MAX_RATE`].
     fn hourly(what: &str, rate: f64) -> DataResult<Poisson> {
-        // Bound first: constructing a `Poisson` is itself linear in the rate.
-        (rate <= Self::MAX_RATE)
-            .then(|| Poisson::new(rate))
-            .flatten()
+        // The model's own bound, tighter than `Poisson::MAX_RATE`.
+        Poisson::new(rate)
+            .filter(|_| rate <= Self::MAX_RATE)
             .ok_or_else(|| {
                 DataError::InvalidOperation(format!(
                     "QueueModel {what} rate {rate} per hour is outside (0, {}]",

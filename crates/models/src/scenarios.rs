@@ -13,7 +13,7 @@
 //! a model's); the coarse variant here is the reduced grid the sweep-heavy
 //! examples and benches use.
 
-/// A reduced-grid Figure 2 used by sweep-heavy examples and experiments:
+/// A reduced-grid Figure 2 used by sweep-heavy examples and tests:
 /// identical structure, coarser purchase grid so full sweeps complete in
 /// seconds. `{THRESHOLD}` is substituted by the caller (the demo runs both
 /// the SQL text's 1% and the prose's 5%).

@@ -157,10 +157,16 @@ impl Poisson {
     /// must stay a normal f64 (`exp(-500) ≈ 7e-218`).
     const CHUNK: f64 = 500.0;
 
+    /// The largest rate [`Poisson::new`] accepts. A sample costs about one
+    /// uniform per expected event, so a rate is also a running time: at
+    /// this bound one sample is ≈ 10⁶ draws (milliseconds) and construction
+    /// is 2,000 chunk subtractions.
+    pub const MAX_RATE: f64 = 1.0e6;
+
     /// A Poisson with the given event rate.
-    /// Returns `None` unless `lambda` is finite and positive.
+    /// Returns `None` unless `lambda` is in `(0, MAX_RATE]` (NaN is not).
     pub fn new(lambda: f64) -> Option<Self> {
-        if !(lambda.is_finite() && lambda > 0.0) {
+        if !(lambda > 0.0 && lambda <= Poisson::MAX_RATE) {
             return None;
         }
         // Poisson(a + b) = Poisson(a) + Poisson(b): split large rates into
@@ -283,6 +289,16 @@ mod tests {
         (mean, var)
     }
 
+    /// Above the bound the constructor's chunk loop would overflow its
+    /// counter (3e12) or never end (1e30): refused before it starts.
+    #[test]
+    fn poisson_rate_is_bounded() {
+        assert!(Poisson::new(Poisson::MAX_RATE).is_some());
+        assert!(Poisson::new(Poisson::MAX_RATE * 1.001).is_none());
+        assert!(Poisson::new(3e12).is_none());
+        assert!(Poisson::new(1e30).is_none());
+    }
+
     #[test]
     fn invalid_parameters_are_rejected() {
         assert!(Normal::new(0.0, 0.0).is_none());
@@ -291,6 +307,7 @@ mod tests {
         assert!(LogNormal::new(0.0, 0.0).is_none());
         assert!(Poisson::new(0.0).is_none());
         assert!(Poisson::new(f64::INFINITY).is_none());
+        assert!(Poisson::new(f64::NAN).is_none());
         assert!(
             Triangular::new(0.0, 0.0, 0.0).is_none(),
             "degenerate triangle"

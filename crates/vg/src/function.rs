@@ -13,8 +13,8 @@
 //! > instances using the model by simply modifying the function definitions."
 //!
 //! [`VgRegistry`] is that catalog: names → implementations, hot-swappable,
-//! with per-function invocation counters that the experiments use to measure
-//! how much work fingerprinting avoids.
+//! with per-function invocation counters that the differential suites use
+//! to show both execution tiers make the same logical calls.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -455,24 +455,6 @@ impl VgRegistry {
         })
     }
 
-    /// Total invocations across the whole catalog.
-    pub fn total_invocations(&self) -> u64 {
-        self.entries
-            // analysis:allow(map-iter): integer sum — associative and commutative, order cannot reach the result
-            .values()
-            .map(|e| e.invocations.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Reset all counters (benchmarks call this between configurations).
-    pub fn reset_stats(&self) {
-        // analysis:allow(map-iter): every entry is zeroed identically — visit order is unobservable
-        for e in self.entries.values() {
-            e.invocations.store(0, Ordering::Relaxed);
-            e.batched_calls.store(0, Ordering::Relaxed);
-        }
-    }
-
     /// Names of all registered functions, sorted (deterministic listings).
     pub fn names(&self) -> Vec<String> {
         let mut names: Vec<String> = self.entries.keys().cloned().collect();
@@ -586,16 +568,13 @@ mod tests {
     }
 
     #[test]
-    fn invocations_are_counted_and_resettable() {
+    fn invocations_are_counted() {
         let r = registry();
         let mut rng = crate::rng::Xoshiro256StarStar::seed_from_u64(1);
         for _ in 0..3 {
             r.invoke("UniformRows", &[Value::Int(1)], &mut rng).unwrap();
         }
         assert_eq!(r.stats("UniformRows").unwrap().invocations, 3);
-        assert_eq!(r.total_invocations(), 3);
-        r.reset_stats();
-        assert_eq!(r.total_invocations(), 0);
         assert!(r.stats("Missing").is_none());
     }
 

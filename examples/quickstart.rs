@@ -78,8 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // has 31 164 points — fine for a batch job, long for a quickstart — so
     // this demo coarsens the sweep (weeks step 2, purchases step 8) while
     // keeping the scenario and its answer structure identical. Run
-    // `--example capacity_planning` or the `experiments` binary for the
-    // full-fidelity sweeps.
+    // `prophet --demo --mode offline` for the full-fidelity sweep.
     println!("=== Offline mode (OPTIMIZE, coarsened grid) ===");
     let coarse_src = scenario
         .source()

@@ -551,8 +551,9 @@ fn a_vg_error_mid_batch_leaves_both_runners_in_the_same_state() {
 /// The same table for the bundled models' own argument domains: a legal
 /// `DECLARE PARAMETER` value the model cannot simulate — an arrival rate
 /// compounded out of the representable range, a horizon no walk should
-/// attempt — is a typed error on both runners (no panic, no hang, no
-/// claim left), and the store then serves the batch's other points.
+/// attempt, a Poisson rate whose sampler would never return — is a typed
+/// error on both runners (no panic, no hang, no claim left), and the
+/// store then serves the batch's other points.
 #[test]
 fn out_of_domain_model_arguments_fail_both_runners_alike() {
     // (label, script, the bad value of its first parameter, error text).
@@ -588,6 +589,13 @@ fn out_of_domain_model_arguments_fail_both_runners_alike() {
              SELECT InventoryModel(@week, 200, @qty) AS on_hand INTO r;",
             9_000_000_000_000,
             "InventoryModel horizon @week = 9000000000000 exceeds the 4095-week maximum",
+        ),
+        (
+            "Poisson, rate above Poisson::MAX_RATE",
+            "DECLARE PARAMETER @rate AS SET (5, 9, 1000, 12);\n\
+             SELECT Poisson(CASE WHEN @rate = 1000 THEN 1e30 ELSE @rate END) AS arrivals INTO r;",
+            1_000,
+            "Poisson(lambda) got invalid parameters [Float(1e30)]",
         ),
     ];
     for (label, src, bad, expect_error) in table {

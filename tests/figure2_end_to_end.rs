@@ -30,6 +30,16 @@ fn offline(scenario: Scenario, cfg: EngineConfig) -> OfflineOptimizer {
     service(scenario, cfg).offline("s").unwrap()
 }
 
+/// A session on the full Figure 2 at the demo's default sliders (§3.2),
+/// rendered.
+fn demo_session(worlds: usize) -> OnlineSession {
+    let mut session = online(Scenario::figure2().unwrap(), config(worlds));
+    session.set_param("purchase1", 16).unwrap();
+    session.set_param("purchase2", 36).unwrap();
+    session.set_param("feature", 12).unwrap();
+    session
+}
+
 /// A reduced-grid variant of Figure 2 so offline sweeps stay fast in CI.
 const FIGURE2_SMALL: &str = "\
 DECLARE PARAMETER @current AS RANGE 0 TO 52 STEP BY 4;
@@ -52,10 +62,7 @@ FOR MAX @purchase1, MAX @purchase2";
 
 #[test]
 fn online_graph_has_the_papers_dynamics() {
-    let mut session = online(Scenario::figure2().unwrap(), config(120));
-    session.set_param("purchase1", 16).unwrap();
-    session.set_param("purchase2", 36).unwrap();
-    session.set_param("feature", 12).unwrap();
+    let mut session = demo_session(120);
     session.refresh().unwrap();
 
     let overload = session.series("overload").unwrap();
@@ -205,4 +212,29 @@ fn online_adjustment_is_cheaper_than_first_render() {
     // Engine metrics must show real fingerprint reuse for the session.
     let m = session.engine().metrics();
     assert!(m.points_mapped + m.points_cached > 0);
+}
+
+/// §3.2: changing the feature release date re-simulates only the weeks
+/// between the two release dates and re-maps or re-serves the rest
+/// "despite the slope of the usage graph changing". Inequalities, not
+/// pinned counts: the claim bounds the simulated weeks from above.
+#[test]
+fn feature_date_change_resimulates_only_the_weeks_between_the_dates() {
+    let mut session = demo_session(100);
+
+    let later = session.set_param("feature", 36).unwrap();
+    assert_eq!(later.weeks_total, 53);
+    assert!(later.weeks_simulated <= 24, "12 → 36: {later:?}");
+    assert!(later.weeks_reused() >= 29, "12 → 36: {later:?}");
+
+    let later_still = session.set_param("feature", 44).unwrap();
+    assert!(later_still.weeks_simulated <= 8, "36 → 44: {later_still:?}");
+
+    // Back to a setting the session has rendered: nothing to recompute.
+    let back = session.set_param("feature", 12).unwrap();
+    assert_eq!(
+        (back.weeks_simulated, back.weeks_cached),
+        (0, 53),
+        "44 → 12: {back:?}"
+    );
 }

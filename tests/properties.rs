@@ -1,5 +1,5 @@
 //! Property-style tests over the core data structures and invariants: the
-//! parser's totality, statistical kernels, mapping algebra, parameter-point
+//! parser's totality, statistical kernels, mapping detection, parameter-point
 //! semantics and PRNG range contracts.
 //!
 //! The build environment vendors no external crates, so instead of
@@ -9,7 +9,7 @@
 
 use fuzzy_prophet::prelude::*;
 use prophet_data::{csv, DataType, Schema, TableBuilder, Value};
-use prophet_fingerprint::{fit_affine, pearson, CorrelationDetector, Fingerprint, Mapping};
+use prophet_fingerprint::{fit_affine, pearson, CorrelationDetector, Fingerprint};
 use prophet_mc::aggregate::{quantile, Welford};
 use prophet_sql::parse_script;
 use prophet_vg::rng::{Rng64, Xoshiro256StarStar};
@@ -207,35 +207,7 @@ fn affine_fit_recovers_planted_line() {
     }
 }
 
-// ------------------------------------------------------- mapping algebra
-
-fn random_mapping(rng: &mut Xoshiro256StarStar) -> Mapping {
-    match rng.gen_range_i64(0, 2) {
-        0 => Mapping::Identity,
-        1 => Mapping::Offset(rng.gen_range_f64(-1e3, 1e3)),
-        _ => Mapping::Affine {
-            scale: rng.gen_range_f64(-10.0, 10.0),
-            offset: rng.gen_range_f64(-1e3, 1e3),
-            residual_std: 0.0,
-        },
-    }
-}
-
-#[test]
-fn mapping_composition_is_sequential_application() {
-    let mut rng = case_rng(9);
-    for _ in 0..CASES {
-        let a = random_mapping(&mut rng);
-        let b = random_mapping(&mut rng);
-        let x = rng.gen_range_f64(-1e4, 1e4);
-        let direct = b.apply_scalar(a.apply_scalar(x));
-        let composed = a.clone().then(b.clone()).apply_scalar(x);
-        assert!(
-            (direct - composed).abs() <= 1e-9 * (1.0 + direct.abs()),
-            "{a:?} then {b:?} at {x}"
-        );
-    }
-}
+// ----------------------------------------------------- mapping detection
 
 #[test]
 fn detect_then_apply_closes_the_loop() {
