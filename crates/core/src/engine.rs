@@ -43,7 +43,7 @@ use prophet_sql::columnar::{
 };
 use prophet_sql::error::SqlError;
 use prophet_sql::executor::{evaluate_select_with, sample_f64, EvalContext, WorldRng};
-use prophet_sql::Script;
+use prophet_sql::{Script, SelectInto};
 use prophet_vg::rng::{Rng64, SeedSequence};
 use prophet_vg::{SeedManager, VgRegistry};
 
@@ -250,6 +250,12 @@ pub struct Engine {
     output_cols: Arc<[String]>,
     /// Output columns whose expressions invoke a registered VG function.
     stochastic_cols: Vec<String>,
+    /// The select items a fingerprint probe walks: the stochastic items
+    /// plus every earlier item one of them reads, transitively, in
+    /// declaration order. The items left out are derived and call no VG
+    /// function, so per-slot call counters — and with them every memo
+    /// key, ledger key and fingerprint — are those of a full-select walk.
+    probe_select: SelectInto,
     /// The canonical probe seed block (`config.fingerprint.length` seeds),
     /// derived once — `probe_fingerprints` runs per parameter point, and
     /// the sequence depends only on the config.
@@ -291,7 +297,7 @@ impl Engine {
     ) -> ProphetResult<Self> {
         config.validate()?;
         let script = scenario.script().clone();
-        let stochastic_cols = script
+        let stochastic_cols: Vec<String> = script
             .select
             .items
             .iter()
@@ -303,6 +309,24 @@ impl Engine {
             })
             .map(|item| item.alias.clone())
             .collect();
+        // An item reads only items declared before it, so one pass from
+        // the last item to the first closes the set.
+        let mut probed: Vec<&str> = stochastic_cols.iter().map(String::as_str).collect();
+        for item in script.select.items.iter().rev() {
+            if probed.contains(&item.alias.as_str()) {
+                probed.extend(item.expr.referenced_columns());
+            }
+        }
+        let probe_select = SelectInto {
+            items: script
+                .select
+                .items
+                .iter()
+                .filter(|item| probed.contains(&item.alias.as_str()))
+                .cloned()
+                .collect(),
+            target: script.select.target.clone(),
+        };
         let output_cols = script
             .select
             .items
@@ -319,6 +343,7 @@ impl Engine {
             config,
             output_cols,
             stochastic_cols,
+            probe_select,
             basis,
             metrics: OrderedMutex::new(ENGINE_METRICS, EngineMetrics::default()),
         })
@@ -424,7 +449,7 @@ impl Engine {
 
         if self.config.tier == ExecTier::Columnar {
             let (columns, stats) = evaluate_select_columns_with(
-                &self.script.select,
+                &self.probe_select,
                 &self.registry,
                 &params,
                 self.seeds,
@@ -447,6 +472,7 @@ impl Engine {
                 m.vector_walks += 1;
                 m.columnar_kernels += stats.kernels;
                 m.column_fallbacks += stats.fallbacks;
+                m.column_gathers += stats.gathers;
                 m.probe_call_sites += stats.call_sites;
                 m.probe_call_sites_memoised += stats.call_sites_memoised;
                 m.probe_call_sites_replayed += stats.call_sites_replayed;
@@ -490,9 +516,11 @@ impl Engine {
     /// allocation is published to the basis store and returned to the
     /// caller.
     ///
-    /// The derived columns follow the tier: [`ExecTier::Columnar`] binds
-    /// the mapped columns as `f64` lanes and evaluates every derived item
-    /// once over all `worlds` lanes; [`ExecTier::Scalar`] recomputes world
+    /// The derived columns follow the tier: [`ExecTier::Columnar`] lends
+    /// the mapped columns to the block executor as `f64` lanes, which
+    /// evaluates every derived item once over all `worlds` lanes and hands
+    /// back their samples — what this allocates beyond the walk's own
+    /// scratch is the output columns; [`ExecTier::Scalar`] recomputes world
     /// by world with `eval_expr`, the semantic reference the block walk is
     /// held bit-identical to (`tests/vector_equivalence.rs`).
     pub(crate) fn remap_samples(
@@ -503,6 +531,7 @@ impl Engine {
         worlds: usize,
     ) -> ProphetResult<Arc<ColumnSamples>> {
         let start = Stopwatch::start();
+        let mut gathers = 0;
         let mut out: HashMap<String, Vec<f64>> = HashMap::with_capacity(self.output_cols.len());
         // Stochastic columns: apply the detected mapping to stored samples.
         for col in &self.stochastic_cols {
@@ -523,21 +552,21 @@ impl Engine {
         if self.stochastic_cols.len() < self.output_cols.len() {
             let params = point.to_value_map();
             if self.config.tier == ExecTier::Columnar {
-                let derived = evaluate_derived_columns(
+                let (derived, stats) = evaluate_derived_columns(
                     &self.script.select,
                     &self.registry,
                     &params,
                     &out,
                     worlds,
                 )?;
-                for (alias, column) in derived {
-                    out.insert(alias, to_f64_samples(&column)?);
-                }
+                out.extend(derived);
+                gathers = stats.gathers;
             } else {
                 self.derive_per_world(&params, &mut out, worlds)?;
             }
         }
         self.bump(|m| {
+            m.column_gathers += gathers;
             m.remap_nanos += start.elapsed_nanos();
         });
         Ok(Arc::new(out))
@@ -628,6 +657,7 @@ impl Engine {
                 first.absorb(&set);
                 stats.kernels += s.kernels;
                 stats.fallbacks += s.fallbacks;
+                stats.gathers += s.gathers;
             }
             (first, stats)
         } else {
@@ -637,6 +667,7 @@ impl Engine {
             m.worlds_simulated += worlds.len() as u64;
             m.columnar_kernels += stats.kernels;
             m.column_fallbacks += stats.fallbacks;
+            m.column_gathers += stats.gathers;
             m.sim_cpu_nanos += start.elapsed_nanos();
             m.sim_latency.record(start.elapsed_nanos());
         });
@@ -692,6 +723,7 @@ impl Engine {
             m.worlds_simulated += worlds.len() as u64;
             m.columnar_kernels += stats.kernels;
             m.column_fallbacks += stats.fallbacks;
+            m.column_gathers += stats.gathers;
             m.sim_cpu_nanos += start.elapsed_nanos();
             m.sim_latency.record(start.elapsed_nanos());
         });
@@ -978,6 +1010,66 @@ mod tests {
             .collect();
         cols.sort();
         cols
+    }
+
+    /// A probe walks only the items a stochastic column needs. That must
+    /// change no fingerprint: not against a walk of the whole SELECT, not
+    /// against the scalar tier — on the five bundled scenarios, and where a
+    /// stochastic item reads a derived alias (`a` stays, `c` goes).
+    #[test]
+    fn pruned_probe_walks_leave_every_fingerprint_bit_identical() {
+        use prophet_models::scenarios::{
+            figure2_coarse_sql, INVENTORY_POLICY, PRICING_WHATIF, SUPPORT_STAFFING,
+        };
+        let reads_derived = "DECLARE PARAMETER @x AS RANGE 0 TO 11 STEP BY 1;\n\
+             SELECT @x + 1 AS a, Normal(a, 1) AS b,\n\
+                    CASE WHEN b > a THEN 1 ELSE 0 END AS c INTO r;";
+        let cases: [(Scenario, &[&str]); 6] = [
+            (Scenario::figure2().unwrap(), &["demand", "capacity"]),
+            (
+                Scenario::parse(&figure2_coarse_sql(0.05)).unwrap(),
+                &["demand", "capacity"],
+            ),
+            (Scenario::parse(INVENTORY_POLICY).unwrap(), &["on_hand"]),
+            (Scenario::parse(PRICING_WHATIF).unwrap(), &["revenue"]),
+            (Scenario::parse(SUPPORT_STAFFING).unwrap(), &["backlog"]),
+            (Scenario::parse(reads_derived).unwrap(), &["a", "b"]),
+        ];
+        for (scenario, probed) in cases {
+            let build = |tier| {
+                let config = EngineConfig {
+                    tier,
+                    ..small_config()
+                };
+                Engine::new(&scenario, prophet_models::full_registry(), config).unwrap()
+            };
+            let (pruned, mut whole, scalar) = (
+                build(ExecTier::Columnar),
+                build(ExecTier::Columnar),
+                build(ExecTier::Scalar),
+            );
+            let walked: Vec<&str> = pruned
+                .probe_select
+                .items
+                .iter()
+                .map(|i| &*i.alias)
+                .collect();
+            assert_eq!(walked, probed);
+            whole.probe_select = whole.script.select.clone();
+
+            let mut guide = prophet_mc::guide::GridGuide::new(&scenario.script().params);
+            let stride = guide.total().div_ceil(12);
+            let grid = std::iter::from_fn(|| prophet_mc::guide::Guide::next_point(&mut guide));
+            for p in grid.step_by(stride) {
+                let bits = probe_bits(&pruned, &p);
+                assert_eq!(bits, probe_bits(&whole, &p), "{p}");
+                assert_eq!(bits, probe_bits(&scalar, &p), "{p}");
+            }
+            let (mp, mw) = (pruned.metrics(), whole.metrics());
+            assert_eq!(mp.probe_call_sites, mw.probe_call_sites);
+            assert!(mp.columnar_kernels < mw.columnar_kernels);
+            assert_eq!((mp.column_gathers, mw.column_gathers), (0, 0));
+        }
     }
 
     #[test]

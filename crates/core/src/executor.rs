@@ -17,7 +17,8 @@
 //! |                          | parallel (fan-out)                           |
 //! | correlation search       | *match*: one snapshot of the store's         |
 //! |                          | candidate sources                            |
-//! |                          | ([`SharedBasisStore::scan_snapshot`]), then  |
+//! |                          | ([`SharedBasisStore::scan_snapshot_shared`]) |
+//! |                          | — then                                       |
 //! |                          | every probe scans it independently, in       |
 //! |                          | parallel, no lock held — candidates whose    |
 //! |                          | fingerprint-summary bound cannot beat the    |
@@ -81,7 +82,7 @@
 //! across workers) and `publish_nanos` (caller wall) split them further.
 //!
 //! [`SharedBasisStore::try_claim`]: prophet_mc::SharedBasisStore::try_claim
-//! [`SharedBasisStore::scan_snapshot`]: prophet_mc::SharedBasisStore::scan_snapshot
+//! [`SharedBasisStore::scan_snapshot_shared`]: prophet_mc::SharedBasisStore::scan_snapshot_shared
 //! [`WaitHandle`]: prophet_mc::WaitHandle
 
 use std::collections::HashMap;
@@ -243,7 +244,7 @@ pub(crate) fn run_batch<R: Runner>(
         // landed, so no probe ever matches a sibling of its batch — and
         // the store's locks are released before any comparison runs.
         let t_match = tracer.now();
-        let snapshot = Arc::new(engine.scan_snapshot());
+        let snapshot = engine.scan_snapshot();
         tracer.span(TraceEventKind::PhaseMatch, job, NO_CHUNK, t_match);
 
         // Match-then-remap, one item per probe: each scans the snapshot
@@ -437,13 +438,14 @@ impl Engine {
 
     // ------------------------------------------------ match-scan primitives
 
-    /// Snapshot the basis store's candidate sources for this engine's
-    /// match scans (its stochastic columns, detector and `match_index`
-    /// mode). The only step of a scan that touches the store's locks;
-    /// timed into `match_scan_nanos`.
-    fn scan_snapshot(&self) -> ScanSnapshot {
+    /// The basis store's candidate sources for this engine's match scans
+    /// (its stochastic columns, detector and `match_index` mode) — the
+    /// store's shared snapshot, rebuilt only when a source came or went
+    /// since the last batch. The only step of a scan that touches the
+    /// store's locks; timed into `match_scan_nanos`.
+    fn scan_snapshot(&self) -> Arc<ScanSnapshot> {
         let start = Stopwatch::start();
-        let snapshot = self.basis_store().scan_snapshot(
+        let snapshot = self.basis_store().scan_snapshot_shared(
             self.stochastic_columns(),
             &self.config().detector,
             self.config().match_index,

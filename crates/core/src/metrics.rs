@@ -78,6 +78,14 @@ pub struct EngineMetrics {
     /// VG functions without an `f64` batch lane). Zero on pure-numeric
     /// scenarios — the bench asserts exactly that on the bundled ones.
     pub column_fallbacks: u64,
+    /// Alias references the columnar tier read through a selection vector
+    /// (lanes copied out by index) instead of borrowing the whole column —
+    /// across probe walks, simulation walks and the derived-column walks of
+    /// re-mapped points. Zero on the bundled scenarios, whose every node
+    /// stays on the whole-block path (`tests/vector_equivalence.rs` pins
+    /// it): a non-zero count on them means a walk fell back onto the
+    /// selection path.
+    pub column_gathers: u64,
     /// VG call sites evaluated by columnar probe walks: one per catalog
     /// function invocation per probed point (Figure 2 has two per point),
     /// whether drawn or memo-served. Zero on the other tiers.
@@ -111,7 +119,12 @@ pub struct EngineMetrics {
     /// evaluation and remapping) — the number the indexed-vs-exhaustive
     /// comparison reads. A batch's probes scan as parallel pool chunks, so
     /// like [`probe_eval_nanos`](EngineMetrics::probe_eval_nanos) this is
-    /// a CPU sum across workers, not the wall clock a driver spent.
+    /// a CPU sum across workers, not the wall clock a driver spent — but
+    /// for the snapshot, which the driver takes alone, once per batch: that
+    /// term is driver wall. It is a clone of the store's shared snapshot
+    /// unless a source was published or evicted since the previous batch,
+    /// so it is the one part of this counter that shrinks as a sweep runs
+    /// out of new sources.
     pub match_scan_nanos: u64,
     /// Nanoseconds inside hit re-mapping (applying the detected mappings
     /// and recomputing the derived columns), summed across parallel
@@ -183,6 +196,7 @@ impl EngineMetrics {
         self.probe_eval_nanos += other.probe_eval_nanos;
         self.columnar_kernels += other.columnar_kernels;
         self.column_fallbacks += other.column_fallbacks;
+        self.column_gathers += other.column_gathers;
         self.probe_call_sites += other.probe_call_sites;
         self.probe_call_sites_memoised += other.probe_call_sites_memoised;
         self.probe_call_sites_replayed += other.probe_call_sites_replayed;
@@ -212,6 +226,7 @@ impl EngineMetrics {
             probe_eval_nanos: self.probe_eval_nanos - earlier.probe_eval_nanos,
             columnar_kernels: self.columnar_kernels - earlier.columnar_kernels,
             column_fallbacks: self.column_fallbacks - earlier.column_fallbacks,
+            column_gathers: self.column_gathers - earlier.column_gathers,
             probe_call_sites: self.probe_call_sites - earlier.probe_call_sites,
             probe_call_sites_memoised: self.probe_call_sites_memoised
                 - earlier.probe_call_sites_memoised,
@@ -259,7 +274,7 @@ impl fmt::Display for EngineMetrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let ms = |nanos: u64| nanos as f64 / 1e6;
         let us = |nanos: u64| format!("{:.2}", nanos as f64 / 1e3);
-        let rows: [(&str, String); 30] = [
+        let rows: [(&str, String); 31] = [
             ("points_simulated", self.points_simulated.to_string()),
             ("points_mapped", self.points_mapped.to_string()),
             ("points_cached", self.points_cached.to_string()),
@@ -270,6 +285,7 @@ impl fmt::Display for EngineMetrics {
             ("probe_eval_ms", format!("{:.2}", ms(self.probe_eval_nanos))),
             ("columnar_kernels", self.columnar_kernels.to_string()),
             ("column_fallbacks", self.column_fallbacks.to_string()),
+            ("column_gathers", self.column_gathers.to_string()),
             ("probe_call_sites", self.probe_call_sites.to_string()),
             (
                 "call_sites_memoised",
@@ -463,6 +479,7 @@ mod tests {
             probe_eval_nanos: 1_250_000,
             columnar_kernels: 210,
             column_fallbacks: 0,
+            column_gathers: 3,
             probe_call_sites: 12,
             probe_call_sites_memoised: 5,
             probe_call_sites_replayed: 4,
@@ -493,6 +510,7 @@ vector_walks                     6
 probe_eval_ms                 1.25
 columnar_kernels               210
 column_fallbacks                 0
+column_gathers                   3
 probe_call_sites                12
 call_sites_memoised              5
 call_sites_replayed              4
@@ -538,6 +556,7 @@ sim_p99_us                 4194.30";
             probe_eval_nanos: 7,
             columnar_kernels: 8,
             column_fallbacks: 9,
+            column_gathers: 26,
             probe_call_sites: 21,
             probe_call_sites_memoised: 22,
             probe_call_sites_replayed: 25,

@@ -150,16 +150,18 @@ impl SweepPlan {
     }
 
     /// One group's full evaluation batch: the axis grid bound onto the
-    /// group's values, in the canonical axis order.
+    /// group's values, in the canonical axis order. Every point is stamped
+    /// into a clone of the batch's first, so the batch shares one set of
+    /// parameter names.
     fn group_points(&self, group: &ParamPoint) -> Vec<ParamPoint> {
         let mut axis = GridGuide::new(&self.axis_decls);
+        let mut full = group.clone();
         std::iter::from_fn(|| axis.next_point())
             .map(|axis_point| {
-                let mut full = group.clone();
                 for (name, value) in axis_point.iter() {
-                    full.set(name.to_owned(), value);
+                    full.set(name, value);
                 }
-                full
+                full.clone()
             })
             .collect()
     }
@@ -578,6 +580,11 @@ FOR MAX @x";
         let points = opt.plan.group_points(group);
         assert_eq!(points.len(), 2);
         assert!(points.iter().all(|p| p.get("x") == group.get("x")));
+        for p in &points[1..] {
+            for ((a, _), (b, _)) in points[0].iter().zip(p.iter()) {
+                assert!(std::ptr::eq(a, b), "{p} allocated `{b}` again");
+            }
+        }
     }
 
     #[test]

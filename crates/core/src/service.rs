@@ -387,7 +387,7 @@ impl Prophet {
                     value,
                 });
             }
-            full.set(name.to_owned(), value);
+            full.set(name, value);
         }
         for name in &slider_names {
             if full.get(name).is_none() {
@@ -406,7 +406,10 @@ impl Prophet {
             .domain
             .values()
             .into_iter()
-            .map(|x| full.with(graph.x_param.clone(), x))
+            .map(|x| {
+                full.set(&graph.x_param, x);
+                full.clone()
+            })
             .collect())
     }
 

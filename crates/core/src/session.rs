@@ -154,7 +154,7 @@ impl OnlineSession {
         let mut sliders = ParamPoint::new();
         for p in &script.params {
             if p.name != graph.x_param {
-                sliders.set(p.name.clone(), p.domain.values()[0]);
+                sliders.set(&p.name, p.domain.values()[0]);
             }
         }
         let series = graph.series.iter().map(Series::new).collect();
@@ -249,7 +249,7 @@ impl OnlineSession {
                 value,
             });
         }
-        self.sliders.set(name.to_owned(), value);
+        self.sliders.set(name, value);
         self.adjustments += 1;
         let report = self.refresh()?;
         // Anticipate the user's next move (paper §3.2) — the pluggable
@@ -274,10 +274,15 @@ impl OnlineSession {
             weeks_cached: 0,
             wall: Duration::ZERO,
         };
+        // Stamped into one point, so the batch shares its parameter names.
+        let mut point = self.sliders.clone();
         let points: Vec<ParamPoint> = self
             .x_values
             .iter()
-            .map(|&x| self.sliders.with(self.graph.x_param.clone(), x))
+            .map(|&x| {
+                point.set(&self.graph.x_param, x);
+                point.clone()
+            })
             .collect();
         let results = self.evaluate_points(points, Priority::High)?;
         for (&x, (samples, outcome)) in self.x_values.iter().zip(&results) {
@@ -320,7 +325,7 @@ impl OnlineSession {
         let mut batch = Vec::with_capacity(drained.len() * self.x_values.len());
         for mut point in drained.iter().cloned() {
             for &x in &self.x_values {
-                point.set(self.graph.x_param.clone(), x);
+                point.set(&self.graph.x_param, x);
                 batch.push(point.clone());
             }
         }
@@ -364,7 +369,7 @@ impl OnlineSession {
                 engine.output_columns().to_vec(),
             ));
         }
-        let point = self.sliders.with(self.graph.x_param.clone(), x);
+        let point = self.sliders.with(&self.graph.x_param, x);
         let worlds_full = engine.config().worlds_per_point;
         let store = engine.basis_store();
         let mut acc = Welford::new();

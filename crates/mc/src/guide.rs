@@ -74,6 +74,10 @@ where
 /// are reproducible and cache-friendly for per-prefix reuse.
 #[derive(Debug, Clone)]
 pub struct GridGuide {
+    /// Every parameter at its first value: each point is a clone of this
+    /// with the cursor's values stamped in, so all of a guide's points
+    /// share one set of names.
+    template: ParamPoint,
     names: Vec<String>,
     axes: Vec<Vec<i64>>,
     /// Mixed-radix counter over `axes`; `None` once exhausted.
@@ -83,7 +87,7 @@ pub struct GridGuide {
 impl GridGuide {
     /// Build from parameter declarations.
     pub fn new(decls: &[ParameterDecl]) -> Self {
-        let names = decls.iter().map(|d| d.name.clone()).collect();
+        let names: Vec<String> = decls.iter().map(|d| d.name.clone()).collect();
         let axes: Vec<Vec<i64>> = decls.iter().map(|d| d.domain.values()).collect();
         let cursor = if axes.iter().any(Vec::is_empty) {
             None
@@ -91,6 +95,7 @@ impl GridGuide {
             Some(vec![0; axes.len()])
         };
         GridGuide {
+            template: names.iter().map(|n| (n, 0)).collect(),
             names,
             axes,
             cursor,
@@ -106,12 +111,10 @@ impl GridGuide {
 impl Guide for GridGuide {
     fn next_point(&mut self) -> Option<ParamPoint> {
         let cursor = self.cursor.as_mut()?;
-        let point = ParamPoint::from_pairs(
-            self.names
-                .iter()
-                .zip(self.axes.iter().zip(cursor.iter()))
-                .map(|(n, (axis, &i))| (n.clone(), axis[i])),
-        );
+        let mut point = self.template.clone();
+        for (name, (axis, &i)) in self.names.iter().zip(self.axes.iter().zip(cursor.iter())) {
+            point.set(name, axis[i]);
+        }
         // Mixed-radix increment; last axis spins fastest.
         let mut done = true;
         for i in (0..cursor.len()).rev() {
@@ -285,6 +288,20 @@ mod tests {
         assert_eq!(s1[0], ParamPoint::from_pairs([("a", 0i64), ("b", 10)]));
         assert_eq!(s1[1], ParamPoint::from_pairs([("a", 0i64), ("b", 20)]));
         assert_eq!(s1[2], ParamPoint::from_pairs([("a", 1i64), ("b", 10)]));
+    }
+
+    #[test]
+    fn every_point_of_a_grid_shares_the_first_points_names() {
+        let mut g = GridGuide::new(&decls());
+        let first = g.next_point().unwrap();
+        let mut rest = 0;
+        while let Some(p) = g.next_point() {
+            rest += 1;
+            for ((a, _), (b, _)) in first.iter().zip(p.iter()) {
+                assert!(std::ptr::eq(a, b), "{p} allocated `{b}` again");
+            }
+        }
+        assert_eq!(rest, 5);
     }
 
     #[test]

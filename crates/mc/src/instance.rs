@@ -39,26 +39,25 @@ impl ParamPoint {
     {
         let mut point = ParamPoint::new();
         for (name, value) in pairs {
-            point.set(name.into(), value);
+            let name: String = name.into();
+            point.set(name, value);
         }
         point
     }
 
-    /// Set (or overwrite) one parameter.
-    pub fn set(&mut self, name: impl Into<String>, value: i64) {
-        let name = name.into();
-        match self
-            .entries
-            .binary_search_by(|(n, _)| (**n).cmp(name.as_str()))
-        {
+    /// Set (or overwrite) one parameter. Overwriting allocates nothing:
+    /// the entry keeps the name it already shares with the point's clones.
+    pub fn set(&mut self, name: impl AsRef<str>, value: i64) {
+        let name = name.as_ref();
+        match self.entries.binary_search_by(|(n, _)| (**n).cmp(name)) {
             Ok(i) => self.entries[i].1 = value,
             Err(i) => self.entries.insert(i, (Arc::from(name), value)),
         }
     }
 
     /// A copy with one parameter replaced — the "adjust one slider" op of
-    /// online mode.
-    pub fn with(&self, name: impl Into<String>, value: i64) -> Self {
+    /// online mode. The copy shares every name with `self`.
+    pub fn with(&self, name: impl AsRef<str>, value: i64) -> Self {
         let mut copy = self.clone();
         copy.set(name, value);
         copy
@@ -167,6 +166,17 @@ mod tests {
     }
 
     #[test]
+    fn overwriting_shares_the_name_with_the_original() {
+        let p = ParamPoint::from_pairs([("x", 1i64), ("y", 2)]);
+        let mut q = p.with(String::from("x"), 9);
+        q.set("y", 7);
+        assert_eq!(q, ParamPoint::from_pairs([("x", 9i64), ("y", 7)]));
+        for ((a, _), (b, _)) in p.iter().zip(q.iter()) {
+            assert!(std::ptr::eq(a, b), "`{a}` was allocated again");
+        }
+    }
+
+    #[test]
     fn stable_hash_distinguishes_values_and_names() {
         let a = ParamPoint::from_pairs([("x", 1i64)]);
         let b = ParamPoint::from_pairs([("x", 2i64)]);
@@ -221,7 +231,7 @@ mod tests {
                 if step % 2 == 0 {
                     point.set(name, value);
                 } else {
-                    point = point.with(name.to_owned(), value);
+                    point = point.with(String::from(name), value);
                 }
                 model.retain(|(n, _)| n != name);
                 model.push((name.to_owned(), value));

@@ -14,7 +14,9 @@
 //! running it (the thundering-herd dedup), and
 //! [`SharedBasisStore::scan_snapshot`] hands a batch one lock-free view of
 //! the candidate sources that each of its probes then scans independently
-//! ([`ScanSnapshot::scan_probe`]).
+//! ([`ScanSnapshot::scan_probe`]) — the same view, through
+//! [`SharedBasisStore::scan_snapshot_shared`], for as long as no candidate
+//! source comes or goes.
 //!
 //! # One table
 //!
@@ -149,6 +151,13 @@ struct Table {
     /// Matchable (simulated) entries by stamp — the match scan's candidate
     /// order; evicted only when no unmatchable entry remains.
     matchable: BTreeMap<u64, ParamPoint>,
+    /// How many times the matchable set has changed
+    /// ([`Table::matchable_changed`]): what a scan snapshot is a snapshot
+    /// *of*.
+    matchable_epoch: u64,
+    /// The last snapshot [`SharedBasisStore::scan_snapshot_shared`] took,
+    /// while the matchable set is still the one it was taken of.
+    scan_cache: Option<Arc<ScanSnapshot>>,
 }
 
 impl Table {
@@ -164,10 +173,22 @@ impl Table {
     /// already there.
     fn put(&mut self, point: ParamPoint, record: Record) {
         let (stamp, matchable) = (record.stamp, record.matchable);
-        if let Some(old) = self.entries.insert(point.clone(), record) {
+        let replaced = self.entries.insert(point.clone(), record);
+        if matchable || replaced.as_ref().is_some_and(|old| old.matchable) {
+            self.matchable_changed();
+        }
+        if let Some(old) = replaced {
             self.queue(old.matchable).remove(&old.stamp);
         }
         self.queue(matchable).insert(stamp, point);
+    }
+
+    /// A matchable record was filed, replaced, evicted or wiped: snapshots
+    /// of the set as it stood are no longer current. Called under the
+    /// write guard by every such change.
+    fn matchable_changed(&mut self) {
+        self.matchable_epoch += 1;
+        self.scan_cache = None;
     }
 }
 
@@ -944,6 +965,7 @@ impl SharedBasisStore {
             table.entries.clear();
             table.matchable.clear();
             table.unmatchable.clear();
+            table.matchable_changed();
             // next_stamp is preserved: stamps stay globally unique across a
             // clear, so later tie-breaks never collide with pre-clear ones.
         });
@@ -1075,10 +1097,11 @@ impl SharedBasisStore {
             table.next_stamp += 1;
             let mut victim = None;
             if table.entries.len() >= self.capacity && !table.entries.contains_key(&point) {
-                victim = table
-                    .unmatchable
-                    .pop_first()
-                    .or_else(|| table.matchable.pop_first());
+                victim = table.unmatchable.pop_first();
+                if victim.is_none() {
+                    victim = table.matchable.pop_first();
+                    table.matchable_changed();
+                }
                 if let Some((_, vpoint)) = &victim {
                     table.entries.remove(vpoint);
                 }
@@ -1165,9 +1188,55 @@ impl SharedBasisStore {
         detector: &CorrelationDetector,
         use_index: bool,
     ) -> ScanSnapshot {
-        let candidates: Vec<Candidate> = {
+        self.snapshot_at_epoch(columns, detector, use_index).0
+    }
+
+    /// [`SharedBasisStore::scan_snapshot`], shared: while no matchable
+    /// record is published, replaced, evicted or wiped, every call with the
+    /// same `columns`, `detector` and `use_index` returns the same
+    /// snapshot instead of rebuilding an equal one. A sweep that has found
+    /// its sources maps everything after them, so nearly all of its
+    /// batches are in that state.
+    ///
+    /// The store keeps the latest snapshot only: callers that alternate
+    /// between two scan configurations on one store rebuild every time, as
+    /// [`SharedBasisStore::scan_snapshot`] does.
+    pub fn scan_snapshot_shared(
+        &self,
+        columns: &[String],
+        detector: &CorrelationDetector,
+        use_index: bool,
+    ) -> Arc<ScanSnapshot> {
+        let cached = {
             let table = self.table.read();
-            table
+            table.scan_cache.clone()
+        };
+        if let Some(snapshot) = cached
+            .filter(|s| s.columns == columns && s.detector == *detector && s.use_index == use_index)
+        {
+            return snapshot;
+        }
+        let (snapshot, epoch) = self.snapshot_at_epoch(columns, detector, use_index);
+        let snapshot = Arc::new(snapshot);
+        let mut table = self.table.write();
+        // A matchable change since the walk makes this snapshot history:
+        // still the caller's view of that moment, but not worth keeping.
+        if table.matchable_epoch == epoch {
+            table.scan_cache = Some(Arc::clone(&snapshot));
+        }
+        snapshot
+    }
+
+    /// A from-scratch snapshot and the matchable epoch it was taken at.
+    fn snapshot_at_epoch(
+        &self,
+        columns: &[String],
+        detector: &CorrelationDetector,
+        use_index: bool,
+    ) -> (ScanSnapshot, u64) {
+        let (candidates, epoch): (Vec<Candidate>, u64) = {
+            let table = self.table.read();
+            let candidates = table
                 .matchable
                 .values()
                 .filter_map(|point| {
@@ -1180,7 +1249,8 @@ impl SharedBasisStore {
                         worlds: record.worlds,
                     })
                 })
-                .collect()
+                .collect();
+            (candidates, table.matchable_epoch)
         };
         let mut slots = Vec::with_capacity(candidates.len() * columns.len());
         for candidate in &candidates {
@@ -1188,13 +1258,14 @@ impl SharedBasisStore {
                 slots.extend(std::iter::repeat(NO_SLOT).take(columns.len()));
             }
         }
-        ScanSnapshot {
+        let snapshot = ScanSnapshot {
             candidates,
             slots,
             columns: columns.to_vec(),
             detector: *detector,
             use_index,
-        }
+        };
+        (snapshot, epoch)
     }
 
     /// Close a batch of [`ScanSnapshot::scan_probe`]s: fold the probes'
@@ -1323,7 +1394,12 @@ impl SharedBasisStore {
             let record = Record::new(r.fingerprints, samples, r.worlds, r.stamp, r.matchable);
             restored.put(r.point, record);
         }
-        self.reset_with(|table| *table = restored);
+        self.reset_with(|table| {
+            // The epoch counts this table's changes, not the snapshot's.
+            restored.matchable_epoch = table.matchable_epoch;
+            *table = restored;
+            table.matchable_changed();
+        });
         Ok(count)
     }
 
@@ -1705,6 +1781,76 @@ mod tests {
         assert_eq!(new.mappings["y"], Mapping::Identity);
         // Scanning a snapshot never touches the live store's ledger.
         assert_eq!(hit_stats(&s), (0, 0));
+    }
+
+    /// The shared snapshot is rebuilt exactly when the matchable set
+    /// changes, and is then the snapshot a from-scratch walk would take.
+    #[test]
+    fn shared_scan_snapshot_lives_until_the_matchable_set_changes() {
+        let detector = CorrelationDetector::default();
+        let columns = ["y".to_owned()];
+        let sources = |snapshot: &ScanSnapshot| -> Vec<(ParamPoint, *const ColumnSamples)> {
+            let candidates = snapshot.candidates.iter();
+            candidates
+                .map(|c| (c.point.clone(), Arc::as_ptr(&c.samples)))
+                .collect()
+        };
+        let s = SharedBasisStore::new(3);
+        let shared = || s.scan_snapshot_shared(&columns, &detector, true);
+        let put = |i: i64, matchable: bool| {
+            let prints = HashMap::from([("y".to_owned(), fp(&[i as f64, 2.0, 4.0]))]);
+            s.insert(point("x", i), prints, samples(i as f64), 2, matchable);
+        };
+        put(1, true);
+        let mut current = shared();
+        assert_eq!(sources(&current).len(), 1);
+
+        // Unmatchable publishes — a first, a replacement, one that evicts
+        // an unmatchable entry — leave the candidate set alone.
+        for i in [2, 2, 3, 4] {
+            put(i, false);
+            assert!(Arc::ptr_eq(&current, &shared()), "after unmatchable {i}");
+        }
+        // Another scan configuration is another snapshot, and takes the
+        // one cache entry with it.
+        assert!(!s.scan_snapshot_shared(&columns, &detector, false).use_index);
+        assert!(!Arc::ptr_eq(&current, &shared()));
+        current = shared();
+
+        type Change<'a> = (&'a str, Box<dyn Fn() + 'a>);
+        let bytes = s.snapshot_bytes();
+        let fill = || (6..=8).for_each(|i| put(i, true));
+        let changes: [Change<'_>; 7] = [
+            ("matchable publish", Box::new(|| put(5, true))),
+            ("matchable replacement", Box::new(|| put(5, true))),
+            ("replacement by an unmatchable", Box::new(|| put(5, false))),
+            ("matchable publishes evicting", Box::new(fill)),
+            // Nothing but sources left to evict: the newcomer itself is
+            // no candidate, its victim was.
+            ("matchable eviction", Box::new(|| put(9, false))),
+            ("clear", Box::new(|| s.clear())),
+            (
+                "restore",
+                Box::new(|| assert_eq!(s.restore_bytes(&bytes), Ok(3))),
+            ),
+        ];
+        for (what, change) in changes {
+            // The epoch is what keeps a snapshot walked before the change
+            // from being cached after it.
+            let epoch = s.table.read().matchable_epoch;
+            change();
+            assert!(s.table.read().matchable_epoch > epoch, "{what}");
+            let fresh = shared();
+            assert!(!Arc::ptr_eq(&current, &fresh), "{what}");
+            assert_eq!(
+                sources(&fresh),
+                sources(&s.scan_snapshot(&columns, &detector, true)),
+                "{what}"
+            );
+            assert!(Arc::ptr_eq(&fresh, &shared()), "{what}: cached again");
+            current = fresh;
+        }
+        assert_eq!(sources(&current).len(), 1, "the restored store's source");
     }
 
     /// Eviction comes off the global stamp-ordered queues — oldest

@@ -188,6 +188,42 @@ impl Expr {
             Expr::Literal(_) | Expr::Param(_) | Expr::Column(_) => {}
         }
     }
+
+    /// Every earlier select-item alias the expression reads (the bare
+    /// identifiers), in evaluation order, repeats included. Lets a caller
+    /// that needs only some items of a SELECT keep exactly the items those
+    /// depend on.
+    pub fn referenced_columns(&self) -> Vec<&str> {
+        let mut out = Vec::new();
+        self.walk_columns(&mut out);
+        out
+    }
+
+    fn walk_columns<'e>(&'e self, out: &mut Vec<&'e str>) {
+        match self {
+            Expr::Column(name) => out.push(name),
+            Expr::Neg(e) | Expr::Not(e) => e.walk_columns(out),
+            Expr::Binary { lhs, rhs, .. } => {
+                lhs.walk_columns(out);
+                rhs.walk_columns(out);
+            }
+            Expr::Case { whens, otherwise } => {
+                for (c, v) in whens {
+                    c.walk_columns(out);
+                    v.walk_columns(out);
+                }
+                if let Some(e) = otherwise {
+                    e.walk_columns(out);
+                }
+            }
+            Expr::Call { args, .. } => {
+                for a in args {
+                    a.walk_columns(out);
+                }
+            }
+            Expr::Literal(_) | Expr::Param(_) => {}
+        }
+    }
 }
 
 /// The domain of a declared parameter.
@@ -510,6 +546,30 @@ mod tests {
             e.referenced_params(),
             vec!["current".to_string(), "feature".to_string()]
         );
+    }
+
+    #[test]
+    fn referenced_columns_reach_every_nesting() {
+        let col = |n: &str| Box::new(Expr::Column(n.into()));
+        let e = Expr::Case {
+            whens: vec![(
+                Expr::Binary {
+                    op: BinOp::Cmp(CmpOp::Lt),
+                    lhs: col("capacity"),
+                    rhs: Box::new(Expr::Neg(col("demand"))),
+                },
+                Expr::Call {
+                    name: "Normal".into(),
+                    args: vec![Expr::Column("a".into()), Expr::Param("p".into())],
+                },
+            )],
+            otherwise: Some(Box::new(Expr::Not(col("capacity")))),
+        };
+        assert_eq!(
+            e.referenced_columns(),
+            ["capacity", "demand", "a", "capacity"]
+        );
+        assert!(Expr::Param("p".into()).referenced_columns().is_empty());
     }
 
     #[test]

@@ -232,14 +232,25 @@ pub fn widen_bool(a: &[bool]) -> Vec<f64> {
     a.iter().map(|&b| if b { 1.0 } else { 0.0 }).collect()
 }
 
-/// Lane-wise comparison via `partial_cmp`, so a NaN data lane compares
-/// false under every operator exactly as the scalar tier's `sql_cmp`.
+/// Lane-wise comparison with `partial_cmp`'s outcomes, so a NaN data lane
+/// compares false under every operator — `<>` included — exactly as the
+/// scalar tier's `sql_cmp`. The operator is matched once, outside the
+/// lanes, so each loop is one branch-free float compare.
 pub fn cmp_f64(op: CmpOp, a: &[f64], b: &[f64]) -> Vec<bool> {
     debug_assert_eq!(a.len(), b.len());
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| op.test(x.partial_cmp(y)))
-        .collect()
+    fn lanes(a: &[f64], b: &[f64], test: impl Fn(f64, f64) -> bool) -> Vec<bool> {
+        a.iter().zip(b).map(|(&x, &y)| test(x, y)).collect()
+    }
+    match op {
+        CmpOp::Eq => lanes(a, b, |x, y| x == y),
+        // Not `x != y`: that is true of a NaN operand, `sql_cmp`'s `<>` is not.
+        #[allow(clippy::double_comparisons)]
+        CmpOp::Neq => lanes(a, b, |x, y| x < y || x > y),
+        CmpOp::Lt => lanes(a, b, |x, y| x < y),
+        CmpOp::Le => lanes(a, b, |x, y| x <= y),
+        CmpOp::Gt => lanes(a, b, |x, y| x > y),
+        CmpOp::Ge => lanes(a, b, |x, y| x >= y),
+    }
 }
 
 /// Lane-wise boolean comparison (`false < true`, as in the scalar tier).
@@ -264,6 +275,47 @@ pub fn truth_i64(a: &[i64]) -> Vec<bool> {
 /// Lane-wise logical NOT.
 pub fn not_bool(a: &[bool]) -> Vec<bool> {
     a.iter().map(|&b| !b).collect()
+}
+
+/// One `CASE` arm as [`blend`] reads it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Arm<'a, T> {
+    /// Every lane NULL: a NULL literal, an all-NULL alias, an absent ELSE.
+    Null,
+    /// One value for every lane (a literal or a parameter).
+    Const(T),
+    /// An alias's lanes with their validity mask.
+    Lanes(&'a [T], &'a NullMask),
+}
+
+/// Lane-wise `if pick[i] { then[i] } else { otherwise[i] }` over a whole
+/// block: the dense form of a `CASE` whose arms need no evaluation. A NULL
+/// lane of the picked arm is NULL in the output (data zeroed or copied
+/// as-is, masked either way).
+pub(crate) fn blend<T: Copy + Default>(
+    pick: &[bool],
+    then: Arm<'_, T>,
+    otherwise: Arm<'_, T>,
+) -> (Vec<T>, NullMask) {
+    let mut nulls = NullMask::none(pick.len());
+    if let (Arm::Const(a), Arm::Const(b)) = (then, otherwise) {
+        let data = pick.iter().map(|&p| if p { a } else { b }).collect();
+        return (data, nulls);
+    }
+    let mut data = vec![T::default(); pick.len()];
+    for (i, &p) in pick.iter().enumerate() {
+        match if p { then } else { otherwise } {
+            Arm::Null => nulls.set_null(i),
+            Arm::Const(x) => data[i] = x,
+            Arm::Lanes(lanes, mask) => {
+                data[i] = lanes[i];
+                if mask.is_null(i) {
+                    nulls.set_null(i);
+                }
+            }
+        }
+    }
+    (data, nulls)
 }
 
 /// Fold the null mask into the sample encoding: NULL lanes become NaN.
@@ -399,6 +451,29 @@ mod tests {
         );
         assert_eq!(truth_i64(&[0, 7, -1]), vec![false, true, true]);
         assert_eq!(not_bool(&[true, false]), vec![false, true]);
+    }
+
+    #[test]
+    fn blend_picks_lanes_and_carries_nulls_across_the_word_boundary() {
+        let pick: Vec<bool> = (0..70).map(|i| i % 3 == 0).collect();
+        let (data, nulls) = blend(&pick, Arm::Const(1i64), Arm::Const(0));
+        assert!(!nulls.any());
+        assert!(data.iter().zip(&pick).all(|(&x, &p)| x == p as i64));
+
+        let lanes: Vec<i64> = (0..70).collect();
+        let mut mask = NullMask::none(70);
+        for i in [0, 63, 66] {
+            mask.set_null(i);
+        }
+        let (data, nulls) = blend(&pick, Arm::Lanes(&lanes, &mask), Arm::Null);
+        for i in 0..70 {
+            // Picked lanes copy the alias (its NULLs included); the rest
+            // take the absent ELSE.
+            assert_eq!(nulls.is_null(i), !pick[i] || mask.is_null(i), "lane {i}");
+            assert_eq!(data[i], if pick[i] { lanes[i] } else { 0 }, "lane {i}");
+        }
+        let (data, nulls) = blend(&pick, Arm::Const(2.5), Arm::Lanes(&[0.5; 70], &mask));
+        assert_eq!((data[0], data[1], nulls.count()), (2.5, 0.5, 0));
     }
 
     #[test]

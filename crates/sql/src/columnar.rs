@@ -30,7 +30,15 @@
 //! * **Lazy masks.** `CASE` arms, `AND`/`OR` right-hand sides and the
 //!   scalar tier's short-circuit rules are reproduced with *selection
 //!   vectors*: a sub-expression is evaluated only for the worlds whose
-//!   control flow reaches it, exactly as the per-world walk would.
+//!   control flow reaches it, exactly as the per-world walk would. The
+//!   selection every walk starts under — the whole block — is no vector
+//!   at all: a node under it reads an alias in place instead of
+//!   gathering it, and a single-`WHEN` `CASE` whose arms are literals,
+//!   parameters or aliases blends them by its condition's truth mask,
+//!   because evaluating such an arm for a lane no world reaches it on
+//!   cannot draw, promote or fail. Any other arm narrows the selection
+//!   as before ([`ColumnarStats::gathers`] counts the alias reads that
+//!   then copy; `docs/VECTORIZATION.md`, *Dense vs selected*).
 //! * **Left-to-right alias scoping.** Select items still evaluate in
 //!   declaration order and later items see earlier aliases — as whole
 //!   columns rather than scalars.
@@ -71,9 +79,9 @@ use prophet_vg::{BatchSamples, LedgerCall, LedgerStore, SeedManager, VgCallF64, 
 
 use crate::ast::{BinOp, Expr, SelectInto};
 use crate::column::{
-    add_f64, add_i64, cmp_bool, cmp_f64, div_f64, div_i64, mask_to_nan, mul_f64, mul_i64, neg_f64,
-    neg_i64, not_bool, rem_f64, rem_i64, sub_f64, sub_i64, truth_f64, truth_i64, widen_bool,
-    widen_i64, NullMask,
+    add_f64, add_i64, blend, cmp_bool, cmp_f64, div_f64, div_i64, mask_to_nan, mul_f64, mul_i64,
+    neg_f64, neg_i64, not_bool, rem_f64, rem_i64, sub_f64, sub_i64, truth_f64, truth_i64,
+    widen_bool, widen_i64, Arm, NullMask,
 };
 use crate::error::{SqlError, SqlResult};
 use crate::executor::{apply_binop, sample_f64, scalar_builtin};
@@ -111,13 +119,7 @@ pub enum Column {
 impl Column {
     /// Number of lanes.
     pub fn len(&self) -> usize {
-        match self {
-            Column::F64 { data, .. } => data.len(),
-            Column::I64 { data, .. } => data.len(),
-            Column::Bool { data, .. } => data.len(),
-            Column::Null(len) => *len,
-            Column::Boxed(values) => values.len(),
-        }
+        self.view().len()
     }
 
     /// True when the column has zero lanes.
@@ -127,39 +129,12 @@ impl Column {
 
     /// Reconstruct lane `i` as a boxed value (NULL from the mask).
     pub fn value_at(&self, i: usize) -> Value {
-        match self {
-            Column::F64 { data, nulls } => {
-                if nulls.is_null(i) {
-                    Value::Null
-                } else {
-                    Value::Float(data[i])
-                }
-            }
-            Column::I64 { data, nulls } => {
-                if nulls.is_null(i) {
-                    Value::Null
-                } else {
-                    Value::Int(data[i])
-                }
-            }
-            Column::Bool { data, nulls } => {
-                if nulls.is_null(i) {
-                    Value::Null
-                } else {
-                    Value::Bool(data[i])
-                }
-            }
-            Column::Null(_) => Value::Null,
-            Column::Boxed(values) => values[i].clone(),
-        }
+        self.view().value_at(i)
     }
 
     /// Reconstruct the whole column as boxed values.
     pub fn to_values(&self) -> Vec<Value> {
-        match self {
-            Column::Boxed(values) => values.clone(),
-            _ => (0..self.len()).map(|i| self.value_at(i)).collect(),
-        }
+        self.view().to_values()
     }
 
     /// Sniff a boxed column back into the tightest typed representation:
@@ -212,25 +187,100 @@ impl Column {
         }
     }
 
-    /// Select lanes `idx` into a new column (`out[k] = self[idx[k]]`).
-    fn gather(&self, idx: &[usize]) -> Column {
+    fn view(&self) -> View<'_> {
         match self {
-            Column::F64 { data, nulls } => Column::F64 {
-                data: idx.iter().map(|&i| data[i]).collect(),
-                nulls: nulls.gather(idx),
-            },
-            Column::I64 { data, nulls } => Column::I64 {
-                data: idx.iter().map(|&i| data[i]).collect(),
-                nulls: nulls.gather(idx),
-            },
-            Column::Bool { data, nulls } => Column::Bool {
-                data: idx.iter().map(|&i| data[i]).collect(),
-                nulls: nulls.gather(idx),
-            },
-            Column::Null(_) => Column::Null(idx.len()),
-            Column::Boxed(values) => {
-                Column::Boxed(idx.iter().map(|&i| values[i].clone()).collect())
+            Column::F64 { data, nulls } => View::F64(data, nulls),
+            Column::I64 { data, nulls } => View::I64(data, nulls),
+            Column::Bool { data, nulls } => View::Bool(data, nulls),
+            Column::Null(len) => View::Null(*len),
+            Column::Boxed(values) => View::Boxed(values),
+        }
+    }
+}
+
+/// Borrowed lanes of one column: what every kernel reads. An operand is a
+/// view whether its node just computed it, it is an earlier item's alias,
+/// or it is a sample slice the caller bound — so none of the three is
+/// copied in order to be read.
+#[derive(Debug, Clone, Copy)]
+enum View<'v> {
+    F64(&'v [f64], &'v NullMask),
+    I64(&'v [i64], &'v NullMask),
+    Bool(&'v [bool], &'v NullMask),
+    Null(usize),
+    Boxed(&'v [Value]),
+}
+
+impl View<'_> {
+    fn len(self) -> usize {
+        match self {
+            View::F64(data, _) => data.len(),
+            View::I64(data, _) => data.len(),
+            View::Bool(data, _) => data.len(),
+            View::Null(len) => len,
+            View::Boxed(values) => values.len(),
+        }
+    }
+
+    fn value_at(self, i: usize) -> Value {
+        match self {
+            View::F64(_, nulls) | View::I64(_, nulls) | View::Bool(_, nulls)
+                if nulls.is_null(i) =>
+            {
+                Value::Null
             }
+            View::F64(data, _) => Value::Float(data[i]),
+            View::I64(data, _) => Value::Int(data[i]),
+            View::Bool(data, _) => Value::Bool(data[i]),
+            View::Null(_) => Value::Null,
+            View::Boxed(values) => values[i].clone(),
+        }
+    }
+
+    fn to_values(self) -> Vec<Value> {
+        match self {
+            View::Boxed(values) => values.to_vec(),
+            _ => (0..self.len()).map(|i| self.value_at(i)).collect(),
+        }
+    }
+
+    /// An owned copy (a select item that is nothing but an alias).
+    fn to_column(self) -> Column {
+        match self {
+            View::F64(data, nulls) => Column::F64 {
+                data: data.to_vec(),
+                nulls: nulls.clone(),
+            },
+            View::I64(data, nulls) => Column::I64 {
+                data: data.to_vec(),
+                nulls: nulls.clone(),
+            },
+            View::Bool(data, nulls) => Column::Bool {
+                data: data.to_vec(),
+                nulls: nulls.clone(),
+            },
+            View::Null(len) => Column::Null(len),
+            View::Boxed(values) => Column::Boxed(values.to_vec()),
+        }
+    }
+
+    /// Select lanes `idx` into a new column (`out[k] = self[idx[k]]`).
+    fn gather(self, idx: &[usize]) -> Column {
+        match self {
+            View::F64(data, nulls) => Column::F64 {
+                data: idx.iter().map(|&i| data[i]).collect(),
+                nulls: nulls.gather(idx),
+            },
+            View::I64(data, nulls) => Column::I64 {
+                data: idx.iter().map(|&i| data[i]).collect(),
+                nulls: nulls.gather(idx),
+            },
+            View::Bool(data, nulls) => Column::Bool {
+                data: idx.iter().map(|&i| data[i]).collect(),
+                nulls: nulls.gather(idx),
+            },
+            View::Null(_) => Column::Null(idx.len()),
+            View::Boxed(values) => Column::Boxed(idx.iter().map(|&i| values[i].clone()).collect()),
         }
     }
 
@@ -239,24 +289,24 @@ impl Column {
     /// counts). VG argument columns are usually constant — one parameter
     /// valuation per block — letting the call site share one parameter
     /// row instead of materializing a row per world.
-    fn const_value(&self) -> Option<Value> {
-        if self.is_empty() {
+    fn const_value(self) -> Option<Value> {
+        if self.len() == 0 {
             return None;
         }
         match self {
-            Column::F64 { data, nulls } => {
+            View::F64(data, nulls) => {
                 let first = data[0].to_bits();
                 (!nulls.any() && data.iter().all(|x| x.to_bits() == first))
                     .then(|| Value::Float(data[0]))
             }
-            Column::I64 { data, nulls } => {
+            View::I64(data, nulls) => {
                 (!nulls.any() && data.iter().all(|&x| x == data[0])).then(|| Value::Int(data[0]))
             }
-            Column::Bool { data, nulls } => {
+            View::Bool(data, nulls) => {
                 (!nulls.any() && data.iter().all(|&x| x == data[0])).then(|| Value::Bool(data[0]))
             }
-            Column::Null(_) => Some(Value::Null),
-            Column::Boxed(values) => {
+            View::Null(_) => Some(Value::Null),
+            View::Boxed(values) => {
                 let bit_eq = |a: &Value, b: &Value| match (a, b) {
                     (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
                     _ => a == b,
@@ -270,6 +320,62 @@ impl Column {
     }
 }
 
+/// What evaluating a node yields: a column the node computed, or a view of
+/// one that already exists (an alias read under the whole-block selection).
+#[derive(Debug)]
+enum Lanes<'a> {
+    Owned(Column),
+    Borrowed(View<'a>),
+}
+
+impl Lanes<'_> {
+    fn view(&self) -> View<'_> {
+        match self {
+            Lanes::Owned(column) => column.view(),
+            Lanes::Borrowed(view) => *view,
+        }
+    }
+
+    fn into_column(self) -> Column {
+        match self {
+            Lanes::Owned(column) => column,
+            Lanes::Borrowed(view) => view.to_column(),
+        }
+    }
+}
+
+/// Which world slots of the block a node is evaluated for; lane `k` of the
+/// node's column belongs to slot [`Sel::slot`]`(k)`.
+#[derive(Debug, Clone, Copy)]
+enum Sel<'s> {
+    /// Every slot, in order: where every walk starts, and where a node
+    /// stays until a `CASE` arm or an `AND`/`OR` right-hand side narrows
+    /// it. Lane `k` *is* slot `k`, so nothing is gathered or scattered.
+    All(usize),
+    /// The listed slots, ascending — a selection vector.
+    Lanes(&'s [usize]),
+}
+
+impl<'s> Sel<'s> {
+    fn len(self) -> usize {
+        match self {
+            Sel::All(len) => len,
+            Sel::Lanes(idx) => idx.len(),
+        }
+    }
+
+    fn slot(self, k: usize) -> usize {
+        match self {
+            Sel::All(_) => k,
+            Sel::Lanes(idx) => idx[k],
+        }
+    }
+
+    fn slots(self) -> impl Iterator<Item = usize> + 's {
+        (0..self.len()).map(move |k| self.slot(k))
+    }
+}
+
 /// Kernel-vs-fallback accounting for one columnar walk.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ColumnarStats {
@@ -277,6 +383,12 @@ pub struct ColumnarStats {
     pub kernels: u64,
     /// Expression nodes routed through per-value (boxed) evaluation.
     pub fallbacks: u64,
+    /// Alias references read through a selection vector (lanes copied out
+    /// by index) instead of borrowed whole. Zero for a walk that never
+    /// leaves the whole-block selection — every walk of the bundled
+    /// scenarios; anything else means a node under a non-leaf `CASE` arm
+    /// or an `AND`/`OR` right-hand side read an alias.
+    pub gathers: u64,
     /// VG call sites evaluated (each whole- or partial-block invocation of
     /// a catalog function counts one, memo-served or not).
     pub call_sites: u64,
@@ -424,35 +536,53 @@ pub fn evaluate_select_columns_with(
     memo: Option<&dyn CallSiteMemo>,
     ledgers: Option<&dyn LedgerStore>,
 ) -> SqlResult<(Vec<(String, Column)>, ColumnarStats)> {
-    let mut ctx = ColumnContext {
-        registry,
-        params,
-        draws: Some(DrawState {
-            seeds,
-            worlds,
-            counters: vec![0; worlds.len()],
-            memo,
-            ledgers,
-        }),
-        aliases: HashMap::new(),
+    let draws = DrawState {
+        seeds,
+        worlds,
+        counters: vec![0; worlds.len()],
+        memo,
+        ledgers,
+    };
+    walk_select(select, registry, params, draws, Sel::All(worlds.len()))
+}
+
+/// The select walk under a given top-level selection, which must cover
+/// every slot of `draws.worlds`: [`Sel::All`] from every entry point, the
+/// equivalent selection vector from the differential tests.
+fn walk_select(
+    select: &SelectInto,
+    registry: &VgRegistry,
+    params: &HashMap<String, Value>,
+    draws: DrawState<'_>,
+    sel: Sel<'_>,
+) -> SqlResult<(Vec<(String, Column)>, ColumnarStats)> {
+    let mut walk = Walk {
+        draws: Some(draws),
         stats: ColumnarStats::default(),
     };
-    let everything: Vec<usize> = (0..worlds.len()).collect();
-    let mut out = Vec::with_capacity(select.items.len());
+    let valid = NullMask::none(0);
+    let mut out: Vec<(String, Column)> = Vec::with_capacity(select.items.len());
     for item in &select.items {
-        let column = eval_col(&item.expr, &mut ctx, &everything)?;
-        ctx.aliases.insert(item.alias.clone(), column.clone());
+        let scope = Scope {
+            registry,
+            params,
+            columns: &out,
+            bound: &[],
+            valid: &valid,
+        };
+        let column = eval_col(&item.expr, &scope, &mut walk, sel)?.into_column();
         out.push((item.alias.clone(), column));
     }
-    Ok((out, ctx.stats))
+    Ok((out, walk.stats))
 }
 
 /// Evaluate the *derived* select items — those with no entry in `samples`
 /// — once over a block of `lanes` lanes, with the items that do have an
-/// entry bound as aliases from their `f64` samples. This is the block form
-/// of re-computing derived columns (Figure 2's `CASE WHEN capacity <
-/// demand …`) after a fingerprint re-map: one walk for all worlds instead
-/// of one scalar walk per world, bit-identical per lane.
+/// entry bound as aliases to their `f64` samples (borrowed, never copied),
+/// and return each derived item's samples in declaration order. This is
+/// the block form of re-computing derived columns (Figure 2's `CASE WHEN
+/// capacity < demand …`) after a fingerprint re-map: one walk for all
+/// worlds instead of one scalar walk per world, bit-identical per lane.
 ///
 /// Items are visited in declaration order, so a derived item sees exactly
 /// the aliases declared before it (stochastic or derived), as in every
@@ -460,27 +590,27 @@ pub fn evaluate_select_columns_with(
 /// value: the sample encoding has already collapsed NULL into NaN, and the
 /// per-world reference binds `Value::Float(x)` the same way, so NaN stays a
 /// value here (`NaN < 1` is false, not NULL). NULLs the derived items
-/// themselves produce live in the returned columns' masks until the caller
-/// converts through [`to_f64_samples`].
+/// themselves produce live in their columns' masks while later items read
+/// them, and fold to NaN — the [`to_f64_samples`] rule, applied to the
+/// column by move — only in what is returned.
 ///
 /// Derived items are deterministic: reaching a catalog (VG) function, or
 /// a bound column whose length is not `lanes`, is an evaluation error.
+#[allow(clippy::type_complexity)] // the select walk's return shape, with samples for columns
 pub fn evaluate_derived_columns(
     select: &SelectInto,
     registry: &VgRegistry,
     params: &HashMap<String, Value>,
     samples: &HashMap<String, Vec<f64>>,
     lanes: usize,
-) -> SqlResult<Vec<(String, Column)>> {
-    let mut ctx = ColumnContext {
-        registry,
-        params,
+) -> SqlResult<(Vec<(String, Vec<f64>)>, ColumnarStats)> {
+    let mut walk = Walk {
         draws: None,
-        aliases: HashMap::new(),
         stats: ColumnarStats::default(),
     };
-    let everything: Vec<usize> = (0..lanes).collect();
-    let mut out = Vec::new();
+    let valid = NullMask::none(lanes);
+    let mut bound: Vec<(&str, &[f64])> = Vec::new();
+    let mut derived: Vec<(String, Column)> = Vec::new();
     for item in &select.items {
         match samples.get(&item.alias) {
             Some(data) if data.len() != lanes => {
@@ -490,21 +620,26 @@ pub fn evaluate_derived_columns(
                     data.len()
                 )));
             }
-            Some(data) => {
-                let column = Column::F64 {
-                    data: data.clone(),
-                    nulls: NullMask::none(lanes),
-                };
-                ctx.aliases.insert(item.alias.clone(), column);
-            }
+            Some(data) => bound.push((&item.alias, data)),
             None => {
-                let column = eval_col(&item.expr, &mut ctx, &everything)?;
-                ctx.aliases.insert(item.alias.clone(), column.clone());
-                out.push((item.alias.clone(), column));
+                let scope = Scope {
+                    registry,
+                    params,
+                    columns: &derived,
+                    bound: &bound,
+                    valid: &valid,
+                };
+                let column =
+                    eval_col(&item.expr, &scope, &mut walk, Sel::All(lanes))?.into_column();
+                derived.push((item.alias.clone(), column));
             }
         }
     }
-    Ok(out)
+    let out = derived
+        .into_iter()
+        .map(|(alias, column)| Ok((alias, into_f64_samples(column)?)))
+        .collect::<SqlResult<_>>()?;
+    Ok((out, walk.stats))
 }
 
 /// Convert one typed column to the `f64` sample representation of the
@@ -519,35 +654,69 @@ pub fn evaluate_derived_columns(
 /// as NaN (matching [`sample_f64`], the scalar tier's per-value rule,
 /// which boxed lanes go through), do they collapse.
 pub fn to_f64_samples(column: &Column) -> SqlResult<Vec<f64>> {
-    match column {
-        Column::F64 { data, nulls } => {
-            let mut out = data.clone();
-            mask_to_nan(&mut out, nulls);
-            Ok(out)
+    let (mut out, nulls) = match column {
+        Column::F64 { data, nulls } => (data.clone(), nulls),
+        Column::I64 { data, nulls } => (widen_i64(data), nulls),
+        Column::Bool { data, nulls } => (widen_bool(data), nulls),
+        Column::Null(len) => return Ok(vec![f64::NAN; *len]),
+        Column::Boxed(values) => return values.iter().map(sample_f64).collect(),
+    };
+    mask_to_nan(&mut out, nulls);
+    Ok(out)
+}
+
+/// [`to_f64_samples`] of a column the caller is done with: float lanes are
+/// moved out, and integer lanes widened where they lie (`collect` reuses
+/// the buffer of a same-sized element), so the samples of a numeric column
+/// are the column's own allocation.
+fn into_f64_samples(column: Column) -> SqlResult<Vec<f64>> {
+    let (mut out, nulls): (Vec<f64>, _) = match column {
+        Column::F64 { data, nulls } => (data, nulls),
+        Column::I64 { data, nulls } => (data.into_iter().map(|x| x as f64).collect(), nulls),
+        other => return to_f64_samples(&other),
+    };
+    mask_to_nan(&mut out, &nulls);
+    Ok(out)
+}
+
+/// What one select item's evaluation reads and never writes (the block
+/// form of the scalar tier's `EvalContext` bindings, with whole columns as
+/// aliases).
+struct Scope<'a> {
+    registry: &'a VgRegistry,
+    params: &'a HashMap<String, Value>,
+    /// The items evaluated so far, in declaration order: each is in scope
+    /// under its alias for the items after it.
+    columns: &'a [(String, Column)],
+    /// Sample lanes a derived walk has bound so far (none in a select
+    /// walk), every lane valid under `valid`.
+    bound: &'a [(&'a str, &'a [f64])],
+    valid: &'a NullMask,
+}
+
+impl<'a> Scope<'a> {
+    /// The column in scope under `name`; the latest declaration wins.
+    fn alias(&self, name: &str) -> SqlResult<View<'a>> {
+        if let Some((_, column)) = self.columns.iter().rev().find(|(a, _)| a == name) {
+            return Ok(column.view());
         }
-        Column::I64 { data, nulls } => {
-            let mut out = widen_i64(data);
-            mask_to_nan(&mut out, nulls);
-            Ok(out)
+        if let Some((_, data)) = self.bound.iter().rev().find(|(a, _)| *a == name) {
+            return Ok(View::F64(data, self.valid));
         }
-        Column::Bool { data, nulls } => {
-            let mut out = widen_bool(data);
-            mask_to_nan(&mut out, nulls);
-            Ok(out)
-        }
-        Column::Null(len) => Ok(vec![f64::NAN; *len]),
-        Column::Boxed(values) => values.iter().map(sample_f64).collect(),
+        Err(SqlError::Eval(format!("unknown column or alias `{name}`")))
+    }
+
+    fn param(&self, name: &str) -> SqlResult<&'a Value> {
+        self.params
+            .get(name)
+            .ok_or_else(|| SqlError::Eval(format!("unbound parameter @{name}")))
     }
 }
 
-/// Evaluation state for one columnar walk (the block form of the scalar
-/// tier's `EvalContext`: per-slot call counters, whole-column aliases).
-struct ColumnContext<'a> {
-    registry: &'a VgRegistry,
-    params: &'a HashMap<String, Value>,
+/// What a walk accumulates as it goes.
+struct Walk<'a> {
     /// VG draw state; `None` in a derived-column walk, which must not draw.
     draws: Option<DrawState<'a>>,
-    aliases: HashMap<String, Column>,
     stats: ColumnarStats,
 }
 
@@ -581,166 +750,149 @@ fn broadcast(v: &Value, len: usize) -> Column {
     }
 }
 
-/// Evaluate `expr` for the world slots in `sel`, returning a column with
-/// one lane per selected slot (`lane k` belongs to slot `sel[k]`).
-fn eval_col(expr: &Expr, ctx: &mut ColumnContext<'_>, sel: &[usize]) -> SqlResult<Column> {
-    match expr {
-        Expr::Literal(v) => Ok(broadcast(v, sel.len())),
-        Expr::Param(name) => {
-            let v = ctx
-                .params
-                .get(name)
-                .ok_or_else(|| SqlError::Eval(format!("unbound parameter @{name}")))?;
-            Ok(broadcast(v, sel.len()))
-        }
+/// Evaluate `expr` for the world slots in `sel`, returning one lane per
+/// selected slot (`lane k` belongs to slot `sel.slot(k)`).
+fn eval_col<'a>(
+    expr: &Expr,
+    scope: &Scope<'a>,
+    walk: &mut Walk<'_>,
+    sel: Sel<'_>,
+) -> SqlResult<Lanes<'a>> {
+    let column = match expr {
+        Expr::Literal(v) => broadcast(v, sel.len()),
+        Expr::Param(name) => broadcast(scope.param(name)?, sel.len()),
         Expr::Column(name) => {
-            let column = ctx
-                .aliases
-                .get(name)
-                .ok_or_else(|| SqlError::Eval(format!("unknown column or alias `{name}`")))?;
-            Ok(column.gather(sel))
+            let view = scope.alias(name)?;
+            match sel {
+                Sel::All(_) => return Ok(Lanes::Borrowed(view)),
+                Sel::Lanes(idx) => {
+                    walk.stats.gathers += 1;
+                    view.gather(idx)
+                }
+            }
         }
         Expr::Neg(e) => {
-            let c = eval_col(e, ctx, sel)?;
-            neg_col(c, ctx)
+            let c = eval_col(e, scope, walk, sel)?;
+            neg_col(c.view(), walk)?
         }
         Expr::Not(e) => {
-            let c = eval_col(e, ctx, sel)?;
-            not_col(c, ctx)
+            let c = eval_col(e, scope, walk, sel)?;
+            not_col(c.view(), walk)?
         }
         Expr::Binary { op, lhs, rhs } => match op {
-            BinOp::And | BinOp::Or => eval_logical_col(*op, lhs, rhs, ctx, sel),
+            BinOp::And | BinOp::Or => eval_logical_col(*op, lhs, rhs, scope, walk, sel)?,
             _ => {
-                let l = eval_col(lhs, ctx, sel)?;
-                let r = eval_col(rhs, ctx, sel)?;
-                apply_binop_col(*op, &l, &r, ctx)
+                let l = eval_col(lhs, scope, walk, sel)?;
+                let r = eval_col(rhs, scope, walk, sel)?;
+                apply_binop_col(*op, l.view(), r.view(), walk)?
             }
         },
-        Expr::Case { whens, otherwise } => eval_case_col(whens, otherwise.as_deref(), ctx, sel),
+        Expr::Case { whens, otherwise } => {
+            eval_case_col(whens, otherwise.as_deref(), scope, walk, sel)?
+        }
         Expr::Call { name, args } => {
             let mut arg_columns = Vec::with_capacity(args.len());
             for a in args {
-                arg_columns.push(eval_col(a, ctx, sel)?);
+                arg_columns.push(eval_col(a, scope, walk, sel)?);
             }
-            call_function_col(name, &arg_columns, ctx, sel)
+            call_function_col(name, &arg_columns, scope, walk, sel)?
         }
-    }
+    };
+    Ok(Lanes::Owned(column))
 }
 
 /// Per-value evaluation of one unary node, re-sniffed to a typed column.
 fn fallback_unary(
-    c: &Column,
-    ctx: &mut ColumnContext<'_>,
+    c: View<'_>,
+    walk: &mut Walk<'_>,
     f: impl Fn(&Value) -> SqlResult<Value>,
 ) -> SqlResult<Column> {
-    ctx.stats.fallbacks += 1;
+    walk.stats.fallbacks += 1;
     let values: SqlResult<Vec<Value>> = c.to_values().iter().map(f).collect();
     Ok(Column::from_values(values?))
 }
 
-fn neg_col(c: Column, ctx: &mut ColumnContext<'_>) -> SqlResult<Column> {
+fn neg_col(c: View<'_>, walk: &mut Walk<'_>) -> SqlResult<Column> {
     match c {
-        Column::F64 { data, nulls } => {
-            ctx.stats.kernels += 1;
+        View::F64(data, nulls) => {
+            walk.stats.kernels += 1;
             Ok(Column::F64 {
-                data: neg_f64(&data),
-                nulls,
+                data: neg_f64(data),
+                nulls: nulls.clone(),
             })
         }
-        Column::I64 { data, nulls } => {
-            ctx.stats.kernels += 1;
+        View::I64(data, nulls) => {
+            walk.stats.kernels += 1;
             Ok(Column::I64 {
-                data: neg_i64(&data, &nulls),
-                nulls,
+                data: neg_i64(data, nulls),
+                nulls: nulls.clone(),
             })
         }
-        Column::Null(len) => {
-            ctx.stats.kernels += 1;
+        View::Null(len) => {
+            walk.stats.kernels += 1;
             Ok(Column::Null(len))
         }
-        other => fallback_unary(&other, ctx, |v| v.neg().map_err(SqlError::from)),
+        other => fallback_unary(other, walk, |v| v.neg().map_err(SqlError::from)),
     }
 }
 
-fn not_col(c: Column, ctx: &mut ColumnContext<'_>) -> SqlResult<Column> {
-    match c {
-        Column::F64 { data, nulls } => {
-            ctx.stats.kernels += 1;
-            Ok(Column::Bool {
-                data: not_bool(&truth_f64(&data)),
-                nulls,
+fn not_col(c: View<'_>, walk: &mut Walk<'_>) -> SqlResult<Column> {
+    let (data, nulls) = match c {
+        View::F64(data, nulls) => (not_bool(&truth_f64(data)), nulls),
+        View::I64(data, nulls) => (not_bool(&truth_i64(data)), nulls),
+        View::Bool(data, nulls) => (not_bool(data), nulls),
+        View::Null(len) => {
+            walk.stats.kernels += 1;
+            return Ok(Column::Null(len));
+        }
+        other => {
+            return fallback_unary(other, walk, |v| {
+                if v.is_null() {
+                    Ok(Value::Null)
+                } else {
+                    Ok(Value::Bool(!v.as_bool().map_err(SqlError::from)?))
+                }
             })
         }
-        Column::I64 { data, nulls } => {
-            ctx.stats.kernels += 1;
-            Ok(Column::Bool {
-                data: not_bool(&truth_i64(&data)),
-                nulls,
-            })
-        }
-        Column::Bool { data, nulls } => {
-            ctx.stats.kernels += 1;
-            Ok(Column::Bool {
-                data: not_bool(&data),
-                nulls,
-            })
-        }
-        Column::Null(len) => {
-            ctx.stats.kernels += 1;
-            Ok(Column::Null(len))
-        }
-        other => fallback_unary(&other, ctx, |v| {
-            if v.is_null() {
-                Ok(Value::Null)
-            } else {
-                Ok(Value::Bool(!v.as_bool().map_err(SqlError::from)?))
-            }
-        }),
-    }
+    };
+    walk.stats.kernels += 1;
+    Ok(Column::Bool {
+        data,
+        nulls: nulls.clone(),
+    })
 }
 
 /// Float lanes of a numeric column, widening integers through `as f64`
 /// exactly as the scalar tier's promotion does. `None` for anything
 /// non-numeric (booleans, NULL wildcard, boxed).
-fn as_f64_lanes(col: &Column) -> Option<(Cow<'_, [f64]>, &NullMask)> {
+fn as_f64_lanes(col: View<'_>) -> Option<(Cow<'_, [f64]>, &NullMask)> {
     match col {
-        Column::F64 { data, nulls } => Some((Cow::Borrowed(data), nulls)),
-        Column::I64 { data, nulls } => Some((Cow::Owned(widen_i64(data)), nulls)),
+        View::F64(data, nulls) => Some((Cow::Borrowed(data), nulls)),
+        View::I64(data, nulls) => Some((Cow::Owned(widen_i64(data)), nulls)),
         _ => None,
     }
 }
 
 /// Per-value evaluation of one binary node, re-sniffed to a typed column.
-fn fallback_binop(
-    op: BinOp,
-    l: &Column,
-    r: &Column,
-    ctx: &mut ColumnContext<'_>,
-) -> SqlResult<Column> {
-    ctx.stats.fallbacks += 1;
+fn fallback_binop(op: BinOp, l: View<'_>, r: View<'_>, walk: &mut Walk<'_>) -> SqlResult<Column> {
+    walk.stats.fallbacks += 1;
     let values: SqlResult<Vec<Value>> = (0..l.len())
         .map(|i| apply_binop(op, &l.value_at(i), &r.value_at(i)))
         .collect();
     Ok(Column::from_values(values?))
 }
 
-fn apply_binop_col(
-    op: BinOp,
-    l: &Column,
-    r: &Column,
-    ctx: &mut ColumnContext<'_>,
-) -> SqlResult<Column> {
+fn apply_binop_col(op: BinOp, l: View<'_>, r: View<'_>, walk: &mut Walk<'_>) -> SqlResult<Column> {
     // A NULL operand absorbs before any type checking (`Value` semantics):
     // the node is all-NULL for arithmetic and division, and NULL-propagating
     // for comparisons — in every case, all-NULL output.
-    if let (Column::Null(n), _) | (_, Column::Null(n)) = (l, r) {
-        ctx.stats.kernels += 1;
-        return Ok(Column::Null(*n));
+    if let (View::Null(n), _) | (_, View::Null(n)) = (l, r) {
+        walk.stats.kernels += 1;
+        return Ok(Column::Null(n));
     }
     match op {
         BinOp::Add | BinOp::Sub | BinOp::Mul => {
-            if let (Column::I64 { data: a, nulls: na }, Column::I64 { data: b, nulls: nb }) = (l, r)
-            {
+            if let (View::I64(a, na), View::I64(b, nb)) = (l, r) {
                 let nulls = na.union(nb);
                 let kernel = match op {
                     BinOp::Add => add_i64,
@@ -749,18 +901,18 @@ fn apply_binop_col(
                 };
                 return match kernel(a, b, &nulls) {
                     Some(data) => {
-                        ctx.stats.kernels += 1;
+                        walk.stats.kernels += 1;
                         Ok(Column::I64 { data, nulls })
                     }
                     // Overflow on a valid lane: the scalar tier promotes
                     // exactly that lane to float, so the node's column is
                     // mixed — re-run per value.
-                    None => fallback_binop(op, l, r, ctx),
+                    None => fallback_binop(op, l, r, walk),
                 };
             }
             match (as_f64_lanes(l), as_f64_lanes(r)) {
                 (Some((a, na)), Some((b, nb))) => {
-                    ctx.stats.kernels += 1;
+                    walk.stats.kernels += 1;
                     let kernel = match op {
                         BinOp::Add => add_f64,
                         BinOp::Sub => sub_f64,
@@ -771,13 +923,12 @@ fn apply_binop_col(
                         nulls: na.union(nb),
                     })
                 }
-                _ => fallback_binop(op, l, r, ctx),
+                _ => fallback_binop(op, l, r, walk),
             }
         }
         BinOp::Div | BinOp::Rem => {
-            if let (Column::I64 { data: a, nulls: na }, Column::I64 { data: b, nulls: nb }) = (l, r)
-            {
-                ctx.stats.kernels += 1;
+            if let (View::I64(a, na), View::I64(b, nb)) = (l, r) {
+                walk.stats.kernels += 1;
                 let mut nulls = na.union(nb);
                 let data = match op {
                     BinOp::Div => div_i64(a, b, &mut nulls),
@@ -787,7 +938,7 @@ fn apply_binop_col(
             }
             match (as_f64_lanes(l), as_f64_lanes(r)) {
                 (Some((a, na)), Some((b, nb))) => {
-                    ctx.stats.kernels += 1;
+                    walk.stats.kernels += 1;
                     let mut nulls = na.union(nb);
                     let data = match op {
                         BinOp::Div => div_f64(&a, &b, &mut nulls),
@@ -798,14 +949,12 @@ fn apply_binop_col(
                 // Booleans coerce through `as_f64` in division but error in
                 // the other arithmetic ops; the per-value path reproduces
                 // both, so anything non-numeric falls back.
-                _ => fallback_binop(op, l, r, ctx),
+                _ => fallback_binop(op, l, r, walk),
             }
         }
         BinOp::Cmp(c) => {
-            if let (Column::Bool { data: a, nulls: na }, Column::Bool { data: b, nulls: nb }) =
-                (l, r)
-            {
-                ctx.stats.kernels += 1;
+            if let (View::Bool(a, na), View::Bool(b, nb)) = (l, r) {
+                walk.stats.kernels += 1;
                 return Ok(Column::Bool {
                     data: cmp_bool(c, a, b),
                     nulls: na.union(nb),
@@ -813,13 +962,13 @@ fn apply_binop_col(
             }
             match (as_f64_lanes(l), as_f64_lanes(r)) {
                 (Some((a, na)), Some((b, nb))) => {
-                    ctx.stats.kernels += 1;
+                    walk.stats.kernels += 1;
                     Ok(Column::Bool {
                         data: cmp_f64(c, &a, &b),
                         nulls: na.union(nb),
                     })
                 }
-                _ => fallback_binop(op, l, r, ctx),
+                _ => fallback_binop(op, l, r, walk),
             }
         }
         BinOp::And | BinOp::Or => unreachable!("logical operators use the three-valued path"),
@@ -829,25 +978,20 @@ fn apply_binop_col(
 /// SQL truth value per lane: `None` is NULL (mask state), `Some(b)` the
 /// scalar tier's boolean coercion. Errors on strings exactly where
 /// `Value::as_bool` would.
-fn truth_lanes(col: &Column) -> SqlResult<Vec<Option<bool>>> {
-    Ok(match col {
-        Column::F64 { data, nulls } => truth_f64(data)
-            .into_iter()
-            .enumerate()
-            .map(|(i, b)| (!nulls.is_null(i)).then_some(b))
-            .collect(),
-        Column::I64 { data, nulls } => truth_i64(data)
-            .into_iter()
-            .enumerate()
-            .map(|(i, b)| (!nulls.is_null(i)).then_some(b))
-            .collect(),
-        Column::Bool { data, nulls } => data
+fn truth_lanes(col: View<'_>) -> SqlResult<Vec<Option<bool>>> {
+    let masked = |truth: &[bool], nulls: &NullMask| {
+        truth
             .iter()
             .enumerate()
             .map(|(i, &b)| (!nulls.is_null(i)).then_some(b))
-            .collect(),
-        Column::Null(len) => vec![None; *len],
-        Column::Boxed(values) => values
+            .collect()
+    };
+    Ok(match col {
+        View::F64(data, nulls) => masked(&truth_f64(data), nulls),
+        View::I64(data, nulls) => masked(&truth_i64(data), nulls),
+        View::Bool(data, nulls) => masked(data, nulls),
+        View::Null(len) => vec![None; len],
+        View::Boxed(values) => values
             .iter()
             .map(|v| {
                 if v.is_null() {
@@ -860,6 +1004,32 @@ fn truth_lanes(col: &Column) -> SqlResult<Vec<Option<bool>>> {
     })
 }
 
+/// Which lanes satisfy a `CASE` condition: [`truth_lanes`] with NULL
+/// folded to "not satisfied", as SQL has it.
+fn satisfied(cond: View<'_>) -> SqlResult<Cow<'_, [bool]>> {
+    let valid = |mut truth: Vec<bool>, nulls: &NullMask| {
+        if nulls.any() {
+            for (i, t) in truth.iter_mut().enumerate() {
+                *t &= !nulls.is_null(i);
+            }
+        }
+        Cow::Owned(truth)
+    };
+    Ok(match cond {
+        View::Bool(data, nulls) if !nulls.any() => Cow::Borrowed(data),
+        View::Bool(data, nulls) => valid(data.to_vec(), nulls),
+        View::F64(data, nulls) => valid(truth_f64(data), nulls),
+        View::I64(data, nulls) => valid(truth_i64(data), nulls),
+        View::Null(len) => Cow::Owned(vec![false; len]),
+        View::Boxed(_) => Cow::Owned(
+            truth_lanes(cond)?
+                .into_iter()
+                .map(|t| t == Some(true))
+                .collect(),
+        ),
+    })
+}
+
 /// Three-valued `AND`/`OR` with the scalar tier's exact short-circuit
 /// discipline: the right-hand side is evaluated only for the slots the
 /// scalar tier would not have short-circuited, preserving per-slot VG
@@ -868,12 +1038,13 @@ fn eval_logical_col(
     op: BinOp,
     lhs: &Expr,
     rhs: &Expr,
-    ctx: &mut ColumnContext<'_>,
-    sel: &[usize],
+    scope: &Scope<'_>,
+    walk: &mut Walk<'_>,
+    sel: Sel<'_>,
 ) -> SqlResult<Column> {
-    let lcol = eval_col(lhs, ctx, sel)?;
-    let mut boxed = matches!(lcol, Column::Boxed(_));
-    let ltruth = truth_lanes(&lcol)?;
+    let lcol = eval_col(lhs, scope, walk, sel)?;
+    let mut boxed = matches!(lcol.view(), View::Boxed(_));
+    let ltruth = truth_lanes(lcol.view())?;
     // The truth value an operand short-circuits to, if it does.
     let shorted = |t: Option<bool>| -> Option<bool> {
         match (op, t) {
@@ -892,10 +1063,10 @@ fn eval_logical_col(
         }
     }
     if !rhs_pos.is_empty() {
-        let rhs_sel: Vec<usize> = rhs_pos.iter().map(|&pos| sel[pos]).collect();
-        let rcol = eval_col(rhs, ctx, &rhs_sel)?;
-        boxed |= matches!(rcol, Column::Boxed(_));
-        let rtruth = truth_lanes(&rcol)?;
+        let rhs_sel: Vec<usize> = rhs_pos.iter().map(|&pos| sel.slot(pos)).collect();
+        let rcol = eval_col(rhs, scope, walk, Sel::Lanes(&rhs_sel))?;
+        boxed |= matches!(rcol.view(), View::Boxed(_));
+        let rtruth = truth_lanes(rcol.view())?;
         for (k, &pos) in rhs_pos.iter().enumerate() {
             let (lt, rt) = (ltruth[pos], rtruth[k]);
             out[pos] = Some(match shorted(rt) {
@@ -908,9 +1079,9 @@ fn eval_logical_col(
         }
     }
     if boxed {
-        ctx.stats.fallbacks += 1;
+        walk.stats.fallbacks += 1;
     } else {
-        ctx.stats.kernels += 1;
+        walk.stats.kernels += 1;
     }
     let mut data = vec![false; sel.len()];
     let mut nulls = NullMask::none(sel.len());
@@ -923,52 +1094,81 @@ fn eval_logical_col(
     Ok(Column::Bool { data, nulls })
 }
 
-/// `CASE` with an active/matched/remaining selection discipline: each
-/// condition is evaluated only for the slots no earlier arm matched, arm
-/// results only for the slots their condition matched (as the scalar
-/// tier's first-match walk would), then scatter-merged into the output
-/// column.
+/// An arm that evaluating cannot draw from, overflow-promote in or fail
+/// on a lane of its own: a literal, a parameter or an alias.
+fn is_leaf(expr: &Expr) -> bool {
+    matches!(expr, Expr::Literal(_) | Expr::Param(_) | Expr::Column(_))
+}
+
+/// `CASE`, dense or selected.
+///
+/// Under the whole-block selection, a single-`WHEN` `CASE` whose arms are
+/// all leaves ([`is_leaf`]) is a *blend* ([`blend_case`]): the one
+/// condition covers the block exactly as the scalar tier's first-match
+/// walk evaluates it in every world, and looking a leaf up for a lane no
+/// world's control flow reaches changes nothing that world could observe.
+///
+/// Everything else — a partial selection, several `WHEN`s, an arm with an
+/// operator, a call or a nested `CASE` in it — keeps the active / matched
+/// / remaining selection discipline: each condition is evaluated only for
+/// the slots no earlier arm matched, arm results only for the slots their
+/// condition matched, then scatter-merged into the output column.
 fn eval_case_col(
     whens: &[(Expr, Expr)],
     otherwise: Option<&Expr>,
-    ctx: &mut ColumnContext<'_>,
-    sel: &[usize],
+    scope: &Scope<'_>,
+    walk: &mut Walk<'_>,
+    sel: Sel<'_>,
 ) -> SqlResult<Column> {
+    if let (Sel::All(len @ 1..), [(cond, then)]) = (sel, whens) {
+        if is_leaf(then) && otherwise.map_or(true, is_leaf) {
+            return blend_case(cond, then, otherwise, scope, walk, len);
+        }
+    }
     // (positions into `sel`, lanes for those positions) per resolved arm.
     let mut pieces: Vec<(Vec<usize>, Column)> = Vec::new();
+    // Positions no earlier arm matched, ascending.
     let mut active: Vec<usize> = (0..sel.len()).collect();
     let mut boxed_condition = false;
     for (cond, result) in whens {
         if active.is_empty() {
             break;
         }
-        let cond_sel: Vec<usize> = active.iter().map(|&pos| sel[pos]).collect();
-        let cc = eval_col(cond, ctx, &cond_sel)?;
-        boxed_condition |= matches!(cc, Column::Boxed(_));
-        let ct = truth_lanes(&cc)?;
+        // While nothing has matched — the first condition always — the
+        // condition's selection is the `CASE`'s own.
+        let cond_slots: Vec<usize>;
+        let cond_sel = if active.len() == sel.len() {
+            sel
+        } else {
+            cond_slots = active.iter().map(|&pos| sel.slot(pos)).collect();
+            Sel::Lanes(&cond_slots)
+        };
+        let cc = eval_col(cond, scope, walk, cond_sel)?;
+        boxed_condition |= matches!(cc.view(), View::Boxed(_));
+        let ct = satisfied(cc.view())?;
+        // SQL: a NULL condition is not satisfied.
         let mut matched: Vec<usize> = Vec::new();
         let mut remaining: Vec<usize> = Vec::new();
-        for (k, &pos) in active.iter().enumerate() {
-            // SQL: a NULL condition is not satisfied.
-            if ct[k] == Some(true) {
+        for (&pos, &hit) in active.iter().zip(ct.iter()) {
+            if hit {
                 matched.push(pos);
             } else {
                 remaining.push(pos);
             }
         }
         if !matched.is_empty() {
-            let result_sel: Vec<usize> = matched.iter().map(|&pos| sel[pos]).collect();
-            let rc = eval_col(result, ctx, &result_sel)?;
-            pieces.push((matched, rc));
+            let result_sel: Vec<usize> = matched.iter().map(|&pos| sel.slot(pos)).collect();
+            let rc = eval_col(result, scope, walk, Sel::Lanes(&result_sel))?;
+            pieces.push((matched, rc.into_column()));
         }
         active = remaining;
     }
     if !active.is_empty() {
         match otherwise {
             Some(e) => {
-                let else_sel: Vec<usize> = active.iter().map(|&pos| sel[pos]).collect();
-                let ec = eval_col(e, ctx, &else_sel)?;
-                pieces.push((active, ec));
+                let else_sel: Vec<usize> = active.iter().map(|&pos| sel.slot(pos)).collect();
+                let ec = eval_col(e, scope, walk, Sel::Lanes(&else_sel))?;
+                pieces.push((active, ec.into_column()));
             }
             None => {
                 let len = active.len();
@@ -976,7 +1176,149 @@ fn eval_case_col(
             }
         }
     }
-    merge_pieces(pieces, sel.len(), boxed_condition, ctx)
+    merge_pieces(pieces, sel.len(), boxed_condition, walk)
+}
+
+/// The typed kind of a column or scalar; `None` is the NULL wildcard,
+/// which unifies with any kind.
+#[derive(PartialEq, Clone, Copy)]
+enum Kind {
+    F,
+    I,
+    B,
+}
+
+/// Unify the kinds of a `CASE`'s reached arms: `Ok(kind)` when every arm
+/// is typed and no two typed arms differ, `Err(())` when an arm is boxed
+/// or two kinds clash — the scalar tier would have produced a mixed
+/// column, so the node drops to boxed values.
+fn unify_kinds(
+    arms: impl IntoIterator<Item = Result<Option<Kind>, ()>>,
+) -> Result<Option<Kind>, ()> {
+    let mut kind = None;
+    for arm in arms {
+        match (kind, arm?) {
+            (None, k) => kind = k,
+            (Some(a), Some(b)) if a != b => return Err(()),
+            _ => {}
+        }
+    }
+    Ok(kind)
+}
+
+fn view_kind(view: View<'_>) -> Result<Option<Kind>, ()> {
+    match view {
+        View::F64(..) => Ok(Some(Kind::F)),
+        View::I64(..) => Ok(Some(Kind::I)),
+        View::Bool(..) => Ok(Some(Kind::B)),
+        View::Null(_) => Ok(None),
+        View::Boxed(_) => Err(()),
+    }
+}
+
+/// A leaf `CASE` arm, looked up but not materialised.
+#[derive(Clone, Copy)]
+enum Leaf<'l> {
+    /// A literal, a parameter, an arm no lane reaches, or an absent ELSE
+    /// (the last two as NULL).
+    Scalar(&'l Value),
+    Alias(View<'l>),
+}
+
+impl<'l> Leaf<'l> {
+    /// The arm's value if some lane reaches it, NULL otherwise (and for an
+    /// absent ELSE).
+    fn look_up(arm: Option<&'l Expr>, reached: bool, scope: &Scope<'l>) -> SqlResult<Self> {
+        Ok(match arm {
+            Some(Expr::Literal(v)) if reached => Leaf::Scalar(v),
+            Some(Expr::Param(name)) if reached => Leaf::Scalar(scope.param(name)?),
+            Some(Expr::Column(name)) if reached => Leaf::Alias(scope.alias(name)?),
+            _ => Leaf::Scalar(&Value::Null),
+        })
+    }
+
+    fn kind(self) -> Result<Option<Kind>, ()> {
+        match self {
+            Leaf::Scalar(Value::Float(_)) => Ok(Some(Kind::F)),
+            Leaf::Scalar(Value::Int(_)) => Ok(Some(Kind::I)),
+            Leaf::Scalar(Value::Bool(_)) => Ok(Some(Kind::B)),
+            Leaf::Scalar(Value::Null) => Ok(None),
+            Leaf::Scalar(_) => Err(()),
+            Leaf::Alias(view) => view_kind(view),
+        }
+    }
+
+    fn value_at(self, i: usize) -> Value {
+        match self {
+            Leaf::Scalar(v) => v.clone(),
+            Leaf::Alias(view) => view.value_at(i),
+        }
+    }
+}
+
+/// The dense `CASE`: evaluate the condition once over the block, look up
+/// each leaf arm some lane reaches (an unreached arm is not even looked
+/// up, so an unbound parameter in it stays as silent as in the scalar
+/// tier), and blend by the truth mask into one typed column. Kind
+/// unification, the boxed fallback and the `kernels` / `fallbacks`
+/// accounting are [`merge_pieces`]'s.
+fn blend_case(
+    cond: &Expr,
+    then: &Expr,
+    otherwise: Option<&Expr>,
+    scope: &Scope<'_>,
+    walk: &mut Walk<'_>,
+    len: usize,
+) -> SqlResult<Column> {
+    let cc = eval_col(cond, scope, walk, Sel::All(len))?;
+    let boxed_condition = matches!(cc.view(), View::Boxed(_));
+    let pick = satisfied(cc.view())?;
+    let then = Leaf::look_up(Some(then), pick.contains(&true), scope)?;
+    let otherwise = Leaf::look_up(otherwise, pick.contains(&false), scope)?;
+
+    let kind = unify_kinds([then.kind(), otherwise.kind()]);
+    let (Ok(kind), false) = (kind, boxed_condition) else {
+        walk.stats.fallbacks += 1;
+        let values = pick
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| if p { then } else { otherwise }.value_at(i))
+            .collect();
+        return Ok(Column::from_values(values));
+    };
+    walk.stats.kernels += 1;
+    // With the kinds unified, an arm that is not of the node's kind is the
+    // NULL wildcard.
+    Ok(match kind {
+        None => Column::Null(len),
+        Some(Kind::F) => {
+            let arm = |leaf| match leaf {
+                Leaf::Scalar(Value::Float(x)) => Arm::Const(*x),
+                Leaf::Alias(View::F64(data, nulls)) => Arm::Lanes(data, nulls),
+                _ => Arm::Null,
+            };
+            let (data, nulls) = blend(&pick, arm(then), arm(otherwise));
+            Column::F64 { data, nulls }
+        }
+        Some(Kind::I) => {
+            let arm = |leaf| match leaf {
+                Leaf::Scalar(Value::Int(x)) => Arm::Const(*x),
+                Leaf::Alias(View::I64(data, nulls)) => Arm::Lanes(data, nulls),
+                _ => Arm::Null,
+            };
+            let (data, nulls) = blend(&pick, arm(then), arm(otherwise));
+            Column::I64 { data, nulls }
+        }
+        Some(Kind::B) => {
+            let arm = |leaf| match leaf {
+                Leaf::Scalar(Value::Bool(x)) => Arm::Const(*x),
+                Leaf::Alias(View::Bool(data, nulls)) => Arm::Lanes(data, nulls),
+                _ => Arm::Null,
+            };
+            let (data, nulls) = blend(&pick, arm(then), arm(otherwise));
+            Column::Bool { data, nulls }
+        }
+    })
 }
 
 /// Scatter-merge per-arm result pieces into one block-length column. When
@@ -987,35 +1329,11 @@ fn merge_pieces(
     pieces: Vec<(Vec<usize>, Column)>,
     len: usize,
     boxed_condition: bool,
-    ctx: &mut ColumnContext<'_>,
+    walk: &mut Walk<'_>,
 ) -> SqlResult<Column> {
-    #[derive(PartialEq, Clone, Copy)]
-    enum Kind {
-        F,
-        I,
-        B,
-    }
-    let mut kind: Option<Kind> = None;
-    let mut unified = !boxed_condition;
-    for (_, piece) in &pieces {
-        let k = match piece {
-            Column::F64 { .. } => Some(Kind::F),
-            Column::I64 { .. } => Some(Kind::I),
-            Column::Bool { .. } => Some(Kind::B),
-            Column::Null(_) => None,
-            Column::Boxed(_) => {
-                unified = false;
-                None
-            }
-        };
-        match (kind, k) {
-            (None, k) => kind = k,
-            (Some(a), Some(b)) if a != b => unified = false,
-            _ => {}
-        }
-    }
-    if !unified {
-        ctx.stats.fallbacks += 1;
+    let kind = unify_kinds(pieces.iter().map(|(_, piece)| view_kind(piece.view())));
+    let (Ok(kind), false) = (kind, boxed_condition) else {
+        walk.stats.fallbacks += 1;
         let mut out: Vec<Value> = vec![Value::Null; len];
         for (positions, piece) in &pieces {
             for (k, &pos) in positions.iter().enumerate() {
@@ -1023,8 +1341,8 @@ fn merge_pieces(
             }
         }
         return Ok(Column::from_values(out));
-    }
-    ctx.stats.kernels += 1;
+    };
+    walk.stats.kernels += 1;
     let mut nulls = NullMask::none(len);
     let scatter_nulls = |nulls: &mut NullMask, positions: &[usize], piece: &NullMask| {
         for (k, &pos) in positions.iter().enumerate() {
@@ -1099,32 +1417,34 @@ fn merge_pieces(
 /// builtins, as in the scalar tier), then scalar builtins per world.
 fn call_function_col(
     name: &str,
-    args: &[Column],
-    ctx: &mut ColumnContext<'_>,
-    sel: &[usize],
+    args: &[Lanes<'_>],
+    scope: &Scope<'_>,
+    walk: &mut Walk<'_>,
+    sel: Sel<'_>,
 ) -> SqlResult<Column> {
-    if ctx.registry.get(name).is_err() {
+    let registry = scope.registry;
+    if registry.get(name).is_err() {
         // Scalar builtin, world by world (boxed by nature).
-        ctx.stats.fallbacks += 1;
+        walk.stats.fallbacks += 1;
         let values: SqlResult<Vec<Value>> = (0..sel.len())
             .map(|k| {
-                let row: Vec<Value> = args.iter().map(|c| c.value_at(k)).collect();
+                let row: Vec<Value> = args.iter().map(|c| c.view().value_at(k)).collect();
                 scalar_builtin(name, &row)
             })
             .collect();
         return Ok(Column::from_values(values?));
     }
 
-    let Some(draws) = ctx.draws.as_mut() else {
+    let Some(draws) = walk.draws.as_mut() else {
         return Err(SqlError::Eval(format!(
             "derived column calls VG function `{name}`; derived columns must not draw"
         )));
     };
-    ctx.stats.call_sites += 1;
+    walk.stats.call_sites += 1;
     // Argument columns are usually constant over the block (one parameter
     // valuation per point): share a single parameter row instead of
     // materializing one per world.
-    let const_row: Option<Vec<Value>> = args.iter().map(|c| c.const_value()).collect();
+    let const_row: Option<Vec<Value>> = args.iter().map(|c| c.view().const_value()).collect();
 
     // A whole-block call with a constant argument row and one call index
     // for every slot is fully identified by `(name, index, row)`.
@@ -1132,7 +1452,7 @@ fn call_function_col(
         .memo
         .zip(const_row.as_deref())
         .filter(|_| {
-            !sel.is_empty()
+            sel.len() > 0
                 && sel.len() == draws.worlds.len()
                 && draws.counters.iter().all(|&c| c == draws.counters[0])
         })
@@ -1142,11 +1462,11 @@ fn call_function_col(
     // only for worlds reaching this call site (scalar tier's discipline) —
     // on a memo hit too, so later call sites see the same indices.
     if let Some(lanes) = memo.as_ref().and_then(|(memo, key)| memo.get(key)) {
-        for &slot in sel {
+        for slot in sel.slots() {
             draws.counters[slot] += 1;
         }
-        ctx.stats.kernels += 1;
-        ctx.stats.call_sites_memoised += 1;
+        walk.stats.kernels += 1;
+        walk.stats.call_sites_memoised += 1;
         return Ok(Column::F64 {
             data: lanes.to_vec(),
             nulls: NullMask::none(lanes.len()),
@@ -1156,7 +1476,7 @@ fn call_function_col(
         Vec::new()
     } else {
         (0..sel.len())
-            .map(|k| args.iter().map(|c| c.value_at(k)).collect())
+            .map(|k| args.iter().map(|c| c.view().value_at(k)).collect())
             .collect()
     };
     let row = |k: usize| const_row.as_deref().unwrap_or_else(|| &rows[k]);
@@ -1166,30 +1486,29 @@ fn call_function_col(
     let replayed = match draws.ledgers {
         Some(store) => {
             let calls: Vec<LedgerCall<'_>> = sel
-                .iter()
+                .slots()
                 .enumerate()
-                .map(|(k, &slot)| LedgerCall {
+                .map(|(k, slot)| LedgerCall {
                     params: row(k),
                     world: draws.worlds[slot],
                     call_index: draws.counters[slot],
                 })
                 .collect();
-            ctx.registry
-                .invoke_batch_ledgered(name, &calls, &draws.seeds, store)?
+            registry.invoke_batch_ledgered(name, &calls, &draws.seeds, store)?
         }
         None => None,
     };
     let samples = match replayed {
         Some(data) => {
-            for &slot in sel {
+            for slot in sel.slots() {
                 draws.counters[slot] += 1;
             }
-            ctx.stats.call_sites_replayed += 1;
+            walk.stats.call_sites_replayed += 1;
             BatchSamples::F64(data)
         }
         None => {
             let mut rngs = Vec::with_capacity(sel.len());
-            for &slot in sel {
+            for slot in sel.slots() {
                 let counter = draws.counters[slot];
                 draws.counters[slot] += 1;
                 rngs.push(draws.seeds.rng_for(draws.worlds[slot], name, counter));
@@ -1202,12 +1521,12 @@ fn call_function_col(
                     rng,
                 })
                 .collect();
-            ctx.registry.invoke_batch_columnar(name, &mut calls)?
+            registry.invoke_batch_columnar(name, &mut calls)?
         }
     };
     match samples {
         BatchSamples::F64(data) => {
-            ctx.stats.kernels += 1;
+            walk.stats.kernels += 1;
             if let Some((memo, key)) = memo {
                 memo.insert(key, Arc::from(data.as_slice()));
             }
@@ -1217,7 +1536,7 @@ fn call_function_col(
             })
         }
         BatchSamples::Values(values) => {
-            ctx.stats.fallbacks += 1;
+            walk.stats.fallbacks += 1;
             Ok(Column::from_values(values))
         }
     }
@@ -1360,6 +1679,109 @@ mod tests {
             &(0..24u64).collect::<Vec<_>>(),
         );
         assert!(stats.fallbacks > 0, "builtins route through the fallback");
+    }
+
+    /// One walk under the whole-block selection and one under the
+    /// selection vector naming the same slots — the walk every node took
+    /// before there was a dense path. Lanes (NULL masks included) and
+    /// errors must agree; the two walks' accounting is returned.
+    fn walk_dense_and_selected(src: &str, worlds: &[u64]) -> Option<[ColumnarStats; 2]> {
+        let script = parse_script(src).unwrap();
+        let registry = registry();
+        let params = HashMap::from([("x".to_string(), Value::Int(3))]);
+        let everything: Vec<usize> = (0..worlds.len()).collect();
+        let walk = |sel: Sel<'_>| {
+            let draws = DrawState {
+                seeds: SeedManager::new(11),
+                worlds,
+                counters: vec![0; worlds.len()],
+                memo: None,
+                ledgers: None,
+            };
+            walk_select(&script.select, &registry, &params, draws, sel)
+        };
+        let dense = walk(Sel::All(worlds.len()));
+        let selected = walk(Sel::Lanes(&everything));
+        let (Ok((dense, dense_stats)), Ok((selected, selected_stats))) = (&dense, &selected) else {
+            let message = |r: &SqlResult<_>| r.as_ref().map(|_| ()).map_err(|e| e.to_string());
+            assert_eq!(message(&dense), message(&selected), "`{src}`");
+            return None;
+        };
+        for ((alias, d), (_, s)) in dense.iter().zip(selected) {
+            for i in 0..worlds.len() {
+                let same = match (d.value_at(i), s.value_at(i)) {
+                    (Value::Float(a), Value::Float(b)) => a.to_bits() == b.to_bits(),
+                    (a, b) => a == b,
+                };
+                assert!(same, "`{src}` column `{alias}` lane {i}");
+            }
+        }
+        Some([*dense_stats, *selected_stats])
+    }
+
+    #[test]
+    fn dense_and_selected_walks_agree_lane_for_lane_and_node_for_node() {
+        let cases = [
+            // Leaf arms: every alias is borrowed, nothing is gathered.
+            "DECLARE PARAMETER @x AS SET (3);\n\
+             SELECT Jitter(0) AS u, Jitter(1) AS v,\n\
+             CASE WHEN u < 0.5 THEN 1 ELSE 0 END AS lit,\n\
+             CASE WHEN u < 0.5 THEN v ELSE @x END AS alias_or_param,\n\
+             CASE WHEN u < 0.5 THEN v END AS no_else,\n\
+             CASE WHEN NULL THEN 1 ELSE u END AS null_cond,\n\
+             CASE WHEN u < 0.5 THEN 1 ELSE 2.5 END AS mixed,\n\
+             CASE WHEN u < 9 THEN 1 ELSE 2.5 END AS one_arm_reached,\n\
+             CASE WHEN lit = 1 THEN no_else ELSE lit END AS null_lanes INTO r;",
+            // An unreached leaf is never looked up.
+            "DECLARE PARAMETER @gone AS SET (0);\n\
+             SELECT CASE WHEN 1 = 0 THEN @gone ELSE 7 END AS v INTO r;",
+            // A reached one is, with the scalar tier's message.
+            "DECLARE PARAMETER @gone AS SET (0);\n\
+             SELECT CASE WHEN 1 = 1 THEN @gone ELSE 7 END AS v INTO r;",
+            "SELECT CASE WHEN 1 = 1 THEN nope END AS v INTO r;",
+            "SELECT CASE WHEN 'a' THEN 1 ELSE 0 END AS v INTO r;",
+            "SELECT CASE WHEN 1 = 1 THEN 'a' ELSE 0 END AS v INTO r;",
+        ];
+        let blocks: [&[u64]; 3] = [&[7], &[3, 1, 4, 1, 5, 9, 2, 6], &[]];
+        for src in cases {
+            for worlds in blocks {
+                let Some([dense, selected]) = walk_dense_and_selected(src, worlds) else {
+                    continue;
+                };
+                assert_eq!(dense.gathers, 0, "`{src}`");
+                assert_eq!(
+                    ColumnarStats {
+                        gathers: 0,
+                        ..selected
+                    },
+                    dense,
+                    "`{src}` at {} lanes",
+                    worlds.len()
+                );
+            }
+        }
+        // Arms that are not leaves keep the selection path even from the
+        // top: the arm reads `u` through the selection either way, the
+        // condition reads it whole only under the whole-block selection.
+        let gated = "SELECT Jitter(0) AS u,\n\
+             CASE WHEN u < 0.5 THEN u + Jitter(2) ELSE -u END AS arm,\n\
+             CASE WHEN u < 0.5 AND u > 0.1 THEN 1 ELSE 0 END AS rhs INTO r;";
+        let [dense, selected] = walk_dense_and_selected(gated, &[0, 1, 2, 3, 4, 5, 6, 7]).unwrap();
+        assert_eq!(
+            dense.gathers, 3,
+            "both arms of `arm`, the AND's right-hand side"
+        );
+        assert_eq!(selected.gathers, 5, "plus the two conditions");
+        assert_eq!(
+            ColumnarStats {
+                gathers: 0,
+                ..selected
+            },
+            ColumnarStats {
+                gathers: 0,
+                ..dense
+            }
+        );
     }
 
     #[test]
@@ -1953,7 +2375,7 @@ mod tests {
                 vec![0.5, 0.3, f64::NAN, 0.8, 0.0, 0.6, f64::NAN, 0.95, 0.55],
             ),
         ]);
-        let block =
+        let (block, stats) =
             evaluate_derived_columns(&script.select, &registry, &params, &samples, lanes).unwrap();
         let aliases: Vec<&str> = block.iter().map(|(a, _)| a.as_str()).collect();
         assert_eq!(
@@ -1969,17 +2391,17 @@ mod tests {
             ],
             "derived items only, in declaration order"
         );
-        // Inside the tier the always-NULL item is mask state, not NaN…
-        assert_eq!(block[3].1, Column::Null(lanes));
+        // The always-NULL item was mask state until it left the tier…
+        assert!(block[3].1.iter().all(|x| x.is_nan()));
         // …and a NaN source lane is a value: `NaN = NaN` is false, so its
         // negation is a valid TRUE, where a NULL lane would stay NULL.
-        assert_eq!(block[5].1.value_at(1), Value::Bool(true));
+        assert_eq!(block[5].1[1], 1.0);
+        // `overload` and `never` blend; `holes` has an operator in its arm
+        // and reads its aliases through the selection.
+        assert!(stats.kernels > 0 && stats.gathers > 0);
         let got: Vec<(String, Vec<u64>)> = block
             .iter()
-            .map(|(alias, c)| {
-                let xs = to_f64_samples(c).unwrap();
-                (alias.clone(), xs.iter().map(|x| x.to_bits()).collect())
-            })
+            .map(|(alias, xs)| (alias.clone(), xs.iter().map(|x| x.to_bits()).collect()))
             .collect();
         let want = derive_per_world(&script.select, &registry, &params, &samples, lanes);
         assert_eq!(got, want);
@@ -2028,12 +2450,12 @@ mod tests {
     #[test]
     fn const_detection_sees_uniform_columns_only() {
         let c = broadcast(&Value::Int(7), 4);
-        assert_eq!(c.const_value(), Some(Value::Int(7)));
+        assert_eq!(c.view().const_value(), Some(Value::Int(7)));
         let mixed = Column::from_values(vec![Value::Int(1), Value::Int(2)]);
-        assert_eq!(mixed.const_value(), None);
+        assert_eq!(mixed.view().const_value(), None);
         let nan = broadcast(&Value::Float(f64::NAN), 3);
-        assert!(matches!(nan.const_value(), Some(Value::Float(x)) if x.is_nan()));
-        assert_eq!(Column::Null(2).const_value(), Some(Value::Null));
-        assert_eq!(Column::Null(0).const_value(), None);
+        assert!(matches!(nan.view().const_value(), Some(Value::Float(x)) if x.is_nan()));
+        assert_eq!(View::Null(2).const_value(), Some(Value::Null));
+        assert_eq!(View::Null(0).const_value(), None);
     }
 }

@@ -799,7 +799,7 @@ fn progressive_chunked_samples_match_the_blocking_full_run_prefix() {
     // the same accumulator in the same chunks — the pre-PR-5 semantics.
     let engine = Engine::new(&scenario, demo_registry(), cfg).unwrap();
     let mut sliders = session.sliders().clone();
-    sliders.set("current".to_owned(), 20);
+    sliders.set("current", 20);
     let (samples, _) = engine.evaluate(&sliders).unwrap();
     let xs = samples.samples("overload").unwrap();
     let mut acc = prophet_mc::aggregate::Welford::new();

@@ -14,10 +14,14 @@
 //!   asserting per-world equality between one block walk and per-world
 //!   scalar walks;
 //! * a second seeded property loop over *random expressions* — NULL
-//!   literals, conditional VG calls inside CASE arms, three-valued
-//!   AND/OR/NOT, CASE masks with and without ELSE, odd block sizes —
-//!   asserting bit-identical outputs and VG invocation accounting across
-//!   the two tiers;
+//!   literals, alias references, conditional VG calls inside CASE arms,
+//!   three-valued AND/OR/NOT, CASE masks with and without ELSE, odd block
+//!   sizes — and a fixed list of `CASE` shapes on both sides of the dense
+//!   blend rule at block lengths straddling the null-mask word, each
+//!   SELECT walked three ways: whole-block (dense where the rule allows),
+//!   with every item forced under a selection vector naming the same
+//!   lanes, and world by world on the scalar tier — lanes, NULL masks,
+//!   samples, node accounting, VG invocations and error messages equal;
 //! * thread-count independence of the block tier (samples and work
 //!   counters equal under `threads: 1` and `threads: 8`, both equal to a
 //!   single-threaded scalar engine);
@@ -44,9 +48,10 @@ use prophet_models::scenarios::{
     figure2_coarse_sql, INVENTORY_POLICY, PRICING_WHATIF, SUPPORT_STAFFING,
 };
 use prophet_models::{demo_registry, full_registry};
-use prophet_sql::columnar::evaluate_select_columns;
-use prophet_sql::executor::{evaluate_select_with, WorldRng};
+use prophet_sql::columnar::{evaluate_select_columns, to_f64_samples, Column, ColumnarStats};
+use prophet_sql::executor::{evaluate_select_with, sample_f64, WorldRng};
 use prophet_sql::parser::parse_script;
+use prophet_sql::{Expr, SelectInto, SelectItem};
 use prophet_vg::rng::{Rng64, Xoshiro256StarStar};
 use prophet_vg::{SeedManager, VgCallF64, VgFunction, VgRegistry};
 
@@ -410,6 +415,8 @@ struct ExprGen {
     rng: Xoshiro256StarStar,
     vg_budget: u32,
     vg_emitted: u32,
+    /// Items already generated: `c0..c{aliases}` are in scope.
+    aliases: u64,
 }
 
 impl ExprGen {
@@ -429,12 +436,13 @@ impl ExprGen {
 
     fn numeric(&mut self, depth: u32) -> String {
         if depth == 0 || self.roll(100) < 25 {
-            return match self.roll(6) {
+            return match self.roll(7) {
                 0 => format!("{}", self.roll(2001) as i64 - 1000),
                 1 => format!("{}.5", self.roll(40)),
                 2 => "@a".into(),
                 3 => "@b".into(),
                 4 => "NULL".into(),
+                5 if self.aliases > 0 => format!("c{}", self.roll(self.aliases)),
                 _ => format!("{}", self.roll(7)),
             };
         }
@@ -481,31 +489,177 @@ impl ExprGen {
     }
 }
 
-/// Seeded property loop over random expressions: typed columnar and
-/// per-world scalar evaluation must agree bit for bit — values (NaN lanes
-/// included), NULL placement, and per-function VG invocation accounting —
-/// across block sizes that are deliberately odd (the autovectorized
-/// kernels' tail loops run).
+/// `CASE WHEN TRUE THEN e END`: `e`'s lanes, evaluated under a selection
+/// vector that names every lane of the block.
+fn under_selection(e: Expr) -> Expr {
+    Expr::Case {
+        whens: vec![(Expr::Literal(Value::Bool(true)), e)],
+        otherwise: None,
+    }
+}
+
+/// The same SELECT with every item forced off the whole-block path, and
+/// per item the number of `CASE` nodes that took. An arm that is not a
+/// leaf keeps its `CASE` on the selection path and is itself evaluated for
+/// a lane list; a leaf is first wrapped into such an arm.
+fn force_selection(select: &SelectInto) -> (SelectInto, Vec<u64>) {
+    let (items, wrappers) = select
+        .items
+        .iter()
+        .map(|item| {
+            let leaf = matches!(
+                item.expr,
+                Expr::Literal(_) | Expr::Param(_) | Expr::Column(_)
+            );
+            let arm = if leaf {
+                under_selection(item.expr.clone())
+            } else {
+                item.expr.clone()
+            };
+            let item = SelectItem {
+                expr: under_selection(arm),
+                alias: item.alias.clone(),
+            };
+            (item, 1 + leaf as u64)
+        })
+        .unzip();
+    let forced = SelectInto {
+        items,
+        target: select.target.clone(),
+    };
+    (forced, wrappers)
+}
+
+/// Walk `src`'s SELECT three ways over `worlds` — (a) whole-block, (b)
+/// [`force_selection`], (c) world by world on the scalar tier — and hold
+/// them to one answer: lanes and NULLs, `f64` samples, column
+/// representation, `kernels` / `fallbacks` (b's wrappers accounted for),
+/// per-distribution VG invocations (which is where a per-slot call counter
+/// gone astray would show, along with every later draw), and — when the
+/// SELECT fails — the message. Returns (a)'s and (b)'s accounting.
+fn assert_three_walks_agree(
+    src: &str,
+    params: &HashMap<String, Value>,
+    seeds: SeedManager,
+    worlds: &[u64],
+) -> Option<[ColumnarStats; 2]> {
+    let script = parse_script(src).unwrap_or_else(|e| panic!("`{src}`: {e}"));
+    let (forced, wrappers) = force_selection(&script.select);
+    let [reg_a, reg_b, reg_c] = [(); 3].map(|_| full_registry());
+    let dense = evaluate_select_columns(&script.select, &reg_a, params, seeds, worlds);
+    let selected = evaluate_select_columns(&forced, &reg_b, params, seeds, worlds);
+    let rows: Vec<_> = worlds
+        .iter()
+        .map(|&world| {
+            let rng = WorldRng::per_call(seeds, world);
+            evaluate_select_with(&script.select, &reg_c, params, rng)
+        })
+        .collect();
+
+    let (dense, dense_stats) = match dense {
+        Ok(walk) => walk,
+        Err(e) => {
+            let e = e.to_string();
+            assert_eq!(
+                selected.err().map(|e| e.to_string()),
+                Some(e.clone()),
+                "`{src}`"
+            );
+            let scalar = rows.into_iter().find_map(Result::err);
+            assert_eq!(scalar.map(|e| e.to_string()), Some(e), "`{src}`");
+            return None;
+        }
+    };
+    let (selected, selected_stats) = selected.unwrap_or_else(|e| panic!("`{src}` forced: {e}"));
+    let (mut kernels, mut fallbacks) = (dense_stats.kernels, dense_stats.fallbacks);
+    for (((alias, a), (_, b)), nodes) in dense.iter().zip(&selected).zip(&wrappers) {
+        assert_eq!(
+            std::mem::discriminant(a),
+            std::mem::discriminant(b),
+            "`{src}` column {alias}: {a:?} vs {b:?}"
+        );
+        // A wrapper's merge is typed exactly when its one piece is.
+        if matches!(a, Column::Boxed(_)) {
+            fallbacks += nodes;
+        } else {
+            kernels += nodes;
+        }
+        let bits = |c: &Column| {
+            to_f64_samples(c)
+                .map(|xs| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+                .map_err(|e| e.to_string())
+        };
+        assert_eq!(bits(a), bits(b), "`{src}` column {alias} samples");
+        for (slot, row) in rows.iter().enumerate() {
+            let world = worlds[slot];
+            let row = row
+                .as_ref()
+                .unwrap_or_else(|e| panic!("`{src}` world {world}: {e}"));
+            let (_, scalar) = row.iter().find(|(name, _)| name == alias).unwrap();
+            for (walk, column) in [("whole-block", a), ("selected", b)] {
+                let typed = column.value_at(slot);
+                assert!(
+                    bit_eq(&typed, scalar),
+                    "`{src}` world {world} column {alias}: {walk} {typed:?} != scalar {scalar:?}"
+                );
+            }
+            if let Ok(xs) = bits(a) {
+                assert_eq!(
+                    xs[slot],
+                    sample_f64(scalar).unwrap().to_bits(),
+                    "`{src}` {alias}"
+                );
+            }
+        }
+    }
+    assert_eq!(
+        (selected_stats.kernels, selected_stats.fallbacks),
+        (kernels, fallbacks),
+        "`{src}`: node for node, the selected walk is the whole-block walk plus its wrappers"
+    );
+    for dist in ["Normal", "Poisson", "Triangular"] {
+        let [a, b, c] = [&reg_a, &reg_b, &reg_c].map(|r| r.stats(dist).unwrap());
+        assert_eq!(
+            a.invocations, c.invocations,
+            "`{src}`: whole-block {dist} count"
+        );
+        assert_eq!(
+            b.invocations, c.invocations,
+            "`{src}`: selected {dist} count"
+        );
+        assert_eq!(c.batched_calls, 0, "scalar walks never batch");
+    }
+    Some([dense_stats, selected_stats])
+}
+
+/// Seeded property loop over random expressions: the whole-block walk, the
+/// forced-selection walk and per-world scalar evaluation must agree bit
+/// for bit — values (NaN lanes included), NULL placement, node and
+/// per-function VG invocation accounting — across block sizes that are
+/// deliberately odd (the autovectorized kernels' tail loops run).
 #[test]
 fn random_expressions_are_bit_identical_across_tiers() {
     let mut rng = Xoshiro256StarStar::seed_from_u64(0xC01_FACE);
     let mut total_vg_calls = 0u32;
+    let mut gathered = 0u64;
     for round in 0..40u32 {
         let mut gen = ExprGen {
             rng: Xoshiro256StarStar::seed_from_u64(rng.next_u64()),
             vg_budget: 4,
             vg_emitted: 0,
+            aliases: 0,
         };
         let n_cols = 1 + gen.roll(3);
-        let items: Vec<String> = (0..n_cols)
-            .map(|i| format!("{} AS c{i}", gen.numeric(3)))
-            .collect();
+        let mut items = Vec::new();
+        for i in 0..n_cols {
+            items.push(format!("{} AS c{i}", gen.numeric(3)));
+            gen.aliases = i + 1;
+        }
         let src = format!(
             "DECLARE PARAMETER @a AS SET (0);\nDECLARE PARAMETER @b AS SET (0);\n\
              SELECT {} INTO out;",
             items.join(", ")
         );
-        let script = parse_script(&src).unwrap();
         total_vg_calls += gen.vg_emitted;
 
         let block_len = [1usize, 2, 7, 9, 16, 31, 33, 100][(round % 8) as usize];
@@ -515,41 +669,122 @@ fn random_expressions_are_bit_identical_across_tiers() {
             ("b".into(), Value::Int((rng.next_u64() % 13) as i64)),
         ]);
         let seeds = SeedManager::new(rng.next_u64());
-
-        // One fresh registry per tier so invocation stats stay separable.
-        let (reg_c, reg_s) = (full_registry(), full_registry());
-        let (typed, _) =
-            evaluate_select_columns(&script.select, &reg_c, &params, seeds, &worlds).unwrap();
-        for (slot, &world) in worlds.iter().enumerate() {
-            let row = evaluate_select_with(
-                &script.select,
-                &reg_s,
-                &params,
-                WorldRng::per_call(seeds, world),
-            )
-            .unwrap();
-            for ((alias, column), (_, scalar_value)) in typed.iter().zip(&row) {
-                let typed_value = column.value_at(slot);
-                assert!(
-                    bit_eq(&typed_value, scalar_value),
-                    "round {round} `{src}` world {world} column {alias}: \
-                     typed {typed_value:?} != scalar {scalar_value:?}"
-                );
-            }
-        }
-        for dist in ["Normal", "Poisson", "Triangular"] {
-            let (c, s) = (reg_c.stats(dist).unwrap(), reg_s.stats(dist).unwrap());
-            assert_eq!(
-                c.invocations, s.invocations,
-                "round {round} `{src}`: columnar {dist} logical count"
-            );
-            assert_eq!(s.batched_calls, 0, "scalar walks never batch");
-        }
+        let [_, selected] = assert_three_walks_agree(&src, &params, seeds, &worlds)
+            .unwrap_or_else(|| panic!("round {round} `{src}` must evaluate"));
+        gathered += selected.gathers;
     }
     assert!(
         total_vg_calls > 20,
         "the generator must actually exercise VG calls (got {total_vg_calls})"
     );
+    assert!(gathered > 0, "the forced walks must read aliases by index");
+}
+
+/// `CASE` on both sides of the blend rule — leaf arms, which the
+/// whole-block walk blends without a selection vector, and every arm
+/// shape that must not be — at block lengths around the null mask's
+/// 64-lane word. `u` is a draw near `@a`, so both arms are usually
+/// reached; `holes` is NULL where `u >= @a`.
+#[test]
+fn case_shapes_agree_across_dense_selected_and_scalar_walks() {
+    // (items after `u` and `holes`, whether the whole-block walk stays
+    // gather-free)
+    let shapes: [(&str, bool); 16] = [
+        ("CASE WHEN u < @a THEN 1 ELSE 0 END AS v", true),
+        ("CASE WHEN u < @a THEN u ELSE @b END AS v", true),
+        ("CASE WHEN u < @a THEN u END AS v", true),
+        (
+            "CASE WHEN u < @a THEN 1 ELSE 2.5 END AS mixed_falls_back",
+            true,
+        ),
+        (
+            "CASE WHEN u < @a + 100 THEN 1 ELSE 2.5 END AS one_kind_reached",
+            true,
+        ),
+        ("CASE WHEN NULL THEN 1 ELSE 0 END AS v", true),
+        (
+            "CASE WHEN holes > @a - 1 THEN holes ELSE 0.5 END AS null_condition_lanes",
+            true,
+        ),
+        (
+            "CASE WHEN holes > @a - 1 THEN 1 ELSE holes END AS null_arm_lanes",
+            true,
+        ),
+        (
+            "u < @a - 1 AS low, CASE WHEN u < @a THEN low ELSE TRUE END AS v",
+            true,
+        ),
+        (
+            "CASE WHEN u > @a + 100 THEN @unbound ELSE 7 END AS unreached_leaf",
+            true,
+        ),
+        (
+            "CASE WHEN u < @a THEN 1 / 0 ELSE 7 / (@b - @b + 2) END AS v",
+            true,
+        ),
+        (
+            "CASE WHEN u < @a THEN 9223372036854775807 * 2 ELSE 1 END AS overflow_in_an_arm",
+            true,
+        ),
+        (
+            "CASE WHEN u < @a THEN Poisson(6.5) ELSE 0 END AS v, Normal(@a, 1.0) AS next_draw",
+            true,
+        ),
+        (
+            "CASE WHEN u < @a THEN CASE WHEN u < @a - 1 THEN 1 ELSE holes END ELSE 3 END AS v",
+            false,
+        ),
+        (
+            "CASE WHEN u < @a THEN u + 1 ELSE -1 END AS operators_in_the_arms",
+            false,
+        ),
+        (
+            "CASE WHEN u < @a - 1 THEN 1 WHEN u < @a THEN 2 ELSE 3 END AS two_whens",
+            false,
+        ),
+    ];
+    let failing = [
+        (
+            "CASE WHEN u < @a + 100 THEN @unbound ELSE 7 END AS v",
+            "unbound parameter @unbound",
+        ),
+        (
+            "CASE WHEN u < @a + 100 THEN 'a' + 1 ELSE 7 END AS v",
+            "invalid operation",
+        ),
+    ];
+    let params: HashMap<String, Value> =
+        HashMap::from([("a".into(), Value::Int(4)), ("b".into(), Value::Int(9))]);
+    let select = |items: &str| {
+        format!(
+            "DECLARE PARAMETER @a AS SET (0);\nDECLARE PARAMETER @b AS SET (0);\n\
+             DECLARE PARAMETER @unbound AS SET (0);\n\
+             SELECT Normal(@a, 2.5) AS u, CASE WHEN u < @a THEN u END AS holes, {items} INTO r;"
+        )
+    };
+    let mut rng = Xoshiro256StarStar::seed_from_u64(0xB1E2D);
+    for block_len in [1usize, 32, 63, 64, 65, 400] {
+        let worlds: Vec<u64> = (0..block_len).map(|_| rng.next_u64() >> 1).collect();
+        let seeds = SeedManager::new(rng.next_u64());
+        for (items, dense_is_gather_free) in shapes {
+            let src = select(items);
+            let [dense, selected] = assert_three_walks_agree(&src, &params, seeds, &worlds)
+                .unwrap_or_else(|| panic!("`{src}` must evaluate"));
+            assert!(selected.gathers > 0, "`{src}` x{block_len}");
+            if dense_is_gather_free {
+                assert_eq!(dense.gathers, 0, "`{src}` x{block_len}");
+            }
+        }
+        for (items, message) in failing {
+            let src = select(items);
+            assert!(assert_three_walks_agree(&src, &params, seeds, &worlds).is_none());
+            let script = parse_script(&src).unwrap();
+            let err =
+                evaluate_select_columns(&script.select, &full_registry(), &params, seeds, &worlds)
+                    .unwrap_err();
+            assert!(err.to_string().contains(message), "`{src}`: {err}");
+        }
+    }
 }
 
 // ------------------------------------------ block remap + call-site memo
@@ -617,7 +852,9 @@ fn assert_columnar_matches_scalar(
 }
 
 /// (a) The block remap against the per-world reference on all five
-/// bundled scenarios: a slice of each grid, enough that points map.
+/// bundled scenarios: a slice of each grid, enough that points map — with
+/// no alias read through a selection vector anywhere (`column_gathers`),
+/// the exact-count form of "the production walks are dense".
 #[test]
 fn block_remap_matches_per_world_remap_on_every_bundled_scenario() {
     for (name, scenario, kind, _) in bundled_scenarios() {
@@ -627,9 +864,17 @@ fn block_remap_matches_per_world_remap_on_every_bundled_scenario() {
             worlds_per_point: 24,
             ..EngineConfig::default()
         };
-        let (mapped, _) =
+        let (mapped, columnar) =
             assert_columnar_matches_scalar(name, &scenario, || kind.build(), config, &batches);
         assert!(mapped > 0, "[{name}] the slice must exercise the remap");
+        // All three walks ran — probes, simulations, derived columns of the
+        // mapped points — and none of them left the whole-block path.
+        let m = columnar.metrics();
+        assert!(m.vector_walks > 0 && m.points_simulated > 0, "[{name}]");
+        assert_eq!(
+            m.column_gathers, 0,
+            "[{name}] a production walk fell back onto the selection path"
+        );
     }
 }
 
