@@ -64,9 +64,10 @@ use crate::sync::{OrderedMutex, ENGINE_METRICS};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecTier {
     /// One AST walk per world (`evaluate_select_with`), one
-    /// `VgFunction::invoke` per VG call. The reference semantics the
-    /// differential suites diff against, for re-mapping too: derived
-    /// columns are recomputed world by world with `eval_expr`.
+    /// `VgFunction::invoke` — one `f64` sample, bound as `Value::Float` —
+    /// per VG call. The reference semantics the differential suites diff
+    /// against, for re-mapping too: derived columns are recomputed world
+    /// by world with `eval_expr`.
     Scalar,
     /// One AST walk per world-block over typed `f64`/`i64`/`bool` column
     /// buffers (`evaluate_select_columns`): straight-line kernels over

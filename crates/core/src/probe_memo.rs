@@ -7,7 +7,7 @@
 //! [`Engine`](crate::engine::Engine) therefore remembers, per
 //! `(function, call index, argument bits)`, the `f64` lanes that call drew
 //! over the engine's *fixed* probe seed block, and the columnar walker
-//! ([`prophet_sql::columnar::evaluate_select_columns_memo`]) gathers them
+//! ([`prophet_sql::columnar::evaluate_select_columns_with`]) gathers them
 //! instead of drawing again. See `docs/VECTORIZATION.md` for when a call
 //! site is eligible.
 //!

@@ -105,130 +105,6 @@ impl Column {
         }
         Ok(())
     }
-
-    /// Direct access to float cells; `None` for non-float columns.
-    ///
-    /// The aggregation hot path iterates float columns without going through
-    /// `Value`.
-    pub fn as_float_slice(&self) -> Option<&[Option<f64>]> {
-        match self {
-            Column::Float(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Direct access to integer cells; `None` for non-int columns.
-    pub fn as_int_slice(&self) -> Option<&[Option<i64>]> {
-        match self {
-            Column::Int(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// All cells as `f64` (ints and bools promoted, nulls skipped).
-    /// Used to hand a column to the statistics kernels.
-    pub fn numeric_values(&self) -> DataResult<Vec<f64>> {
-        let mut out = Vec::with_capacity(self.len());
-        match self {
-            Column::Float(v) => out.extend(v.iter().flatten().copied()),
-            Column::Int(v) => out.extend(v.iter().flatten().map(|i| *i as f64)),
-            Column::Bool(v) => out.extend(v.iter().flatten().map(|b| if *b { 1.0 } else { 0.0 })),
-            Column::Str(_) => {
-                return Err(DataError::TypeMismatch {
-                    expected: "numeric column",
-                    found: "string column".into(),
-                })
-            }
-        }
-        Ok(out)
-    }
-
-    /// Keep only the cells whose index is flagged in `mask`.
-    /// `mask.len()` must equal `self.len()`.
-    pub fn filter(&self, mask: &[bool]) -> DataResult<Column> {
-        if mask.len() != self.len() {
-            return Err(DataError::SchemaMismatch(format!(
-                "filter mask has {} entries for a column of {} cells",
-                mask.len(),
-                self.len()
-            )));
-        }
-        fn apply<T: Clone>(cells: &[Option<T>], mask: &[bool]) -> Vec<Option<T>> {
-            cells
-                .iter()
-                .zip(mask)
-                .filter(|(_, keep)| **keep)
-                .map(|(c, _)| c.clone())
-                .collect()
-        }
-        Ok(match self {
-            Column::Bool(v) => Column::Bool(apply(v, mask)),
-            Column::Int(v) => Column::Int(apply(v, mask)),
-            Column::Float(v) => Column::Float(apply(v, mask)),
-            Column::Str(v) => Column::Str(apply(v, mask)),
-        })
-    }
-
-    /// Reorder cells by `perm` (a permutation of `0..len`). Used by sorts.
-    pub fn permute(&self, perm: &[usize]) -> DataResult<Column> {
-        if perm.len() != self.len() {
-            return Err(DataError::SchemaMismatch(format!(
-                "permutation has {} entries for a column of {} cells",
-                perm.len(),
-                self.len()
-            )));
-        }
-        fn apply<T: Clone>(cells: &[Option<T>], perm: &[usize]) -> Vec<Option<T>> {
-            perm.iter().map(|&i| cells[i].clone()).collect()
-        }
-        Ok(match self {
-            Column::Bool(v) => Column::Bool(apply(v, perm)),
-            Column::Int(v) => Column::Int(apply(v, perm)),
-            Column::Float(v) => Column::Float(apply(v, perm)),
-            Column::Str(v) => Column::Str(apply(v, perm)),
-        })
-    }
-
-    /// Append all cells of `other` (must be same type).
-    pub fn extend_from(&mut self, other: &Column) -> DataResult<()> {
-        match (self, other) {
-            (Column::Bool(a), Column::Bool(b)) => a.extend(b.iter().cloned()),
-            (Column::Int(a), Column::Int(b)) => a.extend(b.iter().cloned()),
-            (Column::Float(a), Column::Float(b)) => a.extend(b.iter().cloned()),
-            (Column::Float(a), Column::Int(b)) => a.extend(b.iter().map(|c| c.map(|i| i as f64))),
-            (Column::Str(a), Column::Str(b)) => a.extend(b.iter().cloned()),
-            (a, b) => {
-                return Err(DataError::SchemaMismatch(format!(
-                    "cannot append {} column to {} column",
-                    b.data_type(),
-                    a.data_type()
-                )))
-            }
-        }
-        Ok(())
-    }
-
-    /// Count of null cells.
-    pub fn null_count(&self) -> usize {
-        match self {
-            Column::Bool(v) => v.iter().filter(|c| c.is_none()).count(),
-            Column::Int(v) => v.iter().filter(|c| c.is_none()).count(),
-            Column::Float(v) => v.iter().filter(|c| c.is_none()).count(),
-            Column::Str(v) => v.iter().filter(|c| c.is_none()).count(),
-        }
-    }
-}
-
-impl FromIterator<f64> for Column {
-    fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
-        Column::Float(iter.into_iter().map(Some).collect())
-    }
-}
-
-impl FromIterator<i64> for Column {
-    fn from_iter<I: IntoIterator<Item = i64>>(iter: I) -> Self {
-        Column::Int(iter.into_iter().map(Some).collect())
-    }
 }
 
 #[cfg(test)]
@@ -246,7 +122,6 @@ mod tests {
         assert_eq!(c.get(1).unwrap(), Value::Float(2.0));
         assert_eq!(c.get(2).unwrap(), Value::Null);
         assert!(c.get(3).is_err());
-        assert_eq!(c.null_count(), 1);
     }
 
     #[test]
@@ -256,56 +131,5 @@ mod tests {
         assert!(c.push(Value::Float(0.5)).is_err());
         // failed pushes must not grow the column
         assert_eq!(c.len(), 0);
-    }
-
-    #[test]
-    fn numeric_values_promotes_and_skips_nulls() {
-        let mut c = Column::new(DataType::Int);
-        c.push(Value::Int(1)).unwrap();
-        c.push(Value::Null).unwrap();
-        c.push(Value::Int(3)).unwrap();
-        assert_eq!(c.numeric_values().unwrap(), vec![1.0, 3.0]);
-
-        let b = Column::Bool(vec![Some(true), Some(false), None]);
-        assert_eq!(b.numeric_values().unwrap(), vec![1.0, 0.0]);
-
-        let s = Column::Str(vec![Some("x".into())]);
-        assert!(s.numeric_values().is_err());
-    }
-
-    #[test]
-    fn filter_and_permute() {
-        let c: Column = vec![10i64, 20, 30, 40].into_iter().collect();
-        let f = c.filter(&[true, false, true, false]).unwrap();
-        assert_eq!(f.get(0).unwrap(), Value::Int(10));
-        assert_eq!(f.get(1).unwrap(), Value::Int(30));
-        assert_eq!(f.len(), 2);
-
-        let p = c.permute(&[3, 2, 1, 0]).unwrap();
-        assert_eq!(p.get(0).unwrap(), Value::Int(40));
-        assert_eq!(p.get(3).unwrap(), Value::Int(10));
-
-        assert!(c.filter(&[true]).is_err());
-        assert!(c.permute(&[0]).is_err());
-    }
-
-    #[test]
-    fn extend_from_widens_ints_into_floats() {
-        let mut f: Column = vec![1.0f64].into_iter().collect();
-        let i: Column = vec![2i64, 3].into_iter().collect();
-        f.extend_from(&i).unwrap();
-        assert_eq!(f.numeric_values().unwrap(), vec![1.0, 2.0, 3.0]);
-
-        let mut s = Column::new(DataType::Str);
-        assert!(s.extend_from(&i).is_err());
-    }
-
-    #[test]
-    fn float_slice_fast_path() {
-        let c: Column = vec![1.0f64, 2.0].into_iter().collect();
-        assert_eq!(c.as_float_slice().unwrap().len(), 2);
-        let i: Column = vec![1i64].into_iter().collect();
-        assert!(i.as_float_slice().is_none());
-        assert!(i.as_int_slice().is_some());
     }
 }

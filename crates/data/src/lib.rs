@@ -1,23 +1,21 @@
 //! # prophet-data
 //!
-//! Columnar relational substrate for the Fuzzy Prophet reproduction.
+//! Scalar values and result tables for the Fuzzy Prophet reproduction.
 //!
-//! The original Fuzzy Prophet system ran on top of Microsoft SQL Server; every
-//! component above the storage layer only ever manipulated *relations*. This
-//! crate provides the minimal relational vocabulary the rest of the workspace
-//! builds on:
+//! The original Fuzzy Prophet system ran on top of Microsoft SQL Server.
+//! This reproduction evaluates scenarios itself, so what is left of the
+//! relational vocabulary is two things:
 //!
-//! * [`Value`] — a dynamically typed scalar with SQL-style `NULL` semantics,
-//! * [`Schema`]/[`Field`]/[`DataType`] — column metadata,
-//! * [`Column`] — a typed, nullable, growable column,
-//! * [`Table`] — a schema plus columns, with projection / filter / sort
-//!   helpers and builders,
-//! * [`csv`] — dependency-free CSV emission for materialized result tables.
-//!
-//! Everything here is deterministic and allocation-conscious: the Monte Carlo
-//! engine creates and destroys many small tables per simulated world, so
-//! builders accept capacity hints and the row accessors avoid cloning where
-//! possible.
+//! * [`Value`] — a dynamically typed scalar with SQL-style `NULL`
+//!   semantics, plus [`DataError`]: the currency of the SQL executor and
+//!   of every VG function's parameter list;
+//! * the **export surface** — [`Table`], built row by row through
+//!   [`TableBuilder`] over a [`Schema`] of [`Field`]s/[`DataType`]s, stored
+//!   in typed nullable [`Column`]s and read back through [`Row`] views —
+//!   which `prophet_mc::materialize` fills from cached samples and
+//!   [`csv`] / `Display` print. There is no relational algebra here
+//!   (projection, filter, sort, aggregates): nothing in the workspace
+//!   queries a table.
 
 pub mod column;
 pub mod csv;

@@ -7,8 +7,7 @@ use crate::value::Value;
 /// A lightweight view of one row of a table.
 ///
 /// Rows borrow the table; fetching a cell materializes a [`Value`] on demand
-/// (cloning only for strings). This keeps per-world result handling cheap in
-/// the simulation loop.
+/// (cloning only for strings).
 #[derive(Debug, Clone, Copy)]
 pub struct Row<'t> {
     table: &'t Table,

@@ -21,24 +21,6 @@ pub enum DataType {
     Str,
 }
 
-impl DataType {
-    /// Whether arithmetic is defined on this type.
-    pub fn is_numeric(self) -> bool {
-        matches!(self, DataType::Int | DataType::Float)
-    }
-
-    /// The common supertype for arithmetic between two types, if any.
-    /// `Int ⊔ Float = Float`; everything else must match exactly.
-    pub fn unify_numeric(self, other: DataType) -> Option<DataType> {
-        match (self, other) {
-            (DataType::Int, DataType::Int) => Some(DataType::Int),
-            (a, b) if a.is_numeric() && b.is_numeric() => Some(DataType::Float),
-            (a, b) if a == b => Some(a),
-            _ => None,
-        }
-    }
-}
-
 impl fmt::Display for DataType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = match self {
@@ -127,11 +109,6 @@ impl Schema {
         Ok(&self.fields[self.index_of(name)?])
     }
 
-    /// Field by position.
-    pub fn field_at(&self, idx: usize) -> Option<&Field> {
-        self.fields.get(idx)
-    }
-
     /// Append a field, preserving uniqueness.
     pub fn push(&mut self, field: Field) -> DataResult<()> {
         if self.fields.iter().any(|f| f.name == field.name) {
@@ -139,15 +116,6 @@ impl Schema {
         }
         self.fields.push(field);
         Ok(())
-    }
-
-    /// A new schema containing only the named columns, in the given order.
-    pub fn project(&self, names: &[&str]) -> DataResult<Schema> {
-        let mut fields = Vec::with_capacity(names.len());
-        for name in names {
-            fields.push(self.field(name)?.clone());
-        }
-        Schema::new(fields)
     }
 }
 
@@ -186,36 +154,6 @@ mod tests {
         assert!(s.index_of("capacity").is_err());
         assert_eq!(s.len(), 2);
         assert!(!s.is_empty());
-    }
-
-    #[test]
-    fn projection_preserves_order_given() {
-        let s = Schema::of(&[
-            ("a", DataType::Int),
-            ("b", DataType::Float),
-            ("c", DataType::Str),
-        ]);
-        let p = s.project(&["c", "a"]).unwrap();
-        assert_eq!(p.fields()[0].name, "c");
-        assert_eq!(p.fields()[1].name, "a");
-        assert!(s.project(&["nope"]).is_err());
-    }
-
-    #[test]
-    fn unify_numeric_rules() {
-        assert_eq!(
-            DataType::Int.unify_numeric(DataType::Int),
-            Some(DataType::Int)
-        );
-        assert_eq!(
-            DataType::Int.unify_numeric(DataType::Float),
-            Some(DataType::Float)
-        );
-        assert_eq!(
-            DataType::Str.unify_numeric(DataType::Str),
-            Some(DataType::Str)
-        );
-        assert_eq!(DataType::Str.unify_numeric(DataType::Int), None);
     }
 
     #[test]

@@ -1,6 +1,5 @@
-//! Tables: a schema plus columnar data, with relational helpers.
+//! Tables: a schema plus columnar data, built row by row and read back.
 
-use std::cmp::Ordering;
 use std::fmt;
 
 use crate::column::Column;
@@ -11,9 +10,9 @@ use crate::value::Value;
 
 /// An in-memory relation.
 ///
-/// Tables are the interchange format across the whole workspace: VG-Functions
-/// *return* tables, the SQL executor *joins and derives* tables, and the
-/// Storage Manager *caches* tables (as basis distributions).
+/// Tables are the workspace's *export* format: `prophet_mc::materialize`
+/// renders cached basis distributions as tables, and [`crate::csv`] and
+/// `Display` print them. Nothing on the evaluation path builds one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     schema: Schema,
@@ -34,42 +33,6 @@ impl Table {
             columns,
             rows: 0,
         }
-    }
-
-    /// Construct directly from columns. All columns must match the schema's
-    /// types and have equal lengths.
-    pub fn from_columns(schema: Schema, columns: Vec<Column>) -> DataResult<Self> {
-        if schema.len() != columns.len() {
-            return Err(DataError::SchemaMismatch(format!(
-                "{} fields but {} columns",
-                schema.len(),
-                columns.len()
-            )));
-        }
-        let rows = columns.first().map(Column::len).unwrap_or(0);
-        for (field, col) in schema.fields().iter().zip(&columns) {
-            if field.data_type != col.data_type() {
-                return Err(DataError::SchemaMismatch(format!(
-                    "column `{}` declared {} but stores {}",
-                    field.name,
-                    field.data_type,
-                    col.data_type()
-                )));
-            }
-            if col.len() != rows {
-                return Err(DataError::SchemaMismatch(format!(
-                    "column `{}` has {} rows, expected {}",
-                    field.name,
-                    col.len(),
-                    rows
-                )));
-            }
-        }
-        Ok(Table {
-            schema,
-            columns,
-            rows,
-        })
     }
 
     /// The table's schema.
@@ -124,114 +87,6 @@ impl Table {
         }
         self.column(column)?.get(row)
     }
-
-    /// A new table with only the named columns, in the given order.
-    pub fn project(&self, names: &[&str]) -> DataResult<Table> {
-        let schema = self.schema.project(names)?;
-        let mut columns = Vec::with_capacity(names.len());
-        for name in names {
-            columns.push(self.column(name)?.clone());
-        }
-        Ok(Table {
-            schema,
-            columns,
-            rows: self.rows,
-        })
-    }
-
-    /// A new table keeping only rows where `predicate` returns true.
-    pub fn filter(
-        &self,
-        mut predicate: impl FnMut(Row<'_>) -> DataResult<bool>,
-    ) -> DataResult<Table> {
-        let mut mask = Vec::with_capacity(self.rows);
-        for row in self.rows() {
-            mask.push(predicate(row)?);
-        }
-        let kept = mask.iter().filter(|&&k| k).count();
-        let columns = self
-            .columns
-            .iter()
-            .map(|c| c.filter(&mask))
-            .collect::<DataResult<Vec<_>>>()?;
-        Ok(Table {
-            schema: self.schema.clone(),
-            columns,
-            rows: kept,
-        })
-    }
-
-    /// A new table sorted by the named column using the total value order.
-    /// The sort is stable so ties preserve input order (important for
-    /// deterministic optimizer output).
-    pub fn sort_by(&self, column: &str, descending: bool) -> DataResult<Table> {
-        let col = self.column(column)?;
-        let mut perm: Vec<usize> = (0..self.rows).collect();
-        let keys: Vec<Value> = (0..self.rows)
-            .map(|i| col.get(i))
-            .collect::<DataResult<Vec<_>>>()?;
-        perm.sort_by(|&a, &b| {
-            let ord = keys[a].total_cmp(&keys[b]);
-            if descending {
-                ord.reverse()
-            } else {
-                ord
-            }
-        });
-        let columns = self
-            .columns
-            .iter()
-            .map(|c| c.permute(&perm))
-            .collect::<DataResult<Vec<_>>>()?;
-        Ok(Table {
-            schema: self.schema.clone(),
-            columns,
-            rows: self.rows,
-        })
-    }
-
-    /// Vertically concatenate another table with an identical schema.
-    pub fn append(&mut self, other: &Table) -> DataResult<()> {
-        if self.schema != other.schema {
-            return Err(DataError::SchemaMismatch(format!(
-                "cannot append {} to {}",
-                other.schema, self.schema
-            )));
-        }
-        for (dst, src) in self.columns.iter_mut().zip(&other.columns) {
-            dst.extend_from(src)?;
-        }
-        self.rows += other.rows;
-        Ok(())
-    }
-
-    /// Minimum of a numeric column (ignoring nulls); `None` if no values.
-    pub fn min_f64(&self, column: &str) -> DataResult<Option<f64>> {
-        Ok(self
-            .column(column)?
-            .numeric_values()?
-            .into_iter()
-            .min_by(|a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal)))
-    }
-
-    /// Maximum of a numeric column (ignoring nulls); `None` if no values.
-    pub fn max_f64(&self, column: &str) -> DataResult<Option<f64>> {
-        Ok(self
-            .column(column)?
-            .numeric_values()?
-            .into_iter()
-            .max_by(|a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal)))
-    }
-
-    /// Mean of a numeric column (ignoring nulls); `None` if no values.
-    pub fn mean_f64(&self, column: &str) -> DataResult<Option<f64>> {
-        let vals = self.column(column)?.numeric_values()?;
-        if vals.is_empty() {
-            Ok(None)
-        } else {
-            Ok(Some(vals.iter().sum::<f64>() / vals.len() as f64))
-        }
-    }
 }
 
 impl fmt::Display for Table {
@@ -278,7 +133,7 @@ impl fmt::Display for Table {
 
 /// Row-at-a-time table construction.
 ///
-/// The SQL executor emits derived rows one at a time; the builder validates
+/// `prophet_mc::materialize` emits rows one at a time; the builder validates
 /// arity and types on each push so malformed scenarios fail with a positioned
 /// error instead of corrupting columns.
 #[derive(Debug, Clone)]
@@ -294,8 +149,8 @@ impl TableBuilder {
         TableBuilder::with_capacity(schema, 0)
     }
 
-    /// Start building with a row-capacity hint (one simulation run knows its
-    /// week count up front).
+    /// Start building with a row-capacity hint (a materialized sample set
+    /// knows its row count up front).
     pub fn with_capacity(schema: Schema, rows: usize) -> Self {
         let columns = schema
             .fields()
@@ -389,82 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn from_columns_validates_shape() {
-        let schema = Schema::of(&[("a", DataType::Int)]);
-        let ok = Table::from_columns(schema.clone(), vec![vec![1i64, 2].into_iter().collect()]);
-        assert!(ok.is_ok());
-
-        let wrong_len = Table::from_columns(
-            Schema::of(&[("a", DataType::Int), ("b", DataType::Int)]),
-            vec![vec![1i64].into_iter().collect()],
-        );
-        assert!(wrong_len.is_err());
-
-        let wrong_type = Table::from_columns(schema, vec![vec![1.0f64].into_iter().collect()]);
-        assert!(wrong_type.is_err());
-
-        let ragged = Table::from_columns(
-            Schema::of(&[("a", DataType::Int), ("b", DataType::Int)]),
-            vec![
-                vec![1i64, 2].into_iter().collect(),
-                vec![1i64].into_iter().collect(),
-            ],
-        );
-        assert!(ragged.is_err());
-    }
-
-    #[test]
-    fn projection() {
-        let t = week_table();
-        let p = t.project(&["demand"]).unwrap();
-        assert_eq!(p.schema().len(), 1);
-        assert_eq!(p.num_rows(), 4);
-        assert_eq!(p.cell(1, "demand").unwrap(), Value::Float(12.5));
-    }
-
-    #[test]
-    fn filter_by_predicate() {
-        let t = week_table();
-        let f = t
-            .filter(|row| Ok(row.get("demand")?.as_f64()? > 10.0))
-            .unwrap();
-        assert_eq!(f.num_rows(), 2);
-        assert_eq!(f.cell(0, "week").unwrap(), Value::Int(1));
-        assert_eq!(f.cell(1, "week").unwrap(), Value::Int(3));
-    }
-
-    #[test]
-    fn sort_ascending_descending() {
-        let t = week_table();
-        let asc = t.sort_by("demand", false).unwrap();
-        assert_eq!(asc.cell(0, "week").unwrap(), Value::Int(2));
-        let desc = t.sort_by("demand", true).unwrap();
-        assert_eq!(desc.cell(0, "week").unwrap(), Value::Int(3));
-    }
-
-    #[test]
-    fn append_requires_same_schema() {
-        let mut t = week_table();
-        let u = week_table();
-        t.append(&u).unwrap();
-        assert_eq!(t.num_rows(), 8);
-
-        let other = Table::empty(Schema::of(&[("x", DataType::Int)]));
-        assert!(t.append(&other).is_err());
-    }
-
-    #[test]
-    fn aggregates() {
-        let t = week_table();
-        assert_eq!(t.min_f64("demand").unwrap(), Some(9.0));
-        assert_eq!(t.max_f64("demand").unwrap(), Some(15.0));
-        let mean = t.mean_f64("demand").unwrap().unwrap();
-        assert!((mean - 11.625).abs() < 1e-12);
-        let empty = Table::empty(Schema::of(&[("v", DataType::Float)]));
-        assert_eq!(empty.mean_f64("v").unwrap(), None);
-    }
-
-    #[test]
     fn push_row_is_atomic_on_type_error() {
         let schema = Schema::new(vec![
             Field::new("a", DataType::Int),
@@ -497,7 +276,7 @@ mod tests {
         b.push_row(vec![Value::Null]).unwrap();
         b.push_row(vec![Value::Float(2.0)]).unwrap();
         let t = b.finish();
-        assert_eq!(t.column("v").unwrap().null_count(), 1);
-        assert_eq!(t.mean_f64("v").unwrap(), Some(2.0));
+        assert_eq!(t.cell(0, "v").unwrap(), Value::Null);
+        assert_eq!(t.cell(1, "v").unwrap(), Value::Float(2.0));
     }
 }

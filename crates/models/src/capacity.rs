@@ -16,7 +16,7 @@
 //! chain's draws never read the arguments, the model keeps a draw ledger
 //! ([`VgFunction::ledger_len`]) and every later walk replays it draw-free.
 
-use prophet_data::{DataResult, DataType, Schema, Table, TableBuilder, Value};
+use prophet_data::{DataResult, Value};
 use prophet_vg::rng::{Pcg32, Rng64, Xoshiro256StarStar};
 use prophet_vg::VgFunction;
 
@@ -48,7 +48,7 @@ impl Default for CapacityConfig {
     }
 }
 
-/// `CapacityModel(@current, @purchase1, @purchase2)` → one cell: cores
+/// `CapacityModel(@current, @purchase1, @purchase2)` → one sample: cores
 /// available in week `@current`.
 #[derive(Debug, Clone)]
 pub struct CapacityModel {
@@ -204,16 +204,9 @@ impl VgFunction for CapacityModel {
         3
     }
 
-    fn output_schema(&self) -> Schema {
-        Schema::of(&[("capacity", DataType::Float)])
-    }
-
-    fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<Table> {
+    fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<f64> {
         let [current, p1, p2] = int_args(params)?;
-        let capacity = self.capacity_at(current, p1, p2, rng)?;
-        let mut b = TableBuilder::with_capacity(self.output_schema(), 1);
-        b.push_row(vec![Value::Float(capacity)])?;
-        Ok(b.finish())
+        self.capacity_at(current, p1, p2, rng)
     }
 
     /// Ledger cells: `[lag1, lag2, loss(week 0, class 0), loss(week 0,
@@ -361,11 +354,9 @@ mod tests {
     fn vg_interface_round_trip() {
         let m = model();
         let mut rng = Xoshiro256StarStar::seed_from_u64(9);
-        let t = m
+        let cap = m
             .invoke(&[Value::Int(10), Value::Int(4), Value::Int(8)], &mut rng)
             .unwrap();
-        assert_eq!((t.num_rows(), t.schema().len()), (1, 1));
-        let cap = t.cell(0, "capacity").unwrap().as_f64().unwrap();
         assert!(cap > 5_000.0, "cap={cap}");
     }
 

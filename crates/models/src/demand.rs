@@ -8,7 +8,7 @@
 //! We add the linear growth trend the demo narrative implies (guests are
 //! invited to vary "a different user growth").
 
-use prophet_data::{DataResult, DataType, Schema, Table, TableBuilder, Value};
+use prophet_data::{DataResult, Value};
 use prophet_vg::dist::Normal;
 use prophet_vg::rng::Rng64;
 use prophet_vg::VgFunction;
@@ -40,7 +40,7 @@ impl Default for DemandConfig {
     }
 }
 
-/// `DemandModel(@current, @feature)` → one cell: cores demanded in week
+/// `DemandModel(@current, @feature)` → one sample: cores demanded in week
 /// `@current` given the feature releases in week `@feature`.
 #[derive(Debug, Clone)]
 pub struct DemandModel {
@@ -120,27 +120,17 @@ impl VgFunction for DemandModel {
         2
     }
 
-    fn output_schema(&self) -> Schema {
-        Schema::of(&[("demand", DataType::Float)])
-    }
-
-    fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<Table> {
+    fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<f64> {
         let current = params[0].as_i64()?;
         let feature = params[1].as_i64()?;
-        let demand = self.demand_at(current, feature, rng);
-        let mut b = TableBuilder::with_capacity(self.output_schema(), 1);
-        b.push_row(vec![Value::Float(demand)])?;
-        Ok(b.finish())
+        Ok(self.demand_at(current, feature, rng))
     }
 
-    /// Raw-`f64` batch lane for the typed columnar tier: the scalar output
-    /// is always `Value::Float`, so each world's draw lands directly in
-    /// the column — same per-world streams as [`VgFunction::invoke`], but
-    /// monomorphized over the concrete generator (no `dyn` per draw).
-    fn invoke_batch_f64(
-        &self,
-        calls: &mut [prophet_vg::VgCallF64<'_>],
-    ) -> DataResult<Option<Vec<f64>>> {
+    /// Raw-`f64` batch lane for the typed columnar tier: each world's draw
+    /// lands directly in the column — same per-world streams as
+    /// [`VgFunction::invoke`], but monomorphized over the concrete
+    /// generator (no `dyn` per draw).
+    fn invoke_batch_f64(&self, calls: &mut [prophet_vg::VgCallF64<'_>]) -> DataResult<Vec<f64>> {
         calls
             .iter_mut()
             .map(|call| {
@@ -148,8 +138,7 @@ impl VgFunction for DemandModel {
                 let feature = call.params[1].as_i64()?;
                 Ok(self.demand_at(current, feature, call.rng))
             })
-            .collect::<DataResult<Vec<f64>>>()
-            .map(Some)
+            .collect()
     }
 }
 
@@ -226,12 +215,10 @@ mod tests {
     fn vg_interface_returns_single_cell() {
         let m = model();
         let mut rng = Xoshiro256StarStar::seed_from_u64(3);
-        let t = m
+        let demand = m
             .invoke(&[Value::Int(10), Value::Int(26)], &mut rng)
             .unwrap();
-        assert_eq!(t.num_rows(), 1);
-        assert_eq!(t.schema().len(), 1);
-        assert!(t.cell(0, "demand").unwrap().as_f64().unwrap() > 0.0);
+        assert!(demand > 0.0);
     }
 
     #[test]

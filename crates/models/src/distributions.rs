@@ -10,27 +10,21 @@
 //! ```
 //!
 //! Every wrapper implements both VG entry points:
-//! [`prophet_vg::VgFunction::invoke`] (the reference — one world, a 1×1
-//! relation) and the raw-`f64` batch lane
+//! [`prophet_vg::VgFunction::invoke`] (the reference — one world, one
+//! sample) and the raw-`f64` batch lane
 //! ([`prophet_vg::VgFunction::invoke_batch_f64`]): a whole world-block of
 //! draws lands directly in a typed column, one sample per world, with the
 //! per-world `(world, function, call index)` substream discipline
 //! untouched — each world still draws from its own generator, and the
 //! distribution consumes exactly the draws its scalar `sample` would.
 
-use prophet_data::{DataError, DataResult, DataType, Schema, Table, TableBuilder, Value};
+use prophet_data::{DataError, DataResult, Value};
 use prophet_vg::dist::{Distribution, LogNormal, Normal, Poisson, Triangular};
 use prophet_vg::rng::Rng64;
 use prophet_vg::{VgCallF64, VgFunction};
 
 fn bad_params(name: &str, spec: &str, params: &[Value]) -> DataError {
     DataError::SchemaMismatch(format!("{name}{spec} got invalid parameters {params:?}"))
-}
-
-fn one_cell(schema: Schema, sample: f64) -> DataResult<Table> {
-    let mut b = TableBuilder::with_capacity(schema, 1);
-    b.push_row(vec![Value::Float(sample)])?;
-    Ok(b.finish())
 }
 
 macro_rules! dist_vg {
@@ -55,26 +49,18 @@ macro_rules! dist_vg {
                 $arity
             }
 
-            fn output_schema(&self) -> Schema {
-                Schema::of(&[("sample", DataType::Float)])
-            }
-
-            fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<Table> {
-                one_cell(self.output_schema(), Self::dist(params)?.sample(rng))
+            fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<f64> {
+                Ok(Self::dist(params)?.sample(rng))
             }
 
             /// One raw draw per world, straight into the `f64` lane —
             /// monomorphized over the concrete generator (no `dyn` per
             /// draw).
-            fn invoke_batch_f64(
-                &self,
-                calls: &mut [VgCallF64<'_>],
-            ) -> DataResult<Option<Vec<f64>>> {
+            fn invoke_batch_f64(&self, calls: &mut [VgCallF64<'_>]) -> DataResult<Vec<f64>> {
                 calls
                     .iter_mut()
                     .map(|call| Ok(Self::dist(call.params)?.sample_with(call.rng)))
-                    .collect::<DataResult<Vec<f64>>>()
-                    .map(Some)
+                    .collect()
             }
         }
     };
@@ -114,7 +100,7 @@ dist_vg!(
 mod tests {
     use super::*;
     use prophet_vg::rng::Xoshiro256StarStar;
-    use prophet_vg::{BatchSamples, VgRegistry};
+    use prophet_vg::VgRegistry;
     use std::sync::Arc;
 
     fn registry() -> VgRegistry {
@@ -149,19 +135,13 @@ mod tests {
                     rng,
                 })
                 .collect();
-            let BatchSamples::F64(lane) = r.invoke_batch_columnar(name, &mut calls).unwrap() else {
-                panic!("{name} must provide the f64 lane");
-            };
+            let lane = r.invoke_batch_columnar(name, &mut calls).unwrap();
             for (world, &sample) in lane.iter().enumerate() {
                 let mut rng = Xoshiro256StarStar::seed_from_u64(world as u64);
-                let cell = r
-                    .invoke(name, &params, &mut rng)
-                    .unwrap()
-                    .cell(0, "sample")
-                    .unwrap();
+                let scalar = r.invoke(name, &params, &mut rng).unwrap();
                 assert_eq!(
-                    Value::Float(sample),
-                    cell,
+                    sample.to_bits(),
+                    scalar.to_bits(),
                     "{name} world {world} lane diverged from scalar invoke"
                 );
             }
@@ -200,14 +180,7 @@ mod tests {
         let n = 4_000;
         let mean = |name: &str, params: &[Value], rng: &mut Xoshiro256StarStar| {
             (0..n)
-                .map(|_| {
-                    r.invoke(name, params, rng)
-                        .unwrap()
-                        .cell(0, "sample")
-                        .unwrap()
-                        .as_f64()
-                        .unwrap()
-                })
+                .map(|_| r.invoke(name, params, rng).unwrap())
                 .sum::<f64>()
                 / n as f64
         };

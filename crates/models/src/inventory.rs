@@ -6,7 +6,7 @@
 //! Markov chain with event discontinuities — structurally the same shape
 //! as the capacity model, exercising fingerprints on a second domain.
 
-use prophet_data::{DataResult, DataType, Schema, Table, TableBuilder, Value};
+use prophet_data::{DataResult, Value};
 use prophet_vg::dist::Poisson;
 use prophet_vg::rng::{Rng64, Xoshiro256StarStar};
 use prophet_vg::VgFunction;
@@ -34,7 +34,7 @@ impl Default for InventoryConfig {
     }
 }
 
-/// `InventoryModel(@week, @reorder_point, @reorder_qty)` → one cell: units
+/// `InventoryModel(@week, @reorder_point, @reorder_qty)` → one sample: units
 /// on hand at the end of `@week` (0 when stocked out).
 #[derive(Debug, Clone)]
 pub struct InventoryModel {
@@ -181,16 +181,9 @@ impl VgFunction for InventoryModel {
         3
     }
 
-    fn output_schema(&self) -> Schema {
-        Schema::of(&[("on_hand", DataType::Float)])
-    }
-
-    fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<Table> {
+    fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<f64> {
         let [week, s, q] = int_args(params)?;
-        let on_hand = self.on_hand_at(week, s, q, rng)?;
-        let mut b = TableBuilder::with_capacity(self.output_schema(), 1);
-        b.push_row(vec![Value::Float(on_hand)])?;
-        Ok(b.finish())
+        self.on_hand_at(week, s, q, rng)
     }
 
     /// Ledger cells: one Poisson demand per week, `[demand(week 0),
@@ -282,14 +275,13 @@ mod tests {
     fn vg_interface() {
         let m = InventoryModel::default();
         let mut rng = Xoshiro256StarStar::seed_from_u64(4);
-        let t = m
+        let on_hand = m
             .invoke(
                 &[Value::Int(10), Value::Int(200), Value::Int(300)],
                 &mut rng,
             )
             .unwrap();
-        assert_eq!((t.num_rows(), t.schema().len()), (1, 1));
-        assert!(t.cell(0, "on_hand").unwrap().as_f64().unwrap() >= 0.0);
+        assert!(on_hand >= 0.0);
     }
 
     /// Policies spanning the walk's branches: generous, stingy (stocks

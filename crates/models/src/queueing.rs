@@ -7,7 +7,7 @@
 //! risk-vs-cost-of-ownership trade-off as the datacenter demo, in a second
 //! domain.
 
-use prophet_data::{DataError, DataResult, DataType, Schema, Table, TableBuilder, Value};
+use prophet_data::{DataError, DataResult, Value};
 use prophet_vg::dist::Poisson;
 use prophet_vg::rng::Rng64;
 use prophet_vg::VgFunction;
@@ -38,7 +38,7 @@ impl Default for QueueConfig {
     }
 }
 
-/// `QueueModel(@week, @agents)` → one cell: mean backlog (tickets waiting)
+/// `QueueModel(@week, @agents)` → one sample: mean backlog (tickets waiting)
 /// over the simulated week.
 #[derive(Debug, Clone)]
 pub struct QueueModel {
@@ -134,34 +134,23 @@ impl VgFunction for QueueModel {
         2
     }
 
-    fn output_schema(&self) -> Schema {
-        Schema::of(&[("backlog", DataType::Float)])
-    }
-
-    fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<Table> {
+    fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<f64> {
         let [week, agents] = int_args(params)?;
-        let backlog = self.mean_backlog(week, agents, rng)?;
-        let mut b = TableBuilder::with_capacity(self.output_schema(), 1);
-        b.push_row(vec![Value::Float(backlog)])?;
-        Ok(b.finish())
+        self.mean_backlog(week, agents, rng)
     }
 
-    /// Raw-`f64` batch lane for the typed columnar tier: the scalar output
-    /// is always `Value::Float`, so each world's draw lands directly in
-    /// the column — same per-world streams as [`VgFunction::invoke`], but
-    /// monomorphized over the concrete generator (no `dyn` per draw).
-    fn invoke_batch_f64(
-        &self,
-        calls: &mut [prophet_vg::VgCallF64<'_>],
-    ) -> DataResult<Option<Vec<f64>>> {
+    /// Raw-`f64` batch lane for the typed columnar tier: each world's draw
+    /// lands directly in the column — same per-world streams as
+    /// [`VgFunction::invoke`], but monomorphized over the concrete
+    /// generator (no `dyn` per draw).
+    fn invoke_batch_f64(&self, calls: &mut [prophet_vg::VgCallF64<'_>]) -> DataResult<Vec<f64>> {
         calls
             .iter_mut()
             .map(|call| {
                 let [week, agents] = int_args(call.params)?;
                 self.mean_backlog(week, agents, call.rng)
             })
-            .collect::<DataResult<Vec<f64>>>()
-            .map(Some)
+            .collect()
     }
 }
 
@@ -234,10 +223,10 @@ mod tests {
     fn vg_interface() {
         let m = QueueModel::default();
         let mut rng = Xoshiro256StarStar::seed_from_u64(10);
-        let t = m
+        let backlog = m
             .invoke(&[Value::Int(0), Value::Int(10)], &mut rng)
             .unwrap();
-        assert!(t.cell(0, "backlog").unwrap().as_f64().unwrap() >= 0.0);
+        assert!(backlog >= 0.0);
     }
 
     #[test]

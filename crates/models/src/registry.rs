@@ -1,6 +1,6 @@
 //! Pre-wired VG registries.
 //!
-//! The paper stores table-generating functions in the database so every
+//! The paper stores its VG functions in the database so every
 //! Prophet instance sees updated definitions. These helpers are the
 //! reproduction's "database install": a registry preloaded with the demo's
 //! models (and optionally the auxiliary ones), ready to run Figure 2.
@@ -63,18 +63,18 @@ mod tests {
             vec!["CapacityModel".to_string(), "DemandModel".to_string()]
         );
         let mut rng = Xoshiro256StarStar::seed_from_u64(1);
-        let t = r
+        let demand = r
             .invoke("DemandModel", &[Value::Int(0), Value::Int(26)], &mut rng)
             .unwrap();
-        assert_eq!(t.num_rows(), 1);
-        let t = r
+        assert!(demand.is_finite());
+        let capacity = r
             .invoke(
                 "CapacityModel",
                 &[Value::Int(0), Value::Int(8), Value::Int(24)],
                 &mut rng,
             )
             .unwrap();
-        assert_eq!(t.num_rows(), 1);
+        assert!(capacity.is_finite());
     }
 
     #[test]
@@ -108,10 +108,6 @@ mod tests {
                 &[Value::Int(0), Value::Int(52), Value::Int(52)],
                 &mut rng,
             )
-            .unwrap()
-            .cell(0, "capacity")
-            .unwrap()
-            .as_f64()
             .unwrap();
         assert!(cap > 900_000.0);
     }

@@ -4,7 +4,7 @@
 //! enterprises" scenarios the introduction motivates: choose a price point
 //! under uncertain subscriber growth and price elasticity.
 
-use prophet_data::{DataResult, DataType, Schema, Table, TableBuilder, Value};
+use prophet_data::{DataResult, Value};
 use prophet_vg::dist::{LogNormal, Normal};
 use prophet_vg::rng::Rng64;
 use prophet_vg::VgFunction;
@@ -39,7 +39,7 @@ impl Default for RevenueConfig {
     }
 }
 
-/// `RevenueModel(@week, @price)` → one cell: weekly revenue at the given
+/// `RevenueModel(@week, @price)` → one sample: weekly revenue at the given
 /// price point.
 #[derive(Debug, Clone)]
 pub struct RevenueModel {
@@ -106,27 +106,17 @@ impl VgFunction for RevenueModel {
         2
     }
 
-    fn output_schema(&self) -> Schema {
-        Schema::of(&[("revenue", DataType::Float)])
-    }
-
-    fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<Table> {
+    fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<f64> {
         let week = params[0].as_i64()?;
         let price = params[1].as_f64()?;
-        let revenue = self.revenue_at(week, price, rng);
-        let mut b = TableBuilder::with_capacity(self.output_schema(), 1);
-        b.push_row(vec![Value::Float(revenue)])?;
-        Ok(b.finish())
+        Ok(self.revenue_at(week, price, rng))
     }
 
-    /// Raw-`f64` batch lane for the typed columnar tier: the scalar output
-    /// is always `Value::Float`, so each world's draw lands directly in
-    /// the column — same per-world streams as [`VgFunction::invoke`], but
-    /// monomorphized over the concrete generator (no `dyn` per draw).
-    fn invoke_batch_f64(
-        &self,
-        calls: &mut [prophet_vg::VgCallF64<'_>],
-    ) -> DataResult<Option<Vec<f64>>> {
+    /// Raw-`f64` batch lane for the typed columnar tier: each world's draw
+    /// lands directly in the column — same per-world streams as
+    /// [`VgFunction::invoke`], but monomorphized over the concrete
+    /// generator (no `dyn` per draw).
+    fn invoke_batch_f64(&self, calls: &mut [prophet_vg::VgCallF64<'_>]) -> DataResult<Vec<f64>> {
         calls
             .iter_mut()
             .map(|call| {
@@ -134,8 +124,7 @@ impl VgFunction for RevenueModel {
                 let price = call.params[1].as_f64()?;
                 Ok(self.revenue_at(week, price, call.rng))
             })
-            .collect::<DataResult<Vec<f64>>>()
-            .map(Some)
+            .collect()
     }
 }
 
@@ -195,13 +184,13 @@ mod tests {
     fn vg_interface_accepts_int_and_float_price() {
         let m = RevenueModel::default();
         let mut rng = Xoshiro256StarStar::seed_from_u64(4);
-        let t = m
+        let revenue = m
             .invoke(&[Value::Int(0), Value::Int(20)], &mut rng)
             .unwrap();
-        assert!(t.cell(0, "revenue").unwrap().as_f64().unwrap() > 0.0);
-        let t = m
+        assert!(revenue > 0.0);
+        let revenue = m
             .invoke(&[Value::Int(0), Value::Float(19.5)], &mut rng)
             .unwrap();
-        assert!(t.cell(0, "revenue").unwrap().as_f64().unwrap() > 0.0);
+        assert!(revenue > 0.0);
     }
 }

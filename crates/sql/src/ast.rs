@@ -109,7 +109,7 @@ pub enum Expr {
         otherwise: Option<Box<Expr>>,
     },
     /// Function call: either a scalar builtin (`ABS`, `SQRT`, …) or a
-    /// VG table-generating function from the catalog (`DemandModel(…)`).
+    /// VG function from the catalog (`DemandModel(…)`).
     Call {
         /// Function name as written.
         name: String,

@@ -61,10 +61,10 @@
 //!
 //! VG calls go through [`VgRegistry::invoke_batch_columnar`]: one
 //! *physical* call per (call site, block), one *logical* invocation per
-//! world for the catalog's accounting. Models with an `invoke_batch_f64`
-//! lane fill a `Vec<f64>` directly (no per-world boxing at all); models
-//! without one are invoked world by world and come back as boxed scalars,
-//! which counts as a column fallback. A walk handed a [`LedgerStore`]
+//! world for the catalog's accounting. Every model fills a `Vec<f64>`
+//! lane (no per-world boxing at all) — its own `invoke_batch_f64`, or the
+//! trait's default of one `invoke` per world — so a VG call is always a
+//! typed kernel. A walk handed a [`LedgerStore`]
 //! serves models that keep a draw ledger through
 //! [`VgRegistry::invoke_batch_ledgered`] instead — same lane, same
 //! accounting, each world's stream drawn once per store rather than once
@@ -75,7 +75,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use prophet_data::Value;
-use prophet_vg::{BatchSamples, LedgerCall, LedgerStore, SeedManager, VgCallF64, VgRegistry};
+use prophet_vg::{LedgerCall, LedgerStore, SeedManager, VgCallF64, VgRegistry};
 
 use crate::ast::{BinOp, Expr, SelectInto};
 use crate::column::{
@@ -457,7 +457,7 @@ impl CallSiteKey {
 }
 
 /// A cache of VG call outputs, consulted by
-/// [`evaluate_select_columns_memo`] at call sites whose arguments are
+/// [`evaluate_select_columns_with`] at call sites whose arguments are
 /// constant over the block.
 ///
 /// One memo is valid for exactly one `(SeedManager, world block)` pair —
@@ -491,32 +491,19 @@ pub fn evaluate_select_columns(
     evaluate_select_columns_with(select, registry, params, seeds, worlds, None, None)
 }
 
-/// [`evaluate_select_columns`] with a [`CallSiteMemo`]: a VG call site is
-/// served from (or, after drawing, recorded into) `memo` when it covers
-/// the whole block, every argument column is a block-constant
-/// `Null`/`Int`/`Float`/`Bool`, the per-slot call counter is uniform over
-/// the block, and the model answers on its `f64` lane. Every other call
-/// site — under a data-dependent `CASE`/`AND`/`OR` arm, or with an
-/// argument that references an earlier stochastic alias — draws as usual.
-///
-/// Outputs are bit-identical with and without the memo, and per-slot
-/// counters and [`ColumnarStats::kernels`] advance on a hit exactly as on
-/// a miss; only the catalog's invocation statistics see fewer draws. The
-/// caller must hold `seeds` and `worlds` fixed for the memo's lifetime.
-pub fn evaluate_select_columns_memo(
-    select: &SelectInto,
-    registry: &VgRegistry,
-    params: &HashMap<String, Value>,
-    seeds: SeedManager,
-    worlds: &[u64],
-    memo: &dyn CallSiteMemo,
-) -> SqlResult<(Vec<(String, Column)>, ColumnarStats)> {
-    evaluate_select_columns_with(select, registry, params, seeds, worlds, Some(memo), None)
-}
-
 /// [`evaluate_select_columns`] with whichever of the walk's two draw
-/// caches the caller holds: a [`CallSiteMemo`] (see
-/// [`evaluate_select_columns_memo`]) and a [`LedgerStore`].
+/// caches the caller holds: a [`CallSiteMemo`] and a [`LedgerStore`].
+///
+/// With `memo`, a VG call site is served from (or, after drawing, recorded
+/// into) it when it covers the whole block, every argument column is a
+/// block-constant `Null`/`Int`/`Float`/`Bool` and the per-slot call
+/// counter is uniform over the block. Every other call site — under a
+/// data-dependent `CASE`/`AND`/`OR` arm, or with an argument that
+/// references an earlier stochastic alias — draws as usual. Outputs are
+/// bit-identical with and without the memo, and per-slot counters and
+/// [`ColumnarStats::kernels`] advance on a hit exactly as on a miss; only
+/// the catalog's invocation statistics see fewer draws. The caller must
+/// hold `seeds` and `worlds` fixed for the memo's lifetime.
 ///
 /// With `ledgers`, a call site the memo did not serve whose model keeps a
 /// draw ledger replays each selected slot from the stored ledger of its
@@ -1498,13 +1485,13 @@ fn call_function_col(
         }
         None => None,
     };
-    let samples = match replayed {
+    let data = match replayed {
         Some(data) => {
             for slot in sel.slots() {
                 draws.counters[slot] += 1;
             }
             walk.stats.call_sites_replayed += 1;
-            BatchSamples::F64(data)
+            data
         }
         None => {
             let mut rngs = Vec::with_capacity(sel.len());
@@ -1524,22 +1511,14 @@ fn call_function_col(
             registry.invoke_batch_columnar(name, &mut calls)?
         }
     };
-    match samples {
-        BatchSamples::F64(data) => {
-            walk.stats.kernels += 1;
-            if let Some((memo, key)) = memo {
-                memo.insert(key, Arc::from(data.as_slice()));
-            }
-            Ok(Column::F64 {
-                nulls: NullMask::none(data.len()),
-                data,
-            })
-        }
-        BatchSamples::Values(values) => {
-            walk.stats.fallbacks += 1;
-            Ok(Column::from_values(values))
-        }
+    walk.stats.kernels += 1;
+    if let Some((memo, key)) = memo {
+        memo.insert(key, Arc::from(data.as_slice()));
     }
+    Ok(Column::F64 {
+        nulls: NullMask::none(data.len()),
+        data,
+    })
 }
 
 #[cfg(test)]
@@ -1824,7 +1803,6 @@ mod tests {
                 "unknown column or alias `nope`",
             ),
             ("SELECT NoSuchFn(1) AS v INTO r;", "function `NoSuchFn`"),
-            ("SELECT TwoRows() AS v INTO r;", "exactly one cell"),
             (
                 "SELECT Jitter() AS v INTO r;",
                 "expects 1 parameters, got 0",
@@ -1994,8 +1972,16 @@ mod tests {
 
         let memo = MapMemo::default();
         let walk = || {
-            evaluate_select_columns_memo(&script.select, &registry, &params, seeds, &worlds, &memo)
-                .unwrap()
+            evaluate_select_columns_with(
+                &script.select,
+                &registry,
+                &params,
+                seeds,
+                &worlds,
+                Some(&memo),
+                None,
+            )
+            .unwrap()
         };
         let (cold, cold_stats) = walk();
         let (warm, warm_stats) = walk();
@@ -2028,9 +2014,16 @@ mod tests {
 
         // A different argument tuple is a different entry, not a stale hit.
         let other = HashMap::from([("base".to_string(), Value::Int(101))]);
-        let (moved, moved_stats) =
-            evaluate_select_columns_memo(&script.select, &registry, &other, seeds, &worlds, &memo)
-                .unwrap();
+        let (moved, moved_stats) = evaluate_select_columns_with(
+            &script.select,
+            &registry,
+            &other,
+            seeds,
+            &worlds,
+            Some(&memo),
+            None,
+        )
+        .unwrap();
         let (moved_plain, _) =
             evaluate_select_columns(&script.select, &registry, &other, seeds, &worlds).unwrap();
         assert_eq!(moved_stats.call_sites_memoised, 0);
@@ -2070,13 +2063,14 @@ mod tests {
             let script = parse_script(src).unwrap();
             let memo = MapMemo::default();
             let walk = || {
-                evaluate_select_columns_memo(
+                evaluate_select_columns_with(
                     &script.select,
                     &registry,
                     &HashMap::new(),
                     seeds,
                     &worlds,
-                    &memo,
+                    Some(&memo),
+                    None,
                 )
             };
             let plain =

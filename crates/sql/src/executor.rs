@@ -105,10 +105,11 @@ impl<'a, 'r> EvalContext<'a, 'r> {
         self.aliases.get(name)
     }
 
-    /// Invoke a VG function under the context's randomness strategy.
-    fn invoke_vg(&mut self, name: &str, args: &[Value]) -> SqlResult<prophet_data::Table> {
-        match &mut self.rng {
-            WorldRng::Shared(rng) => Ok(self.registry.invoke(name, args, *rng)?),
+    /// Invoke a VG function under the context's randomness strategy; the
+    /// sample is the world's value at this call site.
+    fn invoke_vg(&mut self, name: &str, args: &[Value]) -> SqlResult<Value> {
+        let sample = match &mut self.rng {
+            WorldRng::Shared(rng) => self.registry.invoke(name, args, *rng)?,
             WorldRng::PerCall {
                 seeds,
                 world,
@@ -116,9 +117,10 @@ impl<'a, 'r> EvalContext<'a, 'r> {
             } => {
                 let mut rng = seeds.rng_for(*world, name, *counter);
                 *counter += 1;
-                Ok(self.registry.invoke(name, args, &mut rng)?)
+                self.registry.invoke(name, args, &mut rng)?
             }
-        }
+        };
+        Ok(Value::Float(sample))
     }
 }
 
@@ -267,15 +269,11 @@ pub(crate) fn apply_binop(op: BinOp, l: &Value, r: &Value) -> SqlResult<Value> {
     })
 }
 
-/// Dispatch a call: VG table functions first (catalog wins over builtins, so
+/// Dispatch a call: VG functions first (catalog wins over builtins, so
 /// analysts can shadow a builtin with a model), then scalar builtins.
 fn call_function(name: &str, args: &[Value], ctx: &mut EvalContext<'_, '_>) -> SqlResult<Value> {
     if ctx.registry.get(name).is_ok() {
-        let table = ctx.invoke_vg(name, args)?;
-        // In scalar position, a table-generating function must produce a
-        // single cell — that cell is the world's sample. The extraction
-        // (and its misuse diagnostic) is shared with the columnar tier.
-        return Ok(prophet_vg::function::extract_scalar_cell(name, &table)?);
+        return ctx.invoke_vg(name, args);
     }
     scalar_builtin(name, args)
 }
@@ -527,16 +525,6 @@ mod tests {
         };
         assert_eq!(run(9), run(9));
         assert_ne!(run(9), run(10));
-    }
-
-    #[test]
-    fn vg_scalar_misuse_is_reported() {
-        let script = parse_script("SELECT TwoRows() AS v INTO r;").unwrap();
-        let registry = test_registry();
-        let params = HashMap::new();
-        let mut rng = Xoshiro256StarStar::seed_from_u64(1);
-        let err = evaluate_select(&script.select, &registry, &params, &mut rng).unwrap_err();
-        assert!(err.to_string().contains("exactly one cell"), "{err}");
     }
 
     #[test]

@@ -53,10 +53,10 @@
 //!   *world-block*, each node lowered to a straight-line kernel
 //!   ([`mod@column`]) over `f64`/`i64`/`bool` buffers with a null bitmask,
 //!   falling back to boxed values only for mixed/string data. VG models
-//!   with a raw `f64` batch lane
-//!   ([`prophet_vg::VgFunction::invoke_batch_f64`]) fill columns without
-//!   boxing a single value, and a length-`L` fingerprint probe costs one
-//!   walk instead of `L`. Fingerprint probes and Monte Carlo estimation
+//!   answer on a raw `f64` batch lane
+//!   ([`prophet_vg::VgFunction::invoke_batch_f64`]) that fills columns
+//!   without boxing a single value, and a length-`L` fingerprint probe
+//!   costs one walk instead of `L`. Fingerprint probes and Monte Carlo estimation
 //!   default to this tier.
 //!
 //! The columnar tier is *defined* by bit-identity with the scalar tier —

@@ -7,11 +7,11 @@
 
 use std::sync::Arc;
 
-use prophet_data::{DataError, DataResult, DataType, Schema, Table, TableBuilder, Value};
+use prophet_data::{DataError, DataResult, Value};
 use prophet_vg::rng::{Rng64, Xoshiro256StarStar};
 use prophet_vg::{VgCallF64, VgFunction, VgRegistry};
 
-/// A deterministic VG function: returns `base + U[0,1)` as a 1x1 table.
+/// A deterministic VG function: returns `base + U[0,1)`.
 #[derive(Debug)]
 pub struct Jitter;
 
@@ -22,21 +22,14 @@ impl VgFunction for Jitter {
     fn arity(&self) -> usize {
         1
     }
-    fn output_schema(&self) -> Schema {
-        Schema::of(&[("v", DataType::Float)])
+    fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<f64> {
+        Ok(params[0].as_f64()? + rng.next_f64())
     }
-    fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<Table> {
-        let base = params[0].as_f64()?;
-        let mut b = TableBuilder::with_capacity(self.output_schema(), 1);
-        b.push_row(vec![Value::Float(base + rng.next_f64())])?;
-        Ok(b.finish())
-    }
-    fn invoke_batch_f64(&self, calls: &mut [VgCallF64<'_>]) -> DataResult<Option<Vec<f64>>> {
+    fn invoke_batch_f64(&self, calls: &mut [VgCallF64<'_>]) -> DataResult<Vec<f64>> {
         calls
             .iter_mut()
             .map(|c| Ok(c.params[0].as_f64()? + c.rng.next_f64()))
-            .collect::<DataResult<Vec<f64>>>()
-            .map(Some)
+            .collect()
     }
 }
 
@@ -66,17 +59,12 @@ impl VgFunction for Walk {
     fn arity(&self) -> usize {
         2
     }
-    fn output_schema(&self) -> Schema {
-        Schema::of(&[("v", DataType::Float)])
-    }
-    fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<Table> {
+    fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<f64> {
         let mut at = params[1].as_f64()?;
         for _ in 0..Walk::steps(params)? {
             at += rng.next_f64();
         }
-        let mut b = TableBuilder::with_capacity(self.output_schema(), 1);
-        b.push_row(vec![Value::Float(at)])?;
-        Ok(b.finish())
+        Ok(at)
     }
     fn ledger_len(&self, params: &[Value]) -> DataResult<Option<usize>> {
         params[1].as_f64()?;
@@ -93,33 +81,10 @@ impl VgFunction for Walk {
     }
 }
 
-/// A malformed VG function that returns two rows (for error-path tests).
-#[derive(Debug)]
-pub struct TwoRows;
-
-impl VgFunction for TwoRows {
-    fn name(&self) -> &str {
-        "TwoRows"
-    }
-    fn arity(&self) -> usize {
-        0
-    }
-    fn output_schema(&self) -> Schema {
-        Schema::of(&[("v", DataType::Float)])
-    }
-    fn invoke(&self, _: &[Value], _: &mut dyn Rng64) -> DataResult<Table> {
-        let mut b = TableBuilder::new(self.output_schema());
-        b.push_row(vec![Value::Float(1.0)])?;
-        b.push_row(vec![Value::Float(2.0)])?;
-        Ok(b.finish())
-    }
-}
-
 /// A registry with the test functions installed.
 pub fn test_registry() -> VgRegistry {
     let mut r = VgRegistry::new();
     r.register(Arc::new(Jitter));
     r.register(Arc::new(Walk));
-    r.register(Arc::new(TwoRows));
     r
 }

@@ -2,12 +2,15 @@
 //!
 //! MCDB and PIP — and Fuzzy Prophet after them — let analysts plug arbitrary
 //! *variable-generation functions* into queries: black-box stochastic
-//! procedures that take parameters and a PRNG and return a relation. The
-//! engine never looks inside a VG-Function; everything it learns about one
-//! comes from invoking it (this opacity is exactly why fingerprinting, rather
-//! than static analysis, is the paper's route to detecting correlation).
+//! procedures that take parameters and a PRNG and return a sample. MCDB's
+//! functions generate relations; the paper's scenarios use every one in
+//! scalar position (`DemandModel(@week, @feature) AS demand`) and the
+//! scenario dialect has no other, so here a sample is one `f64`. The engine
+//! never looks inside a VG-Function; everything it learns about one comes
+//! from invoking it (this opacity is exactly why fingerprinting, rather than
+//! static analysis, is the paper's route to detecting correlation).
 //!
-//! The paper stores table-generating functions *in the database*:
+//! The paper stores these functions *in the database*:
 //!
 //! > "If an analyst develops a better model, she can update all Fuzzy Prophet
 //! > instances using the model by simply modifying the function definitions."
@@ -21,27 +24,10 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use prophet_data::{DataError, DataResult, Schema, Table, Value};
+use prophet_data::{DataError, DataResult, Value};
 
 use crate::rng::{Rng64, Xoshiro256StarStar};
 use crate::seeded::SeedManager;
-
-/// Extract the single cell of a VG function's output relation when the
-/// function was used in *scalar position* (the only position the scenario
-/// dialect has). Both execution tiers route their misuse diagnostics
-/// through here, so a malformed model reports the identical error class
-/// and message whether worlds were walked one at a time or as a block.
-pub fn extract_scalar_cell(name: &str, table: &Table) -> DataResult<Value> {
-    if table.num_rows() != 1 || table.schema().len() != 1 {
-        return Err(DataError::SchemaMismatch(format!(
-            "VG function `{name}` used as a scalar must return exactly one cell, got {}x{}",
-            table.num_rows(),
-            table.schema().len()
-        )));
-    }
-    let column = &table.schema().fields()[0].name;
-    table.cell(0, column)
-}
 
 /// One logical per-world invocation inside a batched VG call
 /// ([`VgRegistry::invoke_batch_columnar`]): the concrete argument values
@@ -66,11 +52,12 @@ pub struct VgCallF64<'a> {
     pub rng: &'a mut Xoshiro256StarStar,
 }
 
-/// A black-box table-generating stochastic function.
+/// A black-box stochastic function: parameters and a random stream in, one
+/// `f64` sample out.
 ///
 /// Implementations must be **deterministic given `(params, rng stream)`**:
 /// two invocations with equal parameters and identically seeded generators
-/// must return identical tables. The fingerprint machinery and the whole
+/// must return bit-identical samples. The fingerprint machinery and the whole
 /// possible-worlds semantics rest on this contract, and
 /// `tests/determinism.rs` enforces it for every bundled model.
 pub trait VgFunction: Send + Sync {
@@ -80,39 +67,37 @@ pub trait VgFunction: Send + Sync {
     /// Number of parameters the function expects.
     fn arity(&self) -> usize;
 
-    /// Schema of the generated relation.
-    fn output_schema(&self) -> Schema;
+    /// Draw one sample for one possible world. This is the reference
+    /// entry point: the scalar tier calls nothing else, and a model that
+    /// implements only this works — as a typed kernel, memoisable — on
+    /// every path. `NaN` is the one "no value" a model can return; it
+    /// travels through estimates as a NaN sample, never as a dropped world.
+    fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<f64>;
 
-    /// Generate one sample relation for one possible world. This is the
-    /// reference entry point: the scalar tier calls nothing else, and a
-    /// model that implements only this works on every path.
-    fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<Table>;
-
-    /// Batched invocation in scalar position straight into an `f64` lane:
-    /// one raw sample per world of a block, no `Value` boxing, no `dyn`
-    /// rng. Scenario SELECTs use VG functions as scalars — each world's
-    /// invocation yields a 1×1 relation whose single cell is the world's
-    /// sample — and this is the production entry point for exactly that.
+    /// Batched invocation: one sample per world of a block, straight into
+    /// an `f64` lane — no `Value` boxing, no `dyn` rng. This is the
+    /// production entry point.
     ///
-    /// The default returns `Ok(None)`, meaning "no f64 lane — call
-    /// [`VgFunction::invoke`] once per world"; models whose scalar output
-    /// is always `Value::Float` override it to write draws directly (and,
-    /// because [`VgCallF64`] carries the concrete generator, their sampling
-    /// loops monomorphize — see the distributions' `sample_with`). An
-    /// override returning `Some(samples)` must return exactly
-    /// `calls.len()` samples and promises, per world, that `samples[i]` is
-    /// bit-identical to the float inside the single `Value::Float` cell
-    /// `invoke` would have produced for the same `(params, rng)`. How many
-    /// draws it takes from the stream to get there is its own business:
-    /// every call's substream is derived from `(world, function, call
-    /// index)`, used for that one call and dropped, so nothing downstream
-    /// can observe a generator's final state.
+    /// The default is one [`VgFunction::invoke`] per call on that call's own
+    /// stream reborrowed as `dyn`, so it consumes exactly the draws a scalar
+    /// walk would. Models override it to write draws directly (and, because
+    /// [`VgCallF64`] carries the concrete generator, their sampling loops
+    /// monomorphize — see the distributions' `sample_with`). An override
+    /// must return exactly `calls.len()` samples and promises, per world,
+    /// that `samples[i]` is bit-identical to what `invoke` would have
+    /// returned for the same `(params, rng)`. How many draws it takes from
+    /// the stream to get there is its own business: every call's substream
+    /// is derived from `(world, function, call index)`, used for that one
+    /// call and dropped, so nothing downstream can observe a generator's
+    /// final state.
     ///
     /// A model that answers [`VgFunction::ledger_len`] needs no override:
     /// the catalog composes its lane from the ledger pair.
-    fn invoke_batch_f64(&self, calls: &mut [VgCallF64<'_>]) -> DataResult<Option<Vec<f64>>> {
-        let _ = calls;
-        Ok(None)
+    fn invoke_batch_f64(&self, calls: &mut [VgCallF64<'_>]) -> DataResult<Vec<f64>> {
+        calls
+            .iter_mut()
+            .map(|call| self.invoke(call.params, call.rng))
+            .collect()
     }
 
     /// The **draw ledger** capability (optional; three methods, all
@@ -133,10 +118,9 @@ pub trait VgFunction: Send + Sync {
     ///   `draw_ledger(rng, n)` bit for bit, for every `k <= n`;
     /// * **replay is `invoke`** — for any `ledger` at least
     ///   `ledger_len(params)` cells long drawn from the call's stream,
-    ///   `replay(params, ledger)` is bit-identical to the float inside the
-    ///   single `Value::Float` cell of `invoke(params, stream)`, and an
-    ///   argument row `invoke` rejects is rejected by `ledger_len` with the
-    ///   same error.
+    ///   `replay(params, ledger)` is bit-identical to
+    ///   `invoke(params, stream)`, and an argument row `invoke` rejects is
+    ///   rejected by `ledger_len` with the same error.
     ///
     /// This method says how many leading cells a call with these arguments
     /// reads; `Ok(None)` means the model keeps no ledger. The methods are
@@ -210,18 +194,6 @@ pub trait LedgerStore: Sync {
     fn insert(&self, function: &str, drawn: Vec<((u64, u64), Vec<f64>)>);
 }
 
-/// Output of [`VgRegistry::invoke_batch_columnar`]: the raw `f64` lane when
-/// the model provides one, the boxed scalar column otherwise.
-#[derive(Debug, Clone, PartialEq)]
-pub enum BatchSamples {
-    /// One raw `f64` sample per world (the model's scalar output is always
-    /// `Value::Float`; no per-world boxing happened).
-    F64(Vec<f64>),
-    /// One boxed scalar per world: the single cell of each world's
-    /// [`VgFunction::invoke`] relation, for models without an `f64` lane.
-    Values(Vec<Value>),
-}
-
 /// Snapshot of invocation accounting for one function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct InvocationStats {
@@ -285,7 +257,7 @@ impl VgRegistry {
     }
 
     /// Invoke by name, validating arity and counting the call.
-    pub fn invoke(&self, name: &str, params: &[Value], rng: &mut dyn Rng64) -> DataResult<Table> {
+    pub fn invoke(&self, name: &str, params: &[Value], rng: &mut dyn Rng64) -> DataResult<f64> {
         let entry = self
             .entries
             .get(name)
@@ -322,39 +294,22 @@ impl VgRegistry {
         Ok(entry)
     }
 
-    /// A batched implementation must hand back one output per world.
-    fn expect_batch_len<T>(name: &str, outputs: Vec<T>, calls: usize) -> DataResult<Vec<T>> {
-        if outputs.len() != calls {
-            return Err(DataError::SchemaMismatch(format!(
-                "VG function `{name}` returned {} outputs for a batch of {calls}",
-                outputs.len()
-            )));
-        }
-        Ok(outputs)
-    }
-
-    /// Invoke by name over a whole world-block in scalar position,
-    /// validating arity per call and counting every *logical* per-world
-    /// invocation — a batch of `n` calls bumps the counter by `n`, so
-    /// invocation accounting stays comparable whether the executor walked
-    /// worlds one at a time or as a block. `batched_calls` additionally
-    /// counts the physical batch calls, making the amortization itself
-    /// observable.
+    /// Invoke by name over a whole world-block, validating arity per call
+    /// and counting every *logical* per-world invocation — a batch of `n`
+    /// calls bumps the counter by `n`, so invocation accounting stays
+    /// comparable whether the executor walked worlds one at a time or as a
+    /// block. `batched_calls` additionally counts the physical batch calls,
+    /// making the amortization itself observable.
     ///
     /// A model with a draw ledger ([`VgFunction::ledger_len`]) answers on
-    /// it — `draw_ledger` then `replay`, world by world, which *is* such a
-    /// model's `f64` lane. Otherwise the model is asked for its raw `f64`
-    /// lane; when it declines, each world goes through
-    /// [`VgFunction::invoke`] on its own stream (reborrowed as `dyn`, so it
-    /// consumes exactly the draws a scalar walk would) and
-    /// [`extract_scalar_cell`] — the scalar tier's path, value for value
-    /// and error for error. The columnar executor keys its
-    /// `column_fallbacks` accounting off which variant comes back.
+    /// it — `draw_ledger` then `replay`, world by world. Every other model
+    /// answers on [`VgFunction::invoke_batch_f64`], which must hand back
+    /// one sample per call.
     pub fn invoke_batch_columnar(
         &self,
         name: &str,
         calls: &mut [VgCallF64<'_>],
-    ) -> DataResult<BatchSamples> {
+    ) -> DataResult<Vec<f64>> {
         let entry = self.batch_entry(name, calls.iter().map(|c| c.params.len()))?;
         entry.count_batch(calls.len());
         let function = &entry.function;
@@ -366,21 +321,17 @@ impl VgRegistry {
                     let ledger = draw_ledger(name, function.as_ref(), call.rng, len)?;
                     function.replay(call.params, &ledger)
                 })
-                .collect::<DataResult<Vec<f64>>>()
-                .map(BatchSamples::F64);
+                .collect();
         }
-        if let Some(samples) = function.invoke_batch_f64(calls)? {
-            let samples = Self::expect_batch_len(name, samples, calls.len())?;
-            return Ok(BatchSamples::F64(samples));
+        let samples = function.invoke_batch_f64(calls)?;
+        if samples.len() != calls.len() {
+            return Err(DataError::SchemaMismatch(format!(
+                "VG function `{name}` returned {} outputs for a batch of {}",
+                samples.len(),
+                calls.len()
+            )));
         }
-        calls
-            .iter_mut()
-            .map(|call| {
-                let table = function.invoke(call.params, call.rng)?;
-                extract_scalar_cell(name, &table)
-            })
-            .collect::<DataResult<Vec<Value>>>()
-            .map(BatchSamples::Values)
+        Ok(samples)
     }
 
     /// [`VgRegistry::invoke_batch_columnar`] for a model with a draw
@@ -511,38 +462,30 @@ impl fmt::Debug for VgRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prophet_data::{DataType, TableBuilder};
 
-    /// Minimal test function: emits `n` rows of `U[0,1)` draws.
+    /// Minimal test function, `invoke` only: the sum of `n` draws of
+    /// `U[0,1)`.
     #[derive(Debug)]
-    struct UniformRows;
+    struct UniformSum;
 
-    impl VgFunction for UniformRows {
+    impl VgFunction for UniformSum {
         fn name(&self) -> &str {
-            "UniformRows"
+            "UniformSum"
         }
 
         fn arity(&self) -> usize {
             1
         }
 
-        fn output_schema(&self) -> Schema {
-            Schema::of(&[("u", DataType::Float)])
-        }
-
-        fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<Table> {
+        fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<f64> {
             let n = params[0].as_i64()? as usize;
-            let mut b = TableBuilder::with_capacity(self.output_schema(), n);
-            for _ in 0..n {
-                b.push_row(vec![Value::Float(rng.next_f64())])?;
-            }
-            Ok(b.finish())
+            Ok((0..n).fold(0.0, |sum, _| sum + rng.next_f64()))
         }
     }
 
     fn registry() -> VgRegistry {
         let mut r = VgRegistry::new();
-        r.register(Arc::new(UniformRows));
+        r.register(Arc::new(UniformSum));
         r
     }
 
@@ -551,19 +494,19 @@ mod tests {
         let r = registry();
         assert_eq!(r.len(), 1);
         assert!(!r.is_empty());
-        assert!(r.get("UniformRows").is_ok());
+        assert!(r.get("UniformSum").is_ok());
         assert!(r.get("Missing").is_err());
 
         let mut rng = crate::rng::Xoshiro256StarStar::seed_from_u64(1);
-        let t = r.invoke("UniformRows", &[Value::Int(5)], &mut rng).unwrap();
-        assert_eq!(t.num_rows(), 5);
+        let x = r.invoke("UniformSum", &[Value::Int(5)], &mut rng).unwrap();
+        assert!((0.0..5.0).contains(&x));
     }
 
     #[test]
     fn arity_is_validated() {
         let r = registry();
         let mut rng = crate::rng::Xoshiro256StarStar::seed_from_u64(1);
-        let err = r.invoke("UniformRows", &[], &mut rng).unwrap_err();
+        let err = r.invoke("UniformSum", &[], &mut rng).unwrap_err();
         assert!(err.to_string().contains("expects 1 parameters"));
     }
 
@@ -572,9 +515,9 @@ mod tests {
         let r = registry();
         let mut rng = crate::rng::Xoshiro256StarStar::seed_from_u64(1);
         for _ in 0..3 {
-            r.invoke("UniformRows", &[Value::Int(1)], &mut rng).unwrap();
+            r.invoke("UniformSum", &[Value::Int(1)], &mut rng).unwrap();
         }
-        assert_eq!(r.stats("UniformRows").unwrap().invocations, 3);
+        assert_eq!(r.stats("UniformSum").unwrap().invocations, 3);
         assert!(r.stats("Missing").is_none());
     }
 
@@ -584,23 +527,20 @@ mod tests {
         struct Empty;
         impl VgFunction for Empty {
             fn name(&self) -> &str {
-                "UniformRows"
+                "UniformSum"
             }
             fn arity(&self) -> usize {
                 0
             }
-            fn output_schema(&self) -> Schema {
-                Schema::empty()
-            }
-            fn invoke(&self, _: &[Value], _: &mut dyn Rng64) -> DataResult<Table> {
-                Ok(Table::empty(Schema::empty()))
+            fn invoke(&self, _: &[Value], _: &mut dyn Rng64) -> DataResult<f64> {
+                Ok(0.0)
             }
         }
 
         let mut r = registry();
         r.register(Arc::new(Empty));
         assert_eq!(r.len(), 1, "same name replaces, not duplicates");
-        assert_eq!(r.get("UniformRows").unwrap().arity(), 0);
+        assert_eq!(r.get("UniformSum").unwrap().arity(), 0);
     }
 
     /// One generator per world of a test batch, seeded `0..n`.
@@ -616,53 +556,22 @@ mod tests {
     }
 
     #[test]
-    fn batch_scalar_extracts_single_cells_and_rejects_relations() {
-        // UniformRows(1) is a 1x1 relation: in scalar position the batch
-        // must extract exactly the cell scalar invocation produces.
-        let r = registry();
-        let params = [Value::Int(1)];
-        let cells = r
-            .invoke_batch_columnar("UniformRows", &mut batch(&params, &mut world_rngs(1)))
-            .unwrap();
-        let table = r
-            .invoke("UniformRows", &params, &mut world_rngs(1)[0])
-            .unwrap();
-        assert_eq!(
-            cells,
-            BatchSamples::Values(vec![table.cell(0, "u").unwrap()])
-        );
-
-        // A multi-row result must be rejected with the scalar tier's own
-        // scalar-misuse error.
-        let params = [Value::Int(2)];
-        let err = r
-            .invoke_batch_columnar("UniformRows", &mut batch(&params, &mut world_rngs(1)))
-            .unwrap_err();
-        assert!(err.to_string().contains("exactly one cell"), "{err}");
-        let table = r
-            .invoke("UniformRows", &params, &mut world_rngs(1)[0])
-            .unwrap();
-        let scalar = extract_scalar_cell("UniformRows", &table).unwrap_err();
-        assert_eq!(err.to_string(), scalar.to_string());
-    }
-
-    #[test]
     fn batch_invoke_validates_arity_per_call() {
         let r = registry();
         let good = [Value::Int(1)];
         assert!(r
-            .invoke_batch_columnar("UniformRows", &mut batch(&good, &mut world_rngs(1)))
+            .invoke_batch_columnar("UniformSum", &mut batch(&good, &mut world_rngs(1)))
             .is_ok());
         // One bad call anywhere in the batch rejects it whole.
         let mut rngs = world_rngs(2);
         let mut calls = batch(&good, &mut rngs);
         calls[1].params = &[];
         let err = r
-            .invoke_batch_columnar("UniformRows", &mut calls)
+            .invoke_batch_columnar("UniformSum", &mut calls)
             .unwrap_err();
         assert!(err.to_string().contains("expects 1 parameters, got 0"));
         assert_eq!(
-            r.stats("UniformRows").unwrap().invocations,
+            r.stats("UniformSum").unwrap().invocations,
             1,
             "a rejected batch counts nothing"
         );
@@ -683,20 +592,14 @@ mod tests {
             0
         }
 
-        fn output_schema(&self) -> Schema {
-            Schema::of(&[("u", DataType::Float)])
+        fn invoke(&self, _: &[Value], rng: &mut dyn Rng64) -> DataResult<f64> {
+            Ok(rng.next_f64())
         }
 
-        fn invoke(&self, _: &[Value], rng: &mut dyn Rng64) -> DataResult<Table> {
-            let mut b = TableBuilder::with_capacity(self.output_schema(), 1);
-            b.push_row(vec![Value::Float(rng.next_f64())])?;
-            Ok(b.finish())
-        }
-
-        fn invoke_batch_f64(&self, calls: &mut [VgCallF64<'_>]) -> DataResult<Option<Vec<f64>>> {
+        fn invoke_batch_f64(&self, calls: &mut [VgCallF64<'_>]) -> DataResult<Vec<f64>> {
             let mut lane: Vec<f64> = calls.iter_mut().map(|c| c.rng.next_f64()).collect();
             lane.resize(lane.len().saturating_add_signed(self.0), 0.0);
-            Ok(Some(lane))
+            Ok(lane)
         }
     }
 
@@ -704,20 +607,17 @@ mod tests {
     fn columnar_batch_prefers_the_f64_lane_and_matches_invoke() {
         let mut r = VgRegistry::new();
         r.register(Arc::new(UniformCell(0)));
-        let BatchSamples::F64(samples) = r
+        let samples = r
             .invoke_batch_columnar("UniformCell", &mut batch(&[], &mut world_rngs(4)))
-            .unwrap()
-        else {
-            panic!("UniformCell provides an f64 lane");
-        };
+            .unwrap();
         assert_eq!(samples.len(), 4);
         let stats = r.stats("UniformCell").unwrap();
         assert_eq!(stats.invocations, 4, "one logical invocation per world");
         assert_eq!(stats.batched_calls, 1, "one physical batch call");
 
-        // The lane must be bit-identical to the scalar invoke's cell.
-        let table = r.invoke("UniformCell", &[], &mut world_rngs(3)[2]).unwrap();
-        assert_eq!(Value::Float(samples[2]), table.cell(0, "u").unwrap());
+        // The lane must be bit-identical to the scalar invoke's sample.
+        let scalar = r.invoke("UniformCell", &[], &mut world_rngs(3)[2]).unwrap();
+        assert_eq!(samples[2].to_bits(), scalar.to_bits());
     }
 
     #[test]
@@ -737,30 +637,23 @@ mod tests {
     }
 
     #[test]
-    fn columnar_batch_falls_back_to_boxed_scalars() {
-        // UniformRows has no f64 lane: the columnar entry point must come
-        // back with boxed values — one physical call, one logical
-        // invocation per world, each world's value bit-identical to the
-        // cell `invoke` produces on the same stream.
+    fn the_default_lane_is_one_invoke_per_world_on_its_own_stream() {
+        // UniformSum implements `invoke` only: the columnar entry point
+        // must answer on the trait's default lane — one physical call, one
+        // logical invocation per world, each world's sample bit-identical
+        // to what `invoke` returns on the same stream.
         let r = registry();
-        let params = [Value::Int(1)];
-        let BatchSamples::Values(values) = r
-            .invoke_batch_columnar("UniformRows", &mut batch(&params, &mut world_rngs(3)))
-            .unwrap()
-        else {
-            panic!("UniformRows has no f64 lane");
-        };
-        let stats = r.stats("UniformRows").unwrap();
+        let params = [Value::Int(3)];
+        let samples = r
+            .invoke_batch_columnar("UniformSum", &mut batch(&params, &mut world_rngs(3)))
+            .unwrap();
+        let stats = r.stats("UniformSum").unwrap();
         assert_eq!(stats.invocations, 3, "one logical invocation per world");
         assert_eq!(stats.batched_calls, 1, "one physical batch call");
-        let scalar: Vec<Value> = world_rngs(3)
-            .iter_mut()
-            .map(|rng| {
-                let table = r.invoke("UniformRows", &params, rng).unwrap();
-                table.cell(0, "u").unwrap()
-            })
-            .collect();
-        assert_eq!(values, scalar);
+        for (sample, rng) in samples.iter().zip(&mut world_rngs(3)) {
+            let scalar = r.invoke("UniformSum", &params, rng).unwrap();
+            assert_eq!(sample.to_bits(), scalar.to_bits());
+        }
     }
 
     /// `Steps(n)`: the sum of the stream's first `n` uniforms, with a draw
@@ -776,15 +669,9 @@ mod tests {
         fn arity(&self) -> usize {
             1
         }
-        fn output_schema(&self) -> Schema {
-            Schema::of(&[("v", DataType::Float)])
-        }
-        fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<Table> {
+        fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<f64> {
             let n = params[0].as_i64()? as usize;
-            let sum = (0..n).fold(0.0, |sum, _| sum + rng.next_f64());
-            let mut b = TableBuilder::with_capacity(self.output_schema(), 1);
-            b.push_row(vec![Value::Float(sum)])?;
-            Ok(b.finish())
+            Ok((0..n).fold(0.0, |sum, _| sum + rng.next_f64()))
         }
         fn ledger_len(&self, params: &[Value]) -> DataResult<Option<usize>> {
             Ok(Some(params[0].as_i64()? as usize))
@@ -837,17 +724,14 @@ mod tests {
         let mut r = VgRegistry::new();
         r.register(Arc::new(Steps(0)));
         let params = [Value::Int(5)];
-        let BatchSamples::F64(samples) = r
+        let samples = r
             .invoke_batch_columnar("Steps", &mut batch(&params, &mut world_rngs(4)))
-            .unwrap()
-        else {
-            panic!("the ledger pair is the model's f64 lane");
-        };
+            .unwrap();
         for (world, sample) in samples.iter().enumerate() {
-            let table = r
+            let scalar = r
                 .invoke("Steps", &params, &mut world_rngs(4)[world])
                 .unwrap();
-            assert_eq!(Value::Float(*sample), table.cell(0, "v").unwrap());
+            assert_eq!(sample.to_bits(), scalar.to_bits());
         }
         assert_eq!(r.stats("Steps").unwrap().batched_calls, 1);
     }
@@ -894,8 +778,8 @@ mod tests {
                 .expect("Steps keeps a ledger");
             for (world, sample) in lane.iter().enumerate() {
                 let mut rng = seeds.rng_for(world as u64, "Steps", 2);
-                let table = r.invoke("Steps", params, &mut rng).unwrap();
-                assert_eq!(Value::Float(*sample), table.cell(0, "v").unwrap());
+                let scalar = r.invoke("Steps", params, &mut rng).unwrap();
+                assert_eq!(sample.to_bits(), scalar.to_bits());
             }
             assert_eq!(store.offered.load(Ordering::SeqCst) - before, redrawn);
         }
@@ -953,8 +837,8 @@ mod tests {
         let r = registry();
         let mut a = crate::rng::Xoshiro256StarStar::seed_from_u64(9);
         let mut b = crate::rng::Xoshiro256StarStar::seed_from_u64(9);
-        let ta = r.invoke("UniformRows", &[Value::Int(16)], &mut a).unwrap();
-        let tb = r.invoke("UniformRows", &[Value::Int(16)], &mut b).unwrap();
-        assert_eq!(ta, tb);
+        let ta = r.invoke("UniformSum", &[Value::Int(16)], &mut a).unwrap();
+        let tb = r.invoke("UniformSum", &[Value::Int(16)], &mut b).unwrap();
+        assert_eq!(ta.to_bits(), tb.to_bits());
     }
 }

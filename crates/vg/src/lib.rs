@@ -37,9 +37,6 @@ pub mod rng;
 pub mod seeded;
 
 pub use dist::Distribution;
-pub use function::{
-    extract_scalar_cell, BatchSamples, InvocationStats, LedgerCall, LedgerStore, VgCallF64,
-    VgFunction, VgRegistry,
-};
+pub use function::{InvocationStats, LedgerCall, LedgerStore, VgCallF64, VgFunction, VgRegistry};
 pub use rng::{Rng64, SeedSequence, SplitMix64, Xoshiro256StarStar};
 pub use seeded::SeedManager;

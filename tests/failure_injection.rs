@@ -2,11 +2,11 @@
 //! degenerate configurations must produce errors or explicit NaNs — never
 //! panics, hangs, or silently wrong numbers.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use fuzzy_prophet::prelude::*;
-use prophet_data::{DataResult, DataType, Schema, Table, TableBuilder, Value};
+use prophet_data::{DataResult, Value};
 use prophet_models::{demo_registry, full_registry};
 use prophet_sql::parse_script;
 use prophet_vg::rng::Rng64;
@@ -87,43 +87,15 @@ impl VgFunction for SometimesNan {
     fn arity(&self) -> usize {
         1
     }
-    fn output_schema(&self) -> Schema {
-        Schema::of(&[("v", DataType::Float)])
-    }
-    fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<Table> {
+    fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<f64> {
         let p = params[0].as_i64()?;
-        let v = if p >= 5 { f64::NAN } else { rng.next_f64() };
-        let mut b = TableBuilder::with_capacity(self.output_schema(), 1);
-        b.push_row(vec![Value::Float(v)])?;
-        Ok(b.finish())
-    }
-}
-
-/// A model that returns a whole table where a scalar is expected.
-#[derive(Debug)]
-struct WideTable;
-
-impl VgFunction for WideTable {
-    fn name(&self) -> &str {
-        "WideTable"
-    }
-    fn arity(&self) -> usize {
-        0
-    }
-    fn output_schema(&self) -> Schema {
-        Schema::of(&[("a", DataType::Float), ("b", DataType::Float)])
-    }
-    fn invoke(&self, _: &[Value], _: &mut dyn Rng64) -> DataResult<Table> {
-        let mut b = TableBuilder::new(self.output_schema());
-        b.push_row(vec![Value::Float(1.0), Value::Float(2.0)])?;
-        Ok(b.finish())
+        Ok(if p >= 5 { f64::NAN } else { rng.next_f64() })
     }
 }
 
 fn hostile_registry() -> VgRegistry {
     let mut r = VgRegistry::new();
     r.register(Arc::new(SometimesNan));
-    r.register(Arc::new(WideTable));
     r
 }
 
@@ -187,22 +159,6 @@ fn nan_constraints_are_infeasible_not_satisfied() {
     {
         assert!(!a.feasible, "NaN groups must be infeasible: {a:?}");
     }
-}
-
-#[test]
-fn multi_column_tables_in_scalar_position_error() {
-    let scenario = Scenario::parse("SELECT WideTable() AS v INTO r;").unwrap();
-    let engine = Engine::new(
-        &scenario,
-        hostile_registry(),
-        EngineConfig {
-            worlds_per_point: 4,
-            ..EngineConfig::default()
-        },
-    )
-    .unwrap();
-    let err = engine.evaluate(&ParamPoint::new()).unwrap_err();
-    assert!(err.to_string().contains("exactly one cell"), "{err}");
 }
 
 // ------------------------------------------------------------ engine level
@@ -279,7 +235,8 @@ fn nan_fingerprints_disable_mapping_but_not_answers() {
 /// invocations: 0 fails its fingerprint probe, the fingerprint length lets
 /// the probe through and fails its first simulated world. It fails either
 /// by returning `Err` from `invoke`, or — with `short_lane`, which gives
-/// the model an `f64` batch lane — by handing back a lane one sample short.
+/// the model an `f64` batch lane of its own — by handing back a lane one
+/// sample short.
 #[derive(Debug)]
 struct Flaky {
     bad: i64,
@@ -310,23 +267,22 @@ impl VgFunction for Flaky {
     fn arity(&self) -> usize {
         1
     }
-    fn output_schema(&self) -> Schema {
-        Schema::of(&[("v", DataType::Float)])
-    }
-    fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<Table> {
+    fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<f64> {
         let p = params[0].as_i64()?;
         if self.gave_out(p) {
             return Err(prophet_data::DataError::InvalidOperation(format!(
                 "Flaky({p}) gave out"
             )));
         }
-        let mut b = TableBuilder::with_capacity(self.output_schema(), 1);
-        b.push_row(vec![Value::Float(Flaky::draw(p, rng.next_f64()))])?;
-        Ok(b.finish())
+        Ok(Flaky::draw(p, rng.next_f64()))
     }
-    fn invoke_batch_f64(&self, calls: &mut [VgCallF64<'_>]) -> DataResult<Option<Vec<f64>>> {
+    fn invoke_batch_f64(&self, calls: &mut [VgCallF64<'_>]) -> DataResult<Vec<f64>> {
         if !self.short_lane {
-            return Ok(None);
+            // The trait's default lane.
+            return calls
+                .iter_mut()
+                .map(|call| self.invoke(call.params, call.rng))
+                .collect();
         }
         let mut short = false;
         let mut lane = Vec::with_capacity(calls.len());
@@ -338,7 +294,7 @@ impl VgFunction for Flaky {
         if short {
             lane.pop();
         }
-        Ok(Some(lane))
+        Ok(lane)
     }
 }
 
@@ -636,5 +592,150 @@ fn out_of_domain_model_arguments_fail_both_runners_alike() {
                 assert_eq!(engine.basis_store().inflight_len(), 0, "{label} {tier:?}");
             }
         }
+    }
+}
+
+// ------------------------------------------------------------ worker panics
+
+/// `Panicky(p)` = `U[0,1)` whatever `p`: every point identity-maps from
+/// any other, so an answer's bits do not depend on whether it was
+/// simulated, mapped or cached. While `armed` it panics in the method
+/// named `site`, at `p = BAD` (`draw_ledger` sees no arguments: at every
+/// point), once `healthy_calls` armed calls there went through. With the
+/// site `"invoke"` the model has nothing else — the trait's default lane;
+/// otherwise it keeps a one-cell draw ledger (the uniform).
+#[derive(Debug)]
+struct Panicky {
+    site: &'static str,
+    healthy_calls: u64,
+    armed: Arc<AtomicBool>,
+    calls: AtomicU64,
+}
+
+impl Panicky {
+    const BAD: i64 = 7;
+
+    fn maybe_panic(&self, site: &str, p: i64) {
+        if site == self.site
+            && p == Panicky::BAD
+            && self.armed.load(Ordering::SeqCst)
+            && self.calls.fetch_add(1, Ordering::SeqCst) >= self.healthy_calls
+        {
+            panic!("injected panic in Panicky::{site}");
+        }
+    }
+}
+
+impl VgFunction for Panicky {
+    fn name(&self) -> &str {
+        "Panicky"
+    }
+    fn arity(&self) -> usize {
+        1
+    }
+    fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<f64> {
+        self.maybe_panic("invoke", params[0].as_i64()?);
+        Ok(rng.next_f64())
+    }
+    fn ledger_len(&self, params: &[Value]) -> DataResult<Option<usize>> {
+        params[0].as_i64()?;
+        Ok((self.site != "invoke").then_some(1))
+    }
+    fn draw_ledger(&self, rng: &mut prophet_vg::Xoshiro256StarStar, len: usize) -> Vec<f64> {
+        self.maybe_panic("draw_ledger", Panicky::BAD);
+        (0..len).map(|_| rng.next_f64()).collect()
+    }
+    fn replay(&self, params: &[Value], ledger: &[f64]) -> DataResult<f64> {
+        self.maybe_panic("replay", params[0].as_i64()?);
+        Ok(ledger[0])
+    }
+}
+
+/// A VG model that panics inside a pooled chunk — in `invoke` during the
+/// probe and during simulation, in `replay` (which runs under the
+/// draw-ledger store's read guard once an earlier probe of the job has
+/// drawn the streams) and in `draw_ledger` — costs exactly its own job:
+/// a typed `Internal` error, no claim left in flight, no lock left
+/// poisoned, and the same service and store then answer a healthy job bit
+/// for bit as a service that never saw the panic.
+#[test]
+fn a_panicking_vg_fails_its_job_and_leaves_the_service_usable() {
+    const SRC: &str =
+        "DECLARE PARAMETER @p AS RANGE 0 TO 9 STEP BY 1;\nSELECT Panicky(@p) AS v INTO r;";
+    let point = |p: i64| ParamPoint::from_pairs([("p", p)]);
+    let warm: Vec<ParamPoint> = [0, 1].map(point).to_vec();
+    // Two healthy probes land (and, ledgered, draw the probe streams)
+    // before the bad one starts, on either pool shape below.
+    let failing: Vec<ParamPoint> = [2, 3, Panicky::BAD, 4].map(point).to_vec();
+    let healthy: Vec<ParamPoint> = [3, Panicky::BAD, 5, 0].map(point).to_vec();
+    let cfg = EngineConfig {
+        worlds_per_point: 16,
+        threads: 2,
+        ..EngineConfig::default()
+    };
+    // (site, healthy calls at BAD, warm the store first). With the probe's
+    // calls let through on a cold store, the bad point misses and its
+    // first simulated world panics.
+    let cases = [
+        ("invoke", 0, true),
+        ("invoke", cfg.fingerprint.length as u64, false),
+        ("replay", 0, true),
+        ("draw_ledger", 0, true),
+    ];
+    // One chunk per point on two executors; the whole phase as one chunk.
+    let pools = [(2, 1), (1, 8)];
+    for ((site, healthy_calls, warmed), (workers, chunk_points)) in
+        cases.iter().flat_map(|c| pools.map(|p| (*c, p)))
+    {
+        let label = format!("{site} after {healthy_calls} on {workers} workers x {chunk_points}");
+        // The healthy batch's samples on a fresh service, after the
+        // failing job or without it.
+        let answers = |panics: bool| -> Vec<prophet_mc::SampleSet> {
+            let armed = Arc::new(AtomicBool::new(false));
+            let mut registry = VgRegistry::new();
+            registry.register(Arc::new(Panicky {
+                site,
+                healthy_calls,
+                armed: Arc::clone(&armed),
+                calls: AtomicU64::new(0),
+            }));
+            let prophet = Prophet::builder()
+                .scenario_sql("panicky", SRC)
+                .unwrap()
+                .registry(registry)
+                .config(cfg)
+                .scheduler(SchedulerConfig {
+                    workers,
+                    chunk_points,
+                    ..SchedulerConfig::default()
+                })
+                .build()
+                .unwrap();
+            let run = |points: &[ParamPoint]| {
+                let job = JobSpec::points("panicky", points.to_vec());
+                prophet.submit(job).unwrap().wait()
+            };
+            if warmed {
+                run(&warm).unwrap();
+            }
+            let store = prophet.engine("panicky").unwrap().basis_store().clone();
+            if panics {
+                armed.store(true, Ordering::SeqCst);
+                let error = run(&failing).unwrap_err();
+                armed.store(false, Ordering::SeqCst);
+                assert!(
+                    matches!(&error, ProphetError::Internal(msg) if msg.contains("worker panic")),
+                    "{label}: {error:?}"
+                );
+                prophet.scheduler().wait_idle();
+                assert_eq!(store.inflight_len(), 0, "{label}: a claim outlived the job");
+            }
+            // On the same service, pool and store: a lock the panic left
+            // poisoned anywhere on the path fails this job.
+            let results = run(&healthy).expect(&label).into_points().unwrap();
+            assert_eq!(store.inflight_len(), 0, "{label}");
+            results.into_iter().map(|(set, _)| set).collect()
+        };
+        assert_eq!(answers(true), answers(false), "{label}");
     }
 }

@@ -134,7 +134,7 @@ fn shadowing_a_model_updates_every_consumer() {
     // The paper: updating a function definition updates all Prophet
     // instances. Re-registering `DemandModel` changes engine behaviour
     // without touching the scenario.
-    use prophet_data::{DataResult, DataType, Schema, Table, TableBuilder, Value};
+    use prophet_data::{DataResult, Value};
     use prophet_vg::rng::Rng64;
     use prophet_vg::VgFunction;
 
@@ -147,13 +147,8 @@ fn shadowing_a_model_updates_every_consumer() {
         fn arity(&self) -> usize {
             2
         }
-        fn output_schema(&self) -> Schema {
-            Schema::of(&[("demand", DataType::Float)])
-        }
-        fn invoke(&self, _: &[Value], _: &mut dyn Rng64) -> DataResult<Table> {
-            let mut b = TableBuilder::with_capacity(self.output_schema(), 1);
-            b.push_row(vec![Value::Float(1_234.0)])?;
-            Ok(b.finish())
+        fn invoke(&self, _: &[Value], _: &mut dyn Rng64) -> DataResult<f64> {
+            Ok(1_234.0)
         }
     }
 

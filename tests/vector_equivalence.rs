@@ -32,6 +32,10 @@
 //!   item) and the **call-site probe memo** (store contents byte-identical
 //!   at 1 and 8 threads, forwards and reversed; call sites under a `CASE`
 //!   arm or fed by a stochastic alias never memo-served);
+//! * the VG trait's **default `f64` lane**: a model that implements only
+//!   `invoke` is a typed kernel — never a boxed fallback, memo-served like
+//!   any other — bit-identical across the tiers and across the inline and
+//!   pooled runners, NaN samples included;
 //! * the **draw-ledger store**, warm as well as cold: one long-lived
 //!   columnar engine per bundled scenario walks the grid forwards,
 //!   reversed and shuffled, at 1 and 8 threads, against the scalar tier —
@@ -42,7 +46,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use fuzzy_prophet::prelude::*;
-use prophet_data::{DataResult, DataType, Schema, Table, TableBuilder, Value};
+use prophet_data::{DataResult, Value};
 use prophet_mc::guide::GridGuide;
 use prophet_models::scenarios::{
     figure2_coarse_sql, INVENTORY_POLICY, PRICING_WHATIF, SUPPORT_STAFFING,
@@ -900,23 +904,14 @@ impl VgFunction for Flaky {
     fn arity(&self) -> usize {
         1
     }
-    fn output_schema(&self) -> Schema {
-        Schema::of(&[("v", DataType::Float)])
+    fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<f64> {
+        Ok(Flaky::draw(params[0].as_f64()?, rng.next_f64()))
     }
-    fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<Table> {
-        let mut b = TableBuilder::with_capacity(self.output_schema(), 1);
-        b.push_row(vec![Value::Float(Flaky::draw(
-            params[0].as_f64()?,
-            rng.next_f64(),
-        ))])?;
-        Ok(b.finish())
-    }
-    fn invoke_batch_f64(&self, calls: &mut [VgCallF64<'_>]) -> DataResult<Option<Vec<f64>>> {
+    fn invoke_batch_f64(&self, calls: &mut [VgCallF64<'_>]) -> DataResult<Vec<f64>> {
         calls
             .iter_mut()
             .map(|c| Ok(Flaky::draw(c.params[0].as_f64()?, c.rng.next_f64())))
-            .collect::<DataResult<Vec<f64>>>()
-            .map(Some)
+            .collect()
     }
 }
 
@@ -1084,6 +1079,101 @@ fn gated_and_alias_fed_call_sites_are_never_memo_served() {
         let m = columnar.metrics();
         assert_eq!(m.probe_call_sites, 2 * 24, "[{label}] two sites per point");
         assert_eq!(m.probe_call_sites_memoised, 0, "[{label}]");
+    }
+}
+
+/// `10·p + U[0,1)`, and NaN in every world at `p = 3`: a model that
+/// implements nothing but `name` / `arity` / `invoke`.
+#[derive(Debug)]
+struct Plain;
+
+impl VgFunction for Plain {
+    fn name(&self) -> &str {
+        "Plain"
+    }
+    fn arity(&self) -> usize {
+        1
+    }
+    fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<f64> {
+        let (p, u) = (params[0].as_i64()?, rng.next_f64());
+        Ok(if p == 3 {
+            f64::NAN
+        } else {
+            10.0 * p as f64 + u
+        })
+    }
+}
+
+/// (d) The trait's default `f64` lane. An `invoke`-only model is a typed
+/// kernel like any other: bit-identical across the tiers and across the
+/// inline and pooled runners, never a boxed fallback, memo-served when its
+/// argument tuple repeats — and a NaN it returns stays a NaN sample in
+/// both tiers' estimates.
+#[test]
+fn an_invoke_only_model_is_a_kernel_on_every_path() {
+    // Grid order puts @q slowest: the first batch is the @q = 0 slice, the
+    // second repeats its four `Plain(@p)` argument tuples at @q = 1.
+    let scenario = Scenario::parse(
+        "DECLARE PARAMETER @q AS RANGE 0 TO 1 STEP BY 1;\n\
+         DECLARE PARAMETER @p AS RANGE 0 TO 3 STEP BY 1;\n\
+         SELECT Plain(@p) AS x, x + @q AS shifted INTO r;",
+    )
+    .unwrap();
+    let registry = || {
+        let mut r = VgRegistry::new();
+        r.register(Arc::new(Plain));
+        r
+    };
+    let config = EngineConfig {
+        worlds_per_point: 24,
+        threads: 1,
+        ..EngineConfig::default()
+    };
+    let batches: Vec<Vec<ParamPoint>> = grid_points(&scenario)
+        .chunks(4)
+        .map(<[_]>::to_vec)
+        .collect();
+    let (mapped, columnar) =
+        assert_columnar_matches_scalar("plain", &scenario, registry, config, &batches);
+    // x identity-maps along @q wherever its probe lanes are not NaN.
+    assert_eq!(mapped, 3);
+    let m = columnar.metrics();
+    assert_eq!(m.column_fallbacks, 0, "the default lane is not a fallback");
+    assert!(m.columnar_kernels > 0);
+    assert_eq!(m.probe_call_sites, 8);
+    assert_eq!(
+        m.probe_call_sites_memoised, 4,
+        "the second slice repeats the first's argument tuples"
+    );
+
+    // The pooled runner: the same batches as jobs on a fresh service leave
+    // the same store, byte for byte — every sample of every point.
+    let prophet = Prophet::builder()
+        .scenario("plain", scenario.clone())
+        .registry(registry())
+        .config(config)
+        .scheduler(SchedulerConfig {
+            workers: 2,
+            chunk_points: 3,
+            ..SchedulerConfig::default()
+        })
+        .build()
+        .unwrap();
+    for batch in &batches {
+        let job = JobSpec::points("plain", batch.clone());
+        prophet.submit(job).unwrap().wait().unwrap();
+    }
+    let pooled_store = prophet.engine("plain").unwrap().basis_store().clone();
+    assert!(pooled_store.snapshot_bytes() == columnar.basis_store().snapshot_bytes());
+
+    // NaN is the model's "no value": it reaches the estimate.
+    let point = |q: i64, p: i64| ParamPoint::from_pairs([("q", q), ("p", p)]);
+    for q in [0, 1] {
+        let (healthy, _) = columnar.evaluate(&point(q, 1)).unwrap();
+        assert!(healthy.expect("x").unwrap().is_finite());
+        let (nan, _) = columnar.evaluate(&point(q, 3)).unwrap();
+        assert!(nan.expect("x").unwrap().is_nan());
+        assert!(nan.expect("shifted").unwrap().is_nan());
     }
 }
 
