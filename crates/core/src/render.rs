@@ -116,6 +116,11 @@ pub fn ascii_chart(series: &[&Series], width: usize, height: usize) -> String {
 
 /// Export every series as one CSV document: `x,<col1 metric1>,<col2 …>,…`
 /// with one row per x value present in any series.
+///
+/// Neither this nor `ExplorationMap::to_csv` (the workspace's only other
+/// CSV writer) quotes a field: every field is a number, a metric keyword
+/// or a scenario identifier, and identifiers lex as `[A-Za-z0-9_]`
+/// (`prophet_sql::lexer`), so no field can hold a comma, quote or newline.
 pub fn series_csv(series: &[&Series]) -> String {
     let mut xs: Vec<i64> = series
         .iter()

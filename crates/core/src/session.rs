@@ -491,15 +491,6 @@ impl OnlineSession {
         })
     }
 
-    /// All series as `(column, metric, points)` rows for CSV export.
-    #[allow(clippy::type_complexity)] // a one-off export row; a named type would obscure it
-    pub fn export_series(&self) -> Vec<(String, String, Vec<(f64, f64)>)> {
-        self.series
-            .iter()
-            .map(|s| (s.column.clone(), s.metric.to_string(), s.xy()))
-            .collect()
-    }
-
     /// Map of current parameter values (for display).
     pub fn parameter_state(&self) -> HashMap<String, i64> {
         self.sliders
@@ -707,16 +698,5 @@ mod tests {
         assert_eq!(warm.worlds_used, 0, "warm estimate needs no fresh worlds");
         assert!(cold_est.worlds_used > 0);
         assert!((warm.estimate - cold_est.estimate).abs() < 0.15);
-    }
-
-    #[test]
-    fn export_series_shape() {
-        let mut s = session(8);
-        s.refresh().unwrap();
-        let exported = s.export_series();
-        assert_eq!(exported.len(), 3);
-        assert_eq!(exported[0].0, "overload");
-        assert_eq!(exported[0].1, "EXPECT");
-        assert_eq!(exported[0].2.len(), 53);
     }
 }

@@ -1,18 +1,18 @@
-//! Error types for the relational substrate.
+//! The error type of scalar operations and VG function calls.
 
 use std::fmt;
 
 /// Convenient result alias used throughout the crate.
 pub type DataResult<T> = Result<T, DataError>;
 
-/// Errors surfaced by relational operations.
+/// Errors surfaced by [`crate::Value`] operations and VG function calls.
 ///
 /// The Monte Carlo engine evaluates user-authored scenarios, so type errors
-/// and shape mismatches are expected at runtime and must be reportable rather
+/// and bad arguments are expected at runtime and must be reportable rather
 /// than panicking.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DataError {
-    /// A column name was not found in a schema.
+    /// A named column or function was not found.
     UnknownColumn(String),
     /// A value of one type was used where another was required.
     TypeMismatch {
@@ -21,19 +21,11 @@ pub enum DataError {
         /// What it actually received.
         found: String,
     },
-    /// Two relations (or a relation and a row) disagreed on arity or types.
+    /// A call's arguments disagreed with what it declares (arity or
+    /// parameter values).
     SchemaMismatch(String),
-    /// A row index was out of bounds.
-    RowOutOfBounds {
-        /// Offending index.
-        index: usize,
-        /// Number of rows actually present.
-        len: usize,
-    },
     /// An arithmetic operation was invalid (e.g. string + int).
     InvalidOperation(String),
-    /// A duplicate column name was supplied to a schema.
-    DuplicateColumn(String),
 }
 
 impl fmt::Display for DataError {
@@ -44,14 +36,7 @@ impl fmt::Display for DataError {
                 write!(f, "type mismatch: expected {expected}, found {found}")
             }
             DataError::SchemaMismatch(msg) => write!(f, "schema mismatch: {msg}"),
-            DataError::RowOutOfBounds { index, len } => {
-                write!(
-                    f,
-                    "row index {index} out of bounds for table with {len} rows"
-                )
-            }
             DataError::InvalidOperation(msg) => write!(f, "invalid operation: {msg}"),
-            DataError::DuplicateColumn(name) => write!(f, "duplicate column name `{name}`"),
         }
     }
 }
@@ -75,10 +60,6 @@ mod tests {
             }
             .to_string(),
             "type mismatch: expected float, found Str(\"x\")"
-        );
-        assert_eq!(
-            DataError::RowOutOfBounds { index: 9, len: 3 }.to_string(),
-            "row index 9 out of bounds for table with 3 rows"
         );
     }
 

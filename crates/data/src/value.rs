@@ -4,7 +4,6 @@ use std::cmp::Ordering;
 use std::fmt;
 
 use crate::error::{DataError, DataResult};
-use crate::schema::DataType;
 
 /// A single scalar cell.
 ///
@@ -34,18 +33,6 @@ pub enum Value {
 }
 
 impl Value {
-    /// The dynamic type of this value, or `None` for `Null` (which inhabits
-    /// every type).
-    pub fn data_type(&self) -> Option<DataType> {
-        match self {
-            Value::Null => None,
-            Value::Bool(_) => Some(DataType::Bool),
-            Value::Int(_) => Some(DataType::Int),
-            Value::Float(_) => Some(DataType::Float),
-            Value::Str(_) => Some(DataType::Str),
-        }
-    }
-
     /// True iff this value is `Null`.
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)

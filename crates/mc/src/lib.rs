@@ -14,8 +14,8 @@
 //!   them against the `prophet-sql` executor, producing per-column sample
 //!   sets.
 //! * [`aggregate`] — the **Result Aggregator**: streaming statistics
-//!   (Welford), probability estimates, confidence intervals, convergence
-//!   detection, and histograms.
+//!   (Welford), quantiles, confidence intervals and convergence
+//!   detection.
 //! * [`series`] — per-X-axis series construction for the `GRAPH OVER`
 //!   directive.
 //! * [`trace`] — the flight recorder and latency-histogram telemetry
@@ -26,7 +26,6 @@ pub mod aggregate;
 pub mod batch;
 pub mod guide;
 pub mod instance;
-pub mod materialize;
 pub mod series;
 pub mod store;
 pub mod sync;
@@ -36,7 +35,6 @@ pub use aggregate::{SampleStats, Welford};
 pub use batch::{simulate_point, simulate_point_columnar, simulate_point_columnar_with, SampleSet};
 pub use guide::{GridGuide, Guide, GuideFactory, PriorityGuide};
 pub use instance::ParamPoint;
-pub use materialize::{summary_table, worlds_table};
 pub use series::{Series, SeriesPoint};
 pub use store::{
     BasisHit, ColumnSamples, InflightGuard, MatchScanStats, ProbeScan, ScanSnapshot, ScanWork,

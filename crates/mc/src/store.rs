@@ -829,10 +829,18 @@ impl<'a> SnapshotReader<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    fn string(&mut self) -> Result<String, SnapshotError> {
+    /// The next name of a list the writer emits sorted and unique (a
+    /// point's pairs, a record's fingerprint or sample columns). One at
+    /// or below `prev` is structurally impossible: accepting it would
+    /// reorder a point or silently overwrite a column.
+    fn next_name(&mut self, prev: &mut Option<&'a str>) -> Result<String, SnapshotError> {
         let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| SnapshotError::Truncated)
+        let name = std::str::from_utf8(self.take(len)?).map_err(|_| SnapshotError::Truncated)?;
+        if prev.is_some_and(|p| p >= name) {
+            return Err(SnapshotError::Truncated);
+        }
+        *prev = Some(name);
+        Ok(name.to_owned())
     }
 }
 
@@ -849,8 +857,9 @@ struct ParsedRecord {
 fn parse_record(r: &mut SnapshotReader<'_>) -> Result<ParsedRecord, SnapshotError> {
     let npairs = r.u32()? as usize;
     let mut pairs = Vec::with_capacity(npairs.min(64));
+    let mut prev = None;
     for _ in 0..npairs {
-        let name = r.string()?;
+        let name = r.next_name(&mut prev)?;
         let value = r.i64()?;
         pairs.push((name, value));
     }
@@ -864,8 +873,9 @@ fn parse_record(r: &mut SnapshotReader<'_>) -> Result<ParsedRecord, SnapshotErro
     };
     let nfps = r.u32()? as usize;
     let mut fingerprints = HashMap::with_capacity(nfps.min(64));
+    let mut prev = None;
     for _ in 0..nfps {
-        let name = r.string()?;
+        let name = r.next_name(&mut prev)?;
         let len = r.u32()? as usize;
         let mut values = Vec::with_capacity(len.min(4096));
         for _ in 0..len {
@@ -875,8 +885,9 @@ fn parse_record(r: &mut SnapshotReader<'_>) -> Result<ParsedRecord, SnapshotErro
     }
     let ncols = r.u32()? as usize;
     let mut samples: ColumnSamples = HashMap::with_capacity(ncols.min(64));
+    let mut prev = None;
     for _ in 0..ncols {
-        let name = r.string()?;
+        let name = r.next_name(&mut prev)?;
         let len = r.u64()? as usize;
         // Consumers index sample lanes by world (`0..worlds`): a column of
         // any other length is a malformed record, however valid its
@@ -1339,8 +1350,9 @@ impl SharedBasisStore {
     /// of restored entries.
     ///
     /// The whole byte stream is validated — header, checksum, record
-    /// structure, capacity — *before* any store state changes, so a failed
-    /// restore leaves the store untouched. A successful restore behaves
+    /// structure, stamp order, distinct points, capacity — *before* any
+    /// store state changes, so a failed restore leaves the store
+    /// untouched. A successful restore behaves
     /// like [`SharedBasisStore::clear`] followed by replaying the
     /// snapshot's records with their original stamps: in-flight claims are
     /// cancelled (waiters re-claim), counters reset, and the stamp counter
@@ -1388,7 +1400,20 @@ impl SharedBasisStore {
             next_stamp,
             ..Table::default()
         };
+        let mut last_stamp = None;
         for r in parsed {
+            // A writer emits distinct points in strictly ascending stamp
+            // order, none past its stamp counter. Anything else would file
+            // two entries under one queue stamp (an orphan that is never
+            // scanned or evicted), a stamp the next insert re-issues, or
+            // fewer entries than the count returned.
+            if last_stamp.is_some_and(|last| r.stamp <= last)
+                || r.stamp > next_stamp
+                || restored.entries.contains_key(&r.point)
+            {
+                return Err(SnapshotError::Truncated);
+            }
+            last_stamp = Some(r.stamp);
             let samples = Arc::new(r.samples);
             // Summaries are derived: recomputed, not read from the bytes.
             let record = Record::new(r.fingerprints, samples, r.worlds, r.stamp, r.matchable);
@@ -2040,6 +2065,89 @@ mod tests {
         // …and the unmodified bytes still restore.
         assert_eq!(fresh.restore_bytes(&good), Ok(2));
         assert!(fresh.get_exact(&point("x", 1), 2).is_some());
+    }
+
+    /// Snapshot bytes holding one matchable record per `(point, stamp)`
+    /// under header stamp counter `next_stamp`, behind a valid checksum:
+    /// a re-stamped file as the structural parser sees it.
+    fn forge(next_stamp: u64, records: &[(ParamPoint, u64)]) -> Vec<u8> {
+        let mut out = SNAPSHOT_MAGIC.to_vec();
+        out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        put_u64(&mut out, next_stamp);
+        put_u64(&mut out, records.len() as u64);
+        for (p, stamp) in records {
+            let fps = HashMap::from([("y".to_owned(), fp(&[1.0, 2.0, 3.0]))]);
+            let record = Record::new(fps, samples(*stamp as f64), 2, *stamp, true);
+            serialize_record(&mut out, p, &record);
+        }
+        let sum = fnv1a(&out);
+        put_u64(&mut out, sum);
+        out
+    }
+
+    #[test]
+    fn restore_rejects_colliding_stamps_points_and_names() {
+        // The writer's shape: distinct points, ascending stamps, the last
+        // one equal to the stamp counter. It restores, re-saves byte for
+        // byte, and ten later inserts evict both records.
+        let xs = |records: &[(i64, u64)]| -> Vec<(ParamPoint, u64)> {
+            records.iter().map(|&(x, s)| (point("x", x), s)).collect()
+        };
+        let good = forge(2, &xs(&[(1, 1), (2, 2)]));
+        let s = SharedBasisStore::new(2);
+        assert_eq!(s.restore_bytes(&good), Ok(2));
+        assert_eq!(s.snapshot_bytes(), good);
+        for i in 0..10 {
+            s.insert(point("z", i), HashMap::new(), samples(0.0), 2, true);
+        }
+        assert_eq!(s.len(), 2);
+        assert!(s.get_exact(&point("x", 1), 2).is_none());
+        assert!(s.get_exact(&point("x", 2), 2).is_none());
+
+        for (label, bad) in [
+            ("repeated stamp", forge(2, &xs(&[(1, 1), (2, 1)]))),
+            ("descending stamps", forge(2, &xs(&[(2, 2), (1, 1)]))),
+            (
+                "counter below every stamp",
+                forge(0, &xs(&[(1, 1), (2, 2)])),
+            ),
+            (
+                "counter below the last stamp",
+                forge(1, &xs(&[(1, 1), (2, 2)])),
+            ),
+            ("repeated point", forge(2, &xs(&[(1, 1), (1, 2)]))),
+        ] {
+            let fresh = SharedBasisStore::new(3);
+            fresh.insert(point("w", 0), HashMap::new(), samples(0.0), 2, true);
+            assert_eq!(
+                fresh.restore_bytes(&bad),
+                Err(SnapshotError::Truncated),
+                "{label}"
+            );
+            assert_eq!(fresh.len(), 1, "{label}: the store is untouched");
+        }
+
+        // Names arrive sorted and unique. Swap or repeat the one-byte names
+        // of `{a, b}`: after the header (22), the pair count (4) and a
+        // length (4) sits `a` at 30; its value (8) and `b`'s length (4)
+        // put `b` at 43.
+        let ab = forge(1, &[(ParamPoint::from_pairs([("a", 1i64), ("b", 2)]), 1)]);
+        assert_eq!(SharedBasisStore::new(1).restore_bytes(&ab), Ok(1));
+        for (label, names) in [
+            ("unsorted names", (b'b', b'a')),
+            ("repeated name", (b'a', b'a')),
+        ] {
+            let mut body = ab[..ab.len() - 8].to_vec();
+            assert_eq!((body[30], body[43]), (b'a', b'b'));
+            (body[30], body[43]) = names;
+            let sum = fnv1a(&body);
+            put_u64(&mut body, sum);
+            assert_eq!(
+                SharedBasisStore::new(1).restore_bytes(&body),
+                Err(SnapshotError::Truncated),
+                "{label}"
+            );
+        }
     }
 
     #[test]

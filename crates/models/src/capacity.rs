@@ -376,7 +376,7 @@ mod tests {
     #[test]
     fn capacity_at_matches_trajectory_last_bit_exactly() {
         // The allocation-free scalar walk must consume the identical draw
-        // sequence as the materialized trajectory.
+        // sequence as the full `trajectory` vector.
         let m = model();
         for seed in 0..20 {
             let mut a = Xoshiro256StarStar::seed_from_u64(seed);

@@ -302,7 +302,7 @@ mod tests {
 
     #[test]
     fn on_hand_at_matches_trajectory_last_bit_exactly() {
-        // The allocation-free walk against the materialized chain, for
+        // The allocation-free walk against the full `trajectory` chain, for
         // lead times on every side of the walk's arrival test.
         for lead_weeks in [3, 1, 0, -2, 7, 100, i64::MAX] {
             let m = InventoryModel::new(InventoryConfig {

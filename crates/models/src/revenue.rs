@@ -72,8 +72,16 @@ impl RevenueModel {
     /// Sample weekly revenue (Rust-level API).
     ///
     /// Stream discipline: exactly two draws per invocation (subscriber
-    /// noise, engagement), so price changes map affinely under fixed seeds:
-    /// revenue = (trend − elasticity·Δprice + noise) · price · engagement.
+    /// noise, then engagement) at every week and price, so fixed seeds give
+    /// every point the same `noise` and `eng`. Revenue is
+    /// `max(0, c + noise) · price · eng / 4`, with mean subscribers
+    /// `c = trend − elasticity·(price − anchor)`.
+    ///
+    /// Price changes do **not** map affinely under fixed seeds: between two
+    /// prices, `y₂ − (p₂/p₁)·y₁ = p₂·eng·(c₂ − c₁)/4` varies with the
+    /// engagement draw, so a pricing match is an `Affine` fit with a
+    /// residual, never an exact one. The subscriber clamp at 0 bends the
+    /// relation further wherever it fires.
     pub fn revenue_at<R: Rng64 + ?Sized>(&self, week: i64, price: f64, rng: &mut R) -> f64 {
         let trend = self.config.base_subscribers + self.config.growth_per_week * week as f64;
         let price_penalty = self.config.elasticity * (price - self.config.anchor_price);

@@ -3,15 +3,16 @@
 //!
 //! A third domain on the same engine — the scenario asks for the *leanest*
 //! policy (lowest reorder point, i.e. least working capital) that keeps the
-//! stockout probability acceptable across the year, and shows how the
-//! materialized `results` relation of the paper can be exported.
+//! stockout probability acceptable across the year, then prints that
+//! policy's per-week expectations and standard deviations straight from
+//! its sample sets (the paper's `results` relation is never built as a
+//! table in this engine).
 //!
 //! ```sh
 //! cargo run --release --example inventory_policy
 //! ```
 
 use fuzzy_prophet::prelude::*;
-use prophet_mc::{summary_table, SampleSet};
 use prophet_models::full_registry;
 use prophet_models::scenarios::INVENTORY_POLICY;
 
@@ -46,23 +47,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.metrics
     );
 
-    // Export the aggregated `results` relation for the best policy across
-    // the year — the paper's INTO results, materialized.
+    // The chosen policy across the year: each week's sample set carries
+    // what the paper's `INTO results` rows would aggregate to.
     if let Some(best) = &report.best {
         // Same service, same shared store: every point below was already
-        // simulated by the sweep, so this export is pure cache hits.
+        // simulated by the sweep, so these reads are pure cache hits.
         let engine = prophet.engine("inventory")?;
-        let mut sets: Vec<SampleSet> = Vec::new();
+        println!("=== per-week results for the chosen policy (mean ± stddev) ===");
         for week in (4..=52).step_by(4) {
-            let point = best.point.with("week", week);
-            let (samples, _) = engine.evaluate(&point)?;
-            sets.push(samples);
+            let (samples, _) = engine.evaluate(&best.point.with("week", week))?;
+            let mut row = format!("week {week:>2}");
+            for column in samples.columns() {
+                let stats = samples.stats(column).ok_or("column without samples")?;
+                row += &format!("  {column} {:>8.3} ± {:>7.3}", stats.mean, stats.std_dev);
+            }
+            println!("{row}");
         }
-        let table = summary_table(&sets)?;
-        println!("=== results (aggregated) for the chosen policy ===");
-        println!("{table}");
-        println!("-- as CSV --");
-        print!("{}", prophet_data::csv::to_csv(&table)?);
     }
     Ok(())
 }

@@ -5,7 +5,9 @@
 //! re-sweep on the warm one and simulate nothing
 //! (`points_simulated == 0`); corrupt or truncated snapshot files are
 //! rejected with typed [`ProphetError::Snapshot`] variants and leave the
-//! store untouched; and a sweep through a store far smaller than its
+//! store untouched, as does every seeded flip, cut and splice of one that
+//! does not restore to a byte-identical re-save; and a sweep through a
+//! store far smaller than its
 //! point count pins the snapshot's size and the eviction count, so
 //! neither the FPBS encoding nor the eviction policy can drift silently.
 //!
@@ -19,6 +21,7 @@ use std::path::PathBuf;
 use fuzzy_prophet::prelude::*;
 use prophet_models::demo_registry;
 use prophet_models::scenarios::figure2_coarse_sql;
+use prophet_vg::rng::{Rng64, Xoshiro256StarStar};
 
 /// Store capacity that holds the whole 3,969-point coarse sweep.
 const ROOMY: usize = 8_192;
@@ -85,6 +88,16 @@ fn assert_sweeps_identical(
     assert_eq!(a.worlds_simulated, b.worlds_simulated, "{label}");
     assert_eq!(a.candidates_scanned, b.candidates_scanned, "{label}");
     assert_eq!(a.candidates_pruned, b.candidates_pruned, "{label}");
+}
+
+/// Append a valid FNV-1a trailer to a snapshot body, so damage inside it
+/// reaches the structural parser instead of failing the checksum.
+fn restamp(mut body: Vec<u8>) -> Vec<u8> {
+    let digest = body.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+    });
+    body.extend_from_slice(&digest.to_le_bytes());
+    body
 }
 
 fn temp_path(label: &str) -> PathBuf {
@@ -157,11 +170,7 @@ fn corrupt_snapshots_are_rejected_with_typed_errors() {
     // Truncated mid-record. A naive cut trips the checksum first, so
     // re-stamp a valid FNV-1a checksum over the shortened body — the
     // structural parse must then run out of bytes.
-    let mut short = good[..good.len() / 2].to_vec();
-    let digest = short.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
-    });
-    short.extend_from_slice(&digest.to_le_bytes());
+    let short = restamp(good[..good.len() / 2].to_vec());
     fs::write(&path, &short).unwrap();
     match warm.load_basis("figure2", &path).unwrap_err() {
         ProphetError::Snapshot(SnapshotError::Truncated) => {}
@@ -227,4 +236,69 @@ fn churned_store_snapshot_is_pinned() {
     assert_eq!(fs::read(&path).unwrap(), bytes, "save → load → save");
 
     let _ = fs::remove_file(&path);
+}
+
+/// Seeded mutational fuzz of `restore_bytes`: flip bytes in, truncate, and
+/// splice the body of a warm coarse snapshot, then re-stamp a valid
+/// checksum. Every case either restores a store whose re-save is the
+/// input byte for byte (and reloads), or fails with a typed error and
+/// leaves the target store as it was. No case panics.
+#[test]
+fn mutated_snapshots_restore_cleanly_or_fail_typed() {
+    const CASES: usize = 120;
+    let src = figure2_coarse_sql(0.05);
+    let warm = service(&src, 64);
+    warm.offline("figure2").unwrap().run().unwrap();
+    let good = warm
+        .engine("figure2")
+        .unwrap()
+        .basis_store()
+        .snapshot_bytes();
+    let body = &good[..good.len() - 8];
+
+    let target = service(&src, 64);
+    let store = target.engine("figure2").unwrap().basis_store().clone();
+    assert_eq!(store.restore_bytes(&good), Ok(64));
+
+    let mut rng = Xoshiro256StarStar::seed_from_u64(0xF9B5_F022);
+    let mut below = |n: usize| rng.gen_range_i64(0, n as i64 - 1) as usize;
+    let (mut restored, mut rejected) = (0, 0);
+    for case in 0..CASES {
+        let mutated = match case % 3 {
+            0 => {
+                let mut m = body.to_vec();
+                for _ in 0..=below(4) {
+                    let at = below(m.len());
+                    m[at] ^= 1 + below(255) as u8;
+                }
+                m
+            }
+            1 => body[..below(body.len())].to_vec(),
+            _ => {
+                let (cut, resume) = (below(body.len()), below(body.len()));
+                [&body[..cut], &body[resume..]].concat()
+            }
+        };
+        let input = restamp(mutated);
+        match store.restore_bytes(&input) {
+            Ok(n) => {
+                restored += 1;
+                assert_eq!(target.basis_len("figure2").unwrap(), n, "case {case}");
+                let resaved = store.snapshot_bytes();
+                assert!(resaved == input, "case {case}: re-save is byte-identical");
+                assert_eq!(store.restore_bytes(&resaved), Ok(n), "case {case}");
+                assert_eq!(store.restore_bytes(&good), Ok(64));
+            }
+            Err(e) => {
+                rejected += 1;
+                assert!(
+                    !matches!(e, SnapshotError::ChecksumMismatch | SnapshotError::Io(_)),
+                    "case {case}: {e}"
+                );
+                assert_eq!(target.basis_len("figure2").unwrap(), 64, "case {case}");
+                assert!(store.snapshot_bytes() == good, "case {case}: untouched");
+            }
+        }
+    }
+    assert!(restored > 0 && rejected > 0, "{restored} / {rejected}");
 }

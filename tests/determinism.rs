@@ -224,7 +224,7 @@ fn online_sessions_replay_identically() {
         s.set_param("purchase1", 16).unwrap();
         s.set_param("purchase2", 36).unwrap();
         s.refresh().unwrap();
-        s.export_series()
+        s.graph().to_vec()
     };
     assert_eq!(run(), run());
 }

@@ -1,10 +1,9 @@
 //! Deeper integration tests of the online session: proactive prefetch,
-//! progressive refinement, series export, materialization of session
-//! results, and the interaction between sliders and the basis store.
+//! progressive refinement, series rendering, per-point result summaries,
+//! and the interaction between sliders and the basis store.
 
 use fuzzy_prophet::prelude::*;
 use fuzzy_prophet::render::{ascii_chart, series_csv};
-use prophet_mc::{summary_table, worlds_table};
 use prophet_models::demo_registry;
 
 fn session(worlds: usize) -> OnlineSession {
@@ -60,10 +59,9 @@ fn progressive_estimates_are_monotone_in_epsilon() {
 fn exported_series_match_the_chart_and_csv() {
     let mut s = session(24);
     s.refresh().unwrap();
-    let exported = s.export_series();
-    assert_eq!(exported.len(), 3);
-    for (_, _, points) in &exported {
-        assert_eq!(points.len(), 53);
+    assert_eq!(s.graph().len(), 3);
+    for series in s.graph() {
+        assert_eq!(series.xy().len(), 53);
     }
     let series: Vec<_> = s.graph().iter().collect();
     let chart = ascii_chart(&series, 80, 12);
@@ -75,7 +73,7 @@ fn exported_series_match_the_chart_and_csv() {
 }
 
 #[test]
-fn session_results_materialize_into_relations() {
+fn session_results_summarize_from_sample_sets() {
     let engine = Engine::new(
         &Scenario::figure2().unwrap(),
         demo_registry(),
@@ -95,14 +93,11 @@ fn session_results_materialize_into_relations() {
         ]);
         sets.push(engine.evaluate(&point).unwrap().0);
     }
-    let worlds = worlds_table(&sets).unwrap();
-    assert_eq!(worlds.num_rows(), 60, "3 points × 20 worlds");
-    assert!(worlds.schema().index_of("demand").is_ok());
-    assert!(worlds.schema().index_of("world").is_ok());
+    let worlds: usize = sets.iter().map(|ss| ss.world_count()).sum();
+    assert_eq!(worlds, 60, "3 points × 20 worlds");
+    assert!(sets.iter().all(|ss| ss.samples("demand").is_some()));
 
-    let summary = summary_table(&sets).unwrap();
-    assert_eq!(summary.num_rows(), 3);
-    let e0 = summary.cell(0, "expect_demand").unwrap().as_f64().unwrap();
+    let e0 = sets[0].stats("demand").unwrap().mean;
     assert!((7_000.0..9_500.0).contains(&e0), "week-0 demand {e0}");
 }
 

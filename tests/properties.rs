@@ -8,7 +8,7 @@
 //! PRNGs, so failures reproduce exactly and the suite stays dependency-free.
 
 use fuzzy_prophet::prelude::*;
-use prophet_data::{csv, DataType, Schema, TableBuilder, Value};
+use prophet_data::Value;
 use prophet_fingerprint::{fit_affine, pearson, CorrelationDetector, Fingerprint};
 use prophet_mc::aggregate::{quantile, Welford};
 use prophet_sql::parse_script;
@@ -338,33 +338,5 @@ fn rng_unit_floats() {
             let f = rng.next_f64();
             assert!((0.0..1.0).contains(&f));
         }
-    }
-}
-
-// ------------------------------------------------------------------ csv
-
-#[test]
-fn csv_is_well_formed() {
-    let mut rng = case_rng(17);
-    for _ in 0..CASES {
-        let rows = rng.gen_range_i64(1, 20) as usize;
-        let schema = Schema::of(&[("s", DataType::Str)]);
-        let mut b = TableBuilder::new(schema);
-        for _ in 0..rows {
-            let len = rng.gen_range_i64(0, 30) as usize;
-            let cell: String = (0..len)
-                .map(|_| match rng.gen_range_i64(0, 96) {
-                    94 => '"',
-                    95 => '\n',
-                    c => (32 + c as u8) as char,
-                })
-                .collect();
-            b.push_row(vec![Value::Str(cell)]).unwrap();
-        }
-        let table = b.finish();
-        let text = csv::to_csv(&table).unwrap();
-        let quote_count = text.matches('"').count();
-        assert_eq!(quote_count % 2, 0, "quotes must balance in {text:?}");
-        assert!(text.ends_with('\n'));
     }
 }
