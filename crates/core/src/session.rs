@@ -21,9 +21,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use prophet_mc::aggregate::Welford;
 use prophet_mc::guide::{Guide, PriorityGuide};
-use prophet_mc::{ParamPoint, SampleSet, Series, TryClaim};
+use prophet_mc::{ColumnSamples, ParamPoint, SampleSet, SampleStats, Series, TryClaim};
 use prophet_sql::ast::GraphDirective;
 
 use crate::engine::{Engine, EvalOutcome};
@@ -372,16 +371,10 @@ impl OnlineSession {
         let point = self.sliders.with(&self.graph.x_param, x);
         let worlds_full = engine.config().worlds_per_point;
         let store = engine.basis_store();
-        let mut acc = Welford::new();
 
         // Serve from existing basis work first: an exact entry at any
         // depth, another session's in-flight simulation, or a correlated
         // mapping — each converges with zero fresh worlds.
-        let column_samples = |samples: &HashMap<String, Vec<f64>>| -> ProphetResult<Vec<f64>> {
-            samples.get(column).cloned().ok_or_else(|| {
-                ProphetError::Internal(format!("basis entry lacks samples for column `{column}`"))
-            })
-        };
         // An entry at *any* depth can serve the first guess, but if it is
         // shallower than the budget and the criterion still fails on its
         // samples, re-claim at full depth (the min-worlds filter then
@@ -395,9 +388,7 @@ impl OnlineSession {
                 let handle: prophet_mc::WaitHandle = handle;
                 // Another session owns this point's simulation: reuse it.
                 if let Some((samples, worlds)) = handle.wait() {
-                    let xs = column_samples(&samples)?;
-                    let mut shared = Welford::new();
-                    let est = feed_progressive(&mut shared, &xs, batch, epsilon, Z95);
+                    let est = feed_progressive(column_of(&samples, column)?, batch, epsilon, Z95);
                     if est.converged || worlds >= worlds_full {
                         engine.bump(|m| {
                             m.points_cached += 1;
@@ -412,9 +403,7 @@ impl OnlineSession {
             }
             match store.try_claim(&point, min_worlds) {
                 TryClaim::Ready { samples, worlds } => {
-                    let xs = column_samples(&samples)?;
-                    let mut stored = Welford::new();
-                    let est = feed_progressive(&mut stored, &xs, batch, epsilon, Z95);
+                    let est = feed_progressive(column_of(&samples, column)?, batch, epsilon, Z95);
                     if est.converged || worlds >= worlds_full {
                         engine.bump(|m| m.points_cached += 1);
                         return Ok(est);
@@ -430,8 +419,8 @@ impl OnlineSession {
         // We own the point. A correlated hit still answers instantly…
         let (guard, probes) = match engine.map_owned(&point, guard)? {
             Ok((mapped, _)) => {
-                let xs = column_samples(mapped.shared_samples())?;
-                return Ok(feed_progressive(&mut acc, &xs, batch, epsilon, Z95));
+                let xs = column_of(mapped.shared_samples(), column)?;
+                return Ok(feed_progressive(xs, batch, epsilon, Z95));
             }
             Err(miss) => miss,
         };
@@ -445,8 +434,8 @@ impl OnlineSession {
         let mut all: Option<SampleSet> = None;
         let mut done = 0usize;
         let mut converged = false;
+        let mut estimate = f64::NAN;
         if let Some((stored, worlds)) = resume {
-            acc.extend(&column_samples(&stored)?[..worlds]);
             done = worlds;
             // Shares the store entry's samples; the first `absorb` below
             // copies them, so the entry itself never grows in place.
@@ -466,9 +455,10 @@ impl OnlineSession {
             let xs = set.samples(column).ok_or_else(|| {
                 ProphetError::Internal(format!("simulation lacks samples for column `{column}`"))
             })?;
-            acc.extend(&xs[done..end]);
             done = end;
-            if acc.converged(epsilon, Z95) {
+            let stats = SampleStats::of(&xs[..done]);
+            estimate = stats.mean;
+            if stats.converged(epsilon, Z95) {
                 converged = true;
                 break;
             }
@@ -483,7 +473,7 @@ impl OnlineSession {
             self.guide.observe_partial(&point);
         }
         Ok(ProgressiveEstimate {
-            estimate: acc.mean().unwrap_or(f64::NAN),
+            estimate,
             // Fresh simulation work only — resumed worlds were reused.
             worlds_used: done - resumed_from,
             used_basis: false,
@@ -500,30 +490,31 @@ impl OnlineSession {
     }
 }
 
-/// Feed an already-available sample column into the accumulator chunk by
-/// chunk until the criterion holds — the basis-hit path of
-/// [`OnlineSession::progressive_expect`], converging with zero fresh
-/// worlds.
-fn feed_progressive(
-    acc: &mut Welford,
-    xs: &[f64],
-    batch: usize,
-    epsilon: f64,
-    z: f64,
-) -> ProgressiveEstimate {
-    let mut converged = false;
-    for chunk in xs.chunks(batch) {
-        acc.extend(chunk);
-        if acc.converged(epsilon, z) {
-            converged = true;
-            break;
+/// One column of a basis entry's samples, borrowed.
+fn column_of<'a>(samples: &'a ColumnSamples, column: &str) -> ProphetResult<&'a [f64]> {
+    samples.get(column).map(Vec::as_slice).ok_or_else(|| {
+        ProphetError::Internal(format!("basis entry lacks samples for column `{column}`"))
+    })
+}
+
+/// Test an already-available sample column prefix by prefix, `batch`
+/// samples longer each time, until the criterion holds — the basis-hit
+/// path of [`OnlineSession::progressive_expect`], converging with zero
+/// fresh worlds.
+fn feed_progressive(xs: &[f64], batch: usize, epsilon: f64, z: f64) -> ProgressiveEstimate {
+    let mut done = 0;
+    loop {
+        done = (done + batch).min(xs.len());
+        let stats = SampleStats::of(&xs[..done]);
+        let converged = stats.converged(epsilon, z);
+        if converged || done == xs.len() {
+            return ProgressiveEstimate {
+                estimate: stats.mean,
+                worlds_used: 0,
+                used_basis: true,
+                converged,
+            };
         }
-    }
-    ProgressiveEstimate {
-        estimate: acc.mean().unwrap_or(f64::NAN),
-        worlds_used: 0,
-        used_basis: true,
-        converged,
     }
 }
 

@@ -1,132 +1,59 @@
-//! The Result Aggregator: streaming statistics over Monte Carlo samples.
+//! The Result Aggregator: statistics over Monte Carlo samples.
 //!
 //! "The Result Aggregator produces expectations, standard deviations, and
-//! other desired metrics" (§2). Everything here is single-pass (Welford) or
-//! cheap post-passes, and mergeable so the offline sweep can aggregate
-//! across worker threads.
+//! other desired metrics" (§2). Every moment comes from one kernel: a
+//! two-pass sum in a fixed order — eight independent lanes combined as a
+//! balanced tree, then the remainder in sample order — so an answer is a
+//! pure function of the sample slice, bit-identical across thread counts,
+//! tiers and runners, and an integer-valued column (an indicator such as
+//! `overload`) whose sum stays below 2⁵³ gets the correctly rounded `k/n`.
 
-/// Numerically stable streaming mean/variance (Welford's algorithm), plus
-/// min/max.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Welford {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
+/// Lanes of the kernel: sample `i` of every whole chunk of `LANES` lands
+/// in lane `i`. The lanes are independent chains, so a pass is bound by
+/// neither add nor compare latency, and nothing is reassociated.
+const LANES: usize = 8;
+
+/// Fold every whole chunk of `xs` into `LANES` accumulators started at
+/// `init`; returns them with the samples left over.
+fn lane_fold(xs: &[f64], init: f64, step: impl Fn(f64, f64) -> f64) -> ([f64; LANES], &[f64]) {
+    let chunks = xs.chunks_exact(LANES);
+    let rest = chunks.remainder();
+    let mut lanes = [init; LANES];
+    for chunk in chunks {
+        for (lane, &x) in lanes.iter_mut().zip(chunk) {
+            *lane = step(*lane, x);
+        }
+    }
+    (lanes, rest)
 }
 
-impl Welford {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        Welford {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
+/// Σ `term(x)` over `xs` in the kernel's fixed order: the lanes combined
+/// as `((s0+s1)+(s2+s3))+((s4+s5)+(s6+s7))`, then the remainder added in
+/// order.
+fn fixed_order_sum(xs: &[f64], term: impl Fn(f64) -> f64) -> f64 {
+    let ([s0, s1, s2, s3, s4, s5, s6, s7], rest) = lane_fold(xs, 0.0, |acc, x| acc + term(x));
+    let tree = ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7));
+    rest.iter().fold(tree, |acc, &x| acc + term(x))
+}
 
-    /// Accumulate one observation. Non-finite samples are counted into
-    /// min/max but poison the moments — models are expected to produce
-    /// finite values and `tests/failure_injection.rs` verifies NaNs surface
-    /// rather than disappear.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
+/// The smallest or largest sample under `pick` (`f64::min` / `f64::max`,
+/// which skip NaNs), `init` when `xs` is empty.
+fn extreme(xs: &[f64], init: f64, pick: fn(f64, f64) -> f64) -> f64 {
+    let (lanes, rest) = lane_fold(xs, init, pick);
+    lanes
+        .into_iter()
+        .chain(rest.iter().copied())
+        .fold(init, pick)
+}
 
-    /// Accumulate many observations.
-    pub fn extend(&mut self, xs: &[f64]) {
-        for &x in xs {
-            self.push(x);
-        }
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (`None` when empty).
-    pub fn mean(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.mean)
-    }
-
-    /// Unbiased sample variance (`None` when fewer than 2 observations).
-    pub fn variance(&self) -> Option<f64> {
-        (self.n > 1).then(|| self.m2 / (self.n - 1) as f64)
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> Option<f64> {
-        self.variance().map(f64::sqrt)
-    }
-
-    /// Smallest observation.
-    pub fn min(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.min)
-    }
-
-    /// Largest observation.
-    pub fn max(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.max)
-    }
-
-    /// Standard error of the mean.
-    pub fn std_error(&self) -> Option<f64> {
-        self.std_dev().map(|s| s / (self.n as f64).sqrt())
-    }
-
-    /// Half-width of the normal-approximation confidence interval at the
-    /// given z score (1.96 ≈ 95%).
-    pub fn ci_half_width(&self, z: f64) -> Option<f64> {
-        self.std_error().map(|se| z * se)
-    }
-
-    /// Whether the CI half-width is at or below `epsilon` — the engine's
-    /// "first accurate guess" criterion for progressive refinement.
-    pub fn converged(&self, epsilon: f64, z: f64) -> bool {
-        match self.ci_half_width(z) {
-            Some(hw) => self.n >= 2 && hw <= epsilon,
-            None => false,
-        }
-    }
-
-    /// Merge another accumulator (Chan's parallel combination).
-    pub fn merge(&mut self, other: &Welford) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Snapshot as an owned [`SampleStats`].
-    pub fn stats(&self) -> SampleStats {
-        SampleStats {
-            count: self.n,
-            mean: self.mean().unwrap_or(f64::NAN),
-            std_dev: self.std_dev().unwrap_or(0.0),
-            min: self.min().unwrap_or(f64::NAN),
-            max: self.max().unwrap_or(f64::NAN),
-        }
+/// Pass 1 of the kernel: the sample mean. NaN when `xs` is empty or its
+/// sum is not finite (any NaN or ±∞ sample, or an overflowing sum).
+pub fn mean(xs: &[f64]) -> f64 {
+    let sum = fixed_order_sum(xs, |x| x);
+    if sum.is_finite() {
+        sum / xs.len() as f64
+    } else {
+        f64::NAN
     }
 }
 
@@ -135,14 +62,59 @@ impl Welford {
 pub struct SampleStats {
     /// Number of observations.
     pub count: u64,
-    /// Sample mean.
+    /// Sample mean ([`mean`]).
     pub mean: f64,
-    /// Sample standard deviation (0 for n < 2).
+    /// Sample standard deviation (n − 1 normalization): NaN when the mean
+    /// of a non-empty sample is, else 0 for n < 2.
     pub std_dev: f64,
-    /// Minimum.
+    /// Minimum (NaN when empty).
     pub min: f64,
-    /// Maximum.
+    /// Maximum (NaN when empty).
     pub max: f64,
+}
+
+impl SampleStats {
+    /// Summarize `xs`: pass 1 is [`mean`]; pass 2 is the corrected
+    /// two-pass variance around it, `D = Σ(x−m)`, `Q = Σ(x−m)²` in the same
+    /// fixed order and `m2 = max(Q − D²/n, 0)` — `D` cancels the rounding
+    /// error left in `m`, so a large offset with a tiny spread stays exact.
+    pub fn of(xs: &[f64]) -> SampleStats {
+        let n = xs.len() as f64;
+        let mean = mean(xs);
+        // A non-empty sample has a NaN mean only when its sum is not finite.
+        let std_dev = if mean.is_nan() && !xs.is_empty() {
+            f64::NAN
+        } else if xs.len() < 2 {
+            0.0
+        } else {
+            let d = fixed_order_sum(xs, |x| x - mean);
+            let q = fixed_order_sum(xs, |x| (x - mean) * (x - mean));
+            ((q - d * d / n).max(0.0) / (n - 1.0)).sqrt()
+        };
+        let (min, max) = if xs.is_empty() {
+            (f64::NAN, f64::NAN)
+        } else {
+            (
+                extreme(xs, f64::INFINITY, f64::min),
+                extreme(xs, f64::NEG_INFINITY, f64::max),
+            )
+        };
+        SampleStats {
+            count: xs.len() as u64,
+            mean,
+            std_dev,
+            min,
+            max,
+        }
+    }
+
+    /// Whether the normal-approximation CI half-width at `z` (1.96 ≈ 95%),
+    /// `z · std_dev / √count`, is at or below `epsilon` on at least two
+    /// samples — the engine's "first accurate guess" criterion for
+    /// progressive refinement.
+    pub fn converged(&self, epsilon: f64, z: f64) -> bool {
+        self.count >= 2 && z * self.std_dev / (self.count as f64).sqrt() <= epsilon
+    }
 }
 
 /// Empirical quantile (linear interpolation between order statistics).
@@ -176,90 +148,50 @@ mod tests {
     }
 
     #[test]
-    fn welford_matches_two_pass() {
+    fn moments_match_naive_two_pass() {
         let xs: Vec<f64> = (0..1000)
             .map(|i| ((i * 7919) % 1000) as f64 / 10.0)
             .collect();
-        let mut w = Welford::new();
-        w.extend(&xs);
+        let s = SampleStats::of(&xs);
         let (m, v) = naive_stats(&xs);
-        assert!((w.mean().unwrap() - m).abs() < 1e-10);
-        assert!((w.variance().unwrap() - v).abs() < 1e-9);
-        assert_eq!(w.count(), 1000);
-        assert_eq!(w.min().unwrap(), 0.0);
-        assert_eq!(w.max().unwrap(), 99.9);
+        assert!((s.mean - m).abs() < 1e-10);
+        assert!((s.std_dev * s.std_dev - v).abs() < 1e-9);
+        assert_eq!(s.count, 1000);
+        assert_eq!(s.min, 0.0);
+        assert_eq!(s.max, 99.9);
     }
 
     #[test]
-    fn welford_is_stable_for_large_offsets() {
+    fn moments_are_stable_for_large_offsets() {
         // Classic catastrophic-cancellation probe: huge mean, tiny variance.
         let xs: Vec<f64> = (0..100).map(|i| 1e9 + (i % 2) as f64).collect();
-        let mut w = Welford::new();
-        w.extend(&xs);
-        let v = w.variance().unwrap();
-        assert!((v - 0.25252525252525254).abs() < 1e-6, "v={v}");
+        let s = SampleStats::of(&xs);
+        assert_eq!(s.mean, 1e9 + 0.5);
+        let v = s.std_dev * s.std_dev;
+        assert!((v - 0.25252525252525254).abs() < 1e-12, "v={v}");
     }
 
     #[test]
-    fn welford_empty_and_singleton() {
-        let w = Welford::new();
-        assert_eq!(w.mean(), None);
-        assert_eq!(w.variance(), None);
-        assert!(!w.converged(1.0, 1.96));
+    fn moments_of_empty_and_singleton() {
+        let s = SampleStats::of(&[]);
+        assert!(s.mean.is_nan() && s.min.is_nan() && s.max.is_nan());
+        assert_eq!((s.count, s.std_dev), (0, 0.0));
+        assert!(!s.converged(1.0, 1.96));
 
-        let mut w = Welford::new();
-        w.push(5.0);
-        assert_eq!(w.mean(), Some(5.0));
-        assert_eq!(w.variance(), None);
-        assert_eq!(w.min(), Some(5.0));
-    }
-
-    #[test]
-    fn welford_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..500).map(|i| (i as f64).sin() * 10.0).collect();
-        let (a, b) = xs.split_at(123);
-        let mut wa = Welford::new();
-        wa.extend(a);
-        let mut wb = Welford::new();
-        wb.extend(b);
-        wa.merge(&wb);
-
-        let mut wseq = Welford::new();
-        wseq.extend(&xs);
-        assert_eq!(wa.count(), wseq.count());
-        assert!((wa.mean().unwrap() - wseq.mean().unwrap()).abs() < 1e-10);
-        assert!((wa.variance().unwrap() - wseq.variance().unwrap()).abs() < 1e-9);
-        assert_eq!(wa.min(), wseq.min());
-        assert_eq!(wa.max(), wseq.max());
-    }
-
-    #[test]
-    fn welford_merge_with_empty() {
-        let mut w = Welford::new();
-        w.push(1.0);
-        let snapshot = w;
-        w.merge(&Welford::new());
-        assert_eq!(w, snapshot);
-
-        let mut e = Welford::new();
-        e.merge(&snapshot);
-        assert_eq!(e, snapshot);
+        let s = SampleStats::of(&[5.0]);
+        assert_eq!((s.mean, s.std_dev, s.min, s.max), (5.0, 0.0, 5.0, 5.0));
+        assert!(!s.converged(1.0, 1.96), "one sample never converges");
+        assert!(SampleStats::of(&[f64::NAN]).std_dev.is_nan());
     }
 
     #[test]
     fn convergence_criterion_tightens_with_n() {
-        let mut w = Welford::new();
-        for i in 0..10 {
-            w.push((i % 2) as f64);
-        }
+        let coin = |n: usize| -> Vec<f64> { (0..n).map(|i| (i % 2) as f64).collect() };
         assert!(
-            !w.converged(0.01, 1.96),
+            !SampleStats::of(&coin(10)).converged(0.01, 1.96),
             "10 samples of a coin flip are not accurate to 0.01"
         );
-        for i in 0..100_000 {
-            w.push((i % 2) as f64);
-        }
-        assert!(w.converged(0.01, 1.96));
+        assert!(SampleStats::of(&coin(100_010)).converged(0.01, 1.96));
     }
 
     #[test]

@@ -15,7 +15,7 @@ use prophet_sql::error::SqlResult;
 use prophet_sql::executor::{evaluate_select_with, sample_f64, WorldRng};
 use prophet_vg::{LedgerStore, SeedManager, VgRegistry};
 
-use crate::aggregate::{SampleStats, Welford};
+use crate::aggregate::{self, SampleStats};
 use crate::instance::ParamPoint;
 use crate::store::ColumnSamples;
 
@@ -57,17 +57,16 @@ impl SampleSet {
         self.samples.get(column).map(Vec::as_slice)
     }
 
-    /// Welford summary of one column.
+    /// Summary of one column: the aggregator's fixed-order two-pass
+    /// moments plus min/max ([`SampleStats::of`]).
     pub fn stats(&self, column: &str) -> Option<SampleStats> {
-        let xs = self.samples.get(column)?;
-        let mut w = Welford::new();
-        w.extend(xs);
-        Some(w.stats())
+        self.samples(column).map(SampleStats::of)
     }
 
-    /// Monte Carlo expectation of one column (`EXPECT col`).
+    /// Monte Carlo expectation of one column (`EXPECT col`): the kernel's
+    /// first pass only, bit-equal to `stats(col).mean`.
     pub fn expect(&self, column: &str) -> Option<f64> {
-        self.stats(column).map(|s| s.mean)
+        self.samples(column).map(aggregate::mean)
     }
 
     /// Monte Carlo standard deviation (`EXPECT_STDDEV col`).

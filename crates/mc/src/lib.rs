@@ -13,9 +13,9 @@
 //! * [`batch`] — the **Query Generator**: batches instances and executes
 //!   them against the `prophet-sql` executor, producing per-column sample
 //!   sets.
-//! * [`aggregate`] — the **Result Aggregator**: streaming statistics
-//!   (Welford), quantiles, confidence intervals and convergence
-//!   detection.
+//! * [`aggregate`] — the **Result Aggregator**: one fixed-order two-pass
+//!   moments kernel (mean, standard deviation, standard error), quantiles
+//!   and convergence detection.
 //! * [`series`] — per-X-axis series construction for the `GRAPH OVER`
 //!   directive.
 //! * [`trace`] — the flight recorder and latency-histogram telemetry
@@ -31,7 +31,7 @@ pub mod store;
 pub mod sync;
 pub mod trace;
 
-pub use aggregate::{SampleStats, Welford};
+pub use aggregate::SampleStats;
 pub use batch::{simulate_point, simulate_point_columnar, simulate_point_columnar_with, SampleSet};
 pub use guide::{GridGuide, Guide, GuideFactory, PriorityGuide};
 pub use instance::ParamPoint;

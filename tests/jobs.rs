@@ -23,7 +23,7 @@ use std::collections::HashMap;
 
 use fuzzy_prophet::prelude::*;
 use prophet_mc::guide::Guide;
-use prophet_mc::GridGuide;
+use prophet_mc::{GridGuide, SampleStats};
 use prophet_models::scenarios::{
     figure2_coarse_sql, INVENTORY_POLICY, PRICING_WHATIF, SUPPORT_STAFFING,
 };
@@ -795,29 +795,37 @@ fn progressive_chunked_samples_match_the_blocking_full_run_prefix() {
         .progressive_expect("overload", 20, 0.15, 30)
         .unwrap();
 
-    // Reference: a full blocking evaluation of the same point, fed into
-    // the same accumulator in the same chunks — the pre-PR-5 semantics.
+    // Reference: a full blocking evaluation of the same point, summarized
+    // over the same growing prefixes.
     let engine = Engine::new(&scenario, demo_registry(), cfg).unwrap();
     let mut sliders = session.sliders().clone();
     sliders.set("current", 20);
     let (samples, _) = engine.evaluate(&sliders).unwrap();
     let xs = samples.samples("overload").unwrap();
-    let mut acc = prophet_mc::aggregate::Welford::new();
-    let mut used = 0;
-    let mut converged = false;
-    for chunk in xs.chunks(30) {
-        acc.extend(chunk);
-        used += chunk.len();
-        if acc.converged(0.15, 1.96) {
-            converged = true;
-            break;
-        }
-    }
-    assert!(converged, "the reference must converge below full depth");
-    assert_eq!(progressive.worlds_used, used, "same convergence point");
+    let prefix = (30..=xs.len())
+        .step_by(30)
+        .map(|end| SampleStats::of(&xs[..end]))
+        .find(|stats| stats.converged(0.15, 1.96))
+        .expect("the reference must converge");
     assert_eq!(
-        progressive.estimate,
-        acc.mean().unwrap(),
+        progressive.worlds_used as u64, prefix.count,
+        "same convergence point"
+    );
+    assert_eq!(
+        progressive.estimate.to_bits(),
+        prefix.mean.to_bits(),
         "estimate computed from the bit-identical sample prefix"
+    );
+
+    // Run to full depth (a criterion the continuous `demand` never meets),
+    // the estimate is the graph's answer: bit-equal to `SampleSet::expect`
+    // of the stored entry.
+    let full = session.progressive_expect("demand", 20, 1e-12, 30).unwrap();
+    assert!(!full.converged);
+    let (stored, outcome) = session.engine().evaluate(&sliders).unwrap();
+    assert_eq!(outcome, EvalOutcome::Cached);
+    assert_eq!(
+        full.estimate.to_bits(),
+        stored.expect("demand").unwrap().to_bits()
     );
 }

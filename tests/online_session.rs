@@ -101,6 +101,47 @@ fn session_results_summarize_from_sample_sets() {
     assert!((7_000.0..9_500.0).contains(&e0), "week-0 demand {e0}");
 }
 
+/// Whether `y` is exactly the correctly rounded `k / n` for an integer `k`
+/// — the mean an indicator column must get from the aggregator.
+fn is_exact_fraction(y: f64, n: u64) -> bool {
+    let k = (y * n as f64).round();
+    y.to_bits() == (k / n as f64).to_bits()
+}
+
+#[test]
+fn rendered_overload_expectations_are_exact_fractions() {
+    let mut s = session(400);
+    s.refresh().unwrap();
+    let overload = s.series("overload").unwrap();
+    assert_eq!(overload.points.len(), 53);
+    for p in &overload.points {
+        assert!(is_exact_fraction(p.y, p.worlds), "week {}: {}", p.x, p.y);
+    }
+}
+
+#[test]
+fn inventory_constraint_values_are_exact_fractions() {
+    // `stockout` is `CASE WHEN on_hand <= 0 THEN 1 ELSE 0 END`: one 0/1
+    // sample per world, so each week's `EXPECT stockout` is j/400 and so
+    // is their `MAX`.
+    let prophet = Prophet::builder()
+        .scenario_sql("inventory", prophet_models::scenarios::INVENTORY_POLICY)
+        .unwrap()
+        .registry(prophet_models::full_registry())
+        .config(EngineConfig {
+            worlds_per_point: 400,
+            ..EngineConfig::default()
+        })
+        .build()
+        .unwrap();
+    let report = prophet.offline("inventory").unwrap().run().unwrap();
+    assert_eq!(report.answers.len(), 21);
+    for answer in &report.answers {
+        let v = answer.constraint_values[0];
+        assert!(is_exact_fraction(v, 400), "{:?}: {v}", answer.point);
+    }
+}
+
 #[test]
 fn slider_round_trip_restores_cached_graph() {
     let mut s = session(24);

@@ -10,7 +10,8 @@
 use fuzzy_prophet::prelude::*;
 use prophet_data::Value;
 use prophet_fingerprint::{fit_affine, pearson, CorrelationDetector, Fingerprint};
-use prophet_mc::aggregate::{quantile, Welford};
+use prophet_mc::aggregate::quantile;
+use prophet_mc::{SampleSet, SampleStats};
 use prophet_sql::parse_script;
 use prophet_vg::rng::{Rng64, Xoshiro256StarStar};
 
@@ -97,44 +98,122 @@ fn range_domains_are_well_formed() {
 // ----------------------------------------------------------- statistics
 
 #[test]
-fn welford_matches_two_pass() {
+fn moments_kernel_matches_two_pass() {
     let mut rng = case_rng(4);
     for _ in 0..CASES {
         let n = rng.gen_range_i64(2, 200) as usize;
         let xs = random_vec(&mut rng, n, -1e6, 1e6);
-        let mut w = Welford::new();
-        w.extend(&xs);
+        let s = SampleStats::of(&xs);
         let nf = n as f64;
         let mean = xs.iter().sum::<f64>() / nf;
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (nf - 1.0);
-        assert!((w.mean().unwrap() - mean).abs() <= 1e-6 * (1.0 + mean.abs()));
-        assert!((w.variance().unwrap() - var).abs() <= 1e-5 * (1.0 + var.abs()));
-        assert_eq!(w.count(), n as u64);
+        assert!((s.mean - mean).abs() <= 1e-6 * (1.0 + mean.abs()));
+        assert!((s.std_dev * s.std_dev - var).abs() <= 1e-5 * (1.0 + var.abs()));
+        assert_eq!(s.count, n as u64);
+        assert_eq!(s.min, xs.iter().copied().fold(f64::INFINITY, f64::min));
+        assert_eq!(s.max, xs.iter().copied().fold(f64::NEG_INFINITY, f64::max));
+    }
+}
+
+/// A sample set of one column `c`, as the engine hands them out.
+fn column_set(xs: Vec<f64>) -> SampleSet {
+    let samples = std::collections::HashMap::from([("c".to_owned(), xs)]);
+    SampleSet::from_samples(ParamPoint::new(), vec!["c".to_owned()], samples)
+}
+
+#[test]
+fn integer_columns_get_the_correctly_rounded_mean() {
+    // Indicator columns (`overload`, `stockout`) and small counts: while
+    // the sum stays integral and below 2^53 every partial sum is exact,
+    // so the mean is the one division `k / n`.
+    let mut rng = case_rng(17);
+    for case in 0..CASES {
+        let n = rng.gen_range_i64(1, 1000) as usize;
+        let hi = if case % 2 == 0 { 1 } else { 1_000 };
+        let xs: Vec<f64> = (0..n).map(|_| rng.gen_range_i64(-hi, hi) as f64).collect();
+        let k: f64 = xs.iter().sum();
+        let set = column_set(xs);
+        assert_eq!(
+            set.expect("c").unwrap().to_bits(),
+            (k / n as f64).to_bits(),
+            "{k}/{n}"
+        );
     }
 }
 
 #[test]
-fn welford_merge_is_concatenation() {
-    let mut rng = case_rng(5);
-    for _ in 0..CASES {
-        let nx = rng.gen_range_i64(1, 100) as usize;
-        let xs = random_vec(&mut rng, nx, -1e5, 1e5);
-        let ny = rng.gen_range_i64(1, 100) as usize;
-        let ys = random_vec(&mut rng, ny, -1e5, 1e5);
-        let mut a = Welford::new();
-        a.extend(&xs);
-        let mut b = Welford::new();
-        b.extend(&ys);
-        a.merge(&b);
-        let mut whole = Welford::new();
-        whole.extend(&xs);
-        whole.extend(&ys);
-        assert!((a.mean().unwrap() - whole.mean().unwrap()).abs() < 1e-6);
-        let (va, vw) = (a.variance().unwrap(), whole.variance().unwrap());
-        assert!((va - vw).abs() <= 1e-6 * (1.0 + vw.abs()));
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
+fn constant_integer_columns_have_zero_spread() {
+    for (value, n) in [(0.0, 400), (1.0, 400), (-7.0, 13), (123_456.0, 1000)] {
+        let s = SampleStats::of(&vec![value; n]);
+        assert_eq!((s.mean, s.std_dev), (value, 0.0), "{value} × {n}");
     }
+}
+
+#[test]
+fn moments_survive_a_large_offset() {
+    let mut rng = case_rng(18);
+    for _ in 0..CASES {
+        let n = rng.gen_range_i64(2, 500) as usize;
+        let bits: Vec<f64> = (0..n).map(|_| rng.gen_range_i64(0, 1) as f64).collect();
+        let xs: Vec<f64> = bits.iter().map(|b| 1e9 + b).collect();
+        let (s, unit) = (SampleStats::of(&xs), SampleStats::of(&bits));
+        // The offset mean is the correctly rounded (1e9·n + k)/n: within
+        // one ulp of 1e9 (2^-23) of the unit column's.
+        assert!((s.mean - 1e9 - unit.mean).abs() <= 0.5f64.powi(23));
+        assert!(
+            (s.std_dev - unit.std_dev).abs() <= 1e-12,
+            "{} vs {}",
+            s.std_dev,
+            unit.std_dev
+        );
+    }
+}
+
+#[test]
+fn any_non_finite_sample_poisons_mean_and_std_dev() {
+    let mut rng = case_rng(19);
+    for case in 0..CASES {
+        let n = rng.gen_range_i64(2, 100) as usize;
+        let mut xs = random_vec(&mut rng, n, -1e3, 1e3);
+        let at = rng.gen_range_i64(0, n as i64 - 1) as usize;
+        xs[at] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][case % 3];
+        let s = SampleStats::of(&xs);
+        assert!(
+            s.mean.is_nan() && s.std_dev.is_nan(),
+            "{:?} at {at}",
+            xs[at]
+        );
+        assert!(!s.converged(f64::INFINITY, 1.96));
+    }
+}
+
+#[test]
+fn expect_is_the_first_pass_of_stats() {
+    let mut rng = case_rng(20);
+    for _ in 0..CASES {
+        let n = rng.gen_range_i64(0, 300) as usize;
+        let set = column_set(random_vec(&mut rng, n, -1e6, 1e6));
+        assert_eq!(
+            set.expect("c").unwrap().to_bits(),
+            set.stats("c").unwrap().mean.to_bits()
+        );
+    }
+}
+
+#[test]
+fn moments_of_a_seeded_column_are_pinned() {
+    // The kernel's lane order is part of every answer's last bits: a
+    // change to it must re-pin these deliberately.
+    let mut rng = case_rng(21);
+    let xs = random_vec(&mut rng, 400, 0.0, 1000.0);
+    let s = SampleStats::of(&xs);
+    assert_eq!(
+        (s.mean.to_bits(), s.std_dev.to_bits()),
+        (4647619122412582268, 4643743440890746615),
+        "mean {} std_dev {}",
+        s.mean,
+        s.std_dev
+    );
 }
 
 #[test]
