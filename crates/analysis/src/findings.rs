@@ -1,6 +1,6 @@
 //! The analyzer's unified finding type and its machine-readable form.
 //!
-//! Every pass — lint, lock-order, map-iter, rank-table — reports
+//! Every pass — lint, map-iter, rank-table — reports
 //! [`Finding`]s. The human form (`Display`) is one line per finding in
 //! `file:line: [pass] message` shape, which the CI problem matcher
 //! (`.github/problem-matchers/analysis.json`) turns into diff
@@ -16,8 +16,7 @@ use std::fmt;
 /// One analyzer finding at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Which pass produced it: `lint:<rule>`, `lock-order`, `map-iter`,
-    /// `rank-table`.
+    /// Which pass produced it: `lint:<rule>`, `map-iter`, `rank-table`.
     pub pass: &'static str,
     /// Workspace-relative `/`-separated path.
     pub file: String,
@@ -113,7 +112,7 @@ mod tests {
     #[test]
     fn json_escapes_and_counts() {
         let findings = vec![
-            Finding::new("lock-order", "a/b.rs", 3, "holds \"x\"\nthen y".into()),
+            Finding::new("rank-table", "a/b.rs", 3, "holds \"x\"\nthen y".into()),
             Finding {
                 allowed: true,
                 ..Finding::new("map-iter", "c.rs", 9, "iterates".into())

@@ -9,7 +9,7 @@
 //!
 //! * `// lint:allow(rule): reason` — the token-level lint's hatch;
 //! * `// analysis:allow(pass): reason` — the analyzer passes' hatch
-//!   (`lock-order`, `map-iter`, …).
+//!   (today only `map-iter` reads it).
 //!
 //! A marker covers its own line and the next line that carries code, so
 //! it can close a multi-line explanatory comment. Rule names are not
@@ -418,30 +418,4 @@ pub fn pathed_from(toks: &[Tok], i: usize, head: &str) -> bool {
         && punct_at(toks, i - 1, ':')
         && punct_at(toks, i - 2, ':')
         && ident_at(toks, i - 3) == Some(head)
-}
-
-/// Index just past the `)`/`]`/`}` matching the opener at `open` (which
-/// must sit on one of `(`, `[`, `{`). Returns `toks.len()` when
-/// unbalanced.
-pub fn skip_group(toks: &[Tok], open: usize) -> usize {
-    let (o, c) = match toks.get(open).map(|t| &t.kind) {
-        Some(TokKind::Punct('(')) => ('(', ')'),
-        Some(TokKind::Punct('[')) => ('[', ']'),
-        Some(TokKind::Punct('{')) => ('{', '}'),
-        _ => return open + 1,
-    };
-    let mut depth = 0usize;
-    let mut i = open;
-    while i < toks.len() {
-        if punct_at(toks, i, o) {
-            depth += 1;
-        } else if punct_at(toks, i, c) {
-            depth -= 1;
-            if depth == 0 {
-                return i + 1;
-            }
-        }
-        i += 1;
-    }
-    toks.len()
 }

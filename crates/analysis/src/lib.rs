@@ -1,12 +1,12 @@
 //! Multi-pass static analyzer for the workspace: the conformance lint,
-//! the static lock-order verifier, the determinism audit, and the
-//! rank-table extractor. See `docs/ANALYSIS.md` for the architecture.
+//! the rank-table extractor, and the determinism audit. See
+//! `docs/ANALYSIS.md` for the architecture.
 //!
 //! `cargo run -p analysis --` walks every `.rs` file under `crates/*/src`
 //! and `src/`, tokenizes it once through [`mod@lex`] (comments, strings —
 //! cooked, raw, byte — char literals and lifetimes are all handled, so a
 //! forbidden pattern inside a string never fires), strips
-//! `#[cfg(test)]` / `#[test]` regions, and runs four passes:
+//! `#[cfg(test)]` / `#[test]` regions, and runs three passes:
 //!
 //! * **lint** (this module) — five token-level conformance rules:
 //!
@@ -18,12 +18,14 @@
 //!   | `wall-clock` | `Instant::now()` / `SystemTime` | `metrics.rs`, `trace.rs`, `crates/bench` |
 //!   | `typed-kernel` | `Value` inside the typed-kernel module (`crates/sql/src/column.rs`); `std::simd` / `unsafe` anywhere | — |
 //!
-//! * **lock-order** ([`lockgraph`]) — the inter-procedural may-hold-lock
-//!   fixpoint proving the rank discipline over all source paths;
 //! * **map-iter** ([`determinism`]) — flags hash-ordered iteration in
 //!   result-affecting crates;
 //! * **rank-table** ([`ranktable`]) — regenerates the lock-rank table in
 //!   `docs/CONCURRENCY.md` from source and fails on drift.
+//!
+//! Lock *order* is not a static pass: `raw-sync` keeps every lock an
+//! `Ordered*` wrapper, and the rank checker in `prophet_mc::sync`
+//! (`--features check`) proves the order on every executed acquisition.
 //!
 //! Escape hatches, all explicit and reviewable:
 //!
@@ -45,7 +47,6 @@
 pub mod determinism;
 pub mod findings;
 pub mod lex;
-pub mod lockgraph;
 pub mod ranktable;
 
 use std::fmt;

@@ -2,15 +2,17 @@
 //! `cargo run -p analysis -- [--root DIR] [--json PATH] [--write-docs]`.
 //!
 //! Walks `crates/*/src/**/*.rs` and `src/**/*.rs` under the root and runs
-//! the four passes (see the library docs and `docs/ANALYSIS.md`):
+//! the three passes (see the library docs and `docs/ANALYSIS.md`):
 //!
 //! 1. the conformance **lint** over every file;
 //! 2. the **rank-table** extractor — duplicate-rank detection plus a
 //!    drift check against `docs/CONCURRENCY.md` (`--write-docs`
 //!    regenerates the block in place instead of reporting drift);
-//! 3. the **lock-order** verifier over `crates/{mc,core,fingerprint}`;
-//! 4. the **map-iter** determinism audit over the result-affecting
+//! 3. the **map-iter** determinism audit over the result-affecting
 //!    crates (`mc`, `core`, `fingerprint`, `sql`, `vg`).
+//!
+//! Lock order itself is proven at runtime by the rank checker in
+//! `prophet_mc::sync` under `--features check`.
 //!
 //! Output is one line per finding in `file:line: [pass] message` form —
 //! the shape `.github/problem-matchers/analysis.json` matches — plus a
@@ -22,14 +24,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use analysis::findings::{render_json, Finding};
-use analysis::{determinism, lint_source, lockgraph, ranktable};
-
-/// Crates whose lock acquisitions the lock-order pass proves.
-const LOCK_SCOPE: &[&str] = &[
-    "crates/mc/src/",
-    "crates/core/src/",
-    "crates/fingerprint/src/",
-];
+use analysis::{determinism, lint_source, ranktable};
 
 /// Crates whose outputs must not depend on hash-iteration order.
 const DETERMINISM_SCOPE: &[&str] = &[
@@ -73,8 +68,7 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    // Read everything up front: the rank-table and lock passes are
-    // whole-program.
+    // Read everything up front: the rank-table pass is whole-program.
     let mut files: Vec<(String, String)> = Vec::with_capacity(paths.len());
     for path in &paths {
         let rel = rel_path(&root, path);
@@ -132,17 +126,7 @@ fn main() -> ExitCode {
         }
     }
 
-    // ---- pass 3: static lock order
-    let lock_files: Vec<(String, String)> = files
-        .iter()
-        .filter(|(rel, _)| LOCK_SCOPE.iter().any(|p| rel.starts_with(p)))
-        .cloned()
-        .collect();
-    let model = lockgraph::build(&lock_files, &table);
-    findings.extend(model.build_findings.iter().cloned());
-    findings.extend(lockgraph::check(&model));
-
-    // ---- pass 4: determinism audit
+    // ---- pass 3: determinism audit
     for (rel, src) in &files {
         if DETERMINISM_SCOPE.iter().any(|p| rel.starts_with(p)) {
             determinism::audit(rel, src, &mut findings);

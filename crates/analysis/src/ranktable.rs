@@ -38,13 +38,6 @@ pub struct RankTable {
     pub entries: Vec<RankEntry>,
 }
 
-impl RankTable {
-    /// Look up a const name (`STORE_TABLE`, `ENGINE_METRICS`, …).
-    pub fn by_const(&self, name: &str) -> Option<&RankEntry> {
-        self.entries.iter().find(|e| e.const_name == name)
-    }
-}
-
 /// Scan `files` (path, source) for rank-table consts.
 pub fn extract(files: &[(String, String)]) -> RankTable {
     let mut entries = Vec::new();
@@ -217,7 +210,8 @@ mod tests {
         "#;
         let table = table_of(src);
         assert_eq!(table.entries.len(), 1, "a rank array is not in the table");
-        let entry = table.by_const("TABLE").unwrap();
+        let entry = &table.entries[0];
+        assert_eq!(entry.const_name, "TABLE");
         assert_eq!(entry.rank, 50);
         assert_eq!(entry.lock_name, "store table");
     }

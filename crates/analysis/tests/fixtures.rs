@@ -53,11 +53,6 @@ fn assert_single_finding(name: &str, expected_prefix: &str) {
 }
 
 #[test]
-fn seeded_lock_inversion_fails_the_gate_at_its_line() {
-    assert_single_finding("inversion", "crates/mc/src/lib.rs:31: [lock-order]");
-}
-
-#[test]
 fn seeded_unsorted_map_leak_fails_the_gate_at_its_line() {
     assert_single_finding("map_leak", "crates/mc/src/lib.rs:16: [map-iter]");
 }
@@ -69,9 +64,9 @@ fn seeded_rank_table_drift_fails_the_gate_in_the_docs() {
 
 #[test]
 fn seeded_fixture_writes_machine_readable_findings() {
-    let json_path = std::env::temp_dir().join("analysis-fixture-inversion.json");
+    let json_path = std::env::temp_dir().join("analysis-fixture-map-leak.json");
     let out = run_analyzer(
-        &fixture("inversion"),
+        &fixture("map_leak"),
         &[
             "--json",
             json_path.to_str().expect("invariant: utf-8 temp path"),
@@ -82,9 +77,9 @@ fn seeded_fixture_writes_machine_readable_findings() {
     let _ = std::fs::remove_file(&json_path);
     assert!(doc.contains("\"version\": 1"), "{doc}");
     assert!(doc.contains("\"active\": 1"), "{doc}");
-    assert!(doc.contains("\"pass\": \"lock-order\""), "{doc}");
+    assert!(doc.contains("\"pass\": \"map-iter\""), "{doc}");
     assert!(doc.contains("\"file\": \"crates/mc/src/lib.rs\""), "{doc}");
-    assert!(doc.contains("\"line\": 31"), "{doc}");
+    assert!(doc.contains("\"line\": 16"), "{doc}");
 }
 
 /// The gate the fixtures prove can fire must not fire on the repository

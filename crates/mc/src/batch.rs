@@ -111,7 +111,7 @@ impl SampleSet {
     /// store, another reply) are cloned first, so only this set grows.
     pub fn absorb(&mut self, other: &SampleSet) {
         debug_assert_eq!(self.point, other.point, "absorb requires matching points");
-        // analysis:allow(map-iter): per-key merge — each column extends independently, so visit order is unobservable
+        // Per-key merge: each column extends independently, so visit order is unobservable.
         for (col, dst) in Arc::make_mut(&mut self.samples).iter_mut() {
             if let Some(src) = other.samples.get(col) {
                 dst.extend_from_slice(src);

@@ -535,6 +535,7 @@ fn dropped_handle_detaches_and_the_job_still_completes() {
     let detached = service("pricing", src, Reg::Full, cfg, 2, 4);
     drop(detached.submit(JobSpec::sweep("pricing")).unwrap());
     detached.scheduler().wait_idle();
+    assert_eq!(detached.scheduler().active_jobs(), 0, "idle means no job");
 
     // The job ran to completion: store state identical to the watched run.
     assert_eq!(
