@@ -59,9 +59,13 @@
 //! emits them in global stamp order and
 //! [`SharedBasisStore::restore_bytes`] rebuilds a store that scans, evicts,
 //! and stamps exactly like the original, so a service restart warms from
-//! disk instead of re-simulating its basis population. The format is
-//! checksummed and versioned; corrupt input is rejected with a typed
-//! [`SnapshotError`] before any store state is touched.
+//! disk instead of re-simulating its basis population. The format
+//! (`FPBS` v2, spelled out in `docs/CONCURRENCY.md`) is versioned and
+//! ends in a word-wise four-lane checksum; sample and fingerprint columns
+//! travel as raw little-endian `f64` runs, encoded into one exact-size
+//! buffer and decoded one bounds-checked slice per column. Corrupt input
+//! is rejected with a typed [`SnapshotError`] before any store state is
+//! touched.
 //!
 //! The store is the paper's Storage Manager: keyed by [`ParamPoint`], it
 //! holds the per-column fingerprints plus full sample sets the Figure-1
@@ -664,8 +668,13 @@ impl ScanSnapshot {
 
 /// Magic prefix of a basis snapshot ("FuzzyProphet Basis Snapshot").
 const SNAPSHOT_MAGIC: [u8; 4] = *b"FPBS";
-/// Current snapshot format version.
-const SNAPSHOT_VERSION: u16 = 1;
+/// Current snapshot format version. Older versions are not read: they
+/// fail with [`SnapshotError::UnsupportedVersion`].
+const SNAPSHOT_VERSION: u16 = 2;
+/// Magic, version, stamp counter and record count.
+const SNAPSHOT_HEADER: usize = 4 + 2 + 8 + 8;
+/// The trailing [`snapshot_checksum`] of every preceding byte.
+const SNAPSHOT_FOOTER: usize = 8;
 
 /// Why a basis snapshot could not be produced or restored. Restore
 /// validates the *entire* byte stream — header, checksum, structure,
@@ -680,8 +689,8 @@ pub enum SnapshotError {
     BadMagic,
     /// The snapshot's format version is not one this build can read.
     UnsupportedVersion(u16),
-    /// The trailing FNV-1a checksum did not match the body: the file was
-    /// corrupted after it was written.
+    /// The trailing four-lane word checksum did not match the body: the
+    /// file was corrupted after it was written.
     ChecksumMismatch,
     /// The snapshot holds more entries than this store's capacity — it was
     /// written by a larger store and restoring it would immediately evict.
@@ -719,15 +728,58 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// FNV-1a over `bytes` — the platform-stable hash the snapshot trailer
-/// uses (same constants as `ParamPoint::stable_hash`).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+/// Initial states of the checksum's four word lanes.
+const SUM_LANE_SEEDS: [u64; 4] = [
+    0x243F_6A88_85A3_08D3,
+    0x1319_8A2E_0370_7344,
+    0xA409_3822_299F_31D0,
+    0x082E_FA98_EC4E_6C89,
+];
+/// Initial state of the checksum's final accumulator.
+const SUM_FINAL_SEED: u64 = 0x4528_21E6_38D0_1377;
+/// The checksum step's multiplier (odd, so the multiply is a bijection).
+const SUM_PRIME: u64 = 0x9E37_79B9_7F4A_7C15;
+/// The checksum step's rotation.
+const SUM_ROTATE: u32 = 31;
+/// The xor-shift applied after folding each lane into the accumulator.
+const SUM_FOLD_SHIFT: u32 = 29;
+
+/// One checksum step. For a fixed `word` it is a bijection of `acc` (and
+/// for a fixed `acc` one of `word`), so a single changed word changes
+/// every later state. The rotate moves bit 63 into the low bits:
+/// without it a bit-63 difference never leaves bit 63 and two such flips
+/// in one lane cancel.
+fn sum_step(acc: u64, word: u64) -> u64 {
+    (acc ^ word).wrapping_mul(SUM_PRIME).rotate_left(SUM_ROTATE)
+}
+
+/// The snapshot trailer's checksum (`docs/CONCURRENCY.md` spells it out).
+/// Every 32-byte block feeds its four little-endian `u64` words to four
+/// independent lanes, so the dependent multiplies of different lanes
+/// overlap; the body length and the `len % 32` tail bytes (one step
+/// each) go into a final accumulator, which then folds in the lanes in
+/// order, each followed by an xor-shift.
+fn snapshot_checksum(bytes: &[u8]) -> u64 {
+    let mut lanes = SUM_LANE_SEEDS;
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            let word = u64::from_le_bytes(
+                word.try_into()
+                    .expect("invariant: chunks_exact(8) yields 8-byte words"),
+            );
+            *lane = sum_step(*lane, word);
+        }
     }
-    hash
+    let mut acc = sum_step(SUM_FINAL_SEED, bytes.len() as u64);
+    for &b in blocks.remainder() {
+        acc = sum_step(acc, b as u64);
+    }
+    for lane in lanes {
+        acc = sum_step(acc, lane);
+        acc ^= acc >> SUM_FOLD_SHIFT;
+    }
+    acc
 }
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -742,13 +794,32 @@ fn put_i64(out: &mut Vec<u8>, v: i64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
+/// A column of `f64`s as their little-endian bits, in one resize.
+fn put_f64s(out: &mut Vec<u8>, values: &[f64]) {
+    let start = out.len();
+    out.resize(start + values.len() * 8, 0);
+    for (dst, v) in out[start..].chunks_exact_mut(8).zip(values) {
+        dst.copy_from_slice(&v.to_le_bytes());
+    }
 }
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
     put_u32(out, s.len() as u32);
     out.extend_from_slice(s.as_bytes());
+}
+
+/// The exact number of bytes [`serialize_record`] writes for a record,
+/// so a snapshot is written into one allocation of its final size.
+fn record_len(point: &ParamPoint, record: &Record) -> usize {
+    let name = |n: &str| 4 + n.len();
+    let pairs: usize = point.iter().map(|(n, _)| name(n) + 8).sum();
+    let fps: usize = (record.fingerprints.iter())
+        .map(|(n, fp)| name(n) + 4 + fp.values().len() * 8)
+        .sum();
+    let cols: usize = (record.samples.iter())
+        .map(|(n, values)| name(n) + 8 + values.len() * 8)
+        .sum();
+    4 + pairs + 8 + 8 + 1 + 4 + fps + 4 + cols
 }
 
 /// One record's bytes, in a fixed field order with name-sorted column
@@ -772,9 +843,7 @@ fn serialize_record(out: &mut Vec<u8>, point: &ParamPoint, record: &Record) {
         put_str(out, name);
         let values = fp.values();
         put_u32(out, values.len() as u32);
-        for &v in values {
-            put_f64(out, v);
-        }
+        put_f64s(out, values);
     }
     let mut cols: Vec<(&String, &Vec<f64>)> = record.samples.iter().collect();
     cols.sort_by(|a, b| a.0.cmp(b.0));
@@ -782,9 +851,7 @@ fn serialize_record(out: &mut Vec<u8>, point: &ParamPoint, record: &Record) {
     for (name, values) in cols {
         put_str(out, name);
         put_u64(out, values.len() as u64);
-        for &v in values {
-            put_f64(out, v);
-        }
+        put_f64s(out, values);
     }
 }
 
@@ -825,8 +892,19 @@ impl<'a> SnapshotReader<'a> {
         )))
     }
 
-    fn f64(&mut self) -> Result<f64, SnapshotError> {
-        Ok(f64::from_bits(self.u64()?))
+    /// A column of `len` little-endian `f64`s, taken as one slice: a
+    /// hostile `len` fails the bounds check before anything is allocated.
+    fn f64s(&mut self, len: usize) -> Result<Vec<f64>, SnapshotError> {
+        let bytes = self.take(len.checked_mul(8).ok_or(SnapshotError::Truncated)?)?;
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|b| {
+                f64::from_le_bytes(
+                    b.try_into()
+                        .expect("invariant: chunks_exact(8) yields 8-byte words"),
+                )
+            })
+            .collect())
     }
 
     /// The next name of a list the writer emits sorted and unique (a
@@ -877,11 +955,7 @@ fn parse_record(r: &mut SnapshotReader<'_>) -> Result<ParsedRecord, SnapshotErro
     for _ in 0..nfps {
         let name = r.next_name(&mut prev)?;
         let len = r.u32()? as usize;
-        let mut values = Vec::with_capacity(len.min(4096));
-        for _ in 0..len {
-            values.push(r.f64()?);
-        }
-        fingerprints.insert(name, Fingerprint::from_values(values));
+        fingerprints.insert(name, Fingerprint::from_values(r.f64s(len)?));
     }
     let ncols = r.u32()? as usize;
     let mut samples: ColumnSamples = HashMap::with_capacity(ncols.min(64));
@@ -895,11 +969,7 @@ fn parse_record(r: &mut SnapshotReader<'_>) -> Result<ParsedRecord, SnapshotErro
         if len != worlds {
             return Err(SnapshotError::Truncated);
         }
-        let mut values = Vec::with_capacity(len.min(65_536));
-        for _ in 0..len {
-            values.push(r.f64()?);
-        }
-        samples.insert(name, values);
+        samples.insert(name, r.f64s(len)?);
     }
     Ok(ParsedRecord {
         point,
@@ -1324,7 +1394,9 @@ impl SharedBasisStore {
         let table = self.table.read();
         let mut records: Vec<(&ParamPoint, &Record)> = table.entries.iter().collect();
         records.sort_unstable_by_key(|(_, record)| record.stamp);
-        let mut out = Vec::new();
+        let body: usize = records.iter().map(|(p, r)| record_len(p, r)).sum();
+        let total = SNAPSHOT_HEADER + body + SNAPSHOT_FOOTER;
+        let mut out = Vec::with_capacity(total);
         out.extend_from_slice(&SNAPSHOT_MAGIC);
         out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
         put_u64(&mut out, table.next_stamp);
@@ -1332,8 +1404,13 @@ impl SharedBasisStore {
         for (point, record) in &records {
             serialize_record(&mut out, point, record);
         }
-        let checksum = fnv1a(&out);
+        let checksum = snapshot_checksum(&out);
         put_u64(&mut out, checksum);
+        debug_assert_eq!(
+            out.len(),
+            total,
+            "record_len disagrees with serialize_record"
+        );
         (out, records.len())
     }
 
@@ -1359,9 +1436,7 @@ impl SharedBasisStore {
     /// continues from the snapshot's, so post-restore inserts, evictions,
     /// and match tie-breaks are bit-identical to the store that wrote it.
     pub fn restore_bytes(&self, bytes: &[u8]) -> Result<usize, SnapshotError> {
-        const HEADER: usize = 4 + 2 + 8 + 8; // magic + version + next_stamp + count
-        const FOOTER: usize = 8; // FNV-1a checksum
-        if bytes.len() < HEADER + FOOTER {
+        if bytes.len() < SNAPSHOT_HEADER + SNAPSHOT_FOOTER {
             return Err(SnapshotError::Truncated);
         }
         if bytes[..4] != SNAPSHOT_MAGIC {
@@ -1371,13 +1446,13 @@ impl SharedBasisStore {
         if version != SNAPSHOT_VERSION {
             return Err(SnapshotError::UnsupportedVersion(version));
         }
-        let body = &bytes[..bytes.len() - FOOTER];
+        let (body, trailer) = bytes.split_at(bytes.len() - SNAPSHOT_FOOTER);
         let stored_sum = u64::from_le_bytes(
-            bytes[bytes.len() - FOOTER..]
+            trailer
                 .try_into()
-                .expect("invariant: FOOTER-wide slice converts to its array"),
+                .expect("invariant: the footer-wide trailer converts to its array"),
         );
-        if fnv1a(body) != stored_sum {
+        if snapshot_checksum(body) != stored_sum {
             return Err(SnapshotError::ChecksumMismatch);
         }
         let mut reader = SnapshotReader { buf: body, pos: 6 };
@@ -2022,18 +2097,30 @@ mod tests {
             fresh.restore_bytes(&bad_version),
             Err(SnapshotError::UnsupportedVersion(9))
         );
-        let mut flipped = good.clone();
-        let mid = good.len() / 2;
-        flipped[mid] ^= 0x40;
+        // A version-1 file (same layout, FNV-1a trailer) is not read.
+        let mut v1 = good.clone();
+        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
         assert_eq!(
-            fresh.restore_bytes(&flipped),
-            Err(SnapshotError::ChecksumMismatch)
+            fresh.restore_bytes(&v1),
+            Err(SnapshotError::UnsupportedVersion(1))
         );
+        // Every single-bit flip outside the magic and the version —
+        // header, records, trailer — fails the checksum.
+        for bit in 0..good.len() * 8 {
+            let mut flipped = good.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let want = match bit / 8 {
+                0..=3 => SnapshotError::BadMagic,
+                4..=5 => {
+                    SnapshotError::UnsupportedVersion(u16::from_le_bytes([flipped[4], flipped[5]]))
+                }
+                _ => SnapshotError::ChecksumMismatch,
+            };
+            assert_eq!(fresh.restore_bytes(&flipped), Err(want), "bit {bit}");
+        }
         // A structurally short body behind a *recomputed* (valid) checksum
         // still rejects: structure is validated, not just integrity.
-        let mut short = good[..good.len() - 8 - 3].to_vec();
-        let sum = fnv1a(&short);
-        short.extend_from_slice(&sum.to_le_bytes());
+        let short = restamp(good[..good.len() - 8 - 3].to_vec());
         assert_eq!(fresh.restore_bytes(&short), Err(SnapshotError::Truncated));
         // A record whose sample column is shorter than its `worlds` field,
         // behind a valid checksum: consumers index lanes `0..worlds`, so
@@ -2045,10 +2132,8 @@ mod tests {
         let at = long_worlds.len() - (8 + 1 + 4 + 4 + 5 + 8 + 16) - 8;
         assert_eq!(long_worlds[at..at + 8], 2u64.to_le_bytes());
         long_worlds[at..at + 8].copy_from_slice(&3u64.to_le_bytes());
-        let sum = fnv1a(&long_worlds);
-        long_worlds.extend_from_slice(&sum.to_le_bytes());
         assert_eq!(
-            fresh.restore_bytes(&long_worlds),
+            fresh.restore_bytes(&restamp(long_worlds)),
             Err(SnapshotError::Truncated)
         );
         // More entries than the target store can hold.
@@ -2080,9 +2165,100 @@ mod tests {
             let record = Record::new(fps, samples(*stamp as f64), 2, *stamp, true);
             serialize_record(&mut out, p, &record);
         }
-        let sum = fnv1a(&out);
-        put_u64(&mut out, sum);
-        out
+        restamp(out)
+    }
+
+    /// Append a valid checksum to a snapshot body, so damage inside it
+    /// reaches the structural parser.
+    fn restamp(mut body: Vec<u8>) -> Vec<u8> {
+        let sum = snapshot_checksum(&body);
+        put_u64(&mut body, sum);
+        body
+    }
+
+    /// The checksum of a byte ramp of each length that exercises the
+    /// lanes and the tail: empty, tail only, a full block, a block plus a
+    /// tail byte, and many blocks. A change to the lanes, the constants
+    /// or the tail handling is a format change and must move these.
+    #[test]
+    fn snapshot_checksum_digests_are_pinned() {
+        let ramp = |n: usize| (0..n).map(|i| i as u8).collect::<Vec<u8>>();
+        let digests: Vec<(usize, u64)> = [0, 1, 31, 32, 33, 1_000]
+            .into_iter()
+            .map(|n| (n, snapshot_checksum(&ramp(n))))
+            .collect();
+        assert_eq!(
+            digests,
+            [
+                (0, 0x7ED3_50D0_E80A_440B),
+                (1, 0xE5B1_2AC1_73DB_1D62),
+                (31, 0x6C97_B273_41BB_EA72),
+                (32, 0x7E3E_88C9_7CC9_0EF4),
+                (33, 0x222F_46F1_060B_DE74),
+                (1_000, 0xACB9_C6BB_DFA7_74C9),
+            ]
+        );
+    }
+
+    /// Forged lengths behind a valid checksum: a fingerprint that claims
+    /// `u32::MAX` values and a record whose `worlds` and sample length
+    /// are 2⁶¹ (so `len × 8` overflows) fail as `Truncated` — each column
+    /// is bounds-checked as one slice before anything is allocated, so
+    /// neither reserves the claimed size. A reader that reserved `len`
+    /// values first would panic on capacity overflow for the second
+    /// record and ask the allocator for 32 GiB for the first.
+    #[test]
+    fn restore_rejects_hostile_column_lengths() {
+        let good = forge(1, &[(point("x", 1), 1)]);
+        let body = &good[..good.len() - SNAPSHOT_FOOTER];
+        // After the header (22), the point (4 + 5 + 8 = 17), worlds (8),
+        // stamp (8), matchable (1), the fingerprint count (4) and name
+        // "y" (5) sits the fingerprint length at 65; its three values
+        // (24), the column count (4) and name "y" (5) put the sample
+        // length at 102. `worlds` is at 39.
+        let (fp_len, worlds, lanes) = (65, 39, 102);
+        assert_eq!(body[fp_len..fp_len + 4], 3u32.to_le_bytes());
+        assert_eq!(body[worlds..worlds + 8], 2u64.to_le_bytes());
+        assert_eq!(body[lanes..lanes + 8], 2u64.to_le_bytes());
+
+        let mut huge_fp = body.to_vec();
+        huge_fp[fp_len..fp_len + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let mut huge_column = body.to_vec();
+        for at in [worlds, lanes] {
+            huge_column[at..at + 8].copy_from_slice(&(1u64 << 61).to_le_bytes());
+        }
+        let s = SharedBasisStore::new(1);
+        for (label, bad) in [("fingerprint", huge_fp), ("sample column", huge_column)] {
+            assert_eq!(
+                s.restore_bytes(&restamp(bad)),
+                Err(SnapshotError::Truncated),
+                "{label}"
+            );
+        }
+        assert!(s.is_empty());
+    }
+
+    /// A record above both of the old per-column allocation caps (4,096
+    /// fingerprint values, 65,536 lanes) round-trips byte for byte.
+    #[test]
+    fn wide_record_round_trips() {
+        let lanes: Vec<f64> = (0..70_000).map(|i| i as f64 * 0.25 - 1e3).collect();
+        let src = SharedBasisStore::new(1);
+        src.insert(
+            point("x", 1),
+            HashMap::from([("y".to_owned(), fp(&lanes[..5_000]))]),
+            Arc::new(HashMap::from([("y".to_owned(), lanes.clone())])),
+            lanes.len(),
+            true,
+        );
+        let bytes = src.snapshot_bytes();
+        let dst = SharedBasisStore::new(1);
+        assert_eq!(dst.restore_bytes(&bytes), Ok(1));
+        assert_eq!(dst.snapshot_bytes(), bytes);
+        let restored = dst
+            .get_exact(&point("x", 1), lanes.len())
+            .expect("restored");
+        assert_eq!(restored["y"], lanes);
     }
 
     #[test]
@@ -2140,10 +2316,8 @@ mod tests {
             let mut body = ab[..ab.len() - 8].to_vec();
             assert_eq!((body[30], body[43]), (b'a', b'b'));
             (body[30], body[43]) = names;
-            let sum = fnv1a(&body);
-            put_u64(&mut body, sum);
             assert_eq!(
-                SharedBasisStore::new(1).restore_bytes(&body),
+                SharedBasisStore::new(1).restore_bytes(&restamp(body)),
                 Err(SnapshotError::Truncated),
                 "{label}"
             );

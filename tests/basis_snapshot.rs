@@ -90,12 +90,48 @@ fn assert_sweeps_identical(
     assert_eq!(a.candidates_pruned, b.candidates_pruned, "{label}");
 }
 
-/// Append a valid FNV-1a trailer to a snapshot body, so damage inside it
+/// The FPBS v2 trailer checksum, written from its specification in
+/// `docs/CONCURRENCY.md` rather than shared with the store, so this file
+/// is a second implementation of the format: a disagreement fails every
+/// re-stamped case below with `ChecksumMismatch`.
+fn fpbs_checksum(body: &[u8]) -> u64 {
+    let step = |acc: u64, word: u64| {
+        (acc ^ word)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(31)
+    };
+    let word_at = |i: usize| {
+        let mut w = [0u8; 8];
+        w.copy_from_slice(&body[i..i + 8]);
+        u64::from_le_bytes(w)
+    };
+    let blocks = body.len() / 32;
+    let mut lanes = [
+        0x243F_6A88_85A3_08D3,
+        0x1319_8A2E_0370_7344,
+        0xA409_3822_299F_31D0,
+        0x082E_FA98_EC4E_6C89,
+    ];
+    for block in 0..blocks {
+        for (k, lane) in lanes.iter_mut().enumerate() {
+            *lane = step(*lane, word_at(32 * block + 8 * k));
+        }
+    }
+    let mut acc = step(0x4528_21E6_38D0_1377, body.len() as u64);
+    for &b in &body[32 * blocks..] {
+        acc = step(acc, b as u64);
+    }
+    for lane in lanes {
+        acc = step(acc, lane);
+        acc ^= acc >> 29;
+    }
+    acc
+}
+
+/// Append a valid trailer to a snapshot body, so damage inside it
 /// reaches the structural parser instead of failing the checksum.
 fn restamp(mut body: Vec<u8>) -> Vec<u8> {
-    let digest = body.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
-    });
+    let digest = fpbs_checksum(&body);
     body.extend_from_slice(&digest.to_le_bytes());
     body
 }
@@ -168,7 +204,7 @@ fn corrupt_snapshots_are_rejected_with_typed_errors() {
     }
 
     // Truncated mid-record. A naive cut trips the checksum first, so
-    // re-stamp a valid FNV-1a checksum over the shortened body — the
+    // re-stamp a valid checksum over the shortened body — the
     // structural parse must then run out of bytes.
     let short = restamp(good[..good.len() / 2].to_vec());
     fs::write(&path, &short).unwrap();
@@ -228,6 +264,11 @@ fn churned_store_snapshot_is_pinned() {
             stats.misses
         ),
         (64, 57_694, 3_905, 3_912, 57)
+    );
+    assert_eq!(
+        restamp(bytes[..bytes.len() - 8].to_vec()),
+        bytes,
+        "the reference checksum reproduces the store's trailer"
     );
 
     let reloaded = service(&src, 64);
