@@ -36,7 +36,7 @@ use prophet_data::Value;
 use prophet_fingerprint::{CorrelationDetector, Fingerprint, FingerprintConfig, Mapping};
 use prophet_mc::{
     simulate_point, simulate_point_columnar_with, ColumnSamples, ParamPoint, SampleSet,
-    SharedBasisStore,
+    SharedBasisStore, SnapshotError,
 };
 use prophet_sql::columnar::{
     evaluate_derived_columns, evaluate_select_columns_with, to_f64_samples, ColumnarStats,
@@ -399,6 +399,23 @@ impl Engine {
     /// sharing the store.
     pub fn clear_basis(&self) {
         self.basis.clear();
+    }
+
+    /// Replace the basis store's contents with a
+    /// [`SharedBasisStore::snapshot_bytes`] stream, re-deriving every
+    /// recipe record through this engine's own remap — the function that
+    /// made the warm store's copy, so the restored samples are its bits
+    /// (the `Scalar` and `Columnar` tiers agree bit for bit). Returns the
+    /// number of restored entries; a snapshot this engine cannot rebuild
+    /// fails with [`SnapshotError::Rebuild`] and leaves the store
+    /// untouched (see [`SharedBasisStore::restore_with`]).
+    pub fn restore_basis(&self, bytes: &[u8]) -> ProphetResult<usize> {
+        Ok(self
+            .basis
+            .restore_with(bytes, |point, recipe, source, worlds| {
+                self.remap_samples(point, source, &recipe.mappings, worlds)
+                    .map_err(|e| SnapshotError::Rebuild(e.to_string()))
+            })?)
     }
 
     /// Evaluate the scenario at one parameter point, returning the sample

@@ -91,7 +91,7 @@ use std::sync::Arc;
 use prophet_fingerprint::{Fingerprint, Mapping};
 use prophet_mc::trace::{TraceEventKind, Tracer, NO_CHUNK, NO_JOB};
 use prophet_mc::{
-    BasisHit, ColumnSamples, InflightGuard, ParamPoint, SampleSet, ScanSnapshot, ScanWork,
+    BasisHit, ColumnSamples, InflightGuard, ParamPoint, Recipe, SampleSet, ScanSnapshot, ScanWork,
     TryClaim, WaitHandle,
 };
 
@@ -281,7 +281,7 @@ pub(crate) fn run_batch<R: Runner>(
             };
             match matched.outcome? {
                 Some(hit) => {
-                    results[i] = Some(engine.publish_hit(&unique[i], take_guard(i), probe, hit));
+                    results[i] = Some(engine.publish_hit(&unique[i], take_guard(i), hit));
                     runner.points_done(1);
                 }
                 None => {
@@ -482,6 +482,10 @@ impl Engine {
             worlds: hit.worlds,
             exact: hit.mappings.values().all(Mapping::is_exact),
             source: hit.source,
+            recipe: Recipe {
+                source_stamp: hit.source_stamp,
+                mappings: hit.mappings,
+            },
         })
     }
 
@@ -521,7 +525,7 @@ impl Engine {
         let hit = matched.outcome?;
         self.bump(|m| m.probe_nanos += phase.elapsed_nanos());
         Ok(match hit {
-            Some(hit) => Ok(self.publish_hit(point, guard, probes, hit)),
+            Some(hit) => Ok(self.publish_hit(point, guard, hit)),
             None => Err((guard, probes)),
         })
     }
@@ -529,16 +533,16 @@ impl Engine {
     // ------------------------------------------------------------ publish
 
     /// Publish a fingerprint hit: complete the claim with the mapped
-    /// samples (a non-source entry) and hand the same allocation back as
+    /// samples and the recipe that made them (a non-source entry, so it
+    /// keeps no probe fingerprints) and hand the same allocation back as
     /// the reply.
     fn publish_hit(
         &self,
         point: &ParamPoint,
         guard: InflightGuard,
-        probes: HashMap<String, Fingerprint>,
         hit: MappedHit,
     ) -> (SampleSet, EvalOutcome) {
-        guard.complete(probes, Arc::clone(&hit.samples), hit.worlds, false);
+        guard.complete_mapped(Arc::clone(&hit.samples), hit.worlds, hit.recipe);
         self.bump(|m| m.points_mapped += 1);
         let outcome = EvalOutcome::Mapped {
             from: hit.source,
@@ -596,6 +600,8 @@ struct MappedHit {
     source: ParamPoint,
     /// Whether every column's mapping was exact (identity/offset).
     exact: bool,
+    /// The source's stamp and the mappings: how `samples` were made.
+    recipe: Recipe,
 }
 
 /// One probe's trip through [`Engine::match_and_remap`].

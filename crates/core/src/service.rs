@@ -33,7 +33,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use prophet_mc::guide::{Guide, GuideFactory, PriorityGuide};
-use prophet_mc::{ParamPoint, SharedBasisStore, StoreStatsSnapshot};
+use prophet_mc::{ParamPoint, SharedBasisStore, SnapshotError, StoreStatsSnapshot};
 use prophet_sql::ast::ParameterDecl;
 use prophet_vg::VgRegistry;
 
@@ -451,12 +451,14 @@ impl Prophet {
         self.slot(name).map(|s| s.store.clear())
     }
 
-    /// Snapshot `name`'s shared basis store to `path` — records, stamps,
-    /// matchability, checksummed (see
+    /// Snapshot `name`'s shared basis store to `path`, checksummed (see
     /// [`SharedBasisStore::snapshot_bytes`]). Returns the number of
-    /// entries written. A later [`Prophet::load_basis`] (on this or a
-    /// freshly built service) warms the store from disk instead of
-    /// re-simulating its basis population.
+    /// entries written. A simulated entry is written as its samples and
+    /// fingerprints; a mapped one as its recipe — its source's stamp and
+    /// per-column mappings — while that source is still stored, else as
+    /// its samples. A later [`Prophet::load_basis`] (on this or a freshly
+    /// built service) warms the store from disk instead of re-simulating
+    /// its basis population.
     pub fn save_basis(
         &self,
         name: &str,
@@ -467,19 +469,24 @@ impl Prophet {
     }
 
     /// Restore `name`'s shared basis store from a [`Prophet::save_basis`]
-    /// snapshot. Returns the number of restored entries. Corrupt or
-    /// truncated snapshots are rejected with
-    /// [`ProphetError::Snapshot`] before any store state changes; a
-    /// successful restore cancels in-flight claims (their owners' results
-    /// are discarded) and resets the store's counters, exactly like
-    /// [`Prophet::clear_basis`] followed by replaying the snapshot.
+    /// snapshot. Returns the number of restored entries. Mapped entries
+    /// are re-derived from their sources with `name`'s scenario
+    /// ([`Engine::restore_basis`]), so they are bit-identical to the warm
+    /// store's when the scenario is the one that wrote the file. Corrupt
+    /// or truncated snapshots, and recipes the scenario cannot rebuild,
+    /// are rejected with [`ProphetError::Snapshot`] before any store state
+    /// changes; a successful restore cancels in-flight claims (their
+    /// owners' results are discarded) and resets the store's counters,
+    /// exactly like [`Prophet::clear_basis`] followed by replaying the
+    /// snapshot.
     pub fn load_basis(
         &self,
         name: &str,
         path: impl AsRef<std::path::Path>,
     ) -> ProphetResult<usize> {
         let slot = self.slot(name)?;
-        Ok(slot.store.load_from(path)?)
+        let bytes = std::fs::read(path).map_err(|e| SnapshotError::Io(e.to_string()))?;
+        self.engine_for(slot)?.restore_basis(&bytes)
     }
 
     fn slot(&self, name: &str) -> ProphetResult<&Slot> {

@@ -54,25 +54,30 @@
 //!
 //! # Persistence
 //!
-//! A store's records — samples, fingerprints, stamps, matchability — are a
-//! self-contained serializable unit: [`SharedBasisStore::snapshot_bytes`]
-//! emits them in global stamp order and
-//! [`SharedBasisStore::restore_bytes`] rebuilds a store that scans, evicts,
-//! and stamps exactly like the original, so a service restart warms from
-//! disk instead of re-simulating its basis population. The format
-//! (`FPBS` v2, spelled out in `docs/CONCURRENCY.md`) is versioned and
-//! ends in a word-wise four-lane checksum; sample and fingerprint columns
-//! travel as raw little-endian `f64` runs, encoded into one exact-size
-//! buffer and decoded one bounds-checked slice per column. Corrupt input
-//! is rejected with a typed [`SnapshotError`] before any store state is
+//! A store's records — samples, source fingerprints, recipes, stamps,
+//! matchability — are a self-contained serializable unit:
+//! [`SharedBasisStore::snapshot_bytes`] emits them in global stamp order
+//! and [`SharedBasisStore::restore_with`] rebuilds a store that scans,
+//! evicts, and stamps exactly like the original, so a service restart
+//! warms from disk instead of re-simulating its basis population. The
+//! format (`FPBS` v3, spelled out in `docs/CONCURRENCY.md`) is versioned
+//! and ends in a word-wise four-lane checksum. A simulated record travels
+//! as its columns — raw little-endian `f64` runs, encoded into one
+//! exact-size buffer and decoded one bounds-checked slice per column. A
+//! mapped record whose source is still stored travels as its [`Recipe`]
+//! (the source's stamp and the per-column [`Mapping`]s), and a restore
+//! re-derives its samples through the caller's rebuild — the engine's own
+//! remap, so they are the bits the warm store held. Corrupt input is
+//! rejected with a typed [`SnapshotError`] before any store state is
 //! touched.
 //!
 //! The store is the paper's Storage Manager: keyed by [`ParamPoint`], it
-//! holds the per-column fingerprints plus full sample sets the Figure-1
-//! evaluation cycle needs.
+//! holds the full sample sets the Figure-1 evaluation cycle answers from,
+//! plus the per-column fingerprints of the simulated entries that serve as
+//! mapping sources.
 
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 use prophet_fingerprint::index::{bound_all, summarize_probe, MatchBound, SummaryTable};
@@ -90,6 +95,9 @@ pub type ColumnSamples = HashMap<String, Vec<f64>>;
 pub struct BasisHit {
     /// The basis point whose samples matched.
     pub source: ParamPoint,
+    /// The source record's insertion stamp: with `mappings`, the
+    /// [`Recipe`] of the entry this hit is published as.
+    pub source_stamp: u64,
     /// Per-column mapping from the source samples to the queried point.
     pub mappings: HashMap<String, Mapping>,
     /// The source point's stored samples (all columns).
@@ -98,12 +106,29 @@ pub struct BasisHit {
     pub worlds: usize,
 }
 
+/// How a mapped entry was made: the insertion stamp of the matchable
+/// record it was re-mapped from, and the per-column mapping applied to
+/// that record's samples. Stamps are never reused, so the stamp names
+/// those exact samples for as long as it is in the table, and re-running
+/// the remap reproduces the entry bit for bit — which is what lets a
+/// snapshot carry the recipe instead of the samples.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Recipe {
+    /// Insertion stamp of the source record.
+    pub source_stamp: u64,
+    /// Per-column mapping from the source's samples.
+    pub mappings: HashMap<String, Mapping>,
+}
+
 struct Record {
+    /// The probe fingerprints a match scan compares against. Empty for
+    /// unmatchable records: they are never candidates, so nothing reads
+    /// them.
     fingerprints: Arc<HashMap<String, Fingerprint>>,
     /// Per-column summary statistics of `fingerprints`, precomputed at
     /// publish time so the match scan can bound this record's error
     /// against any probe without touching the fingerprints themselves.
-    /// Empty for unmatchable records (they are never candidates).
+    /// Empty for unmatchable records.
     summaries: Arc<SummaryTable>,
     /// Samples for *all* output columns (stochastic and derived).
     samples: Arc<ColumnSamples>,
@@ -116,10 +141,15 @@ struct Record {
     /// scans proportional to the number of genuinely distinct
     /// distributions, not the number of visited points.
     matchable: bool,
+    /// How a mapped record's `samples` were made
+    /// ([`InflightGuard::complete_mapped`]); a snapshot writes it in their
+    /// place while its source is still stored.
+    recipe: Option<Recipe>,
 }
 
 impl Record {
-    /// Build a record, summarizing its fingerprints if it is matchable.
+    /// Build a samples record. A matchable one keeps its fingerprints and
+    /// summarizes them; an unmatchable one drops them.
     fn new(
         fingerprints: HashMap<String, Fingerprint>,
         samples: Arc<ColumnSamples>,
@@ -127,17 +157,28 @@ impl Record {
         stamp: u64,
         matchable: bool,
     ) -> Self {
+        let (fingerprints, summaries) = if matchable {
+            let summaries = SummaryTable::of(&fingerprints);
+            (fingerprints, summaries)
+        } else {
+            (HashMap::new(), SummaryTable::default())
+        };
         Record {
-            summaries: Arc::new(if matchable {
-                SummaryTable::of(&fingerprints)
-            } else {
-                SummaryTable::default()
-            }),
             fingerprints: Arc::new(fingerprints),
+            summaries: Arc::new(summaries),
             samples,
             worlds,
             stamp,
             matchable,
+            recipe: None,
+        }
+    }
+
+    /// Build a mapped record: unmatchable, `samples` made by `recipe`.
+    fn mapped(samples: Arc<ColumnSamples>, worlds: usize, stamp: u64, recipe: Recipe) -> Self {
+        Record {
+            recipe: Some(recipe),
+            ..Record::new(HashMap::new(), samples, worlds, stamp, false)
         }
     }
 }
@@ -302,13 +343,33 @@ impl InflightGuard {
     /// wiped); and a concurrent `try_claim` can never observe the gap
     /// between "slot gone" and "entry inserted", so it cannot become a
     /// duplicate owner of work that just finished.
+    ///
+    /// Only a `matchable` entry keeps `fingerprints`: nothing reads an
+    /// unmatchable one's.
     pub fn complete(
-        mut self,
+        self,
         fingerprints: HashMap<String, Fingerprint>,
         samples: Arc<ColumnSamples>,
         worlds: usize,
         matchable: bool,
     ) -> bool {
+        self.publish(Record::new(fingerprints, samples, worlds, 0, matchable))
+    }
+
+    /// [`InflightGuard::complete`] for a fingerprint hit: publish the
+    /// re-mapped `samples` as an unmatchable entry that remembers how it
+    /// was made, so a snapshot can write the recipe in their place.
+    pub fn complete_mapped(
+        self,
+        samples: Arc<ColumnSamples>,
+        worlds: usize,
+        recipe: Recipe,
+    ) -> bool {
+        self.publish(Record::mapped(samples, worlds, 0, recipe))
+    }
+
+    /// The publish behind both completions; `record` is stamped on insert.
+    fn publish(mut self, record: Record) -> bool {
         self.completed = true;
         let mut slots = self.store.inflight.slots.lock();
         {
@@ -319,14 +380,13 @@ impl InflightGuard {
                 return false;
             }
             *state = SlotState::Done {
-                samples: Arc::clone(&samples),
-                worlds,
+                samples: Arc::clone(&record.samples),
+                worlds: record.worlds,
             };
         }
         self.store.inflight.ledger.on_simulated(&self.point);
         self.slot.cv.notify_all();
-        self.store
-            .insert(self.point.clone(), fingerprints, samples, worlds, matchable);
+        self.store.insert_record(self.point.clone(), record);
         self.store.inflight.ledger.on_published(&self.point);
         if let Some(current) = slots.get(&self.point) {
             if Arc::ptr_eq(current, &self.slot) {
@@ -483,6 +543,7 @@ const MATCH_WAVE: usize = 32;
 /// and unchanged — through these handles.
 struct Candidate {
     point: ParamPoint,
+    stamp: u64,
     fingerprints: Arc<HashMap<String, Fingerprint>>,
     summaries: Arc<SummaryTable>,
     samples: Arc<ColumnSamples>,
@@ -493,6 +554,7 @@ impl Candidate {
     fn hit(&self, mappings: HashMap<String, Mapping>) -> BasisHit {
         BasisHit {
             source: self.point.clone(),
+            source_stamp: self.stamp,
             mappings,
             samples: Arc::clone(&self.samples),
             worlds: self.worlds,
@@ -670,16 +732,33 @@ impl ScanSnapshot {
 const SNAPSHOT_MAGIC: [u8; 4] = *b"FPBS";
 /// Current snapshot format version. Older versions are not read: they
 /// fail with [`SnapshotError::UnsupportedVersion`].
-const SNAPSHOT_VERSION: u16 = 2;
+const SNAPSHOT_VERSION: u16 = 3;
 /// Magic, version, stamp counter and record count.
 const SNAPSHOT_HEADER: usize = 4 + 2 + 8 + 8;
 /// The trailing [`snapshot_checksum`] of every preceding byte.
 const SNAPSHOT_FOOTER: usize = 8;
 
+/// A record's kind byte, after its stamp: an unmatchable samples record
+/// (columns only)…
+const KIND_SAMPLES: u8 = 0;
+/// …a matchable one (fingerprints, then columns)…
+const KIND_SOURCE: u8 = 1;
+/// …or a recipe record (source stamp, then mappings).
+const KIND_RECIPE: u8 = 2;
+
+/// A mapping's tag byte, followed by its `f64` parameters:
+/// [`Mapping::Identity`] (none)…
+const MAP_IDENTITY: u8 = 0;
+/// …[`Mapping::Offset`] (the offset)…
+const MAP_OFFSET: u8 = 1;
+/// …[`Mapping::Affine`] (scale, offset, residual standard deviation).
+const MAP_AFFINE: u8 = 2;
+
 /// Why a basis snapshot could not be produced or restored. Restore
 /// validates the *entire* byte stream — header, checksum, structure,
-/// capacity — before touching any store state, so a failed restore leaves
-/// the store exactly as it was.
+/// recipe sources, capacity — and rebuilds every recipe before touching
+/// any store state, so a failed restore leaves the store exactly as it
+/// was.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotError {
     /// The byte stream ended before the structure it promised, or a field
@@ -700,6 +779,21 @@ pub enum SnapshotError {
         /// This store's capacity.
         capacity: usize,
     },
+    /// A recipe record does not name an earlier matchable samples record
+    /// with its own `worlds`, so there is nothing to rebuild it from.
+    DanglingRecipe {
+        /// The recipe record's stamp.
+        stamp: u64,
+        /// The source stamp it names.
+        source_stamp: u64,
+    },
+    /// The snapshot holds recipe records but was restored without a
+    /// rebuild ([`SharedBasisStore::restore_bytes`]); restore it through
+    /// an engine (`Prophet::load_basis`).
+    RecipeNeedsEngine,
+    /// Rebuilding a recipe record failed — the loading scenario lacks a
+    /// mapped column, say (the engine's error, stringified).
+    Rebuild(String),
     /// Filesystem failure (the underlying `io::Error`, stringified so the
     /// error stays `Clone` + `Eq` like every other `ProphetError` cause).
     Io(String),
@@ -721,6 +815,21 @@ impl std::fmt::Display for SnapshotError {
                 f,
                 "snapshot holds {entries} entries but the store's capacity is {capacity}"
             ),
+            SnapshotError::DanglingRecipe {
+                stamp,
+                source_stamp,
+            } => write!(
+                f,
+                "recipe record {stamp} names source {source_stamp}, \
+                 which is no earlier matchable record of equal worlds"
+            ),
+            SnapshotError::RecipeNeedsEngine => {
+                write!(
+                    f,
+                    "snapshot holds recipe records: restore it through an engine"
+                )
+            }
+            SnapshotError::Rebuild(msg) => write!(f, "rebuilding a recipe record failed: {msg}"),
             SnapshotError::Io(msg) => write!(f, "snapshot I/O error: {msg}"),
         }
     }
@@ -808,25 +917,75 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
+/// A mapping's tag, and its `f64` parameters as the first `n` of three.
+fn mapping_parts(mapping: &Mapping) -> (u8, [f64; 3], usize) {
+    match *mapping {
+        Mapping::Identity => (MAP_IDENTITY, [0.0; 3], 0),
+        Mapping::Offset(offset) => (MAP_OFFSET, [offset, 0.0, 0.0], 1),
+        Mapping::Affine {
+            scale,
+            offset,
+            residual_std,
+        } => (MAP_AFFINE, [scale, offset, residual_std], 3),
+    }
+}
+
+/// A recipe's mappings in the order a snapshot writes them: by column.
+fn sorted_mappings(recipe: &Recipe) -> Vec<(&String, &Mapping)> {
+    let mut maps: Vec<(&String, &Mapping)> = recipe.mappings.iter().collect();
+    maps.sort_by(|a, b| a.0.cmp(b.0));
+    maps
+}
+
+/// The recipe a snapshot writes for `record` instead of its samples: its
+/// own, while the matchable record of its source stamp — the very samples
+/// it was mapped from, since stamps are never reused — is still in the
+/// table with equal worlds. Otherwise (the source was replaced or
+/// evicted, or the record was never mapped) `None`: the record travels
+/// as the samples it holds.
+fn live_recipe<'r>(table: &Table, record: &'r Record) -> Option<&'r Recipe> {
+    let recipe = record.recipe.as_ref()?;
+    let source = table.matchable.get(&recipe.source_stamp)?;
+    (table.entries.get(source)?.worlds == record.worlds).then_some(recipe)
+}
+
 /// The exact number of bytes [`serialize_record`] writes for a record,
 /// so a snapshot is written into one allocation of its final size.
-fn record_len(point: &ParamPoint, record: &Record) -> usize {
+fn record_len(point: &ParamPoint, record: &Record, recipe: Option<&Recipe>) -> usize {
     let name = |n: &str| 4 + n.len();
     let pairs: usize = point.iter().map(|(n, _)| name(n) + 8).sum();
-    let fps: usize = (record.fingerprints.iter())
-        .map(|(n, fp)| name(n) + 4 + fp.values().len() * 8)
-        .sum();
+    let head = 4 + pairs + 8 + 8 + 1;
+    if let Some(recipe) = recipe {
+        let maps: usize = (sorted_mappings(recipe).into_iter())
+            .map(|(n, m)| name(n) + 1 + mapping_parts(m).2 * 8)
+            .sum();
+        return head + 8 + 4 + maps;
+    }
+    let fps: usize = if record.matchable {
+        let fps: usize = (record.fingerprints.iter())
+            .map(|(n, fp)| name(n) + 4 + fp.values().len() * 8)
+            .sum();
+        4 + fps
+    } else {
+        0
+    };
     let cols: usize = (record.samples.iter())
         .map(|(n, values)| name(n) + 8 + values.len() * 8)
         .sum();
-    4 + pairs + 8 + 8 + 1 + 4 + fps + 4 + cols
+    head + fps + 4 + cols
 }
 
-/// One record's bytes, in a fixed field order with name-sorted column
-/// maps, so the serialization is a pure function of the record — byte
-/// stability is what lets the round-trip tests assert
+/// One record's bytes — a recipe record if `recipe` is given, else a
+/// samples record — in a fixed field order with name-sorted maps, so the
+/// serialization is a pure function of the record and its recipe's
+/// liveness. Byte stability is what lets the round-trip tests assert
 /// `restore(bytes).snapshot_bytes() == bytes`.
-fn serialize_record(out: &mut Vec<u8>, point: &ParamPoint, record: &Record) {
+fn serialize_record(
+    out: &mut Vec<u8>,
+    point: &ParamPoint,
+    record: &Record,
+    recipe: Option<&Recipe>,
+) {
     let pairs: Vec<(&str, i64)> = point.iter().collect();
     put_u32(out, pairs.len() as u32);
     for (name, value) in pairs {
@@ -835,15 +994,32 @@ fn serialize_record(out: &mut Vec<u8>, point: &ParamPoint, record: &Record) {
     }
     put_u64(out, record.worlds as u64);
     put_u64(out, record.stamp);
-    out.push(record.matchable as u8);
-    let mut fps: Vec<(&String, &Fingerprint)> = record.fingerprints.iter().collect();
-    fps.sort_by(|a, b| a.0.cmp(b.0));
-    put_u32(out, fps.len() as u32);
-    for (name, fp) in fps {
-        put_str(out, name);
-        let values = fp.values();
-        put_u32(out, values.len() as u32);
-        put_f64s(out, values);
+    if let Some(recipe) = recipe {
+        out.push(KIND_RECIPE);
+        put_u64(out, recipe.source_stamp);
+        let maps = sorted_mappings(recipe);
+        put_u32(out, maps.len() as u32);
+        for (name, mapping) in maps {
+            put_str(out, name);
+            let (tag, params, n) = mapping_parts(mapping);
+            out.push(tag);
+            put_f64s(out, &params[..n]);
+        }
+        return;
+    }
+    if record.matchable {
+        out.push(KIND_SOURCE);
+        let mut fps: Vec<(&String, &Fingerprint)> = record.fingerprints.iter().collect();
+        fps.sort_by(|a, b| a.0.cmp(b.0));
+        put_u32(out, fps.len() as u32);
+        for (name, fp) in fps {
+            put_str(out, name);
+            let values = fp.values();
+            put_u32(out, values.len() as u32);
+            put_f64s(out, values);
+        }
+    } else {
+        out.push(KIND_SAMPLES);
     }
     let mut cols: Vec<(&String, &Vec<f64>)> = record.samples.iter().collect();
     cols.sort_by(|a, b| a.0.cmp(b.0));
@@ -892,6 +1068,23 @@ impl<'a> SnapshotReader<'a> {
         )))
     }
 
+    /// A mapping: its tag, then that tag's `f64` parameters. An unknown
+    /// tag is structurally impossible.
+    fn mapping(&mut self) -> Result<Mapping, SnapshotError> {
+        let tag = self.take(1)?[0];
+        let mut param = || self.u64().map(f64::from_bits);
+        Ok(match tag {
+            MAP_IDENTITY => Mapping::Identity,
+            MAP_OFFSET => Mapping::Offset(param()?),
+            MAP_AFFINE => Mapping::Affine {
+                scale: param()?,
+                offset: param()?,
+                residual_std: param()?,
+            },
+            _ => return Err(SnapshotError::Truncated),
+        })
+    }
+
     /// A column of `len` little-endian `f64`s, taken as one slice: a
     /// hostile `len` fails the bounds check before anything is allocated.
     fn f64s(&mut self, len: usize) -> Result<Vec<f64>, SnapshotError> {
@@ -922,17 +1115,38 @@ impl<'a> SnapshotReader<'a> {
     }
 }
 
-/// A fully parsed snapshot record, not yet installed in any store.
+/// A parsed and validated snapshot record, not yet installed in any
+/// store.
 struct ParsedRecord {
     point: ParamPoint,
-    fingerprints: HashMap<String, Fingerprint>,
-    samples: ColumnSamples,
     worlds: usize,
     stamp: u64,
-    matchable: bool,
+    body: ParsedBody,
 }
 
-fn parse_record(r: &mut SnapshotReader<'_>) -> Result<ParsedRecord, SnapshotError> {
+/// What a parsed record carries.
+enum ParsedBody {
+    /// Its samples, and a matchable record's fingerprints.
+    Samples {
+        fingerprints: HashMap<String, Fingerprint>,
+        samples: Arc<ColumnSamples>,
+        matchable: bool,
+    },
+    /// Its recipe, and the samples of the source record it names.
+    Recipe {
+        recipe: Recipe,
+        source: Arc<ColumnSamples>,
+    },
+}
+
+/// Matchable samples records parsed so far, by stamp: `(worlds, samples)`
+/// — what a later recipe record may name.
+type Sources = HashMap<u64, (usize, Arc<ColumnSamples>)>;
+
+fn parse_record(
+    r: &mut SnapshotReader<'_>,
+    sources: &Sources,
+) -> Result<ParsedRecord, SnapshotError> {
     let npairs = r.u32()? as usize;
     let mut pairs = Vec::with_capacity(npairs.min(64));
     let mut prev = None;
@@ -944,41 +1158,143 @@ fn parse_record(r: &mut SnapshotReader<'_>) -> Result<ParsedRecord, SnapshotErro
     let point = ParamPoint::from_pairs(pairs);
     let worlds = r.u64()? as usize;
     let stamp = r.u64()?;
-    let matchable = match r.take(1)?[0] {
-        0 => false,
-        1 => true,
+    let kind = r.take(1)?[0];
+    let body = match kind {
+        KIND_RECIPE => {
+            let source_stamp = r.u64()?;
+            let source = match sources.get(&source_stamp) {
+                Some((source_worlds, samples)) if *source_worlds == worlds => Arc::clone(samples),
+                _ => {
+                    return Err(SnapshotError::DanglingRecipe {
+                        stamp,
+                        source_stamp,
+                    })
+                }
+            };
+            let nmaps = r.u32()? as usize;
+            let mut mappings = HashMap::with_capacity(nmaps.min(64));
+            let mut prev = None;
+            for _ in 0..nmaps {
+                let name = r.next_name(&mut prev)?;
+                mappings.insert(name, r.mapping()?);
+            }
+            let recipe = Recipe {
+                source_stamp,
+                mappings,
+            };
+            ParsedBody::Recipe { recipe, source }
+        }
+        KIND_SAMPLES | KIND_SOURCE => {
+            let matchable = kind == KIND_SOURCE;
+            let nfps = if matchable { r.u32()? as usize } else { 0 };
+            let mut fingerprints = HashMap::with_capacity(nfps.min(64));
+            let mut prev = None;
+            for _ in 0..nfps {
+                let name = r.next_name(&mut prev)?;
+                let len = r.u32()? as usize;
+                fingerprints.insert(name, Fingerprint::from_values(r.f64s(len)?));
+            }
+            let ncols = r.u32()? as usize;
+            let mut samples: ColumnSamples = HashMap::with_capacity(ncols.min(64));
+            let mut prev = None;
+            for _ in 0..ncols {
+                let name = r.next_name(&mut prev)?;
+                let len = r.u64()? as usize;
+                // Consumers index sample lanes by world (`0..worlds`): a
+                // column of any other length is a malformed record,
+                // however valid its checksum.
+                if len != worlds {
+                    return Err(SnapshotError::Truncated);
+                }
+                samples.insert(name, r.f64s(len)?);
+            }
+            ParsedBody::Samples {
+                fingerprints,
+                samples: Arc::new(samples),
+                matchable,
+            }
+        }
         _ => return Err(SnapshotError::Truncated),
     };
-    let nfps = r.u32()? as usize;
-    let mut fingerprints = HashMap::with_capacity(nfps.min(64));
-    let mut prev = None;
-    for _ in 0..nfps {
-        let name = r.next_name(&mut prev)?;
-        let len = r.u32()? as usize;
-        fingerprints.insert(name, Fingerprint::from_values(r.f64s(len)?));
-    }
-    let ncols = r.u32()? as usize;
-    let mut samples: ColumnSamples = HashMap::with_capacity(ncols.min(64));
-    let mut prev = None;
-    for _ in 0..ncols {
-        let name = r.next_name(&mut prev)?;
-        let len = r.u64()? as usize;
-        // Consumers index sample lanes by world (`0..worlds`): a column of
-        // any other length is a malformed record, however valid its
-        // checksum.
-        if len != worlds {
-            return Err(SnapshotError::Truncated);
-        }
-        samples.insert(name, r.f64s(len)?);
-    }
     Ok(ParsedRecord {
         point,
-        fingerprints,
-        samples,
         worlds,
         stamp,
-        matchable,
+        body,
     })
+}
+
+/// Parse and validate a whole snapshot — length, magic, version,
+/// checksum, record structure, recipe sources, capacity, stamp order,
+/// distinct points — into its stamp counter and records, touching no
+/// store.
+fn parse_snapshot(
+    bytes: &[u8],
+    capacity: usize,
+) -> Result<(u64, Vec<ParsedRecord>), SnapshotError> {
+    if bytes.len() < SNAPSHOT_HEADER + SNAPSHOT_FOOTER {
+        return Err(SnapshotError::Truncated);
+    }
+    if bytes[..4] != SNAPSHOT_MAGIC {
+        return Err(SnapshotError::BadMagic);
+    }
+    let version = u16::from_le_bytes([bytes[4], bytes[5]]);
+    if version != SNAPSHOT_VERSION {
+        return Err(SnapshotError::UnsupportedVersion(version));
+    }
+    let (body, trailer) = bytes.split_at(bytes.len() - SNAPSHOT_FOOTER);
+    let stored_sum = u64::from_le_bytes(
+        trailer
+            .try_into()
+            .expect("invariant: the footer-wide trailer converts to its array"),
+    );
+    if snapshot_checksum(body) != stored_sum {
+        return Err(SnapshotError::ChecksumMismatch);
+    }
+    let mut reader = SnapshotReader { buf: body, pos: 6 };
+    let next_stamp = reader.u64()?;
+    let count = reader.u64()? as usize;
+    let mut parsed = Vec::with_capacity(count.min(65_536));
+    let mut sources = Sources::new();
+    for _ in 0..count {
+        let record = parse_record(&mut reader, &sources)?;
+        if let ParsedBody::Samples {
+            samples,
+            matchable: true,
+            ..
+        } = &record.body
+        {
+            sources.insert(record.stamp, (record.worlds, Arc::clone(samples)));
+        }
+        parsed.push(record);
+    }
+    if reader.pos != body.len() {
+        return Err(SnapshotError::Truncated);
+    }
+    if count > capacity {
+        return Err(SnapshotError::CapacityExceeded {
+            entries: count,
+            capacity,
+        });
+    }
+    let mut points = HashSet::with_capacity(count);
+    let mut last_stamp = None;
+    for r in &parsed {
+        // A writer emits distinct points in strictly ascending stamp
+        // order, none past its stamp counter. Anything else would file two
+        // entries under one queue stamp (an orphan that is never scanned
+        // or evicted), a stamp the next insert re-issues, or fewer entries
+        // than the count returned. Ascending stamps also make a recipe's
+        // source, which precedes it in the stream, an earlier record.
+        if last_stamp.is_some_and(|last| r.stamp <= last)
+            || r.stamp > next_stamp
+            || !points.insert(&r.point)
+        {
+            return Err(SnapshotError::Truncated);
+        }
+        last_stamp = Some(r.stamp);
+    }
+    Ok((next_stamp, parsed))
 }
 
 impl SharedBasisStore {
@@ -1053,7 +1369,7 @@ impl SharedBasisStore {
     }
 
     /// The one way the table is rewritten wholesale ([`Self::clear`],
-    /// [`Self::restore_bytes`]): under the in-flight table lock, cancel
+    /// [`Self::restore_with`]): under the in-flight table lock, cancel
     /// every pending slot, rewrite the entry table under its write lock —
     /// so no scan observes a half-rewritten store — and reset the
     /// counters.
@@ -1171,7 +1487,14 @@ impl SharedBasisStore {
         matchable: bool,
     ) {
         // Summarized outside the lock; the stamp is assigned under it.
-        let mut record = Record::new(fingerprints, samples, worlds, 0, matchable);
+        self.insert_record(
+            point,
+            Record::new(fingerprints, samples, worlds, 0, matchable),
+        );
+    }
+
+    /// [`SharedBasisStore::insert`] of a built record, stamped here.
+    fn insert_record(&self, point: ParamPoint, mut record: Record) {
         let evicted = {
             let mut guard = self.table.write();
             let table = &mut *guard;
@@ -1319,11 +1642,12 @@ impl SharedBasisStore {
             let table = self.table.read();
             let candidates = table
                 .matchable
-                .values()
-                .filter_map(|point| {
+                .iter()
+                .filter_map(|(&stamp, point)| {
                     let record = table.entries.get(point)?;
                     (!record.fingerprints.is_empty()).then(|| Candidate {
                         point: point.clone(),
+                        stamp,
                         fingerprints: Arc::clone(&record.fingerprints),
                         summaries: Arc::clone(&record.summaries),
                         samples: Arc::clone(&record.samples),
@@ -1394,15 +1718,21 @@ impl SharedBasisStore {
         let table = self.table.read();
         let mut records: Vec<(&ParamPoint, &Record)> = table.entries.iter().collect();
         records.sort_unstable_by_key(|(_, record)| record.stamp);
-        let body: usize = records.iter().map(|(p, r)| record_len(p, r)).sum();
+        let recipes: Vec<Option<&Recipe>> = records
+            .iter()
+            .map(|(_, r)| live_recipe(&table, r))
+            .collect();
+        let body: usize = (records.iter().zip(&recipes))
+            .map(|((p, r), recipe)| record_len(p, r, *recipe))
+            .sum();
         let total = SNAPSHOT_HEADER + body + SNAPSHOT_FOOTER;
         let mut out = Vec::with_capacity(total);
         out.extend_from_slice(&SNAPSHOT_MAGIC);
         out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
         put_u64(&mut out, table.next_stamp);
         put_u64(&mut out, records.len() as u64);
-        for (point, record) in &records {
-            serialize_record(&mut out, point, record);
+        for ((point, record), recipe) in records.iter().zip(&recipes) {
+            serialize_record(&mut out, point, record, *recipe);
         }
         let checksum = snapshot_checksum(&out);
         put_u64(&mut out, checksum);
@@ -1414,84 +1744,71 @@ impl SharedBasisStore {
         (out, records.len())
     }
 
-    /// Serialize the store — records (samples, fingerprints, stamps,
-    /// matchability), the stamp counter, a version header, and a trailing
-    /// checksum — into a byte vector [`SharedBasisStore::restore_bytes`]
-    /// accepts. Summaries are derived data and are *not* serialized; a
-    /// restore recomputes them. See `docs/CONCURRENCY.md` for the format.
+    /// Serialize the store — the stamp counter, a version header, every
+    /// record, and a trailing checksum — into a byte vector
+    /// [`SharedBasisStore::restore_with`] accepts. A mapped record whose
+    /// source is still stored is written as its [`Recipe`]; every other
+    /// record as its samples, plus its fingerprints if it is matchable.
+    /// Summaries are derived data and are *not* serialized; a restore
+    /// recomputes them. See `docs/CONCURRENCY.md` for the format.
     pub fn snapshot_bytes(&self) -> Vec<u8> {
         self.snapshot_with_count().0
     }
 
-    /// Replace this store's contents with a snapshot's. Returns the number
-    /// of restored entries.
-    ///
-    /// The whole byte stream is validated — header, checksum, record
-    /// structure, stamp order, distinct points, capacity — *before* any
-    /// store state changes, so a failed restore leaves the store
-    /// untouched. A successful restore behaves
-    /// like [`SharedBasisStore::clear`] followed by replaying the
-    /// snapshot's records with their original stamps: in-flight claims are
-    /// cancelled (waiters re-claim), counters reset, and the stamp counter
-    /// continues from the snapshot's, so post-restore inserts, evictions,
-    /// and match tie-breaks are bit-identical to the store that wrote it.
+    /// [`SharedBasisStore::restore_with`] for a snapshot without recipe
+    /// records — one whose every record is a simulated or unsourced one.
+    /// A recipe record fails the restore with
+    /// [`SnapshotError::RecipeNeedsEngine`].
     pub fn restore_bytes(&self, bytes: &[u8]) -> Result<usize, SnapshotError> {
-        if bytes.len() < SNAPSHOT_HEADER + SNAPSHOT_FOOTER {
-            return Err(SnapshotError::Truncated);
-        }
-        if bytes[..4] != SNAPSHOT_MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-        if version != SNAPSHOT_VERSION {
-            return Err(SnapshotError::UnsupportedVersion(version));
-        }
-        let (body, trailer) = bytes.split_at(bytes.len() - SNAPSHOT_FOOTER);
-        let stored_sum = u64::from_le_bytes(
-            trailer
-                .try_into()
-                .expect("invariant: the footer-wide trailer converts to its array"),
-        );
-        if snapshot_checksum(body) != stored_sum {
-            return Err(SnapshotError::ChecksumMismatch);
-        }
-        let mut reader = SnapshotReader { buf: body, pos: 6 };
-        let next_stamp = reader.u64()?;
-        let count = reader.u64()? as usize;
-        let mut parsed = Vec::with_capacity(count.min(65_536));
-        for _ in 0..count {
-            parsed.push(parse_record(&mut reader)?);
-        }
-        if reader.pos != body.len() {
-            return Err(SnapshotError::Truncated);
-        }
-        if count > self.capacity {
-            return Err(SnapshotError::CapacityExceeded {
-                entries: count,
-                capacity: self.capacity,
-            });
-        }
+        self.restore_with(bytes, |_, _, _, _| Err(SnapshotError::RecipeNeedsEngine))
+    }
+
+    /// Replace this store's contents with a snapshot's, re-deriving each
+    /// recipe record's samples as `rebuild(point, recipe, source samples,
+    /// worlds)` — for the engine, its own remap, so they are the bits the
+    /// writing store held. Returns the number of restored entries.
+    ///
+    /// A restore runs in three steps, and only the last touches the store:
+    /// the whole byte stream is parsed and validated — header, checksum,
+    /// record structure, recipe sources, capacity, stamp order, distinct
+    /// points — then every recipe is rebuilt (its failure is the
+    /// restore's), then the rebuilt table is installed. A failed restore
+    /// leaves the store untouched. A successful one behaves like
+    /// [`SharedBasisStore::clear`] followed by replaying the snapshot's
+    /// records with their original stamps: in-flight claims are cancelled
+    /// (waiters re-claim), counters reset, and the stamp counter continues
+    /// from the snapshot's, so post-restore inserts, evictions, match
+    /// tie-breaks and re-saves are bit-identical to the store that wrote
+    /// it.
+    pub fn restore_with<F>(&self, bytes: &[u8], mut rebuild: F) -> Result<usize, SnapshotError>
+    where
+        F: FnMut(
+            &ParamPoint,
+            &Recipe,
+            &ColumnSamples,
+            usize,
+        ) -> Result<Arc<ColumnSamples>, SnapshotError>,
+    {
+        let (next_stamp, parsed) = parse_snapshot(bytes, self.capacity)?;
+        let count = parsed.len();
         let mut restored = Table {
+            entries: HashMap::with_capacity(count),
             next_stamp,
             ..Table::default()
         };
-        let mut last_stamp = None;
         for r in parsed {
-            // A writer emits distinct points in strictly ascending stamp
-            // order, none past its stamp counter. Anything else would file
-            // two entries under one queue stamp (an orphan that is never
-            // scanned or evicted), a stamp the next insert re-issues, or
-            // fewer entries than the count returned.
-            if last_stamp.is_some_and(|last| r.stamp <= last)
-                || r.stamp > next_stamp
-                || restored.entries.contains_key(&r.point)
-            {
-                return Err(SnapshotError::Truncated);
-            }
-            last_stamp = Some(r.stamp);
-            let samples = Arc::new(r.samples);
             // Summaries are derived: recomputed, not read from the bytes.
-            let record = Record::new(r.fingerprints, samples, r.worlds, r.stamp, r.matchable);
+            let record = match r.body {
+                ParsedBody::Samples {
+                    fingerprints,
+                    samples,
+                    matchable,
+                } => Record::new(fingerprints, samples, r.worlds, r.stamp, matchable),
+                ParsedBody::Recipe { recipe, source } => {
+                    let samples = rebuild(&r.point, &recipe, &source, r.worlds)?;
+                    Record::mapped(samples, r.worlds, r.stamp, recipe)
+                }
+            };
             restored.put(r.point, record);
         }
         self.reset_with(|table| {
@@ -1510,14 +1827,6 @@ impl SharedBasisStore {
         let (bytes, count) = self.snapshot_with_count();
         std::fs::write(path, bytes).map_err(|e| SnapshotError::Io(e.to_string()))?;
         Ok(count)
-    }
-
-    /// Read and restore a snapshot from `path` (see
-    /// [`SharedBasisStore::restore_bytes`]). Returns the number of
-    /// restored entries.
-    pub fn load_from(&self, path: impl AsRef<std::path::Path>) -> Result<usize, SnapshotError> {
-        let bytes = std::fs::read(path).map_err(|e| SnapshotError::Io(e.to_string()))?;
-        self.restore_bytes(&bytes)
     }
 }
 
@@ -2097,13 +2406,16 @@ mod tests {
             fresh.restore_bytes(&bad_version),
             Err(SnapshotError::UnsupportedVersion(9))
         );
-        // A version-1 file (same layout, FNV-1a trailer) is not read.
-        let mut v1 = good.clone();
-        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
-        assert_eq!(
-            fresh.restore_bytes(&v1),
-            Err(SnapshotError::UnsupportedVersion(1))
-        );
+        // Version-1 (FNV-1a trailer) and version-2 (samples for every
+        // record) files are not read.
+        for version in [1u16, 2] {
+            let mut old = good.clone();
+            old[4..6].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(
+                fresh.restore_bytes(&old),
+                Err(SnapshotError::UnsupportedVersion(version))
+            );
+        }
         // Every single-bit flip outside the magic and the version —
         // header, records, trailer — fails the checksum.
         for bit in 0..good.len() * 8 {
@@ -2124,12 +2436,12 @@ mod tests {
         assert_eq!(fresh.restore_bytes(&short), Err(SnapshotError::Truncated));
         // A record whose sample column is shorter than its `worlds` field,
         // behind a valid checksum: consumers index lanes `0..worlds`, so
-        // it must not restore. The last record's `worlds` field sits
-        // before its stamp (8), matchable flag (1), empty fingerprint map
-        // (4), column count (4), name "y" (4 + 1), lane count (8) and two
-        // lanes (16), counted back from the checksum.
+        // it must not restore. The last (unmatchable) record's `worlds`
+        // field sits before its stamp (8), kind (1), column count (4),
+        // name "y" (4 + 1), lane count (8) and two lanes (16), counted
+        // back from the checksum.
         let mut long_worlds = good[..good.len() - 8].to_vec();
-        let at = long_worlds.len() - (8 + 1 + 4 + 4 + 5 + 8 + 16) - 8;
+        let at = long_worlds.len() - (8 + 1 + 4 + 5 + 8 + 16) - 8;
         assert_eq!(long_worlds[at..at + 8], 2u64.to_le_bytes());
         long_worlds[at..at + 8].copy_from_slice(&3u64.to_le_bytes());
         assert_eq!(
@@ -2163,9 +2475,194 @@ mod tests {
         for (p, stamp) in records {
             let fps = HashMap::from([("y".to_owned(), fp(&[1.0, 2.0, 3.0]))]);
             let record = Record::new(fps, samples(*stamp as f64), 2, *stamp, true);
-            serialize_record(&mut out, p, &record);
+            serialize_record(&mut out, p, &record, None);
         }
         restamp(out)
+    }
+
+    /// A rebuild that applies each recipe mapping to its source column —
+    /// the engine's remap for a scenario with no derived columns.
+    fn remap(
+        _: &ParamPoint,
+        recipe: &Recipe,
+        source: &ColumnSamples,
+        _: usize,
+    ) -> Result<Arc<ColumnSamples>, SnapshotError> {
+        let mut out = ColumnSamples::new();
+        for (column, mapping) in &recipe.mappings {
+            let values = source
+                .get(column)
+                .ok_or_else(|| SnapshotError::Rebuild(format!("no column `{column}`")))?;
+            out.insert(column.clone(), mapping.apply_samples(values));
+        }
+        Ok(Arc::new(out))
+    }
+
+    /// The kind byte of every record of a snapshot, in stamp order.
+    fn record_kinds(bytes: &[u8]) -> Vec<u8> {
+        let (_, parsed) = parse_snapshot(bytes, usize::MAX).expect("snapshot parses");
+        let kind = |r: &ParsedRecord| match &r.body {
+            ParsedBody::Recipe { .. } => KIND_RECIPE,
+            ParsedBody::Samples { matchable, .. } => *matchable as u8,
+        };
+        parsed.iter().map(kind).collect()
+    }
+
+    /// A source at `x = 1` (stamp 1) and, at `x = 2`, its offset image
+    /// published through `complete_mapped` (stamp 2).
+    fn mapped_store() -> SharedBasisStore {
+        let s = SharedBasisStore::new(4);
+        let prints = HashMap::from([("y".to_owned(), fp(&[1.0, 2.0, 4.0]))]);
+        s.insert(point("x", 1), prints, samples(1.0), 2, true);
+        let recipe = Recipe {
+            source_stamp: 1,
+            mappings: HashMap::from([("y".to_owned(), Mapping::Offset(0.5))]),
+        };
+        let TryClaim::Owner(guard) = s.try_claim(&point("x", 2), 2) else {
+            panic!("expected owner");
+        };
+        assert!(guard.complete_mapped(samples(1.5), 2, recipe));
+        s
+    }
+
+    /// Neither an unmatchable `complete` nor a mapped publish keeps probe
+    /// fingerprints: scans never read them.
+    #[test]
+    fn unmatchable_records_hold_no_fingerprints() {
+        let s = mapped_store();
+        let TryClaim::Owner(guard) = s.try_claim(&point("x", 3), 2) else {
+            panic!("expected owner");
+        };
+        let prints = HashMap::from([("y".to_owned(), fp(&[1.0, 2.0, 3.0]))]);
+        assert!(guard.complete(prints, samples(3.0), 2, false));
+        let table = s.table.read();
+        let fingerprints = |x: i64| table.entries[&point("x", x)].fingerprints.len();
+        assert_eq!(fingerprints(1), 1, "a source keeps its fingerprints");
+        assert_eq!(fingerprints(2), 0, "mapped");
+        assert_eq!(fingerprints(3), 0, "unmatchable complete");
+        assert!(table.entries[&point("x", 2)].recipe.is_some());
+    }
+
+    /// A mapped record travels as its recipe while its source stamp is
+    /// stored, and as its samples once the source is re-published at its
+    /// point (a new stamp) — either way save → load → save is
+    /// byte-identical and the restored samples are the stored ones.
+    #[test]
+    fn recipes_round_trip_and_fall_back_to_samples() {
+        let s = mapped_store();
+        let with_recipe = s.snapshot_bytes();
+        assert_eq!(record_kinds(&with_recipe), [KIND_SOURCE, KIND_RECIPE]);
+
+        let prints = HashMap::from([("y".to_owned(), fp(&[1.0, 2.0, 4.0]))]);
+        s.insert(point("x", 1), prints, samples(9.0), 2, true);
+        let fallback = s.snapshot_bytes();
+        assert_eq!(record_kinds(&fallback), [KIND_SAMPLES, KIND_SOURCE]);
+
+        for bytes in [with_recipe, fallback] {
+            let restored = SharedBasisStore::new(4);
+            assert_eq!(restored.restore_with(&bytes, remap), Ok(2));
+            assert_eq!(restored.snapshot_bytes(), bytes, "save → load → save");
+            let mapped = restored.get_exact(&point("x", 2), 2).expect("restored");
+            assert_eq!(mapped["y"], vec![1.5, 2.5]);
+        }
+    }
+
+    /// Recipes that name no earlier matchable record of equal worlds, and
+    /// unknown mapping tags, fail typed and leave the store untouched.
+    #[test]
+    fn restore_rejects_dangling_recipes_and_bad_tags() {
+        let source = |stamp: u64, worlds: usize, matchable: bool| {
+            let prints = HashMap::from([("y".to_owned(), fp(&[1.0, 2.0, 4.0]))]);
+            let values = vec![1.0; worlds];
+            let samples = Arc::new(HashMap::from([("y".to_owned(), values)]));
+            Record::new(prints, samples, worlds, stamp, matchable)
+        };
+        let recipe = |source_stamp: u64| Recipe {
+            source_stamp,
+            mappings: HashMap::from([("y".to_owned(), Mapping::Offset(0.5))]),
+        };
+        // Records in stream order: `(x, record, recipe written)`.
+        let stream = |records: Vec<(i64, Record, Option<Recipe>)>| {
+            let mut out = SNAPSHOT_MAGIC.to_vec();
+            out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+            put_u64(&mut out, 9);
+            put_u64(&mut out, records.len() as u64);
+            for (x, record, recipe) in &records {
+                serialize_record(&mut out, &point("x", *x), record, recipe.as_ref());
+            }
+            restamp(out)
+        };
+        let mapped = |stamp: u64, worlds: usize, source_stamp: u64| {
+            let record = Record::new(HashMap::new(), samples(0.0), worlds, stamp, false);
+            (2, record, Some(recipe(source_stamp)))
+        };
+        let good = stream(vec![(1, source(1, 2, true), None), mapped(2, 2, 1)]);
+        assert_eq!(SharedBasisStore::new(2).restore_with(&good, remap), Ok(2));
+
+        let dangling = |stamp, source_stamp| SnapshotError::DanglingRecipe {
+            stamp,
+            source_stamp,
+        };
+        for (label, bad, want) in [
+            (
+                "later source",
+                stream(vec![mapped(1, 2, 2), (1, source(2, 2, true), None)]),
+                dangling(1, 2),
+            ),
+            (
+                "missing source",
+                stream(vec![(1, source(1, 2, true), None), mapped(2, 2, 7)]),
+                dangling(2, 7),
+            ),
+            (
+                "unmatchable source",
+                stream(vec![(1, source(1, 2, false), None), mapped(2, 2, 1)]),
+                dangling(2, 1),
+            ),
+            (
+                "worlds mismatch",
+                stream(vec![(1, source(1, 2, true), None), mapped(2, 3, 1)]),
+                dangling(2, 1),
+            ),
+            (
+                "bad mapping tag",
+                {
+                    // The tag is the last record's byte before its one
+                    // `f64` offset, counted back from the checksum.
+                    let mut body = good[..good.len() - 8].to_vec();
+                    let at = body.len() - 8 - 1;
+                    assert_eq!(body[at], MAP_OFFSET);
+                    body[at] = 3;
+                    restamp(body)
+                },
+                SnapshotError::Truncated,
+            ),
+        ] {
+            let s = SharedBasisStore::new(2);
+            s.insert(point("w", 0), HashMap::new(), samples(0.0), 2, true);
+            let before = s.snapshot_bytes();
+            assert_eq!(s.restore_with(&bad, remap), Err(want), "{label}");
+            assert_eq!(
+                s.snapshot_bytes(),
+                before,
+                "{label}: the store is untouched"
+            );
+        }
+    }
+
+    /// `restore_bytes` has no engine to rebuild a recipe with: it fails
+    /// typed, before touching the store.
+    #[test]
+    fn restore_bytes_refuses_recipe_records() {
+        let bytes = mapped_store().snapshot_bytes();
+        let s = churn_store();
+        let before = s.snapshot_bytes();
+        assert_eq!(
+            s.restore_bytes(&bytes),
+            Err(SnapshotError::RecipeNeedsEngine)
+        );
+        assert_eq!(s.snapshot_bytes(), before, "the store is untouched");
+        assert_eq!(s.len(), 4);
     }
 
     /// Append a valid checksum to a snapshot body, so damage inside it

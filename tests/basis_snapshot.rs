@@ -1,8 +1,10 @@
 //! Persistent basis store (tier 2): snapshot fidelity, end to end.
 //!
 //! `Prophet::save_basis` / `load_basis` move a warmed basis across
-//! processes. A sweep on the restored service must be bit-identical to a
-//! re-sweep on the warm one and simulate nothing
+//! processes. Mapped points travel as recipes and are rebuilt at load, so
+//! every restored point's samples must be the warm store's bit for bit,
+//! on either execution tier; a sweep on the restored service must be
+//! bit-identical to a re-sweep on the warm one and simulate nothing
 //! (`points_simulated == 0`); corrupt or truncated snapshot files are
 //! rejected with typed [`ProphetError::Snapshot`] variants and leave the
 //! store untouched, as does every seeded flip, cut and splice of one that
@@ -28,6 +30,11 @@ const ROOMY: usize = 8_192;
 
 /// A coarse Figure-2 service whose store holds `basis_capacity` entries.
 fn service(src: &str, basis_capacity: usize) -> Prophet {
+    service_on(src, basis_capacity, ExecTier::Columnar)
+}
+
+/// [`service`] on an explicit execution tier.
+fn service_on(src: &str, basis_capacity: usize, tier: ExecTier) -> Prophet {
     Prophet::builder()
         .scenario_sql("figure2", src)
         .unwrap()
@@ -36,6 +43,7 @@ fn service(src: &str, basis_capacity: usize) -> Prophet {
             worlds_per_point: 8,
             threads: 2,
             basis_capacity,
+            tier,
             ..EngineConfig::default()
         })
         .scheduler(SchedulerConfig {
@@ -90,7 +98,33 @@ fn assert_sweeps_identical(
     assert_eq!(a.candidates_pruned, b.candidates_pruned, "{label}");
 }
 
-/// The FPBS v2 trailer checksum, written from its specification in
+/// Every point's samples, served from the store by one points job, as
+/// `(column, bits)` lists.
+fn stored_bits(prophet: &Prophet, points: &[ParamPoint]) -> Vec<Vec<(String, Vec<u64>)>> {
+    let results = prophet
+        .submit(JobSpec::points("figure2", points.to_vec()))
+        .unwrap()
+        .wait()
+        .unwrap()
+        .into_points()
+        .unwrap();
+    results
+        .iter()
+        .map(|(set, outcome)| {
+            assert_eq!(*outcome, EvalOutcome::Cached, "served from the store");
+            let bits = |c: &String| {
+                set.samples(c)
+                    .unwrap()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect()
+            };
+            set.columns().iter().map(|c| (c.clone(), bits(c))).collect()
+        })
+        .collect()
+}
+
+/// The FPBS trailer checksum, written from its specification in
 /// `docs/CONCURRENCY.md` rather than shared with the store, so this file
 /// is a second implementation of the format: a disagreement fails every
 /// re-stamped case below with `ChecksumMismatch`.
@@ -163,12 +197,24 @@ fn restored_basis_serves_a_sweep_without_simulation() {
 
     let path = temp_path("roundtrip");
     let saved = warm.save_basis("figure2", &path).unwrap();
-    assert!(saved > 0, "warm store must have entries");
+    assert_eq!(saved, 3_969, "warm store must hold the whole sweep");
+    // 57 simulated sources carry their samples and fingerprints; the
+    // 3,912 mapped points travel as recipes.
+    assert_eq!(fs::metadata(&path).unwrap().len(), 609_987);
 
     let cold = service(&src, ROOMY);
     let loaded = cold.load_basis("figure2", &path).unwrap();
     assert_eq!(loaded, saved, "every entry crosses the snapshot");
     assert_eq!(cold.basis_len("figure2").unwrap(), saved);
+
+    // Every restored point's samples are the warm store's, bit for bit —
+    // rebuilt on the production tier and on the scalar reference alike.
+    let points: Vec<ParamPoint> = first.1.keys().cloned().collect();
+    let warm_bits = stored_bits(&warm, &points);
+    assert_eq!(stored_bits(&cold, &points), warm_bits, "columnar rebuild");
+    let scalar = service_on(&src, ROOMY, ExecTier::Scalar);
+    assert_eq!(scalar.load_basis("figure2", &path).unwrap(), saved);
+    assert_eq!(stored_bits(&scalar, &points), warm_bits, "scalar rebuild");
 
     let restored = run_sweep(&cold, "figure2");
     assert_eq!(
@@ -242,9 +288,11 @@ fn corrupt_snapshots_are_rejected_with_typed_errors() {
 
 /// A sweep of 3,969 points through a 64-entry store: 3,905 evictions, and
 /// what survives is pinned by count and snapshot size. Mapped entries go
-/// first and sources only when no mapped entry remains, so a change to
-/// the eviction policy, the stamp order or the FPBS encoding moves one of
-/// these numbers. Save → load → save reproduces the file byte for byte.
+/// first and sources only when no mapped entry remains — so the 57
+/// sources survive, and the 7 newest mapped entries travel as recipes —
+/// and a change to the eviction policy, the stamp order or the FPBS
+/// encoding moves one of these numbers. Save → load → save reproduces the
+/// file byte for byte.
 #[test]
 fn churned_store_snapshot_is_pinned() {
     let src = figure2_coarse_sql(0.05);
@@ -263,7 +311,7 @@ fn churned_store_snapshot_is_pinned() {
             stats.hits,
             stats.misses
         ),
-        (64, 57_694, 3_905, 3_912, 57)
+        (64, 52_386, 3_905, 3_912, 57)
     );
     assert_eq!(
         restamp(bytes[..bytes.len() - 8].to_vec()),
@@ -279,11 +327,13 @@ fn churned_store_snapshot_is_pinned() {
     let _ = fs::remove_file(&path);
 }
 
-/// Seeded mutational fuzz of `restore_bytes`: flip bytes in, truncate, and
-/// splice the body of a warm coarse snapshot, then re-stamp a valid
-/// checksum. Every case either restores a store whose re-save is the
-/// input byte for byte (and reloads), or fails with a typed error and
-/// leaves the target store as it was. No case panics.
+/// Seeded mutational fuzz of the engine-backed restore
+/// (`Engine::restore_basis`, what `load_basis` runs): flip bytes in,
+/// truncate, and splice the body of a warm coarse snapshot — sources and
+/// recipes both — then re-stamp a valid checksum. Every case either
+/// restores a store whose re-save is the input byte for byte (and
+/// reloads), or fails with a typed error and leaves the target store as it
+/// was. No case panics.
 #[test]
 fn mutated_snapshots_restore_cleanly_or_fail_typed() {
     const CASES: usize = 120;
@@ -298,8 +348,19 @@ fn mutated_snapshots_restore_cleanly_or_fail_typed() {
     let body = &good[..good.len() - 8];
 
     let target = service(&src, 64);
-    let store = target.engine("figure2").unwrap().basis_store().clone();
-    assert_eq!(store.restore_bytes(&good), Ok(64));
+    let engine = target.engine("figure2").unwrap();
+    let store = engine.basis_store().clone();
+    let restore = |bytes: &[u8]| match engine.restore_basis(bytes) {
+        Ok(n) => Ok(n),
+        Err(ProphetError::Snapshot(e)) => Err(e),
+        Err(other) => panic!("untyped restore failure {other:?}"),
+    };
+    assert_eq!(restore(&good), Ok(64));
+    assert_eq!(
+        store.restore_bytes(&good),
+        Err(SnapshotError::RecipeNeedsEngine),
+        "the snapshot holds recipes"
+    );
 
     let mut rng = Xoshiro256StarStar::seed_from_u64(0xF9B5_F022);
     let mut below = |n: usize| rng.gen_range_i64(0, n as i64 - 1) as usize;
@@ -321,14 +382,14 @@ fn mutated_snapshots_restore_cleanly_or_fail_typed() {
             }
         };
         let input = restamp(mutated);
-        match store.restore_bytes(&input) {
+        match restore(&input) {
             Ok(n) => {
                 restored += 1;
                 assert_eq!(target.basis_len("figure2").unwrap(), n, "case {case}");
                 let resaved = store.snapshot_bytes();
                 assert!(resaved == input, "case {case}: re-save is byte-identical");
-                assert_eq!(store.restore_bytes(&resaved), Ok(n), "case {case}");
-                assert_eq!(store.restore_bytes(&good), Ok(64));
+                assert_eq!(restore(&resaved), Ok(n), "case {case}");
+                assert_eq!(restore(&good), Ok(64));
             }
             Err(e) => {
                 rejected += 1;
