@@ -7,16 +7,18 @@
 //! annotations. The machine form ([`render_json`]) is a versioned JSON
 //! document the CI gate parses and asserts empty of non-allowed entries.
 //!
-//! `allowed` findings — sites covered by an `// analysis:allow(pass):
-//! reason` marker — still travel in the JSON (an allow is a reviewed
-//! fact worth surfacing, not a deletion) but never fail the gate.
+//! `allowed` findings — sites covered by an inline `// lint:allow(rule):
+//! reason` or `// analysis:allow(pass): reason` marker — still travel in
+//! the JSON (an allow is a reviewed fact worth surfacing, not a deletion)
+//! but never fail the gate.
 
 use std::fmt;
 
 /// One analyzer finding at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Which pass produced it: `lint:<rule>`, `map-iter`, `rank-table`.
+    /// Which pass produced it: `lint` (the message names the rule),
+    /// `map-iter`, `rank-table`.
     pub pass: &'static str,
     /// Workspace-relative `/`-separated path.
     pub file: String,

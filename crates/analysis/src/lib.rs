@@ -51,6 +51,7 @@ pub mod ranktable;
 
 use std::fmt;
 
+use findings::Finding;
 use lex::{ident_at, lex, pathed_from, punct_at, strip_test_regions, Tok, TokKind};
 
 // ---------------------------------------------------------------- rules
@@ -253,14 +254,39 @@ fn scan_rules(path: &str, toks: &[Tok]) -> Vec<Violation> {
     found
 }
 
-/// Lint one file's source. `path` is workspace-relative with `/`
-/// separators; it drives per-rule file scoping.
-pub fn lint_source(path: &str, src: &str) -> Vec<Violation> {
+/// Every violation in one file's source, each paired with whether an
+/// inline `lint:allow` marker covers it. `path` is workspace-relative
+/// with `/` separators; it drives per-rule file scoping.
+fn lint_sites(path: &str, src: &str) -> Vec<(Violation, bool)> {
     let lexed = lex(src);
     let toks = strip_test_regions(lexed.toks.clone());
     scan_rules(path, &toks)
         .into_iter()
-        .filter(|v| !lexed.allows(v.rule.name(), v.line))
+        .map(|v| {
+            let allowed = lexed.allows(v.rule.name(), v.line);
+            (v, allowed)
+        })
+        .collect()
+}
+
+/// Lint one file's source: the violations no marker covers.
+pub fn lint_source(path: &str, src: &str) -> Vec<Violation> {
+    lint_sites(path, src)
+        .into_iter()
+        .filter_map(|(v, allowed)| (!allowed).then_some(v))
+        .collect()
+}
+
+/// The `lint` pass's findings for one file, the rule named in each
+/// message. Sites under a `lint:allow` marker are included as allowed,
+/// so every exemption is on the record.
+pub fn lint_findings(path: &str, src: &str) -> Vec<Finding> {
+    lint_sites(path, src)
+        .into_iter()
+        .map(|(v, allowed)| Finding {
+            allowed,
+            ..Finding::new("lint", path, v.line, v.to_string())
+        })
         .collect()
 }
 
@@ -489,6 +515,22 @@ mod tests {
             rules_fired("crates/core/src/service.rs", src),
             [Rule::ThreadSpawn]
         );
+    }
+
+    #[test]
+    fn lint_allow_sites_travel_as_allowed_findings() {
+        let src = "fn f() { std::thread::spawn(|| {}); }\n\
+                   // lint:allow(thread-spawn): reasoned here\n\
+                   fn g() { std::thread::scope(|s| {}); }";
+        let found = lint_findings("crates/mc/src/store.rs", src);
+        let shape: Vec<_> = found.iter().map(|f| (f.pass, f.line, f.allowed)).collect();
+        assert_eq!(shape, [("lint", 1, false), ("lint", 3, true)]);
+        assert!(found[1]
+            .message
+            .starts_with("[thread-spawn] `thread::scope`"));
+        assert_eq!(found[1].file, "crates/mc/src/store.rs");
+        // A file-level exemption is not a site: nothing to report.
+        assert!(lint_findings("crates/core/src/scheduler.rs", src).is_empty());
     }
 
     // ---- the lexer does not fire inside non-code regions

@@ -24,7 +24,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use analysis::findings::{render_json, Finding};
-use analysis::{determinism, lint_source, ranktable};
+use analysis::{determinism, lint_findings, ranktable};
 
 /// Crates whose outputs must not depend on hash-iteration order.
 const DETERMINISM_SCOPE: &[&str] = &[
@@ -85,9 +85,7 @@ fn main() -> ExitCode {
 
     // ---- pass 1: conformance lint
     for (rel, src) in &files {
-        for v in lint_source(rel, src) {
-            findings.push(Finding::new(v.rule.name(), rel, v.line, v.message));
-        }
+        findings.extend(lint_findings(rel, src));
     }
 
     // ---- pass 2: rank table (duplicates + docs drift / regeneration)

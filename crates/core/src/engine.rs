@@ -21,7 +21,8 @@
 //! inline runner. This module keeps the engine's state (script, seeds,
 //! configuration, work counters) and the per-point primitives the
 //! pipeline's phases compose: `Engine::probe_fingerprints`,
-//! `Engine::remap_samples` and `Engine::simulate_full` (crate-visible).
+//! `Engine::remap_samples` and `Engine::simulate_world_span`
+//! (crate-visible).
 //!
 //! The basis store is a [`SharedBasisStore`]: engines built through the
 //! [`Prophet`](crate::service::Prophet) service share one store per
@@ -173,11 +174,13 @@ pub struct EngineConfig {
     /// pin) and `perf`'s `mc.store.publish_evicting_ns` rows and
     /// `count.evictions`.
     pub basis_capacity: usize,
-    /// Worker threads of the inline runner's phase fan-out and of
-    /// world-level parallelism within a point (deterministic:
-    /// world→sample assignment is thread-independent). Jobs on a
+    /// Worker threads of the inline runner's phase fan-out
+    /// ([`Engine::evaluate_batch`]; deterministic: world→sample
+    /// assignment is thread-independent). Jobs on a
     /// [`Prophet`](crate::service::Prophet) fan out on its pool instead
-    /// and read this only for the few-misses world-parallel case.
+    /// and never read it, except that it sizes a pool whose
+    /// [`SchedulerConfig::workers`](crate::scheduler::SchedulerConfig::workers)
+    /// is left at `0`.
     ///
     /// Evidence: `tests/executor.rs` and `tests/determinism.rs` (answers
     /// and counters identical at 1 vs N). No bench row varies it: `perf`
@@ -625,73 +628,6 @@ impl Engine {
         Ok(())
     }
 
-    /// Full Monte Carlo simulation of one point.
-    ///
-    /// `world_parallel` selects how `config.threads` is spent: `true`
-    /// splits this point's worlds across the pool (the lone-miss case);
-    /// `false` runs single-threaded because the executor is already
-    /// simulating sibling points on the pool (point-level parallelism).
-    /// The world→sample assignment is identical either way, so the choice
-    /// never changes the produced samples or the work counters.
-    ///
-    /// On the default [`ExecTier::Columnar`] each worker's world span is
-    /// one block walk of the block executor; per-world samples are
-    /// bit-identical to the scalar tier under either schedule.
-    pub(crate) fn simulate_full(
-        &self,
-        point: &ParamPoint,
-        world_parallel: bool,
-    ) -> ProphetResult<Arc<ColumnSamples>> {
-        let start = Stopwatch::start();
-        let worlds: Vec<u64> = (0..self.config.worlds_per_point as u64).collect();
-        let simulate = |ws: &[u64]| self.simulate_span_once(point, ws);
-        let (sample_set, stats) = if world_parallel && self.config.threads > 1 {
-            let chunk = worlds.len().div_ceil(self.config.threads);
-            let chunks: Vec<&[u64]> = worlds.chunks(chunk).collect();
-            // World-level parallelism within one point is this engine
-            // primitive's own scoped fan-out; the scheduler's pool
-            // parallelizes across points, not worlds.
-            // lint:allow(thread-spawn): per-point world fan-out
-            let results = std::thread::scope(|scope| {
-                let simulate = &simulate;
-                let handles: Vec<_> = chunks
-                    .into_iter()
-                    .map(|ws| scope.spawn(move || simulate(ws)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join()
-                            .expect("invariant: world-simulation workers do not panic")
-                    })
-                    .collect::<Vec<Result<(SampleSet, ColumnarStats), SqlError>>>()
-            });
-            let mut iter = results.into_iter();
-            let (mut first, mut stats) = iter
-                .next()
-                .expect("invariant: a non-empty world list yields at least one chunk")?;
-            for r in iter {
-                let (set, s) = r?;
-                first.absorb(&set);
-                stats.kernels += s.kernels;
-                stats.fallbacks += s.fallbacks;
-                stats.gathers += s.gathers;
-            }
-            (first, stats)
-        } else {
-            simulate(&worlds)?
-        };
-        self.bump(|m| {
-            m.worlds_simulated += worlds.len() as u64;
-            m.columnar_kernels += stats.kernels;
-            m.column_fallbacks += stats.fallbacks;
-            m.column_gathers += stats.gathers;
-            m.sim_cpu_nanos += start.elapsed_nanos();
-            m.sim_latency.record(start.elapsed_nanos());
-        });
-        Ok(Arc::clone(sample_set.shared_samples()))
-    }
-
     /// One tier-routed simulation of a world list (no metrics bump — the
     /// callers aggregate). The scalar tier reports zero columnar stats.
     fn simulate_span_once(
@@ -721,12 +657,18 @@ impl Engine {
         }
     }
 
-    /// Simulate one contiguous span of a point's worlds — the primitive
-    /// behind chunk-at-a-time progressive estimation
+    /// Simulate one contiguous span of a point's worlds — the one
+    /// simulation primitive: the batch pipeline's simulate-phase item,
+    /// the whole `0..worlds_per_point` range for a lone owner, and the
+    /// chunk of progressive estimation
     /// ([`OnlineSession::progressive_expect`]). World→sample assignment is
-    /// seed-based (`(root seed, world, point)`), so simulating worlds
-    /// `0..k` here yields bit-for-bit the first `k` samples a full
-    /// [`Engine::simulate_full`] run would produce.
+    /// seed-based (`(root seed, world, point)`), so any span yields
+    /// bit-for-bit the matching slice of a full-range run, and spans
+    /// concatenated in world order are that run.
+    ///
+    /// On the default [`ExecTier::Columnar`] a span is one block walk of
+    /// the block executor; per-world samples are bit-identical to the
+    /// scalar tier.
     ///
     /// [`OnlineSession::progressive_expect`]: crate::session::OnlineSession::progressive_expect
     pub(crate) fn simulate_world_span(
@@ -951,6 +893,16 @@ mod tests {
         assert_eq!(ms.columnar_kernels, 0);
     }
 
+    /// Every world of `p`, as one span.
+    fn simulate(e: &Engine, p: &ParamPoint) -> Arc<ColumnSamples> {
+        let worlds = e.config().worlds_per_point as u64;
+        Arc::clone(
+            e.simulate_world_span(p, 0..worlds)
+                .unwrap()
+                .shared_samples(),
+        )
+    }
+
     fn sample_bits(samples: &HashMap<String, Vec<f64>>) -> Vec<(String, Vec<u64>)> {
         let mut cols: Vec<(String, Vec<u64>)> = samples
             .iter()
@@ -1132,8 +1084,8 @@ mod tests {
         for p in points.iter().chain(points.iter().rev()) {
             assert_eq!(probe_bits(&replayed, p), probe_bits(&reference, p), "{p}");
             assert_eq!(
-                sample_bits(&replayed.simulate_full(p, false).unwrap()),
-                sample_bits(&reference.simulate_full(p, false).unwrap()),
+                sample_bits(&simulate(&replayed, p)),
+                sample_bits(&simulate(&reference, p)),
                 "{p}"
             );
         }
@@ -1169,8 +1121,8 @@ mod tests {
         let points = [demo_point(10, 4, 36, 12), demo_point(30, 16, 36, 12)];
         for p in &points {
             assert_eq!(
-                sample_bits(&columnar.simulate_full(p, false).unwrap()),
-                sample_bits(&scalar.simulate_full(p, false).unwrap()),
+                sample_bits(&simulate(&columnar, p)),
+                sample_bits(&simulate(&scalar, p)),
                 "{p}"
             );
         }
@@ -1213,7 +1165,7 @@ mod tests {
     }
 
     #[test]
-    fn world_parallel_simulation_is_deterministic() {
+    fn one_and_four_threads_give_the_same_samples() {
         let p = demo_point(12, 8, 24, 12);
         let seq = engine(EngineConfig {
             threads: 1,

@@ -27,9 +27,9 @@
 //! | re-map on a hit          | *remap*: fused with the match — the worker   |
 //! |                          | that finds a probe's source reconstructs its |
 //! |                          | mapped samples (fan-out)                     |
-//! | simulate on a miss       | *simulate*: misses fan out point by point;   |
-//! |                          | fewer misses than `threads` run as one unit  |
-//! |                          | of world-parallel simulations instead        |
+//! | simulate on a miss       | *simulate*: every miss fans out as world     |
+//! |                          | spans of `SPAN_WORLDS`; each point's spans   |
+//! |                          | are joined in world order on the driver      |
 //! | results feed the store   | *publish*: completions insert basis entries  |
 //! |                          | and wake cross-session waiters, hits first,  |
 //! |                          | then misses, each in batch order             |
@@ -73,8 +73,9 @@
 //!   inline one; `tests/chaos.rs` does so under adversarial interleavings.
 //! * **Cancellation.** A runner reports a skipped item as an empty slot.
 //!   Results that did land are published before the batch stops, so the
-//!   store only ever sees complete entries; claims of unpublished points
-//!   are released as their guards drop, and concurrent waiters re-claim.
+//!   store only ever sees complete entries (a point missing any world span
+//!   is not published); claims of unpublished points are released as
+//!   their guards drop, and concurrent waiters re-claim.
 //!
 //! Phase wall-clock lands in `EngineMetrics::probe_nanos` (probe + match +
 //! remap + publishing the hits) and `EngineMetrics::sim_nanos` (simulate +
@@ -86,6 +87,7 @@
 //! [`WaitHandle`]: prophet_mc::WaitHandle
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use prophet_fingerprint::{Fingerprint, Mapping};
@@ -110,9 +112,8 @@ pub(crate) trait Runner {
 
     /// Apply `f` to every item on this runner's workers, results in input
     /// order. Slot `i` is `None` if item `i` never ran: skipped because
-    /// the job was cancelled, or lost to a worker panic. `as_one_unit`
-    /// keeps the items together on one worker, in order.
-    fn fan_out<I, T, F>(&self, items: Vec<I>, as_one_unit: bool, f: F) -> Vec<Option<T>>
+    /// the job was cancelled, or lost to a worker panic.
+    fn fan_out<I, T, F>(&self, items: Vec<I>, f: F) -> Vec<Option<T>>
     where
         I: Send + 'static,
         T: Send + 'static,
@@ -141,18 +142,15 @@ impl Runner for Inline<'_> {
         self.0
     }
 
-    fn fan_out<I, T, F>(&self, items: Vec<I>, as_one_unit: bool, f: F) -> Vec<Option<T>>
+    fn fan_out<I, T, F>(&self, items: Vec<I>, f: F) -> Vec<Option<T>>
     where
         I: Send + 'static,
         T: Send + 'static,
         F: Fn(&Engine, I) -> T + Send + Sync + 'static,
     {
-        let threads = if as_one_unit {
-            1
-        } else {
-            self.0.config().threads.max(1)
-        };
-        parallel_map(items, threads, |item| Some(f(self.0, item)))
+        parallel_map(items, self.0.config().threads.max(1), |item| {
+            Some(f(self.0, item))
+        })
     }
 }
 
@@ -165,6 +163,39 @@ fn lost_slot(runner: &impl Runner) -> ProphetResult<()> {
             "a scheduled chunk was lost (worker panic)".into(),
         ))
     }
+}
+
+/// Worlds per simulate-phase item: a miss runs as `worlds_per_point /
+/// SPAN_WORLDS` (rounded up) spans, the last one possibly shorter.
+pub(crate) const SPAN_WORLDS: usize = 100;
+
+/// Concatenate one point's simulated spans, in world order, into its
+/// full-depth columns. `Ok(None)` means a span never ran, so the point is
+/// released rather than published; every span is visited, so the first
+/// error in batch order is the one returned.
+fn join_spans(
+    runner: &impl Runner,
+    spans: impl Iterator<Item = Option<ProphetResult<SampleSet>>>,
+    worlds: usize,
+) -> ProphetResult<Option<Arc<ColumnSamples>>> {
+    let columns = runner.engine().output_columns();
+    let mut joined: Vec<Vec<f64>> = columns.iter().map(|_| Vec::with_capacity(worlds)).collect();
+    let mut complete = true;
+    for slot in spans {
+        let Some(span) = slot else {
+            lost_slot(runner)?;
+            complete = false;
+            continue;
+        };
+        let span = span?;
+        for (column, dst) in columns.iter().zip(&mut joined) {
+            let xs = span.samples(column).ok_or_else(|| {
+                ProphetError::Internal(format!("simulation lacks samples for column `{column}`"))
+            })?;
+            dst.extend_from_slice(xs);
+        }
+    }
+    Ok(complete.then(|| Arc::new(columns.iter().cloned().zip(joined).collect())))
 }
 
 /// The Figure-1 cycle over one batch (see the [module docs](self)):
@@ -186,7 +217,6 @@ pub(crate) fn run_batch<R: Runner>(
     // ---- dedupe: unique points in first-seen order.
     let (unique, slot_of) = dedupe_points(points);
     let worlds_per_point = engine.config().worlds_per_point;
-    let threads = engine.config().threads.max(1);
 
     // ---- plan: exact-cache check + in-flight claim per unique point.
     let mut results: Vec<Option<(SampleSet, EvalOutcome)>> =
@@ -222,7 +252,7 @@ pub(crate) fn run_batch<R: Runner>(
         let phase = Stopwatch::start();
         let t_probe = tracer.now();
         let owned_points: Vec<ParamPoint> = owned.iter().map(|&i| unique[i].clone()).collect();
-        let probe_outputs = runner.fan_out(owned_points, false, |engine, p: ParamPoint| {
+        let probe_outputs = runner.fan_out(owned_points, |engine, p: ParamPoint| {
             engine.probe_fingerprints(&p)
         });
         tracer.span(TraceEventKind::PhaseProbe, job, NO_CHUNK, t_probe);
@@ -259,7 +289,6 @@ pub(crate) fn run_batch<R: Runner>(
         let t_remap = tracer.now();
         let fused = runner.fan_out(
             fused_items,
-            false,
             move |engine, (point, probe): (ParamPoint, HashMap<String, Fingerprint>)| {
                 let matched = engine.match_and_remap(&fused_snapshot, &point, &probe);
                 fused_tracer.record_match_scan(matched.scan_nanos);
@@ -302,32 +331,42 @@ pub(crate) fn run_batch<R: Runner>(
         to_simulate = owned;
     }
 
-    // ---- simulate misses, publish in batch order. With at least
-    // `threads` misses, each item simulates single-threaded and the
-    // parallelism is across points; with fewer — the interactive
-    // small-refresh case — the misses run as one unit of world-parallel
-    // simulations, so a lone cold point still fans its worlds across the
-    // machine. The world→sample assignment is seed-based, so every sample
-    // and counter is identical under either schedule.
+    // ---- simulate misses as fixed-width world spans, publish in batch
+    // order. The span width never depends on `threads`: a lone cold point
+    // still spreads across the pool, a cancel stops a point between
+    // spans, and — worlds being seeded from `(root seed, world, point)` —
+    // every sample and counter is the same however the spans are
+    // scheduled.
     if !to_simulate.is_empty() {
         if runner.is_cancelled() {
             return Ok(None);
         }
         let phase = Stopwatch::start();
-        let miss_points: Vec<ParamPoint> = to_simulate.iter().map(|&i| unique[i].clone()).collect();
-        let world_parallel = miss_points.len() < threads;
+        let spans_per_point = worlds_per_point.div_ceil(SPAN_WORLDS);
+        let spans: Vec<(ParamPoint, Range<u64>)> = to_simulate
+            .iter()
+            .flat_map(|&i| {
+                let point = &unique[i];
+                (0..worlds_per_point)
+                    .step_by(SPAN_WORLDS)
+                    .map(move |start| {
+                        let end = (start + SPAN_WORLDS).min(worlds_per_point);
+                        (point.clone(), start as u64..end as u64)
+                    })
+            })
+            .collect();
         let t_sim = tracer.now();
-        let simulated =
-            runner.fan_out(miss_points, world_parallel, move |engine, p: ParamPoint| {
-                engine.simulate_full(&p, world_parallel)
-            });
+        let simulated = runner.fan_out(spans, |engine, (p, span): (ParamPoint, Range<u64>)| {
+            engine.simulate_world_span(&p, span)
+        });
         tracer.span(TraceEventKind::PhaseSimulate, job, NO_CHUNK, t_sim);
         let t_publish = tracer.now();
         let publish = Stopwatch::start();
         let mut cancelled = false;
-        for (&i, slot) in to_simulate.iter().zip(simulated) {
-            let Some(simulation) = slot else {
-                lost_slot(runner)?;
+        let mut simulated = simulated.into_iter();
+        for &i in &to_simulate {
+            let point_spans = simulated.by_ref().take(spans_per_point);
+            let Some(samples) = join_spans(runner, point_spans, worlds_per_point)? else {
                 cancelled = true;
                 continue;
             };
@@ -335,7 +374,7 @@ pub(crate) fn run_batch<R: Runner>(
                 &unique[i],
                 take_guard(i),
                 probes[i].take().unwrap_or_default(),
-                simulation?,
+                samples,
                 worlds_per_point,
             ));
             runner.points_done(1);
@@ -582,8 +621,9 @@ impl Engine {
             Err(miss) => miss,
         };
         let phase = Stopwatch::start();
-        let samples = self.simulate_full(point, true)?;
         let worlds = self.config().worlds_per_point;
+        let simulated = self.simulate_world_span(point, 0..worlds as u64)?;
+        let samples = Arc::clone(simulated.shared_samples());
         let reply = self.publish_simulated(point, guard, probes, samples, worlds);
         self.bump(|m| m.sim_nanos += phase.elapsed_nanos());
         Ok(reply)

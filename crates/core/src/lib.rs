@@ -95,7 +95,9 @@
 //! [`recv`](job::JobHandle::recv) / [`events`](job::JobHandle::events)
 //! stream of incremental [`job::JobEvent`]s (chunk results as each batch
 //! of the job finalizes — a sweep streams group by group — then the
-//! final answer), chunk-granular [`cancel`](job::JobHandle::cancel), and
+//! final answer), chunk-granular [`cancel`](job::JobHandle::cancel) (an
+//! in-flight chunk finishes at most `chunk_points` × 100 worlds of
+//! simulation after it), and
 //! a blocking [`wait`](job::JobHandle::wait). Dropping a handle detaches
 //! the job; it still completes.
 //!

@@ -153,7 +153,7 @@ pub struct EngineMetrics {
     /// Pipeline wall-clock nanoseconds inside the simulation phase,
     /// publishing the misses included.
     pub sim_nanos: u64,
-    /// Nanoseconds inside full simulation, summed across parallel workers
+    /// Nanoseconds inside simulation, summed across parallel workers
     /// — the CPU sum beside the wall-clock
     /// [`sim_nanos`](EngineMetrics::sim_nanos).
     pub sim_cpu_nanos: u64,
@@ -163,8 +163,10 @@ pub struct EngineMetrics {
     /// how much work ran; this says how it was *distributed*, which is
     /// where a slow tail hides.
     pub probe_latency: LatencyHistogram,
-    /// Per-point full-simulation latency distribution (one observation
-    /// per simulated point), same bucket table as
+    /// World-span simulation latency distribution (one observation per
+    /// `Engine::simulate_world_span` call: a span of at most 100 worlds in
+    /// a batch, a progressive chunk, or a lone owner's whole point), same
+    /// bucket table as
     /// [`probe_latency`](EngineMetrics::probe_latency).
     pub sim_latency: LatencyHistogram,
 }

@@ -23,7 +23,8 @@
 //!   in [`executor`](crate::executor)) on this module's pooled runner; for
 //!   a sweep, the sweep plan's one loop over such batches — and each
 //!   parallel phase of the pipeline fans out to the pool as chunks of at
-//!   most [`SchedulerConfig::chunk_points`] points;
+//!   most [`SchedulerConfig::chunk_points`] items (points, or world spans
+//!   in the simulate phase);
 //! * while a phase is outstanding the driver *helps*: it executes queued
 //!   chunks (its own or, by priority, anyone else's) instead of sleeping,
 //!   so a pool of `W` workers running `W` concurrent jobs cannot deadlock
@@ -55,9 +56,12 @@
 //!
 //! [`JobHandle::cancel`](crate::job::JobHandle::cancel) is chunk-granular:
 //! chunks never observe the flag mid-chunk, so an in-flight chunk always
-//! finishes its points; a chunk that had not started is skipped and its
+//! finishes its items; a chunk that had not started is skipped and its
 //! slots come back empty, which the pipeline treats as "publish what
-//! landed, release the rest".
+//! landed, release the rest". A simulate-phase item is one world span of
+//! at most `SPAN_WORLDS` = 100 worlds, never a whole point, so after a
+//! cancel each in-flight chunk runs at most
+//! [`SchedulerConfig::chunk_points`] × 100 more worlds.
 //!
 //! # Concurrency conformance
 //!
@@ -123,10 +127,11 @@ pub struct SchedulerConfig {
     /// pool explicitly configured with 1 worker serializes whole jobs in
     /// priority order rather than overtaking mid-job.
     pub workers: usize,
-    /// Maximum points per scheduled chunk (clamped to at least 1). An
-    /// upper bound: phases with fewer than `workers × chunk_points`
-    /// points split finer so even small batches fan out across the whole
-    /// pool.
+    /// Maximum items per scheduled chunk (clamped to at least 1): points
+    /// in the probe and match phases, world spans of at most 100 worlds in
+    /// the simulate phase. An upper bound: phases with fewer than
+    /// `workers × chunk_points` items split finer so even small batches
+    /// fan out across the whole pool.
     pub chunk_points: usize,
     /// Chaos-mode seed ([`SchedulerConfig::perturb`]): `Some(seed)`
     /// injects seeded yields and chunk-pop shuffles at the scheduler's
@@ -716,17 +721,13 @@ impl Runner for Pooled<'_> {
         &self.core.engine
     }
 
-    fn fan_out<I, T, F>(&self, items: Vec<I>, as_one_unit: bool, f: F) -> Vec<Option<T>>
+    fn fan_out<I, T, F>(&self, items: Vec<I>, f: F) -> Vec<Option<T>>
     where
         I: Send + 'static,
         T: Send + 'static,
         F: Fn(&Engine, I) -> T + Send + Sync + 'static,
     {
-        let chunk = if as_one_unit {
-            items.len()
-        } else {
-            self.inner.phase_chunk(items.len())
-        };
+        let chunk = self.inner.phase_chunk(items.len());
         let engine = Arc::clone(&self.core.engine);
         run_chunked(self.inner, self.core, items, chunk, move |item| {
             f(&engine, item)
@@ -835,7 +836,8 @@ where
                 let t0 = done.inner.tracer.now();
                 // Cancellation is chunk-granular: the flag is consulted
                 // once, before any work — an in-flight chunk always
-                // finishes every point it started.
+                // finishes every item it started (a probe, a match, or
+                // one world span of a simulation).
                 if core.is_cancelled() {
                     return;
                 }

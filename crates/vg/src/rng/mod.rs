@@ -69,28 +69,6 @@ pub trait Rng64 {
             self.next_f64() < p
         }
     }
-
-    /// Fisher–Yates shuffle of a slice.
-    ///
-    /// `Self: Sized` keeps the trait object-safe — trait objects can still
-    /// shuffle through [`shuffle_via`].
-    fn shuffle<T>(&mut self, slice: &mut [T])
-    where
-        Self: Sized,
-    {
-        for i in (1..slice.len()).rev() {
-            let j = self.gen_range_i64(0, i as i64) as usize;
-            slice.swap(i, j);
-        }
-    }
-}
-
-/// Fisher–Yates shuffle usable with `&mut dyn Rng64`.
-pub fn shuffle_via<T>(rng: &mut dyn Rng64, slice: &mut [T]) {
-    for i in (1..slice.len()).rev() {
-        let j = rng.gen_range_i64(0, i as i64) as usize;
-        slice.swap(i, j);
-    }
 }
 
 #[cfg(test)]
@@ -157,20 +135,5 @@ mod tests {
         let hits = (0..n).filter(|_| rng.gen_bool(0.3)).count();
         let freq = hits as f64 / n as f64;
         assert!((freq - 0.3).abs() < 0.01, "freq={freq}");
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(23);
-        let mut v: Vec<u32> = (0..100).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(
-            v,
-            (0..100).collect::<Vec<_>>(),
-            "shuffle should move something"
-        );
     }
 }

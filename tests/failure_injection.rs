@@ -4,6 +4,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use fuzzy_prophet::prelude::*;
 use prophet_data::{DataResult, Value};
@@ -448,9 +449,9 @@ fn a_vg_error_mid_batch_leaves_both_runners_in_the_same_state() {
             "gave out",
             [true, true, true, false, false, true],
         ),
-        // 3 misses on 4 threads run as one world-parallel unit.
+        // 3 misses on 4 threads: fewer misses than threads.
         (
-            "simulate, world-parallel",
+            "simulate, fewer misses than threads",
             4,
             false,
             probe_len,
@@ -665,8 +666,12 @@ fn a_panicking_vg_fails_its_job_and_leaves_the_service_usable() {
     let point = |p: i64| ParamPoint::from_pairs([("p", p)]);
     let warm: Vec<ParamPoint> = [0, 1].map(point).to_vec();
     // Two healthy probes land (and, ledgered, draw the probe streams)
-    // before the bad one starts, on either pool shape below.
-    let failing: Vec<ParamPoint> = [2, 3, Panicky::BAD, 4].map(point).to_vec();
+    // before the bad one starts, on either pool shape below; or the bad
+    // point is the batch's lone miss, its worlds spread over the pool.
+    let failing_batches: [Vec<ParamPoint>; 2] = [
+        [2, 3, Panicky::BAD, 4].map(point).to_vec(),
+        vec![point(Panicky::BAD)],
+    ];
     let healthy: Vec<ParamPoint> = [3, Panicky::BAD, 5, 0].map(point).to_vec();
     let cfg = EngineConfig {
         worlds_per_point: 16,
@@ -684,10 +689,15 @@ fn a_panicking_vg_fails_its_job_and_leaves_the_service_usable() {
     ];
     // One chunk per point on two executors; the whole phase as one chunk.
     let pools = [(2, 1), (1, 8)];
-    for ((site, healthy_calls, warmed), (workers, chunk_points)) in
-        cases.iter().flat_map(|c| pools.map(|p| (*c, p)))
+    for (((site, healthy_calls, warmed), (workers, chunk_points)), failing) in cases
+        .iter()
+        .flat_map(|c| pools.map(|p| (*c, p)))
+        .flat_map(|c| failing_batches.iter().map(move |f| (c, f)))
     {
-        let label = format!("{site} after {healthy_calls} on {workers} workers x {chunk_points}");
+        let label = format!(
+            "{site} after {healthy_calls} on {workers} workers x {chunk_points}, {} failing",
+            failing.len()
+        );
         // The healthy batch's samples on a fresh service, after the
         // failing job or without it.
         let answers = |panics: bool| -> Vec<prophet_mc::SampleSet> {
@@ -721,7 +731,7 @@ fn a_panicking_vg_fails_its_job_and_leaves_the_service_usable() {
             let store = prophet.engine("panicky").unwrap().basis_store().clone();
             if panics {
                 armed.store(true, Ordering::SeqCst);
-                let error = run(&failing).unwrap_err();
+                let error = run(failing).unwrap_err();
                 armed.store(false, Ordering::SeqCst);
                 assert!(
                     matches!(&error, ProphetError::Internal(msg) if msg.contains("worker panic")),
@@ -738,4 +748,102 @@ fn a_panicking_vg_fails_its_job_and_leaves_the_service_usable() {
         };
         assert_eq!(answers(true), answers(false), "{label}");
     }
+}
+
+// ------------------------------------------------------------ slow models
+
+/// `Slow(p)` = `U[0,1)` whatever `p`, after sleeping `pause`; counts its
+/// calls.
+#[derive(Debug)]
+struct Slow {
+    calls: Arc<AtomicU64>,
+    pause: Duration,
+}
+
+impl VgFunction for Slow {
+    fn name(&self) -> &str {
+        "Slow"
+    }
+    fn arity(&self) -> usize {
+        1
+    }
+    fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<f64> {
+        params[0].as_i64()?;
+        self.calls.fetch_add(1, Ordering::SeqCst);
+        std::thread::sleep(self.pause);
+        Ok(rng.next_f64())
+    }
+}
+
+/// A cancel reaches inside one cold point's simulation. With a model that
+/// takes ≈ 1 ms a world, a job cancelled early in its 400 worlds runs at
+/// most the one world span already in flight (the executor's
+/// `SPAN_WORLDS` = 100 worlds, one span per chunk here), ends `Cancelled`,
+/// leaves neither a claim nor an entry behind, and the point then
+/// simulates bit-equal to a service that never saw the cancel.
+#[test]
+fn a_cancel_stops_a_slow_simulation_within_one_world_span() {
+    const SRC: &str = "DECLARE PARAMETER @p AS SET (1);\nSELECT Slow(@p) AS v INTO r;";
+    const SPAN_WORLDS: u64 = 100;
+    let cfg = EngineConfig {
+        worlds_per_point: 400,
+        fingerprints_enabled: false,
+        ..EngineConfig::default()
+    };
+    let service = |pause: Duration| {
+        let calls = Arc::new(AtomicU64::new(0));
+        let mut registry = VgRegistry::new();
+        registry.register(Arc::new(Slow {
+            calls: Arc::clone(&calls),
+            pause,
+        }));
+        let prophet = Prophet::builder()
+            .scenario_sql("slow", SRC)
+            .unwrap()
+            .registry(registry)
+            .config(cfg)
+            .scheduler(SchedulerConfig {
+                workers: 1,
+                chunk_points: 1,
+                ..SchedulerConfig::default()
+            })
+            .build()
+            .unwrap();
+        (prophet, calls)
+    };
+    let job = || JobSpec::points("slow", vec![ParamPoint::from_pairs([("p", 1i64)])]);
+    let bits = |prophet: &Prophet| -> Vec<u64> {
+        let results = prophet.submit(job()).unwrap().wait().unwrap();
+        let set = &results.into_points().unwrap()[0].0;
+        set.samples("v")
+            .unwrap()
+            .iter()
+            .map(|x| x.to_bits())
+            .collect()
+    };
+
+    let (prophet, calls) = service(Duration::from_millis(1));
+    let handle = prophet.submit(job()).unwrap();
+    while calls.load(Ordering::SeqCst) < 10 {
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    handle.cancel();
+    let at_cancel = calls.load(Ordering::SeqCst);
+    assert!(matches!(handle.wait(), Err(ProphetError::JobCancelled)));
+    prophet.scheduler().wait_idle();
+    let after_cancel = calls.load(Ordering::SeqCst) - at_cancel;
+    assert!(
+        after_cancel <= SPAN_WORLDS,
+        "{after_cancel} worlds simulated after cancel() returned"
+    );
+    let engine = prophet.engine("slow").unwrap();
+    assert_eq!(engine.basis_store().inflight_len(), 0);
+    assert_eq!(
+        engine.basis_len(),
+        0,
+        "a partly simulated point was published"
+    );
+
+    let (reference, _) = service(Duration::ZERO);
+    assert_eq!(bits(&prophet), bits(&reference));
 }

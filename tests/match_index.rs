@@ -273,15 +273,13 @@ fn offline_sweep_answers_are_identical_with_and_without_index() {
             m.column_fallbacks, 0,
             "{label}: the sweep stays on typed kernels"
         );
-        // The one pin that moves with worlds × threads (how a miss's worlds
-        // split into blocks): exact at this test's fixed configuration.
-        // Every walk of the SELECT runs 4 kernels (two VG call sites, the
-        // comparison, the CASE); 16,152 was 3,969 probe walks × 4 plus 69
-        // simulation walks × 4 (57 points, 12 of them lone misses whose
-        // worlds split across the two threads). A probe now walks only the
-        // two stochastic items, so the derived `overload` item's 2 kernels
-        // leave each probe walk: 16,152 − 3,969 × 2.
-        assert_eq!(m.columnar_kernels, 3_969 * 2 + 69 * 4, "{label}");
+        // The one pin that moves with worlds (how a miss's worlds split
+        // into fixed-width spans, one block walk each; never with
+        // threads): exact at this test's fixed configuration. A probe
+        // walks the two stochastic items (2 kernels); a simulation walk
+        // runs all 4 (two VG call sites, the comparison, the CASE), and
+        // each of the 57 misses is one span at 8 worlds.
+        assert_eq!(m.columnar_kernels, 3_969 * 2 + 57 * 4, "{label}");
     }
     // What the summary index buys: 8,724 full comparisons instead of the
     // exhaustive reference's 97,416 (which compares every pair until the
