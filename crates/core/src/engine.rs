@@ -36,8 +36,8 @@ use std::sync::Arc;
 use prophet_data::Value;
 use prophet_fingerprint::{CorrelationDetector, Fingerprint, FingerprintConfig, Mapping};
 use prophet_mc::{
-    simulate_point, simulate_point_columnar_with, ColumnSamples, ParamPoint, SampleSet,
-    SharedBasisStore, SnapshotError,
+    simulate_point, simulate_point_columnar_with, ColumnSamples, ParamPoint, Rebuild,
+    RebuildHandle, SampleSet, SharedBasisStore,
 };
 use prophet_sql::columnar::{
     evaluate_derived_columns, evaluate_select_columns_with, to_f64_samples, ColumnarStats,
@@ -167,12 +167,19 @@ pub struct EngineConfig {
     /// answer bit for bit); only `tests/vector_equivalence.rs` sets a
     /// non-default one, and no bench row varies it.
     pub root_seed: u64,
-    /// Maximum basis-store entries before FIFO eviction.
+    /// The basis store's byte budget, as the bytes of this many
+    /// full-depth samples records (the largest record it has held). Past
+    /// it a publish first *demotes* the oldest mapped entry still holding
+    /// samples — it drops them, keeps its recipe, stays in the table and
+    /// is rebuilt when read — and only with none left evicts the oldest
+    /// mapped entry, then the oldest simulated one. A mapped entry costs
+    /// ≈ 1 KB demoted against ≈ 10 KB at 400 worlds, so the default
+    /// keeps a whole Figure-2 sweep (31,164 points) in today's memory.
     ///
     /// Evidence: `tests/executor.rs` and `tests/basis_snapshot.rs`
     /// (eviction order, sources outlive mapped entries, the churned-store
-    /// pin) and `perf`'s `mc.store.publish_evicting_ns` rows and
-    /// `count.evictions`.
+    /// pin, a demoted store serving a second sweep) and `perf`'s
+    /// `mc.store.publish_evicting_ns` rows and `count.evictions`.
     pub basis_capacity: usize,
     /// Worker threads of the inline runner's phase fan-out
     /// ([`Engine::evaluate_batch`]; deterministic: world→sample
@@ -249,11 +256,9 @@ pub struct Engine {
     registry: Arc<VgRegistry>,
     seeds: SeedManager,
     config: EngineConfig,
-    /// All output column names, in SELECT order (shared with every
-    /// [`SampleSet`] this engine hands out).
-    output_cols: Arc<[String]>,
-    /// Output columns whose expressions invoke a registered VG function.
-    stochastic_cols: Vec<String>,
+    /// The remap's inputs and the output column lists, shared with every
+    /// mapped record this engine publishes or restores.
+    remap: Arc<Remap>,
     /// The select items a fingerprint probe walks: the stochastic items
     /// plus every earlier item one of them reads, transitively, in
     /// declaration order. The items left out are derived and call no VG
@@ -337,6 +342,13 @@ impl Engine {
             .iter()
             .map(|i| i.alias.clone())
             .collect();
+        let remap = Arc::new(Remap {
+            select: script.select.clone(),
+            registry: Arc::clone(&registry),
+            output_cols,
+            stochastic_cols,
+            tier: config.tier,
+        });
         Ok(Engine {
             script,
             registry,
@@ -344,9 +356,8 @@ impl Engine {
             probe_seeds: SeedSequence::fingerprint_default(config.fingerprint.length),
             probe_memo: ProbeMemo::new(),
             ledgers: DrawLedgers::new(),
+            remap,
             config,
-            output_cols,
-            stochastic_cols,
             probe_select,
             basis,
             metrics: OrderedMutex::new(ENGINE_METRICS, EngineMetrics::default()),
@@ -370,12 +381,12 @@ impl Engine {
 
     /// Output columns classified as stochastic (contain VG calls).
     pub fn stochastic_columns(&self) -> &[String] {
-        &self.stochastic_cols
+        &self.remap.stochastic_cols
     }
 
     /// All output column names, in SELECT order.
     pub fn output_columns(&self) -> &[String] {
-        &self.output_cols
+        &self.remap.output_cols
     }
 
     /// Snapshot of the work counters.
@@ -409,16 +420,20 @@ impl Engine {
     /// recipe record through this engine's own remap — the function that
     /// made the warm store's copy, so the restored samples are its bits
     /// (the `Scalar` and `Columnar` tiers agree bit for bit). Returns the
-    /// number of restored entries; a snapshot this engine cannot rebuild
-    /// fails with [`SnapshotError::Rebuild`] and leaves the store
-    /// untouched (see [`SharedBasisStore::restore_with`]).
+    /// number of restored entries. The restored mapped records keep this
+    /// engine's remap, so the store can demote them past its budget and
+    /// rebuild them on read. A snapshot this engine cannot rebuild fails
+    /// with [`SnapshotError::Rebuild`](prophet_mc::SnapshotError::Rebuild)
+    /// and leaves the store untouched (see
+    /// [`SharedBasisStore::restore_with`]).
     pub fn restore_basis(&self, bytes: &[u8]) -> ProphetResult<usize> {
-        Ok(self
-            .basis
-            .restore_with(bytes, |point, recipe, source, worlds| {
-                self.remap_samples(point, source, &recipe.mappings, worlds)
-                    .map_err(|e| SnapshotError::Rebuild(e.to_string()))
-            })?)
+        Ok(self.basis.restore_with(bytes, &self.rebuild_handle())?)
+    }
+
+    /// This engine's remap as the store's [`RebuildHandle`]: what a mapped
+    /// record it publishes or restores rebuilds its samples with.
+    pub(crate) fn rebuild_handle(&self) -> RebuildHandle {
+        Arc::clone(&self.remap) as RebuildHandle
     }
 
     /// Evaluate the scenario at one parameter point, returning the sample
@@ -478,9 +493,10 @@ impl Engine {
                 Some(&self.probe_memo),
                 Some(&self.ledgers),
             )?;
-            let mut out = HashMap::with_capacity(self.stochastic_cols.len());
+            let stochastic = &self.remap.stochastic_cols;
+            let mut out = HashMap::with_capacity(stochastic.len());
             for (name, column) in columns {
-                if self.stochastic_cols.contains(&name) {
+                if stochastic.contains(&name) {
                     let values = to_f64_samples(&column)?;
                     out.insert(
                         name,
@@ -503,8 +519,7 @@ impl Engine {
             return Ok(out);
         }
 
-        let mut per_col: HashMap<String, Vec<f64>> = self
-            .stochastic_cols
+        let mut per_col: HashMap<String, Vec<f64>> = (self.remap.stochastic_cols)
             .iter()
             .map(|c| (c.clone(), Vec::with_capacity(seeds.len())))
             .collect();
@@ -532,18 +547,10 @@ impl Engine {
             .collect::<HashMap<_, _>>())
     }
 
-    /// Map the stochastic columns and recompute the derived ones. Self-times
-    /// into `remap_nanos`. The result is shared as built: the same
-    /// allocation is published to the basis store and returned to the
-    /// caller.
-    ///
-    /// The derived columns follow the tier: [`ExecTier::Columnar`] lends
-    /// the mapped columns to the block executor as `f64` lanes, which
-    /// evaluates every derived item once over all `worlds` lanes and hands
-    /// back their samples — what this allocates beyond the walk's own
-    /// scratch is the output columns; [`ExecTier::Scalar`] recomputes world
-    /// by world with `eval_expr`, the semantic reference the block walk is
-    /// held bit-identical to (`tests/vector_equivalence.rs`).
+    /// Map the stochastic columns and recompute the derived ones
+    /// ([`Remap::samples`]). Self-times into `remap_nanos`. The result is
+    /// shared as built: the same allocation is published to the basis
+    /// store and returned to the caller.
     pub(crate) fn remap_samples(
         &self,
         point: &ParamPoint,
@@ -552,80 +559,12 @@ impl Engine {
         worlds: usize,
     ) -> ProphetResult<Arc<ColumnSamples>> {
         let start = Stopwatch::start();
-        let mut gathers = 0;
-        let mut out: HashMap<String, Vec<f64>> = HashMap::with_capacity(self.output_cols.len());
-        // Stochastic columns: apply the detected mapping to stored samples.
-        for col in &self.stochastic_cols {
-            let src = source.get(col).ok_or_else(|| {
-                ProphetError::Internal(format!("basis entry lacks samples for column `{col}`"))
-            })?;
-            if src.len() != worlds {
-                return Err(ProphetError::Internal(format!(
-                    "basis entry holds {} samples for column `{col}` but claims {worlds} worlds",
-                    src.len()
-                )));
-            }
-            let mapping = mappings
-                .get(col)
-                .ok_or_else(|| ProphetError::Internal(format!("no mapping for column `{col}`")))?;
-            out.insert(col.clone(), mapping.apply_samples(src));
-        }
-        if self.stochastic_cols.len() < self.output_cols.len() {
-            let params = point.to_value_map();
-            if self.config.tier == ExecTier::Columnar {
-                let (derived, stats) = evaluate_derived_columns(
-                    &self.script.select,
-                    &self.registry,
-                    &params,
-                    &out,
-                    worlds,
-                )?;
-                out.extend(derived);
-                gathers = stats.gathers;
-            } else {
-                self.derive_per_world(&params, &mut out, worlds)?;
-            }
-        }
+        let (samples, gathers) = self.remap.samples(point, source, mappings, worlds)?;
         self.bump(|m| {
             m.column_gathers += gathers;
             m.remap_nanos += start.elapsed_nanos();
         });
-        Ok(Arc::new(out))
-    }
-
-    /// The reference recomputation of derived columns from mapped inputs:
-    /// one scalar `eval_expr` walk per world.
-    fn derive_per_world(
-        &self,
-        params: &HashMap<String, Value>,
-        out: &mut HashMap<String, Vec<f64>>,
-        worlds: usize,
-    ) -> ProphetResult<()> {
-        for alias in self.output_cols.iter() {
-            if !self.stochastic_cols.contains(alias) {
-                out.insert(alias.clone(), Vec::with_capacity(worlds));
-            }
-        }
-        for w in 0..worlds {
-            let mut rng = NoRandomness;
-            let mut ctx = EvalContext::new(&self.registry, params, &mut rng);
-            // Bind aliases in select order so derived items see both
-            // stochastic and earlier derived columns.
-            for item in &self.script.select.items {
-                if self.stochastic_cols.contains(&item.alias) {
-                    let v = out[&item.alias][w];
-                    ctx.bind_alias(&item.alias, Value::Float(v));
-                } else {
-                    let v = prophet_sql::executor::eval_expr(&item.expr, &mut ctx)?;
-                    let x = sample_f64(&v)?;
-                    ctx.bind_alias(&item.alias, v);
-                    out.get_mut(&item.alias)
-                        .expect("invariant: derived columns are pre-inserted above")
-                        .push(x);
-                }
-            }
-        }
-        Ok(())
+        Ok(samples)
     }
 
     /// One tier-routed simulation of a world list (no metrics bump — the
@@ -697,17 +636,134 @@ impl Engine {
         point: &ParamPoint,
         samples: Arc<ColumnSamples>,
     ) -> SampleSet {
-        SampleSet::from_shared(point.clone(), Arc::clone(&self.output_cols), samples)
+        SampleSet::from_shared(point.clone(), Arc::clone(&self.remap.output_cols), samples)
     }
 }
 
 impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
-            .field("stochastic_cols", &self.stochastic_cols)
+            .field("stochastic_cols", &self.remap.stochastic_cols)
             .field("config", &self.config)
             .field("basis", &self.basis)
             .finish_non_exhaustive()
+    }
+}
+
+/// What a fingerprint hit's remap reads — the scenario SELECT, the VG
+/// registry, the column lists and the tier — owned apart from the engine,
+/// so that the engine and every mapped record it publishes share it: it is
+/// the store's [`Rebuild`] handle, which re-runs the very remap that made
+/// a demoted record's samples. It holds no store, so records holding it
+/// form no reference cycle.
+pub(crate) struct Remap {
+    select: SelectInto,
+    registry: Arc<VgRegistry>,
+    /// All output column names, in SELECT order (shared with every
+    /// [`SampleSet`] the engine hands out).
+    output_cols: Arc<[String]>,
+    /// Output columns whose expressions invoke a registered VG function.
+    stochastic_cols: Vec<String>,
+    tier: ExecTier,
+}
+
+impl Remap {
+    /// Map the stochastic columns of `source` and recompute the derived
+    /// ones, returning the samples and the derived walk's column gathers.
+    ///
+    /// The derived columns follow the tier: [`ExecTier::Columnar`] lends
+    /// the mapped columns to the block executor as `f64` lanes, which
+    /// evaluates every derived item once over all `worlds` lanes and hands
+    /// back their samples — what this allocates beyond the walk's own
+    /// scratch is the output columns; [`ExecTier::Scalar`] recomputes world
+    /// by world with `eval_expr`, the semantic reference the block walk is
+    /// held bit-identical to (`tests/vector_equivalence.rs`).
+    fn samples(
+        &self,
+        point: &ParamPoint,
+        source: &ColumnSamples,
+        mappings: &HashMap<String, Mapping>,
+        worlds: usize,
+    ) -> ProphetResult<(Arc<ColumnSamples>, u64)> {
+        let mut gathers = 0;
+        let mut out: HashMap<String, Vec<f64>> = HashMap::with_capacity(self.output_cols.len());
+        // Stochastic columns: apply the detected mapping to stored samples.
+        for col in &self.stochastic_cols {
+            let src = source.get(col).ok_or_else(|| {
+                ProphetError::Internal(format!("basis entry lacks samples for column `{col}`"))
+            })?;
+            if src.len() != worlds {
+                return Err(ProphetError::Internal(format!(
+                    "basis entry holds {} samples for column `{col}` but claims {worlds} worlds",
+                    src.len()
+                )));
+            }
+            let mapping = mappings
+                .get(col)
+                .ok_or_else(|| ProphetError::Internal(format!("no mapping for column `{col}`")))?;
+            out.insert(col.clone(), mapping.apply_samples(src));
+        }
+        if self.stochastic_cols.len() < self.output_cols.len() {
+            let params = point.to_value_map();
+            if self.tier == ExecTier::Columnar {
+                let (derived, stats) =
+                    evaluate_derived_columns(&self.select, &self.registry, &params, &out, worlds)?;
+                out.extend(derived);
+                gathers = stats.gathers;
+            } else {
+                self.derive_per_world(&params, &mut out, worlds)?;
+            }
+        }
+        Ok((Arc::new(out), gathers))
+    }
+
+    /// The reference recomputation of derived columns from mapped inputs:
+    /// one scalar `eval_expr` walk per world.
+    fn derive_per_world(
+        &self,
+        params: &HashMap<String, Value>,
+        out: &mut HashMap<String, Vec<f64>>,
+        worlds: usize,
+    ) -> ProphetResult<()> {
+        for alias in self.output_cols.iter() {
+            if !self.stochastic_cols.contains(alias) {
+                out.insert(alias.clone(), Vec::with_capacity(worlds));
+            }
+        }
+        for w in 0..worlds {
+            let mut rng = NoRandomness;
+            let mut ctx = EvalContext::new(&self.registry, params, &mut rng);
+            // Bind aliases in select order so derived items see both
+            // stochastic and earlier derived columns.
+            for item in &self.select.items {
+                if self.stochastic_cols.contains(&item.alias) {
+                    let v = out[&item.alias][w];
+                    ctx.bind_alias(&item.alias, Value::Float(v));
+                } else {
+                    let v = prophet_sql::executor::eval_expr(&item.expr, &mut ctx)?;
+                    let x = sample_f64(&v)?;
+                    ctx.bind_alias(&item.alias, v);
+                    out.get_mut(&item.alias)
+                        .expect("invariant: derived columns are pre-inserted above")
+                        .push(x);
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+impl Rebuild for Remap {
+    fn rebuild(
+        &self,
+        point: &ParamPoint,
+        source: &ColumnSamples,
+        mappings: &HashMap<String, Mapping>,
+        worlds: usize,
+    ) -> Result<Arc<ColumnSamples>, String> {
+        (self.samples(point, source, mappings, worlds))
+            .map(|(samples, _)| samples)
+            .map_err(|e| e.to_string())
     }
 }
 

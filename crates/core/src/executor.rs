@@ -521,6 +521,7 @@ impl Engine {
             worlds: hit.worlds,
             exact: hit.mappings.values().all(Mapping::is_exact),
             source: hit.source,
+            source_samples: hit.samples,
             recipe: Recipe {
                 source_stamp: hit.source_stamp,
                 mappings: hit.mappings,
@@ -572,16 +573,23 @@ impl Engine {
     // ------------------------------------------------------------ publish
 
     /// Publish a fingerprint hit: complete the claim with the mapped
-    /// samples and the recipe that made them (a non-source entry, so it
-    /// keeps no probe fingerprints) and hand the same allocation back as
-    /// the reply.
+    /// samples and what made them — the recipe, the source samples it was
+    /// applied to and this engine's remap, which rebuilds them once the
+    /// store demotes the entry — (a non-source entry, so it keeps no probe
+    /// fingerprints) and hand the same allocation back as the reply.
     fn publish_hit(
         &self,
         point: &ParamPoint,
         guard: InflightGuard,
         hit: MappedHit,
     ) -> (SampleSet, EvalOutcome) {
-        guard.complete_mapped(Arc::clone(&hit.samples), hit.worlds, hit.recipe);
+        guard.complete_mapped(
+            Arc::clone(&hit.samples),
+            hit.worlds,
+            hit.recipe,
+            hit.source_samples,
+            self.rebuild_handle(),
+        );
         self.bump(|m| m.points_mapped += 1);
         let outcome = EvalOutcome::Mapped {
             from: hit.source,
@@ -638,6 +646,8 @@ struct MappedHit {
     worlds: usize,
     /// The basis point the mapping came from.
     source: ParamPoint,
+    /// The source's samples the mappings were applied to.
+    source_samples: Arc<ColumnSamples>,
     /// Whether every column's mapping was exact (identity/offset).
     exact: bool,
     /// The source's stamp and the mappings: how `samples` were made.

@@ -452,11 +452,12 @@ impl Prophet {
     }
 
     /// Snapshot `name`'s shared basis store to `path`, checksummed (see
-    /// [`SharedBasisStore::snapshot_bytes`]). Returns the number of
+    /// [`SharedBasisStore::snapshot_bytes`]) and atomically: a failed
+    /// write leaves the previous file as it was. Returns the number of
     /// entries written. A simulated entry is written as its samples and
-    /// fingerprints; a mapped one as its recipe — its source's stamp and
-    /// per-column mappings — while that source is still stored, else as
-    /// its samples. A later [`Prophet::load_basis`] (on this or a freshly
+    /// fingerprints; a mapped one — demoted or not — as its recipe (its
+    /// source's stamp and per-column mappings) while that source is still
+    /// stored, else as its samples. A later [`Prophet::load_basis`] (on this or a freshly
     /// built service) warms the store from disk instead of re-simulating
     /// its basis population.
     pub fn save_basis(

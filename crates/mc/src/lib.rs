@@ -37,8 +37,9 @@ pub use guide::{GridGuide, Guide, GuideFactory, PriorityGuide};
 pub use instance::ParamPoint;
 pub use series::{Series, SeriesPoint};
 pub use store::{
-    BasisHit, ColumnSamples, InflightGuard, MatchScanStats, ProbeScan, Recipe, ScanSnapshot,
-    ScanWork, SharedBasisStore, SnapshotError, StoreStatsSnapshot, TryClaim, WaitHandle,
+    BasisHit, ColumnSamples, InflightGuard, MatchScanStats, ProbeScan, Rebuild, RebuildHandle,
+    Recipe, ScanSnapshot, ScanWork, SharedBasisStore, SnapshotError, StoreStatsSnapshot, TryClaim,
+    WaitHandle,
 };
 pub use trace::{
     LatencyHistogram, TraceConfig, TraceEvent, TraceEventKind, TraceTelemetry, Tracer,

@@ -21,17 +21,38 @@
 //! # One table
 //!
 //! Every entry lives in one table behind one [`rank::STORE_TABLE`]
-//! `RwLock`: the point → record map, the insertion-stamp counter, and the
-//! two stamp-ordered queues (`matchable`, `unmatchable`) that eviction
-//! pops from — oldest unmatchable first — and that give the match scan
-//! its candidate order. An insert is one write guard; a scan's snapshot
-//! holds one read guard just long enough to clone the matchable records'
+//! `RwLock`: the point → record map, the insertion-stamp counter, the
+//! byte budget's books, and the stamp-ordered queues that making room
+//! pops from and that give the match scan its candidate order.
+//!
+//! An insert is one write guard; a scan's snapshot holds one read guard
+//! just long enough to clone the matchable records'
 //! `Arc`s in stamp order, and every probe then runs its wave scan over
 //! that list with no store lock held. Wave boundaries, pruning decisions,
 //! chosen sources, and the scanned/pruned accounting are functions of the
 //! stamp order alone, so they are bit-identical at any thread count.
 //! Claims and publishes serialize per store on the in-flight table
 //! ([`rank::INFLIGHT_TABLE`]), which is held across the table access.
+//!
+//! # A byte budget: demote, then evict
+//!
+//! The store's capacity is `capacity` full-depth samples records' worth
+//! of bytes: each record is charged its lanes and fingerprint values at
+//! 8 bytes, its mappings, and a fixed measured overhead, and the unit is
+//! the largest charge of any samples record the table has held. A store
+//! of equal-depth records without recipes therefore evicts exactly as an
+//! entry count would. Past the budget a publish first *demotes* the
+//! oldest mapped record still holding samples: it drops them and keeps
+//! its [`Recipe`], the source's samples `Arc` its hit carried, and the
+//! engine's [`Rebuild`] handle — so a source evicted or replaced later
+//! cannot change it — and stays in the table. Only when no such record
+//! is left does eviction run: the oldest unmatchable entry, then the
+//! oldest matchable one. Sources are never demoted. Reading a demoted
+//! record — [`SharedBasisStore::try_claim`] → [`TryClaim::Ready`],
+//! [`SharedBasisStore::get_exact`], or a save that cannot write its
+//! recipe — rebuilds its samples with the remap that made them, on the
+//! same inputs, so they are its published bits; the rebuild runs after
+//! every store lock is released, and is not re-admitted.
 //!
 //! # The summary index
 //!
@@ -65,19 +86,23 @@
 //! as its columns — raw little-endian `f64` runs, encoded into one
 //! exact-size buffer and decoded one bounds-checked slice per column. A
 //! mapped record whose source is still stored travels as its [`Recipe`]
-//! (the source's stamp and the per-column [`Mapping`]s), and a restore
-//! re-derives its samples through the caller's rebuild — the engine's own
-//! remap, so they are the bits the warm store held. Corrupt input is
+//! (the source's stamp and the per-column [`Mapping`]s), demoted or not,
+//! and a restore re-derives its samples through the caller's rebuild —
+//! the engine's own remap, so they are the bits the warm store held —
+//! then demotes oldest-first back to the budget. Corrupt input is
 //! rejected with a typed [`SnapshotError`] before any store state is
-//! touched.
+//! touched, and [`SharedBasisStore::save_to`] replaces its file
+//! atomically.
 //!
 //! The store is the paper's Storage Manager: keyed by [`ParamPoint`], it
 //! holds the full sample sets the Figure-1 evaluation cycle answers from,
 //! plus the per-column fingerprints of the simulated entries that serve as
 //! mapping sources.
 
+use std::borrow::Cow;
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::io::Write;
 use std::sync::Arc;
 
 use prophet_fingerprint::index::{bound_all, summarize_probe, MatchBound, SummaryTable};
@@ -120,18 +145,70 @@ pub struct Recipe {
     pub mappings: HashMap<String, Mapping>,
 }
 
+/// Re-derives a mapped entry's samples from its recipe: the remap that
+/// made them at publish, so the result is those bits. The store calls it
+/// to rebuild a demoted record when it is read or saved, and a restore
+/// calls it for every recipe record — always with no store lock held.
+///
+/// A handle owns the remap's inputs only (for the engine: its SELECT,
+/// VG registry, column lists and tier), never a store, so records holding
+/// it form no reference cycle.
+pub trait Rebuild: Send + Sync {
+    /// The samples `mappings` make at `point` from `source`'s `worlds`
+    /// lanes, or why they cannot be made.
+    fn rebuild(
+        &self,
+        point: &ParamPoint,
+        source: &ColumnSamples,
+        mappings: &HashMap<String, Mapping>,
+        worlds: usize,
+    ) -> Result<Arc<ColumnSamples>, String>;
+}
+
+/// A shared [`Rebuild`]: the engine's, held by each of its mapped records.
+pub type RebuildHandle = Arc<dyn Rebuild>;
+
+/// Everything a mapped record needs to re-derive its samples: its recipe,
+/// the very source samples it was mapped from (held, so a source evicted
+/// or replaced later cannot change the rebuild), and the remap.
+struct Mapped {
+    recipe: Recipe,
+    source: Arc<ColumnSamples>,
+    rebuild: RebuildHandle,
+}
+
+impl Mapped {
+    fn rebuild(&self, point: &ParamPoint, worlds: usize) -> Result<Arc<ColumnSamples>, String> {
+        (self.rebuild).rebuild(point, &self.source, &self.recipe.mappings, worlds)
+    }
+}
+
+/// What one record costs against the store's byte budget
+/// ([`Record::charge`]) beyond its sample lanes, fingerprint values and
+/// mappings: its table slot and point key, the key's clone in a stamp
+/// queue, the record's shared parts, and the allocator's headers on all
+/// of them. Measured as resident-set growth over 40,000 Figure-2-shaped
+/// records inserted on one thread (4-parameter points, 3 columns of 400
+/// lanes, 2 mappings each): ≈ 1,030 bytes per demoted record, of which
+/// the mappings are ≈ 2 × [`MAPPING_BYTES`]. A resident record's column
+/// map adds ≈ 450 bytes the charge leaves out (≈ 4 % of its 11 KB).
+const RECORD_OVERHEAD: usize = 770;
+/// What one column mapping costs: its name, its [`Mapping`] and its
+/// hash-map slot.
+const MAPPING_BYTES: usize = 128;
+
+#[derive(Clone)]
 struct Record {
-    /// The probe fingerprints a match scan compares against. Empty for
-    /// unmatchable records: they are never candidates, so nothing reads
-    /// them.
-    fingerprints: Arc<HashMap<String, Fingerprint>>,
-    /// Per-column summary statistics of `fingerprints`, precomputed at
-    /// publish time so the match scan can bound this record's error
-    /// against any probe without touching the fingerprints themselves.
-    /// Empty for unmatchable records.
-    summaries: Arc<SummaryTable>,
-    /// Samples for *all* output columns (stochastic and derived).
-    samples: Arc<ColumnSamples>,
+    /// The probe fingerprints a match scan compares against, and their
+    /// per-column summary statistics, precomputed at publish time so the
+    /// match scan can bound this record's error against any probe without
+    /// touching the fingerprints themselves. `None` for unmatchable
+    /// records: they are never candidates, so nothing reads them.
+    fingerprints: Option<Arc<HashMap<String, Fingerprint>>>,
+    summaries: Option<Arc<SummaryTable>>,
+    /// Samples for *all* output columns (stochastic and derived); `None`
+    /// once the record is demoted, when `mapped` rebuilds them on read.
+    samples: Option<Arc<ColumnSamples>>,
     worlds: usize,
     stamp: u64,
     /// Whether this entry may serve as a *source* for fingerprint matching.
@@ -141,10 +218,11 @@ struct Record {
     /// scans proportional to the number of genuinely distinct
     /// distributions, not the number of visited points.
     matchable: bool,
-    /// How a mapped record's `samples` were made
-    /// ([`InflightGuard::complete_mapped`]); a snapshot writes it in their
-    /// place while its source is still stored.
-    recipe: Option<Recipe>,
+    /// How a mapped record's samples were made
+    /// ([`InflightGuard::complete_mapped`]): a snapshot writes its recipe
+    /// in their place while its source is still stored, and a demoted
+    /// record rebuilds them from it.
+    mapped: Option<Arc<Mapped>>,
 }
 
 impl Record {
@@ -157,45 +235,101 @@ impl Record {
         stamp: u64,
         matchable: bool,
     ) -> Self {
-        let (fingerprints, summaries) = if matchable {
-            let summaries = SummaryTable::of(&fingerprints);
-            (fingerprints, summaries)
-        } else {
-            (HashMap::new(), SummaryTable::default())
-        };
+        let summaries = matchable.then(|| Arc::new(SummaryTable::of(&fingerprints)));
         Record {
-            fingerprints: Arc::new(fingerprints),
-            summaries: Arc::new(summaries),
-            samples,
+            fingerprints: matchable.then(|| Arc::new(fingerprints)),
+            summaries,
+            samples: Some(samples),
             worlds,
             stamp,
             matchable,
-            recipe: None,
+            mapped: None,
         }
     }
 
-    /// Build a mapped record: unmatchable, `samples` made by `recipe`.
-    fn mapped(samples: Arc<ColumnSamples>, worlds: usize, stamp: u64, recipe: Recipe) -> Self {
+    /// Build a mapped record: unmatchable, `samples` made by `mapped`.
+    fn mapped(samples: Arc<ColumnSamples>, worlds: usize, stamp: u64, mapped: Mapped) -> Self {
         Record {
-            recipe: Some(recipe),
-            ..Record::new(HashMap::new(), samples, worlds, stamp, false)
+            fingerprints: None,
+            summaries: None,
+            samples: Some(samples),
+            worlds,
+            stamp,
+            matchable: false,
+            mapped: Some(Arc::new(mapped)),
+        }
+    }
+
+    /// Bytes this record holds against the store's budget: its sample
+    /// lanes and fingerprint values at 8 bytes each, its mappings, and
+    /// the fixed [`RECORD_OVERHEAD`]. A demoted record is charged its
+    /// overhead and mappings alone: its source's samples are the source
+    /// record's.
+    fn charge(&self) -> usize {
+        let lanes: usize = (self.samples.iter())
+            .flat_map(|s| s.values())
+            .map(Vec::len)
+            .sum();
+        let prints: usize = (self.fingerprints.iter())
+            .flat_map(|f| f.values())
+            .map(|fp| fp.values().len())
+            .sum();
+        let maps = self.mapped.as_ref().map_or(0, |m| m.recipe.mappings.len());
+        RECORD_OVERHEAD + (lanes + prints) * 8 + maps * MAPPING_BYTES
+    }
+
+    /// Whether [`Table::make_room`] may demote this record: it holds
+    /// samples it can rebuild.
+    fn demotable(&self) -> bool {
+        self.samples.is_some() && self.mapped.is_some()
+    }
+}
+
+/// What a read copies out of a record under the table lock: its samples,
+/// or what rebuilds a demoted record's once the lock is released.
+enum Stored {
+    Resident(Arc<ColumnSamples>),
+    Demoted { mapped: Arc<Mapped>, worlds: usize },
+}
+
+impl Stored {
+    fn of(record: &Record) -> Self {
+        if let Some(samples) = &record.samples {
+            return Stored::Resident(Arc::clone(samples));
+        }
+        let mapped = (record.mapped.as_ref())
+            .expect("invariant: only a record with a recipe drops its samples");
+        Stored::Demoted {
+            mapped: Arc::clone(mapped),
+            worlds: record.worlds,
         }
     }
 }
 
 /// The entry table, under [`rank::STORE_TABLE`]: every record, the stamp
-/// counter, and each record's stamp filed in the queue of its
-/// matchability, so the eviction victim — the oldest unmatchable entry,
-/// else the oldest matchable one — is an O(log n) `pop_first`.
+/// counter, each record's stamp filed in the queue of its matchability,
+/// and the byte budget's books. Making room first demotes the oldest
+/// demotable record, then evicts the oldest unmatchable entry, else the
+/// oldest matchable one — each an O(log n) `pop_first`.
 #[derive(Default)]
 struct Table {
     entries: HashMap<ParamPoint, Record>,
     next_stamp: u64,
     /// Unmatchable (mapped) entries by stamp: evicted first, oldest first.
     unmatchable: BTreeMap<u64, ParamPoint>,
+    /// The unmatchable entries that still hold samples they can rebuild
+    /// ([`Record::demotable`]), by stamp: demoted before anything is
+    /// evicted, oldest first.
+    demotable: BTreeSet<u64>,
     /// Matchable (simulated) entries by stamp — the match scan's candidate
     /// order; evicted only when no unmatchable entry remains.
     matchable: BTreeMap<u64, ParamPoint>,
+    /// Sum of every record's [`Record::charge`].
+    charged: usize,
+    /// The largest charge of any record filed holding samples since the
+    /// table was last wiped: what one "full-depth samples record" costs,
+    /// the unit of the store's capacity.
+    record_bytes: usize,
     /// How many times the matchable set has changed
     /// ([`Table::matchable_changed`]): what a scan snapshot is a snapshot
     /// *of*.
@@ -203,6 +337,13 @@ struct Table {
     /// The last snapshot [`SharedBasisStore::scan_snapshot_shared`] took,
     /// while the matchable set is still the one it was taken of.
     scan_cache: Option<Arc<ScanSnapshot>>,
+}
+
+/// What [`Table::make_room`] did.
+#[derive(Default)]
+struct Room {
+    demoted: u64,
+    evicted: u64,
 }
 
 impl Table {
@@ -217,15 +358,80 @@ impl Table {
     /// File `record` under `point`, replacing (and unqueueing) any entry
     /// already there.
     fn put(&mut self, point: ParamPoint, record: Record) {
-        let (stamp, matchable) = (record.stamp, record.matchable);
+        let (stamp, matchable, charge) = (record.stamp, record.matchable, record.charge());
+        if record.demotable() {
+            self.demotable.insert(stamp);
+        }
+        self.charged += charge;
+        if record.samples.is_some() {
+            self.record_bytes = self.record_bytes.max(charge);
+        }
         let replaced = self.entries.insert(point.clone(), record);
         if matchable || replaced.as_ref().is_some_and(|old| old.matchable) {
             self.matchable_changed();
         }
         if let Some(old) = replaced {
-            self.queue(old.matchable).remove(&old.stamp);
+            self.unfile(&old);
         }
         self.queue(matchable).insert(stamp, point);
+    }
+
+    /// Take a record that left the entry map off the books and out of
+    /// its queues.
+    fn unfile(&mut self, record: &Record) {
+        self.charged -= record.charge();
+        self.demotable.remove(&record.stamp);
+        self.queue(record.matchable).remove(&record.stamp);
+    }
+
+    /// Demote or evict, oldest first, until `incoming` more bytes fit the
+    /// budget of a store of `capacity`: first every record that can drop
+    /// its samples and rebuild them, then unmatchable entries, then
+    /// matchable ones. A store whose records all cost the same and carry
+    /// no recipe evicts exactly one entry per insert once full — the
+    /// entry-count policy.
+    fn make_room(&mut self, incoming: usize, capacity: usize) -> Room {
+        let budget = capacity.saturating_mul(self.record_bytes.max(incoming));
+        let mut room = Room {
+            demoted: self.demote_to(budget.saturating_sub(incoming)),
+            evicted: 0,
+        };
+        while self.charged + incoming > budget {
+            let victim = match self.unmatchable.pop_first() {
+                Some(victim) => victim,
+                None => match self.matchable.pop_first() {
+                    Some(victim) => {
+                        self.matchable_changed();
+                        victim
+                    }
+                    None => break,
+                },
+            };
+            let record = (self.entries.remove(&victim.1))
+                .expect("invariant: a queued stamp names a stored record");
+            self.unfile(&record);
+            room.evicted += 1;
+        }
+        room
+    }
+
+    /// Demote demotable records, oldest first, until the books are within
+    /// `limit` bytes or none is left. Returns how many were demoted.
+    fn demote_to(&mut self, limit: usize) -> u64 {
+        let mut demoted = 0;
+        while self.charged > limit {
+            let Some(stamp) = self.demotable.pop_first() else {
+                break;
+            };
+            let record = (self.unmatchable.get(&stamp))
+                .and_then(|point| self.entries.get_mut(point))
+                .expect("invariant: a demotable stamp names a stored unmatchable record");
+            let before = record.charge();
+            record.samples = None;
+            self.charged = self.charged - before + record.charge();
+            demoted += 1;
+        }
+        demoted
     }
 
     /// A matchable record was filed, replaced, evicted or wiped: snapshots
@@ -358,14 +564,24 @@ impl InflightGuard {
 
     /// [`InflightGuard::complete`] for a fingerprint hit: publish the
     /// re-mapped `samples` as an unmatchable entry that remembers how it
-    /// was made, so a snapshot can write the recipe in their place.
+    /// was made — `recipe` applied to `source`, the hit's source samples,
+    /// through `rebuild` — so a snapshot can write the recipe in their
+    /// place and an over-budget store can drop them and rebuild them on
+    /// read.
     pub fn complete_mapped(
         self,
         samples: Arc<ColumnSamples>,
         worlds: usize,
         recipe: Recipe,
+        source: Arc<ColumnSamples>,
+        rebuild: RebuildHandle,
     ) -> bool {
-        self.publish(Record::mapped(samples, worlds, 0, recipe))
+        let mapped = Mapped {
+            recipe,
+            source,
+            rebuild,
+        };
+        self.publish(Record::mapped(samples, worlds, 0, mapped))
     }
 
     /// The publish behind both completions; `record` is stamped on insert.
@@ -379,8 +595,10 @@ impl InflightGuard {
                 // already released this point's claim in the ledger.
                 return false;
             }
+            let samples = (record.samples.as_ref())
+                .expect("invariant: a record is published holding its samples");
             *state = SlotState::Done {
-                samples: Arc::clone(&record.samples),
+                samples: Arc::clone(samples),
                 worlds: record.worlds,
             };
         }
@@ -477,10 +695,39 @@ pub struct StoreStatsSnapshot {
     /// Evaluations served by blocking on another session's in-flight
     /// simulation instead of running their own.
     pub inflight_waits: u64,
-    /// Entries dropped to make room for newer ones.
+    /// Entries removed from the table to make room for newer ones.
     pub evictions: u64,
-    /// Entries currently stored.
+    /// Mapped entries that dropped their samples to make room and stayed
+    /// in the table as their recipe.
+    pub demotions: u64,
+    /// Reads of a demoted entry — a claim, an exact lookup or a save —
+    /// that rebuilt its samples from its recipe.
+    pub rematerializations: u64,
+    /// Entries currently stored, demoted ones included.
     pub entries: u64,
+}
+
+/// One `name value` row per field, in the layout of the engine's metrics
+/// table.
+impl std::fmt::Display for StoreStatsSnapshot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let rows = [
+            ("entries", self.entries),
+            ("evictions", self.evictions),
+            ("demotions", self.demotions),
+            ("rematerializations", self.rematerializations),
+            ("hits", self.hits),
+            ("misses", self.misses),
+            ("inflight_waits", self.inflight_waits),
+        ];
+        for (i, (name, value)) in rows.iter().enumerate() {
+            if i > 0 {
+                writeln!(f)?;
+            }
+            write!(f, "{name:<20}{value:>14}")?;
+        }
+        Ok(())
+    }
 }
 
 /// The store's counter ledger. One mutex (rank [`rank::STORE_STATS`], a
@@ -492,15 +739,21 @@ struct Counters {
     misses: u64,
     inflight_waits: u64,
     evictions: u64,
+    demotions: u64,
+    rematerializations: u64,
 }
 
 /// Thread-safe basis store shared between engines/sessions of one scenario.
 ///
-/// Cloning produces another handle onto the same store. Eviction drops
-/// the oldest *mapped* entry first, because simulated entries are the
-/// sources fingerprint matching lives on. In-flight claims live outside
-/// the bounded entry table, so eviction can never drop a pending
-/// simulation.
+/// Cloning produces another handle onto the same store. Its capacity is a
+/// byte budget: `capacity` records of the largest samples record it has
+/// held. Past the budget a publish first *demotes* the oldest mapped entry
+/// that still holds samples — it drops them, keeps its recipe, and stays
+/// in the table, to be rebuilt when read — and only when none is left
+/// evicts the oldest *mapped* entry, then the oldest simulated one,
+/// because simulated entries are the sources fingerprint matching lives
+/// on. In-flight claims live outside the bounded entry table, so eviction
+/// can never drop a pending simulation.
 #[derive(Clone)]
 pub struct SharedBasisStore {
     table: Arc<OrderedRwLock<Table>>,
@@ -771,12 +1024,13 @@ pub enum SnapshotError {
     /// The trailing four-lane word checksum did not match the body: the
     /// file was corrupted after it was written.
     ChecksumMismatch,
-    /// The snapshot holds more entries than this store's capacity — it was
-    /// written by a larger store and restoring it would immediately evict.
+    /// The snapshot's entries exceed this store's byte budget even with
+    /// every mapped entry demoted — it was written by a larger store and
+    /// restoring it would immediately evict.
     CapacityExceeded {
         /// Entries the snapshot holds.
         entries: usize,
-        /// This store's capacity.
+        /// This store's capacity, in full-depth samples records.
         capacity: usize,
     },
     /// A recipe record does not name an earlier matchable samples record
@@ -813,7 +1067,7 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::ChecksumMismatch => write!(f, "snapshot checksum mismatch"),
             SnapshotError::CapacityExceeded { entries, capacity } => write!(
                 f,
-                "snapshot holds {entries} entries but the store's capacity is {capacity}"
+                "snapshot's {entries} entries exceed the store's capacity of {capacity} records"
             ),
             SnapshotError::DanglingRecipe {
                 stamp,
@@ -944,7 +1198,7 @@ fn sorted_mappings(recipe: &Recipe) -> Vec<(&String, &Mapping)> {
 /// evicted, or the record was never mapped) `None`: the record travels
 /// as the samples it holds.
 fn live_recipe<'r>(table: &Table, record: &'r Record) -> Option<&'r Recipe> {
-    let recipe = record.recipe.as_ref()?;
+    let recipe = &record.mapped.as_ref()?.recipe;
     let source = table.matchable.get(&recipe.source_stamp)?;
     (table.entries.get(source)?.worlds == record.worlds).then_some(recipe)
 }
@@ -962,14 +1216,14 @@ fn record_len(point: &ParamPoint, record: &Record, recipe: Option<&Recipe>) -> u
         return head + 8 + 4 + maps;
     }
     let fps: usize = if record.matchable {
-        let fps: usize = (record.fingerprints.iter())
+        let fps: usize = (record.fingerprints.iter().flat_map(|f| f.iter()))
             .map(|(n, fp)| name(n) + 4 + fp.values().len() * 8)
             .sum();
         4 + fps
     } else {
         0
     };
-    let cols: usize = (record.samples.iter())
+    let cols: usize = (record.samples.iter().flat_map(|s| s.iter()))
         .map(|(n, values)| name(n) + 8 + values.len() * 8)
         .sum();
     head + fps + 4 + cols
@@ -979,7 +1233,8 @@ fn record_len(point: &ParamPoint, record: &Record, recipe: Option<&Recipe>) -> u
 /// samples record — in a fixed field order with name-sorted maps, so the
 /// serialization is a pure function of the record and its recipe's
 /// liveness. Byte stability is what lets the round-trip tests assert
-/// `restore(bytes).snapshot_bytes() == bytes`.
+/// `restore(bytes).snapshot_bytes() == bytes`. A samples record must hold
+/// its samples: a demoted one is rebuilt first.
 fn serialize_record(
     out: &mut Vec<u8>,
     point: &ParamPoint,
@@ -1009,7 +1264,8 @@ fn serialize_record(
     }
     if record.matchable {
         out.push(KIND_SOURCE);
-        let mut fps: Vec<(&String, &Fingerprint)> = record.fingerprints.iter().collect();
+        let mut fps: Vec<(&String, &Fingerprint)> =
+            record.fingerprints.iter().flat_map(|f| f.iter()).collect();
         fps.sort_by(|a, b| a.0.cmp(b.0));
         put_u32(out, fps.len() as u32);
         for (name, fp) in fps {
@@ -1021,7 +1277,8 @@ fn serialize_record(
     } else {
         out.push(KIND_SAMPLES);
     }
-    let mut cols: Vec<(&String, &Vec<f64>)> = record.samples.iter().collect();
+    let mut cols: Vec<(&String, &Vec<f64>)> =
+        record.samples.iter().flat_map(|s| s.iter()).collect();
     cols.sort_by(|a, b| a.0.cmp(b.0));
     put_u32(out, cols.len() as u32);
     for (name, values) in cols {
@@ -1029,6 +1286,35 @@ fn serialize_record(
         put_u64(out, values.len() as u64);
         put_f64s(out, values);
     }
+}
+
+/// A whole snapshot of `records`, given in stamp order with the recipe
+/// each is written as (or `None` for its samples): header, records, and
+/// the trailing checksum, in one allocation of the final size.
+fn encode_snapshot(
+    next_stamp: u64,
+    records: &[(&ParamPoint, Cow<'_, Record>, Option<&Recipe>)],
+) -> Vec<u8> {
+    let body: usize = (records.iter())
+        .map(|(p, r, recipe)| record_len(p, r, *recipe))
+        .sum();
+    let total = SNAPSHOT_HEADER + body + SNAPSHOT_FOOTER;
+    let mut out = Vec::with_capacity(total);
+    out.extend_from_slice(&SNAPSHOT_MAGIC);
+    out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+    put_u64(&mut out, next_stamp);
+    put_u64(&mut out, records.len() as u64);
+    for (point, record, recipe) in records {
+        serialize_record(&mut out, point, record, *recipe);
+    }
+    let checksum = snapshot_checksum(&out);
+    put_u64(&mut out, checksum);
+    debug_assert_eq!(
+        out.len(),
+        total,
+        "record_len disagrees with serialize_record"
+    );
+    out
 }
 
 /// Bounds-checked little-endian reader over a snapshot body. Every
@@ -1225,13 +1511,9 @@ fn parse_record(
 }
 
 /// Parse and validate a whole snapshot — length, magic, version,
-/// checksum, record structure, recipe sources, capacity, stamp order,
-/// distinct points — into its stamp counter and records, touching no
-/// store.
-fn parse_snapshot(
-    bytes: &[u8],
-    capacity: usize,
-) -> Result<(u64, Vec<ParsedRecord>), SnapshotError> {
+/// checksum, record structure, recipe sources, stamp order, distinct
+/// points — into its stamp counter and records, touching no store.
+fn parse_snapshot(bytes: &[u8]) -> Result<(u64, Vec<ParsedRecord>), SnapshotError> {
     if bytes.len() < SNAPSHOT_HEADER + SNAPSHOT_FOOTER {
         return Err(SnapshotError::Truncated);
     }
@@ -1271,12 +1553,6 @@ fn parse_snapshot(
     if reader.pos != body.len() {
         return Err(SnapshotError::Truncated);
     }
-    if count > capacity {
-        return Err(SnapshotError::CapacityExceeded {
-            entries: count,
-            capacity,
-        });
-    }
     let mut points = HashSet::with_capacity(count);
     let mut last_stamp = None;
     for r in &parsed {
@@ -1298,7 +1574,9 @@ fn parse_snapshot(
 }
 
 impl SharedBasisStore {
-    /// Create an empty store holding at most `capacity` entries.
+    /// Create an empty store whose byte budget is `capacity` full-depth
+    /// samples records: `capacity` times the largest charge of any record
+    /// it holds samples for (see the type docs for what happens past it).
     ///
     /// # Panics
     /// Panics if `capacity == 0` (a store that cannot hold anything is a
@@ -1329,14 +1607,25 @@ impl SharedBasisStore {
         &self.tracer
     }
 
-    /// Maximum number of entries before eviction.
+    /// The byte budget, in full-depth samples records.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// Number of stored entries.
+    /// Number of stored entries, demoted ones included.
     pub fn len(&self) -> usize {
         self.table.read().entries.len()
+    }
+
+    /// Number of stored entries that hold their samples: every entry but
+    /// the demoted ones.
+    pub fn resident_len(&self) -> usize {
+        let table = self.table.read();
+        table
+            .entries
+            .values()
+            .filter(|r| r.samples.is_some())
+            .count()
     }
 
     /// True if nothing is stored.
@@ -1359,12 +1648,14 @@ impl SharedBasisStore {
     /// discarded) — never a stale entry in a "cleared" store.
     pub fn clear(&self) {
         self.reset_with(|table| {
-            table.entries.clear();
-            table.matchable.clear();
-            table.unmatchable.clear();
-            table.matchable_changed();
             // next_stamp is preserved: stamps stay globally unique across a
             // clear, so later tie-breaks never collide with pre-clear ones.
+            *table = Table {
+                next_stamp: table.next_stamp,
+                matchable_epoch: table.matchable_epoch,
+                ..Table::default()
+            };
+            table.matchable_changed();
         });
     }
 
@@ -1399,6 +1690,8 @@ impl SharedBasisStore {
             misses: counters.misses,
             inflight_waits: counters.inflight_waits,
             evictions: counters.evictions,
+            demotions: counters.demotions,
+            rematerializations: counters.rematerializations,
             entries: table.entries.len() as u64,
         }
     }
@@ -1414,14 +1707,37 @@ impl SharedBasisStore {
     }
 
     /// Exact lookup: stored samples for `point`, provided they are backed by
-    /// at least `min_worlds` worlds.
+    /// at least `min_worlds` worlds. A demoted entry's are rebuilt after
+    /// the table lock is released.
     pub fn get_exact(&self, point: &ParamPoint, min_worlds: usize) -> Option<Arc<ColumnSamples>> {
-        self.table
-            .read()
-            .entries
-            .get(point)
-            .filter(|e| e.worlds >= min_worlds)
-            .map(|e| Arc::clone(&e.samples))
+        let stored = {
+            let table = self.table.read();
+            let record = table
+                .entries
+                .get(point)
+                .filter(|e| e.worlds >= min_worlds)?;
+            Stored::of(record)
+        };
+        Some(self.materialize(point, stored))
+    }
+
+    /// A stored entry's samples: the held ones, or a demoted entry's
+    /// rebuilt — with no store lock held, which is why the caller passes
+    /// what it copied out of the record.
+    ///
+    /// # Panics
+    /// If the rebuild fails, which it cannot short of a broken remap: it
+    /// runs the function that succeeded on the same inputs when the record
+    /// was published (or restored).
+    fn materialize(&self, point: &ParamPoint, stored: Stored) -> Arc<ColumnSamples> {
+        let (mapped, worlds) = match stored {
+            Stored::Resident(samples) => return samples,
+            Stored::Demoted { mapped, worlds } => (mapped, worlds),
+        };
+        let samples = (mapped.rebuild(point, worlds))
+            .unwrap_or_else(|e| panic!("invariant: a demoted record rebuilds: {e}"));
+        self.stats.lock().rematerializations += 1;
+        samples
     }
 
     /// Claim `point` for evaluation, deduplicating concurrent work: at most
@@ -1432,22 +1748,25 @@ impl SharedBasisStore {
     ///   the returned [`InflightGuard`].
     /// * [`TryClaim::Pending`] — another session owns it; block on the
     ///   [`WaitHandle`] to reuse its result.
+    ///
+    /// A demoted entry is `Ready` too: its samples are rebuilt from its
+    /// recipe after both store locks are released.
     pub fn try_claim(&self, point: &ParamPoint, min_worlds: usize) -> TryClaim {
         self.tracer
             .instant(TraceEventKind::StoreClaim, NO_JOB, NO_CHUNK);
         let mut slots = self.inflight.slots.lock();
         // Exact check under the in-flight lock so a concurrent complete()
         // cannot publish between the store check and slot registration.
-        {
+        let stored = {
             let table = self.table.read();
-            if let Some(e) = table.entries.get(point) {
-                if e.worlds >= min_worlds {
-                    return TryClaim::Ready {
-                        samples: Arc::clone(&e.samples),
-                        worlds: e.worlds,
-                    };
-                }
-            }
+            (table.entries.get(point))
+                .filter(|e| e.worlds >= min_worlds)
+                .map(|e| (Stored::of(e), e.worlds))
+        };
+        if let Some((stored, worlds)) = stored {
+            drop(slots);
+            let samples = self.materialize(point, stored);
+            return TryClaim::Ready { samples, worlds };
         }
         match slots.entry(point.clone()) {
             Entry::Occupied(e) => TryClaim::Pending(WaitHandle {
@@ -1473,11 +1792,11 @@ impl SharedBasisStore {
     /// simulated entries that may serve as mapping sources; their
     /// fingerprint summaries are computed here.
     ///
-    /// Stamp allocation, the eviction decision, victim removal and the
-    /// entry insert commit under one write guard. Eviction is O(log n):
-    /// the victim is the head of the stamp-ordered unmatchable queue (else
-    /// the matchable queue) — no entry-table scan. Replacements never
-    /// evict.
+    /// Stamp allocation, making room, and the entry insert commit under
+    /// one write guard. Making room is O(log n) per step: the next record
+    /// to demote is the head of the stamp-ordered demotion queue, the next
+    /// victim the head of the unmatchable queue (else the matchable
+    /// queue) — no entry-table scan. Replacements never demote or evict.
     pub fn insert(
         &self,
         point: ParamPoint,
@@ -1495,29 +1814,27 @@ impl SharedBasisStore {
 
     /// [`SharedBasisStore::insert`] of a built record, stamped here.
     fn insert_record(&self, point: ParamPoint, mut record: Record) {
-        let evicted = {
-            let mut guard = self.table.write();
-            let table = &mut *guard;
+        let charge = record.charge();
+        let room = {
+            let mut table = self.table.write();
             table.next_stamp += 1;
-            let mut victim = None;
-            if table.entries.len() >= self.capacity && !table.entries.contains_key(&point) {
-                victim = table.unmatchable.pop_first();
-                if victim.is_none() {
-                    victim = table.matchable.pop_first();
-                    table.matchable_changed();
-                }
-                if let Some((_, vpoint)) = &victim {
-                    table.entries.remove(vpoint);
-                }
-            }
+            let room = if table.entries.contains_key(&point) {
+                Room::default()
+            } else {
+                table.make_room(charge, self.capacity)
+            };
             record.stamp = table.next_stamp;
             table.put(point, record);
-            victim.is_some()
+            room
         };
-        if evicted {
+        for _ in 0..room.evicted {
             self.tracer
                 .instant(TraceEventKind::StoreEvict, NO_JOB, NO_CHUNK);
-            self.stats.lock().evictions += 1;
+        }
+        if room.evicted + room.demoted > 0 {
+            let mut counters = self.stats.lock();
+            counters.evictions += room.evicted;
+            counters.demotions += room.demoted;
         }
     }
 
@@ -1645,12 +1962,13 @@ impl SharedBasisStore {
                 .iter()
                 .filter_map(|(&stamp, point)| {
                     let record = table.entries.get(point)?;
-                    (!record.fingerprints.is_empty()).then(|| Candidate {
+                    let fingerprints = record.fingerprints.as_ref().filter(|f| !f.is_empty())?;
+                    Some(Candidate {
                         point: point.clone(),
                         stamp,
-                        fingerprints: Arc::clone(&record.fingerprints),
-                        summaries: Arc::clone(&record.summaries),
-                        samples: Arc::clone(&record.samples),
+                        fingerprints: Arc::clone(fingerprints),
+                        summaries: Arc::clone(record.summaries.as_ref()?),
+                        samples: Arc::clone(record.samples.as_ref()?),
                         worlds: record.worlds,
                     })
                 })
@@ -1713,44 +2031,59 @@ impl SharedBasisStore {
     // --------------------------------------------------- snapshot / restore
 
     /// Serialize every record in stamp order: the byte stream is a pure
-    /// function of the store's contents.
+    /// function of the store's contents. It is written under the table's
+    /// read lock — except that a demoted record whose recipe can no longer
+    /// be written (its source was replaced or evicted) travels as samples
+    /// that must first be rebuilt: those are copied out, rebuilt with no
+    /// lock held, and the table is walked again.
     fn snapshot_with_count(&self) -> (Vec<u8>, usize) {
-        let table = self.table.read();
-        let mut records: Vec<(&ParamPoint, &Record)> = table.entries.iter().collect();
-        records.sort_unstable_by_key(|(_, record)| record.stamp);
-        let recipes: Vec<Option<&Recipe>> = records
-            .iter()
-            .map(|(_, r)| live_recipe(&table, r))
-            .collect();
-        let body: usize = (records.iter().zip(&recipes))
-            .map(|((p, r), recipe)| record_len(p, r, *recipe))
-            .sum();
-        let total = SNAPSHOT_HEADER + body + SNAPSHOT_FOOTER;
-        let mut out = Vec::with_capacity(total);
-        out.extend_from_slice(&SNAPSHOT_MAGIC);
-        out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        put_u64(&mut out, table.next_stamp);
-        put_u64(&mut out, records.len() as u64);
-        for ((point, record), recipe) in records.iter().zip(&recipes) {
-            serialize_record(&mut out, point, record, *recipe);
+        let mut rebuilt: HashMap<u64, Arc<ColumnSamples>> = HashMap::new();
+        loop {
+            let table = self.table.read();
+            let mut records: Vec<(&ParamPoint, &Record)> = table.entries.iter().collect();
+            records.sort_unstable_by_key(|(_, record)| record.stamp);
+            let recipes: Vec<Option<&Recipe>> = (records.iter())
+                .map(|(_, r)| live_recipe(&table, r))
+                .collect();
+            let as_samples =
+                |r: &Record, recipe: Option<&Recipe>| recipe.is_none() && r.samples.is_none();
+            let missing: Vec<(ParamPoint, u64, Stored)> = (records.iter().zip(&recipes))
+                .filter(|((_, r), recipe)| as_samples(r, **recipe))
+                .filter(|((_, r), _)| !rebuilt.contains_key(&r.stamp))
+                .map(|((p, r), _)| ((*p).clone(), r.stamp, Stored::of(r)))
+                .collect();
+            if missing.is_empty() {
+                let records: Vec<(&ParamPoint, Cow<'_, Record>, Option<&Recipe>)> =
+                    (records.into_iter().zip(recipes))
+                        .map(|((point, r), recipe)| {
+                            let record = if as_samples(r, recipe) {
+                                let samples = rebuilt.get(&r.stamp).cloned();
+                                Cow::Owned(Record {
+                                    samples,
+                                    ..r.clone()
+                                })
+                            } else {
+                                Cow::Borrowed(r)
+                            };
+                            (point, record, recipe)
+                        })
+                        .collect();
+                return (encode_snapshot(table.next_stamp, &records), records.len());
+            }
+            drop(table);
+            for (point, stamp, stored) in missing {
+                rebuilt.insert(stamp, self.materialize(&point, stored));
+            }
         }
-        let checksum = snapshot_checksum(&out);
-        put_u64(&mut out, checksum);
-        debug_assert_eq!(
-            out.len(),
-            total,
-            "record_len disagrees with serialize_record"
-        );
-        (out, records.len())
     }
 
     /// Serialize the store — the stamp counter, a version header, every
     /// record, and a trailing checksum — into a byte vector
     /// [`SharedBasisStore::restore_with`] accepts. A mapped record whose
-    /// source is still stored is written as its [`Recipe`]; every other
-    /// record as its samples, plus its fingerprints if it is matchable.
-    /// Summaries are derived data and are *not* serialized; a restore
-    /// recomputes them. See `docs/CONCURRENCY.md` for the format.
+    /// source is still stored is written as its [`Recipe`], demoted or
+    /// not; every other record as its samples, plus its fingerprints if it
+    /// is matchable. Summaries are derived data and are *not* serialized;
+    /// a restore recomputes them. See `docs/CONCURRENCY.md` for the format.
     pub fn snapshot_bytes(&self) -> Vec<u8> {
         self.snapshot_with_count().0
     }
@@ -1760,36 +2093,43 @@ impl SharedBasisStore {
     /// A recipe record fails the restore with
     /// [`SnapshotError::RecipeNeedsEngine`].
     pub fn restore_bytes(&self, bytes: &[u8]) -> Result<usize, SnapshotError> {
-        self.restore_with(bytes, |_, _, _, _| Err(SnapshotError::RecipeNeedsEngine))
+        self.restore(bytes, None)
     }
 
     /// Replace this store's contents with a snapshot's, re-deriving each
-    /// recipe record's samples as `rebuild(point, recipe, source samples,
-    /// worlds)` — for the engine, its own remap, so they are the bits the
-    /// writing store held. Returns the number of restored entries.
+    /// recipe record's samples through `rebuild` — for the engine, its own
+    /// remap, so they are the bits the writing store held — and keeping
+    /// `rebuild` in the record, so it can be demoted like a published one.
+    /// Returns the number of restored entries.
     ///
     /// A restore runs in three steps, and only the last touches the store:
     /// the whole byte stream is parsed and validated — header, checksum,
-    /// record structure, recipe sources, capacity, stamp order, distinct
-    /// points — then every recipe is rebuilt (its failure is the
-    /// restore's), then the rebuilt table is installed. A failed restore
-    /// leaves the store untouched. A successful one behaves like
-    /// [`SharedBasisStore::clear`] followed by replaying the snapshot's
-    /// records with their original stamps: in-flight claims are cancelled
-    /// (waiters re-claim), counters reset, and the stamp counter continues
-    /// from the snapshot's, so post-restore inserts, evictions, match
-    /// tie-breaks and re-saves are bit-identical to the store that wrote
-    /// it.
-    pub fn restore_with<F>(&self, bytes: &[u8], mut rebuild: F) -> Result<usize, SnapshotError>
-    where
-        F: FnMut(
-            &ParamPoint,
-            &Recipe,
-            &ColumnSamples,
-            usize,
-        ) -> Result<Arc<ColumnSamples>, SnapshotError>,
-    {
-        let (next_stamp, parsed) = parse_snapshot(bytes, self.capacity)?;
+    /// record structure, recipe sources, stamp order, distinct points —
+    /// then every recipe is rebuilt (its failure is the restore's) and the
+    /// rebuilt records are demoted, oldest first, while they are over the
+    /// byte budget (still over it with none left to demote is
+    /// [`SnapshotError::CapacityExceeded`]), then the table is installed.
+    /// A failed restore leaves the store untouched. A successful one
+    /// behaves like [`SharedBasisStore::clear`] followed by replaying the
+    /// snapshot's records with their original stamps: in-flight claims
+    /// are cancelled (waiters re-claim), counters reset, and the stamp
+    /// counter continues from the snapshot's, so post-restore inserts,
+    /// match tie-breaks and re-saves are bit-identical to the store that
+    /// wrote it.
+    pub fn restore_with(
+        &self,
+        bytes: &[u8],
+        rebuild: &RebuildHandle,
+    ) -> Result<usize, SnapshotError> {
+        self.restore(bytes, Some(rebuild))
+    }
+
+    fn restore(
+        &self,
+        bytes: &[u8],
+        rebuild: Option<&RebuildHandle>,
+    ) -> Result<usize, SnapshotError> {
+        let (next_stamp, parsed) = parse_snapshot(bytes)?;
         let count = parsed.len();
         let mut restored = Table {
             entries: HashMap::with_capacity(count),
@@ -1805,11 +2145,26 @@ impl SharedBasisStore {
                     matchable,
                 } => Record::new(fingerprints, samples, r.worlds, r.stamp, matchable),
                 ParsedBody::Recipe { recipe, source } => {
-                    let samples = rebuild(&r.point, &recipe, &source, r.worlds)?;
-                    Record::mapped(samples, r.worlds, r.stamp, recipe)
+                    let rebuild = Arc::clone(rebuild.ok_or(SnapshotError::RecipeNeedsEngine)?);
+                    let samples = (rebuild.rebuild(&r.point, &source, &recipe.mappings, r.worlds))
+                        .map_err(SnapshotError::Rebuild)?;
+                    let mapped = Mapped {
+                        recipe,
+                        source,
+                        rebuild,
+                    };
+                    Record::mapped(samples, r.worlds, r.stamp, mapped)
                 }
             };
             restored.put(r.point, record);
+        }
+        let budget = self.capacity.saturating_mul(restored.record_bytes);
+        restored.demote_to(budget);
+        if restored.charged > budget {
+            return Err(SnapshotError::CapacityExceeded {
+                entries: count,
+                capacity: self.capacity,
+            });
         }
         self.reset_with(|table| {
             // The epoch counts this table's changes, not the snapshot's.
@@ -1823,11 +2178,47 @@ impl SharedBasisStore {
     /// Write a snapshot to `path` (see
     /// [`SharedBasisStore::snapshot_bytes`]). Returns the number of
     /// serialized entries.
+    ///
+    /// The write is atomic: the bytes go to a temporary sibling of `path`,
+    /// which is synced to disk and then renamed over it, so a crash or a
+    /// full disk mid-write leaves the previous snapshot as it was.
     pub fn save_to(&self, path: impl AsRef<std::path::Path>) -> Result<usize, SnapshotError> {
         let (bytes, count) = self.snapshot_with_count();
-        std::fs::write(path, bytes).map_err(|e| SnapshotError::Io(e.to_string()))?;
+        replace_file(path.as_ref(), |file| file.write_all(&bytes))
+            .map_err(|e| SnapshotError::Io(e.to_string()))?;
         Ok(count)
     }
+}
+
+/// Replace `path` with what `write` puts into a fresh file: written to a
+/// temporary sibling (same directory, so same filesystem), synced, then
+/// renamed over `path`. Any failure removes the temporary and leaves
+/// `path` untouched.
+fn replace_file(
+    path: &std::path::Path,
+    write: impl FnOnce(&mut std::fs::File) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    static SAVES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let name = path.file_name().ok_or_else(|| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "snapshot path names no file",
+        )
+    })?;
+    let nonce = SAVES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let mut tmp_name = std::ffi::OsString::from(".");
+    tmp_name.push(name);
+    tmp_name.push(format!(".{}.{nonce}.tmp", std::process::id()));
+    let tmp = path.with_file_name(tmp_name);
+    let written = std::fs::File::create(&tmp).and_then(|mut file| {
+        write(&mut file)?;
+        file.sync_all()
+    });
+    let result = written.and_then(|()| std::fs::rename(&tmp, path));
+    if result.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    result
 }
 
 impl std::fmt::Debug for SharedBasisStore {
@@ -1841,6 +2232,8 @@ impl std::fmt::Debug for SharedBasisStore {
             .field("misses", &stats.misses)
             .field("inflight_waits", &stats.inflight_waits)
             .field("evictions", &stats.evictions)
+            .field("demotions", &stats.demotions)
+            .field("rematerializations", &stats.rematerializations)
             .finish()
     }
 }
@@ -2480,27 +2873,34 @@ mod tests {
         restamp(out)
     }
 
-    /// A rebuild that applies each recipe mapping to its source column —
-    /// the engine's remap for a scenario with no derived columns.
-    fn remap(
-        _: &ParamPoint,
-        recipe: &Recipe,
-        source: &ColumnSamples,
-        _: usize,
-    ) -> Result<Arc<ColumnSamples>, SnapshotError> {
-        let mut out = ColumnSamples::new();
-        for (column, mapping) in &recipe.mappings {
-            let values = source
-                .get(column)
-                .ok_or_else(|| SnapshotError::Rebuild(format!("no column `{column}`")))?;
-            out.insert(column.clone(), mapping.apply_samples(values));
+    /// The engine's remap for a scenario with no derived columns: each
+    /// recipe mapping applied to its source column.
+    struct MapColumns;
+
+    impl Rebuild for MapColumns {
+        fn rebuild(
+            &self,
+            _: &ParamPoint,
+            source: &ColumnSamples,
+            mappings: &HashMap<String, Mapping>,
+            _: usize,
+        ) -> Result<Arc<ColumnSamples>, String> {
+            let mut out = ColumnSamples::new();
+            for (column, mapping) in mappings {
+                let values = (source.get(column)).ok_or(format!("no column `{column}`"))?;
+                out.insert(column.clone(), mapping.apply_samples(values));
+            }
+            Ok(Arc::new(out))
         }
-        Ok(Arc::new(out))
+    }
+
+    fn remap() -> RebuildHandle {
+        Arc::new(MapColumns)
     }
 
     /// The kind byte of every record of a snapshot, in stamp order.
     fn record_kinds(bytes: &[u8]) -> Vec<u8> {
-        let (_, parsed) = parse_snapshot(bytes, usize::MAX).expect("snapshot parses");
+        let (_, parsed) = parse_snapshot(bytes).expect("snapshot parses");
         let kind = |r: &ParsedRecord| match &r.body {
             ParsedBody::Recipe { .. } => KIND_RECIPE,
             ParsedBody::Samples { matchable, .. } => *matchable as u8,
@@ -2513,7 +2913,8 @@ mod tests {
     fn mapped_store() -> SharedBasisStore {
         let s = SharedBasisStore::new(4);
         let prints = HashMap::from([("y".to_owned(), fp(&[1.0, 2.0, 4.0]))]);
-        s.insert(point("x", 1), prints, samples(1.0), 2, true);
+        let source = samples(1.0);
+        s.insert(point("x", 1), prints, Arc::clone(&source), 2, true);
         let recipe = Recipe {
             source_stamp: 1,
             mappings: HashMap::from([("y".to_owned(), Mapping::Offset(0.5))]),
@@ -2521,7 +2922,7 @@ mod tests {
         let TryClaim::Owner(guard) = s.try_claim(&point("x", 2), 2) else {
             panic!("expected owner");
         };
-        assert!(guard.complete_mapped(samples(1.5), 2, recipe));
+        assert!(guard.complete_mapped(samples(1.5), 2, recipe, source, remap()));
         s
     }
 
@@ -2536,11 +2937,14 @@ mod tests {
         let prints = HashMap::from([("y".to_owned(), fp(&[1.0, 2.0, 3.0]))]);
         assert!(guard.complete(prints, samples(3.0), 2, false));
         let table = s.table.read();
-        let fingerprints = |x: i64| table.entries[&point("x", x)].fingerprints.len();
+        let fingerprints = |x: i64| {
+            let prints = &table.entries[&point("x", x)].fingerprints;
+            prints.as_ref().map_or(0, |f| f.len())
+        };
         assert_eq!(fingerprints(1), 1, "a source keeps its fingerprints");
         assert_eq!(fingerprints(2), 0, "mapped");
         assert_eq!(fingerprints(3), 0, "unmatchable complete");
-        assert!(table.entries[&point("x", 2)].recipe.is_some());
+        assert!(table.entries[&point("x", 2)].mapped.is_some());
     }
 
     /// A mapped record travels as its recipe while its source stamp is
@@ -2560,7 +2964,7 @@ mod tests {
 
         for bytes in [with_recipe, fallback] {
             let restored = SharedBasisStore::new(4);
-            assert_eq!(restored.restore_with(&bytes, remap), Ok(2));
+            assert_eq!(restored.restore_with(&bytes, &remap()), Ok(2));
             assert_eq!(restored.snapshot_bytes(), bytes, "save → load → save");
             let mapped = restored.get_exact(&point("x", 2), 2).expect("restored");
             assert_eq!(mapped["y"], vec![1.5, 2.5]);
@@ -2597,7 +3001,10 @@ mod tests {
             (2, record, Some(recipe(source_stamp)))
         };
         let good = stream(vec![(1, source(1, 2, true), None), mapped(2, 2, 1)]);
-        assert_eq!(SharedBasisStore::new(2).restore_with(&good, remap), Ok(2));
+        assert_eq!(
+            SharedBasisStore::new(2).restore_with(&good, &remap()),
+            Ok(2)
+        );
 
         let dangling = |stamp, source_stamp| SnapshotError::DanglingRecipe {
             stamp,
@@ -2641,13 +3048,164 @@ mod tests {
             let s = SharedBasisStore::new(2);
             s.insert(point("w", 0), HashMap::new(), samples(0.0), 2, true);
             let before = s.snapshot_bytes();
-            assert_eq!(s.restore_with(&bad, remap), Err(want), "{label}");
+            assert_eq!(s.restore_with(&bad, &remap()), Err(want), "{label}");
             assert_eq!(
                 s.snapshot_bytes(),
                 before,
                 "{label}: the store is untouched"
             );
         }
+    }
+
+    /// One 64-lane column `y` of `v, v + 1, …`: wide enough that dropping
+    /// it is what makes room.
+    fn wide(v: f64) -> Arc<ColumnSamples> {
+        let lanes = (0..64).map(|i| v + i as f64).collect();
+        Arc::new(HashMap::from([("y".to_owned(), lanes)]))
+    }
+
+    /// `Offset(offset)` applied to `source`'s `y`: a mapped entry's bits.
+    fn offset_of(source: &ColumnSamples, offset: f64) -> Vec<f64> {
+        Mapping::Offset(offset).apply_samples(&source["y"])
+    }
+
+    /// Two sources (`x = 1, 2`; stamps 1, 2), then four offset images
+    /// published through `complete_mapped`: `x = 3, 4` of source 1 and
+    /// `x = 5, 6` of source 2 (stamps 3–6). The sixth publish is past the
+    /// budget of five records, so `x = 3, 4, 5` drop their samples.
+    /// Returns the store and source 1's samples.
+    fn demoting_store() -> (SharedBasisStore, Arc<ColumnSamples>) {
+        let s = SharedBasisStore::new(5);
+        let prints = || HashMap::from([("y".to_owned(), fp(&[1.0, 2.0, 4.0]))]);
+        let sources = [wide(10.0), wide(20.0)];
+        for (x, source) in [1, 2].into_iter().zip(&sources) {
+            s.insert(point("x", x), prints(), Arc::clone(source), 64, true);
+        }
+        for x in 3..=6 {
+            let stamp = if x <= 4 { 1 } else { 2 };
+            let source = &sources[stamp as usize - 1];
+            let offset = x as f64 / 2.0;
+            let recipe = Recipe {
+                source_stamp: stamp,
+                mappings: HashMap::from([("y".to_owned(), Mapping::Offset(offset))]),
+            };
+            let mapped = Arc::new(HashMap::from([("y".to_owned(), offset_of(source, offset))]));
+            let TryClaim::Owner(guard) = s.try_claim(&point("x", x), 64) else {
+                panic!("expected owner");
+            };
+            assert!(guard.complete_mapped(mapped, 64, recipe, Arc::clone(source), remap()));
+        }
+        let [first, _] = sources;
+        (s, first)
+    }
+
+    /// Past the budget a mapped record drops its samples but stays in the
+    /// table; reading it — a claim or an exact lookup — rebuilds the bits
+    /// it was published with, and nothing is evicted.
+    #[test]
+    fn over_budget_mapped_records_are_demoted_and_rebuilt_on_read() {
+        let (s, first) = demoting_store();
+        let stats = s.stats_snapshot();
+        assert_eq!((stats.entries, stats.demotions, stats.evictions), (6, 3, 0));
+        assert_eq!(s.resident_len(), 3, "two sources and the newest image");
+        let TryClaim::Ready { samples, worlds } = s.try_claim(&point("x", 3), 64) else {
+            panic!("a demoted record is still an exact hit");
+        };
+        assert_eq!((samples["y"].clone(), worlds), (offset_of(&first, 1.5), 64));
+        let lookup = s.get_exact(&point("x", 4), 64).expect("stored");
+        assert_eq!(lookup["y"], offset_of(&first, 2.0));
+        assert!(s.get_exact(&point("x", 6), 64).is_some(), "resident");
+        assert_eq!(s.stats_snapshot().rematerializations, 2);
+        assert_eq!(s.resident_len(), 3, "a read does not re-admit the samples");
+    }
+
+    /// Save → load → save of a store holding demoted records is
+    /// byte-identical. A demoted record whose source point was
+    /// re-published (a new stamp) travels as the samples it rebuilds from
+    /// the source samples it holds; one whose source is still stored
+    /// travels as its recipe.
+    #[test]
+    fn demoted_records_round_trip_and_fall_back_to_samples() {
+        let (s, first) = demoting_store();
+        let prints = HashMap::from([("y".to_owned(), fp(&[1.0, 2.0, 4.0]))]);
+        s.insert(point("x", 1), prints, wide(90.0), 64, true);
+        let bytes = s.snapshot_bytes();
+        assert_eq!(
+            record_kinds(&bytes),
+            [
+                KIND_SOURCE,  // x = 2
+                KIND_SAMPLES, // x = 3: demoted, source re-published
+                KIND_SAMPLES, // x = 4: likewise
+                KIND_RECIPE,  // x = 5: demoted, source stored
+                KIND_RECIPE,  // x = 6: resident
+                KIND_SOURCE,  // x = 1, re-published
+            ]
+        );
+        assert_eq!(s.stats_snapshot().rematerializations, 2, "x = 3, 4");
+
+        let restored = SharedBasisStore::new(5);
+        assert_eq!(restored.restore_with(&bytes, &remap()), Ok(6));
+        assert_eq!(restored.snapshot_bytes(), bytes, "save → load → save");
+        assert!(
+            restored.resident_len() < 6,
+            "the restore demotes back to the budget"
+        );
+        let old = restored.get_exact(&point("x", 3), 64).expect("restored");
+        assert_eq!(old["y"], offset_of(&first, 1.5), "the held source's bits");
+    }
+
+    /// A writer that fails after `left` more bytes: a full disk.
+    struct FailAfter<'a> {
+        file: &'a mut std::fs::File,
+        left: usize,
+    }
+
+    impl std::io::Write for FailAfter<'_> {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.left == 0 {
+                return Err(std::io::Error::other("no space left on device"));
+            }
+            let n = self.file.write(&buf[..buf.len().min(self.left)])?;
+            self.left -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.file.flush()
+        }
+    }
+
+    /// A save that fails part-way — for a seeded sample of cut points —
+    /// leaves the previous snapshot in place, bit for bit and loadable,
+    /// and no temporary file behind; a save that completes replaces it.
+    #[test]
+    fn a_failed_save_leaves_the_previous_snapshot() {
+        use prophet_vg::rng::{Rng64, Xoshiro256StarStar};
+        let dir = std::env::temp_dir();
+        let name = format!("fpbs_atomic_{}.fpbs", std::process::id());
+        let path = dir.join(&name);
+        assert_eq!(churn_store().save_to(&path), Ok(4));
+        let before = std::fs::read(&path).unwrap();
+        let next = mapped_store().snapshot_bytes();
+        let strays = || {
+            let entries = std::fs::read_dir(&dir).unwrap().flatten();
+            (entries.map(|e| e.file_name().to_string_lossy().into_owned()))
+                .filter(|n| n.starts_with(&format!(".{name}.")))
+                .count()
+        };
+        let mut rng = Xoshiro256StarStar::seed_from_u64(0x5A7E);
+        for _ in 0..24 {
+            let left = (rng.next_u64() % next.len() as u64) as usize;
+            let failed = replace_file(&path, |file| FailAfter { file, left }.write_all(&next));
+            assert!(failed.is_err(), "cut at {left}");
+            assert_eq!(std::fs::read(&path).unwrap(), before, "cut at {left}");
+            assert_eq!(strays(), 0, "cut at {left}");
+        }
+        let loaded = SharedBasisStore::new(4);
+        assert_eq!(loaded.restore_bytes(&std::fs::read(&path).unwrap()), Ok(4));
+        assert_eq!(mapped_store().save_to(&path), Ok(2));
+        assert_eq!(std::fs::read(&path).unwrap(), next);
+        let _ = std::fs::remove_file(&path);
     }
 
     /// `restore_bytes` has no engine to rebuild a recipe with: it fails

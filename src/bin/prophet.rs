@@ -172,6 +172,10 @@ fn run() -> Result<(), String> {
             return Err("scenario has no OPTIMIZE directive; offline mode unavailable".into());
         }
     }
+    if !opts.csv {
+        let store = prophet.basis_stats(SCENARIO).map_err(|e| e.to_string())?;
+        println!("store:\n{store}");
+    }
     if let Some(path) = &opts.trace_out {
         // Job drivers stamp their last events just after the answer returns.
         prophet.scheduler().wait_idle();

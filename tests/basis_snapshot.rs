@@ -8,10 +8,12 @@
 //! (`points_simulated == 0`); corrupt or truncated snapshot files are
 //! rejected with typed [`ProphetError::Snapshot`] variants and leave the
 //! store untouched, as does every seeded flip, cut and splice of one that
-//! does not restore to a byte-identical re-save; and a sweep through a
-//! store far smaller than its
-//! point count pins the snapshot's size and the eviction count, so
-//! neither the FPBS encoding nor the eviction policy can drift silently.
+//! does not restore to a byte-identical re-save; a sweep through a
+//! store far smaller than its point count pins the snapshot's size and
+//! the demotion and eviction counts, so neither the FPBS encoding nor the
+//! byte budget can drift silently; and a store that holds a sweep only by
+//! demoting mapped entries serves a second sweep from the store, with the
+//! first sweep's bits.
 //!
 //! The store's own unit suite (`crates/mc/src/store.rs`) pins the byte
 //! format and the lock protocol; this file pins the end-to-end surface.
@@ -28,7 +30,8 @@ use prophet_vg::rng::{Rng64, Xoshiro256StarStar};
 /// Store capacity that holds the whole 3,969-point coarse sweep.
 const ROOMY: usize = 8_192;
 
-/// A coarse Figure-2 service whose store holds `basis_capacity` entries.
+/// A coarse Figure-2 service whose store is budgeted at `basis_capacity`
+/// full-depth records.
 fn service(src: &str, basis_capacity: usize) -> Prophet {
     service_on(src, basis_capacity, ExecTier::Columnar)
 }
@@ -286,13 +289,14 @@ fn corrupt_snapshots_are_rejected_with_typed_errors() {
     let _ = fs::remove_file(&path);
 }
 
-/// A sweep of 3,969 points through a 64-entry store: 3,905 evictions, and
-/// what survives is pinned by count and snapshot size. Mapped entries go
-/// first and sources only when no mapped entry remains — so the 57
-/// sources survive, and the 7 newest mapped entries travel as recipes —
-/// and a change to the eviction policy, the stamp order or the FPBS
-/// encoding moves one of these numbers. Save → load → save reproduces the
-/// file byte for byte.
+/// A sweep of 3,969 points through a store budgeted at 64 full-depth
+/// records: 3,911 demotions and 3,903 evictions, and what survives is
+/// pinned by count and snapshot size. Mapped entries drop their samples
+/// first, are evicted next, and sources go only when no mapped entry
+/// remains — so the 57 sources survive, and the 9 newest mapped entries
+/// travel as recipes — and a change to the byte charges, the demotion or
+/// eviction policy, the stamp order or the FPBS encoding moves one of
+/// these numbers. Save → load → save reproduces the file byte for byte.
 #[test]
 fn churned_store_snapshot_is_pinned() {
     let src = figure2_coarse_sql(0.05);
@@ -300,7 +304,7 @@ fn churned_store_snapshot_is_pinned() {
     prophet.offline("figure2").unwrap().run().unwrap();
 
     let path = temp_path("churned");
-    assert_eq!(prophet.save_basis("figure2", &path).unwrap(), 64);
+    assert_eq!(prophet.save_basis("figure2", &path).unwrap(), 66);
     let bytes = fs::read(&path).unwrap();
     let stats = prophet.basis_stats("figure2").unwrap();
     assert_eq!(
@@ -308,10 +312,11 @@ fn churned_store_snapshot_is_pinned() {
             stats.entries,
             bytes.len(),
             stats.evictions,
+            stats.demotions,
             stats.hits,
             stats.misses
         ),
-        (64, 52_386, 3_905, 3_912, 57)
+        (66, 52_676, 3_903, 3_911, 3_912, 57)
     );
     assert_eq!(
         restamp(bytes[..bytes.len() - 8].to_vec()),
@@ -320,7 +325,7 @@ fn churned_store_snapshot_is_pinned() {
     );
 
     let reloaded = service(&src, 64);
-    assert_eq!(reloaded.load_basis("figure2", &path).unwrap(), 64);
+    assert_eq!(reloaded.load_basis("figure2", &path).unwrap(), 66);
     reloaded.save_basis("figure2", &path).unwrap();
     assert_eq!(fs::read(&path).unwrap(), bytes, "save → load → save");
 
@@ -355,7 +360,7 @@ fn mutated_snapshots_restore_cleanly_or_fail_typed() {
         Err(ProphetError::Snapshot(e)) => Err(e),
         Err(other) => panic!("untyped restore failure {other:?}"),
     };
-    assert_eq!(restore(&good), Ok(64));
+    assert_eq!(restore(&good), Ok(66));
     assert_eq!(
         store.restore_bytes(&good),
         Err(SnapshotError::RecipeNeedsEngine),
@@ -389,7 +394,7 @@ fn mutated_snapshots_restore_cleanly_or_fail_typed() {
                 let resaved = store.snapshot_bytes();
                 assert!(resaved == input, "case {case}: re-save is byte-identical");
                 assert_eq!(restore(&resaved), Ok(n), "case {case}");
-                assert_eq!(restore(&good), Ok(64));
+                assert_eq!(restore(&good), Ok(66));
             }
             Err(e) => {
                 rejected += 1;
@@ -397,10 +402,58 @@ fn mutated_snapshots_restore_cleanly_or_fail_typed() {
                     !matches!(e, SnapshotError::ChecksumMismatch | SnapshotError::Io(_)),
                     "case {case}: {e}"
                 );
-                assert_eq!(target.basis_len("figure2").unwrap(), 64, "case {case}");
+                assert_eq!(target.basis_len("figure2").unwrap(), 66, "case {case}");
                 assert!(store.snapshot_bytes() == good, "case {case}: untouched");
             }
         }
     }
     assert!(restored > 0 && rejected > 0, "{restored} / {rejected}");
+}
+
+// ------------------------------------------------------ demoted records
+
+/// A store budgeted at 3,000 full-depth records — fewer than the sweep's
+/// 3,969 points, more than they take once mapped entries drop their
+/// samples — keeps the whole coarse Figure 2: past the budget a mapped
+/// entry is demoted to its recipe instead of evicted. A second sweep on
+/// the same service is then served entirely from the store with the
+/// first sweep's answers, every demoted point it reads is rebuilt once,
+/// and a points job reads the first-visit bits — on either tier.
+#[test]
+fn demoted_basis_serves_a_second_sweep_from_the_store() {
+    const TIGHT: usize = 3_000;
+    let src = figure2_coarse_sql(0.05);
+    let roomy = service(&src, ROOMY);
+    let reference = run_sweep(&roomy, "figure2");
+    let points: Vec<ParamPoint> = reference.1.keys().cloned().collect();
+    let first_visit = stored_bits(&roomy, &points);
+
+    for tier in [ExecTier::Columnar, ExecTier::Scalar] {
+        let prophet = service_on(&src, TIGHT, tier);
+        let first = run_sweep(&prophet, "figure2");
+        assert_sweeps_identical(&format!("{tier:?} first pass"), &first, &reference);
+        let stats = prophet.basis_stats("figure2").unwrap();
+        assert_eq!((stats.entries, stats.evictions), (3_969, 0), "{tier:?}");
+        assert!(stats.demotions > 0, "{tier:?}: the budget forced demotions");
+        let engine = prophet.engine("figure2").unwrap();
+        let demoted = 3_969 - engine.basis_store().resident_len() as u64;
+        assert!(demoted > 0, "{tier:?}");
+
+        let (report, outcomes) = run_sweep(&prophet, "figure2");
+        let m = &report.metrics;
+        assert_eq!(
+            (m.points_cached, m.points_mapped, m.points_simulated),
+            (3_969, 0, 0),
+            "{tier:?}: the second pass is served from the store"
+        );
+        assert!(outcomes.values().all(|o| *o == EvalOutcome::Cached));
+        assert_eq!(report.answers, first.0.answers, "{tier:?}: answer bits");
+        assert_eq!(report.best, first.0.best, "{tier:?}");
+        let rebuilt = prophet.basis_stats("figure2").unwrap().rematerializations;
+        assert_eq!(rebuilt, demoted, "{tier:?}: one rebuild per demoted read");
+
+        assert_eq!(stored_bits(&prophet, &points), first_visit, "{tier:?}");
+        let rebuilt = prophet.basis_stats("figure2").unwrap().rematerializations;
+        assert_eq!(rebuilt, 2 * demoted, "{tier:?}");
+    }
 }

@@ -479,7 +479,10 @@ fn engine_eviction_churn_is_identical_with_and_without_index() {
         for col in ["demand", "capacity", "overload"] {
             assert_eq!(si.samples(col), se.samples(col), "step #{i} column {col}");
         }
-        assert!(indexed.basis_len() <= 3, "capacity bound holds under churn");
+        assert!(
+            indexed.basis_store().resident_len() <= 3,
+            "the budget of 3 full-depth records holds under churn"
+        );
     }
     let mi = indexed.metrics();
     let me = exhaustive.metrics();
