@@ -9,7 +9,7 @@
 //!
 //! * `// lint:allow(rule): reason` — the token-level lint's hatch;
 //! * `// analysis:allow(pass): reason` — the analyzer passes' hatch
-//!   (today only `map-iter` reads it).
+//!   (`map-iter` and `unreached` read it).
 //!
 //! A marker covers its own line and the next line that carries code, so
 //! it can close a multi-line explanatory comment. Rule names are not

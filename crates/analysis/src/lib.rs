@@ -6,7 +6,7 @@
 //! and `src/`, tokenizes it once through [`mod@lex`] (comments, strings —
 //! cooked, raw, byte — char literals and lifetimes are all handled, so a
 //! forbidden pattern inside a string never fires), strips
-//! `#[cfg(test)]` / `#[test]` regions, and runs three passes:
+//! `#[cfg(test)]` / `#[test]` regions, and runs four passes:
 //!
 //! * **lint** (this module) — five token-level conformance rules:
 //!
@@ -21,7 +21,10 @@
 //! * **map-iter** ([`determinism`]) — flags hash-ordered iteration in
 //!   result-affecting crates;
 //! * **rank-table** ([`ranktable`]) — regenerates the lock-rank table in
-//!   `docs/CONCURRENCY.md` from source and fails on drift.
+//!   `docs/CONCURRENCY.md` from source and fails on drift;
+//! * **unreached** ([`unreached`]) — flags `pub` items nothing but their
+//!   own tests and `crates/bench` name (`tests/` and `examples/` are read
+//!   as reach).
 //!
 //! Lock *order* is not a static pass: `raw-sync` keeps every lock an
 //! `Ordered*` wrapper, and the rank checker in `prophet_mc::sync`
@@ -48,6 +51,7 @@ pub mod determinism;
 pub mod findings;
 pub mod lex;
 pub mod ranktable;
+pub mod unreached;
 
 use std::fmt;
 
@@ -71,14 +75,6 @@ pub enum Rule {
 }
 
 impl Rule {
-    pub const ALL: [Rule; 5] = [
-        Rule::ThreadSpawn,
-        Rule::RawSync,
-        Rule::Unwrap,
-        Rule::WallClock,
-        Rule::TypedKernel,
-    ];
-
     pub fn name(self) -> &'static str {
         match self {
             Rule::ThreadSpawn => "thread-spawn",
@@ -269,14 +265,6 @@ fn lint_sites(path: &str, src: &str) -> Vec<(Violation, bool)> {
         .collect()
 }
 
-/// Lint one file's source: the violations no marker covers.
-pub fn lint_source(path: &str, src: &str) -> Vec<Violation> {
-    lint_sites(path, src)
-        .into_iter()
-        .filter_map(|(v, allowed)| (!allowed).then_some(v))
-        .collect()
-}
-
 /// The `lint` pass's findings for one file, the rule named in each
 /// message. Sites under a `lint:allow` marker are included as allowed,
 /// so every exemption is on the record.
@@ -293,6 +281,14 @@ pub fn lint_findings(path: &str, src: &str) -> Vec<Finding> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Lint one file's source: the violations no marker covers.
+    fn lint_source(path: &str, src: &str) -> Vec<Violation> {
+        lint_sites(path, src)
+            .into_iter()
+            .filter_map(|(v, allowed)| (!allowed).then_some(v))
+            .collect()
+    }
 
     fn rules_fired(path: &str, src: &str) -> Vec<Rule> {
         lint_source(path, src).into_iter().map(|v| v.rule).collect()

@@ -2,14 +2,17 @@
 //! `cargo run -p analysis -- [--root DIR] [--json PATH] [--write-docs]`.
 //!
 //! Walks `crates/*/src/**/*.rs` and `src/**/*.rs` under the root and runs
-//! the three passes (see the library docs and `docs/ANALYSIS.md`):
+//! the four passes (see the library docs and `docs/ANALYSIS.md`):
 //!
 //! 1. the conformance **lint** over every file;
 //! 2. the **rank-table** extractor — duplicate-rank detection plus a
 //!    drift check against `docs/CONCURRENCY.md` (`--write-docs`
 //!    regenerates the block in place instead of reporting drift);
 //! 3. the **map-iter** determinism audit over the result-affecting
-//!    crates (`mc`, `core`, `fingerprint`, `sql`, `vg`).
+//!    crates (`mc`, `core`, `fingerprint`, `sql`, `vg`);
+//! 4. the **unreached** scan for `pub` items nothing outside their own
+//!    tests names, reading `tests/`, `examples/` and `crates/*/tests` as
+//!    reach.
 //!
 //! Lock order itself is proven at runtime by the rank checker in
 //! `prophet_mc::sync` under `--features check`.
@@ -24,7 +27,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use analysis::findings::{render_json, Finding};
-use analysis::{determinism, lint_findings, ranktable};
+use analysis::{determinism, lint_findings, ranktable, unreached};
 
 /// Crates whose outputs must not depend on hash-iteration order.
 const DETERMINISM_SCOPE: &[&str] = &[
@@ -68,18 +71,17 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    // Read everything up front: the rank-table pass is whole-program.
-    let mut files: Vec<(String, String)> = Vec::with_capacity(paths.len());
-    for path in &paths {
-        let rel = rel_path(&root, path);
-        match std::fs::read_to_string(path) {
-            Ok(src) => files.push((rel, src)),
-            Err(err) => {
-                eprintln!("error: reading {rel}: {err}");
-                return ExitCode::from(2);
-            }
+    // Read everything up front: the rank-table and unreached passes are
+    // whole-program.
+    let mut reader_paths = Vec::new();
+    collect_readers(&root, &mut reader_paths);
+    let (files, readers) = match (read_all(&root, &paths), read_all(&root, &reader_paths)) {
+        (Ok(files), Ok(readers)) => (files, readers),
+        (Err(err), _) | (_, Err(err)) => {
+            eprintln!("error: reading {err}");
+            return ExitCode::from(2);
         }
-    }
+    };
 
     let mut findings: Vec<Finding> = Vec::new();
 
@@ -131,6 +133,9 @@ fn main() -> ExitCode {
         }
     }
 
+    // ---- pass 4: unreached `pub` items; tests and examples are reach
+    unreached::audit(&files, &readers, &mut findings);
+
     findings.sort_by(|a, b| (&a.file, a.line, a.pass).cmp(&(&b.file, b.line, b.pass)));
     for f in &findings {
         println!("{f}");
@@ -173,6 +178,33 @@ fn collect_sources(root: &Path, out: &mut Vec<PathBuf>) {
     if let Ok(entries) = std::fs::read_dir(root.join("crates")) {
         for entry in entries.flatten() {
             collect_rs(&entry.path().join("src"), out);
+        }
+    }
+}
+
+/// `(workspace-relative path, source)` of every file in `paths`, or the
+/// first file that cannot be read and why.
+fn read_all(root: &Path, paths: &[PathBuf]) -> Result<Vec<(String, String)>, String> {
+    paths
+        .iter()
+        .map(|path| {
+            let rel = rel_path(root, path);
+            match std::fs::read_to_string(path) {
+                Ok(src) => Ok((rel, src)),
+                Err(err) => Err(format!("{rel}: {err}")),
+            }
+        })
+        .collect()
+}
+
+/// `.rs` files under `<root>/tests`, `<root>/examples` and
+/// `<root>/crates/*/tests`: read for the `unreached` pass, not analyzed.
+fn collect_readers(root: &Path, out: &mut Vec<PathBuf>) {
+    collect_rs(&root.join("tests"), out);
+    collect_rs(&root.join("examples"), out);
+    if let Ok(entries) = std::fs::read_dir(root.join("crates")) {
+        for entry in entries.flatten() {
+            collect_rs(&entry.path().join("tests"), out);
         }
     }
 }

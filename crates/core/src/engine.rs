@@ -597,9 +597,9 @@ impl Engine {
     }
 
     /// Simulate one contiguous span of a point's worlds — the one
-    /// simulation primitive: the batch pipeline's simulate-phase item,
-    /// the whole `0..worlds_per_point` range for a lone owner, and the
-    /// chunk of progressive estimation
+    /// simulation primitive: the batch pipeline's simulate-phase item
+    /// (at most `SPAN_WORLDS` = 100 worlds, re-claimed points included)
+    /// and the chunk of progressive estimation
     /// ([`OnlineSession::progressive_expect`]). World→sample assignment is
     /// seed-based (`(root seed, world, point)`), so any span yields
     /// bit-for-bit the matching slice of a full-range run, and spans

@@ -33,6 +33,23 @@
 //! | results feed the store   | *publish*: completions insert basis entries  |
 //! |                          | and wake cross-session waiters, hits first,  |
 //! |                          | then misses, each in batch order             |
+//! | (another session's point)| *wait*: block on each point another session  |
+//! |                          | owns, once this batch holds no claim         |
+//!
+//! # Rounds
+//!
+//! The table runs in *rounds*. The first round takes every unique point
+//! of the batch; a wait that yields no full-depth samples — the owner was
+//! cancelled or failed, the store was cleared, or the owner published
+//! fewer worlds than this engine needs — puts its point into the next
+//! round's plan, where `try_claim` finds it cached, pending again, or
+//! owned. An owned point then goes through the same fingerprint and
+//! world-span phases on the same runner as any other: it is cancellable,
+//! fans out and is traced. This is the only code that evaluates a claimed
+//! point; a batch that never re-claims runs exactly one round. The
+//! fingerprint phase is its own function so the progressive estimator
+//! ([`OnlineSession::progressive_expect`]) maps through it as a batch of
+//! one on the inline runner.
 //!
 //! # One pipeline, two runners
 //!
@@ -63,6 +80,9 @@
 //!   owner's [`WaitHandle`] and reuse its published samples (counted as
 //!   `inflight_waits`). Within one batch, duplicate points collapse to a
 //!   single evaluation, and work counters count unique points.
+//! * **No deadlock.** A round publishes (or releases) every point it owns
+//!   before it waits, so two sessions waiting on each other's points
+//!   always find them published or abandoned.
 //! * **Snapshot structure.** The candidate snapshot is taken after every
 //!   probe has landed, so a batch matches against the store as it stood at
 //!   batch start and never against its own siblings.
@@ -75,7 +95,8 @@
 //!   Results that did land are published before the batch stops, so the
 //!   store only ever sees complete entries (a point missing any world span
 //!   is not published); claims of unpublished points are released as
-//!   their guards drop, and concurrent waiters re-claim.
+//!   their guards drop, and concurrent waiters re-claim in their next
+//!   round.
 //!
 //! Phase wall-clock lands in `EngineMetrics::probe_nanos` (probe + match +
 //! remap + publishing the hits) and `EngineMetrics::sim_nanos` (simulate +
@@ -85,6 +106,7 @@
 //! [`SharedBasisStore::try_claim`]: prophet_mc::SharedBasisStore::try_claim
 //! [`SharedBasisStore::scan_snapshot_shared`]: prophet_mc::SharedBasisStore::scan_snapshot_shared
 //! [`WaitHandle`]: prophet_mc::WaitHandle
+//! [`OnlineSession::progressive_expect`]: crate::session::OnlineSession::progressive_expect
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -135,7 +157,7 @@ pub(crate) trait Runner {
 }
 
 /// The inline runner: scoped threads on the caller, never cancelled.
-struct Inline<'a>(&'a Engine);
+pub(crate) struct Inline<'a>(pub(crate) &'a Engine);
 
 impl Runner for Inline<'_> {
     fn engine(&self) -> &Engine {
@@ -208,23 +230,60 @@ pub(crate) fn run_batch<R: Runner>(
     if points.is_empty() {
         return Ok(Some(Vec::new()));
     }
-    if runner.is_cancelled() {
-        return Ok(None);
-    }
-    let engine = runner.engine();
-    let (tracer, job) = runner.trace();
 
     // ---- dedupe: unique points in first-seen order.
     let (unique, slot_of) = dedupe_points(points);
-    let worlds_per_point = engine.config().worlds_per_point;
-
-    // ---- plan: exact-cache check + in-flight claim per unique point.
     let mut results: Vec<Option<(SampleSet, EvalOutcome)>> =
         (0..unique.len()).map(|_| None).collect();
-    let mut guards: Vec<Option<InflightGuard>> = (0..unique.len()).map(|_| None).collect();
-    let mut waits: Vec<Option<WaitHandle>> = (0..unique.len()).map(|_| None).collect();
+
+    // ---- rounds: each takes the points whose wait in the last one
+    // yielded no full-depth samples; a batch that never re-claims runs
+    // exactly one.
+    let mut round: Vec<usize> = (0..unique.len()).collect();
+    while !round.is_empty() {
+        if runner.is_cancelled() {
+            return Ok(None);
+        }
+        match run_round(runner, &unique, round, &mut results)? {
+            Some(retry) => round = retry,
+            None => return Ok(None),
+        }
+    }
+
+    // ---- scatter: duplicates resolve to their unique point's result.
+    runner.points_done((points.len() - unique.len()) as u64);
+    Ok(Some(
+        slot_of
+            .into_iter()
+            .map(|i| {
+                results[i]
+                    .clone()
+                    .expect("invariant: every unique point resolves to a result")
+            })
+            .collect(),
+    ))
+}
+
+/// One round of [`run_batch`] over `round` (indices into `unique`): plan,
+/// fingerprint phase, simulate phase, then the cross-session waits.
+/// Returns the points to re-plan — those whose wait yielded no
+/// full-depth samples — or `None` on a cancel.
+fn run_round<R: Runner>(
+    runner: &R,
+    unique: &[ParamPoint],
+    round: Vec<usize>,
+    results: &mut [Option<(SampleSet, EvalOutcome)>],
+) -> ProphetResult<Option<Vec<usize>>> {
+    let engine = runner.engine();
+    let (tracer, job) = runner.trace();
+    let worlds_per_point = engine.config().worlds_per_point;
+
+    // ---- plan: exact-cache check + in-flight claim per point.
     let mut owned: Vec<usize> = Vec::new();
-    for (i, point) in unique.iter().enumerate() {
+    let mut claimed: Vec<(ParamPoint, InflightGuard)> = Vec::new();
+    let mut waits: Vec<(usize, WaitHandle)> = Vec::new();
+    for i in round {
+        let point = &unique[i];
         match engine.basis_store().try_claim(point, worlds_per_point) {
             TryClaim::Ready { samples, .. } => {
                 engine.bump(|m| m.points_cached += 1);
@@ -232,103 +291,23 @@ pub(crate) fn run_batch<R: Runner>(
                 results[i] = Some((engine.to_sample_set(point, samples), EvalOutcome::Cached));
             }
             TryClaim::Owner(guard) => {
-                guards[i] = Some(guard);
                 owned.push(i);
+                claimed.push((point.clone(), guard));
             }
-            TryClaim::Pending(handle) => waits[i] = Some(handle),
+            TryClaim::Pending(handle) => waits.push((i, handle)),
         }
     }
-    let mut take_guard = |i: usize| {
-        guards[i]
-            .take()
-            .expect("invariant: every owned point holds its claim guard until published")
+
+    // ---- probe + match + remap, publishing the hits.
+    let Some(probed) = fingerprint_phase(runner, claimed)? else {
+        return Ok(None);
     };
-
-    // ---- probe + match + remap (the fingerprint phase).
-    let mut probes: Vec<Option<HashMap<String, Fingerprint>>> =
-        (0..unique.len()).map(|_| None).collect();
-    let mut to_simulate: Vec<usize> = Vec::new();
-    if engine.uses_fingerprints() && !owned.is_empty() {
-        let phase = Stopwatch::start();
-        let t_probe = tracer.now();
-        let owned_points: Vec<ParamPoint> = owned.iter().map(|&i| unique[i].clone()).collect();
-        let probe_outputs = runner.fan_out(owned_points, |engine, p: ParamPoint| {
-            engine.probe_fingerprints(&p)
-        });
-        tracer.span(TraceEventKind::PhaseProbe, job, NO_CHUNK, t_probe);
-        // A cancel during probing published nothing: every claim is simply
-        // released (guards drop on return) and waiters recover.
-        let mut owned_probes = Vec::with_capacity(owned.len());
-        for slot in probe_outputs {
-            match slot {
-                Some(probe) => owned_probes.push(probe?),
-                None => {
-                    lost_slot(runner)?;
-                    return Ok(None);
-                }
-            }
+    let mut to_simulate: Vec<(usize, InflightGuard, HashMap<String, Fingerprint>)> = Vec::new();
+    for (i, probed) in owned.into_iter().zip(probed) {
+        match probed {
+            Probed::Mapped(reply) => results[i] = Some(reply),
+            Probed::Miss(guard, probes) => to_simulate.push((i, guard, probes)),
         }
-        engine.bump(|m| m.batch_probes += owned.len() as u64);
-
-        // The candidate snapshot is taken here — after every probe has
-        // landed, so no probe ever matches a sibling of its batch — and
-        // the store's locks are released before any comparison runs.
-        let t_match = tracer.now();
-        let snapshot = engine.scan_snapshot();
-        tracer.span(TraceEventKind::PhaseMatch, job, NO_CHUNK, t_match);
-
-        // Match-then-remap, one item per probe: each scans the snapshot
-        // against its own incumbent and re-maps its hit on the worker that
-        // found it.
-        let fused_items: Vec<(ParamPoint, HashMap<String, Fingerprint>)> = owned
-            .iter()
-            .zip(owned_probes)
-            .map(|(&i, probe)| (unique[i].clone(), probe))
-            .collect();
-        let (fused_snapshot, fused_tracer) = (Arc::clone(&snapshot), tracer.clone());
-        let t_remap = tracer.now();
-        let fused = runner.fan_out(
-            fused_items,
-            move |engine, (point, probe): (ParamPoint, HashMap<String, Fingerprint>)| {
-                let matched = engine.match_and_remap(&fused_snapshot, &point, &probe);
-                fused_tracer.record_match_scan(matched.scan_nanos);
-                (probe, matched)
-            },
-        );
-        tracer.span(TraceEventKind::PhaseRemap, job, NO_CHUNK, t_remap);
-        engine.record_scans(&snapshot, fused.iter().flatten().map(|(_, m)| m.work));
-
-        // Publish hits in batch order.
-        let t_publish = tracer.now();
-        let publish = Stopwatch::start();
-        let mut cancelled = false;
-        for (&i, slot) in owned.iter().zip(fused) {
-            let Some((probe, matched)) = slot else {
-                lost_slot(runner)?;
-                cancelled = true;
-                continue;
-            };
-            match matched.outcome? {
-                Some(hit) => {
-                    results[i] = Some(engine.publish_hit(&unique[i], take_guard(i), hit));
-                    runner.points_done(1);
-                }
-                None => {
-                    probes[i] = Some(probe);
-                    to_simulate.push(i);
-                }
-            }
-        }
-        tracer.span(TraceEventKind::PhasePublish, job, NO_CHUNK, t_publish);
-        engine.bump(|m| {
-            m.publish_nanos += publish.elapsed_nanos();
-            m.probe_nanos += phase.elapsed_nanos();
-        });
-        if cancelled || runner.is_cancelled() {
-            return Ok(None);
-        }
-    } else {
-        to_simulate = owned;
     }
 
     // ---- simulate misses as fixed-width world spans, publish in batch
@@ -345,7 +324,7 @@ pub(crate) fn run_batch<R: Runner>(
         let spans_per_point = worlds_per_point.div_ceil(SPAN_WORLDS);
         let spans: Vec<(ParamPoint, Range<u64>)> = to_simulate
             .iter()
-            .flat_map(|&i| {
+            .flat_map(|&(i, ..)| {
                 let point = &unique[i];
                 (0..worlds_per_point)
                     .step_by(SPAN_WORLDS)
@@ -364,7 +343,7 @@ pub(crate) fn run_batch<R: Runner>(
         let publish = Stopwatch::start();
         let mut cancelled = false;
         let mut simulated = simulated.into_iter();
-        for &i in &to_simulate {
+        for (i, guard, probes) in to_simulate {
             let point_spans = simulated.by_ref().take(spans_per_point);
             let Some(samples) = join_spans(runner, point_spans, worlds_per_point)? else {
                 cancelled = true;
@@ -372,8 +351,8 @@ pub(crate) fn run_batch<R: Runner>(
             };
             results[i] = Some(engine.publish_simulated(
                 &unique[i],
-                take_guard(i),
-                probes[i].take().unwrap_or_default(),
+                guard,
+                probes,
                 samples,
                 worlds_per_point,
             ));
@@ -389,28 +368,134 @@ pub(crate) fn run_batch<R: Runner>(
         }
     }
 
-    // ---- resolve cross-session waits last, so our own publications
-    // are already out (two sessions waiting on each other's points
-    // therefore cannot deadlock).
-    for i in 0..unique.len() {
-        if let Some(handle) = waits[i].take() {
-            results[i] = Some(engine.resolve_wait(&unique[i], handle)?);
-            runner.points_done(1);
+    // ---- resolve cross-session waits last, once this round holds no
+    // claim: its own points are published, so two sessions waiting on
+    // each other's points cannot deadlock. A wait whose owner abandoned
+    // the point (cancel, error, store clear) or published fewer worlds
+    // than this engine needs (shared store, differing `worlds_per_point`)
+    // goes back to the plan: the next round finds it cached, waits
+    // again, or owns it and evaluates it like any other claimed point.
+    let mut retry = Vec::new();
+    for (i, handle) in waits {
+        match handle.wait() {
+            Some((samples, worlds)) if worlds >= worlds_per_point => {
+                engine.bump(|m| {
+                    m.points_cached += 1;
+                    m.inflight_waits += 1;
+                });
+                results[i] = Some((
+                    engine.to_sample_set(&unique[i], samples),
+                    EvalOutcome::Cached,
+                ));
+                runner.points_done(1);
+            }
+            _ => retry.push(i),
         }
     }
+    Ok(Some(retry))
+}
 
-    // ---- scatter: duplicates resolve to their unique point's result.
-    runner.points_done((points.len() - unique.len()) as u64);
-    Ok(Some(
-        slot_of
+/// What the fingerprint phase made of one claimed point.
+pub(crate) enum Probed {
+    /// A fingerprint hit, published: the point's reply.
+    Mapped((SampleSet, EvalOutcome)),
+    /// A miss, still claimed: simulate it, then publish it with its
+    /// probe fingerprints.
+    Miss(InflightGuard, HashMap<String, Fingerprint>),
+}
+
+/// The fingerprint phase over claimed points: probe fan-out, one
+/// candidate snapshot, fused match-then-remap fan-out, the scans'
+/// accounting, then the hits published in input order. One [`Probed`]
+/// per claimed point, in input order; `Ok(None)` means a cancel was
+/// observed (hits that landed are published, every other claim is
+/// released as its guard drops). Without fingerprints every point is a
+/// miss with no probes.
+pub(crate) fn fingerprint_phase<R: Runner>(
+    runner: &R,
+    claimed: Vec<(ParamPoint, InflightGuard)>,
+) -> ProphetResult<Option<Vec<Probed>>> {
+    let engine = runner.engine();
+    if !engine.uses_fingerprints() || claimed.is_empty() {
+        let misses = claimed
             .into_iter()
-            .map(|i| {
-                results[i]
-                    .clone()
-                    .expect("invariant: every unique point resolves to a result")
-            })
-            .collect(),
-    ))
+            .map(|(_, guard)| Probed::Miss(guard, HashMap::new()));
+        return Ok(Some(misses.collect()));
+    }
+    let (tracer, job) = runner.trace();
+    let phase = Stopwatch::start();
+    let (points, guards): (Vec<ParamPoint>, Vec<InflightGuard>) = claimed.into_iter().unzip();
+    let n = points.len();
+    let t_probe = tracer.now();
+    let probe_outputs = runner.fan_out(points, |engine, p: ParamPoint| {
+        let probe = engine.probe_fingerprints(&p);
+        (p, probe)
+    });
+    tracer.span(TraceEventKind::PhaseProbe, job, NO_CHUNK, t_probe);
+    // A cancel during probing published nothing: every claim is simply
+    // released (guards drop on return) and waiters recover.
+    let mut fused_items: Vec<(ParamPoint, HashMap<String, Fingerprint>)> = Vec::with_capacity(n);
+    for slot in probe_outputs {
+        let Some((point, probe)) = slot else {
+            lost_slot(runner)?;
+            return Ok(None);
+        };
+        fused_items.push((point, probe?));
+    }
+    engine.bump(|m| m.batch_probes += n as u64);
+
+    // The candidate snapshot is taken here — after every probe has
+    // landed, so no probe ever matches a sibling of its batch — and the
+    // store's locks are released before any comparison runs.
+    let t_match = tracer.now();
+    let snapshot = engine.scan_snapshot();
+    tracer.span(TraceEventKind::PhaseMatch, job, NO_CHUNK, t_match);
+
+    // Match-then-remap, one item per probe: each scans the snapshot
+    // against its own incumbent and re-maps its hit on the worker that
+    // found it.
+    let (fused_snapshot, fused_tracer) = (Arc::clone(&snapshot), tracer.clone());
+    let t_remap = tracer.now();
+    let fused = runner.fan_out(
+        fused_items,
+        move |engine, (point, probe): (ParamPoint, HashMap<String, Fingerprint>)| {
+            let matched = engine.match_and_remap(&fused_snapshot, &point, &probe);
+            fused_tracer.record_match_scan(matched.scan_nanos);
+            (point, probe, matched)
+        },
+    );
+    tracer.span(TraceEventKind::PhaseRemap, job, NO_CHUNK, t_remap);
+    engine.record_scans(&snapshot, fused.iter().flatten().map(|(.., m)| m.work));
+
+    // Publish hits in input order.
+    let t_publish = tracer.now();
+    let publish = Stopwatch::start();
+    let mut cancelled = false;
+    let mut probed = Vec::with_capacity(n);
+    for (guard, slot) in guards.into_iter().zip(fused) {
+        let Some((point, probe, matched)) = slot else {
+            lost_slot(runner)?;
+            cancelled = true;
+            continue;
+        };
+        probed.push(match matched.outcome? {
+            Some(hit) => {
+                let reply = engine.publish_hit(&point, guard, hit);
+                runner.points_done(1);
+                Probed::Mapped(reply)
+            }
+            None => Probed::Miss(guard, probe),
+        });
+    }
+    tracer.span(TraceEventKind::PhasePublish, job, NO_CHUNK, t_publish);
+    engine.bump(|m| {
+        m.publish_nanos += publish.elapsed_nanos();
+        m.probe_nanos += phase.elapsed_nanos();
+    });
+    if cancelled || runner.is_cancelled() {
+        return Ok(None);
+    }
+    Ok(Some(probed))
 }
 
 impl Engine {
@@ -434,45 +519,6 @@ impl Engine {
     /// Whether owned points go through the fingerprint phase at all.
     fn uses_fingerprints(&self) -> bool {
         self.config().fingerprints_enabled && !self.stochastic_columns().is_empty()
-    }
-
-    /// Block on another session's in-flight simulation of `point`. If the
-    /// owner abandons it (error, or a store clear mid-flight), or publishes
-    /// fewer worlds than this engine requires (shared store, differing
-    /// `worlds_per_point`), re-claim: becoming the owner means
-    /// re-simulating at this engine's own depth.
-    fn resolve_wait(
-        &self,
-        point: &ParamPoint,
-        handle: WaitHandle,
-    ) -> ProphetResult<(SampleSet, EvalOutcome)> {
-        let mut handle = Some(handle);
-        loop {
-            if let Some(h) = handle.take() {
-                if let Some((samples, worlds)) = h.wait() {
-                    if worlds >= self.config().worlds_per_point {
-                        self.bump(|m| {
-                            m.points_cached += 1;
-                            m.inflight_waits += 1;
-                        });
-                        return Ok((self.to_sample_set(point, samples), EvalOutcome::Cached));
-                    }
-                    // Under-provisioned publish: fall through and re-claim,
-                    // exactly as the Ready path's min-worlds filter would.
-                }
-            }
-            match self
-                .basis_store()
-                .try_claim(point, self.config().worlds_per_point)
-            {
-                TryClaim::Ready { samples, .. } => {
-                    self.bump(|m| m.points_cached += 1);
-                    return Ok((self.to_sample_set(point, samples), EvalOutcome::Cached));
-                }
-                TryClaim::Pending(h) => handle = Some(h),
-                TryClaim::Owner(guard) => return self.run_owner(point, guard),
-            }
-        }
     }
 
     // ------------------------------------------------ match-scan primitives
@@ -540,36 +586,6 @@ impl Engine {
         });
     }
 
-    /// The fingerprint phase for one already-claimed point — probe, scan,
-    /// re-map, with the batched phase's metric accounting. A hit is
-    /// published and returned as `Ok(reply)`; a miss hands the claim back
-    /// with the point's probes, `Err((guard, probes))`, for the caller to
-    /// simulate. Shared by [`Engine::run_owner`] and the progressive
-    /// estimator in [`crate::session`].
-    #[allow(clippy::type_complexity)] // hit-or-miss of one private step; a named type would obscure it
-    pub(crate) fn map_owned(
-        &self,
-        point: &ParamPoint,
-        guard: InflightGuard,
-    ) -> ProphetResult<
-        Result<(SampleSet, EvalOutcome), (InflightGuard, HashMap<String, Fingerprint>)>,
-    > {
-        if !self.uses_fingerprints() {
-            return Ok(Err((guard, HashMap::new())));
-        }
-        let phase = Stopwatch::start();
-        let probes = self.probe_fingerprints(point)?;
-        let snapshot = self.scan_snapshot();
-        let matched = self.match_and_remap(&snapshot, point, &probes);
-        self.record_scans(&snapshot, [matched.work]);
-        let hit = matched.outcome?;
-        self.bump(|m| m.probe_nanos += phase.elapsed_nanos());
-        Ok(match hit {
-            Some(hit) => Ok(self.publish_hit(point, guard, hit)),
-            None => Err((guard, probes)),
-        })
-    }
-
     // ------------------------------------------------------------ publish
 
     /// Publish a fingerprint hit: complete the claim with the mapped
@@ -615,26 +631,6 @@ impl Engine {
         guard.complete(probes, Arc::clone(&samples), worlds, full_depth);
         self.bump(|m| m.points_simulated += 1);
         (self.to_sample_set(point, samples), EvalOutcome::Simulated)
-    }
-
-    /// Sequential Figure-1 cycle for one owned point — the retry path when
-    /// a waited-on simulation was cancelled under us.
-    fn run_owner(
-        &self,
-        point: &ParamPoint,
-        guard: InflightGuard,
-    ) -> ProphetResult<(SampleSet, EvalOutcome)> {
-        let (guard, probes) = match self.map_owned(point, guard)? {
-            Ok(reply) => return Ok(reply),
-            Err(miss) => miss,
-        };
-        let phase = Stopwatch::start();
-        let worlds = self.config().worlds_per_point;
-        let simulated = self.simulate_world_span(point, 0..worlds as u64)?;
-        let samples = Arc::clone(simulated.shared_samples());
-        let reply = self.publish_simulated(point, guard, probes, samples, worlds);
-        self.bump(|m| m.sim_nanos += phase.elapsed_nanos());
-        Ok(reply)
     }
 }
 

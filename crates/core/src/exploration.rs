@@ -196,6 +196,7 @@ impl ExplorationMap {
     }
 
     /// CSV rows `x,y,state` for external plotting.
+    // analysis:allow(unreached): Figure 4's data export, library surface beside the ASCII render
     pub fn to_csv(&self) -> String {
         let mut out = format!("{},{},state\n", self.x_param, self.y_param);
         for (yi, &y) in self.y_values.iter().enumerate() {

@@ -159,13 +159,13 @@ pub struct EngineMetrics {
     pub sim_cpu_nanos: u64,
     /// Per-point fingerprint-probe latency distribution (one observation
     /// per [`Engine::probe_fingerprints`](crate::engine::Engine) call),
-    /// log-bucketed so percentiles survive merging — the totals above say
-    /// how much work ran; this says how it was *distributed*, which is
-    /// where a slow tail hides.
+    /// log-bucketed so percentiles survive `since` windows — the totals
+    /// above say how much work ran; this says how it was *distributed*,
+    /// which is where a slow tail hides.
     pub probe_latency: LatencyHistogram,
     /// World-span simulation latency distribution (one observation per
     /// `Engine::simulate_world_span` call: a span of at most 100 worlds in
-    /// a batch, a progressive chunk, or a lone owner's whole point), same
+    /// a batch, or a progressive chunk — never a whole point), same
     /// bucket table as
     /// [`probe_latency`](EngineMetrics::probe_latency).
     pub sim_latency: LatencyHistogram,
@@ -185,35 +185,6 @@ impl EngineMetrics {
         } else {
             (self.points_cached + self.points_mapped) as f64 / total as f64
         }
-    }
-
-    /// Merge counters from another snapshot (parallel workers).
-    pub fn merge(&mut self, other: &EngineMetrics) {
-        self.points_cached += other.points_cached;
-        self.points_mapped += other.points_mapped;
-        self.points_simulated += other.points_simulated;
-        self.worlds_simulated += other.worlds_simulated;
-        self.probe_evaluations += other.probe_evaluations;
-        self.vector_walks += other.vector_walks;
-        self.probe_eval_nanos += other.probe_eval_nanos;
-        self.columnar_kernels += other.columnar_kernels;
-        self.column_fallbacks += other.column_fallbacks;
-        self.column_gathers += other.column_gathers;
-        self.probe_call_sites += other.probe_call_sites;
-        self.probe_call_sites_memoised += other.probe_call_sites_memoised;
-        self.probe_call_sites_replayed += other.probe_call_sites_replayed;
-        self.candidates_scanned += other.candidates_scanned;
-        self.candidates_pruned += other.candidates_pruned;
-        self.match_scan_nanos += other.match_scan_nanos;
-        self.remap_nanos += other.remap_nanos;
-        self.publish_nanos += other.publish_nanos;
-        self.inflight_waits += other.inflight_waits;
-        self.batch_probes += other.batch_probes;
-        self.probe_nanos += other.probe_nanos;
-        self.sim_nanos += other.sim_nanos;
-        self.sim_cpu_nanos += other.sim_cpu_nanos;
-        self.probe_latency.merge(&other.probe_latency);
-        self.sim_latency.merge(&other.sim_latency);
     }
 
     /// Difference since an earlier snapshot (for per-operation reporting).
@@ -357,101 +328,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_and_since_are_inverse_ish() {
-        let a = EngineMetrics {
-            points_simulated: 5,
-            worlds_simulated: 500,
-            probe_evaluations: 32,
-            ..EngineMetrics::default()
-        };
-        let mut b = a;
-        let extra = EngineMetrics {
-            points_mapped: 3,
-            probe_evaluations: 96,
-            ..EngineMetrics::default()
-        };
-        b.merge(&extra);
-        let diff = b.since(&a);
-        assert_eq!(diff.points_mapped, 3);
-        assert_eq!(diff.probe_evaluations, 96);
-        assert_eq!(diff.points_simulated, 0);
-    }
-
-    #[test]
-    fn executor_counters_merge_and_diff() {
-        let a = EngineMetrics {
-            inflight_waits: 2,
-            batch_probes: 10,
-            vector_walks: 7,
-            probe_eval_nanos: 2_000,
-            columnar_kernels: 20,
-            column_fallbacks: 2,
-            probe_call_sites: 14,
-            probe_call_sites_memoised: 9,
-            probe_call_sites_replayed: 3,
-            candidates_scanned: 40,
-            candidates_pruned: 60,
-            match_scan_nanos: 800,
-            remap_nanos: 300,
-            publish_nanos: 120,
-            probe_nanos: 1_000,
-            sim_nanos: 5_000,
-            ..EngineMetrics::default()
-        };
-        let mut b = a;
-        b.merge(&EngineMetrics {
-            inflight_waits: 1,
-            batch_probes: 5,
-            vector_walks: 3,
-            probe_eval_nanos: 1_000,
-            columnar_kernels: 5,
-            column_fallbacks: 1,
-            probe_call_sites: 6,
-            probe_call_sites_memoised: 4,
-            probe_call_sites_replayed: 2,
-            candidates_scanned: 4,
-            candidates_pruned: 6,
-            match_scan_nanos: 200,
-            remap_nanos: 100,
-            publish_nanos: 30,
-            probe_nanos: 500,
-            sim_nanos: 500,
-            ..EngineMetrics::default()
-        });
-        assert_eq!(b.inflight_waits, 3);
-        assert_eq!(b.batch_probes, 15);
-        assert_eq!(b.vector_walks, 10);
-        assert_eq!(b.probe_eval_nanos, 3_000);
-        assert_eq!(b.columnar_kernels, 25);
-        assert_eq!(b.column_fallbacks, 3);
-        assert_eq!(b.probe_call_sites, 20);
-        assert_eq!(b.probe_call_sites_memoised, 13);
-        assert_eq!(b.probe_call_sites_replayed, 5);
-        assert_eq!(b.candidates_scanned, 44);
-        assert_eq!(b.candidates_pruned, 66);
-        assert_eq!(b.match_scan_nanos, 1_000);
-        assert_eq!(b.remap_nanos, 400);
-        assert_eq!(b.publish_nanos, 150);
-        let diff = b.since(&a);
-        assert_eq!(diff.inflight_waits, 1);
-        assert_eq!(diff.batch_probes, 5);
-        assert_eq!(diff.vector_walks, 3);
-        assert_eq!(diff.probe_eval_nanos, 1_000);
-        assert_eq!(diff.columnar_kernels, 5);
-        assert_eq!(diff.column_fallbacks, 1);
-        assert_eq!(diff.probe_call_sites, 6);
-        assert_eq!(diff.probe_call_sites_memoised, 4);
-        assert_eq!(diff.probe_call_sites_replayed, 2);
-        assert_eq!(diff.candidates_scanned, 4);
-        assert_eq!(diff.candidates_pruned, 6);
-        assert_eq!(diff.match_scan_nanos, 200);
-        assert_eq!(diff.remap_nanos, 100);
-        assert_eq!(diff.publish_nanos, 30);
-        assert_eq!(diff.probe_nanos, 500);
-        assert_eq!(diff.sim_nanos, 500);
-    }
-
-    #[test]
     fn display_mentions_the_key_numbers() {
         let m = EngineMetrics {
             points_mapped: 7,
@@ -540,14 +416,14 @@ sim_p99_us                 4194.30";
         }
     }
 
-    /// Completeness audit for `merge`/`since`: construct a metrics value
-    /// with **every** field nonzero (no `..Default::default()` — adding a
-    /// field to `EngineMetrics` breaks this constructor until the test is
-    /// updated), then check `(m + m) - m == m`. A counter dropped from
-    /// `merge` makes the doubled value too small; one dropped from `since`
-    /// leaves the difference too large — either way the round trip fails.
+    /// Completeness audit for `since`: construct a metrics value with
+    /// **every** field nonzero (no `..Default::default()` — adding a field
+    /// to `EngineMetrics` breaks this constructor until the test is
+    /// updated), then check `m - 0 == m` and `m - m == 0`. A counter
+    /// `since` zeroes fails the first; one it copies instead of
+    /// subtracting fails the second.
     #[test]
-    fn merge_and_since_cover_every_field() {
+    fn since_covers_every_field() {
         let m = EngineMetrics {
             points_cached: 1,
             points_mapped: 2,
@@ -576,13 +452,15 @@ sim_p99_us                 4194.30";
             sim_latency: hist(&[20, 1 << 20]),
         };
         assert_ne!(m, EngineMetrics::default(), "fixture must be nonzero");
-        let mut doubled = m;
-        doubled.merge(&m);
-        assert_ne!(doubled, m, "merge must change every-field-nonzero sums");
         assert_eq!(
-            doubled.since(&m),
+            m.since(&EngineMetrics::default()),
             m,
-            "merge/since round trip dropped a field"
+            "since zeroed a field"
+        );
+        assert_eq!(
+            m.since(&m),
+            EngineMetrics::default(),
+            "since copied a field instead of subtracting it"
         );
     }
 }

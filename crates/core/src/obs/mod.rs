@@ -34,14 +34,3 @@ pub struct TelemetrySnapshot {
     /// deduplicated cross-session).
     pub inflight_claims: usize,
 }
-
-impl TelemetrySnapshot {
-    /// Fraction of the pool currently executing tasks, in `[0, 1]`.
-    pub fn worker_utilization(&self) -> f64 {
-        if self.workers_total == 0 {
-            0.0
-        } else {
-            (self.trace.workers_busy as f64 / self.workers_total as f64).min(1.0)
-        }
-    }
-}

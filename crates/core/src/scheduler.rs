@@ -61,7 +61,10 @@
 //! landed, release the rest". A simulate-phase item is one world span of
 //! at most `SPAN_WORLDS` = 100 worlds, never a whole point, so after a
 //! cancel each in-flight chunk runs at most
-//! [`SchedulerConfig::chunk_points`] × 100 more worlds.
+//! [`SchedulerConfig::chunk_points`] × 100 more worlds. This holds for a
+//! point the job re-claims after a wait on another session's abandoned
+//! claim too: the re-claim is a later round of the same pipeline, on the
+//! same runner.
 //!
 //! # Concurrency conformance
 //!

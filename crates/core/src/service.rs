@@ -113,12 +113,6 @@ impl ProphetBuilder {
         self
     }
 
-    /// Select an already-shared VG catalog (several services over one).
-    pub fn shared_registry(mut self, registry: Arc<VgRegistry>) -> Self {
-        self.registry = Some(registry);
-        self
-    }
-
     /// Replace the whole engine configuration.
     pub fn config(mut self, config: EngineConfig) -> Self {
         self.config = config;

@@ -27,6 +27,7 @@ use prophet_sql::ast::GraphDirective;
 
 use crate::engine::{Engine, EvalOutcome};
 use crate::error::{ProphetError, ProphetResult};
+use crate::executor::{fingerprint_phase, Inline, Probed};
 use crate::job::Priority;
 use crate::metrics::Stopwatch;
 use crate::scheduler::Scheduler;
@@ -416,13 +417,18 @@ impl OnlineSession {
             }
         };
 
-        // We own the point. A correlated hit still answers instantly…
-        let (guard, probes) = match engine.map_owned(&point, guard)? {
-            Ok((mapped, _)) => {
+        // We own the point. A correlated hit still answers instantly —
+        // the batch's fingerprint phase, as a batch of one on the inline
+        // runner…
+        let probed = fingerprint_phase(&Inline(&engine), vec![(point.clone(), guard)])?
+            .and_then(|mut probed| probed.pop())
+            .expect("invariant: the inline runner answers every claimed point");
+        let (guard, probes) = match probed {
+            Probed::Mapped((mapped, _)) => {
                 let xs = column_of(mapped.shared_samples(), column)?;
                 return Ok(feed_progressive(xs, batch, epsilon, Z95));
             }
-            Err(miss) => miss,
+            Probed::Miss(guard, probes) => (guard, probes),
         };
 
         // …a miss simulates chunk by chunk, stopping at convergence.

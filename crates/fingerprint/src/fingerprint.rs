@@ -34,8 +34,10 @@ impl Fingerprint {
     ///
     /// `sample` receives the raw seed and must return the function's scalar
     /// output for that seed (for table-valued models, a designated summary
-    /// cell — the engine uses the model's primary output column).
-    pub fn compute(config: FingerprintConfig, mut sample: impl FnMut(u64) -> f64) -> Self {
+    /// cell). The scalar reference the block constructor is tested
+    /// against.
+    #[cfg(test)]
+    fn compute(config: FingerprintConfig, mut sample: impl FnMut(u64) -> f64) -> Self {
         let seeds = SeedSequence::fingerprint_default(config.length);
         Fingerprint {
             values: seeds.seeds().iter().map(|&s| sample(s)).collect(),
@@ -45,10 +47,10 @@ impl Fingerprint {
     /// Block-probe constructor: `sample` receives the whole seed block at
     /// once and returns one output per seed, in seed order.
     ///
-    /// This is the vectorized twin of [`Fingerprint::compute`]: instead of
-    /// invoking the stochastic function once per seed, the caller evaluates
-    /// all `seeds.len()` probe worlds in a single walk (e.g. through
-    /// `prophet-sql`'s block evaluator) and hands back the output column.
+    /// Instead of invoking the stochastic function once per seed, the
+    /// caller evaluates all `seeds.len()` probe worlds in a single walk
+    /// (e.g. through `prophet-sql`'s block evaluator) and hands back the
+    /// output column.
     /// Under the canonical sequence the fingerprint is identical to the
     /// scalar construction: same seeds, same order.
     ///

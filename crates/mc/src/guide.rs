@@ -5,14 +5,14 @@
 //! and model variable in the scenario" (§2). Two strategies:
 //!
 //! * [`GridGuide`] — exhaustive cartesian sweep (offline mode),
-//! * [`PriorityGuide`] — priority-queue exploration used by online mode:
-//!   user-requested points jump the queue, and the paper's *proactive
-//!   exploration* ("which values are proactively being explored anticipating
-//!   their future usage", §3.2) enqueues the neighbourhood of recent
-//!   requests at lower priority.
+//! * [`PriorityGuide`] — the prefetch queue used by online mode: the
+//!   paper's *proactive exploration* ("which values are proactively being
+//!   explored anticipating their future usage", §3.2) enqueues the
+//!   neighbourhood of recent requests for idle time. User requests never
+//!   pass through it: the scheduler runs them as high-priority jobs ahead
+//!   of every prefetch.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::{HashSet, VecDeque};
 
 use prophet_sql::ast::ParameterDecl;
 
@@ -132,27 +132,16 @@ impl Guide for GridGuide {
     }
 }
 
-/// Priority level of a queued point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Priority {
-    /// Speculative neighbourhood prefetch.
-    Prefetch = 0,
-    /// Directly requested by the user (slider adjustment).
-    User = 1,
-}
-
-/// Priority-driven exploration for online mode.
-///
-/// User requests are served strictly before anticipatory prefetches; within
-/// a priority class, FIFO order (stable sequence numbers) keeps the schedule
-/// deterministic. Points are deduplicated: enqueueing a point twice, or
-/// prefetching one already queued as a user request, is a no-op.
+/// Anticipatory exploration for online mode: a FIFO queue of prefetch
+/// points, served in the order they were queued so the schedule is
+/// deterministic. Points are deduplicated: enqueueing a point already
+/// queued is a no-op. Prefetches run at low priority in the scheduler,
+/// so a user's adjustment always overtakes them there.
 #[derive(Debug)]
 pub struct PriorityGuide {
     decls: Vec<ParameterDecl>,
-    heap: BinaryHeap<(Priority, Reverse<u64>, ParamPoint)>,
+    queue: VecDeque<ParamPoint>,
     queued: HashSet<ParamPoint>,
-    sequence: u64,
 }
 
 impl PriorityGuide {
@@ -160,27 +149,16 @@ impl PriorityGuide {
     pub fn new(decls: &[ParameterDecl]) -> Self {
         PriorityGuide {
             decls: decls.to_vec(),
-            heap: BinaryHeap::new(),
+            queue: VecDeque::new(),
             queued: HashSet::new(),
-            sequence: 0,
         }
     }
 
-    fn enqueue(&mut self, point: ParamPoint, priority: Priority) {
-        if self.queued.insert(point.clone()) {
-            self.sequence += 1;
-            self.heap.push((priority, Reverse(self.sequence), point));
-        }
-    }
-
-    /// Queue a user-requested point (highest priority).
-    pub fn enqueue_user(&mut self, point: ParamPoint) {
-        self.enqueue(point, Priority::User);
-    }
-
-    /// Queue a speculative point (lowest priority).
+    /// Queue a speculative point behind every point already queued.
     pub fn enqueue_prefetch(&mut self, point: ParamPoint) {
-        self.enqueue(point, Priority::Prefetch);
+        if self.queued.insert(point.clone()) {
+            self.queue.push_back(point);
+        }
     }
 
     /// Anticipatory exploration: queue the domain neighbours of `point`
@@ -211,13 +189,13 @@ impl PriorityGuide {
 
     /// Number of points currently queued.
     pub fn pending(&self) -> usize {
-        self.heap.len()
+        self.queue.len()
     }
 }
 
 impl Guide for PriorityGuide {
     fn next_point(&mut self) -> Option<ParamPoint> {
-        let (_, _, point) = self.heap.pop()?;
+        let point = self.queue.pop_front()?;
         self.queued.remove(&point);
         Some(point)
     }
@@ -232,8 +210,8 @@ impl Guide for PriorityGuide {
         PriorityGuide::pending(self)
     }
 
-    /// A partially evaluated point is pending work: queue it at prefetch
-    /// priority so idle time deepens it to full world depth.
+    /// A partially evaluated point is pending work: queue it as a
+    /// prefetch so idle time deepens it to full world depth.
     fn observe_partial(&mut self, point: &ParamPoint) {
         self.enqueue_prefetch(point.clone());
     }
@@ -312,29 +290,15 @@ mod tests {
     }
 
     #[test]
-    fn priority_guide_user_requests_preempt_prefetch() {
-        let ds = decls();
-        let mut g = PriorityGuide::new(&ds);
-        let p_user = ParamPoint::from_pairs([("a", 1i64), ("b", 10)]);
-        let p_other = ParamPoint::from_pairs([("a", 2i64), ("b", 20)]);
-        g.enqueue_prefetch(p_other.clone());
-        g.enqueue_user(p_user.clone());
-        assert_eq!(g.pending(), 2);
-        assert_eq!(g.next_point(), Some(p_user));
-        assert_eq!(g.next_point(), Some(p_other));
-        assert_eq!(g.next_point(), None);
-    }
-
-    #[test]
     fn priority_guide_fifo_within_class() {
         let ds = decls();
         let mut g = PriorityGuide::new(&ds);
         let p1 = ParamPoint::from_pairs([("a", 0i64), ("b", 10)]);
         let p2 = ParamPoint::from_pairs([("a", 1i64), ("b", 10)]);
         let p3 = ParamPoint::from_pairs([("a", 2i64), ("b", 10)]);
-        g.enqueue_user(p1.clone());
-        g.enqueue_user(p2.clone());
-        g.enqueue_user(p3.clone());
+        g.enqueue_prefetch(p1.clone());
+        g.enqueue_prefetch(p2.clone());
+        g.enqueue_prefetch(p3.clone());
         assert_eq!(g.next_point(), Some(p1));
         assert_eq!(g.next_point(), Some(p2));
         assert_eq!(g.next_point(), Some(p3));
@@ -345,14 +309,13 @@ mod tests {
         let ds = decls();
         let mut g = PriorityGuide::new(&ds);
         let p = ParamPoint::from_pairs([("a", 0i64), ("b", 10)]);
-        g.enqueue_user(p.clone());
-        g.enqueue_user(p.clone());
+        g.enqueue_prefetch(p.clone());
         g.enqueue_prefetch(p.clone());
         assert_eq!(g.pending(), 1);
         assert_eq!(g.next_point(), Some(p.clone()));
         assert_eq!(g.next_point(), None);
         // after being served, the point may be queued again
-        g.enqueue_user(p.clone());
+        g.enqueue_prefetch(p.clone());
         assert_eq!(g.next_point(), Some(p));
     }
 
@@ -368,9 +331,9 @@ mod tests {
         }];
         let mut g = PriorityGuide::new(&ds);
         let p = ParamPoint::from_pairs([("a", 4i64)]);
-        g.enqueue_user(p.clone());
+        g.enqueue_prefetch(p.clone());
         g.prefetch_neighbours(&p, "a");
-        // user point first, then the two domain neighbours 2 and 6
+        // the queued point first, then the two domain neighbours 2 and 6
         assert_eq!(g.next_point(), Some(p));
         let n1 = g.next_point().unwrap();
         let n2 = g.next_point().unwrap();
@@ -402,12 +365,18 @@ mod tests {
     fn observe_partial_requeues_at_prefetch_priority() {
         let ds = decls();
         let mut g = PriorityGuide::new(&ds);
+        let earlier = ParamPoint::from_pairs([("a", 2i64), ("b", 20)]);
         let partial = ParamPoint::from_pairs([("a", 1i64), ("b", 10)]);
-        let user = ParamPoint::from_pairs([("a", 2i64), ("b", 20)]);
+        g.enqueue_prefetch(earlier.clone());
         Guide::observe_partial(&mut g, &partial);
-        assert_eq!(g.pending(), 1, "partial point queued as pending work");
-        g.enqueue_user(user.clone());
-        assert_eq!(g.next_point(), Some(user), "user work still preempts");
+        assert_eq!(g.pending(), 2, "partial point queued as pending work");
+        Guide::observe_partial(&mut g, &partial);
+        assert_eq!(g.pending(), 2, "a queued partial point is not queued twice");
+        assert_eq!(
+            g.next_point(),
+            Some(earlier),
+            "queued behind earlier prefetches"
+        );
         assert_eq!(g.next_point(), Some(partial));
         // The default implementation is a no-op.
         let mut grid = GridGuide::new(&ds);

@@ -19,9 +19,9 @@
 //!   [`NO_CHUNK`], [`NO_WORKER`] where not applicable).
 //! * **[`LatencyHistogram`]** — log-bucketed (power-of-two bucket
 //!   boundaries, one bucket per bit length) latency counts with
-//!   deterministic merge/subtract and monotone percentile accessors.
-//!   The bucket table is *fixed*, so histograms recorded by different
-//!   workers, engines, or processes merge without renormalization.
+//!   deterministic subtraction and monotone percentile accessors. The
+//!   bucket table is *fixed*, so a histogram minus an earlier snapshot
+//!   of itself is exactly the histogram of what was recorded since.
 //!
 //! **Determinism.** Events observe, never decide: nothing in the
 //! evaluation pipeline reads the recorder, timestamps never feed
@@ -221,9 +221,8 @@ fn bucket_ceiling(i: usize) -> u64 {
 /// [`HISTOGRAM_BUCKETS`] power-of-two table.
 ///
 /// Because every histogram shares the same bucket boundaries,
-/// [`merge`](Self::merge) is element-wise addition and
-/// [`since`](Self::since) element-wise subtraction — deterministic and
-/// associative, exactly like the scalar counters in `EngineMetrics`
+/// [`since`](Self::since) is element-wise subtraction — deterministic,
+/// exactly like the scalar counters in `EngineMetrics`
 /// (which embeds two of these for the per-point probe/simulate
 /// latency percentile block).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -259,14 +258,6 @@ impl LatencyHistogram {
     /// Raw bucket counts, index = bit length of the duration.
     pub fn buckets(&self) -> &[u64; HISTOGRAM_BUCKETS] {
         &self.counts
-    }
-
-    /// Add `other`'s counts into `self` (deterministic: same fixed
-    /// bucket table on both sides).
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
     }
 
     /// Bucket-wise difference `self − baseline` (saturating), the
@@ -516,7 +507,7 @@ pub(crate) fn lock_wait_start(rank: LockRank) -> Option<u64> {
     }
     CURRENT.with(|current| {
         let tracer = current.borrow();
-        if tracer.is_enabled() {
+        if tracer.0.is_some() {
             Some(tracer.now())
         } else {
             None
@@ -559,11 +550,6 @@ impl Tracer {
     /// The disabled tracer (same as `new(TraceConfig::Off)`).
     pub fn off() -> Self {
         Tracer(None)
-    }
-
-    /// Whether a recorder is attached.
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
     }
 
     /// Nanoseconds since the recorder epoch — or 0 when off, without
@@ -739,7 +725,6 @@ mod tests {
     fn off_tracer_allocates_no_ring_and_records_nothing() {
         let tracer = Tracer::new(TraceConfig::Off);
         assert!(tracer.0.is_none(), "Off must not allocate a recorder");
-        assert!(!tracer.is_enabled());
         assert_eq!(tracer.now(), 0, "Off never reads the clock");
         tracer.instant(TraceEventKind::JobSubmit, 1, NO_CHUNK);
         tracer.span(TraceEventKind::ChunkRun, 1, 2, 0);
@@ -840,8 +825,10 @@ mod tests {
         let mut b = LatencyHistogram::new();
         b.record(5);
         b.record(1_000_000);
+        // `a`'s and `b`'s observations recorded into one histogram.
         let mut merged = a;
-        merged.merge(&b);
+        merged.record(5);
+        merged.record(1_000_000);
         assert_eq!(merged.count(), 4);
         assert_eq!(merged.since(&b), a);
         assert_eq!(merged.since(&a), b);

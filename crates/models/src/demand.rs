@@ -94,8 +94,9 @@ impl DemandModel {
         (trend + base_noise + extra).max(0.0)
     }
 
-    /// Analytic mean demand at a week (for tests).
-    pub fn mean_demand(&self, current: i64, feature_week: i64) -> f64 {
+    /// Analytic mean demand at a week.
+    #[cfg(test)]
+    fn mean_demand(&self, current: i64, feature_week: i64) -> f64 {
         let trend = self.config.base_mean + self.config.growth_per_week * current as f64;
         if current >= feature_week {
             trend + self.config.feature_mean

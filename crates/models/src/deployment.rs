@@ -44,7 +44,8 @@ impl DeploymentConfig {
     }
 
     /// Expected lag in weeks.
-    pub fn mean_weeks(&self) -> f64 {
+    #[cfg(test)]
+    fn mean_weeks(&self) -> f64 {
         (self.min_weeks + self.mode_weeks + self.max_weeks) / 3.0
     }
 }

@@ -71,7 +71,3 @@ pub(crate) fn last_week(what: &str, week: i64, max_week: i64) -> DataResult<i64>
     }
     Ok(week.max(0))
 }
-
-/// Weeks in the simulated year (the paper's scenario spans one year in
-/// weekly resolution: parameters range 0–52).
-pub const WEEKS_PER_YEAR: i64 = 52;

@@ -72,7 +72,8 @@ impl QueueModel {
     }
 
     /// Offered load ρ = λ / (c·μ); above 1.0 the queue is unstable.
-    pub fn utilization(&self, week: i64, agents: i64) -> f64 {
+    #[cfg(test)]
+    fn utilization(&self, week: i64, agents: i64) -> f64 {
         self.arrival_rate(week) / (agents.max(1) as f64 * self.config.service_rate)
     }
 

@@ -92,7 +92,8 @@ impl RevenueModel {
     }
 
     /// Analytic mean subscribers at a week/price.
-    pub fn mean_subscribers(&self, week: i64, price: f64) -> f64 {
+    #[cfg(test)]
+    fn mean_subscribers(&self, week: i64, price: f64) -> f64 {
         (self.config.base_subscribers + self.config.growth_per_week * week as f64
             - self.config.elasticity * (price - self.config.anchor_price))
             .max(0.0)

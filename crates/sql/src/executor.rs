@@ -383,28 +383,28 @@ pub fn sample_f64(value: &Value) -> SqlResult<f64> {
     }
 }
 
-/// Evaluate a constant expression (no params, columns, VG functions or
-/// randomness). Used for threshold folding and by tests.
-pub fn eval_const(expr: &Expr) -> SqlResult<Value> {
-    struct NullRng;
-    impl Rng64 for NullRng {
-        fn next_u64(&mut self) -> u64 {
-            unreachable!("constant expressions must not consume randomness")
-        }
-    }
-    let registry = VgRegistry::new();
-    let params = HashMap::new();
-    let mut rng = NullRng;
-    let mut ctx = EvalContext::new(&registry, &params, &mut rng);
-    eval_expr(expr, &mut ctx)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parser::{parse_expr, parse_script};
     use crate::test_vg::test_registry;
     use prophet_vg::rng::Xoshiro256StarStar;
+
+    /// Evaluate a constant expression (no params, columns, VG functions
+    /// or randomness).
+    fn eval_const(expr: &Expr) -> SqlResult<Value> {
+        struct NullRng;
+        impl Rng64 for NullRng {
+            fn next_u64(&mut self) -> u64 {
+                unreachable!("constant expressions must not consume randomness")
+            }
+        }
+        let registry = VgRegistry::new();
+        let params = HashMap::new();
+        let mut rng = NullRng;
+        let mut ctx = EvalContext::new(&registry, &params, &mut rng);
+        eval_expr(expr, &mut ctx)
+    }
 
     fn const_eval(src: &str) -> Value {
         eval_const(&parse_expr(src).unwrap()).unwrap()

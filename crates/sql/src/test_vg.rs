@@ -82,7 +82,7 @@ impl VgFunction for Walk {
 }
 
 /// A registry with the test functions installed.
-pub fn test_registry() -> VgRegistry {
+pub(crate) fn test_registry() -> VgRegistry {
     let mut r = VgRegistry::new();
     r.register(Arc::new(Jitter));
     r.register(Arc::new(Walk));

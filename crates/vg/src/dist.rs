@@ -105,11 +105,6 @@ impl LogNormal {
         (sigma.is_finite() && sigma > 0.0 && mu.is_finite()).then_some(LogNormal { mu, sigma })
     }
 
-    /// The median, `exp(mu)`.
-    pub fn median(&self) -> f64 {
-        self.mu.exp()
-    }
-
     /// [`Distribution::sample`], monomorphic over the rng type.
     #[inline]
     pub fn sample_with<R: Rng64 + ?Sized>(&self, rng: &mut R) -> f64 {
@@ -343,7 +338,6 @@ mod tests {
         let d = LogNormal::new(1.0, 0.5).unwrap();
         let exact_mean = (1.0f64 + 0.125).exp();
         assert!((d.mean() - exact_mean).abs() < 1e-12);
-        assert!((d.median() - 1.0f64.exp()).abs() < 1e-12);
         let (m, v) = moments(&d, 2, 400_000);
         assert!(
             (m - d.mean()).abs() / d.mean() < 0.01,

@@ -66,11 +66,6 @@ impl SeedSequence {
     pub fn is_empty(&self) -> bool {
         self.seeds.is_empty()
     }
-
-    /// Extend (or truncate) to exactly `len` seeds, preserving the prefix.
-    pub fn resized(&self, len: usize) -> Self {
-        SeedSequence::from_root(self.root, len)
-    }
 }
 
 #[cfg(test)]
@@ -90,7 +85,6 @@ mod tests {
         let short = SeedSequence::fingerprint_default(8);
         let long = SeedSequence::fingerprint_default(32);
         assert_eq!(short.seeds(), &long.seeds()[..8]);
-        assert_eq!(long.resized(8), short);
     }
 
     #[test]

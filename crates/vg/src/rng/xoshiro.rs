@@ -15,18 +15,6 @@ pub struct Xoshiro256StarStar {
 }
 
 impl Xoshiro256StarStar {
-    /// Seed from four raw state words.
-    ///
-    /// # Panics
-    /// Panics if all words are zero (the all-zero state is a fixed point).
-    pub fn from_state(s: [u64; 4]) -> Self {
-        assert!(
-            s.iter().any(|&w| w != 0),
-            "xoshiro256** state must not be all zero"
-        );
-        Xoshiro256StarStar { s }
-    }
-
     /// Seed from a single `u64` by SplitMix64 expansion (the canonical way
     /// the engine creates per-world generators).
     pub fn seed_from_u64(seed: u64) -> Self {
@@ -92,12 +80,6 @@ mod tests {
         for _ in 0..256 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "must not be all zero")]
-    fn all_zero_state_rejected() {
-        let _ = Xoshiro256StarStar::from_state([0; 4]);
     }
 
     #[test]

@@ -51,11 +51,6 @@ impl SeedManager {
         Xoshiro256StarStar::seed_from_u64(self.seed_for(world, function, step))
     }
 
-    /// Generator for a world's top-level scenario evaluation.
-    pub fn world_rng(&self, world: u64) -> Xoshiro256StarStar {
-        self.rng_for(world, "<scenario>", 0)
-    }
-
     /// The root seed.
     pub fn root(&self) -> u64 {
         self.root
@@ -126,13 +121,5 @@ mod tests {
             .sum::<f64>()
             / xs.len() as f64;
         assert!(cov.abs() < 0.002, "cross-stream covariance {cov}");
-    }
-
-    #[test]
-    fn world_rng_is_a_plain_alias() {
-        let m = SeedManager::new(5);
-        let mut a = m.world_rng(9);
-        let mut b = m.rng_for(9, "<scenario>", 0);
-        assert_eq!(a.next_u64(), b.next_u64());
     }
 }

@@ -8,6 +8,7 @@ use std::time::Duration;
 
 use fuzzy_prophet::prelude::*;
 use prophet_data::{DataResult, Value};
+use prophet_mc::TryClaim;
 use prophet_models::{demo_registry, full_registry};
 use prophet_sql::parse_script;
 use prophet_vg::rng::Rng64;
@@ -781,6 +782,11 @@ impl VgFunction for Slow {
 /// `SPAN_WORLDS` = 100 worlds, one span per chunk here), ends `Cancelled`,
 /// leaves neither a claim nor an entry behind, and the point then
 /// simulates bit-equal to a service that never saw the cancel.
+///
+/// Two inputs: the job claims the point itself, or it first waits on a
+/// claim another session holds and re-claims the point once that claim
+/// is dropped — the re-claimed point must go through the same world
+/// spans and stop the same way.
 #[test]
 fn a_cancel_stops_a_slow_simulation_within_one_world_span() {
     const SRC: &str = "DECLARE PARAMETER @p AS SET (1);\nSELECT Slow(@p) AS v INTO r;";
@@ -811,7 +817,8 @@ fn a_cancel_stops_a_slow_simulation_within_one_world_span() {
             .unwrap();
         (prophet, calls)
     };
-    let job = || JobSpec::points("slow", vec![ParamPoint::from_pairs([("p", 1i64)])]);
+    let point = ParamPoint::from_pairs([("p", 1i64)]);
+    let job = || JobSpec::points("slow", vec![point.clone()]);
     let bits = |prophet: &Prophet| -> Vec<u64> {
         let results = prophet.submit(job()).unwrap().wait().unwrap();
         let set = &results.into_points().unwrap()[0].0;
@@ -822,28 +829,53 @@ fn a_cancel_stops_a_slow_simulation_within_one_world_span() {
             .collect()
     };
 
-    let (prophet, calls) = service(Duration::from_millis(1));
-    let handle = prophet.submit(job()).unwrap();
-    while calls.load(Ordering::SeqCst) < 10 {
-        std::thread::sleep(Duration::from_micros(200));
-    }
-    handle.cancel();
-    let at_cancel = calls.load(Ordering::SeqCst);
-    assert!(matches!(handle.wait(), Err(ProphetError::JobCancelled)));
-    prophet.scheduler().wait_idle();
-    let after_cancel = calls.load(Ordering::SeqCst) - at_cancel;
-    assert!(
-        after_cancel <= SPAN_WORLDS,
-        "{after_cancel} worlds simulated after cancel() returned"
-    );
-    let engine = prophet.engine("slow").unwrap();
-    assert_eq!(engine.basis_store().inflight_len(), 0);
-    assert_eq!(
-        engine.basis_len(),
-        0,
-        "a partly simulated point was published"
-    );
+    let claims = |prophet: &Prophet| {
+        let events = prophet.trace_events();
+        let claims = events
+            .iter()
+            .filter(|e| e.kind == TraceEventKind::StoreClaim);
+        claims.count()
+    };
 
-    let (reference, _) = service(Duration::ZERO);
-    assert_eq!(bits(&prophet), bits(&reference));
+    for reclaim in [false, true] {
+        let (prophet, calls) = service(Duration::from_millis(1));
+        let engine = prophet.engine("slow").unwrap();
+        let held = reclaim.then(|| match engine.basis_store().try_claim(&point, 400) {
+            TryClaim::Owner(guard) => guard,
+            _ => panic!("a cold point is claimable"),
+        });
+        let handle = prophet.submit(job()).unwrap();
+        if let Some(guard) = held {
+            // Once the job's plan has claimed too it is waiting on `guard`;
+            // dropping it hands the point back for the job to re-claim.
+            while claims(&prophet) < 2 {
+                std::thread::sleep(Duration::from_micros(200));
+            }
+            drop(guard);
+        }
+        while calls.load(Ordering::SeqCst) < 10 {
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        handle.cancel();
+        let at_cancel = calls.load(Ordering::SeqCst);
+        assert!(
+            matches!(handle.wait(), Err(ProphetError::JobCancelled)),
+            "reclaim {reclaim}: the job did not end cancelled"
+        );
+        prophet.scheduler().wait_idle();
+        let after_cancel = calls.load(Ordering::SeqCst) - at_cancel;
+        assert!(
+            after_cancel <= SPAN_WORLDS,
+            "reclaim {reclaim}: {after_cancel} worlds simulated after cancel() returned"
+        );
+        assert_eq!(engine.basis_store().inflight_len(), 0);
+        assert_eq!(
+            engine.basis_len(),
+            0,
+            "reclaim {reclaim}: a partly simulated point was published"
+        );
+
+        let (reference, _) = service(Duration::ZERO);
+        assert_eq!(bits(&prophet), bits(&reference), "reclaim {reclaim}");
+    }
 }
