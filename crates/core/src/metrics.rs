@@ -328,6 +328,84 @@ mod tests {
     }
 
     #[test]
+    fn merge_and_since_are_inverse_ish() {
+        let a = EngineMetrics {
+            points_simulated: 5,
+            worlds_simulated: 500,
+            probe_evaluations: 32,
+            ..EngineMetrics::default()
+        };
+        let b = EngineMetrics {
+            points_mapped: 3,
+            probe_evaluations: 32 + 96,
+            ..a
+        };
+        let diff = b.since(&a);
+        assert_eq!(diff.points_mapped, 3);
+        assert_eq!(diff.probe_evaluations, 96);
+        assert_eq!(diff.points_simulated, 0);
+    }
+
+    #[test]
+    fn executor_counters_merge_and_diff() {
+        let a = EngineMetrics {
+            inflight_waits: 2,
+            batch_probes: 10,
+            vector_walks: 7,
+            probe_eval_nanos: 2_000,
+            columnar_kernels: 20,
+            column_fallbacks: 2,
+            probe_call_sites: 14,
+            probe_call_sites_memoised: 9,
+            probe_call_sites_replayed: 3,
+            candidates_scanned: 40,
+            candidates_pruned: 60,
+            match_scan_nanos: 800,
+            remap_nanos: 300,
+            publish_nanos: 120,
+            probe_nanos: 1_000,
+            sim_nanos: 5_000,
+            ..EngineMetrics::default()
+        };
+        let b = EngineMetrics {
+            inflight_waits: 3,
+            batch_probes: 15,
+            vector_walks: 10,
+            probe_eval_nanos: 3_000,
+            columnar_kernels: 25,
+            column_fallbacks: 3,
+            probe_call_sites: 20,
+            probe_call_sites_memoised: 13,
+            probe_call_sites_replayed: 5,
+            candidates_scanned: 44,
+            candidates_pruned: 66,
+            match_scan_nanos: 1_000,
+            remap_nanos: 400,
+            publish_nanos: 150,
+            probe_nanos: 1_500,
+            sim_nanos: 5_500,
+            ..EngineMetrics::default()
+        };
+        let diff = b.since(&a);
+        assert_eq!(diff.inflight_waits, 1);
+        assert_eq!(diff.batch_probes, 5);
+        assert_eq!(diff.vector_walks, 3);
+        assert_eq!(diff.probe_eval_nanos, 1_000);
+        assert_eq!(diff.columnar_kernels, 5);
+        assert_eq!(diff.column_fallbacks, 1);
+        assert_eq!(diff.probe_call_sites, 6);
+        assert_eq!(diff.probe_call_sites_memoised, 4);
+        assert_eq!(diff.probe_call_sites_replayed, 2);
+        assert_eq!(diff.candidates_scanned, 4);
+        assert_eq!(diff.candidates_pruned, 6);
+        assert_eq!(diff.match_scan_nanos, 200);
+        assert_eq!(diff.remap_nanos, 100);
+        assert_eq!(diff.publish_nanos, 30);
+        assert_eq!(diff.probe_nanos, 500);
+        assert_eq!(diff.sim_nanos, 500);
+    }
+
+    #[test]
     fn display_mentions_the_key_numbers() {
         let m = EngineMetrics {
             points_mapped: 7,
@@ -423,7 +501,7 @@ sim_p99_us                 4194.30";
     /// `since` zeroes fails the first; one it copies instead of
     /// subtracting fails the second.
     #[test]
-    fn since_covers_every_field() {
+    fn merge_and_since_cover_every_field() {
         let m = EngineMetrics {
             points_cached: 1,
             points_mapped: 2,
