@@ -36,8 +36,8 @@ use std::sync::Arc;
 use prophet_data::Value;
 use prophet_fingerprint::{CorrelationDetector, Fingerprint, FingerprintConfig, Mapping};
 use prophet_mc::{
-    simulate_point, simulate_point_columnar_with, ColumnSamples, ParamPoint, Rebuild,
-    RebuildHandle, SampleSet, SharedBasisStore,
+    simulate_point, simulate_point_columnar_with, ColumnMoments, ColumnSamples, ParamPoint,
+    Rebuild, RebuildHandle, SampleSet, SharedBasisStore, StoredEntry,
 };
 use prophet_sql::columnar::{
     evaluate_derived_columns, evaluate_select_columns_with, to_f64_samples, ColumnarStats,
@@ -548,23 +548,26 @@ impl Engine {
     }
 
     /// Map the stochastic columns and recompute the derived ones
-    /// ([`Remap::samples`]). Self-times into `remap_nanos`. The result is
-    /// shared as built: the same allocation is published to the basis
-    /// store and returned to the caller.
+    /// ([`Remap::samples`]), then take every output column's moments while
+    /// the fresh columns are still in this worker's cache. Self-times into
+    /// `remap_nanos`. The samples are shared as built: the same allocation
+    /// is published to the basis store and returned to the caller, and the
+    /// store keeps the moments with it.
     pub(crate) fn remap_samples(
         &self,
         point: &ParamPoint,
         source: &ColumnSamples,
         mappings: &HashMap<String, Mapping>,
         worlds: usize,
-    ) -> ProphetResult<Arc<ColumnSamples>> {
+    ) -> ProphetResult<(Arc<ColumnSamples>, ColumnMoments)> {
         let start = Stopwatch::start();
         let (samples, gathers) = self.remap.samples(point, source, mappings, worlds)?;
+        let moments = ColumnMoments::named(&self.remap.output_cols, &samples);
         self.bump(|m| {
             m.column_gathers += gathers;
             m.remap_nanos += start.elapsed_nanos();
         });
-        Ok(samples)
+        Ok((samples, moments))
     }
 
     /// One tier-routed simulation of a world list (no metrics bump — the
@@ -637,6 +640,14 @@ impl Engine {
         samples: Arc<ColumnSamples>,
     ) -> SampleSet {
         SampleSet::from_shared(point.clone(), Arc::clone(&self.remap.output_cols), samples)
+    }
+
+    /// Wrap a store entry read at `point` as the caller-facing
+    /// [`SampleSet`], rebuilding nothing: its stored moments answer
+    /// `expect`, and a demoted entry's samples are rebuilt only if the
+    /// caller reads them.
+    pub(crate) fn stored_sample_set(&self, point: &ParamPoint, entry: StoredEntry) -> SampleSet {
+        SampleSet::from_stored(point.clone(), Arc::clone(&self.remap.output_cols), entry)
     }
 }
 
@@ -992,8 +1003,8 @@ mod tests {
             ("demand".to_string(), Mapping::Identity),
             ("capacity".to_string(), Mapping::Offset(500.0)),
         ]);
-        let got = block.remap_samples(&p, &source, &mappings, 4).unwrap();
-        let want = reference.remap_samples(&p, &source, &mappings, 4).unwrap();
+        let (got, _) = block.remap_samples(&p, &source, &mappings, 4).unwrap();
+        let (want, _) = reference.remap_samples(&p, &source, &mappings, 4).unwrap();
         assert_eq!(sample_bits(&got), sample_bits(&want));
         assert_eq!(got["overload"], [1.0, 0.0, 0.0, 0.0]);
     }

@@ -12,7 +12,10 @@
 //! |--------------------------|---------------------------------------------|
 //! | Guide emits instances    | callers submit `&[ParamPoint]` (deduplicated)|
 //! | Storage Manager lookup   | *plan*: per-point exact-cache check plus an  |
-//! |                          | in-flight claim ([`SharedBasisStore::try_claim`]) |
+//! |                          | in-flight claim                              |
+//! |                          | ([`SharedBasisStore::try_claim_stored`]); a  |
+//! |                          | cached point is served as its entry's moments|
+//! |                          | — a demoted one is rebuilt only if read      |
 //! | fingerprint probe        | *probe*: claimed points fingerprint in       |
 //! |                          | parallel (fan-out)                           |
 //! | correlation search       | *match*: one snapshot of the store's         |
@@ -26,7 +29,7 @@
 //! |                          | (`EngineConfig::match_index`)                |
 //! | re-map on a hit          | *remap*: fused with the match — the worker   |
 //! |                          | that finds a probe's source reconstructs its |
-//! |                          | mapped samples (fan-out)                     |
+//! |                          | mapped samples and their moments (fan-out)   |
 //! | simulate on a miss       | *simulate*: every miss fans out as world     |
 //! |                          | spans of `SPAN_WORLDS`; each point's spans   |
 //! |                          | are joined in world order on the driver      |
@@ -42,7 +45,7 @@
 //! of the batch; a wait that yields no full-depth samples — the owner was
 //! cancelled or failed, the store was cleared, or the owner published
 //! fewer worlds than this engine needs — puts its point into the next
-//! round's plan, where `try_claim` finds it cached, pending again, or
+//! round's plan, where the claim finds it cached, pending again, or
 //! owned. An owned point then goes through the same fingerprint and
 //! world-span phases on the same runner as any other: it is cancellable,
 //! fans out and is traced. This is the only code that evaluates a claimed
@@ -103,7 +106,7 @@
 //! publishing the misses); `match_scan_nanos` / `remap_nanos` (CPU sums
 //! across workers) and `publish_nanos` (caller wall) split them further.
 //!
-//! [`SharedBasisStore::try_claim`]: prophet_mc::SharedBasisStore::try_claim
+//! [`SharedBasisStore::try_claim_stored`]: prophet_mc::SharedBasisStore::try_claim_stored
 //! [`SharedBasisStore::scan_snapshot_shared`]: prophet_mc::SharedBasisStore::scan_snapshot_shared
 //! [`WaitHandle`]: prophet_mc::WaitHandle
 //! [`OnlineSession::progressive_expect`]: crate::session::OnlineSession::progressive_expect
@@ -115,8 +118,8 @@ use std::sync::Arc;
 use prophet_fingerprint::{Fingerprint, Mapping};
 use prophet_mc::trace::{TraceEventKind, Tracer, NO_CHUNK, NO_JOB};
 use prophet_mc::{
-    BasisHit, ColumnSamples, InflightGuard, ParamPoint, Recipe, SampleSet, ScanSnapshot, ScanWork,
-    TryClaim, WaitHandle,
+    BasisHit, ColumnMoments, ColumnSamples, InflightGuard, ParamPoint, Recipe, SampleSet,
+    ScanSnapshot, ScanWork, TryClaim, WaitHandle,
 };
 
 use crate::engine::{Engine, EvalOutcome};
@@ -284,11 +287,15 @@ fn run_round<R: Runner>(
     let mut waits: Vec<(usize, WaitHandle)> = Vec::new();
     for i in round {
         let point = &unique[i];
-        match engine.basis_store().try_claim(point, worlds_per_point) {
+        match engine
+            .basis_store()
+            .try_claim_stored(point, worlds_per_point)
+        {
             TryClaim::Ready { samples, .. } => {
                 engine.bump(|m| m.points_cached += 1);
                 runner.points_done(1);
-                results[i] = Some((engine.to_sample_set(point, samples), EvalOutcome::Cached));
+                let reply = engine.stored_sample_set(point, samples);
+                results[i] = Some((reply, EvalOutcome::Cached));
             }
             TryClaim::Owner(guard) => {
                 owned.push(i);
@@ -562,8 +569,11 @@ impl Engine {
     }
 
     fn remap_hit(&self, point: &ParamPoint, hit: BasisHit) -> ProphetResult<MappedHit> {
+        let (samples, moments) =
+            self.remap_samples(point, &hit.samples, &hit.mappings, hit.worlds)?;
         Ok(MappedHit {
-            samples: self.remap_samples(point, &hit.samples, &hit.mappings, hit.worlds)?,
+            samples,
+            moments,
             worlds: hit.worlds,
             exact: hit.mappings.values().all(Mapping::is_exact),
             source: hit.source,
@@ -589,10 +599,11 @@ impl Engine {
     // ------------------------------------------------------------ publish
 
     /// Publish a fingerprint hit: complete the claim with the mapped
-    /// samples and what made them — the recipe, the source samples it was
-    /// applied to and this engine's remap, which rebuilds them once the
-    /// store demotes the entry — (a non-source entry, so it keeps no probe
-    /// fingerprints) and hand the same allocation back as the reply.
+    /// samples, their moments and what made them — the recipe, the source
+    /// samples it was applied to and this engine's remap, which rebuilds
+    /// them once the store demotes the entry — (a non-source entry, so it
+    /// keeps no probe fingerprints) and hand the same allocation back as
+    /// the reply, answering `expect` from the same moments.
     fn publish_hit(
         &self,
         point: &ParamPoint,
@@ -605,13 +616,17 @@ impl Engine {
             hit.recipe,
             hit.source_samples,
             self.rebuild_handle(),
+            hit.moments.clone(),
         );
         self.bump(|m| m.points_mapped += 1);
         let outcome = EvalOutcome::Mapped {
             from: hit.source,
             exact: hit.exact,
         };
-        (self.to_sample_set(point, hit.samples), outcome)
+        let reply = self
+            .to_sample_set(point, hit.samples)
+            .with_moments(hit.moments);
+        (reply, outcome)
     }
 
     /// Publish a simulation of `worlds` worlds: complete the claim and
@@ -638,6 +653,9 @@ impl Engine {
 /// the same `samples` allocation goes to the basis store and the reply.
 struct MappedHit {
     samples: Arc<ColumnSamples>,
+    /// Every output column's moments of `samples`, taken on the worker
+    /// that re-mapped them.
+    moments: ColumnMoments,
     /// Worlds backing the source's (and therefore the mapped) samples.
     worlds: usize,
     /// The basis point the mapping came from.

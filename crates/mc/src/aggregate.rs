@@ -8,6 +8,10 @@
 //! tiers and runners, and an integer-valued column (an indicator such as
 //! `overload`) whose sum stays below 2⁵³ gets the correctly rounded `k/n`.
 
+use std::sync::Arc;
+
+use crate::store::ColumnSamples;
+
 /// Lanes of the kernel: sample `i` of every whole chunk of `LANES` lands
 /// in lane `i`. The lanes are independent chains, so a pass is bound by
 /// neither add nor compare latency, and nothing is reassociated.
@@ -57,6 +61,26 @@ pub fn mean(xs: &[f64]) -> f64 {
     }
 }
 
+/// Pass 2 of the kernel: the sample standard deviation (n − 1
+/// normalization) around `mean`, which must be [`mean`]`(xs)`. The
+/// corrected two-pass variance: `D = Σ(x−m)`, `Q = Σ(x−m)²` in the fixed
+/// order and `m2 = max(Q − D²/n, 0)` — `D` cancels the rounding error left
+/// in `m`, so a large offset with a tiny spread stays exact. NaN when the
+/// mean of a non-empty sample is, else 0 for n < 2.
+pub fn std_dev(xs: &[f64], mean: f64) -> f64 {
+    let n = xs.len() as f64;
+    // A non-empty sample has a NaN mean only when its sum is not finite.
+    if mean.is_nan() && !xs.is_empty() {
+        f64::NAN
+    } else if xs.len() < 2 {
+        0.0
+    } else {
+        let d = fixed_order_sum(xs, |x| x - mean);
+        let q = fixed_order_sum(xs, |x| (x - mean) * (x - mean));
+        ((q - d * d / n).max(0.0) / (n - 1.0)).sqrt()
+    }
+}
+
 /// An immutable summary of a sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SampleStats {
@@ -74,23 +98,11 @@ pub struct SampleStats {
 }
 
 impl SampleStats {
-    /// Summarize `xs`: pass 1 is [`mean`]; pass 2 is the corrected
-    /// two-pass variance around it, `D = Σ(x−m)`, `Q = Σ(x−m)²` in the same
-    /// fixed order and `m2 = max(Q − D²/n, 0)` — `D` cancels the rounding
-    /// error left in `m`, so a large offset with a tiny spread stays exact.
+    /// Summarize `xs`: pass 1 is [`mean`], pass 2 is [`std_dev`] around
+    /// it, plus the extremes.
     pub fn of(xs: &[f64]) -> SampleStats {
-        let n = xs.len() as f64;
         let mean = mean(xs);
-        // A non-empty sample has a NaN mean only when its sum is not finite.
-        let std_dev = if mean.is_nan() && !xs.is_empty() {
-            f64::NAN
-        } else if xs.len() < 2 {
-            0.0
-        } else {
-            let d = fixed_order_sum(xs, |x| x - mean);
-            let q = fixed_order_sum(xs, |x| (x - mean) * (x - mean));
-            ((q - d * d / n).max(0.0) / (n - 1.0)).sqrt()
-        };
+        let std_dev = std_dev(xs, mean);
         let (min, max) = if xs.is_empty() {
             (f64::NAN, f64::NAN)
         } else {
@@ -114,6 +126,69 @@ impl SampleStats {
     /// progressive refinement.
     pub fn converged(&self, epsilon: f64, z: f64) -> bool {
         self.count >= 2 && z * self.std_dev / (self.count as f64).sqrt() <= epsilon
+    }
+}
+
+/// Every column's `(mean, std_dev)` over one set of per-column samples, as
+/// the kernel computes them — [`mean`], then [`std_dev`] around it — so
+/// they are the bits [`SampleSet::expect`] and
+/// [`SampleSet::expect_std_dev`] return for those samples. A mapped basis
+/// record keeps them, and a reader that needs only moments never needs
+/// the record's samples.
+///
+/// [`SampleSet::expect`]: crate::SampleSet::expect
+/// [`SampleSet::expect_std_dev`]: crate::SampleSet::expect_std_dev
+#[derive(Debug, Clone, PartialEq)]
+pub struct ColumnMoments {
+    /// Column names, in the order of `values`.
+    columns: Arc<[String]>,
+    /// `(mean, std_dev)` per column.
+    values: Arc<[(f64, f64)]>,
+}
+
+impl ColumnMoments {
+    /// The moments of every column of `samples`, in column-name order.
+    pub fn of(samples: &ColumnSamples) -> Self {
+        let mut names: Vec<String> = samples.keys().cloned().collect();
+        names.sort_unstable();
+        Self::over(names.into(), samples)
+    }
+
+    /// [`ColumnMoments::of`], naming the columns by the shared `columns`
+    /// when they are exactly the columns of `samples` — an engine's output
+    /// columns, shared by every record it publishes — so the moments
+    /// allocate no names of their own.
+    pub fn named(columns: &Arc<[String]>, samples: &ColumnSamples) -> Self {
+        let exact =
+            columns.len() == samples.len() && columns.iter().all(|c| samples.contains_key(c));
+        if exact {
+            Self::over(Arc::clone(columns), samples)
+        } else {
+            Self::of(samples)
+        }
+    }
+
+    /// The moments of `columns`, every one of which `samples` holds.
+    fn over(columns: Arc<[String]>, samples: &ColumnSamples) -> Self {
+        let values = (columns.iter())
+            .map(|c| {
+                let xs = &samples[c];
+                let m = mean(xs);
+                (m, std_dev(xs, m))
+            })
+            .collect();
+        ColumnMoments { columns, values }
+    }
+
+    /// The columns these moments cover.
+    pub fn columns(&self) -> &[String] {
+        &self.columns
+    }
+
+    /// `(mean, std_dev)` of `column`, or `None` if it is not covered.
+    pub fn get(&self, column: &str) -> Option<(f64, f64)> {
+        let i = self.columns.iter().position(|c| c == column)?;
+        Some(self.values[i])
     }
 }
 
@@ -192,6 +267,28 @@ mod tests {
             "10 samples of a coin flip are not accurate to 0.01"
         );
         assert!(SampleStats::of(&coin(100_010)).converged(0.01, 1.96));
+    }
+
+    #[test]
+    fn column_moments_are_the_kernels_bits() {
+        let xs: Vec<f64> = (0..403).map(|i| ((i * 7919) % 997) as f64 / 7.0).collect();
+        let ys: Vec<f64> = (0..403).map(|i| (i % 2) as f64).collect();
+        let samples = ColumnSamples::from([("x".to_owned(), xs.clone()), ("y".to_owned(), ys)]);
+        let shared: Arc<[String]> = vec!["y".to_owned(), "x".to_owned()].into();
+        let named = ColumnMoments::named(&shared, &samples);
+        assert!(std::ptr::eq(named.columns(), &*shared), "shares the names");
+        let sorted = ColumnMoments::of(&samples);
+        assert_eq!(sorted.columns(), ["x", "y"]);
+        let stats = SampleStats::of(&xs);
+        for m in [&named, &sorted] {
+            let (mean, sd) = m.get("x").unwrap();
+            assert_eq!(mean.to_bits(), stats.mean.to_bits());
+            assert_eq!(sd.to_bits(), stats.std_dev.to_bits());
+            assert_eq!(m.get("y").unwrap().0, 201.0 / 403.0);
+            assert_eq!(m.get("z"), None);
+        }
+        let partial: Arc<[String]> = vec!["x".to_owned()].into();
+        assert_eq!(ColumnMoments::named(&partial, &samples), sorted);
     }
 
     #[test]

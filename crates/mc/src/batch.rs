@@ -7,7 +7,7 @@
 //! across the batch's worlds.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use prophet_sql::ast::SelectInto;
 use prophet_sql::columnar::{evaluate_select_columns_with, to_f64_samples, ColumnarStats};
@@ -15,9 +15,9 @@ use prophet_sql::error::SqlResult;
 use prophet_sql::executor::{evaluate_select_with, sample_f64, WorldRng};
 use prophet_vg::{LedgerStore, SeedManager, VgRegistry};
 
-use crate::aggregate::{self, SampleStats};
+use crate::aggregate::{self, ColumnMoments, SampleStats};
 use crate::instance::ParamPoint;
-use crate::store::ColumnSamples;
+use crate::store::{ColumnSamples, StoredEntry};
 
 /// Samples of every scenario output column across a set of worlds, for one
 /// parameter point.
@@ -29,11 +29,39 @@ use crate::store::ColumnSamples;
 /// lanes ever being copied. Mutation ([`SampleSet::absorb`]) is
 /// copy-on-write — a set that shares its samples with the store never
 /// writes through to the store's entry.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A set served from a store entry carries the moments the entry keeps
+/// ([`StoredEntry::moments`]), and a demoted entry's samples are not
+/// rebuilt when it is served: [`SampleSet::expect`],
+/// [`SampleSet::expect_std_dev`] and [`SampleSet::world_count`] read the
+/// stored values, which are the bits the samples would give. Only a
+/// samples read — [`SampleSet::samples`], [`SampleSet::stats`],
+/// [`SampleSet::shared_samples`], [`SampleSet::absorb`] — rebuilds them,
+/// once, on the reading thread with no store lock held; the result is
+/// cached and shared by every clone of the set, and the store counts the
+/// rebuild in `rematerializations`. Equality compares the samples.
+#[derive(Clone)]
 pub struct SampleSet {
     point: ParamPoint,
     columns: Arc<[String]>,
-    samples: Arc<ColumnSamples>,
+    lanes: Lanes,
+    /// Every column's stored `(mean, std_dev)`, when the set came with
+    /// them; dropped by [`SampleSet::absorb`].
+    moments: Option<ColumnMoments>,
+}
+
+/// A [`SampleSet`]'s samples: held, or a demoted store entry's, rebuilt on
+/// the first samples read.
+#[derive(Clone)]
+enum Lanes {
+    Held(Arc<ColumnSamples>),
+    Deferred(Arc<Deferred>),
+}
+
+/// A demoted entry and, once a reader has asked, its rebuilt samples.
+struct Deferred {
+    entry: StoredEntry,
+    rebuilt: OnceLock<Arc<ColumnSamples>>,
 }
 
 impl SampleSet {
@@ -49,12 +77,15 @@ impl SampleSet {
 
     /// Number of worlds simulated.
     pub fn world_count(&self) -> usize {
-        self.samples.values().next().map(Vec::len).unwrap_or(0)
+        match &self.lanes {
+            Lanes::Held(samples) => samples.values().next().map(Vec::len).unwrap_or(0),
+            Lanes::Deferred(deferred) => deferred.entry.worlds(),
+        }
     }
 
     /// Samples of one column, world order preserved.
     pub fn samples(&self, column: &str) -> Option<&[f64]> {
-        self.samples.get(column).map(Vec::as_slice)
+        self.lanes().get(column).map(Vec::as_slice)
     }
 
     /// Summary of one column: the aggregator's fixed-order two-pass
@@ -64,14 +95,26 @@ impl SampleSet {
     }
 
     /// Monte Carlo expectation of one column (`EXPECT col`): the kernel's
-    /// first pass only, bit-equal to `stats(col).mean`.
+    /// first pass only, bit-equal to `stats(col).mean` — read from the
+    /// stored moments when the set has them.
     pub fn expect(&self, column: &str) -> Option<f64> {
-        self.samples(column).map(aggregate::mean)
+        match &self.moments {
+            Some(moments) => moments.get(column).map(|(mean, _)| mean),
+            None => self.samples(column).map(aggregate::mean),
+        }
     }
 
-    /// Monte Carlo standard deviation (`EXPECT_STDDEV col`).
+    /// Monte Carlo standard deviation (`EXPECT_STDDEV col`), bit-equal to
+    /// `stats(col).std_dev` — read from the stored moments when the set
+    /// has them.
     pub fn expect_std_dev(&self, column: &str) -> Option<f64> {
-        self.stats(column).map(|s| s.std_dev)
+        match &self.moments {
+            Some(moments) => moments.get(column).map(|(_, sd)| sd),
+            None => self.samples(column).map(|xs| {
+                let mean = aggregate::mean(xs);
+                aggregate::std_dev(xs, mean)
+            }),
+        }
     }
 
     /// Build directly from per-column samples (the fingerprint mapper
@@ -94,14 +137,57 @@ impl SampleSet {
         SampleSet {
             point,
             columns,
-            samples,
+            lanes: Lanes::Held(samples),
+            moments: None,
+        }
+    }
+
+    /// Build around a store entry read at `point` without rebuilding it:
+    /// a resident entry's samples are shared, a demoted entry's are
+    /// rebuilt on the first samples read, and the entry's moments answer
+    /// [`SampleSet::expect`] / [`SampleSet::expect_std_dev`].
+    pub fn from_stored(point: ParamPoint, columns: Arc<[String]>, entry: StoredEntry) -> Self {
+        let moments = entry.moments().cloned();
+        let lanes = match entry.resident() {
+            Some(samples) => Lanes::Held(Arc::clone(samples)),
+            None => Lanes::Deferred(Arc::new(Deferred {
+                entry,
+                rebuilt: OnceLock::new(),
+            })),
+        };
+        SampleSet {
+            point,
+            columns,
+            lanes,
+            moments,
+        }
+    }
+
+    /// This set, answering [`SampleSet::expect`] /
+    /// [`SampleSet::expect_std_dev`] from `moments`, which must be its
+    /// samples' ([`ColumnMoments::named`]) — as a mapped reply's are,
+    /// computed once where it was re-mapped.
+    pub fn with_moments(self, moments: ColumnMoments) -> Self {
+        SampleSet {
+            moments: Some(moments),
+            ..self
         }
     }
 
     /// The shared per-column samples (pointer-equal to the basis-store
     /// entry's when this set was served from or published to the store).
     pub fn shared_samples(&self) -> &Arc<ColumnSamples> {
-        &self.samples
+        self.lanes()
+    }
+
+    /// The samples, a demoted entry's rebuilt on the first call.
+    fn lanes(&self) -> &Arc<ColumnSamples> {
+        match &self.lanes {
+            Lanes::Held(samples) => samples,
+            Lanes::Deferred(deferred) => {
+                (deferred.rebuilt).get_or_init(|| deferred.entry.materialize(&self.point))
+            }
+        }
     }
 
     /// Merge another sample set for the *same point* (progressive
@@ -111,12 +197,42 @@ impl SampleSet {
     /// store, another reply) are cloned first, so only this set grows.
     pub fn absorb(&mut self, other: &SampleSet) {
         debug_assert_eq!(self.point, other.point, "absorb requires matching points");
+        if let Lanes::Deferred(_) = self.lanes {
+            self.lanes = Lanes::Held(Arc::clone(self.lanes()));
+        }
+        let Lanes::Held(samples) = &mut self.lanes else {
+            unreachable!("invariant: a deferred set was just made held");
+        };
         // Per-key merge: each column extends independently, so visit order is unobservable.
-        for (col, dst) in Arc::make_mut(&mut self.samples).iter_mut() {
-            if let Some(src) = other.samples.get(col) {
+        for (col, dst) in Arc::make_mut(samples).iter_mut() {
+            if let Some(src) = other.samples(col) {
                 dst.extend_from_slice(src);
             }
         }
+        self.moments = None;
+    }
+}
+
+impl PartialEq for SampleSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.point == other.point && self.columns == other.columns && self.lanes() == other.lanes()
+    }
+}
+
+/// Shows the samples only if they are at hand: formatting a set never
+/// rebuilds a demoted entry.
+impl std::fmt::Debug for SampleSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let samples = match &self.lanes {
+            Lanes::Held(samples) => Some(samples),
+            Lanes::Deferred(deferred) => deferred.rebuilt.get(),
+        };
+        f.debug_struct("SampleSet")
+            .field("point", &self.point)
+            .field("columns", &self.columns)
+            .field("samples", &samples)
+            .field("moments", &self.moments)
+            .finish()
     }
 }
 

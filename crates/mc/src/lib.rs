@@ -31,15 +31,15 @@ pub mod store;
 pub mod sync;
 pub mod trace;
 
-pub use aggregate::SampleStats;
+pub use aggregate::{ColumnMoments, SampleStats};
 pub use batch::{simulate_point, simulate_point_columnar, simulate_point_columnar_with, SampleSet};
 pub use guide::{GridGuide, Guide, GuideFactory, PriorityGuide};
 pub use instance::ParamPoint;
 pub use series::{Series, SeriesPoint};
 pub use store::{
     BasisHit, ColumnSamples, InflightGuard, MatchScanStats, ProbeScan, Rebuild, RebuildHandle,
-    Recipe, ScanSnapshot, ScanWork, SharedBasisStore, SnapshotError, StoreStatsSnapshot, TryClaim,
-    WaitHandle,
+    Recipe, ScanSnapshot, ScanWork, SharedBasisStore, SnapshotError, StoreStatsSnapshot,
+    StoredEntry, TryClaim, WaitHandle,
 };
 pub use trace::{
     LatencyHistogram, TraceConfig, TraceEvent, TraceEventKind, TraceTelemetry, Tracer,

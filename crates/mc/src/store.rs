@@ -37,22 +37,32 @@
 //! # A byte budget: demote, then evict
 //!
 //! The store's capacity is `capacity` full-depth samples records' worth
-//! of bytes: each record is charged its lanes and fingerprint values at
-//! 8 bytes, its mappings, and a fixed measured overhead, and the unit is
-//! the largest charge of any samples record the table has held. A store
-//! of equal-depth records without recipes therefore evicts exactly as an
-//! entry count would. Past the budget a publish first *demotes* the
-//! oldest mapped record still holding samples: it drops them and keeps
-//! its [`Recipe`], the source's samples `Arc` its hit carried, and the
-//! engine's [`Rebuild`] handle — so a source evicted or replaced later
-//! cannot change it — and stays in the table. Only when no such record
-//! is left does eviction run: the oldest unmatchable entry, then the
-//! oldest matchable one. Sources are never demoted. Reading a demoted
-//! record — [`SharedBasisStore::try_claim`] → [`TryClaim::Ready`],
-//! [`SharedBasisStore::get_exact`], or a save that cannot write its
-//! recipe — rebuilds its samples with the remap that made them, on the
-//! same inputs, so they are its published bits; the rebuild runs after
-//! every store lock is released, and is not re-admitted.
+//! of bytes: each record is charged its lanes, fingerprint values and
+//! moments at 8 bytes, its mappings, and a fixed measured overhead, and
+//! the unit is the largest charge of any samples record the table has
+//! held. A store of equal-depth records without recipes therefore evicts
+//! exactly as an entry count would. Past the budget a publish first
+//! *demotes* the oldest mapped record still holding samples: it drops
+//! them and keeps its [`Recipe`], the source's samples `Arc` its hit
+//! carried, and the engine's [`Rebuild`] handle — so a source evicted or
+//! replaced later cannot change it — plus every column's `(mean,
+//! std_dev)` ([`ColumnMoments`]), and stays in the table. A mapped record
+//! is published with its moments; a restored one that is demoted computes
+//! them first. Only when no demotable record is left does eviction run:
+//! the oldest unmatchable entry, then the oldest matchable one. Sources
+//! are never demoted.
+//!
+//! A claim reads a demoted record without rebuilding it:
+//! [`SharedBasisStore::try_claim_stored`] → [`TryClaim::Ready`] hands out
+//! a [`StoredEntry`] — the moments, and what rebuilds the samples — and
+//! a reader that needs only moments (an `EXPECT` answer, a GRAPH render)
+//! never rebuilds. A samples read — [`StoredEntry::materialize`], which
+//! the materializing [`SharedBasisStore::try_claim`],
+//! [`SharedBasisStore::get_exact`] and a save that cannot write a recipe
+//! also run — rebuilds them with the remap that made them, on the same
+//! inputs, so they are its published bits; the rebuild runs on the
+//! reader's thread after every store lock is released, and is not
+//! re-admitted.
 //!
 //! # The summary index
 //!
@@ -108,6 +118,7 @@ use std::sync::Arc;
 use prophet_fingerprint::index::{bound_all, summarize_probe, MatchBound, SummaryTable};
 use prophet_fingerprint::{CorrelationDetector, Fingerprint, Mapping};
 
+use crate::aggregate::ColumnMoments;
 use crate::instance::ParamPoint;
 use crate::sync::{rank, ClaimLedger, OrderedCondvar, OrderedMutex, OrderedRwLock};
 use crate::trace::{TraceEventKind, Tracer, NO_CHUNK, NO_JOB};
@@ -223,6 +234,12 @@ struct Record {
     /// in their place while its source is still stored, and a demoted
     /// record rebuilds them from it.
     mapped: Option<Arc<Mapped>>,
+    /// Every column's `(mean, std_dev)`, kept so a reader of moments only
+    /// never needs the samples: computed where a mapped record was
+    /// re-mapped, and by [`Table::demote_to`] for a restored one before it
+    /// drops its samples. Every demoted record has them; derived data,
+    /// never serialized.
+    moments: Option<ColumnMoments>,
 }
 
 impl Record {
@@ -244,11 +261,19 @@ impl Record {
             stamp,
             matchable,
             mapped: None,
+            moments: None,
         }
     }
 
-    /// Build a mapped record: unmatchable, `samples` made by `mapped`.
-    fn mapped(samples: Arc<ColumnSamples>, worlds: usize, stamp: u64, mapped: Mapped) -> Self {
+    /// Build a mapped record: unmatchable, `samples` made by `mapped`,
+    /// with their `moments` if they are known.
+    fn mapped(
+        samples: Arc<ColumnSamples>,
+        worlds: usize,
+        stamp: u64,
+        mapped: Mapped,
+        moments: Option<ColumnMoments>,
+    ) -> Self {
         Record {
             fingerprints: None,
             summaries: None,
@@ -257,14 +282,15 @@ impl Record {
             stamp,
             matchable: false,
             mapped: Some(Arc::new(mapped)),
+            moments,
         }
     }
 
     /// Bytes this record holds against the store's budget: its sample
-    /// lanes and fingerprint values at 8 bytes each, its mappings, and
-    /// the fixed [`RECORD_OVERHEAD`]. A demoted record is charged its
-    /// overhead and mappings alone: its source's samples are the source
-    /// record's.
+    /// lanes, fingerprint values and moments at 8 bytes each, its
+    /// mappings, and the fixed [`RECORD_OVERHEAD`]. A demoted record is
+    /// charged its overhead, mappings and moments alone: its source's
+    /// samples are the source record's.
     fn charge(&self) -> usize {
         let lanes: usize = (self.samples.iter())
             .flat_map(|s| s.values())
@@ -274,8 +300,9 @@ impl Record {
             .flat_map(|f| f.values())
             .map(|fp| fp.values().len())
             .sum();
+        let moments = self.moments.as_ref().map_or(0, |m| 2 * m.columns().len());
         let maps = self.mapped.as_ref().map_or(0, |m| m.recipe.mappings.len());
-        RECORD_OVERHEAD + (lanes + prints) * 8 + maps * MAPPING_BYTES
+        RECORD_OVERHEAD + (lanes + prints + moments) * 8 + maps * MAPPING_BYTES
     }
 
     /// Whether [`Table::make_room`] may demote this record: it holds
@@ -285,24 +312,89 @@ impl Record {
     }
 }
 
-/// What a read copies out of a record under the table lock: its samples,
-/// or what rebuilds a demoted record's once the lock is released.
-enum Stored {
-    Resident(Arc<ColumnSamples>),
-    Demoted { mapped: Arc<Mapped>, worlds: usize },
+/// A stored entry as a read copies it out of the table, rebuilding
+/// nothing: a resident entry's samples, or what rebuilds a demoted
+/// entry's, plus the moments the record keeps. What
+/// [`SharedBasisStore::try_claim_stored`] hands out; a reader that needs
+/// the samples calls [`StoredEntry::materialize`] on its own thread, with
+/// no store lock held.
+#[derive(Clone)]
+pub struct StoredEntry {
+    lanes: Lanes,
+    worlds: usize,
+    moments: Option<ColumnMoments>,
 }
 
-impl Stored {
-    fn of(record: &Record) -> Self {
-        if let Some(samples) = &record.samples {
-            return Stored::Resident(Arc::clone(samples));
-        }
-        let mapped = (record.mapped.as_ref())
-            .expect("invariant: only a record with a recipe drops its samples");
-        Stored::Demoted {
-            mapped: Arc::clone(mapped),
+/// Where a [`StoredEntry`]'s samples are.
+#[derive(Clone)]
+enum Lanes {
+    Resident(Arc<ColumnSamples>),
+    /// Dropped: the record's rebuild, and the counters that count each
+    /// run of it.
+    Demoted {
+        mapped: Arc<Mapped>,
+        stats: Arc<OrderedMutex<Counters>>,
+    },
+}
+
+impl StoredEntry {
+    /// Copy `record` out — two or three reference counts — under the
+    /// table lock the caller holds.
+    fn of(record: &Record, stats: &Arc<OrderedMutex<Counters>>) -> Self {
+        let lanes = match &record.samples {
+            Some(samples) => Lanes::Resident(Arc::clone(samples)),
+            None => Lanes::Demoted {
+                mapped: Arc::clone(
+                    (record.mapped.as_ref())
+                        .expect("invariant: only a record with a recipe drops its samples"),
+                ),
+                stats: Arc::clone(stats),
+            },
+        };
+        StoredEntry {
+            lanes,
             worlds: record.worlds,
+            moments: record.moments.clone(),
         }
+    }
+
+    /// Worlds backing the entry's samples.
+    pub fn worlds(&self) -> usize {
+        self.worlds
+    }
+
+    /// Every column's `(mean, std_dev)`, if the record keeps them: every
+    /// mapped record the engine published and every demoted one does.
+    pub fn moments(&self) -> Option<&ColumnMoments> {
+        self.moments.as_ref()
+    }
+
+    /// The samples, if the entry still held them when it was read.
+    pub fn resident(&self) -> Option<&Arc<ColumnSamples>> {
+        match &self.lanes {
+            Lanes::Resident(samples) => Some(samples),
+            Lanes::Demoted { .. } => None,
+        }
+    }
+
+    /// The entry's samples at `point`, the point it was read at: the
+    /// held ones, or a demoted entry's rebuilt with the remap that made
+    /// them, on the same inputs — its published bits — on the caller's
+    /// thread. Each rebuild counts one `rematerializations`.
+    ///
+    /// # Panics
+    /// If the rebuild fails, which it cannot short of a broken remap: it
+    /// runs the function that succeeded on the same inputs when the record
+    /// was published (or restored).
+    pub fn materialize(&self, point: &ParamPoint) -> Arc<ColumnSamples> {
+        let (mapped, stats) = match &self.lanes {
+            Lanes::Resident(samples) => return Arc::clone(samples),
+            Lanes::Demoted { mapped, stats } => (mapped, stats),
+        };
+        let samples = (mapped.rebuild(point, self.worlds))
+            .unwrap_or_else(|e| panic!("invariant: a demoted record rebuilds: {e}"));
+        stats.lock().rematerializations += 1;
+        samples
     }
 }
 
@@ -416,7 +508,10 @@ impl Table {
     }
 
     /// Demote demotable records, oldest first, until the books are within
-    /// `limit` bytes or none is left. Returns how many were demoted.
+    /// `limit` bytes or none is left. Returns how many were demoted. A
+    /// record without moments — only a restored one — computes them from
+    /// its samples before it drops them, so every demoted record answers
+    /// a moments read without a rebuild.
     fn demote_to(&mut self, limit: usize) -> u64 {
         let mut demoted = 0;
         while self.charged > limit {
@@ -427,6 +522,11 @@ impl Table {
                 .and_then(|point| self.entries.get_mut(point))
                 .expect("invariant: a demotable stamp names a stored unmatchable record");
             let before = record.charge();
+            if record.moments.is_none() {
+                let samples = (record.samples.as_ref())
+                    .expect("invariant: a demotable record holds its samples");
+                record.moments = Some(ColumnMoments::of(samples));
+            }
             record.samples = None;
             self.charged = self.charged - before + record.charge();
             demoted += 1;
@@ -501,15 +601,17 @@ impl Default for Inflight {
     }
 }
 
-/// Outcome of [`SharedBasisStore::try_claim`].
-pub enum TryClaim {
+/// Outcome of a claim: of [`SharedBasisStore::try_claim`], whose ready
+/// entry is its samples, and of [`SharedBasisStore::try_claim_stored`],
+/// whose ready entry is a [`StoredEntry`].
+pub enum TryClaim<S = Arc<ColumnSamples>> {
     /// The caller owns this point's simulation: it must publish through the
     /// guard ([`InflightGuard::complete`]) or drop it to release waiters.
     Owner(InflightGuard),
     /// The point is already stored with enough worlds.
     Ready {
-        /// The stored per-column samples.
-        samples: Arc<ColumnSamples>,
+        /// The stored entry.
+        samples: S,
         /// Worlds backing them.
         worlds: usize,
     },
@@ -567,7 +669,8 @@ impl InflightGuard {
     /// was made — `recipe` applied to `source`, the hit's source samples,
     /// through `rebuild` — so a snapshot can write the recipe in their
     /// place and an over-budget store can drop them and rebuild them on
-    /// read.
+    /// read. `moments` must be `samples`' ([`ColumnMoments::named`]): the
+    /// entry keeps them, demoted or not, for readers of moments only.
     pub fn complete_mapped(
         self,
         samples: Arc<ColumnSamples>,
@@ -575,13 +678,14 @@ impl InflightGuard {
         recipe: Recipe,
         source: Arc<ColumnSamples>,
         rebuild: RebuildHandle,
+        moments: ColumnMoments,
     ) -> bool {
         let mapped = Mapped {
             recipe,
             source,
             rebuild,
         };
-        self.publish(Record::mapped(samples, worlds, 0, mapped))
+        self.publish(Record::mapped(samples, worlds, 0, mapped, Some(moments)))
     }
 
     /// The publish behind both completions; `record` is stamped on insert.
@@ -1710,48 +1814,43 @@ impl SharedBasisStore {
     /// at least `min_worlds` worlds. A demoted entry's are rebuilt after
     /// the table lock is released.
     pub fn get_exact(&self, point: &ParamPoint, min_worlds: usize) -> Option<Arc<ColumnSamples>> {
-        let stored = {
+        let entry = {
             let table = self.table.read();
             let record = table
                 .entries
                 .get(point)
                 .filter(|e| e.worlds >= min_worlds)?;
-            Stored::of(record)
+            StoredEntry::of(record, &self.stats)
         };
-        Some(self.materialize(point, stored))
+        Some(entry.materialize(point))
     }
 
-    /// A stored entry's samples: the held ones, or a demoted entry's
-    /// rebuilt — with no store lock held, which is why the caller passes
-    /// what it copied out of the record.
-    ///
-    /// # Panics
-    /// If the rebuild fails, which it cannot short of a broken remap: it
-    /// runs the function that succeeded on the same inputs when the record
-    /// was published (or restored).
-    fn materialize(&self, point: &ParamPoint, stored: Stored) -> Arc<ColumnSamples> {
-        let (mapped, worlds) = match stored {
-            Stored::Resident(samples) => return samples,
-            Stored::Demoted { mapped, worlds } => (mapped, worlds),
-        };
-        let samples = (mapped.rebuild(point, worlds))
-            .unwrap_or_else(|e| panic!("invariant: a demoted record rebuilds: {e}"));
-        self.stats.lock().rematerializations += 1;
-        samples
+    /// [`SharedBasisStore::try_claim_stored`], with a ready entry's
+    /// samples materialized: a demoted entry's are rebuilt from its
+    /// recipe after both store locks are released.
+    pub fn try_claim(&self, point: &ParamPoint, min_worlds: usize) -> TryClaim {
+        match self.try_claim_stored(point, min_worlds) {
+            TryClaim::Ready { samples, worlds } => TryClaim::Ready {
+                samples: samples.materialize(point),
+                worlds,
+            },
+            TryClaim::Owner(guard) => TryClaim::Owner(guard),
+            TryClaim::Pending(handle) => TryClaim::Pending(handle),
+        }
     }
 
     /// Claim `point` for evaluation, deduplicating concurrent work: at most
     /// one session owns a point's simulation at a time.
     ///
-    /// * [`TryClaim::Ready`] — already stored with `min_worlds`+ worlds.
+    /// * [`TryClaim::Ready`] — already stored with `min_worlds`+ worlds:
+    ///   the entry as a [`StoredEntry`], rebuilding nothing — a demoted
+    ///   entry's samples are rebuilt only if the reader asks for them
+    ///   ([`StoredEntry::materialize`]).
     /// * [`TryClaim::Owner`] — the caller must simulate and publish through
     ///   the returned [`InflightGuard`].
     /// * [`TryClaim::Pending`] — another session owns it; block on the
     ///   [`WaitHandle`] to reuse its result.
-    ///
-    /// A demoted entry is `Ready` too: its samples are rebuilt from its
-    /// recipe after both store locks are released.
-    pub fn try_claim(&self, point: &ParamPoint, min_worlds: usize) -> TryClaim {
+    pub fn try_claim_stored(&self, point: &ParamPoint, min_worlds: usize) -> TryClaim<StoredEntry> {
         self.tracer
             .instant(TraceEventKind::StoreClaim, NO_JOB, NO_CHUNK);
         let mut slots = self.inflight.slots.lock();
@@ -1761,12 +1860,15 @@ impl SharedBasisStore {
             let table = self.table.read();
             (table.entries.get(point))
                 .filter(|e| e.worlds >= min_worlds)
-                .map(|e| (Stored::of(e), e.worlds))
+                .map(|e| StoredEntry::of(e, &self.stats))
         };
-        if let Some((stored, worlds)) = stored {
+        if let Some(entry) = stored {
             drop(slots);
-            let samples = self.materialize(point, stored);
-            return TryClaim::Ready { samples, worlds };
+            let worlds = entry.worlds;
+            return TryClaim::Ready {
+                samples: entry,
+                worlds,
+            };
         }
         match slots.entry(point.clone()) {
             Entry::Occupied(e) => TryClaim::Pending(WaitHandle {
@@ -2047,10 +2149,10 @@ impl SharedBasisStore {
                 .collect();
             let as_samples =
                 |r: &Record, recipe: Option<&Recipe>| recipe.is_none() && r.samples.is_none();
-            let missing: Vec<(ParamPoint, u64, Stored)> = (records.iter().zip(&recipes))
+            let missing: Vec<(ParamPoint, u64, StoredEntry)> = (records.iter().zip(&recipes))
                 .filter(|((_, r), recipe)| as_samples(r, **recipe))
                 .filter(|((_, r), _)| !rebuilt.contains_key(&r.stamp))
-                .map(|((p, r), _)| ((*p).clone(), r.stamp, Stored::of(r)))
+                .map(|((p, r), _)| ((*p).clone(), r.stamp, StoredEntry::of(r, &self.stats)))
                 .collect();
             if missing.is_empty() {
                 let records: Vec<(&ParamPoint, Cow<'_, Record>, Option<&Recipe>)> =
@@ -2071,8 +2173,8 @@ impl SharedBasisStore {
                 return (encode_snapshot(table.next_stamp, &records), records.len());
             }
             drop(table);
-            for (point, stamp, stored) in missing {
-                rebuilt.insert(stamp, self.materialize(&point, stored));
+            for (point, stamp, entry) in missing {
+                rebuilt.insert(stamp, entry.materialize(&point));
             }
         }
     }
@@ -2153,7 +2255,9 @@ impl SharedBasisStore {
                         source,
                         rebuild,
                     };
-                    Record::mapped(samples, r.worlds, r.stamp, mapped)
+                    // No moments: one the budget demotes below computes
+                    // them; a resident one is read as its samples.
+                    Record::mapped(samples, r.worlds, r.stamp, mapped, None)
                 }
             };
             restored.put(r.point, record);
@@ -2922,7 +3026,9 @@ mod tests {
         let TryClaim::Owner(guard) = s.try_claim(&point("x", 2), 2) else {
             panic!("expected owner");
         };
-        assert!(guard.complete_mapped(samples(1.5), 2, recipe, source, remap()));
+        let mapped = samples(1.5);
+        let moments = ColumnMoments::of(&mapped);
+        assert!(guard.complete_mapped(mapped, 2, recipe, source, remap(), moments));
         s
     }
 
@@ -3093,7 +3199,9 @@ mod tests {
             let TryClaim::Owner(guard) = s.try_claim(&point("x", x), 64) else {
                 panic!("expected owner");
             };
-            assert!(guard.complete_mapped(mapped, 64, recipe, Arc::clone(source), remap()));
+            let moments = ColumnMoments::of(&mapped);
+            let source = Arc::clone(source);
+            assert!(guard.complete_mapped(mapped, 64, recipe, source, remap(), moments));
         }
         let [first, _] = sources;
         (s, first)
@@ -3152,6 +3260,56 @@ mod tests {
         );
         let old = restored.get_exact(&point("x", 3), 64).expect("restored");
         assert_eq!(old["y"], offset_of(&first, 1.5), "the held source's bits");
+    }
+
+    /// A restore into a budget that forces demotion gives the records it
+    /// demotes their moments — the kernel's bits of the samples they drop
+    /// — and computes none for the records it leaves resident. A moments
+    /// read of a demoted restored record rebuilds nothing, and the moments
+    /// are never written: save → load → save stays byte-identical v3.
+    #[test]
+    fn restored_demoted_records_answer_moments_without_a_rebuild() {
+        let (s, first) = demoting_store();
+        let bytes = s.snapshot_bytes();
+        assert_eq!(bytes[4..6], 3u16.to_le_bytes(), "FPBS v3");
+
+        let restored = SharedBasisStore::new(5);
+        assert_eq!(restored.restore_with(&bytes, &remap()), Ok(6));
+        assert_eq!(restored.snapshot_bytes(), bytes, "save → load → save");
+        {
+            let table = restored.table.read();
+            for record in table.entries.values() {
+                let demoted = record.samples.is_none();
+                assert_eq!(record.moments.is_some(), demoted, "stamp {}", record.stamp);
+            }
+        }
+        assert!(restored.resident_len() < 6, "the budget demoted some");
+
+        let TryClaim::Ready { samples: entry, .. } = restored.try_claim_stored(&point("x", 3), 64)
+        else {
+            panic!("a demoted record is an exact hit");
+        };
+        assert!(entry.resident().is_none(), "x = 3 is demoted");
+        let lanes = offset_of(&first, 1.5);
+        let (mean, sd) = entry.moments().and_then(|m| m.get("y")).expect("kept");
+        let want = crate::aggregate::SampleStats::of(&lanes);
+        assert_eq!(
+            (mean.to_bits(), sd.to_bits()),
+            (want.mean.to_bits(), want.std_dev.to_bits())
+        );
+        assert_eq!(restored.stats_snapshot().rematerializations, 0);
+
+        assert_eq!(entry.materialize(&point("x", 3))["y"], lanes);
+        assert_eq!(
+            restored.stats_snapshot().rematerializations,
+            1,
+            "a samples read"
+        );
+        assert_eq!(
+            restored.snapshot_bytes(),
+            bytes,
+            "moments are never written"
+        );
     }
 
     /// A writer that fails after `left` more bytes: a full disk.

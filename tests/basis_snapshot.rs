@@ -13,7 +13,10 @@
 //! the demotion and eviction counts, so neither the FPBS encoding nor the
 //! byte budget can drift silently; and a store that holds a sweep only by
 //! demoting mapped entries serves a second sweep from the store, with the
-//! first sweep's bits.
+//! first sweep's bits, by reading the moments demoted entries keep — as
+//! does a session revisiting slider settings — and every kind of reply
+//! answers `EXPECT` / `EXPECT_STDDEV` with the kernel's bits of its own
+//! samples.
 //!
 //! The store's own unit suite (`crates/mc/src/store.rs`) pins the byte
 //! format and the lock protocol; this file pins the end-to-end surface.
@@ -23,8 +26,12 @@ use std::fs;
 use std::path::PathBuf;
 
 use fuzzy_prophet::prelude::*;
-use prophet_models::demo_registry;
-use prophet_models::scenarios::figure2_coarse_sql;
+use prophet_mc::guide::Guide;
+use prophet_mc::{aggregate, GridGuide, SampleStats};
+use prophet_models::scenarios::{
+    figure2_coarse_sql, INVENTORY_POLICY, PRICING_WHATIF, SUPPORT_STAFFING,
+};
+use prophet_models::{demo_registry, full_registry};
 use prophet_vg::rng::{Rng64, Xoshiro256StarStar};
 
 /// Store capacity that holds the whole 3,969-point coarse sweep.
@@ -38,12 +45,17 @@ fn service(src: &str, basis_capacity: usize) -> Prophet {
 
 /// [`service`] on an explicit execution tier.
 fn service_on(src: &str, basis_capacity: usize, tier: ExecTier) -> Prophet {
+    service_with(src, basis_capacity, tier, 8)
+}
+
+/// [`service_on`] at `worlds_per_point` worlds.
+fn service_with(src: &str, basis_capacity: usize, tier: ExecTier, worlds: usize) -> Prophet {
     Prophet::builder()
         .scenario_sql("figure2", src)
         .unwrap()
         .registry(demo_registry())
         .config(EngineConfig {
-            worlds_per_point: 8,
+            worlds_per_point: worlds,
             threads: 2,
             basis_capacity,
             tier,
@@ -417,8 +429,10 @@ fn mutated_snapshots_restore_cleanly_or_fail_typed() {
 /// samples — keeps the whole coarse Figure 2: past the budget a mapped
 /// entry is demoted to its recipe instead of evicted. A second sweep on
 /// the same service is then served entirely from the store with the
-/// first sweep's answers, every demoted point it reads is rebuilt once,
-/// and a points job reads the first-visit bits — on either tier.
+/// first sweep's answers and rebuilds nothing — its answers read the
+/// stored moments — and a points job that reads the samples rebuilds
+/// each demoted point once and gets the first-visit bits — on either
+/// tier.
 #[test]
 fn demoted_basis_serves_a_second_sweep_from_the_store() {
     const TIGHT: usize = 3_000;
@@ -450,10 +464,189 @@ fn demoted_basis_serves_a_second_sweep_from_the_store() {
         assert_eq!(report.answers, first.0.answers, "{tier:?}: answer bits");
         assert_eq!(report.best, first.0.best, "{tier:?}");
         let rebuilt = prophet.basis_stats("figure2").unwrap().rematerializations;
-        assert_eq!(rebuilt, demoted, "{tier:?}: one rebuild per demoted read");
+        assert_eq!(rebuilt, 0, "{tier:?}: a sweep reads moments, never samples");
 
         assert_eq!(stored_bits(&prophet, &points), first_visit, "{tier:?}");
         let rebuilt = prophet.basis_stats("figure2").unwrap().rematerializations;
-        assert_eq!(rebuilt, 2 * demoted, "{tier:?}");
+        assert_eq!(
+            rebuilt, demoted,
+            "{tier:?}: one rebuild per demoted samples read"
+        );
+    }
+}
+
+// ------------------------------------------------------- stored moments
+
+/// One series of a graph as comparable bits: its column and its
+/// `(x, y bits, worlds)` points.
+type SeriesBits = (String, Vec<(i64, u64, u64)>);
+
+/// Every series of a session's graph as comparable bits.
+fn graph_bits(session: &OnlineSession) -> Vec<SeriesBits> {
+    (session.graph().iter())
+        .map(|series| {
+            let points = (series.points.iter())
+                .map(|p| (p.x, p.y.to_bits(), p.worlds))
+                .collect();
+            (series.column.clone(), points)
+        })
+        .collect()
+}
+
+/// An analyst session through a store too small to keep every week it
+/// visits resident. Once the budget has demoted mapped weeks, walking
+/// back through the earlier slider settings is served from the store —
+/// every week cached — by the moments the demoted entries keep: nothing
+/// is rebuilt, and the graph's bits are those of a twin service whose
+/// roomy store demotes nothing. A points job that reads the samples of
+/// every visited point gets the twin's bits and rebuilds each demoted
+/// point exactly once.
+#[test]
+fn revisited_settings_render_from_demoted_moments_without_a_rebuild() {
+    const SMALL: usize = 96;
+    const WORLDS: usize = 64;
+    let src = figure2_coarse_sql(0.05);
+    let small = service_with(&src, SMALL, ExecTier::Columnar, WORLDS);
+    let twin = service_with(&src, ROOMY, ExecTier::Columnar, WORLDS);
+    let mut session = small.online("figure2").unwrap();
+    let mut reference = twin.online("figure2").unwrap();
+    session.refresh().unwrap();
+    reference.refresh().unwrap();
+
+    // A seeded walk, one slider per move, until the budget has demoted
+    // mapped weeks. `undo[k]` sets move `k`'s slider back.
+    let grid: [&[i64]; 3] = [
+        &[0, 8, 16, 24, 32, 40, 48],
+        &[0, 8, 16, 24, 32, 40, 48],
+        &[12, 36, 44],
+    ];
+    let sliders = ["purchase1", "purchase2", "feature"];
+    let mut rng = Xoshiro256StarStar::seed_from_u64(0x5EED_0039);
+    let mut undo: Vec<(&str, i64)> = Vec::new();
+    let mut settings = vec![session.sliders().clone()];
+    while small.basis_stats("figure2").unwrap().demotions == 0 {
+        assert!(undo.len() < 64, "the walk reaches the budget");
+        let k = rng.gen_range_i64(0, 2) as usize;
+        let value = grid[k][rng.gen_range_i64(0, grid[k].len() as i64 - 1) as usize];
+        let old = session.sliders().get(sliders[k]).unwrap();
+        if value == old {
+            continue;
+        }
+        session.set_param(sliders[k], value).unwrap();
+        reference.set_param(sliders[k], value).unwrap();
+        assert_eq!(graph_bits(&session), graph_bits(&reference));
+        undo.push((sliders[k], old));
+        settings.push(session.sliders().clone());
+    }
+    let stats = small.basis_stats("figure2").unwrap();
+    assert_eq!(
+        stats.evictions, 0,
+        "past the budget, demoted rather than evicted"
+    );
+    let rebuilt = stats.rematerializations;
+
+    // Undoing the moves in reverse revisits every earlier setting.
+    for &(slider, old) in undo.iter().rev() {
+        let report = session.set_param(slider, old).unwrap();
+        reference.set_param(slider, old).unwrap();
+        let label = format!("{slider} back to {old}");
+        assert_eq!(report.weeks_cached, report.weeks_total, "{label}");
+        assert_eq!(graph_bits(&session), graph_bits(&reference), "{label}");
+    }
+    let stats = small.basis_stats("figure2").unwrap();
+    assert_eq!(
+        stats.rematerializations - rebuilt,
+        0,
+        "a render reads moments"
+    );
+    assert_eq!(stats.evictions, 0);
+
+    // Every visited point — the whole store — read as samples.
+    let weeks: Vec<i64> = session.graph()[0].points.iter().map(|p| p.x).collect();
+    let mut seen = std::collections::HashSet::new();
+    let points: Vec<ParamPoint> = (settings.iter())
+        .flat_map(|s| weeks.iter().map(move |&w| s.with("current", w)))
+        .filter(|p| seen.insert(p.clone()))
+        .collect();
+    let store = small.engine("figure2").unwrap().basis_store().clone();
+    assert_eq!(
+        points.len(),
+        store.len(),
+        "the session's weeks fill the store"
+    );
+    let demoted = (store.len() - store.resident_len()) as u64;
+    assert!(demoted > 0);
+    assert_eq!(stored_bits(&small, &points), stored_bits(&twin, &points));
+    let rebuilt = small.basis_stats("figure2").unwrap().rematerializations;
+    assert_eq!(rebuilt, demoted, "one rebuild per demoted samples read");
+}
+
+/// Every kind of reply answers `EXPECT` / `EXPECT_STDDEV` with the
+/// fixed-order kernel's bits of its own samples, on all five bundled
+/// scenarios: a simulated and a mapped reply as published, and a cached
+/// one served from a resident entry or from a demoted entry's kept
+/// moments. A store budgeted below the 60 points makes all four kinds.
+#[test]
+fn every_reply_kind_answers_with_the_kernels_moments() {
+    type Registry = fn() -> prophet_vg::VgRegistry;
+    let scenarios: [(&str, String, Registry); 5] = [
+        (
+            "figure2",
+            Scenario::figure2().unwrap().source().to_string(),
+            demo_registry,
+        ),
+        ("figure2-coarse", figure2_coarse_sql(0.05), demo_registry),
+        ("inventory", INVENTORY_POLICY.to_string(), full_registry),
+        ("pricing", PRICING_WHATIF.to_string(), full_registry),
+        ("staffing", SUPPORT_STAFFING.to_string(), full_registry),
+    ];
+    for (name, src, registry) in scenarios {
+        let scenario = Scenario::parse(&src).unwrap();
+        let mut grid = GridGuide::new(&scenario.script().params);
+        let points: Vec<ParamPoint> = std::iter::from_fn(|| grid.next_point()).take(60).collect();
+        let config = EngineConfig {
+            worlds_per_point: 64,
+            threads: 2,
+            basis_capacity: 48,
+            ..EngineConfig::default()
+        };
+        let engine = Engine::new(&scenario, registry(), config).unwrap();
+        let store = engine.basis_store().clone();
+        let mut kinds: HashMap<&str, usize> = HashMap::new();
+        // The first pass in batches of ten, so later batches map onto the
+        // sources of earlier ones; the second reads everything back.
+        for (pass, size) in [(0, 10), (1, points.len())] {
+            let replies = points
+                .chunks(size)
+                .flat_map(|b| engine.evaluate_batch(b).unwrap());
+            for (set, outcome) in replies {
+                let before = store.stats_snapshot().rematerializations;
+                for c in set.columns() {
+                    let (mean, sd) = (set.expect(c).unwrap(), set.expect_std_dev(c).unwrap());
+                    let xs = set.samples(c).unwrap();
+                    let label = format!("{name} pass {pass} {} {c} ({outcome:?})", set.point());
+                    assert_eq!(mean.to_bits(), aggregate::mean(xs).to_bits(), "{label}");
+                    assert_eq!(
+                        sd.to_bits(),
+                        SampleStats::of(xs).std_dev.to_bits(),
+                        "{label}"
+                    );
+                }
+                let rebuilt = store.stats_snapshot().rematerializations > before;
+                let kind = match outcome {
+                    EvalOutcome::Simulated => "simulated",
+                    EvalOutcome::Mapped { .. } => "mapped",
+                    EvalOutcome::Cached if rebuilt => "cached-demoted",
+                    EvalOutcome::Cached => "cached-resident",
+                };
+                *kinds.entry(kind).or_default() += 1;
+            }
+        }
+        for kind in ["simulated", "mapped", "cached-resident", "cached-demoted"] {
+            assert!(
+                kinds.get(kind).is_some_and(|&n| n > 0),
+                "{name}: no {kind} reply in {kinds:?}"
+            );
+        }
     }
 }
