@@ -27,6 +27,7 @@ pub mod batch;
 pub mod guide;
 pub mod instance;
 pub mod series;
+mod snapshot;
 pub mod store;
 pub mod sync;
 pub mod trace;
