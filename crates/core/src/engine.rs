@@ -37,7 +37,7 @@ use prophet_data::Value;
 use prophet_fingerprint::{CorrelationDetector, Fingerprint, FingerprintConfig, Mapping};
 use prophet_mc::{
     simulate_point, simulate_point_columnar_with, ColumnMoments, ColumnSamples, ParamPoint,
-    Rebuild, RebuildHandle, SampleSet, SharedBasisStore, StoredEntry,
+    Provenance, Rebuild, RebuildHandle, SampleSet, SharedBasisStore, StoredEntry,
 };
 use prophet_sql::columnar::{
     evaluate_derived_columns, evaluate_select_columns_with, to_f64_samples, ColumnarStats,
@@ -286,7 +286,8 @@ impl Engine {
         config: EngineConfig,
     ) -> ProphetResult<Self> {
         config.validate()?;
-        let basis = SharedBasisStore::new(config.basis_capacity);
+        let basis = SharedBasisStore::new(config.basis_capacity)
+            .with_provenance(provenance(scenario, &registry, &config));
         Engine::with_basis_store(scenario, Arc::new(registry), config, basis)
     }
 
@@ -347,6 +348,10 @@ impl Engine {
             registry: Arc::clone(&registry),
             output_cols,
             stochastic_cols,
+            parameters: (script.params.as_slice())
+                .iter()
+                .map(|p| p.name.clone())
+                .collect(),
             tier: config.tier,
         });
         Ok(Engine {
@@ -416,15 +421,20 @@ impl Engine {
     }
 
     /// Replace the basis store's contents with a
-    /// [`SharedBasisStore::snapshot_bytes`] stream, re-deriving every
-    /// recipe record through this engine's own remap — the function that
+    /// [`SharedBasisStore::snapshot_bytes`] stream, rebuilding nothing.
+    /// Every recipe record is installed demoted with this engine's remap
+    /// and the moments the file holds — the warm store's bits — so a
+    /// reader of moments (a sweep's answers, a GRAPH render) never
+    /// rebuilds, and a samples read rebuilds through the function that
     /// made the warm store's copy, so the restored samples are its bits
     /// (the `Scalar` and `Columnar` tiers agree bit for bit). Returns the
-    /// number of restored entries. The restored mapped records keep this
-    /// engine's remap, so the store can demote them past its budget and
-    /// rebuild them on read. A snapshot this engine cannot rebuild fails
-    /// with [`SnapshotError::Rebuild`](prophet_mc::SnapshotError::Rebuild)
-    /// and leaves the store untouched (see
+    /// number of restored entries. A snapshot written in another world
+    /// fails with [`SnapshotError::WrongWorld`](prophet_mc::SnapshotError::WrongWorld),
+    /// and one whose recipes this engine's remap could not rebuild — one
+    /// that fails its structural check: mapped columns, source columns
+    /// and depth, bound parameters — with
+    /// [`SnapshotError::Rebuild`](prophet_mc::SnapshotError::Rebuild);
+    /// either leaves the store untouched (see
     /// [`SharedBasisStore::restore_with`]).
     pub fn restore_basis(&self, bytes: &[u8]) -> ProphetResult<usize> {
         Ok(self.basis.restore_with(bytes, &self.rebuild_handle())?)
@@ -675,6 +685,8 @@ pub(crate) struct Remap {
     output_cols: Arc<[String]>,
     /// Output columns whose expressions invoke a registered VG function.
     stochastic_cols: Vec<String>,
+    /// The scenario's parameter names: what a derived column may read.
+    parameters: Vec<String>,
     tier: ExecTier,
 }
 
@@ -776,6 +788,69 @@ impl Rebuild for Remap {
             .map(|(samples, _)| samples)
             .map_err(|e| e.to_string())
     }
+
+    /// What [`Remap::samples`] needs of its inputs: a mapping for
+    /// exactly the stochastic columns, every output column in the source
+    /// (and no other) at `worlds` lanes, and a point that binds every
+    /// scenario parameter.
+    fn check(
+        &self,
+        point: &ParamPoint,
+        source: &ColumnSamples,
+        mappings: &HashMap<String, Mapping>,
+        worlds: usize,
+    ) -> Result<(), String> {
+        let stochastic = &self.stochastic_cols;
+        if mappings.len() != stochastic.len()
+            || !stochastic.iter().all(|c| mappings.contains_key(c))
+        {
+            let mut mapped: Vec<&String> = mappings.keys().collect();
+            mapped.sort();
+            return Err(format!(
+                "the recipe maps {mapped:?}, not the stochastic columns {stochastic:?}"
+            ));
+        }
+        if source.len() != self.output_cols.len() {
+            return Err(format!(
+                "the source holds {} columns, not the {} output columns",
+                source.len(),
+                self.output_cols.len()
+            ));
+        }
+        for col in self.output_cols.iter() {
+            match source.get(col) {
+                Some(lanes) if lanes.len() == worlds => {}
+                Some(lanes) => {
+                    return Err(format!(
+                        "the source holds {} samples for column `{col}` but claims {worlds} worlds",
+                        lanes.len()
+                    ))
+                }
+                None => return Err(format!("the source lacks samples for column `{col}`")),
+            }
+        }
+        match self.parameters.iter().find(|p| point.get(p).is_none()) {
+            Some(param) => Err(format!("the point {point} does not bind `{param}`")),
+            None => Ok(()),
+        }
+    }
+}
+
+/// The world `scenario`'s samples are drawn in under `registry` and
+/// `config`: what a basis store of its records writes into a snapshot
+/// and requires of one it restores.
+pub(crate) fn provenance(
+    scenario: &Scenario,
+    registry: &VgRegistry,
+    config: &EngineConfig,
+) -> Provenance {
+    let probe_seeds = SeedSequence::fingerprint_default(config.fingerprint.length);
+    Provenance::new(
+        scenario.source(),
+        config.root_seed,
+        probe_seeds.seeds(),
+        registry,
+    )
 }
 
 /// An RNG that must never be consulted — derived-column recomputation is

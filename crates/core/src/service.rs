@@ -37,7 +37,7 @@ use prophet_mc::{ParamPoint, SharedBasisStore, SnapshotError, StoreStatsSnapshot
 use prophet_sql::ast::ParameterDecl;
 use prophet_vg::VgRegistry;
 
-use crate::engine::{Engine, EngineConfig};
+use crate::engine::{provenance, Engine, EngineConfig};
 use crate::error::{ProphetError, ProphetResult};
 use crate::job::{JobHandle, JobKind, JobSpec};
 use crate::obs::TelemetrySnapshot;
@@ -184,6 +184,7 @@ impl ProphetBuilder {
                 return Err(ProphetError::DuplicateScenario { name });
             }
             let store = SharedBasisStore::new(self.config.basis_capacity)
+                .with_provenance(provenance(&scenario, &registry, &self.config))
                 .with_tracer(scheduler.tracer().clone());
             slots.insert(name, Slot { scenario, store });
         }
@@ -448,12 +449,15 @@ impl Prophet {
     /// Snapshot `name`'s shared basis store to `path`, checksummed (see
     /// [`SharedBasisStore::snapshot_bytes`]) and atomically: a failed
     /// write leaves the previous file as it was. Returns the number of
-    /// entries written. A simulated entry is written as its samples and
-    /// fingerprints; a mapped one — demoted or not — as its recipe (its
-    /// source's stamp and per-column mappings) while that source is still
-    /// stored, else as its samples. A later [`Prophet::load_basis`] (on this or a freshly
-    /// built service) warms the store from disk instead of re-simulating
-    /// its basis population.
+    /// entries written. The header names the world the samples were drawn
+    /// in — a hash of the scenario's script, the root seed, the probe
+    /// seeds, and every registered model's name and `model_tag`. A
+    /// simulated entry is written as its samples and fingerprints; a
+    /// mapped one — demoted or not — as its recipe (its source's stamp
+    /// and per-column mappings) and its per-column moments while that
+    /// source is still stored, else as its samples. A later
+    /// [`Prophet::load_basis`] (on this or a freshly built service) warms
+    /// the store from disk instead of re-simulating its basis population.
     pub fn save_basis(
         &self,
         name: &str,
@@ -464,16 +468,20 @@ impl Prophet {
     }
 
     /// Restore `name`'s shared basis store from a [`Prophet::save_basis`]
-    /// snapshot. Returns the number of restored entries. Mapped entries
-    /// are re-derived from their sources with `name`'s scenario
-    /// ([`Engine::restore_basis`]), so they are bit-identical to the warm
-    /// store's when the scenario is the one that wrote the file. Corrupt
-    /// or truncated snapshots, and recipes the scenario cannot rebuild,
-    /// are rejected with [`ProphetError::Snapshot`] before any store state
-    /// changes; a successful restore cancels in-flight claims (their
-    /// owners' results are discarded) and resets the store's counters,
-    /// exactly like [`Prophet::clear_basis`] followed by replaying the
-    /// snapshot.
+    /// snapshot. Returns the number of restored entries. The load
+    /// rebuilds nothing ([`Engine::restore_basis`]): mapped entries arrive
+    /// demoted with the moments the file holds, so a sweep or a GRAPH
+    /// render answers from them at once, and `name`'s scenario rebuilds
+    /// an entry's samples — the warm store's bits — only when they are
+    /// read. A snapshot drawn in another world — another script, root
+    /// seed, probe seed set, or model tag — fails with
+    /// [`SnapshotError::WrongWorld`]; corrupt or truncated snapshots, and
+    /// recipes the scenario could not rebuild, fail with the matching
+    /// [`ProphetError::Snapshot`] variant; every failure comes before any
+    /// store state changes. A successful restore cancels in-flight claims
+    /// (their owners' results are discarded) and resets the store's
+    /// counters, exactly like [`Prophet::clear_basis`] followed by
+    /// replaying the snapshot.
     pub fn load_basis(
         &self,
         name: &str,

@@ -180,6 +180,15 @@ impl ColumnMoments {
         ColumnMoments { columns, values }
     }
 
+    /// Moments read back as stored: `values[i]` is `columns[i]`'s.
+    pub(crate) fn from_parts(columns: Arc<[String]>, values: Vec<(f64, f64)>) -> Self {
+        debug_assert_eq!(columns.len(), values.len());
+        ColumnMoments {
+            columns,
+            values: values.into(),
+        }
+    }
+
     /// The columns these moments cover.
     pub fn columns(&self) -> &[String] {
         &self.columns

@@ -2,30 +2,34 @@
 //! [`SharedBasisStore`](crate::store::SharedBasisStore) is saved in and
 //! restored from (spelled out in `docs/CONCURRENCY.md`).
 //!
-//! Encoding is a pure function of the records handed in — header,
-//! records in stamp order with name-sorted maps, and a trailing
-//! four-lane word checksum — so save → load → save is byte-identical.
-//! Decoding validates the whole stream (length, magic, version,
-//! checksum, record structure, recipe sources, stamp order, distinct
-//! points) into parsed records and touches no store: installing them is
-//! the store's business.
+//! Encoding is a pure function of the records handed in — header (with
+//! the [`Provenance`] of the world the samples were drawn in), records in
+//! stamp order with name-sorted maps, and a trailing four-lane word
+//! checksum — so save → load → save is byte-identical. Decoding validates
+//! the whole stream (length, magic, version, checksum, provenance, record
+//! structure, recipe sources, stamp order, distinct points) into parsed
+//! records and touches no store: installing them is the store's business.
 
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use prophet_fingerprint::{Fingerprint, Mapping};
+use prophet_vg::VgRegistry;
 
+use crate::aggregate::ColumnMoments;
 use crate::instance::ParamPoint;
 use crate::store::{ColumnSamples, Recipe, Record};
 
 /// Magic prefix of a basis snapshot ("FuzzyProphet Basis Snapshot").
-pub(crate) const SNAPSHOT_MAGIC: [u8; 4] = *b"FPBS";
+const SNAPSHOT_MAGIC: [u8; 4] = *b"FPBS";
 /// Current snapshot format version. Older versions are not read: they
 /// fail with [`SnapshotError::UnsupportedVersion`].
-pub(crate) const SNAPSHOT_VERSION: u16 = 3;
-/// Magic, version, stamp counter and record count.
-const SNAPSHOT_HEADER: usize = 4 + 2 + 8 + 8;
+const SNAPSHOT_VERSION: u16 = 4;
+/// Magic, version, stamp counter, record count, and the fixed part of the
+/// [`Provenance`]: the script, root-seed and probe-seed words and the
+/// registry's entry count.
+const SNAPSHOT_HEADER: usize = 4 + 2 + 8 + 8 + 8 + 8 + 8 + 4;
 /// The trailing [`snapshot_checksum`] of every preceding byte.
 pub(crate) const SNAPSHOT_FOOTER: usize = 8;
 
@@ -34,7 +38,7 @@ pub(crate) const SNAPSHOT_FOOTER: usize = 8;
 pub(crate) const KIND_SAMPLES: u8 = 0;
 /// …a matchable one (fingerprints, then columns)…
 pub(crate) const KIND_SOURCE: u8 = 1;
-/// …or a recipe record (source stamp, then mappings).
+/// …or a recipe record (source stamp, mappings, then moments).
 pub(crate) const KIND_RECIPE: u8 = 2;
 
 /// A mapping's tag byte, followed by its `f64` parameters:
@@ -45,11 +49,77 @@ pub(crate) const MAP_OFFSET: u8 = 1;
 /// …[`Mapping::Affine`] (scale, offset, residual standard deviation).
 const MAP_AFFINE: u8 = 2;
 
+/// Which world a snapshot's samples were drawn in: what must match for
+/// them to be the loading service's answers. Every field is a stable
+/// function of its input, so two services built alike write and expect
+/// equal provenance. A bare store
+/// ([`SharedBasisStore::new`](crate::store::SharedBasisStore::new)) has
+/// the zero provenance, [`Provenance::default`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Provenance {
+    /// FNV-1a of the scenario script's source text.
+    pub script: u64,
+    /// The root seed every world's draws derive from.
+    pub root_seed: u64,
+    /// FNV-1a of the probe seed set fingerprints are taken over.
+    pub probe_seeds: u64,
+    /// Every registered VG function's name and model tag
+    /// (`VgFunction::model_tag`), name-sorted.
+    pub registry: Vec<(String, u32)>,
+}
+
+impl Provenance {
+    /// The provenance of samples drawn by `script` (its source text)
+    /// under `root_seed`, fingerprinted over `probe_seeds`, with the
+    /// models of `registry`.
+    pub fn new(script: &str, root_seed: u64, probe_seeds: &[u64], registry: &VgRegistry) -> Self {
+        let registry = (registry.names().into_iter())
+            .map(|name| {
+                let tag = (registry.get(&name)).map_or(0, |f| f.model_tag());
+                (name, tag)
+            })
+            .collect();
+        Provenance {
+            script: fnv1a(script.bytes()),
+            root_seed,
+            probe_seeds: fnv1a(probe_seeds.iter().flat_map(|s| s.to_le_bytes())),
+            registry,
+        }
+    }
+
+    /// The first field in which `self` and `other` differ, if any.
+    fn mismatch(&self, other: &Provenance) -> Option<&'static str> {
+        [
+            ("script", self.script == other.script),
+            ("root_seed", self.root_seed == other.root_seed),
+            ("probe_seeds", self.probe_seeds == other.probe_seeds),
+            ("registry", self.registry == other.registry),
+        ]
+        .into_iter()
+        .find_map(|(field, equal)| (!equal).then_some(field))
+    }
+
+    /// Bytes [`put_header`] writes for this provenance beyond
+    /// [`SNAPSHOT_HEADER`]: each VG's name and tag.
+    fn variable_len(&self) -> usize {
+        (self.registry.iter())
+            .map(|(name, _)| 4 + name.len() + 4)
+            .sum()
+    }
+}
+
+/// 64-bit FNV-1a: a stable hash, not a security one.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
 /// Why a basis snapshot could not be produced or restored. Restore
-/// validates the *entire* byte stream — header, checksum, structure,
-/// recipe sources, capacity — and rebuilds every recipe before touching
-/// any store state, so a failed restore leaves the store exactly as it
-/// was.
+/// validates the *entire* byte stream — header, checksum, provenance,
+/// structure, recipe sources and their structural check, capacity —
+/// before touching any store state, so a failed restore leaves the store
+/// exactly as it was.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotError {
     /// The byte stream ended before the structure it promised, or a field
@@ -84,9 +154,19 @@ pub enum SnapshotError {
     /// ([`SharedBasisStore::restore_bytes`](crate::store::SharedBasisStore::restore_bytes)); restore it through
     /// an engine (`Prophet::load_basis`).
     RecipeNeedsEngine,
-    /// Rebuilding a recipe record failed — the loading scenario lacks a
-    /// mapped column, say (the engine's error, stringified).
+    /// A recipe record fails the loading engine's structural check
+    /// (`Rebuild::check`): its samples could not be rebuilt — the loading
+    /// scenario lacks a mapped column, say (the engine's error,
+    /// stringified).
     Rebuild(String),
+    /// The snapshot was written in another world: its header's
+    /// [`Provenance`] differs from the loading store's in `field`
+    /// (`script`, `root_seed`, `probe_seeds` or `registry`), so its
+    /// samples are not this service's answers.
+    WrongWorld {
+        /// The first differing provenance field.
+        field: &'static str,
+    },
     /// Filesystem failure (the underlying `io::Error`, stringified so the
     /// error stays `Clone` + `Eq` like every other `ProphetError` cause).
     Io(String),
@@ -122,7 +202,11 @@ impl std::fmt::Display for SnapshotError {
                     "snapshot holds recipe records: restore it through an engine"
                 )
             }
-            SnapshotError::Rebuild(msg) => write!(f, "rebuilding a recipe record failed: {msg}"),
+            SnapshotError::Rebuild(msg) => write!(f, "a recipe record cannot be rebuilt: {msg}"),
+            SnapshotError::WrongWorld { field } => write!(
+                f,
+                "snapshot was written in another world: its {field} differs from this store's"
+            ),
             SnapshotError::Io(msg) => write!(f, "snapshot I/O error: {msg}"),
         }
     }
@@ -230,17 +314,27 @@ fn sorted_mappings(recipe: &Recipe) -> Vec<(&String, &Mapping)> {
     maps
 }
 
+/// What a recipe record writes in place of its samples: the recipe, and
+/// its `moments` of each of `columns` — the name-sorted columns of the
+/// source it names, every one of which `moments` covers. The source
+/// fixes their names and count, so neither is written.
+pub(crate) struct RecipeOut<'a> {
+    pub(crate) recipe: &'a Recipe,
+    pub(crate) moments: &'a ColumnMoments,
+    pub(crate) columns: &'a [&'a str],
+}
+
 /// The exact number of bytes [`serialize_record`] writes for a record,
 /// so a snapshot is written into one allocation of its final size.
-fn record_len(point: &ParamPoint, record: &Record, recipe: Option<&Recipe>) -> usize {
+fn record_len(point: &ParamPoint, record: &Record, recipe: Option<&RecipeOut<'_>>) -> usize {
     let name = |n: &str| 4 + n.len();
     let pairs: usize = point.iter().map(|(n, _)| name(n) + 8).sum();
     let head = 4 + pairs + 8 + 8 + 1;
-    if let Some(recipe) = recipe {
-        let maps: usize = (sorted_mappings(recipe).into_iter())
+    if let Some(out) = recipe {
+        let maps: usize = (sorted_mappings(out.recipe).into_iter())
             .map(|(n, m)| name(n) + 1 + mapping_parts(m).2 * 8)
             .sum();
-        return head + 8 + 4 + maps;
+        return head + 8 + 4 + maps + out.columns.len() * 16;
     }
     let fps: usize = if record.matchable {
         let fps: usize = (record.fingerprints.iter().flat_map(|f| f.iter()))
@@ -266,7 +360,7 @@ pub(crate) fn serialize_record(
     out: &mut Vec<u8>,
     point: &ParamPoint,
     record: &Record,
-    recipe: Option<&Recipe>,
+    recipe: Option<&RecipeOut<'_>>,
 ) {
     let pairs: Vec<(&str, i64)> = point.iter().collect();
     put_u32(out, pairs.len() as u32);
@@ -276,7 +370,12 @@ pub(crate) fn serialize_record(
     }
     put_u64(out, record.worlds as u64);
     put_u64(out, record.stamp);
-    if let Some(recipe) = recipe {
+    if let Some(RecipeOut {
+        recipe,
+        moments,
+        columns,
+    }) = recipe
+    {
         out.push(KIND_RECIPE);
         put_u64(out, recipe.source_stamp);
         let maps = sorted_mappings(recipe);
@@ -286,6 +385,11 @@ pub(crate) fn serialize_record(
             let (tag, params, n) = mapping_parts(mapping);
             out.push(tag);
             put_f64s(out, &params[..n]);
+        }
+        for column in columns.iter() {
+            let (mean, std_dev) = (moments.get(column))
+                .expect("invariant: a written recipe's moments cover its source's columns");
+            put_f64s(out, &[mean, std_dev]);
         }
         return;
     }
@@ -315,24 +419,41 @@ pub(crate) fn serialize_record(
     }
 }
 
-/// A whole snapshot of `records`, given in stamp order with the recipe
-/// each is written as (or `None` for its samples): header, records, and
-/// the trailing checksum, in one allocation of the final size.
-pub(crate) fn encode_snapshot(
-    next_stamp: u64,
-    records: &[(&ParamPoint, Cow<'_, Record>, Option<&Recipe>)],
-) -> Vec<u8> {
-    let body: usize = (records.iter())
-        .map(|(p, r, recipe)| record_len(p, r, *recipe))
-        .sum();
-    let total = SNAPSHOT_HEADER + body + SNAPSHOT_FOOTER;
-    let mut out = Vec::with_capacity(total);
+/// A snapshot's header: magic, version, the stamp counter, the record
+/// count, then `provenance` — its script, root-seed and probe-seed words
+/// and its registry as a count of `(name, model tag)` pairs.
+pub(crate) fn put_header(out: &mut Vec<u8>, provenance: &Provenance, next_stamp: u64, count: u64) {
     out.extend_from_slice(&SNAPSHOT_MAGIC);
     out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    put_u64(&mut out, next_stamp);
-    put_u64(&mut out, records.len() as u64);
+    put_u64(out, next_stamp);
+    put_u64(out, count);
+    put_u64(out, provenance.script);
+    put_u64(out, provenance.root_seed);
+    put_u64(out, provenance.probe_seeds);
+    put_u32(out, provenance.registry.len() as u32);
+    for (name, tag) in &provenance.registry {
+        put_str(out, name);
+        put_u32(out, *tag);
+    }
+}
+
+/// A whole snapshot of `records` drawn in `provenance`'s world, given in
+/// stamp order with the recipe each is written as (or `None` for its
+/// samples): header, records, and the trailing checksum, in one
+/// allocation of the final size.
+pub(crate) fn encode_snapshot(
+    provenance: &Provenance,
+    next_stamp: u64,
+    records: &[(&ParamPoint, Cow<'_, Record>, Option<RecipeOut<'_>>)],
+) -> Vec<u8> {
+    let body: usize = (records.iter())
+        .map(|(p, r, recipe)| record_len(p, r, recipe.as_ref()))
+        .sum();
+    let total = SNAPSHOT_HEADER + provenance.variable_len() + body + SNAPSHOT_FOOTER;
+    let mut out = Vec::with_capacity(total);
+    put_header(&mut out, provenance, next_stamp, records.len() as u64);
     for (point, record, recipe) in records {
-        serialize_record(&mut out, point, record, *recipe);
+        serialize_record(&mut out, point, record, recipe.as_ref());
     }
     let checksum = snapshot_checksum(&out);
     put_u64(&mut out, checksum);
@@ -413,6 +534,25 @@ impl<'a> SnapshotReader<'a> {
             .collect())
     }
 
+    /// A header's [`Provenance`]: three words, then the registry's
+    /// `(name, model tag)` pairs, names sorted and unique.
+    fn provenance(&mut self) -> Result<Provenance, SnapshotError> {
+        let (script, root_seed, probe_seeds) = (self.u64()?, self.u64()?, self.u64()?);
+        let count = self.u32()? as usize;
+        let mut registry = Vec::with_capacity(count.min(64));
+        let mut prev = None;
+        for _ in 0..count {
+            let name = self.next_name(&mut prev)?;
+            registry.push((name, self.u32()?));
+        }
+        Ok(Provenance {
+            script,
+            root_seed,
+            probe_seeds,
+            registry,
+        })
+    }
+
     /// The next name of a list the writer emits sorted and unique (a
     /// point's pairs, a record's fingerprint or sample columns). One at
     /// or below `prev` is structurally impossible: accepting it would
@@ -445,16 +585,27 @@ pub(crate) enum ParsedBody {
         samples: Arc<ColumnSamples>,
         matchable: bool,
     },
-    /// Its recipe, and the samples of the source record it names.
+    /// Its recipe, the samples of the source record it names, and its
+    /// moments, named by that source's columns.
     Recipe {
         recipe: Recipe,
         source: Arc<ColumnSamples>,
+        moments: ColumnMoments,
     },
 }
 
-/// Matchable samples records parsed so far, by stamp: `(worlds, samples)`
-/// — what a later recipe record may name.
-type Sources = HashMap<u64, (usize, Arc<ColumnSamples>)>;
+/// A matchable samples record parsed so far: what a later recipe record
+/// may name.
+struct Source {
+    worlds: usize,
+    samples: Arc<ColumnSamples>,
+    /// Its column names, sorted: the order — and the names — of the
+    /// moments of every recipe record that names it.
+    columns: Arc<[String]>,
+}
+
+/// The [`Source`]s parsed so far, by stamp.
+type Sources = HashMap<u64, Source>;
 
 fn parse_record(
     r: &mut SnapshotReader<'_>,
@@ -476,7 +627,7 @@ fn parse_record(
         KIND_RECIPE => {
             let source_stamp = r.u64()?;
             let source = match sources.get(&source_stamp) {
-                Some((source_worlds, samples)) if *source_worlds == worlds => Arc::clone(samples),
+                Some(source) if source.worlds == worlds => source,
                 _ => {
                     return Err(SnapshotError::DanglingRecipe {
                         stamp,
@@ -495,7 +646,16 @@ fn parse_record(
                 source_stamp,
                 mappings,
             };
-            ParsedBody::Recipe { recipe, source }
+            let mut values = Vec::with_capacity(source.columns.len());
+            for _ in 0..source.columns.len() {
+                values.push((f64::from_bits(r.u64()?), f64::from_bits(r.u64()?)));
+            }
+            let moments = ColumnMoments::from_parts(Arc::clone(&source.columns), values);
+            ParsedBody::Recipe {
+                recipe,
+                source: Arc::clone(&source.samples),
+                moments,
+            }
         }
         KIND_SAMPLES | KIND_SOURCE => {
             let matchable = kind == KIND_SOURCE;
@@ -538,9 +698,13 @@ fn parse_record(
 }
 
 /// Parse and validate a whole snapshot — length, magic, version,
-/// checksum, record structure, recipe sources, stamp order, distinct
-/// points — into its stamp counter and records, touching no store.
-pub(crate) fn parse_snapshot(bytes: &[u8]) -> Result<(u64, Vec<ParsedRecord>), SnapshotError> {
+/// checksum, that it was drawn in `world`, record structure, recipe
+/// sources, stamp order, distinct points — into its stamp counter and
+/// records, touching no store.
+pub(crate) fn parse_snapshot(
+    bytes: &[u8],
+    world: &Provenance,
+) -> Result<(u64, Vec<ParsedRecord>), SnapshotError> {
     if bytes.len() < SNAPSHOT_HEADER + SNAPSHOT_FOOTER {
         return Err(SnapshotError::Truncated);
     }
@@ -563,6 +727,10 @@ pub(crate) fn parse_snapshot(bytes: &[u8]) -> Result<(u64, Vec<ParsedRecord>), S
     let mut reader = SnapshotReader { buf: body, pos: 6 };
     let next_stamp = reader.u64()?;
     let count = reader.u64()? as usize;
+    let provenance = reader.provenance()?;
+    if let Some(field) = provenance.mismatch(world) {
+        return Err(SnapshotError::WrongWorld { field });
+    }
     let mut parsed = Vec::with_capacity(count.min(65_536));
     let mut sources = Sources::new();
     for _ in 0..count {
@@ -573,7 +741,14 @@ pub(crate) fn parse_snapshot(bytes: &[u8]) -> Result<(u64, Vec<ParsedRecord>), S
             ..
         } = &record.body
         {
-            sources.insert(record.stamp, (record.worlds, Arc::clone(samples)));
+            let mut columns: Vec<String> = samples.keys().cloned().collect();
+            columns.sort_unstable();
+            let source = Source {
+                worlds: record.worlds,
+                samples: Arc::clone(samples),
+                columns: columns.into(),
+            };
+            sources.insert(record.stamp, source);
         }
         parsed.push(record);
     }

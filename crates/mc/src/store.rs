@@ -46,9 +46,10 @@
 //! them and keeps its [`Recipe`], the source's samples `Arc` its hit
 //! carried, and the engine's [`Rebuild`] handle — so a source evicted or
 //! replaced later cannot change it — plus every column's `(mean,
-//! std_dev)` ([`ColumnMoments`]), and stays in the table. A mapped record
-//! is published with its moments; a restored one that is demoted computes
-//! them first. Only when no demotable record is left does eviction run:
+//! std_dev)` ([`ColumnMoments`]), and stays in the table. Every mapped
+//! record holds its moments: a published one from its remap, a restored
+//! one from its snapshot, which installs it already demoted. Only when no
+//! demotable record is left does eviction run:
 //! the oldest unmatchable entry, then the oldest matchable one. Sources
 //! are never demoted.
 //!
@@ -60,8 +61,9 @@
 //! the materializing [`SharedBasisStore::try_claim`],
 //! [`SharedBasisStore::get_exact`] and a save that cannot write a recipe
 //! also run — rebuilds them with the remap that made them, on the same
-//! inputs, so they are its published bits; the rebuild runs on the
-//! reader's thread after every store lock is released, and is not
+//! inputs, so they are its published bits (a restored record's are the
+//! warm store's: the same remap on the same inputs); the rebuild runs on
+//! the reader's thread after every store lock is released, and is not
 //! re-admitted.
 //!
 //! # The summary index
@@ -91,17 +93,21 @@
 //! and [`SharedBasisStore::restore_with`] rebuilds a store that scans,
 //! evicts, and stamps exactly like the original, so a service restart
 //! warms from disk instead of re-simulating its basis population. The
-//! format (`FPBS` v3, spelled out in `docs/CONCURRENCY.md`) is versioned
-//! and ends in a word-wise four-lane checksum. A simulated record travels
-//! as its columns — raw little-endian `f64` runs, encoded into one
+//! format (`FPBS` v4, spelled out in `docs/CONCURRENCY.md`; the codec is
+//! the `snapshot` module) is versioned, names the world its samples were
+//! drawn in ([`Provenance`]: script, root seed, probe seeds, models), and
+//! ends in a word-wise four-lane checksum. A simulated record travels as
+//! its columns — raw little-endian `f64` runs, encoded into one
 //! exact-size buffer and decoded one bounds-checked slice per column. A
 //! mapped record whose source is still stored travels as its [`Recipe`]
-//! (the source's stamp and the per-column [`Mapping`]s), demoted or not,
-//! and a restore re-derives its samples through the caller's rebuild —
-//! the engine's own remap, so they are the bits the warm store held —
-//! then demotes oldest-first back to the budget. Corrupt input is
-//! rejected with a typed [`SnapshotError`] before any store state is
-//! touched, and [`SharedBasisStore::save_to`] replaces its file
+//! (the source's stamp and the per-column [`Mapping`]s) and its moments,
+//! demoted or not. A restore rebuilds nothing: it checks each recipe
+//! against the caller's [`Rebuild`] ([`Rebuild::check`]) and installs it
+//! demoted, answering moments reads from the file's moments — the warm
+//! store's bits — and rebuilding its samples, through the engine's own
+//! remap, only when one is read. Corrupt input, or a snapshot of another
+//! world, is rejected with a typed [`SnapshotError`] before any store
+//! state is touched, and [`SharedBasisStore::save_to`] replaces its file
 //! atomically.
 //!
 //! The store is the paper's Storage Manager: keyed by [`ParamPoint`], it
@@ -120,8 +126,8 @@ use prophet_fingerprint::{CorrelationDetector, Fingerprint, Mapping};
 
 use crate::aggregate::ColumnMoments;
 use crate::instance::ParamPoint;
-pub use crate::snapshot::SnapshotError;
-use crate::snapshot::{encode_snapshot, parse_snapshot, ParsedBody};
+use crate::snapshot::{encode_snapshot, parse_snapshot, ParsedBody, RecipeOut};
+pub use crate::snapshot::{Provenance, SnapshotError};
 use crate::sync::{rank, ClaimLedger, OrderedCondvar, OrderedMutex, OrderedRwLock};
 use crate::trace::{TraceEventKind, Tracer, NO_CHUNK, NO_JOB};
 
@@ -160,8 +166,9 @@ pub struct Recipe {
 
 /// Re-derives a mapped entry's samples from its recipe: the remap that
 /// made them at publish, so the result is those bits. The store calls it
-/// to rebuild a demoted record when it is read or saved, and a restore
-/// calls it for every recipe record — always with no store lock held.
+/// to rebuild a demoted record when its samples are read or saved, always
+/// with no store lock held. A restore runs none: it only
+/// [`Rebuild::check`]s each recipe record it installs.
 ///
 /// A handle owns the remap's inputs only (for the engine: its SELECT,
 /// VG registry, column lists and tier), never a store, so records holding
@@ -176,18 +183,36 @@ pub trait Rebuild: Send + Sync {
         mappings: &HashMap<String, Mapping>,
         worlds: usize,
     ) -> Result<Arc<ColumnSamples>, String>;
+
+    /// Whether [`Rebuild::rebuild`] can run on these inputs, checked
+    /// structurally — which columns are mapped and held, at what depth,
+    /// which parameters the point binds — without running it. A restore
+    /// installs a recipe record only if this passes, and rebuilds its
+    /// samples later, on a read, so a check that passes must mean the
+    /// rebuild succeeds.
+    fn check(
+        &self,
+        point: &ParamPoint,
+        source: &ColumnSamples,
+        mappings: &HashMap<String, Mapping>,
+        worlds: usize,
+    ) -> Result<(), String>;
 }
 
 /// A shared [`Rebuild`]: the engine's, held by each of its mapped records.
 pub type RebuildHandle = Arc<dyn Rebuild>;
 
-/// Everything a mapped record needs to re-derive its samples: its recipe,
-/// the very source samples it was mapped from (held, so a source evicted
-/// or replaced later cannot change the rebuild), and the remap.
+/// Everything a mapped record needs to re-derive its samples — its
+/// recipe, the very source samples it was mapped from (held, so a source
+/// evicted or replaced later cannot change the rebuild), and the remap —
+/// and, so a reader of moments only never needs them, every column's
+/// `(mean, std_dev)`: the kernel's bits of those samples, taken where the
+/// record was re-mapped or read from its snapshot.
 struct Mapped {
     recipe: Recipe,
     source: Arc<ColumnSamples>,
     rebuild: RebuildHandle,
+    moments: ColumnMoments,
 }
 
 impl Mapped {
@@ -232,16 +257,10 @@ pub(crate) struct Record {
     /// distributions, not the number of visited points.
     pub(crate) matchable: bool,
     /// How a mapped record's samples were made
-    /// ([`InflightGuard::complete_mapped`]): a snapshot writes its recipe
-    /// in their place while its source is still stored, and a demoted
-    /// record rebuilds them from it.
+    /// ([`InflightGuard::complete_mapped`]), and their moments: a snapshot
+    /// writes the recipe and moments in their place while its source is
+    /// still stored, and a demoted record rebuilds them from it.
     mapped: Option<Arc<Mapped>>,
-    /// Every column's `(mean, std_dev)`, kept so a reader of moments only
-    /// never needs the samples: computed where a mapped record was
-    /// re-mapped, and by [`Table::demote_to`] for a restored one before it
-    /// drops its samples. Every demoted record has them; derived data,
-    /// never serialized.
-    moments: Option<ColumnMoments>,
 }
 
 impl Record {
@@ -263,28 +282,25 @@ impl Record {
             stamp,
             matchable,
             mapped: None,
-            moments: None,
         }
     }
 
-    /// Build a mapped record: unmatchable, `samples` made by `mapped`,
-    /// with their `moments` if they are known.
+    /// Build a mapped record: unmatchable, made by `mapped`, holding its
+    /// `samples` — or none, demoted, for a restored one.
     fn mapped(
-        samples: Arc<ColumnSamples>,
+        samples: Option<Arc<ColumnSamples>>,
         worlds: usize,
         stamp: u64,
         mapped: Mapped,
-        moments: Option<ColumnMoments>,
     ) -> Self {
         Record {
             fingerprints: None,
             summaries: None,
-            samples: Some(samples),
+            samples,
             worlds,
             stamp,
             matchable: false,
             mapped: Some(Arc::new(mapped)),
-            moments,
         }
     }
 
@@ -302,9 +318,20 @@ impl Record {
             .flat_map(|f| f.values())
             .map(|fp| fp.values().len())
             .sum();
-        let moments = self.moments.as_ref().map_or(0, |m| 2 * m.columns().len());
-        let maps = self.mapped.as_ref().map_or(0, |m| m.recipe.mappings.len());
+        let (moments, maps) = (self.mapped.as_ref()).map_or((0, 0), |m| {
+            (2 * m.moments.columns().len(), m.recipe.mappings.len())
+        });
         RECORD_OVERHEAD + (lanes + prints + moments) * 8 + maps * MAPPING_BYTES
+    }
+
+    /// [`Record::charge`] as the record holding its samples: a demoted
+    /// one adds `worlds` lanes for each column its moments cover — the
+    /// columns a rebuild makes.
+    fn resident_charge(&self) -> usize {
+        match (&self.samples, &self.mapped) {
+            (None, Some(m)) => self.charge() + self.worlds * m.moments.columns().len() * 8,
+            _ => self.charge(),
+        }
     }
 
     /// Whether [`Table::make_room`] may demote this record: it holds
@@ -356,7 +383,7 @@ impl StoredEntry {
         StoredEntry {
             lanes,
             worlds: record.worlds,
-            moments: record.moments.clone(),
+            moments: record.mapped.as_ref().map(|m| m.moments.clone()),
         }
     }
 
@@ -366,7 +393,7 @@ impl StoredEntry {
     }
 
     /// Every column's `(mean, std_dev)`, if the record keeps them: every
-    /// mapped record the engine published and every demoted one does.
+    /// mapped record does, published, restored or demoted.
     pub fn moments(&self) -> Option<&ColumnMoments> {
         self.moments.as_ref()
     }
@@ -387,7 +414,8 @@ impl StoredEntry {
     /// # Panics
     /// If the rebuild fails, which it cannot short of a broken remap: it
     /// runs the function that succeeded on the same inputs when the record
-    /// was published (or restored).
+    /// was published, or whose [`Rebuild::check`] passed when it was
+    /// restored.
     pub fn materialize(&self, point: &ParamPoint) -> Arc<ColumnSamples> {
         let (mapped, stats) = match &self.lanes {
             Lanes::Resident(samples) => return Arc::clone(samples),
@@ -420,9 +448,11 @@ struct Table {
     matchable: BTreeMap<u64, ParamPoint>,
     /// Sum of every record's [`Record::charge`].
     charged: usize,
-    /// The largest charge of any record filed holding samples since the
-    /// table was last wiped: what one "full-depth samples record" costs,
-    /// the unit of the store's capacity.
+    /// The largest charge of any record filed since the table was last
+    /// wiped, as it holds its samples ([`Record::resident_charge`]): what
+    /// one "full-depth samples record" costs, the unit of the store's
+    /// capacity. A restore, which files mapped records demoted, so counts
+    /// the unit the store that wrote them did.
     record_bytes: usize,
     /// How many times the matchable set has changed
     /// ([`Table::matchable_changed`]): what a scan snapshot is a snapshot
@@ -457,9 +487,7 @@ impl Table {
             self.demotable.insert(stamp);
         }
         self.charged += charge;
-        if record.samples.is_some() {
-            self.record_bytes = self.record_bytes.max(charge);
-        }
+        self.record_bytes = self.record_bytes.max(record.resident_charge());
         let replaced = self.entries.insert(point.clone(), record);
         if matchable || replaced.as_ref().is_some_and(|old| old.matchable) {
             self.matchable_changed();
@@ -511,9 +539,8 @@ impl Table {
 
     /// Demote demotable records, oldest first, until the books are within
     /// `limit` bytes or none is left. Returns how many were demoted. A
-    /// record without moments — only a restored one — computes them from
-    /// its samples before it drops them, so every demoted record answers
-    /// a moments read without a rebuild.
+    /// demoted record keeps its moments, so it answers a moments read
+    /// without a rebuild.
     fn demote_to(&mut self, limit: usize) -> u64 {
         let mut demoted = 0;
         while self.charged > limit {
@@ -524,11 +551,6 @@ impl Table {
                 .and_then(|point| self.entries.get_mut(point))
                 .expect("invariant: a demotable stamp names a stored unmatchable record");
             let before = record.charge();
-            if record.moments.is_none() {
-                let samples = (record.samples.as_ref())
-                    .expect("invariant: a demotable record holds its samples");
-                record.moments = Some(ColumnMoments::of(samples));
-            }
             record.samples = None;
             self.charged = self.charged - before + record.charge();
             demoted += 1;
@@ -686,8 +708,9 @@ impl InflightGuard {
             recipe,
             source,
             rebuild,
+            moments,
         };
-        self.publish(Record::mapped(samples, worlds, 0, mapped, Some(moments)))
+        self.publish(Record::mapped(Some(samples), worlds, 0, mapped))
     }
 
     /// The publish behind both completions; `record` is stamped on insert.
@@ -866,6 +889,9 @@ pub struct SharedBasisStore {
     inflight: Arc<Inflight>,
     stats: Arc<OrderedMutex<Counters>>,
     capacity: usize,
+    /// The world this store's samples are drawn in: written into every
+    /// snapshot it saves, and required of every snapshot it restores.
+    provenance: Arc<Provenance>,
     /// Flight recorder for claim/wait/publish/evict events; disabled
     /// ([`Tracer::off`]) unless attached via
     /// [`SharedBasisStore::with_tracer`]. Events observe, never decide.
@@ -1087,16 +1113,43 @@ impl ScanSnapshot {
 
 // ------------------------------------------------------------- persistence
 
+/// Every matchable record of `table` by stamp: its worlds and its column
+/// names, sorted — the order a recipe record naming it writes its moments
+/// in.
+fn source_columns(table: &Table) -> HashMap<u64, (usize, Vec<&str>)> {
+    (table.matchable.iter())
+        .filter_map(|(&stamp, point)| {
+            let record = table.entries.get(point)?;
+            let mut columns: Vec<&str> = (record.samples.as_ref()?.keys())
+                .map(String::as_str)
+                .collect();
+            columns.sort_unstable();
+            Some((stamp, (record.worlds, columns)))
+        })
+        .collect()
+}
+
 /// The recipe a snapshot writes for `record` instead of its samples: its
-/// own, while the matchable record of its source stamp — the very samples
-/// it was mapped from, since stamps are never reused — is still in the
-/// table with equal worlds. Otherwise (the source was replaced or
-/// evicted, or the record was never mapped) `None`: the record travels
-/// as the samples it holds.
-fn live_recipe<'r>(table: &Table, record: &'r Record) -> Option<&'r Recipe> {
-    let recipe = &record.mapped.as_ref()?.recipe;
-    let source = table.matchable.get(&recipe.source_stamp)?;
-    (table.entries.get(source)?.worlds == record.worlds).then_some(recipe)
+/// own and its moments, while the matchable record of its source stamp —
+/// the very samples it was mapped from, since stamps are never reused —
+/// is still in the table ([`source_columns`]) with equal worlds, and its
+/// moments cover exactly that source's columns. Otherwise (the source was
+/// replaced or evicted, or the record was never mapped) `None`: the
+/// record travels as the samples it holds.
+fn live_recipe<'r>(
+    sources: &'r HashMap<u64, (usize, Vec<&str>)>,
+    record: &'r Record,
+) -> Option<RecipeOut<'r>> {
+    let mapped = record.mapped.as_ref()?;
+    let (worlds, columns) = sources.get(&mapped.recipe.source_stamp)?;
+    let moments = &mapped.moments;
+    let covers = moments.columns().len() == columns.len()
+        && columns.iter().all(|c| moments.get(c).is_some());
+    (*worlds == record.worlds && covers).then_some(RecipeOut {
+        recipe: &mapped.recipe,
+        moments,
+        columns,
+    })
 }
 
 impl SharedBasisStore {
@@ -1114,8 +1167,18 @@ impl SharedBasisStore {
             inflight: Arc::new(Inflight::default()),
             stats: Arc::new(OrderedMutex::new(rank::STORE_STATS, Counters::default())),
             capacity,
+            provenance: Arc::default(),
             tracer: Tracer::off(),
         }
+    }
+
+    /// Name the world this store's samples are drawn in (see
+    /// [`Provenance`]): its snapshots carry `provenance`, and it restores
+    /// only snapshots that carry it. A store built by
+    /// [`SharedBasisStore::new`] alone has the zero provenance.
+    pub fn with_provenance(mut self, provenance: Provenance) -> Self {
+        self.provenance = Arc::new(provenance);
+        self
     }
 
     /// Attach a flight recorder: claim, in-flight wait, publish, and
@@ -1152,6 +1215,15 @@ impl SharedBasisStore {
             .values()
             .filter(|r| r.samples.is_some())
             .count()
+    }
+
+    /// Every stored point, demoted ones included, in stamp order.
+    pub fn points(&self) -> Vec<ParamPoint> {
+        let table = self.table.read();
+        let mut stamped: Vec<(u64, &ParamPoint)> =
+            (table.entries.iter()).map(|(p, r)| (r.stamp, p)).collect();
+        stamped.sort_unstable_by_key(|&(stamp, _)| stamp);
+        stamped.into_iter().map(|(_, p)| p.clone()).collect()
     }
 
     /// True if nothing is stored.
@@ -1566,21 +1638,23 @@ impl SharedBasisStore {
             let table = self.table.read();
             let mut records: Vec<(&ParamPoint, &Record)> = table.entries.iter().collect();
             records.sort_unstable_by_key(|(_, record)| record.stamp);
-            let recipes: Vec<Option<&Recipe>> = (records.iter())
-                .map(|(_, r)| live_recipe(&table, r))
+            let sources = source_columns(&table);
+            let recipes: Vec<Option<RecipeOut<'_>>> = (records.iter())
+                .map(|(_, r)| live_recipe(&sources, r))
                 .collect();
-            let as_samples =
-                |r: &Record, recipe: Option<&Recipe>| recipe.is_none() && r.samples.is_none();
+            let as_samples = |r: &Record, recipe: &Option<RecipeOut<'_>>| {
+                recipe.is_none() && r.samples.is_none()
+            };
             let missing: Vec<(ParamPoint, u64, StoredEntry)> = (records.iter().zip(&recipes))
-                .filter(|((_, r), recipe)| as_samples(r, **recipe))
+                .filter(|((_, r), recipe)| as_samples(r, recipe))
                 .filter(|((_, r), _)| !rebuilt.contains_key(&r.stamp))
                 .map(|((p, r), _)| ((*p).clone(), r.stamp, StoredEntry::of(r, &self.stats)))
                 .collect();
             if missing.is_empty() {
-                let records: Vec<(&ParamPoint, Cow<'_, Record>, Option<&Recipe>)> =
+                let records: Vec<(&ParamPoint, Cow<'_, Record>, Option<RecipeOut<'_>>)> =
                     (records.into_iter().zip(recipes))
                         .map(|((point, r), recipe)| {
-                            let record = if as_samples(r, recipe) {
+                            let record = if as_samples(r, &recipe) {
                                 let samples = rebuilt.get(&r.stamp).cloned();
                                 Cow::Owned(Record {
                                     samples,
@@ -1592,7 +1666,8 @@ impl SharedBasisStore {
                             (point, record, recipe)
                         })
                         .collect();
-                return (encode_snapshot(table.next_stamp, &records), records.len());
+                let bytes = encode_snapshot(&self.provenance, table.next_stamp, &records);
+                return (bytes, records.len());
             }
             drop(table);
             for (point, stamp, entry) in missing {
@@ -1620,26 +1695,28 @@ impl SharedBasisStore {
         self.restore(bytes, None)
     }
 
-    /// Replace this store's contents with a snapshot's, re-deriving each
-    /// recipe record's samples through `rebuild` — for the engine, its own
-    /// remap, so they are the bits the writing store held — and keeping
-    /// `rebuild` in the record, so it can be demoted like a published one.
-    /// Returns the number of restored entries.
+    /// Replace this store's contents with a snapshot's, installing each
+    /// recipe record demoted: its recipe, its source's samples, its
+    /// moments as the file holds them, and `rebuild` — for the engine, its
+    /// own remap — which rebuilds its samples, the bits the writing store
+    /// held, only when they are read. Returns the number of restored
+    /// entries.
     ///
-    /// A restore runs in three steps, and only the last touches the store:
-    /// the whole byte stream is parsed and validated — header, checksum,
-    /// record structure, recipe sources, stamp order, distinct points —
-    /// then every recipe is rebuilt (its failure is the restore's) and the
-    /// rebuilt records are demoted, oldest first, while they are over the
-    /// byte budget (still over it with none left to demote is
-    /// [`SnapshotError::CapacityExceeded`]), then the table is installed.
-    /// A failed restore leaves the store untouched. A successful one
-    /// behaves like [`SharedBasisStore::clear`] followed by replaying the
-    /// snapshot's records with their original stamps: in-flight claims
-    /// are cancelled (waiters re-claim), counters reset, and the stamp
-    /// counter continues from the snapshot's, so post-restore inserts,
-    /// match tie-breaks and re-saves are bit-identical to the store that
-    /// wrote it.
+    /// A restore runs in two steps, and only the second touches the
+    /// store. It validates: the whole byte stream is parsed — header,
+    /// checksum, provenance (the store's own, else
+    /// [`SnapshotError::WrongWorld`]), record structure, recipe sources,
+    /// stamp order, distinct points — every recipe passes
+    /// [`Rebuild::check`] (else [`SnapshotError::Rebuild`]), and the
+    /// records fit the byte budget (else
+    /// [`SnapshotError::CapacityExceeded`]). Then it installs the table;
+    /// nothing is rebuilt. A failed restore leaves the store untouched. A
+    /// successful one behaves like [`SharedBasisStore::clear`] followed by
+    /// replaying the snapshot's records with their original stamps:
+    /// in-flight claims are cancelled (waiters re-claim), counters reset,
+    /// and the stamp counter continues from the snapshot's, so
+    /// post-restore inserts, match tie-breaks and re-saves are
+    /// bit-identical to the store that wrote it.
     pub fn restore_with(
         &self,
         bytes: &[u8],
@@ -1653,7 +1730,7 @@ impl SharedBasisStore {
         bytes: &[u8],
         rebuild: Option<&RebuildHandle>,
     ) -> Result<usize, SnapshotError> {
-        let (next_stamp, parsed) = parse_snapshot(bytes)?;
+        let (next_stamp, parsed) = parse_snapshot(bytes, &self.provenance)?;
         let count = parsed.len();
         let mut restored = Table {
             entries: HashMap::with_capacity(count),
@@ -1668,24 +1745,26 @@ impl SharedBasisStore {
                     samples,
                     matchable,
                 } => Record::new(fingerprints, samples, r.worlds, r.stamp, matchable),
-                ParsedBody::Recipe { recipe, source } => {
+                ParsedBody::Recipe {
+                    recipe,
+                    source,
+                    moments,
+                } => {
                     let rebuild = Arc::clone(rebuild.ok_or(SnapshotError::RecipeNeedsEngine)?);
-                    let samples = (rebuild.rebuild(&r.point, &source, &recipe.mappings, r.worlds))
+                    (rebuild.check(&r.point, &source, &recipe.mappings, r.worlds))
                         .map_err(SnapshotError::Rebuild)?;
                     let mapped = Mapped {
                         recipe,
                         source,
                         rebuild,
+                        moments,
                     };
-                    // No moments: one the budget demotes below computes
-                    // them; a resident one is read as its samples.
-                    Record::mapped(samples, r.worlds, r.stamp, mapped, None)
+                    Record::mapped(None, r.worlds, r.stamp, mapped)
                 }
             };
             restored.put(r.point, record);
         }
         let budget = self.capacity.saturating_mul(restored.record_bytes);
-        restored.demote_to(budget);
         if restored.charged > budget {
             return Err(SnapshotError::CapacityExceeded {
                 entries: count,
@@ -1768,8 +1847,8 @@ impl std::fmt::Debug for SharedBasisStore {
 mod tests {
     use super::*;
     use crate::snapshot::{
-        put_u64, serialize_record, snapshot_checksum, ParsedRecord, KIND_RECIPE, KIND_SAMPLES,
-        KIND_SOURCE, MAP_OFFSET, SNAPSHOT_FOOTER, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+        put_header, put_u64, serialize_record, snapshot_checksum, ParsedRecord, KIND_RECIPE,
+        KIND_SAMPLES, KIND_SOURCE, MAP_OFFSET, SNAPSHOT_FOOTER,
     };
 
     fn point(name: &str, v: i64) -> ParamPoint {
@@ -2269,7 +2348,9 @@ mod tests {
     #[test]
     fn snapshot_point_bytes_match_a_string_pair_model() {
         use prophet_vg::rng::{Rng64, Xoshiro256StarStar};
-        const HEADER: usize = 4 + 2 + 8 + 8;
+        // Magic, version, stamp counter, count, and the zero provenance:
+        // three words and an empty registry.
+        const HEADER: usize = 4 + 2 + 8 + 8 + 8 + 8 + 8 + 4;
         let mut rng = Xoshiro256StarStar::seed_from_u64(0xF9B5);
         let names = ["current", "feature", "purchase1", "p", "é", ""];
         for _ in 0..200 {
@@ -2329,9 +2410,10 @@ mod tests {
             fresh.restore_bytes(&bad_version),
             Err(SnapshotError::UnsupportedVersion(9))
         );
-        // Version-1 (FNV-1a trailer) and version-2 (samples for every
-        // record) files are not read.
-        for version in [1u16, 2] {
+        // Version-1 (FNV-1a trailer), version-2 (samples for every record)
+        // and version-3 (recipes without moments or provenance) files are
+        // not read.
+        for version in [1u16, 2, 3] {
             let mut old = good.clone();
             old[4..6].copy_from_slice(&version.to_le_bytes());
             assert_eq!(
@@ -2391,10 +2473,13 @@ mod tests {
     /// under header stamp counter `next_stamp`, behind a valid checksum:
     /// a re-stamped file as the structural parser sees it.
     fn forge(next_stamp: u64, records: &[(ParamPoint, u64)]) -> Vec<u8> {
-        let mut out = SNAPSHOT_MAGIC.to_vec();
-        out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        put_u64(&mut out, next_stamp);
-        put_u64(&mut out, records.len() as u64);
+        let mut out = Vec::new();
+        put_header(
+            &mut out,
+            &Provenance::default(),
+            next_stamp,
+            records.len() as u64,
+        );
         for (p, stamp) in records {
             let fps = HashMap::from([("y".to_owned(), fp(&[1.0, 2.0, 3.0]))]);
             let record = Record::new(fps, samples(*stamp as f64), 2, *stamp, true);
@@ -2422,6 +2507,31 @@ mod tests {
             }
             Ok(Arc::new(out))
         }
+
+        /// Every source column mapped, every mapped column held at
+        /// `worlds` lanes.
+        fn check(
+            &self,
+            _: &ParamPoint,
+            source: &ColumnSamples,
+            mappings: &HashMap<String, Mapping>,
+            worlds: usize,
+        ) -> Result<(), String> {
+            if mappings.len() != source.len() {
+                return Err(format!(
+                    "{} mappings of {} columns",
+                    mappings.len(),
+                    source.len()
+                ));
+            }
+            for column in mappings.keys() {
+                let values = (source.get(column)).ok_or(format!("no column `{column}`"))?;
+                if values.len() != worlds {
+                    return Err(format!("`{column}` holds {} lanes", values.len()));
+                }
+            }
+            Ok(())
+        }
     }
 
     fn remap() -> RebuildHandle {
@@ -2430,7 +2540,7 @@ mod tests {
 
     /// The kind byte of every record of a snapshot, in stamp order.
     fn record_kinds(bytes: &[u8]) -> Vec<u8> {
-        let (_, parsed) = parse_snapshot(bytes).expect("snapshot parses");
+        let (_, parsed) = parse_snapshot(bytes, &Provenance::default()).expect("snapshot parses");
         let kind = |r: &ParsedRecord| match &r.body {
             ParsedBody::Recipe { .. } => KIND_RECIPE,
             ParsedBody::Samples { matchable, .. } => *matchable as u8,
@@ -2503,8 +2613,9 @@ mod tests {
         }
     }
 
-    /// Recipes that name no earlier matchable record of equal worlds, and
-    /// unknown mapping tags, fail typed and leave the store untouched.
+    /// Recipes that name no earlier matchable record of equal worlds,
+    /// recipes that fail the rebuild's structural check, and unknown
+    /// mapping tags fail typed and leave the store untouched.
     #[test]
     fn restore_rejects_dangling_recipes_and_bad_tags() {
         let source = |stamp: u64, worlds: usize, matchable: bool| {
@@ -2513,25 +2624,31 @@ mod tests {
             let samples = Arc::new(HashMap::from([("y".to_owned(), values)]));
             Record::new(prints, samples, worlds, stamp, matchable)
         };
-        let recipe = |source_stamp: u64| Recipe {
+        let recipe = |source_stamp: u64, column: &str| Recipe {
             source_stamp,
-            mappings: HashMap::from([("y".to_owned(), Mapping::Offset(0.5))]),
+            mappings: HashMap::from([(column.to_owned(), Mapping::Offset(0.5))]),
         };
-        // Records in stream order: `(x, record, recipe written)`.
+        // Records in stream order: `(x, record, recipe written)`; a recipe
+        // record's one moments pair is its source's `y`.
+        let moments = ColumnMoments::of(&samples(0.5));
         let stream = |records: Vec<(i64, Record, Option<Recipe>)>| {
-            let mut out = SNAPSHOT_MAGIC.to_vec();
-            out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-            put_u64(&mut out, 9);
-            put_u64(&mut out, records.len() as u64);
+            let mut out = Vec::new();
+            put_header(&mut out, &Provenance::default(), 9, records.len() as u64);
             for (x, record, recipe) in &records {
+                let recipe = (recipe.as_ref()).map(|recipe| RecipeOut {
+                    recipe,
+                    moments: &moments,
+                    columns: &["y"],
+                });
                 serialize_record(&mut out, &point("x", *x), record, recipe.as_ref());
             }
             restamp(out)
         };
-        let mapped = |stamp: u64, worlds: usize, source_stamp: u64| {
+        let mapped_as = |stamp: u64, worlds: usize, source_stamp: u64, column: &str| {
             let record = Record::new(HashMap::new(), samples(0.0), worlds, stamp, false);
-            (2, record, Some(recipe(source_stamp)))
+            (2, record, Some(recipe(source_stamp, column)))
         };
+        let mapped = |stamp, worlds, source_stamp| mapped_as(stamp, worlds, source_stamp, "y");
         let good = stream(vec![(1, source(1, 2, true), None), mapped(2, 2, 1)]);
         assert_eq!(
             SharedBasisStore::new(2).restore_with(&good, &remap()),
@@ -2564,12 +2681,18 @@ mod tests {
                 dangling(2, 1),
             ),
             (
+                "a mapping of a column the source lacks",
+                stream(vec![(1, source(1, 2, true), None), mapped_as(2, 2, 1, "z")]),
+                SnapshotError::Rebuild("no column `z`".to_owned()),
+            ),
+            (
                 "bad mapping tag",
                 {
                     // The tag is the last record's byte before its one
-                    // `f64` offset, counted back from the checksum.
+                    // `f64` offset and its moments pair, counted back from
+                    // the checksum.
                     let mut body = good[..good.len() - 8].to_vec();
-                    let at = body.len() - 8 - 1;
+                    let at = body.len() - 16 - 8 - 1;
                     assert_eq!(body[at], MAP_OFFSET);
                     body[at] = 3;
                     restamp(body)
@@ -2680,36 +2803,61 @@ mod tests {
         let restored = SharedBasisStore::new(5);
         assert_eq!(restored.restore_with(&bytes, &remap()), Ok(6));
         assert_eq!(restored.snapshot_bytes(), bytes, "save → load → save");
-        assert!(
-            restored.resident_len() < 6,
-            "the restore demotes back to the budget"
+        assert_eq!(
+            restored.resident_len(),
+            4,
+            "the recipe records x = 5, 6 arrive demoted"
         );
+        let stats = restored.stats_snapshot();
+        assert_eq!((stats.demotions, stats.rematerializations), (0, 0));
         let old = restored.get_exact(&point("x", 3), 64).expect("restored");
         assert_eq!(old["y"], offset_of(&first, 1.5), "the held source's bits");
+        let recipe = restored.get_exact(&point("x", 6), 64).expect("restored");
+        assert_eq!(recipe["y"], offset_of(&wide(20.0), 3.0), "rebuilt on read");
+        assert_eq!(restored.stats_snapshot().rematerializations, 1);
     }
 
-    /// A restore into a budget that forces demotion gives the records it
-    /// demotes their moments — the kernel's bits of the samples they drop
-    /// — and computes none for the records it leaves resident. A moments
-    /// read of a demoted restored record rebuilds nothing, and the moments
-    /// are never written: save → load → save stays byte-identical v3.
+    /// A restore rebuilds nothing: every recipe record arrives demoted
+    /// with the moments its snapshot carries — the kernel's bits of the
+    /// samples the writing store held, demoted there or not. A moments
+    /// read of it rebuilds nothing either, and a samples read rebuilds the
+    /// published bits. The moments are written, one `(mean, std_dev)` pair
+    /// per source column, so save → load → save stays byte-identical.
     #[test]
     fn restored_demoted_records_answer_moments_without_a_rebuild() {
         let (s, first) = demoting_store();
         let bytes = s.snapshot_bytes();
-        assert_eq!(bytes[4..6], 3u16.to_le_bytes(), "FPBS v3");
+        assert_eq!(bytes[4..6], 4u16.to_le_bytes(), "FPBS v4");
+        let (_, parsed) = parse_snapshot(&bytes, &Provenance::default()).expect("parses");
+        let mut written = 0;
+        for r in &parsed {
+            let ParsedBody::Recipe { moments, .. } = &r.body else {
+                continue;
+            };
+            let TryClaim::Ready { samples: warm, .. } = s.try_claim_stored(&r.point, 64) else {
+                panic!("{} is stored", r.point);
+            };
+            let want = warm.moments().and_then(|m| m.get("y")).expect("kept");
+            let got = moments.get("y").expect("written");
+            assert_eq!(
+                (got.0.to_bits(), got.1.to_bits()),
+                (want.0.to_bits(), want.1.to_bits())
+            );
+            written += 1;
+        }
+        assert_eq!(written, 4, "x = 3 … 6 travel as recipes");
 
         let restored = SharedBasisStore::new(5);
         assert_eq!(restored.restore_with(&bytes, &remap()), Ok(6));
-        assert_eq!(restored.snapshot_bytes(), bytes, "save → load → save");
+        assert_eq!(restored.stats_snapshot().rematerializations, 0);
         {
             let table = restored.table.read();
             for record in table.entries.values() {
                 let demoted = record.samples.is_none();
-                assert_eq!(record.moments.is_some(), demoted, "stamp {}", record.stamp);
+                assert_eq!(demoted, record.mapped.is_some(), "stamp {}", record.stamp);
             }
         }
-        assert!(restored.resident_len() < 6, "the budget demoted some");
+        assert_eq!(restored.resident_len(), 2, "the sources alone");
 
         let TryClaim::Ready { samples: entry, .. } = restored.try_claim_stored(&point("x", 3), 64)
         else {
@@ -2717,7 +2865,7 @@ mod tests {
         };
         assert!(entry.resident().is_none(), "x = 3 is demoted");
         let lanes = offset_of(&first, 1.5);
-        let (mean, sd) = entry.moments().and_then(|m| m.get("y")).expect("kept");
+        let (mean, sd) = entry.moments().and_then(|m| m.get("y")).expect("restored");
         let want = crate::aggregate::SampleStats::of(&lanes);
         assert_eq!(
             (mean.to_bits(), sd.to_bits()),
@@ -2731,11 +2879,52 @@ mod tests {
             1,
             "a samples read"
         );
+        assert_eq!(restored.snapshot_bytes(), bytes, "save → load → save");
+    }
+
+    /// A store restores only snapshots drawn in its own world: each
+    /// provenance field that differs fails the restore, named, before the
+    /// store is touched, and a store with no provenance of its own expects
+    /// the zero one.
+    #[test]
+    fn restore_rejects_a_snapshot_of_another_world() {
+        let registry = prophet_vg::VgRegistry::new();
+        let world = Provenance::new("SELECT 1", 1, &[7, 8], &registry);
+        let src = churn_store().with_provenance(world.clone());
+        let bytes = src.snapshot_bytes();
         assert_eq!(
-            restored.snapshot_bytes(),
-            bytes,
-            "moments are never written"
+            SharedBasisStore::new(4)
+                .with_provenance(world.clone())
+                .restore_bytes(&bytes),
+            Ok(4)
         );
+        let tagged = Provenance {
+            registry: vec![("DemandModel".to_owned(), 1)],
+            ..world.clone()
+        };
+        for (field, other) in [
+            ("script", Provenance::new("SELECT 2", 1, &[7, 8], &registry)),
+            (
+                "root_seed",
+                Provenance::new("SELECT 1", 7, &[7, 8], &registry),
+            ),
+            (
+                "probe_seeds",
+                Provenance::new("SELECT 1", 1, &[7], &registry),
+            ),
+            ("registry", tagged),
+            ("script", Provenance::default()),
+        ] {
+            let s = SharedBasisStore::new(4).with_provenance(other);
+            s.insert(point("w", 0), HashMap::new(), samples(0.0), 2, true);
+            let before = s.snapshot_bytes();
+            assert_eq!(
+                s.restore_bytes(&bytes),
+                Err(SnapshotError::WrongWorld { field }),
+                "{field}"
+            );
+            assert_eq!(s.snapshot_bytes(), before, "{field}: untouched");
+        }
     }
 
     /// A writer that fails after `left` more bytes: a full disk.
@@ -2826,12 +3015,12 @@ mod tests {
     fn restore_rejects_hostile_column_lengths() {
         let good = forge(1, &[(point("x", 1), 1)]);
         let body = &good[..good.len() - SNAPSHOT_FOOTER];
-        // After the header (22), the point (4 + 5 + 8 = 17), worlds (8),
-        // stamp (8), matchable (1), the fingerprint count (4) and name
-        // "y" (5) sits the fingerprint length at 65; its three values
-        // (24), the column count (4) and name "y" (5) put the sample
-        // length at 102. `worlds` is at 39.
-        let (fp_len, worlds, lanes) = (65, 39, 102);
+        // After the header (50, its provenance the zero one), the point
+        // (4 + 5 + 8 = 17), worlds (8), stamp (8), matchable (1), the
+        // fingerprint count (4) and name "y" (5) sits the fingerprint
+        // length at 93; its three values (24), the column count (4) and
+        // name "y" (5) put the sample length at 130. `worlds` is at 67.
+        let (fp_len, worlds, lanes) = (93, 67, 130);
         assert_eq!(body[fp_len..fp_len + 4], 3u32.to_le_bytes());
         assert_eq!(body[worlds..worlds + 8], 2u64.to_le_bytes());
         assert_eq!(body[lanes..lanes + 8], 2u64.to_le_bytes());
@@ -2919,9 +3108,9 @@ mod tests {
         }
 
         // Names arrive sorted and unique. Swap or repeat the one-byte names
-        // of `{a, b}`: after the header (22), the pair count (4) and a
-        // length (4) sits `a` at 30; its value (8) and `b`'s length (4)
-        // put `b` at 43.
+        // of `{a, b}`: after the header (50), the pair count (4) and a
+        // length (4) sits `a` at 58; its value (8) and `b`'s length (4)
+        // put `b` at 71.
         let ab = forge(1, &[(ParamPoint::from_pairs([("a", 1i64), ("b", 2)]), 1)]);
         assert_eq!(SharedBasisStore::new(1).restore_bytes(&ab), Ok(1));
         for (label, names) in [
@@ -2929,8 +3118,8 @@ mod tests {
             ("repeated name", (b'a', b'a')),
         ] {
             let mut body = ab[..ab.len() - 8].to_vec();
-            assert_eq!((body[30], body[43]), (b'a', b'b'));
-            (body[30], body[43]) = names;
+            assert_eq!((body[58], body[71]), (b'a', b'b'));
+            (body[58], body[71]) = names;
             assert_eq!(
                 SharedBasisStore::new(1).restore_bytes(&restamp(body)),
                 Err(SnapshotError::Truncated),

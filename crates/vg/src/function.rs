@@ -67,6 +67,15 @@ pub trait VgFunction: Send + Sync {
     /// Number of parameters the function expects.
     fn arity(&self) -> usize;
 
+    /// The version of this model's draws: a model bumps it whenever a
+    /// change re-pins what it returns for some `(params, rng)`. A basis
+    /// snapshot records every registered model's tag and does not load
+    /// under a registry whose tags differ, so samples drawn by an old
+    /// model are never served as a new one's.
+    fn model_tag(&self) -> u32 {
+        0
+    }
+
     /// Draw one sample for one possible world. This is the reference
     /// entry point: the scalar tier calls nothing else, and a model that
     /// implements only this works — as a typed kernel, memoisable — on

@@ -1,14 +1,21 @@
 //! Persistent basis store (tier 2): snapshot fidelity, end to end.
 //!
 //! `Prophet::save_basis` / `load_basis` move a warmed basis across
-//! processes. Mapped points travel as recipes and are rebuilt at load, so
-//! every restored point's samples must be the warm store's bit for bit,
-//! on either execution tier; a sweep on the restored service must be
-//! bit-identical to a re-sweep on the warm one and simulate nothing
-//! (`points_simulated == 0`); corrupt or truncated snapshot files are
-//! rejected with typed [`ProphetError::Snapshot`] variants and leave the
-//! store untouched, as does every seeded flip, cut and splice of one that
-//! does not restore to a byte-identical re-save; a sweep through a
+//! processes. Mapped points travel as recipes with their moments and
+//! arrive demoted: a load rebuilds nothing, a restored point's moments
+//! are the kernel's bits of the samples a read rebuilds, and those
+//! samples are the warm store's bit for bit, on either execution tier; a
+//! sweep on the restored service must be bit-identical to a re-sweep on
+//! the warm one, simulate nothing (`points_simulated == 0`) and rebuild
+//! nothing, and a tight restored store must evict like the one that
+//! wrote it; a snapshot drawn in another world (seed, script, model tag)
+//! fails `WrongWorld`, a v3 file `UnsupportedVersion(3)`, and one whose
+//! recipes the loading scenario could not rebuild `Rebuild`; corrupt or
+//! truncated snapshot files are rejected with typed
+//! [`ProphetError::Snapshot`] variants and leave the store untouched, as
+//! does every seeded flip, cut and splice of one that does not restore to
+//! a byte-identical re-save, and every one that does restore reads back
+//! every entry's samples; a sweep through a
 //! store far smaller than its point count pins the snapshot's size and
 //! the demotion and eviction counts, so neither the FPBS encoding nor the
 //! byte budget can drift silently; and a store that holds a sweep only by
@@ -24,15 +31,18 @@
 use std::collections::HashMap;
 use std::fs;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use fuzzy_prophet::prelude::*;
+use prophet_data::{DataResult, Value};
 use prophet_mc::guide::Guide;
-use prophet_mc::{aggregate, GridGuide, SampleStats};
+use prophet_mc::{aggregate, ColumnMoments, GridGuide, SampleStats, SharedBasisStore, TryClaim};
 use prophet_models::scenarios::{
     figure2_coarse_sql, INVENTORY_POLICY, PRICING_WHATIF, SUPPORT_STAFFING,
 };
 use prophet_models::{demo_registry, full_registry};
 use prophet_vg::rng::{Rng64, Xoshiro256StarStar};
+use prophet_vg::{VgFunction, VgRegistry};
 
 /// Store capacity that holds the whole 3,969-point coarse sweep.
 const ROOMY: usize = 8_192;
@@ -50,17 +60,23 @@ fn service_on(src: &str, basis_capacity: usize, tier: ExecTier) -> Prophet {
 
 /// [`service_on`] at `worlds_per_point` worlds.
 fn service_with(src: &str, basis_capacity: usize, tier: ExecTier, worlds: usize) -> Prophet {
+    let config = EngineConfig {
+        worlds_per_point: worlds,
+        threads: 2,
+        basis_capacity,
+        tier,
+        ..EngineConfig::default()
+    };
+    service_from(src, demo_registry(), config)
+}
+
+/// A coarse Figure-2 service on `registry` under `config`.
+fn service_from(src: &str, registry: VgRegistry, config: EngineConfig) -> Prophet {
     Prophet::builder()
         .scenario_sql("figure2", src)
         .unwrap()
-        .registry(demo_registry())
-        .config(EngineConfig {
-            worlds_per_point: worlds,
-            threads: 2,
-            basis_capacity,
-            tier,
-            ..EngineConfig::default()
-        })
+        .registry(registry)
+        .config(config)
         .scheduler(SchedulerConfig {
             workers: 2,
             // Tiny chunks: many concurrent claims on the store.
@@ -214,8 +230,10 @@ fn restored_basis_serves_a_sweep_without_simulation() {
     let saved = warm.save_basis("figure2", &path).unwrap();
     assert_eq!(saved, 3_969, "warm store must hold the whole sweep");
     // 57 simulated sources carry their samples and fingerprints; the
-    // 3,912 mapped points travel as recipes.
-    assert_eq!(fs::metadata(&path).unwrap().len(), 609_987);
+    // 3,912 mapped points travel as recipes, each with three `(mean,
+    // std_dev)` pairs; the header names the world (68 B with the demo
+    // registry's two models).
+    assert_eq!(fs::metadata(&path).unwrap().len(), 797_831);
 
     let cold = service(&src, ROOMY);
     let loaded = cold.load_basis("figure2", &path).unwrap();
@@ -223,7 +241,8 @@ fn restored_basis_serves_a_sweep_without_simulation() {
     assert_eq!(cold.basis_len("figure2").unwrap(), saved);
 
     // Every restored point's samples are the warm store's, bit for bit —
-    // rebuilt on the production tier and on the scalar reference alike.
+    // rebuilt on read, on the production tier and on the scalar
+    // reference alike.
     let points: Vec<ParamPoint> = first.1.keys().cloned().collect();
     let warm_bits = stored_bits(&warm, &points);
     assert_eq!(stored_bits(&cold, &points), warm_bits, "columnar rebuild");
@@ -303,7 +322,8 @@ fn corrupt_snapshots_are_rejected_with_typed_errors() {
 
 /// A sweep of 3,969 points through a store budgeted at 64 full-depth
 /// records: 3,911 demotions and 3,903 evictions, and what survives is
-/// pinned by count and snapshot size. Mapped entries drop their samples
+/// pinned by count and snapshot size (the 9 recipes carry 48 B of
+/// moments each, the header 68 B of provenance). Mapped entries drop their samples
 /// first, are evicted next, and sources go only when no mapped entry
 /// remains — so the 57 sources survive, and the 9 newest mapped entries
 /// travel as recipes — and a change to the byte charges, the demotion or
@@ -328,7 +348,7 @@ fn churned_store_snapshot_is_pinned() {
             stats.hits,
             stats.misses
         ),
-        (66, 52_676, 3_903, 3_911, 3_912, 57)
+        (66, 53_176, 3_903, 3_911, 3_912, 57)
     );
     assert_eq!(
         restamp(bytes[..bytes.len() - 8].to_vec()),
@@ -348,9 +368,11 @@ fn churned_store_snapshot_is_pinned() {
 /// (`Engine::restore_basis`, what `load_basis` runs): flip bytes in,
 /// truncate, and splice the body of a warm coarse snapshot — sources and
 /// recipes both — then re-stamp a valid checksum. Every case either
-/// restores a store whose re-save is the input byte for byte (and
-/// reloads), or fails with a typed error and leaves the target store as it
-/// was. No case panics.
+/// restores a store whose every entry's samples read back (the demoted
+/// ones rebuilt: the restore's structural check admits no recipe the
+/// rebuild would reject) and whose re-save is the input byte for byte
+/// (and reloads), or fails with a typed error and leaves the target store
+/// as it was. No case panics.
 #[test]
 fn mutated_snapshots_restore_cleanly_or_fail_typed() {
     const CASES: usize = 120;
@@ -403,6 +425,9 @@ fn mutated_snapshots_restore_cleanly_or_fail_typed() {
             Ok(n) => {
                 restored += 1;
                 assert_eq!(target.basis_len("figure2").unwrap(), n, "case {case}");
+                for point in store.points() {
+                    assert!(store.get_exact(&point, 0).is_some(), "case {case}: {point}");
+                }
                 let resaved = store.snapshot_bytes();
                 assert!(resaved == input, "case {case}: re-save is byte-identical");
                 assert_eq!(restore(&resaved), Ok(n), "case {case}");
@@ -649,4 +674,279 @@ fn every_reply_kind_answers_with_the_kernels_moments() {
             );
         }
     }
+}
+
+// ------------------------------------------------- a restore rebuilds nothing
+
+/// Save a warm coarse Figure 2 and return its file's path.
+fn saved_figure2(src: &str, basis_capacity: usize, label: &str) -> (Prophet, PathBuf) {
+    let warm = service(src, basis_capacity);
+    run_sweep(&warm, "figure2");
+    let path = temp_path(label);
+    warm.save_basis("figure2", &path).unwrap();
+    (warm, path)
+}
+
+/// A load installs every mapped entry demoted and rebuilds none, and the
+/// restored sweep, served from the file's moments, rebuilds none either.
+#[test]
+fn a_restore_and_the_restored_sweep_rebuild_nothing() {
+    let src = figure2_coarse_sql(0.05);
+    let (_, path) = saved_figure2(&src, ROOMY, "rebuild_nothing");
+    let cold = service(&src, ROOMY);
+    assert_eq!(cold.load_basis("figure2", &path).unwrap(), 3_969);
+    let store = cold.engine("figure2").unwrap().basis_store().clone();
+    assert_eq!(store.resident_len(), 57, "only the sources hold samples");
+    assert_eq!(cold.basis_stats("figure2").unwrap().rematerializations, 0);
+
+    let (report, _) = run_sweep(&cold, "figure2");
+    assert_eq!(report.metrics.points_cached, 3_969);
+    let stats = cold.basis_stats("figure2").unwrap();
+    assert_eq!(
+        (stats.rematerializations, stats.demotions, stats.evictions),
+        (0, 0, 0)
+    );
+    let _ = fs::remove_file(&path);
+}
+
+/// Every restored entry's moments — read from the file, never computed
+/// at load — are the kernel's bits of the samples a read rebuilds, on the
+/// production tier and on the scalar reference.
+#[test]
+fn restored_moments_are_the_kernels_bits_of_the_rebuilt_samples() {
+    let src = figure2_coarse_sql(0.05);
+    let (_, path) = saved_figure2(&src, ROOMY, "restored_moments");
+    for tier in [ExecTier::Columnar, ExecTier::Scalar] {
+        let cold = service_on(&src, ROOMY, tier);
+        cold.load_basis("figure2", &path).unwrap();
+        let store = cold.engine("figure2").unwrap().basis_store().clone();
+        let mut demoted = 0;
+        for point in store.points() {
+            let TryClaim::Ready { samples: entry, .. } = store.try_claim_stored(&point, 8) else {
+                panic!("{tier:?}: {point} is stored");
+            };
+            let Some(moments) = entry.moments() else {
+                assert!(
+                    entry.resident().is_some(),
+                    "{tier:?}: a source holds samples"
+                );
+                continue;
+            };
+            assert!(
+                entry.resident().is_none(),
+                "{tier:?}: {point} arrives demoted"
+            );
+            let want = ColumnMoments::of(&entry.materialize(&point));
+            assert_eq!(moments.columns(), want.columns(), "{tier:?}: {point}");
+            for column in want.columns() {
+                let bits = |m: &ColumnMoments| {
+                    let (mean, sd) = m.get(column).unwrap();
+                    (mean.to_bits(), sd.to_bits())
+                };
+                assert_eq!(bits(moments), bits(&want), "{tier:?}: {point} {column}");
+            }
+            demoted += 1;
+        }
+        assert_eq!(demoted, 3_912, "{tier:?}");
+        let rebuilt = cold.basis_stats("figure2").unwrap().rematerializations;
+        assert_eq!(rebuilt, demoted, "{tier:?}: one rebuild per samples read");
+    }
+    let _ = fs::remove_file(&path);
+}
+
+/// A tight store (64 full-depth records) and its restored twin — whose
+/// mapped entries arrive demoted, where the writer still held some of
+/// theirs — run the same further sweep: identical answers, outcomes and
+/// evictions.
+#[test]
+fn a_restored_tight_store_evicts_like_the_store_that_wrote_it() {
+    let src = figure2_coarse_sql(0.05);
+    let (warm, path) = saved_figure2(&src, 64, "tight_twin");
+    let twin = service(&src, 64);
+    assert_eq!(twin.load_basis("figure2", &path).unwrap(), 66);
+    let evicted_before = warm.basis_stats("figure2").unwrap().evictions;
+
+    let further = run_sweep(&warm, "figure2");
+    let restored = run_sweep(&twin, "figure2");
+    assert_sweeps_identical("restored twin", &restored, &further);
+    let warm_evictions = warm.basis_stats("figure2").unwrap().evictions - evicted_before;
+    let twin_evictions = twin.basis_stats("figure2").unwrap().evictions;
+    assert!(warm_evictions > 0, "the further sweep churns the store");
+    assert_eq!(twin_evictions, warm_evictions);
+    let _ = fs::remove_file(&path);
+}
+
+/// A v3 file — recipes without moments, a header without provenance — is
+/// not read: there is no old-version reader.
+#[test]
+fn a_v3_snapshot_fails_unsupported_version() {
+    let src = figure2_coarse_sql(0.05);
+    let (warm, path) = saved_figure2(&src, 64, "v3");
+    let mut bytes = fs::read(&path).unwrap();
+    assert_eq!(bytes[4..6], 4u16.to_le_bytes(), "FPBS v4");
+    bytes[4..6].copy_from_slice(&3u16.to_le_bytes());
+    fs::write(&path, &bytes).unwrap();
+    match warm.load_basis("figure2", &path).unwrap_err() {
+        ProphetError::Snapshot(SnapshotError::UnsupportedVersion(3)) => {}
+        other => panic!("wrong variant {other:?}"),
+    }
+    assert_eq!(warm.basis_len("figure2").unwrap(), 66, "untouched");
+    let _ = fs::remove_file(&path);
+}
+
+/// The coarse Figure 2's parameters with only its demand model: a
+/// scenario that lacks the mapped column `capacity`.
+const DEMAND_ONLY: &str = "\
+DECLARE PARAMETER @current AS RANGE 0 TO 52 STEP BY 2;
+DECLARE PARAMETER @purchase1 AS RANGE 0 TO 52 STEP BY 8;
+DECLARE PARAMETER @purchase2 AS RANGE 0 TO 52 STEP BY 8;
+DECLARE PARAMETER @feature AS SET (12,36,44);
+SELECT DemandModel(@current, @feature) AS demand,
+       CASE WHEN 9000 < demand THEN 1 ELSE 0 END AS overload
+INTO results;";
+
+/// Recipes the loading scenario could not rebuild — it lacks a mapped
+/// column — fail the restore's structural check with `Rebuild` before
+/// the store is touched. Both engines run on bare stores, whose zero
+/// provenance lets the load reach the recipes.
+#[test]
+fn a_scenario_lacking_a_mapped_column_fails_rebuild_and_leaves_the_store() {
+    let config = EngineConfig {
+        worlds_per_point: 8,
+        threads: 2,
+        ..EngineConfig::default()
+    };
+    let registry = Arc::new(demo_registry());
+    let engine = |scenario: &Scenario| {
+        let store = SharedBasisStore::new(ROOMY);
+        Engine::with_basis_store(scenario, Arc::clone(&registry), config, store).unwrap()
+    };
+    let figure2 = Scenario::parse(&figure2_coarse_sql(0.05)).unwrap();
+    let warm = engine(&figure2);
+    let mut grid = GridGuide::new(&figure2.script().params);
+    let points: Vec<ParamPoint> = std::iter::from_fn(|| grid.next_point()).take(60).collect();
+    for batch in points.chunks(10) {
+        warm.evaluate_batch(batch).unwrap();
+    }
+    assert!(warm.basis_store().stats_snapshot().hits > 0, "recipes");
+    let bytes = warm.basis_store().snapshot_bytes();
+
+    let cold = engine(&Scenario::parse(DEMAND_ONLY).unwrap());
+    cold.evaluate_batch(&points[..4]).unwrap();
+    let before = cold.basis_store().snapshot_bytes();
+    match cold.restore_basis(&bytes) {
+        Err(ProphetError::Snapshot(SnapshotError::Rebuild(msg))) => {
+            assert!(msg.contains("capacity"), "{msg}")
+        }
+        other => panic!("expected a typed rebuild failure, got {other:?}"),
+    }
+    assert!(cold.basis_store().snapshot_bytes() == before, "untouched");
+    assert_eq!(
+        warm.restore_basis(&bytes).unwrap(),
+        60,
+        "the writer reloads it"
+    );
+}
+
+// --------------------------------------------------------------- provenance
+
+/// A snapshot of a few coarse Figure-2 points from a service built by
+/// `build`, and that service.
+fn small_snapshot(build: impl Fn() -> Prophet, label: &str) -> (Prophet, PathBuf) {
+    let warm = build();
+    let mut grid = GridGuide::new(
+        &Scenario::parse(&figure2_coarse_sql(0.05))
+            .unwrap()
+            .script()
+            .params,
+    );
+    let points: Vec<ParamPoint> = std::iter::from_fn(|| grid.next_point()).take(20).collect();
+    warm.submit(JobSpec::points("figure2", points))
+        .unwrap()
+        .wait()
+        .unwrap();
+    let path = temp_path(label);
+    assert_eq!(warm.save_basis("figure2", &path).unwrap(), 20);
+    (warm, path)
+}
+
+/// `load_basis` of `path` into `cold` fails `WrongWorld { field }` and
+/// leaves its store as it was; a service built like the writer loads it.
+fn assert_wrong_world(cold: &Prophet, path: &PathBuf, field: &str, writer_twin: &Prophet) {
+    let before = cold.basis_len("figure2").unwrap();
+    match cold.load_basis("figure2", path).unwrap_err() {
+        ProphetError::Snapshot(SnapshotError::WrongWorld { field: got }) => {
+            assert_eq!(got, field)
+        }
+        other => panic!("wrong variant {other:?}"),
+    }
+    assert_eq!(cold.basis_len("figure2").unwrap(), before, "untouched");
+    assert_eq!(writer_twin.load_basis("figure2", path).unwrap(), 20);
+}
+
+fn seeded(root_seed: u64) -> EngineConfig {
+    EngineConfig {
+        worlds_per_point: 8,
+        threads: 2,
+        root_seed,
+        ..EngineConfig::default()
+    }
+}
+
+/// A seed-1 basis is not a seed-7 service's: its samples are other draws.
+#[test]
+fn a_snapshot_of_another_seed_fails_wrong_world() {
+    let src = figure2_coarse_sql(0.05);
+    let build = |seed| service_from(&src, demo_registry(), seeded(seed));
+    let (_, path) = small_snapshot(|| build(1), "seed");
+    assert_wrong_world(&build(7), &path, "root_seed", &build(1));
+    let _ = fs::remove_file(&path);
+}
+
+/// A basis drawn under another script is not this one's, even with the
+/// same parameters and columns.
+#[test]
+fn a_snapshot_of_another_script_fails_wrong_world() {
+    let (strict, loose) = (figure2_coarse_sql(0.01), figure2_coarse_sql(0.05));
+    let build = |src: &str| service_from(src, demo_registry(), seeded(1));
+    let (_, path) = small_snapshot(|| build(&loose), "script");
+    assert_wrong_world(&build(&strict), &path, "script", &build(&loose));
+    let _ = fs::remove_file(&path);
+}
+
+/// A model that delegates to another and declares a bumped tag: what a
+/// re-pinned model looks like to a snapshot.
+struct Retagged(Arc<dyn VgFunction>);
+
+impl VgFunction for Retagged {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn arity(&self) -> usize {
+        self.0.arity()
+    }
+
+    fn model_tag(&self) -> u32 {
+        self.0.model_tag() + 1
+    }
+
+    fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<f64> {
+        self.0.invoke(params, rng)
+    }
+}
+
+/// A basis drawn by an older version of a model is not the re-pinned
+/// model's: a bumped `model_tag` fails the load.
+#[test]
+fn a_snapshot_under_a_bumped_model_tag_fails_wrong_world() {
+    let src = figure2_coarse_sql(0.05);
+    let (_, path) = small_snapshot(|| service_from(&src, demo_registry(), seeded(1)), "tag");
+    let mut bumped = demo_registry();
+    let demand = Arc::clone(bumped.get("DemandModel").unwrap());
+    bumped.register(Arc::new(Retagged(demand)));
+    let cold = service_from(&src, bumped, seeded(1));
+    let twin = service_from(&src, demo_registry(), seeded(1));
+    assert_wrong_world(&cold, &path, "registry", &twin);
+    let _ = fs::remove_file(&path);
 }
