@@ -168,18 +168,19 @@ pub struct EngineConfig {
     /// non-default one, and no bench row varies it.
     pub root_seed: u64,
     /// The basis store's byte budget, as the bytes of this many
-    /// full-depth samples records (the largest record it has held). Past
-    /// it a publish first *demotes* the oldest mapped entry still holding
-    /// samples — it drops them, keeps its recipe, stays in the table and
-    /// is rebuilt when read — and only with none left evicts the oldest
-    /// mapped entry, then the oldest simulated one. A mapped entry costs
-    /// ≈ 1 KB demoted against ≈ 10 KB at 400 worlds, so the default
-    /// keeps a whole Figure-2 sweep (31,164 points) in today's memory.
+    /// full-depth samples records (the largest samples record it has
+    /// held). A mapped entry is a recipe record — its recipe and moments,
+    /// no samples; rebuilt when read — of ≈ 1 KB against a simulated
+    /// entry's ≈ 10 KB at 400 worlds, so the default keeps a whole
+    /// Figure-2 sweep (31,164 points) in today's memory. Past the budget a
+    /// publish evicts the oldest mapped entry, then the oldest simulated
+    /// one.
     ///
     /// Evidence: `tests/executor.rs` and `tests/basis_snapshot.rs`
     /// (eviction order, sources outlive mapped entries, the churned-store
-    /// pin, a demoted store serving a second sweep) and `perf`'s
-    /// `mc.store.publish_evicting_ns` rows and `count.evictions`.
+    /// pin, a tight store of recipe records serving a second sweep) and
+    /// `perf`'s `mc.store.publish_evicting_ns` rows and
+    /// `count.evictions`.
     pub basis_capacity: usize,
     /// Worker threads of the inline runner's phase fan-out
     /// ([`Engine::evaluate_batch`]; deterministic: world→sample
@@ -422,7 +423,7 @@ impl Engine {
 
     /// Replace the basis store's contents with a
     /// [`SharedBasisStore::snapshot_bytes`] stream, rebuilding nothing.
-    /// Every recipe record is installed demoted with this engine's remap
+    /// Every recipe record is installed as one, with this engine's remap
     /// and the moments the file holds — the warm store's bits — so a
     /// reader of moments (a sweep's answers, a GRAPH render) never
     /// rebuilds, and a samples read rebuilds through the function that
@@ -654,7 +655,7 @@ impl Engine {
 
     /// Wrap a store entry read at `point` as the caller-facing
     /// [`SampleSet`], rebuilding nothing: its stored moments answer
-    /// `expect`, and a demoted entry's samples are rebuilt only if the
+    /// `expect`, and a recipe record's samples are rebuilt only if the
     /// caller reads them.
     pub(crate) fn stored_sample_set(&self, point: &ParamPoint, entry: StoredEntry) -> SampleSet {
         SampleSet::from_stored(point.clone(), Arc::clone(&self.remap.output_cols), entry)
@@ -675,7 +676,7 @@ impl std::fmt::Debug for Engine {
 /// registry, the column lists and the tier — owned apart from the engine,
 /// so that the engine and every mapped record it publishes share it: it is
 /// the store's [`Rebuild`] handle, which re-runs the very remap that made
-/// a demoted record's samples. It holds no store, so records holding it
+/// a recipe record's samples. It holds no store, so records holding it
 /// form no reference cycle.
 pub(crate) struct Remap {
     select: SelectInto,

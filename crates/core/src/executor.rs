@@ -15,7 +15,7 @@
 //! |                          | in-flight claim                              |
 //! |                          | ([`SharedBasisStore::try_claim_stored`]); a  |
 //! |                          | cached point is served as its entry's moments|
-//! |                          | — a demoted one is rebuilt only if read      |
+//! |                          | — a recipe record is rebuilt only if read    |
 //! | fingerprint probe        | *probe*: claimed points fingerprint in       |
 //! |                          | parallel (fan-out)                           |
 //! | correlation search       | *match*: one snapshot of the store's         |
@@ -600,10 +600,11 @@ impl Engine {
 
     /// Publish a fingerprint hit: complete the claim with the mapped
     /// samples, their moments and what made them — the recipe, the source
-    /// samples it was applied to and this engine's remap, which rebuilds
-    /// them once the store demotes the entry — (a non-source entry, so it
-    /// keeps no probe fingerprints) and hand the same allocation back as
-    /// the reply, answering `expect` from the same moments.
+    /// samples it was applied to and this engine's remap. The store files
+    /// a recipe record (no samples, no probe fingerprints), which rebuilds
+    /// them when a later reader asks for them; the waiters and the reply
+    /// get this allocation, and the reply answers `expect` from the same
+    /// moments.
     fn publish_hit(
         &self,
         point: &ParamPoint,
@@ -650,7 +651,7 @@ impl Engine {
 }
 
 /// A fingerprint hit re-mapped onto the queried point, ready to publish:
-/// the same `samples` allocation goes to the basis store and the reply.
+/// the same `samples` allocation goes to the point's waiters and the reply.
 struct MappedHit {
     samples: Arc<ColumnSamples>,
     /// Every output column's moments of `samples`, taken on the worker

@@ -453,7 +453,7 @@ impl Prophet {
     /// in — a hash of the scenario's script, the root seed, the probe
     /// seeds, and every registered model's name and `model_tag`. A
     /// simulated entry is written as its samples and fingerprints; a
-    /// mapped one — demoted or not — as its recipe (its source's stamp
+    /// mapped one — a recipe record — as its recipe (its source's stamp
     /// and per-column mappings) and its per-column moments while that
     /// source is still stored, else as its samples. A later
     /// [`Prophet::load_basis`] (on this or a freshly built service) warms
@@ -470,7 +470,7 @@ impl Prophet {
     /// Restore `name`'s shared basis store from a [`Prophet::save_basis`]
     /// snapshot. Returns the number of restored entries. The load
     /// rebuilds nothing ([`Engine::restore_basis`]): mapped entries arrive
-    /// demoted with the moments the file holds, so a sweep or a GRAPH
+    /// as recipe records with the moments the file holds, so a sweep or a GRAPH
     /// render answers from them at once, and `name`'s scenario rebuilds
     /// an entry's samples — the warm store's bits — only when they are
     /// read. A snapshot drawn in another world — another script, root

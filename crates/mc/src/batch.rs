@@ -31,7 +31,7 @@ use crate::store::{ColumnSamples, StoredEntry};
 /// writes through to the store's entry.
 ///
 /// A set served from a store entry carries the moments the entry keeps
-/// ([`StoredEntry::moments`]), and a demoted entry's samples are not
+/// ([`StoredEntry::moments`]), and a recipe record's samples are not
 /// rebuilt when it is served: [`SampleSet::expect`],
 /// [`SampleSet::expect_std_dev`] and [`SampleSet::world_count`] read the
 /// stored values, which are the bits the samples would give. Only a
@@ -50,15 +50,15 @@ pub struct SampleSet {
     moments: Option<ColumnMoments>,
 }
 
-/// A [`SampleSet`]'s samples: held, or a demoted store entry's, rebuilt on
-/// the first samples read.
+/// A [`SampleSet`]'s samples: held, or a recipe record's, rebuilt on the
+/// first samples read.
 #[derive(Clone)]
 enum Lanes {
     Held(Arc<ColumnSamples>),
     Deferred(Arc<Deferred>),
 }
 
-/// A demoted entry and, once a reader has asked, its rebuilt samples.
+/// A recipe record and, once a reader has asked, its rebuilt samples.
 struct Deferred {
     entry: StoredEntry,
     rebuilt: OnceLock<Arc<ColumnSamples>>,
@@ -143,7 +143,7 @@ impl SampleSet {
     }
 
     /// Build around a store entry read at `point` without rebuilding it:
-    /// a resident entry's samples are shared, a demoted entry's are
+    /// a samples record's samples are shared, a recipe record's are
     /// rebuilt on the first samples read, and the entry's moments answer
     /// [`SampleSet::expect`] / [`SampleSet::expect_std_dev`].
     pub fn from_stored(point: ParamPoint, columns: Arc<[String]>, entry: StoredEntry) -> Self {
@@ -180,7 +180,7 @@ impl SampleSet {
         self.lanes()
     }
 
-    /// The samples, a demoted entry's rebuilt on the first call.
+    /// The samples, a recipe record's rebuilt on the first call.
     fn lanes(&self) -> &Arc<ColumnSamples> {
         match &self.lanes {
             Lanes::Held(samples) => samples,
@@ -220,7 +220,7 @@ impl PartialEq for SampleSet {
 }
 
 /// Shows the samples only if they are at hand: formatting a set never
-/// rebuilds a demoted entry.
+/// rebuilds a recipe record.
 impl std::fmt::Debug for SampleSet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let samples = match &self.lanes {

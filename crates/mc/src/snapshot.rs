@@ -132,9 +132,9 @@ pub enum SnapshotError {
     /// The trailing four-lane word checksum did not match the body: the
     /// file was corrupted after it was written.
     ChecksumMismatch,
-    /// The snapshot's entries exceed this store's byte budget even with
-    /// every mapped entry demoted — it was written by a larger store and
-    /// restoring it would immediately evict.
+    /// The snapshot's entries, charged as their writer charged them,
+    /// exceed this store's byte budget: it was written by a larger store
+    /// and restoring it would immediately evict.
     CapacityExceeded {
         /// Entries the snapshot holds.
         entries: usize,
@@ -344,7 +344,7 @@ fn record_len(point: &ParamPoint, record: &Record, recipe: Option<&RecipeOut<'_>
     } else {
         0
     };
-    let cols: usize = (record.samples.iter().flat_map(|s| s.iter()))
+    let cols: usize = (record.samples().into_iter().flat_map(|s| s.iter()))
         .map(|(n, values)| name(n) + 8 + values.len() * 8)
         .sum();
     head + fps + 4 + cols
@@ -355,7 +355,7 @@ fn record_len(point: &ParamPoint, record: &Record, recipe: Option<&RecipeOut<'_>
 /// serialization is a pure function of the record and its recipe's
 /// liveness. Byte stability is what lets the round-trip tests assert
 /// `restore(bytes).snapshot_bytes() == bytes`. A samples record must hold
-/// its samples: a demoted one is rebuilt first.
+/// its samples: a recipe record written as one is rebuilt first.
 pub(crate) fn serialize_record(
     out: &mut Vec<u8>,
     point: &ParamPoint,
@@ -408,8 +408,11 @@ pub(crate) fn serialize_record(
     } else {
         out.push(KIND_SAMPLES);
     }
-    let mut cols: Vec<(&String, &Vec<f64>)> =
-        record.samples.iter().flat_map(|s| s.iter()).collect();
+    let mut cols: Vec<(&String, &Vec<f64>)> = record
+        .samples()
+        .into_iter()
+        .flat_map(|s| s.iter())
+        .collect();
     cols.sort_by(|a, b| a.0.cmp(b.0));
     put_u32(out, cols.len() as u32);
     for (name, values) in cols {

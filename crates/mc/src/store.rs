@@ -34,26 +34,18 @@
 //! Claims and publishes serialize per store on the in-flight table
 //! ([`rank::INFLIGHT_TABLE`]), which is held across the table access.
 //!
-//! # A byte budget: demote, then evict
+//! # Recipe records
 //!
-//! The store's capacity is `capacity` full-depth samples records' worth
-//! of bytes: each record is charged its lanes, fingerprint values and
-//! moments at 8 bytes, its mappings, and a fixed measured overhead, and
-//! the unit is the largest charge of any samples record the table has
-//! held. A store of equal-depth records without recipes therefore evicts
-//! exactly as an entry count would. Past the budget a publish first
-//! *demotes* the oldest mapped record still holding samples: it drops
-//! them and keeps its [`Recipe`], the source's samples `Arc` its hit
-//! carried, and the engine's [`Rebuild`] handle — so a source evicted or
-//! replaced later cannot change it — plus every column's `(mean,
-//! std_dev)` ([`ColumnMoments`]), and stays in the table. Every mapped
-//! record holds its moments: a published one from its remap, a restored
-//! one from its snapshot, which installs it already demoted. Only when no
-//! demotable record is left does eviction run:
-//! the oldest unmatchable entry, then the oldest matchable one. Sources
-//! are never demoted.
+//! A mapped record holds no samples. It is a *recipe record*: its
+//! [`Recipe`], the source's samples `Arc` its hit carried, and the
+//! engine's [`Rebuild`] handle — so a source evicted or replaced later
+//! cannot change it — plus every column's `(mean, std_dev)`
+//! ([`ColumnMoments`]). A published one is filed so from birth (the
+//! remap's samples go to the publishing caller and the point's waiters
+//! only), a restored one from its snapshot's recipe and moments. Only
+//! simulated and unsourced records hold samples.
 //!
-//! A claim reads a demoted record without rebuilding it:
+//! A claim reads a recipe record without rebuilding it:
 //! [`SharedBasisStore::try_claim_stored`] → [`TryClaim::Ready`] hands out
 //! a [`StoredEntry`] — the moments, and what rebuilds the samples — and
 //! a reader that needs only moments (an `EXPECT` answer, a GRAPH render)
@@ -64,7 +56,18 @@
 //! inputs, so they are its published bits (a restored record's are the
 //! warm store's: the same remap on the same inputs); the rebuild runs on
 //! the reader's thread after every store lock is released, and is not
-//! re-admitted.
+//! kept.
+//!
+//! # A byte budget: evict
+//!
+//! The store's capacity is `capacity` full-depth samples records' worth
+//! of bytes: each record is charged its lanes, fingerprint values and
+//! moments at 8 bytes, its mappings, and a fixed measured overhead, and
+//! the unit is the largest charge of any samples record the table has
+//! held. A store of equal-depth records without recipes therefore evicts
+//! exactly as an entry count would; a recipe record costs about a tenth
+//! of a 400-world samples record. Past the budget a publish evicts the
+//! oldest unmatchable entry, then the oldest matchable one.
 //!
 //! # The summary index
 //!
@@ -100,10 +103,10 @@
 //! its columns — raw little-endian `f64` runs, encoded into one
 //! exact-size buffer and decoded one bounds-checked slice per column. A
 //! mapped record whose source is still stored travels as its [`Recipe`]
-//! (the source's stamp and the per-column [`Mapping`]s) and its moments,
-//! demoted or not. A restore rebuilds nothing: it checks each recipe
-//! against the caller's [`Rebuild`] ([`Rebuild::check`]) and installs it
-//! demoted, answering moments reads from the file's moments — the warm
+//! (the source's stamp and the per-column [`Mapping`]s) and its moments.
+//! A restore rebuilds nothing: it checks each recipe against the caller's
+//! [`Rebuild`] ([`Rebuild::check`]) and installs it as a recipe record,
+//! answering moments reads from the file's moments — the warm
 //! store's bits — and rebuilding its samples, through the engine's own
 //! remap, only when one is read. Corrupt input, or a snapshot of another
 //! world, is rejected with a typed [`SnapshotError`] before any store
@@ -117,7 +120,7 @@
 
 use std::borrow::Cow;
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::io::Write;
 use std::sync::Arc;
 
@@ -166,8 +169,8 @@ pub struct Recipe {
 
 /// Re-derives a mapped entry's samples from its recipe: the remap that
 /// made them at publish, so the result is those bits. The store calls it
-/// to rebuild a demoted record when its samples are read or saved, always
-/// with no store lock held. A restore runs none: it only
+/// to rebuild a recipe record's samples when they are read or saved,
+/// always with no store lock held. A restore runs none: it only
 /// [`Rebuild::check`]s each recipe record it installs.
 ///
 /// A handle owns the remap's inputs only (for the engine: its SELECT,
@@ -202,7 +205,7 @@ pub trait Rebuild: Send + Sync {
 /// A shared [`Rebuild`]: the engine's, held by each of its mapped records.
 pub type RebuildHandle = Arc<dyn Rebuild>;
 
-/// Everything a mapped record needs to re-derive its samples — its
+/// Everything a recipe record needs to re-derive its samples — its
 /// recipe, the very source samples it was mapped from (held, so a source
 /// evicted or replaced later cannot change the rebuild), and the remap —
 /// and, so a reader of moments only never needs them, every column's
@@ -227,8 +230,8 @@ impl Mapped {
 /// queue, the record's shared parts, and the allocator's headers on all
 /// of them. Measured as resident-set growth over 40,000 Figure-2-shaped
 /// records inserted on one thread (4-parameter points, 3 columns of 400
-/// lanes, 2 mappings each): ≈ 1,030 bytes per demoted record, of which
-/// the mappings are ≈ 2 × [`MAPPING_BYTES`]. A resident record's column
+/// lanes, 2 mappings each): ≈ 1,030 bytes per recipe record, of which
+/// the mappings are ≈ 2 × [`MAPPING_BYTES`]. A samples record's column
 /// map adds ≈ 450 bytes the charge leaves out (≈ 4 % of its 11 KB).
 const RECORD_OVERHEAD: usize = 770;
 /// What one column mapping costs: its name, its [`Mapping`] and its
@@ -244,9 +247,7 @@ pub(crate) struct Record {
     /// records: they are never candidates, so nothing reads them.
     pub(crate) fingerprints: Option<Arc<HashMap<String, Fingerprint>>>,
     summaries: Option<Arc<SummaryTable>>,
-    /// Samples for *all* output columns (stochastic and derived); `None`
-    /// once the record is demoted, when `mapped` rebuilds them on read.
-    pub(crate) samples: Option<Arc<ColumnSamples>>,
+    body: Body,
     pub(crate) worlds: usize,
     pub(crate) stamp: u64,
     /// Whether this entry may serve as a *source* for fingerprint matching.
@@ -256,11 +257,29 @@ pub(crate) struct Record {
     /// scans proportional to the number of genuinely distinct
     /// distributions, not the number of visited points.
     pub(crate) matchable: bool,
-    /// How a mapped record's samples were made
-    /// ([`InflightGuard::complete_mapped`]), and their moments: a snapshot
-    /// writes the recipe and moments in their place while its source is
-    /// still stored, and a demoted record rebuilds them from it.
-    mapped: Option<Arc<Mapped>>,
+}
+
+/// What a record holds: its samples, or what rebuilds them.
+#[derive(Clone)]
+enum Body {
+    /// A simulated or unsourced record's samples, for *all* output
+    /// columns (stochastic and derived).
+    Samples(Arc<ColumnSamples>),
+    /// A recipe record: how a mapped record's samples were made
+    /// ([`InflightGuard::complete_mapped`]), and their moments. A
+    /// snapshot writes the recipe and moments while its source is still
+    /// stored, and a samples read rebuilds from it.
+    Recipe(Arc<Mapped>),
+}
+
+impl Body {
+    /// The samples held: `None` for a recipe record.
+    fn samples(&self) -> Option<&Arc<ColumnSamples>> {
+        match self {
+            Body::Samples(samples) => Some(samples),
+            Body::Recipe(_) => None,
+        }
+    }
 }
 
 impl Record {
@@ -277,113 +296,87 @@ impl Record {
         Record {
             fingerprints: matchable.then(|| Arc::new(fingerprints)),
             summaries,
-            samples: Some(samples),
+            body: Body::Samples(samples),
             worlds,
             stamp,
             matchable,
-            mapped: None,
         }
     }
 
-    /// Build a mapped record: unmatchable, made by `mapped`, holding its
-    /// `samples` — or none, demoted, for a restored one.
-    fn mapped(
-        samples: Option<Arc<ColumnSamples>>,
-        worlds: usize,
-        stamp: u64,
-        mapped: Mapped,
-    ) -> Self {
+    /// Build a recipe record: unmatchable, made by `mapped`.
+    fn mapped(worlds: usize, stamp: u64, mapped: Mapped) -> Self {
         Record {
             fingerprints: None,
             summaries: None,
-            samples,
+            body: Body::Recipe(Arc::new(mapped)),
             worlds,
             stamp,
             matchable: false,
-            mapped: Some(Arc::new(mapped)),
         }
+    }
+
+    /// The samples the record holds: `None` for a recipe record.
+    pub(crate) fn samples(&self) -> Option<&Arc<ColumnSamples>> {
+        self.body.samples()
     }
 
     /// Bytes this record holds against the store's budget: its sample
     /// lanes, fingerprint values and moments at 8 bytes each, its
-    /// mappings, and the fixed [`RECORD_OVERHEAD`]. A demoted record is
-    /// charged its overhead, mappings and moments alone: its source's
-    /// samples are the source record's.
+    /// mappings, and the fixed [`RECORD_OVERHEAD`]. A recipe record's
+    /// source samples are the source record's, so it is charged its
+    /// overhead, mappings and moments alone.
     fn charge(&self) -> usize {
-        let lanes: usize = (self.samples.iter())
-            .flat_map(|s| s.values())
-            .map(Vec::len)
-            .sum();
         let prints: usize = (self.fingerprints.iter())
             .flat_map(|f| f.values())
             .map(|fp| fp.values().len())
             .sum();
-        let (moments, maps) = (self.mapped.as_ref()).map_or((0, 0), |m| {
-            (2 * m.moments.columns().len(), m.recipe.mappings.len())
-        });
-        RECORD_OVERHEAD + (lanes + prints + moments) * 8 + maps * MAPPING_BYTES
+        let body = match &self.body {
+            Body::Samples(samples) => samples.values().map(Vec::len).sum::<usize>() * 8,
+            Body::Recipe(m) => {
+                2 * m.moments.columns().len() * 8 + m.recipe.mappings.len() * MAPPING_BYTES
+            }
+        };
+        RECORD_OVERHEAD + prints * 8 + body
     }
 
-    /// [`Record::charge`] as the record holding its samples: a demoted
-    /// one adds `worlds` lanes for each column its moments cover — the
-    /// columns a rebuild makes.
-    fn resident_charge(&self) -> usize {
-        match (&self.samples, &self.mapped) {
-            (None, Some(m)) => self.charge() + self.worlds * m.moments.columns().len() * 8,
+    /// At most what the store that wrote this record into a snapshot
+    /// charged it. A recipe record whose source was re-published travels
+    /// as its samples — an unmatchable samples record — but was charged
+    /// as a recipe record: its overhead, a moments pair per column and its
+    /// mappings. So an unmatchable samples record is charged no more than
+    /// the overhead and moments pairs of its columns.
+    fn writer_charge(&self) -> usize {
+        match &self.body {
+            Body::Samples(samples) if !self.matchable => {
+                self.charge().min(RECORD_OVERHEAD + 2 * samples.len() * 8)
+            }
             _ => self.charge(),
         }
-    }
-
-    /// Whether [`Table::make_room`] may demote this record: it holds
-    /// samples it can rebuild.
-    fn demotable(&self) -> bool {
-        self.samples.is_some() && self.mapped.is_some()
     }
 }
 
 /// A stored entry as a read copies it out of the table, rebuilding
-/// nothing: a resident entry's samples, or what rebuilds a demoted
-/// entry's, plus the moments the record keeps. What
+/// nothing: a samples record's samples, or what rebuilds a recipe
+/// record's plus the moments it keeps. What
 /// [`SharedBasisStore::try_claim_stored`] hands out; a reader that needs
 /// the samples calls [`StoredEntry::materialize`] on its own thread, with
 /// no store lock held.
 #[derive(Clone)]
 pub struct StoredEntry {
-    lanes: Lanes,
+    body: Body,
     worlds: usize,
-    moments: Option<ColumnMoments>,
-}
-
-/// Where a [`StoredEntry`]'s samples are.
-#[derive(Clone)]
-enum Lanes {
-    Resident(Arc<ColumnSamples>),
-    /// Dropped: the record's rebuild, and the counters that count each
-    /// run of it.
-    Demoted {
-        mapped: Arc<Mapped>,
-        stats: Arc<OrderedMutex<Counters>>,
-    },
+    /// The counters that count each rebuild.
+    stats: Arc<OrderedMutex<Counters>>,
 }
 
 impl StoredEntry {
-    /// Copy `record` out — two or three reference counts — under the
-    /// table lock the caller holds.
+    /// Copy `record` out — two reference counts — under the table lock
+    /// the caller holds.
     fn of(record: &Record, stats: &Arc<OrderedMutex<Counters>>) -> Self {
-        let lanes = match &record.samples {
-            Some(samples) => Lanes::Resident(Arc::clone(samples)),
-            None => Lanes::Demoted {
-                mapped: Arc::clone(
-                    (record.mapped.as_ref())
-                        .expect("invariant: only a record with a recipe drops its samples"),
-                ),
-                stats: Arc::clone(stats),
-            },
-        };
         StoredEntry {
-            lanes,
+            body: record.body.clone(),
             worlds: record.worlds,
-            moments: record.mapped.as_ref().map(|m| m.moments.clone()),
+            stats: Arc::clone(stats),
         }
     }
 
@@ -393,21 +386,21 @@ impl StoredEntry {
     }
 
     /// Every column's `(mean, std_dev)`, if the record keeps them: every
-    /// mapped record does, published, restored or demoted.
+    /// recipe record does, published or restored.
     pub fn moments(&self) -> Option<&ColumnMoments> {
-        self.moments.as_ref()
-    }
-
-    /// The samples, if the entry still held them when it was read.
-    pub fn resident(&self) -> Option<&Arc<ColumnSamples>> {
-        match &self.lanes {
-            Lanes::Resident(samples) => Some(samples),
-            Lanes::Demoted { .. } => None,
+        match &self.body {
+            Body::Samples(_) => None,
+            Body::Recipe(mapped) => Some(&mapped.moments),
         }
     }
 
+    /// The samples, if the entry holds them: `None` for a recipe record.
+    pub fn resident(&self) -> Option<&Arc<ColumnSamples>> {
+        self.body.samples()
+    }
+
     /// The entry's samples at `point`, the point it was read at: the
-    /// held ones, or a demoted entry's rebuilt with the remap that made
+    /// held ones, or a recipe record's rebuilt with the remap that made
     /// them, on the same inputs — its published bits — on the caller's
     /// thread. Each rebuild counts one `rematerializations`.
     ///
@@ -417,42 +410,37 @@ impl StoredEntry {
     /// was published, or whose [`Rebuild::check`] passed when it was
     /// restored.
     pub fn materialize(&self, point: &ParamPoint) -> Arc<ColumnSamples> {
-        let (mapped, stats) = match &self.lanes {
-            Lanes::Resident(samples) => return Arc::clone(samples),
-            Lanes::Demoted { mapped, stats } => (mapped, stats),
+        let mapped = match &self.body {
+            Body::Samples(samples) => return Arc::clone(samples),
+            Body::Recipe(mapped) => mapped,
         };
         let samples = (mapped.rebuild(point, self.worlds))
-            .unwrap_or_else(|e| panic!("invariant: a demoted record rebuilds: {e}"));
-        stats.lock().rematerializations += 1;
+            .unwrap_or_else(|e| panic!("invariant: a recipe record rebuilds: {e}"));
+        self.stats.lock().rematerializations += 1;
         samples
     }
 }
 
 /// The entry table, under [`rank::STORE_TABLE`]: every record, the stamp
 /// counter, each record's stamp filed in the queue of its matchability,
-/// and the byte budget's books. Making room first demotes the oldest
-/// demotable record, then evicts the oldest unmatchable entry, else the
-/// oldest matchable one — each an O(log n) `pop_first`.
+/// and the byte budget's books. Making room evicts the oldest unmatchable
+/// entry, else the oldest matchable one — each an O(log n) `pop_first`.
 #[derive(Default)]
 struct Table {
     entries: HashMap<ParamPoint, Record>,
     next_stamp: u64,
     /// Unmatchable (mapped) entries by stamp: evicted first, oldest first.
     unmatchable: BTreeMap<u64, ParamPoint>,
-    /// The unmatchable entries that still hold samples they can rebuild
-    /// ([`Record::demotable`]), by stamp: demoted before anything is
-    /// evicted, oldest first.
-    demotable: BTreeSet<u64>,
     /// Matchable (simulated) entries by stamp — the match scan's candidate
     /// order; evicted only when no unmatchable entry remains.
     matchable: BTreeMap<u64, ParamPoint>,
     /// Sum of every record's [`Record::charge`].
     charged: usize,
-    /// The largest charge of any record filed since the table was last
-    /// wiped, as it holds its samples ([`Record::resident_charge`]): what
-    /// one "full-depth samples record" costs, the unit of the store's
-    /// capacity. A restore, which files mapped records demoted, so counts
-    /// the unit the store that wrote them did.
+    /// How many records hold samples: every one but the recipe records.
+    resident: usize,
+    /// The largest charge of any samples record filed since the table was
+    /// last wiped: what one "full-depth samples record" costs, the unit of
+    /// the store's capacity.
     record_bytes: usize,
     /// How many times the matchable set has changed
     /// ([`Table::matchable_changed`]): what a scan snapshot is a snapshot
@@ -461,13 +449,6 @@ struct Table {
     /// The last snapshot [`SharedBasisStore::scan_snapshot_shared`] took,
     /// while the matchable set is still the one it was taken of.
     scan_cache: Option<Arc<ScanSnapshot>>,
-}
-
-/// What [`Table::make_room`] did.
-#[derive(Default)]
-struct Room {
-    demoted: u64,
-    evicted: u64,
 }
 
 impl Table {
@@ -483,11 +464,11 @@ impl Table {
     /// already there.
     fn put(&mut self, point: ParamPoint, record: Record) {
         let (stamp, matchable, charge) = (record.stamp, record.matchable, record.charge());
-        if record.demotable() {
-            self.demotable.insert(stamp);
-        }
         self.charged += charge;
-        self.record_bytes = self.record_bytes.max(record.resident_charge());
+        if record.samples().is_some() {
+            self.resident += 1;
+            self.record_bytes = self.record_bytes.max(charge);
+        }
         let replaced = self.entries.insert(point.clone(), record);
         if matchable || replaced.as_ref().is_some_and(|old| old.matchable) {
             self.matchable_changed();
@@ -499,25 +480,21 @@ impl Table {
     }
 
     /// Take a record that left the entry map off the books and out of
-    /// its queues.
+    /// its queue.
     fn unfile(&mut self, record: &Record) {
         self.charged -= record.charge();
-        self.demotable.remove(&record.stamp);
+        self.resident -= record.samples().is_some() as usize;
         self.queue(record.matchable).remove(&record.stamp);
     }
 
-    /// Demote or evict, oldest first, until `incoming` more bytes fit the
-    /// budget of a store of `capacity`: first every record that can drop
-    /// its samples and rebuild them, then unmatchable entries, then
-    /// matchable ones. A store whose records all cost the same and carry
-    /// no recipe evicts exactly one entry per insert once full — the
-    /// entry-count policy.
-    fn make_room(&mut self, incoming: usize, capacity: usize) -> Room {
+    /// Evict, oldest first, until `incoming` more bytes fit the budget of
+    /// a store of `capacity`: unmatchable entries, then matchable ones.
+    /// Returns how many it evicted. A store of equal-depth samples records
+    /// evicts exactly one entry per insert once full — the entry-count
+    /// policy.
+    fn make_room(&mut self, incoming: usize, capacity: usize) -> u64 {
         let budget = capacity.saturating_mul(self.record_bytes.max(incoming));
-        let mut room = Room {
-            demoted: self.demote_to(budget.saturating_sub(incoming)),
-            evicted: 0,
-        };
+        let mut evicted = 0;
         while self.charged + incoming > budget {
             let victim = match self.unmatchable.pop_first() {
                 Some(victim) => victim,
@@ -532,30 +509,9 @@ impl Table {
             let record = (self.entries.remove(&victim.1))
                 .expect("invariant: a queued stamp names a stored record");
             self.unfile(&record);
-            room.evicted += 1;
+            evicted += 1;
         }
-        room
-    }
-
-    /// Demote demotable records, oldest first, until the books are within
-    /// `limit` bytes or none is left. Returns how many were demoted. A
-    /// demoted record keeps its moments, so it answers a moments read
-    /// without a rebuild.
-    fn demote_to(&mut self, limit: usize) -> u64 {
-        let mut demoted = 0;
-        while self.charged > limit {
-            let Some(stamp) = self.demotable.pop_first() else {
-                break;
-            };
-            let record = (self.unmatchable.get(&stamp))
-                .and_then(|point| self.entries.get_mut(point))
-                .expect("invariant: a demotable stamp names a stored unmatchable record");
-            let before = record.charge();
-            record.samples = None;
-            self.charged = self.charged - before + record.charge();
-            demoted += 1;
-        }
-        demoted
+        evicted
     }
 
     /// A matchable record was filed, replaced, evicted or wiped: snapshots
@@ -685,16 +641,18 @@ impl InflightGuard {
         worlds: usize,
         matchable: bool,
     ) -> bool {
-        self.publish(Record::new(fingerprints, samples, worlds, 0, matchable))
+        let record = Record::new(fingerprints, Arc::clone(&samples), worlds, 0, matchable);
+        self.publish(record, samples)
     }
 
-    /// [`InflightGuard::complete`] for a fingerprint hit: publish the
-    /// re-mapped `samples` as an unmatchable entry that remembers how it
-    /// was made — `recipe` applied to `source`, the hit's source samples,
-    /// through `rebuild` — so a snapshot can write the recipe in their
-    /// place and an over-budget store can drop them and rebuild them on
-    /// read. `moments` must be `samples`' ([`ColumnMoments::named`]): the
-    /// entry keeps them, demoted or not, for readers of moments only.
+    /// [`InflightGuard::complete`] for a fingerprint hit: wake every waiter
+    /// with the re-mapped `samples` and file a recipe record that holds
+    /// none — only how they were made: `recipe` applied to `source`, the
+    /// hit's source samples, through `rebuild`, so a samples read of the
+    /// stored entry rebuilds them and a snapshot writes the recipe in
+    /// their place. `moments` must be `samples`'
+    /// ([`ColumnMoments::named`]): the record keeps them for readers of
+    /// moments only.
     pub fn complete_mapped(
         self,
         samples: Arc<ColumnSamples>,
@@ -710,11 +668,12 @@ impl InflightGuard {
             rebuild,
             moments,
         };
-        self.publish(Record::mapped(Some(samples), worlds, 0, mapped))
+        self.publish(Record::mapped(worlds, 0, mapped), samples)
     }
 
-    /// The publish behind both completions; `record` is stamped on insert.
-    fn publish(mut self, record: Record) -> bool {
+    /// The publish behind both completions: the waiters get `samples`, and
+    /// `record` is stamped on insert.
+    fn publish(mut self, record: Record, samples: Arc<ColumnSamples>) -> bool {
         self.completed = true;
         let mut slots = self.store.inflight.slots.lock();
         {
@@ -724,10 +683,8 @@ impl InflightGuard {
                 // already released this point's claim in the ledger.
                 return false;
             }
-            let samples = (record.samples.as_ref())
-                .expect("invariant: a record is published holding its samples");
             *state = SlotState::Done {
-                samples: Arc::clone(samples),
+                samples,
                 worlds: record.worlds,
             };
         }
@@ -826,14 +783,15 @@ pub struct StoreStatsSnapshot {
     pub inflight_waits: u64,
     /// Entries removed from the table to make room for newer ones.
     pub evictions: u64,
-    /// Mapped entries that dropped their samples to make room and stayed
-    /// in the table as their recipe.
-    pub demotions: u64,
-    /// Reads of a demoted entry — a claim, an exact lookup or a save —
-    /// that rebuilt its samples from its recipe.
+    /// Samples reads of a recipe record — a cached mapped point's samples
+    /// read by a reply, an exact lookup or a save — each of which rebuilt
+    /// them from its recipe.
     pub rematerializations: u64,
-    /// Entries currently stored, demoted ones included.
+    /// Entries currently stored, recipe records included.
     pub entries: u64,
+    /// Stored entries that hold samples: every entry but the recipe
+    /// records.
+    pub resident: u64,
 }
 
 /// One `name value` row per field, in the layout of the engine's metrics
@@ -843,7 +801,7 @@ impl std::fmt::Display for StoreStatsSnapshot {
         let rows = [
             ("entries", self.entries),
             ("evictions", self.evictions),
-            ("demotions", self.demotions),
+            ("resident", self.resident),
             ("rematerializations", self.rematerializations),
             ("hits", self.hits),
             ("misses", self.misses),
@@ -868,7 +826,6 @@ struct Counters {
     misses: u64,
     inflight_waits: u64,
     evictions: u64,
-    demotions: u64,
     rematerializations: u64,
 }
 
@@ -876,13 +833,11 @@ struct Counters {
 ///
 /// Cloning produces another handle onto the same store. Its capacity is a
 /// byte budget: `capacity` records of the largest samples record it has
-/// held. Past the budget a publish first *demotes* the oldest mapped entry
-/// that still holds samples — it drops them, keeps its recipe, and stays
-/// in the table, to be rebuilt when read — and only when none is left
-/// evicts the oldest *mapped* entry, then the oldest simulated one,
-/// because simulated entries are the sources fingerprint matching lives
-/// on. In-flight claims live outside the bounded entry table, so eviction
-/// can never drop a pending simulation.
+/// held, where a mapped entry is a recipe record of about a tenth of one.
+/// Past the budget a publish evicts the oldest *mapped* entry, then the
+/// oldest simulated one, because simulated entries are the sources
+/// fingerprint matching lives on. In-flight claims live outside the
+/// bounded entry table, so eviction can never drop a pending simulation.
 #[derive(Clone)]
 pub struct SharedBasisStore {
     table: Arc<OrderedRwLock<Table>>,
@@ -1120,9 +1075,7 @@ fn source_columns(table: &Table) -> HashMap<u64, (usize, Vec<&str>)> {
     (table.matchable.iter())
         .filter_map(|(&stamp, point)| {
             let record = table.entries.get(point)?;
-            let mut columns: Vec<&str> = (record.samples.as_ref()?.keys())
-                .map(String::as_str)
-                .collect();
+            let mut columns: Vec<&str> = (record.samples()?.keys()).map(String::as_str).collect();
             columns.sort_unstable();
             Some((stamp, (record.worlds, columns)))
         })
@@ -1140,7 +1093,9 @@ fn live_recipe<'r>(
     sources: &'r HashMap<u64, (usize, Vec<&str>)>,
     record: &'r Record,
 ) -> Option<RecipeOut<'r>> {
-    let mapped = record.mapped.as_ref()?;
+    let Body::Recipe(mapped) = &record.body else {
+        return None;
+    };
     let (worlds, columns) = sources.get(&mapped.recipe.source_stamp)?;
     let moments = &mapped.moments;
     let covers = moments.columns().len() == columns.len()
@@ -1201,23 +1156,18 @@ impl SharedBasisStore {
         self.capacity
     }
 
-    /// Number of stored entries, demoted ones included.
+    /// Number of stored entries, recipe records included.
     pub fn len(&self) -> usize {
         self.table.read().entries.len()
     }
 
     /// Number of stored entries that hold their samples: every entry but
-    /// the demoted ones.
+    /// the recipe records.
     pub fn resident_len(&self) -> usize {
-        let table = self.table.read();
-        table
-            .entries
-            .values()
-            .filter(|r| r.samples.is_some())
-            .count()
+        self.table.read().resident
     }
 
-    /// Every stored point, demoted ones included, in stamp order.
+    /// Every stored point, recipe records included, in stamp order.
     pub fn points(&self) -> Vec<ParamPoint> {
         let table = self.table.read();
         let mut stamped: Vec<(u64, &ParamPoint)> =
@@ -1278,8 +1228,9 @@ impl SharedBasisStore {
 
     /// Coherent snapshot of all cross-session counters: every field comes
     /// from one critical section over the counter ledger (plus the entry
-    /// count under the table lock held alongside it), so the fields can
-    /// never be mutually torn the way independent relaxed loads were.
+    /// and resident counts under the table lock held alongside it), so
+    /// the fields can never be mutually torn the way independent relaxed
+    /// loads were.
     pub fn stats_snapshot(&self) -> StoreStatsSnapshot {
         let table = self.table.read();
         let counters = self.stats.lock();
@@ -1288,9 +1239,9 @@ impl SharedBasisStore {
             misses: counters.misses,
             inflight_waits: counters.inflight_waits,
             evictions: counters.evictions,
-            demotions: counters.demotions,
             rematerializations: counters.rematerializations,
             entries: table.entries.len() as u64,
+            resident: table.resident as u64,
         }
     }
 
@@ -1305,7 +1256,7 @@ impl SharedBasisStore {
     }
 
     /// Exact lookup: stored samples for `point`, provided they are backed by
-    /// at least `min_worlds` worlds. A demoted entry's are rebuilt after
+    /// at least `min_worlds` worlds. A recipe record's are rebuilt after
     /// the table lock is released.
     pub fn get_exact(&self, point: &ParamPoint, min_worlds: usize) -> Option<Arc<ColumnSamples>> {
         let entry = {
@@ -1320,7 +1271,7 @@ impl SharedBasisStore {
     }
 
     /// [`SharedBasisStore::try_claim_stored`], with a ready entry's
-    /// samples materialized: a demoted entry's are rebuilt from its
+    /// samples materialized: a recipe record's are rebuilt from its
     /// recipe after both store locks are released.
     pub fn try_claim(&self, point: &ParamPoint, min_worlds: usize) -> TryClaim {
         match self.try_claim_stored(point, min_worlds) {
@@ -1337,8 +1288,8 @@ impl SharedBasisStore {
     /// one session owns a point's simulation at a time.
     ///
     /// * [`TryClaim::Ready`] — already stored with `min_worlds`+ worlds:
-    ///   the entry as a [`StoredEntry`], rebuilding nothing — a demoted
-    ///   entry's samples are rebuilt only if the reader asks for them
+    ///   the entry as a [`StoredEntry`], rebuilding nothing — a recipe
+    ///   record's samples are rebuilt only if the reader asks for them
     ///   ([`StoredEntry::materialize`]).
     /// * [`TryClaim::Owner`] — the caller must simulate and publish through
     ///   the returned [`InflightGuard`].
@@ -1389,10 +1340,9 @@ impl SharedBasisStore {
     /// fingerprint summaries are computed here.
     ///
     /// Stamp allocation, making room, and the entry insert commit under
-    /// one write guard. Making room is O(log n) per step: the next record
-    /// to demote is the head of the stamp-ordered demotion queue, the next
-    /// victim the head of the unmatchable queue (else the matchable
-    /// queue) — no entry-table scan. Replacements never demote or evict.
+    /// one write guard. Making room is O(log n) per eviction: the next
+    /// victim is the head of the unmatchable queue (else the matchable
+    /// queue) — no entry-table scan. Replacements never evict.
     pub fn insert(
         &self,
         point: ParamPoint,
@@ -1411,26 +1361,24 @@ impl SharedBasisStore {
     /// [`SharedBasisStore::insert`] of a built record, stamped here.
     fn insert_record(&self, point: ParamPoint, mut record: Record) {
         let charge = record.charge();
-        let room = {
+        let evicted = {
             let mut table = self.table.write();
             table.next_stamp += 1;
-            let room = if table.entries.contains_key(&point) {
-                Room::default()
+            let evicted = if table.entries.contains_key(&point) {
+                0
             } else {
                 table.make_room(charge, self.capacity)
             };
             record.stamp = table.next_stamp;
             table.put(point, record);
-            room
+            evicted
         };
-        for _ in 0..room.evicted {
+        for _ in 0..evicted {
             self.tracer
                 .instant(TraceEventKind::StoreEvict, NO_JOB, NO_CHUNK);
         }
-        if room.evicted + room.demoted > 0 {
-            let mut counters = self.stats.lock();
-            counters.evictions += room.evicted;
-            counters.demotions += room.demoted;
+        if evicted > 0 {
+            self.stats.lock().evictions += evicted;
         }
     }
 
@@ -1564,7 +1512,7 @@ impl SharedBasisStore {
                         stamp,
                         fingerprints: Arc::clone(fingerprints),
                         summaries: Arc::clone(record.summaries.as_ref()?),
-                        samples: Arc::clone(record.samples.as_ref()?),
+                        samples: Arc::clone(record.samples()?),
                         worlds: record.worlds,
                     })
                 })
@@ -1628,7 +1576,7 @@ impl SharedBasisStore {
 
     /// Serialize every record in stamp order: the byte stream is a pure
     /// function of the store's contents. It is written under the table's
-    /// read lock — except that a demoted record whose recipe can no longer
+    /// read lock — except that a recipe record whose recipe can no longer
     /// be written (its source was replaced or evicted) travels as samples
     /// that must first be rebuilt: those are copied out, rebuilt with no
     /// lock held, and the table is walked again.
@@ -1643,7 +1591,7 @@ impl SharedBasisStore {
                 .map(|(_, r)| live_recipe(&sources, r))
                 .collect();
             let as_samples = |r: &Record, recipe: &Option<RecipeOut<'_>>| {
-                recipe.is_none() && r.samples.is_none()
+                recipe.is_none() && r.samples().is_none()
             };
             let missing: Vec<(ParamPoint, u64, StoredEntry)> = (records.iter().zip(&recipes))
                 .filter(|((_, r), recipe)| as_samples(r, recipe))
@@ -1655,9 +1603,9 @@ impl SharedBasisStore {
                     (records.into_iter().zip(recipes))
                         .map(|((point, r), recipe)| {
                             let record = if as_samples(r, &recipe) {
-                                let samples = rebuilt.get(&r.stamp).cloned();
+                                let samples = Arc::clone(&rebuilt[&r.stamp]);
                                 Cow::Owned(Record {
-                                    samples,
+                                    body: Body::Samples(samples),
                                     ..r.clone()
                                 })
                             } else {
@@ -1678,9 +1626,9 @@ impl SharedBasisStore {
 
     /// Serialize the store — the stamp counter, a version header, every
     /// record, and a trailing checksum — into a byte vector
-    /// [`SharedBasisStore::restore_with`] accepts. A mapped record whose
-    /// source is still stored is written as its [`Recipe`], demoted or
-    /// not; every other record as its samples, plus its fingerprints if it
+    /// [`SharedBasisStore::restore_with`] accepts. A recipe record whose
+    /// source is still stored is written as its [`Recipe`]; every other
+    /// record as its samples, plus its fingerprints if it
     /// is matchable. Summaries are derived data and are *not* serialized;
     /// a restore recomputes them. See `docs/CONCURRENCY.md` for the format.
     pub fn snapshot_bytes(&self) -> Vec<u8> {
@@ -1696,7 +1644,7 @@ impl SharedBasisStore {
     }
 
     /// Replace this store's contents with a snapshot's, installing each
-    /// recipe record demoted: its recipe, its source's samples, its
+    /// recipe record as one: its recipe, its source's samples, its
     /// moments as the file holds them, and `rebuild` — for the engine, its
     /// own remap — which rebuilds its samples, the bits the writing store
     /// held, only when they are read. Returns the number of restored
@@ -1708,9 +1656,12 @@ impl SharedBasisStore {
     /// [`SnapshotError::WrongWorld`]), record structure, recipe sources,
     /// stamp order, distinct points — every recipe passes
     /// [`Rebuild::check`] (else [`SnapshotError::Rebuild`]), and the
-    /// records fit the byte budget (else
-    /// [`SnapshotError::CapacityExceeded`]). Then it installs the table;
-    /// nothing is rebuilt. A failed restore leaves the store untouched. A
+    /// records fit the byte budget as their writer charged them (else
+    /// [`SnapshotError::CapacityExceeded`]), so a store restores its own
+    /// save. Then it installs the table; nothing is rebuilt. A recipe
+    /// record that fell back to samples is filed as a samples record; if
+    /// that leaves the books over budget, the next publish makes room. A
+    /// failed restore leaves the store untouched. A
     /// successful one behaves like [`SharedBasisStore::clear`] followed by
     /// replaying the snapshot's records with their original stamps:
     /// in-flight claims are cancelled (waiters re-claim), counters reset,
@@ -1737,6 +1688,10 @@ impl SharedBasisStore {
             next_stamp,
             ..Table::default()
         };
+        // The books as the writer kept them, against a unit no smaller than
+        // any one record: the writer's `make_room` budgeted each insert by
+        // at least the incoming record's charge.
+        let (mut charged, mut unit) = (0, 0);
         for r in parsed {
             // Summaries are derived: recomputed, not read from the bytes.
             let record = match r.body {
@@ -1759,13 +1714,14 @@ impl SharedBasisStore {
                         rebuild,
                         moments,
                     };
-                    Record::mapped(None, r.worlds, r.stamp, mapped)
+                    Record::mapped(r.worlds, r.stamp, mapped)
                 }
             };
+            charged += record.writer_charge();
+            unit = unit.max(record.charge());
             restored.put(r.point, record);
         }
-        let budget = self.capacity.saturating_mul(restored.record_bytes);
-        if restored.charged > budget {
+        if charged > self.capacity.saturating_mul(unit) {
             return Err(SnapshotError::CapacityExceeded {
                 entries: count,
                 capacity: self.capacity,
@@ -1837,7 +1793,7 @@ impl std::fmt::Debug for SharedBasisStore {
             .field("misses", &stats.misses)
             .field("inflight_waits", &stats.inflight_waits)
             .field("evictions", &stats.evictions)
-            .field("demotions", &stats.demotions)
+            .field("resident", &stats.resident)
             .field("rematerializations", &stats.rematerializations)
             .finish()
     }
@@ -2586,7 +2542,38 @@ mod tests {
         assert_eq!(fingerprints(1), 1, "a source keeps its fingerprints");
         assert_eq!(fingerprints(2), 0, "mapped");
         assert_eq!(fingerprints(3), 0, "unmatchable complete");
-        assert!(table.entries[&point("x", 2)].mapped.is_some());
+        assert!(matches!(
+            table.entries[&point("x", 2)].body,
+            Body::Recipe(_)
+        ));
+    }
+
+    /// A mapped publish files a recipe record, and hands the point's
+    /// waiters the remap's samples themselves.
+    #[test]
+    fn waiters_on_a_mapped_publish_get_its_samples() {
+        let s = mapped_store();
+        let p = point("x", 3);
+        let TryClaim::Owner(guard) = s.try_claim(&p, 2) else {
+            panic!("expected owner");
+        };
+        let TryClaim::Pending(handle) = s.try_claim(&p, 2) else {
+            panic!("expected pending");
+        };
+        let recipe = Recipe {
+            source_stamp: 1,
+            mappings: HashMap::from([("y".to_owned(), Mapping::Offset(2.0))]),
+        };
+        let source = s.get_exact(&point("x", 1), 2).expect("the source");
+        let mapped = samples(3.0);
+        let moments = ColumnMoments::of(&mapped);
+        assert!(guard.complete_mapped(Arc::clone(&mapped), 2, recipe, source, remap(), moments));
+        let (got, worlds) = handle.wait().expect("published");
+        assert!(Arc::ptr_eq(&got, &mapped), "the remap's allocation");
+        assert_eq!(worlds, 2);
+        let stats = s.stats_snapshot();
+        assert_eq!((stats.entries, stats.resident), (3, 1), "the source alone");
+        assert_eq!(stats.rematerializations, 0);
     }
 
     /// A mapped record travels as its recipe while its source stamp is
@@ -2650,6 +2637,9 @@ mod tests {
         };
         let mapped = |stamp, worlds, source_stamp| mapped_as(stamp, worlds, source_stamp, "y");
         let good = stream(vec![(1, source(1, 2, true), None), mapped(2, 2, 1)]);
+        // Its recipe record's charge (overhead, a mapping, a moments pair)
+        // outweighs the two-lane source's, and a store of two takes it, as
+        // a writer of two that made room for the recipe record did.
         assert_eq!(
             SharedBasisStore::new(2).restore_with(&good, &remap()),
             Ok(2)
@@ -2726,10 +2716,10 @@ mod tests {
 
     /// Two sources (`x = 1, 2`; stamps 1, 2), then four offset images
     /// published through `complete_mapped`: `x = 3, 4` of source 1 and
-    /// `x = 5, 6` of source 2 (stamps 3–6). The sixth publish is past the
-    /// budget of five records, so `x = 3, 4, 5` drop their samples.
-    /// Returns the store and source 1's samples.
-    fn demoting_store() -> (SharedBasisStore, Arc<ColumnSamples>) {
+    /// `x = 5, 6` of source 2 (stamps 3–6), each a recipe record. Six
+    /// entries fit a budget of five samples records, because the images
+    /// hold none. Returns the store and source 1's samples.
+    fn recipe_store() -> (SharedBasisStore, Arc<ColumnSamples>) {
         let s = SharedBasisStore::new(5);
         let prints = || HashMap::from([("y".to_owned(), fp(&[1.0, 2.0, 4.0]))]);
         let sources = [wide(10.0), wide(20.0)];
@@ -2756,34 +2746,40 @@ mod tests {
         (s, first)
     }
 
-    /// Past the budget a mapped record drops its samples but stays in the
-    /// table; reading it — a claim or an exact lookup — rebuilds the bits
-    /// it was published with, and nothing is evicted.
+    // The tests below that say "demoted" keep their names from when an
+    // over-budget mapped record dropped its samples: a recipe record is
+    // what a demoted record was, from birth.
+
+    /// A mapped record holds no samples from birth — the store holds more
+    /// entries than its budget has samples records — yet stays an exact
+    /// hit; reading it — a claim or an exact lookup — rebuilds the bits it
+    /// was published with, each read counted, and nothing is evicted.
     #[test]
     fn over_budget_mapped_records_are_demoted_and_rebuilt_on_read() {
-        let (s, first) = demoting_store();
+        let (s, first) = recipe_store();
         let stats = s.stats_snapshot();
-        assert_eq!((stats.entries, stats.demotions, stats.evictions), (6, 3, 0));
-        assert_eq!(s.resident_len(), 3, "two sources and the newest image");
+        assert_eq!((stats.entries, stats.resident, stats.evictions), (6, 2, 0));
+        assert_eq!(s.resident_len(), 2, "the two sources");
         let TryClaim::Ready { samples, worlds } = s.try_claim(&point("x", 3), 64) else {
-            panic!("a demoted record is still an exact hit");
+            panic!("a recipe record is an exact hit");
         };
         assert_eq!((samples["y"].clone(), worlds), (offset_of(&first, 1.5), 64));
         let lookup = s.get_exact(&point("x", 4), 64).expect("stored");
         assert_eq!(lookup["y"], offset_of(&first, 2.0));
-        assert!(s.get_exact(&point("x", 6), 64).is_some(), "resident");
-        assert_eq!(s.stats_snapshot().rematerializations, 2);
-        assert_eq!(s.resident_len(), 3, "a read does not re-admit the samples");
+        let newest = s.get_exact(&point("x", 6), 64).expect("stored");
+        assert_eq!(newest["y"], offset_of(&wide(20.0), 3.0));
+        assert_eq!(s.stats_snapshot().rematerializations, 3);
+        assert_eq!(s.resident_len(), 2, "a read does not keep the samples");
     }
 
-    /// Save → load → save of a store holding demoted records is
-    /// byte-identical. A demoted record whose source point was
+    /// Save → load → save of a store holding recipe records is
+    /// byte-identical. A recipe record whose source point was
     /// re-published (a new stamp) travels as the samples it rebuilds from
     /// the source samples it holds; one whose source is still stored
     /// travels as its recipe.
     #[test]
     fn demoted_records_round_trip_and_fall_back_to_samples() {
-        let (s, first) = demoting_store();
+        let (s, first) = recipe_store();
         let prints = HashMap::from([("y".to_owned(), fp(&[1.0, 2.0, 4.0]))]);
         s.insert(point("x", 1), prints, wide(90.0), 64, true);
         let bytes = s.snapshot_bytes();
@@ -2791,41 +2787,51 @@ mod tests {
             record_kinds(&bytes),
             [
                 KIND_SOURCE,  // x = 2
-                KIND_SAMPLES, // x = 3: demoted, source re-published
+                KIND_SAMPLES, // x = 3: source re-published
                 KIND_SAMPLES, // x = 4: likewise
-                KIND_RECIPE,  // x = 5: demoted, source stored
-                KIND_RECIPE,  // x = 6: resident
+                KIND_RECIPE,  // x = 5: source stored
+                KIND_RECIPE,  // x = 6: likewise
                 KIND_SOURCE,  // x = 1, re-published
             ]
         );
         assert_eq!(s.stats_snapshot().rematerializations, 2, "x = 3, 4");
 
+        // x = 3, 4 arrive as samples records, charged by the budget check
+        // no more than the recipe records their writer held: the writer's
+        // own capacity restores its save.
         let restored = SharedBasisStore::new(5);
         assert_eq!(restored.restore_with(&bytes, &remap()), Ok(6));
         assert_eq!(restored.snapshot_bytes(), bytes, "save → load → save");
-        assert_eq!(
-            restored.resident_len(),
-            4,
-            "the recipe records x = 5, 6 arrive demoted"
-        );
         let stats = restored.stats_snapshot();
-        assert_eq!((stats.demotions, stats.rematerializations), (0, 0));
+        assert_eq!(
+            (stats.resident, stats.rematerializations),
+            (4, 0),
+            "the recipe records x = 5, 6 arrive as recipe records"
+        );
         let old = restored.get_exact(&point("x", 3), 64).expect("restored");
         assert_eq!(old["y"], offset_of(&first, 1.5), "the held source's bits");
         let recipe = restored.get_exact(&point("x", 6), 64).expect("restored");
         assert_eq!(recipe["y"], offset_of(&wide(20.0), 3.0), "rebuilt on read");
         assert_eq!(restored.stats_snapshot().rematerializations, 1);
+
+        // Filed as samples records, x = 3, 4 leave the books over budget,
+        // so the next publish makes room: they go first, oldest first.
+        let prints = HashMap::from([("y".to_owned(), fp(&[1.0, 2.0, 4.0]))]);
+        restored.insert(point("x", 7), prints, wide(70.0), 64, true);
+        assert_eq!(restored.stats_snapshot().evictions, 2);
+        assert!(restored.get_exact(&point("x", 3), 64).is_none());
+        assert!(restored.get_exact(&point("x", 5), 64).is_some());
     }
 
-    /// A restore rebuilds nothing: every recipe record arrives demoted
+    /// A restore rebuilds nothing: every recipe record arrives as one,
     /// with the moments its snapshot carries — the kernel's bits of the
-    /// samples the writing store held, demoted there or not. A moments
-    /// read of it rebuilds nothing either, and a samples read rebuilds the
-    /// published bits. The moments are written, one `(mean, std_dev)` pair
-    /// per source column, so save → load → save stays byte-identical.
+    /// samples the writing store published. A moments read of it rebuilds
+    /// nothing either, and a samples read rebuilds the published bits. The
+    /// moments are written, one `(mean, std_dev)` pair per source column,
+    /// so save → load → save stays byte-identical.
     #[test]
     fn restored_demoted_records_answer_moments_without_a_rebuild() {
-        let (s, first) = demoting_store();
+        let (s, first) = recipe_store();
         let bytes = s.snapshot_bytes();
         assert_eq!(bytes[4..6], 4u16.to_le_bytes(), "FPBS v4");
         let (_, parsed) = parse_snapshot(&bytes, &Provenance::default()).expect("parses");
@@ -2853,17 +2859,17 @@ mod tests {
         {
             let table = restored.table.read();
             for record in table.entries.values() {
-                let demoted = record.samples.is_none();
-                assert_eq!(demoted, record.mapped.is_some(), "stamp {}", record.stamp);
+                let recipe = record.samples().is_none();
+                assert_eq!(recipe, !record.matchable, "stamp {}", record.stamp);
             }
         }
         assert_eq!(restored.resident_len(), 2, "the sources alone");
 
         let TryClaim::Ready { samples: entry, .. } = restored.try_claim_stored(&point("x", 3), 64)
         else {
-            panic!("a demoted record is an exact hit");
+            panic!("a recipe record is an exact hit");
         };
-        assert!(entry.resident().is_none(), "x = 3 is demoted");
+        assert!(entry.resident().is_none(), "x = 3 is a recipe record");
         let lanes = offset_of(&first, 1.5);
         let (mean, sd) = entry.moments().and_then(|m| m.get("y")).expect("restored");
         let want = crate::aggregate::SampleStats::of(&lanes);

@@ -2,7 +2,7 @@
 //!
 //! `Prophet::save_basis` / `load_basis` move a warmed basis across
 //! processes. Mapped points travel as recipes with their moments and
-//! arrive demoted: a load rebuilds nothing, a restored point's moments
+//! arrive as recipe records: a load rebuilds nothing, a restored point's moments
 //! are the kernel's bits of the samples a read rebuilds, and those
 //! samples are the warm store's bit for bit, on either execution tier; a
 //! sweep on the restored service must be bit-identical to a re-sweep on
@@ -17,11 +17,13 @@
 //! a byte-identical re-save, and every one that does restore reads back
 //! every entry's samples; a sweep through a
 //! store far smaller than its point count pins the snapshot's size and
-//! the demotion and eviction counts, so neither the FPBS encoding nor the
-//! byte budget can drift silently; and a store that holds a sweep only by
-//! demoting mapped entries serves a second sweep from the store, with the
-//! first sweep's bits, by reading the moments demoted entries keep — as
-//! does a session revisiting slider settings — and every kind of reply
+//! the eviction count, so neither the FPBS encoding nor the byte budget
+//! can drift silently; a cold sweep keeps only its simulated sources
+//! holding samples, and a samples read of a mapped point rebuilds the
+//! first visit's bits; a store that holds a sweep only because its mapped
+//! entries are recipe records serves a second sweep from the store, with
+//! the first sweep's bits, by reading the moments recipe records keep —
+//! as does a session revisiting slider settings — and every kind of reply
 //! answers `EXPECT` / `EXPECT_STDDEV` with the kernel's bits of its own
 //! samples.
 //!
@@ -36,7 +38,9 @@ use std::sync::Arc;
 use fuzzy_prophet::prelude::*;
 use prophet_data::{DataResult, Value};
 use prophet_mc::guide::Guide;
-use prophet_mc::{aggregate, ColumnMoments, GridGuide, SampleStats, SharedBasisStore, TryClaim};
+use prophet_mc::{
+    aggregate, ColumnMoments, GridGuide, SampleSet, SampleStats, SharedBasisStore, TryClaim,
+};
 use prophet_models::scenarios::{
     figure2_coarse_sql, INVENTORY_POLICY, PRICING_WHATIF, SUPPORT_STAFFING,
 };
@@ -321,14 +325,14 @@ fn corrupt_snapshots_are_rejected_with_typed_errors() {
 }
 
 /// A sweep of 3,969 points through a store budgeted at 64 full-depth
-/// records: 3,911 demotions and 3,903 evictions, and what survives is
-/// pinned by count and snapshot size (the 9 recipes carry 48 B of
-/// moments each, the header 68 B of provenance). Mapped entries drop their samples
-/// first, are evicted next, and sources go only when no mapped entry
-/// remains — so the 57 sources survive, and the 9 newest mapped entries
-/// travel as recipes — and a change to the byte charges, the demotion or
-/// eviction policy, the stamp order or the FPBS encoding moves one of
-/// these numbers. Save → load → save reproduces the file byte for byte.
+/// records: 3,903 evictions, and what survives is pinned by count and
+/// snapshot size (the 9 recipes carry 48 B of moments each, the header
+/// 68 B of provenance). Mapped entries are recipe records from birth and
+/// are evicted first; sources go only when no mapped entry remains — so
+/// the 57 sources survive, and the 9 newest mapped entries travel as
+/// recipes — and a change to the byte charges, the eviction policy, the
+/// stamp order or the FPBS encoding moves one of these numbers. Save →
+/// load → save reproduces the file byte for byte.
 #[test]
 fn churned_store_snapshot_is_pinned() {
     let src = figure2_coarse_sql(0.05);
@@ -344,11 +348,10 @@ fn churned_store_snapshot_is_pinned() {
             stats.entries,
             bytes.len(),
             stats.evictions,
-            stats.demotions,
             stats.hits,
             stats.misses
         ),
-        (66, 53_176, 3_903, 3_911, 3_912, 57)
+        (66, 53_176, 3_903, 3_912, 57)
     );
     assert_eq!(
         restamp(bytes[..bytes.len() - 8].to_vec()),
@@ -368,8 +371,8 @@ fn churned_store_snapshot_is_pinned() {
 /// (`Engine::restore_basis`, what `load_basis` runs): flip bytes in,
 /// truncate, and splice the body of a warm coarse snapshot — sources and
 /// recipes both — then re-stamp a valid checksum. Every case either
-/// restores a store whose every entry's samples read back (the demoted
-/// ones rebuilt: the restore's structural check admits no recipe the
+/// restores a store whose every entry's samples read back (the recipe
+/// records rebuilt: the restore's structural check admits no recipe the
 /// rebuild would reject) and whose re-save is the input byte for byte
 /// (and reloads), or fails with a typed error and leaves the target store
 /// as it was. No case panics.
@@ -447,17 +450,114 @@ fn mutated_snapshots_restore_cleanly_or_fail_typed() {
     assert!(restored > 0 && rejected > 0, "{restored} / {rejected}");
 }
 
-// ------------------------------------------------------ demoted records
+// ------------------------------------------------------- recipe records
+
+/// One group's sweep batch per [`Engine::evaluate_batch`] call, in the
+/// order a sweep evaluates them: every group point of the OPTIMIZE
+/// directive's parameters in row-major order, each with the remaining
+/// (axis) parameters' grid bound onto it. Returns every reply — the
+/// first-visit samples — and outcome by point.
+fn sweep_replies(engine: &Engine, src: &str) -> HashMap<ParamPoint, (SampleSet, EvalOutcome)> {
+    let scenario = Scenario::parse(src).unwrap();
+    let params = &scenario.script().params;
+    let grouped = &scenario.script().optimize.as_ref().unwrap().select_params;
+    let (group, axis): (Vec<_>, Vec<_>) =
+        (params.iter().cloned()).partition(|p| grouped.contains(&p.name));
+    let mut groups = GridGuide::new(&group);
+    let mut replies = HashMap::new();
+    while let Some(mut full) = groups.next_point() {
+        let mut axes = GridGuide::new(&axis);
+        let batch: Vec<ParamPoint> = std::iter::from_fn(|| axes.next_point())
+            .map(|a| {
+                for (name, value) in a.iter() {
+                    full.set(name, value);
+                }
+                full.clone()
+            })
+            .collect();
+        let results = engine.evaluate_batch(&batch).unwrap();
+        replies.extend(batch.into_iter().zip(results));
+    }
+    replies
+}
+
+/// A cold sweep leaves only its simulated sources holding samples: every
+/// mapped point is a recipe record from birth, and the sweep, which reads
+/// moments, rebuilds none. A later points job over the mapped points
+/// rebuilds each of them exactly once, and the rebuilt samples are the
+/// first-visit replies' bits — on either tier. The first visits are the
+/// same sweep's batches run on an engine that keeps its replies; its
+/// outcomes (every mapped point's source) are the sweep's.
+#[test]
+fn a_cold_sweep_keeps_only_its_sources_resident() {
+    let src = figure2_coarse_sql(0.05);
+    for tier in [ExecTier::Columnar, ExecTier::Scalar] {
+        let prophet = service_on(&src, ROOMY, tier);
+        let (report, outcomes) = run_sweep(&prophet, "figure2");
+        let store = prophet.engine("figure2").unwrap().basis_store().clone();
+        let stats = prophet.basis_stats("figure2").unwrap();
+        assert_eq!(
+            store.resident_len() as u64,
+            report.metrics.points_simulated,
+            "{tier:?}"
+        );
+        assert_eq!(stats.resident, 57, "{tier:?}");
+        assert_eq!(
+            (stats.entries, stats.evictions, stats.rematerializations),
+            (3_969, 0, 0),
+            "{tier:?}"
+        );
+
+        let scenario = Scenario::parse(&src).unwrap();
+        let config = EngineConfig {
+            worlds_per_point: 8,
+            threads: 2,
+            basis_capacity: ROOMY,
+            tier,
+            ..EngineConfig::default()
+        };
+        let engine = Engine::new(&scenario, demo_registry(), config).unwrap();
+        let first = sweep_replies(&engine, &src);
+        assert_eq!(first.len(), outcomes.len(), "{tier:?}");
+        let mut mapped: Vec<ParamPoint> = Vec::new();
+        for (point, outcome) in &outcomes {
+            assert_eq!(&first[point].1, outcome, "{tier:?}: {point}");
+            if matches!(outcome, EvalOutcome::Mapped { .. }) {
+                mapped.push(point.clone());
+            }
+        }
+        assert_eq!(mapped.len(), 3_912, "{tier:?}");
+
+        let first_bits: Vec<Vec<(String, Vec<u64>)>> = (mapped.iter())
+            .map(|point| {
+                let set = &first[point].0;
+                let bits = |c: &String| set.samples(c).unwrap().iter().map(|v| v.to_bits());
+                (set.columns().iter())
+                    .map(|c| (c.clone(), bits(c).collect()))
+                    .collect()
+            })
+            .collect();
+        assert_eq!(stored_bits(&prophet, &mapped), first_bits, "{tier:?}");
+        let stats = prophet.basis_stats("figure2").unwrap();
+        assert_eq!(
+            stats.rematerializations, 3_912,
+            "{tier:?}: one rebuild per mapped point read"
+        );
+        assert_eq!(stats.resident, 57, "{tier:?}: a read keeps no samples");
+    }
+}
+
+// This test and `revisited_settings_render_from_demoted_moments_without_a_rebuild`
+// keep their names from when an over-budget mapped record dropped its
+// samples: a recipe record is what a demoted record was, from birth.
 
 /// A store budgeted at 3,000 full-depth records — fewer than the sweep's
-/// 3,969 points, more than they take once mapped entries drop their
-/// samples — keeps the whole coarse Figure 2: past the budget a mapped
-/// entry is demoted to its recipe instead of evicted. A second sweep on
-/// the same service is then served entirely from the store with the
-/// first sweep's answers and rebuilds nothing — its answers read the
-/// stored moments — and a points job that reads the samples rebuilds
-/// each demoted point once and gets the first-visit bits — on either
-/// tier.
+/// 3,969 points, more than they take as recipe records — keeps the whole
+/// coarse Figure 2. A second sweep on the same service is then served
+/// entirely from the store with the first sweep's answers and rebuilds
+/// nothing — its answers read the stored moments — and a points job that
+/// reads the samples rebuilds each mapped point once and gets the bits a
+/// roomy store's points job reads — on either tier.
 #[test]
 fn demoted_basis_serves_a_second_sweep_from_the_store() {
     const TIGHT: usize = 3_000;
@@ -465,7 +565,7 @@ fn demoted_basis_serves_a_second_sweep_from_the_store() {
     let roomy = service(&src, ROOMY);
     let reference = run_sweep(&roomy, "figure2");
     let points: Vec<ParamPoint> = reference.1.keys().cloned().collect();
-    let first_visit = stored_bits(&roomy, &points);
+    let roomy_bits = stored_bits(&roomy, &points);
 
     for tier in [ExecTier::Columnar, ExecTier::Scalar] {
         let prophet = service_on(&src, TIGHT, tier);
@@ -473,10 +573,13 @@ fn demoted_basis_serves_a_second_sweep_from_the_store() {
         assert_sweeps_identical(&format!("{tier:?} first pass"), &first, &reference);
         let stats = prophet.basis_stats("figure2").unwrap();
         assert_eq!((stats.entries, stats.evictions), (3_969, 0), "{tier:?}");
-        assert!(stats.demotions > 0, "{tier:?}: the budget forced demotions");
         let engine = prophet.engine("figure2").unwrap();
-        let demoted = 3_969 - engine.basis_store().resident_len() as u64;
-        assert!(demoted > 0, "{tier:?}");
+        assert_eq!(
+            engine.basis_store().resident_len(),
+            57,
+            "{tier:?}: only the sources hold samples"
+        );
+        let recipes = 3_969 - 57;
 
         let (report, outcomes) = run_sweep(&prophet, "figure2");
         let m = &report.metrics;
@@ -491,11 +594,11 @@ fn demoted_basis_serves_a_second_sweep_from_the_store() {
         let rebuilt = prophet.basis_stats("figure2").unwrap().rematerializations;
         assert_eq!(rebuilt, 0, "{tier:?}: a sweep reads moments, never samples");
 
-        assert_eq!(stored_bits(&prophet, &points), first_visit, "{tier:?}");
+        assert_eq!(stored_bits(&prophet, &points), roomy_bits, "{tier:?}");
         let rebuilt = prophet.basis_stats("figure2").unwrap().rematerializations;
         assert_eq!(
-            rebuilt, demoted,
-            "{tier:?}: one rebuild per demoted samples read"
+            rebuilt, recipes,
+            "{tier:?}: one rebuild per recipe record's samples read"
         );
     }
 }
@@ -518,14 +621,15 @@ fn graph_bits(session: &OnlineSession) -> Vec<SeriesBits> {
         .collect()
 }
 
-/// An analyst session through a store too small to keep every week it
-/// visits resident. Once the budget has demoted mapped weeks, walking
-/// back through the earlier slider settings is served from the store —
-/// every week cached — by the moments the demoted entries keep: nothing
-/// is rebuilt, and the graph's bits are those of a twin service whose
-/// roomy store demotes nothing. A points job that reads the samples of
-/// every visited point gets the twin's bits and rebuilds each demoted
-/// point exactly once.
+/// An analyst session through a store whose budget of 96 full-depth
+/// records would not hold every week it visits as samples. The walk goes
+/// on until the store holds more entries than that, and never evicts:
+/// mapped weeks are recipe records. Walking back through the earlier
+/// slider settings is then served from the store — every week cached —
+/// by the moments the recipe records keep: nothing is rebuilt, and the
+/// graph's bits are those of a twin service with a roomy store. A points
+/// job that reads the samples of every visited point gets the twin's bits
+/// and rebuilds each recipe record exactly once.
 #[test]
 fn revisited_settings_render_from_demoted_moments_without_a_rebuild() {
     const SMALL: usize = 96;
@@ -538,8 +642,9 @@ fn revisited_settings_render_from_demoted_moments_without_a_rebuild() {
     session.refresh().unwrap();
     reference.refresh().unwrap();
 
-    // A seeded walk, one slider per move, until the budget has demoted
-    // mapped weeks. `undo[k]` sets move `k`'s slider back.
+    // A seeded walk, one slider per move, until the store holds more
+    // entries than its budget has full-depth records. `undo[k]` sets move
+    // `k`'s slider back.
     let grid: [&[i64]; 3] = [
         &[0, 8, 16, 24, 32, 40, 48],
         &[0, 8, 16, 24, 32, 40, 48],
@@ -549,8 +654,10 @@ fn revisited_settings_render_from_demoted_moments_without_a_rebuild() {
     let mut rng = Xoshiro256StarStar::seed_from_u64(0x5EED_0039);
     let mut undo: Vec<(&str, i64)> = Vec::new();
     let mut settings = vec![session.sliders().clone()];
-    while small.basis_stats("figure2").unwrap().demotions == 0 {
+    while small.basis_len("figure2").unwrap() <= SMALL {
         assert!(undo.len() < 64, "the walk reaches the budget");
+        let stats = small.basis_stats("figure2").unwrap();
+        assert_eq!(stats.evictions, 0, "the walk never evicts");
         let k = rng.gen_range_i64(0, 2) as usize;
         let value = grid[k][rng.gen_range_i64(0, grid[k].len() as i64 - 1) as usize];
         let old = session.sliders().get(sliders[k]).unwrap();
@@ -564,11 +671,8 @@ fn revisited_settings_render_from_demoted_moments_without_a_rebuild() {
         settings.push(session.sliders().clone());
     }
     let stats = small.basis_stats("figure2").unwrap();
-    assert_eq!(
-        stats.evictions, 0,
-        "past the budget, demoted rather than evicted"
-    );
-    let rebuilt = stats.rematerializations;
+    assert_eq!(stats.evictions, 0, "past the budget, nothing evicted");
+    assert_eq!(stats.rematerializations, 0, "a render reads moments");
 
     // Undoing the moves in reverse revisits every earlier setting.
     for &(slider, old) in undo.iter().rev() {
@@ -579,11 +683,7 @@ fn revisited_settings_render_from_demoted_moments_without_a_rebuild() {
         assert_eq!(graph_bits(&session), graph_bits(&reference), "{label}");
     }
     let stats = small.basis_stats("figure2").unwrap();
-    assert_eq!(
-        stats.rematerializations - rebuilt,
-        0,
-        "a render reads moments"
-    );
+    assert_eq!(stats.rematerializations, 0, "a revisit reads moments");
     assert_eq!(stats.evictions, 0);
 
     // Every visited point — the whole store — read as samples.
@@ -599,18 +699,21 @@ fn revisited_settings_render_from_demoted_moments_without_a_rebuild() {
         store.len(),
         "the session's weeks fill the store"
     );
-    let demoted = (store.len() - store.resident_len()) as u64;
-    assert!(demoted > 0);
+    let recipes = (store.len() - store.resident_len()) as u64;
+    assert!(recipes > 0);
     assert_eq!(stored_bits(&small, &points), stored_bits(&twin, &points));
     let rebuilt = small.basis_stats("figure2").unwrap().rematerializations;
-    assert_eq!(rebuilt, demoted, "one rebuild per demoted samples read");
+    assert_eq!(
+        rebuilt, recipes,
+        "one rebuild per recipe record's samples read"
+    );
 }
 
 /// Every kind of reply answers `EXPECT` / `EXPECT_STDDEV` with the
 /// fixed-order kernel's bits of its own samples, on all five bundled
 /// scenarios: a simulated and a mapped reply as published, and a cached
-/// one served from a resident entry or from a demoted entry's kept
-/// moments. A store budgeted below the 60 points makes all four kinds.
+/// one served from a samples record or from a recipe record's kept
+/// moments. Batches of ten make all four kinds.
 #[test]
 fn every_reply_kind_answers_with_the_kernels_moments() {
     type Registry = fn() -> prophet_vg::VgRegistry;
@@ -661,13 +764,13 @@ fn every_reply_kind_answers_with_the_kernels_moments() {
                 let kind = match outcome {
                     EvalOutcome::Simulated => "simulated",
                     EvalOutcome::Mapped { .. } => "mapped",
-                    EvalOutcome::Cached if rebuilt => "cached-demoted",
-                    EvalOutcome::Cached => "cached-resident",
+                    EvalOutcome::Cached if rebuilt => "cached-recipe",
+                    EvalOutcome::Cached => "cached-samples",
                 };
                 *kinds.entry(kind).or_default() += 1;
             }
         }
-        for kind in ["simulated", "mapped", "cached-resident", "cached-demoted"] {
+        for kind in ["simulated", "mapped", "cached-samples", "cached-recipe"] {
             assert!(
                 kinds.get(kind).is_some_and(|&n| n > 0),
                 "{name}: no {kind} reply in {kinds:?}"
@@ -687,8 +790,9 @@ fn saved_figure2(src: &str, basis_capacity: usize, label: &str) -> (Prophet, Pat
     (warm, path)
 }
 
-/// A load installs every mapped entry demoted and rebuilds none, and the
-/// restored sweep, served from the file's moments, rebuilds none either.
+/// A load installs every mapped entry as a recipe record and rebuilds
+/// none, and the restored sweep, served from the file's moments, rebuilds
+/// none either.
 #[test]
 fn a_restore_and_the_restored_sweep_rebuild_nothing() {
     let src = figure2_coarse_sql(0.05);
@@ -703,8 +807,8 @@ fn a_restore_and_the_restored_sweep_rebuild_nothing() {
     assert_eq!(report.metrics.points_cached, 3_969);
     let stats = cold.basis_stats("figure2").unwrap();
     assert_eq!(
-        (stats.rematerializations, stats.demotions, stats.evictions),
-        (0, 0, 0)
+        (stats.rematerializations, stats.resident, stats.evictions),
+        (0, 57, 0)
     );
     let _ = fs::remove_file(&path);
 }
@@ -720,7 +824,7 @@ fn restored_moments_are_the_kernels_bits_of_the_rebuilt_samples() {
         let cold = service_on(&src, ROOMY, tier);
         cold.load_basis("figure2", &path).unwrap();
         let store = cold.engine("figure2").unwrap().basis_store().clone();
-        let mut demoted = 0;
+        let mut recipes = 0;
         for point in store.points() {
             let TryClaim::Ready { samples: entry, .. } = store.try_claim_stored(&point, 8) else {
                 panic!("{tier:?}: {point} is stored");
@@ -734,7 +838,7 @@ fn restored_moments_are_the_kernels_bits_of_the_rebuilt_samples() {
             };
             assert!(
                 entry.resident().is_none(),
-                "{tier:?}: {point} arrives demoted"
+                "{tier:?}: {point} arrives as a recipe record"
             );
             let want = ColumnMoments::of(&entry.materialize(&point));
             assert_eq!(moments.columns(), want.columns(), "{tier:?}: {point}");
@@ -745,19 +849,18 @@ fn restored_moments_are_the_kernels_bits_of_the_rebuilt_samples() {
                 };
                 assert_eq!(bits(moments), bits(&want), "{tier:?}: {point} {column}");
             }
-            demoted += 1;
+            recipes += 1;
         }
-        assert_eq!(demoted, 3_912, "{tier:?}");
+        assert_eq!(recipes, 3_912, "{tier:?}");
         let rebuilt = cold.basis_stats("figure2").unwrap().rematerializations;
-        assert_eq!(rebuilt, demoted, "{tier:?}: one rebuild per samples read");
+        assert_eq!(rebuilt, recipes, "{tier:?}: one rebuild per samples read");
     }
     let _ = fs::remove_file(&path);
 }
 
 /// A tight store (64 full-depth records) and its restored twin — whose
-/// mapped entries arrive demoted, where the writer still held some of
-/// theirs — run the same further sweep: identical answers, outcomes and
-/// evictions.
+/// mapped entries arrive as the recipe records the writer held — run the
+/// same further sweep: identical answers, outcomes and evictions.
 #[test]
 fn a_restored_tight_store_evicts_like_the_store_that_wrote_it() {
     let src = figure2_coarse_sql(0.05);

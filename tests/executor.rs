@@ -13,7 +13,7 @@ use std::sync::{Arc, Barrier};
 
 use fuzzy_prophet::prelude::*;
 use prophet_fingerprint::{CorrelationDetector, Fingerprint};
-use prophet_mc::{SharedBasisStore, TryClaim};
+use prophet_mc::{ColumnSamples, SharedBasisStore, TryClaim};
 use prophet_models::demo_registry;
 
 fn figure2_service(worlds: usize, threads: usize) -> Prophet {
@@ -508,9 +508,12 @@ fn prefetch_drain_and_refresh_go_through_the_executor() {
     assert!(m.batch_probes > 0, "session work went through the planner");
 }
 
-/// Samples travel by reference count: what a caller gets back *is* the
-/// store's entry (simulated, mapped or cached, blocking or scheduled),
-/// and growing such a set copies on write instead of writing through.
+/// Samples travel by reference count: what a caller gets back for a
+/// simulated point *is* the store's entry (first reply or cached,
+/// blocking or scheduled), and growing such a set copies on write instead
+/// of writing through. A mapped point's first reply holds the remap's own
+/// samples, and the store files a recipe record: a later cached read
+/// rebuilds the same bits, and counts one rebuild.
 #[test]
 fn results_share_samples_with_the_store_and_absorb_copies_on_write() {
     let prophet = figure2_service(40, 2);
@@ -526,7 +529,20 @@ fn results_share_samples_with_the_store_and_absorb_copies_on_write() {
     assert!(Arc::ptr_eq(simulated.shared_samples(), &entry(&warm)));
     let (mapped, outcome) = engine.evaluate(&mappable).unwrap();
     assert!(matches!(outcome, EvalOutcome::Mapped { .. }), "{outcome:?}");
-    assert!(Arc::ptr_eq(mapped.shared_samples(), &entry(&mappable)));
+    let rebuilds = || store.stats_snapshot().rematerializations;
+    let bits = |samples: &ColumnSamples| {
+        let mut bits: Vec<(String, Vec<u64>)> = (samples.iter())
+            .map(|(c, xs)| (c.clone(), xs.iter().map(|x| x.to_bits()).collect()))
+            .collect();
+        bits.sort();
+        bits
+    };
+    let first = Arc::clone(mapped.shared_samples());
+    assert_eq!(rebuilds(), 0, "the first reply is the remap's output");
+    let rebuilt = entry(&mappable);
+    assert!(!Arc::ptr_eq(&first, &rebuilt), "the store keeps a recipe");
+    assert_eq!(bits(&rebuilt), bits(&first), "the published bits");
+    assert_eq!(rebuilds(), 1);
 
     // The scheduled pipeline: two cached points and a fresh simulation.
     let results = prophet
@@ -543,7 +559,13 @@ fn results_share_samples_with_the_store_and_absorb_copies_on_write() {
     assert_eq!(results[1].1, EvalOutcome::Cached);
     assert_eq!(results[2].1, EvalOutcome::Simulated);
     for (point, (set, _)) in [&warm, &mappable, &far].into_iter().zip(&results) {
-        assert!(Arc::ptr_eq(set.shared_samples(), &entry(point)), "{point}");
+        if point == &mappable {
+            let before = rebuilds();
+            assert_eq!(bits(set.shared_samples()), bits(&first), "{point}");
+            assert_eq!(rebuilds(), before + 1, "{point}: one rebuild");
+        } else {
+            assert!(Arc::ptr_eq(set.shared_samples(), &entry(point)), "{point}");
+        }
     }
 
     // Growing a cached set must not grow the store's entry under it.
