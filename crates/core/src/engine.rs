@@ -1170,9 +1170,8 @@ mod tests {
             assert_eq!(walked, probed);
             whole.probe_select = whole.script.select.clone();
 
-            let mut guide = prophet_mc::guide::GridGuide::new(&scenario.script().params);
-            let stride = guide.total().div_ceil(12);
-            let grid = std::iter::from_fn(|| prophet_mc::guide::Guide::next_point(&mut guide));
+            let stride = scenario.parameter_space_size().div_ceil(12);
+            let grid = prophet_mc::guide::GridGuide::new(&scenario.script().params);
             for p in grid.step_by(stride) {
                 let bits = probe_bits(&pruned, &p);
                 assert_eq!(bits, probe_bits(&whole, &p), "{p}");

@@ -61,7 +61,7 @@
 //!                                 ▼                         ▼
 //!                        ┌────────────────┐        ┌────────────────┐
 //!                        │ OnlineSession  │  ····  │ OfflineOptimizer│
-//!                        │ (Guide plug-in)│        │ (grid sweep)   │
+//!                        │ (prefetch FIFO)│        │ (grid sweep)   │
 //!                        └───────┬────────┘        └───────┬────────┘
 //!                                ▼     per-session Engine  ▼
 //!        ┌──────────┐  instances   ┌──────────────────┐  pure TSQL  ┌────────────┐
@@ -231,6 +231,5 @@ pub mod prelude {
     pub use crate::trace::{
         LatencyHistogram, TraceConfig, TraceEvent, TraceEventKind, TraceTelemetry, Tracer,
     };
-    pub use prophet_mc::guide::{Guide, GuideFactory};
     pub use prophet_mc::{ParamPoint, SharedBasisStore, SnapshotError, StoreStatsSnapshot};
 }

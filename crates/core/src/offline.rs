@@ -35,7 +35,7 @@ use std::cmp::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
-use prophet_mc::guide::{GridGuide, Guide};
+use prophet_mc::guide::GridGuide;
 use prophet_mc::{ParamPoint, SampleSet};
 use prophet_sql::ast::{AggMetric, ObjectiveDirection, OptimizeSpec, OuterAgg, ParameterDecl};
 use prophet_sql::Script;
@@ -145,8 +145,7 @@ impl SweepPlan {
 
     /// Every group point, in the canonical row-major sweep order.
     fn groups(&self) -> Vec<ParamPoint> {
-        let mut guide = GridGuide::new(&self.group_decls);
-        std::iter::from_fn(|| guide.next_point()).collect()
+        GridGuide::new(&self.group_decls).collect()
     }
 
     /// One group's full evaluation batch: the axis grid bound onto the
@@ -154,9 +153,8 @@ impl SweepPlan {
     /// into a clone of the batch's first, so the batch shares one set of
     /// parameter names.
     fn group_points(&self, group: &ParamPoint) -> Vec<ParamPoint> {
-        let mut axis = GridGuide::new(&self.axis_decls);
         let mut full = group.clone();
-        std::iter::from_fn(|| axis.next_point())
+        GridGuide::new(&self.axis_decls)
             .map(|axis_point| {
                 for (name, value) in axis_point.iter() {
                     full.set(name, value);

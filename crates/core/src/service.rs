@@ -29,12 +29,10 @@
 //! assert_eq!(report.weeks_simulated, 0);
 //! ```
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use prophet_mc::guide::{Guide, GuideFactory, PriorityGuide};
-use prophet_mc::{ParamPoint, SharedBasisStore, SnapshotError, StoreStatsSnapshot};
-use prophet_sql::ast::ParameterDecl;
+use prophet_mc::{SharedBasisStore, SnapshotError, StoreStatsSnapshot};
 use prophet_vg::VgRegistry;
 
 use crate::engine::{provenance, Engine, EngineConfig};
@@ -44,18 +42,8 @@ use crate::obs::TelemetrySnapshot;
 use crate::offline::{OfflineOptimizer, SweepPlan};
 use crate::scenario::Scenario;
 use crate::scheduler::{Scheduler, SchedulerConfig};
-use crate::session::OnlineSession;
+use crate::session::{GraphPlan, OnlineSession};
 use crate::trace::{TraceConfig, TraceEvent};
-
-/// The default exploration strategy: [`PriorityGuide`] with neighbour
-/// prefetch, as the paper's online mode describes.
-struct PriorityGuideFactory;
-
-impl GuideFactory for PriorityGuideFactory {
-    fn build(&self, decls: &[ParameterDecl]) -> Box<dyn Guide + Send> {
-        Box::new(PriorityGuide::new(decls))
-    }
-}
 
 /// One registered scenario plus its cross-session shared state.
 struct Slot {
@@ -68,7 +56,6 @@ pub struct ProphetBuilder {
     scenarios: Vec<(String, Scenario)>,
     registry: Option<Arc<VgRegistry>>,
     config: EngineConfig,
-    guide_factory: Arc<dyn GuideFactory>,
     scheduler: SchedulerConfig,
 }
 
@@ -90,7 +77,6 @@ impl ProphetBuilder {
             scenarios: Vec::new(),
             registry: None,
             config: EngineConfig::default(),
-            guide_factory: Arc::new(PriorityGuideFactory),
             scheduler: SchedulerConfig::default(),
         }
     }
@@ -145,15 +131,6 @@ impl ProphetBuilder {
         self
     }
 
-    /// Plug in an exploration strategy: the factory builds one fresh
-    /// [`Guide`] per online session (guides are stateful and
-    /// session-local). Defaults to the paper's priority queue with
-    /// neighbour prefetch.
-    pub fn exploration(mut self, factory: impl GuideFactory + 'static) -> Self {
-        self.guide_factory = Arc::new(factory);
-        self
-    }
-
     /// Validate and assemble the service.
     pub fn build(self) -> ProphetResult<Prophet> {
         self.config.validate()?;
@@ -178,7 +155,7 @@ impl ProphetBuilder {
         // Stores share the pool's recorder so claim/wait/publish/evict
         // markers and in-flight wait latencies land in the same trace as
         // the scheduler events.
-        let mut slots: HashMap<String, Slot> = HashMap::with_capacity(self.scenarios.len());
+        let mut slots = BTreeMap::new();
         for (name, scenario) in self.scenarios {
             if slots.contains_key(&name) {
                 return Err(ProphetError::DuplicateScenario { name });
@@ -191,7 +168,6 @@ impl ProphetBuilder {
         Ok(Prophet {
             registry,
             config: self.config,
-            guide_factory: self.guide_factory,
             slots,
             scheduler,
         })
@@ -207,8 +183,8 @@ impl ProphetBuilder {
 pub struct Prophet {
     registry: Arc<VgRegistry>,
     config: EngineConfig,
-    guide_factory: Arc<dyn GuideFactory>,
-    slots: HashMap<String, Slot>,
+    /// By name: every listing of the scenarios comes out sorted.
+    slots: BTreeMap<String, Slot>,
     /// The service's long-lived worker pool: every session refresh,
     /// offline sweep, and [`Prophet::submit`]ted job runs on it as
     /// priority-interleaved chunks.
@@ -232,9 +208,7 @@ impl Prophet {
 
     /// Registered scenario names, sorted.
     pub fn scenario_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.slots.keys().cloned().collect();
-        names.sort();
-        names
+        self.slots.keys().cloned().collect()
     }
 
     /// The registered scenario behind `name`.
@@ -256,12 +230,12 @@ impl Prophet {
     /// session of one scenario shares the same basis store: what one
     /// simulates, the others re-map or serve from cache. The session's
     /// refreshes run as high-priority jobs on the service scheduler, its
-    /// idle prefetches as low-priority ones.
+    /// idle prefetches — the domain neighbours of the slider last
+    /// touched, first in first out — as low-priority ones.
     pub fn online(&self, name: &str) -> ProphetResult<OnlineSession> {
         let slot = self.slot(name)?;
         let engine = Arc::new(self.engine_for(slot)?);
-        let guide = self.guide_factory.build(&slot.scenario.script().params);
-        OnlineSession::open_scheduled(engine, guide, Arc::clone(&self.scheduler))
+        OnlineSession::open_scheduled(engine, Arc::clone(&self.scheduler))
     }
 
     /// Open an offline optimizer on a named scenario, sharing the same
@@ -302,7 +276,8 @@ impl Prophet {
                 ref sliders,
             } => {
                 let slot = self.slot(scenario)?;
-                let points = self.refresh_points(slot, sliders)?;
+                let points =
+                    GraphPlan::from_script(slot.scenario.script())?.refresh_points(sliders)?;
                 let engine = Arc::new(self.engine_for(slot)?);
                 Ok(self.scheduler.submit_batch(engine, points, spec.priority))
             }
@@ -350,64 +325,6 @@ impl Prophet {
         self.scheduler.tracer().events()
     }
 
-    /// Expand a refresh spec into its graph-axis batch, validating the
-    /// sliders exactly as [`OnlineSession::set_param`] would.
-    ///
-    /// [`OnlineSession::set_param`]: crate::session::OnlineSession::set_param
-    fn refresh_points(&self, slot: &Slot, sliders: &ParamPoint) -> ProphetResult<Vec<ParamPoint>> {
-        let script = slot.scenario.script();
-        let graph = script
-            .graph
-            .clone()
-            .ok_or(ProphetError::MissingGraphDirective)?;
-        let slider_names: Vec<String> = script
-            .params
-            .iter()
-            .filter(|p| p.name != graph.x_param)
-            .map(|p| p.name.clone())
-            .collect();
-        let mut full = ParamPoint::new();
-        for (name, value) in sliders.iter() {
-            if name == graph.x_param {
-                return Err(ProphetError::AxisParam {
-                    name: name.to_owned(),
-                });
-            }
-            let decl = script
-                .param(name)
-                .ok_or_else(|| ProphetError::unknown_param(name, slider_names.clone()))?;
-            if !decl.domain.contains(value) {
-                return Err(ProphetError::OutOfDomain {
-                    name: name.to_owned(),
-                    value,
-                });
-            }
-            full.set(name, value);
-        }
-        for name in &slider_names {
-            if full.get(name).is_none() {
-                let mut required = slider_names.clone();
-                required.sort();
-                return Err(ProphetError::MissingSlider {
-                    name: name.clone(),
-                    required,
-                });
-            }
-        }
-        let x_decl = script.param(&graph.x_param).ok_or_else(|| {
-            ProphetError::unknown_param(graph.x_param.clone(), slider_names.clone())
-        })?;
-        Ok(x_decl
-            .domain
-            .values()
-            .into_iter()
-            .map(|x| {
-                full.set(&graph.x_param, x);
-                full.clone()
-            })
-            .collect())
-    }
-
     /// A raw engine on a named scenario's shared store (for batch jobs and
     /// tests that drive [`Engine::evaluate`] directly).
     pub fn engine(&self, name: &str) -> ProphetResult<Engine> {
@@ -431,13 +348,10 @@ impl Prophet {
     /// scenario name — the operator's poll-everything endpoint (no more
     /// iterating [`Prophet::scenario_names`] + [`Prophet::basis_stats`]).
     pub fn basis_stats_all(&self) -> Vec<(String, StoreStatsSnapshot)> {
-        let mut stats: Vec<(String, StoreStatsSnapshot)> = self
-            .slots
+        self.slots
             .iter()
             .map(|(name, slot)| (name.clone(), slot.store.stats_snapshot()))
-            .collect();
-        stats.sort_by(|a, b| a.0.cmp(&b.0));
-        stats
+            .collect()
     }
 
     /// Drop a scenario's shared basis entries (forces cold starts
@@ -493,11 +407,9 @@ impl Prophet {
     }
 
     fn slot(&self, name: &str) -> ProphetResult<&Slot> {
-        self.slots.get(name).ok_or_else(|| {
-            let mut known: Vec<String> = self.slots.keys().cloned().collect();
-            known.sort();
-            ProphetError::unknown_scenario(name, known)
-        })
+        self.slots
+            .get(name)
+            .ok_or_else(|| ProphetError::unknown_scenario(name, self.scenario_names()))
     }
 
     fn engine_for(&self, slot: &Slot) -> ProphetResult<Engine> {
@@ -638,56 +550,6 @@ mod tests {
         assert_eq!(offline.engine().basis_len(), populated);
         p.clear_basis("figure2").unwrap();
         assert_eq!(offline.engine().basis_len(), 0);
-    }
-
-    #[test]
-    fn exploration_strategy_is_pluggable() {
-        struct Inert;
-        impl Guide for Inert {
-            fn next_point(&mut self) -> Option<ParamPoint> {
-                None
-            }
-        }
-        struct InertFactory;
-        impl GuideFactory for InertFactory {
-            fn build(&self, _: &[ParameterDecl]) -> Box<dyn Guide + Send> {
-                Box::new(Inert)
-            }
-        }
-        let p = Prophet::builder()
-            .scenario("figure2", Scenario::figure2().unwrap())
-            .registry(demo_registry())
-            .worlds_per_point(8)
-            .exploration(InertFactory)
-            .build()
-            .unwrap();
-        let mut s = p.online("figure2").unwrap();
-        s.set_param("purchase2", 36).unwrap();
-        assert_eq!(
-            s.prefetch_tick(8).unwrap(),
-            0,
-            "inert strategy queues nothing"
-        );
-    }
-
-    #[test]
-    fn closures_work_as_guide_factories() {
-        let p = Prophet::builder()
-            .scenario("figure2", Scenario::figure2().unwrap())
-            .registry(demo_registry())
-            .worlds_per_point(8)
-            .exploration(|decls: &[ParameterDecl]| {
-                Box::new(PriorityGuide::new(decls)) as Box<dyn Guide + Send>
-            })
-            .build()
-            .unwrap();
-        let mut s = p.online("figure2").unwrap();
-        s.set_param("purchase2", 36).unwrap();
-        assert_eq!(
-            s.prefetch_tick(8).unwrap(),
-            2,
-            "closure built a real PriorityGuide"
-        );
     }
 
     #[test]

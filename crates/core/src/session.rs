@@ -16,14 +16,19 @@
 //! [`Prophet::online`](crate::service::Prophet::online), which wires every
 //! session of a scenario onto one shared basis store — what one session
 //! simulates, another re-maps.
+//!
+//! The graph's *plan* — slider validation, default sliders, and the
+//! expansion of one slider setting across the `GRAPH OVER` axis — lives
+//! in the crate-internal `GraphPlan`, which the session and the service's
+//! refresh job share.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use prophet_mc::guide::{Guide, PriorityGuide};
+use prophet_mc::guide::PriorityGuide;
 use prophet_mc::{ColumnSamples, ParamPoint, SampleSet, SampleStats, Series, TryClaim};
-use prophet_sql::ast::GraphDirective;
+use prophet_sql::ast::{GraphDirective, ParameterDecl};
+use prophet_sql::Script;
 
 use crate::engine::{Engine, EvalOutcome};
 use crate::error::{ProphetError, ProphetResult};
@@ -78,14 +83,125 @@ pub struct ProgressiveEstimate {
     pub converged: bool,
 }
 
-/// An interactive what-if session over one scenario.
-pub struct OnlineSession {
-    engine: Arc<Engine>,
+/// The declarative shape of one online graph: the `GRAPH OVER` directive,
+/// the axis values, and the slider declarations (every parameter but the
+/// axis). Built once from a script; [`OnlineSession`] and the service's
+/// refresh job validate sliders and expand them into graph batches
+/// through it, so both reject the same sliders the same way and evaluate
+/// the same points.
+#[derive(Debug)]
+pub(crate) struct GraphPlan {
     graph: GraphDirective,
     x_values: Vec<i64>,
+    sliders: Vec<ParameterDecl>,
+}
+
+impl GraphPlan {
+    /// Extract the plan from a script; the script must carry a
+    /// `GRAPH OVER` directive.
+    pub(crate) fn from_script(script: &Script) -> ProphetResult<Self> {
+        let graph = script
+            .graph
+            .clone()
+            .ok_or(ProphetError::MissingGraphDirective)?;
+        let x_values = script
+            .param(&graph.x_param)
+            .expect("invariant: the parser rejects GRAPH OVER an undeclared parameter")
+            .domain
+            .values();
+        let sliders = script
+            .params
+            .iter()
+            .filter(|p| p.name != graph.x_param)
+            .cloned()
+            .collect();
+        Ok(GraphPlan {
+            graph,
+            x_values,
+            sliders,
+        })
+    }
+
+    /// Every slider at its domain minimum.
+    fn default_sliders(&self) -> ParamPoint {
+        self.sliders
+            .iter()
+            .map(|p| (p.name.clone(), p.domain.values()[0]))
+            .collect()
+    }
+
+    /// Names of the sliders, sorted.
+    fn slider_names(&self) -> Vec<String> {
+        let mut names: Vec<String> = self.sliders.iter().map(|p| p.name.clone()).collect();
+        names.sort();
+        names
+    }
+
+    /// Check one slider value: the graph axis yields
+    /// [`ProphetError::AxisParam`], an undeclared name
+    /// [`ProphetError::UnknownParam`] listing the sliders, and an off-grid
+    /// value [`ProphetError::OutOfDomain`].
+    fn check_slider(&self, name: &str, value: i64) -> ProphetResult<()> {
+        if name == self.graph.x_param {
+            return Err(ProphetError::AxisParam {
+                name: name.to_owned(),
+            });
+        }
+        let decl = self
+            .sliders
+            .iter()
+            .find(|p| p.name == name)
+            .ok_or_else(|| ProphetError::unknown_param(name, self.slider_names()))?;
+        if !decl.domain.contains(value) {
+            return Err(ProphetError::OutOfDomain {
+                name: name.to_owned(),
+                value,
+            });
+        }
+        Ok(())
+    }
+
+    /// The graph batch for a refresh job's sliders: every value checked
+    /// as [`GraphPlan::check_slider`] does, and every slider present
+    /// ([`ProphetError::MissingSlider`] otherwise).
+    pub(crate) fn refresh_points(&self, sliders: &ParamPoint) -> ProphetResult<Vec<ParamPoint>> {
+        for (name, value) in sliders.iter() {
+            self.check_slider(name, value)?;
+        }
+        if let Some(missing) = self.sliders.iter().find(|p| sliders.get(&p.name).is_none()) {
+            return Err(ProphetError::MissingSlider {
+                name: missing.name.clone(),
+                required: self.slider_names(),
+            });
+        }
+        Ok(self.points(sliders))
+    }
+
+    /// One point per axis value at `sliders`, in axis order. Every point
+    /// is stamped into one clone of `sliders`, so the batch shares its
+    /// parameter names.
+    fn points(&self, sliders: &ParamPoint) -> Vec<ParamPoint> {
+        let mut point = sliders.clone();
+        self.x_values
+            .iter()
+            .map(|&x| {
+                point.set(&self.graph.x_param, x);
+                point.clone()
+            })
+            .collect()
+    }
+}
+
+/// An interactive what-if session over one scenario: sliders, the graph
+/// over the `GRAPH OVER` axis at those sliders, and the paper's one
+/// prefetch policy — a FIFO queue of the domain neighbours of the slider
+/// last touched, drained by [`OnlineSession::prefetch_tick`].
+pub struct OnlineSession {
+    engine: Arc<Engine>,
+    plan: GraphPlan,
     sliders: ParamPoint,
     series: Vec<Series>,
-    guide: Box<dyn Guide + Send>,
+    guide: PriorityGuide,
     adjustments: u64,
     /// Present when opened through a [`Prophet`](crate::service::Prophet):
     /// refreshes and prefetches then execute as submitted jobs on the
@@ -106,20 +222,11 @@ impl std::fmt::Debug for OnlineSession {
 }
 
 impl OnlineSession {
-    /// Open a session over an already-built engine, using the default
-    /// [`PriorityGuide`] prefetch policy. The scenario must carry a
-    /// `GRAPH OVER` directive; sliders for every non-axis parameter start
-    /// at their domain minimum.
+    /// Open a session over an already-built engine; its work runs on the
+    /// caller's thread. The scenario must carry a `GRAPH OVER` directive;
+    /// sliders for every non-axis parameter start at their domain minimum.
     pub fn open(engine: Engine) -> ProphetResult<Self> {
-        let guide = Box::new(PriorityGuide::new(&engine.script().params));
-        OnlineSession::open_with_guide(engine, guide)
-    }
-
-    /// Open a session with an explicit exploration strategy — the
-    /// [`Prophet`](crate::service::Prophet) builder's `.exploration(…)`
-    /// hook lands here.
-    pub fn open_with_guide(engine: Engine, guide: Box<dyn Guide + Send>) -> ProphetResult<Self> {
-        OnlineSession::build(Arc::new(engine), guide, None)
+        OnlineSession::build(Arc::new(engine), None)
     }
 
     /// Open over a shared engine, evaluating through the service's
@@ -128,43 +235,19 @@ impl OnlineSession {
     /// [`Prophet::online`]: crate::service::Prophet::online
     pub(crate) fn open_scheduled(
         engine: Arc<Engine>,
-        guide: Box<dyn Guide + Send>,
         scheduler: Arc<Scheduler>,
     ) -> ProphetResult<Self> {
-        OnlineSession::build(engine, guide, Some(scheduler))
+        OnlineSession::build(engine, Some(scheduler))
     }
 
-    fn build(
-        engine: Arc<Engine>,
-        guide: Box<dyn Guide + Send>,
-        scheduler: Option<Arc<Scheduler>>,
-    ) -> ProphetResult<Self> {
-        let script = engine.script();
-        let graph = script
-            .graph
-            .clone()
-            .ok_or(ProphetError::MissingGraphDirective)?;
-        let x_decl = script.param(&graph.x_param).ok_or_else(|| {
-            ProphetError::unknown_param(
-                graph.x_param.clone(),
-                script.params.iter().map(|p| p.name.clone()).collect(),
-            )
-        })?;
-        let x_values = x_decl.domain.values();
-        let mut sliders = ParamPoint::new();
-        for p in &script.params {
-            if p.name != graph.x_param {
-                sliders.set(&p.name, p.domain.values()[0]);
-            }
-        }
-        let series = graph.series.iter().map(Series::new).collect();
+    fn build(engine: Arc<Engine>, scheduler: Option<Arc<Scheduler>>) -> ProphetResult<Self> {
+        let plan = GraphPlan::from_script(engine.script())?;
         Ok(OnlineSession {
+            sliders: plan.default_sliders(),
+            series: plan.graph.series.iter().map(Series::new).collect(),
+            guide: PriorityGuide::new(&plan.sliders),
+            plan,
             engine,
-            graph,
-            x_values,
-            sliders,
-            series,
-            guide,
             adjustments: 0,
             scheduler,
         })
@@ -197,7 +280,7 @@ impl OnlineSession {
     /// Names of the adjustable parameters (everything but the graph axis),
     /// sorted.
     pub fn slider_names(&self) -> Vec<String> {
-        self.sliders.iter().map(|(n, _)| n.to_owned()).collect()
+        self.plan.slider_names()
     }
 
     /// The plotted series (column order follows the GRAPH directive).
@@ -231,30 +314,18 @@ impl OnlineSession {
     ///
     /// Unknown names yield [`ProphetError::UnknownParam`] listing the valid
     /// sliders; the graph axis yields [`ProphetError::AxisParam`]; off-grid
-    /// values yield [`ProphetError::OutOfDomain`].
+    /// values yield [`ProphetError::OutOfDomain`]. The slider, the
+    /// adjustment count and the graph change only when the refresh
+    /// succeeds: after an `Err` the session is as it was before the call.
     pub fn set_param(&mut self, name: &str, value: i64) -> ProphetResult<AdjustReport> {
-        if name == self.graph.x_param {
-            return Err(ProphetError::AxisParam {
-                name: name.to_owned(),
-            });
-        }
-        let decl = self
-            .engine
-            .script()
-            .param(name)
-            .ok_or_else(|| ProphetError::unknown_param(name, self.slider_names()))?;
-        if !decl.domain.contains(value) {
-            return Err(ProphetError::OutOfDomain {
-                name: name.to_owned(),
-                value,
-            });
-        }
-        self.sliders.set(name, value);
+        self.plan.check_slider(name, value)?;
+        let sliders = self.sliders.with(name, value);
+        let report = self.render(&sliders)?;
+        self.sliders = sliders;
         self.adjustments += 1;
-        let report = self.refresh()?;
-        // Anticipate the user's next move (paper §3.2) — the pluggable
-        // strategy decides what, if anything, to queue.
-        self.guide.observe_adjustment(&self.sliders, name);
+        // Anticipate the user's next move (paper §3.2): the touched
+        // slider's domain neighbours are the likeliest next adjustments.
+        self.guide.prefetch_neighbours(&self.sliders, name);
         Ok(report)
     }
 
@@ -266,26 +337,23 @@ impl OnlineSession {
     /// work interleaves with, and overtakes, lower-priority jobs instead
     /// of queueing behind them.
     pub fn refresh(&mut self) -> ProphetResult<AdjustReport> {
+        let sliders = self.sliders.clone();
+        self.render(&sliders)
+    }
+
+    /// Evaluate the graph at `sliders` and, only if every point evaluated,
+    /// replace the series with it.
+    fn render(&mut self, sliders: &ParamPoint) -> ProphetResult<AdjustReport> {
         let start = Stopwatch::start();
         let mut report = AdjustReport {
-            weeks_total: self.x_values.len(),
+            weeks_total: self.plan.x_values.len(),
             weeks_simulated: 0,
             weeks_mapped: 0,
             weeks_cached: 0,
             wall: Duration::ZERO,
         };
-        // Stamped into one point, so the batch shares its parameter names.
-        let mut point = self.sliders.clone();
-        let points: Vec<ParamPoint> = self
-            .x_values
-            .iter()
-            .map(|&x| {
-                point.set(&self.graph.x_param, x);
-                point.clone()
-            })
-            .collect();
-        let results = self.evaluate_points(points, Priority::High)?;
-        for (&x, (samples, outcome)) in self.x_values.iter().zip(&results) {
+        let results = self.evaluate_points(self.plan.points(sliders), Priority::High)?;
+        for (&x, (samples, outcome)) in self.plan.x_values.iter().zip(&results) {
             match outcome {
                 EvalOutcome::Cached => report.weeks_cached += 1,
                 EvalOutcome::Mapped { .. } => report.weeks_mapped += 1,
@@ -300,8 +368,8 @@ impl OnlineSession {
     }
 
     /// Donate idle time: evaluate up to `budget` proactively queued points
-    /// (slider-neighbourhood prefetch under the default strategy). Returns
-    /// how many were evaluated.
+    /// (slider neighbours, and points a progressive estimate left below
+    /// full depth). Returns how many were evaluated.
     ///
     /// The drained points expand across every week of the graph axis and
     /// go through as one batch, so anticipatory work gets the same batched
@@ -322,13 +390,7 @@ impl OnlineSession {
         }
         // Prefetched points cover the whole graph for that slider setting,
         // so warm every week of the axis.
-        let mut batch = Vec::with_capacity(drained.len() * self.x_values.len());
-        for mut point in drained.iter().cloned() {
-            for &x in &self.x_values {
-                point.set(&self.graph.x_param, x);
-                batch.push(point.clone());
-            }
-        }
+        let batch = drained.iter().flat_map(|p| self.plan.points(p)).collect();
         self.evaluate_points(batch, Priority::Low)?;
         Ok(drained.len())
     }
@@ -349,10 +411,8 @@ impl OnlineSession {
     /// soon as the criterion holds, instead of blocking on the whole
     /// `worlds_per_point` budget up front. Whatever was simulated is published to the shared basis
     /// store — partial progress is observable, not discarded — and a
-    /// point left below full depth is handed back to the guide
-    /// ([`Guide::observe_partial`]), so its `pending` queue reflects the
-    /// remaining work and an idle-time [`OnlineSession::prefetch_tick`]
-    /// deepens the point later.
+    /// point left below full depth joins the prefetch queue, so an
+    /// idle-time [`OnlineSession::prefetch_tick`] deepens it later.
     pub fn progressive_expect(
         &mut self,
         column: &str,
@@ -369,7 +429,7 @@ impl OnlineSession {
                 engine.output_columns().to_vec(),
             ));
         }
-        let point = self.sliders.with(&self.graph.x_param, x);
+        let point = self.sliders.with(&self.plan.graph.x_param, x);
         let worlds_full = engine.config().worlds_per_point;
         let store = engine.basis_store();
 
@@ -474,9 +534,9 @@ impl OnlineSession {
         engine.publish_simulated(&point, guard, probes, samples, done);
         engine.bump(|m| m.sim_nanos += phase.elapsed_nanos());
         if done < worlds_full {
-            // The point stopped below full depth: queue the remainder with
-            // the guide so idle time can finish it.
-            self.guide.observe_partial(&point);
+            // The point stopped below full depth: queue it as a prefetch
+            // so idle time can finish it.
+            self.guide.enqueue_prefetch(point);
         }
         Ok(ProgressiveEstimate {
             estimate,
@@ -485,14 +545,6 @@ impl OnlineSession {
             used_basis: false,
             converged,
         })
-    }
-
-    /// Map of current parameter values (for display).
-    pub fn parameter_state(&self) -> HashMap<String, i64> {
-        self.sliders
-            .iter()
-            .map(|(n, v)| (n.to_owned(), v))
-            .collect()
     }
 }
 
@@ -656,30 +708,6 @@ mod tests {
         // value re-renders nothing
         let r = s.set_param("purchase2", 40).unwrap();
         assert_eq!(r.weeks_simulated, 0, "{r:?}");
-    }
-
-    #[test]
-    fn custom_guide_strategy_replaces_prefetch_policy() {
-        /// A strategy that never prefetches anything.
-        struct NoPrefetch;
-        impl Guide for NoPrefetch {
-            fn next_point(&mut self) -> Option<ParamPoint> {
-                None
-            }
-        }
-        let scenario = Scenario::figure2().unwrap();
-        let engine = Engine::new(
-            &scenario,
-            demo_registry(),
-            EngineConfig {
-                worlds_per_point: 8,
-                ..EngineConfig::default()
-            },
-        )
-        .unwrap();
-        let mut s = OnlineSession::open_with_guide(engine, Box::new(NoPrefetch)).unwrap();
-        s.set_param("purchase2", 36).unwrap();
-        assert_eq!(s.prefetch_tick(8).unwrap(), 0, "NoPrefetch queues nothing");
     }
 
     #[test]

@@ -1,14 +1,16 @@
-//! The Guide: strategies that produce the sequence of instances to simulate.
+//! The Guide: the two sources of instances to simulate.
 //!
 //! "The Guide component directs scenario evaluation by producing a sequence
 //! of instances, each representing a concrete valuation for each parameter
-//! and model variable in the scenario" (§2). Two strategies:
+//! and model variable in the scenario" (§2). Each mode has one:
 //!
-//! * [`GridGuide`] — exhaustive cartesian sweep (offline mode),
-//! * [`PriorityGuide`] — the prefetch queue used by online mode: the
-//!   paper's *proactive exploration* ("which values are proactively being
-//!   explored anticipating their future usage", §3.2) enqueues the
-//!   neighbourhood of recent requests for idle time. User requests never
+//! * [`GridGuide`] — the exhaustive cartesian sweep of offline mode, an
+//!   [`Iterator`] over the grid's points;
+//! * [`PriorityGuide`] — online mode's one prefetch queue: the paper's
+//!   *proactive exploration* ("which values are proactively being
+//!   explored anticipating their future usage", §3.2) queues the domain
+//!   neighbours of the slider the user last touched, first in first out,
+//!   for idle time. There is no pluggable strategy. User requests never
 //!   pass through it: the scheduler runs them as high-priority jobs ahead
 //!   of every prefetch.
 
@@ -17,57 +19,6 @@ use std::collections::{HashSet, VecDeque};
 use prophet_sql::ast::ParameterDecl;
 
 use crate::instance::ParamPoint;
-
-/// A source of parameter points to evaluate next.
-///
-/// The trait is object-safe: online sessions hold a `Box<dyn Guide + Send>`
-/// so the exploration strategy is pluggable (the
-/// `Prophet` builder's `.exploration(…)` hook), not hard-wired to
-/// [`PriorityGuide`].
-pub trait Guide {
-    /// The next point to evaluate, or `None` when the strategy has nothing
-    /// pending.
-    fn next_point(&mut self) -> Option<ParamPoint>;
-
-    /// Notification that the user explicitly requested `point` by adjusting
-    /// the parameter `axis` — the hook anticipatory strategies use to queue
-    /// proactive work (paper §3.2). Default: no-op.
-    fn observe_adjustment(&mut self, point: &ParamPoint, axis: &str) {
-        let _ = (point, axis);
-    }
-
-    /// Number of explicitly queued points waiting to be served. Strategies
-    /// that *generate* rather than queue (grid, random) report 0.
-    fn pending(&self) -> usize {
-        0
-    }
-
-    /// Notification that `point` was evaluated only partially (a
-    /// progressive estimate converged — or its budget ran out — below the
-    /// configured world depth): the remaining work is real and should not
-    /// be silently discarded. Queueing strategies re-queue the point so
-    /// idle time (`prefetch_tick`) can finish it; the default is a no-op.
-    fn observe_partial(&mut self, point: &ParamPoint) {
-        let _ = point;
-    }
-}
-
-/// Builds a fresh [`Guide`] for one session over the given parameter
-/// declarations. The `Prophet` service holds one factory and invokes it per
-/// session, since guides are stateful and session-local.
-pub trait GuideFactory: Send + Sync {
-    /// Construct a guide for a scenario's parameters.
-    fn build(&self, decls: &[ParameterDecl]) -> Box<dyn Guide + Send>;
-}
-
-impl<F> GuideFactory for F
-where
-    F: Fn(&[ParameterDecl]) -> Box<dyn Guide + Send> + Send + Sync,
-{
-    fn build(&self, decls: &[ParameterDecl]) -> Box<dyn Guide + Send> {
-        self(decls)
-    }
-}
 
 /// Exhaustive row-major sweep over the cartesian product of all declared
 /// parameter domains. The first declared parameter varies slowest, so runs
@@ -101,15 +52,12 @@ impl GridGuide {
             cursor,
         }
     }
-
-    /// Total number of points in the sweep.
-    pub fn total(&self) -> usize {
-        self.axes.iter().map(Vec::len).product()
-    }
 }
 
-impl Guide for GridGuide {
-    fn next_point(&mut self) -> Option<ParamPoint> {
+impl Iterator for GridGuide {
+    type Item = ParamPoint;
+
+    fn next(&mut self) -> Option<ParamPoint> {
         let cursor = self.cursor.as_mut()?;
         let mut point = self.template.clone();
         for (name, (axis, &i)) in self.names.iter().zip(self.axes.iter().zip(cursor.iter())) {
@@ -132,7 +80,7 @@ impl Guide for GridGuide {
     }
 }
 
-/// Anticipatory exploration for online mode: a FIFO queue of prefetch
+/// Online mode's anticipatory exploration: a FIFO queue of prefetch
 /// points, served in the order they were queued so the schedule is
 /// deterministic. Points are deduplicated: enqueueing a point already
 /// queued is a no-op. Prefetches run at low priority in the scheduler,
@@ -154,7 +102,16 @@ impl PriorityGuide {
         }
     }
 
-    /// Queue a speculative point behind every point already queued.
+    /// The longest-queued point, or `None` when nothing is queued.
+    pub fn next_point(&mut self) -> Option<ParamPoint> {
+        let point = self.queue.pop_front()?;
+        self.queued.remove(&point);
+        Some(point)
+    }
+
+    /// Queue a speculative point behind every point already queued — a
+    /// slider neighbour, or a point a progressive estimate left below
+    /// full world depth, which idle time then deepens.
     pub fn enqueue_prefetch(&mut self, point: ParamPoint) {
         if self.queued.insert(point.clone()) {
             self.queue.push_back(point);
@@ -186,35 +143,6 @@ impl PriorityGuide {
             self.enqueue_prefetch(point.with(axis, v));
         }
     }
-
-    /// Number of points currently queued.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-}
-
-impl Guide for PriorityGuide {
-    fn next_point(&mut self) -> Option<ParamPoint> {
-        let point = self.queue.pop_front()?;
-        self.queued.remove(&point);
-        Some(point)
-    }
-
-    /// Anticipate the user's next move: queue the touched slider's domain
-    /// neighbours for idle-time prefetching (paper §3.2).
-    fn observe_adjustment(&mut self, point: &ParamPoint, axis: &str) {
-        self.prefetch_neighbours(point, axis);
-    }
-
-    fn pending(&self) -> usize {
-        PriorityGuide::pending(self)
-    }
-
-    /// A partially evaluated point is pending work: queue it as a
-    /// prefetch so idle time deepens it to full world depth.
-    fn observe_partial(&mut self, point: &ParamPoint) {
-        self.enqueue_prefetch(point.clone());
-    }
 }
 
 #[cfg(test)]
@@ -241,13 +169,11 @@ mod tests {
 
     #[test]
     fn grid_enumerates_full_product_once() {
-        let mut g = GridGuide::new(&decls());
         let mut seen = HashSet::new();
-        while let Some(p) = g.next_point() {
+        for p in GridGuide::new(&decls()) {
             assert!(seen.insert(p.clone()), "duplicate point {p}");
         }
         assert_eq!(seen.len(), 6);
-        assert_eq!(g.total(), 6);
         for a in 0..=2i64 {
             for b in [10i64, 20] {
                 assert!(seen.contains(&ParamPoint::from_pairs([("a", a), ("b", b)])));
@@ -257,10 +183,8 @@ mod tests {
 
     #[test]
     fn grid_order_is_row_major_and_deterministic() {
-        let mut g1 = GridGuide::new(&decls());
-        let mut g2 = GridGuide::new(&decls());
-        let s1: Vec<ParamPoint> = std::iter::from_fn(|| g1.next_point()).collect();
-        let s2: Vec<ParamPoint> = std::iter::from_fn(|| g2.next_point()).collect();
+        let s1: Vec<ParamPoint> = GridGuide::new(&decls()).collect();
+        let s2: Vec<ParamPoint> = GridGuide::new(&decls()).collect();
         assert_eq!(s1, s2);
         // First parameter declared varies slowest.
         assert_eq!(s1[0], ParamPoint::from_pairs([("a", 0i64), ("b", 10)]));
@@ -271,9 +195,9 @@ mod tests {
     #[test]
     fn every_point_of_a_grid_shares_the_first_points_names() {
         let mut g = GridGuide::new(&decls());
-        let first = g.next_point().unwrap();
+        let first = g.next().unwrap();
         let mut rest = 0;
-        while let Some(p) = g.next_point() {
+        for p in g {
             rest += 1;
             for ((a, _), (b, _)) in first.iter().zip(p.iter()) {
                 assert!(std::ptr::eq(a, b), "{p} allocated `{b}` again");
@@ -285,8 +209,8 @@ mod tests {
     #[test]
     fn grid_with_no_parameters_yields_one_empty_point() {
         let mut g = GridGuide::new(&[]);
-        assert_eq!(g.next_point(), Some(ParamPoint::new()));
-        assert_eq!(g.next_point(), None);
+        assert_eq!(g.next(), Some(ParamPoint::new()));
+        assert_eq!(g.next(), None);
     }
 
     #[test]
@@ -311,7 +235,6 @@ mod tests {
         let p = ParamPoint::from_pairs([("a", 0i64), ("b", 10)]);
         g.enqueue_prefetch(p.clone());
         g.enqueue_prefetch(p.clone());
-        assert_eq!(g.pending(), 1);
         assert_eq!(g.next_point(), Some(p.clone()));
         assert_eq!(g.next_point(), None);
         // after being served, the point may be queued again
@@ -367,21 +290,21 @@ mod tests {
         let mut g = PriorityGuide::new(&ds);
         let earlier = ParamPoint::from_pairs([("a", 2i64), ("b", 20)]);
         let partial = ParamPoint::from_pairs([("a", 1i64), ("b", 10)]);
+        // A progressive estimate's partial point is queued as a prefetch.
         g.enqueue_prefetch(earlier.clone());
-        Guide::observe_partial(&mut g, &partial);
-        assert_eq!(g.pending(), 2, "partial point queued as pending work");
-        Guide::observe_partial(&mut g, &partial);
-        assert_eq!(g.pending(), 2, "a queued partial point is not queued twice");
+        g.enqueue_prefetch(partial.clone());
+        g.enqueue_prefetch(partial.clone());
         assert_eq!(
             g.next_point(),
             Some(earlier),
             "queued behind earlier prefetches"
         );
         assert_eq!(g.next_point(), Some(partial));
-        // The default implementation is a no-op.
-        let mut grid = GridGuide::new(&ds);
-        Guide::observe_partial(&mut grid, &ParamPoint::new());
-        assert_eq!(grid.pending(), 0);
+        assert_eq!(
+            g.next_point(),
+            None,
+            "a queued partial point is not queued twice"
+        );
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! * [`instance`] — [`instance::ParamPoint`]: a concrete valuation for every
 //!   scenario parameter; together with a world id it forms an *instance* (a
 //!   possible world).
-//! * [`guide`] — the **Guide** component: strategies that "direct scenario
-//!   evaluation by producing a sequence of instances" (§2). Exhaustive grid
-//!   sweeps for offline mode, priority-driven exploration with anticipatory
-//!   prefetch for online mode.
+//! * [`guide`] — the **Guide** component, which "directs scenario
+//!   evaluation by producing a sequence of instances" (§2): the exhaustive
+//!   grid sweep of offline mode, and online mode's one FIFO queue of
+//!   slider-neighbour prefetches.
 //! * [`batch`] — the **Query Generator**: batches instances and executes
 //!   them against the `prophet-sql` executor, producing per-column sample
 //!   sets.
@@ -34,7 +34,7 @@ pub mod trace;
 
 pub use aggregate::{ColumnMoments, SampleStats};
 pub use batch::{simulate_point, simulate_point_columnar, simulate_point_columnar_with, SampleSet};
-pub use guide::{GridGuide, Guide, GuideFactory, PriorityGuide};
+pub use guide::{GridGuide, PriorityGuide};
 pub use instance::ParamPoint;
 pub use series::{Series, SeriesPoint};
 pub use store::{

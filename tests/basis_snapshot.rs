@@ -37,7 +37,6 @@ use std::sync::Arc;
 
 use fuzzy_prophet::prelude::*;
 use prophet_data::{DataResult, Value};
-use prophet_mc::guide::Guide;
 use prophet_mc::{
     aggregate, ColumnMoments, GridGuide, SampleSet, SampleStats, SharedBasisStore, TryClaim,
 };
@@ -463,11 +462,9 @@ fn sweep_replies(engine: &Engine, src: &str) -> HashMap<ParamPoint, (SampleSet, 
     let grouped = &scenario.script().optimize.as_ref().unwrap().select_params;
     let (group, axis): (Vec<_>, Vec<_>) =
         (params.iter().cloned()).partition(|p| grouped.contains(&p.name));
-    let mut groups = GridGuide::new(&group);
     let mut replies = HashMap::new();
-    while let Some(mut full) = groups.next_point() {
-        let mut axes = GridGuide::new(&axis);
-        let batch: Vec<ParamPoint> = std::iter::from_fn(|| axes.next_point())
+    for mut full in GridGuide::new(&group) {
+        let batch: Vec<ParamPoint> = GridGuide::new(&axis)
             .map(|a| {
                 for (name, value) in a.iter() {
                     full.set(name, value);
@@ -730,8 +727,7 @@ fn every_reply_kind_answers_with_the_kernels_moments() {
     ];
     for (name, src, registry) in scenarios {
         let scenario = Scenario::parse(&src).unwrap();
-        let mut grid = GridGuide::new(&scenario.script().params);
-        let points: Vec<ParamPoint> = std::iter::from_fn(|| grid.next_point()).take(60).collect();
+        let points: Vec<ParamPoint> = GridGuide::new(&scenario.script().params).take(60).collect();
         let config = EngineConfig {
             worlds_per_point: 64,
             threads: 2,
@@ -926,8 +922,7 @@ fn a_scenario_lacking_a_mapped_column_fails_rebuild_and_leaves_the_store() {
     };
     let figure2 = Scenario::parse(&figure2_coarse_sql(0.05)).unwrap();
     let warm = engine(&figure2);
-    let mut grid = GridGuide::new(&figure2.script().params);
-    let points: Vec<ParamPoint> = std::iter::from_fn(|| grid.next_point()).take(60).collect();
+    let points: Vec<ParamPoint> = GridGuide::new(&figure2.script().params).take(60).collect();
     for batch in points.chunks(10) {
         warm.evaluate_batch(batch).unwrap();
     }
@@ -957,13 +952,14 @@ fn a_scenario_lacking_a_mapped_column_fails_rebuild_and_leaves_the_store() {
 /// `build`, and that service.
 fn small_snapshot(build: impl Fn() -> Prophet, label: &str) -> (Prophet, PathBuf) {
     let warm = build();
-    let mut grid = GridGuide::new(
+    let points: Vec<ParamPoint> = GridGuide::new(
         &Scenario::parse(&figure2_coarse_sql(0.05))
             .unwrap()
             .script()
             .params,
-    );
-    let points: Vec<ParamPoint> = std::iter::from_fn(|| grid.next_point()).take(20).collect();
+    )
+    .take(20)
+    .collect();
     warm.submit(JobSpec::points("figure2", points))
         .unwrap()
         .wait()

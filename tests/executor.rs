@@ -592,11 +592,7 @@ fn results_share_samples_with_the_store_and_absorb_copies_on_write() {
     let mut session = prophet.online("figure2").unwrap();
     let loose = session.progressive_expect("demand", 30, 1e9, 20).unwrap();
     assert_eq!(loose.worlds_used, 20);
-    let point = session
-        .parameter_state()
-        .into_iter()
-        .collect::<ParamPoint>()
-        .with("current", 30);
+    let point = session.sliders().with("current", 30);
     let partial = store.get_exact(&point, 1).expect("partial entry published");
     assert_eq!(partial["demand"].len(), 20);
     let tight = session.progressive_expect("demand", 30, 1e-9, 20).unwrap();

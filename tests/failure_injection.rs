@@ -512,6 +512,53 @@ fn a_vg_error_mid_batch_leaves_both_runners_in_the_same_state() {
 /// attempt, a Poisson rate whose sampler would never return — is a typed
 /// error on both runners (no panic, no hang, no claim left), and the
 /// store then serves the batch's other points.
+/// A failed adjustment changes nothing: on either runner, a `set_param`
+/// whose refresh fails leaves the sliders, the adjustment count and every
+/// series point as they were, and the next good adjustment succeeds.
+#[test]
+fn a_failed_set_param_leaves_the_session_as_it_was() {
+    let src = "DECLARE PARAMETER @w AS RANGE 0 TO 3 STEP BY 1;
+DECLARE PARAMETER @p AS SET (0, 5, 6, 7);
+SELECT Flaky(@p) + @w AS y INTO r;
+GRAPH OVER @w EXPECT y WITH red;";
+    let scenario = Scenario::parse(src).unwrap();
+    let cfg = EngineConfig {
+        worlds_per_point: 8,
+        ..EngineConfig::default()
+    };
+    let prophet = Prophet::builder()
+        .scenario("flaky", scenario.clone())
+        .registry(flaky_registry(7, 0, false))
+        .config(cfg)
+        .build()
+        .unwrap();
+    let inline =
+        OnlineSession::open(Engine::new(&scenario, flaky_registry(7, 0, false), cfg).unwrap())
+            .unwrap();
+    for (runner, mut session) in [
+        ("inline", inline),
+        ("pooled", prophet.online("flaky").unwrap()),
+    ] {
+        session.set_param("p", 5).unwrap();
+        let sliders = session.sliders().clone();
+        let graph = session.graph().to_vec();
+        let adjustments = session.adjustments();
+
+        let err = session.set_param("p", 7).unwrap_err();
+        assert!(
+            err.to_string().contains("Flaky(7) gave out"),
+            "{runner}: {err}"
+        );
+        assert_eq!(session.sliders(), &sliders, "{runner}: sliders moved");
+        assert_eq!(session.adjustments(), adjustments, "{runner}: counted");
+        assert_eq!(session.graph(), graph, "{runner}: series moved");
+
+        session.set_param("p", 6).unwrap();
+        assert_eq!(session.sliders().get("p"), Some(6), "{runner}");
+        assert_eq!(session.adjustments(), adjustments + 1, "{runner}");
+    }
+}
+
 #[test]
 fn out_of_domain_model_arguments_fail_both_runners_alike() {
     // (label, script, the bad value of its first parameter, error text).
@@ -558,8 +605,8 @@ fn out_of_domain_model_arguments_fail_both_runners_alike() {
     ];
     for (label, src, bad, expect_error) in table {
         let scenario = Scenario::parse(src).unwrap();
-        let mut guide = prophet_mc::guide::GridGuide::new(&scenario.script().params);
-        let batch: Vec<ParamPoint> = std::iter::from_fn(|| guide.next_point()).collect();
+        let batch: Vec<ParamPoint> =
+            prophet_mc::guide::GridGuide::new(&scenario.script().params).collect();
         let first = scenario.script().params[0].name.clone();
         assert_eq!(batch.len(), 4, "{label}");
         for tier in [ExecTier::Columnar, ExecTier::Scalar] {

@@ -22,7 +22,6 @@
 use std::collections::HashMap;
 
 use fuzzy_prophet::prelude::*;
-use prophet_mc::guide::Guide;
 use prophet_mc::{GridGuide, SampleStats};
 use prophet_models::scenarios::{
     figure2_coarse_sql, INVENTORY_POLICY, PRICING_WHATIF, SUPPORT_STAFFING,
@@ -225,8 +224,7 @@ fn bundled_point_batches() -> Vec<(&'static str, String, Reg, usize)> {
 fn scheduled_point_batches_are_bit_identical_across_all_bundled_scenarios() {
     for (name, src, reg, count) in bundled_point_batches() {
         let scenario = Scenario::parse(&src).unwrap();
-        let mut grid = GridGuide::new(&scenario.script().params);
-        let points: Vec<ParamPoint> = std::iter::from_fn(|| grid.next_point())
+        let points: Vec<ParamPoint> = GridGuide::new(&scenario.script().params)
             .take(count)
             .collect();
         let cfg = config(8);
@@ -561,8 +559,7 @@ fn events_stream_chunks_in_order_then_the_final_answer() {
     let src = PRICING_WHATIF;
     let prophet = service("pricing", src, Reg::Full, config(6), 2, 3);
     let scenario = prophet.scenario("pricing").unwrap().clone();
-    let mut grid = GridGuide::new(&scenario.script().params);
-    let points: Vec<ParamPoint> = std::iter::from_fn(|| grid.next_point()).take(10).collect();
+    let points: Vec<ParamPoint> = GridGuide::new(&scenario.script().params).take(10).collect();
 
     let handle = prophet
         .submit(JobSpec::points("pricing", points.clone()))
@@ -641,19 +638,51 @@ GRAPH OVER @w EXPECT y WITH red;",
         prophet.submit(JobSpec::refresh("no-graph", ParamPoint::new())),
         Err(ProphetError::MissingGraphDirective)
     ));
-    // Axis, domain and completeness checks mirror set_param's.
+    // Axis, domain and unknown-name checks are set_param's: each bad
+    // slider fails a refresh job and a session of the same service alike.
     let good = ParamPoint::from_pairs([("purchase1", 16i64), ("purchase2", 36), ("feature", 12)]);
     assert!(prophet
         .submit(JobSpec::refresh("figure2", good.clone()))
         .is_ok());
-    assert!(matches!(
-        prophet.submit(JobSpec::refresh("figure2", good.with("current", 3))),
-        Err(ProphetError::AxisParam { .. })
-    ));
-    assert!(matches!(
-        prophet.submit(JobSpec::refresh("figure2", good.with("purchase1", 3))),
-        Err(ProphetError::OutOfDomain { .. })
-    ));
+    let mut session = prophet.online("figure2").unwrap();
+    let sliders: Vec<String> = ["feature", "purchase1", "purchase2"]
+        .map(String::from)
+        .into();
+    for (name, value, want) in [
+        (
+            "current",
+            3,
+            ProphetError::AxisParam {
+                name: "current".into(),
+            },
+        ),
+        (
+            "purchase1",
+            3,
+            ProphetError::OutOfDomain {
+                name: "purchase1".into(),
+                value: 3,
+            },
+        ),
+        (
+            "nope",
+            0,
+            ProphetError::UnknownParam {
+                name: "nope".into(),
+                available: sliders,
+            },
+        ),
+    ] {
+        let via_job = prophet.submit(JobSpec::refresh("figure2", good.with(name, value)));
+        assert_eq!(
+            via_job.err(),
+            Some(want.clone()),
+            "refresh job: {name} = {value}"
+        );
+        let via_session = session.set_param(name, value);
+        assert_eq!(via_session.err(), Some(want), "set_param: {name} = {value}");
+    }
+    // A refresh job must name every slider; a session starts from defaults.
     let incomplete = ParamPoint::from_pairs([("purchase1", 16i64)]);
     match prophet.submit(JobSpec::refresh("figure2", incomplete)) {
         Err(ProphetError::MissingSlider { name, required }) => {

@@ -1,10 +1,9 @@
 //! Integration tests for the `Prophet` service facade: the builder
-//! round-trip, cross-session basis sharing, the typed error hierarchy, and
-//! the pluggable exploration strategy.
+//! round-trip, cross-session basis sharing, and the typed error
+//! hierarchy.
 
 use fuzzy_prophet::prelude::*;
 use prophet_models::demo_registry;
-use prophet_sql::ast::ParameterDecl;
 
 fn figure2_service(worlds: usize) -> Prophet {
     Prophet::builder()
@@ -199,27 +198,6 @@ fn degenerate_configs_are_rejected_by_both_constructors() {
         assert!(Engine::new(&Scenario::figure2().unwrap(), demo_registry(), accepted).is_ok());
     }
 }
-
-#[test]
-fn exploration_strategy_plugs_into_the_builder() {
-    // A grid-walking strategy instead of the default priority queue:
-    // prefetch_tick then walks the whole parameter grid row-major.
-    let prophet = Prophet::builder()
-        .scenario("figure2", Scenario::figure2().unwrap())
-        .registry(demo_registry())
-        .worlds_per_point(8)
-        .exploration(|decls: &[ParameterDecl]| {
-            Box::new(GridGuide::new(decls)) as Box<dyn Guide + Send>
-        })
-        .build()
-        .unwrap();
-    let mut session = prophet.online("figure2").unwrap();
-    // The grid guide ignores adjustments and serves the sweep instead.
-    let done = session.prefetch_tick(3).unwrap();
-    assert_eq!(done, 3, "grid strategy always has points pending");
-}
-
-use prophet_mc::GridGuide;
 
 #[test]
 fn sessions_are_send() {

@@ -796,8 +796,7 @@ fn case_shapes_agree_across_dense_selected_and_scalar_walks() {
 /// Every point of a scenario's parameter space, in grid order (first
 /// declared parameter slowest).
 fn grid_points(scenario: &Scenario) -> Vec<ParamPoint> {
-    let mut guide = GridGuide::new(&scenario.script().params);
-    std::iter::from_fn(|| guide.next_point()).collect()
+    GridGuide::new(&scenario.script().params).collect()
 }
 
 /// One column's samples as bit patterns (NaN lanes must compare equal).
