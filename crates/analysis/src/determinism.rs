@@ -95,11 +95,7 @@ pub fn audit(path: &str, src: &str, findings: &mut Vec<Finding>) {
         }
         // `for pat in [&][mut] name {`
         if ident_at(&toks, i) == Some("for") {
-            let mut j = i + 1;
-            while j < toks.len() && ident_at(&toks, j) != Some("in") {
-                j += 1;
-            }
-            if j < toks.len() {
+            if let Some(j) = loop_header_in(&toks, i) {
                 // Expression tokens between `in` and `{`.
                 let mut expr = Vec::new();
                 let mut k = j + 1;
@@ -129,6 +125,44 @@ pub fn audit(path: &str, src: &str, findings: &mut Vec<Finding>) {
         }
         i += 1;
     }
+}
+
+/// The `in` of the loop header whose `for` sits at `at`, or `None` when
+/// this `for` opens no loop: the `for` of `impl Trait for Type` (an
+/// `impl` earlier in the same item header) or a higher-ranked `for<'a>`
+/// bound. The pattern may hold braces (`for P { x, y } in v {`), so the
+/// scan passes balanced `{…}` groups and gives up at a `;` or at a `}`
+/// that closes the enclosing block.
+fn loop_header_in(toks: &[Tok], at: usize) -> Option<usize> {
+    if punct_at(toks, at + 1, '<') {
+        return None;
+    }
+    // Back to the start of the item or statement, skipping `(…)` and
+    // `[…]` groups (`impl Foo<[u8; 4]> for Bar`).
+    let mut depth = 0usize;
+    let mut k = at;
+    while k > 0 {
+        k -= 1;
+        match &toks[k].kind {
+            TokKind::Punct(')') | TokKind::Punct(']') => depth += 1,
+            TokKind::Punct('(') | TokKind::Punct('[') => depth = depth.saturating_sub(1),
+            TokKind::Punct(';') | TokKind::Punct('{') | TokKind::Punct('}') if depth == 0 => break,
+            TokKind::Ident(s) if depth == 0 && s == "impl" => return None,
+            _ => {}
+        }
+    }
+    let mut depth = 0usize;
+    for (j, tok) in toks.iter().enumerate().skip(at + 1) {
+        match &tok.kind {
+            TokKind::Ident(s) if depth == 0 && s == "in" => return Some(j),
+            TokKind::Punct('{') => depth += 1,
+            TokKind::Punct('}') if depth == 0 => return None,
+            TokKind::Punct('}') => depth -= 1,
+            TokKind::Punct(';') => return None,
+            _ => {}
+        }
+    }
+    None
 }
 
 /// The receiver ident of the method whose dot sits at `dot`, hopping one
@@ -452,6 +486,39 @@ mod tests {
             fn f(m: &HashMap<u64, u32>, out: &mut Vec<u64>) {
                 for (k, _) in m {
                     out.push(*k);
+                }
+            }
+        "#;
+        let f = active(src);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].message.contains("for-in"));
+    }
+
+    #[test]
+    fn impl_for_and_higher_ranked_for_open_no_loop() {
+        // Neither `for` may swallow the tokens up to the loop's `in`.
+        let src = r#"
+            struct S { m: HashMap<u64, f64> }
+            impl std::fmt::Debug for S {
+                fn fmt(&self, f: &mut Formatter<'_>) -> Result { Ok(()) }
+            }
+            fn apply<F>(f: F) where F: for<'a> Fn(&'a u64) {}
+            impl S {
+                fn total(&self) -> f64 { self.m.values().sum() }
+                fn lengths(v: &[u64]) { for x in v { use_it(x); } }
+            }
+        "#;
+        let f = active(src);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].message.contains("`values`"), "{f:?}");
+    }
+
+    #[test]
+    fn struct_pattern_loop_header_is_audited() {
+        let src = r#"
+            fn f(m: &HashMap<u64, u32>, out: &mut Vec<u64>) {
+                for Pair { k, .. } in m {
+                    out.push(k);
                 }
             }
         "#;

@@ -57,6 +57,13 @@ fn seeded_unsorted_map_leak_fails_the_gate_at_its_line() {
     assert_single_finding("map_leak", "crates/mc/src/lib.rs:16: [map-iter]");
 }
 
+/// A trait impl's `for` and a `for<'a>` bound sit between the file's
+/// start and its one real loop; the leak in between must still be seen.
+#[test]
+fn a_leak_after_impl_for_fails_the_gate_at_its_line() {
+    assert_single_finding("impl_for", "crates/mc/src/lib.rs:30: [map-iter]");
+}
+
 #[test]
 fn seeded_rank_table_drift_fails_the_gate_in_the_docs() {
     assert_single_finding("drift", "docs/CONCURRENCY.md:6: [rank-table]");

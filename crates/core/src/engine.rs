@@ -183,10 +183,15 @@ pub struct EngineConfig {
     /// `count.evictions`.
     pub basis_capacity: usize,
     /// Worker threads of the inline runner's phase fan-out
-    /// ([`Engine::evaluate_batch`]; deterministic: world→sample
-    /// assignment is thread-independent). Jobs on a
-    /// [`Prophet`](crate::service::Prophet) fan out on its pool instead
-    /// and never read it, except that it sizes a pool whose
+    /// (deterministic: world→sample assignment is thread-independent).
+    /// Its readers are the reference paths on a bare engine —
+    /// [`Engine::evaluate_batch`], and through it [`Engine::evaluate`]
+    /// and [`OfflineOptimizer`](crate::offline::OfflineOptimizer) — and
+    /// the fingerprint phase of
+    /// [`OnlineSession::progressive_expect`](crate::session::OnlineSession::progressive_expect).
+    /// A [`Prophet`](crate::service::Prophet)'s sessions and jobs fan out
+    /// on its pool instead and never read it, except that it sizes a pool
+    /// whose
     /// [`SchedulerConfig::workers`](crate::scheduler::SchedulerConfig::workers)
     /// is left at `0`.
     ///

@@ -54,32 +54,41 @@
 //! ## Architecture (paper Figure 1, service edition)
 //!
 //! ```text
-//!                        ┌───────────────────────────────────────────┐
-//!                        │              Prophet service              │
-//!   online("figure2") ──▶│  scenarios by name · registry · config    │◀── offline("figure2")
-//!                        └────────┬─────────────────────────┬────────┘
-//!                                 ▼                         ▼
-//!                        ┌────────────────┐        ┌────────────────┐
-//!                        │ OnlineSession  │  ····  │ OfflineOptimizer│
-//!                        │ (prefetch FIFO)│        │ (grid sweep)   │
-//!                        └───────┬────────┘        └───────┬────────┘
-//!                                ▼     per-session Engine  ▼
-//!        ┌──────────┐  instances   ┌──────────────────┐  pure TSQL  ┌────────────┐
-//!        │  Guide    │ ───────────▶ │  Query Generator │ ──────────▶ │ SQL engine │
-//!        └────▲─────┘              └──────────────────┘             └──────┬─────┘
-//!             │  metrics                   basis hits                      │ rows
-//!        ┌────┴────────────┐        ┌──────────────────────────┐           │
-//!        │ Result          │ ◀──────│ SharedBasisStore         │ ◀─────────┘
-//!        │ Aggregator      │        │ (one per scenario, shared│
-//!        └─────────────────┘        │  by every session)       │
-//!                                   └──────────────────────────┘
+//!                       ┌───────────────────────────────────────────┐
+//!  online("figure2") ──▶│              Prophet service              │◀── submit(JobSpec::sweep(..))
+//!                       │  scenarios by name · registry · config    │
+//!                       └────────┬─────────────────────────┬────────┘
+//!                                ▼                         ▼
+//!                       ┌────────────────┐        ┌────────────────┐
+//!                       │ OnlineSession  │        │   sweep job    │
+//!                       │ (GraphPlan,    │        │ (SweepPlan,    │
+//!                       │ prefetch FIFO) │        │ grid order)    │
+//!                       └───────┬────────┘        └───────┬────────┘
+//!                               ▼    batches of points    ▼
+//!                       ┌───────────────────────────────────────────┐
+//!                       │ Scheduler: one worker pool, chunks run by │
+//!                       │ priority through the batch pipeline       │
+//!                       └─────────────────────┬─────────────────────┘
+//!                                             ▼  per-job Engine
+//!   ┌─────────────────┐  pure TSQL  ┌────────────┐  rows  ┌───────────────────┐
+//!   │ Query Generator │ ──────────▶ │ SQL engine │ ─────▶ │ SharedBasisStore  │
+//!   └─────────────────┘             └────────────┘        │ (one per scenario,│
+//!                                                         │ shared by every   │
+//!   ┌─────────────────┐  samples: simulated, re-mapped    │ session and job)  │
+//!   │ Result          │ ◀──────────────────────────────── │                   │
+//!   │ Aggregator      │  or cached                        └───────────────────┘
+//!   │ (graph series,  │
+//!   │ OPTIMIZE fold)  │
+//!   └─────────────────┘
 //! ```
 //!
-//! [`engine::Engine`] implements the cycle; [`session::OnlineSession`] and
-//! [`offline::OfflineOptimizer`] are the two user-facing modes from the
-//! paper's demonstration, now handed out by [`service::Prophet`]. Every
-//! public API reports failures as the typed [`error::ProphetError`] — no
-//! raw SQL-layer errors escape this crate.
+//! [`engine::Engine`] implements the cycle; [`session::OnlineSession`]
+//! and the sweep job are the two user-facing modes from the paper's
+//! demonstration, both handed out by [`service::Prophet`] and both run
+//! on its pool. [`offline::OfflineOptimizer`] over a bare engine is the
+//! offline mode's serial reference, and [`Engine::evaluate_batch`] the
+//! batch pipeline's. Every public API reports failures as the typed
+//! [`error::ProphetError`] — no raw SQL-layer errors escape this crate.
 //!
 //! ## Asynchronous jobs (0.3)
 //!
@@ -126,38 +135,13 @@
 //! assert_eq!(report.best.unwrap().point.get("x"), Some(4));
 //! ```
 //!
-//! The blocking calls remain and are now thin clients:
-//! [`OfflineOptimizer::run`] and [`OnlineSession::refresh`] on
-//! service-handed objects are exactly `submit(...).wait()`, and the
-//! differential suite in `tests/jobs.rs` proves a job's final answer is
-//! bit-identical to [`Engine::evaluate_batch`]'s at every chunk size,
-//! priority mix, and worker count: both run the one batch pipeline in
-//! [`executor`], whose module docs carry the argument.
-//!
-//! ## Migrating from 0.2 (blocking calls → jobs)
-//!
-//! | 0.2 (blocking) | 0.3 (job-shaped equivalent) |
-//! |-----|-----|
-//! | `prophet.offline(name)?.run()?` | `prophet.submit(JobSpec::sweep(name))?.wait()?.into_sweep()?` (the blocking form still works and is now implemented exactly this way) |
-//! | `session.refresh()?` | `prophet.submit(JobSpec::refresh(name, sliders))?.wait()?.into_points()?` (ditto; the session form also updates its series) |
-//! | `engine.evaluate_batch(&points)?` | `prophet.submit(JobSpec::points(name, points))?.wait()?.into_points()?` |
-//! | no equivalent | `handle.progress()` / `handle.events()` / `handle.cancel()` — progress, partial results, cancellation |
-//! | `scenario_names()` + `basis_stats(name)` loop | [`Prophet::basis_stats_all`] |
-//!
-//! ## Migrating from the 0.1 session-per-struct API
-//!
-//! | 0.1 | 0.3 |
-//! |-----|-----|
-//! | `OnlineSession::new(scenario, registry, config)` | `Prophet::builder().scenario(name, scenario).registry(registry).config(config).build()?.online(name)?` |
-//! | `OfflineOptimizer::new(scenario, registry, config)` | `…build()?.offline(name)?` |
-//! | `Err(SqlError::Eval(msg))` | structured [`error::ProphetError`] variants |
-//!
-//! The 0.1 constructors shipped as deprecated shims for one release and
-//! are now gone. Direct engine composition remains available via
-//! [`Engine::new`] / [`Engine::with_basis_store`] plus
-//! [`OnlineSession::open`] / [`OfflineOptimizer::open`] — these run their
-//! work on the caller's thread (the batch pipeline's inline runner, the
-//! reference the pooled runner is differentially tested against).
+//! [`OnlineSession::refresh`] is a thin client: it is exactly
+//! `submit(...).wait()`, and the differential suite in `tests/jobs.rs`
+//! proves a job's final answer is bit-identical to the inline reference
+//! — [`Engine::evaluate_batch`], and [`OfflineOptimizer::run`] for a
+//! sweep — at every chunk size, priority mix, and worker count: both run
+//! the one batch pipeline in [`executor`], whose module docs carry the
+//! argument.
 //!
 //! ## Observability (0.8)
 //!
@@ -174,7 +158,6 @@
 //! `docs/OBSERVABILITY.md` carries the event taxonomy and clock model.
 //!
 //! [`Prophet::submit`]: service::Prophet::submit
-//! [`Prophet::basis_stats_all`]: service::Prophet::basis_stats_all
 //! [`OfflineOptimizer::run`]: offline::OfflineOptimizer::run
 //! [`OnlineSession::refresh`]: session::OnlineSession::refresh
 

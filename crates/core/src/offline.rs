@@ -6,7 +6,7 @@
 //! and the query returns the latest purchase dates that keep the expected
 //! chance of overload below" the threshold.
 //!
-//! [`OfflineOptimizer`] executes the scenario's `OPTIMIZE` directive: it
+//! An offline sweep executes the scenario's `OPTIMIZE` directive: it
 //! sweeps the cartesian product of the *selected* parameters (the GROUP BY
 //! keys), evaluates every value of the remaining axis parameters per group
 //! (in Figure 2, the 53 weeks of `@current`), applies the outer aggregate
@@ -18,21 +18,21 @@
 //! The sweep's *plan* — grouping, per-group axis expansion, constraint
 //! aggregation, feasibility, ranking — and the one loop that executes it
 //! live in the crate-internal `SweepPlan`. The loop is parameterised only
-//! by how a group's batch is evaluated and who is told about it:
+//! by how a group's batch is evaluated and who is told about it, and it
+//! has two runners:
 //!
-//! * [`OfflineOptimizer::run_with_observer`] evaluates each batch on the
-//!   caller's thread ([`Engine::evaluate_batch`]) and reports every point
-//!   to the observer callback;
-//! * the scheduled sweep job ([`crate::scheduler`]), which
-//!   [`OfflineOptimizer::run`] submits when the optimizer was opened
-//!   through a [`Prophet`](crate::service::Prophet), evaluates each batch
-//!   on the service's pool, can be cancelled between batches, and streams
-//!   each finished batch as chunk events — the blocking call then simply
-//!   becomes `submit(sweep).wait()`, and concurrent jobs interleave with
-//!   the sweep chunk-by-chunk.
+//! * the sweep job, submitted as
+//!   [`Prophet::submit`](crate::service::Prophet::submit)`(JobSpec::sweep(..))`,
+//!   is the production path: it evaluates each batch on the service's
+//!   pool, can be cancelled between batches, and streams each finished
+//!   batch as chunk events, so concurrent jobs interleave with it chunk
+//!   by chunk;
+//! * [`OfflineOptimizer`], opened over a bare engine, is the serial
+//!   reference: it evaluates each batch on the caller's thread
+//!   ([`Engine::evaluate_batch`]) and reports every point to an observer
+//!   callback. The sweep job is differentially tested against it.
 
 use std::cmp::Ordering;
-use std::sync::Arc;
 use std::time::Duration;
 
 use prophet_mc::guide::GridGuide;
@@ -43,10 +43,8 @@ use prophet_sql::Script;
 use crate::engine::{Engine, EvalOutcome};
 use crate::error::{ProphetError, ProphetResult};
 use crate::executor::BatchResults;
-use crate::job::Priority;
 use crate::metrics::{EngineMetrics, Stopwatch};
 use crate::scenario::space_size;
-use crate::scheduler::Scheduler;
 
 /// One feasible (or candidate) answer of the OPTIMIZE query.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,7 +84,7 @@ impl OfflineReport {
 /// metrics aggregate, and how answers rank. Pure data + pure functions,
 /// plus the one loop ([`SweepPlan::run`]) that both the blocking sweep
 /// and the scheduled sweep job execute.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct SweepPlan {
     spec: OptimizeSpec,
     group_decls: Vec<ParameterDecl>,
@@ -269,22 +267,17 @@ impl SweepPlan {
     }
 }
 
-/// Executes the scenario's OPTIMIZE directive over the whole grid.
+/// Executes the scenario's OPTIMIZE directive over the whole grid on the
+/// caller's thread — the serial reference the sweep job is tested against.
 pub struct OfflineOptimizer {
-    engine: Arc<Engine>,
+    engine: Engine,
     plan: SweepPlan,
-    /// Present when opened through a [`Prophet`](crate::service::Prophet):
-    /// [`OfflineOptimizer::run`] then executes as a submitted job on the
-    /// service's shared scheduler instead of seizing the caller's thread
-    /// pool.
-    scheduler: Option<Arc<Scheduler>>,
 }
 
 impl std::fmt::Debug for OfflineOptimizer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("OfflineOptimizer")
             .field("spec", self.plan.spec())
-            .field("scheduled", &self.scheduler.is_some())
             .field("engine", &self.engine)
             .finish_non_exhaustive()
     }
@@ -292,35 +285,12 @@ impl std::fmt::Debug for OfflineOptimizer {
 
 impl OfflineOptimizer {
     /// Open an optimizer over an already-built engine; the scenario must
-    /// carry an OPTIMIZE directive. Optimizers opened this way run their
-    /// sweeps on the caller's thread (the inline reference path);
-    /// optimizers handed out by [`Prophet::offline`] run them as scheduled
-    /// jobs instead.
-    ///
-    /// [`Prophet::offline`]: crate::service::Prophet::offline
+    /// carry an OPTIMIZE directive. A service's sweeps do not go through
+    /// here: submit [`JobSpec::sweep`](crate::job::JobSpec::sweep) to
+    /// [`Prophet::submit`](crate::service::Prophet::submit) instead.
     pub fn open(engine: Engine) -> ProphetResult<Self> {
         let plan = SweepPlan::from_script(engine.script())?;
-        Ok(OfflineOptimizer {
-            engine: Arc::new(engine),
-            plan,
-            scheduler: None,
-        })
-    }
-
-    /// Open over a shared engine, executing sweeps through the service's
-    /// scheduler ([`Prophet::offline`]'s constructor).
-    ///
-    /// [`Prophet::offline`]: crate::service::Prophet::offline
-    pub(crate) fn open_scheduled(
-        engine: Arc<Engine>,
-        scheduler: Arc<Scheduler>,
-    ) -> ProphetResult<Self> {
-        let plan = SweepPlan::from_script(engine.script())?;
-        Ok(OfflineOptimizer {
-            engine,
-            plan,
-            scheduler: Some(scheduler),
-        })
+        Ok(OfflineOptimizer { engine, plan })
     }
 
     /// The underlying engine.
@@ -338,35 +308,16 @@ impl OfflineOptimizer {
         self.plan.groups_total()
     }
 
-    /// Run the full sweep to completion.
-    ///
-    /// Through a [`Prophet`](crate::service::Prophet)-opened optimizer
-    /// this is `submit(JobSpec::sweep(…)).wait()`: the sweep executes as
-    /// priority-interleaved chunks on the service's shared scheduler
-    /// (other jobs can overtake it), with an answer bit-identical to the
-    /// blocking reference loop. For incremental consumption — progress,
-    /// partial results, cancellation — submit the job yourself and keep
-    /// the [`JobHandle`](crate::job::JobHandle).
+    /// Run the full sweep to completion on the caller's thread.
     pub fn run(&self) -> ProphetResult<OfflineReport> {
-        match &self.scheduler {
-            Some(scheduler) => scheduler
-                .submit_sweep(
-                    Arc::clone(&self.engine),
-                    self.plan.clone(),
-                    Priority::Normal,
-                )
-                .wait()?
-                .into_sweep(),
-            None => self.run_with_observer(|_, _, _| {}),
-        }
+        self.run_with_observer(|_, _, _| {})
     }
 
     /// Run the full sweep on the caller's thread, reporting every point
-    /// evaluation to `observer` as `(group point, full point, outcome)` —
-    /// the hook the Figure-4 exploration map and the demo's "live-updated
-    /// view" use. This is the sweep loop on the inline runner (the
-    /// scheduled job path is differentially tested against it); the
-    /// observer runs inline, in canonical sweep order.
+    /// evaluation to `observer` as `(group point, full point, outcome)`.
+    /// This is the sweep loop on the inline runner; the observer runs
+    /// inline, in canonical sweep order. A sweep job streams the same
+    /// `(full point, outcome)` pairs as its chunk events.
     pub fn run_with_observer(
         &self,
         mut observer: impl FnMut(&ParamPoint, &ParamPoint, &EvalOutcome),

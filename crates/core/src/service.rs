@@ -4,11 +4,12 @@
 //! deployment serves many concurrent what-if sessions over a catalog of
 //! scenarios. `Prophet` is that deployment shape: scenarios are registered
 //! once by name, the VG catalog and engine configuration are fixed at build
-//! time, and every session handed out by [`Prophet::online`] /
-//! [`Prophet::offline`] shares one basis store and fingerprint cache per
-//! scenario. A slider move in one session re-maps results simulated by
-//! another — the paper's fingerprint reuse, amortized across the whole
-//! service instead of trapped inside one session.
+//! time, and every session handed out by [`Prophet::online`] and every
+//! job [`Prophet::submit`] runs shares one basis store and fingerprint
+//! cache per scenario. A slider move in one session re-maps results
+//! simulated by another, or by an OPTIMIZE sweep — the paper's
+//! fingerprint reuse, amortized across the whole service instead of
+//! trapped inside one session.
 //!
 //! ```
 //! use fuzzy_prophet::prelude::*;
@@ -39,7 +40,7 @@ use crate::engine::{provenance, Engine, EngineConfig};
 use crate::error::{ProphetError, ProphetResult};
 use crate::job::{JobHandle, JobKind, JobSpec};
 use crate::obs::TelemetrySnapshot;
-use crate::offline::{OfflineOptimizer, SweepPlan};
+use crate::offline::SweepPlan;
 use crate::scenario::Scenario;
 use crate::scheduler::{Scheduler, SchedulerConfig};
 use crate::session::{GraphPlan, OnlineSession};
@@ -185,8 +186,8 @@ pub struct Prophet {
     config: EngineConfig,
     /// By name: every listing of the scenarios comes out sorted.
     slots: BTreeMap<String, Slot>,
-    /// The service's long-lived worker pool: every session refresh,
-    /// offline sweep, and [`Prophet::submit`]ted job runs on it as
+    /// The service's long-lived worker pool: every session refresh and
+    /// prefetch and every [`Prophet::submit`]ted job runs on it as
     /// priority-interleaved chunks.
     scheduler: Arc<Scheduler>,
 }
@@ -235,19 +236,7 @@ impl Prophet {
     pub fn online(&self, name: &str) -> ProphetResult<OnlineSession> {
         let slot = self.slot(name)?;
         let engine = Arc::new(self.engine_for(slot)?);
-        OnlineSession::open_scheduled(engine, Arc::clone(&self.scheduler))
-    }
-
-    /// Open an offline optimizer on a named scenario, sharing the same
-    /// basis store as the online sessions. Its blocking
-    /// [`run`](OfflineOptimizer::run) executes as `submit(sweep).wait()`
-    /// on the service scheduler.
-    pub fn offline(&self, name: &str) -> ProphetResult<OfflineOptimizer> {
-        let slot = self.slot(name)?;
-        OfflineOptimizer::open_scheduled(
-            Arc::new(self.engine_for(slot)?),
-            Arc::clone(&self.scheduler),
-        )
+        OnlineSession::new(engine, Arc::clone(&self.scheduler))
     }
 
     /// Submit an asynchronous job — a sweep, a graph refresh, or a raw
@@ -262,7 +251,10 @@ impl Prophet {
     /// queueing behind it. Each job evaluates on a fresh engine over the
     /// scenario's shared basis store, so its published simulations are
     /// reusable by every session (and vice versa), and its final answer
-    /// is bit-identical to the corresponding blocking call.
+    /// is bit-identical to the inline reference on a bare engine:
+    /// [`Engine::evaluate_batch`] for a refresh or a point batch,
+    /// [`OfflineOptimizer::run`](crate::offline::OfflineOptimizer::run)
+    /// for a sweep.
     pub fn submit(&self, spec: JobSpec) -> ProphetResult<JobHandle> {
         match spec.kind {
             JobKind::Sweep { ref scenario } => {
@@ -459,7 +451,7 @@ mod tests {
             }
             other => panic!("expected UnknownScenario, got {other:?}"),
         }
-        assert!(p.offline("nope").is_err());
+        assert!(p.submit(JobSpec::sweep("nope")).is_err());
         assert!(p.engine("nope").is_err());
         assert!(p.basis_len("nope").is_err());
     }
@@ -535,21 +527,30 @@ mod tests {
     #[test]
     fn offline_and_online_share_the_store_too() {
         let p = Prophet::builder()
-            .scenario("figure2", Scenario::figure2().unwrap())
-            .registry(demo_registry())
-            .config(EngineConfig {
-                worlds_per_point: 8,
-                ..EngineConfig::default()
-            })
+            .scenario_sql("pricing", prophet_models::scenarios::PRICING_WHATIF)
+            .unwrap()
+            .registry(prophet_models::full_registry())
+            .worlds_per_point(8)
             .build()
             .unwrap();
-        let mut online = p.online("figure2").unwrap();
-        online.refresh().unwrap();
-        let populated = p.basis_len("figure2").unwrap();
-        let offline = p.offline("figure2").unwrap();
-        assert_eq!(offline.engine().basis_len(), populated);
-        p.clear_basis("figure2").unwrap();
-        assert_eq!(offline.engine().basis_len(), 0);
+        let mut online = p.online("pricing").unwrap();
+        let rendered = online.refresh().unwrap().weeks_total;
+        // The sweep's grid holds the session's graph: those points are
+        // served from the store the session filled…
+        let sweep = p
+            .submit(JobSpec::sweep("pricing"))
+            .unwrap()
+            .wait()
+            .unwrap()
+            .into_sweep()
+            .unwrap();
+        assert_eq!(sweep.metrics.points_cached, rendered as u64);
+        // …and every other setting of the session's slider is served
+        // from what the sweep published.
+        let moved = online.set_param("week", 4).unwrap();
+        assert_eq!(moved.weeks_cached, moved.weeks_total, "{moved:?}");
+        p.clear_basis("pricing").unwrap();
+        assert_eq!(online.engine().basis_len(), 0);
     }
 
     #[test]

@@ -12,10 +12,11 @@
 //! re-mapped vs untouched, and idle time can be donated to
 //! [`OnlineSession::prefetch_tick`].
 //!
-//! Sessions are normally opened through
+//! Sessions are opened through
 //! [`Prophet::online`](crate::service::Prophet::online), which wires every
 //! session of a scenario onto one shared basis store — what one session
-//! simulates, another re-maps.
+//! simulates, another re-maps — and runs its work on the service's
+//! scheduler.
 //!
 //! The graph's *plan* — slider validation, default sliders, and the
 //! expansion of one slider setting across the `GRAPH OVER` axis — lives
@@ -203,12 +204,9 @@ pub struct OnlineSession {
     series: Vec<Series>,
     guide: PriorityGuide,
     adjustments: u64,
-    /// Present when opened through a [`Prophet`](crate::service::Prophet):
-    /// refreshes and prefetches then execute as submitted jobs on the
-    /// service's shared scheduler (interactive work at [`Priority::High`],
-    /// idle prefetch at [`Priority::Low`]) instead of building per-call
-    /// thread pools.
-    scheduler: Option<Arc<Scheduler>>,
+    /// The service's shared scheduler: refreshes run on it as
+    /// [`Priority::High`] jobs, idle prefetches as [`Priority::Low`] ones.
+    scheduler: Arc<Scheduler>,
 }
 
 impl std::fmt::Debug for OnlineSession {
@@ -222,25 +220,13 @@ impl std::fmt::Debug for OnlineSession {
 }
 
 impl OnlineSession {
-    /// Open a session over an already-built engine; its work runs on the
-    /// caller's thread. The scenario must carry a `GRAPH OVER` directive;
-    /// sliders for every non-axis parameter start at their domain minimum.
-    pub fn open(engine: Engine) -> ProphetResult<Self> {
-        OnlineSession::build(Arc::new(engine), None)
-    }
-
-    /// Open over a shared engine, evaluating through the service's
-    /// scheduler ([`Prophet::online`]'s constructor).
+    /// Open a session over a service engine, evaluating through the
+    /// service's scheduler ([`Prophet::online`]'s constructor). The
+    /// scenario must carry a `GRAPH OVER` directive; sliders for every
+    /// non-axis parameter start at their domain minimum.
     ///
     /// [`Prophet::online`]: crate::service::Prophet::online
-    pub(crate) fn open_scheduled(
-        engine: Arc<Engine>,
-        scheduler: Arc<Scheduler>,
-    ) -> ProphetResult<Self> {
-        OnlineSession::build(engine, Some(scheduler))
-    }
-
-    fn build(engine: Arc<Engine>, scheduler: Option<Arc<Scheduler>>) -> ProphetResult<Self> {
+    pub(crate) fn new(engine: Arc<Engine>, scheduler: Arc<Scheduler>) -> ProphetResult<Self> {
         let plan = GraphPlan::from_script(engine.script())?;
         Ok(OnlineSession {
             sliders: plan.default_sliders(),
@@ -253,23 +239,21 @@ impl OnlineSession {
         })
     }
 
-    /// Evaluate a batch of points: as a submitted job on the service
-    /// scheduler when this session is service-backed (so other sessions'
-    /// higher-priority chunks can interleave), inline on the caller
-    /// otherwise. Same pipeline, two runners: results are bit-identical
-    /// either way (the `tests/jobs.rs` differential suite enforces it).
+    /// Evaluate a batch of points as a submitted job on the service
+    /// scheduler, so other sessions' higher-priority chunks can
+    /// interleave. The job runs the batch pipeline that
+    /// [`Engine::evaluate_batch`] runs inline, so its results are
+    /// bit-identical to it (the `tests/jobs.rs` differential suite
+    /// enforces it).
     fn evaluate_points(
         &self,
         points: Vec<ParamPoint>,
         priority: Priority,
     ) -> ProphetResult<Vec<(SampleSet, EvalOutcome)>> {
-        match &self.scheduler {
-            Some(scheduler) => scheduler
-                .submit_batch(Arc::clone(&self.engine), points, priority)
-                .wait()?
-                .into_points(),
-            None => self.engine.evaluate_batch(&points),
-        }
+        self.scheduler
+            .submit_batch(Arc::clone(&self.engine), points, priority)
+            .wait()?
+            .into_points()
     }
 
     /// Current slider values (everything but the graph axis).
@@ -331,11 +315,11 @@ impl OnlineSession {
 
     /// Recompute every graph point for the current sliders, as one batch:
     /// every week probes the shared store in a single source-parallel scan
-    /// and the changed weeks simulate in parallel. Service-backed sessions
-    /// run the batch as a [`Priority::High`] job on the shared scheduler —
-    /// this call stays blocking (it is `submit(refresh).wait()`), but the
-    /// work interleaves with, and overtakes, lower-priority jobs instead
-    /// of queueing behind them.
+    /// and the changed weeks simulate in parallel. The batch runs as a
+    /// [`Priority::High`] job on the shared scheduler — this call stays
+    /// blocking (it is `submit(refresh).wait()`), but the work interleaves
+    /// with, and overtakes, lower-priority jobs instead of queueing behind
+    /// them.
     pub fn refresh(&mut self) -> ProphetResult<AdjustReport> {
         let sliders = self.sliders.clone();
         self.render(&sliders)
@@ -373,10 +357,9 @@ impl OnlineSession {
     ///
     /// The drained points expand across every week of the graph axis and
     /// go through as one batch, so anticipatory work gets the same batched
-    /// probing and parallel simulation as a user-facing refresh — but on a
-    /// service-backed session it runs as a [`Priority::Low`] job, so any
-    /// interactive refresh submitted meanwhile overtakes it chunk by
-    /// chunk.
+    /// probing and parallel simulation as a user-facing refresh — but as a
+    /// [`Priority::Low`] job, so any interactive refresh submitted
+    /// meanwhile overtakes it chunk by chunk.
     pub fn prefetch_tick(&mut self, budget: usize) -> ProphetResult<usize> {
         let mut drained = Vec::new();
         while drained.len() < budget {
@@ -579,30 +562,34 @@ fn feed_progressive(xs: &[f64], batch: usize, epsilon: f64, z: f64) -> Progressi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EngineConfig;
     use crate::scenario::Scenario;
+    use crate::service::Prophet;
     use prophet_models::demo_registry;
 
+    /// A session on Figure 2 from a fresh one-scenario service.
     fn session(worlds: usize) -> OnlineSession {
-        let scenario = Scenario::figure2().unwrap();
-        let engine = Engine::new(
-            &scenario,
-            demo_registry(),
-            EngineConfig {
-                worlds_per_point: worlds,
-                ..EngineConfig::default()
-            },
-        )
-        .unwrap();
-        OnlineSession::open(engine).unwrap()
+        Prophet::builder()
+            .scenario("figure2", Scenario::figure2().unwrap())
+            .registry(demo_registry())
+            .worlds_per_point(worlds)
+            .build()
+            .unwrap()
+            .online("figure2")
+            .unwrap()
     }
 
     #[test]
     fn construction_requires_graph_directive() {
-        let scenario =
-            Scenario::parse("DECLARE PARAMETER @p AS SET (1);\nSELECT @p AS x INTO r;").unwrap();
-        let engine = Engine::new(&scenario, demo_registry(), EngineConfig::default()).unwrap();
-        let err = OnlineSession::open(engine);
+        let err = Prophet::builder()
+            .scenario_sql(
+                "bare",
+                "DECLARE PARAMETER @p AS SET (1);\nSELECT @p AS x INTO r;",
+            )
+            .unwrap()
+            .registry(demo_registry())
+            .build()
+            .unwrap()
+            .online("bare");
         assert!(
             matches!(err, Err(ProphetError::MissingGraphDirective)),
             "{err:?}"

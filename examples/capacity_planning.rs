@@ -22,7 +22,7 @@ fn run_threshold(
     let scenario = Scenario::parse(&figure2_coarse_sql(threshold))?;
     let p1 = scenario.script().param("purchase1").unwrap().clone();
     let p2 = scenario.script().param("purchase2").unwrap().clone();
-    let optimizer = Prophet::builder()
+    let prophet = Prophet::builder()
         .scenario("capacity", scenario)
         .registry(demo_registry())
         .config(EngineConfig {
@@ -30,12 +30,25 @@ fn run_threshold(
             fingerprints_enabled: fingerprints,
             ..EngineConfig::default()
         })
-        .build()?
-        .offline("capacity")?;
+        .build()?;
+    // The sweep runs as a job on the service's pool; its chunk stream
+    // feeds the exploration map cell by cell as each group finishes.
+    let handle = prophet.submit(JobSpec::sweep("capacity"))?;
     let mut map = ExplorationMap::new(&p1, &p2);
-    let report = optimizer.run_with_observer(|_, full, outcome| {
-        map.record(full, outcome);
-    })?;
+    let mut report = None;
+    for event in handle.events() {
+        match event {
+            JobEvent::Chunk(update) => {
+                for (full, outcome) in &update.results {
+                    map.record(full, outcome);
+                }
+            }
+            JobEvent::Final(output) => report = Some(output.into_sweep()?),
+            JobEvent::Cancelled => return Err("sweep cancelled".into()),
+            JobEvent::Failed(err) => return Err(err.into()),
+        }
+    }
+    let report = report.ok_or("sweep ended without an answer")?;
     Ok((report, map))
 }
 

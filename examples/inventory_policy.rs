@@ -27,8 +27,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build()?;
 
     println!("=== Inventory policy optimization ===\n");
-    let optimizer = prophet.offline("inventory")?;
-    let report = optimizer.run()?;
+    let report = prophet
+        .submit(JobSpec::sweep("inventory"))?
+        .wait()?
+        .into_sweep()?;
     match &report.best {
         Some(best) => println!(
             "leanest viable policy: reorder at {} units, order {} units \

@@ -45,10 +45,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nrevenue-maximizing price at week 24: {best_price} (≈ {best_revenue:.0}/week)");
 
     // Offline: the highest price whose worst-case miss risk stays under 50%
-    // across the whole year. The optimizer shares the online session's
+    // across the whole year. The sweep job shares the online session's
     // basis store, so the week-24 column is already warm.
-    let optimizer = prophet.offline("pricing")?;
-    let report = optimizer.run()?;
+    let report = prophet
+        .submit(JobSpec::sweep("pricing"))?
+        .wait()?
+        .into_sweep()?;
     println!(
         "\nOPTIMIZE: highest sustainable price across the year: {:?}",
         report.best.as_ref().map(|b| b.point.get("price").unwrap())

@@ -90,8 +90,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .registry(demo_registry())
         .worlds_per_point(120)
         .build()?;
-    let optimizer = batch.offline("figure2-coarse")?;
-    let result = optimizer.run()?;
+    let result = batch
+        .submit(JobSpec::sweep("figure2-coarse"))?
+        .wait()?
+        .into_sweep()?;
     println!(
         "swept {} groups in {:?} — engine: {}",
         result.groups_total, result.wall, result.metrics

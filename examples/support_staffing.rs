@@ -44,8 +44,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Offline: smallest team whose worst-quarter breach probability < 20%.
     // Shares the online session's basis store, so the two staffing levels
     // rendered above are already warm.
-    let optimizer = prophet.offline("staffing")?;
-    let report = optimizer.run()?;
+    let report = prophet
+        .submit(JobSpec::sweep("staffing"))?
+        .wait()?
+        .into_sweep()?;
     match &report.best {
         Some(best) => println!(
             "cheapest viable team: {} agents (worst-week breach probability {:.3})",

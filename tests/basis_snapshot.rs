@@ -336,7 +336,13 @@ fn corrupt_snapshots_are_rejected_with_typed_errors() {
 fn churned_store_snapshot_is_pinned() {
     let src = figure2_coarse_sql(0.05);
     let prophet = service(&src, 64);
-    prophet.offline("figure2").unwrap().run().unwrap();
+    prophet
+        .submit(JobSpec::sweep("figure2"))
+        .unwrap()
+        .wait()
+        .unwrap()
+        .into_sweep()
+        .unwrap();
 
     let path = temp_path("churned");
     assert_eq!(prophet.save_basis("figure2", &path).unwrap(), 66);
@@ -380,7 +386,12 @@ fn mutated_snapshots_restore_cleanly_or_fail_typed() {
     const CASES: usize = 120;
     let src = figure2_coarse_sql(0.05);
     let warm = service(&src, 64);
-    warm.offline("figure2").unwrap().run().unwrap();
+    warm.submit(JobSpec::sweep("figure2"))
+        .unwrap()
+        .wait()
+        .unwrap()
+        .into_sweep()
+        .unwrap();
     let good = warm
         .engine("figure2")
         .unwrap()

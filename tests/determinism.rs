@@ -206,27 +206,61 @@ fn match_index_pruning_is_thread_count_independent() {
     assert_eq!(metrics_1.worlds_simulated, metrics_8.worlds_simulated);
 }
 
+/// The work counters of a metrics snapshot — everything but the clocks
+/// and latency histograms.
+fn work_counters(m: &EngineMetrics) -> [u64; 14] {
+    [
+        m.points_cached,
+        m.points_mapped,
+        m.points_simulated,
+        m.worlds_simulated,
+        m.probe_evaluations,
+        m.vector_walks,
+        m.columnar_kernels,
+        m.column_fallbacks,
+        m.column_gathers,
+        m.probe_call_sites,
+        m.candidates_scanned,
+        m.candidates_pruned,
+        m.inflight_waits,
+        m.batch_probes,
+    ]
+}
+
+/// One slider sequence on service sessions over pools of 1 and 4
+/// workers: the same graph, bit for bit, and the same work.
 #[test]
 fn online_sessions_replay_identically() {
-    let run = || {
-        let mut s = OnlineSession::open(
-            Engine::new(
-                &Scenario::figure2().unwrap(),
-                demo_registry(),
-                EngineConfig {
-                    worlds_per_point: 40,
-                    ..EngineConfig::default()
-                },
-            )
-            .unwrap(),
-        )
-        .unwrap();
+    let run = |workers: usize| {
+        let prophet = Prophet::builder()
+            .scenario("figure2", Scenario::figure2().unwrap())
+            .registry(demo_registry())
+            .worlds_per_point(40)
+            .scheduler(SchedulerConfig {
+                workers,
+                ..SchedulerConfig::default()
+            })
+            .build()
+            .unwrap();
+        let mut s = prophet.online("figure2").unwrap();
         s.set_param("purchase1", 16).unwrap();
         s.set_param("purchase2", 36).unwrap();
         s.refresh().unwrap();
-        s.graph().to_vec()
+        (s.graph().to_vec(), work_counters(&s.metrics()))
     };
-    assert_eq!(run(), run());
+    let (serial_graph, serial_work) = run(1);
+    let (pooled_graph, pooled_work) = run(4);
+    assert_eq!(serial_graph.len(), pooled_graph.len());
+    for (a, b) in serial_graph.iter().zip(&pooled_graph) {
+        let bits = |s: &prophet_mc::Series| -> Vec<(i64, u64, u64)> {
+            s.points
+                .iter()
+                .map(|p| (p.x, p.y.to_bits(), p.worlds))
+                .collect()
+        };
+        assert_eq!(bits(a), bits(b), "series {}", a.column);
+    }
+    assert_eq!(serial_work, pooled_work);
 }
 
 #[test]

@@ -317,7 +317,13 @@ FOR MAX @purchase1, MAX @purchase2";
             })
             .build()
             .unwrap();
-        prophet.offline("sweep").unwrap().run().unwrap()
+        prophet
+            .submit(JobSpec::sweep("sweep"))
+            .unwrap()
+            .wait()
+            .unwrap()
+            .into_sweep()
+            .unwrap()
     };
 
     let single = run(1);

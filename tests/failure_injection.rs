@@ -187,13 +187,22 @@ fn unbound_parameters_error_at_evaluation() {
 #[test]
 fn online_mode_without_graph_and_offline_without_optimize_error() {
     let bare = Scenario::parse("DECLARE PARAMETER @p AS SET (1);\nSELECT @p AS x INTO r;").unwrap();
-    let engine = || Engine::new(&bare, demo_registry(), EngineConfig::default()).unwrap();
+    let prophet = Prophet::builder()
+        .scenario("bare", bare.clone())
+        .registry(demo_registry())
+        .build()
+        .unwrap();
     assert!(matches!(
-        OnlineSession::open(engine()),
+        prophet.online("bare"),
         Err(ProphetError::MissingGraphDirective)
     ));
     assert!(matches!(
-        OfflineOptimizer::open(engine()),
+        prophet.submit(JobSpec::sweep("bare")),
+        Err(ProphetError::MissingOptimizeDirective)
+    ));
+    let engine = Engine::new(&bare, demo_registry(), EngineConfig::default()).unwrap();
+    assert!(matches!(
+        OfflineOptimizer::open(engine),
         Err(ProphetError::MissingOptimizeDirective)
     ));
 }
@@ -512,51 +521,37 @@ fn a_vg_error_mid_batch_leaves_both_runners_in_the_same_state() {
 /// attempt, a Poisson rate whose sampler would never return — is a typed
 /// error on both runners (no panic, no hang, no claim left), and the
 /// store then serves the batch's other points.
-/// A failed adjustment changes nothing: on either runner, a `set_param`
-/// whose refresh fails leaves the sliders, the adjustment count and every
-/// series point as they were, and the next good adjustment succeeds.
+/// A failed adjustment changes nothing: a `set_param` whose refresh
+/// fails leaves the sliders, the adjustment count and every series point
+/// as they were, and the next good adjustment succeeds.
 #[test]
 fn a_failed_set_param_leaves_the_session_as_it_was() {
     let src = "DECLARE PARAMETER @w AS RANGE 0 TO 3 STEP BY 1;
 DECLARE PARAMETER @p AS SET (0, 5, 6, 7);
 SELECT Flaky(@p) + @w AS y INTO r;
 GRAPH OVER @w EXPECT y WITH red;";
-    let scenario = Scenario::parse(src).unwrap();
-    let cfg = EngineConfig {
-        worlds_per_point: 8,
-        ..EngineConfig::default()
-    };
     let prophet = Prophet::builder()
-        .scenario("flaky", scenario.clone())
+        .scenario_sql("flaky", src)
+        .unwrap()
         .registry(flaky_registry(7, 0, false))
-        .config(cfg)
+        .worlds_per_point(8)
         .build()
         .unwrap();
-    let inline =
-        OnlineSession::open(Engine::new(&scenario, flaky_registry(7, 0, false), cfg).unwrap())
-            .unwrap();
-    for (runner, mut session) in [
-        ("inline", inline),
-        ("pooled", prophet.online("flaky").unwrap()),
-    ] {
-        session.set_param("p", 5).unwrap();
-        let sliders = session.sliders().clone();
-        let graph = session.graph().to_vec();
-        let adjustments = session.adjustments();
+    let mut session = prophet.online("flaky").unwrap();
+    session.set_param("p", 5).unwrap();
+    let sliders = session.sliders().clone();
+    let graph = session.graph().to_vec();
+    let adjustments = session.adjustments();
 
-        let err = session.set_param("p", 7).unwrap_err();
-        assert!(
-            err.to_string().contains("Flaky(7) gave out"),
-            "{runner}: {err}"
-        );
-        assert_eq!(session.sliders(), &sliders, "{runner}: sliders moved");
-        assert_eq!(session.adjustments(), adjustments, "{runner}: counted");
-        assert_eq!(session.graph(), graph, "{runner}: series moved");
+    let err = session.set_param("p", 7).unwrap_err();
+    assert!(err.to_string().contains("Flaky(7) gave out"), "{err}");
+    assert_eq!(session.sliders(), &sliders, "sliders moved");
+    assert_eq!(session.adjustments(), adjustments, "counted");
+    assert_eq!(session.graph(), graph, "series moved");
 
-        session.set_param("p", 6).unwrap();
-        assert_eq!(session.sliders().get("p"), Some(6), "{runner}");
-        assert_eq!(session.adjustments(), adjustments + 1, "{runner}");
-    }
+    session.set_param("p", 6).unwrap();
+    assert_eq!(session.sliders().get("p"), Some(6));
+    assert_eq!(session.adjustments(), adjustments + 1);
 }
 
 #[test]

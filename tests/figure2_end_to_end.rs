@@ -26,8 +26,15 @@ fn online(scenario: Scenario, cfg: EngineConfig) -> OnlineSession {
     service(scenario, cfg).online("s").unwrap()
 }
 
-fn offline(scenario: Scenario, cfg: EngineConfig) -> OfflineOptimizer {
-    service(scenario, cfg).offline("s").unwrap()
+/// The scenario's OPTIMIZE sweep, as a job on a fresh service.
+fn sweep(scenario: Scenario, cfg: EngineConfig) -> OfflineReport {
+    service(scenario, cfg)
+        .submit(JobSpec::sweep("s"))
+        .unwrap()
+        .wait()
+        .unwrap()
+        .into_sweep()
+        .unwrap()
 }
 
 /// A session on the full Figure 2 at the demo's default sliders (§3.2),
@@ -111,14 +118,10 @@ fn online_graph_has_the_papers_dynamics() {
 
 #[test]
 fn offline_answer_moves_with_the_risk_threshold() {
-    let strict = offline(Scenario::parse(FIGURE2_SMALL).unwrap(), config(80))
-        .run()
-        .unwrap();
+    let strict = sweep(Scenario::parse(FIGURE2_SMALL).unwrap(), config(80));
 
     let relaxed_src = FIGURE2_SMALL.replace("< 0.05", "< 0.25");
-    let relaxed = offline(Scenario::parse(&relaxed_src).unwrap(), config(80))
-        .run()
-        .unwrap();
+    let relaxed = sweep(Scenario::parse(&relaxed_src).unwrap(), config(80));
 
     // Relaxing the constraint can only widen the feasible set.
     assert!(relaxed.feasible().count() >= strict.feasible().count());
@@ -148,9 +151,7 @@ fn fingerprints_cut_offline_work_without_changing_the_answer() {
             fingerprints_enabled: enabled,
             ..EngineConfig::default()
         };
-        offline(Scenario::parse(FIGURE2_SMALL).unwrap(), cfg)
-            .run()
-            .unwrap()
+        sweep(Scenario::parse(FIGURE2_SMALL).unwrap(), cfg)
     };
     let with_fp = run(true);
     let without_fp = run(false);
@@ -177,11 +178,24 @@ fn exploration_map_matches_engine_metrics() {
     let scenario = Scenario::parse(FIGURE2_SMALL).unwrap();
     let p1 = scenario.script().param("purchase1").unwrap().clone();
     let p2 = scenario.script().param("purchase2").unwrap().clone();
-    let optimizer = offline(scenario, config(40));
-    let mut map = ExplorationMap::new(&p1, &p2);
-    let report = optimizer
-        .run_with_observer(|_, full, outcome| map.record(full, outcome))
+    let handle = service(scenario, config(40))
+        .submit(JobSpec::sweep("s"))
         .unwrap();
+    // The map fills from the job's chunk stream, as `prophet --map` does.
+    let mut map = ExplorationMap::new(&p1, &p2);
+    let mut report = None;
+    for event in handle.events() {
+        match event {
+            JobEvent::Chunk(update) => {
+                for (full, outcome) in &update.results {
+                    map.record(full, outcome);
+                }
+            }
+            JobEvent::Final(output) => report = Some(output.into_sweep().unwrap()),
+            other => panic!("unexpected event {other:?}"),
+        }
+    }
+    let report = report.expect("the sweep finishes");
 
     let (computed, mapped, cached, pending) = map.tally();
     assert_eq!(pending, 0, "the sweep visits every cell of the slice");

@@ -10,6 +10,9 @@
 //!   chunk sizes {1, default, whole-sweep} and 1 vs 8 workers;
 //! * `submit(Points)` against `evaluate_batch` across all five bundled
 //!   scenarios — bit-identical samples and outcomes per point;
+//! * `submit(Refresh)` and a session's render against `evaluate_batch`
+//!   over the graph-axis points — the same per-point outcomes and sample
+//!   bits;
 //! * two concurrent jobs at different priorities, each bit-identical to
 //!   its blocking run, plus priority-overtaking;
 //! * the cancellation satellites: cancel drops unstarted chunks (and a
@@ -22,7 +25,7 @@
 use std::collections::HashMap;
 
 use fuzzy_prophet::prelude::*;
-use prophet_mc::{GridGuide, SampleStats};
+use prophet_mc::{GridGuide, SampleSet, SampleStats, Series};
 use prophet_models::scenarios::{
     figure2_coarse_sql, INVENTORY_POLICY, PRICING_WHATIF, SUPPORT_STAFFING,
 };
@@ -260,46 +263,129 @@ fn scheduled_point_batches_are_bit_identical_across_all_bundled_scenarios() {
     }
 }
 
+/// Per-column sample bits of one result, for bit-identity asserts.
+fn sample_bits(samples: &SampleSet, columns: &[String]) -> Vec<Option<Vec<u64>>> {
+    columns
+        .iter()
+        .map(|c| {
+            samples
+                .samples(c)
+                .map(|xs| xs.iter().map(|x| x.to_bits()).collect())
+        })
+        .collect()
+}
+
+/// Both online-mode paths — a Refresh job and a session's `set_param` —
+/// against the reference: `Engine::evaluate_batch` over the graph-axis
+/// points on a bare engine. Each path renders the same two slider
+/// settings from a cold store, so the second render re-maps from the
+/// first; per point of it, the same outcome and the same sample bits.
 #[test]
 fn refresh_job_matches_blocking_session_refresh() {
     let src = figure2_coarse_sql(0.05);
     let cfg = config(8);
-
-    // Blocking reference: a session over a private engine (no scheduler).
-    let engine = Engine::new(&Scenario::parse(&src).unwrap(), Reg::Demo.build(), cfg).unwrap();
-    let mut reference = OnlineSession::open(engine).unwrap();
-    let ref_report = reference.refresh().unwrap();
-
-    // Scheduled: the equivalent Refresh job at the same (default) sliders.
     let prophet = service("s", &src, Reg::Demo, cfg, 4, 4);
-    let results = prophet
-        .submit(JobSpec::refresh("s", reference.sliders().clone()).with_priority(Priority::High))
-        .unwrap()
-        .wait()
-        .unwrap()
-        .into_points()
-        .unwrap();
-    assert_eq!(results.len(), ref_report.weeks_total);
-    let simulated = results
-        .iter()
-        .filter(|(_, o)| matches!(o, EvalOutcome::Simulated))
-        .count();
-    let mapped = results
-        .iter()
-        .filter(|(_, o)| matches!(o, EvalOutcome::Mapped { .. }))
-        .count();
-    assert_eq!(simulated, ref_report.weeks_simulated);
-    assert_eq!(mapped, ref_report.weeks_mapped);
+    let mut session = prophet.online("s").unwrap();
+    let first = session.sliders().with("purchase1", 16);
+    let second = first.with("purchase2", 40);
 
-    // And the service-backed session (itself scheduled) agrees per series.
-    let mut scheduled_session = prophet.online("s").unwrap();
-    scheduled_session.engine().clear_basis();
-    let sched_report = scheduled_session.refresh().unwrap();
-    assert_eq!(sched_report.weeks_total, ref_report.weeks_total);
-    assert_eq!(sched_report.weeks_simulated, ref_report.weeks_simulated);
-    assert_eq!(sched_report.weeks_mapped, ref_report.weeks_mapped);
-    for (a, b) in scheduled_session.graph().iter().zip(reference.graph()) {
-        assert_eq!(a.xy(), b.xy(), "series {} bit-identical", a.column);
+    // Reference: inline batches on a private engine and store.
+    let scenario = Scenario::parse(&src).unwrap();
+    let graph = scenario.script().graph.clone().unwrap();
+    let xs = scenario
+        .script()
+        .param(&graph.x_param)
+        .unwrap()
+        .domain
+        .values();
+    let graph_points = |sliders: &ParamPoint| -> Vec<ParamPoint> {
+        xs.iter()
+            .map(|&x| sliders.with(&graph.x_param, x))
+            .collect()
+    };
+    let points = graph_points(&second);
+    let bare = Engine::new(&scenario, Reg::Demo.build(), cfg).unwrap();
+    bare.evaluate_batch(&graph_points(&first)).unwrap();
+    let reference = bare.evaluate_batch(&points).unwrap();
+    let columns = bare.output_columns().to_vec();
+    let count = |pred: fn(&EvalOutcome) -> bool| reference.iter().filter(|(_, o)| pred(o)).count();
+    assert!(
+        count(|o| matches!(o, EvalOutcome::Mapped { .. })) > 0,
+        "the reference must exercise the re-map path"
+    );
+
+    // Refresh jobs at the same two settings.
+    let refresh = |sliders: &ParamPoint| {
+        prophet
+            .submit(JobSpec::refresh("s", sliders.clone()).with_priority(Priority::High))
+            .unwrap()
+            .wait()
+            .unwrap()
+            .into_points()
+            .unwrap()
+    };
+    refresh(&first);
+    let results = refresh(&second);
+    assert_eq!(results.len(), reference.len());
+    for (i, ((samples, outcome), (ref_samples, ref_outcome))) in
+        results.iter().zip(&reference).enumerate()
+    {
+        assert_eq!(outcome, ref_outcome, "refresh job, point {i}: outcome");
+        assert_eq!(samples.point(), ref_samples.point(), "point {i}");
+        assert_eq!(
+            sample_bits(samples, &columns),
+            sample_bits(ref_samples, &columns),
+            "refresh job, point {i}: samples"
+        );
+    }
+
+    // The session, from a cold store again: the same outcome counts and
+    // every series bit-identical to one built from the reference's
+    // samples…
+    prophet.clear_basis("s").unwrap();
+    session.set_param("purchase1", 16).unwrap();
+    let report = session.set_param("purchase2", 40).unwrap();
+    assert_eq!(report.weeks_total, reference.len());
+    assert_eq!(
+        report.weeks_simulated,
+        count(|o| matches!(o, EvalOutcome::Simulated))
+    );
+    assert_eq!(
+        report.weeks_mapped,
+        count(|o| matches!(o, EvalOutcome::Mapped { .. }))
+    );
+    assert_eq!(
+        report.weeks_cached,
+        count(|o| matches!(o, EvalOutcome::Cached))
+    );
+    let mut expected: Vec<Series> = graph.series.iter().map(Series::new).collect();
+    for (&x, (samples, _)) in xs.iter().zip(&reference) {
+        for series in &mut expected {
+            series.update_from(x, samples);
+        }
+    }
+    assert_eq!(session.graph().len(), expected.len());
+    for (got, want) in session.graph().iter().zip(&expected) {
+        let bits = |s: &Series| -> Vec<(i64, u64)> {
+            s.points.iter().map(|p| (p.x, p.y.to_bits())).collect()
+        };
+        assert_eq!(bits(got), bits(want), "series {}", got.column);
+    }
+    // …and the samples it published, read back per point, are the
+    // reference's bits.
+    let published = prophet
+        .engine("s")
+        .unwrap()
+        .evaluate_batch(&points)
+        .unwrap();
+    for (i, ((samples, outcome), (ref_samples, _))) in published.iter().zip(&reference).enumerate()
+    {
+        assert_eq!(*outcome, EvalOutcome::Cached, "session, point {i}");
+        assert_eq!(
+            sample_bits(samples, &columns),
+            sample_bits(ref_samples, &columns),
+            "session, point {i}: samples"
+        );
     }
 }
 
@@ -542,7 +628,13 @@ fn dropped_handle_detaches_and_the_job_still_completes() {
         "identical store population"
     );
     // …and a follow-up sweep is fully served from it, with the same answer.
-    let follow_up = detached.offline("pricing").unwrap().run().unwrap();
+    let follow_up = detached
+        .submit(JobSpec::sweep("pricing"))
+        .unwrap()
+        .wait()
+        .unwrap()
+        .into_sweep()
+        .unwrap();
     assert_eq!(follow_up.metrics.worlds_simulated, 0, "everything reused");
     assert_eq!(
         follow_up.metrics.points_cached,

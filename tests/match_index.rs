@@ -252,7 +252,13 @@ fn offline_sweep_answers_are_identical_with_and_without_index() {
             })
             .build()
             .unwrap();
-        prophet.offline("sweep").unwrap().run().unwrap()
+        prophet
+            .submit(JobSpec::sweep("sweep"))
+            .unwrap()
+            .wait()
+            .unwrap()
+            .into_sweep()
+            .unwrap()
     };
 
     let indexed = run(true);

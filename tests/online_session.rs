@@ -134,7 +134,13 @@ fn inventory_constraint_values_are_exact_fractions() {
         })
         .build()
         .unwrap();
-    let report = prophet.offline("inventory").unwrap().run().unwrap();
+    let report = prophet
+        .submit(JobSpec::sweep("inventory"))
+        .unwrap()
+        .wait()
+        .unwrap()
+        .into_sweep()
+        .unwrap();
     assert_eq!(report.answers.len(), 21);
     for answer in &report.answers {
         let v = answer.constraint_values[0];
