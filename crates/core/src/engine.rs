@@ -186,9 +186,7 @@ pub struct EngineConfig {
     /// (deterministic: world→sample assignment is thread-independent).
     /// Its readers are the reference paths on a bare engine —
     /// [`Engine::evaluate_batch`], and through it [`Engine::evaluate`]
-    /// and [`OfflineOptimizer`](crate::offline::OfflineOptimizer) — and
-    /// the fingerprint phase of
-    /// [`OnlineSession::progressive_expect`](crate::session::OnlineSession::progressive_expect).
+    /// and [`OfflineOptimizer`](crate::offline::OfflineOptimizer).
     /// A [`Prophet`](crate::service::Prophet)'s sessions and jobs fan out
     /// on its pool instead and never read it, except that it sizes a pool
     /// whose
@@ -617,9 +615,9 @@ impl Engine {
 
     /// Simulate one contiguous span of a point's worlds — the one
     /// simulation primitive: the batch pipeline's simulate-phase item
-    /// (at most `SPAN_WORLDS` = 100 worlds, re-claimed points included)
-    /// and the chunk of progressive estimation
-    /// ([`OnlineSession::progressive_expect`]). World→sample assignment is
+    /// (at most `SPAN_WORLDS` = 100 worlds, re-claimed points included;
+    /// under a stop rule, one wave's `batch` worlds, as in
+    /// [`OnlineSession::progressive_expect`]). World→sample assignment is
     /// seed-based (`(root seed, world, point)`), so any span yields
     /// bit-for-bit the matching slice of a full-range run, and spans
     /// concatenated in world order are that run.

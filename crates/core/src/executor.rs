@@ -32,7 +32,10 @@
 //! |                          | mapped samples and their moments (fan-out)   |
 //! | simulate on a miss       | *simulate*: every miss fans out as world     |
 //! |                          | spans of `SPAN_WORLDS`; each point's spans   |
-//! |                          | are joined in world order on the driver      |
+//! |                          | are joined in world order on the driver.     |
+//! |                          | Under a `StopRule` a point runs in waves     |
+//! |                          | of one `batch`-world span and stops at the   |
+//! |                          | first prefix the rule accepts                |
 //! | results feed the store   | *publish*: completions insert basis entries  |
 //! |                          | and wake cross-session waiters, hits first,  |
 //! |                          | then misses, each in batch order             |
@@ -49,10 +52,23 @@
 //! owned. An owned point then goes through the same fingerprint and
 //! world-span phases on the same runner as any other: it is cancellable,
 //! fans out and is traced. This is the only code that evaluates a claimed
-//! point; a batch that never re-claims runs exactly one round. The
-//! fingerprint phase is its own function so the progressive estimator
-//! ([`OnlineSession::progressive_expect`]) maps through it as a batch of
-//! one on the inline runner.
+//! point; a batch that never re-claims runs exactly one round.
+//!
+//! # Stop rules
+//!
+//! A batch may carry a `StopRule` — one output column, a confidence
+//! half-width ε and a prefix step `batch` — which makes every point an
+//! anytime estimate ([`OnlineSession::progressive_expect`] runs one such
+//! batch of one point as a job). Its plan claims at any depth: a cached
+//! entry, or the result of a wait, answers the point when the rule holds
+//! on one of its prefixes (or it is full depth); a shallower one sends the
+//! point into the next round at full depth, carrying those samples as its
+//! resume prefix. A miss then simulates in waves of one `batch`-world
+//! span, joined after its prefix in world order, and publishes at the
+//! first prefix the rule accepts, or at full depth. No span is ever
+//! computed past that depth, so `worlds_simulated` is the fresh worlds at
+//! every worker count. A batch without a rule runs the same loop as one
+//! wave of `SPAN_WORLDS`-wide spans from world 0.
 //!
 //! # One pipeline, two runners
 //!
@@ -119,15 +135,31 @@ use prophet_fingerprint::{Fingerprint, Mapping};
 use prophet_mc::trace::{TraceEventKind, Tracer, NO_CHUNK, NO_JOB};
 use prophet_mc::{
     BasisHit, ColumnMoments, ColumnSamples, InflightGuard, ParamPoint, Recipe, SampleSet,
-    ScanSnapshot, ScanWork, TryClaim, WaitHandle,
+    SampleStats, ScanSnapshot, ScanWork, TryClaim, WaitHandle,
 };
 
 use crate::engine::{Engine, EvalOutcome};
 use crate::error::{ProphetError, ProphetResult};
 use crate::metrics::Stopwatch;
+use crate::session::ProgressiveEstimate;
 
 /// One `(samples, outcome)` per point of a batch.
 pub(crate) type BatchResults = Vec<(SampleSet, EvalOutcome)>;
+
+/// What [`run_batch`] answers: one `(samples, outcome)` per input point
+/// and, under a [`StopRule`], one anytime estimate per input point.
+#[derive(Default)]
+pub(crate) struct Evaluated {
+    pub(crate) results: BatchResults,
+    pub(crate) estimates: Vec<ProgressiveEstimate>,
+}
+
+/// A unique point's reply and, under a stop rule, its estimate.
+type Answer = ((SampleSet, EvalOutcome), Option<ProgressiveEstimate>);
+
+/// A unique point's index going into a round, with — for a rule point —
+/// its resume prefix: shallow samples and their worlds.
+type Planned = (usize, Option<(Arc<ColumnSamples>, usize)>);
 
 /// What differs between the two executions of [`run_batch`]; see the
 /// [module docs](self).
@@ -190,64 +222,91 @@ fn lost_slot(runner: &impl Runner) -> ProphetResult<()> {
     }
 }
 
-/// Worlds per simulate-phase item: a miss runs as `worlds_per_point /
-/// SPAN_WORLDS` (rounded up) spans, the last one possibly shorter.
+/// Worlds per simulate-phase item without a stop rule: a miss runs as
+/// `worlds_per_point / SPAN_WORLDS` (rounded up) spans, the last one
+/// possibly shorter.
 pub(crate) const SPAN_WORLDS: usize = 100;
 
-/// Concatenate one point's simulated spans, in world order, into its
-/// full-depth columns. `Ok(None)` means a span never ran, so the point is
-/// released rather than published; every span is visited, so the first
-/// error in batch order is the one returned.
-fn join_spans(
-    runner: &impl Runner,
-    spans: impl Iterator<Item = Option<ProphetResult<SampleSet>>>,
-    worlds: usize,
-) -> ProphetResult<Option<Arc<ColumnSamples>>> {
-    let columns = runner.engine().output_columns();
-    let mut joined: Vec<Vec<f64>> = columns.iter().map(|_| Vec::with_capacity(worlds)).collect();
-    let mut complete = true;
-    for slot in spans {
-        let Some(span) = slot else {
-            lost_slot(runner)?;
-            complete = false;
-            continue;
-        };
-        let span = span?;
-        for (column, dst) in columns.iter().zip(&mut joined) {
-            let xs = span.samples(column).ok_or_else(|| {
-                ProphetError::Internal(format!("simulation lacks samples for column `{column}`"))
-            })?;
-            dst.extend_from_slice(xs);
-        }
-    }
-    Ok(complete.then(|| Arc::new(columns.iter().cloned().zip(joined).collect())))
+/// A batch's anytime criterion (see the [module docs](self)): a point is
+/// answered by the first prefix of its `column` samples, growing by
+/// `batch` worlds, whose 95 % confidence half-width is at most `epsilon`
+/// — or by its samples at full depth.
+#[derive(Debug, Clone)]
+pub(crate) struct StopRule {
+    column: String,
+    epsilon: f64,
+    batch: usize,
 }
 
-/// The Figure-1 cycle over one batch (see the [module docs](self)):
-/// `Ok(None)` means a cancel was observed — completed results were
-/// published, remaining claims released, nothing returned.
+impl StopRule {
+    /// A rule on `engine`'s output `column`
+    /// ([`ProphetError::UnknownColumn`] otherwise), `batch` at least 1.
+    pub(crate) fn new(
+        engine: &Engine,
+        column: &str,
+        epsilon: f64,
+        batch: usize,
+    ) -> ProphetResult<Self> {
+        let columns = engine.output_columns();
+        if !columns.iter().any(|c| c == column) {
+            return Err(ProphetError::unknown_column(column, columns.to_vec()));
+        }
+        Ok(StopRule {
+            column: column.to_owned(),
+            epsilon,
+            batch: batch.max(1),
+        })
+    }
+
+    /// Test the prefixes of `samples`' rule column that grow by `batch`
+    /// from `from` worlds, the last one clamped to the whole column, and
+    /// stop at the first that converges at z = 1.96. Returns the estimate
+    /// on it, `fresh` of whose worlds this batch simulated (none: the
+    /// samples came from the basis). Basis samples answer a point when
+    /// the estimate on them converged or they are full depth; otherwise
+    /// they are its resume prefix.
+    fn estimate(&self, samples: &ColumnSamples, from: usize, fresh: usize) -> ProgressiveEstimate {
+        const Z95: f64 = 1.96;
+        let xs = (samples.get(&self.column))
+            .expect("invariant: a point's samples hold every output column");
+        let mut depth = from;
+        loop {
+            depth = (depth + self.batch).min(xs.len());
+            let stats = SampleStats::of(&xs[..depth]);
+            let converged = stats.converged(self.epsilon, Z95);
+            if converged || depth == xs.len() {
+                return ProgressiveEstimate {
+                    estimate: stats.mean,
+                    worlds_used: fresh,
+                    used_basis: fresh == 0,
+                    converged,
+                };
+            }
+        }
+    }
+}
+
+/// The Figure-1 cycle over one batch (see the [module docs](self)),
+/// under `rule` if it has one: `Ok(None)` means a cancel was observed —
+/// completed results were published, remaining claims released, nothing
+/// returned.
 pub(crate) fn run_batch<R: Runner>(
     runner: &R,
     points: &[ParamPoint],
-) -> ProphetResult<Option<BatchResults>> {
-    if points.is_empty() {
-        return Ok(Some(Vec::new()));
-    }
-
+    rule: Option<&StopRule>,
+) -> ProphetResult<Option<Evaluated>> {
     // ---- dedupe: unique points in first-seen order.
     let (unique, slot_of) = dedupe_points(points);
-    let mut results: Vec<Option<(SampleSet, EvalOutcome)>> =
-        (0..unique.len()).map(|_| None).collect();
+    let mut answers: Vec<Option<Answer>> = (0..unique.len()).map(|_| None).collect();
 
-    // ---- rounds: each takes the points whose wait in the last one
-    // yielded no full-depth samples; a batch that never re-claims runs
-    // exactly one.
-    let mut round: Vec<usize> = (0..unique.len()).collect();
+    // ---- rounds: each takes the points the last one left unanswered; a
+    // batch that never re-claims runs exactly one.
+    let mut round: Vec<Planned> = (0..unique.len()).map(|i| (i, None)).collect();
     while !round.is_empty() {
         if runner.is_cancelled() {
             return Ok(None);
         }
-        match run_round(runner, &unique, round, &mut results)? {
+        match run_round(runner, &unique, rule, round, &mut answers)? {
             Some(retry) => round = retry,
             None => return Ok(None),
         }
@@ -255,90 +314,190 @@ pub(crate) fn run_batch<R: Runner>(
 
     // ---- scatter: duplicates resolve to their unique point's result.
     runner.points_done((points.len() - unique.len()) as u64);
-    Ok(Some(
-        slot_of
-            .into_iter()
-            .map(|i| {
-                results[i]
-                    .clone()
-                    .expect("invariant: every unique point resolves to a result")
-            })
-            .collect(),
-    ))
+    let mut evaluated = Evaluated::default();
+    for i in slot_of {
+        let (reply, estimate) =
+            (answers[i].clone()).expect("invariant: every unique point resolves to a result");
+        evaluated.results.push(reply);
+        evaluated.estimates.extend(estimate);
+    }
+    Ok(Some(evaluated))
 }
 
-/// One round of [`run_batch`] over `round` (indices into `unique`): plan,
-/// fingerprint phase, simulate phase, then the cross-session waits.
-/// Returns the points to re-plan — those whose wait yielded no
-/// full-depth samples — or `None` on a cancel.
+/// One round of [`run_batch`] over `round`: plan, fingerprint phase,
+/// simulate phase, then the cross-session waits. Returns the points to
+/// re-plan — those whose wait yielded no full-depth samples, and rule
+/// points whose shallow samples the rule did not accept — or `None` on a
+/// cancel.
 fn run_round<R: Runner>(
     runner: &R,
     unique: &[ParamPoint],
-    round: Vec<usize>,
-    results: &mut [Option<(SampleSet, EvalOutcome)>],
-) -> ProphetResult<Option<Vec<usize>>> {
+    rule: Option<&StopRule>,
+    round: Vec<Planned>,
+    answers: &mut [Option<Answer>],
+) -> ProphetResult<Option<Vec<Planned>>> {
     let engine = runner.engine();
-    let (tracer, job) = runner.trace();
-    let worlds_per_point = engine.config().worlds_per_point;
+    let full = engine.config().worlds_per_point;
 
-    // ---- plan: exact-cache check + in-flight claim per point.
-    let mut owned: Vec<usize> = Vec::new();
-    let mut claimed: Vec<(ParamPoint, InflightGuard)> = Vec::new();
-    let mut waits: Vec<(usize, WaitHandle)> = Vec::new();
-    for i in round {
+    // ---- plan: exact-cache check + in-flight claim per point. A rule
+    // point's first claim takes an entry at any depth.
+    let mut retry = Vec::new();
+    let mut claimed: Vec<(Planned, InflightGuard)> = Vec::new();
+    let mut waits: Vec<(Planned, WaitHandle)> = Vec::new();
+    for (i, resume) in round {
         let point = &unique[i];
-        match engine
-            .basis_store()
-            .try_claim_stored(point, worlds_per_point)
-        {
-            TryClaim::Ready { samples, .. } => {
+        let any_depth = rule.is_some() && resume.is_none();
+        let min_worlds = if any_depth { 1 } else { full };
+        match engine.basis_store().try_claim_stored(point, min_worlds) {
+            TryClaim::Ready { samples, worlds } => {
+                let (reply, estimate) = match rule {
+                    None => (engine.stored_sample_set(point, samples), None),
+                    Some(rule) => {
+                        let samples = samples.materialize(point);
+                        let estimate = rule.estimate(&samples, 0, 0);
+                        if !estimate.converged && worlds < full {
+                            retry.push((i, Some((samples, worlds))));
+                            continue;
+                        }
+                        (engine.to_sample_set(point, samples), Some(estimate))
+                    }
+                };
                 engine.bump(|m| m.points_cached += 1);
                 runner.points_done(1);
-                let reply = engine.stored_sample_set(point, samples);
-                results[i] = Some((reply, EvalOutcome::Cached));
+                answers[i] = Some(((reply, EvalOutcome::Cached), estimate));
             }
-            TryClaim::Owner(guard) => {
-                owned.push(i);
-                claimed.push((point.clone(), guard));
-            }
-            TryClaim::Pending(handle) => waits.push((i, handle)),
+            TryClaim::Owner(guard) => claimed.push(((i, resume), guard)),
+            TryClaim::Pending(handle) => waits.push(((i, resume), handle)),
         }
     }
 
     // ---- probe + match + remap, publishing the hits.
-    let Some(probed) = fingerprint_phase(runner, claimed)? else {
+    let Some(misses) = fingerprint_phase(runner, unique, rule, claimed, answers)? else {
         return Ok(None);
     };
-    let mut to_simulate: Vec<(usize, InflightGuard, HashMap<String, Fingerprint>)> = Vec::new();
-    for (i, probed) in owned.into_iter().zip(probed) {
-        match probed {
-            Probed::Mapped(reply) => results[i] = Some(reply),
-            Probed::Miss(guard, probes) => to_simulate.push((i, guard, probes)),
-        }
+
+    // ---- simulate the misses, publishing each once it is done.
+    if !simulate_phase(runner, unique, rule, misses, answers)? {
+        return Ok(None);
     }
 
-    // ---- simulate misses as fixed-width world spans, publish in batch
-    // order. The span width never depends on `threads`: a lone cold point
-    // still spreads across the pool, a cancel stops a point between
-    // spans, and — worlds being seeded from `(root seed, world, point)` —
-    // every sample and counter is the same however the spans are
-    // scheduled.
-    if !to_simulate.is_empty() {
-        if runner.is_cancelled() {
-            return Ok(None);
+    // ---- resolve cross-session waits last, once this round holds no
+    // claim: its own points are published, so two sessions waiting on
+    // each other's points cannot deadlock. A wait whose owner abandoned
+    // the point (cancel, error, store clear) or published fewer worlds
+    // than the point needs (shared store, differing `worlds_per_point`,
+    // or an anytime estimate the rule does not accept) goes back to the
+    // plan: the next round finds it cached, waits again, or owns it and
+    // evaluates it like any other claimed point.
+    for ((i, resume), handle) in waits {
+        let Some((samples, worlds)) = handle.wait() else {
+            retry.push((i, resume));
+            continue;
+        };
+        let estimate = rule.map(|r| r.estimate(&samples, 0, 0));
+        if worlds < full && !estimate.as_ref().is_some_and(|e| e.converged) {
+            // Under a rule, the shallow samples are the resume prefix.
+            retry.push((i, rule.map(|_| (samples, worlds))));
+            continue;
         }
-        let phase = Stopwatch::start();
-        let spans_per_point = worlds_per_point.div_ceil(SPAN_WORLDS);
-        let spans: Vec<(ParamPoint, Range<u64>)> = to_simulate
-            .iter()
-            .flat_map(|&(i, ..)| {
-                let point = &unique[i];
-                (0..worlds_per_point)
-                    .step_by(SPAN_WORLDS)
-                    .map(move |start| {
-                        let end = (start + SPAN_WORLDS).min(worlds_per_point);
-                        (point.clone(), start as u64..end as u64)
-                    })
+        engine.bump(|m| {
+            m.points_cached += 1;
+            m.inflight_waits += 1;
+        });
+        let reply = engine.to_sample_set(&unique[i], samples);
+        answers[i] = Some(((reply, EvalOutcome::Cached), estimate));
+        runner.points_done(1);
+    }
+    Ok(Some(retry))
+}
+
+/// A claimed miss in the simulate phase: its claim, its probe
+/// fingerprints and its samples so far, worlds `0..depth` in world order
+/// (every output column, once its first span has joined).
+struct Simulating {
+    /// Index into the batch's unique points.
+    i: usize,
+    guard: InflightGuard,
+    probes: HashMap<String, Fingerprint>,
+    samples: ColumnSamples,
+    depth: usize,
+    /// Worlds of the resume prefix: reused, not fresh work.
+    resumed: usize,
+}
+
+impl Simulating {
+    /// Append one wave's spans in world order. `Ok(false)` means a span
+    /// never ran, so the point is released rather than published; the
+    /// first error in world order is the one returned.
+    fn join(
+        &mut self,
+        runner: &impl Runner,
+        spans: impl Iterator<Item = Option<ProphetResult<SampleSet>>>,
+    ) -> ProphetResult<bool> {
+        let engine = runner.engine();
+        let full = engine.config().worlds_per_point;
+        let mut complete = true;
+        for slot in spans {
+            let Some(span) = slot else {
+                lost_slot(runner)?;
+                complete = false;
+                continue;
+            };
+            let span = span?;
+            for column in engine.output_columns() {
+                let xs = span.samples(column).ok_or_else(|| {
+                    ProphetError::Internal(format!("simulation lacks column `{column}`"))
+                })?;
+                (self.samples.entry(column.clone()))
+                    .or_insert_with(|| Vec::with_capacity(full))
+                    .extend_from_slice(xs);
+            }
+        }
+        Ok(complete)
+    }
+}
+
+/// The simulate phase over a round's misses, as waves of world spans
+/// (see the [module docs](self)): each point is published once done, in
+/// batch order within its wave. `Ok(false)` means a cancel was observed;
+/// points not yet published are released as their guards drop.
+///
+/// The span width never depends on `threads`: a lone cold point still
+/// spreads across the pool, a cancel stops a point between spans, and —
+/// worlds being seeded from `(root seed, world, point)` — every sample
+/// and counter is the same however the spans are scheduled.
+fn simulate_phase<R: Runner>(
+    runner: &R,
+    unique: &[ParamPoint],
+    rule: Option<&StopRule>,
+    mut running: Vec<Simulating>,
+    answers: &mut [Option<Answer>],
+) -> ProphetResult<bool> {
+    if running.is_empty() {
+        return Ok(true);
+    }
+    let engine = runner.engine();
+    let (tracer, job) = runner.trace();
+    let full = engine.config().worlds_per_point;
+    let width = rule.map_or(SPAN_WORLDS, |rule| rule.batch);
+    let phase = Stopwatch::start();
+    let mut cancelled = false;
+    while !(running.is_empty() || cancelled) {
+        if runner.is_cancelled() {
+            cancelled = true;
+            break;
+        }
+        // A wave takes a point to full depth without a rule, one span
+        // further under one.
+        let ends: Vec<usize> = (running.iter())
+            .map(|s| rule.map_or(full, |_| (s.depth + width).min(full)))
+            .collect();
+        let spans: Vec<(ParamPoint, Range<u64>)> = (running.iter().zip(&ends))
+            .flat_map(|(s, &end)| {
+                let point = &unique[s.i];
+                (s.depth..end).step_by(width).map(move |start| {
+                    (point.clone(), start as u64..(start + width).min(end) as u64)
+                })
             })
             .collect();
         let t_sim = tracer.now();
@@ -348,90 +507,72 @@ fn run_round<R: Runner>(
         tracer.span(TraceEventKind::PhaseSimulate, job, NO_CHUNK, t_sim);
         let t_publish = tracer.now();
         let publish = Stopwatch::start();
-        let mut cancelled = false;
         let mut simulated = simulated.into_iter();
-        for (i, guard, probes) in to_simulate {
-            let point_spans = simulated.by_ref().take(spans_per_point);
-            let Some(samples) = join_spans(runner, point_spans, worlds_per_point)? else {
+        let mut next = Vec::new();
+        for (mut s, end) in running.into_iter().zip(ends) {
+            let (from, n) = (s.depth, (end - s.depth).div_ceil(width));
+            if !s.join(runner, simulated.by_ref().take(n))? {
                 cancelled = true;
                 continue;
-            };
-            results[i] = Some(engine.publish_simulated(
-                &unique[i],
-                guard,
-                probes,
-                samples,
-                worlds_per_point,
-            ));
+            }
+            s.depth = end;
+            let fresh = end - s.resumed;
+            let estimate = rule.map(|r| r.estimate(&s.samples, from, fresh));
+            if end < full && !estimate.as_ref().is_some_and(|e| e.converged) {
+                next.push(s);
+                continue;
+            }
+            let samples = Arc::new(s.samples);
+            let reply = engine.publish_simulated(&unique[s.i], s.guard, s.probes, samples, end);
+            answers[s.i] = Some((reply, estimate));
             runner.points_done(1);
         }
         tracer.span(TraceEventKind::PhasePublish, job, NO_CHUNK, t_publish);
-        engine.bump(|m| {
-            m.publish_nanos += publish.elapsed_nanos();
-            m.sim_nanos += phase.elapsed_nanos();
-        });
-        if cancelled {
-            return Ok(None);
-        }
+        engine.bump(|m| m.publish_nanos += publish.elapsed_nanos());
+        running = next;
     }
-
-    // ---- resolve cross-session waits last, once this round holds no
-    // claim: its own points are published, so two sessions waiting on
-    // each other's points cannot deadlock. A wait whose owner abandoned
-    // the point (cancel, error, store clear) or published fewer worlds
-    // than this engine needs (shared store, differing `worlds_per_point`)
-    // goes back to the plan: the next round finds it cached, waits
-    // again, or owns it and evaluates it like any other claimed point.
-    let mut retry = Vec::new();
-    for (i, handle) in waits {
-        match handle.wait() {
-            Some((samples, worlds)) if worlds >= worlds_per_point => {
-                engine.bump(|m| {
-                    m.points_cached += 1;
-                    m.inflight_waits += 1;
-                });
-                results[i] = Some((
-                    engine.to_sample_set(&unique[i], samples),
-                    EvalOutcome::Cached,
-                ));
-                runner.points_done(1);
-            }
-            _ => retry.push(i),
-        }
-    }
-    Ok(Some(retry))
-}
-
-/// What the fingerprint phase made of one claimed point.
-pub(crate) enum Probed {
-    /// A fingerprint hit, published: the point's reply.
-    Mapped((SampleSet, EvalOutcome)),
-    /// A miss, still claimed: simulate it, then publish it with its
-    /// probe fingerprints.
-    Miss(InflightGuard, HashMap<String, Fingerprint>),
+    engine.bump(|m| m.sim_nanos += phase.elapsed_nanos());
+    Ok(!cancelled)
 }
 
 /// The fingerprint phase over claimed points: probe fan-out, one
 /// candidate snapshot, fused match-then-remap fan-out, the scans'
-/// accounting, then the hits published in input order. One [`Probed`]
-/// per claimed point, in input order; `Ok(None)` means a cancel was
-/// observed (hits that landed are published, every other claim is
-/// released as its guard drops). Without fingerprints every point is a
-/// miss with no probes.
-pub(crate) fn fingerprint_phase<R: Runner>(
+/// accounting, then the hits published and answered in input order.
+/// Returns the misses, still claimed, in input order; `Ok(None)` means a
+/// cancel was observed (hits that landed are published, every other
+/// claim is released as its guard drops). Without fingerprints every
+/// point is a miss with no probes.
+fn fingerprint_phase<R: Runner>(
     runner: &R,
-    claimed: Vec<(ParamPoint, InflightGuard)>,
-) -> ProphetResult<Option<Vec<Probed>>> {
+    unique: &[ParamPoint],
+    rule: Option<&StopRule>,
+    claimed: Vec<(Planned, InflightGuard)>,
+    answers: &mut [Option<Answer>],
+) -> ProphetResult<Option<Vec<Simulating>>> {
     let engine = runner.engine();
+    // A miss starts from its resume prefix, or from world 0.
+    let miss = |((i, resume), guard): (Planned, _), probes| {
+        let prefix = resume.map(|(prefix, worlds)| ((*prefix).clone(), worlds));
+        let (samples, depth) = prefix.unwrap_or_default();
+        Simulating {
+            i,
+            guard,
+            probes,
+            samples,
+            depth,
+            resumed: depth,
+        }
+    };
     if !engine.uses_fingerprints() || claimed.is_empty() {
-        let misses = claimed
-            .into_iter()
-            .map(|(_, guard)| Probed::Miss(guard, HashMap::new()));
+        let misses = claimed.into_iter().map(|claim| miss(claim, HashMap::new()));
         return Ok(Some(misses.collect()));
     }
     let (tracer, job) = runner.trace();
     let phase = Stopwatch::start();
-    let (points, guards): (Vec<ParamPoint>, Vec<InflightGuard>) = claimed.into_iter().unzip();
+    let points: Vec<ParamPoint> = claimed
+        .iter()
+        .map(|((i, _), _)| unique[*i].clone())
+        .collect();
     let n = points.len();
     let t_probe = tracer.now();
     let probe_outputs = runner.fan_out(points, |engine, p: ParamPoint| {
@@ -478,21 +619,22 @@ pub(crate) fn fingerprint_phase<R: Runner>(
     let t_publish = tracer.now();
     let publish = Stopwatch::start();
     let mut cancelled = false;
-    let mut probed = Vec::with_capacity(n);
-    for (guard, slot) in guards.into_iter().zip(fused) {
+    let mut misses = Vec::new();
+    for (claim, slot) in claimed.into_iter().zip(fused) {
         let Some((point, probe, matched)) = slot else {
             lost_slot(runner)?;
             cancelled = true;
             continue;
         };
-        probed.push(match matched.outcome? {
-            Some(hit) => {
-                let reply = engine.publish_hit(&point, guard, hit);
-                runner.points_done(1);
-                Probed::Mapped(reply)
-            }
-            None => Probed::Miss(guard, probe),
-        });
+        let Some(hit) = matched.outcome? else {
+            misses.push(miss(claim, probe));
+            continue;
+        };
+        let ((i, _), guard) = claim;
+        let reply = engine.publish_hit(&point, guard, hit);
+        let estimate = rule.map(|r| r.estimate(reply.0.shared_samples(), 0, 0));
+        answers[i] = Some((reply, estimate));
+        runner.points_done(1);
     }
     tracer.span(TraceEventKind::PhasePublish, job, NO_CHUNK, t_publish);
     engine.bump(|m| {
@@ -502,7 +644,7 @@ pub(crate) fn fingerprint_phase<R: Runner>(
     if cancelled || runner.is_cancelled() {
         return Ok(None);
     }
-    Ok(Some(probed))
+    Ok(Some(misses))
 }
 
 impl Engine {
@@ -519,8 +661,10 @@ impl Engine {
         &self,
         points: &[ParamPoint],
     ) -> ProphetResult<Vec<(SampleSet, EvalOutcome)>> {
-        Ok(run_batch(&Inline(self), points)?
-            .expect("invariant: the inline runner is never cancelled"))
+        let evaluated = run_batch(&Inline(self), points, None)?;
+        Ok(evaluated
+            .expect("invariant: the inline runner is never cancelled")
+            .results)
     }
 
     /// Whether owned points go through the fingerprint phase at all.
@@ -632,10 +776,10 @@ impl Engine {
 
     /// Publish a simulation of `worlds` worlds: complete the claim and
     /// hand the same allocation back as the reply. Only a full-depth
-    /// entry becomes a matchable basis source; a shallower one (the
-    /// progressive estimator stopping early) is exact-key-reusable, and
-    /// the store's min-worlds filters protect full-depth consumers.
-    pub(crate) fn publish_simulated(
+    /// entry becomes a matchable basis source; a shallower one (a stop
+    /// rule accepting a prefix) is exact-key-reusable, and the store's
+    /// min-worlds filters protect full-depth consumers.
+    fn publish_simulated(
         &self,
         point: &ParamPoint,
         guard: InflightGuard,

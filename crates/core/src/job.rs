@@ -6,7 +6,8 @@
 //! `OfflineOptimizer::run` seized the caller until the last point landed.
 //! This module is the service-shaped surface instead: callers
 //! [`submit`](crate::service::Prophet::submit) a [`JobSpec`] describing a
-//! sweep, a graph refresh, or a raw point batch, and get back a
+//! sweep, a graph refresh, a raw point batch, or an anytime estimate of
+//! one point, and get back a
 //! [`JobHandle`] they can poll ([`JobHandle::progress`]), stream
 //! ([`JobHandle::recv`] / [`JobHandle::events`]), cancel
 //! ([`JobHandle::cancel`]) or block on ([`JobHandle::wait`]).
@@ -19,15 +20,18 @@
 //! of inline ([`executor`](crate::executor) carries the argument), so its
 //! final answer is bit-identical to the blocking call's at any chunk
 //! size, priority mix, and worker count — the differential suite in
-//! `tests/jobs.rs` enforces it.
+//! `tests/jobs.rs` enforces it. A progressive job runs that pipeline under
+//! a stop rule, so it stops simulating its point at the first world
+//! prefix that meets its criterion.
 //!
 //! Dropping a [`JobHandle`] detaches it: the job still runs to completion
 //! (its publications land in the shared basis store exactly as if someone
 //! were watching), only the event stream is discarded.
 //!
 //! Event granularity: chunk results stream per finalized *batch* (a
-//! sweep streams group by group; a raw point batch emits its chunks when
-//! the batch completes) — see [`ChunkUpdate`] for why. Poll
+//! sweep streams group by group; a raw point batch or a progressive
+//! estimate emits its chunks when the batch completes) — see
+//! [`ChunkUpdate`] for why. Poll
 //! [`JobHandle::progress`] for liveness finer than that.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -41,6 +45,7 @@ use crate::engine::{Engine, EvalOutcome};
 use crate::error::{ProphetError, ProphetResult};
 use crate::metrics::EngineMetrics;
 use crate::offline::OfflineReport;
+use crate::session::ProgressiveEstimate;
 use crate::sync::OrderedMutex;
 
 /// Scheduling class of a job: chunks of a higher-priority job are always
@@ -59,8 +64,8 @@ pub enum Priority {
 }
 
 /// What a job should do. Constructed through [`JobSpec::sweep`],
-/// [`JobSpec::refresh`] or [`JobSpec::points`], with a fluent
-/// [`JobSpec::with_priority`].
+/// [`JobSpec::refresh`], [`JobSpec::points`] or [`JobSpec::progressive`],
+/// with a fluent [`JobSpec::with_priority`].
 #[derive(Debug, Clone)]
 pub struct JobSpec {
     /// The work description.
@@ -97,37 +102,70 @@ pub enum JobKind {
         /// The points to evaluate.
         points: Vec<ParamPoint>,
     },
+    /// Estimate `EXPECT column` at one point, anytime: world prefixes
+    /// growing by `batch` are tested until the 95 % confidence half-width
+    /// is at most `epsilon`, and the point's samples are published at
+    /// that depth — the job behind
+    /// [`OnlineSession::progressive_expect`](crate::session::OnlineSession::progressive_expect).
+    Progressive {
+        /// The registered scenario name.
+        scenario: String,
+        /// The point to estimate at.
+        point: ParamPoint,
+        /// The output column to estimate.
+        column: String,
+        /// The target 95 % confidence half-width.
+        epsilon: f64,
+        /// Worlds added per prefix (at least 1).
+        batch: usize,
+    },
 }
 
 impl JobSpec {
     /// A full offline sweep of `scenario`'s OPTIMIZE directive.
     pub fn sweep(scenario: impl Into<String>) -> Self {
-        JobSpec {
-            kind: JobKind::Sweep {
-                scenario: scenario.into(),
-            },
-            priority: Priority::default(),
-        }
+        JobSpec::of(JobKind::Sweep {
+            scenario: scenario.into(),
+        })
     }
 
     /// A graph refresh of `scenario` at the given sliders.
     pub fn refresh(scenario: impl Into<String>, sliders: ParamPoint) -> Self {
-        JobSpec {
-            kind: JobKind::Refresh {
-                scenario: scenario.into(),
-                sliders,
-            },
-            priority: Priority::default(),
-        }
+        JobSpec::of(JobKind::Refresh {
+            scenario: scenario.into(),
+            sliders,
+        })
     }
 
     /// A raw point batch against `scenario`.
     pub fn points(scenario: impl Into<String>, points: Vec<ParamPoint>) -> Self {
+        JobSpec::of(JobKind::Points {
+            scenario: scenario.into(),
+            points,
+        })
+    }
+
+    /// An anytime estimate of `EXPECT column` at `point` of `scenario`.
+    pub fn progressive(
+        scenario: impl Into<String>,
+        point: ParamPoint,
+        column: impl Into<String>,
+        epsilon: f64,
+        batch: usize,
+    ) -> Self {
+        JobSpec::of(JobKind::Progressive {
+            scenario: scenario.into(),
+            point,
+            column: column.into(),
+            epsilon,
+            batch,
+        })
+    }
+
+    /// `kind` at the default priority.
+    fn of(kind: JobKind) -> Self {
         JobSpec {
-            kind: JobKind::Points {
-                scenario: scenario.into(),
-                points,
-            },
+            kind,
             priority: Priority::default(),
         }
     }
@@ -204,6 +242,9 @@ pub enum JobOutput {
     /// `(samples, outcome)` per requested point, in request order (for a
     /// refresh, graph-axis order).
     Points(Vec<(SampleSet, EvalOutcome)>),
+    /// A [`JobKind::Progressive`] finished: the estimate, with the fresh
+    /// worlds it took — which only the run knows.
+    Progressive(ProgressiveEstimate),
 }
 
 impl JobOutput {
@@ -211,9 +252,7 @@ impl JobOutput {
     pub fn into_sweep(self) -> ProphetResult<OfflineReport> {
         match self {
             JobOutput::Sweep(report) => Ok(*report),
-            other => Err(ProphetError::Internal(format!(
-                "expected a sweep output, got {other:?}"
-            ))),
+            other => Err(other.mismatch("a sweep output")),
         }
     }
 
@@ -221,10 +260,21 @@ impl JobOutput {
     pub fn into_points(self) -> ProphetResult<Vec<(SampleSet, EvalOutcome)>> {
         match self {
             JobOutput::Points(results) => Ok(results),
-            other => Err(ProphetError::Internal(format!(
-                "expected point outputs, got {other:?}"
-            ))),
+            other => Err(other.mismatch("point outputs")),
         }
+    }
+
+    /// The estimate, if this was a progressive job.
+    pub fn into_progressive(self) -> ProphetResult<ProgressiveEstimate> {
+        match self {
+            JobOutput::Progressive(estimate) => Ok(estimate),
+            other => Err(other.mismatch("a progressive estimate")),
+        }
+    }
+
+    /// The error for reading this output as `expected`.
+    fn mismatch(self, expected: &str) -> ProphetError {
+        ProphetError::Internal(format!("expected {expected}, got {self:?}"))
     }
 }
 

@@ -140,8 +140,8 @@ pub struct EngineMetrics {
     /// simulation of the same point (thundering-herd dedup).
     pub inflight_waits: u64,
     /// Points whose fingerprints were probed as part of a batch's probe
-    /// phase (every claimed point of every batch with fingerprints on);
-    /// the single-point retry and progressive paths probe without it.
+    /// phase (every claimed point of every batch with fingerprints on,
+    /// a progressive estimate's included).
     pub batch_probes: u64,
     /// Pipeline wall-clock nanoseconds inside the probe/match/remap phase,
     /// publishing the hits included: the phase as the caller experiences
@@ -164,8 +164,8 @@ pub struct EngineMetrics {
     /// which is where a slow tail hides.
     pub probe_latency: LatencyHistogram,
     /// World-span simulation latency distribution (one observation per
-    /// `Engine::simulate_world_span` call: a span of at most 100 worlds in
-    /// a batch, or a progressive chunk — never a whole point), same
+    /// `Engine::simulate_world_span` call: a span of at most 100 worlds,
+    /// or of a stop rule's `batch` worlds — never a whole point), same
     /// bucket table as
     /// [`probe_latency`](EngineMetrics::probe_latency).
     pub sim_latency: LatencyHistogram,

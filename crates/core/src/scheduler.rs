@@ -61,10 +61,11 @@
 //! landed, release the rest". A simulate-phase item is one world span of
 //! at most `SPAN_WORLDS` = 100 worlds, never a whole point, so after a
 //! cancel each in-flight chunk runs at most
-//! [`SchedulerConfig::chunk_points`] × 100 more worlds. This holds for a
-//! point the job re-claims after a wait on another session's abandoned
-//! claim too: the re-claim is a later round of the same pipeline, on the
-//! same runner.
+//! [`SchedulerConfig::chunk_points`] × 100 more worlds; a progressive
+//! job's wave is one span of its `batch` worlds, so it runs at most that.
+//! This holds for a point the job re-claims after a wait on another
+//! session's abandoned claim too: the re-claim is a later round of the
+//! same pipeline, on the same runner.
 //!
 //! # Concurrency conformance
 //!
@@ -105,7 +106,7 @@ use prophet_mc::ParamPoint;
 
 use crate::engine::Engine;
 use crate::error::ProphetError;
-use crate::executor::{run_batch, BatchResults, Runner};
+use crate::executor::{run_batch, BatchResults, Runner, StopRule};
 use crate::job::{ChunkUpdate, JobCore, JobEvent, JobHandle, JobOutput, Priority};
 use crate::offline::SweepPlan;
 use crate::sync::{
@@ -509,16 +510,19 @@ impl Scheduler {
         })
     }
 
-    /// Submit a raw point-batch job (also the backend of graph refreshes).
+    /// Submit a point-batch job: a raw batch or a graph refresh, or under
+    /// a stop `rule` a progressive estimate, whose final output is then
+    /// its (one point's) estimate.
     pub(crate) fn submit_batch(
         &self,
         engine: Arc<Engine>,
         points: Vec<ParamPoint>,
         priority: Priority,
+        rule: Option<StopRule>,
     ) -> JobHandle {
         let points_total = points.len() as u64;
         self.spawn_job(engine, priority, points_total, move |inner, core| {
-            drive_batch(&inner, &core, points);
+            drive_batch(&inner, &core, points, rule);
         })
     }
 
@@ -559,16 +563,15 @@ impl Scheduler {
                 driver_inner
                     .tracer
                     .instant(TraceEventKind::JobStart, id, NO_CHUNK);
-                // A panicking driver must still fail the job: without this
-                // guard, `wait()` would block forever (the event sender
-                // never drops) and `wait_idle` would never settle.
-                let mut guard = DriverDone {
+                // Finishes the job however the driver ends. A panicking
+                // driver must still fail the job: without this guard,
+                // `wait()` would block forever (the event sender never
+                // drops) and `wait_idle` would never settle.
+                let _done = DriverDone {
                     inner: Arc::clone(&driver_inner),
                     core: Arc::clone(&driver_core),
-                    armed: true,
                 };
                 body(driver_inner, driver_core);
-                guard.armed = false;
             }),
         };
         {
@@ -623,38 +626,32 @@ fn worker_loop(inner: &Inner) {
 
 // ------------------------------------------------------------- job drivers
 
-/// Fires only if a driver unwinds before its normal `finish_job` call
-/// (the happy path disarms it after `body` returns): reports the panic as
-/// a job failure and finishes the job, so handles and `wait_idle` never
-/// hang on a poisoned driver.
+/// Finishes its job when its driver returns or unwinds (a panic is
+/// reported as the job's failure first): marks the job finished, closes
+/// its event stream so the handle's iterator terminates, and wakes
+/// idle-waiters — so handles and `wait_idle` never hang on a poisoned
+/// driver.
 struct DriverDone {
     inner: Arc<Inner>,
     core: Arc<JobCore>,
-    armed: bool,
 }
 
 impl Drop for DriverDone {
     fn drop(&mut self) {
-        if self.armed {
-            self.core.emit(JobEvent::Failed(ProphetError::Internal(
-                "job driver panicked".into(),
-            )));
-            finish_job(&self.inner, &self.core);
+        let (inner, core) = (&self.inner, &self.core);
+        if std::thread::panicking() {
+            let panicked = ProphetError::Internal("job driver panicked".into());
+            core.emit(JobEvent::Failed(panicked));
         }
+        inner
+            .tracer
+            .instant(TraceEventKind::JobFinish, core.id, NO_CHUNK);
+        core.finished.store(true, Ordering::Release);
+        core.close_events();
+        let mut state = inner.state.lock();
+        state.active_jobs -= 1;
+        inner.ready.notify_all();
     }
-}
-
-/// Mark the job finished (whatever the outcome), close its event stream
-/// so the handle's iterator terminates, and wake idle-waiters.
-fn finish_job(inner: &Inner, core: &JobCore) {
-    inner
-        .tracer
-        .instant(TraceEventKind::JobFinish, core.id, NO_CHUNK);
-    core.finished.store(true, Ordering::Release);
-    core.close_events();
-    let mut state = inner.state.lock();
-    state.active_jobs -= 1;
-    inner.ready.notify_all();
 }
 
 /// Stream a completed batch's results as chunk events, in batch order.
@@ -686,7 +683,7 @@ fn drive_sweep(inner: &Arc<Inner>, core: &Arc<JobCore>, plan: &SweepPlan) {
     let mut event_chunk = 0u64;
     let report = plan.run(
         &core.engine,
-        |points| run_batch(&runner, points),
+        |points| Ok(run_batch(&runner, points, None)?.map(|batch| batch.results)),
         |_, points, results| emit_chunks(inner, core, &mut event_chunk, points, results),
     );
     core.emit(match report {
@@ -694,19 +691,25 @@ fn drive_sweep(inner: &Arc<Inner>, core: &Arc<JobCore>, plan: &SweepPlan) {
         Ok(None) => JobEvent::Cancelled,
         Err(err) => JobEvent::Failed(err),
     });
-    finish_job(inner, core);
 }
 
-fn drive_batch(inner: &Arc<Inner>, core: &Arc<JobCore>, points: Vec<ParamPoint>) {
-    match run_batch(&Pooled { inner, core }, &points) {
-        Ok(Some(results)) => {
-            emit_chunks(inner, core, &mut 0, &points, &results);
-            core.emit(JobEvent::Final(JobOutput::Points(results)));
+fn drive_batch(
+    inner: &Arc<Inner>,
+    core: &Arc<JobCore>,
+    points: Vec<ParamPoint>,
+    rule: Option<StopRule>,
+) {
+    match run_batch(&Pooled { inner, core }, &points, rule.as_ref()) {
+        Ok(Some(mut batch)) => {
+            emit_chunks(inner, core, &mut 0, &points, &batch.results);
+            core.emit(JobEvent::Final(match batch.estimates.pop() {
+                Some(estimate) => JobOutput::Progressive(estimate),
+                None => JobOutput::Points(batch.results),
+            }));
         }
         Ok(None) => core.emit(JobEvent::Cancelled),
         Err(err) => core.emit(JobEvent::Failed(err)),
     }
-    finish_job(inner, core);
 }
 
 // ------------------------------------------------------- the pooled runner
@@ -870,4 +873,33 @@ where
     inner.help_until(|| remaining.load(Ordering::Acquire) == 0);
     let mut slots = results.lock();
     std::mem::take(&mut *slots)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::EngineConfig;
+    use crate::scenario::Scenario;
+
+    /// A driver that panics fails its job with a typed error and still
+    /// finishes it: the handle's `wait` returns and `wait_idle` settles.
+    #[test]
+    fn a_panicking_driver_fails_and_finishes_its_job() {
+        let scheduler = Scheduler::new(SchedulerConfig {
+            workers: 1,
+            ..SchedulerConfig::default()
+        });
+        let scenario =
+            Scenario::parse("DECLARE PARAMETER @p AS SET (1);\nSELECT @p AS x INTO r;").unwrap();
+        let registry = prophet_models::demo_registry();
+        let engine = Engine::new(&scenario, registry, EngineConfig::default()).unwrap();
+        let handle = scheduler.spawn_job(Arc::new(engine), Priority::High, 0, |_, _| {
+            panic!("injected driver panic")
+        });
+        assert!(
+            matches!(handle.wait(), Err(ProphetError::Internal(ref m)) if m == "job driver panicked")
+        );
+        scheduler.wait_idle();
+        assert_eq!(scheduler.active_jobs(), 0);
+    }
 }

@@ -38,6 +38,7 @@ use prophet_vg::VgRegistry;
 
 use crate::engine::{provenance, Engine, EngineConfig};
 use crate::error::{ProphetError, ProphetResult};
+use crate::executor::StopRule;
 use crate::job::{JobHandle, JobKind, JobSpec};
 use crate::obs::TelemetrySnapshot;
 use crate::offline::SweepPlan;
@@ -239,10 +240,12 @@ impl Prophet {
         OnlineSession::new(engine, Arc::clone(&self.scheduler))
     }
 
-    /// Submit an asynchronous job — a sweep, a graph refresh, or a raw
-    /// point batch — and return immediately with a [`JobHandle`] for
-    /// progress polling, event streaming, cancellation, or a blocking
-    /// [`wait`](JobHandle::wait).
+    /// Submit an asynchronous job — a sweep, a graph refresh, a raw
+    /// point batch, or a progressive estimate — and return immediately
+    /// with a [`JobHandle`] for progress polling, event streaming,
+    /// cancellation, or a blocking [`wait`](JobHandle::wait). A
+    /// progressive job naming no output column of its scenario fails here
+    /// with [`ProphetError::UnknownColumn`], before anything is queued.
     ///
     /// The job runs on the service's shared [`Scheduler`] as chunks
     /// ordered by `(priority, submission order)`: a
@@ -256,34 +259,34 @@ impl Prophet {
     /// [`OfflineOptimizer::run`](crate::offline::OfflineOptimizer::run)
     /// for a sweep.
     pub fn submit(&self, spec: JobSpec) -> ProphetResult<JobHandle> {
-        match spec.kind {
-            JobKind::Sweep { ref scenario } => {
-                let slot = self.slot(scenario)?;
-                let plan = SweepPlan::from_script(slot.scenario.script())?;
-                let engine = Arc::new(self.engine_for(slot)?);
-                Ok(self.scheduler.submit_sweep(engine, plan, spec.priority))
+        let (JobKind::Sweep { scenario }
+        | JobKind::Refresh { scenario, .. }
+        | JobKind::Points { scenario, .. }
+        | JobKind::Progressive { scenario, .. }) = &spec.kind;
+        let slot = self.slot(scenario)?;
+        let script = slot.scenario.script();
+        let engine = Arc::new(self.engine_for(slot)?);
+        let (pool, priority) = (&self.scheduler, spec.priority);
+        Ok(match spec.kind {
+            JobKind::Sweep { .. } => {
+                pool.submit_sweep(engine, SweepPlan::from_script(script)?, priority)
             }
-            JobKind::Refresh {
-                ref scenario,
-                ref sliders,
+            JobKind::Refresh { sliders, .. } => {
+                let points = GraphPlan::from_script(script)?.refresh_points(&sliders)?;
+                pool.submit_batch(engine, points, priority, None)
+            }
+            JobKind::Points { points, .. } => pool.submit_batch(engine, points, priority, None),
+            JobKind::Progressive {
+                point,
+                column,
+                epsilon,
+                batch,
+                ..
             } => {
-                let slot = self.slot(scenario)?;
-                let points =
-                    GraphPlan::from_script(slot.scenario.script())?.refresh_points(sliders)?;
-                let engine = Arc::new(self.engine_for(slot)?);
-                Ok(self.scheduler.submit_batch(engine, points, spec.priority))
+                let rule = StopRule::new(&engine, &column, epsilon, batch)?;
+                pool.submit_batch(engine, vec![point], priority, Some(rule))
             }
-            JobKind::Points {
-                ref scenario,
-                ref points,
-            } => {
-                let slot = self.slot(scenario)?;
-                let engine = Arc::new(self.engine_for(slot)?);
-                Ok(self
-                    .scheduler
-                    .submit_batch(engine, points.clone(), spec.priority))
-            }
-        }
+        })
     }
 
     /// The service's job scheduler (worker/chunk introspection,

@@ -27,14 +27,14 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use prophet_mc::guide::PriorityGuide;
-use prophet_mc::{ColumnSamples, ParamPoint, SampleSet, SampleStats, Series, TryClaim};
+use prophet_mc::{ParamPoint, Series};
 use prophet_sql::ast::{GraphDirective, ParameterDecl};
 use prophet_sql::Script;
 
 use crate::engine::{Engine, EvalOutcome};
 use crate::error::{ProphetError, ProphetResult};
-use crate::executor::{fingerprint_phase, Inline, Probed};
-use crate::job::Priority;
+use crate::executor::StopRule;
+use crate::job::{JobOutput, Priority};
 use crate::metrics::Stopwatch;
 use crate::scheduler::Scheduler;
 
@@ -239,21 +239,22 @@ impl OnlineSession {
         })
     }
 
-    /// Evaluate a batch of points as a submitted job on the service
-    /// scheduler, so other sessions' higher-priority chunks can
-    /// interleave. The job runs the batch pipeline that
-    /// [`Engine::evaluate_batch`] runs inline, so its results are
-    /// bit-identical to it (the `tests/jobs.rs` differential suite
-    /// enforces it).
-    fn evaluate_points(
+    /// Evaluate a batch of points — under `rule`, as an anytime estimate
+    /// — as a submitted job on the service scheduler, so other sessions'
+    /// higher-priority chunks can interleave, and wait for its output.
+    /// The job runs the batch pipeline that [`Engine::evaluate_batch`]
+    /// runs inline, so its results are bit-identical to it (the
+    /// `tests/jobs.rs` differential suite enforces it).
+    fn run_job(
         &self,
         points: Vec<ParamPoint>,
         priority: Priority,
-    ) -> ProphetResult<Vec<(SampleSet, EvalOutcome)>> {
+        rule: Option<StopRule>,
+    ) -> ProphetResult<JobOutput> {
+        let engine = Arc::clone(&self.engine);
         self.scheduler
-            .submit_batch(Arc::clone(&self.engine), points, priority)
-            .wait()?
-            .into_points()
+            .submit_batch(engine, points, priority, rule)
+            .wait()
     }
 
     /// Current slider values (everything but the graph axis).
@@ -336,7 +337,8 @@ impl OnlineSession {
             weeks_cached: 0,
             wall: Duration::ZERO,
         };
-        let results = self.evaluate_points(self.plan.points(sliders), Priority::High)?;
+        let points = self.plan.points(sliders);
+        let results = self.run_job(points, Priority::High, None)?.into_points()?;
         for (&x, (samples, outcome)) in self.plan.x_values.iter().zip(&results) {
             match outcome {
                 EvalOutcome::Cached => report.weeks_cached += 1,
@@ -374,7 +376,7 @@ impl OnlineSession {
         // Prefetched points cover the whole graph for that slider setting,
         // so warm every week of the axis.
         let batch = drained.iter().flat_map(|p| self.plan.points(p)).collect();
-        self.evaluate_points(batch, Priority::Low)?;
+        self.run_job(batch, Priority::Low, None)?;
         Ok(drained.len())
     }
 
@@ -384,18 +386,18 @@ impl OnlineSession {
     /// very first guess accurate — the paper's lower "time to
     /// first-accurate-guess".
     ///
-    /// The estimate applies the job layer's chunk-at-a-time discipline
-    /// at world granularity, *on the caller's thread* (the work is this
-    /// session's own anytime loop, not a scheduler job — it holds the
-    /// point's claim for the duration): a cold point simulates
-    /// `batch`-world spans (the engine's world-span primitive keeps each
-    /// span bit-identical to the corresponding slice of a full run,
-    /// because the world→sample assignment is seed-based) and stops as
-    /// soon as the criterion holds, instead of blocking on the whole
-    /// `worlds_per_point` budget up front. Whatever was simulated is published to the shared basis
-    /// store — partial progress is observable, not discarded — and a
-    /// point left below full depth joins the prefetch queue, so an
-    /// idle-time [`OnlineSession::prefetch_tick`] deepens it later.
+    /// The estimate runs as a [`Priority::High`] progressive job
+    /// ([`JobSpec::progressive`](crate::job::JobSpec::progressive)) on the
+    /// shared scheduler and this call waits for it: a cold point
+    /// simulates `batch`-world spans (the engine's world-span primitive
+    /// keeps each span bit-identical to the corresponding slice of a full
+    /// run, because the world→sample assignment is seed-based) and stops
+    /// as soon as the criterion holds, instead of blocking on the whole
+    /// `worlds_per_point` budget up front. Whatever was simulated is
+    /// published to the shared basis store — partial progress is
+    /// observable, not discarded — and a point left below full depth
+    /// joins the prefetch queue, so an idle-time
+    /// [`OnlineSession::prefetch_tick`] deepens it later.
     pub fn progressive_expect(
         &mut self,
         column: &str,
@@ -403,159 +405,17 @@ impl OnlineSession {
         epsilon: f64,
         batch: usize,
     ) -> ProphetResult<ProgressiveEstimate> {
-        const Z95: f64 = 1.96;
-        let batch = batch.max(1);
-        let engine = Arc::clone(&self.engine);
-        if !engine.output_columns().iter().any(|c| c == column) {
-            return Err(ProphetError::unknown_column(
-                column,
-                engine.output_columns().to_vec(),
-            ));
-        }
+        let rule = StopRule::new(&self.engine, column, epsilon, batch)?;
         let point = self.sliders.with(&self.plan.graph.x_param, x);
-        let worlds_full = engine.config().worlds_per_point;
-        let store = engine.basis_store();
-
-        // Serve from existing basis work first: an exact entry at any
-        // depth, another session's in-flight simulation, or a correlated
-        // mapping — each converges with zero fresh worlds.
-        // An entry at *any* depth can serve the first guess, but if it is
-        // shallower than the budget and the criterion still fails on its
-        // samples, re-claim at full depth (the min-worlds filter then
-        // skips the shallow entry) and deepen — a previously published
-        // partial estimate must never dead-end tighter follow-ups.
-        let mut min_worlds = 1usize;
-        let mut wait = None;
-        let mut resume: Option<(std::sync::Arc<prophet_mc::ColumnSamples>, usize)> = None;
-        let guard = loop {
-            if let Some(handle) = wait.take() {
-                let handle: prophet_mc::WaitHandle = handle;
-                // Another session owns this point's simulation: reuse it.
-                if let Some((samples, worlds)) = handle.wait() {
-                    let est = feed_progressive(column_of(&samples, column)?, batch, epsilon, Z95);
-                    if est.converged || worlds >= worlds_full {
-                        engine.bump(|m| {
-                            m.points_cached += 1;
-                            m.inflight_waits += 1;
-                        });
-                        return Ok(est);
-                    }
-                    min_worlds = worlds_full;
-                    resume = Some((samples, worlds));
-                }
-                // Abandoned or too shallow: fall through and re-claim.
-            }
-            match store.try_claim(&point, min_worlds) {
-                TryClaim::Ready { samples, worlds } => {
-                    let est = feed_progressive(column_of(&samples, column)?, batch, epsilon, Z95);
-                    if est.converged || worlds >= worlds_full {
-                        engine.bump(|m| m.points_cached += 1);
-                        return Ok(est);
-                    }
-                    min_worlds = worlds_full;
-                    resume = Some((samples, worlds));
-                }
-                TryClaim::Pending(handle) => wait = Some(handle),
-                TryClaim::Owner(guard) => break guard,
-            }
-        };
-
-        // We own the point. A correlated hit still answers instantly —
-        // the batch's fingerprint phase, as a batch of one on the inline
-        // runner…
-        let probed = fingerprint_phase(&Inline(&engine), vec![(point.clone(), guard)])?
-            .and_then(|mut probed| probed.pop())
-            .expect("invariant: the inline runner answers every claimed point");
-        let (guard, probes) = match probed {
-            Probed::Mapped((mapped, _)) => {
-                let xs = column_of(mapped.shared_samples(), column)?;
-                return Ok(feed_progressive(xs, batch, epsilon, Z95));
-            }
-            Probed::Miss(guard, probes) => (guard, probes),
-        };
-
-        // …a miss simulates chunk by chunk, stopping at convergence.
-        // When deepening a shallow entry, resume from its stored samples:
-        // the seed-based world→sample assignment makes worlds `0..k`
-        // bit-identical to what re-simulation would produce, so only the
-        // remainder is fresh work.
-        let phase = Stopwatch::start();
-        let mut all: Option<SampleSet> = None;
-        let mut done = 0usize;
-        let mut converged = false;
-        let mut estimate = f64::NAN;
-        if let Some((stored, worlds)) = resume {
-            done = worlds;
-            // Shares the store entry's samples; the first `absorb` below
-            // copies them, so the entry itself never grows in place.
-            all = Some(engine.to_sample_set(&point, stored));
-        }
-        let resumed_from = done;
-        while done < worlds_full {
-            let end = (done + batch).min(worlds_full);
-            let span = engine.simulate_world_span(&point, done as u64..end as u64)?;
-            let set = match &mut all {
-                Some(set) => {
-                    set.absorb(&span);
-                    set
-                }
-                None => all.insert(span),
-            };
-            let xs = set.samples(column).ok_or_else(|| {
-                ProphetError::Internal(format!("simulation lacks samples for column `{column}`"))
-            })?;
-            done = end;
-            let stats = SampleStats::of(&xs[..done]);
-            estimate = stats.mean;
-            if stats.converged(epsilon, Z95) {
-                converged = true;
-                break;
-            }
-        }
-        // Publish what was simulated, at whatever depth it reached.
-        let samples = all.map_or_else(Default::default, |set| Arc::clone(set.shared_samples()));
-        engine.publish_simulated(&point, guard, probes, samples, done);
-        engine.bump(|m| m.sim_nanos += phase.elapsed_nanos());
-        if done < worlds_full {
-            // The point stopped below full depth: queue it as a prefetch
-            // so idle time can finish it.
+        let job = self.run_job(vec![point.clone()], Priority::High, Some(rule))?;
+        let estimate = job.into_progressive()?;
+        let full = self.engine.config().worlds_per_point;
+        if !estimate.used_basis && self.engine.basis_store().get_exact(&point, full).is_none() {
+            // The simulation stopped below full depth: queue it as a
+            // prefetch so idle time can finish it.
             self.guide.enqueue_prefetch(point);
         }
-        Ok(ProgressiveEstimate {
-            estimate,
-            // Fresh simulation work only — resumed worlds were reused.
-            worlds_used: done - resumed_from,
-            used_basis: false,
-            converged,
-        })
-    }
-}
-
-/// One column of a basis entry's samples, borrowed.
-fn column_of<'a>(samples: &'a ColumnSamples, column: &str) -> ProphetResult<&'a [f64]> {
-    samples.get(column).map(Vec::as_slice).ok_or_else(|| {
-        ProphetError::Internal(format!("basis entry lacks samples for column `{column}`"))
-    })
-}
-
-/// Test an already-available sample column prefix by prefix, `batch`
-/// samples longer each time, until the criterion holds — the basis-hit
-/// path of [`OnlineSession::progressive_expect`], converging with zero
-/// fresh worlds.
-fn feed_progressive(xs: &[f64], batch: usize, epsilon: f64, z: f64) -> ProgressiveEstimate {
-    let mut done = 0;
-    loop {
-        done = (done + batch).min(xs.len());
-        let stats = SampleStats::of(&xs[..done]);
-        let converged = stats.converged(epsilon, z);
-        if converged || done == xs.len() {
-            return ProgressiveEstimate {
-                estimate: stats.mean,
-                worlds_used: 0,
-                used_basis: true,
-                converged,
-            };
-        }
+        Ok(estimate)
     }
 }
 

@@ -26,9 +26,8 @@ use crate::store::{ColumnSamples, StoredEntry};
 /// engine hands the *same* allocation to the basis store and to the
 /// caller's reply, and a cached point is served straight out of the store
 /// entry, so a sample set travels the pipeline without its ≈ 10 KB of
-/// lanes ever being copied. Mutation ([`SampleSet::absorb`]) is
-/// copy-on-write — a set that shares its samples with the store never
-/// writes through to the store's entry.
+/// lanes ever being copied. A set is never mutated, so it never writes
+/// through to the store's entry.
 ///
 /// A set served from a store entry carries the moments the entry keeps
 /// ([`StoredEntry::moments`]), and a recipe record's samples are not
@@ -36,7 +35,7 @@ use crate::store::{ColumnSamples, StoredEntry};
 /// [`SampleSet::expect_std_dev`] and [`SampleSet::world_count`] read the
 /// stored values, which are the bits the samples would give. Only a
 /// samples read — [`SampleSet::samples`], [`SampleSet::stats`],
-/// [`SampleSet::shared_samples`], [`SampleSet::absorb`] — rebuilds them,
+/// [`SampleSet::shared_samples`] — rebuilds them,
 /// once, on the reading thread with no store lock held; the result is
 /// cached and shared by every clone of the set, and the store counts the
 /// rebuild in `rematerializations`. Equality compares the samples.
@@ -46,7 +45,7 @@ pub struct SampleSet {
     columns: Arc<[String]>,
     lanes: Lanes,
     /// Every column's stored `(mean, std_dev)`, when the set came with
-    /// them; dropped by [`SampleSet::absorb`].
+    /// them.
     moments: Option<ColumnMoments>,
 }
 
@@ -188,28 +187,6 @@ impl SampleSet {
                 (deferred.rebuilt).get_or_init(|| deferred.entry.materialize(&self.point))
             }
         }
-    }
-
-    /// Merge another sample set for the *same point* (progressive
-    /// refinement appends batches of worlds).
-    ///
-    /// Copy-on-write: samples still shared with another holder (the basis
-    /// store, another reply) are cloned first, so only this set grows.
-    pub fn absorb(&mut self, other: &SampleSet) {
-        debug_assert_eq!(self.point, other.point, "absorb requires matching points");
-        if let Lanes::Deferred(_) = self.lanes {
-            self.lanes = Lanes::Held(Arc::clone(self.lanes()));
-        }
-        let Lanes::Held(samples) = &mut self.lanes else {
-            unreachable!("invariant: a deferred set was just made held");
-        };
-        // Per-key merge: each column extends independently, so visit order is unobservable.
-        for (col, dst) in Arc::make_mut(samples).iter_mut() {
-            if let Some(src) = other.samples(col) {
-                dst.extend_from_slice(src);
-            }
-        }
-        self.moments = None;
     }
 }
 
@@ -451,19 +428,19 @@ mod tests {
     }
 
     #[test]
-    fn absorb_appends_worlds() {
+    fn world_spans_concatenate_to_the_full_run() {
         let (script, registry, seeds) = setup();
         let point = ParamPoint::from_pairs([("c", 5i64)]);
         let w1: Vec<u64> = (0..10).collect();
         let w2: Vec<u64> = (10..30).collect();
-        let mut a = simulate_point(&script.select, &registry, &seeds, &point, &w1, true).unwrap();
+        let a = simulate_point(&script.select, &registry, &seeds, &point, &w1, true).unwrap();
         let b = simulate_point(&script.select, &registry, &seeds, &point, &w2, true).unwrap();
-        a.absorb(&b);
-        assert_eq!(a.world_count(), 30);
+        let joined = [a.samples("out").unwrap(), b.samples("out").unwrap()].concat();
+        assert_eq!(joined.len(), 30);
 
         let full: Vec<u64> = (0..30).collect();
         let c = simulate_point(&script.select, &registry, &seeds, &point, &full, true).unwrap();
-        assert_eq!(a.samples("out").unwrap(), c.samples("out").unwrap());
+        assert_eq!(joined, c.samples("out").unwrap());
     }
 
     #[test]

@@ -228,7 +228,10 @@ fn work_counters(m: &EngineMetrics) -> [u64; 14] {
 }
 
 /// One slider sequence on service sessions over pools of 1 and 4
-/// workers: the same graph, bit for bit, and the same work.
+/// workers: the same graph, bit for bit, and the same work. The session
+/// first runs a progressive sequence — a cold estimate that converges
+/// early, one that deepens it to full depth, and a warm one — whose
+/// estimates run on the pool too and must be bit-equal as well.
 #[test]
 fn online_sessions_replay_identically() {
     let run = |workers: usize| {
@@ -243,10 +246,39 @@ fn online_sessions_replay_identically() {
             .build()
             .unwrap();
         let mut s = prophet.online("figure2").unwrap();
+        let estimates: Vec<_> = [
+            ("overload", 0.2, 5),
+            ("demand", 1e-9, 5),
+            ("demand", 1e9, 5),
+        ]
+        .into_iter()
+        .map(|(column, epsilon, batch)| {
+            let e = s.progressive_expect(column, 20, epsilon, batch).unwrap();
+            (
+                e.estimate.to_bits(),
+                e.worlds_used,
+                e.used_basis,
+                e.converged,
+            )
+        })
+        .collect();
+        let cold = estimates[0];
+        assert!(
+            cold.3 && !cold.2 && cold.1 < 40,
+            "cold, converged early: {cold:?}"
+        );
+        assert_eq!(
+            (estimates[1].1, estimates[1].2),
+            (40 - cold.1, false),
+            "deepened"
+        );
+        assert_eq!((estimates[2].1, estimates[2].2), (0, true), "warm");
+        let progressive_work = work_counters(&s.metrics());
         s.set_param("purchase1", 16).unwrap();
         s.set_param("purchase2", 36).unwrap();
         s.refresh().unwrap();
-        (s.graph().to_vec(), work_counters(&s.metrics()))
+        let work = work_counters(&s.metrics());
+        (s.graph().to_vec(), (estimates, progressive_work, work))
     };
     let (serial_graph, serial_work) = run(1);
     let (pooled_graph, pooled_work) = run(4);

@@ -516,12 +516,12 @@ fn prefetch_drain_and_refresh_go_through_the_executor() {
 
 /// Samples travel by reference count: what a caller gets back for a
 /// simulated point *is* the store's entry (first reply or cached,
-/// blocking or scheduled), and growing such a set copies on write instead
-/// of writing through. A mapped point's first reply holds the remap's own
-/// samples, and the store files a recipe record: a later cached read
-/// rebuilds the same bits, and counts one rebuild.
+/// blocking or scheduled), and deepening a partial entry replaces it
+/// instead of growing it in place. A mapped point's first reply holds the
+/// remap's own samples, and the store files a recipe record: a later
+/// cached read rebuilds the same bits, and counts one rebuild.
 #[test]
-fn results_share_samples_with_the_store_and_absorb_copies_on_write() {
+fn results_share_samples_with_the_store() {
     let prophet = figure2_service(40, 2);
     let engine = prophet.engine("figure2").unwrap();
     let store = engine.basis_store();
@@ -573,24 +573,6 @@ fn results_share_samples_with_the_store_and_absorb_copies_on_write() {
             assert!(Arc::ptr_eq(set.shared_samples(), &entry(point)), "{point}");
         }
     }
-
-    // Growing a cached set must not grow the store's entry under it.
-    let before = entry(&warm);
-    let mut grown = results[0].0.clone();
-    grown.absorb(&simulated);
-    assert_eq!(grown.world_count(), 80);
-    assert!(!Arc::ptr_eq(grown.shared_samples(), &before));
-    assert_eq!(
-        results[0].0.world_count(),
-        40,
-        "the sibling reply is untouched"
-    );
-    assert!(
-        Arc::ptr_eq(&entry(&warm), &before),
-        "same entry, never replaced"
-    );
-    assert_eq!(before["demand"].len(), 40);
-    assert_eq!(before["demand"], simulated.samples("demand").unwrap());
 
     // The progressive-refinement path deepens a partial entry the same
     // way: the 20-world entry a reader may still hold stays 20 worlds,

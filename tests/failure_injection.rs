@@ -701,19 +701,38 @@ impl VgFunction for Panicky {
 /// drawn the streams) and in `draw_ledger` — costs exactly its own job:
 /// a typed `Internal` error, no claim left in flight, no lock left
 /// poisoned, and the same service and store then answer a healthy job bit
-/// for bit as a service that never saw the panic.
+/// for bit as a service that never saw the panic. A session's
+/// progressive estimate of the bad point is such a job too: the panic
+/// comes back to its caller as the same error, not as an unwind.
 #[test]
 fn a_panicking_vg_fails_its_job_and_leaves_the_service_usable() {
-    const SRC: &str =
-        "DECLARE PARAMETER @p AS RANGE 0 TO 9 STEP BY 1;\nSELECT Panicky(@p) AS v INTO r;";
+    const SRC: &str = "DECLARE PARAMETER @p AS RANGE 0 TO 9 STEP BY 1;
+SELECT Panicky(@p) AS v INTO r;
+GRAPH OVER @p EXPECT v;";
     let point = |p: i64| ParamPoint::from_pairs([("p", p)]);
     let warm: Vec<ParamPoint> = [0, 1].map(point).to_vec();
     // Two healthy probes land (and, ledgered, draw the probe streams)
     // before the bad one starts, on either pool shape below; or the bad
-    // point is the batch's lone miss, its worlds spread over the pool.
-    let failing_batches: [Vec<ParamPoint>; 2] = [
-        [2, 3, Panicky::BAD, 4].map(point).to_vec(),
-        vec![point(Panicky::BAD)],
+    // point is the batch's lone miss, its worlds spread over the pool; or
+    // a session estimates the bad point progressively, four worlds a wave.
+    type Failing = Box<dyn Fn(&Prophet) -> ProphetResult<()>>;
+    let batch = |points: Vec<ParamPoint>| -> Failing {
+        let job = JobSpec::points("panicky", points);
+        Box::new(move |prophet| prophet.submit(job.clone())?.wait().map(drop))
+    };
+    let progressive: Failing = Box::new(|prophet| {
+        let mut session = prophet.online("panicky")?;
+        session
+            .progressive_expect("v", Panicky::BAD, 1e-12, 4)
+            .map(drop)
+    });
+    let failing_inputs: [(&str, Failing); 3] = [
+        (
+            "a four-point batch",
+            batch([2, 3, Panicky::BAD, 4].map(point).to_vec()),
+        ),
+        ("a lone point", batch(vec![point(Panicky::BAD)])),
+        ("a progressive estimate", progressive),
     ];
     let healthy: Vec<ParamPoint> = [3, Panicky::BAD, 5, 0].map(point).to_vec();
     let cfg = EngineConfig {
@@ -732,14 +751,13 @@ fn a_panicking_vg_fails_its_job_and_leaves_the_service_usable() {
     ];
     // One chunk per point on two executors; the whole phase as one chunk.
     let pools = [(2, 1), (1, 8)];
-    for (((site, healthy_calls, warmed), (workers, chunk_points)), failing) in cases
+    for (((site, healthy_calls, warmed), (workers, chunk_points)), (input, failing)) in cases
         .iter()
         .flat_map(|c| pools.map(|p| (*c, p)))
-        .flat_map(|c| failing_batches.iter().map(move |f| (c, f)))
+        .flat_map(|c| failing_inputs.iter().map(move |f| (c, f)))
     {
         let label = format!(
-            "{site} after {healthy_calls} on {workers} workers x {chunk_points}, {} failing",
-            failing.len()
+            "{site} after {healthy_calls} on {workers} workers x {chunk_points}, {input} failing"
         );
         // The healthy batch's samples on a fresh service, after the
         // failing job or without it.
@@ -774,7 +792,7 @@ fn a_panicking_vg_fails_its_job_and_leaves_the_service_usable() {
             let store = prophet.engine("panicky").unwrap().basis_store().clone();
             if panics {
                 armed.store(true, Ordering::SeqCst);
-                let error = run(failing).unwrap_err();
+                let error = failing(&prophet).unwrap_err();
                 armed.store(false, Ordering::SeqCst);
                 assert!(
                     matches!(&error, ProphetError::Internal(msg) if msg.contains("worker panic")),
@@ -823,11 +841,13 @@ impl VgFunction for Slow {
 /// most the one world span already in flight (the executor's
 /// `SPAN_WORLDS` = 100 worlds, one span per chunk here), ends `Cancelled`,
 /// leaves neither a claim nor an entry behind, and the point then
-/// simulates bit-equal to a service that never saw the cancel.
+/// simulates bit-equal to a service that never saw the cancel. A
+/// progressive estimate that cannot converge stops the same way, within
+/// the one `batch`-world span of its wave.
 ///
-/// Two inputs: the job claims the point itself, or it first waits on a
-/// claim another session holds and re-claims the point once that claim
-/// is dropped — the re-claimed point must go through the same world
+/// Two inputs per job: the job claims the point itself, or it first waits
+/// on a claim another session holds and re-claims the point once that
+/// claim is dropped — the re-claimed point must go through the same world
 /// spans and stop the same way.
 #[test]
 fn a_cancel_stops_a_slow_simulation_within_one_world_span() {
@@ -859,16 +879,40 @@ fn a_cancel_stops_a_slow_simulation_within_one_world_span() {
             .unwrap();
         (prophet, calls)
     };
+    const BATCH: usize = 10;
     let point = ParamPoint::from_pairs([("p", 1i64)]);
-    let job = || JobSpec::points("slow", vec![point.clone()]);
-    let bits = |prophet: &Prophet| -> Vec<u64> {
-        let results = prophet.submit(job()).unwrap().wait().unwrap();
-        let set = &results.into_points().unwrap()[0].0;
-        set.samples("v")
-            .unwrap()
-            .iter()
-            .map(|x| x.to_bits())
-            .collect()
+    // (name, job, worlds it may simulate after a cancel)
+    let jobs = [
+        (
+            "points",
+            JobSpec::points("slow", vec![point.clone()]),
+            SPAN_WORLDS,
+        ),
+        (
+            "progressive",
+            JobSpec::progressive("slow", point.clone(), "v", 1e-12, BATCH),
+            BATCH as u64,
+        ),
+    ];
+    // A re-submission's answer, as bits.
+    let bits = |prophet: &Prophet, job: &JobSpec| -> Vec<u64> {
+        match prophet.submit(job.clone()).unwrap().wait().unwrap() {
+            JobOutput::Progressive(e) => {
+                let flags = [e.used_basis, e.converged].map(u64::from);
+                [e.estimate.to_bits(), e.worlds_used as u64]
+                    .into_iter()
+                    .chain(flags)
+                    .collect()
+            }
+            output => {
+                let set = &output.into_points().unwrap()[0].0;
+                set.samples("v")
+                    .unwrap()
+                    .iter()
+                    .map(|x| x.to_bits())
+                    .collect()
+            }
+        }
     };
 
     let claims = |prophet: &Prophet| {
@@ -879,14 +923,15 @@ fn a_cancel_stops_a_slow_simulation_within_one_world_span() {
         claims.count()
     };
 
-    for reclaim in [false, true] {
+    for ((name, job, span), reclaim) in jobs.iter().flat_map(|j| [false, true].map(|r| (j, r))) {
+        let label = format!("{name} job, reclaim {reclaim}");
         let (prophet, calls) = service(Duration::from_millis(1));
         let engine = prophet.engine("slow").unwrap();
         let held = reclaim.then(|| match engine.basis_store().try_claim(&point, 400) {
             TryClaim::Owner(guard) => guard,
             _ => panic!("a cold point is claimable"),
         });
-        let handle = prophet.submit(job()).unwrap();
+        let handle = prophet.submit(job.clone()).unwrap();
         if let Some(guard) = held {
             // Once the job's plan has claimed too it is waiting on `guard`;
             // dropping it hands the point back for the job to re-claim.
@@ -902,22 +947,22 @@ fn a_cancel_stops_a_slow_simulation_within_one_world_span() {
         let at_cancel = calls.load(Ordering::SeqCst);
         assert!(
             matches!(handle.wait(), Err(ProphetError::JobCancelled)),
-            "reclaim {reclaim}: the job did not end cancelled"
+            "{label}: the job did not end cancelled"
         );
         prophet.scheduler().wait_idle();
         let after_cancel = calls.load(Ordering::SeqCst) - at_cancel;
         assert!(
-            after_cancel <= SPAN_WORLDS,
-            "reclaim {reclaim}: {after_cancel} worlds simulated after cancel() returned"
+            after_cancel <= *span,
+            "{label}: {after_cancel} worlds simulated after cancel() returned"
         );
-        assert_eq!(engine.basis_store().inflight_len(), 0);
+        assert_eq!(engine.basis_store().inflight_len(), 0, "{label}");
         assert_eq!(
             engine.basis_len(),
             0,
-            "reclaim {reclaim}: a partly simulated point was published"
+            "{label}: a partly simulated point was published"
         );
 
         let (reference, _) = service(Duration::ZERO);
-        assert_eq!(bits(&prophet), bits(&reference), "reclaim {reclaim}");
+        assert_eq!(bits(&prophet, job), bits(&reference, job), "{label}");
     }
 }

@@ -730,6 +730,14 @@ GRAPH OVER @w EXPECT y WITH red;",
         prophet.submit(JobSpec::refresh("no-graph", ParamPoint::new())),
         Err(ProphetError::MissingGraphDirective)
     ));
+    // A progressive job names one output column, checked before anything
+    // is queued.
+    let jobs = prophet.scheduler().active_jobs();
+    assert!(matches!(
+        prophet.submit(JobSpec::progressive("figure2", ParamPoint::new(), "nope", 0.1, 10)),
+        Err(ProphetError::UnknownColumn { ref name, .. }) if name == "nope"
+    ));
+    assert_eq!(prophet.scheduler().active_jobs(), jobs);
     // Axis, domain and unknown-name checks are set_param's: each bad
     // slider fails a refresh job and a session of the same service alike.
     let good = ParamPoint::from_pairs([("purchase1", 16i64), ("purchase2", 36), ("feature", 12)]);

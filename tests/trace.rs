@@ -43,8 +43,8 @@ fn run_sweep(prophet: &Prophet) -> OfflineReport {
         .into_sweep()
         .unwrap();
     // `wait()` returns on the Final event, which the driver emits just
-    // *before* its `finish_job` bookkeeping (the `job_finish` stamp and
-    // the active-job decrement). Quiesce so the trace is complete.
+    // *before* the job's finishing bookkeeping (the `job_finish` stamp
+    // and the active-job decrement). Quiesce so the trace is complete.
     prophet.scheduler().wait_idle();
     report
 }
@@ -121,6 +121,68 @@ fn traced_sweep_records_the_full_event_taxonomy_in_stamp_order() {
         .iter()
         .filter(|e| matches!(e.kind, TraceEventKind::ChunkRun))
         .all(|e| e.chunk != u64::MAX));
+}
+
+/// A progressive estimate is a job like any other: its phase spans land
+/// under its own job id — one simulate and one publish span per wave of
+/// `batch` worlds, and with fingerprints on the probe, match and remap
+/// spans of its fingerprint phase.
+#[test]
+fn a_progressive_job_records_its_phase_spans_under_its_id() {
+    const WORLDS: usize = 40;
+    const BATCH: usize = 10;
+    for fingerprints in [false, true] {
+        let prophet = Prophet::builder()
+            .scenario("figure2", Scenario::figure2().unwrap())
+            .registry(demo_registry())
+            .config(EngineConfig {
+                worlds_per_point: WORLDS,
+                fingerprints_enabled: fingerprints,
+                ..EngineConfig::default()
+            })
+            .build()
+            .unwrap();
+        // The criterion `demand` never meets: every wave runs.
+        let point = ParamPoint::from_pairs([
+            ("current", 20),
+            ("purchase1", 16),
+            ("purchase2", 36),
+            ("feature", 12),
+        ]);
+        let spec = JobSpec::progressive("figure2", point, "demand", 1e-12, BATCH);
+        let handle = prophet.submit(spec.with_priority(Priority::High)).unwrap();
+        let id = handle.id();
+        let estimate = handle.wait().unwrap().into_progressive().unwrap();
+        assert_eq!(estimate.worlds_used, WORLDS, "fingerprints {fingerprints}");
+        prophet.scheduler().wait_idle();
+
+        let events = prophet.trace_events();
+        let count = |kind: TraceEventKind| {
+            let of_job = events.iter().filter(|e| e.job == id);
+            of_job.filter(|e| e.kind == kind).count()
+        };
+        let waves = WORLDS / BATCH;
+        assert_eq!(
+            count(TraceEventKind::PhaseSimulate),
+            waves,
+            "fingerprints {fingerprints}"
+        );
+        let probed = usize::from(fingerprints);
+        for kind in [
+            TraceEventKind::PhaseProbe,
+            TraceEventKind::PhaseMatch,
+            TraceEventKind::PhaseRemap,
+        ] {
+            assert_eq!(count(kind), probed, "{kind:?}, fingerprints {fingerprints}");
+        }
+        // One publish span per wave, plus the fingerprint phase's.
+        assert_eq!(
+            count(TraceEventKind::PhasePublish),
+            waves + probed,
+            "fingerprints {fingerprints}"
+        );
+        assert!(count(TraceEventKind::ChunkRun) >= waves);
+    }
 }
 
 /// `Prophet::telemetry` snapshots the histograms and gauges: percentiles
