@@ -19,16 +19,19 @@
 //! The cycle itself is written once, as the batched pipeline in
 //! [`executor`](crate::executor) — `evaluate` is a batch of one on its
 //! inline runner. This module keeps the engine's state (script, seeds,
-//! configuration, work counters) and the per-point primitives the
+//! configuration, the exact caches) and the per-point primitives the
 //! pipeline's phases compose: `Engine::probe_fingerprints`,
 //! `Engine::remap_samples` and `Engine::simulate_world_span`
-//! (crate-visible).
+//! (crate-visible), which count into the counters of the run that calls
+//! them.
 //!
-//! The basis store is a [`SharedBasisStore`]: engines built through the
-//! [`Prophet`](crate::service::Prophet) service share one store per
-//! scenario, so results simulated by one session re-map in every other,
-//! and its in-flight claims guarantee concurrent sessions never duplicate
-//! one point's simulation.
+//! The basis store is a [`SharedBasisStore`]. A
+//! [`Prophet`](crate::service::Prophet) builds one engine per scenario
+//! and runs every session and job of it on that engine, so results
+//! simulated by one session re-map in every other, its in-flight claims
+//! guarantee concurrent sessions never duplicate one point's simulation,
+//! and the call-site probe memo and draw ledgers — exact for one
+//! scenario, registry and root seed — serve every job of the scenario.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -44,16 +47,15 @@ use prophet_sql::columnar::{
 };
 use prophet_sql::error::SqlError;
 use prophet_sql::executor::{evaluate_select_with, sample_f64, EvalContext, WorldRng};
-use prophet_sql::{Script, SelectInto};
+use prophet_sql::SelectInto;
 use prophet_vg::rng::{Rng64, SeedSequence};
 use prophet_vg::{SeedManager, VgRegistry};
 
 use crate::error::{ProphetError, ProphetResult};
 use crate::ledger_store::DrawLedgers;
-use crate::metrics::{EngineMetrics, Stopwatch};
+use crate::metrics::{Counters, EngineMetrics, Stopwatch};
 use crate::probe_memo::ProbeMemo;
 use crate::scenario::Scenario;
-use crate::sync::{OrderedMutex, ENGINE_METRICS};
 
 /// Which `prophet-sql` execution tier evaluates the scenario SELECT.
 ///
@@ -256,7 +258,7 @@ pub enum EvalOutcome {
 
 /// The evaluation engine shared by online and offline modes.
 pub struct Engine {
-    script: Script,
+    scenario: Scenario,
     registry: Arc<VgRegistry>,
     seeds: SeedManager,
     config: EngineConfig,
@@ -273,12 +275,15 @@ pub struct Engine {
     /// derived once — `probe_fingerprints` runs per parameter point, and
     /// the sequence depends only on the config.
     probe_seeds: SeedSequence,
-    /// VG call outputs over `probe_seeds` under `seeds`, per call site.
+    /// VG call outputs over `probe_seeds` under `seeds`, per call site —
+    /// kept for the engine's lifetime (a service's, for a slot engine).
     probe_memo: ProbeMemo,
-    /// Drawn ledgers under `seeds`, per `(function, call index, world)`.
+    /// Drawn ledgers under `seeds`, per `(function, call index, world)`,
+    /// kept like `probe_memo`.
     ledgers: DrawLedgers,
     basis: SharedBasisStore,
-    metrics: OrderedMutex<EngineMetrics>,
+    /// What the inline runner counts into; a job counts into its own.
+    pub(crate) metrics: Counters,
 }
 
 impl Engine {
@@ -296,8 +301,8 @@ impl Engine {
     }
 
     /// Build against an existing (possibly shared) basis store — the
-    /// constructor the [`Prophet`](crate::service::Prophet) service uses so
-    /// that every session of one scenario reuses each other's simulations.
+    /// constructor the [`Prophet`](crate::service::Prophet) service builds
+    /// each scenario's one engine with.
     ///
     /// Capacity is a property of the *store*: `config.basis_capacity` is
     /// only consulted by the store-creating constructor ([`Engine::new`])
@@ -310,7 +315,7 @@ impl Engine {
         basis: SharedBasisStore,
     ) -> ProphetResult<Self> {
         config.validate()?;
-        let script = scenario.script().clone();
+        let script = scenario.script();
         let stochastic_cols: Vec<String> = script
             .select
             .items
@@ -359,7 +364,7 @@ impl Engine {
             tier: config.tier,
         });
         Ok(Engine {
-            script,
+            scenario: scenario.clone(),
             registry,
             seeds: SeedManager::new(config.root_seed),
             probe_seeds: SeedSequence::fingerprint_default(config.fingerprint.length),
@@ -369,7 +374,7 @@ impl Engine {
             config,
             probe_select,
             basis,
-            metrics: OrderedMutex::new(ENGINE_METRICS, EngineMetrics::default()),
+            metrics: Counters::new(),
         })
     }
 
@@ -378,9 +383,10 @@ impl Engine {
         &self.config
     }
 
-    /// The scenario script.
-    pub fn script(&self) -> &Script {
-        &self.script
+    /// The scenario this engine evaluates (its script:
+    /// [`Scenario::script`]).
+    pub fn scenario(&self) -> &Scenario {
+        &self.scenario
     }
 
     /// The VG catalog.
@@ -398,14 +404,13 @@ impl Engine {
         &self.remap.output_cols
     }
 
-    /// Snapshot of the work counters.
+    /// Snapshot of the work counters of every batch this engine ran
+    /// inline ([`Engine::evaluate_batch`] and the calls built on it). A
+    /// [`Prophet`](crate::service::Prophet) job counts into its own
+    /// counters instead — its handle's progress, a session's
+    /// `metrics` — never into these.
     pub fn metrics(&self) -> EngineMetrics {
-        *self.metrics.lock()
-    }
-
-    /// Reset work counters (between bench configurations).
-    pub fn reset_metrics(&self) {
-        *self.metrics.lock() = EngineMetrics::default();
+        self.metrics.get()
     }
 
     /// The (possibly shared) basis store backing this engine.
@@ -471,14 +476,10 @@ impl Engine {
     // ---------------------------------------------- pipeline primitives
     // (crate-visible: composed into batches by `crate::executor`)
 
-    pub(crate) fn bump(&self, update: impl FnOnce(&mut EngineMetrics)) {
-        update(&mut self.metrics.lock());
-    }
-
     /// Evaluate the scenario once per canonical fingerprint seed, recording
-    /// each stochastic column's output. Self-times into
-    /// `probe_eval_nanos`, so the counter sums real probe work across
-    /// parallel workers.
+    /// each stochastic column's output. Counts into `metrics` — the run's
+    /// counters — and self-times into `probe_eval_nanos`, so the counter
+    /// sums real probe work across parallel workers.
     ///
     /// On the default [`ExecTier::Columnar`] the whole seed block is one
     /// walk of the block executor — `vector_walks` counts it, while
@@ -492,6 +493,7 @@ impl Engine {
     pub(crate) fn probe_fingerprints(
         &self,
         point: &ParamPoint,
+        metrics: &Counters,
     ) -> ProphetResult<HashMap<String, Fingerprint>> {
         let start = Stopwatch::start();
         let seeds = &self.probe_seeds;
@@ -518,7 +520,7 @@ impl Engine {
                     );
                 }
             }
-            self.bump(|m| {
+            metrics.bump(|m| {
                 m.probe_evaluations += seeds.len() as u64;
                 m.vector_walks += 1;
                 m.columnar_kernels += stats.kernels;
@@ -539,7 +541,7 @@ impl Engine {
             .collect();
         for &world in seeds.seeds() {
             let row = evaluate_select_with(
-                &self.script.select,
+                &self.scenario.script().select,
                 &self.registry,
                 &params,
                 WorldRng::per_call(self.seeds, world),
@@ -550,7 +552,7 @@ impl Engine {
                 }
             }
         }
-        self.bump(|m| {
+        metrics.bump(|m| {
             m.probe_evaluations += seeds.len() as u64;
             m.probe_eval_nanos += start.elapsed_nanos();
             m.probe_latency.record(start.elapsed_nanos());
@@ -564,7 +566,7 @@ impl Engine {
     /// Map the stochastic columns and recompute the derived ones
     /// ([`Remap::samples`]), then take every output column's moments while
     /// the fresh columns are still in this worker's cache. Self-times into
-    /// `remap_nanos`. The samples are shared as built: the same allocation
+    /// the run's `remap_nanos`. The samples are shared as built: the same allocation
     /// is published to the basis store and returned to the caller, and the
     /// store keeps the moments with it.
     pub(crate) fn remap_samples(
@@ -573,11 +575,12 @@ impl Engine {
         source: &ColumnSamples,
         mappings: &HashMap<String, Mapping>,
         worlds: usize,
+        metrics: &Counters,
     ) -> ProphetResult<(Arc<ColumnSamples>, ColumnMoments)> {
         let start = Stopwatch::start();
         let (samples, gathers) = self.remap.samples(point, source, mappings, worlds)?;
         let moments = ColumnMoments::named(&self.remap.output_cols, &samples);
-        self.bump(|m| {
+        metrics.bump(|m| {
             m.column_gathers += gathers;
             m.remap_nanos += start.elapsed_nanos();
         });
@@ -593,7 +596,7 @@ impl Engine {
     ) -> Result<(SampleSet, ColumnarStats), SqlError> {
         match self.config.tier {
             ExecTier::Columnar => simulate_point_columnar_with(
-                &self.script.select,
+                &self.scenario.script().select,
                 &self.registry,
                 &self.seeds,
                 point,
@@ -602,7 +605,7 @@ impl Engine {
                 Some(&self.ledgers),
             ),
             ExecTier::Scalar => simulate_point(
-                &self.script.select,
+                &self.scenario.script().select,
                 &self.registry,
                 &self.seeds,
                 point,
@@ -624,18 +627,19 @@ impl Engine {
     ///
     /// On the default [`ExecTier::Columnar`] a span is one block walk of
     /// the block executor; per-world samples are bit-identical to the
-    /// scalar tier.
+    /// scalar tier. Counts into `metrics`, the run's counters.
     ///
     /// [`OnlineSession::progressive_expect`]: crate::session::OnlineSession::progressive_expect
     pub(crate) fn simulate_world_span(
         &self,
         point: &ParamPoint,
         span: std::ops::Range<u64>,
+        metrics: &Counters,
     ) -> ProphetResult<SampleSet> {
         let start = Stopwatch::start();
         let worlds: Vec<u64> = span.collect();
         let (sample_set, stats) = self.simulate_span_once(point, &worlds)?;
-        self.bump(|m| {
+        metrics.bump(|m| {
             m.worlds_simulated += worlds.len() as u64;
             m.columnar_kernels += stats.kernels;
             m.column_fallbacks += stats.fallbacks;
@@ -1043,7 +1047,7 @@ mod tests {
     fn simulate(e: &Engine, p: &ParamPoint) -> Arc<ColumnSamples> {
         let worlds = e.config().worlds_per_point as u64;
         Arc::clone(
-            e.simulate_world_span(p, 0..worlds)
+            e.simulate_world_span(p, 0..worlds, &e.metrics)
                 .unwrap()
                 .shared_samples(),
         )
@@ -1082,8 +1086,12 @@ mod tests {
             ("demand".to_string(), Mapping::Identity),
             ("capacity".to_string(), Mapping::Offset(500.0)),
         ]);
-        let (got, _) = block.remap_samples(&p, &source, &mappings, 4).unwrap();
-        let (want, _) = reference.remap_samples(&p, &source, &mappings, 4).unwrap();
+        let (got, _) = block
+            .remap_samples(&p, &source, &mappings, 4, &block.metrics)
+            .unwrap();
+        let (want, _) = reference
+            .remap_samples(&p, &source, &mappings, 4, &reference.metrics)
+            .unwrap();
         assert_eq!(sample_bits(&got), sample_bits(&want));
         assert_eq!(got["overload"], [1.0, 0.0, 0.0, 0.0]);
     }
@@ -1104,7 +1112,7 @@ mod tests {
                 tier,
                 ..small_config()
             });
-            match e.remap_samples(&p, &source, &mappings, 4) {
+            match e.remap_samples(&p, &source, &mappings, 4, &e.metrics) {
                 Err(ProphetError::Internal(msg)) => {
                     assert!(
                         msg.contains("`capacity`") && msg.contains("4 worlds"),
@@ -1119,7 +1127,7 @@ mod tests {
     /// Probe fingerprints as comparable bits, column-sorted.
     fn probe_bits(e: &Engine, p: &ParamPoint) -> Vec<(String, Vec<u64>)> {
         let mut cols: Vec<(String, Vec<u64>)> = e
-            .probe_fingerprints(p)
+            .probe_fingerprints(p, &e.metrics)
             .unwrap()
             .into_iter()
             .map(|(name, fp)| (name, fp.values().iter().map(|x| x.to_bits()).collect()))
@@ -1171,7 +1179,7 @@ mod tests {
                 .map(|i| &*i.alias)
                 .collect();
             assert_eq!(walked, probed);
-            whole.probe_select = whole.script.select.clone();
+            whole.probe_select = whole.scenario.script().select.clone();
 
             let stride = scenario.parameter_space_size().div_ceil(12);
             let grid = prophet_mc::guide::GridGuide::new(&scenario.script().params);

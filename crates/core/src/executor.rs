@@ -77,14 +77,17 @@
 //! between the two ways a batch executes:
 //!
 //! * the **inline runner** behind [`Engine::evaluate_batch`] fans a phase
-//!   out on per-call `std::thread::scope` workers, is never cancelled and
-//!   records no trace. It seizes the caller until the batch completes: the
-//!   reference path, and the only path for a bare [`Engine`];
+//!   out on per-call `std::thread::scope` workers, is never cancelled,
+//!   records no trace and counts into the engine's own counters
+//!   ([`Engine::metrics`]). It seizes the caller until the batch
+//!   completes: the reference path, and the only path for a bare
+//!   [`Engine`];
 //! * the **pooled runner** in [`scheduler`](crate::scheduler) fans a phase
 //!   out as priority-ordered chunks on the service's long-lived pool,
 //!   observes the job's cancel flag between phases, ticks its progress
-//!   counter and records phase spans. Every
-//!   [`Prophet`](crate::service::Prophet) job runs it.
+//!   counter, records phase spans and counts into the job's own counters,
+//!   so jobs sharing their scenario's engine never see each other's
+//!   work. Every [`Prophet`](crate::service::Prophet) job runs it.
 //!
 //! Both execute the same function, so a runner may only reorder
 //! *independent* items: probe evaluation derives every fingerprint from
@@ -140,7 +143,7 @@ use prophet_mc::{
 
 use crate::engine::{Engine, EvalOutcome};
 use crate::error::{ProphetError, ProphetResult};
-use crate::metrics::Stopwatch;
+use crate::metrics::{Counters, Stopwatch};
 use crate::session::ProgressiveEstimate;
 
 /// One `(samples, outcome)` per point of a batch.
@@ -167,14 +170,18 @@ pub(crate) trait Runner {
     /// The engine whose batch this is.
     fn engine(&self) -> &Engine;
 
-    /// Apply `f` to every item on this runner's workers, results in input
-    /// order. Slot `i` is `None` if item `i` never ran: skipped because
-    /// the job was cancelled, or lost to a worker panic.
+    /// The counters this run's work goes to.
+    fn metrics(&self) -> &Counters;
+
+    /// Apply `f` to every item on this runner's workers, with the engine
+    /// and this run's counters, results in input order. Slot `i` is `None`
+    /// if item `i` never ran: skipped because the job was cancelled, or
+    /// lost to a worker panic.
     fn fan_out<I, T, F>(&self, items: Vec<I>, f: F) -> Vec<Option<T>>
     where
         I: Send + 'static,
         T: Send + 'static,
-        F: Fn(&Engine, I) -> T + Send + Sync + 'static;
+        F: Fn(&Engine, &Counters, I) -> T + Send + Sync + 'static;
 
     /// Whether the batch should stop at the next phase boundary.
     fn is_cancelled(&self) -> bool {
@@ -191,7 +198,8 @@ pub(crate) trait Runner {
     }
 }
 
-/// The inline runner: scoped threads on the caller, never cancelled.
+/// The inline runner: scoped threads on the caller, never cancelled,
+/// counting into the engine's own counters.
 pub(crate) struct Inline<'a>(pub(crate) &'a Engine);
 
 impl Runner for Inline<'_> {
@@ -199,14 +207,18 @@ impl Runner for Inline<'_> {
         self.0
     }
 
+    fn metrics(&self) -> &Counters {
+        &self.0.metrics
+    }
+
     fn fan_out<I, T, F>(&self, items: Vec<I>, f: F) -> Vec<Option<T>>
     where
         I: Send + 'static,
         T: Send + 'static,
-        F: Fn(&Engine, I) -> T + Send + Sync + 'static,
+        F: Fn(&Engine, &Counters, I) -> T + Send + Sync + 'static,
     {
         parallel_map(items, self.0.config().threads.max(1), |item| {
-            Some(f(self.0, item))
+            Some(f(self.0, &self.0.metrics, item))
         })
     }
 }
@@ -258,30 +270,23 @@ impl StopRule {
         })
     }
 
-    /// Test the prefixes of `samples`' rule column that grow by `batch`
-    /// from `from` worlds, the last one clamped to the whole column, and
-    /// stop at the first that converges at z = 1.96. Returns the estimate
-    /// on it, `fresh` of whose worlds this batch simulated (none: the
-    /// samples came from the basis). Basis samples answer a point when
-    /// the estimate on them converged or they are full depth; otherwise
-    /// they are its resume prefix.
-    fn estimate(&self, samples: &ColumnSamples, from: usize, fresh: usize) -> ProgressiveEstimate {
+    /// The estimate on the whole of `samples`' rule column and whether it
+    /// converged at z = 1.96, `fresh` of whose worlds this batch simulated
+    /// (none: the samples came from the basis). A wave's samples end at
+    /// its last span, so the whole column is the newest prefix; basis
+    /// samples are read whole, as they cost nothing more. Basis samples
+    /// answer a point when the estimate on them converged or they are
+    /// full depth; otherwise they are its resume prefix.
+    fn estimate(&self, samples: &ColumnSamples, fresh: usize) -> ProgressiveEstimate {
         const Z95: f64 = 1.96;
         let xs = (samples.get(&self.column))
             .expect("invariant: a point's samples hold every output column");
-        let mut depth = from;
-        loop {
-            depth = (depth + self.batch).min(xs.len());
-            let stats = SampleStats::of(&xs[..depth]);
-            let converged = stats.converged(self.epsilon, Z95);
-            if converged || depth == xs.len() {
-                return ProgressiveEstimate {
-                    estimate: stats.mean,
-                    worlds_used: fresh,
-                    used_basis: fresh == 0,
-                    converged,
-                };
-            }
+        let stats = SampleStats::of(xs);
+        ProgressiveEstimate {
+            estimate: stats.mean,
+            worlds_used: fresh,
+            used_basis: fresh == 0,
+            converged: stats.converged(self.epsilon, Z95),
         }
     }
 }
@@ -336,7 +341,7 @@ fn run_round<R: Runner>(
     round: Vec<Planned>,
     answers: &mut [Option<Answer>],
 ) -> ProphetResult<Option<Vec<Planned>>> {
-    let engine = runner.engine();
+    let (engine, metrics) = (runner.engine(), runner.metrics());
     let full = engine.config().worlds_per_point;
 
     // ---- plan: exact-cache check + in-flight claim per point. A rule
@@ -354,7 +359,7 @@ fn run_round<R: Runner>(
                     None => (engine.stored_sample_set(point, samples), None),
                     Some(rule) => {
                         let samples = samples.materialize(point);
-                        let estimate = rule.estimate(&samples, 0, 0);
+                        let estimate = rule.estimate(&samples, 0);
                         if !estimate.converged && worlds < full {
                             retry.push((i, Some((samples, worlds))));
                             continue;
@@ -362,7 +367,7 @@ fn run_round<R: Runner>(
                         (engine.to_sample_set(point, samples), Some(estimate))
                     }
                 };
-                engine.bump(|m| m.points_cached += 1);
+                metrics.bump(|m| m.points_cached += 1);
                 runner.points_done(1);
                 answers[i] = Some(((reply, EvalOutcome::Cached), estimate));
             }
@@ -394,13 +399,13 @@ fn run_round<R: Runner>(
             retry.push((i, resume));
             continue;
         };
-        let estimate = rule.map(|r| r.estimate(&samples, 0, 0));
+        let estimate = rule.map(|r| r.estimate(&samples, 0));
         if worlds < full && !estimate.as_ref().is_some_and(|e| e.converged) {
             // Under a rule, the shallow samples are the resume prefix.
             retry.push((i, rule.map(|_| (samples, worlds))));
             continue;
         }
-        engine.bump(|m| {
+        metrics.bump(|m| {
             m.points_cached += 1;
             m.inflight_waits += 1;
         });
@@ -476,7 +481,7 @@ fn simulate_phase<R: Runner>(
     if running.is_empty() {
         return Ok(true);
     }
-    let engine = runner.engine();
+    let (engine, metrics) = (runner.engine(), runner.metrics());
     let (tracer, job) = runner.trace();
     let full = engine.config().worlds_per_point;
     let width = rule.map_or(SPAN_WORLDS, |rule| rule.batch);
@@ -501,8 +506,8 @@ fn simulate_phase<R: Runner>(
             })
             .collect();
         let t_sim = tracer.now();
-        let simulated = runner.fan_out(spans, |engine, (p, span): (ParamPoint, Range<u64>)| {
-            engine.simulate_world_span(&p, span)
+        let simulated = runner.fan_out(spans, |engine, metrics, (p, span)| {
+            engine.simulate_world_span(&p, span, metrics)
         });
         tracer.span(TraceEventKind::PhaseSimulate, job, NO_CHUNK, t_sim);
         let t_publish = tracer.now();
@@ -510,28 +515,29 @@ fn simulate_phase<R: Runner>(
         let mut simulated = simulated.into_iter();
         let mut next = Vec::new();
         for (mut s, end) in running.into_iter().zip(ends) {
-            let (from, n) = (s.depth, (end - s.depth).div_ceil(width));
+            let n = (end - s.depth).div_ceil(width);
             if !s.join(runner, simulated.by_ref().take(n))? {
                 cancelled = true;
                 continue;
             }
             s.depth = end;
             let fresh = end - s.resumed;
-            let estimate = rule.map(|r| r.estimate(&s.samples, from, fresh));
+            let estimate = rule.map(|r| r.estimate(&s.samples, fresh));
             if end < full && !estimate.as_ref().is_some_and(|e| e.converged) {
                 next.push(s);
                 continue;
             }
             let samples = Arc::new(s.samples);
             let reply = engine.publish_simulated(&unique[s.i], s.guard, s.probes, samples, end);
+            metrics.bump(|m| m.points_simulated += 1);
             answers[s.i] = Some((reply, estimate));
             runner.points_done(1);
         }
         tracer.span(TraceEventKind::PhasePublish, job, NO_CHUNK, t_publish);
-        engine.bump(|m| m.publish_nanos += publish.elapsed_nanos());
+        metrics.bump(|m| m.publish_nanos += publish.elapsed_nanos());
         running = next;
     }
-    engine.bump(|m| m.sim_nanos += phase.elapsed_nanos());
+    metrics.bump(|m| m.sim_nanos += phase.elapsed_nanos());
     Ok(!cancelled)
 }
 
@@ -549,7 +555,7 @@ fn fingerprint_phase<R: Runner>(
     claimed: Vec<(Planned, InflightGuard)>,
     answers: &mut [Option<Answer>],
 ) -> ProphetResult<Option<Vec<Simulating>>> {
-    let engine = runner.engine();
+    let (engine, metrics) = (runner.engine(), runner.metrics());
     // A miss starts from its resume prefix, or from world 0.
     let miss = |((i, resume), guard): (Planned, _), probes| {
         let prefix = resume.map(|(prefix, worlds)| ((*prefix).clone(), worlds));
@@ -575,8 +581,8 @@ fn fingerprint_phase<R: Runner>(
         .collect();
     let n = points.len();
     let t_probe = tracer.now();
-    let probe_outputs = runner.fan_out(points, |engine, p: ParamPoint| {
-        let probe = engine.probe_fingerprints(&p);
+    let probe_outputs = runner.fan_out(points, |engine, metrics, p: ParamPoint| {
+        let probe = engine.probe_fingerprints(&p, metrics);
         (p, probe)
     });
     tracer.span(TraceEventKind::PhaseProbe, job, NO_CHUNK, t_probe);
@@ -590,13 +596,13 @@ fn fingerprint_phase<R: Runner>(
         };
         fused_items.push((point, probe?));
     }
-    engine.bump(|m| m.batch_probes += n as u64);
+    metrics.bump(|m| m.batch_probes += n as u64);
 
     // The candidate snapshot is taken here — after every probe has
     // landed, so no probe ever matches a sibling of its batch — and the
     // store's locks are released before any comparison runs.
     let t_match = tracer.now();
-    let snapshot = engine.scan_snapshot();
+    let snapshot = engine.scan_snapshot(metrics);
     tracer.span(TraceEventKind::PhaseMatch, job, NO_CHUNK, t_match);
 
     // Match-then-remap, one item per probe: each scans the snapshot
@@ -606,14 +612,21 @@ fn fingerprint_phase<R: Runner>(
     let t_remap = tracer.now();
     let fused = runner.fan_out(
         fused_items,
-        move |engine, (point, probe): (ParamPoint, HashMap<String, Fingerprint>)| {
-            let matched = engine.match_and_remap(&fused_snapshot, &point, &probe);
+        move |engine, metrics, (point, probe): (ParamPoint, HashMap<String, Fingerprint>)| {
+            let matched = engine.match_and_remap(&fused_snapshot, &point, &probe, metrics);
             fused_tracer.record_match_scan(matched.scan_nanos);
             (point, probe, matched)
         },
     );
     tracer.span(TraceEventKind::PhaseRemap, job, NO_CHUNK, t_remap);
-    engine.record_scans(&snapshot, fused.iter().flatten().map(|(.., m)| m.work));
+    // Close the scans: their work goes into the run's counters and the
+    // store's hit/miss ledger.
+    let work = fused.iter().flatten().map(|(.., m)| m.work);
+    let scan = engine.basis_store().record_scans(&snapshot, work);
+    metrics.bump(|m| {
+        m.candidates_scanned += scan.candidates_scanned;
+        m.candidates_pruned += scan.candidates_pruned;
+    });
 
     // Publish hits in input order.
     let t_publish = tracer.now();
@@ -632,12 +645,13 @@ fn fingerprint_phase<R: Runner>(
         };
         let ((i, _), guard) = claim;
         let reply = engine.publish_hit(&point, guard, hit);
-        let estimate = rule.map(|r| r.estimate(reply.0.shared_samples(), 0, 0));
+        metrics.bump(|m| m.points_mapped += 1);
+        let estimate = rule.map(|r| r.estimate(reply.0.shared_samples(), 0));
         answers[i] = Some((reply, estimate));
         runner.points_done(1);
     }
     tracer.span(TraceEventKind::PhasePublish, job, NO_CHUNK, t_publish);
-    engine.bump(|m| {
+    metrics.bump(|m| {
         m.publish_nanos += publish.elapsed_nanos();
         m.probe_nanos += phase.elapsed_nanos();
     });
@@ -678,66 +692,55 @@ impl Engine {
     /// (its stochastic columns, detector and `match_index` mode) — the
     /// store's shared snapshot, rebuilt only when a source came or went
     /// since the last batch. The only step of a scan that touches the
-    /// store's locks; timed into `match_scan_nanos`.
-    fn scan_snapshot(&self) -> Arc<ScanSnapshot> {
+    /// store's locks; timed into the run's `match_scan_nanos`.
+    fn scan_snapshot(&self, metrics: &Counters) -> Arc<ScanSnapshot> {
         let start = Stopwatch::start();
         let snapshot = self.basis_store().scan_snapshot_shared(
             self.stochastic_columns(),
             &self.config().detector,
             self.config().match_index,
         );
-        self.bump(|m| m.match_scan_nanos += start.elapsed_nanos());
+        metrics.bump(|m| m.match_scan_nanos += start.elapsed_nanos());
         snapshot
     }
 
     /// The per-probe step of the fingerprint phase: scan `snapshot` for
     /// the best source of `probe` and, on a hit, re-map it onto `point`.
     /// A pure function of its arguments, so a batch runs it for every
-    /// probe in parallel. Self-times the scan into `match_scan_nanos` (the
-    /// remap self-times into `remap_nanos`).
+    /// probe in parallel. Self-times the scan into the run's
+    /// `match_scan_nanos` (the remap self-times into `remap_nanos`).
     fn match_and_remap(
         &self,
         snapshot: &ScanSnapshot,
         point: &ParamPoint,
         probe: &HashMap<String, Fingerprint>,
+        metrics: &Counters,
     ) -> Matched {
         let start = Stopwatch::start();
         let scan = snapshot.scan_probe(probe);
         let scan_nanos = start.elapsed_nanos();
-        self.bump(|m| m.match_scan_nanos += scan_nanos);
+        metrics.bump(|m| m.match_scan_nanos += scan_nanos);
+        let remap = |hit: BasisHit| {
+            let (samples, moments) =
+                self.remap_samples(point, &hit.samples, &hit.mappings, hit.worlds, metrics)?;
+            Ok(MappedHit {
+                samples,
+                moments,
+                worlds: hit.worlds,
+                exact: hit.mappings.values().all(Mapping::is_exact),
+                source: hit.source,
+                source_samples: hit.samples,
+                recipe: Recipe {
+                    source_stamp: hit.source_stamp,
+                    mappings: hit.mappings,
+                },
+            })
+        };
         Matched {
             work: scan.work,
             scan_nanos,
-            outcome: scan.hit.map(|hit| self.remap_hit(point, hit)).transpose(),
+            outcome: scan.hit.map(remap).transpose(),
         }
-    }
-
-    fn remap_hit(&self, point: &ParamPoint, hit: BasisHit) -> ProphetResult<MappedHit> {
-        let (samples, moments) =
-            self.remap_samples(point, &hit.samples, &hit.mappings, hit.worlds)?;
-        Ok(MappedHit {
-            samples,
-            moments,
-            worlds: hit.worlds,
-            exact: hit.mappings.values().all(Mapping::is_exact),
-            source: hit.source,
-            source_samples: hit.samples,
-            recipe: Recipe {
-                source_stamp: hit.source_stamp,
-                mappings: hit.mappings,
-            },
-        })
-    }
-
-    /// Close a batch's scans: fold the probes' work into
-    /// `candidates_scanned` / `candidates_pruned` and the store's hit/miss
-    /// ledger.
-    fn record_scans(&self, snapshot: &ScanSnapshot, work: impl IntoIterator<Item = ScanWork>) {
-        let scan = self.basis_store().record_scans(snapshot, work);
-        self.bump(|m| {
-            m.candidates_scanned += scan.candidates_scanned;
-            m.candidates_pruned += scan.candidates_pruned;
-        });
     }
 
     // ------------------------------------------------------------ publish
@@ -763,7 +766,6 @@ impl Engine {
             self.rebuild_handle(),
             hit.moments.clone(),
         );
-        self.bump(|m| m.points_mapped += 1);
         let outcome = EvalOutcome::Mapped {
             from: hit.source,
             exact: hit.exact,
@@ -789,7 +791,6 @@ impl Engine {
     ) -> (SampleSet, EvalOutcome) {
         let full_depth = worlds == self.config().worlds_per_point;
         guard.complete(probes, Arc::clone(&samples), worlds, full_depth);
-        self.bump(|m| m.points_simulated += 1);
         (self.to_sample_set(point, samples), EvalOutcome::Simulated)
     }
 }
@@ -815,7 +816,7 @@ struct MappedHit {
 
 /// One probe's trip through [`Engine::match_and_remap`].
 struct Matched {
-    /// The scan's accounting, for [`Engine::record_scans`].
+    /// The scan's accounting, for the store's `record_scans`.
     work: ScanWork,
     /// Nanoseconds the scan took (the tracer's match-scan histogram).
     scan_nanos: u64,

@@ -43,7 +43,7 @@ use prophet_mc::{ParamPoint, SampleSet};
 
 use crate::engine::{Engine, EvalOutcome};
 use crate::error::{ProphetError, ProphetResult};
-use crate::metrics::EngineMetrics;
+use crate::metrics::{Counters, EngineMetrics};
 use crate::offline::OfflineReport;
 use crate::session::ProgressiveEstimate;
 use crate::sync::OrderedMutex;
@@ -192,9 +192,13 @@ pub struct JobProgress {
     pub cancelled: bool,
     /// Whether the job has finished (final event emitted).
     pub finished: bool,
-    /// Engine work counters accumulated by this job so far — including the
-    /// per-phase wall clocks (`probe_nanos` / `sim_nanos` /
-    /// `match_scan_nanos` / `probe_eval_nanos`).
+    /// This job's own work counters so far — including the per-phase
+    /// wall clocks (`probe_nanos` / `sim_nanos` / `match_scan_nanos` /
+    /// `probe_eval_nanos`). A job counts into counters of its own, not
+    /// into its scenario's engine, so jobs running at once on one
+    /// scenario never see each other's work. Once a sweep job has
+    /// finished they equal its report's
+    /// [`metrics`](crate::offline::OfflineReport::metrics).
     pub metrics: EngineMetrics,
 }
 
@@ -307,11 +311,10 @@ pub(crate) struct JobCore {
     /// finishes, so the handle's receiver disconnects and event iteration
     /// terminates after the final event.
     pub(crate) events: OrderedMutex<Option<Sender<JobEvent>>>,
-    /// The job's engine (shared with the submitting session, if any).
+    /// The job's engine: its scenario's one engine on the service.
     pub(crate) engine: Arc<Engine>,
-    /// Metrics snapshot taken at submit, so `progress().metrics` reports
-    /// this job's work only.
-    pub(crate) baseline: EngineMetrics,
+    /// What the job's pooled runner counts into (`progress().metrics`).
+    pub(crate) metrics: Counters,
     /// The scheduler's flight recorder ([`Tracer::off`] when tracing is
     /// disabled) — lets the handle read this job's events back and the
     /// cancel path stamp its `job_cancel` marker.
@@ -365,7 +368,7 @@ impl JobHandle {
     }
 
     /// Live progress: points done/total, chunk accounting, and the job's
-    /// engine-metric delta (per-phase nanos included).
+    /// work counters (per-phase nanos included).
     pub fn progress(&self) -> JobProgress {
         JobProgress {
             points_done: self.core.points_done.load(Ordering::Acquire),
@@ -374,7 +377,7 @@ impl JobHandle {
             chunks_dispatched: self.core.chunks_dispatched.load(Ordering::Acquire),
             cancelled: self.core.is_cancelled(),
             finished: self.core.finished.load(Ordering::Acquire),
-            metrics: self.core.engine.metrics().since(&self.core.baseline),
+            metrics: self.core.metrics.get(),
         }
     }
 

@@ -15,6 +15,20 @@
 //! engine's one `SeedManager`, so — unlike the [probe
 //! memo](crate::probe_memo), whose key leaves the world block implicit —
 //! one store serves probe walks and simulation walks alike.
+//!
+//! # A per-scenario, service-lifetime budget
+//!
+//! A [`Prophet`](crate::service::Prophet) keeps one engine per scenario
+//! for its lifetime, so these ledgers serve every job and session of the
+//! scenario, and neither `clear_basis` nor `load_basis` touches them. The
+//! `MAX_CELLS` bound (4 Mi cells, 32 MB) is thus a budget for the whole
+//! service's life on that scenario. When a keep would pass it the table
+//! is cleared and refilled — the probe memo's rule, and for the same
+//! reason: a clear is deterministic and can only cost redraws of the very
+//! cells a hit would have returned, so no answer, sample or store byte
+//! depends on it. Figure 2 needs 432 ledgers of 256 cells (≈ 0.1 Mi
+//! cells), far below the bound; a service whose streams outgrow it pays
+//! one refill per clear instead of an eviction policy.
 
 use std::collections::HashMap;
 
@@ -22,7 +36,8 @@ use prophet_vg::LedgerStore;
 
 use crate::sync::{OrderedRwLock, DRAW_LEDGERS};
 
-/// Most cells (`f64`s) kept per engine: 32 MB. Figure 2 needs 432 ledgers
+/// Most cells (`f64`s) kept per engine (per scenario and service lifetime
+/// on a `Prophet`): 32 MB. Figure 2 needs 432 ledgers
 /// of 256 cells.
 const MAX_CELLS: usize = 1 << 22;
 

@@ -69,10 +69,10 @@
 //!                       │ Scheduler: one worker pool, chunks run by │
 //!                       │ priority through the batch pipeline       │
 //!                       └─────────────────────┬─────────────────────┘
-//!                                             ▼  per-job Engine
+//!                                             ▼  the scenario's one Engine
 //!   ┌─────────────────┐  pure TSQL  ┌────────────┐  rows  ┌───────────────────┐
 //!   │ Query Generator │ ──────────▶ │ SQL engine │ ─────▶ │ SharedBasisStore  │
-//!   └─────────────────┘             └────────────┘        │ (one per scenario,│
+//!   └─────────────────┘             └────────────┘        │ (the engine's,    │
 //!                                                         │ shared by every   │
 //!   ┌─────────────────┐  samples: simulated, re-mapped    │ session and job)  │
 //!   │ Result          │ ◀──────────────────────────────── │                   │
@@ -100,7 +100,8 @@
 //! by priority, so an interactive refresh overtakes a running sweep
 //! mid-flight instead of queueing behind it. Handles expose
 //! [`progress`](job::JobHandle::progress) (points done/total plus the
-//! job's per-phase engine metrics, live at chunk granularity), a
+//! job's own work counters, per-phase clocks included, live at chunk
+//! granularity), a
 //! [`recv`](job::JobHandle::recv) / [`events`](job::JobHandle::events)
 //! stream of incremental [`job::JobEvent`]s (chunk results as each batch
 //! of the job finalizes — a sweep streams group by group — then the

@@ -9,6 +9,8 @@ use std::time::{Duration, Instant};
 
 use prophet_mc::trace::LatencyHistogram;
 
+use crate::sync::{OrderedMutex, ENGINE_METRICS};
+
 /// A started wall-clock timer. This is the *only* place `crates/core`
 /// touches `Instant` (pinned by the `wall-clock` lint rule in
 /// `crates/analysis`): wall time is a metric, and keeping every reading
@@ -107,9 +109,18 @@ pub struct EngineMetrics {
     /// on, `candidates_pruned / (candidates_scanned + candidates_pruned)`
     /// is the scan's prune rate.
     pub candidates_scanned: u64,
-    /// (candidate, probe) pairs the fingerprint summary index skipped:
-    /// their bound proved they could not match at all, or could not beat
-    /// the best match already found. Zero when
+    /// Per batch, `probes × min(widest wave count × MATCH_WAVE,
+    /// candidates) − candidates_scanned`, where `MATCH_WAVE` is the
+    /// indexed scan's wave width (32), the widest wave count is that of
+    /// the batch's probe that needed the most waves, and `candidates` is
+    /// the size of the batch's candidate snapshot: every
+    /// (candidate, probe) pair of the waves the batch processed that did
+    /// not run the full comparison. That lumps pairs whose summary bound
+    /// proved they could not match, or could not beat the best match
+    /// already found, with pairs nobody bounded at all — a probe that
+    /// found an exact match stops, yet the waves its siblings still need
+    /// count for it too. So it is an upper bound on the pairs the index
+    /// ruled out, not a count of bounds. Zero when
     /// [`EngineConfig::match_index`](crate::engine::EngineConfig::match_index)
     /// is off. Deterministic: the indexed scan's pruning decisions do not
     /// depend on the thread count.
@@ -189,34 +200,43 @@ impl EngineMetrics {
 
     /// Difference since an earlier snapshot (for per-operation reporting).
     pub fn since(&self, earlier: &EngineMetrics) -> EngineMetrics {
+        EngineMetrics::zip(self, earlier, |a, b| a - b)
+    }
+
+    /// The sum of two runs' counters (a session's jobs, one after another).
+    pub(crate) fn plus(&self, other: &EngineMetrics) -> EngineMetrics {
+        EngineMetrics::zip(self, other, |a, b| a + b)
+    }
+
+    /// Combine every counter of `a` and `b`, and every histogram bucket,
+    /// with `f`.
+    fn zip(a: &EngineMetrics, b: &EngineMetrics, f: impl Fn(u64, u64) -> u64) -> EngineMetrics {
         EngineMetrics {
-            points_cached: self.points_cached - earlier.points_cached,
-            points_mapped: self.points_mapped - earlier.points_mapped,
-            points_simulated: self.points_simulated - earlier.points_simulated,
-            worlds_simulated: self.worlds_simulated - earlier.worlds_simulated,
-            probe_evaluations: self.probe_evaluations - earlier.probe_evaluations,
-            vector_walks: self.vector_walks - earlier.vector_walks,
-            probe_eval_nanos: self.probe_eval_nanos - earlier.probe_eval_nanos,
-            columnar_kernels: self.columnar_kernels - earlier.columnar_kernels,
-            column_fallbacks: self.column_fallbacks - earlier.column_fallbacks,
-            column_gathers: self.column_gathers - earlier.column_gathers,
-            probe_call_sites: self.probe_call_sites - earlier.probe_call_sites,
-            probe_call_sites_memoised: self.probe_call_sites_memoised
-                - earlier.probe_call_sites_memoised,
-            probe_call_sites_replayed: self.probe_call_sites_replayed
-                - earlier.probe_call_sites_replayed,
-            candidates_scanned: self.candidates_scanned - earlier.candidates_scanned,
-            candidates_pruned: self.candidates_pruned - earlier.candidates_pruned,
-            match_scan_nanos: self.match_scan_nanos - earlier.match_scan_nanos,
-            remap_nanos: self.remap_nanos - earlier.remap_nanos,
-            publish_nanos: self.publish_nanos - earlier.publish_nanos,
-            inflight_waits: self.inflight_waits - earlier.inflight_waits,
-            batch_probes: self.batch_probes - earlier.batch_probes,
-            probe_nanos: self.probe_nanos - earlier.probe_nanos,
-            sim_nanos: self.sim_nanos - earlier.sim_nanos,
-            sim_cpu_nanos: self.sim_cpu_nanos - earlier.sim_cpu_nanos,
-            probe_latency: self.probe_latency.since(&earlier.probe_latency),
-            sim_latency: self.sim_latency.since(&earlier.sim_latency),
+            points_cached: f(a.points_cached, b.points_cached),
+            points_mapped: f(a.points_mapped, b.points_mapped),
+            points_simulated: f(a.points_simulated, b.points_simulated),
+            worlds_simulated: f(a.worlds_simulated, b.worlds_simulated),
+            probe_evaluations: f(a.probe_evaluations, b.probe_evaluations),
+            vector_walks: f(a.vector_walks, b.vector_walks),
+            probe_eval_nanos: f(a.probe_eval_nanos, b.probe_eval_nanos),
+            columnar_kernels: f(a.columnar_kernels, b.columnar_kernels),
+            column_fallbacks: f(a.column_fallbacks, b.column_fallbacks),
+            column_gathers: f(a.column_gathers, b.column_gathers),
+            probe_call_sites: f(a.probe_call_sites, b.probe_call_sites),
+            probe_call_sites_memoised: f(a.probe_call_sites_memoised, b.probe_call_sites_memoised),
+            probe_call_sites_replayed: f(a.probe_call_sites_replayed, b.probe_call_sites_replayed),
+            candidates_scanned: f(a.candidates_scanned, b.candidates_scanned),
+            candidates_pruned: f(a.candidates_pruned, b.candidates_pruned),
+            match_scan_nanos: f(a.match_scan_nanos, b.match_scan_nanos),
+            remap_nanos: f(a.remap_nanos, b.remap_nanos),
+            publish_nanos: f(a.publish_nanos, b.publish_nanos),
+            inflight_waits: f(a.inflight_waits, b.inflight_waits),
+            batch_probes: f(a.batch_probes, b.batch_probes),
+            probe_nanos: f(a.probe_nanos, b.probe_nanos),
+            sim_nanos: f(a.sim_nanos, b.sim_nanos),
+            sim_cpu_nanos: f(a.sim_cpu_nanos, b.sim_cpu_nanos),
+            probe_latency: a.probe_latency.zip(&b.probe_latency, &f),
+            sim_latency: a.sim_latency.zip(&b.sim_latency, &f),
         }
     }
 }
@@ -231,6 +251,27 @@ impl EngineMetrics {
         } else {
             self.candidates_pruned as f64 / bounded as f64
         }
+    }
+}
+
+/// One run's work counters behind their leaf lock: a bare engine's own
+/// (what the inline runner counts into, read by [`Engine::metrics`]), or
+/// one job's (read by its handle's `progress`).
+///
+/// [`Engine::metrics`]: crate::engine::Engine::metrics
+pub(crate) struct Counters(OrderedMutex<EngineMetrics>);
+
+impl Counters {
+    pub(crate) fn new() -> Self {
+        Counters(OrderedMutex::new(ENGINE_METRICS, EngineMetrics::default()))
+    }
+
+    pub(crate) fn bump(&self, update: impl FnOnce(&mut EngineMetrics)) {
+        update(&mut self.0.lock());
+    }
+
+    pub(crate) fn get(&self) -> EngineMetrics {
+        *self.0.lock()
     }
 }
 
@@ -494,12 +535,13 @@ sim_p99_us                 4194.30";
         }
     }
 
-    /// Completeness audit for `since`: construct a metrics value with
-    /// **every** field nonzero (no `..Default::default()` — adding a field
-    /// to `EngineMetrics` breaks this constructor until the test is
-    /// updated), then check `m - 0 == m` and `m - m == 0`. A counter
-    /// `since` zeroes fails the first; one it copies instead of
-    /// subtracting fails the second.
+    /// Completeness audit for `since` and `plus`: construct a metrics
+    /// value with **every** field nonzero (no `..Default::default()` —
+    /// adding a field to `EngineMetrics` breaks this constructor until the
+    /// test is updated), then check `m - 0 == m`, `m - m == 0`,
+    /// `0 + m == m` and `m + m - m == m`. A counter `since` zeroes fails
+    /// the first; one it copies instead of subtracting fails the second;
+    /// `plus` likewise fails the last two.
     #[test]
     fn merge_and_since_cover_every_field() {
         let m = EngineMetrics {
@@ -539,6 +581,12 @@ sim_p99_us                 4194.30";
             m.since(&m),
             EngineMetrics::default(),
             "since copied a field instead of subtracting it"
+        );
+        assert_eq!(EngineMetrics::default().plus(&m), m, "plus dropped a field");
+        assert_eq!(
+            m.plus(&m).since(&m),
+            m,
+            "plus copied a field instead of adding it"
         );
     }
 }

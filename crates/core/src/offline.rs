@@ -221,15 +221,16 @@ impl SweepPlan {
     /// through `evaluate` (`Ok(None)` = cancelled, which ends the sweep
     /// with `Ok(None)`), hand each finished batch to `sink` as `(group,
     /// its full points, their results)`, fold it into the group's answer,
-    /// and rank. The report's metrics and wall clock cover this run only.
+    /// and rank. The report's wall clock covers this run only, and its
+    /// metrics are what `metrics` reads at the end: the run's counters.
     pub(crate) fn run(
         &self,
         engine: &Engine,
         mut evaluate: impl FnMut(&[ParamPoint]) -> ProphetResult<Option<BatchResults>>,
         mut sink: impl FnMut(&ParamPoint, &[ParamPoint], &BatchResults),
+        metrics: impl FnOnce() -> EngineMetrics,
     ) -> ProphetResult<Option<OfflineReport>> {
         let start = Stopwatch::start();
-        let before = engine.metrics();
         let mut answers = Vec::with_capacity(self.groups_total);
         for group in self.groups() {
             let points = self.group_points(&group);
@@ -244,7 +245,7 @@ impl SweepPlan {
             best,
             answers,
             groups_total: self.groups_total,
-            metrics: engine.metrics().since(&before),
+            metrics: metrics(),
             wall: start.elapsed(),
         }))
     }
@@ -289,7 +290,7 @@ impl OfflineOptimizer {
     /// here: submit [`JobSpec::sweep`](crate::job::JobSpec::sweep) to
     /// [`Prophet::submit`](crate::service::Prophet::submit) instead.
     pub fn open(engine: Engine) -> ProphetResult<Self> {
-        let plan = SweepPlan::from_script(engine.script())?;
+        let plan = SweepPlan::from_script(engine.scenario().script())?;
         Ok(OfflineOptimizer { engine, plan })
     }
 
@@ -322,6 +323,7 @@ impl OfflineOptimizer {
         &self,
         mut observer: impl FnMut(&ParamPoint, &ParamPoint, &EvalOutcome),
     ) -> ProphetResult<OfflineReport> {
+        let before = self.engine.metrics();
         let report = self.plan.run(
             &self.engine,
             |points| self.engine.evaluate_batch(points).map(Some),
@@ -330,6 +332,7 @@ impl OfflineOptimizer {
                     observer(group, full, outcome);
                 }
             },
+            || self.engine.metrics().since(&before),
         )?;
         Ok(report.expect("invariant: the inline runner is never cancelled"))
     }

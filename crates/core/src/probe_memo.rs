@@ -14,6 +14,25 @@
 //! The memo is only ever handed to probe walks — one `SeedManager`, one
 //! seed block, for the engine's lifetime — which is what makes a key that
 //! names neither sufficient.
+//!
+//! # A per-scenario, service-lifetime budget
+//!
+//! A [`Prophet`](crate::service::Prophet) builds one engine per scenario
+//! and keeps it for its lifetime, so this memo serves every job and
+//! session of the scenario: a second sweep, or a sweep after a session,
+//! re-probes what the first probed without drawing, and neither
+//! `clear_basis` nor `load_basis` touches it (its entries do not depend
+//! on what the store holds). Its bound, `MAX_ENTRIES` call sites, is
+//! therefore a budget for the whole service's life on that scenario, not
+//! per job. When it is full the next new call site clears the table. A
+//! clear is deterministic and can only cost draws: every
+//! lane a cleared entry held is drawn again, bit for bit, on its next
+//! sighting, so no answer, sample or store byte depends on when it
+//! happens. A long-lived service probing more than 16,384 distinct
+//! tuples loses its warm memo at each clear and refills it. That cliff is
+//! accepted over an eviction policy: a clear costs one draw per call site
+//! seen again afterwards, and Figure 2's whole parameter space (10,547
+//! tuples) never reaches it.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -22,7 +41,8 @@ use prophet_sql::columnar::{CallSiteKey, CallSiteMemo};
 
 use crate::sync::{OrderedMutex, PROBE_MEMO};
 
-/// Most call sites remembered per engine. Figure 2 has 10,547 distinct
+/// Most call sites remembered per engine (per scenario and service
+/// lifetime on a `Prophet`). Figure 2 has 10,547 distinct
 /// tuples, so it fits; at fingerprint length 32 a full table is ≈ 6 MB.
 const MAX_ENTRIES: usize = 16_384;
 

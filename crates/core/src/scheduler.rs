@@ -108,6 +108,7 @@ use crate::engine::Engine;
 use crate::error::ProphetError;
 use crate::executor::{run_batch, BatchResults, Runner, StopRule};
 use crate::job::{ChunkUpdate, JobCore, JobEvent, JobHandle, JobOutput, Priority};
+use crate::metrics::Counters;
 use crate::offline::SweepPlan;
 use crate::sync::{
     OrderedCondvar, OrderedMutex, CHUNK_RESULTS, JOB_EVENTS, SCHEDULER_HANDLES, SCHEDULER_STATE,
@@ -407,14 +408,13 @@ fn run_task(task: QueuedTask) {
 /// docs](self) for the execution model.
 pub struct Scheduler {
     inner: Arc<Inner>,
-    workers: usize,
     handles: OrderedMutex<Vec<JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for Scheduler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Scheduler")
-            .field("workers", &self.workers)
+            .field("workers", &self.inner.workers)
             .field("chunk_points", &self.inner.chunk_points)
             .field("active_jobs", &self.active_jobs())
             .finish()
@@ -462,14 +462,13 @@ impl Scheduler {
             .collect();
         Scheduler {
             inner,
-            workers,
             handles: OrderedMutex::new(SCHEDULER_HANDLES, handles),
         }
     }
 
     /// Worker threads in the pool.
     pub fn workers(&self) -> usize {
-        self.workers
+        self.inner.workers
     }
 
     /// Maximum points per scheduled chunk.
@@ -535,7 +534,6 @@ impl Scheduler {
     ) -> JobHandle {
         let id = self.inner.next_job.fetch_add(1, Ordering::AcqRel);
         let (tx, rx) = mpsc::channel();
-        let baseline = engine.metrics();
         let core = Arc::new(JobCore {
             id,
             priority,
@@ -547,7 +545,7 @@ impl Scheduler {
             chunks_dispatched: AtomicU64::new(0),
             events: OrderedMutex::new(JOB_EVENTS, Some(tx)),
             engine,
-            baseline,
+            metrics: Counters::new(),
             tracer: self.inner.tracer.clone(),
         });
         self.inner
@@ -685,6 +683,7 @@ fn drive_sweep(inner: &Arc<Inner>, core: &Arc<JobCore>, plan: &SweepPlan) {
         &core.engine,
         |points| Ok(run_batch(&runner, points, None)?.map(|batch| batch.results)),
         |_, points, results| emit_chunks(inner, core, &mut event_chunk, points, results),
+        || core.metrics.get(),
     );
     core.emit(match report {
         Ok(Some(report)) => JobEvent::Final(JobOutput::Sweep(Box::new(report))),
@@ -716,7 +715,8 @@ fn drive_batch(
 
 /// The pipeline's view of one job on this pool: phases fan out as
 /// priority-ordered chunks, the job's cancel flag stops the batch, its
-/// progress counter ticks, and phase spans go to the pool's tracer.
+/// progress counter ticks, its work goes to the job's counters, and
+/// phase spans go to the pool's tracer.
 struct Pooled<'a> {
     inner: &'a Arc<Inner>,
     core: &'a Arc<JobCore>,
@@ -727,16 +727,20 @@ impl Runner for Pooled<'_> {
         &self.core.engine
     }
 
+    fn metrics(&self) -> &Counters {
+        &self.core.metrics
+    }
+
     fn fan_out<I, T, F>(&self, items: Vec<I>, f: F) -> Vec<Option<T>>
     where
         I: Send + 'static,
         T: Send + 'static,
-        F: Fn(&Engine, I) -> T + Send + Sync + 'static,
+        F: Fn(&Engine, &Counters, I) -> T + Send + Sync + 'static,
     {
         let chunk = self.inner.phase_chunk(items.len());
-        let engine = Arc::clone(&self.core.engine);
+        let core = Arc::clone(self.core);
         run_chunked(self.inner, self.core, items, chunk, move |item| {
-            f(&engine, item)
+            f(&core.engine, &core.metrics, item)
         })
     }
 

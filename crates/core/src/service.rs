@@ -4,12 +4,16 @@
 //! deployment serves many concurrent what-if sessions over a catalog of
 //! scenarios. `Prophet` is that deployment shape: scenarios are registered
 //! once by name, the VG catalog and engine configuration are fixed at build
-//! time, and every session handed out by [`Prophet::online`] and every
-//! job [`Prophet::submit`] runs shares one basis store and fingerprint
-//! cache per scenario. A slider move in one session re-maps results
-//! simulated by another, or by an OPTIMIZE sweep — the paper's
-//! fingerprint reuse, amortized across the whole service instead of
-//! trapped inside one session.
+//! time, and [`ProphetBuilder::build`] builds one [`Engine`] per scenario:
+//! every session handed out by [`Prophet::online`] and every job
+//! [`Prophet::submit`] runs evaluates on it, so they share its basis
+//! store, its call-site probe memo and its draw ledgers for the service's
+//! lifetime. A slider move in one session re-maps results simulated by
+//! another, or by an OPTIMIZE sweep, and a second sweep re-probes what
+//! the first probed without drawing — the paper's fingerprint reuse,
+//! amortized across the whole service instead of trapped inside one
+//! session. Work counters belong to the run, not the engine: a job
+//! counts into its own, a session sums its jobs'.
 //!
 //! ```
 //! use fuzzy_prophet::prelude::*;
@@ -46,12 +50,6 @@ use crate::scenario::Scenario;
 use crate::scheduler::{Scheduler, SchedulerConfig};
 use crate::session::{GraphPlan, OnlineSession};
 use crate::trace::{TraceConfig, TraceEvent};
-
-/// One registered scenario plus its cross-session shared state.
-struct Slot {
-    scenario: Scenario,
-    store: SharedBasisStore,
-}
 
 /// Fluent builder for [`Prophet`]. Obtained from [`Prophet::builder`].
 pub struct ProphetBuilder {
@@ -165,10 +163,11 @@ impl ProphetBuilder {
             let store = SharedBasisStore::new(self.config.basis_capacity)
                 .with_provenance(provenance(&scenario, &registry, &self.config))
                 .with_tracer(scheduler.tracer().clone());
-            slots.insert(name, Slot { scenario, store });
+            let engine =
+                Engine::with_basis_store(&scenario, Arc::clone(&registry), self.config, store)?;
+            slots.insert(name, Arc::new(engine));
         }
         Ok(Prophet {
-            registry,
             config: self.config,
             slots,
             scheduler,
@@ -176,17 +175,19 @@ impl ProphetBuilder {
     }
 }
 
-/// A long-lived Fuzzy Prophet service: named scenarios, one shared basis
-/// store per scenario, sessions on demand.
+/// A long-lived Fuzzy Prophet service: named scenarios, one engine — and
+/// with it one basis store, probe memo and set of draw ledgers — per
+/// scenario, sessions on demand.
 ///
 /// `Prophet` is `Send + Sync`; hand out sessions from as many threads as
-/// you like — they contend only on the per-scenario basis store's
-/// read-write lock.
+/// you like — they contend only on their scenario engine's locks: the
+/// basis store's, and the probe memo's and draw ledgers' leaf locks.
 pub struct Prophet {
-    registry: Arc<VgRegistry>,
     config: EngineConfig,
-    /// By name: every listing of the scenarios comes out sorted.
-    slots: BTreeMap<String, Slot>,
+    /// Each scenario's one engine, by name: every listing of the scenarios
+    /// comes out sorted. Every session and job of a scenario evaluates on
+    /// its engine, over its basis store.
+    slots: BTreeMap<String, Arc<Engine>>,
     /// The service's long-lived worker pool: every session refresh and
     /// prefetch and every [`Prophet::submit`]ted job runs on it as
     /// priority-interleaved chunks.
@@ -215,7 +216,7 @@ impl Prophet {
 
     /// The registered scenario behind `name`.
     pub fn scenario(&self, name: &str) -> ProphetResult<&Scenario> {
-        self.slot(name).map(|s| &s.scenario)
+        self.slot(name).map(|e| e.scenario())
     }
 
     /// The service's engine configuration.
@@ -223,21 +224,16 @@ impl Prophet {
         &self.config
     }
 
-    /// The VG catalog every scenario resolves against.
-    pub fn registry(&self) -> &Arc<VgRegistry> {
-        &self.registry
-    }
-
     /// Open an interactive online session on a named scenario. Every
-    /// session of one scenario shares the same basis store: what one
-    /// simulates, the others re-map or serve from cache. The session's
+    /// session of one scenario runs on the scenario's engine and shares
+    /// its basis store: what one simulates, the others re-map or serve
+    /// from cache. The session counts its work as its own
+    /// ([`OnlineSession::metrics`]). The session's
     /// refreshes run as high-priority jobs on the service scheduler, its
     /// idle prefetches — the domain neighbours of the slider last
     /// touched, first in first out — as low-priority ones.
     pub fn online(&self, name: &str) -> ProphetResult<OnlineSession> {
-        let slot = self.slot(name)?;
-        let engine = Arc::new(self.engine_for(slot)?);
-        OnlineSession::new(engine, Arc::clone(&self.scheduler))
+        OnlineSession::new(self.engine(name)?, Arc::clone(&self.scheduler))
     }
 
     /// Submit an asynchronous job — a sweep, a graph refresh, a raw
@@ -251,10 +247,13 @@ impl Prophet {
     /// ordered by `(priority, submission order)`: a
     /// [`Priority::High`](crate::job::Priority::High) job's chunks
     /// overtake a running lower-priority sweep mid-flight instead of
-    /// queueing behind it. Each job evaluates on a fresh engine over the
-    /// scenario's shared basis store, so its published simulations are
-    /// reusable by every session (and vice versa), and its final answer
-    /// is bit-identical to the inline reference on a bare engine:
+    /// queueing behind it. Each job evaluates on the scenario's one
+    /// engine, so its published simulations are reusable by every session
+    /// (and vice versa) and it probes through the memo and draw ledgers
+    /// every earlier job filled; it counts its work into counters of its
+    /// own ([`JobProgress::metrics`](crate::job::JobProgress::metrics)).
+    /// Its final answer is bit-identical to the inline reference on a
+    /// bare engine:
     /// [`Engine::evaluate_batch`] for a refresh or a point batch,
     /// [`OfflineOptimizer::run`](crate::offline::OfflineOptimizer::run)
     /// for a sweep.
@@ -264,8 +263,7 @@ impl Prophet {
         | JobKind::Points { scenario, .. }
         | JobKind::Progressive { scenario, .. }) = &spec.kind;
         let slot = self.slot(scenario)?;
-        let script = slot.scenario.script();
-        let engine = Arc::new(self.engine_for(slot)?);
+        let (script, engine) = (slot.scenario().script(), Arc::clone(slot));
         let (pool, priority) = (&self.scheduler, spec.priority);
         Ok(match spec.kind {
             JobKind::Sweep { .. } => {
@@ -307,7 +305,9 @@ impl Prophet {
         TelemetrySnapshot {
             trace: self.scheduler.tracer().telemetry(),
             workers_total: self.scheduler.workers(),
-            inflight_claims: self.slots.values().map(|s| s.store.inflight_len()).sum(),
+            inflight_claims: (self.slots.values())
+                .map(|e| e.basis_store().inflight_len())
+                .sum(),
         }
     }
 
@@ -320,23 +320,23 @@ impl Prophet {
         self.scheduler.tracer().events()
     }
 
-    /// A raw engine on a named scenario's shared store (for batch jobs and
-    /// tests that drive [`Engine::evaluate`] directly).
-    pub fn engine(&self, name: &str) -> ProphetResult<Engine> {
-        let slot = self.slot(name)?;
-        self.engine_for(slot)
+    /// The named scenario's engine, the one its sessions and jobs run on
+    /// (for tests and callers that drive [`Engine::evaluate`] directly:
+    /// inline, counting into [`Engine::metrics`]).
+    pub fn engine(&self, name: &str) -> ProphetResult<Arc<Engine>> {
+        self.slot(name).map(Arc::clone)
     }
 
     /// Number of basis entries currently shared by `name`'s sessions.
     pub fn basis_len(&self, name: &str) -> ProphetResult<usize> {
-        self.slot(name).map(|s| s.store.len())
+        self.slot(name).map(|e| e.basis_len())
     }
 
     /// Cross-session counters of `name`'s shared store: fingerprint probe
     /// hits/misses and in-flight waits (evaluations that reused another
     /// session's concurrent simulation instead of duplicating it).
     pub fn basis_stats(&self, name: &str) -> ProphetResult<StoreStatsSnapshot> {
-        self.slot(name).map(|s| s.store.stats_snapshot())
+        self.slot(name).map(|e| e.basis_store().stats_snapshot())
     }
 
     /// Every scenario's shared-store counters in one call, sorted by
@@ -345,14 +345,15 @@ impl Prophet {
     pub fn basis_stats_all(&self) -> Vec<(String, StoreStatsSnapshot)> {
         self.slots
             .iter()
-            .map(|(name, slot)| (name.clone(), slot.store.stats_snapshot()))
+            .map(|(name, e)| (name.clone(), e.basis_store().stats_snapshot()))
             .collect()
     }
 
     /// Drop a scenario's shared basis entries (forces cold starts
-    /// everywhere).
+    /// everywhere). The engine's probe memo and draw ledgers stay: they
+    /// are exact for the scenario whatever the store holds.
     pub fn clear_basis(&self, name: &str) -> ProphetResult<()> {
-        self.slot(name).map(|s| s.store.clear())
+        self.slot(name).map(|e| e.clear_basis())
     }
 
     /// Snapshot `name`'s shared basis store to `path`, checksummed (see
@@ -372,8 +373,7 @@ impl Prophet {
         name: &str,
         path: impl AsRef<std::path::Path>,
     ) -> ProphetResult<usize> {
-        let slot = self.slot(name)?;
-        Ok(slot.store.save_to(path)?)
+        Ok(self.slot(name)?.basis_store().save_to(path)?)
     }
 
     /// Restore `name`'s shared basis store from a [`Prophet::save_basis`]
@@ -390,30 +390,22 @@ impl Prophet {
     /// store state changes. A successful restore cancels in-flight claims
     /// (their owners' results are discarded) and resets the store's
     /// counters, exactly like [`Prophet::clear_basis`] followed by
-    /// replaying the snapshot.
+    /// replaying the snapshot; like it, it leaves the probe memo and draw
+    /// ledgers alone.
     pub fn load_basis(
         &self,
         name: &str,
         path: impl AsRef<std::path::Path>,
     ) -> ProphetResult<usize> {
-        let slot = self.slot(name)?;
+        let engine = self.slot(name)?;
         let bytes = std::fs::read(path).map_err(|e| SnapshotError::Io(e.to_string()))?;
-        self.engine_for(slot)?.restore_basis(&bytes)
+        engine.restore_basis(&bytes)
     }
 
-    fn slot(&self, name: &str) -> ProphetResult<&Slot> {
+    fn slot(&self, name: &str) -> ProphetResult<&Arc<Engine>> {
         self.slots
             .get(name)
             .ok_or_else(|| ProphetError::unknown_scenario(name, self.scenario_names()))
-    }
-
-    fn engine_for(&self, slot: &Slot) -> ProphetResult<Engine> {
-        Engine::with_basis_store(
-            &slot.scenario,
-            Arc::clone(&self.registry),
-            self.config,
-            slot.store.clone(),
-        )
     }
 }
 

@@ -35,7 +35,7 @@ use crate::engine::{Engine, EvalOutcome};
 use crate::error::{ProphetError, ProphetResult};
 use crate::executor::StopRule;
 use crate::job::{JobOutput, Priority};
-use crate::metrics::Stopwatch;
+use crate::metrics::{EngineMetrics, Stopwatch};
 use crate::scheduler::Scheduler;
 
 /// What one slider adjustment (or initial render) cost.
@@ -204,6 +204,8 @@ pub struct OnlineSession {
     series: Vec<Series>,
     guide: PriorityGuide,
     adjustments: u64,
+    /// The work of this session's finished jobs, summed.
+    metrics: EngineMetrics,
     /// The service's shared scheduler: refreshes run on it as
     /// [`Priority::High`] jobs, idle prefetches as [`Priority::Low`] ones.
     scheduler: Arc<Scheduler>,
@@ -227,7 +229,7 @@ impl OnlineSession {
     ///
     /// [`Prophet::online`]: crate::service::Prophet::online
     pub(crate) fn new(engine: Arc<Engine>, scheduler: Arc<Scheduler>) -> ProphetResult<Self> {
-        let plan = GraphPlan::from_script(engine.script())?;
+        let plan = GraphPlan::from_script(engine.scenario().script())?;
         Ok(OnlineSession {
             sliders: plan.default_sliders(),
             series: plan.graph.series.iter().map(Series::new).collect(),
@@ -235,6 +237,7 @@ impl OnlineSession {
             plan,
             engine,
             adjustments: 0,
+            metrics: EngineMetrics::default(),
             scheduler,
         })
     }
@@ -244,17 +247,20 @@ impl OnlineSession {
     /// higher-priority chunks can interleave, and wait for its output.
     /// The job runs the batch pipeline that [`Engine::evaluate_batch`]
     /// runs inline, so its results are bit-identical to it (the
-    /// `tests/jobs.rs` differential suite enforces it).
+    /// `tests/jobs.rs` differential suite enforces it). The job's work,
+    /// read from its counters once it ended, joins the session's.
     fn run_job(
-        &self,
+        &mut self,
         points: Vec<ParamPoint>,
         priority: Priority,
         rule: Option<StopRule>,
     ) -> ProphetResult<JobOutput> {
         let engine = Arc::clone(&self.engine);
-        self.scheduler
-            .submit_batch(engine, points, priority, rule)
-            .wait()
+        let job = self.scheduler.submit_batch(engine, points, priority, rule);
+        let core = Arc::clone(&job.core);
+        let output = job.wait();
+        self.metrics = self.metrics.plus(&core.metrics.get());
+        output
     }
 
     /// Current slider values (everything but the graph axis).
@@ -278,16 +284,18 @@ impl OnlineSession {
         self.series.iter().find(|s| s.column == column)
     }
 
-    /// The engine (metrics, basis introspection).
+    /// The scenario's engine, which every session and job of the
+    /// scenario shares (basis introspection).
     pub fn engine(&self) -> &Engine {
         &self.engine
     }
 
-    /// Snapshot of this session's engine work counters (simulated vs
-    /// mapped vs cached points, in-flight waits, probe/simulation phase
-    /// wall-clock).
-    pub fn metrics(&self) -> crate::metrics::EngineMetrics {
-        self.engine.metrics()
+    /// This session's work counters (simulated vs mapped vs cached
+    /// points, in-flight waits, probe/simulation phase wall-clock): the
+    /// sum over its finished refreshes, prefetches and progressive
+    /// estimates, and nobody else's work on the scenario.
+    pub fn metrics(&self) -> EngineMetrics {
+        self.metrics
     }
 
     /// Number of slider adjustments performed so far.

@@ -24,9 +24,9 @@
 //! | 50 | [`rank::STORE_TABLE`] — basis entry table (`RwLock`) | `prophet_mc::sync` |
 //! | 67 | [`rank::STORE_STATS`] — store counter ledger | `prophet_mc::sync` |
 //! | 70 | [`CHUNK_RESULTS`] — a chunked phase's result slots | this module |
-//! | 72 | [`PROBE_MEMO`] — the engine's call-site probe memo | this module |
-//! | 73 | [`DRAW_LEDGERS`] — the engine's draw-ledger store (`RwLock`) | this module |
-//! | 75 | [`ENGINE_METRICS`] — the engine's metrics ledger | this module |
+//! | 72 | [`PROBE_MEMO`] — a scenario engine's call-site probe memo, taken by every job of the scenario | this module |
+//! | 73 | [`DRAW_LEDGERS`] — a scenario engine's draw-ledger store (`RwLock`), taken likewise | this module |
+//! | 75 | [`ENGINE_METRICS`] — one run's work counters: a job's, or a bare engine's own | this module |
 //! | 80 | [`SCHEDULER_HANDLES`] — worker join handles (drop only) | this module |
 //! | 90 | [`TRACE_RING`] — the flight-recorder ring | `prophet_mc::trace` |
 //!
@@ -45,6 +45,15 @@
 //! `--features check` lock-wait hook skips ranks at or above it so the
 //! recorder never observes itself. `docs/CONCURRENCY.md` carries the
 //! protocol-level discussion; `docs/OBSERVABILITY.md` the recorder's.
+//!
+//! A [`Prophet`](crate::service::Prophet) builds one engine per scenario,
+//! so [`PROBE_MEMO`] and [`DRAW_LEDGERS`] are slot-wide locks: every job
+//! and session of the scenario takes them, across jobs, for the service's
+//! lifetime — a probe chunk of an interactive refresh and one of a
+//! running sweep contend on them. Both stay leaves, held for one lookup,
+//! one insert or one call site's replay and never across a VG call, so
+//! sharing them adds contention, never nesting. [`ENGINE_METRICS`] is not
+//! slot-wide: it guards one run's counters, and each job has its own.
 
 pub use prophet_mc::sync::{
     rank, ClaimLedger, LockRank, OrderedCondvar, OrderedMutex, OrderedMutexGuard, OrderedReadGuard,
@@ -67,18 +76,21 @@ pub const JOB_EVENTS: LockRank = LockRank::new(20, "job event sender");
 /// completes.
 pub const CHUNK_RESULTS: LockRank = LockRank::new(70, "chunk result slots");
 
-/// The engine's call-site probe memo (`crate::probe_memo`): a leaf held
-/// for one lookup or one insert, never across a VG call.
+/// An engine's call-site probe memo (`crate::probe_memo`): a leaf held
+/// for one lookup or one insert, never across a VG call. On a service it
+/// is the scenario's, taken by every job of the scenario.
 pub const PROBE_MEMO: LockRank = LockRank::new(72, "engine probe memo");
 
 /// The engine's draw-ledger store (`crate::ledger_store`): a leaf held
 /// shared while a call site replays its worlds' ledgers (pure arithmetic,
 /// no draw) and exclusively to keep freshly drawn ones — never across a
-/// draw.
+/// draw. On a service it is the scenario's, taken by every job of the
+/// scenario.
 pub const DRAW_LEDGERS: LockRank = LockRank::new(73, "engine draw ledgers");
 
-/// The engine's [`EngineMetrics`](crate::metrics::EngineMetrics) ledger:
-/// a leaf bumped after each primitive completes.
+/// One run's [`EngineMetrics`](crate::metrics::EngineMetrics): a job's
+/// counters, or a bare engine's own (the inline runner's). A leaf bumped
+/// after each primitive completes.
 pub const ENGINE_METRICS: LockRank = LockRank::new(75, "engine metrics");
 
 /// The scheduler's worker join handles, taken only during `Drop`.

@@ -864,9 +864,14 @@ pub struct MatchScanStats {
     /// (candidate, probe) pairs that ran the full entry-by-entry
     /// [`CorrelationDetector::detect_all`] comparison.
     pub candidates_scanned: u64,
-    /// (candidate, probe) pairs the summary index skipped: the bound
-    /// proved they could not match at all, or could not beat the best
-    /// match already found.
+    /// What [`SharedBasisStore::record_scans`] counts: `probes ×
+    /// min(widest wave count × MATCH_WAVE, candidates) −
+    /// candidates_scanned` — every (candidate, probe) pair of the waves the
+    /// batch processed that did not run the full comparison. That includes
+    /// pairs nobody bounded (a probe already exact skips the waves its
+    /// siblings still need) beside those whose bound proved they could
+    /// not match, or could not beat the best match already found. Zero
+    /// for the exhaustive scan.
     pub candidates_pruned: u64,
 }
 

@@ -264,9 +264,15 @@ impl LatencyHistogram {
     /// histogram of observations recorded since `baseline` was
     /// snapshotted.
     pub fn since(&self, baseline: &LatencyHistogram) -> LatencyHistogram {
-        let mut out = LatencyHistogram::default();
-        for (i, (a, b)) in self.counts.iter().zip(baseline.counts.iter()).enumerate() {
-            out.counts[i] = a.saturating_sub(*b);
+        self.zip(baseline, u64::saturating_sub)
+    }
+
+    /// Combine the two histograms' counts bucket by bucket with `f`: `+`
+    /// is the histogram of both sets of observations.
+    pub fn zip(&self, other: &LatencyHistogram, f: impl Fn(u64, u64) -> u64) -> LatencyHistogram {
+        let mut out = *self;
+        for (a, b) in out.counts.iter_mut().zip(other.counts) {
+            *a = f(*a, b);
         }
         out
     }
@@ -832,6 +838,7 @@ mod tests {
         assert_eq!(merged.count(), 4);
         assert_eq!(merged.since(&b), a);
         assert_eq!(merged.since(&a), b);
+        assert_eq!(a.zip(&b, |x, y| x + y), merged);
     }
 
     #[test]

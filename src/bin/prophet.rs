@@ -218,7 +218,7 @@ fn run_online(prophet: &Prophet, opts: &Options) -> Result<(), String> {
     );
     let series: Vec<_> = session.graph().iter().collect();
     println!("{}", ascii_chart(&series, 100, 18));
-    println!("engine: {}", session.engine().metrics());
+    println!("engine: {}", session.metrics());
     Ok(())
 }
 

@@ -50,7 +50,7 @@ fn batch_with_mixed_hit_and_miss_points() {
     let mappable = demo_point(5, 16, 36, 36); // pre-release feature move
     let far = demo_point(50, 0, 4, 44);
     engine.evaluate(&warm).unwrap();
-    engine.reset_metrics();
+    let before = engine.metrics();
 
     let results = engine
         .evaluate_batch(&[warm.clone(), mappable.clone(), far.clone()])
@@ -64,7 +64,7 @@ fn batch_with_mixed_hit_and_miss_points() {
     );
     assert_eq!(results[2].1, EvalOutcome::Simulated);
 
-    let m = engine.metrics();
+    let m = engine.metrics().since(&before);
     assert_eq!(m.points_cached, 1);
     assert_eq!(m.points_mapped, 1);
     assert_eq!(m.points_simulated, 1);
@@ -87,16 +87,18 @@ fn n_sessions_hammering_one_cold_point_simulate_once() {
             std::thread::spawn(move || {
                 let engine = prophet.engine("figure2").unwrap();
                 barrier.wait();
-                let (samples, _) = engine.evaluate(&point).unwrap();
-                let m = engine.metrics();
-                (samples.samples("demand").unwrap().to_vec(), m)
+                let (samples, outcome) = engine.evaluate(&point).unwrap();
+                (samples.samples("demand").unwrap().to_vec(), outcome)
             })
         })
         .collect();
 
+    // Every session evaluates on the scenario's one engine, so each
+    // thread counts its own outcome.
     let outcomes: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-    let total_simulated: u64 = outcomes.iter().map(|(_, m)| m.points_simulated).sum();
-    let total_cached: u64 = outcomes.iter().map(|(_, m)| m.points_cached).sum();
+    let count = |want: EvalOutcome| outcomes.iter().filter(|(_, o)| *o == want).count() as u64;
+    let (total_simulated, total_cached) =
+        (count(EvalOutcome::Simulated), count(EvalOutcome::Cached));
     assert_eq!(
         total_simulated, 1,
         "exactly one session simulates the cold point"
@@ -113,15 +115,10 @@ fn n_sessions_hammering_one_cold_point_simulate_once() {
         );
     }
     let stats = prophet.basis_stats("figure2").unwrap();
-    assert_eq!(
-        total_simulated * 60,
-        outcomes
-            .iter()
-            .map(|(_, m)| m.worlds_simulated)
-            .sum::<u64>()
-    );
+    let m = prophet.engine("figure2").unwrap().metrics();
+    assert_eq!(total_simulated * 60, m.worlds_simulated);
     assert!(
-        stats.inflight_waits == outcomes.iter().map(|(_, m)| m.inflight_waits).sum::<u64>(),
+        stats.inflight_waits == m.inflight_waits,
         "store-level and engine-level wait counts agree"
     );
 }

@@ -697,8 +697,9 @@ impl VgFunction for Panicky {
 
 /// A VG model that panics inside a pooled chunk — in `invoke` during the
 /// probe and during simulation, in `replay` (which runs under the
-/// draw-ledger store's read guard once an earlier probe of the job has
-/// drawn the streams) and in `draw_ledger` — costs exactly its own job:
+/// draw-ledger store's read guard once the warming job has drawn the
+/// streams into the scenario's engine) and in `draw_ledger` (on a cold
+/// engine, whose first probe draws) — costs exactly its own job:
 /// a typed `Internal` error, no claim left in flight, no lock left
 /// poisoned, and the same service and store then answer a healthy job bit
 /// for bit as a service that never saw the panic. A session's
@@ -742,12 +743,14 @@ GRAPH OVER @p EXPECT v;";
     };
     // (site, healthy calls at BAD, warm the store first). With the probe's
     // calls let through on a cold store, the bad point misses and its
-    // first simulated world panics.
+    // first simulated world panics. A warmed engine keeps the streams its
+    // warming job drew, so the failing job would never draw: `draw_ledger`
+    // panics on a cold one.
     let cases = [
         ("invoke", 0, true),
         ("invoke", cfg.fingerprint.length as u64, false),
         ("replay", 0, true),
-        ("draw_ledger", 0, true),
+        ("draw_ledger", 0, false),
     ];
     // One chunk per point on two executors; the whole phase as one chunk.
     let pools = [(2, 1), (1, 8)];

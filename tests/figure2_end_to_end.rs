@@ -224,7 +224,7 @@ fn online_adjustment_is_cheaper_than_first_render() {
         adjust.weeks_simulated
     );
     // Engine metrics must show real fingerprint reuse for the session.
-    let m = session.engine().metrics();
+    let m = session.metrics();
     assert!(m.points_mapped + m.points_cached > 0);
 }
 

@@ -959,3 +959,143 @@ fn progressive_chunked_samples_match_the_blocking_full_run_prefix() {
         stored.expect("demand").unwrap().to_bits()
     );
 }
+
+/// A warm estimate reads its whole basis entry: on a 200-world entry it is
+/// the 200-sample mean, with no fresh world. (Testing the entry's prefixes
+/// instead stops at the first that converges — a week whose first 20
+/// `overload` samples are all 0 would answer 0.)
+#[test]
+fn a_warm_progressive_estimate_is_the_mean_of_the_whole_entry() {
+    let prophet = Prophet::builder()
+        .scenario("figure2", Scenario::figure2().unwrap())
+        .registry(demo_registry())
+        .worlds_per_point(200)
+        .build()
+        .unwrap();
+    let mut session = prophet.online("figure2").unwrap();
+    session.set_param("purchase1", 16).unwrap();
+    let engine = prophet.engine("figure2").unwrap();
+    for week in 0..=52 {
+        let estimate = session
+            .progressive_expect("overload", week, 0.2, 20)
+            .unwrap();
+        let point = session.sliders().with("current", week);
+        let (samples, outcome) = engine.evaluate(&point).unwrap();
+        assert_eq!(outcome, EvalOutcome::Cached, "week {week}");
+        let xs = samples.samples("overload").unwrap();
+        assert_eq!(xs.len(), 200, "week {week}");
+        assert_eq!(
+            (estimate.estimate.to_bits(), estimate.worlds_used),
+            (SampleStats::of(xs).mean.to_bits(), 0),
+            "week {week}: {estimate:?}"
+        );
+        assert!(estimate.used_basis, "week {week}");
+    }
+}
+
+// ------------------------------------------ one engine per scenario slot
+
+/// Every point's stored samples as bits, in point order: what a store
+/// holds, whatever insertion stamps its records carry.
+fn stored_bits(store: &prophet_mc::SharedBasisStore, points: &[ParamPoint]) -> Vec<Vec<u64>> {
+    let columns = ["demand", "capacity", "overload"];
+    (points.iter())
+        .map(|p| {
+            let samples = store.get_exact(p, 1).expect("every swept point is stored");
+            columns
+                .iter()
+                .flat_map(|c| samples[*c].iter().map(|x| x.to_bits()))
+                .collect()
+        })
+        .collect()
+}
+
+/// A scenario's engine keeps its call-site probe memo and draw ledgers
+/// for the service's lifetime, whatever the basis store goes through.
+/// After `clear_basis`, or after `load_basis` of the empty store the first
+/// sweep started from, the same sweep re-probes every call site from the
+/// memo and draws nothing. Its answers, outcomes, chosen sources and
+/// stored samples are the first run's; after the load its store bytes are
+/// too. (A clear keeps the store's stamp counter, so after it the same
+/// records carry later stamps.)
+#[test]
+fn a_second_sweep_after_a_clear_or_a_load_reprobes_without_drawing() {
+    const NAME: &str = "figure2-coarse";
+    let src = figure2_coarse_sql(0.05);
+    let prophet = service(NAME, &src, Reg::Demo, config(6), 2, 8);
+    let store = prophet.engine(NAME).unwrap().basis_store().clone();
+    let empty =
+        std::env::temp_dir().join(format!("fp_jobs_{}_empty_store.fpbs", std::process::id()));
+    assert_eq!(prophet.save_basis(NAME, &empty).unwrap(), 0);
+    let first = run_scheduled_sweep(&prophet, NAME, Priority::Normal);
+    let first_bytes = store.snapshot_bytes();
+    let mut points: Vec<ParamPoint> = first.1.keys().cloned().collect();
+    points.sort();
+    let first_samples = stored_bits(&store, &points);
+    let m = first.0.metrics;
+    assert!(m.probe_call_sites_memoised < m.probe_call_sites, "{m}");
+
+    let clear = || prophet.clear_basis(NAME).unwrap();
+    let load = || assert_eq!(prophet.load_basis(NAME, &empty).unwrap(), 0);
+    let resets: [(&str, &dyn Fn()); 2] = [("clear_basis", &clear), ("load_basis", &load)];
+    for (label, reset) in resets {
+        reset();
+        assert_eq!(store.len(), 0, "{label}");
+        let again = run_scheduled_sweep(&prophet, NAME, Priority::Normal);
+        let m = again.0.metrics;
+        assert_eq!(
+            m.probe_call_sites, first.0.metrics.probe_call_sites,
+            "{label}"
+        );
+        assert_eq!(m.probe_call_sites_memoised, m.probe_call_sites, "{label}");
+        assert_eq!(m.probe_call_sites_replayed, 0, "{label}");
+        assert_sweeps_identical(label, &again, &first);
+        if label == "load_basis" {
+            assert!(
+                store.snapshot_bytes() == first_bytes,
+                "{label}: store bytes"
+            );
+        }
+        assert!(stored_bits(&store, &points) == first_samples, "{label}");
+    }
+    std::fs::remove_file(&empty).unwrap();
+}
+
+/// Every job of a scenario runs on its one engine, and each counts into
+/// its own counters: a Low-priority sweep and a session's slider moves
+/// running at once each report exactly their own points, and the engine's
+/// own counters — the inline runner's — see none of it.
+#[test]
+fn jobs_sharing_an_engine_count_only_their_own_work() {
+    const NAME: &str = "figure2-coarse";
+    let src = figure2_coarse_sql(0.05);
+    let prophet = service(NAME, &src, Reg::Demo, config(24), 2, 8);
+    let sweep = prophet
+        .submit(JobSpec::sweep(NAME).with_priority(Priority::Low))
+        .unwrap();
+    let mut session = prophet.online(NAME).unwrap();
+    let mut refreshed = 0;
+    for (slider, value) in [("purchase1", 16), ("purchase2", 40), ("feature", 36)] {
+        refreshed += session.set_param(slider, value).unwrap().weeks_total as u64;
+    }
+    let mut report = None;
+    for event in sweep.events() {
+        if let JobEvent::Final(output) = event {
+            report = Some(output.into_sweep().unwrap());
+        }
+    }
+    let report = report.expect("sweep must finish");
+    let progress = sweep.progress();
+    assert!(progress.finished);
+    assert_eq!(report.metrics.points_total(), progress.points_total);
+    assert_eq!(
+        progress.points_total,
+        (report.groups_total * 27) as u64,
+        "the grid"
+    );
+    assert_eq!(progress.metrics, report.metrics);
+    assert_eq!(session.metrics().points_total(), refreshed);
+    assert_eq!(refreshed, 3 * 27);
+    let engine = prophet.engine(NAME).unwrap();
+    assert_eq!(engine.metrics(), EngineMetrics::default());
+}

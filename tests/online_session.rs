@@ -169,9 +169,9 @@ fn slider_round_trip_restores_cached_graph() {
 fn metrics_accumulate_across_adjustments() {
     let mut s = session(16);
     s.refresh().unwrap();
-    let m1 = s.engine().metrics();
+    let m1 = s.metrics();
     s.set_param("purchase2", 40).unwrap();
-    let m2 = s.engine().metrics();
+    let m2 = s.metrics();
     assert!(m2.points_total() > m1.points_total());
     let delta = m2.since(&m1);
     assert_eq!(
