@@ -23,9 +23,13 @@
 //! |                          | ([`SharedBasisStore::scan_snapshot_shared`]) |
 //! |                          | — then                                       |
 //! |                          | every probe scans it independently, in       |
-//! |                          | parallel, no lock held — candidates whose    |
-//! |                          | fingerprint-summary bound cannot beat the    |
-//! |                          | probe's best match are pruned                |
+//! |                          | parallel, no lock held: first its exact-match|
+//! |                          | window (a binary search over the candidates' |
+//! |                          | centred keys; the earliest zero-error source |
+//! |                          | there is the answer), and only without one   |
+//! |                          | the branch-and-bound scan, where candidates  |
+//! |                          | whose fingerprint-summary bound cannot beat  |
+//! |                          | the probe's best match are pruned            |
 //! |                          | (`EngineConfig::match_index`)                |
 //! | re-map on a hit          | *remap*: fused with the match — the worker   |
 //! |                          | that finds a probe's source reconstructs its |
@@ -622,10 +626,11 @@ fn fingerprint_phase<R: Runner>(
     // Close the scans: their work goes into the run's counters and the
     // store's hit/miss ledger.
     let work = fused.iter().flatten().map(|(.., m)| m.work);
-    let scan = engine.basis_store().record_scans(&snapshot, work);
+    let scan = engine.basis_store().record_scans(work);
     metrics.bump(|m| {
         m.candidates_scanned += scan.candidates_scanned;
         m.candidates_pruned += scan.candidates_pruned;
+        m.window_hits += scan.window_hits;
     });
 
     // Publish hits in input order.

@@ -105,26 +105,31 @@ pub struct EngineMetrics {
     /// `probe_call_sites − memoised − replayed`, was drawn call by call.
     pub probe_call_sites_replayed: u64,
     /// (candidate, probe) pairs that ran the full entry-by-entry
-    /// correlation comparison during match scans. With the summary index
-    /// on, `candidates_pruned / (candidates_scanned + candidates_pruned)`
-    /// is the scan's prune rate.
+    /// correlation comparison during match scans: in a probe's
+    /// exact-match window, or among the survivors of its branch-and-bound
+    /// scan (a pair the window compared and the scan then kept counts
+    /// twice). With the summary index on,
+    /// `candidates_pruned / (candidates_scanned + candidates_pruned)` is
+    /// the scan's prune rate.
     pub candidates_scanned: u64,
-    /// Per batch, `probes × min(widest wave count × MATCH_WAVE,
-    /// candidates) − candidates_scanned`, where `MATCH_WAVE` is the
-    /// indexed scan's wave width (32), the widest wave count is that of
-    /// the batch's probe that needed the most waves, and `candidates` is
-    /// the size of the batch's candidate snapshot: every
-    /// (candidate, probe) pair of the waves the batch processed that did
-    /// not run the full comparison. That lumps pairs whose summary bound
-    /// proved they could not match, or could not beat the best match
-    /// already found, with pairs nobody bounded at all — a probe that
-    /// found an exact match stops, yet the waves its siblings still need
-    /// count for it too. So it is an upper bound on the pairs the index
-    /// ruled out, not a count of bounds. Zero when
+    /// (candidate, probe) pairs whose fingerprint-summary bound ruled the
+    /// candidate out in the branch-and-bound scan, counted per probe: the
+    /// bound proved it could not match at all, or could not beat the
+    /// probe's best match of completed waves. Pairs nobody bounded are
+    /// not counted — a probe its exact-match window answered bounds
+    /// nothing, and a probe stops bounding at its first exact match.
+    /// Zero when
     /// [`EngineConfig::match_index`](crate::engine::EngineConfig::match_index)
     /// is off. Deterministic: the indexed scan's pruning decisions do not
     /// depend on the thread count.
     pub candidates_pruned: u64,
+    /// Probes answered from their exact-match window — the earliest
+    /// source with total error 0, found by a binary search over the
+    /// candidates' centred fingerprint keys — without running the
+    /// branch-and-bound scan. Zero when
+    /// [`EngineConfig::match_index`](crate::engine::EngineConfig::match_index)
+    /// is off.
+    pub window_hits: u64,
     /// Nanoseconds inside the correlation match scan (the candidate
     /// snapshot plus every probe's search over it, excluding probe
     /// evaluation and remapping) — the number the indexed-vs-exhaustive
@@ -227,6 +232,7 @@ impl EngineMetrics {
             probe_call_sites_replayed: f(a.probe_call_sites_replayed, b.probe_call_sites_replayed),
             candidates_scanned: f(a.candidates_scanned, b.candidates_scanned),
             candidates_pruned: f(a.candidates_pruned, b.candidates_pruned),
+            window_hits: f(a.window_hits, b.window_hits),
             match_scan_nanos: f(a.match_scan_nanos, b.match_scan_nanos),
             remap_nanos: f(a.remap_nanos, b.remap_nanos),
             publish_nanos: f(a.publish_nanos, b.publish_nanos),
@@ -288,7 +294,7 @@ impl fmt::Display for EngineMetrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let ms = |nanos: u64| nanos as f64 / 1e6;
         let us = |nanos: u64| format!("{:.2}", nanos as f64 / 1e3);
-        let rows: [(&str, String); 31] = [
+        let rows: [(&str, String); 32] = [
             ("points_simulated", self.points_simulated.to_string()),
             ("points_mapped", self.points_mapped.to_string()),
             ("points_cached", self.points_cached.to_string()),
@@ -311,6 +317,7 @@ impl fmt::Display for EngineMetrics {
             ),
             ("candidates_scanned", self.candidates_scanned.to_string()),
             ("candidates_pruned", self.candidates_pruned.to_string()),
+            ("window_hits", self.window_hits.to_string()),
             ("prune_pct", format!("{:.1}", self.prune_fraction() * 100.0)),
             ("match_scan_ms", format!("{:.2}", ms(self.match_scan_nanos))),
             ("remap_ms", format!("{:.2}", ms(self.remap_nanos))),
@@ -401,6 +408,7 @@ mod tests {
             probe_call_sites_replayed: 3,
             candidates_scanned: 40,
             candidates_pruned: 60,
+            window_hits: 7,
             match_scan_nanos: 800,
             remap_nanos: 300,
             publish_nanos: 120,
@@ -420,6 +428,7 @@ mod tests {
             probe_call_sites_replayed: 5,
             candidates_scanned: 44,
             candidates_pruned: 66,
+            window_hits: 9,
             match_scan_nanos: 1_000,
             remap_nanos: 400,
             publish_nanos: 150,
@@ -439,6 +448,7 @@ mod tests {
         assert_eq!(diff.probe_call_sites_replayed, 2);
         assert_eq!(diff.candidates_scanned, 4);
         assert_eq!(diff.candidates_pruned, 6);
+        assert_eq!(diff.window_hits, 2);
         assert_eq!(diff.match_scan_nanos, 200);
         assert_eq!(diff.remap_nanos, 100);
         assert_eq!(diff.publish_nanos, 30);
@@ -482,6 +492,7 @@ mod tests {
             probe_call_sites_replayed: 4,
             candidates_scanned: 30,
             candidates_pruned: 90,
+            window_hits: 6,
             match_scan_nanos: 2_500_000,
             remap_nanos: 1_750_000,
             publish_nanos: 640_000,
@@ -513,6 +524,7 @@ call_sites_memoised              5
 call_sites_replayed              4
 candidates_scanned              30
 candidates_pruned               90
+window_hits                      6
 prune_pct                     75.0
 match_scan_ms                 2.50
 remap_ms                      1.75
@@ -560,6 +572,7 @@ sim_p99_us                 4194.30";
             probe_call_sites_replayed: 25,
             candidates_scanned: 10,
             candidates_pruned: 11,
+            window_hits: 27,
             match_scan_nanos: 12,
             remap_nanos: 23,
             publish_nanos: 24,

@@ -1,5 +1,6 @@
 //! Fingerprint summary index: cheap, *sound* pre-filters for the
-//! correlation match scan.
+//! correlation match scan — an exact-match key window in front of a
+//! branch-and-bound scan over summary bounds.
 //!
 //! The match scan ([`CorrelationDetector::detect_all`] per candidate
 //! source) is the probe phase's remaining O(points × candidates ×
@@ -65,10 +66,88 @@
 //! summaries do not describe) fall back to [`MatchBound::Feasible`] with
 //! bound 0 — never pruned, always fully checked.
 //!
+//! # The exact-match window
+//!
+//! Most probes of a sweep have a source with total error 0 (on Figure 2,
+//! 29,103 of 31,005 hits), and such a source wins outright: nothing beats
+//! 0, and ties go to the earliest stamp. So a scan first looks for the
+//! earliest zero-error source among the few whose *key* lies near the
+//! probe's, and runs the branch-and-bound scan only when there is none.
+//! The key of a fingerprint is its normalized centred first lane
+//! `u₀ = (x₀−mean)/√sxx` ([`ExactKey`]). For one probe column `y` (length
+//! `n`, centred norm `√syy`, key `k`) the window is
+//! `[k − w, k + w] ∪ [−k − w, −k + w]` ([`ExactWindow`]) with half-width
+//!
+//! ```text
+//! w = 4·tol'·√n/√syy + r_y + r_x
+//! tol' = tolerance·(1 + SLACK) + SLACK·max(scale_y, scale_x)
+//! r = κ·(1 + ρ),  ρ = max(|min|, |max|)/√sxx,  κ = (n + 4)·2⁻⁴⁹
+//! ```
+//!
+//! where `scale = max(|min|, |max|, 1)`, and `r_x`, `scale_x` belong to
+//! the source `x`. The claim: whenever [`CorrelationDetector::detect`]
+//! maps `x` onto `y` at error 0, `x`'s key lies in that window. Write
+//! `p`, `q` for the centred `y`, `x` in real arithmetic and `u = 2⁻⁵³`
+//! for the unit roundoff. Two facts carry every case:
+//!
+//! * for non-zero vectors, `|p₀/‖p‖ − q₀/‖q‖| ≤ ‖p/‖p‖ − q/‖q‖‖ ≤
+//!   ‖p−q‖/‖p‖ + |‖q‖−‖p‖|/‖p‖ ≤ 2‖p−q‖/‖p‖`;
+//! * a computed key is within `(n+3)·u·(1+ρ) + n³u²ρ²` of the real one
+//!   (the mean is off by at most `n·u·max|xᵢ|`, the centred lane by
+//!   `(n+2)·u·max|xᵢ|`, and `√sxx` relatively by `(n+4)·u/2 + n³u²ρ²/2`,
+//!   the last term from centring at a rounded mean); under the range
+//!   condition below that is at most `(n+4)·u·(1+ρ)`.
+//!
+//! Error 0 arises three ways:
+//!
+//! * **Identity / Offset.** The detector accepted `|fl(fl(yᵢ−xᵢ) − d₀)| ≤
+//!   tolerance` on every lane (`d₀ = 0` for identity), so in real
+//!   arithmetic `|(yᵢ−xᵢ) − d₀| ≤ tolerance·(1+2u) + u·(|xᵢ|+|yᵢ|) ≤
+//!   tol'`. Then `|pᵢ−qᵢ| ≤ 2·tol'` and `‖p−q‖ ≤ 2·tol'·√n`, so the real
+//!   keys differ by at most `4·tol'·√n/√syy`. (When `q = 0` the same
+//!   lanes give `√syy ≤ 2·tol'·√n`, so `w ≥ 2` and the column cannot
+//!   filter — below.)
+//! * **Zero-residual `Affine`, either sign.** `rss == 0` means every lane
+//!   satisfies `yᵢ = fl(fl(s·xᵢ) + o) + eᵢ` with `eᵢ²` underflowing
+//!   (`|eᵢ| < 2⁻⁵⁰⁰ ≤ tol'`), so `yᵢ = s·xᵢ + o + δᵢ` with
+//!   `|δᵢ| ≤ 2u·(|s|·max|x| + max|y|) + |eᵢ|`. Centring is a projection,
+//!   so `‖p − s·q‖ ≤ √n·max|δᵢ|`; with `|s|·‖q‖ ≤ ‖p‖ + ‖p − s·q‖` and
+//!   `2u·√n·ρ_x ≤ ½` this gives `‖p − s·q‖ ≤ 4u·√n·(ρ_x·√syy + max|y|) +
+//!   2√n·max|eᵢ|`, and by the first fact `|u₀(y) − sign(s)·u₀(x)| ≤
+//!   8u·√n·(ρ_x + ρ_y) + 4·tol'·√n/√syy`. The `±k` query covers the sign.
+//!   (`s = 0` makes `y` constant; see below.)
+//! * Adding both keys' rounding, `(n+4)·u·(2 + ρ_x + ρ_y) +
+//!   8u·√n·(ρ_x + ρ_y) ≤ 16·(n+4)·u·(2 + ρ_x + ρ_y) = r_x + r_y`, with
+//!   room left for the rounding of `w` and of the comparison itself.
+//!
+//! **Range.** The bounds above need `n³·ρ ≤ 2⁴⁰` (so `n³u²ρ² ≤ u·ρ·2⁻¹³`
+//! and `2u·√n·ρ ≤ 2⁻¹²`). A summary past it — or with a non-finite mean,
+//! `sxx` or key — gets `r = ∞`. An exactly constant source (`sxx == 0`)
+//! gets `r = 0`: `fit_affine` rejects it, and an identity or offset onto
+//! it forces `w ≥ 2`.
+//!
+//! **The snapshot's part.** `w` grows with the source's `scale` and `r`,
+//! so a window computed against the componentwise maximum over a
+//! snapshot's sources ([`ExactKey::widest`]) contains each source's own:
+//! that maximum sizes the binary search, and each source's own values
+//! ([`ExactWindow::admits`]) filter what it returns.
+//!
+//! **Fallback.** A probe goes straight to the branch-and-bound scan when
+//! it lacks a scanned column, when any fingerprint length — the probe's or
+//! a candidate's — differs from the snapshot's (the detector compares a
+//! prefix the keys do not describe), or when no probe column is varying
+//! with `w < 1` (keys lie in `[−1, 1]`, so such a window holds every
+//! source). A constant probe column never filters: `fit_affine` fits
+//! *any* varying source to it at error 0, wherever that source's key is.
+//! A probe column that is non-finite matches nothing; the detector then
+//! fails every window candidate, and the scan falls through too.
+//!
 //! `tests/match_index.rs` enforces all of this differentially: index-on
 //! and index-off scans must agree bit-for-bit on every outcome, sample and
 //! chosen source, across the bundled scenarios and a seeded
-//! random-population property loop.
+//! random-population property loop; a long run of 2,000 populations of
+//! offset, scaled, constant-column and noise sources is `#[ignore]`d in
+//! tier-1 and runs nightly.
 
 use std::collections::HashMap;
 
@@ -108,6 +187,10 @@ pub struct FingerprintSummary {
     /// Centered sum of squares `Σ(xᵢ−mean)²` — the squared L2 norm of the
     /// centered fingerprint.
     sxx: f64,
+    /// The normalized centred first lane `u₀ = (x₀−mean)/√sxx`: the key of
+    /// the exact-match window (see the module docs); 0 when the
+    /// fingerprint is constant, non-finite, or shorter than 2.
+    u0: f64,
     /// Moment buckets of the normalized fingerprint; empty when the
     /// fingerprint is constant (`sxx == 0`), non-finite, or shorter than 2.
     buckets: Vec<BucketMoments>,
@@ -136,6 +219,7 @@ impl FingerprintSummary {
                 min: 0.0,
                 max: 0.0,
                 sxx: 0.0,
+                u0: 0.0,
                 buckets: Vec::new(),
             };
         }
@@ -148,8 +232,14 @@ impl FingerprintSummary {
             let d = v - mean;
             sxx += d * d;
         }
-        let buckets = if len >= 2 && sxx > 0.0 {
-            let norm = sxx.sqrt();
+        let varying = len >= 2 && sxx > 0.0;
+        let norm = sxx.sqrt();
+        let u0 = if varying {
+            (values[0] - mean) / norm
+        } else {
+            0.0
+        };
+        let buckets = if varying {
             let chunk = len.div_ceil(SUMMARY_BUCKETS);
             values
                 .chunks(chunk)
@@ -178,6 +268,7 @@ impl FingerprintSummary {
             min,
             max,
             sxx,
+            u0,
             buckets,
         }
     }
@@ -257,6 +348,132 @@ impl FingerprintSummary {
     }
 }
 
+/// Relative rounding unit `u = 2⁻⁵³` of an `f64` operation under
+/// round-to-nearest.
+const UNIT_ROUNDOFF: f64 = 1.0 / 9_007_199_254_740_992.0;
+
+/// Past this `n³·ρ` (with `ρ = max|xᵢ| / √sxx`) the window's rounding
+/// analysis no longer holds, and a summary gets an unbounded rounding
+/// part (see the module docs).
+const RHO_CAP: f64 = 1_099_511_627_776.0; // 2⁴⁰
+
+/// What the exact-match window reads of one summary
+/// ([`FingerprintSummary::exact_key`]): its key and the two parts of a
+/// window's half-width that belong to it (see the module docs for the
+/// proof they add up to a sound width).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ExactKey {
+    /// `u₀ = (x₀−mean)/√sxx`; 0 for a constant fingerprint.
+    pub key: f64,
+    /// `max(|min|, |max|, 1)`: the magnitude the detector's tolerance
+    /// checks round at.
+    pub scale: f64,
+    /// `κ·(1 + ρ)` with `κ = (n+4)·2⁻⁴⁹` and `ρ = max(|min|, |max|)/√sxx`:
+    /// how far rounding can move this key, and the affine rounding it
+    /// brings; 0 for a constant fingerprint, `∞` past the analysis' range.
+    pub rounding: f64,
+}
+
+impl ExactKey {
+    /// The componentwise maximum of two source parts (its `key` is 0): a
+    /// window as wide as that of either.
+    pub fn widest(self, other: ExactKey) -> ExactKey {
+        ExactKey {
+            key: 0.0,
+            scale: self.scale.max(other.scale),
+            rounding: self.rounding.max(other.rounding),
+        }
+    }
+}
+
+impl FingerprintSummary {
+    /// The exact-match key of this fingerprint, or `None` when detection
+    /// can never succeed on it at its full length (non-finite, or shorter
+    /// than 2): such a source is never an exact match.
+    pub fn exact_key(&self) -> Option<ExactKey> {
+        if !self.finite || self.len < 2 {
+            return None;
+        }
+        let magnitude = self.min.abs().max(self.max.abs());
+        let rounding = if self.sxx == 0.0 {
+            // Exactly constant: only identity/offset can match it, and
+            // every probe those accept has a window of width ≥ 1.
+            0.0
+        } else {
+            let n = self.len as f64;
+            let rho = magnitude / self.sxx.sqrt();
+            let in_range = self.mean.is_finite()
+                && self.sxx.is_finite()
+                && self.u0.is_finite()
+                && n * n * n * rho <= RHO_CAP;
+            if in_range {
+                (n + 4.0) * 16.0 * UNIT_ROUNDOFF * (1.0 + rho)
+            } else {
+                f64::INFINITY
+            }
+        };
+        Some(ExactKey {
+            key: self.u0,
+            scale: magnitude.max(1.0),
+            rounding,
+        })
+    }
+}
+
+/// One varying probe column's exact-match window: around its key `k`,
+/// `[k − w, k + w] ∪ [−k − w, −k + w]` holds the key of every source
+/// column [`CorrelationDetector::detect`] maps onto it at error 0, where
+/// the half-width `w` ([`ExactWindow::half_width`]) depends on the source
+/// only through its [`ExactKey`]'s `scale` and `rounding` (see the module
+/// docs for the proof).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ExactWindow {
+    probe: ExactKey,
+    /// `4·√n/√syy`: how far a lane-wise tolerance of 1 can move the key.
+    spread: f64,
+    tolerance: f64,
+}
+
+impl ExactWindow {
+    /// The window of one probe column, or `None` when the column cannot
+    /// filter: it is constant (every varying source fits it at error 0),
+    /// non-finite, or shorter than 2.
+    pub fn of(probe: &FingerprintSummary, detector: &CorrelationDetector) -> Option<Self> {
+        let key = probe.exact_key()?;
+        if probe.sxx <= 0.0 {
+            return None;
+        }
+        Some(ExactWindow {
+            probe: key,
+            spread: 4.0 * (probe.len as f64).sqrt() / probe.sxx.sqrt(),
+            tolerance: detector.tolerance,
+        })
+    }
+
+    /// The probe column's key `k`.
+    pub fn key(&self) -> f64 {
+        self.probe.key
+    }
+
+    /// The half-width `w = 4·tol'·√n/√syy + rounding_probe +
+    /// rounding_source`, with `tol' = tolerance·(1+SLACK) +
+    /// SLACK·max(scale_probe, scale_source)`. Monotone in the source's
+    /// `scale` and `rounding`, so the width against
+    /// [`ExactKey::widest`] of many sources bounds the width against each.
+    pub fn half_width(&self, source: &ExactKey) -> f64 {
+        let tol = self.tolerance * (1.0 + SLACK) + SLACK * self.probe.scale.max(source.scale);
+        tol * self.spread + self.probe.rounding + source.rounding
+    }
+
+    /// Whether `source` could map onto this probe column at error 0: its
+    /// key lies within its own half-width of `k` or of `−k`.
+    pub fn admits(&self, source: &ExactKey) -> bool {
+        let w = self.half_width(source);
+        let k = self.probe.key;
+        (source.key - k).abs() <= w || (source.key + k).abs() <= w
+    }
+}
+
 /// Upper bound on `|r| = |u·v|` from the two bucketed moment sketches (see
 /// the module docs); the sketches describe equal-length fingerprints, so
 /// their buckets align.
@@ -296,6 +513,11 @@ impl SummaryTable {
             .collect();
         columns.sort_by(|a, b| a.0.cmp(&b.0));
         SummaryTable { columns }
+    }
+
+    /// The summary at table position `slot` ([`SummaryTable::resolve`]).
+    pub fn summary(&self, slot: u32) -> &FingerprintSummary {
+        &self.columns[slot as usize].1
     }
 
     /// Append the table position of each of `columns` to `slots`. Returns
@@ -487,6 +709,34 @@ mod tests {
             "a missing column leaves nothing to bound"
         );
         assert_eq!(summarize_probe(&probe, &["zz".to_owned()]), None);
+    }
+
+    /// The window admits what detection scores 0 — an offset, and an
+    /// exact negative slope through `−k` — and only varying, finite probe
+    /// columns have one.
+    #[test]
+    fn exact_windows_admit_zero_error_sources() {
+        let base: Vec<f64> = (0..16).map(|i| ((i * 7 % 11) as f64) / 4.0).collect();
+        let probe = FingerprintSummary::of(&fp(&base));
+        let window = ExactWindow::of(&probe, &det()).expect("a varying probe column");
+        let key = |values: Vec<f64>| FingerprintSummary::of(&fp(&values)).exact_key().unwrap();
+        let offset = key(base.iter().map(|v| v + 3.0).collect());
+        let negated = key(base.iter().map(|v| 1.0 - 2.0 * v).collect());
+        let reversed = key(base.iter().rev().copied().collect());
+        assert!(window.admits(&offset));
+        assert!(window.admits(&negated));
+        assert!((negated.key + window.key()).abs() < 1e-12, "keyed at −k");
+        assert!(!window.admits(&reversed), "another shape falls outside");
+        assert!(window.half_width(&offset.widest(negated)) < 1e-6);
+
+        let constant = FingerprintSummary::of(&fp(&[2.0; 16]));
+        assert_eq!(ExactWindow::of(&constant, &det()), None);
+        assert_eq!(constant.exact_key().map(|k| k.rounding), Some(0.0));
+        let nan = FingerprintSummary::of(&fp(&[1.0, f64::NAN, 3.0]));
+        assert_eq!(ExactWindow::of(&nan, &det()), None);
+        assert_eq!(nan.exact_key(), None, "a NaN source never matches");
+        let short = FingerprintSummary::of(&fp(&[1.0]));
+        assert_eq!(short.exact_key(), None);
     }
 
     #[test]

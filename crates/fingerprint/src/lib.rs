@@ -35,5 +35,5 @@ pub mod mapping;
 
 pub use correlate::{fit_affine, pearson, AffineFit, CorrelationDetector};
 pub use fingerprint::{Fingerprint, FingerprintConfig};
-pub use index::{FingerprintSummary, MatchBound};
+pub use index::{ExactKey, ExactWindow, FingerprintSummary, MatchBound};
 pub use mapping::Mapping;

@@ -12,11 +12,10 @@
 //! ([`SharedBasisStore::try_claim`]) guarantee that N concurrent sessions
 //! evaluating the same cold point block on one simulation instead of each
 //! running it (the thundering-herd dedup), and
-//! [`SharedBasisStore::scan_snapshot`] hands a batch one lock-free view of
-//! the candidate sources that each of its probes then scans independently
-//! ([`ScanSnapshot::scan_probe`]) — the same view, through
-//! [`SharedBasisStore::scan_snapshot_shared`], for as long as no candidate
-//! source comes or goes.
+//! [`SharedBasisStore::scan_snapshot_shared`] hands a batch one lock-free
+//! view of the candidate sources that each of its probes then scans
+//! independently ([`ScanSnapshot::scan_probe`]) — the same view for as
+//! long as no candidate source comes or goes.
 //!
 //! # One table
 //!
@@ -27,10 +26,11 @@
 //!
 //! An insert is one write guard; a scan's snapshot holds one read guard
 //! just long enough to clone the matchable records'
-//! `Arc`s in stamp order, and every probe then runs its wave scan over
-//! that list with no store lock held. Wave boundaries, pruning decisions,
-//! chosen sources, and the scanned/pruned accounting are functions of the
-//! stamp order alone, so they are bit-identical at any thread count.
+//! `Arc`s in stamp order, and every probe then runs its window and wave
+//! scans over that list with no store lock held. Windows, wave
+//! boundaries, pruning decisions, chosen sources, and the scan accounting
+//! are functions of the stamp order alone, so they are bit-identical at
+//! any thread count.
 //! Claims and publishes serialize per store on the in-flight table
 //! ([`rank::INFLIGHT_TABLE`]), which is held across the table access.
 //!
@@ -72,21 +72,38 @@
 //! # The summary index
 //!
 //! Every published matchable record stores a [`SummaryTable`] of
-//! per-column fingerprint moments (`prophet_fingerprint::index`), and a
-//! probe's scan walks candidates in insertion-stamp order in fixed-size
-//! waves, pruning every candidate whose summary bound proves it cannot
-//! beat the probe's best match of earlier waves (or cannot match at all)
-//! before paying for the entry-by-entry
-//! [`CorrelationDetector::detect_all`] comparison. Column names resolve to
-//! table positions once per candidate at snapshot time, so the per-pair
-//! bound hashes no string. Because the bound is a true lower bound and
-//! ties resolve to the earliest stamp, the chosen source is identical to
-//! the exhaustive scan's — and because a probe's pruning decisions consult
-//! only its own incumbent of completed waves (a constant wave width), the
+//! per-column fingerprint moments (`prophet_fingerprint::index`). A
+//! probe's scan runs in two steps over one summary of the probe:
+//!
+//! 1. **The exact-match window.** An indexed snapshot also sorts, per
+//!    scanned column, the candidates' centred keys. The probe
+//!    binary-searches each varying column's window (around its key and
+//!    its negation), takes the candidates of the window that holds the
+//!    fewest, drops those whose other columns' keys fall outside their
+//!    own windows, and compares the rest in stamp order: the first with total error 0 is the answer, since nothing
+//!    beats 0 and ties go to the earliest stamp, and every zero-error
+//!    source lies in the window (`prophet_fingerprint::index` proves
+//!    it).
+//! 2. **Branch and bound**, only when the window holds no zero-error
+//!    source (or the probe has no window: a missing column, a length that
+//!    differs from the snapshot's, no varying column narrow enough). It
+//!    walks candidates in insertion-stamp order in fixed-size waves,
+//!    pruning every candidate whose summary bound proves it cannot beat
+//!    the probe's best match of earlier waves (or cannot match at all)
+//!    before paying for the entry-by-entry
+//!    [`CorrelationDetector::detect_all`] comparison.
+//!
+//! Column names resolve to table positions once per candidate at
+//! snapshot time, so the per-pair bound hashes no string. Because the
+//! bound is a true lower bound and ties resolve to the earliest stamp,
+//! the chosen source is identical to the exhaustive scan's — and because
+//! a probe's window and pruning decisions consult only the snapshot and
+//! its own incumbent of completed waves (a constant wave width), the
 //! probes of a batch scan independently, on any number of threads, with
-//! identical scanned/pruned accounting. The index is maintained under
-//! publish, replace, eviction and clear; `use_index: false` keeps the
-//! exhaustive scan available for differential testing.
+//! identical scanned/pruned/window accounting. The index is maintained
+//! under publish, replace, eviction and clear (the key windows are part
+//! of each snapshot); `use_index: false` keeps the exhaustive scan
+//! available for differential testing.
 //!
 //! # Persistence
 //!
@@ -124,7 +141,9 @@ use std::collections::{BTreeMap, HashMap};
 use std::io::Write;
 use std::sync::Arc;
 
-use prophet_fingerprint::index::{bound_all, summarize_probe, MatchBound, SummaryTable};
+use prophet_fingerprint::index::{
+    bound_all, summarize_probe, ExactKey, ExactWindow, FingerprintSummary, MatchBound, SummaryTable,
+};
 use prophet_fingerprint::{CorrelationDetector, Fingerprint, Mapping};
 
 use crate::aggregate::ColumnMoments;
@@ -857,22 +876,26 @@ pub struct SharedBasisStore {
 /// total error)`.
 type Best = (usize, HashMap<String, Mapping>, f64);
 
-/// Work accounting of one match scan
-/// ([`SharedBasisStore::find_correlated_batch_scan`]).
+/// Work accounting of a batch of match scans: what the engine's batch
+/// pipeline folds into its run's counters once the batch's probes have
+/// scanned its [`ScanSnapshot`] ([`SharedBasisStore::record_scans`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MatchScanStats {
     /// (candidate, probe) pairs that ran the full entry-by-entry
-    /// [`CorrelationDetector::detect_all`] comparison.
+    /// [`CorrelationDetector::detect_all`] comparison: in a probe's
+    /// exact-match window, or among the survivors of its branch-and-bound
+    /// scan (a pair can count in both).
     pub candidates_scanned: u64,
-    /// What [`SharedBasisStore::record_scans`] counts: `probes ×
-    /// min(widest wave count × MATCH_WAVE, candidates) −
-    /// candidates_scanned` — every (candidate, probe) pair of the waves the
-    /// batch processed that did not run the full comparison. That includes
-    /// pairs nobody bounded (a probe already exact skips the waves its
-    /// siblings still need) beside those whose bound proved they could
-    /// not match, or could not beat the best match already found. Zero
-    /// for the exhaustive scan.
+    /// (candidate, probe) pairs whose summary bound ruled the candidate
+    /// out in the branch-and-bound scan: it could not match at all, or
+    /// could not beat the probe's best match of completed waves. Pairs
+    /// nobody bounded — a probe answered from its window, candidates
+    /// after a probe's exact match, candidates lacking a scanned column —
+    /// are not counted. Zero for the exhaustive scan.
     pub candidates_pruned: u64,
+    /// Probes answered from their exact-match window, without the
+    /// branch-and-bound scan. Zero for the exhaustive scan.
+    pub window_hits: u64,
 }
 
 /// Wave width of the indexed scan: candidates are bounded and compared in
@@ -912,11 +935,17 @@ const NO_SLOT: u32 = u32::MAX;
 
 /// A lock-free view of the store's matchable records in global stamp
 /// order, bound to one scan's columns, detector and mode
-/// ([`SharedBasisStore::scan_snapshot`]). Taking it is the only part of a
-/// match scan that touches the store's locks; the scan itself
+/// ([`SharedBasisStore::scan_snapshot_shared`]). Taking it is the only
+/// part of a match scan that touches the store's locks; the scan itself
 /// ([`ScanSnapshot::scan_probe`]) is a pure function of the snapshot and
 /// one probe, so a batch's probes can be scanned anywhere — inline, on
 /// scoped threads, or as scheduler chunks — with identical results.
+///
+/// An indexed snapshot also carries the exact-match window index
+/// (`KeyWindows`): per scanned column, the candidates' centred keys
+/// sorted by key. A probe looks there first and runs the
+/// branch-and-bound scan only when the window holds no zero-error
+/// source.
 pub struct ScanSnapshot {
     candidates: Vec<Candidate>,
     /// Per candidate, the summary-table position of each scanned column
@@ -924,20 +953,119 @@ pub struct ScanSnapshot {
     /// candidate that lacks one): the scan's column names are resolved
     /// here, once, and the per-pair bound walks positions.
     slots: Vec<u32>,
+    /// The exact-match window index; `None` for the exhaustive scan, for
+    /// a snapshot without candidates, and when the candidates'
+    /// fingerprint lengths disagree.
+    windows: Option<KeyWindows>,
     columns: Vec<String>,
     detector: CorrelationDetector,
     use_index: bool,
+}
+
+/// The exact-match window index of a [`ScanSnapshot`]
+/// (`prophet_fingerprint::index` docs carry the proof that a window holds
+/// every source [`CorrelationDetector::detect_all`] scores 0).
+struct KeyWindows {
+    /// The fingerprint length of every scanned column of every candidate
+    /// that has them all.
+    len: usize,
+    /// Candidate-major, `columns.len()` per candidate: each scanned
+    /// column's [`ExactKey`], or `None` where the candidate can never be
+    /// an exact match (it lacks a column, or the column is non-finite).
+    keys: Vec<Option<ExactKey>>,
+    /// Per scanned column: `(key, candidate index)` of every candidate
+    /// with a key there, sorted by key.
+    sorted: Vec<Vec<(f64, u32)>>,
+    /// Per scanned column: the widest source part of its candidates
+    /// ([`ExactKey::widest`]), which the binary search's window uses.
+    reach: Vec<ExactKey>,
+}
+
+impl KeyWindows {
+    /// The candidates of column `col` in `window`: the keys within the
+    /// half-width of the column's widest source part around `−k` and
+    /// around `k`, as two sorted runs (one, and an empty one, where they
+    /// overlap). `None` when that half-width is 1 or more: keys lie in
+    /// `[−1, 1]`, so such a window holds every candidate.
+    fn window(&self, col: usize, window: &ExactWindow) -> Option<[&[(f64, u32)]; 2]> {
+        let half = window.half_width(&self.reach[col]);
+        let sorted = &self.sorted[col];
+        let range = |lo: f64, hi: f64| {
+            let start = sorted.partition_point(|&(key, _)| key < lo);
+            let end = sorted.partition_point(|&(key, _)| key <= hi);
+            &sorted[start..end.max(start)]
+        };
+        let k = window.key().abs();
+        (half < 1.0).then(|| {
+            if k <= half {
+                [range(-k - half, k + half), &[]]
+            } else {
+                [range(-k - half, -k + half), range(k - half, k + half)]
+            }
+        })
+    }
+
+    /// Index the candidates' keys, or `None` when there is nothing to
+    /// index or the lengths disagree (the detector then compares prefixes
+    /// the keys do not describe, or there is no column to key on).
+    fn build(candidates: &[Candidate], slots: &[u32], width: usize) -> Option<KeyWindows> {
+        if width == 0 {
+            return None;
+        }
+        let mut len = None;
+        let mut keys = Vec::with_capacity(slots.len());
+        for (candidate, row) in candidates.iter().zip(slots.chunks_exact(width)) {
+            if row.first() == Some(&NO_SLOT) {
+                keys.extend(std::iter::repeat(None).take(width));
+                continue;
+            }
+            for &slot in row {
+                let summary = candidate.summaries.summary(slot);
+                if *len.get_or_insert(summary.len()) != summary.len() {
+                    return None;
+                }
+                keys.push(summary.exact_key());
+            }
+        }
+        let len = len?;
+        let no_reach = ExactKey {
+            key: 0.0,
+            scale: 0.0,
+            rounding: 0.0,
+        };
+        let mut sorted = vec![Vec::new(); width];
+        let mut reach = vec![no_reach; width];
+        for (ci, row) in keys.chunks_exact(width).enumerate() {
+            for (col, key) in row.iter().enumerate() {
+                if let Some(key) = key {
+                    sorted[col].push((key.key, ci as u32));
+                    reach[col] = reach[col].widest(*key);
+                }
+            }
+        }
+        for column in &mut sorted {
+            column.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        }
+        Some(KeyWindows {
+            len,
+            keys,
+            sorted,
+            reach,
+        })
+    }
 }
 
 /// What one probe's scan did, folded into a batch's [`MatchScanStats`]
 /// and the store's hit/miss ledger by [`SharedBasisStore::record_scans`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanWork {
-    /// Candidates that ran the full `detect_all` comparison.
+    /// Candidates that ran the full `detect_all` comparison, in the
+    /// window or among the bound's survivors.
     pub scanned: u64,
-    /// Waves of the indexed scan this probe needed: up to and including
-    /// the wave that produced an exact match, or every wave.
-    pub waves: usize,
+    /// Candidates the branch-and-bound scan's bound ruled out.
+    pub pruned: u64,
+    /// Whether the exact-match window answered the probe.
+    pub window_hit: bool,
     /// Whether a source was found.
     pub hit: bool,
 }
@@ -952,14 +1080,26 @@ pub struct ProbeScan {
 
 impl ScanSnapshot {
     /// Find the best source for one probe: lowest total error, ties to
-    /// the earliest insertion stamp. Indexed snapshots run the
-    /// branch-and-bound scan; exhaustive ones the reference scan — both
-    /// choose the same source.
+    /// the earliest insertion stamp. Exhaustive snapshots run the
+    /// reference scan. Indexed ones summarize the probe once, look in its
+    /// exact-match window first and, when that holds no zero-error
+    /// source, run the branch-and-bound scan on the same summaries — all
+    /// three choose the same source.
     pub fn scan_probe(&self, probe: &HashMap<String, Fingerprint>) -> ProbeScan {
-        let (best, mut work) = if self.use_index {
-            self.scan_indexed(probe)
+        let mut work = ScanWork::default();
+        let best = if !self.use_index {
+            self.scan_exhaustive(probe, &mut work)
+        } else if let Some(summary) = summarize_probe(probe, &self.columns) {
+            match self.scan_window(probe, &summary, &mut work) {
+                Some(best) => {
+                    work.window_hit = true;
+                    Some(best)
+                }
+                None => self.scan_indexed(probe, &summary, &mut work),
+            }
         } else {
-            self.scan_exhaustive(probe)
+            // `detect_all` fails on a missing column: no source matches.
+            None
         };
         work.hit = best.is_some();
         ProbeScan {
@@ -972,9 +1112,12 @@ impl ScanSnapshot {
     /// with every candidate in stamp order, keep a strictly better match
     /// (so ties stay with the earliest stamp), and stop at a zero-error
     /// one — nothing later can beat it.
-    fn scan_exhaustive(&self, probe: &HashMap<String, Fingerprint>) -> (Option<Best>, ScanWork) {
+    fn scan_exhaustive(
+        &self,
+        probe: &HashMap<String, Fingerprint>,
+        work: &mut ScanWork,
+    ) -> Option<Best> {
         let mut best: Option<Best> = None;
-        let mut work = ScanWork::default();
         for (ci, candidate) in self.candidates.iter().enumerate() {
             if matches!(best, Some((_, _, err)) if err == 0.0) {
                 break;
@@ -992,7 +1135,66 @@ impl ScanSnapshot {
                 }
             }
         }
-        (best, work)
+        best
+    }
+
+    /// The exact-match window: the earliest-stamped source that
+    /// `detect_all` scores 0, found among the few candidates whose
+    /// centred keys lie near the probe's — or `None`, and then the
+    /// branch-and-bound scan decides. The answer equals the exhaustive
+    /// scan's because error 0 beats every other error, ties go to the
+    /// earliest stamp, and every zero-error source lies in the window
+    /// (`prophet_fingerprint::index` docs carry the proof).
+    ///
+    /// Each varying probe column has a window: two binary searches,
+    /// around its key `k` and around `−k`, with the half-width of the
+    /// column's widest source part. The column whose window holds the
+    /// fewest candidates picks them; each must then lie within its own
+    /// half-width on every column that can filter, and the rest run
+    /// `detect_all` in stamp order. There is no window — `None` at once —
+    /// when the probe's lengths differ from the snapshot's, or no varying
+    /// column has a half-width below 1 (a constant probe column never
+    /// filters: `fit_affine` fits any varying source to it at error 0).
+    fn scan_window(
+        &self,
+        probe: &HashMap<String, Fingerprint>,
+        summary: &[FingerprintSummary],
+        work: &mut ScanWork,
+    ) -> Option<Best> {
+        let index = self.windows.as_ref()?;
+        if summary.iter().any(|s| s.len() != index.len) {
+            return None;
+        }
+        let windows: Vec<Option<ExactWindow>> = (summary.iter())
+            .map(|s| ExactWindow::of(s, &self.detector))
+            .collect();
+        let ranges = (windows.iter().enumerate())
+            .filter_map(|(col, w)| index.window(col, w.as_ref()?))
+            .min_by_key(|[below, above]| below.len() + above.len())?;
+        let width = self.columns.len();
+        let mut admitted: Vec<usize> = (ranges.iter().flat_map(|r| r.iter()))
+            .map(|&(_, ci)| ci as usize)
+            .filter(|&ci| {
+                let keys = &index.keys[ci * width..(ci + 1) * width];
+                keys.iter().zip(&windows).all(|(key, w)| match (key, w) {
+                    (None, _) => false,
+                    (Some(_), None) => true,
+                    (Some(key), Some(w)) => w.admits(key),
+                })
+            })
+            .collect();
+        admitted.sort_unstable();
+        for ci in admitted {
+            work.scanned += 1;
+            let detected =
+                (self.detector).detect_all(&self.candidates[ci].fingerprints, probe, &self.columns);
+            if let Some((mappings, err)) = detected {
+                if err == 0.0 {
+                    return Some((ci, mappings, err));
+                }
+            }
+        }
+        None
     }
 
     /// Branch-and-bound scan of one probe over the summary index.
@@ -1008,19 +1210,14 @@ impl ScanSnapshot {
     /// A probe's scan depends on the candidate list and its *own*
     /// incumbent only, which is what lets a batch's probes scan
     /// independently.
-    fn scan_indexed(&self, probe: &HashMap<String, Fingerprint>) -> (Option<Best>, ScanWork) {
-        let total_waves = self.candidates.len().div_ceil(MATCH_WAVE);
-        let Some(probe_summary) = summarize_probe(probe, &self.columns) else {
-            // `detect_all` fails on a missing column: every pair prunes.
-            let work = ScanWork {
-                waves: total_waves,
-                ..ScanWork::default()
-            };
-            return (None, work);
-        };
+    fn scan_indexed(
+        &self,
+        probe: &HashMap<String, Fingerprint>,
+        probe_summary: &[FingerprintSummary],
+        work: &mut ScanWork,
+    ) -> Option<Best> {
         let width = self.columns.len();
         let mut best: Option<Best> = None;
-        let mut work = ScanWork::default();
         let mut survivors: Vec<usize> = Vec::with_capacity(MATCH_WAVE);
         for (wave_idx, wave) in self.candidates.chunks(MATCH_WAVE).enumerate() {
             // A zero-error incumbent prunes every later candidate no matter
@@ -1029,7 +1226,6 @@ impl ScanSnapshot {
             if incumbent == Some(0.0) {
                 break;
             }
-            work.waves = wave_idx + 1;
             let base = wave_idx * MATCH_WAVE;
             survivors.clear();
             for (offset, candidate) in wave.iter().enumerate() {
@@ -1038,13 +1234,12 @@ impl ScanSnapshot {
                 if slots.first() == Some(&NO_SLOT) {
                     continue;
                 }
-                match bound_all(&candidate.summaries, slots, &probe_summary, &self.detector) {
-                    MatchBound::Infeasible => {}
-                    MatchBound::Feasible(bound) => {
-                        if !matches!(incumbent, Some(err) if bound >= err) {
-                            survivors.push(ci);
-                        }
+                match bound_all(&candidate.summaries, slots, probe_summary, &self.detector) {
+                    MatchBound::Feasible(bound) if !matches!(incumbent, Some(err) if bound >= err) =>
+                    {
+                        survivors.push(ci);
                     }
+                    MatchBound::Infeasible | MatchBound::Feasible(_) => work.pruned += 1,
                 }
             }
             work.scanned += survivors.len() as u64;
@@ -1067,7 +1262,7 @@ impl ScanSnapshot {
                 }
             }
         }
-        (best, work)
+        best
     }
 }
 
@@ -1199,12 +1394,19 @@ impl SharedBasisStore {
     /// is either fully before this clear (its entry is wiped with the rest)
     /// or fully after (its slot is already cancelled and its results are
     /// discarded) — never a stale entry in a "cleared" store.
+    ///
+    /// The stamp counter restarts too, so a cleared store is the table an
+    /// empty snapshot's [`SharedBasisStore::restore_with`] leaves, and a
+    /// sweep after either stamps — and saves — alike. No stamp from before
+    /// the clear can meet one from after it: records and in-flight slots
+    /// are gone, every publish goes through a claim, and a claim taken
+    /// before the clear — the only kind that can carry a pre-clear scan's
+    /// hit and its source stamp — is cancelled here and discarded on
+    /// completion. Scan snapshots taken before are history: the matchable
+    /// epoch keeps advancing, so the store never serves one again.
     pub fn clear(&self) {
         self.reset_with(|table| {
-            // next_stamp is preserved: stamps stay globally unique across a
-            // clear, so later tie-breaks never collide with pre-clear ones.
             *table = Table {
-                next_stamp: table.next_stamp,
                 matchable_epoch: table.matchable_epoch,
                 ..Table::default()
             };
@@ -1390,18 +1592,18 @@ impl SharedBasisStore {
     /// Batched correlated lookup: probe many fingerprint sets against the
     /// matchable entries. Result `i` is the best hit for `probes[i]`.
     ///
-    /// This is [`SharedBasisStore::scan_snapshot`] + one
+    /// This is [`SharedBasisStore::scan_snapshot_shared`] + one
     /// [`ScanSnapshot::scan_probe`] per probe (probes partition across up
     /// to `threads` scoped workers, one fan-out per call) +
     /// [`SharedBasisStore::record_scans`] — the same three steps the
     /// engine's batch pipeline runs with its own pool in the middle. With
-    /// `use_index` each probe runs the branch-and-bound scan over summary
-    /// bounds (see the module docs); without it, the exhaustive reference
-    /// scan. Both pick the best candidate by `(total error, insertion
-    /// order)`, so the chosen source is identical between them, and a
-    /// probe's scan reads nothing but the snapshot, so hits and the
-    /// returned [`MatchScanStats`] are independent of the thread count in
-    /// either mode.
+    /// `use_index` each probe looks in its exact-match window, then runs
+    /// the branch-and-bound scan over summary bounds (see the module
+    /// docs); without it, the exhaustive reference scan. Both pick the
+    /// best candidate by `(total error, insertion order)`, so the chosen
+    /// source is identical between them, and a probe's scan reads nothing
+    /// but the snapshot, so hits and the returned [`MatchScanStats`] are
+    /// independent of the thread count in either mode.
     pub fn find_correlated_batch_scan(
         &self,
         probes: &[HashMap<String, Fingerprint>],
@@ -1413,7 +1615,7 @@ impl SharedBasisStore {
         if probes.is_empty() {
             return (Vec::new(), MatchScanStats::default());
         }
-        let snapshot = self.scan_snapshot(columns, detector, use_index);
+        let snapshot = self.scan_snapshot_shared(columns, detector, use_index);
         let scan = |slice: &[HashMap<String, Fingerprint>]| -> Vec<ProbeScan> {
             slice.iter().map(|p| snapshot.scan_probe(p)).collect()
         };
@@ -1440,37 +1642,26 @@ impl SharedBasisStore {
                     .collect()
             })
         };
-        let stats = self.record_scans(&snapshot, scans.iter().map(|s| s.work));
+        let stats = self.record_scans(scans.iter().map(|s| s.work));
         (scans.into_iter().map(|s| s.hit).collect(), stats)
     }
 
-    /// Snapshot the matchable records for one match scan over `columns`.
+    /// Snapshot the matchable records for one match scan over `columns`,
+    /// shared: while no matchable record is published, replaced, evicted
+    /// or wiped, every call with the same `columns`, `detector` and
+    /// `use_index` returns the same snapshot instead of rebuilding an
+    /// equal one. A sweep that has found its sources maps everything after
+    /// them, so nearly all of its batches are in that state.
     ///
-    /// Walks the matchable queue in insertion-stamp order under the
-    /// table's read lock, clones each record's shared parts by reference
-    /// count, and releases the lock — a scan never holds a store lock
-    /// while it compares, so a sweep's scans cannot stall a session's
-    /// publish. `columns` resolves to summary-table positions here, once
-    /// per candidate.
-    pub fn scan_snapshot(
-        &self,
-        columns: &[String],
-        detector: &CorrelationDetector,
-        use_index: bool,
-    ) -> ScanSnapshot {
-        self.snapshot_at_epoch(columns, detector, use_index).0
-    }
-
-    /// [`SharedBasisStore::scan_snapshot`], shared: while no matchable
-    /// record is published, replaced, evicted or wiped, every call with the
-    /// same `columns`, `detector` and `use_index` returns the same
-    /// snapshot instead of rebuilding an equal one. A sweep that has found
-    /// its sources maps everything after them, so nearly all of its
-    /// batches are in that state.
+    /// A rebuild walks the matchable queue in insertion-stamp order under
+    /// the table's read lock, clones each record's shared parts by
+    /// reference count, and releases the lock — a scan never holds a
+    /// store lock while it compares, so a sweep's scans cannot stall a
+    /// session's publish. `columns` resolves to summary-table positions
+    /// and the exact-match keys are sorted then, once per snapshot.
     ///
     /// The store keeps the latest snapshot only: callers that alternate
-    /// between two scan configurations on one store rebuild every time, as
-    /// [`SharedBasisStore::scan_snapshot`] does.
+    /// between two scan configurations on one store rebuild every time.
     pub fn scan_snapshot_shared(
         &self,
         columns: &[String],
@@ -1530,9 +1721,13 @@ impl SharedBasisStore {
                 slots.extend(std::iter::repeat(NO_SLOT).take(columns.len()));
             }
         }
+        let windows = use_index
+            .then(|| KeyWindows::build(&candidates, &slots, columns.len()))
+            .flatten();
         let snapshot = ScanSnapshot {
             candidates,
             slots,
+            windows,
             columns: columns.to_vec(),
             detector: *detector,
             use_index,
@@ -1542,39 +1737,22 @@ impl SharedBasisStore {
 
     /// Close a batch of [`ScanSnapshot::scan_probe`]s: fold the probes'
     /// work into the batch's [`MatchScanStats`] and bump the hit/miss
-    /// ledger once.
-    ///
-    /// The batch processes waves until *every* probe is exact, and each
-    /// processed wave accounts each of its (candidate, probe) pairs
-    /// exactly once — scanned, or pruned (a probe that is already exact
-    /// prunes the rest of the waves its siblings still need). The
-    /// exhaustive reference bounds nothing, so it prunes nothing.
-    pub fn record_scans(
-        &self,
-        snapshot: &ScanSnapshot,
-        work: impl IntoIterator<Item = ScanWork>,
-    ) -> MatchScanStats {
-        let (mut probes, mut hits, mut scanned, mut waves) = (0u64, 0u64, 0u64, 0usize);
+    /// ledger once. Every field is a sum of per-probe work, so neither
+    /// the order nor the threads the probes scanned on can move it.
+    pub fn record_scans(&self, work: impl IntoIterator<Item = ScanWork>) -> MatchScanStats {
+        let (mut probes, mut hits) = (0u64, 0u64);
+        let mut stats = MatchScanStats::default();
         for w in work {
             probes += 1;
             hits += w.hit as u64;
-            scanned += w.scanned;
-            waves = waves.max(w.waves);
+            stats.candidates_scanned += w.scanned;
+            stats.candidates_pruned += w.pruned;
+            stats.window_hits += w.window_hit as u64;
         }
-        {
-            let mut counters = self.stats.lock();
-            counters.hits += hits;
-            counters.misses += probes - hits;
-        }
-        let bounded = probes * (waves * MATCH_WAVE).min(snapshot.candidates.len()) as u64;
-        MatchScanStats {
-            candidates_scanned: scanned,
-            candidates_pruned: if snapshot.use_index {
-                bounded - scanned
-            } else {
-                0
-            },
-        }
+        let mut counters = self.stats.lock();
+        counters.hits += hits;
+        counters.misses += probes - hits;
+        stats
     }
 
     // --------------------------------------------------- snapshot / restore
@@ -2112,7 +2290,7 @@ mod tests {
             2,
             true,
         );
-        let before = s.scan_snapshot(&columns, &detector, true);
+        let before = s.snapshot_at_epoch(&columns, &detector, true).0;
         let stored = s.get_exact(&point("x", 1), 2).expect("source stored");
 
         // An exact source arrives, then churn evicts the original one.
@@ -2125,7 +2303,7 @@ mod tests {
         );
         s.insert(point("x", 3), HashMap::new(), samples(30.0), 2, true);
         assert!(s.get_exact(&point("x", 1), 1).is_none(), "source evicted");
-        let after = s.scan_snapshot(&columns, &detector, true);
+        let after = s.snapshot_at_epoch(&columns, &detector, true).0;
         s.clear();
         assert!(s.is_empty());
 
@@ -2142,7 +2320,8 @@ mod tests {
             old.work,
             ScanWork {
                 scanned: 1,
-                waves: 1,
+                pruned: 0,
+                window_hit: false,
                 hit: true
             }
         );
@@ -2216,7 +2395,7 @@ mod tests {
             assert!(!Arc::ptr_eq(&current, &fresh), "{what}");
             assert_eq!(
                 sources(&fresh),
-                sources(&s.scan_snapshot(&columns, &detector, true)),
+                sources(&s.snapshot_at_epoch(&columns, &detector, true).0),
                 "{what}"
             );
             assert!(Arc::ptr_eq(&fresh, &shared()), "{what}: cached again");
@@ -2527,6 +2706,53 @@ mod tests {
         let moments = ColumnMoments::of(&mapped);
         assert!(guard.complete_mapped(mapped, 2, recipe, source, remap(), moments));
         s
+    }
+
+    /// A clear restarts the stamp counter, leaving the table an empty
+    /// snapshot's load leaves. That is safe because no claim taken before
+    /// the clear can publish after it: a mapped hit on the pre-clear
+    /// source (stamp 1) is discarded, not filed beside the post-clear
+    /// source that now holds stamp 1.
+    #[test]
+    fn a_clear_restarts_stamps_and_no_pre_clear_publish_lands() {
+        let s = mapped_store();
+        let TryClaim::Owner(stale) = s.try_claim(&point("x", 3), 2) else {
+            panic!("expected owner");
+        };
+        let source = s.get_exact(&point("x", 1), 2).expect("the source");
+        let _ = s.scan_snapshot_shared(&["y".to_owned()], &CorrelationDetector::default(), true);
+        let epoch = s.table.read().matchable_epoch;
+        s.clear();
+        assert!(s.table.read().matchable_epoch > epoch);
+        assert!(s.table.read().scan_cache.is_none(), "no stale scan cache");
+
+        let loaded = SharedBasisStore::new(4);
+        let empty = SharedBasisStore::new(4).snapshot_bytes();
+        assert_eq!(loaded.restore_bytes(&empty).unwrap(), 0);
+        assert_eq!(
+            s.snapshot_bytes(),
+            empty,
+            "cleared = an empty snapshot's load"
+        );
+        assert_eq!(loaded.snapshot_bytes(), empty);
+
+        let prints = || HashMap::from([("y".to_owned(), fp(&[1.0, 2.0, 4.0]))]);
+        for store in [&s, &loaded] {
+            store.insert(point("x", 9), prints(), samples(9.0), 2, true);
+        }
+        let recipe = Recipe {
+            source_stamp: 1,
+            mappings: HashMap::from([("y".to_owned(), Mapping::Offset(0.5))]),
+        };
+        let mapped = samples(1.5);
+        let moments = ColumnMoments::of(&mapped);
+        assert!(
+            !stale.complete_mapped(mapped, 2, recipe, source, remap(), moments),
+            "a pre-clear claim's publish is discarded"
+        );
+        assert!(s.get_exact(&point("x", 3), 1).is_none());
+        assert_eq!(s.table.read().entries[&point("x", 9)].stamp, 1);
+        assert_eq!(s.snapshot_bytes(), loaded.snapshot_bytes());
     }
 
     /// Neither an unmatchable `complete` nor a mapped publish keeps probe

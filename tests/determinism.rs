@@ -208,7 +208,7 @@ fn match_index_pruning_is_thread_count_independent() {
 
 /// The work counters of a metrics snapshot — everything but the clocks
 /// and latency histograms.
-fn work_counters(m: &EngineMetrics) -> [u64; 14] {
+fn work_counters(m: &EngineMetrics) -> [u64; 15] {
     [
         m.points_cached,
         m.points_mapped,
@@ -222,6 +222,7 @@ fn work_counters(m: &EngineMetrics) -> [u64; 14] {
         m.probe_call_sites,
         m.candidates_scanned,
         m.candidates_pruned,
+        m.window_hits,
         m.inflight_waits,
         m.batch_probes,
     ]

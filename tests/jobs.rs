@@ -1014,10 +1014,9 @@ fn stored_bits(store: &prophet_mc::SharedBasisStore, points: &[ParamPoint]) -> V
 /// for the service's lifetime, whatever the basis store goes through.
 /// After `clear_basis`, or after `load_basis` of the empty store the first
 /// sweep started from, the same sweep re-probes every call site from the
-/// memo and draws nothing. Its answers, outcomes, chosen sources and
-/// stored samples are the first run's; after the load its store bytes are
-/// too. (A clear keeps the store's stamp counter, so after it the same
-/// records carry later stamps.)
+/// memo and draws nothing. Its answers, outcomes, chosen sources, stored
+/// samples and store bytes are the first run's after either: a clear
+/// restarts the stamp counter as the load of an empty snapshot does.
 #[test]
 fn a_second_sweep_after_a_clear_or_a_load_reprobes_without_drawing() {
     const NAME: &str = "figure2-coarse";
@@ -1050,12 +1049,10 @@ fn a_second_sweep_after_a_clear_or_a_load_reprobes_without_drawing() {
         assert_eq!(m.probe_call_sites_memoised, m.probe_call_sites, "{label}");
         assert_eq!(m.probe_call_sites_replayed, 0, "{label}");
         assert_sweeps_identical(label, &again, &first);
-        if label == "load_basis" {
-            assert!(
-                store.snapshot_bytes() == first_bytes,
-                "{label}: store bytes"
-            );
-        }
+        assert!(
+            store.snapshot_bytes() == first_bytes,
+            "{label}: store bytes"
+        );
         assert!(stored_bits(&store, &points) == first_samples, "{label}");
     }
     std::fs::remove_file(&empty).unwrap();
