@@ -8,7 +8,7 @@
 //! forbidden pattern inside a string never fires), strips
 //! `#[cfg(test)]` / `#[test]` regions, and runs four passes:
 //!
-//! * **lint** (this module) — five token-level conformance rules:
+//! * **lint** (this module) — six token-level conformance rules:
 //!
 //!   | rule | forbids | except in |
 //!   |------|---------|-----------|
@@ -17,6 +17,7 @@
 //!   | `unwrap` | `.unwrap()` / `.expect("…")` in `crates/core`, `crates/fingerprint`, `crates/mc` | messages containing `invariant` |
 //!   | `wall-clock` | `Instant::now()` / `SystemTime` | `metrics.rs`, `trace.rs`, `crates/bench` |
 //!   | `typed-kernel` | `Value` inside the typed-kernel module (`crates/sql/src/column.rs`); `std::simd` / `unsafe` anywhere | — |
+//!   | `dyn-rng` | `dyn Rng64` | `crates/sql/src/executor.rs` (the shared-stream `EvalContext`) |
 //!
 //! * **map-iter** ([`determinism`]) — flags hash-ordered iteration in
 //!   result-affecting crates;
@@ -60,7 +61,7 @@ use lex::{ident_at, lex, pathed_from, punct_at, strip_test_regions, Tok, TokKind
 
 // ---------------------------------------------------------------- rules
 
-/// The five conformance rules. See the module docs for the table.
+/// The six conformance rules. See the module docs for the table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rule {
     ThreadSpawn,
@@ -72,6 +73,11 @@ pub enum Rule {
     /// primitive slices — and `std::simd` / `unsafe` may appear nowhere:
     /// the kernels are safe loops the stable compiler autovectorizes.
     TypedKernel,
+    /// Every VG call samples the concrete stream its coordinates derive
+    /// (`VgFunction::invoke` takes a `Xoshiro256StarStar`), so a model's
+    /// sampling chain monomorphizes: `dyn Rng64` — a draw through a
+    /// vtable — is left only to the shared-stream `EvalContext`.
+    DynRng,
 }
 
 impl Rule {
@@ -82,6 +88,7 @@ impl Rule {
             Rule::Unwrap => "unwrap",
             Rule::WallClock => "wall-clock",
             Rule::TypedKernel => "typed-kernel",
+            Rule::DynRng => "dyn-rng",
         }
     }
 
@@ -115,6 +122,7 @@ impl Rule {
             // everywhere), so `scan_rules` decides per violation and
             // nothing is exempt wholesale here.
             Rule::TypedKernel => false,
+            Rule::DynRng => path == SHARED_STREAM_MODULE,
         }
     }
 }
@@ -122,6 +130,11 @@ impl Rule {
 /// The typed-kernel module: straight-line kernels over primitive slices,
 /// forbidden from naming `Value`.
 const TYPED_KERNEL_MODULE: &str = "crates/sql/src/column.rs";
+
+/// The one module that takes a `dyn Rng64`: the scalar executor, whose
+/// `EvalContext::new` evaluates derived items on a stream that never
+/// draws.
+const SHARED_STREAM_MODULE: &str = "crates/sql/src/executor.rs";
 
 /// One rule violation at a source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -234,6 +247,15 @@ fn scan_rules(path: &str, toks: &[Tok]) -> Vec<Violation> {
                         .into(),
                 });
             }
+            "dyn" if dyn_names(toks, i + 1, "Rng64") => {
+                found.push(Violation {
+                    rule: Rule::DynRng,
+                    line,
+                    message: "`dyn Rng64` outside the shared-stream `EvalContext` — sample the \
+                              call's concrete `Xoshiro256StarStar` so the draws monomorphize"
+                        .into(),
+                });
+            }
             "unsafe" => {
                 found.push(Violation {
                     rule: Rule::TypedKernel,
@@ -248,6 +270,15 @@ fn scan_rules(path: &str, toks: &[Tok]) -> Vec<Violation> {
     }
     found.retain(|v| !v.rule.exempt_file(path));
     found
+}
+
+/// The type path starting at `toks[i]` (`Rng64`, `rng::Rng64`,
+/// `prophet_vg::rng::Rng64`, …) ends in `name`.
+fn dyn_names(toks: &[Tok], mut i: usize, name: &str) -> bool {
+    while ident_at(toks, i).is_some() && punct_at(toks, i + 1, ':') && punct_at(toks, i + 2, ':') {
+        i += 3;
+    }
+    ident_at(toks, i) == Some(name)
 }
 
 /// Every violation in one file's source, each paired with whether an
@@ -476,6 +507,30 @@ mod tests {
         // `crate::simd` re-exports and the word in strings stay invisible.
         let src = "pub use crate::simd::add_f64; fn f() { let s = \"std::simd\"; }";
         assert!(rules_fired("crates/sql/src/column.rs", src).is_empty());
+    }
+
+    #[test]
+    fn dyn_rng_fires_outside_the_shared_stream_executor() {
+        let src = "fn draw(rng: &mut dyn Rng64) -> f64 { rng.next_f64() }";
+        for path in [
+            "crates/models/src/demand.rs",
+            "crates/vg/src/function.rs",
+            "crates/sql/src/columnar.rs",
+            "crates/sql/src/sync/executor.rs",
+        ] {
+            assert_eq!(rules_fired(path, src), [Rule::DynRng], "{path}");
+        }
+        // A pathed trait is the same trait.
+        let src = "fn draw(rng: &mut dyn prophet_vg::rng::Rng64) {}";
+        assert_eq!(
+            rules_fired("crates/models/src/queueing.rs", src),
+            [Rule::DynRng]
+        );
+        assert!(rules_fired("crates/sql/src/executor.rs", src).is_empty());
+        // Generic and concrete streams, and other trait objects, are fine.
+        let src = "fn draw<R: Rng64 + ?Sized>(rng: &mut R, s: &dyn LedgerStore, \
+                   f: &dyn VgFunction, x: &mut Xoshiro256StarStar) {}";
+        assert!(rules_fired("crates/models/src/capacity.rs", src).is_empty());
     }
 
     // ---- escape hatches

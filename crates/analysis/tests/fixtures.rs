@@ -64,6 +64,13 @@ fn a_leak_after_impl_for_fails_the_gate_at_its_line() {
     assert_single_finding("impl_for", "crates/mc/src/lib.rs:30: [map-iter]");
 }
 
+/// A model helper taking `dyn Rng64` fails the gate; the same type in
+/// the shared-stream executor does not.
+#[test]
+fn seeded_dyn_rng_helper_fails_the_gate_at_its_line() {
+    assert_single_finding("dyn_rng", "crates/models/src/lib.rs:18: [lint] [dyn-rng]");
+}
+
 #[test]
 fn seeded_rank_table_drift_fails_the_gate_in_the_docs() {
     assert_single_finding("drift", "docs/CONCURRENCY.md:6: [rank-table]");

@@ -70,8 +70,9 @@
 //! # Concurrency conformance
 //!
 //! Every lock in this module is a rank-ordered wrapper from
-//! [`crate::sync`] (the scheduler's locks hold ranks 10, 60 and 80 of
-//! the workspace table), and [`SchedulerConfig::perturb`] arms the
+//! [`crate::sync`] (the scheduler's locks hold ranks 10, 20, 70 and 80
+//! of the workspace table: its queues, a job's event sender, a chunked
+//! phase's result slots and the worker join handles), and [`SchedulerConfig::perturb`] arms the
 //! seeded chaos scheduler that `tests/chaos.rs` sweeps to prove the
 //! determinism argument above holds under adversarial interleavings.
 //! `docs/CONCURRENCY.md` carries the full rank table, the store's

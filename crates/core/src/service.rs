@@ -113,7 +113,8 @@ impl ProphetBuilder {
 
     /// Tune the service's job scheduler (worker pool size, chunk
     /// granularity). By default the pool runs
-    /// `EngineConfig::threads.max(1)` workers and chunks jobs at
+    /// `EngineConfig::threads.max(2)` workers (see
+    /// [`SchedulerConfig::workers`]) and chunks jobs at
     /// [`crate::scheduler::DEFAULT_CHUNK_POINTS`] points.
     pub fn scheduler(mut self, config: SchedulerConfig) -> Self {
         self.scheduler = config;

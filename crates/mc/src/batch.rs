@@ -330,7 +330,7 @@ mod tests {
     use super::*;
     use prophet_data::{DataResult, Value};
     use prophet_sql::parser::parse_script;
-    use prophet_vg::rng::Rng64;
+    use prophet_vg::rng::{Rng64, Xoshiro256StarStar};
     use prophet_vg::VgFunction;
     use std::sync::Arc;
 
@@ -345,7 +345,7 @@ mod tests {
         fn arity(&self) -> usize {
             1
         }
-        fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<f64> {
+        fn invoke(&self, params: &[Value], rng: &mut Xoshiro256StarStar) -> DataResult<f64> {
             Ok(params[0].as_f64()? + rng.next_f64())
         }
     }

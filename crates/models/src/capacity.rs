@@ -83,7 +83,7 @@ impl CapacityModel {
 
     /// The two deployment lags of one call: exactly one `u64` leaves the
     /// main stream, seeding the lag sub-stream both are drawn from.
-    fn sample_lags<R: Rng64 + ?Sized>(&self, rng: &mut R) -> [i64; 2] {
+    fn sample_lags<R: Rng64>(&self, rng: &mut R) -> [i64; 2] {
         let mut lag_rng = Pcg32::new(rng.next_u64(), 0x5851_F42D_4C95_7F2D);
         [(); 2].map(|()| self.lag_sampler.sample_lag(&mut lag_rng))
     }
@@ -104,7 +104,7 @@ impl CapacityModel {
     /// why fingerprint matching finds exact Offset/Identity mappings across
     /// purchase-date changes (the Figure-4 exploration map), and why the
     /// model can keep a draw ledger ([`VgFunction::ledger_len`]).
-    pub fn trajectory<R: Rng64 + ?Sized>(
+    pub fn trajectory<R: Rng64>(
         &self,
         last_week: i64,
         purchase1: i64,
@@ -138,7 +138,7 @@ impl CapacityModel {
     /// [`CapacityModel::trajectory`] chain without materializing it, each
     /// loss drawn as the walk reaches it — the draw-by-draw reference
     /// behind [`VgFunction::invoke`].
-    pub fn capacity_at<R: Rng64 + ?Sized>(
+    pub fn capacity_at<R: Rng64>(
         &self,
         current: i64,
         purchase1: i64,
@@ -204,7 +204,7 @@ impl VgFunction for CapacityModel {
         3
     }
 
-    fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<f64> {
+    fn invoke(&self, params: &[Value], rng: &mut Xoshiro256StarStar) -> DataResult<f64> {
         let [current, p1, p2] = int_args(params)?;
         self.capacity_at(current, p1, p2, rng)
     }

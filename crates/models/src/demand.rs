@@ -10,7 +10,7 @@
 
 use prophet_data::{DataResult, Value};
 use prophet_vg::dist::Normal;
-use prophet_vg::rng::Rng64;
+use prophet_vg::rng::{Rng64, Xoshiro256StarStar};
 use prophet_vg::VgFunction;
 
 /// Parameters of the demand forecast.
@@ -77,12 +77,7 @@ impl DemandModel {
     /// order (base noise, feature noise), *regardless* of whether the
     /// feature has released — the feature draw is discarded before release
     /// so that changing `@feature` leaves the base-demand stream aligned.
-    pub fn demand_at<R: Rng64 + ?Sized>(
-        &self,
-        current: i64,
-        feature_week: i64,
-        rng: &mut R,
-    ) -> f64 {
+    pub fn demand_at<R: Rng64>(&self, current: i64, feature_week: i64, rng: &mut R) -> f64 {
         let trend = self.config.base_mean + self.config.growth_per_week * current as f64;
         let base_noise = self.base.sample_with(rng);
         let feature_extra = self.feature.sample_with(rng);
@@ -121,32 +116,16 @@ impl VgFunction for DemandModel {
         2
     }
 
-    fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<f64> {
+    fn invoke(&self, params: &[Value], rng: &mut Xoshiro256StarStar) -> DataResult<f64> {
         let current = params[0].as_i64()?;
         let feature = params[1].as_i64()?;
         Ok(self.demand_at(current, feature, rng))
-    }
-
-    /// Raw-`f64` batch lane for the typed columnar tier: each world's draw
-    /// lands directly in the column — same per-world streams as
-    /// [`VgFunction::invoke`], but monomorphized over the concrete
-    /// generator (no `dyn` per draw).
-    fn invoke_batch_f64(&self, calls: &mut [prophet_vg::VgCallF64<'_>]) -> DataResult<Vec<f64>> {
-        calls
-            .iter_mut()
-            .map(|call| {
-                let current = call.params[0].as_i64()?;
-                let feature = call.params[1].as_i64()?;
-                Ok(self.demand_at(current, feature, call.rng))
-            })
-            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prophet_vg::rng::Xoshiro256StarStar;
 
     fn model() -> DemandModel {
         DemandModel::default()

@@ -59,7 +59,7 @@ pub struct DeploymentSampler {
 impl DeploymentSampler {
     /// Sample a lag in whole weeks (rounded down; deployment counts from
     /// the start of a week).
-    pub fn sample_lag<R: Rng64 + ?Sized>(&self, rng: &mut R) -> i64 {
+    pub fn sample_lag<R: Rng64>(&self, rng: &mut R) -> i64 {
         self.dist.sample_with(rng).floor() as i64
     }
 }

@@ -9,19 +9,15 @@
 //! SELECT Normal(@mu, 25.0) AS noise, Poisson(40) AS arrivals INTO r;
 //! ```
 //!
-//! Every wrapper implements both VG entry points:
-//! [`prophet_vg::VgFunction::invoke`] (the reference — one world, one
-//! sample) and the raw-`f64` batch lane
-//! ([`prophet_vg::VgFunction::invoke_batch_f64`]): a whole world-block of
-//! draws lands directly in a typed column, one sample per world, with the
-//! per-world `(world, function, call index)` substream discipline
-//! untouched — each world still draws from its own generator, and the
-//! distribution consumes exactly the draws its scalar `sample` would.
+//! Every wrapper's [`prophet_vg::VgFunction::invoke`] is one
+//! `sample_with` draw on the call's own `(world, function, call index)`
+//! substream; a columnar block calls it once per world, straight into a
+//! typed `f64` lane.
 
 use prophet_data::{DataError, DataResult, Value};
-use prophet_vg::dist::{Distribution, LogNormal, Normal, Poisson, Triangular};
-use prophet_vg::rng::Rng64;
-use prophet_vg::{VgCallF64, VgFunction};
+use prophet_vg::dist::{LogNormal, Normal, Poisson, Triangular};
+use prophet_vg::rng::Xoshiro256StarStar;
+use prophet_vg::VgFunction;
 
 fn bad_params(name: &str, spec: &str, params: &[Value]) -> DataError {
     DataError::SchemaMismatch(format!("{name}{spec} got invalid parameters {params:?}"))
@@ -49,18 +45,8 @@ macro_rules! dist_vg {
                 $arity
             }
 
-            fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<f64> {
-                Ok(Self::dist(params)?.sample(rng))
-            }
-
-            /// One raw draw per world, straight into the `f64` lane —
-            /// monomorphized over the concrete generator (no `dyn` per
-            /// draw).
-            fn invoke_batch_f64(&self, calls: &mut [VgCallF64<'_>]) -> DataResult<Vec<f64>> {
-                calls
-                    .iter_mut()
-                    .map(|call| Ok(Self::dist(call.params)?.sample_with(call.rng)))
-                    .collect()
+            fn invoke(&self, params: &[Value], rng: &mut Xoshiro256StarStar) -> DataResult<f64> {
+                Ok(Self::dist(params)?.sample_with(rng))
             }
         }
     };
@@ -99,8 +85,7 @@ dist_vg!(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prophet_vg::rng::Xoshiro256StarStar;
-    use prophet_vg::VgRegistry;
+    use prophet_vg::{VgCallF64, VgRegistry};
     use std::sync::Arc;
 
     fn registry() -> VgRegistry {

@@ -59,7 +59,7 @@ impl FailureClass {
     /// draws. The count comes first so that identical seeds give identical
     /// event sequences across parameterizations (capacity parameters never
     /// influence failure draws).
-    pub fn sample_weekly_loss<R: Rng64 + ?Sized>(&self, rng: &mut R) -> f64 {
+    pub fn sample_weekly_loss<R: Rng64>(&self, rng: &mut R) -> f64 {
         let count = self.events_per_week.sample_with(rng) as u64;
         (0..count)
             .map(|_| self.cores_per_event.sample_with(rng))

@@ -73,7 +73,7 @@ impl InventoryModel {
     /// never what is drawn, so different (s, Q) policies stay sample-aligned
     /// under common random numbers — and the model can keep a draw ledger
     /// ([`VgFunction::ledger_len`]).
-    pub fn trajectory<R: Rng64 + ?Sized>(
+    pub fn trajectory<R: Rng64>(
         &self,
         last_week: i64,
         reorder_point: i64,
@@ -113,7 +113,7 @@ impl InventoryModel {
     /// On-hand units at one week (the VG-visible scalar): the
     /// [`InventoryModel::trajectory`] chain without materializing it, each
     /// week's demand drawn as the walk reaches it.
-    pub fn on_hand_at<R: Rng64 + ?Sized>(
+    pub fn on_hand_at<R: Rng64>(
         &self,
         week: i64,
         reorder_point: i64,
@@ -181,7 +181,7 @@ impl VgFunction for InventoryModel {
         3
     }
 
-    fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<f64> {
+    fn invoke(&self, params: &[Value], rng: &mut Xoshiro256StarStar) -> DataResult<f64> {
         let [week, s, q] = int_args(params)?;
         self.on_hand_at(week, s, q, rng)
     }

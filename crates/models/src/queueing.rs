@@ -9,7 +9,7 @@
 
 use prophet_data::{DataError, DataResult, Value};
 use prophet_vg::dist::Poisson;
-use prophet_vg::rng::Rng64;
+use prophet_vg::rng::{Rng64, Xoshiro256StarStar};
 use prophet_vg::VgFunction;
 
 use crate::int_args;
@@ -97,12 +97,7 @@ impl QueueModel {
     /// Stream discipline: two Poisson draws per hour (arrivals, then
     /// completed work), in fixed order; the agent count scales the service
     /// draw's rate but the *number* of draws is parameter-independent.
-    pub fn mean_backlog<R: Rng64 + ?Sized>(
-        &self,
-        week: i64,
-        agents: i64,
-        rng: &mut R,
-    ) -> DataResult<f64> {
+    pub fn mean_backlog<R: Rng64>(&self, week: i64, agents: i64, rng: &mut R) -> DataResult<f64> {
         let arrivals = Self::hourly("arrival", self.arrival_rate(week))?;
         let service = Self::hourly(
             "service",
@@ -135,30 +130,15 @@ impl VgFunction for QueueModel {
         2
     }
 
-    fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<f64> {
+    fn invoke(&self, params: &[Value], rng: &mut Xoshiro256StarStar) -> DataResult<f64> {
         let [week, agents] = int_args(params)?;
         self.mean_backlog(week, agents, rng)
-    }
-
-    /// Raw-`f64` batch lane for the typed columnar tier: each world's draw
-    /// lands directly in the column — same per-world streams as
-    /// [`VgFunction::invoke`], but monomorphized over the concrete
-    /// generator (no `dyn` per draw).
-    fn invoke_batch_f64(&self, calls: &mut [prophet_vg::VgCallF64<'_>]) -> DataResult<Vec<f64>> {
-        calls
-            .iter_mut()
-            .map(|call| {
-                let [week, agents] = int_args(call.params)?;
-                self.mean_backlog(week, agents, call.rng)
-            })
-            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prophet_vg::rng::Xoshiro256StarStar;
 
     #[test]
     fn utilization_math() {
@@ -233,6 +213,8 @@ mod tests {
     #[test]
     fn rates_outside_the_simulable_range_are_a_typed_error_on_both_lanes() {
         let m = QueueModel::default();
+        let mut registry = prophet_vg::VgRegistry::new();
+        registry.register(std::sync::Arc::new(m.clone()));
         // 1.015^week underflows to 0, overflows to infinity, used to wrap
         // at 2^31, and long before any of that is an hours-long Knuth loop;
         // an agent count can do the same to the service rate.
@@ -250,11 +232,14 @@ mod tests {
             let params = [Value::Int(week), Value::Int(agents)];
             let mut rng = Xoshiro256StarStar::seed_from_u64(1);
             let scalar = m.invoke(&params, &mut rng).unwrap_err();
-            let lane = m
-                .invoke_batch_f64(&mut [prophet_vg::VgCallF64 {
-                    params: &params,
-                    rng: &mut rng,
-                }])
+            let lane = registry
+                .invoke_batch_columnar(
+                    "QueueModel",
+                    &mut [prophet_vg::VgCallF64 {
+                        params: &params,
+                        rng: &mut rng,
+                    }],
+                )
                 .unwrap_err();
             assert_eq!(scalar, lane, "QueueModel({week}, {agents})");
             assert!(

@@ -6,7 +6,7 @@
 
 use prophet_data::{DataResult, Value};
 use prophet_vg::dist::{LogNormal, Normal};
-use prophet_vg::rng::Rng64;
+use prophet_vg::rng::{Rng64, Xoshiro256StarStar};
 use prophet_vg::VgFunction;
 
 /// Parameters of the revenue model.
@@ -82,7 +82,7 @@ impl RevenueModel {
     /// engagement draw, so a pricing match is an `Affine` fit with a
     /// residual, never an exact one. The subscriber clamp at 0 bends the
     /// relation further wherever it fires.
-    pub fn revenue_at<R: Rng64 + ?Sized>(&self, week: i64, price: f64, rng: &mut R) -> f64 {
+    pub fn revenue_at<R: Rng64>(&self, week: i64, price: f64, rng: &mut R) -> f64 {
         let trend = self.config.base_subscribers + self.config.growth_per_week * week as f64;
         let price_penalty = self.config.elasticity * (price - self.config.anchor_price);
         let noise = self.subscriber_noise.sample_with(rng);
@@ -115,32 +115,16 @@ impl VgFunction for RevenueModel {
         2
     }
 
-    fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<f64> {
+    fn invoke(&self, params: &[Value], rng: &mut Xoshiro256StarStar) -> DataResult<f64> {
         let week = params[0].as_i64()?;
         let price = params[1].as_f64()?;
         Ok(self.revenue_at(week, price, rng))
-    }
-
-    /// Raw-`f64` batch lane for the typed columnar tier: each world's draw
-    /// lands directly in the column — same per-world streams as
-    /// [`VgFunction::invoke`], but monomorphized over the concrete
-    /// generator (no `dyn` per draw).
-    fn invoke_batch_f64(&self, calls: &mut [prophet_vg::VgCallF64<'_>]) -> DataResult<Vec<f64>> {
-        calls
-            .iter_mut()
-            .map(|call| {
-                let week = call.params[0].as_i64()?;
-                let price = call.params[1].as_f64()?;
-                Ok(self.revenue_at(week, price, call.rng))
-            })
-            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prophet_vg::rng::Xoshiro256StarStar;
 
     #[test]
     fn higher_price_loses_subscribers() {

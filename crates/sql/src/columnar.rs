@@ -62,9 +62,9 @@
 //! VG calls go through [`VgRegistry::invoke_batch_columnar`]: one
 //! *physical* call per (call site, block), one *logical* invocation per
 //! world for the catalog's accounting. Every model fills a `Vec<f64>`
-//! lane (no per-world boxing at all) — its own `invoke_batch_f64`, or the
-//! trait's default of one `invoke` per world — so a VG call is always a
-//! typed kernel. A walk handed a [`LedgerStore`]
+//! lane (no per-world boxing at all) — its draw ledger pair, or one
+//! `invoke` per world on that world's own stream — so a VG call is always
+//! a typed kernel. A walk handed a [`LedgerStore`]
 //! serves models that keep a draw ledger through
 //! [`VgRegistry::invoke_batch_ledgered`] instead — same lane, same
 //! accounting, each world's stream drawn once per store rather than once

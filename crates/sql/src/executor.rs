@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 
 use prophet_data::{DataError, Value};
-use prophet_vg::rng::Rng64;
+use prophet_vg::rng::{Rng64, Xoshiro256StarStar};
 use prophet_vg::{SeedManager, VgRegistry};
 
 use crate::ast::{BinOp, Expr, SelectInto};
@@ -21,14 +21,15 @@ use crate::error::{SqlError, SqlResult};
 
 /// Randomness strategy for one world's evaluation.
 ///
-/// * [`WorldRng::Shared`] — every VG call draws sequentially from one
-///   stream. Simple, but a model whose *consumption* varies (e.g. Poisson
-///   counts) desynchronizes every later call across parameter points.
 /// * [`WorldRng::PerCall`] — each VG call site gets its own substream
-///   derived from `(world, function, call index)`. This is the engine's
-///   default: under common random numbers, call *k* sees identical
+///   derived from `(world, function, call index)`. This is how the engine
+///   samples: under common random numbers, call *k* sees identical
 ///   randomness for every parameter point, which is the property the
 ///   fingerprint machinery exploits.
+/// * [`WorldRng::Shared`] — the stream handed to [`EvalContext::new`]. Its
+///   callers evaluate derived items, which never reach a VG call, and pass
+///   a generator that must never draw; a VG call under it seeds its own
+///   stream from one `next_u64()` of the shared one.
 pub enum WorldRng<'a> {
     /// One shared stream for the whole world.
     Shared(&'a mut dyn Rng64),
@@ -67,7 +68,7 @@ pub struct EvalContext<'a, 'r> {
 }
 
 impl<'a, 'r> EvalContext<'a, 'r> {
-    /// Fresh context with a shared stream (legacy/test convenience).
+    /// Fresh context with a shared stream ([`WorldRng::Shared`]).
     pub fn new(
         registry: &'a VgRegistry,
         params: &'a HashMap<String, Value>,
@@ -108,35 +109,24 @@ impl<'a, 'r> EvalContext<'a, 'r> {
     /// Invoke a VG function under the context's randomness strategy; the
     /// sample is the world's value at this call site.
     fn invoke_vg(&mut self, name: &str, args: &[Value]) -> SqlResult<Value> {
-        let sample = match &mut self.rng {
-            WorldRng::Shared(rng) => self.registry.invoke(name, args, *rng)?,
+        let mut rng = match &mut self.rng {
+            WorldRng::Shared(rng) => Xoshiro256StarStar::seed_from_u64(rng.next_u64()),
             WorldRng::PerCall {
                 seeds,
                 world,
                 counter,
             } => {
-                let mut rng = seeds.rng_for(*world, name, *counter);
+                let rng = seeds.rng_for(*world, name, *counter);
                 *counter += 1;
-                self.registry.invoke(name, args, &mut rng)?
+                rng
             }
         };
-        Ok(Value::Float(sample))
+        Ok(Value::Float(self.registry.invoke(name, args, &mut rng)?))
     }
 }
 
-/// Evaluate the scenario SELECT for one world with a shared stream,
-/// returning `(alias, value)` pairs in declaration order.
-pub fn evaluate_select(
-    select: &SelectInto,
-    registry: &VgRegistry,
-    params: &HashMap<String, Value>,
-    rng: &mut dyn Rng64,
-) -> SqlResult<Vec<(String, Value)>> {
-    evaluate_select_with(select, registry, params, WorldRng::Shared(rng))
-}
-
 /// Evaluate the scenario SELECT for one world under an explicit randomness
-/// strategy.
+/// strategy, returning `(alias, value)` pairs in declaration order.
 pub fn evaluate_select_with(
     select: &SelectInto,
     registry: &VgRegistry,
@@ -388,7 +378,18 @@ mod tests {
     use super::*;
     use crate::parser::{parse_expr, parse_script};
     use crate::test_vg::test_registry;
-    use prophet_vg::rng::Xoshiro256StarStar;
+
+    /// Evaluate the SELECT for `world` on per-call streams under root
+    /// seed 7.
+    fn evaluate_world(
+        select: &SelectInto,
+        registry: &VgRegistry,
+        params: &HashMap<String, Value>,
+        world: u64,
+    ) -> SqlResult<Vec<(String, Value)>> {
+        let rng = WorldRng::per_call(SeedManager::new(7), world);
+        evaluate_select_with(select, registry, params, rng)
+    }
 
     /// Evaluate a constant expression (no params, columns, VG functions
     /// or randomness).
@@ -497,8 +498,7 @@ mod tests {
         let registry = test_registry();
         let mut params = HashMap::new();
         params.insert("base".to_string(), Value::Int(100));
-        let mut rng = Xoshiro256StarStar::seed_from_u64(5);
-        let row = evaluate_select(&script.select, &registry, &params, &mut rng).unwrap();
+        let row = evaluate_world(&script.select, &registry, &params, 5).unwrap();
         assert_eq!(row.len(), 3);
         assert_eq!(row[0].0, "demand");
         let demand = row[0].1.as_f64().unwrap();
@@ -518,8 +518,7 @@ mod tests {
         let mut params = HashMap::new();
         params.insert("b".to_string(), Value::Int(0));
         let run = |seed| {
-            let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-            evaluate_select(&script.select, &registry, &params, &mut rng).unwrap()[0]
+            evaluate_world(&script.select, &registry, &params, seed).unwrap()[0]
                 .1
                 .clone()
         };
@@ -533,8 +532,7 @@ mod tests {
             parse_script("DECLARE PARAMETER @b AS SET (0);\nSELECT @b AS v INTO r;").unwrap();
         let registry = test_registry();
         let params = HashMap::new(); // not bound
-        let mut rng = Xoshiro256StarStar::seed_from_u64(1);
-        let err = evaluate_select(&script.select, &registry, &params, &mut rng).unwrap_err();
+        let err = evaluate_world(&script.select, &registry, &params, 1).unwrap_err();
         assert!(err.to_string().contains("unbound parameter @b"), "{err}");
     }
 
@@ -543,8 +541,7 @@ mod tests {
         let script = parse_script("SELECT missing + 1 AS v INTO r;").unwrap();
         let registry = test_registry();
         let params = HashMap::new();
-        let mut rng = Xoshiro256StarStar::seed_from_u64(1);
-        let err = evaluate_select(&script.select, &registry, &params, &mut rng).unwrap_err();
+        let err = evaluate_world(&script.select, &registry, &params, 1).unwrap_err();
         assert!(
             err.to_string()
                 .contains("unknown column or alias `missing`"),
@@ -561,10 +558,31 @@ mod tests {
         );
     }
 
+    /// On a shared stream a VG call still samples a concrete stream of its
+    /// own, seeded from one `next_u64()` of the shared one.
+    #[test]
+    fn a_vg_call_on_the_shared_stream_seeds_its_own_stream() {
+        let registry = test_registry();
+        let params = HashMap::new();
+        let mut shared = Xoshiro256StarStar::seed_from_u64(3);
+        let mut ctx = EvalContext::new(&registry, &params, &mut shared);
+        let call = parse_expr("Jitter(10)").unwrap();
+        let drawn = [(); 2].map(|()| eval_expr(&call, &mut ctx).unwrap());
+
+        let mut reference = Xoshiro256StarStar::seed_from_u64(3);
+        let expected = [(); 2].map(|()| {
+            let mut own = Xoshiro256StarStar::seed_from_u64(reference.next_u64());
+            Value::Float(
+                registry
+                    .invoke("Jitter", &[Value::Int(10)], &mut own)
+                    .unwrap(),
+            )
+        });
+        assert_eq!(drawn, expected);
+    }
+
     #[test]
     fn per_call_streams_isolate_call_sites() {
-        use prophet_vg::SeedManager;
-
         // Two Jitter calls in one select: under per-call streams they draw
         // from independent substreams, and the FIRST call's draw must be
         // identical across different parameter values (CRN alignment).

@@ -52,9 +52,9 @@
 //! * [`columnar`] — the **typed columnar** tier: one AST walk per
 //!   *world-block*, each node lowered to a straight-line kernel
 //!   ([`mod@column`]) over `f64`/`i64`/`bool` buffers with a null bitmask,
-//!   falling back to boxed values only for mixed/string data. VG models
-//!   answer on a raw `f64` batch lane
-//!   ([`prophet_vg::VgFunction::invoke_batch_f64`]) that fills columns
+//!   falling back to boxed values only for mixed/string data. A VG call
+//!   site fills an `f64` column straight from each world's
+//!   [`prophet_vg::VgFunction::invoke`] (or the model's draw ledger)
 //!   without boxing a single value, and a length-`L` fingerprint probe
 //!   costs one walk instead of `L`. Fingerprint probes and Monte Carlo estimation
 //!   default to this tier.
@@ -84,5 +84,5 @@ pub use ast::{
 pub use column::NullMask;
 pub use columnar::{evaluate_select_columns, to_f64_samples, Column, ColumnarStats};
 pub use error::{SqlError, SqlResult};
-pub use executor::{evaluate_select, EvalContext};
+pub use executor::EvalContext;
 pub use parser::parse_script;

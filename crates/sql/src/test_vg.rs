@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use prophet_data::{DataError, DataResult, Value};
 use prophet_vg::rng::{Rng64, Xoshiro256StarStar};
-use prophet_vg::{VgCallF64, VgFunction, VgRegistry};
+use prophet_vg::{VgFunction, VgRegistry};
 
 /// A deterministic VG function: returns `base + U[0,1)`.
 #[derive(Debug)]
@@ -22,22 +22,16 @@ impl VgFunction for Jitter {
     fn arity(&self) -> usize {
         1
     }
-    fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<f64> {
+    fn invoke(&self, params: &[Value], rng: &mut Xoshiro256StarStar) -> DataResult<f64> {
         Ok(params[0].as_f64()? + rng.next_f64())
-    }
-    fn invoke_batch_f64(&self, calls: &mut [VgCallF64<'_>]) -> DataResult<Vec<f64>> {
-        calls
-            .iter_mut()
-            .map(|c| Ok(c.params[0].as_f64()? + c.rng.next_f64()))
-            .collect()
     }
 }
 
 /// A VG function with a draw ledger: `Walk(n, bias)` is `bias` plus the
 /// sum of the stream's first `n + 1` uniforms (`n` clamped to `0..`, and
 /// refused past 1,000). The draws never depend on the arguments, so the
-/// ledger is the uniforms themselves; there is no `invoke_batch_f64` — the
-/// catalog composes the lane from the ledger pair.
+/// ledger is the uniforms themselves, and the catalog answers a columnar
+/// block from the ledger pair rather than from `invoke`.
 #[derive(Debug)]
 pub struct Walk;
 
@@ -59,7 +53,7 @@ impl VgFunction for Walk {
     fn arity(&self) -> usize {
         2
     }
-    fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<f64> {
+    fn invoke(&self, params: &[Value], rng: &mut Xoshiro256StarStar) -> DataResult<f64> {
         let mut at = params[1].as_f64()?;
         for _ in 0..Walk::steps(params)? {
             at += rng.next_f64();

@@ -14,20 +14,14 @@ use std::f64::consts::TAU;
 
 use crate::rng::Rng64;
 
-/// A univariate distribution that can be sampled from an [`Rng64`] stream
-/// and knows its first two moments in closed form.
+/// A univariate distribution that knows its first two moments in closed
+/// form.
 ///
-/// Every concrete distribution also exposes an inherent `sample_with`
-/// generic over the rng type; `sample` delegates to it with `R = dyn
-/// Rng64`. Monomorphic callers (the typed columnar tier's f64 batch lane,
-/// which owns concrete per-world `Xoshiro256StarStar` substreams) call
-/// `sample_with` directly so the generator's state update inlines into the
-/// sampling loop — same arithmetic, same draw count, bit-identical samples,
-/// no virtual dispatch per draw.
+/// Sampling is each concrete distribution's inherent `sample_with`, generic
+/// over the rng type: a model's call stream is a concrete
+/// `Xoshiro256StarStar`, so the generator's state update inlines into the
+/// sampling loop.
 pub trait Distribution {
-    /// Draw one sample.
-    fn sample(&self, rng: &mut dyn Rng64) -> f64;
-
     /// Exact expectation.
     fn mean(&self) -> f64;
 
@@ -60,25 +54,21 @@ impl Normal {
 
     /// Draw a standard-normal variate (two uniforms, Box–Muller).
     #[inline]
-    fn standard<R: Rng64 + ?Sized>(rng: &mut R) -> f64 {
+    fn standard<R: Rng64>(rng: &mut R) -> f64 {
         // next_f64 ∈ [0,1) ⇒ 1-u ∈ (0,1], so the log is finite.
         let u1 = 1.0 - rng.next_f64();
         let u2 = rng.next_f64();
         (-2.0 * u1.ln()).sqrt() * (TAU * u2).cos()
     }
 
-    /// [`Distribution::sample`], monomorphic over the rng type.
+    /// Draw one sample.
     #[inline]
-    pub fn sample_with<R: Rng64 + ?Sized>(&self, rng: &mut R) -> f64 {
+    pub fn sample_with<R: Rng64>(&self, rng: &mut R) -> f64 {
         self.mean + self.std * Normal::standard(rng)
     }
 }
 
 impl Distribution for Normal {
-    fn sample(&self, rng: &mut dyn Rng64) -> f64 {
-        self.sample_with(rng)
-    }
-
     fn mean(&self) -> f64 {
         self.mean
     }
@@ -105,18 +95,14 @@ impl LogNormal {
         (sigma.is_finite() && sigma > 0.0 && mu.is_finite()).then_some(LogNormal { mu, sigma })
     }
 
-    /// [`Distribution::sample`], monomorphic over the rng type.
+    /// Draw one sample.
     #[inline]
-    pub fn sample_with<R: Rng64 + ?Sized>(&self, rng: &mut R) -> f64 {
+    pub fn sample_with<R: Rng64>(&self, rng: &mut R) -> f64 {
         (self.mu + self.sigma * Normal::standard(rng)).exp()
     }
 }
 
 impl Distribution for LogNormal {
-    fn sample(&self, rng: &mut dyn Rng64) -> f64 {
-        self.sample_with(rng)
-    }
-
     fn mean(&self) -> f64 {
         (self.mu + self.sigma * self.sigma / 2.0).exp()
     }
@@ -186,7 +172,7 @@ impl Poisson {
     /// Knuth's method for one rate chunk: count uniforms whose running
     /// product stays above the chunk's precomputed `exp(-rate)` limit.
     #[inline]
-    fn knuth<R: Rng64 + ?Sized>(limit: f64, rng: &mut R) -> u64 {
+    fn knuth<R: Rng64>(limit: f64, rng: &mut R) -> u64 {
         let mut product = 1.0;
         let mut count = 0u64;
         loop {
@@ -198,9 +184,9 @@ impl Poisson {
         }
     }
 
-    /// [`Distribution::sample`], monomorphic over the rng type.
+    /// Draw one sample.
     #[inline]
-    pub fn sample_with<R: Rng64 + ?Sized>(&self, rng: &mut R) -> f64 {
+    pub fn sample_with<R: Rng64>(&self, rng: &mut R) -> f64 {
         let mut total = 0u64;
         for _ in 0..self.chunks {
             total += Poisson::knuth(self.chunk_limit, rng);
@@ -211,10 +197,6 @@ impl Poisson {
 }
 
 impl Distribution for Poisson {
-    fn sample(&self, rng: &mut dyn Rng64) -> f64 {
-        self.sample_with(rng)
-    }
-
     fn mean(&self) -> f64 {
         self.lambda
     }
@@ -242,9 +224,9 @@ impl Triangular {
         (finite && min <= mode && mode <= max && min < max).then_some(Triangular { min, mode, max })
     }
 
-    /// [`Distribution::sample`], monomorphic over the rng type.
+    /// Draw one sample.
     #[inline]
-    pub fn sample_with<R: Rng64 + ?Sized>(&self, rng: &mut R) -> f64 {
+    pub fn sample_with<R: Rng64>(&self, rng: &mut R) -> f64 {
         let (a, c, b) = (self.min, self.mode, self.max);
         let u = rng.next_f64();
         let pivot = (c - a) / (b - a);
@@ -257,10 +239,6 @@ impl Triangular {
 }
 
 impl Distribution for Triangular {
-    fn sample(&self, rng: &mut dyn Rng64) -> f64 {
-        self.sample_with(rng)
-    }
-
     fn mean(&self) -> f64 {
         (self.min + self.mode + self.max) / 3.0
     }
@@ -276,9 +254,9 @@ mod tests {
     use super::*;
     use crate::rng::Xoshiro256StarStar;
 
-    fn moments(dist: &impl Distribution, seed: u64, n: usize) -> (f64, f64) {
+    fn moments(sample: impl Fn(&mut Xoshiro256StarStar) -> f64, seed: u64, n: usize) -> (f64, f64) {
         let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-        let xs: Vec<f64> = (0..n).map(|_| dist.sample(&mut rng)).collect();
+        let xs: Vec<f64> = (0..n).map(|_| sample(&mut rng)).collect();
         let mean = xs.iter().sum::<f64>() / n as f64;
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n as f64 - 1.0);
         (mean, var)
@@ -317,7 +295,7 @@ mod tests {
         assert_eq!(d.mean(), 12.0);
         assert_eq!(d.variance(), 9.0);
         assert_eq!(d.std_dev(), 3.0);
-        let (m, v) = moments(&d, 1, 200_000);
+        let (m, v) = moments(|r| d.sample_with(r), 1, 200_000);
         assert!((m - 12.0).abs() < 0.05, "sample mean {m}");
         assert!((v - 9.0).abs() < 0.15, "sample variance {v}");
     }
@@ -327,7 +305,7 @@ mod tests {
         let d = Normal::new(0.0, 1.0).unwrap();
         let mut a = Xoshiro256StarStar::seed_from_u64(5);
         let mut b = Xoshiro256StarStar::seed_from_u64(5);
-        let _ = d.sample(&mut a);
+        let _ = d.sample_with(&mut a);
         b.next_u64();
         b.next_u64();
         assert_eq!(a.next_u64(), b.next_u64(), "sampling must consume two u64s");
@@ -338,7 +316,7 @@ mod tests {
         let d = LogNormal::new(1.0, 0.5).unwrap();
         let exact_mean = (1.0f64 + 0.125).exp();
         assert!((d.mean() - exact_mean).abs() < 1e-12);
-        let (m, v) = moments(&d, 2, 400_000);
+        let (m, v) = moments(|r| d.sample_with(r), 2, 400_000);
         assert!(
             (m - d.mean()).abs() / d.mean() < 0.01,
             "sample mean {m} vs {}",
@@ -355,7 +333,7 @@ mod tests {
         let d = LogNormal::new(-2.0, 1.5).unwrap();
         let mut rng = Xoshiro256StarStar::seed_from_u64(3);
         for _ in 0..10_000 {
-            assert!(d.sample(&mut rng) > 0.0);
+            assert!(d.sample_with(&mut rng) > 0.0);
         }
     }
 
@@ -363,7 +341,7 @@ mod tests {
     fn poisson_moments_match_closed_form() {
         for lambda in [0.4, 3.0, 25.0] {
             let d = Poisson::new(lambda).unwrap();
-            let (m, v) = moments(&d, 7, 100_000);
+            let (m, v) = moments(|r| d.sample_with(r), 7, 100_000);
             assert!(
                 (m - lambda).abs() < 0.05 * (1.0 + lambda),
                 "λ={lambda}: mean {m}"
@@ -380,7 +358,7 @@ mod tests {
         let d = Poisson::new(6.5).unwrap();
         let mut rng = Xoshiro256StarStar::seed_from_u64(11);
         for _ in 0..5_000 {
-            let x = d.sample(&mut rng);
+            let x = d.sample_with(&mut rng);
             assert!(x >= 0.0 && x.fract() == 0.0, "{x} is not a count");
         }
     }
@@ -388,7 +366,7 @@ mod tests {
     #[test]
     fn poisson_large_rate_uses_chunking() {
         let d = Poisson::new(1_800.0).unwrap();
-        let (m, v) = moments(&d, 13, 20_000);
+        let (m, v) = moments(|r| d.sample_with(r), 13, 20_000);
         assert!((m - 1_800.0).abs() < 2.0, "chunked mean {m}");
         assert!((v - 1_800.0).abs() < 60.0, "chunked var {v}");
     }
@@ -399,10 +377,10 @@ mod tests {
         assert!((d.mean() - 8.0 / 3.0).abs() < 1e-12);
         let mut rng = Xoshiro256StarStar::seed_from_u64(17);
         for _ in 0..10_000 {
-            let x = d.sample(&mut rng);
+            let x = d.sample_with(&mut rng);
             assert!((1.0..=5.0).contains(&x), "{x} outside support");
         }
-        let (m, v) = moments(&d, 19, 200_000);
+        let (m, v) = moments(|r| d.sample_with(r), 19, 200_000);
         assert!((m - d.mean()).abs() < 0.01, "sample mean {m}");
         assert!((v - d.variance()).abs() < 0.02, "sample var {v}");
     }
@@ -414,8 +392,8 @@ mod tests {
         let left = Triangular::new(0.0, 4.0, 4.0).unwrap();
         let mut rng = Xoshiro256StarStar::seed_from_u64(23);
         for _ in 0..1_000 {
-            assert!((0.0..=4.0).contains(&right.sample(&mut rng)));
-            assert!((0.0..=4.0).contains(&left.sample(&mut rng)));
+            assert!((0.0..=4.0).contains(&right.sample_with(&mut rng)));
+            assert!((0.0..=4.0).contains(&left.sample_with(&mut rng)));
         }
         assert!(right.mean() < left.mean());
     }
@@ -426,7 +404,7 @@ mod tests {
         let mut a = Xoshiro256StarStar::seed_from_u64(42);
         let mut b = Xoshiro256StarStar::seed_from_u64(42);
         for _ in 0..100 {
-            assert_eq!(d.sample(&mut a), d.sample(&mut b));
+            assert_eq!(d.sample_with(&mut a), d.sample_with(&mut b));
         }
     }
 }

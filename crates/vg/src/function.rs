@@ -26,25 +26,16 @@ use std::sync::Arc;
 
 use prophet_data::{DataError, DataResult, Value};
 
-use crate::rng::{Rng64, Xoshiro256StarStar};
+use crate::rng::Xoshiro256StarStar;
 use crate::seeded::SeedManager;
 
 /// One logical per-world invocation inside a batched VG call
 /// ([`VgRegistry::invoke_batch_columnar`]): the concrete argument values
 /// for that world plus the world's derived substream. The columnar SQL
-/// executor hands a whole block of these to the catalog at once, so a
-/// model sees every world of a block and can amortize per-call setup,
-/// while each world still draws from its own generator (the possible-worlds
-/// seed discipline is untouched).
-///
-/// The stream is the *concrete* generator that per-call substream
-/// derivation always produces ([`crate::SeedManager::rng_for`]), not the
-/// `dyn Rng64` of [`VgFunction::invoke`]. That is the batch lane's whole
-/// point: a model's sampling loop monomorphizes over `Xoshiro256StarStar`,
-/// so every draw inlines the generator's state update instead of paying a
-/// virtual call — while the draws themselves (and therefore the samples)
-/// stay bit-identical to `invoke`, which runs the exact same arithmetic
-/// behind a vtable.
+/// executor hands a whole block of these to the catalog at once — one
+/// physical call per (call site, block) for the accounting — and each
+/// world is answered by [`VgFunction::invoke`] on its own generator, so
+/// the possible-worlds seed discipline is untouched.
 pub struct VgCallF64<'a> {
     /// Argument values for this world.
     pub params: &'a [Value],
@@ -76,38 +67,18 @@ pub trait VgFunction: Send + Sync {
         0
     }
 
-    /// Draw one sample for one possible world. This is the reference
-    /// entry point: the scalar tier calls nothing else, and a model that
-    /// implements only this works — as a typed kernel, memoisable — on
-    /// every path. `NaN` is the one "no value" a model can return; it
-    /// travels through estimates as a NaN sample, never as a dropped world.
-    fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<f64>;
-
-    /// Batched invocation: one sample per world of a block, straight into
-    /// an `f64` lane — no `Value` boxing, no `dyn` rng. This is the
-    /// production entry point.
-    ///
-    /// The default is one [`VgFunction::invoke`] per call on that call's own
-    /// stream reborrowed as `dyn`, so it consumes exactly the draws a scalar
-    /// walk would. Models override it to write draws directly (and, because
-    /// [`VgCallF64`] carries the concrete generator, their sampling loops
-    /// monomorphize — see the distributions' `sample_with`). An override
-    /// must return exactly `calls.len()` samples and promises, per world,
-    /// that `samples[i]` is bit-identical to what `invoke` would have
-    /// returned for the same `(params, rng)`. How many draws it takes from
-    /// the stream to get there is its own business: every call's substream
-    /// is derived from `(world, function, call index)`, used for that one
-    /// call and dropped, so nothing downstream can observe a generator's
-    /// final state.
-    ///
-    /// A model that answers [`VgFunction::ledger_len`] needs no override:
-    /// the catalog composes its lane from the ledger pair.
-    fn invoke_batch_f64(&self, calls: &mut [VgCallF64<'_>]) -> DataResult<Vec<f64>> {
-        calls
-            .iter_mut()
-            .map(|call| self.invoke(call.params, call.rng))
-            .collect()
-    }
+    /// Draw one sample for one possible world, on that call's own stream:
+    /// the concrete generator per-call substream derivation produces
+    /// ([`SeedManager::rng_for`]) from `(world, function, call index)`.
+    /// This is the model's one sampling entry point — the scalar walk
+    /// calls it once per call, the columnar walk once per world of a
+    /// block — so a model writes its sampling once and it monomorphizes
+    /// over `Xoshiro256StarStar` on both tiers. How many draws a call takes
+    /// is the model's own business: the stream is used for that one call
+    /// and dropped, so nothing downstream observes a generator's final
+    /// state. `NaN` is the one "no value" a model can return; it travels
+    /// through estimates as a NaN sample, never as a dropped world.
+    fn invoke(&self, params: &[Value], rng: &mut Xoshiro256StarStar) -> DataResult<f64>;
 
     /// The **draw ledger** capability (optional; three methods, all
     /// defaulted to "none"). A model whose random draws do not depend on
@@ -266,7 +237,12 @@ impl VgRegistry {
     }
 
     /// Invoke by name, validating arity and counting the call.
-    pub fn invoke(&self, name: &str, params: &[Value], rng: &mut dyn Rng64) -> DataResult<f64> {
+    pub fn invoke(
+        &self,
+        name: &str,
+        params: &[Value],
+        rng: &mut Xoshiro256StarStar,
+    ) -> DataResult<f64> {
         let entry = self
             .entries
             .get(name)
@@ -312,8 +288,7 @@ impl VgRegistry {
     ///
     /// A model with a draw ledger ([`VgFunction::ledger_len`]) answers on
     /// it — `draw_ledger` then `replay`, world by world. Every other model
-    /// answers on [`VgFunction::invoke_batch_f64`], which must hand back
-    /// one sample per call.
+    /// answers with one [`VgFunction::invoke`] per call on its own stream.
     pub fn invoke_batch_columnar(
         &self,
         name: &str,
@@ -332,15 +307,10 @@ impl VgRegistry {
                 })
                 .collect();
         }
-        let samples = function.invoke_batch_f64(calls)?;
-        if samples.len() != calls.len() {
-            return Err(DataError::SchemaMismatch(format!(
-                "VG function `{name}` returned {} outputs for a batch of {}",
-                samples.len(),
-                calls.len()
-            )));
-        }
-        Ok(samples)
+        calls
+            .iter_mut()
+            .map(|call| function.invoke(call.params, call.rng))
+            .collect()
     }
 
     /// [`VgRegistry::invoke_batch_columnar`] for a model with a draw
@@ -471,6 +441,7 @@ impl fmt::Debug for VgRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::Rng64;
 
     /// Minimal test function, `invoke` only: the sum of `n` draws of
     /// `U[0,1)`.
@@ -486,7 +457,7 @@ mod tests {
             1
         }
 
-        fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<f64> {
+        fn invoke(&self, params: &[Value], rng: &mut Xoshiro256StarStar) -> DataResult<f64> {
             let n = params[0].as_i64()? as usize;
             Ok((0..n).fold(0.0, |sum, _| sum + rng.next_f64()))
         }
@@ -541,7 +512,7 @@ mod tests {
             fn arity(&self) -> usize {
                 0
             }
-            fn invoke(&self, _: &[Value], _: &mut dyn Rng64) -> DataResult<f64> {
+            fn invoke(&self, _: &[Value], _: &mut Xoshiro256StarStar) -> DataResult<f64> {
                 Ok(0.0)
             }
         }
@@ -587,10 +558,9 @@ mod tests {
         assert!(r.invoke_batch_columnar("Missing", &mut []).is_err());
     }
 
-    /// Single-cell uniform draw with a raw `f64` batch lane, which comes
-    /// back `self.0` samples longer (or shorter) than the batch.
+    /// Single-cell uniform draw, with no draw ledger.
     #[derive(Debug)]
-    struct UniformCell(isize);
+    struct UniformCell;
 
     impl VgFunction for UniformCell {
         fn name(&self) -> &str {
@@ -601,56 +571,17 @@ mod tests {
             0
         }
 
-        fn invoke(&self, _: &[Value], rng: &mut dyn Rng64) -> DataResult<f64> {
+        fn invoke(&self, _: &[Value], rng: &mut Xoshiro256StarStar) -> DataResult<f64> {
             Ok(rng.next_f64())
-        }
-
-        fn invoke_batch_f64(&self, calls: &mut [VgCallF64<'_>]) -> DataResult<Vec<f64>> {
-            let mut lane: Vec<f64> = calls.iter_mut().map(|c| c.rng.next_f64()).collect();
-            lane.resize(lane.len().saturating_add_signed(self.0), 0.0);
-            Ok(lane)
-        }
-    }
-
-    #[test]
-    fn columnar_batch_prefers_the_f64_lane_and_matches_invoke() {
-        let mut r = VgRegistry::new();
-        r.register(Arc::new(UniformCell(0)));
-        let samples = r
-            .invoke_batch_columnar("UniformCell", &mut batch(&[], &mut world_rngs(4)))
-            .unwrap();
-        assert_eq!(samples.len(), 4);
-        let stats = r.stats("UniformCell").unwrap();
-        assert_eq!(stats.invocations, 4, "one logical invocation per world");
-        assert_eq!(stats.batched_calls, 1, "one physical batch call");
-
-        // The lane must be bit-identical to the scalar invoke's sample.
-        let scalar = r.invoke("UniformCell", &[], &mut world_rngs(3)[2]).unwrap();
-        assert_eq!(samples[2].to_bits(), scalar.to_bits());
-    }
-
-    #[test]
-    fn a_short_or_long_f64_lane_is_rejected() {
-        for (delta, returned) in [(-1, 3), (1, 5)] {
-            let mut r = VgRegistry::new();
-            r.register(Arc::new(UniformCell(delta)));
-            let err = r
-                .invoke_batch_columnar("UniformCell", &mut batch(&[], &mut world_rngs(4)))
-                .unwrap_err();
-            assert!(
-                err.to_string()
-                    .contains(&format!("returned {returned} outputs for a batch of 4")),
-                "{err}"
-            );
         }
     }
 
     #[test]
     fn the_default_lane_is_one_invoke_per_world_on_its_own_stream() {
-        // UniformSum implements `invoke` only: the columnar entry point
-        // must answer on the trait's default lane — one physical call, one
-        // logical invocation per world, each world's sample bit-identical
-        // to what `invoke` returns on the same stream.
+        // UniformSum keeps no ledger: the columnar entry point answers
+        // with one `invoke` per world — one physical call, one logical
+        // invocation per world, each world's sample bit-identical to what
+        // `invoke` returns on the same stream.
         let r = registry();
         let params = [Value::Int(3)];
         let samples = r
@@ -666,7 +597,7 @@ mod tests {
     }
 
     /// `Steps(n)`: the sum of the stream's first `n` uniforms, with a draw
-    /// ledger (the uniforms) and no `invoke_batch_f64`; draws `self.0`
+    /// ledger (the uniforms); draws `self.0`
     /// cells more (or fewer) than asked.
     #[derive(Debug)]
     struct Steps(isize);
@@ -678,7 +609,7 @@ mod tests {
         fn arity(&self) -> usize {
             1
         }
-        fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<f64> {
+        fn invoke(&self, params: &[Value], rng: &mut Xoshiro256StarStar) -> DataResult<f64> {
             let n = params[0].as_i64()? as usize;
             Ok((0..n).fold(0.0, |sum, _| sum + rng.next_f64()))
         }
@@ -749,7 +680,7 @@ mod tests {
     fn ledgered_batches_replay_redraw_and_count_like_drawn_ones() {
         let mut r = VgRegistry::new();
         r.register(Arc::new(Steps(0)));
-        r.register(Arc::new(UniformCell(0)));
+        r.register(Arc::new(UniformCell));
         let seeds = SeedManager::new(3);
         let (short, long) = ([Value::Int(5)], [Value::Int(9)]);
         // Worlds 0..4 at call index 2, all with `params`.

@@ -1041,7 +1041,7 @@ impl VgFunction for Retagged {
         self.0.model_tag() + 1
     }
 
-    fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<f64> {
+    fn invoke(&self, params: &[Value], rng: &mut Xoshiro256StarStar) -> DataResult<f64> {
         self.0.invoke(params, rng)
     }
 }

@@ -125,6 +125,77 @@ fn engine_thread_count_does_not_change_results() {
     assert_eq!(eval(1), eval(8));
 }
 
+/// Metamorphic: changing a parameter never changes a column whose call
+/// sites do not mention it. Every VG call samples its own stream, derived
+/// from `(world, function, call index)` alone, so with fingerprints off —
+/// every point simulated — Figure 2 points that differ only in `@feature`
+/// draw bit-identical `capacity` samples, and points that differ only in
+/// `@purchase1` / `@purchase2` bit-identical `demand` samples, on both
+/// execution tiers.
+#[test]
+fn a_parameter_never_moves_a_column_whose_calls_do_not_mention_it() {
+    let bits = |samples: &[f64]| samples.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for tier in [ExecTier::Scalar, ExecTier::Columnar] {
+        let engine = Engine::new(
+            &Scenario::figure2().unwrap(),
+            demo_registry(),
+            EngineConfig {
+                worlds_per_point: 64,
+                fingerprints_enabled: false,
+                tier,
+                ..EngineConfig::default()
+            },
+        )
+        .unwrap();
+        let column = |current: i64, (p1, p2): (i64, i64), feature: i64, name: &str| {
+            let point = ParamPoint::from_pairs([
+                ("current", current),
+                ("purchase1", p1),
+                ("purchase2", p2),
+                ("feature", feature),
+            ]);
+            let (set, outcome) = engine.evaluate(&point).unwrap();
+            assert!(
+                !matches!(outcome, EvalOutcome::Mapped { .. }),
+                "{tier:?} {point:?}"
+            );
+            bits(set.samples(name).unwrap())
+        };
+        let purchases = [(0, 0), (8, 24), (20, 4), (52, 52)];
+        for current in [3, 30, 52] {
+            for &pair in &purchases {
+                let capacity = column(current, pair, 12, "capacity");
+                for feature in [36, 44] {
+                    assert_eq!(
+                        column(current, pair, feature, "capacity"),
+                        capacity,
+                        "{tier:?}: @feature moved capacity at week {current}, purchases {pair:?}"
+                    );
+                }
+            }
+            for feature in [12, 36, 44] {
+                let demand = column(current, purchases[0], feature, "demand");
+                for &pair in &purchases[1..] {
+                    assert_eq!(
+                        column(current, pair, feature, "demand"),
+                        demand,
+                        "{tier:?}: purchases {pair:?} moved demand at week {current}"
+                    );
+                }
+            }
+        }
+        // Not vacuous: each column does move with the parameters it names.
+        assert_ne!(
+            column(40, (0, 0), 12, "demand"),
+            column(40, (0, 0), 44, "demand")
+        );
+        assert_ne!(
+            column(52, (0, 0), 12, "capacity"),
+            column(52, (52, 52), 12, "capacity")
+        );
+    }
+}
+
 #[test]
 fn match_index_pruning_is_thread_count_independent() {
     // The indexed match scan prunes in fixed-width waves against completed

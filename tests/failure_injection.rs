@@ -11,8 +11,8 @@ use prophet_data::{DataResult, Value};
 use prophet_mc::TryClaim;
 use prophet_models::{demo_registry, full_registry};
 use prophet_sql::parse_script;
-use prophet_vg::rng::Rng64;
-use prophet_vg::{VgCallF64, VgFunction, VgRegistry};
+use prophet_vg::rng::{Rng64, Xoshiro256StarStar};
+use prophet_vg::{VgFunction, VgRegistry};
 
 // ---------------------------------------------------------------- DSL level
 
@@ -89,7 +89,7 @@ impl VgFunction for SometimesNan {
     fn arity(&self) -> usize {
         1
     }
-    fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<f64> {
+    fn invoke(&self, params: &[Value], rng: &mut Xoshiro256StarStar) -> DataResult<f64> {
         let p = params[0].as_i64()?;
         Ok(if p >= 5 { f64::NAN } else { rng.next_f64() })
     }
@@ -245,15 +245,15 @@ fn nan_fingerprints_disable_mapping_but_not_answers() {
 /// (`p >= 5`), and one point that starts failing after a set number of
 /// invocations: 0 fails its fingerprint probe, the fingerprint length lets
 /// the probe through and fails its first simulated world. It fails either
-/// by returning `Err` from `invoke`, or — with `short_lane`, which gives
-/// the model an `f64` batch lane of its own — by handing back a lane one
-/// sample short.
+/// by returning `Err` from `invoke`, or — with `short_ledger`, which gives
+/// the model a one-cell draw ledger (two cells at the bad point, whose
+/// horizon is longer) — by drawing a ledger one cell short.
 #[derive(Debug)]
 struct Flaky {
     bad: i64,
     healthy_calls: u64,
     calls_at_bad: AtomicU64,
-    short_lane: bool,
+    short_ledger: bool,
 }
 
 impl Flaky {
@@ -278,7 +278,7 @@ impl VgFunction for Flaky {
     fn arity(&self) -> usize {
         1
     }
-    fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<f64> {
+    fn invoke(&self, params: &[Value], rng: &mut Xoshiro256StarStar) -> DataResult<f64> {
         let p = params[0].as_i64()?;
         if self.gave_out(p) {
             return Err(prophet_data::DataError::InvalidOperation(format!(
@@ -287,35 +287,33 @@ impl VgFunction for Flaky {
         }
         Ok(Flaky::draw(p, rng.next_f64()))
     }
-    fn invoke_batch_f64(&self, calls: &mut [VgCallF64<'_>]) -> DataResult<Vec<f64>> {
-        if !self.short_lane {
-            // The trait's default lane.
-            return calls
-                .iter_mut()
-                .map(|call| self.invoke(call.params, call.rng))
-                .collect();
+    fn ledger_len(&self, params: &[Value]) -> DataResult<Option<usize>> {
+        let p = params[0].as_i64()?;
+        Ok(self
+            .short_ledger
+            .then_some(if p == self.bad { 2 } else { 1 }))
+    }
+    fn draw_ledger(&self, rng: &mut Xoshiro256StarStar, len: usize) -> Vec<f64> {
+        let mut cells: Vec<f64> = (0..len).map(|_| rng.next_f64()).collect();
+        // `draw_ledger` sees no arguments: only the bad point's calls ask
+        // for two cells, so they are the ones counted.
+        if len > 1 && self.calls_at_bad.fetch_add(1, Ordering::SeqCst) >= self.healthy_calls {
+            cells.pop();
         }
-        let mut short = false;
-        let mut lane = Vec::with_capacity(calls.len());
-        for call in calls {
-            let p = call.params[0].as_i64()?;
-            short |= self.gave_out(p);
-            lane.push(Flaky::draw(p, call.rng.next_f64()));
-        }
-        if short {
-            lane.pop();
-        }
-        Ok(lane)
+        cells
+    }
+    fn replay(&self, params: &[Value], ledger: &[f64]) -> DataResult<f64> {
+        Ok(Flaky::draw(params[0].as_i64()?, ledger[0]))
     }
 }
 
-fn flaky_registry(bad: i64, healthy_calls: u64, short_lane: bool) -> VgRegistry {
+fn flaky_registry(bad: i64, healthy_calls: u64, short_ledger: bool) -> VgRegistry {
     let mut r = VgRegistry::new();
     r.register(Arc::new(Flaky {
         bad,
         healthy_calls,
         calls_at_bad: AtomicU64::new(0),
-        short_lane,
+        short_ledger,
     }));
     r
 }
@@ -431,7 +429,7 @@ fn fail_on_both_runners(
     (inline, [inline_store, pooled_store])
 }
 
-/// One VG failure — an `Err`, or an `f64` lane of the wrong length —
+/// One VG failure — an `Err`, or a draw ledger of the wrong length —
 /// inside a mixed hit/miss batch, on both runners: same typed error, same
 /// points published before it, and every unpublished claim released — a
 /// healthy engine on the same store then evaluates every point of the
@@ -446,8 +444,8 @@ fn a_vg_error_mid_batch_leaves_both_runners_in_the_same_state() {
     let batch: Vec<ParamPoint> = [1, 5, 2, BAD, 6, 3].map(point).to_vec();
     let probe_len = EngineConfig::default().fingerprint.length as u64;
 
-    // (label, engine threads, fail by a short `f64` lane, healthy
-    // invocations at BAD, the error's text, published after).
+    // (label, engine threads, fail by a short draw ledger, healthy
+    // calls at BAD, the error's text, published after).
     let table = [
         // 3 misses on 2 threads simulate point-parallel; publishing stops
         // at BAD, so the later miss (6) is simulated but never published.
@@ -470,26 +468,27 @@ fn a_vg_error_mid_batch_leaves_both_runners_in_the_same_state() {
         ),
         // A failed probe ends the batch before anything is matched.
         ("probe", 2, false, 0, "gave out", [false; 6]),
-        // The model's `f64` lane comes back one sample short for BAD's
-        // simulation: the catalog's length check turns what would be a
-        // misaligned sample column into the same typed failure.
+        // The model's draw ledger comes back one cell short for BAD's
+        // simulation (its probe streams' ledgers went through): the
+        // catalog's length check turns what would be a replay past the
+        // drawn cells into the same typed failure.
         (
-            "short f64 lane",
+            "short ledger",
             2,
             true,
             probe_len,
-            "returned 15 outputs for a batch of 16",
+            "drew a ledger of 1 cells when asked for 2",
             [true, true, true, false, false, true],
         ),
     ];
-    for (label, threads, short_lane, healthy_calls, expect_error, expect_published) in table {
+    for (label, threads, short_ledger, healthy_calls, expect_error, expect_published) in table {
         let cfg = EngineConfig {
             worlds_per_point: 16,
             threads,
             ..EngineConfig::default()
         };
         // Warmed with the hits' source.
-        let registry = || flaky_registry(BAD, healthy_calls, short_lane);
+        let registry = || flaky_registry(BAD, healthy_calls, short_ledger);
         let (aftermath, stores) =
             fail_on_both_runners(label, SRC, &registry, cfg, Some(&point(0)), &batch);
         assert!(
@@ -504,7 +503,7 @@ fn a_vg_error_mid_batch_leaves_both_runners_in_the_same_state() {
         // the rest itself, never parking on a claim nobody will complete.
         let scenario = Scenario::parse(SRC).unwrap();
         for store in stores {
-            let healthy = Arc::new(flaky_registry(BAD, u64::MAX, short_lane));
+            let healthy = Arc::new(flaky_registry(BAD, u64::MAX, short_ledger));
             let healthy = Engine::with_basis_store(&scenario, healthy, cfg, store).unwrap();
             let results = healthy.evaluate_batch(&batch).unwrap();
             for ((_, outcome), &was_published) in results.iter().zip(&expect_published) {
@@ -646,8 +645,9 @@ fn out_of_domain_model_arguments_fail_both_runners_alike() {
 /// simulated, mapped or cached. While `armed` it panics in the method
 /// named `site`, at `p = BAD` (`draw_ledger` sees no arguments: at every
 /// point), once `healthy_calls` armed calls there went through. With the
-/// site `"invoke"` the model has nothing else — the trait's default lane;
-/// otherwise it keeps a one-cell draw ledger (the uniform).
+/// site `"invoke"` the model has nothing else — the catalog answers every
+/// call with `invoke`; otherwise it keeps a one-cell draw ledger (the
+/// uniform).
 #[derive(Debug)]
 struct Panicky {
     site: &'static str,
@@ -677,7 +677,7 @@ impl VgFunction for Panicky {
     fn arity(&self) -> usize {
         1
     }
-    fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<f64> {
+    fn invoke(&self, params: &[Value], rng: &mut Xoshiro256StarStar) -> DataResult<f64> {
         self.maybe_panic("invoke", params[0].as_i64()?);
         Ok(rng.next_f64())
     }
@@ -685,7 +685,7 @@ impl VgFunction for Panicky {
         params[0].as_i64()?;
         Ok((self.site != "invoke").then_some(1))
     }
-    fn draw_ledger(&self, rng: &mut prophet_vg::Xoshiro256StarStar, len: usize) -> Vec<f64> {
+    fn draw_ledger(&self, rng: &mut Xoshiro256StarStar, len: usize) -> Vec<f64> {
         self.maybe_panic("draw_ledger", Panicky::BAD);
         (0..len).map(|_| rng.next_f64()).collect()
     }
@@ -831,7 +831,7 @@ impl VgFunction for Slow {
     fn arity(&self) -> usize {
         1
     }
-    fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<f64> {
+    fn invoke(&self, params: &[Value], rng: &mut Xoshiro256StarStar) -> DataResult<f64> {
         params[0].as_i64()?;
         self.calls.fetch_add(1, Ordering::SeqCst);
         std::thread::sleep(self.pause);

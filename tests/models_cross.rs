@@ -135,7 +135,7 @@ fn shadowing_a_model_updates_every_consumer() {
     // instances. Re-registering `DemandModel` changes engine behaviour
     // without touching the scenario.
     use prophet_data::{DataResult, Value};
-    use prophet_vg::rng::Rng64;
+    use prophet_vg::rng::Xoshiro256StarStar;
     use prophet_vg::VgFunction;
 
     #[derive(Debug)]
@@ -147,7 +147,7 @@ fn shadowing_a_model_updates_every_consumer() {
         fn arity(&self) -> usize {
             2
         }
-        fn invoke(&self, _: &[Value], _: &mut dyn Rng64) -> DataResult<f64> {
+        fn invoke(&self, _: &[Value], _: &mut Xoshiro256StarStar) -> DataResult<f64> {
             Ok(1_234.0)
         }
     }

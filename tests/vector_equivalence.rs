@@ -32,7 +32,7 @@
 //!   item) and the **call-site probe memo** (store contents byte-identical
 //!   at 1 and 8 threads, forwards and reversed; call sites under a `CASE`
 //!   arm or fed by a stochastic alias never memo-served);
-//! * the VG trait's **default `f64` lane**: a model that implements only
+//! * the **per-world `invoke` lane**: a model that implements only
 //!   `invoke` is a typed kernel — never a boxed fallback, memo-served like
 //!   any other — bit-identical across the tiers and across the inline and
 //!   pooled runners, NaN samples included;
@@ -57,7 +57,7 @@ use prophet_sql::executor::{evaluate_select_with, sample_f64, WorldRng};
 use prophet_sql::parser::parse_script;
 use prophet_sql::{Expr, SelectInto, SelectItem};
 use prophet_vg::rng::{Rng64, Xoshiro256StarStar};
-use prophet_vg::{SeedManager, VgCallF64, VgFunction, VgRegistry};
+use prophet_vg::{SeedManager, VgFunction, VgRegistry};
 
 /// The five bundled scenarios with a registry factory and a few probe
 /// points spread across each parameter space.
@@ -903,14 +903,8 @@ impl VgFunction for Flaky {
     fn arity(&self) -> usize {
         1
     }
-    fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<f64> {
+    fn invoke(&self, params: &[Value], rng: &mut Xoshiro256StarStar) -> DataResult<f64> {
         Ok(Flaky::draw(params[0].as_f64()?, rng.next_f64()))
-    }
-    fn invoke_batch_f64(&self, calls: &mut [VgCallF64<'_>]) -> DataResult<Vec<f64>> {
-        calls
-            .iter_mut()
-            .map(|c| Ok(Flaky::draw(c.params[0].as_f64()?, c.rng.next_f64())))
-            .collect()
     }
 }
 
@@ -1093,7 +1087,7 @@ impl VgFunction for Plain {
     fn arity(&self) -> usize {
         1
     }
-    fn invoke(&self, params: &[Value], rng: &mut dyn Rng64) -> DataResult<f64> {
+    fn invoke(&self, params: &[Value], rng: &mut Xoshiro256StarStar) -> DataResult<f64> {
         let (p, u) = (params[0].as_i64()?, rng.next_f64());
         Ok(if p == 3 {
             f64::NAN
@@ -1103,7 +1097,7 @@ impl VgFunction for Plain {
     }
 }
 
-/// (d) The trait's default `f64` lane. An `invoke`-only model is a typed
+/// (d) The per-world `invoke` lane. An `invoke`-only model is a typed
 /// kernel like any other: bit-identical across the tiers and across the
 /// inline and pooled runners, never a boxed fallback, memo-served when its
 /// argument tuple repeats — and a NaN it returns stays a NaN sample in
@@ -1137,7 +1131,7 @@ fn an_invoke_only_model_is_a_kernel_on_every_path() {
     // x identity-maps along @q wherever its probe lanes are not NaN.
     assert_eq!(mapped, 3);
     let m = columnar.metrics();
-    assert_eq!(m.column_fallbacks, 0, "the default lane is not a fallback");
+    assert_eq!(m.column_fallbacks, 0, "the invoke lane is not a fallback");
     assert!(m.columnar_kernels > 0);
     assert_eq!(m.probe_call_sites, 8);
     assert_eq!(
