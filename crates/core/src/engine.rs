@@ -21,7 +21,7 @@
 //! inline runner. This module keeps the engine's state (script, seeds,
 //! configuration, the exact caches) and the per-point primitives the
 //! pipeline's phases compose: `Engine::probe_fingerprints`,
-//! `Engine::remap_samples` and `Engine::simulate_world_span`
+//! `Engine::remap_moments` and `Engine::simulate_world_span`
 //! (crate-visible), which count into the counters of the run that calls
 //! them.
 //!
@@ -30,8 +30,8 @@
 //! and runs every session and job of it on that engine, so results
 //! simulated by one session re-map in every other, its in-flight claims
 //! guarantee concurrent sessions never duplicate one point's simulation,
-//! and the call-site probe memo and draw ledgers — exact for one
-//! scenario, registry and root seed — serve every job of the scenario.
+//! and the call-site probe memo, draw ledgers and recipe memo — exact for
+//! one scenario, registry and root seed — serve every job of the scenario.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -39,8 +39,8 @@ use std::sync::Arc;
 use prophet_data::Value;
 use prophet_fingerprint::{CorrelationDetector, Fingerprint, FingerprintConfig, Mapping};
 use prophet_mc::{
-    simulate_point, simulate_point_columnar_with, ColumnMoments, ColumnSamples, ParamPoint,
-    Provenance, Rebuild, RebuildHandle, SampleSet, SharedBasisStore, StoredEntry,
+    simulate_point, simulate_point_columnar_with, BasisHit, ColumnMoments, ColumnSamples,
+    ParamPoint, Provenance, Rebuild, RebuildHandle, SampleSet, SharedBasisStore, StoredEntry,
 };
 use prophet_sql::columnar::{
     evaluate_derived_columns, evaluate_select_columns_with, to_f64_samples, ColumnarStats,
@@ -55,6 +55,7 @@ use crate::error::{ProphetError, ProphetResult};
 use crate::ledger_store::DrawLedgers;
 use crate::metrics::{Counters, EngineMetrics, Stopwatch};
 use crate::probe_memo::ProbeMemo;
+use crate::recipe_memo::{RecipeKey, RecipeMemo};
 use crate::scenario::Scenario;
 
 /// Which `prophet-sql` execution tier evaluates the scenario SELECT.
@@ -285,6 +286,11 @@ pub struct Engine {
     /// Drawn ledgers under `seeds`, per `(function, call index, world)`,
     /// kept like `probe_memo`.
     ledgers: DrawLedgers,
+    /// A fingerprint hit's moments per recipe, kept like `probe_memo`.
+    recipe_memo: RecipeMemo,
+    /// The parameters the derived (VG-free) output items mention, sorted:
+    /// the part of a point a recipe's moments depend on.
+    derived_params: Vec<String>,
     basis: SharedBasisStore,
     /// What the inline runner counts into; a job counts into its own.
     pub(crate) metrics: Counters,
@@ -320,18 +326,18 @@ impl Engine {
     ) -> ProphetResult<Self> {
         config.validate()?;
         let script = scenario.script();
-        let stochastic_cols: Vec<String> = script
-            .select
-            .items
-            .iter()
-            .filter(|item| {
-                item.expr
-                    .referenced_calls()
-                    .iter()
-                    .any(|(name, _)| registry.get(name).is_ok())
-            })
-            .map(|item| item.alias.clone())
-            .collect();
+        let mut stochastic_cols: Vec<String> = Vec::new();
+        let mut derived_params: Vec<String> = Vec::new();
+        for item in &script.select.items {
+            let calls = item.expr.referenced_calls();
+            if calls.iter().any(|(name, _)| registry.get(name).is_ok()) {
+                stochastic_cols.push(item.alias.clone());
+            } else {
+                derived_params.extend(item.expr.referenced_params());
+            }
+        }
+        derived_params.sort_unstable();
+        derived_params.dedup();
         // An item reads only items declared before it, so one pass from
         // the last item to the first closes the set.
         let mut probed: Vec<&str> = stochastic_cols.iter().map(String::as_str).collect();
@@ -374,6 +380,8 @@ impl Engine {
             probe_seeds: SeedSequence::fingerprint_default(config.fingerprint.length),
             probe_memo: ProbeMemo::new(),
             ledgers: DrawLedgers::new(),
+            recipe_memo: RecipeMemo::new(),
+            derived_params,
             remap,
             config,
             probe_select,
@@ -567,28 +575,45 @@ impl Engine {
             .collect::<HashMap<_, _>>())
     }
 
-    /// Map the stochastic columns and recompute the derived ones
-    /// ([`Remap::samples`]), then take every output column's moments while
-    /// the fresh columns are still in this worker's cache. Self-times into
-    /// the run's `remap_nanos`. The samples are shared as built: the same allocation
-    /// is published to the basis store and returned to the caller, and the
-    /// store keeps the moments with it.
-    pub(crate) fn remap_samples(
+    /// The moments of `hit` re-mapped onto `point`: the engine's recipe
+    /// memo's, or — for a recipe it has not seen — those of
+    /// [`Remap::samples`], taken while the fresh columns are still in this
+    /// worker's cache, which are then dropped: a hit publishes a recipe
+    /// record and builds no samples. Counts the hit in the run's `remaps`
+    /// or `remaps_memoised`; a remap self-times into its `remap_nanos`.
+    pub(crate) fn remap_moments(
         &self,
         point: &ParamPoint,
-        source: &ColumnSamples,
-        mappings: &HashMap<String, Mapping>,
-        worlds: usize,
+        hit: &BasisHit,
         metrics: &Counters,
-    ) -> ProphetResult<(Arc<ColumnSamples>, ColumnMoments)> {
-        let start = Stopwatch::start();
-        let (samples, gathers) = self.remap.samples(point, source, mappings, worlds)?;
-        let moments = ColumnMoments::named(&self.remap.output_cols, &samples);
-        metrics.bump(|m| {
-            m.column_gathers += gathers;
-            m.remap_nanos += start.elapsed_nanos();
+    ) -> ProphetResult<ColumnMoments> {
+        let key = RecipeKey::new(
+            hit,
+            &self.remap.stochastic_cols,
+            &self.derived_params,
+            point,
+        );
+        let (mut gathers, mut nanos) = (0, 0);
+        let (moments, remapped) = self.recipe_memo.moments(key, &hit.samples, || {
+            let start = Stopwatch::start();
+            let remapped = (self.remap).samples(point, &hit.samples, &hit.mappings, hit.worlds);
+            let moments = remapped.map(|(samples, walk_gathers)| {
+                gathers = walk_gathers;
+                ColumnMoments::named(&self.remap.output_cols, &samples)
+            });
+            nanos = start.elapsed_nanos();
+            moments
         });
-        Ok((samples, moments))
+        metrics.bump(|m| {
+            if remapped {
+                m.remaps += 1;
+                m.column_gathers += gathers;
+                m.remap_nanos += nanos;
+            } else {
+                m.remaps_memoised += 1;
+            }
+        });
+        moments
     }
 
     /// One tier-routed simulation of a world list (no metrics bump — the
@@ -1090,12 +1115,8 @@ mod tests {
             ("demand".to_string(), Mapping::Identity),
             ("capacity".to_string(), Mapping::Offset(500.0)),
         ]);
-        let (got, _) = block
-            .remap_samples(&p, &source, &mappings, 4, &block.metrics)
-            .unwrap();
-        let (want, _) = reference
-            .remap_samples(&p, &source, &mappings, 4, &reference.metrics)
-            .unwrap();
+        let (got, _) = block.remap.samples(&p, &source, &mappings, 4).unwrap();
+        let (want, _) = reference.remap.samples(&p, &source, &mappings, 4).unwrap();
         assert_eq!(sample_bits(&got), sample_bits(&want));
         assert_eq!(got["overload"], [1.0, 0.0, 0.0, 0.0]);
     }
@@ -1116,7 +1137,7 @@ mod tests {
                 tier,
                 ..small_config()
             });
-            match e.remap_samples(&p, &source, &mappings, 4, &e.metrics) {
+            match e.remap.samples(&p, &source, &mappings, 4) {
                 Err(ProphetError::Internal(msg)) => {
                     assert!(
                         msg.contains("`capacity`") && msg.contains("4 worlds"),
@@ -1223,6 +1244,58 @@ mod tests {
             m.probe_call_sites_memoised
         );
         assert_eq!(reference.metrics().probe_call_sites, 0);
+    }
+
+    #[test]
+    fn recipe_memo_overflow_never_changes_an_answer_or_the_store() {
+        let config = EngineConfig {
+            worlds_per_point: 16,
+            ..EngineConfig::default()
+        };
+        let mut tiny = engine(config);
+        // Room for three recipes: the sweep below overflows it over and
+        // over, mid batch.
+        tiny.recipe_memo = RecipeMemo::with_bound(3);
+        let unbounded = engine(config);
+        let points: Vec<ParamPoint> = (0..240)
+            .map(|i| {
+                demo_point(
+                    i % 12,
+                    4 * (i / 12 % 5),
+                    36,
+                    [12, 36, 44][i as usize / 60 % 3],
+                )
+            })
+            .collect();
+        for batch in points.chunks(24) {
+            let (got, want) = (tiny.evaluate_batch(batch), unbounded.evaluate_batch(batch));
+            for ((gs, go), (ws, wo)) in got.unwrap().iter().zip(&want.unwrap()) {
+                assert_eq!(go, wo, "{}", gs.point());
+                for col in ["demand", "capacity", "overload"] {
+                    let bits = |s: &SampleSet| {
+                        let (mean, sd) = (s.expect(col).unwrap(), s.expect_std_dev(col).unwrap());
+                        (mean.to_bits(), sd.to_bits())
+                    };
+                    assert_eq!(bits(gs), bits(ws), "{} `{col}`", gs.point());
+                }
+            }
+        }
+        assert_eq!(
+            tiny.basis_store().snapshot_bytes(),
+            unbounded.basis_store().snapshot_bytes()
+        );
+        assert!(tiny.recipe_memo.len() <= 3);
+        let (mt, mu) = (tiny.metrics(), unbounded.metrics());
+        assert_eq!(mt.points_mapped, mu.points_mapped);
+        for m in [mt, mu] {
+            assert_eq!(m.remaps + m.remaps_memoised, m.points_mapped);
+        }
+        assert!(
+            mu.remaps_memoised > 0 && mt.remaps > mu.remaps,
+            "overflow costs remaps: {} vs {}",
+            mt.remaps,
+            mu.remaps
+        );
     }
 
     #[test]

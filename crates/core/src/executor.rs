@@ -32,8 +32,10 @@
 //! |                          | the probe's best match are pruned            |
 //! |                          | (`EngineConfig::match_index`)                |
 //! | re-map on a hit          | *remap*: fused with the match — the worker   |
-//! |                          | that finds a probe's source reconstructs its |
-//! |                          | mapped samples and their moments (fan-out)   |
+//! |                          | that finds a probe's source takes its mapped |
+//! |                          | moments from the engine's recipe memo, or    |
+//! |                          | re-maps the source once per recipe to take   |
+//! |                          | them, building no reply samples (fan-out)    |
 //! | simulate on a miss       | *simulate*: every miss fans out as world     |
 //! |                          | spans of `SPAN_WORLDS`; each point's spans   |
 //! |                          | are joined in world order on the driver.     |
@@ -42,7 +44,9 @@
 //! |                          | first prefix the rule accepts                |
 //! | results feed the store   | *publish*: completions insert basis entries  |
 //! |                          | and wake cross-session waiters, hits first,  |
-//! |                          | then misses, each in batch order             |
+//! |                          | then misses, each in batch order; a hit's    |
+//! |                          | reply is its recipe record, as a later       |
+//! |                          | cached read returns it                       |
 //! | (another session's point)| *wait*: block on each point another session  |
 //! |                          | owns, once this batch holds no claim         |
 //!
@@ -139,10 +143,11 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use prophet_fingerprint::{Fingerprint, Mapping};
+use prophet_mc::aggregate::{self, converged};
 use prophet_mc::trace::{TraceEventKind, Tracer, NO_CHUNK, NO_JOB};
 use prophet_mc::{
     BasisHit, ColumnMoments, ColumnSamples, InflightGuard, ParamPoint, Recipe, SampleSet,
-    SampleStats, ScanSnapshot, ScanWork, TryClaim, WaitHandle,
+    ScanSnapshot, ScanWork, TryClaim, WaitHandle,
 };
 
 use crate::engine::{Engine, EvalOutcome};
@@ -274,23 +279,40 @@ impl StopRule {
         })
     }
 
-    /// The estimate on the whole of `samples`' rule column and whether it
-    /// converged at z = 1.96, `fresh` of whose worlds this batch simulated
-    /// (none: the samples came from the basis). A wave's samples end at
-    /// its last span, so the whole column is the newest prefix; basis
-    /// samples are read whole, as they cost nothing more. Basis samples
-    /// answer a point when the estimate on them converged or they are
-    /// full depth; otherwise they are its resume prefix.
-    fn estimate(&self, samples: &ColumnSamples, fresh: usize) -> ProgressiveEstimate {
-        const Z95: f64 = 1.96;
+    /// The estimate on the whole of a basis reply's rule column — a
+    /// cached entry, a waited-for one or a fresh hit, none of whose
+    /// worlds this batch simulated — read from the set's moments, so a
+    /// recipe record rebuilds nothing. Basis samples are read whole, as
+    /// they cost nothing more; they answer a point when the estimate on
+    /// them converged or they are full depth, and are otherwise its
+    /// resume prefix.
+    fn estimate(&self, set: &SampleSet) -> ProgressiveEstimate {
+        let column = &self.column;
+        let (mean, std_dev) = (set.expect(column).zip(set.expect_std_dev(column)))
+            .expect("invariant: a point's samples hold every output column");
+        self.judge(mean, std_dev, set.world_count(), 0)
+    }
+
+    /// The estimate on the whole of a wave's rule column, `fresh` of
+    /// whose worlds this batch simulated: a wave's samples end at its
+    /// last span, so the whole column is the newest prefix.
+    fn estimate_wave(&self, samples: &ColumnSamples, fresh: usize) -> ProgressiveEstimate {
         let xs = (samples.get(&self.column))
             .expect("invariant: a point's samples hold every output column");
-        let stats = SampleStats::of(xs);
+        let mean = aggregate::mean(xs);
+        self.judge(mean, aggregate::std_dev(xs, mean), xs.len(), fresh)
+    }
+
+    /// The estimate on a rule column's moments over `worlds` worlds and
+    /// whether it converged at z = 1.96 — the criterion of
+    /// [`SampleStats::converged`](prophet_mc::SampleStats::converged).
+    fn judge(&self, mean: f64, std_dev: f64, worlds: usize, fresh: usize) -> ProgressiveEstimate {
+        const Z95: f64 = 1.96;
         ProgressiveEstimate {
-            estimate: stats.mean,
+            estimate: mean,
             worlds_used: fresh,
             used_basis: fresh == 0,
-            converged: stats.converged(self.epsilon, Z95),
+            converged: converged(worlds as u64, std_dev, self.epsilon, Z95),
         }
     }
 }
@@ -359,18 +381,12 @@ fn run_round<R: Runner>(
         let min_worlds = if any_depth { 1 } else { full };
         match engine.basis_store().try_claim_stored(point, min_worlds) {
             TryClaim::Ready { samples, worlds } => {
-                let (reply, estimate) = match rule {
-                    None => (engine.stored_sample_set(point, samples), None),
-                    Some(rule) => {
-                        let samples = samples.materialize(point);
-                        let estimate = rule.estimate(&samples, 0);
-                        if !estimate.converged && worlds < full {
-                            retry.push((i, Some((samples, worlds))));
-                            continue;
-                        }
-                        (engine.to_sample_set(point, samples), Some(estimate))
-                    }
-                };
+                let reply = engine.stored_sample_set(point, samples);
+                let estimate = rule.map(|r| r.estimate(&reply));
+                if worlds < full && estimate.as_ref().is_some_and(|e| !e.converged) {
+                    retry.push((i, Some(resume_prefix(&reply, worlds))));
+                    continue;
+                }
                 metrics.bump(|m| m.points_cached += 1);
                 runner.points_done(1);
                 answers[i] = Some(((reply, EvalOutcome::Cached), estimate));
@@ -399,21 +415,22 @@ fn run_round<R: Runner>(
     // plan: the next round finds it cached, waits again, or owns it and
     // evaluates it like any other claimed point.
     for ((i, resume), handle) in waits {
-        let Some((samples, worlds)) = handle.wait() else {
+        let Some(entry) = handle.wait() else {
             retry.push((i, resume));
             continue;
         };
-        let estimate = rule.map(|r| r.estimate(&samples, 0));
+        let worlds = entry.worlds();
+        let reply = engine.stored_sample_set(&unique[i], entry);
+        let estimate = rule.map(|r| r.estimate(&reply));
         if worlds < full && !estimate.as_ref().is_some_and(|e| e.converged) {
             // Under a rule, the shallow samples are the resume prefix.
-            retry.push((i, rule.map(|_| (samples, worlds))));
+            retry.push((i, rule.map(|_| resume_prefix(&reply, worlds))));
             continue;
         }
         metrics.bump(|m| {
             m.points_cached += 1;
             m.inflight_waits += 1;
         });
-        let reply = engine.to_sample_set(&unique[i], samples);
         answers[i] = Some(((reply, EvalOutcome::Cached), estimate));
         runner.points_done(1);
     }
@@ -526,7 +543,7 @@ fn simulate_phase<R: Runner>(
             }
             s.depth = end;
             let fresh = end - s.resumed;
-            let estimate = rule.map(|r| r.estimate(&s.samples, fresh));
+            let estimate = rule.map(|r| r.estimate_wave(&s.samples, fresh));
             if end < full && !estimate.as_ref().is_some_and(|e| e.converged) {
                 next.push(s);
                 continue;
@@ -651,7 +668,7 @@ fn fingerprint_phase<R: Runner>(
         let ((i, _), guard) = claim;
         let reply = engine.publish_hit(&point, guard, hit);
         metrics.bump(|m| m.points_mapped += 1);
-        let estimate = rule.map(|r| r.estimate(reply.0.shared_samples(), 0));
+        let estimate = rule.map(|r| r.estimate(&reply.0));
         answers[i] = Some((reply, estimate));
         runner.points_done(1);
     }
@@ -710,10 +727,11 @@ impl Engine {
     }
 
     /// The per-probe step of the fingerprint phase: scan `snapshot` for
-    /// the best source of `probe` and, on a hit, re-map it onto `point`.
-    /// A pure function of its arguments, so a batch runs it for every
-    /// probe in parallel. Self-times the scan into the run's
-    /// `match_scan_nanos` (the remap self-times into `remap_nanos`).
+    /// the best source of `probe` and, on a hit, take its moments
+    /// re-mapped onto `point` ([`Engine::remap_moments`]). A pure
+    /// function of its arguments, so a batch runs it for every probe in
+    /// parallel. Self-times the scan into the run's `match_scan_nanos`
+    /// (the remap self-times into `remap_nanos`).
     fn match_and_remap(
         &self,
         snapshot: &ScanSnapshot,
@@ -726,10 +744,8 @@ impl Engine {
         let scan_nanos = start.elapsed_nanos();
         metrics.bump(|m| m.match_scan_nanos += scan_nanos);
         let remap = |hit: BasisHit| {
-            let (samples, moments) =
-                self.remap_samples(point, &hit.samples, &hit.mappings, hit.worlds, metrics)?;
+            let moments = self.remap_moments(point, &hit, metrics)?;
             Ok(MappedHit {
-                samples,
                 moments,
                 worlds: hit.worlds,
                 exact: hit.mappings.values().all(Mapping::is_exact),
@@ -751,34 +767,30 @@ impl Engine {
     // ------------------------------------------------------------ publish
 
     /// Publish a fingerprint hit: complete the claim with the mapped
-    /// samples, their moments and what made them — the recipe, the source
-    /// samples it was applied to and this engine's remap. The store files
-    /// a recipe record (no samples, no probe fingerprints), which rebuilds
-    /// them when a later reader asks for them; the waiters and the reply
-    /// get this allocation, and the reply answers `expect` from the same
-    /// moments.
+    /// moments and what makes the samples — the recipe, the source samples
+    /// it applies to and this engine's remap. The store files a recipe
+    /// record (no samples, no probe fingerprints), which rebuilds them
+    /// when a reader asks for them; the waiters and the reply get that
+    /// record, so `expect` reads its moments and a samples read rebuilds
+    /// once, exactly as for a later cached read of the point.
     fn publish_hit(
         &self,
         point: &ParamPoint,
         guard: InflightGuard,
         hit: MappedHit,
     ) -> (SampleSet, EvalOutcome) {
-        guard.complete_mapped(
-            Arc::clone(&hit.samples),
+        let (entry, _) = guard.complete_mapped(
             hit.worlds,
             hit.recipe,
             hit.source_samples,
             self.rebuild_handle(),
-            hit.moments.clone(),
+            hit.moments,
         );
         let outcome = EvalOutcome::Mapped {
             from: hit.source,
             exact: hit.exact,
         };
-        let reply = self
-            .to_sample_set(point, hit.samples)
-            .with_moments(hit.moments);
-        (reply, outcome)
+        (self.stored_sample_set(point, entry), outcome)
     }
 
     /// Publish a simulation of `worlds` worlds: complete the claim and
@@ -800,12 +812,11 @@ impl Engine {
     }
 }
 
-/// A fingerprint hit re-mapped onto the queried point, ready to publish:
-/// the same `samples` allocation goes to the point's waiters and the reply.
+/// A fingerprint hit re-mapped onto the queried point, ready to publish
+/// as a recipe record: its moments, and what rebuilds its samples.
 struct MappedHit {
-    samples: Arc<ColumnSamples>,
-    /// Every output column's moments of `samples`, taken on the worker
-    /// that re-mapped them.
+    /// Every output column's moments of the mapped samples, from the
+    /// engine's recipe memo or the worker that re-mapped them.
     moments: ColumnMoments,
     /// Worlds backing the source's (and therefore the mapped) samples.
     worlds: usize,
@@ -815,7 +826,7 @@ struct MappedHit {
     source_samples: Arc<ColumnSamples>,
     /// Whether every column's mapping was exact (identity/offset).
     exact: bool,
-    /// The source's stamp and the mappings: how `samples` were made.
+    /// The source's stamp and the mappings: how the samples are made.
     recipe: Recipe,
 }
 
@@ -827,6 +838,13 @@ struct Matched {
     scan_nanos: u64,
     /// `Ok(None)` is a miss; an `Err` is a hit whose re-map failed.
     outcome: ProphetResult<Option<MappedHit>>,
+}
+
+/// A rule point's resume prefix: a shallow basis reply's samples and
+/// their worlds. A shallow entry is a samples record, so this rebuilds
+/// nothing.
+fn resume_prefix(reply: &SampleSet, worlds: usize) -> (Arc<ColumnSamples>, usize) {
+    (Arc::clone(reply.shared_samples()), worlds)
 }
 
 /// Collapse a point list to unique points in first-seen order plus, per

@@ -172,6 +172,7 @@ pub mod metrics;
 pub mod obs;
 pub mod offline;
 mod probe_memo;
+mod recipe_memo;
 pub mod render;
 pub mod scenario;
 pub mod scheduler;

@@ -142,10 +142,25 @@ pub struct EngineMetrics {
     /// so it is the one part of this counter that shrinks as a sweep runs
     /// out of new sources.
     pub match_scan_nanos: u64,
-    /// Nanoseconds inside hit re-mapping (applying the detected mappings
-    /// and recomputing the derived columns), summed across parallel
-    /// workers.
+    /// Nanoseconds inside hit re-mapping, summed across parallel workers:
+    /// the [`remaps`](EngineMetrics::remaps) — applying the detected
+    /// mappings, recomputing the derived columns and taking the moments,
+    /// for a recipe the engine's recipe memo had not seen. A memoised
+    /// hit's lookup is not counted here; it runs in the match item, inside
+    /// [`probe_nanos`](EngineMetrics::probe_nanos).
     pub remap_nanos: u64,
+    /// Fingerprint hits whose moments a remap computed: the engine's
+    /// recipe memo had not seen their recipe (source, mappings and the
+    /// derived items' parameters). With
+    /// [`remaps_memoised`](EngineMetrics::remaps_memoised) it splits
+    /// [`points_mapped`](EngineMetrics::points_mapped), except that a hit
+    /// a cancel or a failed batch kept from publishing counts here only.
+    /// Exact at any worker count while the memo has room: a recipe two
+    /// workers miss at once is remapped by one while the other waits.
+    pub remaps: u64,
+    /// Fingerprint hits answered from the engine's recipe memo: their
+    /// recipe's moments were already computed, so they built no samples.
+    pub remaps_memoised: u64,
     /// Driver wall-clock nanoseconds publishing results in batch order:
     /// completing each claim into the basis store (insert, eviction,
     /// waking waiters) and assembling the reply. Sequential by design —
@@ -235,6 +250,8 @@ impl EngineMetrics {
             window_hits: f(a.window_hits, b.window_hits),
             match_scan_nanos: f(a.match_scan_nanos, b.match_scan_nanos),
             remap_nanos: f(a.remap_nanos, b.remap_nanos),
+            remaps: f(a.remaps, b.remaps),
+            remaps_memoised: f(a.remaps_memoised, b.remaps_memoised),
             publish_nanos: f(a.publish_nanos, b.publish_nanos),
             inflight_waits: f(a.inflight_waits, b.inflight_waits),
             batch_probes: f(a.batch_probes, b.batch_probes),
@@ -294,7 +311,7 @@ impl fmt::Display for EngineMetrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let ms = |nanos: u64| nanos as f64 / 1e6;
         let us = |nanos: u64| format!("{:.2}", nanos as f64 / 1e3);
-        let rows: [(&str, String); 32] = [
+        let rows: [(&str, String); 34] = [
             ("points_simulated", self.points_simulated.to_string()),
             ("points_mapped", self.points_mapped.to_string()),
             ("points_cached", self.points_cached.to_string()),
@@ -321,6 +338,8 @@ impl fmt::Display for EngineMetrics {
             ("prune_pct", format!("{:.1}", self.prune_fraction() * 100.0)),
             ("match_scan_ms", format!("{:.2}", ms(self.match_scan_nanos))),
             ("remap_ms", format!("{:.2}", ms(self.remap_nanos))),
+            ("remaps", self.remaps.to_string()),
+            ("remaps_memoised", self.remaps_memoised.to_string()),
             ("publish_ms", format!("{:.2}", ms(self.publish_nanos))),
             ("inflight_waits", self.inflight_waits.to_string()),
             ("batch_probes", self.batch_probes.to_string()),
@@ -495,6 +514,8 @@ mod tests {
             window_hits: 6,
             match_scan_nanos: 2_500_000,
             remap_nanos: 1_750_000,
+            remaps: 1,
+            remaps_memoised: 1,
             publish_nanos: 640_000,
             inflight_waits: 4,
             batch_probes: 7,
@@ -528,6 +549,8 @@ window_hits                      6
 prune_pct                     75.0
 match_scan_ms                 2.50
 remap_ms                      1.75
+remaps                           1
+remaps_memoised                  1
 publish_ms                    0.64
 inflight_waits                   4
 batch_probes                     7
@@ -575,6 +598,8 @@ sim_p99_us                 4194.30";
             window_hits: 27,
             match_scan_nanos: 12,
             remap_nanos: 23,
+            remaps: 28,
+            remaps_memoised: 29,
             publish_nanos: 24,
             inflight_waits: 13,
             batch_probes: 14,

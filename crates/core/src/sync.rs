@@ -26,6 +26,7 @@
 //! | 70 | [`CHUNK_RESULTS`] — a chunked phase's result slots | this module |
 //! | 72 | [`PROBE_MEMO`] — a scenario engine's call-site probe memo, taken by every job of the scenario | this module |
 //! | 73 | [`DRAW_LEDGERS`] — a scenario engine's draw-ledger store (`RwLock`), taken likewise | this module |
+//! | 74 | [`RECIPE_MEMO`] — a scenario engine's recipe memo, taken likewise | this module |
 //! | 75 | [`ENGINE_METRICS`] — one run's work counters: a job's, or a bare engine's own | this module |
 //! | 80 | [`SCHEDULER_HANDLES`] — worker join handles (drop only) | this module |
 //! | 90 | [`TRACE_RING`] — the flight-recorder ring | `prophet_mc::trace` |
@@ -47,12 +48,13 @@
 //! protocol-level discussion; `docs/OBSERVABILITY.md` the recorder's.
 //!
 //! A [`Prophet`](crate::service::Prophet) builds one engine per scenario,
-//! so [`PROBE_MEMO`] and [`DRAW_LEDGERS`] are slot-wide locks: every job
-//! and session of the scenario takes them, across jobs, for the service's
-//! lifetime — a probe chunk of an interactive refresh and one of a
-//! running sweep contend on them. Both stay leaves, held for one lookup,
-//! one insert or one call site's replay and never across a VG call, so
-//! sharing them adds contention, never nesting. [`ENGINE_METRICS`] is not
+//! so [`PROBE_MEMO`], [`DRAW_LEDGERS`] and [`RECIPE_MEMO`] are slot-wide
+//! locks: every job and session of the scenario takes them, across jobs,
+//! for the service's lifetime — a probe chunk of an interactive refresh
+//! and one of a running sweep contend on them. All three stay leaves,
+//! held for one lookup, one insert or one call site's replay and never
+//! across a VG call or a remap, so sharing them adds contention, never
+//! nesting. [`ENGINE_METRICS`] is not
 //! slot-wide: it guards one run's counters, and each job has its own.
 
 pub use prophet_mc::sync::{
@@ -88,6 +90,12 @@ pub const PROBE_MEMO: LockRank = LockRank::new(72, "engine probe memo");
 /// scenario.
 pub const DRAW_LEDGERS: LockRank = LockRank::new(73, "engine draw ledgers");
 
+/// An engine's recipe memo (`crate::recipe_memo`): a leaf held to look
+/// up or insert one recipe's entry, never across the remap that fills
+/// it. On a service it is the scenario's, taken by every job of the
+/// scenario.
+pub const RECIPE_MEMO: LockRank = LockRank::new(74, "engine recipe memo");
+
 /// One run's [`EngineMetrics`](crate::metrics::EngineMetrics): a job's
 /// counters, or a bare engine's own (the inline runner's). A leaf bumped
 /// after each primitive completes.
@@ -116,6 +124,7 @@ mod tests {
             CHUNK_RESULTS,
             PROBE_MEMO,
             DRAW_LEDGERS,
+            RECIPE_MEMO,
             ENGINE_METRICS,
             SCHEDULER_HANDLES,
             TRACE_RING,

@@ -206,8 +206,43 @@ pub enum MatchBound {
 }
 
 impl FingerprintSummary {
-    /// Summarize one fingerprint.
+    /// Summarize one fingerprint: its [`FingerprintSummary::key_of`]
+    /// part and the bucket sketch [`FingerprintSummary::bound`] reads.
     pub fn of(fp: &Fingerprint) -> Self {
+        let mut summary = FingerprintSummary::key_of(fp);
+        let values = fp.values();
+        let (len, mean) = (summary.len, summary.mean);
+        if summary.finite && len >= 2 && summary.sxx > 0.0 {
+            let norm = summary.sxx.sqrt();
+            let chunk = len.div_ceil(SUMMARY_BUCKETS);
+            summary.buckets = values
+                .chunks(chunk)
+                .map(|slice| {
+                    let mut sum = 0.0;
+                    let mut sum_sq = 0.0;
+                    for &v in slice {
+                        let u = (v - mean) / norm;
+                        sum += u;
+                        sum_sq += u * u;
+                    }
+                    BucketMoments {
+                        count: slice.len(),
+                        sum,
+                        sum_sq,
+                    }
+                })
+                .collect();
+        }
+        summary
+    }
+
+    /// The part of [`FingerprintSummary::of`] the exact-match window
+    /// reads — length, mean, extremes, `sxx` and the key `u₀` — without
+    /// the bucket sketch: enough for [`FingerprintSummary::exact_key`] and
+    /// [`ExactWindow::of`], not for [`FingerprintSummary::bound`]. Most
+    /// probes are answered by their window, so a scan builds the sketch
+    /// only for those that fall through to the bound.
+    pub fn key_of(fp: &Fingerprint) -> Self {
         let values = fp.values();
         let len = values.len();
         let finite = fp.is_finite();
@@ -232,34 +267,10 @@ impl FingerprintSummary {
             let d = v - mean;
             sxx += d * d;
         }
-        let varying = len >= 2 && sxx > 0.0;
-        let norm = sxx.sqrt();
-        let u0 = if varying {
-            (values[0] - mean) / norm
+        let u0 = if len >= 2 && sxx > 0.0 {
+            (values[0] - mean) / sxx.sqrt()
         } else {
             0.0
-        };
-        let buckets = if varying {
-            let chunk = len.div_ceil(SUMMARY_BUCKETS);
-            values
-                .chunks(chunk)
-                .map(|slice| {
-                    let mut sum = 0.0;
-                    let mut sum_sq = 0.0;
-                    for &v in slice {
-                        let u = (v - mean) / norm;
-                        sum += u;
-                        sum_sq += u * u;
-                    }
-                    BucketMoments {
-                        count: slice.len(),
-                        sum,
-                        sum_sq,
-                    }
-                })
-                .collect()
-        } else {
-            Vec::new()
         };
         FingerprintSummary {
             len,
@@ -269,7 +280,7 @@ impl FingerprintSummary {
             max,
             sxx,
             u0,
-            buckets,
+            buckets: Vec::new(),
         }
     }
 
@@ -549,6 +560,19 @@ pub fn summarize_probe(
     columns
         .iter()
         .map(|col| fingerprints.get(col).map(FingerprintSummary::of))
+        .collect()
+}
+
+/// [`summarize_probe`] without the bucket sketches
+/// ([`FingerprintSummary::key_of`]): what a probe's exact-match window
+/// reads.
+pub fn key_probe(
+    fingerprints: &HashMap<String, Fingerprint>,
+    columns: &[String],
+) -> Option<Vec<FingerprintSummary>> {
+    columns
+        .iter()
+        .map(|col| fingerprints.get(col).map(FingerprintSummary::key_of))
         .collect()
 }
 

@@ -123,10 +123,17 @@ impl SampleStats {
     /// Whether the normal-approximation CI half-width at `z` (1.96 ≈ 95%),
     /// `z · std_dev / √count`, is at or below `epsilon` on at least two
     /// samples — the engine's "first accurate guess" criterion for
-    /// progressive refinement.
+    /// progressive refinement ([`converged`]).
     pub fn converged(&self, epsilon: f64, z: f64) -> bool {
-        self.count >= 2 && z * self.std_dev / (self.count as f64).sqrt() <= epsilon
+        converged(self.count, self.std_dev, epsilon, z)
     }
+}
+
+/// [`SampleStats::converged`] on a sample's count and standard deviation
+/// alone — all the criterion reads — so stored moments
+/// ([`ColumnMoments`]) decide it without the samples.
+pub fn converged(count: u64, std_dev: f64, epsilon: f64, z: f64) -> bool {
+    count >= 2 && z * std_dev / (count as f64).sqrt() <= epsilon
 }
 
 /// Every column's `(mean, std_dev)` over one set of per-column samples, as

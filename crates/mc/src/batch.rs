@@ -23,15 +23,18 @@ use crate::store::{ColumnSamples, StoredEntry};
 /// parameter point.
 ///
 /// The sample vectors and the column list are reference-counted: the
-/// engine hands the *same* allocation to the basis store and to the
-/// caller's reply, and a cached point is served straight out of the store
-/// entry, so a sample set travels the pipeline without its ≈ 10 KB of
-/// lanes ever being copied. A set is never mutated, so it never writes
-/// through to the store's entry.
+/// engine hands a simulated point's *same* allocation to the basis store
+/// and to the caller's reply, and a cached point is served straight out
+/// of the store entry, so a sample set travels the pipeline without its
+/// ≈ 10 KB of lanes ever being copied. A set is never mutated, so it
+/// never writes through to the store's entry.
 ///
 /// A set served from a store entry carries the moments the entry keeps
 /// ([`StoredEntry::moments`]), and a recipe record's samples are not
-/// rebuilt when it is served: [`SampleSet::expect`],
+/// rebuilt when it is served. A mapped point's reply is such a set from
+/// the start: a fingerprint hit publishes a recipe record and no samples,
+/// and its reply is that record, as a later cached read of the point
+/// would return it. [`SampleSet::expect`],
 /// [`SampleSet::expect_std_dev`] and [`SampleSet::world_count`] read the
 /// stored values, which are the bits the samples would give. Only a
 /// samples read — [`SampleSet::samples`], [`SampleSet::stats`],
@@ -159,17 +162,6 @@ impl SampleSet {
             columns,
             lanes,
             moments,
-        }
-    }
-
-    /// This set, answering [`SampleSet::expect`] /
-    /// [`SampleSet::expect_std_dev`] from `moments`, which must be its
-    /// samples' ([`ColumnMoments::named`]) — as a mapped reply's are,
-    /// computed once where it was re-mapped.
-    pub fn with_moments(self, moments: ColumnMoments) -> Self {
-        SampleSet {
-            moments: Some(moments),
-            ..self
         }
     }
 

@@ -40,16 +40,18 @@
 //! [`Recipe`], the source's samples `Arc` its hit carried, and the
 //! engine's [`Rebuild`] handle — so a source evicted or replaced later
 //! cannot change it — plus every column's `(mean, std_dev)`
-//! ([`ColumnMoments`]). A published one is filed so from birth (the
-//! remap's samples go to the publishing caller and the point's waiters
-//! only), a restored one from its snapshot's recipe and moments. Only
-//! simulated and unsourced records hold samples.
+//! ([`ColumnMoments`]). A published one is filed so from birth — a
+//! fingerprint hit publishes its recipe and moments, never samples — and
+//! a restored one from its snapshot's recipe and moments. Only simulated
+//! and unsourced records hold samples.
 //!
 //! A claim reads a recipe record without rebuilding it:
 //! [`SharedBasisStore::try_claim_stored`] → [`TryClaim::Ready`] hands out
-//! a [`StoredEntry`] — the moments, and what rebuilds the samples — and
-//! a reader that needs only moments (an `EXPECT` answer, a GRAPH render)
-//! never rebuilds. A samples read — [`StoredEntry::materialize`], which
+//! a [`StoredEntry`] — the moments, and what rebuilds the samples — as do
+//! [`InflightGuard::complete_mapped`] to its caller and
+//! [`WaitHandle::wait`] to the point's waiters, and a reader that needs
+//! only moments (an `EXPECT` answer, a GRAPH render) never rebuilds. A
+//! samples read — [`StoredEntry::materialize`], which
 //! the materializing [`SharedBasisStore::try_claim`],
 //! [`SharedBasisStore::get_exact`] and a save that cannot write a recipe
 //! also run — rebuilds them with the remap that made them, on the same
@@ -142,7 +144,8 @@ use std::io::Write;
 use std::sync::Arc;
 
 use prophet_fingerprint::index::{
-    bound_all, summarize_probe, ExactKey, ExactWindow, FingerprintSummary, MatchBound, SummaryTable,
+    bound_all, key_probe, summarize_probe, ExactKey, ExactWindow, FingerprintSummary, MatchBound,
+    SummaryTable,
 };
 use prophet_fingerprint::{CorrelationDetector, Fingerprint, Mapping};
 
@@ -389,8 +392,8 @@ pub struct StoredEntry {
 }
 
 impl StoredEntry {
-    /// Copy `record` out — two reference counts — under the table lock
-    /// the caller holds.
+    /// Copy `record` out — two reference counts: under the table lock a
+    /// read holds, or as a publish files it.
     fn of(record: &Record, stats: &Arc<OrderedMutex<Counters>>) -> Self {
         StoredEntry {
             body: record.body.clone(),
@@ -546,12 +549,11 @@ impl Table {
 enum SlotState {
     /// The owning session is still computing.
     Running,
-    /// The owner published: waiters reuse these samples directly (immune to
-    /// store eviction — the hand-off does not go through the entry table).
-    Done {
-        samples: Arc<ColumnSamples>,
-        worlds: usize,
-    },
+    /// The owner published: waiters reuse the published entry directly
+    /// (immune to store eviction — the hand-off does not go through the
+    /// entry table). A mapped point's is its recipe record, which holds
+    /// moments and rebuilds its samples only if a waiter reads them.
+    Done(StoredEntry),
     /// The owner failed or the store was cleared mid-flight: waiters must
     /// re-claim and re-simulate.
     Cancelled,
@@ -660,52 +662,54 @@ impl InflightGuard {
         worlds: usize,
         matchable: bool,
     ) -> bool {
-        let record = Record::new(fingerprints, Arc::clone(&samples), worlds, 0, matchable);
-        self.publish(record, samples)
+        let record = Record::new(fingerprints, samples, worlds, 0, matchable);
+        self.publish(record).1
     }
 
-    /// [`InflightGuard::complete`] for a fingerprint hit: wake every waiter
-    /// with the re-mapped `samples` and file a recipe record that holds
-    /// none — only how they were made: `recipe` applied to `source`, the
-    /// hit's source samples, through `rebuild`, so a samples read of the
-    /// stored entry rebuilds them and a snapshot writes the recipe in
-    /// their place. `moments` must be `samples`'
-    /// ([`ColumnMoments::named`]): the record keeps them for readers of
-    /// moments only.
+    /// [`InflightGuard::complete`] for a fingerprint hit, which brings no
+    /// samples: file a recipe record — how the point's samples are made,
+    /// `recipe` applied to `source`, the hit's source samples, through
+    /// `rebuild` — with `moments`, which must be those samples'
+    /// ([`ColumnMoments::named`]), and wake every waiter with it. A
+    /// samples read of the entry rebuilds them, and a snapshot writes the
+    /// recipe in their place.
+    ///
+    /// Returns the record as a [`StoredEntry`] — what a later claim of
+    /// the point reads — and whether it was filed (`false` as for
+    /// [`InflightGuard::complete`]; the entry still answers the
+    /// publishing caller).
     pub fn complete_mapped(
         self,
-        samples: Arc<ColumnSamples>,
         worlds: usize,
         recipe: Recipe,
         source: Arc<ColumnSamples>,
         rebuild: RebuildHandle,
         moments: ColumnMoments,
-    ) -> bool {
+    ) -> (StoredEntry, bool) {
         let mapped = Mapped {
             recipe,
             source,
             rebuild,
             moments,
         };
-        self.publish(Record::mapped(worlds, 0, mapped), samples)
+        self.publish(Record::mapped(worlds, 0, mapped))
     }
 
-    /// The publish behind both completions: the waiters get `samples`, and
-    /// `record` is stamped on insert.
-    fn publish(mut self, record: Record, samples: Arc<ColumnSamples>) -> bool {
+    /// The publish behind both completions: `record` is stamped on
+    /// insert, and the waiters get it as a [`StoredEntry`], which is
+    /// returned with whether the record was filed.
+    fn publish(mut self, record: Record) -> (StoredEntry, bool) {
         self.completed = true;
+        let entry = StoredEntry::of(&record, &self.store.stats);
         let mut slots = self.store.inflight.slots.lock();
         {
             let mut state = self.slot.state.lock();
             if matches!(*state, SlotState::Cancelled) {
                 // A clear detached this slot mid-flight: discard. The clear
                 // already released this point's claim in the ledger.
-                return false;
+                return (entry, false);
             }
-            *state = SlotState::Done {
-                samples,
-                worlds: record.worlds,
-            };
+            *state = SlotState::Done(entry.clone());
         }
         self.store.inflight.ledger.on_simulated(&self.point);
         self.slot.cv.notify_all();
@@ -721,7 +725,7 @@ impl InflightGuard {
         self.store
             .tracer
             .instant(TraceEventKind::StorePublish, NO_JOB, NO_CHUNK);
-        true
+        (entry, true)
     }
 
     /// Remove this slot from the pending table (if it is still the
@@ -762,10 +766,12 @@ pub struct WaitHandle {
 
 impl WaitHandle {
     /// Block until the owning session publishes or cancels. `Some` carries
-    /// the published samples (counted as an in-flight wait); `None` means
-    /// the simulation was abandoned (owner failure or a store clear) — the
-    /// caller should re-claim and, if it becomes the owner, re-simulate.
-    pub fn wait(self) -> Option<(Arc<ColumnSamples>, usize)> {
+    /// the published entry (counted as an in-flight wait) — a mapped
+    /// point's recipe record rebuilds its samples only if the waiter reads
+    /// them; `None` means the simulation was abandoned (owner failure or a
+    /// store clear) — the caller should re-claim and, if it becomes the
+    /// owner, re-simulate.
+    pub fn wait(self) -> Option<StoredEntry> {
         let start = self.tracer.now();
         let result = {
             let mut state = self.slot.state.lock();
@@ -774,9 +780,9 @@ impl WaitHandle {
                     SlotState::Running => {
                         state = self.slot.cv.wait(state);
                     }
-                    SlotState::Done { samples, worlds } => {
+                    SlotState::Done(entry) => {
                         self.stats.lock().inflight_waits += 1;
-                        break Some((Arc::clone(samples), *worlds));
+                        break Some(entry.clone());
                     }
                     SlotState::Cancelled => break None,
                 }
@@ -1081,21 +1087,23 @@ pub struct ProbeScan {
 impl ScanSnapshot {
     /// Find the best source for one probe: lowest total error, ties to
     /// the earliest insertion stamp. Exhaustive snapshots run the
-    /// reference scan. Indexed ones summarize the probe once, look in its
-    /// exact-match window first and, when that holds no zero-error
-    /// source, run the branch-and-bound scan on the same summaries — all
-    /// three choose the same source.
+    /// reference scan. Indexed ones key the probe, look in its
+    /// exact-match window first and, only when that holds no zero-error
+    /// source, summarize it in full — the bucket sketches the bound reads
+    /// — and run the branch-and-bound scan — all three choose the same
+    /// source.
     pub fn scan_probe(&self, probe: &HashMap<String, Fingerprint>) -> ProbeScan {
         let mut work = ScanWork::default();
         let best = if !self.use_index {
             self.scan_exhaustive(probe, &mut work)
-        } else if let Some(summary) = summarize_probe(probe, &self.columns) {
-            match self.scan_window(probe, &summary, &mut work) {
+        } else if let Some(keys) = key_probe(probe, &self.columns) {
+            match self.scan_window(probe, &keys, &mut work) {
                 Some(best) => {
                     work.window_hit = true;
                     Some(best)
                 }
-                None => self.scan_indexed(probe, &summary, &mut work),
+                None => summarize_probe(probe, &self.columns)
+                    .and_then(|summary| self.scan_indexed(probe, &summary, &mut work)),
             }
         } else {
             // `detect_all` fails on a missing column: no source matches.
@@ -2158,9 +2166,9 @@ mod tests {
         };
         let waiter = std::thread::spawn(move || handle.wait());
         assert!(guard.complete(HashMap::new(), samples(3.0), 10, true));
-        let (got, worlds) = waiter.join().unwrap().expect("published, not cancelled");
-        assert_eq!(got["y"], vec![3.0, 4.0]);
-        assert_eq!(worlds, 10);
+        let got = waiter.join().unwrap().expect("published, not cancelled");
+        assert_eq!(got.resident().unwrap()["y"], vec![3.0, 4.0]);
+        assert_eq!(got.worlds(), 10);
         assert_eq!(s.inflight_len(), 0);
         assert_eq!(s.stats_snapshot().inflight_waits, 1);
         // Published entry is now an exact hit for later claims.
@@ -2239,8 +2247,8 @@ mod tests {
         assert_eq!(s.len(), 1, "capacity bound holds while a claim is open");
         assert_eq!(s.inflight_len(), 1, "churn cannot evict the claim");
         assert!(guard.complete(HashMap::new(), samples(7.0), 4, true));
-        let (got, _) = handle.wait().expect("waiter survives eviction churn");
-        assert_eq!(got["y"], vec![7.0, 8.0]);
+        let got = handle.wait().expect("waiter survives eviction churn");
+        assert_eq!(got.resident().unwrap()["y"], vec![7.0, 8.0]);
     }
 
     #[test]
@@ -2704,7 +2712,7 @@ mod tests {
         };
         let mapped = samples(1.5);
         let moments = ColumnMoments::of(&mapped);
-        assert!(guard.complete_mapped(mapped, 2, recipe, source, remap(), moments));
+        assert!(guard.complete_mapped(2, recipe, source, remap(), moments).1);
         s
     }
 
@@ -2747,7 +2755,7 @@ mod tests {
         let mapped = samples(1.5);
         let moments = ColumnMoments::of(&mapped);
         assert!(
-            !stale.complete_mapped(mapped, 2, recipe, source, remap(), moments),
+            !stale.complete_mapped(2, recipe, source, remap(), moments).1,
             "a pre-clear claim's publish is discarded"
         );
         assert!(s.get_exact(&point("x", 3), 1).is_none());
@@ -2779,8 +2787,10 @@ mod tests {
         ));
     }
 
-    /// A mapped publish files a recipe record, and hands the point's
-    /// waiters the remap's samples themselves.
+    /// A mapped publish files a recipe record and hands the point's
+    /// waiters that record — what a later claim reads — and the publisher
+    /// the same: moments at once, the samples rebuilt (and counted) only
+    /// when read.
     #[test]
     fn waiters_on_a_mapped_publish_get_its_samples() {
         let s = mapped_store();
@@ -2798,13 +2808,18 @@ mod tests {
         let source = s.get_exact(&point("x", 1), 2).expect("the source");
         let mapped = samples(3.0);
         let moments = ColumnMoments::of(&mapped);
-        assert!(guard.complete_mapped(Arc::clone(&mapped), 2, recipe, source, remap(), moments));
-        let (got, worlds) = handle.wait().expect("published");
-        assert!(Arc::ptr_eq(&got, &mapped), "the remap's allocation");
-        assert_eq!(worlds, 2);
+        let (published, filed) = guard.complete_mapped(2, recipe, source, remap(), moments);
+        assert!(filed);
+        let got = handle.wait().expect("published");
+        assert_eq!(got.worlds(), 2);
+        assert!(got.resident().is_none(), "a recipe record");
+        assert_eq!(got.moments(), published.moments());
+        assert_eq!(got.moments(), Some(&ColumnMoments::of(&mapped)));
         let stats = s.stats_snapshot();
         assert_eq!((stats.entries, stats.resident), (3, 1), "the source alone");
         assert_eq!(stats.rematerializations, 0);
+        assert_eq!(got.materialize(&p), mapped, "the remap's bits");
+        assert_eq!(s.stats_snapshot().rematerializations, 1);
     }
 
     /// A mapped record travels as its recipe while its source stamp is
@@ -2971,7 +2986,11 @@ mod tests {
             };
             let moments = ColumnMoments::of(&mapped);
             let source = Arc::clone(source);
-            assert!(guard.complete_mapped(mapped, 64, recipe, source, remap(), moments));
+            assert!(
+                guard
+                    .complete_mapped(64, recipe, source, remap(), moments)
+                    .1
+            );
         }
         let [first, _] = sources;
         (s, first)

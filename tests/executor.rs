@@ -163,9 +163,9 @@ fn eviction_churn_never_drops_a_pending_entry() {
         vec![1.0; 16],
     )]));
     assert!(guard.complete(Default::default(), samples, 16, true));
-    let (got, worlds) = handle.wait().expect("waiter must not starve");
-    assert_eq!(worlds, 16);
-    assert_eq!(got["demand"], vec![1.0; 16]);
+    let got = handle.wait().expect("waiter must not starve");
+    assert_eq!(got.worlds(), 16);
+    assert_eq!(got.materialize(&pending)["demand"], vec![1.0; 16]);
 }
 
 #[test]
@@ -514,9 +514,9 @@ fn prefetch_drain_and_refresh_go_through_the_executor() {
 /// Samples travel by reference count: what a caller gets back for a
 /// simulated point *is* the store's entry (first reply or cached,
 /// blocking or scheduled), and deepening a partial entry replaces it
-/// instead of growing it in place. A mapped point's first reply holds the
-/// remap's own samples, and the store files a recipe record: a later
-/// cached read rebuilds the same bits, and counts one rebuild.
+/// instead of growing it in place. A mapped point's first reply is the
+/// store's recipe record: its first samples read rebuilds once, and a
+/// later cached read rebuilds the same bits, counting one more rebuild.
 #[test]
 fn results_share_samples_with_the_store() {
     let prophet = figure2_service(40, 2);
@@ -541,11 +541,15 @@ fn results_share_samples_with_the_store() {
         bits
     };
     let first = Arc::clone(mapped.shared_samples());
-    assert_eq!(rebuilds(), 0, "the first reply is the remap's output");
+    assert_eq!(
+        rebuilds(),
+        1,
+        "the first reply is the store's recipe record"
+    );
     let rebuilt = entry(&mappable);
     assert!(!Arc::ptr_eq(&first, &rebuilt), "the store keeps a recipe");
     assert_eq!(bits(&rebuilt), bits(&first), "the published bits");
-    assert_eq!(rebuilds(), 1);
+    assert_eq!(rebuilds(), 2);
 
     // The scheduled pipeline: two cached points and a fresh simulation.
     let results = prophet

@@ -165,3 +165,122 @@ fn demand_release_boundary_blocks_mapping_of_demand() {
         "feature demand delta ≈ 1200, got {diff}"
     );
 }
+
+// ------------------------------------------------------- the recipe memo
+
+/// A fingerprint hit is answered with the moments its recipe's first remap
+/// took, possibly at another point. On every bundled scenario and both
+/// tiers, every mapped reply's `expect` / `expect_std_dev` bits must be the
+/// kernel's on the samples that reply rebuilds.
+#[test]
+fn every_mapped_replys_moments_are_its_rebuilt_samples_bits() {
+    use prophet_mc::{GridGuide, SampleStats};
+    use prophet_models::full_registry;
+    use prophet_models::scenarios::{
+        figure2_coarse_sql, INVENTORY_POLICY, PRICING_WHATIF, SUPPORT_STAFFING,
+    };
+    let scenarios = [
+        (Scenario::figure2().unwrap(), 300),
+        (Scenario::parse(&figure2_coarse_sql(0.05)).unwrap(), 300),
+        (Scenario::parse(INVENTORY_POLICY).unwrap(), 120),
+        (Scenario::parse(PRICING_WHATIF).unwrap(), 120),
+        (Scenario::parse(SUPPORT_STAFFING).unwrap(), 120),
+    ];
+    let mut memoised = 0;
+    for (scenario, points) in scenarios {
+        let stride = scenario.parameter_space_size().div_ceil(points);
+        let grid: Vec<ParamPoint> = GridGuide::new(&scenario.script().params)
+            .step_by(stride)
+            .collect();
+        for tier in [ExecTier::Columnar, ExecTier::Scalar] {
+            let config = EngineConfig {
+                worlds_per_point: 24,
+                tier,
+                ..EngineConfig::default()
+            };
+            let engine = Engine::new(&scenario, full_registry(), config).unwrap();
+            let mut mapped = 0;
+            // Batches of 16: a probe never matches a sibling of its batch.
+            for batch in grid.chunks(16) {
+                for (set, outcome) in engine.evaluate_batch(batch).unwrap() {
+                    if !matches!(outcome, EvalOutcome::Mapped { .. }) {
+                        continue;
+                    }
+                    mapped += 1;
+                    for column in engine.output_columns() {
+                        let moments = (set.expect(column), set.expect_std_dev(column));
+                        let stats = SampleStats::of(set.samples(column).unwrap());
+                        assert_eq!(
+                            (moments.0.unwrap().to_bits(), moments.1.unwrap().to_bits()),
+                            (stats.mean.to_bits(), stats.std_dev.to_bits()),
+                            "{tier:?} {} `{column}`",
+                            set.point()
+                        );
+                    }
+                }
+            }
+            let m = engine.metrics();
+            assert!(mapped > 0, "{tier:?}: no point mapped");
+            assert_eq!(m.points_mapped, mapped);
+            assert_eq!(m.remaps + m.remaps_memoised, m.points_mapped, "{tier:?}");
+            memoised += m.remaps_memoised;
+        }
+    }
+    assert!(memoised > 0, "no hit was answered from the memo");
+}
+
+/// A derived item that mentions a parameter makes that parameter part of
+/// the recipe: two points that map from one source through the same
+/// mappings but differ in `@feature` share their moments under the bundled
+/// Figure 2, and must not once `overload` reads `@feature`.
+#[test]
+fn a_parameter_a_derived_item_mentions_is_part_of_its_recipe() {
+    let reads_feature = fuzzy_prophet::scenario::FIGURE2_SQL.replace(
+        "CASE WHEN capacity < demand THEN",
+        "CASE WHEN capacity < demand + 40 * @feature THEN",
+    );
+    let source = point(5, 16, 36, 12);
+    let (a, b) = (point(5, 16, 36, 36), point(5, 16, 36, 44));
+    for (sql, shared) in [
+        (fuzzy_prophet::scenario::FIGURE2_SQL.to_owned(), true),
+        (reads_feature, false),
+    ] {
+        let scenario = Scenario::parse(&sql).unwrap();
+        let config = |fingerprints_enabled| EngineConfig {
+            worlds_per_point: 80,
+            fingerprints_enabled,
+            ..EngineConfig::default()
+        };
+        let engine = Engine::new(&scenario, demo_registry(), config(true)).unwrap();
+        engine.evaluate(&source).unwrap();
+        let results = engine.evaluate_batch(&[a.clone(), b.clone()]).unwrap();
+        for ((set, outcome), p) in results.iter().zip([&a, &b]) {
+            assert!(
+                matches!(outcome, EvalOutcome::Mapped { from, .. } if *from == source),
+                "{p}: {outcome:?}"
+            );
+            let direct = Engine::new(&scenario, demo_registry(), config(false)).unwrap();
+            let (truth, _) = direct.evaluate(p).unwrap();
+            for column in ["demand", "capacity", "overload"] {
+                let bits = |s: &prophet_mc::SampleSet| {
+                    let (mean, sd) = (s.expect(column).unwrap(), s.expect_std_dev(column).unwrap());
+                    (mean.to_bits(), sd.to_bits())
+                };
+                assert_eq!(bits(set), bits(&truth), "{p} `{column}`");
+            }
+        }
+        let m = engine.metrics();
+        let overload = |i: usize| results[i].0.expect("overload").unwrap();
+        if shared {
+            assert_eq!((m.remaps, m.remaps_memoised), (1, 1));
+            assert_eq!(overload(0).to_bits(), overload(1).to_bits());
+        } else {
+            assert_eq!((m.remaps, m.remaps_memoised), (2, 0));
+            assert_ne!(
+                overload(0),
+                overload(1),
+                "the threshold moved with @feature"
+            );
+        }
+    }
+}

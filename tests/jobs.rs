@@ -993,6 +993,53 @@ fn a_warm_progressive_estimate_is_the_mean_of_the_whole_entry() {
     }
 }
 
+/// A stop rule reads moments, not samples: a progressive estimate answered
+/// by a fresh fingerprint hit, then by that hit's cached recipe record,
+/// rebuilds nothing, and is the mapped samples' whole-entry mean.
+#[test]
+fn a_progressive_estimate_on_a_mapped_point_rebuilds_nothing() {
+    let prophet = Prophet::builder()
+        .scenario("figure2", Scenario::figure2().unwrap())
+        .registry(demo_registry())
+        .worlds_per_point(200)
+        .build()
+        .unwrap();
+    let point = |feature| {
+        ParamPoint::from_pairs([
+            ("current", 5),
+            ("purchase1", 16),
+            ("purchase2", 36),
+            ("feature", feature),
+        ])
+    };
+    let (source, mapped) = (point(12), point(44));
+    let store = prophet.engine("figure2").unwrap().basis_store().clone();
+    prophet
+        .submit(JobSpec::points("figure2", vec![source]))
+        .unwrap()
+        .wait()
+        .unwrap();
+    let mut estimates = Vec::new();
+    for answer in ["a fresh hit", "a cached recipe record"] {
+        let job = JobSpec::progressive("figure2", mapped.clone(), "overload", 0.2, 20);
+        let output = prophet.submit(job).unwrap().wait().unwrap();
+        let estimate = output.into_progressive().unwrap();
+        assert!(estimate.used_basis && estimate.worlds_used == 0, "{answer}");
+        let stats = store.stats_snapshot();
+        assert_eq!(
+            (stats.resident, stats.rematerializations),
+            (1, 0),
+            "{answer}"
+        );
+        estimates.push(estimate);
+    }
+    let samples = store.get_exact(&mapped, 200).expect("the recipe record");
+    let mean = SampleStats::of(&samples["overload"]).mean;
+    for estimate in estimates {
+        assert_eq!(estimate.estimate.to_bits(), mean.to_bits());
+    }
+}
+
 // ------------------------------------------ one engine per scenario slot
 
 /// Every point's stored samples as bits, in point order: what a store
