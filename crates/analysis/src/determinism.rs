@@ -388,6 +388,30 @@ mod tests {
         assert_eq!(f[0].pass, "map-iter");
     }
 
+    /// The engine's internal tables spell their hasher out
+    /// (`HashMap<K, V, FastBuild>`): a deterministic hasher still leaves
+    /// iteration order an accident of the hash, so the walk is flagged.
+    #[test]
+    fn a_map_with_a_custom_hasher_is_still_a_map() {
+        let src = r#"
+            struct Inflight { slots: OrderedMutex<HashMap<u64, u32, FastBuild>> }
+            struct S { index: HashMap<u64, u32, FastBuild> }
+            impl S {
+                fn dump(&self) -> Vec<u64> {
+                    self.index.keys().copied().collect()
+                }
+                fn cancel_all(inflight: &Inflight) {
+                    let mut slots = inflight.slots.lock();
+                    for (k, _) in slots.drain() { cancel(k); }
+                }
+            }
+        "#;
+        let f = active(src);
+        assert_eq!(f.len(), 2, "{f:?}");
+        assert!(f[0].message.contains("`keys` over `index`"), "{f:?}");
+        assert!(f[1].message.contains("`drain` over `slots`"), "{f:?}");
+    }
+
     #[test]
     fn sort_in_the_next_statement_suppresses() {
         let src = r#"

@@ -18,7 +18,8 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// Which pass produced it: `lint` (the message names the rule),
-    /// `map-iter`, `rank-table`.
+    /// `map-iter`, `rank-table`, `unreached`, or the driver's
+    /// `stale-allow` check.
     pub pass: &'static str,
     /// Workspace-relative `/`-separated path.
     pub file: String,

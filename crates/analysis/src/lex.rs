@@ -12,11 +12,12 @@
 //!   (`map-iter` and `unreached` read it).
 //!
 //! A marker covers its own line and the next line that carries code, so
-//! it can close a multi-line explanatory comment. Rule names are not
-//! validated here — each pass filters [`Lexed::allowed`] by the names it
-//! owns, and the driver reports marker names nothing claimed.
-
-use std::collections::{HashMap, HashSet};
+//! it can close a multi-line explanatory comment. Only plain `//`
+//! comments carry markers: a doc comment (`///`, `//!`) describes code —
+//! the grammar above included — and excuses nothing. Rule names are not
+//! validated here — each pass asks [`Lexed::allows`] about the names it
+//! owns, and the driver reports every marker that excused no finding
+//! (`stale-allow`), a misspelt or unclaimed name included.
 
 #[derive(Debug, Clone, PartialEq)]
 pub enum TokKind {
@@ -37,17 +38,38 @@ pub struct Tok {
     pub line: usize,
 }
 
-/// Lexer output: the token stream plus, per allow-name, the set of lines
-/// a marker covers.
+/// One allow marker: `// <spelling>:allow(<name>)` at `line`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Marker {
+    /// `lint` or `analysis`.
+    pub spelling: &'static str,
+    /// The rule or pass the marker names.
+    pub name: String,
+    /// The marker's own line.
+    pub line: usize,
+    /// The next line that carries code, if any: the other line it covers.
+    pub next_code_line: Option<usize>,
+}
+
+impl Marker {
+    /// Whether the marker covers `line`.
+    pub fn covers(&self, line: usize) -> bool {
+        self.line == line || self.next_code_line == Some(line)
+    }
+}
+
+/// Lexer output: the token stream and every allow marker.
 pub struct Lexed {
     pub toks: Vec<Tok>,
-    pub allowed: HashMap<String, HashSet<usize>>,
+    pub markers: Vec<Marker>,
 }
 
 impl Lexed {
     /// Whether `name` is allowed at `line`.
     pub fn allows(&self, name: &str, line: usize) -> bool {
-        self.allowed.get(name).is_some_and(|l| l.contains(&line))
+        self.markers
+            .iter()
+            .any(|m| m.name == name && m.covers(line))
     }
 }
 
@@ -56,9 +78,7 @@ pub fn lex(src: &str) -> Lexed {
     let mut pos = 0usize;
     let mut line = 1usize;
     let mut toks = Vec::new();
-    let mut allowed: HashMap<String, HashSet<usize>> = HashMap::new();
-    // Allows whose "next code line" hasn't been seen yet.
-    let mut pending: Vec<String> = Vec::new();
+    let mut markers: Vec<Marker> = Vec::new();
 
     macro_rules! bump {
         () => {{
@@ -79,14 +99,21 @@ pub fn lex(src: &str) -> Lexed {
                     pos += 1;
                 }
                 let comment = &src[start..pos];
-                for prefix in ["lint:allow(", "analysis:allow("] {
-                    if let Some(idx) = comment.find(prefix) {
-                        let rest = &comment[idx + prefix.len()..];
-                        if let Some(end) = rest.find(')') {
-                            let name = rest[..end].trim().to_string();
-                            allowed.entry(name.clone()).or_default().insert(line);
-                            pending.push(name);
-                        }
+                let doc = comment.starts_with("//!")
+                    || (comment.starts_with("///") && !comment.starts_with("////"));
+                for spelling in ["lint", "analysis"] {
+                    let prefix = format!("{spelling}:allow(");
+                    let Some(idx) = comment.find(&prefix).filter(|_| !doc) else {
+                        continue;
+                    };
+                    let rest = &comment[idx + prefix.len()..];
+                    if let Some(end) = rest.find(')') {
+                        markers.push(Marker {
+                            spelling,
+                            name: rest[..end].trim().to_string(),
+                            line,
+                            next_code_line: None,
+                        });
                     }
                 }
             }
@@ -107,22 +134,22 @@ pub fn lex(src: &str) -> Lexed {
             }
             b'"' => {
                 let s = lex_cooked_string(bytes, &mut pos, &mut line);
-                push_tok(&mut toks, &mut pending, &mut allowed, TokKind::Str(s), line);
+                push_tok(&mut toks, &mut markers, TokKind::Str(s), line);
             }
             b'r' | b'b' if raw_string_hashes(bytes, pos).is_some() => {
                 let (prefix, hashes) = raw_string_hashes(bytes, pos).unwrap();
                 pos += prefix; // consume r / br / rb prefix and the hashes
                 let s = lex_raw_string(bytes, &mut pos, &mut line, hashes);
-                push_tok(&mut toks, &mut pending, &mut allowed, TokKind::Str(s), line);
+                push_tok(&mut toks, &mut markers, TokKind::Str(s), line);
             }
             b'b' if bytes.get(pos + 1) == Some(&b'"') => {
                 pos += 1;
                 let s = lex_cooked_string(bytes, &mut pos, &mut line);
-                push_tok(&mut toks, &mut pending, &mut allowed, TokKind::Str(s), line);
+                push_tok(&mut toks, &mut markers, TokKind::Str(s), line);
             }
             b'\'' => {
                 lex_quote(bytes, &mut pos, &mut line);
-                push_tok(&mut toks, &mut pending, &mut allowed, TokKind::Other, line);
+                push_tok(&mut toks, &mut markers, TokKind::Other, line);
             }
             b'0'..=b'9' => {
                 let start = pos;
@@ -139,8 +166,7 @@ pub fn lex(src: &str) -> Lexed {
                 }
                 push_tok(
                     &mut toks,
-                    &mut pending,
-                    &mut allowed,
+                    &mut markers,
                     TokKind::Num(src[start..pos].to_string()),
                     line,
                 );
@@ -153,43 +179,29 @@ pub fn lex(src: &str) -> Lexed {
                     pos += 1;
                 }
                 let ident = src[start..pos].to_string();
-                push_tok(
-                    &mut toks,
-                    &mut pending,
-                    &mut allowed,
-                    TokKind::Ident(ident),
-                    line,
-                );
+                push_tok(&mut toks, &mut markers, TokKind::Ident(ident), line);
             }
             c => {
                 bump!();
                 if c.is_ascii() {
-                    push_tok(
-                        &mut toks,
-                        &mut pending,
-                        &mut allowed,
-                        TokKind::Punct(c as char),
-                        line,
-                    );
+                    push_tok(&mut toks, &mut markers, TokKind::Punct(c as char), line);
                 } else {
                     // Non-ASCII outside strings/comments: skip the byte.
                 }
             }
         }
     }
-    Lexed { toks, allowed }
+    Lexed { toks, markers }
 }
 
-/// Emit a token, attaching any pending inline allows to its line.
-fn push_tok(
-    toks: &mut Vec<Tok>,
-    pending: &mut Vec<String>,
-    allowed: &mut HashMap<String, HashSet<usize>>,
-    kind: TokKind,
-    line: usize,
-) {
-    for name in pending.drain(..) {
-        allowed.entry(name).or_default().insert(line);
+/// Emit a token, making its line the next code line of every marker
+/// since the previous token.
+fn push_tok(toks: &mut Vec<Tok>, markers: &mut [Marker], kind: TokKind, line: usize) {
+    for m in markers.iter_mut().rev() {
+        if m.next_code_line.is_some() {
+            break;
+        }
+        m.next_code_line = Some(line);
     }
     toks.push(Tok { kind, line });
 }

@@ -40,7 +40,9 @@
 //!   `// analysis:allow(pass): reason`.
 //!
 //! There is no file-level grant: an exception is a marker at the site it
-//! excuses, so it disappears with the code.
+//! excuses, so it disappears with the code — and a marker that excuses
+//! nothing is itself an active `stale-allow` finding
+//! ([`stale_allow_findings`]), so it cannot outlive the code either.
 //!
 //! The `unwrap` rule only fires on `.expect(` when the first argument is
 //! a string literal: `Result::expect` takes a message, whereas the
@@ -305,6 +307,53 @@ pub fn lint_findings(path: &str, src: &str) -> Vec<Finding> {
         .map(|(v, allowed)| Finding {
             allowed,
             ..Finding::new("lint", path, v.line, v.to_string())
+        })
+        .collect()
+}
+
+// ------------------------------------------------------- stale markers
+
+/// The name a marker must carry to excuse `finding`: a lint finding's
+/// rule (its message opens `[rule]`), any other finding's pass.
+fn allow_name(finding: &Finding) -> &str {
+    if finding.pass == "lint" {
+        let rule = finding.message.strip_prefix('[');
+        if let Some((rule, _)) = rule.and_then(|r| r.split_once(']')) {
+            return rule;
+        }
+    }
+    finding.pass
+}
+
+/// The `stale-allow` findings of one file: every allow marker in `src`
+/// that excuses none of `findings` (every pass's findings, any file) on
+/// its own line or its next code line. A stale marker is active, never
+/// allowed: it is either dead weight or the trace of a pass that went
+/// blind to the site it names.
+pub fn stale_allow_findings(path: &str, src: &str, findings: &[Finding]) -> Vec<Finding> {
+    let excused: Vec<&Finding> = findings
+        .iter()
+        .filter(|f| f.allowed && f.file == path)
+        .collect();
+    lex(src)
+        .markers
+        .into_iter()
+        .filter(|m| {
+            !excused
+                .iter()
+                .any(|f| allow_name(f) == m.name && m.covers(f.line))
+        })
+        .map(|m| {
+            Finding::new(
+                "stale-allow",
+                path,
+                m.line,
+                format!(
+                    "`{}:allow({})` excuses no finding on this line or the next code line — \
+                     delete it, or find why its pass no longer sees the site",
+                    m.spelling, m.name
+                ),
+            )
         })
         .collect()
 }
@@ -582,6 +631,68 @@ mod tests {
         assert_eq!(found[1].file, "crates/mc/src/store.rs");
         // A file-level exemption is not a site: nothing to report.
         assert!(lint_findings("crates/core/src/scheduler.rs", src).is_empty());
+    }
+
+    // ---- stale-allow
+
+    /// `stale-allow` findings of one file, fed that file's lint and
+    /// `map-iter` findings.
+    fn stale(path: &str, src: &str) -> Vec<(usize, String)> {
+        let mut findings = lint_findings(path, src);
+        determinism::audit(path, src, &mut findings);
+        stale_allow_findings(path, src, &findings)
+            .into_iter()
+            .map(|f| (f.line, f.message))
+            .collect()
+    }
+
+    #[test]
+    fn a_marker_that_excuses_a_finding_is_not_stale() {
+        let src = "// lint:allow(thread-spawn): reasoned here\n\
+                   fn g() { std::thread::scope(|s| {}); }\n\
+                   fn h(m: &HashMap<u64, u32>) -> Vec<u64> {\n\
+                       m.keys().copied().collect() // analysis:allow(map-iter): test\n\
+                   }";
+        assert!(stale("crates/mc/src/store.rs", src).is_empty());
+    }
+
+    #[test]
+    fn a_marker_that_excuses_nothing_is_stale() {
+        // Nothing to excuse, the wrong rule, the wrong pass, a line too
+        // far: each marker is stale.
+        let src = "// lint:allow(thread-spawn): nothing here\n\
+                   fn f() {}\n\
+                   // lint:allow(unwrap): not the rule that fires\n\
+                   fn g() { std::thread::scope(|s| {}); }\n\
+                   fn h(b: &BTreeMap<u64, u32>) -> Vec<u64> {\n\
+                       // analysis:allow(map-iter): a BTreeMap needs none\n\
+                       b.keys().copied().collect()\n\
+                   }\n\
+                   // analysis:allow(map-iter): two code lines above the walk\n\
+                   fn k(m: &HashMap<u64, u32>) -> Vec<u64> {\n\
+                       m.keys().copied().collect()\n\
+                   }";
+        let found = stale("crates/mc/src/store.rs", src);
+        let lines: Vec<usize> = found.iter().map(|(line, _)| *line).collect();
+        assert_eq!(lines, [1, 3, 6, 9], "{found:?}");
+        assert!(found[1]
+            .1
+            .starts_with("`lint:allow(unwrap)` excuses no finding"));
+        assert!(found[2].1.starts_with("`analysis:allow(map-iter)`"));
+    }
+
+    #[test]
+    fn doc_comments_carry_no_markers() {
+        // Prose about the grammar is not a marker: neither stale nor an
+        // excuse for the spawn below it.
+        let src = "//! Spell it `// lint:allow(rule): reason`.\n\
+                   /// `// lint:allow(thread-spawn): reason` would excuse this.\n\
+                   fn g() { std::thread::scope(|s| {}); }";
+        assert!(stale("crates/mc/src/store.rs", src).is_empty());
+        assert_eq!(
+            rules_fired("crates/mc/src/store.rs", src),
+            [Rule::ThreadSpawn]
+        );
     }
 
     // ---- the lexer does not fire inside non-code regions

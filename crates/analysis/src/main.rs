@@ -12,7 +12,10 @@
 //!    crates (`mc`, `core`, `fingerprint`, `sql`, `vg`);
 //! 4. the **unreached** scan for `pub` items nothing outside their own
 //!    tests names, reading `tests/`, `examples/` and `crates/*/tests` as
-//!    reach.
+//!    reach;
+//!
+//! and then reports every `lint:allow` / `analysis:allow` marker that
+//! excused none of their findings (`stale-allow`).
 //!
 //! Lock order itself is proven at runtime by the rank checker in
 //! `prophet_mc::sync` under `--features check`.
@@ -27,7 +30,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use analysis::findings::{render_json, Finding};
-use analysis::{determinism, lint_findings, ranktable, unreached};
+use analysis::{determinism, lint_findings, ranktable, stale_allow_findings, unreached};
 
 /// Crates whose outputs must not depend on hash-iteration order.
 const DETERMINISM_SCOPE: &[&str] = &[
@@ -135,6 +138,13 @@ fn main() -> ExitCode {
 
     // ---- pass 4: unreached `pub` items; tests and examples are reach
     unreached::audit(&files, &readers, &mut findings);
+
+    // ---- markers that excused nothing above
+    let stale: Vec<Finding> = files
+        .iter()
+        .flat_map(|(rel, src)| stale_allow_findings(rel, src, &findings))
+        .collect();
+    findings.extend(stale);
 
     findings.sort_by(|a, b| (&a.file, a.line, a.pass).cmp(&(&b.file, b.line, b.pass)));
     for f in &findings {

@@ -71,6 +71,14 @@ fn seeded_dyn_rng_helper_fails_the_gate_at_its_line() {
     assert_single_finding("dyn_rng", "crates/models/src/lib.rs:18: [lint] [dyn-rng]");
 }
 
+/// A marker whose site the pass no longer flags — the map became a
+/// `BTreeMap` — fails the gate on the marker's own line; the live marker
+/// beside it and a doc comment spelling the grammar do not.
+#[test]
+fn seeded_stale_marker_fails_the_gate_at_its_line() {
+    assert_single_finding("stale_allow", "crates/mc/src/lib.rs:21: [stale-allow]");
+}
+
 #[test]
 fn seeded_rank_table_drift_fails_the_gate_in_the_docs() {
     assert_single_finding("drift", "docs/CONCURRENCY.md:6: [rank-table]");

@@ -580,13 +580,16 @@ impl Engine {
     /// [`Remap::samples`], taken while the fresh columns are still in this
     /// worker's cache, which are then dropped: a hit publishes a recipe
     /// record and builds no samples. Counts the hit in the run's `remaps`
-    /// or `remaps_memoised`; a remap self-times into its `remap_nanos`.
+    /// or `remaps_memoised`; a remap self-times into its `remap_nanos`,
+    /// and the rest of the call — the key and the memo's lookup — into
+    /// its `recipe_lookup_nanos`.
     pub(crate) fn remap_moments(
         &self,
         point: &ParamPoint,
         hit: &BasisHit,
         metrics: &Counters,
     ) -> ProphetResult<ColumnMoments> {
+        let lookup = Stopwatch::start();
         let key = RecipeKey::new(
             hit,
             &self.remap.stochastic_cols,
@@ -604,7 +607,9 @@ impl Engine {
             nanos = start.elapsed_nanos();
             moments
         });
+        let lookup_nanos = lookup.elapsed_nanos().saturating_sub(nanos);
         metrics.bump(|m| {
+            m.recipe_lookup_nanos += lookup_nanos;
             if remapped {
                 m.remaps += 1;
                 m.column_gathers += gathers;

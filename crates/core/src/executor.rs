@@ -149,6 +149,7 @@ use prophet_mc::{
     BasisHit, ColumnMoments, ColumnSamples, InflightGuard, ParamPoint, Recipe, SampleSet,
     ScanSnapshot, ScanWork, TryClaim, WaitHandle,
 };
+use prophet_vg::FastBuild;
 
 use crate::engine::{Engine, EvalOutcome};
 use crate::error::{ProphetError, ProphetResult};
@@ -851,7 +852,8 @@ fn resume_prefix(reply: &SampleSet, worlds: usize) -> (Arc<ColumnSamples>, usize
 /// input slot, the index of its unique point.
 fn dedupe_points(points: &[ParamPoint]) -> (Vec<ParamPoint>, Vec<usize>) {
     let mut unique: Vec<ParamPoint> = Vec::new();
-    let mut index_of: HashMap<&ParamPoint, usize> = HashMap::with_capacity(points.len());
+    let mut index_of: HashMap<&ParamPoint, usize, FastBuild> =
+        HashMap::with_capacity_and_hasher(points.len(), FastBuild::default());
     let slot_of: Vec<usize> = points
         .iter()
         .map(|p| {

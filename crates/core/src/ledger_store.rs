@@ -32,7 +32,7 @@
 
 use std::collections::HashMap;
 
-use prophet_vg::LedgerStore;
+use prophet_vg::{FastBuild, LedgerStore};
 
 use crate::sync::{OrderedRwLock, DRAW_LEDGERS};
 
@@ -47,11 +47,14 @@ const MAX_CELLS: usize = 1 << 22;
 /// is ever proportional to an argument.
 const MAX_LEN: usize = 1 << 16;
 
+/// One function's ledgers: `(call index, world)` → cells.
+type Ledgers = HashMap<(u64, u64), Vec<f64>, FastBuild>;
+
 #[derive(Default)]
 struct Table {
     /// `(call index, world)` → cells, per function name: one string hash
     /// per call site, one pair hash per world.
-    by_function: HashMap<String, HashMap<(u64, u64), Vec<f64>>>,
+    by_function: HashMap<String, Ledgers, FastBuild>,
     cells: usize,
 }
 

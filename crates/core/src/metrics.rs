@@ -146,9 +146,17 @@ pub struct EngineMetrics {
     /// the [`remaps`](EngineMetrics::remaps) — applying the detected
     /// mappings, recomputing the derived columns and taking the moments,
     /// for a recipe the engine's recipe memo had not seen. A memoised
-    /// hit's lookup is not counted here; it runs in the match item, inside
-    /// [`probe_nanos`](EngineMetrics::probe_nanos).
+    /// hit's lookup is not counted here; it is
+    /// [`recipe_lookup_nanos`](EngineMetrics::recipe_lookup_nanos).
     pub remap_nanos: u64,
+    /// Nanoseconds inside the recipe memo's lookups, summed across
+    /// parallel workers: for every fingerprint hit, building its recipe
+    /// key and finding (or filing) it in the engine's recipe memo — the
+    /// remap a miss then runs excluded, which is
+    /// [`remap_nanos`](EngineMetrics::remap_nanos). What a memoised hit
+    /// costs; it runs in the match item, inside
+    /// [`probe_nanos`](EngineMetrics::probe_nanos).
+    pub recipe_lookup_nanos: u64,
     /// Fingerprint hits whose moments a remap computed: the engine's
     /// recipe memo had not seen their recipe (source, mappings and the
     /// derived items' parameters). With
@@ -250,6 +258,7 @@ impl EngineMetrics {
             window_hits: f(a.window_hits, b.window_hits),
             match_scan_nanos: f(a.match_scan_nanos, b.match_scan_nanos),
             remap_nanos: f(a.remap_nanos, b.remap_nanos),
+            recipe_lookup_nanos: f(a.recipe_lookup_nanos, b.recipe_lookup_nanos),
             remaps: f(a.remaps, b.remaps),
             remaps_memoised: f(a.remaps_memoised, b.remaps_memoised),
             publish_nanos: f(a.publish_nanos, b.publish_nanos),
@@ -311,7 +320,7 @@ impl fmt::Display for EngineMetrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let ms = |nanos: u64| nanos as f64 / 1e6;
         let us = |nanos: u64| format!("{:.2}", nanos as f64 / 1e3);
-        let rows: [(&str, String); 34] = [
+        let rows: [(&str, String); 35] = [
             ("points_simulated", self.points_simulated.to_string()),
             ("points_mapped", self.points_mapped.to_string()),
             ("points_cached", self.points_cached.to_string()),
@@ -338,6 +347,10 @@ impl fmt::Display for EngineMetrics {
             ("prune_pct", format!("{:.1}", self.prune_fraction() * 100.0)),
             ("match_scan_ms", format!("{:.2}", ms(self.match_scan_nanos))),
             ("remap_ms", format!("{:.2}", ms(self.remap_nanos))),
+            (
+                "recipe_lookup_ms",
+                format!("{:.2}", ms(self.recipe_lookup_nanos)),
+            ),
             ("remaps", self.remaps.to_string()),
             ("remaps_memoised", self.remaps_memoised.to_string()),
             ("publish_ms", format!("{:.2}", ms(self.publish_nanos))),
@@ -430,6 +443,7 @@ mod tests {
             window_hits: 7,
             match_scan_nanos: 800,
             remap_nanos: 300,
+            recipe_lookup_nanos: 90,
             publish_nanos: 120,
             probe_nanos: 1_000,
             sim_nanos: 5_000,
@@ -450,6 +464,7 @@ mod tests {
             window_hits: 9,
             match_scan_nanos: 1_000,
             remap_nanos: 400,
+            recipe_lookup_nanos: 130,
             publish_nanos: 150,
             probe_nanos: 1_500,
             sim_nanos: 5_500,
@@ -470,6 +485,7 @@ mod tests {
         assert_eq!(diff.window_hits, 2);
         assert_eq!(diff.match_scan_nanos, 200);
         assert_eq!(diff.remap_nanos, 100);
+        assert_eq!(diff.recipe_lookup_nanos, 40);
         assert_eq!(diff.publish_nanos, 30);
         assert_eq!(diff.probe_nanos, 500);
         assert_eq!(diff.sim_nanos, 500);
@@ -514,6 +530,7 @@ mod tests {
             window_hits: 6,
             match_scan_nanos: 2_500_000,
             remap_nanos: 1_750_000,
+            recipe_lookup_nanos: 420_000,
             remaps: 1,
             remaps_memoised: 1,
             publish_nanos: 640_000,
@@ -549,6 +566,7 @@ window_hits                      6
 prune_pct                     75.0
 match_scan_ms                 2.50
 remap_ms                      1.75
+recipe_lookup_ms              0.42
 remaps                           1
 remaps_memoised                  1
 publish_ms                    0.64
@@ -598,6 +616,7 @@ sim_p99_us                 4194.30";
             window_hits: 27,
             match_scan_nanos: 12,
             remap_nanos: 23,
+            recipe_lookup_nanos: 30,
             remaps: 28,
             remaps_memoised: 29,
             publish_nanos: 24,

@@ -539,6 +539,53 @@ FOR MAX @x";
         }
     }
 
+    /// The engine's internal tables hash with `FastBuild`: every Figure-2
+    /// sweep point, and every `CapacityModel(@current, @purchase1,
+    /// @purchase2)` call-site key the probe memo files (call index 1,
+    /// after `DemandModel`'s), must get a distinct 64-bit hash.
+    #[test]
+    fn figure2_keys_hash_to_distinct_words() {
+        use prophet_sql::columnar::{ArgBits, CallSiteKey};
+        use prophet_vg::FastBuild;
+        use std::hash::BuildHasher;
+
+        let plan = SweepPlan::from_script(Scenario::figure2().unwrap().script()).unwrap();
+        let points: Vec<ParamPoint> = plan
+            .groups()
+            .iter()
+            .flat_map(|group| plan.group_points(group))
+            .collect();
+        let distinct = |mut hashes: Vec<u64>| {
+            hashes.sort_unstable();
+            hashes.dedup();
+            hashes.len()
+        };
+        let build = FastBuild::default();
+        assert_eq!(points.len(), 31_164);
+        assert_eq!(
+            distinct(points.iter().map(|p| build.hash_one(p)).collect()),
+            31_164
+        );
+
+        let tuples: std::collections::BTreeSet<[i64; 3]> = points
+            .iter()
+            .map(|p| ["current", "purchase1", "purchase2"].map(|name| p.get(name).unwrap()))
+            .collect();
+        let keys: Vec<CallSiteKey> = tuples
+            .into_iter()
+            .map(|args| CallSiteKey {
+                function: "CapacityModel".to_owned(),
+                call_index: 1,
+                args: args.map(ArgBits::Int).to_vec(),
+            })
+            .collect();
+        assert_eq!(keys.len(), 10_388);
+        assert_eq!(
+            distinct(keys.iter().map(|k| build.hash_one(k)).collect()),
+            10_388
+        );
+    }
+
     #[test]
     fn outer_accumulator_behaviour() {
         let mut max = OuterAccumulator::new(OuterAgg::Max);

@@ -38,6 +38,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use prophet_sql::columnar::{CallSiteKey, CallSiteMemo};
+use prophet_vg::FastBuild;
 
 use crate::sync::{OrderedMutex, PROBE_MEMO};
 
@@ -50,7 +51,7 @@ const MAX_ENTRIES: usize = 16_384;
 /// the table: deterministic, and it can only cost recomputation — a probe
 /// that misses draws exactly the lanes a hit would have returned.
 pub(crate) struct ProbeMemo {
-    table: OrderedMutex<HashMap<CallSiteKey, Arc<[f64]>>>,
+    table: OrderedMutex<HashMap<CallSiteKey, Arc<[f64]>, FastBuild>>,
     max_entries: usize,
 }
 
@@ -64,7 +65,7 @@ impl ProbeMemo {
     /// without drawing sixteen thousand tuples.
     pub(crate) fn with_bound(max_entries: usize) -> Self {
         ProbeMemo {
-            table: OrderedMutex::new(PROBE_MEMO, HashMap::new()),
+            table: OrderedMutex::new(PROBE_MEMO, HashMap::default()),
             max_entries,
         }
     }

@@ -45,6 +45,7 @@ use std::sync::{Arc, OnceLock};
 
 use prophet_fingerprint::Mapping;
 use prophet_mc::{BasisHit, ColumnMoments, ColumnSamples, ParamPoint};
+use prophet_vg::FastBuild;
 
 use crate::error::ProphetResult;
 use crate::sync::{OrderedMutex, RECIPE_MEMO};
@@ -116,7 +117,7 @@ struct Entry {
 /// Bounded `recipe → moments` table behind a leaf lock. Overflow clears
 /// the table: deterministic, and it can only cost remaps.
 pub(crate) struct RecipeMemo {
-    table: OrderedMutex<HashMap<RecipeKey, Arc<Entry>>>,
+    table: OrderedMutex<HashMap<RecipeKey, Arc<Entry>, FastBuild>>,
     max_entries: usize,
 }
 
@@ -130,7 +131,7 @@ impl RecipeMemo {
     /// without a thousand recipes.
     pub(crate) fn with_bound(max_entries: usize) -> Self {
         RecipeMemo {
-            table: OrderedMutex::new(RECIPE_MEMO, HashMap::new()),
+            table: OrderedMutex::new(RECIPE_MEMO, HashMap::default()),
             max_entries,
         }
     }

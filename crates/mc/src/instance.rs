@@ -14,15 +14,30 @@ use prophet_data::Value;
 /// representations: `ParamPoint` is used as a cache key by the fingerprint
 /// basis store and must hash deterministically.
 ///
-/// Names are reference-counted: the evaluation pipeline clones a point a
-/// dozen-odd times on its way from the sweep plan through claim, scan,
-/// store and reply, and every point of a scenario carries the same few
-/// names, so a clone is one allocation (the entry vector) plus refcount
-/// bumps instead of one allocation per name. `Arc<str>` hashes, compares
-/// and orders exactly as the `String` it replaces.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
+/// A point is a value: the evaluation pipeline clones it a dozen-odd
+/// times on its way from the sweep plan through claim, scan, store and
+/// reply, so its entries live in one shared allocation and a clone is one
+/// refcount bump on it. Editing a point its clones share ([`set`],
+/// [`with`]) rebuilds the entries in one new allocation and leaves the
+/// clones as they were (copy-on-write); an unshared point overwrites a
+/// value in place. Every point of a scenario carries the same few names,
+/// and a rebuild shares them rather than copying them. `Arc<str>` hashes,
+/// compares and orders exactly as the `String` it replaces, and the
+/// shared slice exactly as the `Vec` it replaces.
+///
+/// [`set`]: ParamPoint::set
+/// [`with`]: ParamPoint::with
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ParamPoint {
-    entries: Vec<(Arc<str>, i64)>,
+    entries: Arc<[(Arc<str>, i64)]>,
+}
+
+impl Default for ParamPoint {
+    fn default() -> Self {
+        ParamPoint {
+            entries: Arc::from(Vec::new()),
+        }
+    }
 }
 
 impl ParamPoint {
@@ -37,26 +52,52 @@ impl ParamPoint {
         I: IntoIterator<Item = (S, i64)>,
         S: Into<String>,
     {
-        let mut point = ParamPoint::new();
+        let mut entries: Vec<(Arc<str>, i64)> = Vec::new();
         for (name, value) in pairs {
             let name: String = name.into();
-            point.set(name, value);
+            match entries.binary_search_by(|(n, _)| (**n).cmp(&name)) {
+                Ok(i) => entries[i].1 = value,
+                Err(i) => entries.insert(i, (Arc::from(name), value)),
+            }
         }
-        point
+        ParamPoint {
+            entries: Arc::from(entries),
+        }
     }
 
-    /// Set (or overwrite) one parameter. Overwriting allocates nothing:
-    /// the entry keeps the name it already shares with the point's clones.
+    /// Set (or overwrite) one parameter. Overwriting keeps every name the
+    /// point shares with its clones; it edits in place when no clone
+    /// shares the entries, and otherwise rebuilds them in one allocation,
+    /// leaving the clones unchanged.
     pub fn set(&mut self, name: impl AsRef<str>, value: i64) {
         let name = name.as_ref();
         match self.entries.binary_search_by(|(n, _)| (**n).cmp(name)) {
-            Ok(i) => self.entries[i].1 = value,
-            Err(i) => self.entries.insert(i, (Arc::from(name), value)),
+            Ok(i) if self.entries[i].1 == value => {}
+            Ok(i) => match Arc::get_mut(&mut self.entries) {
+                Some(unshared) => unshared[i].1 = value,
+                None => {
+                    self.entries = self
+                        .entries
+                        .iter()
+                        .enumerate()
+                        .map(|(j, (n, v))| (Arc::clone(n), if j == i { value } else { *v }))
+                        .collect();
+                }
+            },
+            Err(i) => {
+                self.entries = self.entries[..i]
+                    .iter()
+                    .cloned()
+                    .chain(std::iter::once((Arc::from(name), value)))
+                    .chain(self.entries[i..].iter().cloned())
+                    .collect();
+            }
         }
     }
 
     /// A copy with one parameter replaced — the "adjust one slider" op of
-    /// online mode. The copy shares every name with `self`.
+    /// online mode. The copy shares every name with `self` and is built in
+    /// one allocation; `self` is unchanged.
     pub fn with(&self, name: impl AsRef<str>, value: i64) -> Self {
         let mut copy = self.clone();
         copy.set(name, value);
@@ -105,7 +146,7 @@ impl ParamPoint {
                 h = h.wrapping_mul(0x0000_0100_0000_01B3);
             }
         };
-        for (n, v) in &self.entries {
+        for (n, v) in self.entries.iter() {
             eat(n.as_bytes());
             eat(b"=");
             eat(&v.to_le_bytes());
@@ -174,6 +215,30 @@ mod tests {
         for ((a, _), (b, _)) in p.iter().zip(q.iter()) {
             assert!(std::ptr::eq(a, b), "`{a}` was allocated again");
         }
+    }
+
+    #[test]
+    fn a_clone_shares_the_entries_and_edits_copy_on_write() {
+        let p = ParamPoint::from_pairs([("x", 1i64), ("y", 2)]);
+        let mut q = p.clone();
+        let r = p.clone();
+        assert!(Arc::ptr_eq(&p.entries, &q.entries), "a clone allocated");
+        q.set("x", 9);
+        let s = r.with("z", 3);
+        let unchanged = ParamPoint::from_pairs([("x", 1i64), ("y", 2)]);
+        assert_eq!((&p, &r), (&unchanged, &unchanged));
+        assert!(Arc::ptr_eq(&p.entries, &r.entries));
+        assert_eq!(q, ParamPoint::from_pairs([("x", 9i64), ("y", 2)]));
+        assert_eq!(s, ParamPoint::from_pairs([("x", 1i64), ("y", 2), ("z", 3)]));
+        // `q` owns its rebuilt entries alone now: the next edit is in place.
+        let rebuilt = Arc::as_ptr(&q.entries);
+        q.set("y", 7);
+        assert_eq!(Arc::as_ptr(&q.entries), rebuilt);
+        assert_eq!(q.get("y"), Some(7));
+        // Setting the value a shared point already holds keeps it shared.
+        let mut t = p.clone();
+        t.set("x", 1);
+        assert!(Arc::ptr_eq(&p.entries, &t.entries));
     }
 
     #[test]

@@ -148,6 +148,7 @@ use prophet_fingerprint::index::{
     SummaryTable,
 };
 use prophet_fingerprint::{CorrelationDetector, Fingerprint, Mapping};
+use prophet_vg::FastBuild;
 
 use crate::aggregate::ColumnMoments;
 use crate::instance::ParamPoint;
@@ -449,7 +450,7 @@ impl StoredEntry {
 /// entry, else the oldest matchable one — each an O(log n) `pop_first`.
 #[derive(Default)]
 struct Table {
-    entries: HashMap<ParamPoint, Record>,
+    entries: HashMap<ParamPoint, Record, FastBuild>,
     next_stamp: u64,
     /// Unmatchable (mapped) entries by stamp: evicted first, oldest first.
     unmatchable: BTreeMap<u64, ParamPoint>,
@@ -586,7 +587,7 @@ impl PendingSlot {
 }
 
 struct Inflight {
-    slots: OrderedMutex<HashMap<ParamPoint, Arc<PendingSlot>>>,
+    slots: OrderedMutex<HashMap<ParamPoint, Arc<PendingSlot>, FastBuild>>,
     /// Claim-protocol checker: every point must walk claimed → simulated →
     /// published (or claimed → cancelled) exactly once per claim. A no-op
     /// unless `cfg(any(test, feature = "check"))`.
@@ -596,7 +597,7 @@ struct Inflight {
 impl Default for Inflight {
     fn default() -> Self {
         Inflight {
-            slots: OrderedMutex::new(rank::INFLIGHT_TABLE, HashMap::new()),
+            slots: OrderedMutex::new(rank::INFLIGHT_TABLE, HashMap::default()),
             ledger: ClaimLedger::new(),
         }
     }
@@ -1875,7 +1876,7 @@ impl SharedBasisStore {
         let (next_stamp, parsed) = parse_snapshot(bytes, &self.provenance)?;
         let count = parsed.len();
         let mut restored = Table {
-            entries: HashMap::with_capacity(count),
+            entries: HashMap::with_capacity_and_hasher(count, FastBuild::default()),
             next_stamp,
             ..Table::default()
         };

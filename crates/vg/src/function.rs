@@ -26,6 +26,7 @@ use std::sync::Arc;
 
 use prophet_data::{DataError, DataResult, Value};
 
+use crate::hash::FastBuild;
 use crate::rng::Xoshiro256StarStar;
 use crate::seeded::SeedManager;
 
@@ -207,7 +208,7 @@ impl Entry {
 /// preparation; simulation threads only `invoke`.
 #[derive(Default)]
 pub struct VgRegistry {
-    entries: HashMap<String, Entry>,
+    entries: HashMap<String, Entry, FastBuild>,
 }
 
 impl VgRegistry {

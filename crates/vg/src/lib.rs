@@ -29,14 +29,18 @@
 //! * [`function`] — the black-box [`function::VgFunction`] trait, the
 //!   [`function::VgRegistry`] catalog, and invocation accounting used to
 //!   *measure* the work fingerprints save,
-//! * [`seeded`] — the deterministic (world, function, step) → seed mapping.
+//! * [`seeded`] — the deterministic (world, function, step) → seed mapping,
+//! * [`hash`] — the deterministic word hasher ([`hash::FastBuild`]) the
+//!   engine's internal tables use instead of SipHash.
 
 pub mod dist;
 pub mod function;
+pub mod hash;
 pub mod rng;
 pub mod seeded;
 
 pub use dist::Distribution;
 pub use function::{InvocationStats, LedgerCall, LedgerStore, VgCallF64, VgFunction, VgRegistry};
+pub use hash::FastBuild;
 pub use rng::{Rng64, SeedSequence, SplitMix64, Xoshiro256StarStar};
 pub use seeded::SeedManager;
