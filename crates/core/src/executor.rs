@@ -623,15 +623,15 @@ fn fingerprint_phase<R: Runner>(
     // The candidate snapshot is taken here — after every probe has
     // landed, so no probe ever matches a sibling of its batch — and the
     // store's locks are released before any comparison runs.
-    let t_match = tracer.now();
+    let t_snapshot = tracer.now();
     let snapshot = engine.scan_snapshot(metrics);
-    tracer.span(TraceEventKind::PhaseMatch, job, NO_CHUNK, t_match);
+    tracer.span(TraceEventKind::PhaseSnapshot, job, NO_CHUNK, t_snapshot);
 
     // Match-then-remap, one item per probe: each scans the snapshot
     // against its own incumbent and re-maps its hit on the worker that
     // found it.
     let (fused_snapshot, fused_tracer) = (Arc::clone(&snapshot), tracer.clone());
-    let t_remap = tracer.now();
+    let t_scan = tracer.now();
     let fused = runner.fan_out(
         fused_items,
         move |engine, metrics, (point, probe): (ParamPoint, HashMap<String, Fingerprint>)| {
@@ -640,7 +640,7 @@ fn fingerprint_phase<R: Runner>(
             (point, probe, matched)
         },
     );
-    tracer.span(TraceEventKind::PhaseRemap, job, NO_CHUNK, t_remap);
+    tracer.span(TraceEventKind::PhaseScan, job, NO_CHUNK, t_scan);
     // Close the scans: their work goes into the run's counters and the
     // store's hit/miss ledger.
     let work = fused.iter().flatten().map(|(.., m)| m.work);

@@ -201,6 +201,24 @@ impl ColumnMoments {
         &self.columns
     }
 
+    /// `(mean, std_dev)` per column, in [`ColumnMoments::columns`] order.
+    pub(crate) fn values(&self) -> &[(f64, f64)] {
+        &self.values
+    }
+
+    /// Whether `self` and `other` hold bit-equal moments of the same
+    /// columns, in whatever order each keeps them.
+    pub(crate) fn bits_eq(&self, other: &ColumnMoments) -> bool {
+        let bits = |(mean, std_dev): (f64, f64)| (mean.to_bits(), std_dev.to_bits());
+        if Arc::ptr_eq(&self.columns, &other.columns) {
+            return (self.values.iter().zip(other.values.iter()))
+                .all(|(a, b)| bits(*a) == bits(*b));
+        }
+        self.columns.len() == other.columns.len()
+            && (self.columns.iter().zip(self.values.iter()))
+                .all(|(column, v)| other.get(column).is_some_and(|w| bits(*v) == bits(w)))
+    }
+
     /// `(mean, std_dev)` of `column`, or `None` if it is not covered.
     pub fn get(&self, column: &str) -> Option<(f64, f64)> {
         let i = self.columns.iter().position(|c| c == column)?;

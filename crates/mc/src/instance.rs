@@ -65,6 +65,25 @@ impl ParamPoint {
         }
     }
 
+    /// The point of `entries`, which are sorted by name and distinct: one
+    /// allocation, sharing each name.
+    pub(crate) fn from_sorted(entries: &[(Arc<str>, i64)]) -> Self {
+        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
+        ParamPoint {
+            entries: Arc::from(entries),
+        }
+    }
+
+    /// Whether `other` carries the very name allocations `self` does: the
+    /// points of one scenario mostly share them, which lets a snapshot
+    /// writer look up, and a restore check, a run of points' names once.
+    pub(crate) fn shares_names(&self, other: &ParamPoint) -> bool {
+        let (a, b) = (&self.entries, &other.entries);
+        Arc::ptr_eq(a, b)
+            || (a.len() == b.len()
+                && (a.iter().zip(b.iter())).all(|(x, y)| Arc::ptr_eq(&x.0, &y.0)))
+    }
+
     /// Set (or overwrite) one parameter. Overwriting keeps every name the
     /// point shares with its clones; it edits in place when no clone
     /// shares the entries, and otherwise rebuilds them in one allocation,

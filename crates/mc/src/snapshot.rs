@@ -3,19 +3,33 @@
 //! restored from (spelled out in `docs/CONCURRENCY.md`).
 //!
 //! Encoding is a pure function of the records handed in — header (with
-//! the [`Provenance`] of the world the samples were drawn in), records in
-//! stamp order with name-sorted maps, and a trailing four-lane word
-//! checksum — so save → load → save is byte-identical. Decoding validates
-//! the whole stream (length, magic, version, checksum, provenance, record
-//! structure, recipe sources, stamp order, distinct points) into parsed
-//! records and touches no store: installing them is the store's business.
+//! the [`Provenance`] of the world the samples were drawn in and the
+//! sorted table of the parameter names the points use), records in stamp
+//! order with name-sorted maps, and a trailing four-lane word checksum —
+//! so save → load → save is byte-identical. A point is written as its
+//! `(name index, value)` pairs. Each distinct recipe is written once: the
+//! first record that uses it defines it inline, and every later one names
+//! it by index. Recipes are told apart by value (source stamp, mapping
+//! bits, moment bits), never by allocation, so the bytes do not depend on
+//! which records share one.
+//!
+//! Decoding validates the whole stream (length, magic, version, checksum,
+//! provenance, record structure, recipe sources, stamp order, canonical
+//! form) into parsed records and the recipes they share, and touches no
+//! store: installing them is the store's business. It accepts exactly the
+//! writer's canonical form — a table name no point uses, non-ascending
+//! name indices, a recipe defined twice or an index not yet defined fail
+//! [`SnapshotError::NotCanonical`] — so a stream that restores re-saves
+//! to itself.
 
 use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use prophet_fingerprint::{Fingerprint, Mapping};
-use prophet_vg::VgRegistry;
+use prophet_vg::{FastBuild, VgRegistry};
 
 use crate::aggregate::ColumnMoments;
 use crate::instance::ParamPoint;
@@ -25,21 +39,25 @@ use crate::store::{ColumnSamples, Recipe, Record};
 const SNAPSHOT_MAGIC: [u8; 4] = *b"FPBS";
 /// Current snapshot format version. Older versions are not read: they
 /// fail with [`SnapshotError::UnsupportedVersion`].
-const SNAPSHOT_VERSION: u16 = 4;
-/// Magic, version, stamp counter, record count, and the fixed part of the
-/// [`Provenance`]: the script, root-seed and probe-seed words and the
-/// registry's entry count.
-const SNAPSHOT_HEADER: usize = 4 + 2 + 8 + 8 + 8 + 8 + 8 + 4;
+pub(crate) const SNAPSHOT_VERSION: u16 = 5;
+/// Magic, version, stamp counter, record count, the fixed part of the
+/// [`Provenance`] — the script, root-seed and probe-seed words and the
+/// registry's entry count — and the name table's entry count.
+pub(crate) const SNAPSHOT_HEADER: usize = 4 + 2 + 8 + 8 + 8 + 8 + 8 + 4 + 4;
 /// The trailing [`snapshot_checksum`] of every preceding byte.
 pub(crate) const SNAPSHOT_FOOTER: usize = 8;
 
-/// A record's kind byte, after its stamp: an unmatchable samples record
-/// (columns only)…
+/// A record's kind byte, after its stamp and point: an unmatchable
+/// samples record (worlds, columns)…
 pub(crate) const KIND_SAMPLES: u8 = 0;
-/// …a matchable one (fingerprints, then columns)…
+/// …a matchable one (worlds, fingerprints, then columns)…
 pub(crate) const KIND_SOURCE: u8 = 1;
-/// …or a recipe record (source stamp, mappings, then moments).
+/// …a recipe record that defines its recipe (source stamp, mappings, then
+/// moments)…
 pub(crate) const KIND_RECIPE: u8 = 2;
+/// …or a recipe record of a recipe an earlier record defined (its index,
+/// in order of definition).
+pub(crate) const KIND_RECIPE_INDEX: u8 = 3;
 
 /// A mapping's tag byte, followed by its `f64` parameters:
 /// [`Mapping::Identity`] (none)…
@@ -154,10 +172,10 @@ pub enum SnapshotError {
     /// ([`SharedBasisStore::restore_bytes`](crate::store::SharedBasisStore::restore_bytes)); restore it through
     /// an engine (`Prophet::load_basis`).
     RecipeNeedsEngine,
-    /// A recipe record fails the loading engine's structural check
-    /// (`Rebuild::check`): its samples could not be rebuilt — the loading
-    /// scenario lacks a mapped column, say (the engine's error,
-    /// stringified).
+    /// A recipe record fails the loading engine's structural checks
+    /// (`Rebuild::check_recipe`, `Rebuild::check_point`): its samples
+    /// could not be rebuilt — the loading scenario lacks a mapped column,
+    /// say (the engine's error, stringified).
     Rebuild(String),
     /// The snapshot was written in another world: its header's
     /// [`Provenance`] differs from the loading store's in `field`
@@ -167,6 +185,11 @@ pub enum SnapshotError {
         /// The first differing provenance field.
         field: &'static str,
     },
+    /// The stream is well formed but not in the writer's canonical form
+    /// (the rule it breaks): a table name no point uses, a point whose
+    /// name indices do not ascend, a recipe defined twice, or a recipe
+    /// index not yet defined. Restoring it would re-save to other bytes.
+    NotCanonical(&'static str),
     /// Filesystem failure (the underlying `io::Error`, stringified so the
     /// error stays `Clone` + `Eq` like every other `ProphetError` cause).
     Io(String),
@@ -207,6 +230,9 @@ impl std::fmt::Display for SnapshotError {
                 f,
                 "snapshot was written in another world: its {field} differs from this store's"
             ),
+            SnapshotError::NotCanonical(rule) => {
+                write!(f, "snapshot is not in canonical form: {rule}")
+            }
             SnapshotError::Io(msg) => write!(f, "snapshot I/O error: {msg}"),
         }
     }
@@ -314,6 +340,13 @@ fn sorted_mappings(recipe: &Recipe) -> Vec<(&String, &Mapping)> {
     maps
 }
 
+/// A mapping's tag and parameter bits: equal exactly when the two write
+/// equal bytes.
+fn mapping_bits(mapping: &Mapping) -> (u8, [u64; 3]) {
+    let (tag, params, _) = mapping_parts(mapping);
+    (tag, params.map(f64::to_bits))
+}
+
 /// What a recipe record writes in place of its samples: the recipe, and
 /// its `moments` of each of `columns` — the name-sorted columns of the
 /// source it names, every one of which `moments` covers. The source
@@ -324,108 +357,267 @@ pub(crate) struct RecipeOut<'a> {
     pub(crate) columns: &'a [&'a str],
 }
 
-/// The exact number of bytes [`serialize_record`] writes for a record,
-/// so a snapshot is written into one allocation of its final size.
-fn record_len(point: &ParamPoint, record: &Record, recipe: Option<&RecipeOut<'_>>) -> usize {
-    let name = |n: &str| 4 + n.len();
-    let pairs: usize = point.iter().map(|(n, _)| name(n) + 8).sum();
-    let head = 4 + pairs + 8 + 8 + 1;
-    if let Some(out) = recipe {
-        let maps: usize = (sorted_mappings(out.recipe).into_iter())
-            .map(|(n, m)| name(n) + 1 + mapping_parts(m).2 * 8)
-            .sum();
-        return head + 8 + 4 + maps + out.columns.len() * 16;
+impl RecipeOut<'_> {
+    /// The moments as written: `(mean, std_dev)` bits in `columns` order.
+    fn moment_bits(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.columns.iter().map(|column| {
+            let (mean, std_dev) = (self.moments.get(column))
+                .expect("invariant: a written recipe's moments cover its source's columns");
+            (mean.to_bits(), std_dev.to_bits())
+        })
     }
-    let fps: usize = if record.matchable {
-        let fps: usize = (record.fingerprints.iter().flat_map(|f| f.iter()))
-            .map(|(n, fp)| name(n) + 4 + fp.values().len() * 8)
-            .sum();
-        4 + fps
-    } else {
-        0
-    };
-    let cols: usize = (record.samples().into_iter().flat_map(|s| s.iter()))
-        .map(|(n, values)| name(n) + 8 + values.len() * 8)
-        .sum();
-    head + fps + 4 + cols
 }
 
-/// One record's bytes — a recipe record if `recipe` is given, else a
-/// samples record — in a fixed field order with name-sorted maps, so the
-/// serialization is a pure function of the record and its recipe's
-/// liveness. Byte stability is what lets the round-trip tests assert
-/// `restore(bytes).snapshot_bytes() == bytes`. A samples record must hold
-/// its samples: a recipe record written as one is rebuilt first.
-pub(crate) fn serialize_record(
+/// A recipe as its bytes see it: two are equal exactly when they write
+/// the same definition — source stamp, mapping bits, moment bits — so a
+/// snapshot writes each value once however many allocations hold it.
+struct RecipeValue<'r, 'a>(&'r RecipeOut<'a>);
+
+impl PartialEq for RecipeValue<'_, '_> {
+    fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (self.0, other.0);
+        if std::ptr::eq(a.recipe, b.recipe) && std::ptr::eq(a.moments, b.moments) {
+            return true;
+        }
+        // Equal source stamps name one source, so the two cover the same
+        // columns.
+        let (maps, other_maps) = (&a.recipe.mappings, &b.recipe.mappings);
+        // A recipe maps a few columns: a scan of them is cheaper than
+        // hashing a name.
+        let mapping =
+            |column: &String| (other_maps.iter()).find_map(|(c, n)| (c == column).then_some(n));
+        a.recipe.source_stamp == b.recipe.source_stamp
+            && maps.len() == other_maps.len()
+            && (maps.iter()).all(|(column, m)| {
+                mapping(column).is_some_and(|n| mapping_bits(m) == mapping_bits(n))
+            })
+            && a.moments.bits_eq(b.moments)
+    }
+}
+
+impl Eq for RecipeValue<'_, '_> {}
+
+/// Hashes the source stamp and the moment bits, folded in an order-free
+/// sum so the moments' own column order does not matter: what
+/// [`PartialEq`] compares, less the mappings.
+impl Hash for RecipeValue<'_, '_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let moments = (self.0.moments.values().iter()).fold(0u64, |sum, (mean, std_dev)| {
+            let pair = mean.to_bits() ^ std_dev.to_bits().rotate_left(32);
+            sum.wrapping_add(pair.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        });
+        state.write_u64(self.0.recipe.source_stamp);
+        state.write_u64(moments);
+    }
+}
+
+/// How a snapshot writes one record.
+#[derive(Clone, Copy)]
+pub(crate) enum Shape<'r, 'a> {
+    /// As the samples it holds (and a matchable one's fingerprints).
+    Samples,
+    /// As the recipe it is the first record to use, defined inline.
+    Define(&'r RecipeOut<'a>),
+    /// As the index of a recipe an earlier record defined.
+    Index(u32),
+}
+
+/// Each record's [`Shape`], for records in stamp order with the recipe
+/// each is written as: the first use of a recipe value defines it, and
+/// every later use names it by its index in order of definition.
+fn shapes<'r, 'a>(recipes: impl Iterator<Item = Option<&'r RecipeOut<'a>>>) -> Vec<Shape<'r, 'a>> {
+    let mut defined: HashMap<RecipeValue<'r, 'a>, u32, FastBuild> = HashMap::default();
+    recipes
+        .map(|recipe| {
+            let Some(out) = recipe else {
+                return Shape::Samples;
+            };
+            let next = defined.len() as u32;
+            match defined.entry(RecipeValue(out)) {
+                Entry::Occupied(first) => Shape::Index(*first.get()),
+                Entry::Vacant(slot) => {
+                    slot.insert(next);
+                    Shape::Define(out)
+                }
+            }
+        })
+        .collect()
+}
+
+/// The header's name table — the sorted, distinct parameter names of
+/// the points written — and each point's indices into it. The points of
+/// one scenario mostly share their names' allocations
+/// ([`ParamPoint::shares_names`]), so a run of them is looked up once.
+pub(crate) struct Names<'p> {
+    table: Vec<&'p str>,
+    last: Option<&'p ParamPoint>,
+    indices: Vec<u32>,
+}
+
+impl<'p> Names<'p> {
+    /// The table `table`, which is sorted and distinct.
+    pub(crate) fn new(table: Vec<&'p str>) -> Self {
+        Names {
+            table,
+            last: None,
+            indices: Vec::new(),
+        }
+    }
+
+    /// The table of every name `points` use.
+    fn of(points: impl Iterator<Item = &'p ParamPoint>) -> Self {
+        let mut table: Vec<&str> = Vec::new();
+        let mut last: Option<&ParamPoint> = None;
+        for point in points {
+            if last.is_some_and(|last| point.shares_names(last)) {
+                continue;
+            }
+            for (name, _) in point.iter() {
+                if let Err(at) = table.binary_search(&name) {
+                    table.insert(at, name);
+                }
+            }
+            last = Some(point);
+        }
+        Names::new(table)
+    }
+
+    /// The bytes the header writes for the table, beyond its count.
+    fn len(&self) -> usize {
+        self.table.iter().map(|name| 4 + name.len()).sum()
+    }
+
+    /// `point`'s name indices, in its name order.
+    fn indices(&mut self, point: &'p ParamPoint) -> &[u32] {
+        if !self.last.is_some_and(|last| point.shares_names(last)) {
+            self.indices.clear();
+            for (name, _) in point.iter() {
+                let index = (self.table.binary_search(&name))
+                    .expect("invariant: the name table holds every written point's names");
+                self.indices.push(index as u32);
+            }
+            self.last = Some(point);
+        }
+        &self.indices
+    }
+}
+
+/// The exact number of bytes [`serialize_record`] writes for a record,
+/// so a snapshot is written into one allocation of its final size.
+fn record_len(point: &ParamPoint, record: &Record, shape: Shape<'_, '_>) -> usize {
+    let name = |n: &str| 4 + n.len();
+    let head = 8 + 4 + point.len() * (4 + 8) + 1;
+    match shape {
+        Shape::Index(_) => head + 4,
+        Shape::Define(out) => {
+            let maps: usize = (sorted_mappings(out.recipe).into_iter())
+                .map(|(n, m)| name(n) + 1 + mapping_parts(m).2 * 8)
+                .sum();
+            head + 8 + 4 + maps + out.columns.len() * 16
+        }
+        Shape::Samples => {
+            let fps: usize = if record.matchable {
+                let fps: usize = (record.fingerprints.iter().flat_map(|f| f.iter()))
+                    .map(|(n, fp)| name(n) + 4 + fp.values().len() * 8)
+                    .sum();
+                4 + fps
+            } else {
+                0
+            };
+            let cols: usize = (record.samples().into_iter().flat_map(|s| s.iter()))
+                .map(|(n, values)| name(n) + 8 + values.len() * 8)
+                .sum();
+            head + 8 + fps + 4 + cols
+        }
+    }
+}
+
+/// One record's bytes — its stamp, its point as `(index into names,
+/// value)` pairs, then what `shape` says — in a fixed field order with
+/// name-sorted maps, so the serialization is a pure function of the
+/// record, its shape and the name table. Byte stability is what lets the
+/// round-trip tests assert `restore(bytes).snapshot_bytes() == bytes`. A
+/// record written as samples must hold them: a recipe record written so
+/// is rebuilt first.
+pub(crate) fn serialize_record<'p>(
     out: &mut Vec<u8>,
-    point: &ParamPoint,
+    names: &mut Names<'p>,
+    point: &'p ParamPoint,
     record: &Record,
-    recipe: Option<&RecipeOut<'_>>,
+    shape: Shape<'_, '_>,
 ) {
-    let pairs: Vec<(&str, i64)> = point.iter().collect();
-    put_u32(out, pairs.len() as u32);
-    for (name, value) in pairs {
-        put_str(out, name);
+    put_u64(out, record.stamp);
+    put_u32(out, point.len() as u32);
+    for (&index, (_, value)) in names.indices(point).iter().zip(point.iter()) {
+        put_u32(out, index);
         put_i64(out, value);
     }
-    put_u64(out, record.worlds as u64);
-    put_u64(out, record.stamp);
-    if let Some(RecipeOut {
-        recipe,
-        moments,
-        columns,
-    }) = recipe
-    {
-        out.push(KIND_RECIPE);
-        put_u64(out, recipe.source_stamp);
-        let maps = sorted_mappings(recipe);
-        put_u32(out, maps.len() as u32);
-        for (name, mapping) in maps {
-            put_str(out, name);
-            let (tag, params, n) = mapping_parts(mapping);
-            out.push(tag);
-            put_f64s(out, &params[..n]);
+    match shape {
+        Shape::Index(index) => {
+            out.push(KIND_RECIPE_INDEX);
+            put_u32(out, index);
         }
-        for column in columns.iter() {
-            let (mean, std_dev) = (moments.get(column))
-                .expect("invariant: a written recipe's moments cover its source's columns");
-            put_f64s(out, &[mean, std_dev]);
+        Shape::Define(recipe_out) => {
+            out.push(KIND_RECIPE);
+            put_u64(out, recipe_out.recipe.source_stamp);
+            let maps = sorted_mappings(recipe_out.recipe);
+            put_u32(out, maps.len() as u32);
+            for (name, mapping) in maps {
+                put_str(out, name);
+                let (tag, params, n) = mapping_parts(mapping);
+                out.push(tag);
+                put_f64s(out, &params[..n]);
+            }
+            for (mean, std_dev) in recipe_out.moment_bits() {
+                put_u64(out, mean);
+                put_u64(out, std_dev);
+            }
         }
-        return;
-    }
-    if record.matchable {
-        out.push(KIND_SOURCE);
-        let mut fps: Vec<(&String, &Fingerprint)> =
-            record.fingerprints.iter().flat_map(|f| f.iter()).collect();
-        fps.sort_by(|a, b| a.0.cmp(b.0));
-        put_u32(out, fps.len() as u32);
-        for (name, fp) in fps {
-            put_str(out, name);
-            let values = fp.values();
-            put_u32(out, values.len() as u32);
-            put_f64s(out, values);
+        Shape::Samples => {
+            if record.matchable {
+                out.push(KIND_SOURCE);
+                put_u64(out, record.worlds as u64);
+                let mut fps: Vec<(&String, &Fingerprint)> =
+                    record.fingerprints.iter().flat_map(|f| f.iter()).collect();
+                fps.sort_by(|a, b| a.0.cmp(b.0));
+                put_u32(out, fps.len() as u32);
+                for (name, fp) in fps {
+                    put_str(out, name);
+                    let values = fp.values();
+                    put_u32(out, values.len() as u32);
+                    put_f64s(out, values);
+                }
+            } else {
+                out.push(KIND_SAMPLES);
+                put_u64(out, record.worlds as u64);
+            }
+            let mut cols: Vec<(&String, &Vec<f64>)> = record
+                .samples()
+                .into_iter()
+                .flat_map(|s| s.iter())
+                .collect();
+            cols.sort_by(|a, b| a.0.cmp(b.0));
+            put_u32(out, cols.len() as u32);
+            for (name, values) in cols {
+                put_str(out, name);
+                put_u64(out, values.len() as u64);
+                put_f64s(out, values);
+            }
         }
-    } else {
-        out.push(KIND_SAMPLES);
-    }
-    let mut cols: Vec<(&String, &Vec<f64>)> = record
-        .samples()
-        .into_iter()
-        .flat_map(|s| s.iter())
-        .collect();
-    cols.sort_by(|a, b| a.0.cmp(b.0));
-    put_u32(out, cols.len() as u32);
-    for (name, values) in cols {
-        put_str(out, name);
-        put_u64(out, values.len() as u64);
-        put_f64s(out, values);
     }
 }
 
 /// A snapshot's header: magic, version, the stamp counter, the record
 /// count, then `provenance` — its script, root-seed and probe-seed words
-/// and its registry as a count of `(name, model tag)` pairs.
-pub(crate) fn put_header(out: &mut Vec<u8>, provenance: &Provenance, next_stamp: u64, count: u64) {
+/// and its registry as a count of `(name, model tag)` pairs — and the
+/// name table, a count of `names`.
+pub(crate) fn put_header(
+    out: &mut Vec<u8>,
+    provenance: &Provenance,
+    names: &Names<'_>,
+    next_stamp: u64,
+    count: u64,
+) {
     out.extend_from_slice(&SNAPSHOT_MAGIC);
     out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
     put_u64(out, next_stamp);
@@ -438,25 +630,38 @@ pub(crate) fn put_header(out: &mut Vec<u8>, provenance: &Provenance, next_stamp:
         put_str(out, name);
         put_u32(out, *tag);
     }
+    put_u32(out, names.table.len() as u32);
+    for name in &names.table {
+        put_str(out, name);
+    }
 }
 
 /// A whole snapshot of `records` drawn in `provenance`'s world, given in
 /// stamp order with the recipe each is written as (or `None` for its
-/// samples): header, records, and the trailing checksum, in one
-/// allocation of the final size.
+/// samples): header, records — each distinct recipe defined by its first
+/// record — and the trailing checksum, in one allocation of the final
+/// size.
 pub(crate) fn encode_snapshot(
     provenance: &Provenance,
     next_stamp: u64,
     records: &[(&ParamPoint, Cow<'_, Record>, Option<RecipeOut<'_>>)],
 ) -> Vec<u8> {
-    let body: usize = (records.iter())
-        .map(|(p, r, recipe)| record_len(p, r, recipe.as_ref()))
+    let mut names = Names::of(records.iter().map(|(point, ..)| *point));
+    let shapes = shapes(records.iter().map(|(.., recipe)| recipe.as_ref()));
+    let body: usize = (records.iter().zip(&shapes))
+        .map(|((point, record, _), shape)| record_len(point, record, *shape))
         .sum();
-    let total = SNAPSHOT_HEADER + provenance.variable_len() + body + SNAPSHOT_FOOTER;
+    let total = SNAPSHOT_HEADER + provenance.variable_len() + names.len() + body + SNAPSHOT_FOOTER;
     let mut out = Vec::with_capacity(total);
-    put_header(&mut out, provenance, next_stamp, records.len() as u64);
-    for (point, record, recipe) in records {
-        serialize_record(&mut out, point, record, recipe.as_ref());
+    put_header(
+        &mut out,
+        provenance,
+        &names,
+        next_stamp,
+        records.len() as u64,
+    );
+    for ((point, record, _), shape) in records.iter().zip(&shapes) {
+        serialize_record(&mut out, &mut names, point, record, *shape);
     }
     let checksum = snapshot_checksum(&out);
     put_u64(&mut out, checksum);
@@ -545,7 +750,7 @@ impl<'a> SnapshotReader<'a> {
         let mut registry = Vec::with_capacity(count.min(64));
         let mut prev = None;
         for _ in 0..count {
-            let name = self.next_name(&mut prev)?;
+            let name = self.next_name(&mut prev)?.to_owned();
             registry.push((name, self.u32()?));
         }
         Ok(Provenance {
@@ -556,26 +761,72 @@ impl<'a> SnapshotReader<'a> {
         })
     }
 
-    /// The next name of a list the writer emits sorted and unique (a
-    /// point's pairs, a record's fingerprint or sample columns). One at
-    /// or below `prev` is structurally impossible: accepting it would
-    /// reorder a point or silently overwrite a column.
-    fn next_name(&mut self, prev: &mut Option<&'a str>) -> Result<String, SnapshotError> {
+    /// The next name of a list the writer emits sorted and unique (the
+    /// name table, a record's fingerprint or sample columns, a recipe's
+    /// mappings). One at or below `prev` is structurally impossible:
+    /// accepting it would reorder a point or silently overwrite a column.
+    fn next_name(&mut self, prev: &mut Option<&'a str>) -> Result<&'a str, SnapshotError> {
         let len = self.u32()? as usize;
         let name = std::str::from_utf8(self.take(len)?).map_err(|_| SnapshotError::Truncated)?;
         if prev.is_some_and(|p| p >= name) {
             return Err(SnapshotError::Truncated);
         }
         *prev = Some(name);
-        Ok(name.to_owned())
+        Ok(name)
+    }
+
+    /// The header's name table: its names, sorted and unique, each shared
+    /// by every point that uses it.
+    fn name_table(&mut self) -> Result<Vec<Arc<str>>, SnapshotError> {
+        let count = self.u32()? as usize;
+        let mut names = Vec::with_capacity(count.min(64));
+        let mut prev = None;
+        for _ in 0..count {
+            names.push(Arc::from(self.next_name(&mut prev)?));
+        }
+        Ok(names)
+    }
+
+    /// A point: its `(name index, value)` pairs, indices ascending, built
+    /// through `scratch` in one allocation that shares the table's names.
+    /// Marks each index it uses in `used`.
+    fn point(
+        &mut self,
+        names: &[Arc<str>],
+        used: &mut [bool],
+        scratch: &mut Vec<(Arc<str>, i64)>,
+    ) -> Result<ParamPoint, SnapshotError> {
+        let count = self.u32()?;
+        scratch.clear();
+        let mut prev = None;
+        for _ in 0..count {
+            let index = self.u32()? as usize;
+            let value = self.i64()?;
+            let name = names.get(index).ok_or(SnapshotError::Truncated)?;
+            if prev.is_some_and(|p| p >= index) {
+                return Err(SnapshotError::NotCanonical("name indices not ascending"));
+            }
+            prev = Some(index);
+            used[index] = true;
+            scratch.push((Arc::clone(name), value));
+        }
+        Ok(ParamPoint::from_sorted(scratch))
     }
 }
 
-/// A parsed and validated snapshot record, not yet installed in any
-/// store.
+/// A parsed and validated snapshot, not yet installed in any store.
+pub(crate) struct ParsedSnapshot {
+    /// The writer's stamp counter.
+    pub(crate) next_stamp: u64,
+    /// Every record, in stamp order.
+    pub(crate) records: Vec<ParsedRecord>,
+    /// Every recipe the records share, in order of definition.
+    pub(crate) recipes: Vec<ParsedRecipe>,
+}
+
+/// A parsed record.
 pub(crate) struct ParsedRecord {
     pub(crate) point: ParamPoint,
-    pub(crate) worlds: usize,
     pub(crate) stamp: u64,
     pub(crate) body: ParsedBody,
 }
@@ -584,130 +835,115 @@ pub(crate) struct ParsedRecord {
 pub(crate) enum ParsedBody {
     /// Its samples, and a matchable record's fingerprints.
     Samples {
+        worlds: usize,
         fingerprints: HashMap<String, Fingerprint>,
         samples: Arc<ColumnSamples>,
         matchable: bool,
     },
-    /// Its recipe, the samples of the source record it names, and its
-    /// moments, named by that source's columns.
-    Recipe {
-        recipe: Recipe,
-        source: Arc<ColumnSamples>,
-        moments: ColumnMoments,
-    },
+    /// The index of its recipe in [`ParsedSnapshot::recipes`].
+    Recipe(usize),
 }
 
-/// A matchable samples record parsed so far: what a later recipe record
-/// may name.
+/// A parsed recipe: the recipe, the samples and worlds of the source
+/// record it names, and its moments, named by that source's columns.
+pub(crate) struct ParsedRecipe {
+    pub(crate) recipe: Recipe,
+    pub(crate) source: Arc<ColumnSamples>,
+    pub(crate) worlds: usize,
+    pub(crate) moments: ColumnMoments,
+}
+
+/// A matchable samples record parsed so far: what a later recipe may
+/// name.
 struct Source {
     worlds: usize,
     samples: Arc<ColumnSamples>,
     /// Its column names, sorted: the order — and the names — of the
-    /// moments of every recipe record that names it.
+    /// moments of every recipe that names it.
     columns: Arc<[String]>,
 }
 
 /// The [`Source`]s parsed so far, by stamp.
-type Sources = HashMap<u64, Source>;
+type Sources = HashMap<u64, Source, FastBuild>;
 
-fn parse_record(
+/// A recipe's definition, after the kind byte of the record at `stamp`
+/// that defines it: its source stamp — an earlier matchable record —
+/// its mappings, and a moments pair per source column.
+fn parse_recipe(
     r: &mut SnapshotReader<'_>,
+    stamp: u64,
     sources: &Sources,
-) -> Result<ParsedRecord, SnapshotError> {
-    let npairs = r.u32()? as usize;
-    let mut pairs = Vec::with_capacity(npairs.min(64));
-    let mut prev = None;
-    for _ in 0..npairs {
-        let name = r.next_name(&mut prev)?;
-        let value = r.i64()?;
-        pairs.push((name, value));
-    }
-    let point = ParamPoint::from_pairs(pairs);
-    let worlds = r.u64()? as usize;
-    let stamp = r.u64()?;
-    let kind = r.take(1)?[0];
-    let body = match kind {
-        KIND_RECIPE => {
-            let source_stamp = r.u64()?;
-            let source = match sources.get(&source_stamp) {
-                Some(source) if source.worlds == worlds => source,
-                _ => {
-                    return Err(SnapshotError::DanglingRecipe {
-                        stamp,
-                        source_stamp,
-                    })
-                }
-            };
-            let nmaps = r.u32()? as usize;
-            let mut mappings = HashMap::with_capacity(nmaps.min(64));
-            let mut prev = None;
-            for _ in 0..nmaps {
-                let name = r.next_name(&mut prev)?;
-                mappings.insert(name, r.mapping()?);
-            }
-            let recipe = Recipe {
-                source_stamp,
-                mappings,
-            };
-            let mut values = Vec::with_capacity(source.columns.len());
-            for _ in 0..source.columns.len() {
-                values.push((f64::from_bits(r.u64()?), f64::from_bits(r.u64()?)));
-            }
-            let moments = ColumnMoments::from_parts(Arc::clone(&source.columns), values);
-            ParsedBody::Recipe {
-                recipe,
-                source: Arc::clone(&source.samples),
-                moments,
-            }
-        }
-        KIND_SAMPLES | KIND_SOURCE => {
-            let matchable = kind == KIND_SOURCE;
-            let nfps = if matchable { r.u32()? as usize } else { 0 };
-            let mut fingerprints = HashMap::with_capacity(nfps.min(64));
-            let mut prev = None;
-            for _ in 0..nfps {
-                let name = r.next_name(&mut prev)?;
-                let len = r.u32()? as usize;
-                fingerprints.insert(name, Fingerprint::from_values(r.f64s(len)?));
-            }
-            let ncols = r.u32()? as usize;
-            let mut samples: ColumnSamples = HashMap::with_capacity(ncols.min(64));
-            let mut prev = None;
-            for _ in 0..ncols {
-                let name = r.next_name(&mut prev)?;
-                let len = r.u64()? as usize;
-                // Consumers index sample lanes by world (`0..worlds`): a
-                // column of any other length is a malformed record,
-                // however valid its checksum.
-                if len != worlds {
-                    return Err(SnapshotError::Truncated);
-                }
-                samples.insert(name, r.f64s(len)?);
-            }
-            ParsedBody::Samples {
-                fingerprints,
-                samples: Arc::new(samples),
-                matchable,
-            }
-        }
-        _ => return Err(SnapshotError::Truncated),
-    };
-    Ok(ParsedRecord {
-        point,
-        worlds,
+) -> Result<ParsedRecipe, SnapshotError> {
+    let source_stamp = r.u64()?;
+    let source = (sources.get(&source_stamp)).ok_or(SnapshotError::DanglingRecipe {
         stamp,
-        body,
+        source_stamp,
+    })?;
+    let nmaps = r.u32()? as usize;
+    let mut mappings = HashMap::with_capacity(nmaps.min(64));
+    let mut prev = None;
+    for _ in 0..nmaps {
+        let name = r.next_name(&mut prev)?.to_owned();
+        mappings.insert(name, r.mapping()?);
+    }
+    let mut values = Vec::with_capacity(source.columns.len());
+    for _ in 0..source.columns.len() {
+        values.push((f64::from_bits(r.u64()?), f64::from_bits(r.u64()?)));
+    }
+    Ok(ParsedRecipe {
+        recipe: Recipe {
+            source_stamp,
+            mappings,
+        },
+        source: Arc::clone(&source.samples),
+        worlds: source.worlds,
+        moments: ColumnMoments::from_parts(Arc::clone(&source.columns), values),
+    })
+}
+
+/// A samples record's body, after its kind byte: its worlds, a matchable
+/// one's fingerprints, and its columns of exactly `worlds` lanes.
+fn parse_samples(r: &mut SnapshotReader<'_>, matchable: bool) -> Result<ParsedBody, SnapshotError> {
+    let worlds = r.u64()? as usize;
+    let nfps = if matchable { r.u32()? as usize } else { 0 };
+    let mut fingerprints = HashMap::with_capacity(nfps.min(64));
+    let mut prev = None;
+    for _ in 0..nfps {
+        let name = r.next_name(&mut prev)?.to_owned();
+        let len = r.u32()? as usize;
+        fingerprints.insert(name, Fingerprint::from_values(r.f64s(len)?));
+    }
+    let ncols = r.u32()? as usize;
+    let mut samples: ColumnSamples = HashMap::with_capacity(ncols.min(64));
+    let mut prev = None;
+    for _ in 0..ncols {
+        let name = r.next_name(&mut prev)?.to_owned();
+        let len = r.u64()? as usize;
+        // Consumers index sample lanes by world (`0..worlds`): a column of
+        // any other length is a malformed record, however valid its
+        // checksum.
+        if len != worlds {
+            return Err(SnapshotError::Truncated);
+        }
+        samples.insert(name, r.f64s(len)?);
+    }
+    Ok(ParsedBody::Samples {
+        worlds,
+        fingerprints,
+        samples: Arc::new(samples),
+        matchable,
     })
 }
 
 /// Parse and validate a whole snapshot — length, magic, version,
 /// checksum, that it was drawn in `world`, record structure, recipe
-/// sources, stamp order, distinct points — into its stamp counter and
-/// records, touching no store.
+/// sources, stamp order and canonical form — into its stamp counter, its
+/// records and the recipes they share, touching no store. Distinct points
+/// are left to the install, whose own insert sees a repeated one.
 pub(crate) fn parse_snapshot(
     bytes: &[u8],
     world: &Provenance,
-) -> Result<(u64, Vec<ParsedRecord>), SnapshotError> {
+) -> Result<ParsedSnapshot, SnapshotError> {
     if bytes.len() < SNAPSHOT_HEADER + SNAPSHOT_FOOTER {
         return Err(SnapshotError::Truncated);
     }
@@ -734,48 +970,85 @@ pub(crate) fn parse_snapshot(
     if let Some(field) = provenance.mismatch(world) {
         return Err(SnapshotError::WrongWorld { field });
     }
-    let mut parsed = Vec::with_capacity(count.min(65_536));
-    let mut sources = Sources::new();
+    let names = reader.name_table()?;
+    let mut used = vec![false; names.len()];
+    let mut scratch = Vec::with_capacity(names.len());
+    let mut records = Vec::with_capacity(count.min(65_536));
+    let mut recipes = Vec::new();
+    // Each definition's bytes: equal values write equal bytes.
+    let mut defined: HashSet<&[u8], FastBuild> = HashSet::default();
+    let mut sources = Sources::default();
+    let mut last_stamp = None;
     for _ in 0..count {
-        let record = parse_record(&mut reader, &sources)?;
-        if let ParsedBody::Samples {
-            samples,
-            matchable: true,
-            ..
-        } = &record.body
-        {
-            let mut columns: Vec<String> = samples.keys().cloned().collect();
-            columns.sort_unstable();
-            let source = Source {
-                worlds: record.worlds,
-                samples: Arc::clone(samples),
-                columns: columns.into(),
-            };
-            sources.insert(record.stamp, source);
+        let stamp = reader.u64()?;
+        // A writer emits records in strictly ascending stamp order, none
+        // past its stamp counter. Anything else would file two entries
+        // under one queue stamp (an orphan that is never scanned or
+        // evicted), or a stamp the next insert re-issues. Ascending stamps
+        // also make a recipe's source, which precedes it in the stream,
+        // an earlier record.
+        if last_stamp.is_some_and(|last| stamp <= last) || stamp > next_stamp {
+            return Err(SnapshotError::Truncated);
         }
-        parsed.push(record);
+        last_stamp = Some(stamp);
+        let point = reader.point(&names, &mut used, &mut scratch)?;
+        let parsed = match reader.take(1)?[0] {
+            KIND_RECIPE => {
+                let start = reader.pos;
+                recipes.push(parse_recipe(&mut reader, stamp, &sources)?);
+                if !defined.insert(&body[start..reader.pos]) {
+                    return Err(SnapshotError::NotCanonical("a recipe defined twice"));
+                }
+                ParsedBody::Recipe(recipes.len() - 1)
+            }
+            KIND_RECIPE_INDEX => {
+                let index = reader.u32()? as usize;
+                if index >= recipes.len() {
+                    return Err(SnapshotError::NotCanonical(
+                        "a recipe index not yet defined",
+                    ));
+                }
+                ParsedBody::Recipe(index)
+            }
+            kind @ (KIND_SAMPLES | KIND_SOURCE) => {
+                let parsed = parse_samples(&mut reader, kind == KIND_SOURCE)?;
+                if let ParsedBody::Samples {
+                    worlds,
+                    samples,
+                    matchable: true,
+                    ..
+                } = &parsed
+                {
+                    let mut columns: Vec<String> = samples.keys().cloned().collect();
+                    columns.sort_unstable();
+                    let source = Source {
+                        worlds: *worlds,
+                        samples: Arc::clone(samples),
+                        columns: columns.into(),
+                    };
+                    sources.insert(stamp, source);
+                }
+                parsed
+            }
+            _ => return Err(SnapshotError::Truncated),
+        };
+        records.push(ParsedRecord {
+            point,
+            stamp,
+            body: parsed,
+        });
     }
     if reader.pos != body.len() {
         return Err(SnapshotError::Truncated);
     }
-    let mut points = HashSet::with_capacity(count);
-    let mut last_stamp = None;
-    for r in &parsed {
-        // A writer emits distinct points in strictly ascending stamp
-        // order, none past its stamp counter. Anything else would file two
-        // entries under one queue stamp (an orphan that is never scanned
-        // or evicted), a stamp the next insert re-issues, or fewer entries
-        // than the count returned. Ascending stamps also make a recipe's
-        // source, which precedes it in the stream, an earlier record.
-        if last_stamp.is_some_and(|last| r.stamp <= last)
-            || r.stamp > next_stamp
-            || !points.insert(&r.point)
-        {
-            return Err(SnapshotError::Truncated);
-        }
-        last_stamp = Some(r.stamp);
+    if used.contains(&false) {
+        return Err(SnapshotError::NotCanonical("a table name no point uses"));
     }
-    Ok((next_stamp, parsed))
+    Ok(ParsedSnapshot {
+        next_stamp,
+        records,
+        recipes,
+    })
 }
 
 #[cfg(test)]

@@ -115,19 +115,22 @@
 //! and [`SharedBasisStore::restore_with`] rebuilds a store that scans,
 //! evicts, and stamps exactly like the original, so a service restart
 //! warms from disk instead of re-simulating its basis population. The
-//! format (`FPBS` v4, spelled out in `docs/CONCURRENCY.md`; the codec is
+//! format (`FPBS` v5, spelled out in `docs/CONCURRENCY.md`; the codec is
 //! the `snapshot` module) is versioned, names the world its samples were
-//! drawn in ([`Provenance`]: script, root seed, probe seeds, models), and
-//! ends in a word-wise four-lane checksum. A simulated record travels as
-//! its columns — raw little-endian `f64` runs, encoded into one
-//! exact-size buffer and decoded one bounds-checked slice per column. A
-//! mapped record whose source is still stored travels as its [`Recipe`]
-//! (the source's stamp and the per-column [`Mapping`]s) and its moments.
-//! A restore rebuilds nothing: it checks each recipe against the caller's
-//! [`Rebuild`] ([`Rebuild::check`]) and installs it as a recipe record,
+//! drawn in ([`Provenance`]: script, root seed, probe seeds, models),
+//! writes each parameter name once, and ends in a word-wise four-lane
+//! checksum. A simulated record travels as its columns — raw
+//! little-endian `f64` runs, encoded into one exact-size buffer and
+//! decoded one bounds-checked slice per column. A mapped record whose
+//! source is still stored travels as its [`Recipe`] (the source's stamp
+//! and the per-column [`Mapping`]s) and its moments, each distinct recipe
+//! written once and named by index after that. A restore rebuilds
+//! nothing: it checks each recipe once against the caller's [`Rebuild`]
+//! ([`Rebuild::check_recipe`], and [`Rebuild::check_point`] per set of names)
+//! and installs its records as recipe records sharing one body,
 //! answering moments reads from the file's moments — the warm
-//! store's bits — and rebuilding its samples, through the engine's own
-//! remap, only when one is read. Corrupt input, or a snapshot of another
+//! store's bits — and rebuilding samples, through the engine's own
+//! remap, only when they are read. Corrupt input, or a snapshot of another
 //! world, is rejected with a typed [`SnapshotError`] before any store
 //! state is touched, and [`SharedBasisStore::save_to`] replaces its file
 //! atomically.
@@ -193,8 +196,9 @@ pub struct Recipe {
 /// Re-derives a mapped entry's samples from its recipe: the remap that
 /// made them at publish, so the result is those bits. The store calls it
 /// to rebuild a recipe record's samples when they are read or saved,
-/// always with no store lock held. A restore runs none: it only
-/// [`Rebuild::check`]s each recipe record it installs.
+/// always with no store lock held. A restore runs none: it only checks
+/// each recipe it installs ([`Rebuild::check_recipe`]) and each point of
+/// it ([`Rebuild::check_point`]).
 ///
 /// A handle owns the remap's inputs only (for the engine: its SELECT,
 /// VG registry, column lists and tier), never a store, so records holding
@@ -210,19 +214,25 @@ pub trait Rebuild: Send + Sync {
         worlds: usize,
     ) -> Result<Arc<ColumnSamples>, String>;
 
-    /// Whether [`Rebuild::rebuild`] can run on these inputs, checked
-    /// structurally — which columns are mapped and held, at what depth,
-    /// which parameters the point binds — without running it. A restore
-    /// installs a recipe record only if this passes, and rebuilds its
-    /// samples later, on a read, so a check that passes must mean the
-    /// rebuild succeeds.
-    fn check(
+    /// Whether [`Rebuild::rebuild`] can run on a recipe's inputs, checked
+    /// structurally — which columns are mapped and held, at what depth —
+    /// without running it. A restore checks each recipe once, however many
+    /// records share it, and installs them only if this and
+    /// [`Rebuild::check_point`] pass for each; it rebuilds their samples
+    /// later, on a read, so checks that pass must mean the rebuild
+    /// succeeds.
+    fn check_recipe(
         &self,
-        point: &ParamPoint,
         source: &ColumnSamples,
         mappings: &HashMap<String, Mapping>,
         worlds: usize,
     ) -> Result<(), String>;
+
+    /// Whether [`Rebuild::rebuild`] can run at `point` on inputs
+    /// [`Rebuild::check_recipe`] passed. It may depend on which parameters
+    /// the point binds, never on their values: a restore checks a run of
+    /// recipe records whose points carry the same names once.
+    fn check_point(&self, point: &ParamPoint) -> Result<(), String>;
 }
 
 /// A shared [`Rebuild`]: the engine's, held by each of its mapped records.
@@ -326,12 +336,13 @@ impl Record {
         }
     }
 
-    /// Build a recipe record: unmatchable, made by `mapped`.
-    fn mapped(worlds: usize, stamp: u64, mapped: Mapped) -> Self {
+    /// Build a recipe record: unmatchable, made by `mapped`, which other
+    /// records of the same recipe may share.
+    fn mapped(worlds: usize, stamp: u64, mapped: Arc<Mapped>) -> Self {
         Record {
             fingerprints: None,
             summaries: None,
-            body: Body::Recipe(Arc::new(mapped)),
+            body: Body::Recipe(mapped),
             worlds,
             stamp,
             matchable: false,
@@ -430,8 +441,8 @@ impl StoredEntry {
     /// # Panics
     /// If the rebuild fails, which it cannot short of a broken remap: it
     /// runs the function that succeeded on the same inputs when the record
-    /// was published, or whose [`Rebuild::check`] passed when it was
-    /// restored.
+    /// was published, or whose [`Rebuild::check_recipe`] and
+    /// [`Rebuild::check_point`] passed when it was restored.
     pub fn materialize(&self, point: &ParamPoint) -> Arc<ColumnSamples> {
         let mapped = match &self.body {
             Body::Samples(samples) => return Arc::clone(samples),
@@ -484,8 +495,8 @@ impl Table {
     }
 
     /// File `record` under `point`, replacing (and unqueueing) any entry
-    /// already there.
-    fn put(&mut self, point: ParamPoint, record: Record) {
+    /// already there. Returns whether it replaced one.
+    fn put(&mut self, point: ParamPoint, record: Record) -> bool {
         let (stamp, matchable, charge) = (record.stamp, record.matchable, record.charge());
         self.charged += charge;
         if record.samples().is_some() {
@@ -496,10 +507,11 @@ impl Table {
         if matchable || replaced.as_ref().is_some_and(|old| old.matchable) {
             self.matchable_changed();
         }
-        if let Some(old) = replaced {
-            self.unfile(&old);
+        if let Some(old) = &replaced {
+            self.unfile(old);
         }
         self.queue(matchable).insert(stamp, point);
+        replaced.is_some()
     }
 
     /// Take a record that left the entry map off the books and out of
@@ -693,7 +705,7 @@ impl InflightGuard {
             rebuild,
             moments,
         };
-        self.publish(Record::mapped(worlds, 0, mapped))
+        self.publish(Record::mapped(worlds, 0, Arc::new(mapped)))
     }
 
     /// The publish behind both completions: `record` is stamped on
@@ -1385,6 +1397,23 @@ impl SharedBasisStore {
         stamped.into_iter().map(|(_, p)| p.clone()).collect()
     }
 
+    /// How many distinct bodies the store's recipe records hold: a
+    /// published record files its own, and a restore gives the records of
+    /// one recipe one body, so after a load this is the number of recipes
+    /// its file defines.
+    pub fn recipe_bodies(&self) -> usize {
+        let table = self.table.read();
+        // Recipe records are unmatchable: all of them are in that queue.
+        let records = (table.unmatchable.values()).filter_map(|point| table.entries.get(point));
+        let bodies = records.filter_map(|record| match &record.body {
+            Body::Recipe(mapped) => Some(Arc::as_ptr(mapped) as usize),
+            Body::Samples(_) => None,
+        });
+        bodies
+            .collect::<std::collections::HashSet<usize, FastBuild>>()
+            .len()
+    }
+
     /// True if nothing is stored.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
@@ -1839,21 +1868,23 @@ impl SharedBasisStore {
     /// recipe record as one: its recipe, its source's samples, its
     /// moments as the file holds them, and `rebuild` — for the engine, its
     /// own remap — which rebuilds its samples, the bits the writing store
-    /// held, only when they are read. Returns the number of restored
-    /// entries.
+    /// held, only when they are read. The records of one recipe share one
+    /// body. Returns the number of restored entries.
     ///
     /// A restore runs in two steps, and only the second touches the
     /// store. It validates: the whole byte stream is parsed — header,
     /// checksum, provenance (the store's own, else
     /// [`SnapshotError::WrongWorld`]), record structure, recipe sources,
-    /// stamp order, distinct points — every recipe passes
-    /// [`Rebuild::check`] (else [`SnapshotError::Rebuild`]), and the
-    /// records fit the byte budget as their writer charged them (else
-    /// [`SnapshotError::CapacityExceeded`]), so a store restores its own
-    /// save. Then it installs the table; nothing is rebuilt. A recipe
-    /// record that fell back to samples is filed as a samples record; if
-    /// that leaves the books over budget, the next publish makes room. A
-    /// failed restore leaves the store untouched. A
+    /// stamp order, canonical form (else
+    /// [`SnapshotError::NotCanonical`]) — every recipe passes
+    /// [`Rebuild::check_recipe`] and every recipe record's point
+    /// [`Rebuild::check_point`] (else [`SnapshotError::Rebuild`]), the
+    /// points are distinct, and the records fit the byte budget as their
+    /// writer charged them (else [`SnapshotError::CapacityExceeded`]), so
+    /// a store restores its own save. Then it installs the table; nothing
+    /// is rebuilt. A recipe record that fell back to samples is filed as a
+    /// samples record; if that leaves the books over budget, the next
+    /// publish makes room. A failed restore leaves the store untouched. A
     /// successful one behaves like [`SharedBasisStore::clear`] followed by
     /// replaying the snapshot's records with their original stamps:
     /// in-flight claims are cancelled (waiters re-claim), counters reset,
@@ -1873,45 +1904,60 @@ impl SharedBasisStore {
         bytes: &[u8],
         rebuild: Option<&RebuildHandle>,
     ) -> Result<usize, SnapshotError> {
-        let (next_stamp, parsed) = parse_snapshot(bytes, &self.provenance)?;
-        let count = parsed.len();
+        let parsed = parse_snapshot(bytes, &self.provenance)?;
+        let count = parsed.records.len();
+        // One body per recipe, checked once, which every record of it
+        // shares; only a record's point is checked per record.
+        let mut shared = Vec::with_capacity(parsed.recipes.len());
+        for r in parsed.recipes {
+            let rebuild = rebuild.ok_or(SnapshotError::RecipeNeedsEngine)?;
+            (rebuild.check_recipe(&r.source, &r.recipe.mappings, r.worlds))
+                .map_err(SnapshotError::Rebuild)?;
+            let mapped = Mapped {
+                recipe: r.recipe,
+                source: r.source,
+                rebuild: Arc::clone(rebuild),
+                moments: r.moments,
+            };
+            shared.push((r.worlds, Arc::new(mapped)));
+        }
         let mut restored = Table {
             entries: HashMap::with_capacity_and_hasher(count, FastBuild::default()),
-            next_stamp,
+            next_stamp: parsed.next_stamp,
             ..Table::default()
         };
         // The books as the writer kept them, against a unit no smaller than
         // any one record: the writer's `make_room` budgeted each insert by
         // at least the incoming record's charge.
         let (mut charged, mut unit) = (0, 0);
-        for r in parsed {
+        // The last point that passed `check_point`: a point with its very
+        // names binds the same parameters.
+        let mut checked: Option<ParamPoint> = None;
+        for r in parsed.records {
             // Summaries are derived: recomputed, not read from the bytes.
             let record = match r.body {
                 ParsedBody::Samples {
+                    worlds,
                     fingerprints,
                     samples,
                     matchable,
-                } => Record::new(fingerprints, samples, r.worlds, r.stamp, matchable),
-                ParsedBody::Recipe {
-                    recipe,
-                    source,
-                    moments,
-                } => {
-                    let rebuild = Arc::clone(rebuild.ok_or(SnapshotError::RecipeNeedsEngine)?);
-                    (rebuild.check(&r.point, &source, &recipe.mappings, r.worlds))
-                        .map_err(SnapshotError::Rebuild)?;
-                    let mapped = Mapped {
-                        recipe,
-                        source,
-                        rebuild,
-                        moments,
-                    };
-                    Record::mapped(r.worlds, r.stamp, mapped)
+                } => Record::new(fingerprints, samples, worlds, r.stamp, matchable),
+                ParsedBody::Recipe(index) => {
+                    let (worlds, mapped) = &shared[index];
+                    if !checked.as_ref().is_some_and(|p| r.point.shares_names(p)) {
+                        (mapped.rebuild.check_point(&r.point)).map_err(SnapshotError::Rebuild)?;
+                        checked = Some(r.point.clone());
+                    }
+                    Record::mapped(*worlds, r.stamp, Arc::clone(mapped))
                 }
             };
             charged += record.writer_charge();
             unit = unit.max(record.charge());
-            restored.put(r.point, record);
+            // A writer's points are distinct: a repeated one would replace
+            // an entry and leave its stamp an orphan in the queue.
+            if restored.put(r.point, record) {
+                return Err(SnapshotError::Truncated);
+            }
         }
         if charged > self.capacity.saturating_mul(unit) {
             return Err(SnapshotError::CapacityExceeded {
@@ -1995,8 +2041,9 @@ impl std::fmt::Debug for SharedBasisStore {
 mod tests {
     use super::*;
     use crate::snapshot::{
-        put_header, put_u64, serialize_record, snapshot_checksum, ParsedRecord, KIND_RECIPE,
-        KIND_SAMPLES, KIND_SOURCE, MAP_OFFSET, SNAPSHOT_FOOTER,
+        put_header, put_u64, serialize_record, snapshot_checksum, Names, ParsedRecord, Shape,
+        KIND_RECIPE, KIND_RECIPE_INDEX, KIND_SAMPLES, KIND_SOURCE, MAP_OFFSET, SNAPSHOT_FOOTER,
+        SNAPSHOT_HEADER, SNAPSHOT_VERSION,
     };
 
     fn point(name: &str, v: i64) -> ParamPoint {
@@ -2491,15 +2538,17 @@ mod tests {
         );
     }
 
-    /// The snapshot encodes a point as its name-sorted `(name, value)`
-    /// pairs; reference-counted names must not move a byte. Seeded loop
-    /// against an independent `Vec<(String, i64)>` encoding.
+    /// The snapshot encodes a point's names once, in the header's sorted
+    /// name table, and the point as its `(name index, value)` pairs;
+    /// reference-counted names must not move a byte. Seeded loop against
+    /// an independent `Vec<(String, i64)>` encoding.
     #[test]
     fn snapshot_point_bytes_match_a_string_pair_model() {
         use prophet_vg::rng::{Rng64, Xoshiro256StarStar};
-        // Magic, version, stamp counter, count, and the zero provenance:
-        // three words and an empty registry.
-        const HEADER: usize = 4 + 2 + 8 + 8 + 8 + 8 + 8 + 4;
+        // Magic, version, stamp counter, count, the zero provenance —
+        // three words and an empty registry — and the name table's count.
+        const HEADER: usize = 4 + 2 + 8 + 8 + 8 + 8 + 8 + 4 + 4;
+        assert_eq!(HEADER, SNAPSHOT_HEADER);
         let mut rng = Xoshiro256StarStar::seed_from_u64(0xF9B5);
         let names = ["current", "feature", "purchase1", "p", "é", ""];
         for _ in 0..200 {
@@ -2513,16 +2562,25 @@ mod tests {
                 model.push((name.to_owned(), value));
             }
             model.sort();
+            // The table's count and names, the record's stamp (1), then
+            // the pair count and pairs: one point, so the i-th name of the
+            // table is its i-th pair's.
             let mut expected = (model.len() as u32).to_le_bytes().to_vec();
-            for (name, value) in &model {
+            for (name, _) in &model {
                 expected.extend_from_slice(&(name.len() as u32).to_le_bytes());
                 expected.extend_from_slice(name.as_bytes());
+            }
+            expected.extend_from_slice(&1u64.to_le_bytes());
+            expected.extend_from_slice(&(model.len() as u32).to_le_bytes());
+            for (index, (_, value)) in model.iter().enumerate() {
+                expected.extend_from_slice(&(index as u32).to_le_bytes());
                 expected.extend_from_slice(&value.to_le_bytes());
             }
             let s = SharedBasisStore::new(1);
             s.insert(p.clone(), HashMap::new(), samples(0.0), 2, false);
             let bytes = s.snapshot_bytes();
-            assert_eq!(bytes[HEADER..HEADER + expected.len()], expected, "{p}");
+            let at = HEADER - 4;
+            assert_eq!(bytes[at..at + expected.len()], expected, "{p}");
             let restored = SharedBasisStore::new(1);
             assert_eq!(restored.restore_bytes(&bytes), Ok(1));
             assert!(restored.get_exact(&p, 2).is_some(), "{p} round-trips");
@@ -2559,10 +2617,11 @@ mod tests {
             fresh.restore_bytes(&bad_version),
             Err(SnapshotError::UnsupportedVersion(9))
         );
-        // Version-1 (FNV-1a trailer), version-2 (samples for every record)
-        // and version-3 (recipes without moments or provenance) files are
+        // Version-1 (FNV-1a trailer), version-2 (samples for every record),
+        // version-3 (recipes without moments or provenance) and version-4
+        // (every recipe and parameter name written per record) files are
         // not read.
-        for version in [1u16, 2, 3] {
+        for version in [1u16, 2, 3, 4] {
             let mut old = good.clone();
             old[4..6].copy_from_slice(&version.to_le_bytes());
             assert_eq!(
@@ -2591,11 +2650,10 @@ mod tests {
         // A record whose sample column is shorter than its `worlds` field,
         // behind a valid checksum: consumers index lanes `0..worlds`, so
         // it must not restore. The last (unmatchable) record's `worlds`
-        // field sits before its stamp (8), kind (1), column count (4),
-        // name "y" (4 + 1), lane count (8) and two lanes (16), counted
-        // back from the checksum.
+        // field sits before its column count (4), name "y" (4 + 1), lane
+        // count (8) and two lanes (16), counted back from the checksum.
         let mut long_worlds = good[..good.len() - 8].to_vec();
-        let at = long_worlds.len() - (8 + 1 + 4 + 5 + 8 + 16) - 8;
+        let at = long_worlds.len() - (4 + 5 + 8 + 16) - 8;
         assert_eq!(long_worlds[at..at + 8], 2u64.to_le_bytes());
         long_worlds[at..at + 8].copy_from_slice(&3u64.to_le_bytes());
         assert_eq!(
@@ -2622,17 +2680,41 @@ mod tests {
     /// under header stamp counter `next_stamp`, behind a valid checksum:
     /// a re-stamped file as the structural parser sees it.
     fn forge(next_stamp: u64, records: &[(ParamPoint, u64)]) -> Vec<u8> {
+        let records: Vec<(ParamPoint, Record, Shape<'_, '_>)> = (records.iter())
+            .map(|(p, stamp)| {
+                let fps = HashMap::from([("y".to_owned(), fp(&[1.0, 2.0, 3.0]))]);
+                let record = Record::new(fps, samples(*stamp as f64), 2, *stamp, true);
+                (p.clone(), record, Shape::Samples)
+            })
+            .collect();
+        stream(next_stamp, &records)
+    }
+
+    /// Snapshot bytes of `records` in the order given, each written as its
+    /// [`Shape`] says, under the zero provenance, header stamp counter
+    /// `next_stamp` and the name table of their points, behind a valid
+    /// checksum: a forged file as the structural parser sees it.
+    fn stream(next_stamp: u64, records: &[(ParamPoint, Record, Shape<'_, '_>)]) -> Vec<u8> {
+        let mut names: Vec<&str> = (records.iter())
+            .flat_map(|(p, ..)| p.iter().map(|(name, _)| name))
+            .collect();
+        names.sort_unstable();
+        names.dedup();
+        stream_named(next_stamp, &names, records)
+    }
+
+    /// [`stream`] under the name table `names`.
+    fn stream_named(
+        next_stamp: u64,
+        names: &[&str],
+        records: &[(ParamPoint, Record, Shape<'_, '_>)],
+    ) -> Vec<u8> {
         let mut out = Vec::new();
-        put_header(
-            &mut out,
-            &Provenance::default(),
-            next_stamp,
-            records.len() as u64,
-        );
-        for (p, stamp) in records {
-            let fps = HashMap::from([("y".to_owned(), fp(&[1.0, 2.0, 3.0]))]);
-            let record = Record::new(fps, samples(*stamp as f64), 2, *stamp, true);
-            serialize_record(&mut out, p, &record, None);
+        let count = records.len() as u64;
+        let mut names = Names::new(names.to_vec());
+        put_header(&mut out, &Provenance::default(), &names, next_stamp, count);
+        for (p, record, shape) in records {
+            serialize_record(&mut out, &mut names, p, record, *shape);
         }
         restamp(out)
     }
@@ -2659,9 +2741,8 @@ mod tests {
 
         /// Every source column mapped, every mapped column held at
         /// `worlds` lanes.
-        fn check(
+        fn check_recipe(
             &self,
-            _: &ParamPoint,
             source: &ColumnSamples,
             mappings: &HashMap<String, Mapping>,
             worlds: usize,
@@ -2681,20 +2762,111 @@ mod tests {
             }
             Ok(())
         }
+
+        /// Any point: no column is derived.
+        fn check_point(&self, _: &ParamPoint) -> Result<(), String> {
+            Ok(())
+        }
     }
 
     fn remap() -> RebuildHandle {
         Arc::new(MapColumns)
     }
 
-    /// The kind byte of every record of a snapshot, in stamp order.
+    /// [`MapColumns`] for a scenario whose one parameter is `x`: a point
+    /// that does not bind it fails [`Rebuild::check_point`].
+    struct BindsX;
+
+    impl Rebuild for BindsX {
+        fn rebuild(
+            &self,
+            point: &ParamPoint,
+            source: &ColumnSamples,
+            mappings: &HashMap<String, Mapping>,
+            worlds: usize,
+        ) -> Result<Arc<ColumnSamples>, String> {
+            MapColumns.rebuild(point, source, mappings, worlds)
+        }
+
+        fn check_recipe(
+            &self,
+            source: &ColumnSamples,
+            mappings: &HashMap<String, Mapping>,
+            worlds: usize,
+        ) -> Result<(), String> {
+            MapColumns.check_recipe(source, mappings, worlds)
+        }
+
+        fn check_point(&self, point: &ParamPoint) -> Result<(), String> {
+            match point.get("x") {
+                Some(_) => Ok(()),
+                None => Err(format!("{point} does not bind `x`")),
+            }
+        }
+    }
+
+    /// A restore checks each recipe record's point, not only the first of
+    /// its recipe: a later record of a checked recipe whose point does not
+    /// bind the scenario's parameter fails typed, and the store is
+    /// untouched.
+    #[test]
+    fn restore_checks_every_recipe_records_point() {
+        let prints = || HashMap::from([("y".to_owned(), fp(&[1.0, 2.0, 4.0]))]);
+        let recipe = Recipe {
+            source_stamp: 1,
+            mappings: HashMap::from([("y".to_owned(), Mapping::Offset(0.5))]),
+        };
+        let moments = ColumnMoments::of(&samples(1.5));
+        let out = RecipeOut {
+            recipe: &recipe,
+            moments: &moments,
+            columns: &["y"],
+        };
+        let image = |stamp: u64| Record::new(HashMap::new(), samples(0.0), 2, stamp, false);
+        let records = |last: ParamPoint| {
+            stream(
+                3,
+                &[
+                    (
+                        point("x", 1),
+                        Record::new(prints(), samples(1.0), 2, 1, true),
+                        Shape::Samples,
+                    ),
+                    (point("x", 2), image(2), Shape::Define(&out)),
+                    (last, image(3), Shape::Index(0)),
+                ],
+            )
+        };
+        let handle: RebuildHandle = Arc::new(BindsX);
+        let good = records(point("x", 3));
+        assert_eq!(SharedBasisStore::new(4).restore_with(&good, &handle), Ok(3));
+
+        let s = SharedBasisStore::new(4);
+        s.insert(point("w", 0), prints(), samples(0.0), 2, true);
+        let before = s.snapshot_bytes();
+        assert_eq!(
+            s.restore_with(&records(point("z", 3)), &handle),
+            Err(SnapshotError::Rebuild(
+                "{@z=3} does not bind `x`".to_owned()
+            ))
+        );
+        assert_eq!(s.snapshot_bytes(), before, "untouched");
+    }
+
+    /// The kind byte of every record of a snapshot, in stamp order: a
+    /// recipe record defines its recipe if it is the first to use it.
     fn record_kinds(bytes: &[u8]) -> Vec<u8> {
-        let (_, parsed) = parse_snapshot(bytes, &Provenance::default()).expect("snapshot parses");
-        let kind = |r: &ParsedRecord| match &r.body {
-            ParsedBody::Recipe { .. } => KIND_RECIPE,
+        let parsed = parse_snapshot(bytes, &Provenance::default()).expect("snapshot parses");
+        let mut defined = 0;
+        let mut kind = |r: &ParsedRecord| match &r.body {
+            ParsedBody::Recipe(index) if *index == defined => {
+                defined += 1;
+                KIND_RECIPE
+            }
+            ParsedBody::Recipe(_) => KIND_RECIPE_INDEX,
             ParsedBody::Samples { matchable, .. } => *matchable as u8,
         };
-        parsed.iter().map(kind).collect()
+        parsed.records.iter().map(&mut kind).collect()
     }
 
     /// A source at `x = 1` (stamp 1) and, at `x = 2`, its offset image
@@ -2847,9 +3019,9 @@ mod tests {
         }
     }
 
-    /// Recipes that name no earlier matchable record of equal worlds,
-    /// recipes that fail the rebuild's structural check, and unknown
-    /// mapping tags fail typed and leave the store untouched.
+    /// Recipes that name no earlier matchable record, recipes that fail
+    /// the rebuild's structural check, and unknown mapping tags fail typed
+    /// and leave the store untouched.
     #[test]
     fn restore_rejects_dangling_recipes_and_bad_tags() {
         let source = |stamp: u64, worlds: usize, matchable: bool| {
@@ -2862,28 +3034,22 @@ mod tests {
             source_stamp,
             mappings: HashMap::from([(column.to_owned(), Mapping::Offset(0.5))]),
         };
-        // Records in stream order: `(x, record, recipe written)`; a recipe
-        // record's one moments pair is its source's `y`.
+        // A recipe record's one moments pair is its source's `y`.
         let moments = ColumnMoments::of(&samples(0.5));
-        let stream = |records: Vec<(i64, Record, Option<Recipe>)>| {
-            let mut out = Vec::new();
-            put_header(&mut out, &Provenance::default(), 9, records.len() as u64);
-            for (x, record, recipe) in &records {
-                let recipe = (recipe.as_ref()).map(|recipe| RecipeOut {
-                    recipe,
-                    moments: &moments,
-                    columns: &["y"],
-                });
-                serialize_record(&mut out, &point("x", *x), record, recipe.as_ref());
-            }
-            restamp(out)
+        let (by_y, by_z) = (recipe(1, "y"), recipe(1, "z"));
+        let (by_later, by_missing) = (recipe(2, "y"), recipe(7, "y"));
+        let out = |recipe| RecipeOut {
+            recipe,
+            moments: &moments,
+            columns: &["y"],
         };
-        let mapped_as = |stamp: u64, worlds: usize, source_stamp: u64, column: &str| {
-            let record = Record::new(HashMap::new(), samples(0.0), worlds, stamp, false);
-            (2, record, Some(recipe(source_stamp, column)))
+        let (y, z, later, missing) = (out(&by_y), out(&by_z), out(&by_later), out(&by_missing));
+        let mapped = |stamp: u64, out| {
+            let record = Record::new(HashMap::new(), samples(0.0), 2, stamp, false);
+            (point("x", 2), record, Shape::Define(out))
         };
-        let mapped = |stamp, worlds, source_stamp| mapped_as(stamp, worlds, source_stamp, "y");
-        let good = stream(vec![(1, source(1, 2, true), None), mapped(2, 2, 1)]);
+        let src = |stamp, matchable| (point("x", 1), source(stamp, 2, matchable), Shape::Samples);
+        let good = stream(9, &[src(1, true), mapped(2, &y)]);
         // Its recipe record's charge (overhead, a mapping, a moments pair)
         // outweighs the two-lane source's, and a store of two takes it, as
         // a writer of two that made room for the recipe record did.
@@ -2899,27 +3065,22 @@ mod tests {
         for (label, bad, want) in [
             (
                 "later source",
-                stream(vec![mapped(1, 2, 2), (1, source(2, 2, true), None)]),
+                stream(9, &[mapped(1, &later), src(2, true)]),
                 dangling(1, 2),
             ),
             (
                 "missing source",
-                stream(vec![(1, source(1, 2, true), None), mapped(2, 2, 7)]),
+                stream(9, &[src(1, true), mapped(2, &missing)]),
                 dangling(2, 7),
             ),
             (
                 "unmatchable source",
-                stream(vec![(1, source(1, 2, false), None), mapped(2, 2, 1)]),
-                dangling(2, 1),
-            ),
-            (
-                "worlds mismatch",
-                stream(vec![(1, source(1, 2, true), None), mapped(2, 3, 1)]),
+                stream(9, &[src(1, false), mapped(2, &y)]),
                 dangling(2, 1),
             ),
             (
                 "a mapping of a column the source lacks",
-                stream(vec![(1, source(1, 2, true), None), mapped_as(2, 2, 1, "z")]),
+                stream(9, &[src(1, true), mapped(2, &z)]),
                 SnapshotError::Rebuild("no column `z`".to_owned()),
             ),
             (
@@ -2946,6 +3107,128 @@ mod tests {
                 before,
                 "{label}: the store is untouched"
             );
+        }
+    }
+
+    /// The writer's canonical form is the only one a restore accepts:
+    /// each stream below is well formed — and would restore if the
+    /// parser were lenient — but re-saves to other bytes, so it fails
+    /// `NotCanonical`, naming the rule, and leaves the store untouched.
+    #[test]
+    fn restore_rejects_every_non_canonical_form() {
+        let prints = || HashMap::from([("y".to_owned(), fp(&[1.0, 2.0, 4.0]))]);
+        let source = Record::new(prints(), samples(1.0), 2, 1, true);
+        let recipe = Recipe {
+            source_stamp: 1,
+            mappings: HashMap::from([("y".to_owned(), Mapping::Offset(0.5))]),
+        };
+        let moments = ColumnMoments::of(&samples(1.5));
+        let out = RecipeOut {
+            recipe: &recipe,
+            moments: &moments,
+            columns: &["y"],
+        };
+        let image = |stamp: u64| Record::new(HashMap::new(), samples(0.0), 2, stamp, false);
+        let xy = |x: i64| ParamPoint::from_pairs([("x", x), ("y", 0)]);
+        let src = (xy(1), source, Shape::Samples);
+        let define = |x: i64| (xy(x), image(x as u64), Shape::Define(&out));
+        let index = |x: i64, i: u32| (xy(x), image(x as u64), Shape::Index(i));
+
+        let good = stream(3, &[src.clone(), define(2), index(3, 0)]);
+        assert_eq!(
+            record_kinds(&good),
+            [KIND_SOURCE, KIND_RECIPE, KIND_RECIPE_INDEX]
+        );
+        let restored = SharedBasisStore::new(4);
+        assert_eq!(restored.restore_with(&good, &remap()), Ok(3));
+        assert_eq!(restored.snapshot_bytes(), good, "the canonical form");
+
+        // A point's name indices, `x` then `y`, swapped in the last
+        // record: its stamp (8), kind (1) and index (4) follow them.
+        let mut swapped = good[..good.len() - SNAPSHOT_FOOTER].to_vec();
+        let at = swapped.len() - 4 - 1 - 2 * 12;
+        assert_eq!(swapped[at..at + 4], 0u32.to_le_bytes(), "`x`");
+        assert_eq!(swapped[at + 12..at + 16], 1u32.to_le_bytes(), "`y`");
+        swapped[at..at + 4].copy_from_slice(&1u32.to_le_bytes());
+        swapped[at + 12..at + 16].copy_from_slice(&0u32.to_le_bytes());
+        for (label, bad, rule) in [
+            (
+                "an unused name",
+                stream_named(3, &["w", "x", "y"], &[src.clone(), define(2), index(3, 0)]),
+                "a table name no point uses",
+            ),
+            (
+                "swapped name indices",
+                restamp(swapped),
+                "name indices not ascending",
+            ),
+            (
+                "a recipe defined twice",
+                stream(3, &[src.clone(), define(2), define(3)]),
+                "a recipe defined twice",
+            ),
+            (
+                "an index before its definition",
+                stream(3, &[src.clone(), index(2, 0), define(3)]),
+                "a recipe index not yet defined",
+            ),
+            (
+                "an index past the definitions",
+                stream(3, &[src.clone(), define(2), index(3, 1)]),
+                "a recipe index not yet defined",
+            ),
+        ] {
+            let s = SharedBasisStore::new(4);
+            s.insert(point("w", 0), prints(), samples(0.0), 2, true);
+            let before = s.snapshot_bytes();
+            assert_eq!(
+                s.restore_with(&bad, &remap()),
+                Err(SnapshotError::NotCanonical(rule)),
+                "{label}"
+            );
+            assert_eq!(s.snapshot_bytes(), before, "{label}: untouched");
+        }
+    }
+
+    /// A recipe value held by two allocations — what a cleared engine
+    /// recipe memo leaves: two records of one recipe, each with its own
+    /// moments — is written once, and the second record names it. A
+    /// restore gives the two records one shared body, and its re-save is
+    /// the same bytes.
+    #[test]
+    fn one_recipe_in_two_allocations_is_written_once() {
+        let s = SharedBasisStore::new(8);
+        let prints = HashMap::from([("y".to_owned(), fp(&[1.0, 2.0, 4.0]))]);
+        let source = samples(1.0);
+        s.insert(point("x", 1), prints, Arc::clone(&source), 2, true);
+        for x in [2, 3] {
+            let recipe = Recipe {
+                source_stamp: 1,
+                mappings: HashMap::from([("y".to_owned(), Mapping::Offset(0.5))]),
+            };
+            let TryClaim::Owner(guard) = s.try_claim(&point("x", x), 2) else {
+                panic!("expected owner");
+            };
+            let moments = ColumnMoments::of(&samples(1.5));
+            let source = Arc::clone(&source);
+            assert!(guard.complete_mapped(2, recipe, source, remap(), moments).1);
+        }
+        assert_eq!(s.recipe_bodies(), 2, "a publish files its own body");
+        let bytes = s.snapshot_bytes();
+        assert_eq!(
+            record_kinds(&bytes),
+            [KIND_SOURCE, KIND_RECIPE, KIND_RECIPE_INDEX]
+        );
+        let parsed = parse_snapshot(&bytes, &Provenance::default()).expect("parses");
+        assert_eq!(parsed.recipes.len(), 1);
+
+        let restored = SharedBasisStore::new(8);
+        assert_eq!(restored.restore_with(&bytes, &remap()), Ok(3));
+        assert_eq!(restored.recipe_bodies(), 1, "one body per recipe");
+        assert_eq!(restored.snapshot_bytes(), bytes, "save → load → save");
+        for x in [2, 3] {
+            let lanes = restored.get_exact(&point("x", x), 2).expect("restored");
+            assert_eq!(lanes["y"], vec![1.5, 2.5]);
         }
     }
 
@@ -3084,13 +3367,14 @@ mod tests {
     fn restored_demoted_records_answer_moments_without_a_rebuild() {
         let (s, first) = recipe_store();
         let bytes = s.snapshot_bytes();
-        assert_eq!(bytes[4..6], 4u16.to_le_bytes(), "FPBS v4");
-        let (_, parsed) = parse_snapshot(&bytes, &Provenance::default()).expect("parses");
+        assert_eq!(bytes[4..6], SNAPSHOT_VERSION.to_le_bytes(), "FPBS v5");
+        let parsed = parse_snapshot(&bytes, &Provenance::default()).expect("parses");
         let mut written = 0;
-        for r in &parsed {
-            let ParsedBody::Recipe { moments, .. } = &r.body else {
+        for r in &parsed.records {
+            let ParsedBody::Recipe(index) = r.body else {
                 continue;
             };
+            let moments = &parsed.recipes[index].moments;
             let TryClaim::Ready { samples: warm, .. } = s.try_claim_stored(&r.point, 64) else {
                 panic!("{} is stored", r.point);
             };
@@ -3272,12 +3556,13 @@ mod tests {
     fn restore_rejects_hostile_column_lengths() {
         let good = forge(1, &[(point("x", 1), 1)]);
         let body = &good[..good.len() - SNAPSHOT_FOOTER];
-        // After the header (50, its provenance the zero one), the point
-        // (4 + 5 + 8 = 17), worlds (8), stamp (8), matchable (1), the
-        // fingerprint count (4) and name "y" (5) sits the fingerprint
-        // length at 93; its three values (24), the column count (4) and
-        // name "y" (5) put the sample length at 130. `worlds` is at 67.
-        let (fp_len, worlds, lanes) = (93, 67, 130);
+        // After the header (54, its provenance the zero one) and its name
+        // table ("x", 5), the stamp (8), the point (4 + 4 + 8 = 16) and
+        // the kind (1) sits `worlds` at 84; it (8), the fingerprint count
+        // (4) and name "y" (5) put the fingerprint length at 101; its
+        // three values (24), the column count (4) and name "y" (5) put
+        // the sample length at 138.
+        let (fp_len, worlds, lanes) = (101, 84, 138);
         assert_eq!(body[fp_len..fp_len + 4], 3u32.to_le_bytes());
         assert_eq!(body[worlds..worlds + 8], 2u64.to_le_bytes());
         assert_eq!(body[lanes..lanes + 8], 2u64.to_le_bytes());
@@ -3364,10 +3649,9 @@ mod tests {
             assert_eq!(fresh.len(), 1, "{label}: the store is untouched");
         }
 
-        // Names arrive sorted and unique. Swap or repeat the one-byte names
-        // of `{a, b}`: after the header (50), the pair count (4) and a
-        // length (4) sits `a` at 58; its value (8) and `b`'s length (4)
-        // put `b` at 71.
+        // The name table arrives sorted and unique. Swap or repeat the
+        // one-byte names of `{a, b}`: after the header (54) and a length
+        // (4) sits `a` at 58; `b`'s length (4) puts `b` at 63.
         let ab = forge(1, &[(ParamPoint::from_pairs([("a", 1i64), ("b", 2)]), 1)]);
         assert_eq!(SharedBasisStore::new(1).restore_bytes(&ab), Ok(1));
         for (label, names) in [
@@ -3375,8 +3659,8 @@ mod tests {
             ("repeated name", (b'a', b'a')),
         ] {
             let mut body = ab[..ab.len() - 8].to_vec();
-            assert_eq!((body[58], body[71]), (b'a', b'b'));
-            (body[58], body[71]) = names;
+            assert_eq!((body[58], body[63]), (b'a', b'b'));
+            (body[58], body[63]) = names;
             assert_eq!(
                 SharedBasisStore::new(1).restore_bytes(&restamp(body)),
                 Err(SnapshotError::Truncated),

@@ -122,9 +122,10 @@ pub enum TraceEventKind {
     PhaseProbe,
     /// Batch driver phase: the match scan's candidate snapshot, taken on
     /// the driver (span).
-    PhaseMatch,
-    /// Batch driver phase: per-probe match-then-remap fanned out (span).
-    PhaseRemap,
+    PhaseSnapshot,
+    /// Batch driver phase: per-probe match-then-remap (the scan) fanned
+    /// out (span).
+    PhaseScan,
     /// Batch driver phase: miss simulation fanned out (span).
     PhaseSimulate,
     /// Batch driver phase: in-order publication of results (span).
@@ -159,8 +160,8 @@ impl TraceEventKind {
             TraceEventKind::ChunkDequeue => "chunk_dequeue",
             TraceEventKind::ChunkRun => "chunk_run",
             TraceEventKind::PhaseProbe => "phase_probe",
-            TraceEventKind::PhaseMatch => "phase_match",
-            TraceEventKind::PhaseRemap => "phase_remap",
+            TraceEventKind::PhaseSnapshot => "phase_snapshot",
+            TraceEventKind::PhaseScan => "phase_scan",
             TraceEventKind::PhaseSimulate => "phase_simulate",
             TraceEventKind::PhasePublish => "phase_publish",
             TraceEventKind::StoreClaim => "store_claim",

@@ -8,8 +8,10 @@
 //! sweep on the restored service must be bit-identical to a re-sweep on
 //! the warm one, simulate nothing (`points_simulated == 0`) and rebuild
 //! nothing, and a tight restored store must evict like the one that
-//! wrote it; a snapshot drawn in another world (seed, script, model tag)
-//! fails `WrongWorld`, a v3 file `UnsupportedVersion(3)`, and one whose
+//! wrote it; a file writes each recipe once and a load gives the records
+//! of one recipe one shared body; a snapshot drawn in another world
+//! (seed, script, model tag) fails `WrongWorld`, a v4 file
+//! `UnsupportedVersion(4)`, and one whose
 //! recipes the loading scenario could not rebuild `Rebuild`; corrupt or
 //! truncated snapshot files are rejected with typed
 //! [`ProphetError::Snapshot`] variants and leave the store untouched, as
@@ -49,6 +51,9 @@ use prophet_vg::{VgFunction, VgRegistry};
 
 /// Store capacity that holds the whole 3,969-point coarse sweep.
 const ROOMY: usize = 8_192;
+
+/// Distinct recipes among the coarse sweep's 3,912 mapped points.
+const RECIPES: usize = 195;
 
 /// A coarse Figure-2 service whose store is budgeted at `basis_capacity`
 /// full-depth records.
@@ -204,6 +209,103 @@ fn restamp(mut body: Vec<u8>) -> Vec<u8> {
     body
 }
 
+/// A cursor over an FPBS file, for [`fpbs_record_kinds`].
+struct Cursor<'a> {
+    bytes: &'a [u8],
+    at: usize,
+}
+
+impl Cursor<'_> {
+    fn skip(&mut self, n: usize) {
+        self.at += n;
+    }
+
+    fn byte(&mut self) -> u8 {
+        self.at += 1;
+        self.bytes[self.at - 1]
+    }
+
+    fn u32(&mut self) -> usize {
+        let mut w = [0u8; 4];
+        w.copy_from_slice(&self.bytes[self.at..self.at + 4]);
+        self.at += 4;
+        u32::from_le_bytes(w) as usize
+    }
+
+    fn u64(&mut self) -> u64 {
+        let mut w = [0u8; 8];
+        w.copy_from_slice(&self.bytes[self.at..self.at + 8]);
+        self.at += 8;
+        u64::from_le_bytes(w)
+    }
+
+    /// Skip a length-prefixed name.
+    fn name(&mut self) {
+        let len = self.u32();
+        self.skip(len);
+    }
+}
+
+/// An FPBS v5 file's records counted by kind — samples, sources, recipe
+/// definitions, recipe indices — walking the layout `docs/CONCURRENCY.md`
+/// specifies rather than the store's parser, as [`fpbs_checksum`] is a
+/// second implementation of the trailer.
+fn fpbs_record_kinds(bytes: &[u8]) -> [usize; 4] {
+    let mut c = Cursor { bytes, at: 6 };
+    c.skip(8); // the stamp counter
+    let count = c.u64();
+    c.skip(3 * 8); // the provenance's script, root-seed and probe-seed words
+    for _ in 0..c.u32() {
+        c.name();
+        c.skip(4); // a model's tag
+    }
+    for _ in 0..c.u32() {
+        c.name(); // the parameter name table
+    }
+    // Each source's column count: how many moments pairs a recipe that
+    // names it writes.
+    let mut columns: HashMap<u64, usize> = HashMap::new();
+    let mut kinds = [0; 4];
+    for _ in 0..count {
+        let stamp = c.u64();
+        let pairs = c.u32();
+        c.skip(pairs * (4 + 8));
+        let kind = c.byte();
+        kinds[kind as usize] += 1;
+        match kind {
+            0 | 1 => {
+                c.skip(8); // worlds
+                if kind == 1 {
+                    for _ in 0..c.u32() {
+                        c.name();
+                        let values = c.u32();
+                        c.skip(8 * values);
+                    }
+                }
+                let ncols = c.u32();
+                for _ in 0..ncols {
+                    c.name();
+                    let lanes = c.u64() as usize;
+                    c.skip(8 * lanes);
+                }
+                columns.insert(stamp, ncols);
+            }
+            2 => {
+                let source = c.u64();
+                for _ in 0..c.u32() {
+                    c.name();
+                    let params = [0, 1, 3][c.byte() as usize];
+                    c.skip(8 * params);
+                }
+                c.skip(16 * columns[&source]);
+            }
+            _ => c.skip(4), // the recipe's index
+        }
+    }
+    assert_eq!(c.at, bytes.len() - 8, "the records end at the trailer");
+    kinds
+}
+
 fn temp_path(label: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
         "fp_basis_snapshot_{}_{label}.fpbs",
@@ -233,10 +335,12 @@ fn restored_basis_serves_a_sweep_without_simulation() {
     let saved = warm.save_basis("figure2", &path).unwrap();
     assert_eq!(saved, 3_969, "warm store must hold the whole sweep");
     // 57 simulated sources carry their samples and fingerprints; the
-    // 3,912 mapped points travel as recipes, each with three `(mean,
-    // std_dev)` pairs; the header names the world (68 B with the demo
-    // registry's two models).
-    assert_eq!(fs::metadata(&path).unwrap().len(), 797_831);
+    // 3,912 mapped points travel as a stamp, a point of four indexed
+    // pairs and their recipe: the first of each recipe defines it with
+    // three `(mean, std_dev)` pairs, and the rest name it by index. The
+    // header names the world (68 B with the demo registry's two models)
+    // and the four parameters.
+    assert_eq!(fs::metadata(&path).unwrap().len(), 321_875);
 
     let cold = service(&src, ROOMY);
     let loaded = cold.load_basis("figure2", &path).unwrap();
@@ -324,9 +428,10 @@ fn corrupt_snapshots_are_rejected_with_typed_errors() {
 }
 
 /// A sweep of 3,969 points through a store budgeted at 64 full-depth
-/// records: 3,903 evictions, and what survives is pinned by count and
-/// snapshot size (the 9 recipes carry 48 B of moments each, the header
-/// 68 B of provenance). Mapped entries are recipe records from birth and
+/// records: 3,903 evictions, and what survives is pinned by count, by
+/// record kind and by snapshot size (the 9 recipes, all distinct, carry
+/// 48 B of moments each, the header 68 B of provenance and the four
+/// parameter names). Mapped entries are recipe records from birth and
 /// are evicted first; sources go only when no mapped entry remains — so
 /// the 57 sources survive, and the 9 newest mapped entries travel as
 /// recipes — and a change to the byte charges, the eviction policy, the
@@ -356,8 +461,9 @@ fn churned_store_snapshot_is_pinned() {
             stats.hits,
             stats.misses
         ),
-        (66, 53_176, 3_903, 3_912, 57)
+        (66, 51_044, 3_903, 3_912, 57)
     );
+    assert_eq!(fpbs_record_kinds(&bytes), [0, 57, 9, 0]);
     assert_eq!(
         restamp(bytes[..bytes.len() - 8].to_vec()),
         bytes,
@@ -820,6 +926,27 @@ fn a_restore_and_the_restored_sweep_rebuild_nothing() {
     let _ = fs::remove_file(&path);
 }
 
+/// A file writes each recipe once, and a load gives the records of one
+/// recipe one shared body: the warm store's 3,912 mapped records hold a
+/// body each, and the restored store's hold exactly as many as the file
+/// defines recipes.
+#[test]
+fn a_restore_shares_one_body_per_recipe() {
+    let src = figure2_coarse_sql(0.05);
+    let (warm, path) = saved_figure2(&src, ROOMY, "shared_bodies");
+    let warm_store = warm.engine("figure2").unwrap().basis_store().clone();
+    assert_eq!(warm_store.recipe_bodies(), 3_912, "a publish files its own");
+    let [samples, sources, defined, indexed] = fpbs_record_kinds(&fs::read(&path).unwrap());
+    assert_eq!((samples, sources, defined + indexed), (0, 57, 3_912));
+    assert_eq!(defined, RECIPES);
+
+    let cold = service(&src, ROOMY);
+    assert_eq!(cold.load_basis("figure2", &path).unwrap(), 3_969);
+    let store = cold.engine("figure2").unwrap().basis_store().clone();
+    assert_eq!(store.recipe_bodies(), defined, "one body per recipe");
+    let _ = fs::remove_file(&path);
+}
+
 /// Every restored entry's moments — read from the file, never computed
 /// at load — are the kernel's bits of the samples a read rebuilds, on the
 /// production tier and on the scalar reference.
@@ -886,18 +1013,18 @@ fn a_restored_tight_store_evicts_like_the_store_that_wrote_it() {
     let _ = fs::remove_file(&path);
 }
 
-/// A v3 file — recipes without moments, a header without provenance — is
+/// A v4 file — every recipe and parameter name written per record — is
 /// not read: there is no old-version reader.
 #[test]
-fn a_v3_snapshot_fails_unsupported_version() {
+fn a_v4_snapshot_fails_unsupported_version() {
     let src = figure2_coarse_sql(0.05);
-    let (warm, path) = saved_figure2(&src, 64, "v3");
+    let (warm, path) = saved_figure2(&src, 64, "v4");
     let mut bytes = fs::read(&path).unwrap();
-    assert_eq!(bytes[4..6], 4u16.to_le_bytes(), "FPBS v4");
-    bytes[4..6].copy_from_slice(&3u16.to_le_bytes());
+    assert_eq!(bytes[4..6], 5u16.to_le_bytes(), "FPBS v5");
+    bytes[4..6].copy_from_slice(&4u16.to_le_bytes());
     fs::write(&path, &bytes).unwrap();
     match warm.load_basis("figure2", &path).unwrap_err() {
-        ProphetError::Snapshot(SnapshotError::UnsupportedVersion(3)) => {}
+        ProphetError::Snapshot(SnapshotError::UnsupportedVersion(4)) => {}
         other => panic!("wrong variant {other:?}"),
     }
     assert_eq!(warm.basis_len("figure2").unwrap(), 66, "untouched");

@@ -71,11 +71,11 @@ fn traced_sweep_records_the_full_event_taxonomy_in_stamp_order() {
     // Driver phases (PRICING_WHATIF has stochastic columns, so the
     // fingerprint phase runs, and a cold sweep must simulate). The
     // fingerprint path is two chunked phases — `phase_probe`, then the
-    // fused match-then-remap phase `phase_remap` — with `phase_match`
+    // fused match-then-remap phase `phase_scan` — with `phase_snapshot`
     // spanning only the driver's candidate snapshot between them.
     assert!(has(TraceEventKind::PhaseProbe), "phase_probe");
-    assert!(has(TraceEventKind::PhaseMatch), "phase_match");
-    assert!(has(TraceEventKind::PhaseRemap), "phase_remap");
+    assert!(has(TraceEventKind::PhaseSnapshot), "phase_snapshot");
+    assert!(has(TraceEventKind::PhaseScan), "phase_scan");
     assert!(has(TraceEventKind::PhaseSimulate), "phase_simulate");
     assert!(has(TraceEventKind::PhasePublish), "phase_publish");
     // Per batch: probe → snapshot → match+remap, in that order, and the
@@ -89,8 +89,8 @@ fn traced_sweep_records_the_full_event_taxonomy_in_stamp_order() {
     };
     let (probes, snapshots, fused) = (
         spans(TraceEventKind::PhaseProbe),
-        spans(TraceEventKind::PhaseMatch),
-        spans(TraceEventKind::PhaseRemap),
+        spans(TraceEventKind::PhaseSnapshot),
+        spans(TraceEventKind::PhaseScan),
     );
     assert_eq!(
         probes.len(),
@@ -170,8 +170,8 @@ fn a_progressive_job_records_its_phase_spans_under_its_id() {
         let probed = usize::from(fingerprints);
         for kind in [
             TraceEventKind::PhaseProbe,
-            TraceEventKind::PhaseMatch,
-            TraceEventKind::PhaseRemap,
+            TraceEventKind::PhaseSnapshot,
+            TraceEventKind::PhaseScan,
         ] {
             assert_eq!(count(kind), probed, "{kind:?}, fingerprints {fingerprints}");
         }
@@ -444,7 +444,7 @@ fn cancel_mid_fused_phase_publishes_completed_hits_and_releases_the_rest() {
         assert_eq!(progress.metrics.points_simulated, 0);
         assert_eq!(prophet.telemetry().inflight_claims, 0, "claims released");
         let has = |kind: TraceEventKind| handle.trace().iter().any(|e| e.kind == kind);
-        assert!(has(TraceEventKind::PhaseMatch) && has(TraceEventKind::PhaseRemap));
+        assert!(has(TraceEventKind::PhaseSnapshot) && has(TraceEventKind::PhaseScan));
         assert!(
             has(TraceEventKind::PhasePublish),
             "hits published on cancel"
