@@ -21,7 +21,7 @@
 //! inline runner. This module keeps the engine's state (script, seeds,
 //! configuration, the exact caches) and the per-point primitives the
 //! pipeline's phases compose: `Engine::probe_fingerprints`,
-//! `Engine::remap_moments` and `Engine::simulate_world_span`
+//! `Engine::remap_body` and `Engine::simulate_world_span`
 //! (crate-visible), which count into the counters of the run that calls
 //! them.
 //!
@@ -31,7 +31,8 @@
 //! simulated by one session re-map in every other, its in-flight claims
 //! guarantee concurrent sessions never duplicate one point's simulation,
 //! and the call-site probe memo, draw ledgers and recipe memo — exact for
-//! one scenario, registry and root seed — serve every job of the scenario.
+//! one scenario, registry and root seed — serve every job of the scenario
+//! (the recipe memo until the store is cleared or restored).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -40,7 +41,8 @@ use prophet_data::Value;
 use prophet_fingerprint::{CorrelationDetector, Fingerprint, FingerprintConfig, Mapping};
 use prophet_mc::{
     simulate_point, simulate_point_columnar_with, BasisHit, ColumnMoments, ColumnSamples,
-    ParamPoint, Provenance, Rebuild, RebuildHandle, SampleSet, SharedBasisStore, StoredEntry,
+    ParamPoint, Provenance, Rebuild, RebuildHandle, Recipe, RecipeBody, SampleSet,
+    SharedBasisStore, StoredEntry,
 };
 use prophet_sql::columnar::{
     evaluate_derived_columns, evaluate_select_columns_with, to_f64_samples, ColumnarStats,
@@ -286,7 +288,8 @@ pub struct Engine {
     /// Drawn ledgers under `seeds`, per `(function, call index, world)`,
     /// kept like `probe_memo`.
     ledgers: DrawLedgers,
-    /// A fingerprint hit's moments per recipe, kept like `probe_memo`.
+    /// A fingerprint hit's body per recipe — what its mapped records
+    /// file — kept until the store is cleared or restored.
     recipe_memo: RecipeMemo,
     /// The parameters the derived (VG-free) output items mention, sorted:
     /// the part of a point a recipe's moments depend on.
@@ -435,10 +438,11 @@ impl Engine {
         self.basis.len()
     }
 
-    /// Drop all basis entries (forces cold start). Affects every engine
-    /// sharing the store.
+    /// Drop all basis entries (forces cold start), and the recipe memo's
+    /// bodies with them. Affects every engine sharing the store.
     pub fn clear_basis(&self) {
         self.basis.clear();
+        self.recipe_memo.clear();
     }
 
     /// Replace the basis store's contents with a
@@ -455,15 +459,18 @@ impl Engine {
     /// that fails its structural check: mapped columns, source columns
     /// and depth, bound parameters — with
     /// [`SnapshotError::Rebuild`](prophet_mc::SnapshotError::Rebuild);
-    /// either leaves the store untouched (see
-    /// [`SharedBasisStore::restore_with`]).
+    /// either leaves the store — and the recipe memo — untouched (see
+    /// [`SharedBasisStore::restore_with`]). A successful one clears the
+    /// recipe memo, as [`Engine::clear_basis`] does.
     pub fn restore_basis(&self, bytes: &[u8]) -> ProphetResult<usize> {
-        Ok(self.basis.restore_with(bytes, &self.rebuild_handle())?)
+        let restored = self.basis.restore_with(bytes, &self.rebuild_handle())?;
+        self.recipe_memo.clear();
+        Ok(restored)
     }
 
     /// This engine's remap as the store's [`RebuildHandle`]: what a mapped
     /// record it publishes or restores rebuilds its samples with.
-    pub(crate) fn rebuild_handle(&self) -> RebuildHandle {
+    fn rebuild_handle(&self) -> RebuildHandle {
         Arc::clone(&self.remap) as RebuildHandle
     }
 
@@ -575,20 +582,20 @@ impl Engine {
             .collect::<HashMap<_, _>>())
     }
 
-    /// The moments of `hit` re-mapped onto `point`: the engine's recipe
-    /// memo's, or — for a recipe it has not seen — those of
-    /// [`Remap::samples`], taken while the fresh columns are still in this
-    /// worker's cache, which are then dropped: a hit publishes a recipe
-    /// record and builds no samples. Counts the hit in the run's `remaps`
-    /// or `remaps_memoised`; a remap self-times into its `remap_nanos`,
-    /// and the rest of the call — the key and the memo's lookup — into
-    /// its `recipe_lookup_nanos`.
-    pub(crate) fn remap_moments(
+    /// The body of `hit` re-mapped onto `point`: the engine's recipe
+    /// memo's, or — for a recipe it has not seen — a new one holding the
+    /// moments of [`Remap::samples`], taken while the fresh columns are
+    /// still in this worker's cache, which are then dropped: a hit
+    /// publishes a recipe record and builds no samples. Counts the hit in
+    /// the run's `remaps` or `remaps_memoised`; a remap self-times into
+    /// its `remap_nanos`, and the rest of the call — the key and the
+    /// memo's lookup — into its `recipe_lookup_nanos`.
+    pub(crate) fn remap_body(
         &self,
         point: &ParamPoint,
         hit: &BasisHit,
         metrics: &Counters,
-    ) -> ProphetResult<ColumnMoments> {
+    ) -> ProphetResult<RecipeBody> {
         let lookup = Stopwatch::start();
         let key = RecipeKey::new(
             hit,
@@ -597,15 +604,21 @@ impl Engine {
             point,
         );
         let (mut gathers, mut nanos) = (0, 0);
-        let (moments, remapped) = self.recipe_memo.moments(key, &hit.samples, || {
+        let (body, remapped) = self.recipe_memo.body(key, &hit.samples, || {
             let start = Stopwatch::start();
             let remapped = (self.remap).samples(point, &hit.samples, &hit.mappings, hit.worlds);
-            let moments = remapped.map(|(samples, walk_gathers)| {
+            let body = remapped.map(|(samples, walk_gathers)| {
                 gathers = walk_gathers;
-                ColumnMoments::named(&self.remap.output_cols, &samples)
+                let recipe = Recipe {
+                    source_stamp: hit.source_stamp,
+                    mappings: hit.mappings.clone(),
+                };
+                let moments = ColumnMoments::named(&self.remap.output_cols, &samples);
+                let (source, rebuild) = (Arc::clone(&hit.samples), self.rebuild_handle());
+                RecipeBody::new(recipe, source, rebuild, moments)
             });
             nanos = start.elapsed_nanos();
-            moments
+            body
         });
         let lookup_nanos = lookup.elapsed_nanos().saturating_sub(nanos);
         metrics.bump(|m| {
@@ -618,7 +631,7 @@ impl Engine {
                 m.remaps_memoised += 1;
             }
         });
-        moments
+        body
     }
 
     /// One tier-routed simulation of a world list (no metrics bump — the
@@ -1290,9 +1303,9 @@ mod tests {
             }
         }
         // A recipe the overflow cleared is remapped again, so its value
-        // lives in two allocations of moments; the snapshot writes each
-        // recipe value once all the same, and a restore shares one body
-        // among the records of each.
+        // lives in two bodies; the snapshot writes each recipe value once
+        // all the same, and a restore shares one body among the records
+        // of each.
         let bytes = tiny.basis_store().snapshot_bytes();
         assert_eq!(bytes, unbounded.basis_store().snapshot_bytes());
         let reloaded = engine(config);
@@ -1303,8 +1316,13 @@ mod tests {
         assert!(tiny.recipe_memo.len() <= 3);
         let (mt, mu) = (tiny.metrics(), unbounded.metrics());
         assert_eq!(mt.points_mapped, mu.points_mapped);
-        for m in [mt, mu] {
+        for (e, m) in [(&tiny, mt), (&unbounded, mu)] {
             assert_eq!(m.remaps + m.remaps_memoised, m.points_mapped);
+            assert_eq!(
+                e.basis_store().recipe_bodies() as u64,
+                m.remaps,
+                "a body per remap"
+            );
         }
         assert!(
             mu.remaps_memoised > 0 && mt.remaps > mu.remaps,

@@ -146,8 +146,8 @@ use prophet_fingerprint::{Fingerprint, Mapping};
 use prophet_mc::aggregate::{self, converged};
 use prophet_mc::trace::{TraceEventKind, Tracer, NO_CHUNK, NO_JOB};
 use prophet_mc::{
-    BasisHit, ColumnMoments, ColumnSamples, InflightGuard, ParamPoint, Recipe, SampleSet,
-    ScanSnapshot, ScanWork, TryClaim, WaitHandle,
+    BasisHit, ColumnSamples, InflightGuard, ParamPoint, RecipeBody, SampleSet, ScanSnapshot,
+    ScanWork, TryClaim, WaitHandle,
 };
 use prophet_vg::FastBuild;
 
@@ -728,8 +728,8 @@ impl Engine {
     }
 
     /// The per-probe step of the fingerprint phase: scan `snapshot` for
-    /// the best source of `probe` and, on a hit, take its moments
-    /// re-mapped onto `point` ([`Engine::remap_moments`]). A pure
+    /// the best source of `probe` and, on a hit, take its body
+    /// re-mapped onto `point` ([`Engine::remap_body`]). A pure
     /// function of its arguments, so a batch runs it for every probe in
     /// parallel. Self-times the scan into the run's `match_scan_nanos`
     /// (the remap self-times into `remap_nanos`).
@@ -745,17 +745,12 @@ impl Engine {
         let scan_nanos = start.elapsed_nanos();
         metrics.bump(|m| m.match_scan_nanos += scan_nanos);
         let remap = |hit: BasisHit| {
-            let moments = self.remap_moments(point, &hit, metrics)?;
+            let body = self.remap_body(point, &hit, metrics)?;
             Ok(MappedHit {
-                moments,
+                body,
                 worlds: hit.worlds,
                 exact: hit.mappings.values().all(Mapping::is_exact),
                 source: hit.source,
-                source_samples: hit.samples,
-                recipe: Recipe {
-                    source_stamp: hit.source_stamp,
-                    mappings: hit.mappings,
-                },
             })
         };
         Matched {
@@ -767,26 +762,21 @@ impl Engine {
 
     // ------------------------------------------------------------ publish
 
-    /// Publish a fingerprint hit: complete the claim with the mapped
-    /// moments and what makes the samples — the recipe, the source samples
-    /// it applies to and this engine's remap. The store files a recipe
-    /// record (no samples, no probe fingerprints), which rebuilds them
-    /// when a reader asks for them; the waiters and the reply get that
-    /// record, so `expect` reads its moments and a samples read rebuilds
-    /// once, exactly as for a later cached read of the point.
+    /// Publish a fingerprint hit: complete the claim with its recipe
+    /// memo body — the mapped moments and what makes the samples. The
+    /// store files a recipe record (no samples, no probe fingerprints)
+    /// holding that body, shared with every record of the recipe, which
+    /// rebuilds them when a reader asks for them; the waiters and the
+    /// reply get that record, so `expect` reads its moments and a samples
+    /// read rebuilds once, exactly as for a later cached read of the
+    /// point.
     fn publish_hit(
         &self,
         point: &ParamPoint,
         guard: InflightGuard,
         hit: MappedHit,
     ) -> (SampleSet, EvalOutcome) {
-        let (entry, _) = guard.complete_mapped(
-            hit.worlds,
-            hit.recipe,
-            hit.source_samples,
-            self.rebuild_handle(),
-            hit.moments,
-        );
+        let (entry, _) = guard.complete_mapped(hit.worlds, hit.body);
         let outcome = EvalOutcome::Mapped {
             from: hit.source,
             exact: hit.exact,
@@ -814,21 +804,17 @@ impl Engine {
 }
 
 /// A fingerprint hit re-mapped onto the queried point, ready to publish
-/// as a recipe record: its moments, and what rebuilds its samples.
+/// as a recipe record.
 struct MappedHit {
-    /// Every output column's moments of the mapped samples, from the
-    /// engine's recipe memo or the worker that re-mapped them.
-    moments: ColumnMoments,
+    /// The recipe memo's body of the hit's recipe: its moments, and what
+    /// rebuilds its samples.
+    body: RecipeBody,
     /// Worlds backing the source's (and therefore the mapped) samples.
     worlds: usize,
     /// The basis point the mapping came from.
     source: ParamPoint,
-    /// The source's samples the mappings were applied to.
-    source_samples: Arc<ColumnSamples>,
     /// Whether every column's mapping was exact (identity/offset).
     exact: bool,
-    /// The source's stamp and the mappings: how the samples are made.
-    recipe: Recipe,
 }
 
 /// One probe's trip through [`Engine::match_and_remap`].

@@ -5,8 +5,12 @@
 //! the derived columns recomputed — and a sweep reads only their
 //! `(mean, std_dev)`. Across Figure 2's 31,005 hits there are 832
 //! distinct recipes, so each [`Engine`](crate::engine::Engine)
-//! remembers, per recipe, the [`ColumnMoments`] its remap computed, and a
-//! hit whose recipe it has seen builds no samples at all.
+//! remembers, per recipe, the [`RecipeBody`] its remap built — the
+//! recipe, its source samples, the engine's remap and the moments — and
+//! a hit whose recipe it has seen builds no samples at all. The entry
+//! *is* what the store files: every mapped record of a recipe the memo
+//! holds shares its one body, so a store holds one body per recipe
+//! (`SharedBasisStore::recipe_bodies`), as a restored one does.
 //!
 //! # The key
 //!
@@ -17,12 +21,23 @@
 //! column moves with a parameter only if it mentions it). The key is
 //! exactly that: the address of the source's sample allocation, the
 //! worlds, every mapping's bits in the engine's stochastic-column order,
-//! and those parameter values. An entry holds the source's `Arc`, so the
-//! address it is keyed by cannot be reused while it lives; a record
-//! re-published at the source point is a new allocation and a new key.
-//! Neither `clear_basis` nor `load_basis` touches the memo: its entries
-//! name allocations, not store stamps, and a memo entry is the very
-//! function a miss computes, on the same inputs.
+//! and those parameter values. An entry holds the source's `Arc` — also
+//! when its remap failed, since that error is memoised under the
+//! address — so the address it is keyed by cannot be reused while it
+//! lives; a record re-published at the source point is a new allocation
+//! and a new key. One allocation is filed under one store stamp, so the
+//! body's [`Recipe`] names the source every hit of the key names.
+//!
+//! # Cleared with the store
+//!
+//! `Engine::clear_basis` and a successful `Engine::restore_basis` clear
+//! the memo, so its entries do not keep the sources of a store that is
+//! gone alive. Soundness does not rest on that clear: stamps restart
+//! after a clear, but the key is the allocation, which the entry pins,
+//! and no post-clear source is that allocation. So an entry a pre-clear
+//! hit files after the clear is never served to a post-clear hit, and
+//! the pre-clear hit's own publish is discarded (its claim was
+//! cancelled).
 //!
 //! # One remap per recipe
 //!
@@ -32,29 +47,31 @@
 //! count. A remap's error is a function of the same inputs and is
 //! memoised with them.
 //!
-//! # A per-scenario, service-lifetime budget
+//! # A bounded table
 //!
-//! Like the probe memo, the table is bounded by `MAX_ENTRIES` recipes for
-//! the engine's lifetime, and a new recipe arriving at a full table
-//! clears it. A clear is deterministic and can only cost remaps: every
-//! moment a cleared entry held is computed again, bit for bit, on its
-//! next sighting.
+//! Like the probe memo, the table is bounded by `MAX_ENTRIES` recipes,
+//! and a new recipe arriving at a full table clears it. A clear is
+//! deterministic and can only cost remaps — and bodies: every moment a
+//! cleared entry held is computed again, bit for bit, on its next
+//! sighting, into a new body that the recipe's later records share.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use prophet_fingerprint::Mapping;
-use prophet_mc::{BasisHit, ColumnMoments, ColumnSamples, ParamPoint};
+use prophet_mc::{BasisHit, ColumnSamples, ParamPoint, RecipeBody};
 use prophet_vg::FastBuild;
 
 use crate::error::ProphetResult;
 use crate::sync::{OrderedMutex, RECIPE_MEMO};
 
-/// Most recipes remembered per engine (per scenario and service lifetime
-/// on a `Prophet`). Figure 2 has 832. An entry is ≈ 200 bytes, but it
-/// also keeps its source's samples alive: past what the store itself
-/// holds, that is at most one samples record (≈ 10 KB at 400 worlds) per
-/// entry, and in practice a handful of sources serve every recipe.
+/// Most recipes remembered per engine between two clears of its store.
+/// Figure 2 has 832. An entry is ≈ 200 bytes besides its body, which is
+/// the one the store's records of the recipe share (≈ 375 bytes), so it
+/// costs nothing more while one of them is stored. Past what the store
+/// holds, an entry keeps its body and its source's samples alive: at
+/// most one samples record (≈ 10 KB at 400 worlds) per entry, and in
+/// practice a handful of sources serve every recipe.
 const MAX_ENTRIES: usize = 4_096;
 
 /// What a hit's moments are a function of (see the [module docs](self)).
@@ -107,15 +124,16 @@ impl RecipeKey {
     }
 }
 
-/// One recipe: its source, held so the key's address stays its own, and
-/// its moments once the first remap of it finished.
+/// One recipe: its source, held so the key's address stays its own even
+/// when the remap fails, and its body once the first remap of it
+/// finished.
 struct Entry {
     _source: Arc<ColumnSamples>,
-    moments: OnceLock<ProphetResult<ColumnMoments>>,
+    body: OnceLock<ProphetResult<RecipeBody>>,
 }
 
-/// Bounded `recipe → moments` table behind a leaf lock. Overflow clears
-/// the table: deterministic, and it can only cost remaps.
+/// Bounded `recipe → body` table behind a leaf lock. Overflow clears the
+/// table: deterministic, and it can only cost remaps.
 pub(crate) struct RecipeMemo {
     table: OrderedMutex<HashMap<RecipeKey, Arc<Entry>, FastBuild>>,
     max_entries: usize,
@@ -136,21 +154,21 @@ impl RecipeMemo {
         }
     }
 
-    /// The moments of `key`'s recipe, whose source is `source`: the
-    /// memoised ones, or `remap`'s, run on this thread when no other
-    /// call has run it for this entry (a concurrent caller waits for that
-    /// run instead). The flag says whether this call ran `remap`. The
-    /// table lock is not held while `remap` runs.
-    pub(crate) fn moments(
+    /// The body of `key`'s recipe, whose source is `source`: the memoised
+    /// one, or `remap`'s, run on this thread when no other call has run it
+    /// for this entry (a concurrent caller waits for that run instead).
+    /// The flag says whether this call ran `remap`. The table lock is not
+    /// held while `remap` runs.
+    pub(crate) fn body(
         &self,
         key: RecipeKey,
         source: &Arc<ColumnSamples>,
-        remap: impl FnOnce() -> ProphetResult<ColumnMoments>,
-    ) -> (ProphetResult<ColumnMoments>, bool) {
+        remap: impl FnOnce() -> ProphetResult<RecipeBody>,
+    ) -> (ProphetResult<RecipeBody>, bool) {
         let entry = {
             let mut table = self.table.lock();
-            if let Some(moments) = table.get(&key).and_then(|entry| entry.moments.get()) {
-                return (moments.clone(), false);
+            if let Some(body) = table.get(&key).and_then(|entry| entry.body.get()) {
+                return (body.clone(), false);
             }
             if table.len() >= self.max_entries && !table.contains_key(&key) {
                 table.clear();
@@ -158,17 +176,22 @@ impl RecipeMemo {
             let entry = table.entry(key).or_insert_with(|| {
                 Arc::new(Entry {
                     _source: Arc::clone(source),
-                    moments: OnceLock::new(),
+                    body: OnceLock::new(),
                 })
             });
             Arc::clone(entry)
         };
         let mut ran = false;
-        let moments = entry.moments.get_or_init(|| {
+        let body = entry.body.get_or_init(|| {
             ran = true;
             remap()
         });
-        (moments.clone(), ran)
+        (body.clone(), ran)
+    }
+
+    /// Forget every recipe: the store they were filed in is gone.
+    pub(crate) fn clear(&self) {
+        self.table.lock().clear();
     }
 
     /// Recipes remembered.
@@ -181,6 +204,7 @@ impl RecipeMemo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prophet_mc::{ColumnMoments, Rebuild, Recipe};
 
     fn hit(source: &Arc<ColumnSamples>, offset: f64) -> BasisHit {
         BasisHit {
@@ -192,8 +216,47 @@ mod tests {
         }
     }
 
-    fn moments(v: f64) -> ColumnMoments {
-        ColumnMoments::of(&HashMap::from([("y".to_owned(), vec![v, v + 1.0])]))
+    /// A remap no memo test runs.
+    struct Unused;
+
+    impl Rebuild for Unused {
+        fn rebuild(
+            &self,
+            _: &ParamPoint,
+            _: &ColumnSamples,
+            _: &HashMap<String, Mapping>,
+            _: usize,
+        ) -> Result<Arc<ColumnSamples>, String> {
+            unreachable!()
+        }
+
+        fn check_recipe(
+            &self,
+            _: &ColumnSamples,
+            _: &HashMap<String, Mapping>,
+            _: usize,
+        ) -> Result<(), String> {
+            unreachable!()
+        }
+
+        fn check_point(&self, _: &ParamPoint) -> Result<(), String> {
+            unreachable!()
+        }
+    }
+
+    /// A body of `source` whose `y` moments are those of `[v, v + 1]`.
+    fn body(source: &Arc<ColumnSamples>, v: f64) -> ProphetResult<RecipeBody> {
+        let recipe = Recipe {
+            source_stamp: 1,
+            mappings: HashMap::new(),
+        };
+        let moments = ColumnMoments::of(&HashMap::from([("y".to_owned(), vec![v, v + 1.0])]));
+        Ok(RecipeBody::new(
+            recipe,
+            Arc::clone(source),
+            Arc::new(Unused),
+            moments,
+        ))
     }
 
     #[test]
@@ -210,20 +273,25 @@ mod tests {
                 &point,
             )
         };
-        let (first, ran) = memo.moments(key(1.0, 0), &source, || Ok(moments(1.0)));
+        let (first, ran) = memo.body(key(1.0, 0), &source, || body(&source, 1.0));
         assert!(ran);
-        let (again, ran) = memo.moments(key(1.0, 0), &source, || unreachable!());
+        let (again, ran) = memo.body(key(1.0, 0), &source, || unreachable!());
         assert!(!ran, "a seen recipe is memoised");
-        assert_eq!(first, again);
+        let moments = |b: ProphetResult<RecipeBody>| b.unwrap().moments() as *const _;
+        assert_eq!(moments(first), moments(again), "one body");
         // A derived parameter's value is part of the recipe.
-        assert!(memo.moments(key(1.0, 1), &source, || Ok(moments(2.0))).1);
+        assert!(memo.body(key(1.0, 1), &source, || body(&source, 2.0)).1);
         assert_eq!(memo.len(), 2);
         // Re-reading a present key at the bound is not an overflow…
-        assert!(!memo.moments(key(1.0, 1), &source, || unreachable!()).1);
+        assert!(!memo.body(key(1.0, 1), &source, || unreachable!()).1);
         // …a new one is: the old table goes.
-        assert!(memo.moments(key(2.0, 0), &source, || Ok(moments(2.0))).1);
+        assert!(memo.body(key(2.0, 0), &source, || body(&source, 2.0)).1);
         assert_eq!(memo.len(), 1);
-        assert!(memo.moments(key(1.0, 0), &source, || Ok(moments(1.0))).1);
+        assert!(memo.body(key(1.0, 0), &source, || body(&source, 1.0)).1);
+        // A clear forgets every recipe.
+        memo.clear();
+        assert_eq!(memo.len(), 0);
+        assert!(memo.body(key(1.0, 0), &source, || body(&source, 1.0)).1);
     }
 
     #[test]

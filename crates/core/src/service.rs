@@ -351,8 +351,11 @@ impl Prophet {
     }
 
     /// Drop a scenario's shared basis entries (forces cold starts
-    /// everywhere). The engine's probe memo and draw ledgers stay: they
-    /// are exact for the scenario whatever the store holds.
+    /// everywhere), and its recipe memo with them: the memo's entries are
+    /// the bodies the store's mapped records shared, one per recipe, so
+    /// they go with the store instead of keeping its sources alive. The
+    /// engine's probe memo and draw ledgers stay: they are exact for the
+    /// scenario whatever the store holds.
     pub fn clear_basis(&self, name: &str) -> ProphetResult<()> {
         self.slot(name).map(|e| e.clear_basis())
     }
@@ -391,8 +394,9 @@ impl Prophet {
     /// store state changes. A successful restore cancels in-flight claims
     /// (their owners' results are discarded) and resets the store's
     /// counters, exactly like [`Prophet::clear_basis`] followed by
-    /// replaying the snapshot; like it, it leaves the probe memo and draw
-    /// ledgers alone.
+    /// replaying the snapshot; like it, it clears the recipe memo — the
+    /// restored records of a recipe share the one body the load builds —
+    /// and leaves the probe memo and draw ledgers alone.
     pub fn load_basis(
         &self,
         name: &str,

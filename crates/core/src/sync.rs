@@ -91,8 +91,8 @@ pub const PROBE_MEMO: LockRank = LockRank::new(72, "engine probe memo");
 pub const DRAW_LEDGERS: LockRank = LockRank::new(73, "engine draw ledgers");
 
 /// An engine's recipe memo (`crate::recipe_memo`): a leaf held to look
-/// up or insert one recipe's entry, never across the remap that fills
-/// it. On a service it is the scenario's, taken by every job of the
+/// up or insert one recipe's entry, or to clear the table after its
+/// store's, never across the remap that fills it. On a service it is the scenario's, taken by every job of the
 /// scenario.
 pub const RECIPE_MEMO: LockRank = LockRank::new(74, "engine recipe memo");
 

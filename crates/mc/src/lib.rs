@@ -39,7 +39,7 @@ pub use instance::ParamPoint;
 pub use series::{Series, SeriesPoint};
 pub use store::{
     BasisHit, ColumnSamples, InflightGuard, MatchScanStats, ProbeScan, Provenance, Rebuild,
-    RebuildHandle, Recipe, ScanSnapshot, ScanWork, SharedBasisStore, SnapshotError,
+    RebuildHandle, Recipe, RecipeBody, ScanSnapshot, ScanWork, SharedBasisStore, SnapshotError,
     StoreStatsSnapshot, StoredEntry, TryClaim, WaitHandle,
 };
 pub use trace::{

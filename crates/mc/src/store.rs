@@ -36,14 +36,16 @@
 //!
 //! # Recipe records
 //!
-//! A mapped record holds no samples. It is a *recipe record*: its
-//! [`Recipe`], the source's samples `Arc` its hit carried, and the
-//! engine's [`Rebuild`] handle — so a source evicted or replaced later
-//! cannot change it — plus every column's `(mean, std_dev)`
-//! ([`ColumnMoments`]). A published one is filed so from birth — a
-//! fingerprint hit publishes its recipe and moments, never samples — and
-//! a restored one from its snapshot's recipe and moments. Only simulated
-//! and unsourced records hold samples.
+//! A mapped record holds no samples. It is a *recipe record*: a
+//! [`RecipeBody`] — its [`Recipe`], the source's samples `Arc` its hit
+//! carried, and the engine's [`Rebuild`] handle, so a source evicted or
+//! replaced later cannot change it, plus every column's
+//! `(mean, std_dev)` ([`ColumnMoments`]) — which every record of that
+//! recipe shares. A published one is filed so from birth — a fingerprint
+//! hit publishes the engine's recipe memo entry, never samples, so the
+//! memo and every record of the recipe hold one body — and a restored one
+//! from the body its snapshot's recipe and moments build, one per recipe.
+//! Only simulated and unsourced records hold samples.
 //!
 //! A claim reads a recipe record without rebuilding it:
 //! [`SharedBasisStore::try_claim_stored`] → [`TryClaim::Ready`] hands out
@@ -238,12 +240,22 @@ pub trait Rebuild: Send + Sync {
 /// A shared [`Rebuild`]: the engine's, held by each of its mapped records.
 pub type RebuildHandle = Arc<dyn Rebuild>;
 
-/// Everything a recipe record needs to re-derive its samples — its
-/// recipe, the very source samples it was mapped from (held, so a source
-/// evicted or replaced later cannot change the rebuild), and the remap —
-/// and, so a reader of moments only never needs them, every column's
-/// `(mean, std_dev)`: the kernel's bits of those samples, taken where the
-/// record was re-mapped or read from its snapshot.
+/// The shared body of every recipe record of one recipe: everything such
+/// a record needs to re-derive its samples — its recipe, the very source
+/// samples it was mapped from (held, so a source evicted or replaced
+/// later cannot change the rebuild), and the remap — and, so a reader of
+/// moments only never needs them, every column's `(mean, std_dev)`: the
+/// kernel's bits of those samples, taken where the recipe was re-mapped
+/// or read from its snapshot.
+///
+/// A clone is a second handle onto the same allocation. A restore builds
+/// one per recipe its file defines, and the engine's recipe memo one per
+/// recipe it remaps, which every record it publishes of that recipe
+/// files ([`InflightGuard::complete_mapped`]) — so a store holds one body
+/// per recipe, counted by [`SharedBasisStore::recipe_bodies`].
+#[derive(Clone)]
+pub struct RecipeBody(Arc<Mapped>);
+
 struct Mapped {
     recipe: Recipe,
     source: Arc<ColumnSamples>,
@@ -251,9 +263,31 @@ struct Mapped {
     moments: ColumnMoments,
 }
 
-impl Mapped {
+impl RecipeBody {
+    /// The body of `recipe` applied to `source` — the samples its source
+    /// stamp names — through `rebuild`, whose samples' moments are
+    /// `moments` ([`ColumnMoments::named`]).
+    pub fn new(
+        recipe: Recipe,
+        source: Arc<ColumnSamples>,
+        rebuild: RebuildHandle,
+        moments: ColumnMoments,
+    ) -> Self {
+        RecipeBody(Arc::new(Mapped {
+            recipe,
+            source,
+            rebuild,
+            moments,
+        }))
+    }
+
+    /// Every column's `(mean, std_dev)` of the samples the recipe makes.
+    pub fn moments(&self) -> &ColumnMoments {
+        &self.0.moments
+    }
+
     fn rebuild(&self, point: &ParamPoint, worlds: usize) -> Result<Arc<ColumnSamples>, String> {
-        (self.rebuild).rebuild(point, &self.source, &self.recipe.mappings, worlds)
+        (self.0.rebuild).rebuild(point, &self.0.source, &self.0.recipe.mappings, worlds)
     }
 }
 
@@ -299,10 +333,11 @@ enum Body {
     /// columns (stochastic and derived).
     Samples(Arc<ColumnSamples>),
     /// A recipe record: how a mapped record's samples were made
-    /// ([`InflightGuard::complete_mapped`]), and their moments. A
-    /// snapshot writes the recipe and moments while its source is still
-    /// stored, and a samples read rebuilds from it.
-    Recipe(Arc<Mapped>),
+    /// ([`InflightGuard::complete_mapped`]), and their moments, in the
+    /// body every record of its recipe shares. A snapshot writes the
+    /// recipe and moments while its source is still stored, and a
+    /// samples read rebuilds from it.
+    Recipe(RecipeBody),
 }
 
 impl Body {
@@ -336,13 +371,13 @@ impl Record {
         }
     }
 
-    /// Build a recipe record: unmatchable, made by `mapped`, which other
-    /// records of the same recipe may share.
-    fn mapped(worlds: usize, stamp: u64, mapped: Arc<Mapped>) -> Self {
+    /// Build a recipe record: unmatchable, made by `body`, which the
+    /// other records of its recipe share.
+    fn mapped(worlds: usize, stamp: u64, body: RecipeBody) -> Self {
         Record {
             fingerprints: None,
             summaries: None,
-            body: Body::Recipe(mapped),
+            body: Body::Recipe(body),
             worlds,
             stamp,
             matchable: false,
@@ -366,7 +401,7 @@ impl Record {
             .sum();
         let body = match &self.body {
             Body::Samples(samples) => samples.values().map(Vec::len).sum::<usize>() * 8,
-            Body::Recipe(m) => {
+            Body::Recipe(RecipeBody(m)) => {
                 2 * m.moments.columns().len() * 8 + m.recipe.mappings.len() * MAPPING_BYTES
             }
         };
@@ -424,7 +459,7 @@ impl StoredEntry {
     pub fn moments(&self) -> Option<&ColumnMoments> {
         match &self.body {
             Body::Samples(_) => None,
-            Body::Recipe(mapped) => Some(&mapped.moments),
+            Body::Recipe(body) => Some(body.moments()),
         }
     }
 
@@ -444,11 +479,11 @@ impl StoredEntry {
     /// was published, or whose [`Rebuild::check_recipe`] and
     /// [`Rebuild::check_point`] passed when it was restored.
     pub fn materialize(&self, point: &ParamPoint) -> Arc<ColumnSamples> {
-        let mapped = match &self.body {
+        let body = match &self.body {
             Body::Samples(samples) => return Arc::clone(samples),
-            Body::Recipe(mapped) => mapped,
+            Body::Recipe(body) => body,
         };
-        let samples = (mapped.rebuild(point, self.worlds))
+        let samples = (body.rebuild(point, self.worlds))
             .unwrap_or_else(|e| panic!("invariant: a recipe record rebuilds: {e}"));
         self.stats.lock().rematerializations += 1;
         samples
@@ -486,6 +521,19 @@ struct Table {
 }
 
 impl Table {
+    /// Every entry in stamp order: the two stamp queues, which between
+    /// them hold every entry, merged.
+    fn by_stamp(&self) -> impl Iterator<Item = (&ParamPoint, &Record)> {
+        let mut matchable = self.matchable.iter().peekable();
+        let mut unmatchable = self.unmatchable.iter().peekable();
+        std::iter::from_fn(move || match (matchable.peek(), unmatchable.peek()) {
+            (Some((m, _)), Some((u, _))) if u < m => unmatchable.next(),
+            (Some(_), _) => matchable.next(),
+            (None, _) => unmatchable.next(),
+        })
+        .map(|(_, point)| (point, &self.entries[point]))
+    }
+
     fn queue(&mut self, matchable: bool) -> &mut BTreeMap<u64, ParamPoint> {
         if matchable {
             &mut self.matchable
@@ -680,32 +728,19 @@ impl InflightGuard {
     }
 
     /// [`InflightGuard::complete`] for a fingerprint hit, which brings no
-    /// samples: file a recipe record — how the point's samples are made,
-    /// `recipe` applied to `source`, the hit's source samples, through
-    /// `rebuild` — with `moments`, which must be those samples'
-    /// ([`ColumnMoments::named`]), and wake every waiter with it. A
-    /// samples read of the entry rebuilds them, and a snapshot writes the
-    /// recipe in their place.
+    /// samples: file a recipe record of `worlds` worlds whose body is
+    /// `body` — how the point's samples are made, and their moments —
+    /// and wake every waiter with it. The record files `body` itself, not
+    /// a copy: the engine passes its recipe memo's entry, so every record
+    /// of one recipe shares one body. A samples read of the entry
+    /// rebuilds them, and a snapshot writes the recipe in their place.
     ///
     /// Returns the record as a [`StoredEntry`] — what a later claim of
     /// the point reads — and whether it was filed (`false` as for
     /// [`InflightGuard::complete`]; the entry still answers the
     /// publishing caller).
-    pub fn complete_mapped(
-        self,
-        worlds: usize,
-        recipe: Recipe,
-        source: Arc<ColumnSamples>,
-        rebuild: RebuildHandle,
-        moments: ColumnMoments,
-    ) -> (StoredEntry, bool) {
-        let mapped = Mapped {
-            recipe,
-            source,
-            rebuild,
-            moments,
-        };
-        self.publish(Record::mapped(worlds, 0, Arc::new(mapped)))
+    pub fn complete_mapped(self, worlds: usize, body: RecipeBody) -> (StoredEntry, bool) {
+        self.publish(Record::mapped(worlds, 0, body))
     }
 
     /// The publish behind both completions: `record` is stamped on
@@ -1314,7 +1349,7 @@ fn live_recipe<'r>(
     sources: &'r HashMap<u64, (usize, Vec<&str>)>,
     record: &'r Record,
 ) -> Option<RecipeOut<'r>> {
-    let Body::Recipe(mapped) = &record.body else {
+    let Body::Recipe(RecipeBody(mapped)) = &record.body else {
         return None;
     };
     let (worlds, columns) = sources.get(&mapped.recipe.source_stamp)?;
@@ -1391,22 +1426,21 @@ impl SharedBasisStore {
     /// Every stored point, recipe records included, in stamp order.
     pub fn points(&self) -> Vec<ParamPoint> {
         let table = self.table.read();
-        let mut stamped: Vec<(u64, &ParamPoint)> =
-            (table.entries.iter()).map(|(p, r)| (r.stamp, p)).collect();
-        stamped.sort_unstable_by_key(|&(stamp, _)| stamp);
-        stamped.into_iter().map(|(_, p)| p.clone()).collect()
+        table.by_stamp().map(|(point, _)| point.clone()).collect()
     }
 
-    /// How many distinct bodies the store's recipe records hold: a
-    /// published record files its own, and a restore gives the records of
-    /// one recipe one body, so after a load this is the number of recipes
-    /// its file defines.
+    /// How many distinct bodies the store's recipe records hold. The
+    /// records of one recipe share one: a publish files the engine's
+    /// recipe memo entry, so after a cold sweep this is the sweep's
+    /// `remaps` (while the memo has room), and a restore builds one per
+    /// recipe, so after a load it is the number of recipes its file
+    /// defines.
     pub fn recipe_bodies(&self) -> usize {
         let table = self.table.read();
         // Recipe records are unmatchable: all of them are in that queue.
         let records = (table.unmatchable.values()).filter_map(|point| table.entries.get(point));
         let bodies = records.filter_map(|record| match &record.body {
-            Body::Recipe(mapped) => Some(Arc::as_ptr(mapped) as usize),
+            Body::Recipe(RecipeBody(mapped)) => Some(Arc::as_ptr(mapped) as usize),
             Body::Samples(_) => None,
         });
         bodies
@@ -1504,15 +1538,16 @@ impl SharedBasisStore {
     /// at least `min_worlds` worlds. A recipe record's are rebuilt after
     /// the table lock is released.
     pub fn get_exact(&self, point: &ParamPoint, min_worlds: usize) -> Option<Arc<ColumnSamples>> {
-        let entry = {
-            let table = self.table.read();
-            let record = table
-                .entries
-                .get(point)
-                .filter(|e| e.worlds >= min_worlds)?;
-            StoredEntry::of(record, &self.stats)
-        };
-        Some(entry.materialize(point))
+        (self.stored(point, min_worlds)).map(|entry| entry.materialize(point))
+    }
+
+    /// The entry stored for `point` with at least `min_worlds` worlds,
+    /// copied out under the table's read lock.
+    fn stored(&self, point: &ParamPoint, min_worlds: usize) -> Option<StoredEntry> {
+        let table = self.table.read();
+        (table.entries.get(point))
+            .filter(|e| e.worlds >= min_worlds)
+            .map(|e| StoredEntry::of(e, &self.stats))
     }
 
     /// [`SharedBasisStore::try_claim_stored`], with a ready entry's
@@ -1546,13 +1581,7 @@ impl SharedBasisStore {
         let mut slots = self.inflight.slots.lock();
         // Exact check under the in-flight lock so a concurrent complete()
         // cannot publish between the store check and slot registration.
-        let stored = {
-            let table = self.table.read();
-            (table.entries.get(point))
-                .filter(|e| e.worlds >= min_worlds)
-                .map(|e| StoredEntry::of(e, &self.stats))
-        };
-        if let Some(entry) = stored {
+        if let Some(entry) = self.stored(point, min_worlds) {
             drop(slots);
             let worlds = entry.worlds;
             return TryClaim::Ready {
@@ -1805,8 +1834,7 @@ impl SharedBasisStore {
         let mut rebuilt: HashMap<u64, Arc<ColumnSamples>> = HashMap::new();
         loop {
             let table = self.table.read();
-            let mut records: Vec<(&ParamPoint, &Record)> = table.entries.iter().collect();
-            records.sort_unstable_by_key(|(_, record)| record.stamp);
+            let records: Vec<(&ParamPoint, &Record)> = table.by_stamp().collect();
             let sources = source_columns(&table);
             let recipes: Vec<Option<RecipeOut<'_>>> = (records.iter())
                 .map(|(_, r)| live_recipe(&sources, r))
@@ -1913,13 +1941,8 @@ impl SharedBasisStore {
             let rebuild = rebuild.ok_or(SnapshotError::RecipeNeedsEngine)?;
             (rebuild.check_recipe(&r.source, &r.recipe.mappings, r.worlds))
                 .map_err(SnapshotError::Rebuild)?;
-            let mapped = Mapped {
-                recipe: r.recipe,
-                source: r.source,
-                rebuild: Arc::clone(rebuild),
-                moments: r.moments,
-            };
-            shared.push((r.worlds, Arc::new(mapped)));
+            let body = RecipeBody::new(r.recipe, r.source, Arc::clone(rebuild), r.moments);
+            shared.push((r.worlds, body));
         }
         let mut restored = Table {
             entries: HashMap::with_capacity_and_hasher(count, FastBuild::default()),
@@ -1943,12 +1966,12 @@ impl SharedBasisStore {
                     matchable,
                 } => Record::new(fingerprints, samples, worlds, r.stamp, matchable),
                 ParsedBody::Recipe(index) => {
-                    let (worlds, mapped) = &shared[index];
+                    let (worlds, body) = &shared[index];
                     if !checked.as_ref().is_some_and(|p| r.point.shares_names(p)) {
-                        (mapped.rebuild.check_point(&r.point)).map_err(SnapshotError::Rebuild)?;
+                        (body.0.rebuild.check_point(&r.point)).map_err(SnapshotError::Rebuild)?;
                         checked = Some(r.point.clone());
                     }
-                    Record::mapped(*worlds, r.stamp, Arc::clone(mapped))
+                    Record::mapped(*worlds, r.stamp, body.clone())
                 }
             };
             charged += record.writer_charge();
@@ -2885,7 +2908,8 @@ mod tests {
         };
         let mapped = samples(1.5);
         let moments = ColumnMoments::of(&mapped);
-        assert!(guard.complete_mapped(2, recipe, source, remap(), moments).1);
+        let body = RecipeBody::new(recipe, source, remap(), moments);
+        assert!(guard.complete_mapped(2, body).1);
         s
     }
 
@@ -2927,8 +2951,9 @@ mod tests {
         };
         let mapped = samples(1.5);
         let moments = ColumnMoments::of(&mapped);
+        let body = RecipeBody::new(recipe, source, remap(), moments);
         assert!(
-            !stale.complete_mapped(2, recipe, source, remap(), moments).1,
+            !stale.complete_mapped(2, body).1,
             "a pre-clear claim's publish is discarded"
         );
         assert!(s.get_exact(&point("x", 3), 1).is_none());
@@ -2981,7 +3006,8 @@ mod tests {
         let source = s.get_exact(&point("x", 1), 2).expect("the source");
         let mapped = samples(3.0);
         let moments = ColumnMoments::of(&mapped);
-        let (published, filed) = guard.complete_mapped(2, recipe, source, remap(), moments);
+        let body = RecipeBody::new(recipe, source, remap(), moments);
+        let (published, filed) = guard.complete_mapped(2, body);
         assert!(filed);
         let got = handle.wait().expect("published");
         assert_eq!(got.worlds(), 2);
@@ -3190,43 +3216,53 @@ mod tests {
         }
     }
 
-    /// A recipe value held by two allocations — what a cleared engine
-    /// recipe memo leaves: two records of one recipe, each with its own
-    /// moments — is written once, and the second record names it. A
-    /// restore gives the two records one shared body, and its re-save is
-    /// the same bytes.
+    /// A publish files the body it is given: the records of one recipe
+    /// that share a body — what the engine's recipe memo hands every hit
+    /// of a recipe — hold one, and the same recipe value in a second
+    /// allocation — what a memo that overflowed and cleared leaves — is a
+    /// second. Either way the recipe is written once and later records
+    /// name it; a restore gives all of them one shared body, and its
+    /// re-save is the same bytes.
     #[test]
     fn one_recipe_in_two_allocations_is_written_once() {
         let s = SharedBasisStore::new(8);
         let prints = HashMap::from([("y".to_owned(), fp(&[1.0, 2.0, 4.0]))]);
         let source = samples(1.0);
         s.insert(point("x", 1), prints, Arc::clone(&source), 2, true);
-        for x in [2, 3] {
+        let body = || {
             let recipe = Recipe {
                 source_stamp: 1,
                 mappings: HashMap::from([("y".to_owned(), Mapping::Offset(0.5))]),
             };
+            let moments = ColumnMoments::of(&samples(1.5));
+            RecipeBody::new(recipe, Arc::clone(&source), remap(), moments)
+        };
+        let shared = body();
+        for (x, body, bodies) in [(2, shared.clone(), 1), (3, shared, 1), (4, body(), 2)] {
             let TryClaim::Owner(guard) = s.try_claim(&point("x", x), 2) else {
                 panic!("expected owner");
             };
-            let moments = ColumnMoments::of(&samples(1.5));
-            let source = Arc::clone(&source);
-            assert!(guard.complete_mapped(2, recipe, source, remap(), moments).1);
+            assert!(guard.complete_mapped(2, body).1);
+            assert_eq!(s.recipe_bodies(), bodies, "after x = {x}");
         }
-        assert_eq!(s.recipe_bodies(), 2, "a publish files its own body");
         let bytes = s.snapshot_bytes();
         assert_eq!(
             record_kinds(&bytes),
-            [KIND_SOURCE, KIND_RECIPE, KIND_RECIPE_INDEX]
+            [
+                KIND_SOURCE,
+                KIND_RECIPE,
+                KIND_RECIPE_INDEX,
+                KIND_RECIPE_INDEX
+            ]
         );
         let parsed = parse_snapshot(&bytes, &Provenance::default()).expect("parses");
         assert_eq!(parsed.recipes.len(), 1);
 
         let restored = SharedBasisStore::new(8);
-        assert_eq!(restored.restore_with(&bytes, &remap()), Ok(3));
+        assert_eq!(restored.restore_with(&bytes, &remap()), Ok(4));
         assert_eq!(restored.recipe_bodies(), 1, "one body per recipe");
         assert_eq!(restored.snapshot_bytes(), bytes, "save → load → save");
-        for x in [2, 3] {
+        for x in [2, 3, 4] {
             let lanes = restored.get_exact(&point("x", x), 2).expect("restored");
             assert_eq!(lanes["y"], vec![1.5, 2.5]);
         }
@@ -3270,11 +3306,8 @@ mod tests {
             };
             let moments = ColumnMoments::of(&mapped);
             let source = Arc::clone(source);
-            assert!(
-                guard
-                    .complete_mapped(64, recipe, source, remap(), moments)
-                    .1
-            );
+            let body = RecipeBody::new(recipe, source, remap(), moments);
+            assert!(guard.complete_mapped(64, body).1);
         }
         let [first, _] = sources;
         (s, first)

@@ -174,7 +174,9 @@ fn run() -> Result<(), String> {
     }
     if !opts.csv {
         let store = prophet.basis_stats(SCENARIO).map_err(|e| e.to_string())?;
-        println!("store:\n{store}");
+        let engine = prophet.engine(SCENARIO).map_err(|e| e.to_string())?;
+        let bodies = engine.basis_store().recipe_bodies();
+        println!("store:\n{store}\n{:<20}{bodies:>14}", "recipe_bodies");
     }
     if let Some(path) = &opts.trace_out {
         // Job drivers stamp their last events just after the answer returns.

@@ -34,6 +34,7 @@
 
 use std::collections::HashMap;
 use std::fs;
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -246,11 +247,11 @@ impl Cursor<'_> {
     }
 }
 
-/// An FPBS v5 file's records counted by kind — samples, sources, recipe
-/// definitions, recipe indices — walking the layout `docs/CONCURRENCY.md`
-/// specifies rather than the store's parser, as [`fpbs_checksum`] is a
-/// second implementation of the trailer.
-fn fpbs_record_kinds(bytes: &[u8]) -> [usize; 4] {
+/// An FPBS v5 file's records, each as its kind — 0 samples, 1 source,
+/// 2 recipe definition, 3 recipe index — and its byte span, walking the
+/// layout `docs/CONCURRENCY.md` specifies rather than the store's parser,
+/// as [`fpbs_checksum`] is a second implementation of the trailer.
+fn fpbs_records(bytes: &[u8]) -> Vec<(u8, Range<usize>)> {
     let mut c = Cursor { bytes, at: 6 };
     c.skip(8); // the stamp counter
     let count = c.u64();
@@ -265,13 +266,13 @@ fn fpbs_record_kinds(bytes: &[u8]) -> [usize; 4] {
     // Each source's column count: how many moments pairs a recipe that
     // names it writes.
     let mut columns: HashMap<u64, usize> = HashMap::new();
-    let mut kinds = [0; 4];
+    let mut records = Vec::with_capacity(count as usize);
     for _ in 0..count {
+        let start = c.at;
         let stamp = c.u64();
         let pairs = c.u32();
         c.skip(pairs * (4 + 8));
         let kind = c.byte();
-        kinds[kind as usize] += 1;
         match kind {
             0 | 1 => {
                 c.skip(8); // worlds
@@ -301,8 +302,18 @@ fn fpbs_record_kinds(bytes: &[u8]) -> [usize; 4] {
             }
             _ => c.skip(4), // the recipe's index
         }
+        records.push((kind, start..c.at));
     }
     assert_eq!(c.at, bytes.len() - 8, "the records end at the trailer");
+    records
+}
+
+/// [`fpbs_records`] counted by kind.
+fn fpbs_record_kinds(bytes: &[u8]) -> [usize; 4] {
+    let mut kinds = [0; 4];
+    for (kind, _) in fpbs_records(bytes) {
+        kinds[kind as usize] += 1;
+    }
     kinds
 }
 
@@ -480,13 +491,16 @@ fn churned_store_snapshot_is_pinned() {
 
 /// Seeded mutational fuzz of the engine-backed restore
 /// (`Engine::restore_basis`, what `load_basis` runs): flip bytes in,
-/// truncate, and splice the body of a warm coarse snapshot — sources and
-/// recipes both — then re-stamp a valid checksum. Every case either
-/// restores a store whose every entry's samples read back (the recipe
-/// records rebuilt: the restore's structural check admits no recipe the
-/// rebuild would reject) and whose re-save is the input byte for byte
-/// (and reloads), or fails with a typed error and leaves the target store
-/// as it was. No case panics.
+/// truncate, and splice the body of a snapshot — sources and recipes
+/// both — then re-stamp a valid checksum. Two inputs: a warm coarse
+/// snapshot churned through a 64-record budget, whose recipes are all
+/// distinct, and a small store whose mapped records share one recipe, so
+/// most of them name it by index; some of its cases land inside such a
+/// record. Every case either restores a store whose every entry's
+/// samples read back (the recipe records rebuilt: the restore's
+/// structural check admits no recipe the rebuild would reject) and whose
+/// re-save is the input byte for byte (and reloads), or fails with a
+/// typed error and leaves the target store as it was. No case panics.
 #[test]
 fn mutated_snapshots_restore_cleanly_or_fail_typed() {
     const CASES: usize = 120;
@@ -498,12 +512,23 @@ fn mutated_snapshots_restore_cleanly_or_fail_typed() {
         .unwrap()
         .into_sweep()
         .unwrap();
-    let good = warm
+    let churned = warm
         .engine("figure2")
         .unwrap()
         .basis_store()
         .snapshot_bytes();
-    let body = &good[..good.len() - 8];
+    assert_eq!(fpbs_record_kinds(&churned), [0, 57, 9, 0]);
+    // The grid's first 24 points, four to a batch: each batch maps from
+    // the sources of the ones before it.
+    let small = service(&src, 64);
+    let engine = small.engine("figure2").unwrap();
+    let scenario = Scenario::parse(&src).unwrap();
+    let points: Vec<ParamPoint> = GridGuide::new(&scenario.script().params).take(24).collect();
+    for batch in points.chunks(4) {
+        engine.evaluate_batch(batch).unwrap();
+    }
+    let shared = engine.basis_store().snapshot_bytes();
+    assert_eq!(fpbs_record_kinds(&shared), [0, 4, 1, 19]);
 
     let target = service(&src, 64);
     let engine = target.engine("figure2").unwrap();
@@ -513,57 +538,80 @@ fn mutated_snapshots_restore_cleanly_or_fail_typed() {
         Err(ProphetError::Snapshot(e)) => Err(e),
         Err(other) => panic!("untyped restore failure {other:?}"),
     };
-    assert_eq!(restore(&good), Ok(66));
-    assert_eq!(
-        store.restore_bytes(&good),
-        Err(SnapshotError::RecipeNeedsEngine),
-        "the snapshot holds recipes"
-    );
-
     let mut rng = Xoshiro256StarStar::seed_from_u64(0xF9B5_F022);
     let mut below = |n: usize| rng.gen_range_i64(0, n as i64 - 1) as usize;
-    let (mut restored, mut rejected) = (0, 0);
-    for case in 0..CASES {
-        let mutated = match case % 3 {
-            0 => {
-                let mut m = body.to_vec();
-                for _ in 0..=below(4) {
-                    let at = below(m.len());
-                    m[at] ^= 1 + below(255) as u8;
+    for (label, good, entries) in [("churned", churned, 66), ("shared", shared, 24)] {
+        assert_eq!(restore(&good), Ok(entries), "{label}");
+        assert_eq!(
+            store.restore_bytes(&good),
+            Err(SnapshotError::RecipeNeedsEngine),
+            "{label}: the snapshot holds recipes"
+        );
+        let body = &good[..good.len() - 8];
+        let indices: Vec<Range<usize>> = (fpbs_records(&good).into_iter())
+            .filter_map(|(kind, span)| (kind == 3).then_some(span))
+            .collect();
+        let (mut restored, mut rejected, mut in_index) = (0, 0, 0);
+        for case in 0..CASES {
+            // The mutated input and the body offsets the mutation touched.
+            let (mutated, touched) = match case % 3 {
+                0 => {
+                    let mut m = body.to_vec();
+                    let mut at = Vec::new();
+                    for _ in 0..=below(4) {
+                        at.push(below(m.len()));
+                        m[at[at.len() - 1]] ^= 1 + below(255) as u8;
+                    }
+                    (m, at)
                 }
-                m
-            }
-            1 => body[..below(body.len())].to_vec(),
-            _ => {
-                let (cut, resume) = (below(body.len()), below(body.len()));
-                [&body[..cut], &body[resume..]].concat()
-            }
-        };
-        let input = restamp(mutated);
-        match restore(&input) {
-            Ok(n) => {
-                restored += 1;
-                assert_eq!(target.basis_len("figure2").unwrap(), n, "case {case}");
-                for point in store.points() {
-                    assert!(store.get_exact(&point, 0).is_some(), "case {case}: {point}");
+                1 => {
+                    let cut = below(body.len());
+                    (body[..cut].to_vec(), vec![cut])
                 }
-                let resaved = store.snapshot_bytes();
-                assert!(resaved == input, "case {case}: re-save is byte-identical");
-                assert_eq!(restore(&resaved), Ok(n), "case {case}");
-                assert_eq!(restore(&good), Ok(66));
-            }
-            Err(e) => {
-                rejected += 1;
-                assert!(
-                    !matches!(e, SnapshotError::ChecksumMismatch | SnapshotError::Io(_)),
-                    "case {case}: {e}"
-                );
-                assert_eq!(target.basis_len("figure2").unwrap(), 66, "case {case}");
-                assert!(store.snapshot_bytes() == good, "case {case}: untouched");
+                _ => {
+                    let (cut, resume) = (below(body.len()), below(body.len()));
+                    ([&body[..cut], &body[resume..]].concat(), vec![cut, resume])
+                }
+            };
+            in_index += touched
+                .iter()
+                .any(|at| indices.iter().any(|span| span.contains(at)))
+                as usize;
+            let input = restamp(mutated);
+            match restore(&input) {
+                Ok(n) => {
+                    restored += 1;
+                    assert_eq!(target.basis_len("figure2").unwrap(), n, "{label} {case}");
+                    for point in store.points() {
+                        let read = store.get_exact(&point, 0);
+                        assert!(read.is_some(), "{label} {case}: {point}");
+                    }
+                    let resaved = store.snapshot_bytes();
+                    assert!(
+                        resaved == input,
+                        "{label} {case}: re-save is byte-identical"
+                    );
+                    assert_eq!(restore(&resaved), Ok(n), "{label} {case}");
+                    assert_eq!(restore(&good), Ok(entries));
+                }
+                Err(e) => {
+                    rejected += 1;
+                    assert!(
+                        !matches!(e, SnapshotError::ChecksumMismatch | SnapshotError::Io(_)),
+                        "{label} {case}: {e}"
+                    );
+                    let len = target.basis_len("figure2").unwrap();
+                    assert_eq!(len, entries, "{label} {case}");
+                    assert!(store.snapshot_bytes() == good, "{label} {case}: untouched");
+                }
             }
         }
+        assert!(
+            restored > 0 && rejected > 0,
+            "{label}: {restored} / {rejected}"
+        );
+        assert_eq!(in_index > 0, !indices.is_empty(), "{label}: {in_index}");
     }
-    assert!(restored > 0 && rejected > 0, "{restored} / {rejected}");
 }
 
 // ------------------------------------------------------- recipe records
@@ -927,15 +975,28 @@ fn a_restore_and_the_restored_sweep_rebuild_nothing() {
 }
 
 /// A file writes each recipe once, and a load gives the records of one
-/// recipe one shared body: the warm store's 3,912 mapped records hold a
-/// body each, and the restored store's hold exactly as many as the file
+/// recipe one shared body: the warm store's 3,912 mapped records share
+/// the recipe memo's one body per recipe — as many as the cold sweep
+/// remapped — and the restored store's hold exactly as many as the file
 /// defines recipes.
 #[test]
 fn a_restore_shares_one_body_per_recipe() {
     let src = figure2_coarse_sql(0.05);
-    let (warm, path) = saved_figure2(&src, ROOMY, "shared_bodies");
+    let warm = service(&src, ROOMY);
+    let (report, _) = run_sweep(&warm, "figure2");
+    let path = temp_path("shared_bodies");
+    warm.save_basis("figure2", &path).unwrap();
     let warm_store = warm.engine("figure2").unwrap().basis_store().clone();
-    assert_eq!(warm_store.recipe_bodies(), 3_912, "a publish files its own");
+    assert_eq!(
+        warm_store.recipe_bodies(),
+        RECIPES,
+        "a publish files the memo's"
+    );
+    assert_eq!(
+        warm_store.recipe_bodies() as u64,
+        report.metrics.remaps,
+        "one body per remap"
+    );
     let [samples, sources, defined, indexed] = fpbs_record_kinds(&fs::read(&path).unwrap());
     assert_eq!((samples, sources, defined + indexed), (0, 57, 3_912));
     assert_eq!(defined, RECIPES);

@@ -1061,9 +1061,10 @@ fn stored_bits(store: &prophet_mc::SharedBasisStore, points: &[ParamPoint]) -> V
 /// for the service's lifetime, whatever the basis store goes through.
 /// After `clear_basis`, or after `load_basis` of the empty store the first
 /// sweep started from, the same sweep re-probes every call site from the
-/// memo and draws nothing. Its answers, outcomes, chosen sources, stored
-/// samples and store bytes are the first run's after either: a clear
-/// restarts the stamp counter as the load of an empty snapshot does.
+/// memo and draws nothing. Its recipe memo goes with the store, so the
+/// sweep remaps every recipe again. Its answers, outcomes, chosen sources,
+/// stored samples and store bytes are the first run's after either: a
+/// clear restarts the stamp counter as the load of an empty snapshot does.
 #[test]
 fn a_second_sweep_after_a_clear_or_a_load_reprobes_without_drawing() {
     const NAME: &str = "figure2-coarse";
@@ -1095,6 +1096,7 @@ fn a_second_sweep_after_a_clear_or_a_load_reprobes_without_drawing() {
         );
         assert_eq!(m.probe_call_sites_memoised, m.probe_call_sites, "{label}");
         assert_eq!(m.probe_call_sites_replayed, 0, "{label}");
+        assert_eq!(m.remaps, first.0.metrics.remaps, "{label}: the recipe memo");
         assert_sweeps_identical(label, &again, &first);
         assert!(
             store.snapshot_bytes() == first_bytes,
