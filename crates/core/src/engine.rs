@@ -157,19 +157,6 @@ pub struct EngineConfig {
     /// from the window) and `perf`'s `mc.store.scan_prune_rate` /
     /// `count.candidates_{scanned,pruned}` rows.
     pub match_index: bool,
-    /// Use common random numbers across parameter points (recommended).
-    ///
-    /// Fingerprint *probes* always use the canonical fixed seeds, so
-    /// correlation detection works either way; what CRN adds is per-world
-    /// comparability of the *estimation* samples, making mapped sample sets
-    /// bitwise-reproducible against direct simulation instead of merely
-    /// statistically equivalent.
-    ///
-    /// Evidence: the engine unit test
-    /// `non_crn_mapping_is_statistically_sound_but_not_bitwise`; every
-    /// bit-identity suite relies on `true`. No bench row — off costs the
-    /// same and only weakens the guarantee.
-    pub common_random_numbers: bool,
     /// Root seed for all estimation randomness.
     ///
     /// Evidence: `tests/determinism.rs` (a fixed seed reproduces every
@@ -218,7 +205,6 @@ impl Default for EngineConfig {
             fingerprints_enabled: true,
             tier: ExecTier::default(),
             match_index: true,
-            common_random_numbers: true,
             root_seed: 0xF1_2E_9A_77,
             basis_capacity: 8_192,
             threads: 1,
@@ -648,7 +634,6 @@ impl Engine {
                 &self.seeds,
                 point,
                 worlds,
-                self.config.common_random_numbers,
                 Some(&self.ledgers),
             ),
             ExecTier::Scalar => simulate_point(
@@ -657,7 +642,6 @@ impl Engine {
                 &self.seeds,
                 point,
                 worlds,
-                self.config.common_random_numbers,
             )
             .map(|set| (set, ColumnarStats::default())),
         }
@@ -668,7 +652,8 @@ impl Engine {
     /// (at most `SPAN_WORLDS` = 100 worlds, re-claimed points included;
     /// under a stop rule, one wave's `batch` worlds, as in
     /// [`OnlineSession::progressive_expect`]). World→sample assignment is
-    /// seed-based (`(root seed, world, point)`), so any span yields
+    /// seed-based (`(root seed, world, function, call index)`, the same
+    /// for every point), so any span yields
     /// bit-for-bit the matching slice of a full-range run, and spans
     /// concatenated in world order are that run.
     ///
@@ -898,18 +883,34 @@ impl Rebuild for Remap {
 /// The world `scenario`'s samples are drawn in under `registry` and
 /// `config`: what a basis store of its records writes into a snapshot
 /// and requires of one it restores.
+///
+/// `config` is destructured field by field: a new field must either feed
+/// the provenance or say here why the samples do not depend on it.
 pub(crate) fn provenance(
     scenario: &Scenario,
     registry: &VgRegistry,
     config: &EngineConfig,
 ) -> Provenance {
-    let probe_seeds = SeedSequence::fingerprint_default(config.fingerprint.length);
-    Provenance::new(
-        scenario.source(),
-        config.root_seed,
-        probe_seeds.seeds(),
-        registry,
-    )
+    let EngineConfig {
+        root_seed,
+        fingerprint,
+        // An entry records its own world count.
+        worlds_per_point: _,
+        // Picks which points map, not what is drawn (open: ROADMAP 4(f)).
+        detector: _,
+        // Whether points map at all: the same open question.
+        fingerprints_enabled: _,
+        // The two tiers are bit-identical.
+        tier: _,
+        // The indexed scan is bit-identical to the exhaustive one.
+        match_index: _,
+        // Samples are thread-independent.
+        threads: _,
+        // A byte budget, which a restore checks on its own.
+        basis_capacity: _,
+    } = config;
+    let probe_seeds = SeedSequence::fingerprint_default(fingerprint.length);
+    Provenance::new(scenario.source(), *root_seed, probe_seeds.seeds(), registry)
 }
 
 /// An RNG that must never be consulted — derived-column recomputation is
@@ -1064,6 +1065,15 @@ mod tests {
             tier: ExecTier::Scalar,
             ..small_config()
         });
+        // Every simulation walk is handed the ledger store: simulating
+        // alone on a fresh engine, no probe run, fills it and moves no bit.
+        let p = demo_point(10, 4, 36, 12);
+        assert_eq!(
+            sample_bits(&simulate(&columnar, &p)),
+            sample_bits(&simulate(&scalar, &p))
+        );
+        assert!(columnar.ledgers.cells() > 0, "simulation kept no ledger");
+        assert_eq!(scalar.ledgers.cells(), 0, "the scalar tier never ledgers");
         // Walk a sequence mixing simulate / map / cache outcomes.
         let points = [
             demo_point(5, 16, 36, 12),
@@ -1366,39 +1376,6 @@ mod tests {
     }
 
     #[test]
-    fn point_salted_simulation_never_consults_the_ledger_store() {
-        // Without common random numbers every estimation world is salted
-        // with its point: no stream repeats, so the store is not handed to
-        // simulation walks at all — probes, whose seeds are never salted,
-        // still replay from it.
-        let no_crn = EngineConfig {
-            common_random_numbers: false,
-            ..small_config()
-        };
-        let (columnar, scalar) = (
-            engine(no_crn),
-            engine(EngineConfig {
-                tier: ExecTier::Scalar,
-                ..no_crn
-            }),
-        );
-        let points = [demo_point(10, 4, 36, 12), demo_point(30, 16, 36, 12)];
-        for p in &points {
-            assert_eq!(
-                sample_bits(&simulate(&columnar, p)),
-                sample_bits(&simulate(&scalar, p)),
-                "{p}"
-            );
-        }
-        assert_eq!(columnar.ledgers.cells(), 0, "simulation kept a ledger");
-        for p in &points {
-            assert_eq!(probe_bits(&columnar, p), probe_bits(&scalar, p), "{p}");
-        }
-        assert_eq!(columnar.metrics().probe_call_sites_replayed, 2);
-        assert!(columnar.ledgers.cells() > 0);
-    }
-
-    #[test]
     fn expectation_convenience_and_unknown_column() {
         let e = engine(small_config());
         let p = demo_point(0, 16, 36, 12);
@@ -1524,34 +1501,5 @@ mod tests {
         assert_eq!(sa.samples("demand"), sb.samples("demand"));
         assert_eq!(b.metrics().worlds_simulated, 0, "engine b never simulated");
         assert!(a.basis_store().shares_storage_with(b.basis_store()));
-    }
-
-    #[test]
-    fn non_crn_mapping_is_statistically_sound_but_not_bitwise() {
-        // Without common random numbers, correlation detection still works
-        // (probes pin their own seeds) and mapped *statistics* stay close,
-        // but per-world samples no longer line up with direct simulation.
-        let cfg = EngineConfig {
-            worlds_per_point: 400,
-            common_random_numbers: false,
-            ..EngineConfig::default()
-        };
-        let e = engine(cfg);
-        let a = demo_point(10, 4, 36, 12);
-        let b = demo_point(10, 16, 36, 12); // capacity offset by one purchase
-        e.evaluate(&a).unwrap();
-        let (mapped, outcome) = e.evaluate(&b).unwrap();
-        assert!(matches!(outcome, EvalOutcome::Mapped { .. }), "{outcome:?}");
-
-        let fresh = engine(cfg);
-        let (direct, _) = fresh.evaluate(&b).unwrap();
-        let em = mapped.expect("capacity").unwrap();
-        let ed = direct.expect("capacity").unwrap();
-        assert!(
-            (em - ed).abs() / ed < 0.02,
-            "means must agree statistically: mapped {em:.0} vs direct {ed:.0}"
-        );
-        // but the underlying samples come from different worlds entirely
-        assert_ne!(mapped.samples("capacity"), direct.samples("capacity"));
     }
 }

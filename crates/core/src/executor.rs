@@ -491,8 +491,8 @@ impl Simulating {
 ///
 /// The span width never depends on `threads`: a lone cold point still
 /// spreads across the pool, a cancel stops a point between spans, and —
-/// worlds being seeded from `(root seed, world, point)` — every sample
-/// and counter is the same however the spans are scheduled.
+/// worlds being seeded from `(root seed, world, function, call index)` —
+/// every sample and counter is the same however the spans are scheduled.
 fn simulate_phase<R: Runner>(
     runner: &R,
     unique: &[ParamPoint],

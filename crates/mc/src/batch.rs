@@ -119,8 +119,8 @@ impl SampleSet {
         }
     }
 
-    /// Build directly from per-column samples (the fingerprint mapper
-    /// synthesizes re-mapped sample sets this way).
+    /// Build directly from per-column samples — a simulation's, or a
+    /// caller's own.
     pub fn from_samples(
         point: ParamPoint,
         columns: Vec<String>,
@@ -208,9 +208,9 @@ impl std::fmt::Debug for SampleSet {
 /// Simulate one parameter point over the given worlds.
 ///
 /// Each world `w` evaluates the scenario SELECT under *per-call* VG
-/// substreams derived from `(root, w, function, call index)`: the same
-/// `worlds` slice against two different points reuses the *same underlying
-/// randomness per world index* when `common_random_numbers` is true — the
+/// substreams derived from `(root, w, function, call index)` alone: the
+/// same `worlds` slice against two different points reuses the *same
+/// underlying randomness per world index* — common random numbers, the
 /// variance-reduction trick that makes outputs of correlated parameter
 /// points comparable sample-by-sample (fingerprinting relies on it).
 pub fn simulate_point(
@@ -219,7 +219,6 @@ pub fn simulate_point(
     seeds: &SeedManager,
     point: &ParamPoint,
     worlds: &[u64],
-    common_random_numbers: bool,
 ) -> SqlResult<SampleSet> {
     let params = point.to_value_map();
     let columns: Vec<String> = select.items.iter().map(|i| i.alias.clone()).collect();
@@ -228,16 +227,8 @@ pub fn simulate_point(
         .map(|c| (c.clone(), Vec::with_capacity(worlds.len())))
         .collect();
 
-    // Under CRN the stream depends only on the world id; otherwise it also
-    // mixes the point so distinct points draw independent noise.
-    let point_salt = if common_random_numbers {
-        0
-    } else {
-        point.stable_hash()
-    };
-
     for &world in worlds {
-        let rng = WorldRng::per_call(*seeds, world ^ point_salt);
+        let rng = WorldRng::per_call(*seeds, world);
         let row = evaluate_select_with(select, registry, &params, rng)?;
         for (name, value) in row {
             samples
@@ -256,10 +247,16 @@ pub fn simulate_point(
 /// [`to_f64_samples`] (the one NULL→NaN conversion point) instead of
 /// through boxed `Value` cells.
 ///
-/// Semantics (seed derivation, CRN point salting, NULL→NaN samples) are
-/// identical to [`simulate_point`] — per world, the produced samples are
-/// bit-identical. Also returns the tier's kernel/fallback counters so
-/// callers can account for how much of the walk stayed typed.
+/// Semantics (seed derivation, NULL→NaN samples) are identical to
+/// [`simulate_point`] — per world, the produced samples are bit-identical.
+/// Also returns the tier's kernel/fallback counters so callers can account
+/// for how much of the walk stayed typed.
+///
+/// `common_random_numbers: false` salts every world id with the point's
+/// [`ParamPoint::stable_hash`], so distinct points draw independent noise —
+/// the only point-salted path left. The argument exists because the `perf`
+/// harness passes it, and is deleted with that harness's rework (ROADMAP
+/// item 4).
 pub fn simulate_point_columnar(
     select: &SelectInto,
     registry: &VgRegistry,
@@ -268,44 +265,29 @@ pub fn simulate_point_columnar(
     worlds: &[u64],
     common_random_numbers: bool,
 ) -> SqlResult<(SampleSet, ColumnarStats)> {
-    simulate_point_columnar_with(
-        select,
-        registry,
-        seeds,
-        point,
-        worlds,
-        common_random_numbers,
-        None,
-    )
+    if common_random_numbers {
+        return simulate_point_columnar_with(select, registry, seeds, point, worlds, None);
+    }
+    let salt = point.stable_hash();
+    let salted: Vec<u64> = worlds.iter().map(|&w| w ^ salt).collect();
+    simulate_point_columnar_with(select, registry, seeds, point, &salted, None)
 }
 
 /// [`simulate_point_columnar`] with the caller's [`LedgerStore`] (valid
 /// for `seeds`): models that keep a draw ledger replay each world's stream
 /// from it instead of drawing it again for every point. Bit-identical
 /// samples either way.
-///
-/// The store is only consulted under common random numbers: without them
-/// every world id is salted with the point, no stream is ever seen twice,
-/// and a store would only fill up.
 pub fn simulate_point_columnar_with(
     select: &SelectInto,
     registry: &VgRegistry,
     seeds: &SeedManager,
     point: &ParamPoint,
     worlds: &[u64],
-    common_random_numbers: bool,
     ledgers: Option<&dyn LedgerStore>,
 ) -> SqlResult<(SampleSet, ColumnarStats)> {
     let params = point.to_value_map();
-    let point_salt = if common_random_numbers {
-        0
-    } else {
-        point.stable_hash()
-    };
-    let salted: Vec<u64> = worlds.iter().map(|&w| w ^ point_salt).collect();
-    let ledgers = ledgers.filter(|_| common_random_numbers);
     let (columns_out, stats) =
-        evaluate_select_columns_with(select, registry, &params, *seeds, &salted, None, ledgers)?;
+        evaluate_select_columns_with(select, registry, &params, *seeds, worlds, None, ledgers)?;
     let columns: Vec<String> = columns_out.iter().map(|(name, _)| name.clone()).collect();
     let mut samples: HashMap<String, Vec<f64>> = HashMap::with_capacity(columns.len());
     for (name, column) in columns_out {
@@ -358,7 +340,7 @@ mod tests {
         let (script, registry, seeds) = setup();
         let point = ParamPoint::from_pairs([("c", 10i64)]);
         let worlds: Vec<u64> = (0..50).collect();
-        let ss = simulate_point(&script.select, &registry, &seeds, &point, &worlds, true).unwrap();
+        let ss = simulate_point(&script.select, &registry, &seeds, &point, &worlds).unwrap();
         assert_eq!(ss.columns(), &["out".to_string(), "double".to_string()]);
         assert_eq!(ss.world_count(), 50);
         let stats = ss.stats("out").unwrap();
@@ -373,8 +355,8 @@ mod tests {
         let worlds: Vec<u64> = (0..20).collect();
         let p10 = ParamPoint::from_pairs([("c", 10i64)]);
         let p20 = ParamPoint::from_pairs([("c", 20i64)]);
-        let a = simulate_point(&script.select, &registry, &seeds, &p10, &worlds, true).unwrap();
-        let b = simulate_point(&script.select, &registry, &seeds, &p20, &worlds, true).unwrap();
+        let a = simulate_point(&script.select, &registry, &seeds, &p10, &worlds).unwrap();
+        let b = simulate_point(&script.select, &registry, &seeds, &p20, &worlds).unwrap();
         // Same worlds, same noise: the difference must be exactly 10.
         for (x, y) in a
             .samples("out")
@@ -392,8 +374,12 @@ mod tests {
         let worlds: Vec<u64> = (0..20).collect();
         let p10 = ParamPoint::from_pairs([("c", 10i64)]);
         let p20 = ParamPoint::from_pairs([("c", 20i64)]);
-        let a = simulate_point(&script.select, &registry, &seeds, &p10, &worlds, false).unwrap();
-        let b = simulate_point(&script.select, &registry, &seeds, &p20, &worlds, false).unwrap();
+        let salted = |p| {
+            simulate_point_columnar(&script.select, &registry, &seeds, p, &worlds, false)
+                .unwrap()
+                .0
+        };
+        let (a, b) = (salted(&p10), salted(&p20));
         let exact = a
             .samples("out")
             .unwrap()
@@ -409,7 +395,7 @@ mod tests {
         let (script, registry, seeds) = setup();
         let point = ParamPoint::from_pairs([("c", 0i64)]);
         let worlds: Vec<u64> = (0..2000).collect();
-        let ss = simulate_point(&script.select, &registry, &seeds, &point, &worlds, true).unwrap();
+        let ss = simulate_point(&script.select, &registry, &seeds, &point, &worlds).unwrap();
         let e = ss.expect("out").unwrap();
         let sd = ss.expect_std_dev("out").unwrap();
         assert!((e - 0.5).abs() < 0.02, "E[U]≈0.5, got {e}");
@@ -425,13 +411,13 @@ mod tests {
         let point = ParamPoint::from_pairs([("c", 5i64)]);
         let w1: Vec<u64> = (0..10).collect();
         let w2: Vec<u64> = (10..30).collect();
-        let a = simulate_point(&script.select, &registry, &seeds, &point, &w1, true).unwrap();
-        let b = simulate_point(&script.select, &registry, &seeds, &point, &w2, true).unwrap();
+        let a = simulate_point(&script.select, &registry, &seeds, &point, &w1).unwrap();
+        let b = simulate_point(&script.select, &registry, &seeds, &point, &w2).unwrap();
         let joined = [a.samples("out").unwrap(), b.samples("out").unwrap()].concat();
         assert_eq!(joined.len(), 30);
 
         let full: Vec<u64> = (0..30).collect();
-        let c = simulate_point(&script.select, &registry, &seeds, &point, &full, true).unwrap();
+        let c = simulate_point(&script.select, &registry, &seeds, &point, &full).unwrap();
         assert_eq!(joined, c.samples("out").unwrap());
     }
 
@@ -440,9 +426,13 @@ mod tests {
         let (script, registry, seeds) = setup();
         let point = ParamPoint::from_pairs([("c", 10i64)]);
         let worlds: Vec<u64> = (0..50).collect();
-        for crn in [true, false] {
+        // Without common random numbers the columnar entry point salts the
+        // world ids with the point; the scalar reference is handed them
+        // salted.
+        let salted: Vec<u64> = worlds.iter().map(|&w| w ^ point.stable_hash()).collect();
+        for (crn, reference) in [(true, &worlds), (false, &salted)] {
             let scalar =
-                simulate_point(&script.select, &registry, &seeds, &point, &worlds, crn).unwrap();
+                simulate_point(&script.select, &registry, &seeds, &point, reference).unwrap();
             let (columnar, stats) =
                 simulate_point_columnar(&script.select, &registry, &seeds, &point, &worlds, crn)
                     .unwrap();
@@ -459,15 +449,8 @@ mod tests {
         let script = parse_script("SELECT 1 / 0 AS bad INTO r;").unwrap();
         let registry = VgRegistry::new();
         let seeds = SeedManager::new(1);
-        let ss = simulate_point(
-            &script.select,
-            &registry,
-            &seeds,
-            &ParamPoint::new(),
-            &[0],
-            true,
-        )
-        .unwrap();
+        let ss =
+            simulate_point(&script.select, &registry, &seeds, &ParamPoint::new(), &[0]).unwrap();
         assert!(ss.samples("bad").unwrap()[0].is_nan());
     }
 }

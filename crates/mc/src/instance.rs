@@ -154,8 +154,10 @@ impl ParamPoint {
             .collect()
     }
 
-    /// Stable hash of the point, used to derive per-point world seeds so
-    /// different points get independent randomness under one root seed.
+    /// Stable hash of the point. Its one product use is salting world ids
+    /// in `simulate_point_columnar(.., false)`, so different points draw
+    /// independent randomness under one root seed; only the `perf` harness
+    /// asks for that.
     pub fn stable_hash(&self) -> u64 {
         // FNV-1a over "name=value;" pairs; stable across runs and platforms.
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;

@@ -23,9 +23,9 @@ use crate::error::{SqlError, SqlResult};
 ///
 /// * [`WorldRng::PerCall`] — each VG call site gets its own substream
 ///   derived from `(world, function, call index)`. This is how the engine
-///   samples: under common random numbers, call *k* sees identical
-///   randomness for every parameter point, which is the property the
-///   fingerprint machinery exploits.
+///   samples, always with common random numbers: call *k* of world *w*
+///   sees identical randomness for every parameter point, which is the
+///   property the fingerprint machinery exploits.
 /// * [`WorldRng::Shared`] — the stream handed to [`EvalContext::new`]. Its
 ///   callers evaluate derived items, which never reach a VG call, and pass
 ///   a generator that must never draw; a VG call under it seeds its own

@@ -39,8 +39,8 @@
 //! * the **draw-ledger store**, warm as well as cold: one long-lived
 //!   columnar engine per bundled scenario walks the grid forwards,
 //!   reversed and shuffled, at 1 and 8 threads, against the scalar tier —
-//!   outcomes, chosen sources, samples and store bytes — and point-salted
-//!   (non-CRN) worlds, which simulation never hands the store.
+//!   outcomes, chosen sources, samples and store bytes; simulation walks
+//!   are handed the store as probe walks are.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -1252,23 +1252,5 @@ fn ledger_store_is_bit_identical_to_the_scalar_tier_warm_and_cold() {
                 "[{name} x{threads}]"
             );
         }
-    }
-}
-
-/// (d) Without common random numbers estimation worlds are salted with
-/// their point, and simulation walks are not handed the store (the engine
-/// unit test `point_salted_simulation_never_consults_the_ledger_store`
-/// pins that); probes still replay. Answers match the scalar tier.
-#[test]
-fn point_salted_worlds_match_the_scalar_tier() {
-    for (name, scenario, kind, _) in bundled_scenarios() {
-        let slice: Vec<ParamPoint> = grid_points(&scenario).into_iter().take(36).collect();
-        let batches: Vec<Vec<ParamPoint>> = slice.chunks(12).map(<[_]>::to_vec).collect();
-        let config = EngineConfig {
-            worlds_per_point: 24,
-            common_random_numbers: false,
-            ..EngineConfig::default()
-        };
-        assert_columnar_matches_scalar(name, &scenario, || kind.build(), config, &batches);
     }
 }
