@@ -45,7 +45,7 @@ use prophet_mc::{
     SharedBasisStore, StoredEntry,
 };
 use prophet_sql::columnar::{
-    evaluate_derived_columns, evaluate_select_columns_with, to_f64_samples, ColumnarStats,
+    evaluate_derived_columns, evaluate_select_columns_with, into_f64_samples, ColumnarStats,
 };
 use prophet_sql::error::SqlError;
 use prophet_sql::executor::{evaluate_select_with, sample_f64, EvalContext, WorldRng};
@@ -495,6 +495,16 @@ impl Engine {
     /// from the engine's probe memo (`probe_call_sites_memoised` of
     /// `probe_call_sites`), and replays the rest from the draw-ledger store
     /// where the model keeps a ledger (`probe_call_sites_replayed`).
+    ///
+    /// What a columnar probe allocates: the walk reads `@param` from
+    /// `point` itself and builds no map; a call site whose arguments are
+    /// parameters or literals builds its argument row inline and looks
+    /// the memo up with a borrowed key. A memo-served call site costs one
+    /// lane vector, which the fingerprint then takes by move; the walk's
+    /// output vector, its alias names and the returned map make the rest
+    /// — 6 allocations on a Figure-2 probe whose call sites are both
+    /// served. A memo miss adds its owned key and the memo's copy of the
+    /// lanes, and a ledger replay its per-world call list.
     pub(crate) fn probe_fingerprints(
         &self,
         point: &ParamPoint,
@@ -502,13 +512,12 @@ impl Engine {
     ) -> ProphetResult<HashMap<String, Fingerprint>> {
         let start = Stopwatch::start();
         let seeds = &self.probe_seeds;
-        let params = point.to_value_map();
 
         if self.config.tier == ExecTier::Columnar {
             let (columns, stats) = evaluate_select_columns_with(
                 &self.probe_select,
                 &self.registry,
-                &params,
+                point,
                 self.seeds,
                 seeds.seeds(),
                 Some(&self.probe_memo),
@@ -518,7 +527,7 @@ impl Engine {
             let mut out = HashMap::with_capacity(stochastic.len());
             for (name, column) in columns {
                 if stochastic.contains(&name) {
-                    let values = to_f64_samples(&column)?;
+                    let values = into_f64_samples(column)?;
                     out.insert(
                         name,
                         Fingerprint::compute_block_with_seeds(seeds, |_| values),
@@ -540,6 +549,7 @@ impl Engine {
             return Ok(out);
         }
 
+        let params = point.to_value_map();
         let mut per_col: HashMap<String, Vec<f64>> = (self.remap.stochastic_cols)
             .iter()
             .map(|c| (c.clone(), Vec::with_capacity(seeds.len())))
@@ -767,14 +777,13 @@ impl Remap {
             out.insert(col.clone(), mapping.apply_samples(src));
         }
         if self.stochastic_cols.len() < self.output_cols.len() {
-            let params = point.to_value_map();
             if self.tier == ExecTier::Columnar {
                 let (derived, stats) =
-                    evaluate_derived_columns(&self.select, &self.registry, &params, &out, worlds)?;
+                    evaluate_derived_columns(&self.select, &self.registry, point, &out, worlds)?;
                 out.extend(derived);
                 gathers = stats.gathers;
             } else {
-                self.derive_per_world(&params, &mut out, worlds)?;
+                self.derive_per_world(&point.to_value_map(), &mut out, worlds)?;
             }
         }
         Ok((Arc::new(out), gathers))

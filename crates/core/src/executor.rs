@@ -637,6 +637,9 @@ fn fingerprint_phase<R: Runner>(
         move |engine, metrics, (point, probe): (ParamPoint, HashMap<String, Fingerprint>)| {
             let matched = engine.match_and_remap(&fused_snapshot, &point, &probe, metrics);
             fused_tracer.record_match_scan(matched.scan_nanos);
+            // Only a miss publishes its probe. Any other drops it here, on
+            // the worker whose allocator built it, not on the driver.
+            let probe = matches!(matched.outcome, Ok(None)).then_some(probe);
             (point, probe, matched)
         },
     );
@@ -663,6 +666,7 @@ fn fingerprint_phase<R: Runner>(
             continue;
         };
         let Some(hit) = matched.outcome? else {
+            let probe = probe.expect("invariant: a miss keeps its probe");
             misses.push(miss(claim, probe));
             continue;
         };
@@ -837,7 +841,7 @@ fn resume_prefix(reply: &SampleSet, worlds: usize) -> (Arc<ColumnSamples>, usize
 /// Collapse a point list to unique points in first-seen order plus, per
 /// input slot, the index of its unique point.
 fn dedupe_points(points: &[ParamPoint]) -> (Vec<ParamPoint>, Vec<usize>) {
-    let mut unique: Vec<ParamPoint> = Vec::new();
+    let mut unique: Vec<ParamPoint> = Vec::with_capacity(points.len());
     let mut index_of: HashMap<&ParamPoint, usize, FastBuild> =
         HashMap::with_capacity_and_hasher(points.len(), FastBuild::default());
     let slot_of: Vec<usize> = points

@@ -32,7 +32,7 @@
 
 use std::collections::HashMap;
 
-use prophet_vg::{FastBuild, LedgerStore};
+use prophet_vg::{FastBuild, LedgerCall, LedgerStore};
 
 use crate::sync::{OrderedRwLock, DRAW_LEDGERS};
 
@@ -99,13 +99,16 @@ impl LedgerStore for DrawLedgers {
     fn read(
         &self,
         function: &str,
-        keys: &[(u64, u64)],
+        calls: &[LedgerCall<'_>],
         visit: &mut dyn FnMut(usize, Option<&[f64]>),
     ) {
         let table = self.table.read();
         let ledgers = table.by_function.get(function);
-        for (i, key) in keys.iter().enumerate() {
-            visit(i, ledgers.and_then(|l| l.get(key)).map(Vec::as_slice));
+        for (i, call) in calls.iter().enumerate() {
+            visit(
+                i,
+                ledgers.and_then(|l| l.get(&call.key())).map(Vec::as_slice),
+            );
         }
     }
 
@@ -132,9 +135,17 @@ impl LedgerStore for DrawLedgers {
 mod tests {
     use super::*;
 
+    fn call((call_index, world): (u64, u64)) -> LedgerCall<'static> {
+        LedgerCall {
+            params: &[],
+            world,
+            call_index,
+        }
+    }
+
     fn lookup(store: &DrawLedgers, key: (u64, u64)) -> Option<Vec<f64>> {
         let mut found = None;
-        store.read("F", &[key], &mut |_, ledger| {
+        store.read("F", &[call(key)], &mut |_, ledger| {
             found = ledger.map(<[f64]>::to_vec)
         });
         found
@@ -151,7 +162,9 @@ mod tests {
         assert_eq!(store.cells(), 3);
         // Same stream coordinates under another function: another stream.
         let mut other = Some(vec![]);
-        store.read("G", &[(0, 7)], &mut |_, l| other = l.map(<[f64]>::to_vec));
+        store.read("G", &[call((0, 7))], &mut |_, l| {
+            other = l.map(<[f64]>::to_vec)
+        });
         assert_eq!(other, None);
         assert_eq!(lookup(&store, (1, 7)), None);
     }

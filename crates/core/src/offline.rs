@@ -147,19 +147,11 @@ impl SweepPlan {
     }
 
     /// One group's full evaluation batch: the axis grid bound onto the
-    /// group's values, in the canonical axis order. Every point is stamped
-    /// into a clone of the batch's first, so the batch shares one set of
-    /// parameter names.
+    /// group's values, in the canonical axis order. Every point is one
+    /// allocation stamped into one template, so the batch shares one set
+    /// of parameter names.
     fn group_points(&self, group: &ParamPoint) -> Vec<ParamPoint> {
-        let mut full = group.clone();
-        GridGuide::new(&self.axis_decls)
-            .map(|axis_point| {
-                for (name, value) in axis_point.iter() {
-                    full.set(name, value);
-                }
-                full.clone()
-            })
-            .collect()
+        GridGuide::new(&self.axis_decls).onto(group).collect()
     }
 
     /// Fold one group's batch results into its answer: accumulate the

@@ -37,7 +37,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use prophet_sql::columnar::{CallSiteKey, CallSiteMemo};
+use prophet_sql::columnar::{CallSite, CallSiteId, CallSiteKey, CallSiteMemo};
 use prophet_vg::FastBuild;
 
 use crate::sync::{OrderedMutex, PROBE_MEMO};
@@ -72,8 +72,10 @@ impl ProbeMemo {
 }
 
 impl CallSiteMemo for ProbeMemo {
-    fn get(&self, key: &CallSiteKey) -> Option<Arc<[f64]>> {
-        self.table.lock().get(key).cloned()
+    /// Borrows the walk's call site for the lookup and allocates nothing:
+    /// a hit is one refcount bump on the stored lanes.
+    fn get(&self, site: &CallSite<'_>) -> Option<Arc<[f64]>> {
+        self.table.lock().get(site as &dyn CallSiteId).cloned()
     }
 
     /// Two workers that missed the same tuple at once both insert; their
@@ -90,14 +92,15 @@ impl CallSiteMemo for ProbeMemo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prophet_sql::columnar::ArgBits;
+    use prophet_data::Value;
 
     fn key(i: i64) -> CallSiteKey {
-        CallSiteKey {
-            function: "F".into(),
-            call_index: 0,
-            args: vec![ArgBits::Int(i)],
-        }
+        CallSite::new("F", 0, &[Value::Int(i)]).unwrap().to_key()
+    }
+
+    /// A lookup the way a walk makes one: borrowing its argument row.
+    fn get(memo: &ProbeMemo, i: i64) -> Option<Arc<[f64]>> {
+        memo.get(&CallSite::new("F", 0, &[Value::Int(i)]).unwrap())
     }
 
     #[test]
@@ -107,9 +110,9 @@ mod tests {
         memo.insert(key(2), Arc::from([2.0]));
         // Re-inserting a present key at the bound is not an overflow.
         memo.insert(key(2), Arc::from([2.0]));
-        assert_eq!(memo.get(&key(1)).as_deref(), Some(&[1.0][..]));
+        assert_eq!(get(&memo, 1).as_deref(), Some(&[1.0][..]));
         memo.insert(key(3), Arc::from([3.0]));
-        assert!(memo.get(&key(1)).is_none(), "overflow drops the old table");
-        assert_eq!(memo.get(&key(3)).as_deref(), Some(&[3.0][..]));
+        assert!(get(&memo, 1).is_none(), "overflow drops the old table");
+        assert_eq!(get(&memo, 3).as_deref(), Some(&[3.0][..]));
     }
 }

@@ -100,7 +100,8 @@ impl RecipeKey {
         derived_params: &[String],
         point: &ParamPoint,
     ) -> Self {
-        let mut mappings = Vec::with_capacity(2 * stochastic.len());
+        // Room for the longest encoding (`Affine`'s four words) of each.
+        let mut mappings = Vec::with_capacity(4 * stochastic.len());
         for column in stochastic {
             match hit.mappings.get(column) {
                 Some(Mapping::Identity) => mappings.push(0),

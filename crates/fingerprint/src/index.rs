@@ -563,19 +563,6 @@ pub fn summarize_probe(
         .collect()
 }
 
-/// [`summarize_probe`] without the bucket sketches
-/// ([`FingerprintSummary::key_of`]): what a probe's exact-match window
-/// reads.
-pub fn key_probe(
-    fingerprints: &HashMap<String, Fingerprint>,
-    columns: &[String],
-) -> Option<Vec<FingerprintSummary>> {
-    columns
-        .iter()
-        .map(|col| fingerprints.get(col).map(FingerprintSummary::key_of))
-        .collect()
-}
-
 /// Bound a whole candidate against a whole probe — the index-side
 /// counterpart of [`CorrelationDetector::detect_all`]. `slots[i]` is the
 /// position of the scan's `i`-th column in `source`

@@ -10,7 +10,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use prophet_sql::ast::SelectInto;
-use prophet_sql::columnar::{evaluate_select_columns_with, to_f64_samples, ColumnarStats};
+use prophet_sql::columnar::{evaluate_select_columns_with, into_f64_samples, ColumnarStats};
 use prophet_sql::error::SqlResult;
 use prophet_sql::executor::{evaluate_select_with, sample_f64, WorldRng};
 use prophet_vg::{LedgerStore, SeedManager, VgRegistry};
@@ -243,8 +243,8 @@ pub fn simulate_point(
 /// Simulate one parameter point over the given worlds in **one** walk of
 /// the scenario SELECT, through `prophet-sql`'s **typed columnar** tier:
 /// numeric columns stay `f64`/`i64` buffers end to end, so the per-column
-/// sample vectors come straight out of the typed buffers via
-/// [`to_f64_samples`] (the one NULL→NaN conversion point) instead of
+/// sample vectors are the typed buffers themselves, moved out through
+/// [`into_f64_samples`] (the one NULL→NaN conversion point) instead of
 /// through boxed `Value` cells.
 ///
 /// Semantics (seed derivation, NULL→NaN samples) are identical to
@@ -285,13 +285,12 @@ pub fn simulate_point_columnar_with(
     worlds: &[u64],
     ledgers: Option<&dyn LedgerStore>,
 ) -> SqlResult<(SampleSet, ColumnarStats)> {
-    let params = point.to_value_map();
     let (columns_out, stats) =
-        evaluate_select_columns_with(select, registry, &params, *seeds, worlds, None, ledgers)?;
+        evaluate_select_columns_with(select, registry, point, *seeds, worlds, None, ledgers)?;
     let columns: Vec<String> = columns_out.iter().map(|(name, _)| name.clone()).collect();
     let mut samples: HashMap<String, Vec<f64>> = HashMap::with_capacity(columns.len());
     for (name, column) in columns_out {
-        samples.insert(name, to_f64_samples(&column)?);
+        samples.insert(name, into_f64_samples(column)?);
     }
     Ok((
         SampleSet::from_samples(point.clone(), columns, samples),

@@ -25,9 +25,10 @@ use crate::instance::ParamPoint;
 /// are reproducible and cache-friendly for per-prefix reuse.
 #[derive(Debug, Clone)]
 pub struct GridGuide {
-    /// Every parameter at its first value: each point is a clone of this
-    /// with the cursor's values stamped in, so all of a guide's points
-    /// share one set of names.
+    /// Every parameter at its first value (and whatever [`GridGuide::onto`]
+    /// bound besides): each point is this with the cursor's values
+    /// stamped in ([`ParamPoint::stamped`]) — one allocation, and all of a
+    /// guide's points share one set of names.
     template: ParamPoint,
     names: Vec<String>,
     axes: Vec<Vec<i64>>,
@@ -52,6 +53,17 @@ impl GridGuide {
             cursor,
         }
     }
+
+    /// This grid bound onto `base`: every point is `base` with the grid's
+    /// parameters set, in the grid's order (a sweep's one group).
+    pub fn onto(mut self, base: &ParamPoint) -> Self {
+        let mut template = base.clone();
+        for name in &self.names {
+            template.set(name, 0);
+        }
+        self.template = template;
+        self
+    }
 }
 
 impl Iterator for GridGuide {
@@ -59,10 +71,12 @@ impl Iterator for GridGuide {
 
     fn next(&mut self) -> Option<ParamPoint> {
         let cursor = self.cursor.as_mut()?;
-        let mut point = self.template.clone();
-        for (name, (axis, &i)) in self.names.iter().zip(self.axes.iter().zip(cursor.iter())) {
-            point.set(name, axis[i]);
-        }
+        let (names, axes) = (&self.names, &self.axes);
+        // The last declaration of a name wins, as setting them in order would.
+        let point = self.template.stamped(|name| {
+            let k = names.iter().rposition(|n| n == name)?;
+            Some(axes[k][cursor[k]])
+        });
         // Mixed-radix increment; last axis spins fastest.
         let mut done = true;
         for i in (0..cursor.len()).rev() {
@@ -77,6 +91,23 @@ impl Iterator for GridGuide {
             self.cursor = None;
         }
         Some(point)
+    }
+
+    /// Exact, so collecting a grid allocates its vector once.
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let Some(cursor) = &self.cursor else {
+            return (0, Some(0));
+        };
+        // The cursor's rank in the grid, and the grid's size.
+        let (mut rank, mut total) = (0usize, 1usize);
+        for (axis, &i) in self.axes.iter().zip(cursor) {
+            let (Some(r), Some(t)) = (rank.checked_mul(axis.len()), total.checked_mul(axis.len()))
+            else {
+                return (0, None);
+            };
+            (rank, total) = (r + i, t);
+        }
+        (total - rank, Some(total - rank))
     }
 }
 
@@ -204,6 +235,28 @@ mod tests {
             }
         }
         assert_eq!(rest, 5);
+    }
+
+    #[test]
+    fn a_grid_onto_a_point_keeps_its_values_and_shares_one_layout() {
+        let base = ParamPoint::from_pairs([("z", 7i64), ("a", 99)]);
+        let points: Vec<ParamPoint> = GridGuide::new(&decls()).onto(&base).collect();
+        // The grid's order and values, the base's other parameters kept.
+        let want: Vec<ParamPoint> = GridGuide::new(&decls())
+            .map(|p| p.iter().fold(base.clone(), |q, (n, v)| q.with(n, v)))
+            .collect();
+        assert_eq!(points, want);
+        assert!(points.iter().all(|p| p.shares_names(&points[0])));
+    }
+
+    #[test]
+    fn a_grid_knows_how_many_points_are_left() {
+        let mut g = GridGuide::new(&decls());
+        for left in (0..=6).rev() {
+            assert_eq!(g.size_hint(), (left, Some(left)));
+            assert_eq!(g.next().is_some(), left > 0);
+        }
+        assert_eq!(GridGuide::new(&[]).size_hint(), (1, Some(1)));
     }
 
     #[test]

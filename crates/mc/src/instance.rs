@@ -5,6 +5,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use prophet_data::Value;
+use prophet_sql::columnar::Params;
 
 /// A concrete valuation of every scenario parameter — one coordinate of the
 /// parameter space. Paired with a world id, it identifies an *instance*
@@ -123,6 +124,19 @@ impl ParamPoint {
         copy
     }
 
+    /// A copy with new values for some parameters — `value(name)` for
+    /// each name it returns `Some` for, the point's own value for the
+    /// rest — built in one allocation that shares every name with `self`.
+    /// The names stay `self`'s: a parameter `self` lacks is not added. A
+    /// sweep stamps each of its points into one template this way.
+    pub fn stamped(&self, value: impl Fn(&str) -> Option<i64>) -> Self {
+        ParamPoint {
+            entries: (self.entries.iter())
+                .map(|(n, v)| (Arc::clone(n), value(n).unwrap_or(*v)))
+                .collect(),
+        }
+    }
+
     /// Value of a parameter, if set.
     pub fn get(&self, name: &str) -> Option<i64> {
         self.entries
@@ -174,6 +188,14 @@ impl ParamPoint {
             eat(b";");
         }
         h
+    }
+}
+
+/// A walk reads `@param` straight from the point — one binary search per
+/// parameter reference, no map built.
+impl Params for ParamPoint {
+    fn param(&self, name: &str) -> Option<Value> {
+        self.get(name).map(Value::Int)
     }
 }
 
@@ -236,6 +258,19 @@ mod tests {
         for ((a, _), (b, _)) in p.iter().zip(q.iter()) {
             assert!(std::ptr::eq(a, b), "`{a}` was allocated again");
         }
+    }
+
+    #[test]
+    fn stamping_sets_values_and_shares_every_name() {
+        let p = ParamPoint::from_pairs([("a", 1i64), ("b", 2), ("c", 3)]);
+        let q = p.stamped(|n| (n != "b").then_some(9));
+        assert_eq!(q, ParamPoint::from_pairs([("a", 9i64), ("b", 2), ("c", 9)]));
+        assert!(q.shares_names(&p) && !Arc::ptr_eq(&p.entries, &q.entries));
+        assert_eq!(
+            p.stamped(|n| (n == "z").then_some(0)),
+            p,
+            "no name is added"
+        );
     }
 
     #[test]

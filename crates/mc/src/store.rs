@@ -146,11 +146,11 @@ use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::io::Write;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use prophet_fingerprint::index::{
-    bound_all, key_probe, summarize_probe, ExactKey, ExactWindow, FingerprintSummary, MatchBound,
-    SummaryTable,
+    bound_all, summarize_probe, ExactKey, ExactWindow, FingerprintSummary, MatchBound, SummaryTable,
 };
 use prophet_fingerprint::{CorrelationDetector, Fingerprint, Mapping};
 use prophet_vg::FastBuild;
@@ -570,15 +570,20 @@ impl Table {
         self.queue(record.matchable).remove(&record.stamp);
     }
 
+    /// Whether `incoming` more bytes exceed the budget of a store of
+    /// `capacity`.
+    fn over_budget(&self, incoming: usize, capacity: usize) -> bool {
+        self.charged + incoming > capacity.saturating_mul(self.record_bytes.max(incoming))
+    }
+
     /// Evict, oldest first, until `incoming` more bytes fit the budget of
     /// a store of `capacity`: unmatchable entries, then matchable ones.
     /// Returns how many it evicted. A store of equal-depth samples records
     /// evicts exactly one entry per insert once full — the entry-count
     /// policy.
     fn make_room(&mut self, incoming: usize, capacity: usize) -> u64 {
-        let budget = capacity.saturating_mul(self.record_bytes.max(incoming));
         let mut evicted = 0;
-        while self.charged + incoming > budget {
+        while self.over_budget(incoming, capacity) {
             let victim = match self.unmatchable.pop_first() {
                 Some(victim) => victim,
                 None => match self.matchable.pop_first() {
@@ -625,6 +630,11 @@ enum SlotState {
 struct PendingSlot {
     state: OrderedMutex<SlotState>,
     cv: OrderedCondvar,
+    /// Waiters asleep on `cv`, changed and read only under `state`'s lock,
+    /// so a publish that finds none skips the wake (a system call even
+    /// with no one to wake) and none can be lost: a waiter counts itself
+    /// before `cv.wait` releases the lock.
+    waiters: AtomicUsize,
 }
 
 impl PendingSlot {
@@ -632,6 +642,7 @@ impl PendingSlot {
         PendingSlot {
             state: OrderedMutex::new(rank::INFLIGHT_SLOT, SlotState::Running),
             cv: OrderedCondvar::new(),
+            waiters: AtomicUsize::new(0),
         }
     }
 
@@ -750,7 +761,7 @@ impl InflightGuard {
         self.completed = true;
         let entry = StoredEntry::of(&record, &self.store.stats);
         let mut slots = self.store.inflight.slots.lock();
-        {
+        let waited = {
             let mut state = self.slot.state.lock();
             if matches!(*state, SlotState::Cancelled) {
                 // A clear detached this slot mid-flight: discard. The clear
@@ -758,9 +769,12 @@ impl InflightGuard {
                 return (entry, false);
             }
             *state = SlotState::Done(entry.clone());
-        }
+            self.slot.waiters.load(Ordering::Relaxed) > 0
+        };
         self.store.inflight.ledger.on_simulated(&self.point);
-        self.slot.cv.notify_all();
+        if waited {
+            self.slot.cv.notify_all();
+        }
         self.store.insert_record(self.point.clone(), record);
         self.store.inflight.ledger.on_published(&self.point);
         if let Some(current) = slots.get(&self.point) {
@@ -826,7 +840,9 @@ impl WaitHandle {
             loop {
                 match &*state {
                     SlotState::Running => {
+                        self.slot.waiters.fetch_add(1, Ordering::Relaxed);
                         state = self.slot.cv.wait(state);
+                        self.slot.waiters.fetch_sub(1, Ordering::Relaxed);
                     }
                     SlotState::Done(entry) => {
                         self.stats.lock().inflight_waits += 1;
@@ -1144,18 +1160,17 @@ impl ScanSnapshot {
         let mut work = ScanWork::default();
         let best = if !self.use_index {
             self.scan_exhaustive(probe, &mut work)
-        } else if let Some(keys) = key_probe(probe, &self.columns) {
-            match self.scan_window(probe, &keys, &mut work) {
+        } else {
+            match self.scan_window(probe, &mut work) {
                 Some(best) => {
                     work.window_hit = true;
                     Some(best)
                 }
+                // A probe missing a column has no window and no summary:
+                // `detect_all` fails on it, so no source matches.
                 None => summarize_probe(probe, &self.columns)
                     .and_then(|summary| self.scan_indexed(probe, &summary, &mut work)),
             }
-        } else {
-            // `detect_all` fails on a missing column: no source matches.
-            None
         };
         work.hit = best.is_some();
         ProbeScan {
@@ -1208,22 +1223,24 @@ impl ScanSnapshot {
     /// fewest candidates picks them; each must then lie within its own
     /// half-width on every column that can filter, and the rest run
     /// `detect_all` in stamp order. There is no window — `None` at once —
-    /// when the probe's lengths differ from the snapshot's, or no varying
+    /// when the probe lacks a column or its lengths differ from the
+    /// snapshot's, or no varying
     /// column has a half-width below 1 (a constant probe column never
     /// filters: `fit_affine` fits any varying source to it at error 0).
     fn scan_window(
         &self,
         probe: &HashMap<String, Fingerprint>,
-        summary: &[FingerprintSummary],
         work: &mut ScanWork,
     ) -> Option<Best> {
         let index = self.windows.as_ref()?;
-        if summary.iter().any(|s| s.len() != index.len) {
-            return None;
+        let mut windows: Vec<Option<ExactWindow>> = Vec::with_capacity(self.columns.len());
+        for column in &self.columns {
+            let key = FingerprintSummary::key_of(probe.get(column)?);
+            if key.len() != index.len {
+                return None;
+            }
+            windows.push(ExactWindow::of(&key, &self.detector));
         }
-        let windows: Vec<Option<ExactWindow>> = (summary.iter())
-            .map(|s| ExactWindow::of(s, &self.detector))
-            .collect();
         let ranges = (windows.iter().enumerate())
             .filter_map(|(col, w)| index.window(col, w.as_ref()?))
             .min_by_key(|[below, above]| below.len() + above.len())?;
@@ -1638,10 +1655,14 @@ impl SharedBasisStore {
         let evicted = {
             let mut table = self.table.write();
             table.next_stamp += 1;
-            let evicted = if table.entries.contains_key(&point) {
-                0
-            } else {
+            // A replacement makes no room; the lookup is needed only when
+            // the record does not fit.
+            let evicted = if table.over_budget(charge, self.capacity)
+                && !table.entries.contains_key(&point)
+            {
                 table.make_room(charge, self.capacity)
+            } else {
+                0
             };
             record.stamp = table.next_stamp;
             table.put(point, record);
@@ -2248,6 +2269,31 @@ mod tests {
             matches!(s.try_claim(&p, 11), TryClaim::Owner(_)),
             "too few stored worlds re-opens the claim"
         );
+    }
+
+    /// A publish wakes a waiter that is already asleep — the wake it
+    /// skips when no one waits is never one a waiter needs.
+    #[test]
+    fn a_publish_wakes_a_waiter_that_sleeps_on_the_slot() {
+        let s = SharedBasisStore::new(8);
+        let p = point("x", 1);
+        let TryClaim::Owner(guard) = s.try_claim(&p, 10) else {
+            panic!("first claim on a cold point must own it");
+        };
+        let TryClaim::Pending(handle) = s.try_claim(&p, 10) else {
+            panic!("second claim must observe the in-flight owner");
+        };
+        let slot = Arc::clone(&handle.slot);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = std::thread::spawn(move || tx.send(handle.wait().is_some()).unwrap());
+        while slot.waiters.load(Ordering::Relaxed) == 0 {
+            std::thread::yield_now();
+        }
+        assert!(guard.complete(HashMap::new(), samples(3.0), 10, true));
+        let served = rx.recv_timeout(std::time::Duration::from_secs(30));
+        assert_eq!(served, Ok(true), "the sleeping waiter was woken and served");
+        waiter.join().unwrap();
+        assert_eq!(slot.waiters.load(Ordering::Relaxed), 0);
     }
 
     #[test]

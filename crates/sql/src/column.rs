@@ -16,17 +16,25 @@ use crate::ast::CmpOp;
 
 /// Validity companion of a typed column: bit `i` set means lane `i` is
 /// SQL NULL and its data value is meaningless.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Nearly every column of a walk is all valid, so an all-valid mask holds
+/// no words and allocates nothing: [`NullMask::none`], and a
+/// [`NullMask::union`] or [`NullMask::gather`] that finds no NULL lane,
+/// stay that way, and a clone of one is free. The first
+/// [`NullMask::set_null`] materializes one `u64` word per 64 lanes. Both
+/// forms read alike lane by lane, and `==` compares lanes, not words.
+#[derive(Debug, Clone)]
 pub struct NullMask {
+    /// Empty while every lane is valid; otherwise `len.div_ceil(64)` words.
     bits: Vec<u64>,
     len: usize,
 }
 
 impl NullMask {
-    /// All-valid mask for `len` lanes.
+    /// All-valid mask for `len` lanes (allocates nothing).
     pub fn none(len: usize) -> Self {
         NullMask {
-            bits: vec![0; len.div_ceil(64)],
+            bits: Vec::new(),
             len,
         }
     }
@@ -41,15 +49,23 @@ impl NullMask {
         self.len == 0
     }
 
+    /// Word `w` of the mask, materialized or not.
+    fn word(&self, w: usize) -> u64 {
+        self.bits.get(w).copied().unwrap_or(0)
+    }
+
     /// Is lane `i` NULL?
     pub fn is_null(&self, i: usize) -> bool {
         debug_assert!(i < self.len);
-        (self.bits[i / 64] >> (i % 64)) & 1 == 1
+        (self.word(i / 64) >> (i % 64)) & 1 == 1
     }
 
-    /// Mark lane `i` NULL.
+    /// Mark lane `i` NULL, materializing the words on the first call.
     pub fn set_null(&mut self, i: usize) {
         debug_assert!(i < self.len);
+        if self.bits.is_empty() {
+            self.bits = vec![0; self.len.div_ceil(64)];
+        }
         self.bits[i / 64] |= 1 << (i % 64);
     }
 
@@ -63,9 +79,16 @@ impl NullMask {
         self.bits.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Lane-wise OR: NULL if either input lane is NULL.
+    /// Lane-wise OR: NULL if either input lane is NULL. Allocates only
+    /// when both inputs hold words.
     pub fn union(&self, other: &NullMask) -> NullMask {
         debug_assert_eq!(self.len, other.len);
+        if self.bits.is_empty() {
+            return other.clone();
+        }
+        if other.bits.is_empty() {
+            return self.clone();
+        }
         NullMask {
             bits: self
                 .bits
@@ -80,6 +103,9 @@ impl NullMask {
     /// Select lanes `idx` into a new mask (`out[k] = self[idx[k]]`).
     pub fn gather(&self, idx: &[usize]) -> NullMask {
         let mut out = NullMask::none(idx.len());
+        if self.bits.is_empty() {
+            return out;
+        }
         for (k, &i) in idx.iter().enumerate() {
             if self.is_null(i) {
                 out.set_null(k);
@@ -88,6 +114,16 @@ impl NullMask {
         out
     }
 }
+
+impl PartialEq for NullMask {
+    /// Lane by lane: an all-valid mask equals one whose words are all
+    /// zero.
+    fn eq(&self, other: &NullMask) -> bool {
+        self.len == other.len && (0..self.len.div_ceil(64)).all(|w| self.word(w) == other.word(w))
+    }
+}
+
+impl Eq for NullMask {}
 
 /// Lane-wise `a + b`.
 pub fn add_f64(a: &[f64], b: &[f64]) -> Vec<f64> {
@@ -363,6 +399,68 @@ mod tests {
         let g = u.gather(&[3, 0, 1]);
         assert!(g.is_null(0) && !g.is_null(1) && g.is_null(2));
         assert_eq!(g.len(), 3);
+    }
+
+    /// A mask with its words materialized but no lane NULL.
+    fn materialized(len: usize) -> NullMask {
+        NullMask {
+            bits: vec![0; len.div_ceil(64)],
+            len,
+        }
+    }
+
+    #[test]
+    fn lazy_and_materialized_masks_agree_lane_by_lane() {
+        for len in [0, 1, 63, 64, 65, 130] {
+            assert_eq!(NullMask::none(len).bits.capacity(), 0, "none allocates");
+            assert_eq!(NullMask::none(len), materialized(len), "{len} lanes");
+            assert_ne!(NullMask::none(len), NullMask::none(len + 1));
+        }
+        let len = 130;
+        let build = |lazy: bool, lanes: &[usize]| {
+            let mut m = if lazy {
+                NullMask::none(len)
+            } else {
+                materialized(len)
+            };
+            for &i in lanes {
+                m.set_null(i);
+            }
+            m
+        };
+        // Descending, every third lane: the gather crosses both word
+        // boundaries.
+        let idx: Vec<usize> = (0..len).rev().step_by(3).collect();
+        let sets: [&[usize]; 3] = [&[], &[3, 63, 64, 129], &[64, 65]];
+        for a_lanes in sets {
+            let a_ref = build(false, a_lanes);
+            assert_eq!(build(true, a_lanes), a_ref);
+            for lazy in [true, false] {
+                let a = build(lazy, a_lanes);
+                assert_eq!((a.count(), a.any()), (a_lanes.len(), !a_lanes.is_empty()));
+                let g = a.gather(&idx);
+                assert_eq!(g, a_ref.gather(&idx));
+                for (k, &i) in idx.iter().enumerate() {
+                    assert_eq!(g.is_null(k), a_lanes.contains(&i), "gathered lane {k}");
+                }
+            }
+            for b_lanes in sets {
+                let reference = a_ref.union(&build(false, b_lanes));
+                for (la, lb) in [(true, true), (true, false), (false, true), (false, false)] {
+                    let u = build(la, a_lanes).union(&build(lb, b_lanes));
+                    assert_eq!(u, reference);
+                    assert_eq!((u.count(), u.any()), (reference.count(), reference.any()));
+                    for i in 0..len {
+                        let null = a_lanes.contains(&i) || b_lanes.contains(&i);
+                        assert_eq!(u.is_null(i), null, "lane {i}");
+                    }
+                }
+            }
+        }
+        // Two all-valid masks stay lazy through union and gather.
+        let lazy = NullMask::none(len);
+        assert!(lazy.union(&lazy).bits.is_empty());
+        assert!(lazy.gather(&idx).bits.is_empty());
     }
 
     #[test]

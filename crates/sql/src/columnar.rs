@@ -70,8 +70,9 @@
 //! accounting, each world's stream drawn once per store rather than once
 //! per call.
 
-use std::borrow::Cow;
+use std::borrow::{Borrow, Cow};
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::Arc;
 
 use prophet_data::Value;
@@ -415,6 +416,20 @@ pub enum ArgBits {
     Bool(bool),
 }
 
+impl ArgBits {
+    /// The bits of a memoisable argument; `None` for anything but
+    /// `Null`/`Int`/`Float`/`Bool`.
+    fn of(value: &Value) -> Option<ArgBits> {
+        match value {
+            Value::Null => Some(ArgBits::Null),
+            Value::Int(x) => Some(ArgBits::Int(*x)),
+            Value::Float(x) => Some(ArgBits::Float(x.to_bits())),
+            Value::Bool(x) => Some(ArgBits::Bool(*x)),
+            _ => None,
+        }
+    }
+}
+
 /// Identity of one VG call over a *fixed* `(SeedManager, world block)`:
 /// every lane's substream derives from `(world, function, call index)` and
 /// the model is deterministic in `(arguments, substream)`, so these three
@@ -423,7 +438,10 @@ pub enum ArgBits {
 /// The call index is part of the key because it is part of the substream
 /// derivation: the same function called twice with equal arguments in one
 /// SELECT draws from two different streams per world.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// A memo's table owns these; a lookup borrows a [`CallSite`] instead
+/// (the table's `get` takes either, as a `&dyn CallSiteId`).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CallSiteKey {
     /// Function name as written at the call site (what seeds derive from).
     pub function: String,
@@ -433,26 +451,118 @@ pub struct CallSiteKey {
     pub args: Vec<ArgBits>,
 }
 
-impl CallSiteKey {
-    /// The key for `function` at `call_index` with the constant argument
+/// A call site as a memo lookup sees it: the fields of a [`CallSiteKey`],
+/// borrowed from the walk, so a lookup allocates nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct CallSite<'a> {
+    function: &'a str,
+    call_index: u64,
+    /// The block-constant argument row, every value memoisable.
+    args: &'a [Value],
+}
+
+impl<'a> CallSite<'a> {
+    /// The call of `function` at `call_index` with the constant argument
     /// row `args`; `None` when an argument is not `Null`/`Int`/`Float`/
     /// `Bool` (such calls are never memoised).
-    fn new(function: &str, call_index: u64, args: &[Value]) -> Option<Self> {
-        let args = args
-            .iter()
-            .map(|v| match v {
-                Value::Null => Some(ArgBits::Null),
-                Value::Int(x) => Some(ArgBits::Int(*x)),
-                Value::Float(x) => Some(ArgBits::Float(x.to_bits())),
-                Value::Bool(x) => Some(ArgBits::Bool(*x)),
-                _ => None,
+    pub fn new(function: &'a str, call_index: u64, args: &'a [Value]) -> Option<Self> {
+        args.iter()
+            .all(|v| ArgBits::of(v).is_some())
+            .then_some(CallSite {
+                function,
+                call_index,
+                args,
             })
-            .collect::<Option<Vec<_>>>()?;
-        Some(CallSiteKey {
-            function: function.to_owned(),
-            call_index,
-            args,
-        })
+    }
+
+    /// The owned key of this call site, for an insert.
+    pub fn to_key(&self) -> CallSiteKey {
+        CallSiteKey {
+            function: self.function.to_owned(),
+            call_index: self.call_index,
+            args: (0..self.arity()).map(|i| self.arg(i)).collect(),
+        }
+    }
+}
+
+/// What a memo's table hashes and compares: one call site's function,
+/// call index and argument bits, whether a [`CallSiteKey`] owns them or a
+/// [`CallSite`] borrows them. A `HashMap<CallSiteKey, _>` is looked up with
+/// `map.get(&site as &dyn CallSiteId)`.
+pub trait CallSiteId {
+    /// Function name as written at the call site.
+    fn function(&self) -> &str;
+    /// The per-world VG call counter at this site.
+    fn call_index(&self) -> u64;
+    /// Number of arguments.
+    fn arity(&self) -> usize;
+    /// Argument `i`'s bits.
+    fn arg(&self, i: usize) -> ArgBits;
+}
+
+impl CallSiteId for CallSiteKey {
+    fn function(&self) -> &str {
+        &self.function
+    }
+    fn call_index(&self) -> u64 {
+        self.call_index
+    }
+    fn arity(&self) -> usize {
+        self.args.len()
+    }
+    fn arg(&self, i: usize) -> ArgBits {
+        self.args[i]
+    }
+}
+
+impl CallSiteId for CallSite<'_> {
+    fn function(&self) -> &str {
+        self.function
+    }
+    fn call_index(&self) -> u64 {
+        self.call_index
+    }
+    fn arity(&self) -> usize {
+        self.args.len()
+    }
+    fn arg(&self, i: usize) -> ArgBits {
+        ArgBits::of(&self.args[i]).expect("invariant: `CallSite::new` checked every argument")
+    }
+}
+
+impl Hash for dyn CallSiteId + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.function().hash(state);
+        self.call_index().hash(state);
+        state.write_usize(self.arity());
+        for i in 0..self.arity() {
+            self.arg(i).hash(state);
+        }
+    }
+}
+
+impl PartialEq for dyn CallSiteId + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.function() == other.function()
+            && self.call_index() == other.call_index()
+            && self.arity() == other.arity()
+            && (0..self.arity()).all(|i| self.arg(i) == other.arg(i))
+    }
+}
+
+impl Eq for dyn CallSiteId + '_ {}
+
+/// Hashes as its `dyn CallSiteId` view does, which is what lets a table
+/// of owned keys be looked up with a borrowed [`CallSite`].
+impl Hash for CallSiteKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (self as &dyn CallSiteId).hash(state);
+    }
+}
+
+impl<'a> Borrow<dyn CallSiteId + 'a> for CallSiteKey {
+    fn borrow(&self) -> &(dyn CallSiteId + 'a) {
+        self
     }
 }
 
@@ -466,9 +576,28 @@ impl CallSiteKey {
 /// only a recomputation) and must return lanes exactly as inserted.
 pub trait CallSiteMemo: Sync {
     /// The cached `f64` lanes of this call over the block, if present.
-    fn get(&self, key: &CallSiteKey) -> Option<Arc<[f64]>>;
+    /// The walk borrows `site` from its own state and allocates nothing
+    /// to look it up (a table of [`CallSiteKey`]s is looked up with
+    /// `&dyn CallSiteId`); only a miss that then draws builds an owned
+    /// key, for [`CallSiteMemo::insert`]. A hit should cost a refcount,
+    /// not a copy: the walk copies the lanes into its own column.
+    fn get(&self, site: &CallSite<'_>) -> Option<Arc<[f64]>>;
     /// Cache the lanes of a call that just drew them.
     fn insert(&self, key: CallSiteKey, lanes: Arc<[f64]>);
+}
+
+/// Where a walk reads `@param` values: looked up by name when the walk
+/// reaches one, and borrowed for the walk, so the caller builds no map to
+/// hand it. A map of values is one; so is the engine's parameter point.
+pub trait Params {
+    /// The value bound to `@name`, if any.
+    fn param(&self, name: &str) -> Option<Value>;
+}
+
+impl<S: BuildHasher> Params for HashMap<String, Value, S> {
+    fn param(&self, name: &str) -> Option<Value> {
+        self.get(name).cloned()
+    }
 }
 
 /// Evaluate the scenario SELECT for a block of worlds through the typed
@@ -492,7 +621,8 @@ pub fn evaluate_select_columns(
 }
 
 /// [`evaluate_select_columns`] with whichever of the walk's two draw
-/// caches the caller holds: a [`CallSiteMemo`] and a [`LedgerStore`].
+/// caches the caller holds: a [`CallSiteMemo`] and a [`LedgerStore`], and
+/// `@param` values read through any [`Params`].
 ///
 /// With `memo`, a VG call site is served from (or, after drawing, recorded
 /// into) it when it covers the whole block, every argument column is a
@@ -517,7 +647,7 @@ pub fn evaluate_select_columns(
 pub fn evaluate_select_columns_with(
     select: &SelectInto,
     registry: &VgRegistry,
-    params: &HashMap<String, Value>,
+    params: &dyn Params,
     seeds: SeedManager,
     worlds: &[u64],
     memo: Option<&dyn CallSiteMemo>,
@@ -526,7 +656,7 @@ pub fn evaluate_select_columns_with(
     let draws = DrawState {
         seeds,
         worlds,
-        counters: vec![0; worlds.len()],
+        counters: CallCounters::Uniform(0),
         memo,
         ledgers,
     };
@@ -539,7 +669,7 @@ pub fn evaluate_select_columns_with(
 fn walk_select(
     select: &SelectInto,
     registry: &VgRegistry,
-    params: &HashMap<String, Value>,
+    params: &dyn Params,
     draws: DrawState<'_>,
     sel: Sel<'_>,
 ) -> SqlResult<(Vec<(String, Column)>, ColumnarStats)> {
@@ -587,7 +717,7 @@ fn walk_select(
 pub fn evaluate_derived_columns(
     select: &SelectInto,
     registry: &VgRegistry,
-    params: &HashMap<String, Value>,
+    params: &dyn Params,
     samples: &HashMap<String, Vec<f64>>,
     lanes: usize,
 ) -> SqlResult<(Vec<(String, Vec<f64>)>, ColumnarStats)> {
@@ -655,8 +785,9 @@ pub fn to_f64_samples(column: &Column) -> SqlResult<Vec<f64>> {
 /// [`to_f64_samples`] of a column the caller is done with: float lanes are
 /// moved out, and integer lanes widened where they lie (`collect` reuses
 /// the buffer of a same-sized element), so the samples of a numeric column
-/// are the column's own allocation.
-fn into_f64_samples(column: Column) -> SqlResult<Vec<f64>> {
+/// are the column's own allocation — a fingerprint probe keeps a walk's
+/// lanes this way.
+pub fn into_f64_samples(column: Column) -> SqlResult<Vec<f64>> {
     let (mut out, nulls): (Vec<f64>, _) = match column {
         Column::F64 { data, nulls } => (data, nulls),
         Column::I64 { data, nulls } => (data.into_iter().map(|x| x as f64).collect(), nulls),
@@ -671,7 +802,7 @@ fn into_f64_samples(column: Column) -> SqlResult<Vec<f64>> {
 /// aliases).
 struct Scope<'a> {
     registry: &'a VgRegistry,
-    params: &'a HashMap<String, Value>,
+    params: &'a dyn Params,
     /// The items evaluated so far, in declaration order: each is in scope
     /// under its alias for the items after it.
     columns: &'a [(String, Column)],
@@ -693,9 +824,9 @@ impl<'a> Scope<'a> {
         Err(SqlError::Eval(format!("unknown column or alias `{name}`")))
     }
 
-    fn param(&self, name: &str) -> SqlResult<&'a Value> {
+    fn param(&self, name: &str) -> SqlResult<Value> {
         self.params
-            .get(name)
+            .param(name)
             .ok_or_else(|| SqlError::Eval(format!("unbound parameter @{name}")))
     }
 }
@@ -712,9 +843,61 @@ struct Walk<'a> {
 struct DrawState<'a> {
     seeds: SeedManager,
     worlds: &'a [u64],
-    counters: Vec<u64>,
+    counters: CallCounters,
     memo: Option<&'a dyn CallSiteMemo>,
     ledgers: Option<&'a dyn LedgerStore>,
+}
+
+/// The per-slot VG call counters of a walk. While every slot has reached
+/// the same call sites — in any walk no `CASE` arm or `AND`/`OR`
+/// right-hand side has narrowed before a call — they are one number, and
+/// no per-slot table is allocated.
+enum CallCounters {
+    /// Every slot's counter.
+    Uniform(u64),
+    /// Slot `i`'s counter at `[i]`.
+    PerSlot(Vec<u64>),
+}
+
+impl CallCounters {
+    /// Slot `slot`'s counter.
+    fn get(&self, slot: usize) -> u64 {
+        match self {
+            CallCounters::Uniform(c) => *c,
+            CallCounters::PerSlot(counters) => counters[slot],
+        }
+    }
+
+    /// The counter every slot shares, if they agree.
+    fn uniform(&self) -> Option<u64> {
+        match self {
+            CallCounters::Uniform(c) => Some(*c),
+            CallCounters::PerSlot(counters) => {
+                let first = *counters.first()?;
+                counters.iter().all(|&c| c == first).then_some(first)
+            }
+        }
+    }
+
+    /// Bump the counter of every slot in `sel`, out of `slots` slots.
+    fn bump(&mut self, sel: Sel<'_>, slots: usize) {
+        match self {
+            // `sel` lists distinct slots, so it names them all.
+            CallCounters::Uniform(c) if sel.len() == slots => *c += 1,
+            CallCounters::Uniform(c) => {
+                let mut counters = vec![*c; slots];
+                for slot in sel.slots() {
+                    counters[slot] += 1;
+                }
+                *self = CallCounters::PerSlot(counters);
+            }
+            CallCounters::PerSlot(counters) => {
+                for slot in sel.slots() {
+                    counters[slot] += 1;
+                }
+            }
+        }
+    }
 }
 
 /// Broadcast one scalar to a block-length column.
@@ -747,7 +930,7 @@ fn eval_col<'a>(
 ) -> SqlResult<Lanes<'a>> {
     let column = match expr {
         Expr::Literal(v) => broadcast(v, sel.len()),
-        Expr::Param(name) => broadcast(scope.param(name)?, sel.len()),
+        Expr::Param(name) => broadcast(&scope.param(name)?, sel.len()),
         Expr::Column(name) => {
             let view = scope.alias(name)?;
             match sel {
@@ -778,11 +961,8 @@ fn eval_col<'a>(
             eval_case_col(whens, otherwise.as_deref(), scope, walk, sel)?
         }
         Expr::Call { name, args } => {
-            let mut arg_columns = Vec::with_capacity(args.len());
-            for a in args {
-                arg_columns.push(eval_col(a, scope, walk, sel)?);
-            }
-            call_function_col(name, &arg_columns, scope, walk, sel)?
+            let args = CallArgs::eval(args, scope, walk, sel)?;
+            call_function_col(name, &args, scope, walk, sel)?
         }
     };
     Ok(Lanes::Owned(column))
@@ -1204,38 +1384,39 @@ fn view_kind(view: View<'_>) -> Result<Option<Kind>, ()> {
 }
 
 /// A leaf `CASE` arm, looked up but not materialised.
-#[derive(Clone, Copy)]
 enum Leaf<'l> {
     /// A literal, a parameter, an arm no lane reaches, or an absent ELSE
     /// (the last two as NULL).
-    Scalar(&'l Value),
+    Scalar(Value),
     Alias(View<'l>),
 }
 
 impl<'l> Leaf<'l> {
     /// The arm's value if some lane reaches it, NULL otherwise (and for an
     /// absent ELSE).
-    fn look_up(arm: Option<&'l Expr>, reached: bool, scope: &Scope<'l>) -> SqlResult<Self> {
+    fn look_up(arm: Option<&Expr>, reached: bool, scope: &Scope<'l>) -> SqlResult<Self> {
         Ok(match arm {
-            Some(Expr::Literal(v)) if reached => Leaf::Scalar(v),
+            Some(Expr::Literal(v)) if reached => Leaf::Scalar(v.clone()),
             Some(Expr::Param(name)) if reached => Leaf::Scalar(scope.param(name)?),
             Some(Expr::Column(name)) if reached => Leaf::Alias(scope.alias(name)?),
-            _ => Leaf::Scalar(&Value::Null),
+            _ => Leaf::Scalar(Value::Null),
         })
     }
 
-    fn kind(self) -> Result<Option<Kind>, ()> {
+    fn kind(&self) -> Result<Option<Kind>, ()> {
         match self {
-            Leaf::Scalar(Value::Float(_)) => Ok(Some(Kind::F)),
-            Leaf::Scalar(Value::Int(_)) => Ok(Some(Kind::I)),
-            Leaf::Scalar(Value::Bool(_)) => Ok(Some(Kind::B)),
-            Leaf::Scalar(Value::Null) => Ok(None),
-            Leaf::Scalar(_) => Err(()),
-            Leaf::Alias(view) => view_kind(view),
+            Leaf::Scalar(v) => match v {
+                Value::Float(_) => Ok(Some(Kind::F)),
+                Value::Int(_) => Ok(Some(Kind::I)),
+                Value::Bool(_) => Ok(Some(Kind::B)),
+                Value::Null => Ok(None),
+                Value::Str(_) => Err(()),
+            },
+            Leaf::Alias(view) => view_kind(*view),
         }
     }
 
-    fn value_at(self, i: usize) -> Value {
+    fn value_at(&self, i: usize) -> Value {
         match self {
             Leaf::Scalar(v) => v.clone(),
             Leaf::Alias(view) => view.value_at(i),
@@ -1249,11 +1430,11 @@ impl<'l> Leaf<'l> {
 /// tier), and blend by the truth mask into one typed column. Kind
 /// unification, the boxed fallback and the `kernels` / `fallbacks`
 /// accounting are [`merge_pieces`]'s.
-fn blend_case(
+fn blend_case<'s>(
     cond: &Expr,
     then: &Expr,
     otherwise: Option<&Expr>,
-    scope: &Scope<'_>,
+    scope: &Scope<'s>,
     walk: &mut Walk<'_>,
     len: usize,
 ) -> SqlResult<Column> {
@@ -1269,7 +1450,7 @@ fn blend_case(
         let values = pick
             .iter()
             .enumerate()
-            .map(|(i, &p)| if p { then } else { otherwise }.value_at(i))
+            .map(|(i, &p)| if p { &then } else { &otherwise }.value_at(i))
             .collect();
         return Ok(Column::from_values(values));
     };
@@ -1279,30 +1460,36 @@ fn blend_case(
     Ok(match kind {
         None => Column::Null(len),
         Some(Kind::F) => {
-            let arm = |leaf| match leaf {
-                Leaf::Scalar(Value::Float(x)) => Arm::Const(*x),
-                Leaf::Alias(View::F64(data, nulls)) => Arm::Lanes(data, nulls),
-                _ => Arm::Null,
+            let arm = |leaf: &Leaf<'s>| -> Arm<'s, _> {
+                match *leaf {
+                    Leaf::Scalar(Value::Float(x)) => Arm::Const(x),
+                    Leaf::Alias(View::F64(data, nulls)) => Arm::Lanes(data, nulls),
+                    _ => Arm::Null,
+                }
             };
-            let (data, nulls) = blend(&pick, arm(then), arm(otherwise));
+            let (data, nulls) = blend(&pick, arm(&then), arm(&otherwise));
             Column::F64 { data, nulls }
         }
         Some(Kind::I) => {
-            let arm = |leaf| match leaf {
-                Leaf::Scalar(Value::Int(x)) => Arm::Const(*x),
-                Leaf::Alias(View::I64(data, nulls)) => Arm::Lanes(data, nulls),
-                _ => Arm::Null,
+            let arm = |leaf: &Leaf<'s>| -> Arm<'s, _> {
+                match *leaf {
+                    Leaf::Scalar(Value::Int(x)) => Arm::Const(x),
+                    Leaf::Alias(View::I64(data, nulls)) => Arm::Lanes(data, nulls),
+                    _ => Arm::Null,
+                }
             };
-            let (data, nulls) = blend(&pick, arm(then), arm(otherwise));
+            let (data, nulls) = blend(&pick, arm(&then), arm(&otherwise));
             Column::I64 { data, nulls }
         }
         Some(Kind::B) => {
-            let arm = |leaf| match leaf {
-                Leaf::Scalar(Value::Bool(x)) => Arm::Const(*x),
-                Leaf::Alias(View::Bool(data, nulls)) => Arm::Lanes(data, nulls),
-                _ => Arm::Null,
+            let arm = |leaf: &Leaf<'s>| -> Arm<'s, _> {
+                match *leaf {
+                    Leaf::Scalar(Value::Bool(x)) => Arm::Const(x),
+                    Leaf::Alias(View::Bool(data, nulls)) => Arm::Lanes(data, nulls),
+                    _ => Arm::Null,
+                }
             };
-            let (data, nulls) = blend(&pick, arm(then), arm(otherwise));
+            let (data, nulls) = blend(&pick, arm(&then), arm(&otherwise));
             Column::Bool { data, nulls }
         }
     })
@@ -1400,11 +1587,89 @@ fn merge_pieces(
     }
 }
 
+/// The longest argument row a call site builds inline.
+const INLINE_ARGS: usize = 4;
+
+/// A block-constant argument row of at most [`INLINE_ARGS`] values (every
+/// bundled model's), held inline: its first `len` values.
+struct ArgRow {
+    values: [Value; INLINE_ARGS],
+    len: usize,
+}
+
+impl std::ops::Deref for ArgRow {
+    type Target = [Value];
+
+    fn deref(&self) -> &[Value] {
+        &self.values[..self.len]
+    }
+}
+
+/// The evaluated arguments of one call site.
+enum CallArgs<'a> {
+    /// Up to [`INLINE_ARGS`] arguments, every one a literal or a
+    /// parameter — every bundled model's call: the block-constant
+    /// argument row itself, built straight from them, with no lane
+    /// broadcast and no allocation.
+    Row(ArgRow),
+    /// Any other argument list: one column per argument.
+    Columns(Vec<Lanes<'a>>),
+}
+
+impl<'a> CallArgs<'a> {
+    /// Evaluate `args` left to right, as the scalar tier does.
+    fn eval(
+        args: &[Expr],
+        scope: &Scope<'a>,
+        walk: &mut Walk<'_>,
+        sel: Sel<'_>,
+    ) -> SqlResult<Self> {
+        let leaves = args
+            .iter()
+            .all(|a| matches!(a, Expr::Literal(_) | Expr::Param(_)));
+        if leaves && args.len() <= INLINE_ARGS {
+            let mut values: [Value; INLINE_ARGS] = std::array::from_fn(|_| Value::Null);
+            for (slot, arg) in values.iter_mut().zip(args) {
+                *slot = match arg {
+                    Expr::Param(name) => scope.param(name)?,
+                    Expr::Literal(v) => v.clone(),
+                    _ => unreachable!("every argument is a literal or a parameter"),
+                };
+            }
+            let len = args.len();
+            return Ok(CallArgs::Row(ArgRow { values, len }));
+        }
+        let columns = args.iter().map(|a| eval_col(a, scope, walk, sel));
+        Ok(CallArgs::Columns(columns.collect::<SqlResult<_>>()?))
+    }
+
+    /// The argument row of lane `k`.
+    fn row_at(&self, k: usize) -> Vec<Value> {
+        match self {
+            CallArgs::Row(row) => row.to_vec(),
+            CallArgs::Columns(columns) => columns.iter().map(|c| c.view().value_at(k)).collect(),
+        }
+    }
+
+    /// The one argument row of every lane, if the arguments are constant
+    /// over the block (borrowed when they are a [`CallArgs::Row`]).
+    fn const_row(&self) -> Option<Cow<'_, [Value]>> {
+        match self {
+            CallArgs::Row(row) => Some(Cow::Borrowed(row)),
+            CallArgs::Columns(columns) => columns
+                .iter()
+                .map(|c| c.view().const_value())
+                .collect::<Option<Vec<_>>>()
+                .map(Cow::Owned),
+        }
+    }
+}
+
 /// Dispatch one call site for a block: VG catalog first (catalog wins over
 /// builtins, as in the scalar tier), then scalar builtins per world.
 fn call_function_col(
     name: &str,
-    args: &[Lanes<'_>],
+    args: &CallArgs<'_>,
     scope: &Scope<'_>,
     walk: &mut Walk<'_>,
     sel: Sel<'_>,
@@ -1414,10 +1679,7 @@ fn call_function_col(
         // Scalar builtin, world by world (boxed by nature).
         walk.stats.fallbacks += 1;
         let values: SqlResult<Vec<Value>> = (0..sel.len())
-            .map(|k| {
-                let row: Vec<Value> = args.iter().map(|c| c.view().value_at(k)).collect();
-                scalar_builtin(name, &row)
-            })
+            .map(|k| scalar_builtin(name, &args.row_at(k)))
             .collect();
         return Ok(Column::from_values(values?));
     }
@@ -1431,27 +1693,26 @@ fn call_function_col(
     // Argument columns are usually constant over the block (one parameter
     // valuation per point): share a single parameter row instead of
     // materializing one per world.
-    let const_row: Option<Vec<Value>> = args.iter().map(|c| c.view().const_value()).collect();
+    let const_row = args.const_row();
 
     // A whole-block call with a constant argument row and one call index
-    // for every slot is fully identified by `(name, index, row)`.
+    // for every slot is fully identified by `(name, index, row)`; the
+    // lookup borrows them.
     let memo = draws
         .memo
         .zip(const_row.as_deref())
-        .filter(|_| {
-            sel.len() > 0
-                && sel.len() == draws.worlds.len()
-                && draws.counters.iter().all(|&c| c == draws.counters[0])
-        })
-        .and_then(|(memo, row)| Some((memo, CallSiteKey::new(name, draws.counters[0], row)?)));
+        .filter(|_| sel.len() > 0 && sel.len() == draws.worlds.len())
+        .and_then(|(memo, row)| {
+            let call_index = draws.counters.uniform()?;
+            Some((memo, CallSite::new(name, call_index, row)?))
+        });
 
     // One derived substream per selected world; the per-slot counter bumps
     // only for worlds reaching this call site (scalar tier's discipline) —
     // on a memo hit too, so later call sites see the same indices.
-    if let Some(lanes) = memo.as_ref().and_then(|(memo, key)| memo.get(key)) {
-        for slot in sel.slots() {
-            draws.counters[slot] += 1;
-        }
+    let slots = draws.worlds.len();
+    if let Some(lanes) = memo.as_ref().and_then(|(memo, site)| memo.get(site)) {
+        draws.counters.bump(sel, slots);
         walk.stats.kernels += 1;
         walk.stats.call_sites_memoised += 1;
         return Ok(Column::F64 {
@@ -1462,9 +1723,7 @@ fn call_function_col(
     let rows: Vec<Vec<Value>> = if const_row.is_some() {
         Vec::new()
     } else {
-        (0..sel.len())
-            .map(|k| args.iter().map(|c| c.view().value_at(k)).collect())
-            .collect()
+        (0..sel.len()).map(|k| args.row_at(k)).collect()
     };
     let row = |k: usize| const_row.as_deref().unwrap_or_else(|| &rows[k]);
 
@@ -1478,7 +1737,7 @@ fn call_function_col(
                 .map(|(k, slot)| LedgerCall {
                     params: row(k),
                     world: draws.worlds[slot],
-                    call_index: draws.counters[slot],
+                    call_index: draws.counters.get(slot),
                 })
                 .collect();
             registry.invoke_batch_ledgered(name, &calls, &draws.seeds, store)?
@@ -1487,19 +1746,17 @@ fn call_function_col(
     };
     let data = match replayed {
         Some(data) => {
-            for slot in sel.slots() {
-                draws.counters[slot] += 1;
-            }
+            draws.counters.bump(sel, slots);
             walk.stats.call_sites_replayed += 1;
             data
         }
         None => {
             let mut rngs = Vec::with_capacity(sel.len());
             for slot in sel.slots() {
-                let counter = draws.counters[slot];
-                draws.counters[slot] += 1;
+                let counter = draws.counters.get(slot);
                 rngs.push(draws.seeds.rng_for(draws.worlds[slot], name, counter));
             }
+            draws.counters.bump(sel, slots);
             let mut calls: Vec<VgCallF64<'_>> = rngs
                 .iter_mut()
                 .enumerate()
@@ -1512,8 +1769,8 @@ fn call_function_col(
         }
     };
     walk.stats.kernels += 1;
-    if let Some((memo, key)) = memo {
-        memo.insert(key, Arc::from(data.as_slice()));
+    if let Some((memo, site)) = memo {
+        memo.insert(site.to_key(), Arc::from(data.as_slice()));
     }
     Ok(Column::F64 {
         nulls: NullMask::none(data.len()),
@@ -1673,7 +1930,7 @@ mod tests {
             let draws = DrawState {
                 seeds: SeedManager::new(11),
                 worlds,
-                counters: vec![0; worlds.len()],
+                counters: CallCounters::Uniform(0),
                 memo: None,
                 ledgers: None,
             };
@@ -1926,8 +2183,8 @@ mod tests {
     struct MapMemo(std::sync::Mutex<HashMap<CallSiteKey, Arc<[f64]>>>);
 
     impl CallSiteMemo for MapMemo {
-        fn get(&self, key: &CallSiteKey) -> Option<Arc<[f64]>> {
-            self.0.lock().unwrap().get(key).cloned()
+        fn get(&self, site: &CallSite<'_>) -> Option<Arc<[f64]>> {
+            self.0.lock().unwrap().get(site as &dyn CallSiteId).cloned()
         }
         fn insert(&self, key: CallSiteKey, lanes: Arc<[f64]>) {
             self.0.lock().unwrap().insert(key, lanes);
@@ -1947,6 +2204,33 @@ mod tests {
                 (alias.clone(), lanes)
             })
             .collect()
+    }
+
+    /// A borrowed call site finds exactly the owned key it would insert,
+    /// and nothing else: the lookup hashes and compares as the table does.
+    #[test]
+    fn a_borrowed_call_site_finds_its_owned_key() {
+        let row = [
+            Value::Int(3),
+            Value::Float(f64::NAN),
+            Value::Null,
+            Value::Bool(true),
+        ];
+        let site = CallSite::new("F", 1, &row).unwrap();
+        let mut table: HashMap<CallSiteKey, u32> = HashMap::new();
+        table.insert(site.to_key(), 7);
+        assert_eq!(table.get(&site as &dyn CallSiteId), Some(&7));
+        let other_row = [Value::Int(3), Value::Float(f64::NAN), Value::Null];
+        for miss in [
+            CallSite::new("G", 1, &row).unwrap(),
+            CallSite::new("F", 2, &row).unwrap(),
+            CallSite::new("F", 1, &other_row).unwrap(),
+            CallSite::new("F", 1, &row[..1]).unwrap(),
+        ] {
+            assert_eq!(table.get(&miss as &dyn CallSiteId), None, "{miss:?}");
+        }
+        // A string argument is never memoised.
+        assert!(CallSite::new("F", 1, &[Value::Str("x".into())]).is_none());
     }
 
     #[test]
@@ -2127,11 +2411,12 @@ mod tests {
         fn read(
             &self,
             function: &str,
-            keys: &[(u64, u64)],
+            calls: &[LedgerCall<'_>],
             visit: &mut dyn FnMut(usize, Option<&[f64]>),
         ) {
             let table = self.table.lock().unwrap();
-            for (i, &(index, world)) in keys.iter().enumerate() {
+            for (i, call) in calls.iter().enumerate() {
+                let (index, world) = call.key();
                 let ledger = table.get(&(function.to_owned(), index, world));
                 visit(i, ledger.map(Vec::as_slice));
             }

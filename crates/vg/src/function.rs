@@ -145,6 +145,14 @@ pub struct LedgerCall<'a> {
     pub call_index: u64,
 }
 
+impl LedgerCall<'_> {
+    /// The call's `(call index, world)`: its stream's key in a
+    /// [`LedgerStore`], with the function name.
+    pub fn key(&self) -> (u64, u64) {
+        (self.call_index, self.world)
+    }
+}
+
 /// Where an engine keeps drawn ledgers, keyed `(function, call index,
 /// world)` — exactly the substream derivation's key, so one store is valid
 /// for every world block and every argument tuple under **one**
@@ -160,13 +168,13 @@ pub trait LedgerStore: Sync {
     /// drawn as if there were no store.
     fn max_len(&self) -> usize;
 
-    /// Look up `function`'s ledgers for `keys` (`(call index, world)`
-    /// pairs), calling `visit(i, ledger)` for every `i` in order with the
-    /// stored cells of `keys[i]`, if any.
+    /// Look up `function`'s ledgers for `calls` (each keyed by
+    /// [`LedgerCall::key`]), calling `visit(i, ledger)` for every `i` in
+    /// order with the stored cells of `calls[i]`'s stream, if any.
     fn read(
         &self,
         function: &str,
-        keys: &[(u64, u64)],
+        calls: &[LedgerCall<'_>],
         visit: &mut dyn FnMut(usize, Option<&[f64]>),
     );
 
@@ -345,11 +353,10 @@ impl VgRegistry {
         };
         entry.count_batch(calls.len());
 
-        let keys: Vec<(u64, u64)> = calls.iter().map(|c| (c.call_index, c.world)).collect();
         let mut lane = vec![0.0; calls.len()];
         let mut missing: Vec<usize> = Vec::new();
         let mut failed = None;
-        store.read(name, &keys, &mut |i, ledger| match ledger {
+        store.read(name, calls, &mut |i, ledger| match ledger {
             Some(cells) if cells.len() >= lens[i] => {
                 match function.replay(calls[i].params, cells) {
                     Ok(x) => lane[i] = x,
@@ -370,7 +377,7 @@ impl VgRegistry {
             let len = lens[i].next_power_of_two().min(max_len);
             let ledger = draw_ledger(name, function, &mut rng, len)?;
             lane[i] = function.replay(call.params, &ledger)?;
-            drawn.push((keys[i], ledger));
+            drawn.push((call.key(), ledger));
         }
         if !drawn.is_empty() {
             store.insert(name, drawn);
@@ -408,9 +415,18 @@ impl VgRegistry {
 /// stream is touched — unless the model keeps a ledger for all of them.
 fn ledger_lens<'a>(
     function: &dyn VgFunction,
-    rows: impl Iterator<Item = &'a [Value]>,
+    rows: impl ExactSizeIterator<Item = &'a [Value]>,
 ) -> DataResult<Option<Vec<usize>>> {
-    rows.map(|params| function.ledger_len(params)).collect()
+    // One allocation: collecting through `Result` and `Option` would
+    // grow the vector from an unknown length.
+    let mut lens = Vec::with_capacity(rows.len());
+    for params in rows {
+        match function.ledger_len(params)? {
+            Some(len) => lens.push(len),
+            None => return Ok(None),
+        }
+    }
+    Ok(Some(lens))
 }
 
 /// [`VgFunction::draw_ledger`], held to its length promise: `replay`
@@ -650,9 +666,14 @@ mod tests {
         fn max_len(&self) -> usize {
             self.max_len
         }
-        fn read(&self, _: &str, keys: &[(u64, u64)], visit: &mut dyn FnMut(usize, Option<&[f64]>)) {
-            for (i, key) in keys.iter().enumerate() {
-                visit(i, self.table.get(key).map(Vec::as_slice));
+        fn read(
+            &self,
+            _: &str,
+            calls: &[LedgerCall<'_>],
+            visit: &mut dyn FnMut(usize, Option<&[f64]>),
+        ) {
+            for (i, call) in calls.iter().enumerate() {
+                visit(i, self.table.get(&call.key()).map(Vec::as_slice));
             }
         }
         fn insert(&self, _: &str, drawn: Vec<((u64, u64), Vec<f64>)>) {
