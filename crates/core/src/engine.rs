@@ -504,7 +504,8 @@ impl Engine {
     /// output vector, its alias names and the returned map make the rest
     /// — 6 allocations on a Figure-2 probe whose call sites are both
     /// served. A memo miss adds its owned key and the memo's copy of the
-    /// lanes, and a ledger replay its per-world call list.
+    /// lanes; a ledger replay keeps its 32 calls and their ledger lengths
+    /// inline and allocates only its lane.
     pub(crate) fn probe_fingerprints(
         &self,
         point: &ParamPoint,

@@ -88,7 +88,9 @@ impl OfflineReport {
 pub(crate) struct SweepPlan {
     spec: OptimizeSpec,
     group_decls: Vec<ParameterDecl>,
-    axis_decls: Vec<ParameterDecl>,
+    /// The axis grid, built once: each group binds a clone of it, which
+    /// shares its names and domains.
+    axis_grid: GridGuide,
     /// Sizes of the two grids, counted (overflow-checked) at construction.
     groups_total: usize,
     axis_total: usize,
@@ -123,7 +125,7 @@ impl SweepPlan {
             groups_total: space_size(&group_decls)?,
             axis_total: space_size(&axis_decls)?,
             group_decls,
-            axis_decls,
+            axis_grid: GridGuide::new(&axis_decls),
         })
     }
 
@@ -151,7 +153,7 @@ impl SweepPlan {
     /// allocation stamped into one template, so the batch shares one set
     /// of parameter names.
     fn group_points(&self, group: &ParamPoint) -> Vec<ParamPoint> {
-        GridGuide::new(&self.axis_decls).onto(group).collect()
+        self.axis_grid.clone().onto(group).collect()
     }
 
     /// Fold one group's batch results into its answer: accumulate the

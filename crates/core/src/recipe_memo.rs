@@ -60,7 +60,7 @@ use std::sync::{Arc, OnceLock};
 
 use prophet_fingerprint::Mapping;
 use prophet_mc::{BasisHit, ColumnSamples, ParamPoint, RecipeBody};
-use prophet_vg::FastBuild;
+use prophet_vg::{FastBuild, ShortList};
 
 use crate::error::ProphetResult;
 use crate::sync::{OrderedMutex, RECIPE_MEMO};
@@ -81,8 +81,9 @@ pub(crate) struct RecipeKey {
     source: usize,
     worlds: usize,
     /// Per stochastic column, in the engine's order: the mapping's
-    /// variant tag and its `f64` bits (`MISSING` where the hit has none).
-    mappings: Vec<u64>,
+    /// variant tag and its `f64` bits (`MISSING` where the hit has none);
+    /// inline for two `Affine` columns, so a lookup allocates nothing.
+    mappings: ShortList<u64, 8>,
     /// The point's values of the parameters the derived items mention.
     params: Vec<Option<i64>>,
 }
@@ -100,8 +101,7 @@ impl RecipeKey {
         derived_params: &[String],
         point: &ParamPoint,
     ) -> Self {
-        // Room for the longest encoding (`Affine`'s four words) of each.
-        let mut mappings = Vec::with_capacity(4 * stochastic.len());
+        let mut mappings = ShortList::new(0);
         for column in stochastic {
             match hit.mappings.get(column) {
                 Some(Mapping::Identity) => mappings.push(0),

@@ -228,12 +228,21 @@ fn splitmix64(state: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One unit of pool work: the boxed task plus its queue key.
+/// One unit of pool work: the task plus its queue key.
 struct QueuedTask {
     priority: Priority,
     job: u64,
     seq: u64,
-    run: Box<dyn FnOnce() + Send>,
+    run: Run,
+}
+
+/// What a queued task runs.
+enum Run {
+    /// A job's driver.
+    Driver(Box<dyn FnOnce() + Send>),
+    /// Chunk `index` of a phase [`run_chunked`] fanned out, which every
+    /// chunk of it shares.
+    Chunk(Arc<dyn ChunkedPhase>, usize),
 }
 
 /// Queue-wait histogram lane for a priority (index into
@@ -401,7 +410,10 @@ impl Inner {
 /// pool worker down with it (the chunk's completion guard still fires
 /// during unwinding, and the driver reports the lost slot as an error).
 fn run_task(task: QueuedTask) {
-    let _ = catch_unwind(AssertUnwindSafe(task.run));
+    let _ = catch_unwind(AssertUnwindSafe(|| match task.run {
+        Run::Driver(run) => run(),
+        Run::Chunk(phase, index) => phase.run_chunk(index, task.seq),
+    }));
 }
 
 /// A long-lived worker pool executing jobs as priority-ordered chunks.
@@ -558,7 +570,7 @@ impl Scheduler {
             priority,
             job: id,
             seq: 0,
-            run: Box::new(move || {
+            run: Run::Driver(Box::new(move || {
                 driver_inner
                     .tracer
                     .instant(TraceEventKind::JobStart, id, NO_CHUNK);
@@ -571,7 +583,7 @@ impl Scheduler {
                     core: Arc::clone(&driver_core),
                 };
                 body(driver_inner, driver_core);
-            }),
+            })),
         };
         {
             let mut state = self.inner.state.lock();
@@ -761,13 +773,13 @@ impl Runner for Pooled<'_> {
 /// Decrements the phase's outstanding-chunk count and wakes the driver on
 /// drop — *on drop*, so a panicking chunk still completes the phase
 /// instead of hanging it.
-struct ChunkDone {
-    remaining: Arc<AtomicUsize>,
-    core: Arc<JobCore>,
-    inner: Arc<Inner>,
+struct ChunkDone<'a> {
+    remaining: &'a AtomicUsize,
+    core: &'a JobCore,
+    inner: &'a Inner,
 }
 
-impl Drop for ChunkDone {
+impl Drop for ChunkDone<'_> {
     fn drop(&mut self) {
         self.core.chunks_done.fetch_add(1, Ordering::AcqRel);
         self.remaining.fetch_sub(1, Ordering::AcqRel);
@@ -779,7 +791,12 @@ impl Drop for ChunkDone {
 /// (which takes each item by value, so it can hand parts of it back in
 /// its result), helping until every chunk finished. Slot `i` of the
 /// result is `None` if its chunk was skipped (job cancelled before the
-/// chunk started) or lost to a panic.
+/// chunk started) or its item was lost to a panic.
+///
+/// The chunks share one [`Phase`]: each takes its items out of the
+/// phase's slots and puts their results back, so a fan-out allocates the
+/// phase, its slots, the task list and the returned vector — nothing per
+/// chunk.
 fn run_chunked<I, T, F>(
     inner: &Arc<Inner>,
     core: &Arc<JobCore>,
@@ -792,23 +809,12 @@ where
     T: Send + 'static,
     F: Fn(I) -> T + Send + Sync + 'static,
 {
-    let n = items.len();
-    if n == 0 {
+    let len = items.len();
+    if len == 0 {
         return Vec::new();
     }
     let chunk = chunk.max(1);
-    let results: Arc<OrderedMutex<Vec<Option<T>>>> = Arc::new(OrderedMutex::new(
-        CHUNK_RESULTS,
-        (0..n).map(|_| None).collect(),
-    ));
-    let f = Arc::new(f);
-    let mut indexed: Vec<(usize, I)> = items.into_iter().enumerate().collect();
-    let mut chunks: Vec<Vec<(usize, I)>> = Vec::new();
-    while !indexed.is_empty() {
-        let rest = indexed.split_off(chunk.min(indexed.len()));
-        chunks.push(std::mem::replace(&mut indexed, rest));
-    }
-    let remaining = Arc::new(AtomicUsize::new(chunks.len()));
+    let chunks = len.div_ceil(chunk);
 
     // One enqueue stamp for the whole dispatch (they go into the queue in
     // one push). Read *before* the cancel check: if the flag read false,
@@ -816,68 +822,123 @@ where
     // sorted trace never shows chunk traffic after its cancel event.
     let enqueued = inner.tracer.now();
     let dispatch_cancelled = core.is_cancelled();
-    let mut tasks = Vec::with_capacity(chunks.len());
-    for chunk in chunks {
-        let seq = core.chunks_dispatched.fetch_add(1, Ordering::AcqRel) + 1;
-        if !dispatch_cancelled {
-            inner
-                .tracer
-                .instant_at(TraceEventKind::ChunkEnqueue, core.id, seq, enqueued);
-        }
-        let guard = ChunkDone {
-            remaining: Arc::clone(&remaining),
-            core: Arc::clone(core),
-            inner: Arc::clone(inner),
-        };
-        let core = Arc::clone(core);
-        let results = Arc::clone(&results);
-        let f = Arc::clone(&f);
-        tasks.push(QueuedTask {
-            priority: core.priority,
-            job: core.id,
-            seq,
-            run: Box::new(move || {
-                let done = guard;
-                if let Some(chaos) = &done.inner.chaos {
-                    chaos.maybe_yield();
-                }
-                // Clock before flag: a chunk that passes the check below
-                // anchors all its events at `t0`, which then provably
-                // precedes any cancel marker (see `docs/OBSERVABILITY.md`).
-                let t0 = done.inner.tracer.now();
-                // Cancellation is chunk-granular: the flag is consulted
-                // once, before any work — an in-flight chunk always
-                // finishes every item it started (a probe, a match, or
-                // one world span of a simulation).
-                if core.is_cancelled() {
-                    return;
-                }
-                done.inner
+    let phase = Arc::new(Phase {
+        inner: Arc::clone(inner),
+        core: Arc::clone(core),
+        slots: OrderedMutex::new(CHUNK_RESULTS, items.into_iter().map(Slot::Item).collect()),
+        f,
+        len,
+        chunk,
+        remaining: AtomicUsize::new(chunks),
+        enqueued,
+    });
+    let tasks = (0..chunks)
+        .map(|index| {
+            let seq = core.chunks_dispatched.fetch_add(1, Ordering::AcqRel) + 1;
+            if !dispatch_cancelled {
+                inner
                     .tracer
-                    .instant_at(TraceEventKind::ChunkDequeue, core.id, seq, t0);
-                done.inner
-                    .tracer
-                    .record_queue_wait(lane_of(core.priority), t0.saturating_sub(enqueued));
-                let computed: Vec<(usize, T)> =
-                    chunk.into_iter().map(|(i, item)| (i, f(item))).collect();
-                {
-                    let mut slots = results.lock();
-                    for (i, value) in computed {
-                        slots[i] = Some(value);
-                    }
-                }
-                done.inner
-                    .tracer
-                    .span(TraceEventKind::ChunkRun, core.id, seq, t0);
-                let service = done.inner.tracer.now().saturating_sub(t0);
-                done.inner.tracer.record_chunk_service(service);
-            }),
-        });
-    }
+                    .instant_at(TraceEventKind::ChunkEnqueue, core.id, seq, enqueued);
+            }
+            QueuedTask {
+                priority: core.priority,
+                job: core.id,
+                seq,
+                run: Run::Chunk(Arc::clone(&phase) as Arc<dyn ChunkedPhase>, index),
+            }
+        })
+        .collect();
     inner.push_chunks(tasks);
-    inner.help_until(|| remaining.load(Ordering::Acquire) == 0);
-    let mut slots = results.lock();
-    std::mem::take(&mut *slots)
+    inner.help_until(|| phase.remaining.load(Ordering::Acquire) == 0);
+    let slots = std::mem::take(&mut *phase.slots.lock());
+    (slots.into_iter())
+        .map(|slot| match slot {
+            Slot::Done(value) => Some(value),
+            Slot::Item(_) | Slot::Taken => None,
+        })
+        .collect()
+}
+
+/// A phase [`run_chunked`] fanned out: its items and results, and what
+/// each of its chunks needs. Every chunk task holds it.
+struct Phase<I, T, F> {
+    inner: Arc<Inner>,
+    core: Arc<JobCore>,
+    slots: OrderedMutex<Vec<Slot<I, T>>>,
+    f: F,
+    /// Items in the phase.
+    len: usize,
+    /// Items per chunk (the last may hold fewer).
+    chunk: usize,
+    /// Chunks not yet finished.
+    remaining: AtomicUsize,
+    /// The dispatch's enqueue stamp.
+    enqueued: u64,
+}
+
+/// One item's slot in a [`Phase`]: the item until its chunk takes it,
+/// then its result.
+enum Slot<I, T> {
+    Item(I),
+    /// Taken by a chunk that has not put a result back (it panicked).
+    Taken,
+    Done(T),
+}
+
+/// A [`Phase`] as its chunk tasks run it.
+trait ChunkedPhase: Send + Sync {
+    /// Run chunk `index`, queued as chunk `seq` of its job.
+    fn run_chunk(&self, index: usize, seq: u64);
+}
+
+impl<I, T, F> ChunkedPhase for Phase<I, T, F>
+where
+    I: Send,
+    T: Send,
+    F: Fn(I) -> T + Send + Sync,
+{
+    fn run_chunk(&self, index: usize, seq: u64) {
+        let (inner, core) = (&*self.inner, &*self.core);
+        let _done = ChunkDone {
+            remaining: &self.remaining,
+            core,
+            inner,
+        };
+        if let Some(chaos) = &inner.chaos {
+            chaos.maybe_yield();
+        }
+        // Clock before flag: a chunk that passes the check below anchors
+        // all its events at `t0`, which then provably precedes any cancel
+        // marker (see `docs/OBSERVABILITY.md`).
+        let t0 = inner.tracer.now();
+        // Cancellation is chunk-granular: the flag is consulted once,
+        // before any work — an in-flight chunk always finishes every item
+        // it started (a probe, a match, or one world span of a
+        // simulation).
+        if core.is_cancelled() {
+            return;
+        }
+        inner
+            .tracer
+            .instant_at(TraceEventKind::ChunkDequeue, core.id, seq, t0);
+        inner
+            .tracer
+            .record_queue_wait(lane_of(core.priority), t0.saturating_sub(self.enqueued));
+        let start = index * self.chunk;
+        for i in start..(start + self.chunk).min(self.len) {
+            let taken = std::mem::replace(&mut self.slots.lock()[i], Slot::Taken);
+            let Slot::Item(item) = taken else {
+                unreachable!("every slot holds its item until its one chunk runs")
+            };
+            let value = (self.f)(item);
+            self.slots.lock()[i] = Slot::Done(value);
+        }
+        inner
+            .tracer
+            .span(TraceEventKind::ChunkRun, core.id, seq, t0);
+        let service = inner.tracer.now().saturating_sub(t0);
+        inner.tracer.record_chunk_service(service);
+    }
 }
 
 #[cfg(test)]

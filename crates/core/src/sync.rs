@@ -73,9 +73,9 @@ pub const SCHEDULER_STATE: LockRank = LockRank::new(10, "scheduler state");
 /// inside.
 pub const JOB_EVENTS: LockRank = LockRank::new(20, "job event sender");
 
-/// A chunked phase's result slots (`run_chunked`): each chunk briefly
-/// stores its computed values; the driver drains it once the phase
-/// completes.
+/// A chunked phase's item and result slots (`run_chunked`): a chunk
+/// briefly takes each of its items out and puts its result back; the
+/// driver drains them once the phase completes.
 pub const CHUNK_RESULTS: LockRank = LockRank::new(70, "chunk result slots");
 
 /// An engine's call-site probe memo (`crate::probe_memo`): a leaf held

@@ -7,6 +7,8 @@
 
 use std::collections::HashMap;
 
+use prophet_vg::ShortList;
+
 use crate::fingerprint::Fingerprint;
 use crate::mapping::Mapping;
 
@@ -121,26 +123,29 @@ impl Default for CorrelationDetector {
 impl CorrelationDetector {
     /// Batch detection across a whole column set: detect a mapping for
     /// *every* name in `columns` from the `source` fingerprint map onto the
-    /// `probe` map. Returns the per-column mappings plus the summed
+    /// `probe` map. Returns the mappings in `columns` order plus the summed
     /// [`Mapping::error_std`] (the candidate-ranking score a basis store
     /// uses to pick the best source), or `None` as soon as any column lacks
     /// a fingerprint on either side or fails detection.
     ///
     /// This is the unit of work of the batched, source-parallel store probe:
     /// each worker thread scores candidate sources against probe sets with
-    /// one `detect_all` call per (candidate, probe) pair.
+    /// one `detect_all` call per (candidate, probe) pair. The mappings are
+    /// held inline for up to four columns, so a candidate the scan passes
+    /// over allocates nothing; the scan names the mappings of the one it
+    /// keeps.
     pub fn detect_all(
         &self,
         source: &HashMap<String, Fingerprint>,
         probe: &HashMap<String, Fingerprint>,
         columns: &[String],
-    ) -> Option<(HashMap<String, Mapping>, f64)> {
-        let mut mappings = HashMap::with_capacity(columns.len());
+    ) -> Option<(ShortList<Mapping, 4>, f64)> {
+        let mut mappings = ShortList::with_capacity(Mapping::Identity, columns.len());
         let mut total_err = 0.0;
         for col in columns {
             let mapping = self.detect(source.get(col)?, probe.get(col)?)?;
             total_err += mapping.error_std();
-            mappings.insert(col.clone(), mapping);
+            mappings.push(mapping);
         }
         Some((mappings, total_err))
     }
@@ -293,8 +298,7 @@ mod tests {
         ]);
         let cols = ["a".to_owned(), "b".to_owned()];
         let (mappings, err) = det.detect_all(&source, &probe, &cols).expect("both map");
-        assert_eq!(mappings["a"], Mapping::Offset(4.0));
-        assert_eq!(mappings["b"], Mapping::Identity);
+        assert_eq!(&*mappings, &[Mapping::Offset(4.0), Mapping::Identity]);
         assert_eq!(err, 0.0, "identity/offset mappings are exact");
 
         // One unrelated column sinks the whole candidate.

@@ -9,7 +9,7 @@
 use std::fmt;
 
 /// A detected relationship between two parameterizations' outputs.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Mapping {
     /// Outputs are identical: reuse samples as-is.
     Identity,

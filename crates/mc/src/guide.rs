@@ -15,14 +15,18 @@
 //!   of every prefetch.
 
 use std::collections::{HashSet, VecDeque};
+use std::sync::Arc;
 
 use prophet_sql::ast::ParameterDecl;
+use prophet_vg::ShortList;
 
 use crate::instance::ParamPoint;
 
 /// Exhaustive row-major sweep over the cartesian product of all declared
 /// parameter domains. The first declared parameter varies slowest, so runs
-/// are reproducible and cache-friendly for per-prefix reuse.
+/// are reproducible and cache-friendly for per-prefix reuse. A clone
+/// shares the grid's names and domains: a sweep builds its axis grid once
+/// and binds a clone onto each group.
 #[derive(Debug, Clone)]
 pub struct GridGuide {
     /// Every parameter at its first value (and whatever [`GridGuide::onto`]
@@ -30,21 +34,24 @@ pub struct GridGuide {
     /// stamped in ([`ParamPoint::stamped`]) — one allocation, and all of a
     /// guide's points share one set of names.
     template: ParamPoint,
-    names: Vec<String>,
-    axes: Vec<Vec<i64>>,
-    /// Mixed-radix counter over `axes`; `None` once exhausted.
-    cursor: Option<Vec<usize>>,
+    names: Arc<[String]>,
+    axes: Arc<[Vec<i64>]>,
+    /// Mixed-radix counter over `axes`; `None` once exhausted. Inline for
+    /// up to eight axes, so binding a clone of a grid copies it.
+    cursor: Option<ShortList<usize, 8>>,
 }
 
 impl GridGuide {
     /// Build from parameter declarations.
     pub fn new(decls: &[ParameterDecl]) -> Self {
-        let names: Vec<String> = decls.iter().map(|d| d.name.clone()).collect();
-        let axes: Vec<Vec<i64>> = decls.iter().map(|d| d.domain.values()).collect();
+        let names: Arc<[String]> = decls.iter().map(|d| d.name.clone()).collect();
+        let axes: Arc<[Vec<i64>]> = decls.iter().map(|d| d.domain.values()).collect();
         let cursor = if axes.iter().any(Vec::is_empty) {
             None
         } else {
-            Some(vec![0; axes.len()])
+            let mut cursor = ShortList::with_capacity(0, axes.len());
+            cursor.extend(std::iter::repeat(0).take(axes.len()));
+            Some(cursor)
         };
         GridGuide {
             template: names.iter().map(|n| (n, 0)).collect(),
@@ -58,7 +65,7 @@ impl GridGuide {
     /// parameters set, in the grid's order (a sweep's one group).
     pub fn onto(mut self, base: &ParamPoint) -> Self {
         let mut template = base.clone();
-        for name in &self.names {
+        for name in self.names.iter() {
             template.set(name, 0);
         }
         self.template = template;

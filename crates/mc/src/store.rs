@@ -146,14 +146,14 @@ use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::io::Write;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use prophet_fingerprint::index::{
     bound_all, summarize_probe, ExactKey, ExactWindow, FingerprintSummary, MatchBound, SummaryTable,
 };
 use prophet_fingerprint::{CorrelationDetector, Fingerprint, Mapping};
-use prophet_vg::FastBuild;
+use prophet_vg::{FastBuild, ShortList};
 
 use crate::aggregate::ColumnMoments;
 use crate::instance::ParamPoint;
@@ -625,8 +625,9 @@ enum SlotState {
     Cancelled,
 }
 
-/// One pending parameter point: a condvar-notified state cell shared by the
-/// owner and every waiter.
+/// One pending parameter point's waiting room: a condvar-notified state
+/// cell the owner shares with every waiter. The first waiter makes it; a
+/// claim nobody waits on has none.
 struct PendingSlot {
     state: OrderedMutex<SlotState>,
     cv: OrderedCondvar,
@@ -637,12 +638,26 @@ struct PendingSlot {
     waiters: AtomicUsize,
 }
 
-impl PendingSlot {
-    fn new() -> Self {
+impl Default for PendingSlot {
+    fn default() -> Self {
         PendingSlot {
             state: OrderedMutex::new(rank::INFLIGHT_SLOT, SlotState::Running),
             cv: OrderedCondvar::new(),
             waiters: AtomicUsize::new(0),
+        }
+    }
+}
+
+impl PendingSlot {
+    /// Hand every waiter `entry`, waking those asleep.
+    fn serve(&self, entry: StoredEntry) {
+        let asleep = {
+            let mut state = self.state.lock();
+            *state = SlotState::Done(entry);
+            self.waiters.load(Ordering::Relaxed) > 0
+        };
+        if asleep {
+            self.cv.notify_all();
         }
     }
 
@@ -657,18 +672,45 @@ impl PendingSlot {
     }
 }
 
+/// A claimed point's entry in the in-flight table: the claim that owns it
+/// and, once another session waits on it, their shared slot.
+struct Claim {
+    /// Which claim owns the point: a clear detaches a claim, and the
+    /// point's next one has another id, so a detached owner's publish
+    /// finds the table no longer names it.
+    id: u64,
+    slot: Option<Arc<PendingSlot>>,
+}
+
 struct Inflight {
-    slots: OrderedMutex<HashMap<ParamPoint, Arc<PendingSlot>, FastBuild>>,
+    slots: OrderedMutex<HashMap<ParamPoint, Claim, FastBuild>>,
+    /// The next claim's id.
+    next_claim: AtomicU64,
     /// Claim-protocol checker: every point must walk claimed → simulated →
     /// published (or claimed → cancelled) exactly once per claim. A no-op
     /// unless `cfg(any(test, feature = "check"))`.
     ledger: ClaimLedger<ParamPoint>,
 }
 
+impl Inflight {
+    /// Remove `point`'s entry if claim `id` still owns it, returning it.
+    fn detach(
+        slots: &mut HashMap<ParamPoint, Claim, FastBuild>,
+        point: &ParamPoint,
+        id: u64,
+    ) -> Option<Claim> {
+        if slots.get(point)?.id != id {
+            return None;
+        }
+        slots.remove(point)
+    }
+}
+
 impl Default for Inflight {
     fn default() -> Self {
         Inflight {
             slots: OrderedMutex::new(rank::INFLIGHT_TABLE, HashMap::default()),
+            next_claim: AtomicU64::new(0),
             ledger: ClaimLedger::new(),
         }
     }
@@ -699,7 +741,8 @@ pub enum TryClaim<S = Arc<ColumnSamples>> {
 pub struct InflightGuard {
     store: SharedBasisStore,
     point: ParamPoint,
-    slot: Arc<PendingSlot>,
+    /// This claim's [`Claim::id`].
+    claim: u64,
     completed: bool,
 }
 
@@ -761,27 +804,17 @@ impl InflightGuard {
         self.completed = true;
         let entry = StoredEntry::of(&record, &self.store.stats);
         let mut slots = self.store.inflight.slots.lock();
-        let waited = {
-            let mut state = self.slot.state.lock();
-            if matches!(*state, SlotState::Cancelled) {
-                // A clear detached this slot mid-flight: discard. The clear
-                // already released this point's claim in the ledger.
-                return (entry, false);
-            }
-            *state = SlotState::Done(entry.clone());
-            self.slot.waiters.load(Ordering::Relaxed) > 0
+        let Some(claim) = Inflight::detach(&mut slots, &self.point, self.claim) else {
+            // A clear detached this claim mid-flight: discard. The clear
+            // already released this point's claim in the ledger.
+            return (entry, false);
         };
         self.store.inflight.ledger.on_simulated(&self.point);
-        if waited {
-            self.slot.cv.notify_all();
+        if let Some(slot) = claim.slot {
+            slot.serve(entry.clone());
         }
         self.store.insert_record(self.point.clone(), record);
         self.store.inflight.ledger.on_published(&self.point);
-        if let Some(current) = slots.get(&self.point) {
-            if Arc::ptr_eq(current, &self.slot) {
-                slots.remove(&self.point);
-            }
-        }
         self.store.inflight.ledger.on_released(&self.point);
         drop(slots);
         self.store
@@ -789,32 +822,23 @@ impl InflightGuard {
             .instant(TraceEventKind::StorePublish, NO_JOB, NO_CHUNK);
         (entry, true)
     }
-
-    /// Remove this slot from the pending table (if it is still the
-    /// registered one — a clear may have already detached it). Returns
-    /// whether this call detached it.
-    fn detach(&self) -> bool {
-        let mut slots = self.store.inflight.slots.lock();
-        if let Some(current) = slots.get(&self.point) {
-            if Arc::ptr_eq(current, &self.slot) {
-                slots.remove(&self.point);
-                return true;
-            }
-        }
-        false
-    }
 }
 
 impl Drop for InflightGuard {
     fn drop(&mut self) {
         if !self.completed {
             // Cancellation: claimed → released, never simulated. If a clear
-            // already detached the slot it also released the claim, so only
-            // the detaching party reports the release.
-            if self.detach() {
+            // already detached the claim it also released it and cancelled
+            // its slot, so only the detaching party does either.
+            let mut slots = self.store.inflight.slots.lock();
+            let claim = Inflight::detach(&mut slots, &self.point, self.claim);
+            drop(slots);
+            if let Some(claim) = claim {
                 self.store.inflight.ledger.on_released(&self.point);
+                if let Some(slot) = claim.slot {
+                    slot.cancel();
+                }
             }
-            self.slot.cancel();
         }
     }
 }
@@ -942,9 +966,9 @@ pub struct SharedBasisStore {
     tracer: Tracer,
 }
 
-/// A probe's best match so far: `(candidate index, per-column mappings,
-/// total error)`.
-type Best = (usize, HashMap<String, Mapping>, f64);
+/// A probe's best match so far: `(candidate index, mappings in the scan's
+/// column order, total error)`; only the hit names them.
+type Best = (usize, ShortList<Mapping, 4>, f64);
 
 /// Work accounting of a batch of match scans: what the engine's batch
 /// pipeline folds into its run's counters once the batch's probes have
@@ -989,11 +1013,13 @@ struct Candidate {
 }
 
 impl Candidate {
-    fn hit(&self, mappings: HashMap<String, Mapping>) -> BasisHit {
+    /// The hit of this candidate with `each` column's mapping, in
+    /// `columns` order.
+    fn hit(&self, columns: &[String], each: &[Mapping]) -> BasisHit {
         BasisHit {
             source: self.point.clone(),
             source_stamp: self.stamp,
-            mappings,
+            mappings: columns.iter().cloned().zip(each.iter().copied()).collect(),
             samples: Arc::clone(&self.samples),
             worlds: self.worlds,
         }
@@ -1174,7 +1200,7 @@ impl ScanSnapshot {
         };
         work.hit = best.is_some();
         ProbeScan {
-            hit: best.map(|(ci, mappings, _)| self.candidates[ci].hit(mappings)),
+            hit: best.map(|(ci, mappings, _)| self.candidates[ci].hit(&self.columns, &mappings)),
             work,
         }
     }
@@ -1233,7 +1259,7 @@ impl ScanSnapshot {
         work: &mut ScanWork,
     ) -> Option<Best> {
         let index = self.windows.as_ref()?;
-        let mut windows: Vec<Option<ExactWindow>> = Vec::with_capacity(self.columns.len());
+        let mut windows = ShortList::<Option<ExactWindow>, 4>::new(None);
         for column in &self.columns {
             let key = FingerprintSummary::key_of(probe.get(column)?);
             if key.len() != index.len {
@@ -1245,19 +1271,21 @@ impl ScanSnapshot {
             .filter_map(|(col, w)| index.window(col, w.as_ref()?))
             .min_by_key(|[below, above]| below.len() + above.len())?;
         let width = self.columns.len();
-        let mut admitted: Vec<usize> = (ranges.iter().flat_map(|r| r.iter()))
-            .map(|&(_, ci)| ci as usize)
-            .filter(|&ci| {
-                let keys = &index.keys[ci * width..(ci + 1) * width];
-                keys.iter().zip(&windows).all(|(key, w)| match (key, w) {
-                    (None, _) => false,
-                    (Some(_), None) => true,
-                    (Some(key), Some(w)) => w.admits(key),
-                })
-            })
-            .collect();
+        let mut admitted = ShortList::<usize, 8>::new(0);
+        admitted.extend(
+            (ranges.iter().flat_map(|r| r.iter()))
+                .map(|&(_, ci)| ci as usize)
+                .filter(|&ci| {
+                    let keys = &index.keys[ci * width..(ci + 1) * width];
+                    keys.iter().zip(&windows).all(|(key, w)| match (key, w) {
+                        (None, _) => false,
+                        (Some(_), None) => true,
+                        (Some(key), Some(w)) => w.admits(key),
+                    })
+                }),
+        );
         admitted.sort_unstable();
-        for ci in admitted {
+        for &ci in &admitted {
             work.scanned += 1;
             let detected =
                 (self.detector).detect_all(&self.candidates[ci].fingerprints, probe, &self.columns);
@@ -1511,8 +1539,10 @@ impl SharedBasisStore {
     fn reset_with(&self, rewrite: impl FnOnce(&mut Table)) {
         let mut slots = self.inflight.slots.lock();
         // analysis:allow(map-iter): every drained slot gets the same cancel + release — visit order is unobservable
-        for (point, slot) in slots.drain() {
-            slot.cancel();
+        for (point, claim) in slots.drain() {
+            if let Some(slot) = claim.slot {
+                slot.cancel();
+            }
             // The detached owner's claim ends here: claimed → released
             // (its eventual `complete` observes the cancel and discards).
             self.inflight.ledger.on_released(&point);
@@ -1607,19 +1637,22 @@ impl SharedBasisStore {
             };
         }
         match slots.entry(point.clone()) {
-            Entry::Occupied(e) => TryClaim::Pending(WaitHandle {
-                slot: Arc::clone(e.get()),
-                stats: Arc::clone(&self.stats),
-                tracer: self.tracer.clone(),
-            }),
+            Entry::Occupied(mut e) => {
+                let slot = e.get_mut().slot.get_or_insert_with(Arc::default);
+                TryClaim::Pending(WaitHandle {
+                    slot: Arc::clone(slot),
+                    stats: Arc::clone(&self.stats),
+                    tracer: self.tracer.clone(),
+                })
+            }
             Entry::Vacant(v) => {
-                let slot = Arc::new(PendingSlot::new());
-                v.insert(Arc::clone(&slot));
+                let id = self.inflight.next_claim.fetch_add(1, Ordering::Relaxed);
+                v.insert(Claim { id, slot: None });
                 self.inflight.ledger.on_claimed(point);
                 TryClaim::Owner(InflightGuard {
                     store: self.clone(),
                     point: point.clone(),
-                    slot,
+                    claim: id,
                     completed: false,
                 })
             }

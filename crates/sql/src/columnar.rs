@@ -76,7 +76,7 @@ use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::Arc;
 
 use prophet_data::Value;
-use prophet_vg::{LedgerCall, LedgerStore, SeedManager, VgCallF64, VgRegistry};
+use prophet_vg::{LedgerCall, LedgerStore, SeedManager, ShortList, VgCallF64, VgRegistry};
 
 use crate::ast::{BinOp, Expr, SelectInto};
 use crate::column::{
@@ -1731,15 +1731,13 @@ fn call_function_col(
     // store; `None` means this call is not ledgered and draws below.
     let replayed = match draws.ledgers {
         Some(store) => {
-            let calls: Vec<LedgerCall<'_>> = sel
-                .slots()
-                .enumerate()
-                .map(|(k, slot)| LedgerCall {
-                    params: row(k),
-                    world: draws.worlds[slot],
-                    call_index: draws.counters.get(slot),
-                })
-                .collect();
+            // Inline for a probe's block of 32 worlds.
+            let mut calls = ShortList::<_, 32>::with_capacity(LedgerCall::NONE, sel.len());
+            calls.extend(sel.slots().enumerate().map(|(k, slot)| LedgerCall {
+                params: row(k),
+                world: draws.worlds[slot],
+                call_index: draws.counters.get(slot),
+            }));
             registry.invoke_batch_ledgered(name, &calls, &draws.seeds, store)?
         }
         None => None,

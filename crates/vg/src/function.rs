@@ -29,6 +29,7 @@ use prophet_data::{DataError, DataResult, Value};
 use crate::hash::FastBuild;
 use crate::rng::Xoshiro256StarStar;
 use crate::seeded::SeedManager;
+use crate::short_list::ShortList;
 
 /// One logical per-world invocation inside a batched VG call
 /// ([`VgRegistry::invoke_batch_columnar`]): the concrete argument values
@@ -146,6 +147,13 @@ pub struct LedgerCall<'a> {
 }
 
 impl LedgerCall<'_> {
+    /// A call of no arguments in world 0: the filler of an unused slot.
+    pub const NONE: LedgerCall<'static> = LedgerCall {
+        params: &[],
+        world: 0,
+        call_index: 0,
+    };
+
     /// The call's `(call index, world)`: its stream's key in a
     /// [`LedgerStore`], with the function name.
     pub fn key(&self) -> (u64, u64) {
@@ -309,7 +317,7 @@ impl VgRegistry {
         if let Some(lens) = ledger_lens(function.as_ref(), calls.iter().map(|c| c.params))? {
             return calls
                 .iter_mut()
-                .zip(lens)
+                .zip(lens.iter().copied())
                 .map(|(call, len)| {
                     let ledger = draw_ledger(name, function.as_ref(), call.rng, len)?;
                     function.replay(call.params, &ledger)
@@ -413,13 +421,13 @@ impl VgRegistry {
 
 /// The ledger length of every call of a batch, or `None` — before any
 /// stream is touched — unless the model keeps a ledger for all of them.
+/// Inline for a probe's block of 32 calls; one allocation for a longer
+/// batch.
 fn ledger_lens<'a>(
     function: &dyn VgFunction,
     rows: impl ExactSizeIterator<Item = &'a [Value]>,
-) -> DataResult<Option<Vec<usize>>> {
-    // One allocation: collecting through `Result` and `Option` would
-    // grow the vector from an unknown length.
-    let mut lens = Vec::with_capacity(rows.len());
+) -> DataResult<Option<ShortList<usize, 32>>> {
+    let mut lens = ShortList::with_capacity(0, rows.len());
     for params in rows {
         match function.ledger_len(params)? {
             Some(len) => lens.push(len),

@@ -31,16 +31,20 @@
 //!   *measure* the work fingerprints save,
 //! * [`seeded`] — the deterministic (world, function, step) → seed mapping,
 //! * [`hash`] — the deterministic word hasher ([`hash::FastBuild`]) the
-//!   engine's internal tables use instead of SipHash.
+//!   engine's internal tables use instead of SipHash,
+//! * [`short_list`] — [`short_list::ShortList`], the inline list of the
+//!   engine's per-point scratch.
 
 pub mod dist;
 pub mod function;
 pub mod hash;
 pub mod rng;
 pub mod seeded;
+pub mod short_list;
 
 pub use dist::Distribution;
 pub use function::{InvocationStats, LedgerCall, LedgerStore, VgCallF64, VgFunction, VgRegistry};
 pub use hash::FastBuild;
 pub use rng::{Rng64, SeedSequence, SplitMix64, Xoshiro256StarStar};
 pub use seeded::SeedManager;
+pub use short_list::ShortList;
